@@ -4,16 +4,18 @@
 //	dpcd -addr :9090 -origin http://127.0.0.1:8080
 //
 // The fragment store backend is selectable: the default "slot" backend is
-// the paper's single-lock slot array; "-store sharded" enables the
-// sharded store, optionally bounded by a byte budget with LRU or GDSF
+// the paper's single-lock slot array; "-store sharded" mounts the keyed
+// storage engine the static and page tiers already use (hashed shards,
+// per-shard locks), optionally bounded by a byte budget with LRU or GDSF
 // eviction. The budget (-store-budget) is one global ledger shared by all
 // shards — eviction (-evict lru|gdsf) fires only when the store as a
-// whole is over, so skewed key distributions do not evict early:
+// whole is over, so skewed key distributions do not evict early, and it
+// takes the globally coldest entry first:
 //
 //	dpcd -store sharded -shards 32 -store-budget 67108864 -evict gdsf
 //
-// "-store tiered" mounts the disk-backed two-tier store: the RAM tier is
-// a keyed store bounded by -store-budget, and instead of dropping its
+// "-store tiered" mounts the same engine over a disk tier: the RAM tier
+// is bounded by -store-budget, and instead of dropping its
 // eviction victims it demotes them into a page-structured heap file
 // (-disk-path, bounded by -disk-budget) behind a pinning buffer pool.
 // Disk hits are promoted back to RAM, and a restart replays the heap
@@ -117,9 +119,9 @@ func main() {
 	codecName := flag.String("codec", "binary", "template codec: binary or text")
 	strict := flag.Bool("strict", true, "generation-checked assembly with bypass recovery")
 	backend := flag.String("store", fragstore.BackendSlot, "fragment store backend: slot, sharded, or tiered")
-	shards := flag.Int("shards", 0, "sharded store: shard count, rounded to a power of two (0 = default)")
-	budget := flag.Int64("store-budget", 0, "sharded store: resident fragment byte budget (0 = unbounded)")
-	evict := flag.String("evict", "none", "sharded store: eviction policy when over budget: none, lru, or gdsf")
+	shards := flag.Int("shards", 0, "sharded and tiered stores: engine shard count, rounded to a power of two (0 = 16)")
+	budget := flag.Int64("store-budget", 0, "sharded and tiered stores: resident fragment byte budget in RAM, one global ledger (0 = unbounded; sharded requires -evict with it)")
+	evict := flag.String("evict", "none", "sharded and tiered stores: eviction policy when over budget, globally coldest first: none, lru, or gdsf")
 	diskPath := flag.String("disk-path", "", "tiered store: heap-file path, replayed on restart so the proxy serves warm (required with -store tiered)")
 	diskBudget := flag.Int64("disk-budget", 0, "tiered store: disk-resident byte budget; over it the disk tier drops LRU victims (0 = unbounded)")
 	diskPage := flag.Int("disk-page-bytes", 0, "tiered store: heap-file page size in bytes (0 = 32KiB default; changing it invalidates the file)")
@@ -224,8 +226,8 @@ func main() {
 		*originURL, *addr, *capacity, codec.Name(), *strict, *coalesce, *stream, *pageCache, *planCache)
 	fmt.Printf("dpcd: %s store, %d shard(s), byte budget %d, eviction %s; status at http://%s/_dpc/stats\n",
 		st.Backend, st.Shards, st.ByteBudget, *evict, *addr)
-	if dt, ok := store.(fragstore.DiskTiered); ok {
-		ds := dt.TierStats().Disk
+	if ts, ok := fragstore.DiskStats(store); ok {
+		ds := ts.Disk
 		fmt.Printf("dpcd: disk tier %s: %d entries (%d bytes) replayed warm, %d torn/bad pages discarded, byte budget %d\n",
 			*diskPath, ds.RecoveredEntries, ds.Bytes, ds.ChecksumDiscards, ds.ByteBudget)
 	}

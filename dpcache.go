@@ -88,11 +88,12 @@ type (
 const (
 	// StoreBackendSlot is the paper-faithful single-lock slot array.
 	StoreBackendSlot = fragstore.BackendSlot
-	// StoreBackendSharded is the sharded, byte-budgeted store with
-	// pluggable eviction ("none", "lru", "gdsf").
+	// StoreBackendSharded is the KeyedStore engine seen through the
+	// fragment-store contract: hashed shards, an optional global byte
+	// budget, and pluggable eviction ("none", "lru", "gdsf").
 	StoreBackendSharded = fragstore.BackendSharded
-	// StoreBackendTiered is the disk-backed two-tier store: a keyed RAM
-	// tier that demotes eviction victims into a heap file
+	// StoreBackendTiered is the same view over the disk-backed two-tier
+	// engine: a RAM tier that demotes eviction victims into a heap file
 	// (StoreConfig.DiskPath) replayed on restart, so a bounced proxy
 	// serves warm. See SystemConfig.StoreDiskDir.
 	StoreBackendTiered = fragstore.BackendTiered

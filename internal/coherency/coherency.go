@@ -409,8 +409,9 @@ func (s *TierSubscriber) applyFragmentLocked(ev Event) {
 	}
 	ref := depindex.Ref(ev.Key, ev.Gen)
 	// Tombstone first: an in-flight capture that read this fragment's
-	// bytes before the drop must see the marker when it files, whichever
-	// side of our Delete its Put lands on.
+	// bytes before the drop either filed before the marker, edges and
+	// all, for the Delete below to find, or sees the marker and does not
+	// file.
 	s.ix.MarkInvalid(ref)
 	keys, exact := s.ix.Dependents(ref)
 	if !exact {
@@ -430,12 +431,13 @@ func (s *TierSubscriber) applyFragmentLocked(ev Event) {
 }
 
 func (s *TierSubscriber) flushLocked() {
-	s.tier.Flush()
 	if s.ix != nil {
-		// Kill in-flight fills too: a capture filed after this flush
-		// would resurrect an entry the flush was meant to remove.
+		// Kill in-flight fills first: a capture filed after this flush
+		// would resurrect an entry the flush was meant to remove, and one
+		// filed before the bump is there for the flush to remove.
 		s.ix.BumpEpoch()
 	}
+	s.tier.Flush()
 	s.flushes++
 	if s.OnFlush != nil {
 		s.OnFlush()

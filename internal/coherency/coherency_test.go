@@ -26,7 +26,7 @@ func storeBackends(t *testing.T, capacity int) map[string]fragstore.FragmentStor
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := fragstore.NewSharded(fragstore.ShardedConfig{Capacity: capacity, Shards: 4})
+	sharded, err := fragstore.New(fragstore.Config{Backend: fragstore.BackendSharded, Capacity: capacity, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

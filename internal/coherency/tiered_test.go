@@ -29,8 +29,14 @@ func TestStoreSubscriberDropsDiskResident(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	dt := fs.(fragstore.DiskTiered)
-	if st := dt.TierStats(); st.Disk.Resident != 1 {
+	tierStats := func() fragstore.TieredStats {
+		ts, ok := fragstore.DiskStats(fs)
+		if !ok {
+			t.Fatal("tiered backend reports no disk tier")
+		}
+		return ts
+	}
+	if st := tierStats(); st.Disk.Resident != 1 {
 		t.Fatalf("setup: want key 1 demoted to disk, got %+v", st)
 	}
 
@@ -39,7 +45,7 @@ func TestStoreSubscriberDropsDiskResident(t *testing.T) {
 	if _, ok := fs.Get(1, 5, false); ok {
 		t.Fatal("invalidated disk-resident fragment still served")
 	}
-	if st := dt.TierStats(); st.Disk.Resident != 0 {
+	if st := tierStats(); st.Disk.Resident != 0 {
 		t.Fatalf("invalidated fragment still on disk: %+v", st)
 	}
 
@@ -51,7 +57,7 @@ func TestStoreSubscriberDropsDiskResident(t *testing.T) {
 	if fs.Resident() != 0 {
 		t.Fatalf("gap flush left %d entries across the tiers", fs.Resident())
 	}
-	if st := dt.TierStats(); st.Disk.Resident != 0 {
+	if st := tierStats(); st.Disk.Resident != 0 {
 		t.Fatalf("gap flush left disk entries: %+v", st)
 	}
 }

@@ -97,18 +97,20 @@ type Config struct {
 	// ForcedMissProb pins the BEM hit ratio for experiments (Figure 5).
 	ForcedMissProb float64
 	// StoreBackend selects each proxy's fragment store: "slot" (default,
-	// the paper's single-lock array) or "sharded" (per-shard locks, byte
-	// budget, eviction). Every proxy — the reverse proxy and each edge —
-	// gets its own store instance.
+	// the paper's single-lock array), "sharded" (the keyed engine:
+	// per-shard locks, byte budget, eviction) or "tiered" (the engine over
+	// a heap file). Every proxy — the reverse proxy and each edge — gets
+	// its own store instance.
 	StoreBackend string
-	// StoreShards is the sharded backend's shard count, rounded up to a
-	// power of two (0 selects the fragstore default).
+	// StoreShards is the engine's shard count under the sharded and
+	// tiered backends, rounded up to a power of two (0 selects the
+	// fragstore default).
 	StoreShards int
-	// StoreByteBudget bounds resident fragment bytes per sharded store
-	// (0 = unbounded). Requires StoreEviction.
+	// StoreByteBudget bounds resident fragment bytes in RAM per sharded
+	// or tiered store (0 = unbounded). The sharded backend requires
+	// StoreEviction with it.
 	StoreByteBudget int64
-	// StoreEviction is the sharded backend's policy: "none", "lru", or
-	// "gdsf".
+	// StoreEviction is the engine's policy: "none", "lru", or "gdsf".
 	StoreEviction string
 	// StoreDiskDir is the tiered backend's heap-file directory: each
 	// proxy gets its own file there ("front.heap", "edge-<name>.heap"),
@@ -273,8 +275,8 @@ type System struct {
 	proxySrv    *http.Server
 	edges       []*http.Server
 	edgeProxies []*dpc.Proxy
-	frontStore  io.Closer   // tiered stores hold an open heap file
-	edgeStores  []io.Closer // likewise, one per disk-backed edge
+	frontStore  io.Closer   // tiered stores hold an open heap file; closing any other is a no-op
+	edgeStores  []io.Closer // likewise, one per edge
 	started     bool
 }
 
@@ -372,7 +374,7 @@ type Edge struct {
 	URL string
 
 	srv   *http.Server
-	store io.Closer // non-nil only for disk-backed stores
+	store io.Closer // nil for stores with nothing to close (the slot array)
 }
 
 // Close shuts this one edge down — server, proxy background work, and

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -200,9 +201,17 @@ func TestFabricInvalidationStormNeverServesDropped(t *testing.T) {
 			}
 			v++
 			site.TouchFragment(sys.Repo, 0, strconv.FormatInt(v, 10))
-			// TouchFragment returns after the BEM invalidation and the
-			// hub broadcast have fully applied (both are synchronous), so
-			// every tier has dropped v-1 by the time this store lands.
+			// TouchFragment returns after the invalidation it caused has
+			// been broadcast and applied (both are synchronous). When a
+			// proxy's stale report invalidated the fragment first, the
+			// write finds nothing left to invalidate and returns while
+			// that report's broadcast may still be in delivery, so the
+			// fabric's promise is stated against acknowledged sequence
+			// numbers: wait for the hub to have applied all it has issued.
+			// Every tier has then dropped v-1 by the time this store lands.
+			for sys.Hub.AckedThrough() < sys.Hub.Seq() {
+				runtime.Gosched()
+			}
 			committed.Store(v)
 			time.Sleep(500 * time.Microsecond)
 		}

@@ -33,14 +33,18 @@
 // *after* the drop and survive until TTL. Two mechanisms close this:
 //
 //   - MarkInvalid / AnyInvalid: subscribers tombstone each invalidated
-//     ref *before* deleting dependents; fillers check their refs *after*
-//     filing and delete their own entry on a hit. Whichever side runs
-//     second sees the other's write, so no interleaving files a page
-//     containing a dropped fragment's bytes without also removing it.
+//     ref *before* deleting dependents; fillers check their refs and file
+//     only when none is tombstoned.
 //   - Epoch: scoped flushes (sequence gaps, explicit tier flushes) bump a
-//     generation counter; a filler whose capture began under an older
-//     epoch discards its fill, since the flush could not have removed a
-//     page that was not yet filed.
+//     generation counter *before* flushing; a filler whose capture began
+//     under an older epoch does not file, since the flush could not have
+//     removed a page that was not yet filed.
+//   - Filing: a filler checks, records its edges and puts its entry while
+//     holding the Filing lock, which MarkInvalid and BumpEpoch take
+//     exclusively. A fill is therefore wholly before the marker — edges
+//     and entry in place for the subscriber's Delete or Flush to find —
+//     or wholly after it, and refused. A page holding a dropped
+//     fragment's bytes is never servable once the drop has been applied.
 package depindex
 
 import (
@@ -119,6 +123,9 @@ type Index struct {
 
 	bytes atomic.Int64
 	epoch atomic.Uint64
+	// filing orders fills (shared) against tombstones and epoch bumps
+	// (exclusive); see the package comment.
+	filing sync.RWMutex
 
 	records, evictions, lookups, inexact atomic.Int64
 }
@@ -299,11 +306,14 @@ func (ix *Index) Dependents(ref string) (keys []string, exact bool) {
 }
 
 // MarkInvalid tombstones an invalidated ref so in-flight fills whose
-// fragments were read before the invalidation refuse to file (or unfile)
-// their capture. Subscribers call it before deleting dependents.
+// fragments were read before the invalidation refuse to file their
+// capture. It waits for fills holding Filing, so their edges are in place
+// when it returns. Subscribers call it before deleting dependents.
 func (ix *Index) MarkInvalid(ref string) {
 	now := ix.clk.Now()
 	sh := ix.locate(ref)
+	ix.filing.Lock()
+	defer ix.filing.Unlock()
 	sh.mu.Lock()
 	if len(sh.tomb) >= maxTombstones {
 		for r, deadline := range sh.tomb {
@@ -322,8 +332,13 @@ func (ix *Index) MarkInvalid(ref string) {
 	sh.mu.Unlock()
 }
 
+// Filing returns the lock a filler holds from its AnyInvalid and Epoch
+// checks until its entry is recorded and put.
+func (ix *Index) Filing() sync.Locker { return ix.filing.RLocker() }
+
 // AnyInvalid reports whether any of refs has been marked invalid within
-// the tombstone window. Fillers call it after filing a capture.
+// the tombstone window. Fillers call it, under Filing, before filing a
+// capture.
 func (ix *Index) AnyInvalid(refs []string) bool {
 	if len(refs) == 0 {
 		return false
@@ -348,7 +363,11 @@ func (ix *Index) Epoch() uint64 { return ix.epoch.Load() }
 
 // BumpEpoch advances the flush generation; tier subscribers call it
 // whenever they flush (sequence gap, flush-scope event).
-func (ix *Index) BumpEpoch() { ix.epoch.Add(1) }
+func (ix *Index) BumpEpoch() {
+	ix.filing.Lock()
+	ix.epoch.Add(1)
+	ix.filing.Unlock()
+}
 
 // Flush empties the index (edges and tombstones) and bumps the epoch.
 func (ix *Index) Flush() {
@@ -364,7 +383,7 @@ func (ix *Index) Flush() {
 		sh.inexactUntil = time.Time{}
 		sh.mu.Unlock()
 	}
-	ix.epoch.Add(1)
+	ix.BumpEpoch()
 }
 
 // Stats returns a snapshot of index activity.

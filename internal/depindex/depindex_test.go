@@ -123,6 +123,45 @@ func TestTombstones(t *testing.T) {
 	}
 }
 
+// A fill in progress holds Filing: a tombstone or an epoch bump waits for
+// it, so the subscriber's lookup that follows finds the fill's edges, and
+// a fill that starts afterwards sees the marker.
+func TestFilingOrdersFillsAgainstInvalidations(t *testing.T) {
+	for name, invalidate := range map[string]func(*Index){
+		"tombstone": func(ix *Index) { ix.MarkInvalid(Ref(1, 1)) },
+		"epoch":     (*Index).BumpEpoch,
+	} {
+		t.Run(name, func(t *testing.T) {
+			ix := newTestIndex(0, time.Minute, nil)
+			epoch := ix.Epoch()
+			filing := ix.Filing()
+			filing.Lock()
+			applied := make(chan struct{})
+			go func() {
+				invalidate(ix)
+				close(applied)
+			}()
+			select {
+			case <-applied:
+				t.Fatal("invalidation applied in the middle of a fill")
+			case <-time.After(20 * time.Millisecond):
+			}
+			if ix.AnyInvalid([]string{Ref(1, 1)}) || ix.Epoch() != epoch {
+				t.Fatal("fill in progress already sees the invalidation")
+			}
+			ix.Record(Ref(1, 1), "page")
+			filing.Unlock()
+			<-applied
+			if keys, _ := ix.Dependents(Ref(1, 1)); len(keys) != 1 {
+				t.Fatalf("invalidation does not find the fill's edge: %v", keys)
+			}
+			if !ix.AnyInvalid([]string{Ref(1, 1)}) && ix.Epoch() == epoch {
+				t.Fatal("a later fill does not see the invalidation")
+			}
+		})
+	}
+}
+
 func TestTombstonesExpire(t *testing.T) {
 	fake := clock.NewFake(time.Unix(0, 0))
 	ix := newTestIndex(0, time.Second, fake)

@@ -7,6 +7,7 @@ import (
 
 var (
 	errClosed    = errors.New("diskstore: closed")
+	errStalePage = errors.New("diskstore: page freed or reincarnated")
 	errShortPage = errors.New("diskstore: short page read")
 	errBadPage   = errors.New("diskstore: page failed checksum")
 )
@@ -23,6 +24,11 @@ var (
 //     per page id so page images land on disk in staging order.
 //   - slot kills replace the frame copy-on-write, so lock-free readers
 //     still holding the old frame never race the edit.
+//   - appends edit the tail frame in place, under the latch. A reader
+//     shares that frame lock-free, so it may touch only what was complete
+//     before its record was indexed — its own slot entry and record
+//     bytes — never the slot count or dataLo an append moves. pin checks
+//     the page incarnation instead, under the latch.
 //
 // Clock (second-chance) eviction only considers unpinned, clean,
 // loaded frames — evicting one is a pure map delete, never I/O.
@@ -107,14 +113,20 @@ func (s *Store) markDirtyLocked(f *frame) {
 	s.dirty[f.page] = f
 }
 
-// pin returns the loaded frame for page with its pin count raised,
-// loading it from disk (outside the latch) if absent. The caller must
-// unpin it.
-func (s *Store) pin(page int) (*frame, error) {
+// pin returns the loaded frame for incarnation pgen of page with its pin
+// count raised, loading it from disk (outside the latch) if absent; a
+// page freed or reused since the location was read is errStalePage. A
+// freed page's frame is replaced, not edited, so the incarnation cannot
+// change under a pinned frame. The caller must unpin it.
+func (s *Store) pin(page int, pgen uint64) (*frame, error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return nil, errClosed
+	}
+	if pi := s.pages[page]; pi == nil || pi.free || pi.gen != pgen {
+		s.mu.Unlock()
+		return nil, errStalePage
 	}
 	if f := s.frames[page]; f != nil {
 		f.pins++
@@ -235,9 +247,9 @@ func (s *Store) applyKills(kills []segLoc) {
 		byPage[loc.page] = append(byPage[loc.page], loc)
 	}
 	for page, locs := range byPage {
-		f, err := s.pin(page)
+		f, err := s.pin(page, locs[0].pgen)
 		if err != nil {
-			continue // unreadable page: its records are unreachable anyway
+			continue // stale or unreadable page: its records are unreachable anyway
 		}
 		s.mu.Lock()
 		cur := s.frames[page]
@@ -250,6 +262,13 @@ func (s *Store) applyKills(kills []segLoc) {
 			continue
 		}
 		nf := &frame{page: page, data: append([]byte(nil), cur.data...)}
+		if page == s.tail {
+			// The unsealed tail's standing pin (allocTailLocked) belongs to
+			// the page, not the frame object: carry it onto the clone, or
+			// the pool could evict the tail out from under the next append.
+			cur.pins--
+			nf.pins++
+		}
 		nSlots := pageSlotCount(nf.data)
 		for _, loc := range locs {
 			if loc.slot >= 0 && loc.slot < nSlots {

@@ -189,3 +189,34 @@ func TestRecoveryAllPagesCorrupt(t *testing.T) {
 		t.Fatal("post-corruption put lost")
 	}
 }
+
+// TestTailFrameSurvivesKillAndPoolPressure pins the tail-frame pin loss:
+// deleting a record on the unsealed tail page clones its frame, and the
+// tail's standing pin must move onto the clone. With PoolPages 1, reads
+// of sealed pages otherwise evict the tail and the next Put finds no
+// frame to append into.
+func TestTailFrameSurvivesKillAndPoolPressure(t *testing.T) {
+	s := openTemp(t, Config{PageBytes: MinPageBytes, PoolPages: 1})
+	big := make([]byte, MinPageBytes/2)
+	for _, k := range []string{"a1", "a2", "b1", "b2"} {
+		s.Put(k, Entry{Value: big})
+	}
+	s.Put("tailkey", Entry{Value: []byte("x")})
+	s.Put("tailkey2", Entry{Value: []byte("y")})
+	s.Delete("tailkey") // a kill in the unsealed tail clones its frame
+	// Read only keys on sealed pages, so an unpinned tail frame would be
+	// evicted and never reloaded.
+	for round := 0; round < 3; round++ {
+		for _, k := range []string{"a1", "b1", "a2"} {
+			if _, ok := s.Get(k); !ok {
+				t.Fatalf("lost %q", k)
+			}
+		}
+	}
+	s.Put("after", Entry{Value: []byte("z")})
+	for _, k := range []string{"after", "tailkey2"} {
+		if _, ok := s.Get(k); !ok {
+			t.Fatalf("lost %q", k)
+		}
+	}
+}

@@ -562,12 +562,14 @@ func (s *Store) lookup(key string, expire bool) (Entry, bool) {
 func (s *Store) readRecord(key string, locs []segLoc, seq uint64, valLen int) ([]byte, bool) {
 	val := make([]byte, 0, valLen)
 	for i, loc := range locs {
-		f, err := s.pin(loc.page)
+		f, err := s.pin(loc.page, loc.pgen)
 		if err != nil {
 			return nil, false
 		}
-		nSlots := pageSlotCount(f.data)
-		ok := loc.slot >= 0 && loc.slot < nSlots
+		// The slot is this record's own, written before the record was
+		// indexed; the page's slot count is not read (an append to the
+		// tail moves it), so the directory bound is checked by size.
+		ok := loc.slot >= 0 && pageHeaderLen+slotLen*(loc.slot+1) <= len(f.data)
 		var seg segment
 		if ok {
 			off, length := pageSlot(f.data, loc.slot)

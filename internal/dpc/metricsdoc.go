@@ -66,7 +66,7 @@ func MetricCatalog() []MetricDoc {
 		{"dpc.static_hits", "counter", "a request was served from the URL-keyed static cache"},
 		{"dpc.static_uncacheable_vary", "counter", "a cacheable response was refused because it varies on a non-allowlisted header"},
 		{"dpc.static_assembled_fills", "counter", "an assembled template page the origin opted in (Cache-Control: max-age) was filed into the static tier with dependency edges"},
-		{"dpc.static_invalidations", "counter", "a static-tier entry was dropped by the invalidation fabric (subscriber drop or in-flight assembled fill unfiled)"},
+		{"dpc.static_invalidations", "counter", "a static-tier entry was dropped by the invalidation fabric (subscriber drop or in-flight assembled fill refused)"},
 		// Whole-page cache tier.
 		{"dpc.pagecache_hits", "counter", "an anonymous GET was served whole from the page tier (X-Cache: PAGE)"},
 		{"dpc.pagecache_misses", "counter", "an anonymous GET missed the page tier and continued down the pipeline"},
@@ -74,7 +74,7 @@ func MetricCatalog() []MetricDoc {
 		{"dpc.pagecache_bypass_identity", "counter", "a request carried identity (Cookie, Authorization, X-User) and bypassed the page tier"},
 		{"dpc.pagecache_uncacheable", "counter", "a captured response was not cacheable (non-200, over the capture bound, no-store/private, or Set-Cookie)"},
 		{"dpc.pagecache_304s", "counter", "a page-tier hit with a matching If-None-Match was answered 304 with no body"},
-		{"dpc.pagecache_invalidations", "counter", "a page-tier entry was dropped by the invalidation fabric (subscriber drop or in-flight fill unfiled)"},
+		{"dpc.pagecache_invalidations", "counter", "a page-tier entry was dropped by the invalidation fabric (subscriber drop or in-flight fill refused)"},
 		// Compiled-template plan cache (populated only when
 		// Config.PlanCache is on; nested-include plan lookups are counted
 		// in the cache's own /_dpc/stats snapshot, not here).

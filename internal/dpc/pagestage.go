@@ -229,6 +229,32 @@ func (p *Proxy) stagePageCache(rs *reqState) (stageOutcome, error) {
 	return stageNext, nil
 }
 
+// fileUnlessVoided files a fragment-composed entry into a keyed tier
+// through put, unless an invalidation has already voided it: one of refs
+// is tombstoned, or the tier was flushed since epoch was read. The check,
+// the dependency edges and the Put all happen under the index's Filing
+// lock, which invalidations take exclusively — so the entry is either
+// refused, or filed with its edges before the invalidation's Delete looks
+// for it. It is never servable after the invalidation has been applied,
+// not even for the instant a file-then-unfile would allow.
+func (p *Proxy) fileUnlessVoided(refs []string, epoch uint64, key string, put func()) bool {
+	if p.depix == nil {
+		put()
+		return true
+	}
+	filing := p.depix.Filing()
+	filing.Lock()
+	defer filing.Unlock()
+	if p.depix.AnyInvalid(refs) || p.depix.Epoch() != epoch {
+		return false
+	}
+	for _, ref := range refs {
+		p.depix.Record(ref, key)
+	}
+	put()
+	return true
+}
+
 // fillPageCache files a captured response into the whole-page tier; called
 // from the respond stage once the response has fully reached the client.
 func (p *Proxy) fillPageCache(rs *reqState) {
@@ -267,22 +293,11 @@ func (p *Proxy) fillPageCache(rs *reqState) {
 	// copy: double-charging the same bytes would evict the very entry
 	// being filed on a tight budget.
 	c.settle()
-	if p.depix != nil {
-		// Record the dependency edges *before* the entry becomes
-		// servable, so an invalidation landing right after the Put finds
-		// the edge and deletes the entry.
-		for _, ref := range rs.depRefs {
-			p.depix.Record(ref, rs.pageKey)
-		}
-	}
-	p.pages.PutTagged(rs.pageKey, body, ctype, pageETag(body, ctype), p.pageTTL)
-	if p.depix != nil &&
-		(p.depix.AnyInvalid(rs.depRefs) || p.depix.Epoch() != rs.depEpoch) {
-		// Fill/invalidate race: one of this page's fragments died (or
-		// the tier was flushed) while the response was in flight. The
-		// subscriber's Delete may have run before our Put and missed it;
-		// its tombstone/epoch cannot have — unfile the stale page.
-		p.pages.Delete(rs.pageKey)
+	// Fill/invalidate race: one of this page's fragments died (or the
+	// tier was flushed) while the response was in flight.
+	if !p.fileUnlessVoided(rs.depRefs, rs.depEpoch, rs.pageKey, func() {
+		p.pages.PutTagged(rs.pageKey, body, ctype, pageETag(body, ctype), p.pageTTL)
+	}) {
 		p.reg.Counter("dpc.pagecache_invalidations").Inc()
 		if rs.span != nil {
 			cause := "fragment-tombstone"

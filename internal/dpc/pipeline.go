@@ -284,7 +284,11 @@ func (p *Proxy) serveFollower(rs *reqState, f *flight, fol *follower) (stageOutc
 	}
 	for {
 		c := f.next(fol, *bufp, cancelled)
-		if cancelled() {
+		// A client that knew the page's length can hang up the moment it
+		// has read the last byte, before this loop comes round to see the
+		// flight done: that follower was served, and finishes as one.
+		served := committed && c.n == 0 && c.state == flightDone
+		if cancelled() && !served {
 			return stageDone, nil // client gone; nothing left to serve
 		}
 		if c.state == flightAborted {
@@ -727,21 +731,9 @@ func (p *Proxy) fillStaticAssembled(rs *reqState, resp *http.Response, refs []St
 	}
 	key := staticKey(rs.r)
 	ids := refIDs(refs)
-	if p.depix != nil {
-		// Record the edges before the entry becomes servable, so an
-		// invalidation landing right after the Put finds them and deletes
-		// the entry.
-		for _, ref := range ids {
-			p.depix.Record(ref, key)
-		}
-	}
-	p.static.Put(key, rs.body, rs.ctype, ttl)
-	if p.depix != nil && (p.depix.AnyInvalid(ids) || p.depix.Epoch() != epoch) {
-		// Fill/invalidate race, exactly as in fillPageCache: a source
-		// fragment died (or the tier flushed) while this page was being
-		// assembled. The subscriber's Delete may have run before our Put
-		// and missed it; its tombstone/epoch cannot have — unfile.
-		p.static.Delete(key)
+	// Fill/invalidate race, exactly as in fillPageCache: a source fragment
+	// died (or the tier flushed) while this page was being assembled.
+	if !p.fileUnlessVoided(ids, epoch, key, func() { p.static.Put(key, rs.body, rs.ctype, ttl) }) {
 		p.reg.Counter("dpc.static_invalidations").Inc()
 		rs.span.Event(trace.KindInvalidated, "static", "fill-race", 0)
 		return

@@ -137,11 +137,16 @@ func testCoalesceStorm(t *testing.T, stream, template bool) {
 	if coalesced != followers {
 		t.Fatalf("%d responses marked COALESCE-FOLLOWER, want %d", coalesced, followers)
 	}
-	if got := p.Registry().Counter("dpc.coalesced").Value(); got != followers {
-		t.Fatalf("dpc.coalesced = %d, want %d", got, followers)
-	}
-	if got := p.Registry().Counter("dpc.requests").Value(); got != followers+1 {
-		t.Fatalf("dpc.requests = %d, want %d", got, followers+1)
+	// Handlers count after writing their last byte, which a client that
+	// knows the length can have read already: wait for them to finish.
+	for name, want := range map[string]int64{"dpc.coalesced": followers, "dpc.requests": followers + 1} {
+		c := p.Registry().Counter(name)
+		for c.Value() < want && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if got := c.Value(); got != want {
+			t.Fatalf("%s = %d, want %d", name, got, want)
+		}
 	}
 }
 

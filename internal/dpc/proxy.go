@@ -38,9 +38,10 @@ type Config struct {
 	// configured capacity. Required unless Store is provided.
 	Capacity int
 	// Store overrides the fragment-store backend. When nil a
-	// paper-faithful slot store of Capacity slots is created; pass a
-	// fragstore.Sharded (or any other FragmentStore) to change the
-	// concurrency and capacity model without touching the proxy.
+	// paper-faithful slot store of Capacity slots is created; pass the
+	// sharded or tiered backend from fragstore.New (or any other
+	// FragmentStore) to change the concurrency and capacity model without
+	// touching the proxy.
 	Store fragstore.FragmentStore
 	// Codec must match the origin's template codec; defaults to binary.
 	Codec tmpl.Codec
@@ -385,8 +386,8 @@ func (p *Proxy) publishLoop(interval time.Duration) {
 // dpc.store.disk_* tier gauges when the fragment store is disk-backed.
 func (p *Proxy) publishStore() {
 	fragstore.Publish(p.reg, "dpc.store", p.store.Stats())
-	if dt, ok := p.store.(fragstore.DiskTiered); ok {
-		fragstore.PublishDisk(p.reg, "dpc.store", dt.TierStats())
+	if ts, ok := fragstore.DiskStats(p.store); ok {
+		fragstore.PublishDisk(p.reg, "dpc.store", ts)
 	}
 }
 
@@ -531,8 +532,8 @@ func (p *Proxy) initAdmin() {
 			"slots_capacity": st.Capacity,
 			"fragment_bytes": st.Bytes,
 		}
-		if dt, ok := p.store.(fragstore.DiskTiered); ok {
-			out["disk"] = dt.TierStats()
+		if ts, ok := fragstore.DiskStats(p.store); ok {
+			out["disk"] = ts
 		}
 		if p.static != nil {
 			ss := p.static.Store().Stats()

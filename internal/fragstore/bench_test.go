@@ -3,9 +3,10 @@
 //
 //	go test ./internal/fragstore -bench=. -benchmem -cpu=1,4,8
 //
-// The headline comparison is BenchmarkStoreParallel: the sharded store
+// The headline comparison is BenchmarkStoreParallel: the sharded backend
 // must match or beat the slot store as parallelism grows, since that is
-// the reason it exists.
+// the reason it exists. BenchmarkStoreParallelGet at -cpu=1 reads the
+// price of the engine's hash lookup against the slot array's index.
 package fragstore_test
 
 import (
@@ -23,26 +24,22 @@ const (
 // benchBackends enumerates every selectable backend configuration.
 func benchBackends(b *testing.B) map[string]func() fragstore.FragmentStore {
 	b.Helper()
-	mk := func(cfg fragstore.ShardedConfig) func() fragstore.FragmentStore {
+	mk := func(cfg fragstore.Config) func() fragstore.FragmentStore {
+		cfg.Capacity = benchCapacity
 		return func() fragstore.FragmentStore {
-			s, err := fragstore.NewSharded(cfg)
+			s, err := fragstore.New(cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
 			return s
 		}
 	}
+	const sh = fragstore.BackendSharded
 	return map[string]func() fragstore.FragmentStore{
-		"slot": func() fragstore.FragmentStore {
-			s, err := fragstore.NewSlotStore(benchCapacity)
-			if err != nil {
-				b.Fatal(err)
-			}
-			return s
-		},
-		"sharded":      mk(fragstore.ShardedConfig{Capacity: benchCapacity}),
-		"sharded-lru":  mk(fragstore.ShardedConfig{Capacity: benchCapacity, ByteBudget: benchCapacity * benchPayload, Policy: fragstore.PolicyLRU}),
-		"sharded-gdsf": mk(fragstore.ShardedConfig{Capacity: benchCapacity, ByteBudget: benchCapacity * benchPayload, Policy: fragstore.PolicyGDSF}),
+		"slot":         mk(fragstore.Config{}),
+		"sharded":      mk(fragstore.Config{Backend: sh}),
+		"sharded-lru":  mk(fragstore.Config{Backend: sh, ByteBudget: benchCapacity * benchPayload, Eviction: "lru"}),
+		"sharded-gdsf": mk(fragstore.Config{Backend: sh, ByteBudget: benchCapacity * benchPayload, Eviction: "gdsf"}),
 	}
 }
 
@@ -132,16 +129,13 @@ func BenchmarkStoreGlobalBudget(b *testing.B) {
 	payload := make([]byte, benchPayload)
 	for _, pol := range []fragstore.Policy{fragstore.PolicyLRU, fragstore.PolicyGDSF} {
 		b.Run(pol.String(), func(b *testing.B) {
-			s, err := fragstore.NewSharded(fragstore.ShardedConfig{
+			s := sharded(b, fragstore.Config{
 				Capacity: benchCapacity,
 				// Half the working set fits: the ledger sits at its limit
 				// and every SET of a cold key evicts exactly one victim.
 				ByteBudget: benchCapacity * benchPayload / 2,
-				Policy:     pol,
+				Eviction:   pol.String(),
 			})
-			if err != nil {
-				b.Fatal(err)
-			}
 			var seq atomic.Uint32
 			b.SetBytes(benchPayload)
 			b.ResetTimer()
@@ -152,8 +146,8 @@ func BenchmarkStoreGlobalBudget(b *testing.B) {
 					_ = s.Set(i%benchCapacity, 1, payload)
 				}
 			})
-			if used, bytes := s.BudgetUsed(), s.Bytes(); used != bytes {
-				b.Fatalf("ledger (%d) disagrees with shard accounting (%d)", used, bytes)
+			if got := s.Bytes(); got > benchCapacity*benchPayload/2 {
+				b.Fatalf("settled at %d bytes, over the budget", got)
 			}
 		})
 	}
@@ -166,15 +160,12 @@ func BenchmarkStoreEvictionChurn(b *testing.B) {
 	payload := make([]byte, benchPayload)
 	for _, pol := range []fragstore.Policy{fragstore.PolicyLRU, fragstore.PolicyGDSF} {
 		b.Run(pol.String(), func(b *testing.B) {
-			s, err := fragstore.NewSharded(fragstore.ShardedConfig{
+			s := sharded(b, fragstore.Config{
 				Capacity: benchCapacity,
 				// A quarter of the working set fits, so churn is constant.
 				ByteBudget: benchCapacity * benchPayload / 4,
-				Policy:     pol,
+				Eviction:   pol.String(),
 			})
-			if err != nil {
-				b.Fatal(err)
-			}
 			var seq atomic.Uint32
 			b.SetBytes(benchPayload)
 			b.ResetTimer()

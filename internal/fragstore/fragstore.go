@@ -1,42 +1,46 @@
 // Package fragstore defines the Dynamic Proxy Cache's fragment-memory
-// contract and provides swappable backends behind it.
+// contract and the storage behind it.
 //
 // The paper's Section 4.3.3 store is "an in-memory array of pointers to
 // cached fragments, where the DpcKey serves as the array index", guarded in
 // the seed implementation by a single RWMutex. That design is faithful but
 // caps concurrency (every SET serializes on one lock) and supports exactly
-// one capacity model (slot count, no byte bound). This package splits the
-// contract from the implementation so the proxy, assembler, and coherency
-// subscribers can run against either:
+// one capacity model (slot count, no byte bound). The package therefore
+// holds one reference, one engine, and two views of the engine:
 //
-//   - SlotStore: the paper-faithful single-lock slot array, extracted
-//     unchanged in behavior from internal/dpc.
-//   - Sharded: a power-of-two-sharded store with per-shard locks, an
-//     optional byte budget, and pluggable eviction (LRU or cost-aware
-//     GDSF) for deployments where fragment bytes — not the BEM freeList —
-//     are the binding resource.
-//
-// The package is also the storage engine for every URL-keyed cache tier
-// in the system: KeyedStore generalizes the sharded design to string
-// keys with per-entry TTLs and an entry-count bound, and the DPC's
-// static cache and the whole-page cache are thin wrappers over it.
+//   - SlotStore: the paper-faithful single-lock slot array, unchanged in
+//     behavior from internal/dpc — the oracle the conformance suite holds
+//     every other backend to.
+//   - KeyedStore: the engine. String keys hashed over power-of-two shards
+//     with per-shard locks, per-entry TTLs, an optional byte budget and
+//     entry bound, and LRU or cost-aware GDSF eviction. The DPC's static
+//     cache, the whole-page cache and the plan cache wrap it directly.
+//   - "sharded": KeyedStore seen through the FragmentStore contract (slot
+//     n is the engine's key "k<n>"), for deployments where fragment bytes
+//     — not the BEM freeList — are the binding resource.
+//   - "tiered": the same view over TieredKeyed, a KeyedStore whose
+//     eviction victims are demoted to a diskstore heap file instead of
+//     dropped, and which restarts warm from that file.
 //
 // Eviction ownership: each store owns its own eviction entirely —
 // callers never evict. Byte budgets are enforced on a single global
 // atomic ledger per store (see ledger), not per-shard partitions: shards
 // reserve resident bytes against the ledger on write and release on
 // removal, and eviction fires only when the store as a whole is over
-// budget. The ledger therefore guarantees (1) a skewed key distribution
-// can fill one shard with the entire budget without early eviction, and
-// (2) at quiescence the store never settles above its budget.
+// budget, taking the globally coldest entry first. The ledger therefore
+// guarantees (1) a skewed key distribution can fill one shard with the
+// entire budget without early eviction, and (2) at quiescence the store
+// never settles above its budget.
 //
-// All backends — slot, sharded, and keyed (through its AsFragmentStore
-// adapter) — satisfy the same conformance suite (see storetest).
+// Every backend satisfies the same conformance suite (see storetest).
 package fragstore
 
 import (
 	"fmt"
+	"io"
+	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"dpcache/internal/diskstore"
 	"dpcache/internal/metrics"
@@ -76,7 +80,7 @@ type FragmentStore interface {
 
 // Stats is a point-in-time snapshot of a store's occupancy and activity.
 type Stats struct {
-	// Backend names the implementation ("slot", "sharded").
+	// Backend names the implementation ("slot", "sharded", "tiered").
 	Backend string `json:"backend"`
 	// Shards is the shard count (1 for the slot store).
 	Shards int `json:"shards"`
@@ -123,29 +127,31 @@ func Publish(reg *metrics.Registry, prefix string, st Stats) {
 const (
 	// BackendSlot is the paper-faithful single-lock slot array.
 	BackendSlot = "slot"
-	// BackendSharded is the sharded, byte-budgeted store.
+	// BackendSharded is the sharded, byte-budgeted RAM store: a fragment
+	// view of KeyedStore.
 	BackendSharded = "sharded"
-	// BackendTiered is the two-tier store: a keyed RAM tier demoting
-	// evictions into a disk-backed heap file that replays on restart.
+	// BackendTiered is the two-tier store: a fragment view of TieredKeyed,
+	// whose RAM tier demotes evictions into a disk-backed heap file that
+	// replays on restart.
 	BackendTiered = "tiered"
 )
 
 // Config selects and parameterizes a backend from plain values, the shape
 // carried by core.Config and command-line flags.
 type Config struct {
-	// Backend is "slot" (default) or "sharded".
+	// Backend is "slot" (default), "sharded", or "tiered".
 	Backend string
 	// Capacity is the key-space size shared with the BEM. Required.
 	Capacity int
-	// Shards is the sharded backend's shard count, rounded up to a power
-	// of two (0 selects DefaultShards). The slot backend rejects a
-	// non-zero value.
+	// Shards is the engine's shard count under the sharded and tiered
+	// backends, rounded up to a power of two (0 selects DefaultShards).
+	// The slot backend rejects a non-zero value.
 	Shards int
-	// ByteBudget bounds resident content bytes in the sharded backend
-	// (0 = unbounded). The budget is one global ledger shared by every
-	// shard, so eviction fires only when the store as a whole is over —
-	// never because one shard's key slice is popular. Requires an
-	// eviction policy. The slot backend rejects a non-zero value.
+	// ByteBudget bounds resident content bytes in RAM (0 = unbounded).
+	// The budget is one global ledger shared by every shard, so eviction
+	// fires only when the store as a whole is over — never because one
+	// shard's key slice is popular. The sharded backend requires an
+	// eviction policy with it. The slot backend rejects a non-zero value.
 	ByteBudget int64
 	// Eviction is "none" (default), "lru", or "gdsf". The slot backend
 	// rejects any other value.
@@ -183,12 +189,16 @@ func (c Config) Validate() error {
 		if err != nil {
 			return err
 		}
-		return ShardedConfig{
-			Capacity:   c.Capacity,
-			Shards:     c.Shards,
-			ByteBudget: c.ByteBudget,
-			Policy:     pol,
-		}.validate()
+		if c.Capacity <= 0 {
+			return fmt.Errorf("fragstore: store capacity must be positive, got %d", c.Capacity)
+		}
+		if c.ByteBudget < 0 {
+			return fmt.Errorf("fragstore: negative byte budget %d", c.ByteBudget)
+		}
+		if c.ByteBudget > 0 && pol == PolicyNone {
+			return fmt.Errorf("fragstore: a byte budget requires an eviction policy (lru or gdsf)")
+		}
+		return nil
 	case BackendTiered:
 		if c.Capacity <= 0 {
 			return fmt.Errorf("fragstore: store capacity must be positive, got %d", c.Capacity)
@@ -196,14 +206,15 @@ func (c Config) Validate() error {
 		if _, err := ParsePolicy(c.Eviction); err != nil {
 			return err
 		}
-		return diskstore.Config{
-			Path:       c.DiskPath,
-			ByteBudget: c.DiskBudget,
-			PageBytes:  c.DiskPageBytes,
-		}.Validate()
+		return c.disk().Validate()
 	default:
 		return fmt.Errorf("fragstore: unknown backend %q (want %q, %q, or %q)", c.Backend, BackendSlot, BackendSharded, BackendTiered)
 	}
+}
+
+// disk is the tiered backend's heap-file configuration.
+func (c Config) disk() diskstore.Config {
+	return diskstore.Config{Path: c.DiskPath, ByteBudget: c.DiskBudget, PageBytes: c.DiskPageBytes}
 }
 
 // New builds the configured backend.
@@ -211,38 +222,150 @@ func New(cfg Config) (FragmentStore, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	pol, _ := ParsePolicy(cfg.Eviction) // validated above
+	ram := KeyedConfig{Shards: cfg.Shards, ByteBudget: cfg.ByteBudget, Policy: pol}
 	switch cfg.Backend {
 	case BackendSharded:
-		pol, _ := ParsePolicy(cfg.Eviction) // validated above
-		return NewSharded(ShardedConfig{
-			Capacity:   cfg.Capacity,
-			Shards:     cfg.Shards,
-			ByteBudget: cfg.ByteBudget,
-			Policy:     pol,
-		})
-	case BackendTiered:
-		pol, _ := ParsePolicy(cfg.Eviction) // validated above
-		t, err := NewTieredKeyed(TieredConfig{
-			RAM: KeyedConfig{
-				Shards:     cfg.Shards,
-				ByteBudget: cfg.ByteBudget,
-				Policy:     pol,
-			},
-			Disk: diskstore.Config{
-				Path:       cfg.DiskPath,
-				ByteBudget: cfg.DiskBudget,
-				PageBytes:  cfg.DiskPageBytes,
-			},
-		})
+		s, err := NewKeyed(ram)
 		if err != nil {
 			return nil, err
 		}
-		return t.AsFragmentStore(cfg.Capacity)
+		return newFragmentView(s, BackendSharded, cfg.Capacity)
+	case BackendTiered:
+		t, err := NewTieredKeyed(TieredConfig{RAM: ram, Disk: cfg.disk()})
+		if err != nil {
+			return nil, err
+		}
+		return newFragmentView(t, BackendTiered, cfg.Capacity)
 	}
 	return NewSlotStore(cfg.Capacity)
 }
 
-// Policy selects the sharded store's eviction strategy.
+// fragmentView presents a Keyed engine under the FragmentStore contract:
+// slot n is stored under the key "k<n>" (also the on-disk key format of
+// the tiered backend's heap file, so the spelling is frozen) and the SET
+// tag's generation rides in KeyedEntry.Gen. It is the whole of the sharded
+// and tiered backends.
+type fragmentView struct {
+	s        Keyed
+	backend  string
+	capacity int
+	// keyText holds the keys of slots below maxKeyTable back to back
+	// ("k0k1k2…") and slot n's is keyText[keyAt[n]:keyAt[n+1]], so no
+	// access formats a string and the table holds no pointers for the
+	// collector to chase. Slots past the table format theirs.
+	keyText string
+	keyAt   []uint32
+	// The two misses only the view can see — a key outside the capacity,
+	// and a strict Get that found another generation (a hit to the
+	// engine) — are counted here and folded into Stats.
+	rangeMisses, genMisses atomic.Int64
+}
+
+// maxKeyTable bounds the precomputed key table (4 B of offset plus at most
+// 8 B of text per slot).
+const maxKeyTable = 1 << 20
+
+func newFragmentView(s Keyed, backend string, capacity int) (*fragmentView, error) {
+	if capacity <= 0 {
+		return nil, fmt.Errorf("fragstore: store capacity must be positive, got %d", capacity)
+	}
+	var text strings.Builder
+	at := make([]uint32, min(capacity, maxKeyTable)+1)
+	for i := range at[1:] {
+		text.WriteByte('k')
+		text.WriteString(strconv.Itoa(i))
+		at[i+1] = uint32(text.Len())
+	}
+	return &fragmentView{s: s, backend: backend, capacity: capacity, keyText: text.String(), keyAt: at}, nil
+}
+
+func (v *fragmentView) key(slot uint32) string {
+	if int(slot) < len(v.keyAt)-1 {
+		return v.keyText[v.keyAt[slot]:v.keyAt[slot+1]]
+	}
+	return "k" + strconv.FormatUint(uint64(slot), 10)
+}
+
+func (v *fragmentView) Set(key, gen uint32, content []byte) error {
+	if int64(key) >= int64(v.capacity) {
+		return fmt.Errorf("fragstore: key %d outside store capacity %d", key, v.capacity)
+	}
+	v.s.Put(v.key(key), KeyedEntry{Value: content, Gen: gen}, 0)
+	return nil
+}
+
+func (v *fragmentView) Get(key, gen uint32, strict bool) ([]byte, bool) {
+	if int64(key) >= int64(v.capacity) {
+		v.rangeMisses.Add(1)
+		return nil, false
+	}
+	e, ok := v.s.Get(v.key(key))
+	if !ok {
+		return nil, false
+	}
+	if strict && e.Gen != gen {
+		v.genMisses.Add(1)
+		return nil, false
+	}
+	return e.Value, true
+}
+
+func (v *fragmentView) Drop(key uint32) {
+	if int64(key) < int64(v.capacity) {
+		v.s.Delete(v.key(key))
+	}
+}
+
+func (v *fragmentView) DropAll() { v.s.Flush() }
+
+func (v *fragmentView) Capacity() int { return v.capacity }
+
+func (v *fragmentView) Bytes() int64 { return v.s.Bytes() }
+
+func (v *fragmentView) Resident() int { return v.s.Len() }
+
+func (v *fragmentView) Stats() Stats {
+	ks := v.s.Stats()
+	gen := v.genMisses.Load()
+	return Stats{
+		Backend:      v.backend,
+		Shards:       ks.Shards,
+		Capacity:     v.capacity,
+		Resident:     ks.Resident,
+		Bytes:        ks.Bytes,
+		ByteBudget:   ks.ByteBudget,
+		Sets:         ks.Puts,
+		Hits:         ks.Hits - gen,
+		Misses:       ks.Misses + gen + v.rangeMisses.Load(),
+		Drops:        ks.Drops,
+		Evictions:    ks.Evictions,
+		EvictedBytes: ks.EvictedBytes,
+	}
+}
+
+// Close releases what the engine holds open — the tiered backend's heap
+// file — and is a no-op over a RAM-only engine.
+func (v *fragmentView) Close() error {
+	if c, ok := v.s.(io.Closer); ok {
+		return c.Close()
+	}
+	return nil
+}
+
+// DiskStats returns the disk tier's detail when store is a view of an
+// engine that has one (the tiered backend); the proxy publishes it as the
+// dpc.store.disk_* gauges and the /_dpc/stats disk section.
+func DiskStats(store FragmentStore) (TieredStats, bool) {
+	if v, ok := store.(*fragmentView); ok {
+		if t, ok := v.s.(*TieredKeyed); ok {
+			return t.TierStats(), true
+		}
+	}
+	return TieredStats{}, false
+}
+
+// Policy selects the engine's eviction strategy.
 type Policy int
 
 // Eviction policies.
@@ -251,8 +374,8 @@ const (
 	// reuse, the paper's freeList discipline. Incompatible with a byte
 	// budget.
 	PolicyNone Policy = iota
-	// PolicyLRU evicts the least-recently-used entry when the shard
-	// exceeds its byte budget.
+	// PolicyLRU evicts the least-recently-used entry when the store
+	// exceeds its byte budget or entry bound.
 	PolicyLRU
 	// PolicyGDSF evicts by Greedy-Dual-Size-Frequency priority
 	// (frequency/size with aging), preferring to keep small, hot

@@ -2,7 +2,6 @@ package fragstore_test
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	"dpcache/internal/fragstore"
@@ -10,28 +9,36 @@ import (
 	"dpcache/internal/metrics"
 )
 
+// sharded builds the sharded backend the way the system does: through New.
+func sharded(t testing.TB, cfg fragstore.Config) fragstore.FragmentStore {
+	t.Helper()
+	cfg.Backend = fragstore.BackendSharded
+	s, err := fragstore.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // TestConformance runs the shared suite against every backend
 // configuration the system can select.
 func TestConformance(t *testing.T) {
 	storetest.Run(t, "slot", func(capacity int) (fragstore.FragmentStore, error) {
 		return fragstore.NewSlotStore(capacity)
 	})
-	storetest.Run(t, "sharded", func(capacity int) (fragstore.FragmentStore, error) {
-		return fragstore.NewSharded(fragstore.ShardedConfig{Capacity: capacity})
-	})
-	storetest.Run(t, "sharded-1shard", func(capacity int) (fragstore.FragmentStore, error) {
-		return fragstore.NewSharded(fragstore.ShardedConfig{Capacity: capacity, Shards: 1})
-	})
-	// Budgets large enough that the conformance workloads never evict:
-	// the accounting contract must hold with the policies armed.
-	storetest.Run(t, "sharded-lru", func(capacity int) (fragstore.FragmentStore, error) {
-		return fragstore.NewSharded(fragstore.ShardedConfig{
-			Capacity: capacity, ByteBudget: 1 << 30, Policy: fragstore.PolicyLRU})
-	})
-	storetest.Run(t, "sharded-gdsf", func(capacity int) (fragstore.FragmentStore, error) {
-		return fragstore.NewSharded(fragstore.ShardedConfig{
-			Capacity: capacity, ByteBudget: 1 << 30, Policy: fragstore.PolicyGDSF})
-	})
+	for name, cfg := range map[string]fragstore.Config{
+		"sharded":        {},
+		"sharded-1shard": {Shards: 1},
+		// Budgets large enough that the conformance workloads never evict:
+		// the accounting contract must hold with the policies armed.
+		"sharded-lru":  {ByteBudget: 1 << 30, Eviction: "lru"},
+		"sharded-gdsf": {ByteBudget: 1 << 30, Eviction: "gdsf"},
+	} {
+		storetest.Run(t, name, func(capacity int) (fragstore.FragmentStore, error) {
+			cfg.Backend, cfg.Capacity = fragstore.BackendSharded, capacity
+			return fragstore.New(cfg)
+		})
+	}
 }
 
 func TestNewSelectsBackend(t *testing.T) {
@@ -68,37 +75,29 @@ func TestShardCountRounding(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{
 		{0, fragstore.DefaultShards}, {1, 1}, {2, 2}, {3, 4}, {5, 8}, {16, 16}, {17, 32},
 	} {
-		s, err := fragstore.NewSharded(fragstore.ShardedConfig{Capacity: 1024, Shards: tc.in})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := s.Shards(); got != tc.want {
+		s := sharded(t, fragstore.Config{Capacity: 1024, Shards: tc.in})
+		if got := s.Stats().Shards; got != tc.want {
 			t.Errorf("Shards=%d rounded to %d, want %d", tc.in, got, tc.want)
 		}
 	}
 }
 
 func TestBudgetRequiresPolicy(t *testing.T) {
-	if _, err := fragstore.NewSharded(fragstore.ShardedConfig{
-		Capacity: 8, ByteBudget: 100}); err == nil {
+	if _, err := fragstore.New(fragstore.Config{
+		Backend: fragstore.BackendSharded, Capacity: 8, ByteBudget: 100}); err == nil {
 		t.Fatal("byte budget without a policy accepted")
 	}
-	if _, err := fragstore.NewSharded(fragstore.ShardedConfig{
-		Capacity: 8, ByteBudget: -1, Policy: fragstore.PolicyLRU}); err == nil {
+	if _, err := fragstore.New(fragstore.Config{
+		Backend: fragstore.BackendSharded, Capacity: 8, ByteBudget: -1, Eviction: "lru"}); err == nil {
 		t.Fatal("negative budget accepted")
 	}
 }
 
 // singleShard returns a one-shard LRU/GDSF store so eviction order is
 // deterministic (no key→shard spreading).
-func singleShard(t *testing.T, budget int64, pol fragstore.Policy) *fragstore.Sharded {
+func singleShard(t *testing.T, budget int64, pol fragstore.Policy) fragstore.FragmentStore {
 	t.Helper()
-	s, err := fragstore.NewSharded(fragstore.ShardedConfig{
-		Capacity: 1024, Shards: 1, ByteBudget: budget, Policy: pol})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
+	return sharded(t, fragstore.Config{Capacity: 1024, Shards: 1, ByteBudget: budget, Eviction: pol.String()})
 }
 
 func TestLRUEvictsLeastRecent(t *testing.T) {
@@ -191,18 +190,14 @@ func TestGDSFAgingAdmitsFreshEntries(t *testing.T) {
 	}
 }
 
-// The budget is a global ledger, not a per-shard partition: a skewed key
-// distribution that lands every write in one shard must not evict while
-// the store as a whole has headroom. (With the budget split evenly across
-// 8 shards, this workload would start evicting at 1/8th of the budget.)
+// The budget is a global ledger, not a per-shard partition: keys crowding
+// a shard must not evict while the store as a whole has headroom. Keys are
+// hashed to shards, so the crowding is arranged by shard count: split
+// evenly across 128 shards the budget would hold one entry per shard, and
+// 120 hashed keys are certain to collide somewhere.
 func TestGlobalBudgetToleratesSkewedKeys(t *testing.T) {
-	s, err := fragstore.NewSharded(fragstore.ShardedConfig{
-		Capacity: 2048, Shards: 8, ByteBudget: 12800, Policy: fragstore.PolicyLRU})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Keys ≡ 0 (mod 8) all hash to shard 0: 120 × 100 B = 12000 B, 94% of
-	// the global budget, all in one shard.
+	s := sharded(t, fragstore.Config{Capacity: 2048, Shards: 128, ByteBudget: 12800, Eviction: "lru"})
+	// 120 × 100 B = 12000 B, 94% of the global budget.
 	pay := make([]byte, 100)
 	for i := 0; i < 120; i++ {
 		if err := s.Set(uint32(i*8), 1, pay); err != nil {
@@ -232,33 +227,30 @@ func TestGlobalBudgetToleratesSkewedKeys(t *testing.T) {
 	}
 }
 
-// When the writing shard has nothing left to evict but the bytes live
-// elsewhere, the sweep must relieve pressure from the other shards.
-func TestGlobalBudgetSweepsOtherShards(t *testing.T) {
-	s, err := fragstore.NewSharded(fragstore.ShardedConfig{
-		Capacity: 1024, Shards: 8, ByteBudget: 1000, Policy: fragstore.PolicyLRU})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Fill shard 0 to the brim...
-	for i := 0; i < 9; i++ {
-		if err := s.Set(uint32(i*8), 1, make([]byte, 100)); err != nil {
+// Victims are taken in global policy order, whichever shards hold them:
+// a large write must claw its overflow back from the oldest entries
+// wherever they hashed, never from itself and never out of order.
+func TestGlobalBudgetEvictsColdestAcrossShards(t *testing.T) {
+	s := sharded(t, fragstore.Config{Capacity: 1024, Shards: 8, ByteBudget: 1000, Eviction: "lru"})
+	for k := uint32(0); k < 9; k++ {
+		if err := s.Set(k, 1, make([]byte, 100)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// ...then write a single large entry into shard 1. Its own shard has
-	// only that entry; the overflow must be clawed back from shard 0.
-	if err := s.Set(1, 1, make([]byte, 500)); err != nil {
+	// 900 B resident + 500 B incoming: exactly the four oldest must go.
+	if err := s.Set(100, 1, make([]byte, 500)); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Get(1, 1, false); !ok {
-		t.Fatal("fresh entry evicted instead of sweeping the loaded shard")
+	if st := s.Stats(); st.Evictions != 4 || st.Bytes != 1000 {
+		t.Fatalf("evictions = %d, bytes = %d; want 4 evictions settling at 1000 B", st.Evictions, st.Bytes)
 	}
-	if got := s.Bytes(); got > 1000 {
-		t.Fatalf("settled at %d bytes, over the 1000 budget", got)
+	for k := uint32(4); k < 9; k++ {
+		if _, ok := s.Get(k, 1, false); !ok {
+			t.Fatalf("key %d evicted ahead of an older entry", k)
+		}
 	}
-	if st := s.Stats(); st.Evictions == 0 {
-		t.Fatal("sweep evicted nothing")
+	if _, ok := s.Get(100, 1, false); !ok {
+		t.Fatal("fresh entry evicted instead of the cold ones")
 	}
 }
 
@@ -266,11 +258,7 @@ func TestGlobalBudgetSweepsOtherShards(t *testing.T) {
 // admitted by flushing every shard — and an overwritten slot must not
 // keep its stale content.
 func TestOversizedSetRefusedNotFlushed(t *testing.T) {
-	s, err := fragstore.NewSharded(fragstore.ShardedConfig{
-		Capacity: 1024, Shards: 8, ByteBudget: 1000, Policy: fragstore.PolicyLRU})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := sharded(t, fragstore.Config{Capacity: 1024, Shards: 8, ByteBudget: 1000, Eviction: "lru"})
 	for i := 0; i < 8; i++ {
 		if err := s.Set(uint32(i), 1, make([]byte, 100)); err != nil {
 			t.Fatal(err)
@@ -288,60 +276,13 @@ func TestOversizedSetRefusedNotFlushed(t *testing.T) {
 	if st := s.Stats(); st.Evictions != 1 || st.EvictedBytes != 5000 {
 		t.Fatalf("refusal not counted: %+v", st)
 	}
-	if used, bytes := s.BudgetUsed(), s.Bytes(); used != bytes || used != 700 {
-		t.Fatalf("accounting after refusal: ledger=%d bytes=%d, want 700", used, bytes)
-	}
-}
-
-// Concurrent reserve/release on the global ledger: hammer a budgeted store
-// with racing sets, overwrites, and drops, then check the ledger agrees
-// exactly with the per-shard byte accounting at quiescence. Run under
-// -race this doubles as the ledger's data-race test.
-func TestGlobalBudgetLedgerRace(t *testing.T) {
-	const budget = 64 << 10
-	s, err := fragstore.NewSharded(fragstore.ShardedConfig{
-		Capacity: 512, Shards: 8, ByteBudget: budget, Policy: fragstore.PolicyLRU})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 2000; i++ {
-				k := uint32((g*131 + i*7) % 512)
-				switch i % 5 {
-				case 0, 1:
-					_ = s.Set(k, uint32(i), make([]byte, 64+(i%512)))
-				case 2:
-					s.Get(k, 1, false)
-				case 3:
-					s.Drop(k)
-				default:
-					_ = s.Set(k, uint32(i), make([]byte, 16)) // shrink overwrites
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	if used, bytes := s.BudgetUsed(), s.Bytes(); used != bytes {
-		t.Fatalf("ledger (%d) disagrees with shard accounting (%d) at quiescence", used, bytes)
-	}
-	if got := s.Bytes(); got > budget {
-		t.Fatalf("settled at %d bytes, over the %d budget", got, budget)
-	}
-	s.DropAll()
-	if used := s.BudgetUsed(); used != 0 {
-		t.Fatalf("ledger holds %d bytes after DropAll", used)
+	if got := s.Bytes(); got != 700 {
+		t.Fatalf("bytes after refusal = %d, want 700", got)
 	}
 }
 
 func TestShardedDistributesKeys(t *testing.T) {
-	s, err := fragstore.NewSharded(fragstore.ShardedConfig{Capacity: 4096, Shards: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := sharded(t, fragstore.Config{Capacity: 4096, Shards: 8})
 	for k := uint32(0); k < 4096; k++ {
 		if err := s.Set(k, 1, []byte("x")); err != nil {
 			t.Fatal(err)
@@ -372,8 +313,7 @@ func TestPolicyParseRoundTrip(t *testing.T) {
 
 func TestPublish(t *testing.T) {
 	reg := metrics.NewRegistry()
-	s, _ := fragstore.NewSharded(fragstore.ShardedConfig{
-		Capacity: 16, Shards: 2, ByteBudget: 1 << 20, Policy: fragstore.PolicyLRU})
+	s := sharded(t, fragstore.Config{Capacity: 16, Shards: 2, ByteBudget: 1 << 20, Eviction: "lru"})
 	_ = s.Set(1, 1, []byte("abcde"))
 	s.Get(1, 1, false)
 	s.Get(9, 1, false)
@@ -397,7 +337,7 @@ func TestPublish(t *testing.T) {
 }
 
 func TestShardedStatsAggregate(t *testing.T) {
-	s, _ := fragstore.NewSharded(fragstore.ShardedConfig{Capacity: 64, Shards: 4})
+	s := sharded(t, fragstore.Config{Capacity: 64, Shards: 4})
 	for k := uint32(0); k < 8; k++ {
 		_ = s.Set(k, 1, []byte(fmt.Sprintf("frag-%d", k)))
 	}
@@ -405,5 +345,57 @@ func TestShardedStatsAggregate(t *testing.T) {
 	st := s.Stats()
 	if st.Sets != 8 || st.Drops != 1 || st.Resident != 7 {
 		t.Fatalf("aggregate stats = %+v", st)
+	}
+}
+
+// The view must add nothing to the engine's hot path: a warm Get formats
+// no key and allocates nothing, and an overwriting Set allocates only the
+// copy of the content it is contractually obliged to make.
+func TestViewAllocations(t *testing.T) {
+	s := sharded(t, fragstore.Config{Capacity: 4096})
+	payload := make([]byte, 512)
+	fill := func() {
+		for k := uint32(0); k < 4096; k++ {
+			_ = s.Set(k, 1, payload)
+		}
+	}
+	fill()
+	k := uint32(0)
+	if n := testing.AllocsPerRun(1000, func() {
+		k = (k + 1) % 4096
+		if _, ok := s.Get(k, 1, true); !ok {
+			t.Fatalf("warm slot %d missed", k)
+		}
+	}); n != 0 {
+		t.Errorf("view Get allocates %v times per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		k = (k + 1) % 4096
+		_ = s.Set(k, 2, payload)
+	}); n != 1 {
+		t.Errorf("view Set overwrite allocates %v times per call, want 1 (the content copy)", n)
+	}
+}
+
+// Slot n lives under the engine key "k<n>". The tiered backend writes
+// that key into its heap file, so changing the spelling would turn every
+// existing file cold: the format is pinned here, inside the key table
+// and past it.
+func TestViewKeyFormat(t *testing.T) {
+	ks, err := fragstore.NewKeyed(fragstore.KeyedConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := ks.AsFragmentStore(1 << 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for slot, key := range map[uint32]string{0: "k0", 17: "k17", 1048575: "k1048575", 1048576: "k1048576", 4294967295: "k4294967295"} {
+		if err := v.Set(slot, 3, []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+		if e, ok := ks.Get(key); !ok || e.Gen != 3 {
+			t.Errorf("slot %d is not stored under %q", slot, key)
+		}
 	}
 }

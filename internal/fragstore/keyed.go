@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/maphash"
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,13 +14,21 @@ import (
 	"dpcache/internal/clock"
 )
 
-// KeyedStore is the sharded store generalized from uint32 slot keys to
-// strings: the same power-of-two shard layout, per-shard locks, LRU/GDSF
-// eviction, and global byte-budget ledger as Sharded, plus per-entry TTL
-// expiry and an optional entry-count bound. It is the storage engine
-// behind every URL-keyed cache tier in the system — the DPC's static
-// cache and the whole-page cache both wrap it instead of carrying their
-// own mutex+LRU implementations.
+// DefaultShards is the shard count used when a configuration leaves
+// Shards zero.
+const DefaultShards = 16
+
+// maxShards bounds the shard count (beyond this, per-shard fixed overhead
+// dominates any contention win).
+const maxShards = 1024
+
+// KeyedStore is the package's one storage engine: string keys hashed over
+// a power-of-two number of shards with per-shard locks, LRU or GDSF
+// eviction, a global byte-budget ledger, per-entry TTL expiry and an
+// optional entry-count bound. Every cache tier in the system is a view of
+// it — the sharded and tiered fragment backends through AsFragmentStore,
+// the DPC's static cache, the whole-page cache and the plan cache
+// directly — instead of carrying its own mutex+LRU implementation.
 //
 // Budgets are global, never per-shard: ByteBudget and MaxEntries are
 // enforced on store-wide atomic ledgers, so a skewed key distribution
@@ -61,9 +70,11 @@ type KeyedConfig struct {
 	// ByteBudget bounds resident value bytes across all shards (0 =
 	// unbounded). Only Value bytes count; key and Meta overhead does not.
 	ByteBudget int64
-	// Policy selects the eviction strategy. The zero value selects
-	// PolicyLRU: a keyed cache with any bound must be able to evict, and
-	// LRU is the safe default. PolicyGDSF prefers keeping small, hot
+	// Policy selects the eviction strategy. With a ByteBudget or
+	// MaxEntries the zero value selects PolicyLRU: a bounded cache must be
+	// able to evict, and LRU is the safe default. With neither bound
+	// eviction can never fire, so the zero value stays PolicyNone and hits
+	// skip the recency bookkeeping. PolicyGDSF prefers keeping small, hot
 	// entries.
 	Policy Policy
 	// Clock drives TTL expiry; nil selects the real clock.
@@ -130,15 +141,12 @@ type KeyedStats struct {
 
 type kshard struct {
 	mu      sync.Mutex
+	st      *KeyedStore // the store-wide ledgers, sequences and policy
 	entries map[string]*kentry
 	bytes   int64
-	led     *ledger
-	count   *atomic.Int64
-	seq     *atomic.Int64
-	infl    *atomic.Uint64 // store-wide GDSF aging term (float64 bits)
-	policy  Policy
 	lru     *list.List // front = most recent; values are *kentry
 	heap    kheap
+	free    *kentry // unused entries of the slabs, chained through next
 
 	evictions                          int64
 	evictedBytes                       int64
@@ -155,6 +163,29 @@ type kentry struct {
 	freq     int64         // GDSF access count
 	prio     float64       // GDSF priority
 	hidx     int           // GDSF heap index
+	next     *kentry       // free-chain link while unused
+}
+
+// entrySlab is how many entries a shard allocates at a time. The
+// collector's mark cost per cycle follows the number of objects it walks,
+// and one allocation per resident entry doubled it for a fragment store
+// (12,000 fragments, measured); entries therefore live in slabs and are
+// reused through a free chain.
+const entrySlab = 64
+
+// newEntry takes an unused entry, allocating a slab when none is left.
+// Called with sh.mu held.
+func (sh *kshard) newEntry() *kentry {
+	if sh.free == nil {
+		slab := make([]kentry, entrySlab)
+		for i := range slab[1:] {
+			slab[i].next = &slab[i+1]
+		}
+		sh.free = &slab[0]
+	}
+	e := sh.free
+	sh.free, e.next = e.next, nil
+	return e
 }
 
 // NewKeyed returns a keyed store.
@@ -165,7 +196,7 @@ func NewKeyed(cfg KeyedConfig) (*KeyedStore, error) {
 	if cfg.MaxEntries < 0 {
 		return nil, fmt.Errorf("fragstore: negative entry bound %d", cfg.MaxEntries)
 	}
-	if cfg.Policy == PolicyNone {
+	if cfg.Policy == PolicyNone && (cfg.ByteBudget > 0 || cfg.MaxEntries > 0) {
 		cfg.Policy = PolicyLRU
 	}
 	clk := cfg.Clock
@@ -176,10 +207,7 @@ func NewKeyed(cfg KeyedConfig) (*KeyedStore, error) {
 	if n <= 0 {
 		n = DefaultShards
 	}
-	if n > maxShards {
-		n = maxShards
-	}
-	n = nextPow2(n)
+	n = 1 << bits.Len(uint(min(n, maxShards)-1)) // round up to a power of two
 	s := &KeyedStore{
 		shards: make([]kshard, n),
 		mask:   uint64(n - 1),
@@ -190,12 +218,8 @@ func NewKeyed(cfg KeyedConfig) (*KeyedStore, error) {
 	}
 	for i := range s.shards {
 		sh := &s.shards[i]
+		sh.st = s
 		sh.entries = make(map[string]*kentry)
-		sh.led = &s.led
-		sh.count = &s.entries
-		sh.seq = &s.seq
-		sh.infl = &s.infl
-		sh.policy = cfg.Policy
 		if cfg.Policy == PolicyLRU {
 			sh.lru = list.New()
 		}
@@ -216,28 +240,58 @@ func (s *KeyedStore) overLimits() bool {
 	return s.cfg.MaxEntries > 0 && int(s.entries.Load()) > s.cfg.MaxEntries
 }
 
-// Get returns the entry stored under key, if resident and unexpired.
-func (s *KeyedStore) Get(key string) (KeyedEntry, bool) {
+// freshness is how a lookup treats an entry whose TTL has lapsed.
+type freshness int
+
+const (
+	// expireLapsed misses on a lapsed entry and removes it (Get).
+	expireLapsed freshness = iota
+	// keepLapsed misses on a lapsed entry but leaves it resident (GetKeep).
+	keepLapsed
+	// serveLapsed returns a lapsed entry with its age and moves neither
+	// the hit nor the miss counter (GetStale).
+	serveLapsed
+)
+
+// lookup is the one read path behind Get, GetKeep and GetStale. A served
+// entry has its recency (LRU) or frequency (GDSF) refreshed.
+func (s *KeyedStore) lookup(key string, mode freshness) (val KeyedEntry, age time.Duration, ok bool) {
 	sh := s.locate(key)
 	sh.mu.Lock()
-	e, ok := sh.entries[key]
-	if !ok {
-		sh.mu.Unlock()
-		sh.misses.Add(1)
-		return KeyedEntry{}, false
+	e, found := sh.entries[key]
+	if found && !e.deadline.IsZero() {
+		if now := s.clk.Now(); !now.Before(e.deadline) {
+			if mode == serveLapsed {
+				age = now.Sub(e.deadline)
+			} else {
+				if mode == expireLapsed {
+					sh.remove(e)
+					sh.expired.Add(1)
+				}
+				found = false
+			}
+		}
 	}
-	if !e.deadline.IsZero() && !s.clk.Now().Before(e.deadline) {
-		sh.remove(e)
-		sh.mu.Unlock()
-		sh.expired.Add(1)
-		sh.misses.Add(1)
-		return KeyedEntry{}, false
+	if found {
+		sh.touch(e)
+		val = e.val
 	}
-	sh.touch(e)
-	val := e.val
 	sh.mu.Unlock()
-	sh.hits.Add(1)
-	return val, true
+	switch {
+	case mode == serveLapsed:
+	case found:
+		sh.hits.Add(1)
+	default:
+		sh.misses.Add(1)
+	}
+	return val, age, found
+}
+
+// Get returns the entry stored under key, if resident and unexpired. An
+// expired entry is removed by the Get that discovers it.
+func (s *KeyedStore) Get(key string) (KeyedEntry, bool) {
+	e, _, ok := s.lookup(key, expireLapsed)
+	return e, ok
 }
 
 // GetKeep behaves like Get — hits are counted and an expired entry
@@ -248,24 +302,8 @@ func (s *KeyedStore) Get(key string) (KeyedEntry, bool) {
 // Resident expired entries are bounded like everything else (entry cap,
 // byte ledger) and are replaced by the next Put under their key.
 func (s *KeyedStore) GetKeep(key string) (KeyedEntry, bool) {
-	sh := s.locate(key)
-	sh.mu.Lock()
-	e, ok := sh.entries[key]
-	if !ok {
-		sh.mu.Unlock()
-		sh.misses.Add(1)
-		return KeyedEntry{}, false
-	}
-	if !e.deadline.IsZero() && !s.clk.Now().Before(e.deadline) {
-		sh.mu.Unlock()
-		sh.misses.Add(1)
-		return KeyedEntry{}, false
-	}
-	sh.touch(e)
-	val := e.val
-	sh.mu.Unlock()
-	sh.hits.Add(1)
-	return val, true
+	e, _, ok := s.lookup(key, keepLapsed)
+	return e, ok
 }
 
 // GetStale returns the entry stored under key even when its TTL has
@@ -278,20 +316,7 @@ func (s *KeyedStore) GetKeep(key string) (KeyedEntry, bool) {
 // key being stale-served is still hot) but is not counted as a hit or
 // miss — it is not a freshness lookup.
 func (s *KeyedStore) GetStale(key string) (entry KeyedEntry, age time.Duration, ok bool) {
-	sh := s.locate(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e, ok := sh.entries[key]
-	if !ok {
-		return KeyedEntry{}, 0, false
-	}
-	if !e.deadline.IsZero() {
-		if now := s.clk.Now(); now.After(e.deadline) {
-			age = now.Sub(e.deadline)
-		}
-	}
-	sh.touch(e)
-	return e.val, age, true
+	return s.lookup(key, serveLapsed)
 }
 
 // Put stores entry under key for ttl (ttl <= 0 means no expiry). The
@@ -301,46 +326,42 @@ func (s *KeyedStore) GetStale(key string) (entry KeyedEntry, age time.Duration, 
 // "don't admit what you'd immediately evict" behavior; under LRU it is
 // by definition the most recent).
 func (s *KeyedStore) Put(key string, entry KeyedEntry, ttl time.Duration) {
-	if s.led.budget > 0 && entry.size() > s.led.budget {
-		// A value larger than the entire budget can never fit: refuse
-		// admission (counted as an eviction of the refused bytes) rather
-		// than emptying the store to make room, and drop any stale
-		// entry the refused write was replacing.
-		sh := s.locate(key)
-		sh.puts.Add(1)
-		sh.mu.Lock()
-		if e, ok := sh.entries[key]; ok {
-			sh.remove(e)
-		}
-		sh.evictions++
-		sh.evictedBytes += entry.size()
-		sh.mu.Unlock()
-		return
-	}
-	cp := make([]byte, len(entry.Value))
-	copy(cp, entry.Value)
-	entry.Value = cp
+	// A value larger than the entire budget can never fit: refuse
+	// admission (counted as an eviction of the refused bytes) rather than
+	// emptying the store to make room, and drop any stale entry the
+	// refused write was replacing.
+	refused := s.led.budget > 0 && entry.size() > s.led.budget
 	var deadline time.Time
-	if ttl > 0 {
-		deadline = s.clk.Now().Add(ttl)
+	if !refused {
+		cp := make([]byte, len(entry.Value))
+		copy(cp, entry.Value)
+		entry.Value = cp
+		if ttl > 0 {
+			deadline = s.clk.Now().Add(ttl)
+		}
 	}
 	sh := s.locate(key)
 	sh.puts.Add(1)
 	sh.mu.Lock()
-	if e, ok := sh.entries[key]; ok {
-		delta := entry.size() - e.val.size()
-		sh.bytes += delta
-		sh.led.reserve(delta)
-		e.val = entry
-		e.deadline = deadline
-		sh.touch(e)
+	e, ok := sh.entries[key]
+	if refused {
+		if ok {
+			sh.remove(e)
+		}
+		sh.evictions++
+		sh.evictedBytes += entry.size()
 	} else {
-		e := &kentry{key: key, val: entry, deadline: deadline}
-		sh.entries[key] = e
-		sh.bytes += entry.size()
-		sh.led.reserve(entry.size())
-		sh.count.Add(1)
-		sh.admit(e)
+		if !ok {
+			e = sh.newEntry()
+			e.key = key
+			sh.entries[key] = e
+			sh.st.entries.Add(1)
+		}
+		delta := entry.size() - e.val.size() // a new entry's value is empty
+		sh.bytes += delta
+		sh.st.led.reserve(delta)
+		e.val, e.deadline = entry, deadline
+		sh.touch(e)
 	}
 	sh.mu.Unlock()
 	if s.overLimits() {
@@ -364,9 +385,9 @@ func (s *KeyedStore) evictGlobal() {
 		for i := range s.shards {
 			sh := &s.shards[i]
 			sh.mu.Lock()
-			m, ok := sh.coldness()
+			e, m := sh.coldest()
 			sh.mu.Unlock()
-			if ok && (victim == nil || m < best) {
+			if e != nil && (victim == nil || m < best) {
 				best, victim = m, sh
 			}
 		}
@@ -374,33 +395,30 @@ func (s *KeyedStore) evictGlobal() {
 			return // store is empty; nothing left to give back
 		}
 		victim.mu.Lock()
-		var ev *kentry
-		if len(victim.entries) > 0 {
-			ev = victim.evictOne()
-		}
+		ev, ok := victim.evictOne()
 		victim.mu.Unlock()
-		if ev != nil && s.cfg.OnEvict != nil {
+		if ok && s.cfg.OnEvict != nil {
 			s.cfg.OnEvict(ev.key, ev.val, ev.deadline)
 		}
 	}
 }
 
-// coldness scores this shard's eviction candidate for the cross-shard
-// compare: lower is colder. Called with sh.mu held.
-func (sh *kshard) coldness() (float64, bool) {
-	switch sh.policy {
+// coldest returns this shard's eviction candidate (nil when it has none)
+// and its score for the cross-shard compare: lower is colder. Called with
+// sh.mu held.
+func (sh *kshard) coldest() (*kentry, float64) {
+	switch sh.st.cfg.Policy {
 	case PolicyLRU:
-		if sh.lru.Len() == 0 {
-			return 0, false
+		if back := sh.lru.Back(); back != nil {
+			e := back.Value.(*kentry)
+			return e, float64(e.touchSeq)
 		}
-		return float64(sh.lru.Back().Value.(*kentry).touchSeq), true
 	case PolicyGDSF:
-		if len(sh.heap) == 0 {
-			return 0, false
+		if len(sh.heap) > 0 {
+			return sh.heap[0], sh.heap[0].prio
 		}
-		return sh.heap[0].prio, true
 	}
-	return 0, false
+	return nil, 0
 }
 
 // DeleteFunc removes every resident entry whose key satisfies pred,
@@ -449,17 +467,12 @@ func (s *KeyedStore) ReserveScratch(n int64) {
 // added or removed while Range runs may or may not be seen. The tiered
 // store's clean shutdown drains the RAM tier to disk through this.
 func (s *KeyedStore) Range(fn func(key string, e KeyedEntry, deadline time.Time) bool) {
-	type snap struct {
-		key      string
-		val      KeyedEntry
-		deadline time.Time
-	}
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		entries := make([]snap, 0, len(sh.entries))
+		entries := make([]kentry, 0, len(sh.entries))
 		for _, e := range sh.entries {
-			entries = append(entries, snap{e.key, e.val, e.deadline})
+			entries = append(entries, *e)
 		}
 		sh.mu.Unlock()
 		for _, e := range entries {
@@ -477,49 +490,20 @@ func (s *KeyedStore) Delete(key string) bool {
 	e, ok := sh.entries[key]
 	if ok {
 		sh.remove(e)
-	}
-	sh.mu.Unlock()
-	if ok {
 		sh.drops.Add(1)
 	}
+	sh.mu.Unlock()
 	return ok
 }
 
 // Flush removes every resident entry.
-func (s *KeyedStore) Flush() {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		sh.drops.Add(int64(len(sh.entries)))
-		sh.count.Add(-int64(len(sh.entries)))
-		sh.led.release(sh.bytes)
-		sh.entries = make(map[string]*kentry)
-		sh.bytes = 0
-		if sh.lru != nil {
-			sh.lru.Init()
-		}
-		for i := range sh.heap {
-			sh.heap[i] = nil // release the entries (and their values)
-		}
-		sh.heap = sh.heap[:0]
-		sh.mu.Unlock()
-	}
-}
+func (s *KeyedStore) Flush() { s.DeleteFunc(func(string) bool { return true }) }
 
 // Len returns the number of resident entries.
 func (s *KeyedStore) Len() int { return int(s.entries.Load()) }
 
 // Bytes returns the total resident value bytes.
-func (s *KeyedStore) Bytes() int64 {
-	var n int64
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		n += sh.bytes
-		sh.mu.Unlock()
-	}
-	return n
-}
+func (s *KeyedStore) Bytes() int64 { return s.Stats().Bytes }
 
 // BudgetUsed returns the global byte ledger's current reservation.
 func (s *KeyedStore) BudgetUsed() int64 { return s.led.Used() }
@@ -550,41 +534,39 @@ func (s *KeyedStore) Stats() KeyedStats {
 
 // --- per-shard policy plumbing (kshard.mu held throughout) ---
 
-func (sh *kshard) admit(e *kentry) {
-	switch sh.policy {
-	case PolicyLRU:
-		e.elem = sh.lru.PushFront(e)
-		e.touchSeq = sh.seq.Add(1)
-	case PolicyGDSF:
-		e.freq = 1
-		e.prio = sh.inflation() + kGdsfValue(e)
-		heap.Push(&sh.heap, e)
-	}
-}
-
+// touch records an access to e; the first one admits it to the policy's
+// order.
 func (sh *kshard) touch(e *kentry) {
-	switch sh.policy {
+	switch sh.st.cfg.Policy {
 	case PolicyLRU:
-		sh.lru.MoveToFront(e.elem)
-		e.touchSeq = sh.seq.Add(1)
+		if e.elem == nil {
+			e.elem = sh.lru.PushFront(e)
+		} else {
+			sh.lru.MoveToFront(e.elem)
+		}
+		e.touchSeq = sh.st.seq.Add(1)
 	case PolicyGDSF:
 		e.freq++
-		e.prio = sh.inflation() + kGdsfValue(e)
-		heap.Fix(&sh.heap, e.hidx)
+		e.prio = sh.inflation() + gdsfValue(e)
+		if e.freq == 1 {
+			heap.Push(&sh.heap, e)
+		} else {
+			heap.Fix(&sh.heap, e.hidx)
+		}
 	}
 }
 
 // inflation reads the store-wide GDSF aging term.
 func (sh *kshard) inflation() float64 {
-	return math.Float64frombits(sh.infl.Load())
+	return math.Float64frombits(sh.st.infl.Load())
 }
 
 // raiseInflation lifts the aging term to at least p (GDSF's L := victim
 // priority; monotone, so a CAS max loop suffices).
 func (sh *kshard) raiseInflation(p float64) {
 	for {
-		old := sh.infl.Load()
-		if math.Float64frombits(old) >= p || sh.infl.CompareAndSwap(old, math.Float64bits(p)) {
+		old := sh.st.infl.Load()
+		if math.Float64frombits(old) >= p || sh.st.infl.CompareAndSwap(old, math.Float64bits(p)) {
 			return
 		}
 	}
@@ -592,38 +574,40 @@ func (sh *kshard) raiseInflation(p float64) {
 
 func (sh *kshard) remove(e *kentry) {
 	sh.bytes -= e.val.size()
-	sh.led.release(e.val.size())
-	sh.count.Add(-1)
-	switch sh.policy {
+	sh.st.led.reserve(-e.val.size())
+	sh.st.entries.Add(-1)
+	switch sh.st.cfg.Policy {
 	case PolicyLRU:
 		sh.lru.Remove(e.elem)
 	case PolicyGDSF:
 		heap.Remove(&sh.heap, e.hidx)
 	}
 	delete(sh.entries, e.key)
+	*e = kentry{next: sh.free} // lets go of the value; the slot is reused
+	sh.free = e
 }
 
-// evictOne removes this shard's policy victim and returns it so the
-// caller can hand it to KeyedConfig.OnEvict once the lock is released.
-func (sh *kshard) evictOne() *kentry {
-	var victim *kentry
-	switch sh.policy {
-	case PolicyLRU:
-		victim = sh.lru.Back().Value.(*kentry)
-	case PolicyGDSF:
-		victim = sh.heap[0]
-		sh.raiseInflation(victim.prio) // GDSF aging term L
-	default:
-		return nil
+// evictOne removes this shard's policy victim, if it has one, and returns
+// a copy of it so the caller can hand it to KeyedConfig.OnEvict once the
+// lock is released.
+func (sh *kshard) evictOne() (kentry, bool) {
+	e, _ := sh.coldest()
+	if e == nil {
+		return kentry{}, false
 	}
-	size := victim.val.size()
-	sh.remove(victim)
+	if sh.st.cfg.Policy == PolicyGDSF {
+		sh.raiseInflation(e.prio) // GDSF aging term L
+	}
+	victim := *e
 	sh.evictions++
-	sh.evictedBytes += size
-	return victim
+	sh.evictedBytes += victim.val.size()
+	sh.remove(e)
+	return victim, true
 }
 
-func kGdsfValue(e *kentry) float64 {
+// gdsfValue is the unaged GDSF priority term frequency·cost/size with unit
+// cost: keeping an entry is worth more the hotter and smaller it is.
+func gdsfValue(e *kentry) float64 {
 	size := e.val.size()
 	if size < 1 {
 		size = 1
@@ -631,7 +615,7 @@ func kGdsfValue(e *kentry) float64 {
 	return float64(e.freq) / float64(size)
 }
 
-// kheap is a min-heap of keyed entries by GDSF priority.
+// kheap is a min-heap of entries by GDSF priority.
 type kheap []*kentry
 
 func (h kheap) Len() int           { return len(h) }
@@ -647,73 +631,8 @@ func (h *kheap) Pop() any {
 	return e
 }
 
-// AsFragmentStore adapts the keyed store to the FragmentStore contract
-// (uint32 keys formatted as strings, generations carried in KeyedEntry.Gen)
-// so the storetest conformance suite — the same one the slot and sharded
-// fragment backends pass — can verify any keyed-backed cache tier.
+// AsFragmentStore returns a view of the store under the FragmentStore
+// contract; see fragmentView.
 func (s *KeyedStore) AsFragmentStore(capacity int) (FragmentStore, error) {
-	if capacity <= 0 {
-		return nil, fmt.Errorf("fragstore: store capacity must be positive, got %d", capacity)
-	}
-	return &keyedFragmentView{s: s, capacity: capacity}, nil
-}
-
-type keyedFragmentView struct {
-	s        *KeyedStore
-	capacity int
-}
-
-func kfvKey(key uint32) string { return fmt.Sprintf("k%d", key) }
-
-func (v *keyedFragmentView) Set(key, gen uint32, content []byte) error {
-	if int64(key) >= int64(v.capacity) {
-		return fmt.Errorf("fragstore: key %d outside store capacity %d", key, v.capacity)
-	}
-	v.s.Put(kfvKey(key), KeyedEntry{Value: content, Gen: gen}, 0)
-	return nil
-}
-
-func (v *keyedFragmentView) Get(key, gen uint32, strict bool) ([]byte, bool) {
-	if int64(key) >= int64(v.capacity) {
-		v.s.locate(kfvKey(key)).misses.Add(1)
-		return nil, false
-	}
-	e, ok := v.s.Get(kfvKey(key))
-	if !ok || (strict && e.Gen != gen) {
-		return nil, false
-	}
-	return e.Value, true
-}
-
-func (v *keyedFragmentView) Drop(key uint32) {
-	if int64(key) >= int64(v.capacity) {
-		return
-	}
-	v.s.Delete(kfvKey(key))
-}
-
-func (v *keyedFragmentView) DropAll() { v.s.Flush() }
-
-func (v *keyedFragmentView) Capacity() int { return v.capacity }
-
-func (v *keyedFragmentView) Bytes() int64 { return v.s.Bytes() }
-
-func (v *keyedFragmentView) Resident() int { return v.s.Len() }
-
-func (v *keyedFragmentView) Stats() Stats {
-	ks := v.s.Stats()
-	return Stats{
-		Backend:      "keyed",
-		Shards:       ks.Shards,
-		Capacity:     v.capacity,
-		Resident:     ks.Resident,
-		Bytes:        ks.Bytes,
-		ByteBudget:   ks.ByteBudget,
-		Sets:         ks.Puts,
-		Hits:         ks.Hits,
-		Misses:       ks.Misses,
-		Drops:        ks.Drops,
-		Evictions:    ks.Evictions,
-		EvictedBytes: ks.EvictedBytes,
-	}
+	return newFragmentView(s, "keyed", capacity)
 }

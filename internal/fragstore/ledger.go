@@ -3,13 +3,13 @@ package fragstore
 import "sync/atomic"
 
 // ledger is a store-wide byte-budget account. Shards reserve bytes against
-// it when content becomes resident and release them when content leaves;
+// it when content becomes resident and give them back when it leaves;
 // eviction is triggered by *global* pressure (used > budget), never by any
 // per-shard partition. This is what lets a pathologically skewed key
 // distribution fill one shard with the entire budget without evicting
 // while the store as a whole still has headroom.
 //
-// The account is a single atomic: reserve/release are wait-free and safe
+// The account is a single atomic: reserve is wait-free and safe
 // to call with or without shard locks held. overBudget is a snapshot —
 // concurrent writers may both observe pressure and both evict, so the
 // store can transiently dip slightly below budget, but it can never settle
@@ -20,12 +20,9 @@ type ledger struct {
 	used   atomic.Int64 // bytes currently reserved
 }
 
-// reserve accounts n more resident bytes (n may be negative when an
-// overwrite shrinks an entry).
+// reserve accounts n more resident bytes; n is negative when an entry
+// leaves or an overwrite shrinks it.
 func (l *ledger) reserve(n int64) { l.used.Add(n) }
-
-// release accounts n bytes leaving residency.
-func (l *ledger) release(n int64) { l.used.Add(-n) }
 
 // overBudget reports whether the store currently holds more bytes than the
 // budget allows (always false when unbounded).

@@ -172,7 +172,9 @@ func Run(t *testing.T, name string, factory Factory) {
 		_ = s.Set(0, 1, []byte("aa"))
 		_ = s.Set(1, 1, []byte("bbb"))
 		s.Get(0, 1, true)  // hit
-		s.Get(5, 1, false) // miss
+		s.Get(5, 1, false) // miss: unset
+		s.Get(0, 2, true)  // miss: resident under another generation
+		s.Get(8, 1, false) // miss: beyond capacity
 		s.Drop(1)
 		st := s.Stats()
 		if st.Backend == "" {
@@ -181,7 +183,7 @@ func Run(t *testing.T, name string, factory Factory) {
 		if st.Capacity != 8 || st.Resident != s.Resident() || st.Bytes != s.Bytes() {
 			t.Fatalf("Stats occupancy mismatch: %+v vs Resident=%d Bytes=%d", st, s.Resident(), s.Bytes())
 		}
-		if st.Sets != 2 || st.Hits != 1 || st.Misses != 1 || st.Drops != 1 {
+		if st.Sets != 2 || st.Hits != 1 || st.Misses != 3 || st.Drops != 1 {
 			t.Fatalf("Stats activity mismatch: %+v", st)
 		}
 	})

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dpcache/internal/clock"
 	"dpcache/internal/diskstore"
 	"dpcache/internal/metrics"
 )
@@ -30,11 +29,6 @@ type Keyed interface {
 	Stats() KeyedStats
 	AsFragmentStore(capacity int) (FragmentStore, error)
 }
-
-var (
-	_ Keyed = (*KeyedStore)(nil)
-	_ Keyed = (*TieredKeyed)(nil)
-)
 
 // TieredConfig parameterizes NewTieredKeyed.
 type TieredConfig struct {
@@ -76,9 +70,8 @@ type TieredStats struct {
 // On construction the disk tier replays its heap file, so a restarted
 // proxy reopening the same path serves warm from disk immediately.
 type TieredKeyed struct {
-	ram  *KeyedStore
+	ram  *KeyedStore // also the store's clock (ram.clk)
 	disk *diskstore.Store
-	clk  clock.Clock
 
 	mu      sync.Mutex
 	transit map[string]*transit
@@ -107,11 +100,7 @@ func NewTieredKeyed(cfg TieredConfig) (*TieredKeyed, error) {
 	if cfg.Disk.Clock == nil {
 		cfg.Disk.Clock = cfg.RAM.Clock
 	}
-	clk := cfg.RAM.Clock
-	if clk == nil {
-		clk = clock.Real{}
-	}
-	t := &TieredKeyed{clk: clk, transit: make(map[string]*transit)}
+	t := &TieredKeyed{transit: make(map[string]*transit)}
 	cfg.RAM.OnEvict = t.demote
 	ram, err := NewKeyed(cfg.RAM)
 	if err != nil {
@@ -155,18 +144,10 @@ func (t *TieredKeyed) exitTransit(key string, f *transit) {
 	}
 }
 
-// killTransit marks any in-flight crossing of key as deleted.
-func (t *TieredKeyed) killTransit(key string) {
-	t.mu.Lock()
-	if f := t.transit[key]; f != nil {
-		f.killed = true
-	}
-	t.mu.Unlock()
-}
-
-// killTransitsFunc marks every in-flight key matching pred. Keys are
-// snapshotted first so pred runs without the transit lock held.
-func (t *TieredKeyed) killTransitsFunc(pred func(string) bool) {
+// killTransits marks every in-flight crossing whose key matches pred as
+// deleted. The transit map only ever holds the few keys mid-crossing, so
+// the scan is short; pred runs on a snapshot, without the transit lock.
+func (t *TieredKeyed) killTransits(pred func(key string) bool) {
 	t.mu.Lock()
 	keys := make([]string, 0, len(t.transit))
 	for k := range t.transit {
@@ -174,18 +155,15 @@ func (t *TieredKeyed) killTransitsFunc(pred func(string) bool) {
 	}
 	t.mu.Unlock()
 	for _, k := range keys {
-		if pred(k) {
-			t.killTransit(k)
+		if !pred(k) {
+			continue
 		}
+		t.mu.Lock()
+		if f := t.transit[k]; f != nil {
+			f.killed = true
+		}
+		t.mu.Unlock()
 	}
-}
-
-func (t *TieredKeyed) killAllTransits() {
-	t.mu.Lock()
-	for _, f := range t.transit {
-		f.killed = true
-	}
-	t.mu.Unlock()
 }
 
 // demote is the RAM tier's OnEvict hook: the ledger victim is written
@@ -196,7 +174,7 @@ func (t *TieredKeyed) demote(key string, e KeyedEntry, deadline time.Time) {
 	if e.Obj != nil {
 		return
 	}
-	if !deadline.IsZero() && !t.clk.Now().Before(deadline) {
+	if !deadline.IsZero() && !t.ram.clk.Now().Before(deadline) {
 		return
 	}
 	f := t.enterTransit(key)
@@ -210,13 +188,13 @@ func (t *TieredKeyed) demote(key string, e KeyedEntry, deadline time.Time) {
 // copy is removed first). Entries the RAM budget could never admit stay
 // on disk — promoting them would bounce straight back out.
 func (t *TieredKeyed) promote(key string, e diskstore.Entry) {
-	ke := KeyedEntry{Value: e.Value, Meta: e.Meta, Gen: uint32(e.Gen)}
+	ke := fromDisk(e)
 	if b := t.ram.cfg.ByteBudget; b > 0 && ke.size() > b {
 		return
 	}
 	var ttl time.Duration
 	if !e.Deadline.IsZero() {
-		ttl = e.Deadline.Sub(t.clk.Now())
+		ttl = e.Deadline.Sub(t.ram.clk.Now())
 		if ttl <= 0 {
 			return
 		}
@@ -228,80 +206,72 @@ func (t *TieredKeyed) promote(key string, e diskstore.Entry) {
 	t.exitTransit(key, f)
 }
 
-// Get returns the entry under key from either tier, promoting disk hits
-// back into RAM.
-func (t *TieredKeyed) Get(key string) (KeyedEntry, bool) {
-	if e, ok := t.ram.Get(key); ok {
+// fromDisk converts a disk-tier record to the engine's entry shape.
+func fromDisk(e diskstore.Entry) KeyedEntry {
+	return KeyedEntry{Value: e.Value, Meta: e.Meta, Gen: uint32(e.Gen)}
+}
+
+// lapse reports whether a disk-tier record's deadline has passed, and by
+// how much.
+func (t *TieredKeyed) lapse(e diskstore.Entry) (age time.Duration, expired bool) {
+	if e.Deadline.IsZero() {
+		return 0, false
+	}
+	now := t.ram.clk.Now()
+	if now.Before(e.Deadline) {
+		return 0, false
+	}
+	return now.Sub(e.Deadline), true
+}
+
+// lookup is the one read path behind Get and GetKeep: RAM first, then
+// disk, promoting a disk hit back into RAM. Under keepLapsed an expired
+// entry misses but stays where it is for a later GetStale, so the disk
+// tier is peeked rather than read (a disk Get drops what has lapsed).
+func (t *TieredKeyed) lookup(key string, mode freshness) (KeyedEntry, bool) {
+	if e, _, ok := t.ram.lookup(key, mode); ok {
 		t.hits.Add(1)
 		return e, true
 	}
-	e, ok := t.disk.Get(key)
+	var e diskstore.Entry
+	var ok bool
+	if mode == expireLapsed {
+		e, ok = t.disk.Get(key)
+	} else if e, ok = t.disk.Peek(key); ok {
+		_, expired := t.lapse(e)
+		ok = !expired
+	}
 	if !ok {
 		t.misses.Add(1)
 		return KeyedEntry{}, false
 	}
 	t.hits.Add(1)
 	t.diskHits.Add(1)
-	ke := KeyedEntry{Value: e.Value, Meta: e.Meta, Gen: uint32(e.Gen)}
 	t.promote(key, e)
-	return ke, true
+	return fromDisk(e), true
 }
+
+// Get returns the entry under key from either tier, promoting disk hits
+// back into RAM.
+func (t *TieredKeyed) Get(key string) (KeyedEntry, bool) { return t.lookup(key, expireLapsed) }
 
 // GetKeep behaves like Get but leaves expired entries resident (in
 // whichever tier holds them) for a later GetStale.
-func (t *TieredKeyed) GetKeep(key string) (KeyedEntry, bool) {
-	if e, ok := t.ram.GetKeep(key); ok {
-		t.hits.Add(1)
-		return e, true
-	}
-	if t.ramHoldsStale(key) {
-		// Expired-but-kept in RAM: miss without consulting disk (the
-		// tiers are exclusive; disk cannot hold a fresher copy).
-		t.misses.Add(1)
-		return KeyedEntry{}, false
-	}
-	e, ok := t.disk.Peek(key)
-	if !ok {
-		t.misses.Add(1)
-		return KeyedEntry{}, false
-	}
-	if !e.Deadline.IsZero() && !t.clk.Now().Before(e.Deadline) {
-		// Expired on disk: keep it for GetStale, miss here.
-		t.misses.Add(1)
-		return KeyedEntry{}, false
-	}
-	t.hits.Add(1)
-	t.diskHits.Add(1)
-	ke := KeyedEntry{Value: e.Value, Meta: e.Meta, Gen: uint32(e.Gen)}
-	t.promote(key, e)
-	return ke, true
-}
-
-// ramHoldsStale reports whether RAM holds key at all (GetKeep already
-// said it isn't fresh).
-func (t *TieredKeyed) ramHoldsStale(key string) bool {
-	_, _, ok := t.ram.GetStale(key)
-	return ok
-}
+func (t *TieredKeyed) GetKeep(key string) (KeyedEntry, bool) { return t.lookup(key, keepLapsed) }
 
 // GetStale returns the entry under key even past its TTL, with its age
 // (zero while fresh), from whichever tier holds it. Stale reads do not
 // promote — the next fresh Get will.
 func (t *TieredKeyed) GetStale(key string) (KeyedEntry, time.Duration, bool) {
-	if e, age, ok := t.ram.GetStale(key); ok {
+	if e, age, ok := t.ram.lookup(key, serveLapsed); ok {
 		return e, age, true
 	}
 	e, ok := t.disk.Peek(key)
 	if !ok {
 		return KeyedEntry{}, 0, false
 	}
-	var age time.Duration
-	if !e.Deadline.IsZero() {
-		if now := t.clk.Now(); now.After(e.Deadline) {
-			age = now.Sub(e.Deadline)
-		}
-	}
-	return KeyedEntry{Value: e.Value, Meta: e.Meta, Gen: uint32(e.Gen)}, age, true
+	age, _ := t.lapse(e)
+	return fromDisk(e), age, true
 }
 
 // Put stores entry under key. The RAM tier admits it (possibly demoting
@@ -314,16 +284,13 @@ func (t *TieredKeyed) Put(key string, entry KeyedEntry, ttl time.Duration) {
 	t.disk.Delete(key)
 	if b := t.ram.cfg.ByteBudget; b > 0 && entry.Obj == nil && entry.size() > b {
 		// Too large for the RAM ledger: admit directly to the disk tier
-		// (the RAM store would refuse it outright).
+		// (the RAM store would refuse it outright). The disk tier copies
+		// the value into its page frames before Put returns.
 		var deadline time.Time
 		if ttl > 0 {
-			deadline = t.clk.Now().Add(ttl)
+			deadline = t.ram.clk.Now().Add(ttl)
 		}
-		cp := make([]byte, len(entry.Value))
-		copy(cp, entry.Value)
-		if t.disk.Put(key, diskstore.Entry{Value: cp, Meta: entry.Meta, Gen: uint64(entry.Gen), Deadline: deadline}) {
-			t.demotions.Add(1)
-		}
+		t.demote(key, entry, deadline)
 	} else {
 		t.ram.Put(key, entry, ttl)
 	}
@@ -332,7 +299,7 @@ func (t *TieredKeyed) Put(key string, entry KeyedEntry, ttl time.Duration) {
 
 // Delete removes key from both tiers and kills any in-flight crossing.
 func (t *TieredKeyed) Delete(key string) bool {
-	t.killTransit(key)
+	t.killTransits(func(k string) bool { return k == key })
 	r := t.ram.Delete(key)
 	d := t.disk.Delete(key)
 	if r || d {
@@ -344,7 +311,7 @@ func (t *TieredKeyed) Delete(key string) bool {
 
 // DeleteFunc removes every key matching pred from both tiers.
 func (t *TieredKeyed) DeleteFunc(pred func(key string) bool) int {
-	t.killTransitsFunc(pred)
+	t.killTransits(pred)
 	n := t.ram.DeleteFunc(pred)
 	n += t.disk.DeleteFunc(pred)
 	t.drops.Add(int64(n))
@@ -357,7 +324,7 @@ func (t *TieredKeyed) ReserveScratch(n int64) { t.ram.ReserveScratch(n) }
 
 // Flush empties both tiers (and truncates the heap file).
 func (t *TieredKeyed) Flush() {
-	t.killAllTransits()
+	t.killTransits(func(string) bool { return true })
 	t.drops.Add(int64(t.ram.Len() + t.disk.Len()))
 	t.ram.Flush()
 	t.disk.Flush()
@@ -423,19 +390,10 @@ func (t *TieredKeyed) Close() error {
 	return t.disk.Close()
 }
 
-// AsFragmentStore adapts the tiered store to the FragmentStore contract,
-// the same way KeyedStore.AsFragmentStore does.
+// AsFragmentStore returns a view of the tiered store under the
+// FragmentStore contract; see fragmentView.
 func (t *TieredKeyed) AsFragmentStore(capacity int) (FragmentStore, error) {
-	if capacity <= 0 {
-		return nil, fmt.Errorf("fragstore: store capacity must be positive, got %d", capacity)
-	}
-	return &tieredFragmentView{t: t, capacity: capacity}, nil
-}
-
-// DiskTiered is implemented by stores backed by a disk tier; the proxy
-// uses it to publish dpc.store.disk_* gauges and /_dpc/stats detail.
-type DiskTiered interface {
-	TierStats() TieredStats
+	return newFragmentView(t, BackendTiered, capacity)
 }
 
 // PublishDisk copies disk-tier stats into registry gauges under prefix
@@ -453,67 +411,3 @@ func PublishDisk(reg *metrics.Registry, prefix string, ts TieredStats) {
 	reg.Gauge(prefix + ".disk_recovered_entries").Set(ts.Disk.RecoveredEntries)
 	reg.Gauge(prefix + ".disk_checksum_discards").Set(ts.Disk.ChecksumDiscards)
 }
-
-type tieredFragmentView struct {
-	t        *TieredKeyed
-	capacity int
-}
-
-func (v *tieredFragmentView) Set(key, gen uint32, content []byte) error {
-	if int64(key) >= int64(v.capacity) {
-		return fmt.Errorf("fragstore: key %d outside store capacity %d", key, v.capacity)
-	}
-	v.t.Put(kfvKey(key), KeyedEntry{Value: content, Gen: gen}, 0)
-	return nil
-}
-
-func (v *tieredFragmentView) Get(key, gen uint32, strict bool) ([]byte, bool) {
-	if int64(key) >= int64(v.capacity) {
-		v.t.misses.Add(1)
-		return nil, false
-	}
-	e, ok := v.t.Get(kfvKey(key))
-	if !ok || (strict && e.Gen != gen) {
-		return nil, false
-	}
-	return e.Value, true
-}
-
-func (v *tieredFragmentView) Drop(key uint32) {
-	if int64(key) >= int64(v.capacity) {
-		return
-	}
-	v.t.Delete(kfvKey(key))
-}
-
-func (v *tieredFragmentView) DropAll() { v.t.Flush() }
-
-func (v *tieredFragmentView) Capacity() int { return v.capacity }
-
-func (v *tieredFragmentView) Bytes() int64 { return v.t.Bytes() }
-
-func (v *tieredFragmentView) Resident() int { return v.t.Len() }
-
-func (v *tieredFragmentView) Stats() Stats {
-	ks := v.t.Stats()
-	return Stats{
-		Backend:      BackendTiered,
-		Shards:       ks.Shards,
-		Capacity:     v.capacity,
-		Resident:     ks.Resident,
-		Bytes:        ks.Bytes,
-		ByteBudget:   ks.ByteBudget,
-		Sets:         ks.Puts,
-		Hits:         ks.Hits,
-		Misses:       ks.Misses,
-		Drops:        ks.Drops,
-		Evictions:    ks.Evictions,
-		EvictedBytes: ks.EvictedBytes,
-	}
-}
-
-// TierStats exposes the disk-tier detail through the fragment adapter.
-func (v *tieredFragmentView) TierStats() TieredStats { return v.t.TierStats() }
-
-// Close closes the underlying tiered store.
-func (v *tieredFragmentView) Close() error { return v.t.Close() }

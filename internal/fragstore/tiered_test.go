@@ -192,8 +192,14 @@ func TestTieredInvalidationDropsDiskResident(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	dt := fs.(fragstore.DiskTiered)
-	if st := dt.TierStats(); st.Disk.Resident != 1 {
+	tierStats := func() fragstore.TieredStats {
+		ts, ok := fragstore.DiskStats(fs)
+		if !ok {
+			t.Fatal("tiered backend reports no disk tier")
+		}
+		return ts
+	}
+	if st := tierStats(); st.Disk.Resident != 1 {
 		t.Fatalf("setup: want key 1 disk-resident: %+v", st)
 	}
 	// The fabric invalidation path is FragmentStore.Drop.
@@ -201,7 +207,7 @@ func TestTieredInvalidationDropsDiskResident(t *testing.T) {
 	if _, ok := fs.Get(1, 7, true); ok {
 		t.Fatal("invalidated disk-resident entry still served")
 	}
-	st := dt.TierStats()
+	st := tierStats()
 	if st.Disk.Resident != 0 {
 		t.Fatalf("invalidated entry still on disk: %+v", st)
 	}
