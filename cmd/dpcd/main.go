@@ -18,7 +18,8 @@
 // is bounded by -store-budget, and instead of dropping its
 // eviction victims it demotes them into a page-structured heap file
 // (-disk-path, bounded by -disk-budget) behind a pinning buffer pool.
-// Disk hits are promoted back to RAM, and a restart replays the heap
+// Disk hits are copied into RAM and keep their disk copy, so evicting
+// them again writes nothing, and a restart replays the heap
 // file — discarding torn or checksum-bad pages — so a bounced proxy
 // serves warm instead of cold. Disk-tier activity is published under
 // dpc.store.disk_* (docs/METRICS.md):

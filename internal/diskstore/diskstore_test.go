@@ -159,6 +159,53 @@ func TestLRUEvictionOrder(t *testing.T) {
 	}
 }
 
+// TestTwinProbe: Twin answers presence without reading a page, counts the
+// records a faster tier also holds, and — the part a clean eviction relies
+// on — refreshes the record's LRU position, so a copy whose twin lived in
+// RAM for an hour is not the first the budget reclaims.
+func TestTwinProbe(t *testing.T) {
+	val := make([]byte, 100)
+	charge := int64(len("k0") + 100)
+	s := openTemp(t, Config{ByteBudget: 3 * charge})
+	s.Put("k0", Entry{Value: val})
+	s.Put("k1", Entry{Value: val})
+	s.Put("k2", Entry{Value: val})
+	if s.Twin("absent", true) {
+		t.Fatal("Twin reported a key the store does not hold")
+	}
+	before := s.Stats()
+	if !s.Twin("k0", true) || !s.Twin("k0", true) { // idempotent
+		t.Fatal("Twin missed k0")
+	}
+	st := s.Stats()
+	if st.Twinned != 1 || st.TwinnedBytes != charge {
+		t.Fatalf("twin counters after marking k0: %+v", st)
+	}
+	if st.PoolHits != before.PoolHits || st.PoolLoads != before.PoolLoads || st.Hits != before.Hits {
+		t.Fatalf("the probe read a page or counted a hit: %+v → %+v", before, st)
+	}
+	// k0 was the least recently used until the probe touched it.
+	s.Put("k3", Entry{Value: val})
+	if !s.Twin("k0", false) {
+		t.Fatal("the probed record was the LRU victim")
+	}
+	if s.Twin("k1", false) {
+		t.Fatal("k1 should have been the LRU victim")
+	}
+	if st := s.Stats(); st.Twinned != 0 || st.TwinnedBytes != 0 {
+		t.Fatalf("twin counters after clearing k0: %+v", st)
+	}
+	// A record removed while flagged leaves the counters with it.
+	s.Twin("k2", true)
+	s.Delete("k2")
+	if st := s.Stats(); st.Twinned != 0 || st.TwinnedBytes != 0 {
+		t.Fatalf("twin counters after deleting a flagged record: %+v", st)
+	}
+	if st := s.Stats(); st.FileBytes != int64(st.Pages*st.PageBytes) || st.FileBytes == 0 {
+		t.Fatalf("FileBytes %d with %d pages of %d B", st.FileBytes, st.Pages, st.PageBytes)
+	}
+}
+
 func TestOversizedRefused(t *testing.T) {
 	s := openTemp(t, Config{ByteBudget: 64})
 	if s.Put("k", Entry{Value: make([]byte, 100)}) {

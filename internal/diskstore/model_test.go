@@ -15,7 +15,7 @@ import (
 // flight: no frame keeps a pin except the unsealed tail, which is resident
 // and pinned exactly once; the clock ring holds exactly the resident
 // frames; and the per-page live counts, the byte ledger and the LRU list
-// agree with the index.
+// agree with the index, as do the twin counters with the twin flags.
 func (s *Store) checkInvariants() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -44,9 +44,14 @@ func (s *Store) checkInvariants() error {
 		}
 	}
 	live := make(map[int]int)
-	var charged int64
+	var charged, twinBytes int64
+	twinned := 0
 	for key, d := range s.index {
 		charged += d.charge
+		if d.twin {
+			twinned++
+			twinBytes += d.charge
+		}
 		for _, loc := range d.segs {
 			pi := s.pages[loc.page]
 			if pi == nil || pi.free || pi.gen != loc.pgen {
@@ -64,13 +69,16 @@ func (s *Store) checkInvariants() error {
 		return fmt.Errorf("ledger %d B / LRU %d entries, index holds %d B / %d entries",
 			s.bytes, s.lru.Len(), charged, len(s.index))
 	}
+	if twinned != s.twinned || twinBytes != s.twinBytes {
+		return fmt.Errorf("twin counters %d / %d B, index flags %d / %d B", s.twinned, s.twinBytes, twinned, twinBytes)
+	}
 	return nil
 }
 
 const modelKeys = 12
 
-// runModel decodes ops into a Put / Get / Peek / Delete / DeleteFunc /
-// expire / reopen sequence and applies it to a store with MinPageBytes
+// runModel decodes ops into a Put / Get / Peek / Twin / Delete / DeleteFunc
+// / expire / reopen sequence and applies it to a store with MinPageBytes
 // pages and poolPages frames — the shape that forces a pool eviction on
 // almost every page touch — and to a plain map, checking after every
 // operation that the two agree and that the store's invariants hold.
@@ -114,7 +122,7 @@ func runModel(t *testing.T, poolPages int, ops []byte) {
 	}
 
 	for step := 0; len(ops) > 0; step++ {
-		op, key := next()%8, fmt.Sprintf("key%d", next()%modelKeys)
+		op, key := next()%9, fmt.Sprintf("key%d", next()%modelKeys)
 		what := "Put"
 		switch op {
 		case 0, 1, 2:
@@ -162,6 +170,14 @@ func runModel(t *testing.T, poolPages int, ops []byte) {
 			}
 			if got := s.DeleteFunc(pred); got != want {
 				t.Fatalf("step %d: DeleteFunc dropped %d, oracle says %d", step, got, want)
+			}
+		case 7:
+			// Twin answers presence (lapsed or not) and moves no bytes; the
+			// flags it leaves behind are checked by checkInvariants.
+			what = "Twin"
+			_, present := oracle[key]
+			if got := s.Twin(key, next()%2 == 0); got != present {
+				t.Fatalf("step %d: Twin(%q) = %v, oracle says %v", step, key, got, present)
 			}
 		default:
 			if next()%4 != 0 {

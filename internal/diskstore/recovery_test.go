@@ -220,3 +220,40 @@ func TestTailFrameSurvivesKillAndPoolPressure(t *testing.T) {
 		}
 	}
 }
+
+// TestReplayOutranksLapsedRecords: replay passes over a record whose
+// deadline has lapsed, but its slot stays in the file (the page holds
+// other live records). Records written afterwards must still outrank it,
+// or the next replay picks the lapsed one as the key's latest and the
+// newer value is lost.
+func TestReplayOutranksLapsedRecords(t *testing.T) {
+	fc := clock.NewFake(time.Unix(20_000, 0))
+	cfg := Config{Path: filepath.Join(t.TempDir(), "lapsed.heap"), PageBytes: MinPageBytes, Clock: fc}
+	reopen := func(s *Store) *Store {
+		t.Helper()
+		if s != nil {
+			if err := s.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+		}
+		s, err := Open(cfg)
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		return s
+	}
+	s := reopen(nil)
+	s.Put("keeps-the-page-alive", Entry{Value: []byte("x")})
+	s.Put("k", Entry{Value: []byte("old"), Deadline: fc.Now().Add(time.Second)}) // highest sequence in the file
+	fc.Advance(time.Minute)
+	s = reopen(s) // k has lapsed: not recovered
+	if _, ok := s.Peek("k"); ok {
+		t.Fatal("lapsed record recovered")
+	}
+	s.Put("k", Entry{Value: []byte("new")})
+	s = reopen(s)
+	defer s.Close()
+	if e, ok := s.Get("k"); !ok || string(e.Value) != "new" {
+		t.Fatalf("Get(k) after the second replay = %q, %v; want the value stored after the first", e.Value, ok)
+	}
+}

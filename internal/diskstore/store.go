@@ -11,6 +11,14 @@
 // page with the slot zeroed via copy-on-write, so concurrent lock-free
 // readers of the old frame are never raced.
 //
+// The tiered store keeps the tiers inclusive: promoting a record into RAM
+// leaves it here, and Twin is the latch-only probe by which a later
+// eviction from RAM learns that its victim's copy is still held — in which
+// case nothing is written — while keeping that copy's LRU position as
+// fresh as its twin's use. Steady-state traffic over a read-mostly set is
+// therefore reads and probes; writes are first-time demotions and
+// invalidations.
+//
 // Crash behavior: a record is committed once its page(s) carry valid
 // checksums on disk, which the prompt write-back makes true moments
 // after Put returns; replay at Open discards torn or checksum-bad pages
@@ -89,6 +97,13 @@ type Stats struct {
 	PageBytes  int   `json:"page_bytes"`
 	Pages      int   `json:"pages"`
 	FreePages  int   `json:"free_pages"`
+	// FileBytes is the heap file's extent (allocated pages × PageBytes,
+	// free ones included); against Bytes it shows fragmentation.
+	FileBytes int64 `json:"file_bytes"`
+	// Twinned and TwinnedBytes count the resident records (and their
+	// charge) that a faster tier also holds a copy of; see Twin.
+	Twinned      int   `json:"twinned"`
+	TwinnedBytes int64 `json:"twinned_bytes"`
 
 	Puts             int64 `json:"puts"`
 	Hits             int64 `json:"hits"`
@@ -122,6 +137,7 @@ type dentry struct {
 	deadline int64
 	valLen   int
 	charge   int64
+	twin     bool // a faster tier holds a copy too; see Twin
 }
 
 type pageInfo struct {
@@ -142,6 +158,8 @@ type Store struct {
 	index      map[string]*dentry
 	lru        list.List // *dentry; front = most recently used
 	bytes      int64
+	twinned    int // records flagged twin, and their charge
+	twinBytes  int64
 	pages      map[int]*pageInfo
 	freeList   []int
 	nextPage   int
@@ -279,6 +297,12 @@ func (s *Store) replay() error {
 		var best *group
 		var bestSeq uint64
 		for seq, g := range m {
+			// New records must outrank every record in the file, also the
+			// ones replay passes over (lapsed, torn): their slots stay on
+			// disk, and the next replay picks the highest sequence.
+			if seq >= s.seq {
+				s.seq = seq + 1
+			}
 			segs := make([]segment, len(g.recs))
 			for i, r := range g.recs {
 				segs[i] = r.seg
@@ -319,9 +343,6 @@ func (s *Store) replay() error {
 		}
 		winners = append(winners, d)
 		winnerPages[d] = pagesOf
-		if bestSeq >= s.seq {
-			s.seq = bestSeq + 1
-		}
 	}
 	// LRU order = sequence order (older seq = colder).
 	sort.Slice(winners, func(i, j int) bool { return winners[i].seq < winners[j].seq })
@@ -595,6 +616,37 @@ func (s *Store) readRecord(key string, locs []segLoc, seq uint64, valLen int) ([
 	return val, true
 }
 
+// Twin records whether a faster tier holds a copy of key's record — the
+// tiered store sets it when it promotes and clears it when the RAM copy is
+// evicted — and reports whether the store holds the key at all. A held
+// record is as recently used as its twin, so the call also moves it to the
+// front of the LRU: a record that lives in RAM for an hour must not become
+// the coldest one on disk by neglect. Latch-only: no page is touched.
+func (s *Store) Twin(key string, held bool) bool {
+	s.mu.Lock()
+	d := s.index[key]
+	if d != nil {
+		s.lru.MoveToFront(d.elem)
+		s.setTwinLocked(d, held)
+	}
+	s.mu.Unlock()
+	return d != nil
+}
+
+func (s *Store) setTwinLocked(d *dentry, held bool) {
+	if d.twin == held {
+		return
+	}
+	d.twin = held
+	if held {
+		s.twinned++
+		s.twinBytes += d.charge
+	} else {
+		s.twinned--
+		s.twinBytes -= d.charge
+	}
+}
+
 // Delete removes key from the store, reporting whether it was present.
 func (s *Store) Delete(key string) bool {
 	s.mu.Lock()
@@ -659,6 +711,7 @@ func (s *Store) resetLocked() {
 	s.index = make(map[string]*dentry)
 	s.lru.Init()
 	s.bytes = 0
+	s.twinned, s.twinBytes = 0, 0
 	s.pages = make(map[int]*pageInfo)
 	s.freeList = nil
 	s.nextPage = 0
@@ -695,6 +748,10 @@ func (s *Store) Stats() Stats {
 		PageBytes:  s.pageBytes,
 		Pages:      len(s.pages),
 		FreePages:  len(s.freeList),
+		FileBytes:  int64(s.nextPage) * int64(s.pageBytes),
+
+		Twinned:      s.twinned,
+		TwinnedBytes: s.twinBytes,
 	}
 	s.mu.Unlock()
 	st.Puts = s.puts.Load()
@@ -739,6 +796,7 @@ func (s *Store) removeLocked(d *dentry, kills *[]segLoc) {
 	delete(s.index, d.key)
 	s.lru.Remove(d.elem)
 	s.bytes -= d.charge
+	s.setTwinLocked(d, false)
 	for _, loc := range d.segs {
 		if pi := s.pages[loc.page]; pi != nil && pi.gen == loc.pgen {
 			pi.live--

@@ -156,7 +156,7 @@ func (x *interpState) step(in tmpl.Instruction, sp *trace.Span, depth int) error
 		if sp != nil {
 			fsp = sp.Child("fragment")
 		}
-		data, ok := x.a.store.Get(in.Key, in.Gen, x.a.strict)
+		data, ok := tmplplan.GetRef(x.a.store, fsp, in.Key, in.Gen, x.a.strict)
 		if !ok {
 			if fsp != nil {
 				fsp.Event(trace.KindMiss, "fragment",
@@ -188,7 +188,7 @@ func (x *interpState) step(in tmpl.Instruction, sp *trace.Span, depth int) error
 		if sp != nil {
 			fsp = sp.Child("include")
 		}
-		data, ok := x.a.store.Get(in.Key, in.Gen, x.a.strict)
+		data, ok := tmplplan.GetRef(x.a.store, fsp, in.Key, in.Gen, x.a.strict)
 		if !ok {
 			if fsp != nil {
 				fsp.Event(trace.KindMiss, "fragment",

@@ -141,7 +141,7 @@ func Memory(opts Options) (Table, error) {
 		"budget is the sharded store's global byte ledger (SystemConfig.StoreByteBudget); eviction fires on global pressure only",
 		"an evicted slot costs a stale-bypass page fetch (full B_NC page) plus BEM re-learning, so savings fall toward the no-cache baseline as memory shrinks",
 		"fragment sizes follow a heavy-tailed 1x/1x/4x/16x cycle (site.FragmentSizeFactors): GDSF keeps many small hot fragments where LRU pins few large ones, so the policies separate at tight budgets",
-		"lru+disk rows mount the tiered backend (-store=tiered): the same RAM ledger, but victims demote to an unbounded heap file and disk hits promote back, so the hit ratio holds near the unbounded point at every budget",
+		"lru+disk rows mount the tiered backend (-store=tiered): the same RAM ledger, but victims demote to an unbounded heap file (written once; a victim the file already holds is evicted clean) and disk hits promote a copy back, so the hit ratio holds at the unbounded point at every budget",
 		"restart rows measure the first sequential pass over the site at an edge: restart:warm bounces a tiered edge (Edge.Close, then StartEdge with the same name reopens and replays its heap file) and restart:cold starts a fresh edge; restart:steady is the same edge's driven steady-state window for reference",
 		"restart-row savings are per-response against the no-cache baseline (the restart windows serve fewer requests than the sweep windows)")
 	return t, nil

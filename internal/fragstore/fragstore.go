@@ -248,6 +248,7 @@ func New(cfg Config) (FragmentStore, error) {
 // and tiered backends.
 type fragmentView struct {
 	s        Keyed
+	tiered   *TieredKeyed // s, when it has a disk tier; else nil
 	backend  string
 	capacity int
 	// keyText holds the keys of slots below maxKeyTable back to back
@@ -277,7 +278,8 @@ func newFragmentView(s Keyed, backend string, capacity int) (*fragmentView, erro
 		text.WriteString(strconv.Itoa(i))
 		at[i+1] = uint32(text.Len())
 	}
-	return &fragmentView{s: s, backend: backend, capacity: capacity, keyText: text.String(), keyAt: at}, nil
+	tiered, _ := s.(*TieredKeyed)
+	return &fragmentView{s: s, tiered: tiered, backend: backend, capacity: capacity, keyText: text.String(), keyAt: at}, nil
 }
 
 func (v *fragmentView) key(slot uint32) string {
@@ -296,11 +298,23 @@ func (v *fragmentView) Set(key, gen uint32, content []byte) error {
 }
 
 func (v *fragmentView) Get(key, gen uint32, strict bool) ([]byte, bool) {
+	return v.get(key, gen, strict, nil)
+}
+
+// get is Get; over a tiered engine a non-nil c receives the tier crossings
+// the read caused.
+func (v *fragmentView) get(key, gen uint32, strict bool, c *Crossings) ([]byte, bool) {
 	if int64(key) >= int64(v.capacity) {
 		v.rangeMisses.Add(1)
 		return nil, false
 	}
-	e, ok := v.s.Get(v.key(key))
+	var e KeyedEntry
+	var ok bool
+	if c != nil && v.tiered != nil {
+		e, ok = v.tiered.lookup(v.key(key), expireLapsed, c)
+	} else {
+		e, ok = v.s.Get(v.key(key))
+	}
 	if !ok {
 		return nil, false
 	}
@@ -357,12 +371,22 @@ func (v *fragmentView) Close() error {
 // engine that has one (the tiered backend); the proxy publishes it as the
 // dpc.store.disk_* gauges and the /_dpc/stats disk section.
 func DiskStats(store FragmentStore) (TieredStats, bool) {
-	if v, ok := store.(*fragmentView); ok {
-		if t, ok := v.s.(*TieredKeyed); ok {
-			return t.TierStats(), true
-		}
+	if v, ok := store.(*fragmentView); ok && v.tiered != nil {
+		return v.tiered.TierStats(), true
 	}
 	return TieredStats{}, false
+}
+
+// GetCrossings is store.Get that also reports the tier crossings the read
+// caused, for the request trace: a promotion, and what became of the RAM
+// victims it displaced. A store without a disk tier reports none.
+func GetCrossings(store FragmentStore, key, gen uint32, strict bool) (data []byte, ok bool, c Crossings) {
+	if v, isView := store.(*fragmentView); isView {
+		data, ok = v.get(key, gen, strict, &c)
+	} else {
+		data, ok = store.Get(key, gen, strict)
+	}
+	return data, ok, c
 }
 
 // Policy selects the engine's eviction strategy.

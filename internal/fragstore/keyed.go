@@ -79,14 +79,6 @@ type KeyedConfig struct {
 	Policy Policy
 	// Clock drives TTL expiry; nil selects the real clock.
 	Clock clock.Clock
-	// OnEvict, when set, receives each entry the eviction policy removes
-	// under budget or entry-bound pressure — never entries removed by
-	// Delete, DeleteFunc, Flush, TTL expiry, or an oversized-put refusal.
-	// It is invoked after the victim's shard lock is released, so it may
-	// block or re-enter the store; the tiered backend demotes victims to
-	// its disk tier here. The deadline is the victim's absolute expiry
-	// (zero = none).
-	OnEvict func(key string, e KeyedEntry, deadline time.Time)
 }
 
 // KeyedEntry is one stored value with its caller-owned annotations.
@@ -326,13 +318,16 @@ func (s *KeyedStore) GetStale(key string) (entry KeyedEntry, age time.Duration, 
 // "don't admit what you'd immediately evict" behavior; under LRU it is
 // by definition the most recent).
 func (s *KeyedStore) Put(key string, entry KeyedEntry, ttl time.Duration) {
-	// A value larger than the entire budget can never fit: refuse
-	// admission (counted as an eviction of the refused bytes) rather than
-	// emptying the store to make room, and drop any stale entry the
-	// refused write was replacing.
-	refused := s.led.budget > 0 && entry.size() > s.led.budget
+	s.store(key, entry, ttl)
+	if s.overLimits() {
+		s.evictGlobal()
+	}
+}
+
+// store is Put without the eviction that may have to follow it.
+func (s *KeyedStore) store(key string, entry KeyedEntry, ttl time.Duration) {
 	var deadline time.Time
-	if !refused {
+	if !s.refuses(entry) {
 		cp := make([]byte, len(entry.Value))
 		copy(cp, entry.Value)
 		entry.Value = cp
@@ -340,10 +335,35 @@ func (s *KeyedStore) Put(key string, entry KeyedEntry, ttl time.Duration) {
 			deadline = s.clk.Now().Add(ttl)
 		}
 	}
+	s.insert(key, entry, deadline, false)
+}
+
+// refuses reports whether entry is larger than the entire budget and so
+// can never fit.
+func (s *KeyedStore) refuses(entry KeyedEntry) bool {
+	return s.led.budget > 0 && entry.size() > s.led.budget
+}
+
+// insert files entry under key without relieving the pressure it may
+// cause; the caller follows with an eviction loop. It takes ownership of
+// entry.Value and an absolute deadline (zero = none) — the tiered store's
+// promotion hands over what it read from disk as it stands. With ifAbsent
+// a resident entry is left alone and the result is false: a promotion must
+// never replace what a Put stored meanwhile.
+func (s *KeyedStore) insert(key string, entry KeyedEntry, deadline time.Time, ifAbsent bool) bool {
+	// A value larger than the entire budget can never fit: refuse
+	// admission (counted as an eviction of the refused bytes) rather than
+	// emptying the store to make room, and drop any stale entry the
+	// refused write was replacing.
+	refused := s.refuses(entry)
 	sh := s.locate(key)
-	sh.puts.Add(1)
 	sh.mu.Lock()
 	e, ok := sh.entries[key]
+	if ok && ifAbsent {
+		sh.mu.Unlock()
+		return false
+	}
+	sh.puts.Add(1)
 	if refused {
 		if ok {
 			sh.remove(e)
@@ -364,43 +384,61 @@ func (s *KeyedStore) Put(key string, entry KeyedEntry, ttl time.Duration) {
 		sh.touch(e)
 	}
 	sh.mu.Unlock()
-	if s.overLimits() {
-		s.evictGlobal()
-	}
+	return !refused
 }
 
 // evictGlobal relieves budget pressure by repeatedly evicting the
-// globally coldest entry: scan every shard's local victim candidate (its
-// LRU tail or GDSF heap minimum) and evict the coldest of those minima —
-// which is the store-wide minimum, so the global policy order is exact,
-// not a per-shard approximation. Candidates are read under each shard's
-// lock but compared outside it; a concurrent touch can promote the chosen
-// victim before the final lock, in which case whatever is then coldest in
-// that shard is evicted instead — a benign inversion bounded by one
-// concurrent access.
+// globally coldest entry. The tiered store runs the same loop itself, so
+// that each victim crosses to its disk tier instead of being dropped.
 func (s *KeyedStore) evictGlobal() {
 	for s.overLimits() {
-		var victim *kshard
-		best := 0.0
-		for i := range s.shards {
-			sh := &s.shards[i]
-			sh.mu.Lock()
-			e, m := sh.coldest()
-			sh.mu.Unlock()
-			if e != nil && (victim == nil || m < best) {
-				best, victim = m, sh
-			}
-		}
-		if victim == nil {
+		key, ok := s.coldestKey()
+		if !ok {
 			return // store is empty; nothing left to give back
 		}
-		victim.mu.Lock()
-		ev, ok := victim.evictOne()
-		victim.mu.Unlock()
-		if ok && s.cfg.OnEvict != nil {
-			s.cfg.OnEvict(ev.key, ev.val, ev.deadline)
-		}
+		s.evictKey(key)
 	}
+}
+
+// coldestKey scans every shard's local victim candidate (its LRU tail or
+// GDSF heap minimum) and returns the key of the coldest of those minima —
+// which is the store-wide minimum, so the global policy order is exact,
+// not a per-shard approximation. Candidates are read under each shard's
+// lock but compared outside it; a concurrent touch can warm the chosen
+// key before it is evicted — a benign inversion bounded by one concurrent
+// access.
+func (s *KeyedStore) coldestKey() (key string, ok bool) {
+	best := 0.0
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		if e, m := sh.coldest(); e != nil && (!ok || m < best) {
+			best, key, ok = m, e.key, true
+		}
+		sh.mu.Unlock()
+	}
+	return key, ok
+}
+
+// evictKey removes the entry under key as a policy eviction and returns a
+// copy of it, so the caller can pass the victim on once the lock is
+// released.
+func (s *KeyedStore) evictKey(key string) (kentry, bool) {
+	sh := s.locate(key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	e, ok := sh.entries[key]
+	if !ok {
+		return kentry{}, false
+	}
+	if s.cfg.Policy == PolicyGDSF {
+		sh.raiseInflation(e.prio) // GDSF aging term L
+	}
+	victim := *e
+	sh.evictions++
+	sh.evictedBytes += victim.val.size()
+	sh.remove(e)
+	return victim, true
 }
 
 // coldest returns this shard's eviction candidate (nil when it has none)
@@ -452,13 +490,19 @@ func (s *KeyedStore) DeleteFunc(pred func(key string) bool) int {
 // are never evictable — the caller must release exactly what it
 // reserved once the capture is filed or discarded.
 func (s *KeyedStore) ReserveScratch(n int64) {
-	if s.led.budget <= 0 || n == 0 {
-		return
-	}
-	s.led.reserve(n)
-	if n > 0 && s.overLimits() {
+	if s.reserveScratch(n) {
 		s.evictGlobal()
 	}
+}
+
+// reserveScratch moves the ledger and reports whether the store is now
+// over a limit and must evict.
+func (s *KeyedStore) reserveScratch(n int64) bool {
+	if s.led.budget <= 0 || n == 0 {
+		return false
+	}
+	s.led.reserve(n)
+	return n > 0 && s.overLimits()
 }
 
 // Range calls fn for every resident entry (expired ones included) until
@@ -585,24 +629,6 @@ func (sh *kshard) remove(e *kentry) {
 	delete(sh.entries, e.key)
 	*e = kentry{next: sh.free} // lets go of the value; the slot is reused
 	sh.free = e
-}
-
-// evictOne removes this shard's policy victim, if it has one, and returns
-// a copy of it so the caller can hand it to KeyedConfig.OnEvict once the
-// lock is released.
-func (sh *kshard) evictOne() (kentry, bool) {
-	e, _ := sh.coldest()
-	if e == nil {
-		return kentry{}, false
-	}
-	if sh.st.cfg.Policy == PolicyGDSF {
-		sh.raiseInflation(e.prio) // GDSF aging term L
-	}
-	victim := *e
-	sh.evictions++
-	sh.evictedBytes += victim.val.size()
-	sh.remove(e)
-	return victim, true
 }
 
 // gdsfValue is the unaged GDSF priority term frequency·cost/size with unit

@@ -38,7 +38,8 @@ func newBenchTiered(b *testing.B, ramBudget int64) *fragstore.TieredKeyed {
 //   - DiskHitGet: a Get answered by the heap file through the buffer
 //     pool — the cost of serving a disk-resident entry.
 //   - PromoteCycleGet: the fully-thrashing variant where every Get also
-//     pays a promotion and the displaced victim's demotion write-back.
+//     pays a promotion and the displaced victim's eviction — clean, since
+//     the disk tier keeps the copy of everything it has promoted.
 //   - DemotePut: a Put whose RAM eviction demotes a victim to disk.
 //   - OriginRoundTrip: fetching the same payload from a local HTTP
 //     origin — the cost a disk hit avoids. The tentpole's acceptance
@@ -85,7 +86,8 @@ func BenchmarkTieredStore(b *testing.B) {
 	b.Run("PromoteCycleGet", func(b *testing.B) {
 		// RAM holds exactly one payload, so alternating two keys makes
 		// every Get a disk hit that promotes and displaces — the
-		// worst-case (fully thrashing) second-tier read.
+		// worst-case (fully thrashing) second-tier read. After the first
+		// round both keys are on disk and no Get writes.
 		ts := newBenchTiered(b, tieredBenchPayload)
 		ts.Put("a", fragstore.KeyedEntry{Value: payload}, 0)
 		ts.Put("b", fragstore.KeyedEntry{Value: payload}, 0) // a → disk

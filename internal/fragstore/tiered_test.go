@@ -55,8 +55,9 @@ func newTiered(t *testing.T, ram fragstore.KeyedConfig, disk diskstore.Config) *
 }
 
 // TestTieredDemotionOrder checks that RAM evicts its coldest entry into
-// the disk tier (not dropping it), that a disk Get promotes back, and
-// that the promotion's displacement demotes the next-coldest.
+// the disk tier (not dropping it), that a disk Get promotes a copy and
+// leaves the disk's where it is, that a victim the disk has never seen is
+// written once, and that a victim the disk still holds is evicted clean.
 func TestTieredDemotionOrder(t *testing.T) {
 	val := func(s string) fragstore.KeyedEntry { return fragstore.KeyedEntry{Value: []byte(s)} }
 	// Budget fits exactly two 8-byte values.
@@ -65,10 +66,11 @@ func TestTieredDemotionOrder(t *testing.T) {
 	ts.Put("b", val("bbbbbbbb"), 0)
 	ts.Put("c", val("cccccccc"), 0) // a is coldest → demoted to disk
 	st := ts.TierStats()
-	if st.Demotions != 1 || st.Disk.Resident != 1 || st.RAM.Resident != 2 {
+	if st.Demotions != 1 || st.Disk.Resident != 1 || st.RAM.Resident != 2 || st.Disk.Twinned != 0 {
 		t.Fatalf("after 3 puts: %+v", st)
 	}
-	// Get(a): disk hit, promoted; b (now coldest) demoted to make room.
+	// Get(a): disk hit, promoted, the disk copy kept as a's twin; b (now
+	// coldest, never on disk) is written to make room.
 	e, ok := ts.Get("a")
 	if !ok || string(e.Value) != "aaaaaaaa" {
 		t.Fatalf("a not served from disk: ok=%v %q", ok, e.Value)
@@ -77,14 +79,41 @@ func TestTieredDemotionOrder(t *testing.T) {
 	if st.DiskHits != 1 || st.Promotions != 1 {
 		t.Fatalf("promotion not counted: %+v", st)
 	}
-	if st.Demotions != 2 || st.Disk.Resident != 1 {
-		t.Fatalf("displaced victim not demoted: %+v", st)
+	if st.Demotions != 2 || st.CleanEvictions != 0 || st.Disk.Resident != 2 || st.Disk.Twinned != 1 {
+		t.Fatalf("after promoting a: want a twinned and b written: %+v", st)
 	}
-	// b must still be retrievable (from disk), and nothing was lost.
-	for _, k := range []string{"a", "b", "c"} {
+	// Three distinct entries, a counted once although both tiers hold it.
+	if n, by := ts.Len(), ts.Bytes(); n != 3 || by != 16+int64(len("b")+8) {
+		t.Fatalf("aggregate counts a twice: Len=%d Bytes=%d", n, by)
+	}
+	if used := ts.BudgetUsed(); used != st.RAM.Bytes+st.Disk.Bytes {
+		t.Fatalf("BudgetUsed %d, tiers charge %d + %d", used, st.RAM.Bytes, st.Disk.Bytes)
+	}
+	// Get(b): promoted; c (coldest, never on disk) is written.
+	// Get(c): promoted; a is coldest and the disk still holds its copy, so
+	// its eviction is clean — nothing is written.
+	for _, k := range []string{"b", "c"} {
 		if _, ok := ts.Get(k); !ok {
 			t.Fatalf("%s lost across the tier boundary", k)
 		}
+	}
+	st = ts.TierStats()
+	if st.Demotions != 3 || st.CleanEvictions != 1 || st.Disk.Puts != 3 {
+		t.Fatalf("a's eviction should have been clean: %+v", st)
+	}
+	if st.Disk.Resident != 3 || st.Disk.Twinned != 2 || ts.Len() != 3 {
+		t.Fatalf("want all three on disk, b and c twinned: %+v (Len %d)", st, ts.Len())
+	}
+	// From here on the store is in steady state: every entry is on disk and
+	// no sequence of reads writes anything.
+	for i := 0; i < 12; i++ {
+		k := string("abc"[i%3])
+		if e, ok := ts.Get(k); !ok || e.Value[0] != k[0] {
+			t.Fatalf("%s lost or corrupt in steady state", k)
+		}
+	}
+	if st = ts.TierStats(); st.Disk.Puts != 3 || st.Demotions != 3 || st.CleanEvictions == 1 {
+		t.Fatalf("steady-state reads wrote to disk or evicted nothing: %+v", st)
 	}
 	if ag := ts.Stats(); ag.Evictions != 0 {
 		t.Fatalf("aggregate evictions should be zero while disk is unbounded: %+v", ag)

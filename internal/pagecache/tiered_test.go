@@ -49,9 +49,11 @@ func TestTieredPageCache(t *testing.T) {
 	}
 
 	// A scoped purge (key-prefix DeleteFunc, the TierSubscriber's purge
-	// path) must drop pages from both tiers.
-	if st := ts.TierStats(); st.Disk.Resident != 1 {
-		t.Fatalf("want one page still on disk before purge, got %+v", st)
+	// path) must drop pages from both tiers, counting a page both tiers
+	// hold once: /a was promoted and keeps its disk copy, /b was written to
+	// disk to make room.
+	if st := ts.TierStats(); st.Disk.Resident != 2 || st.Disk.Twinned != 1 || c.Len() != 2 {
+		t.Fatalf("want /a twinned and /b on disk before purge, got len=%d %+v", c.Len(), st)
 	}
 	if n := c.DeleteFunc(func(k string) bool { return strings.HasPrefix(k, "GET /") }); n != 2 {
 		t.Fatalf("purge removed %d pages, want 2", n)

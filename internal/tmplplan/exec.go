@@ -43,8 +43,9 @@ type Exec struct {
 
 // preResult is one prefetched lookup, indexed like Plan.par.
 type preResult struct {
-	data []byte
-	ok   bool
+	data  []byte
+	ok    bool
+	cross fragstore.Crossings // kept by traced runs only
 }
 
 // execState threads the per-run mutable state through include recursion:
@@ -78,7 +79,7 @@ func (e *Exec) Run(p *Plan, w io.Writer, sp *trace.Span) (Stats, error) {
 	}
 	var pre []preResult
 	if min := e.minParallelGets(); e.Parallelism > 1 && len(p.par) >= min {
-		pre = e.prefetch(p)
+		pre = e.prefetch(p, sp != nil)
 		st.ParallelGets = len(p.par)
 	}
 	if err := x.run(p, pre, sp, 0); err != nil {
@@ -99,9 +100,35 @@ func (e *Exec) minParallelGets() int {
 	return 4
 }
 
+// GetRef resolves one fragment reference. With a span it also asks the
+// store which tier crossings the read caused and records them as tier
+// events; without one it is store.Get and allocates nothing.
+func GetRef(store fragstore.FragmentStore, fsp *trace.Span, key, gen uint32, strict bool) ([]byte, bool) {
+	if fsp == nil {
+		return store.Get(key, gen, strict)
+	}
+	data, ok, c := fragstore.GetCrossings(store, key, gen, strict)
+	tierEvents(fsp, c)
+	return data, ok
+}
+
+// tierEvents records a read's tier crossings on its fragment span.
+func tierEvents(fsp *trace.Span, c fragstore.Crossings) {
+	if c.Promoted {
+		fsp.Event(trace.KindTier, "disk", "promote", 1)
+	}
+	if c.DemoteWrites > 0 {
+		fsp.Event(trace.KindTier, "disk", "demote-write", int64(c.DemoteWrites))
+	}
+	if c.DemoteCleans > 0 {
+		fsp.Event(trace.KindTier, "disk", "demote-clean", int64(c.DemoteCleans))
+	}
+}
+
 // prefetch resolves the plan's independent GETs with a bounded worker
-// pool and returns the results indexed like p.par.
-func (e *Exec) prefetch(p *Plan) []preResult {
+// pool and returns the results indexed like p.par. A traced run keeps each
+// read's tier crossings for its fragment span.
+func (e *Exec) prefetch(p *Plan, traced bool) []preResult {
 	res := make([]preResult, len(p.par))
 	workers := e.Parallelism
 	if workers > len(p.par) {
@@ -119,8 +146,12 @@ func (e *Exec) prefetch(p *Plan) []preResult {
 					return
 				}
 				g := p.par[i]
-				data, ok := e.Store.Get(g.key, g.gen, e.Strict)
-				res[i] = preResult{data: data, ok: ok}
+				r := &res[i]
+				if traced {
+					r.data, r.ok, r.cross = fragstore.GetCrossings(e.Store, g.key, g.gen, e.Strict)
+				} else {
+					r.data, r.ok = e.Store.Get(g.key, g.gen, e.Strict)
+				}
 			}
 		}()
 	}
@@ -195,8 +226,9 @@ func (x *execState) run(p *Plan, pre []preResult, sp *trace.Span, depth int) err
 			if pre != nil && o.pre >= 0 {
 				r := pre[o.pre]
 				data, ok = r.data, r.ok
+				tierEvents(fsp, r.cross) // none unless the run is traced
 			} else {
-				data, ok = x.e.Store.Get(o.key, o.gen, x.e.Strict)
+				data, ok = GetRef(x.e.Store, fsp, o.key, o.gen, x.e.Strict)
 			}
 			if !ok {
 				if fsp != nil {
@@ -229,7 +261,7 @@ func (x *execState) run(p *Plan, pre []preResult, sp *trace.Span, depth int) err
 			if sp != nil {
 				fsp = sp.Child("include")
 			}
-			data, ok := x.e.Store.Get(o.key, o.gen, x.e.Strict)
+			data, ok := GetRef(x.e.Store, fsp, o.key, o.gen, x.e.Strict)
 			if !ok {
 				if fsp != nil {
 					fsp.Event(trace.KindMiss, "fragment", o.refStr, 0)

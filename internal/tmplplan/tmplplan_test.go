@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"dpcache/internal/depindex"
 	"dpcache/internal/fragstore"
 	"dpcache/internal/tmpl"
+	"dpcache/internal/trace"
 )
 
 func lit(s string) tmpl.Instruction {
@@ -365,5 +367,87 @@ func BenchmarkRefSprintf(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = fmt.Sprintf("%d:%d", uint32(i%512), 7)
+	}
+}
+
+// TestTierEventsOnFragmentSpans: over the tiered store a traced run
+// records, on the fragment span that caused it, a promotion and what became
+// of the RAM victims it displaced — through the sequential walk and the
+// parallel prefetch alike — and an untraced read asks for none of it.
+func TestTierEventsOnFragmentSpans(t *testing.T) {
+	codec := tmpl.Binary{}
+	for _, parallelism := range []int{1, 4} {
+		t.Run(fmt.Sprintf("parallelism=%d", parallelism), func(t *testing.T) {
+			store, err := fragstore.New(fragstore.Config{
+				Backend: fragstore.BackendTiered, Capacity: 16, Eviction: "lru",
+				ByteBudget: 16, // two 8-byte fragments
+				DiskPath:   filepath.Join(t.TempDir(), "tier.heap"),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer store.(io.Closer).Close()
+			var ins []tmpl.Instruction
+			for k := uint32(1); k <= 4; k++ {
+				if err := store.Set(k, 1, []byte(fmt.Sprintf("frag%04d", k))); err != nil {
+					t.Fatal(err)
+				}
+				ins = append(ins, get(k, 1))
+			}
+			p, err := Compile(codec, encode(t, codec, ins))
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := &Exec{Store: store, Strict: true, Codec: codec, Parallelism: parallelism, MinParallelGets: 2}
+			tr := trace.New(trace.Config{SampleEvery: 1})
+			tierEventsOf := func() map[string]int64 {
+				t.Helper()
+				root := tr.StartRequest("GET /page", "")
+				if _, err := e.Run(p, io.Discard, root); err != nil {
+					t.Fatal(err)
+				}
+				root.Finish()
+				got := make(map[string]int64)
+				for _, span := range tr.Traces(0)[0].Root.Children {
+					for _, ev := range span.Events {
+						if ev.Kind != trace.KindTier {
+							continue
+						}
+						if span.Name != "fragment" || ev.Tier != "disk" {
+							t.Fatalf("tier event %+v on span %q", ev, span.Name)
+						}
+						got[ev.Note] += ev.N
+					}
+				}
+				return got
+			}
+			// The Sets left fragments 3 and 4 in RAM, never yet on disk:
+			// the first pass's promotions displace them with a write each.
+			first := tierEventsOf()
+			if first["promote"] == 0 || first["demote-write"] != 2 {
+				t.Fatalf("first pass: tier events %v; want promotions and the two first-time writes", first)
+			}
+			// By now the disk tier holds every fragment: evictions are clean.
+			second := tierEventsOf()
+			if second["promote"] == 0 || second["demote-clean"] == 0 || second["demote-write"] != 0 {
+				t.Fatalf("second pass: tier events %v; want promotions and clean evictions, no writes", second)
+			}
+			ts, _ := fragstore.DiskStats(store)
+			if n := first["promote"] + second["promote"]; n != ts.Promotions {
+				t.Fatalf("spans recorded %d promotions, the store counted %d", n, ts.Promotions)
+			}
+		})
+	}
+	store, err := fragstore.New(fragstore.Config{
+		Backend: fragstore.BackendTiered, Capacity: 16, Eviction: "lru", ByteBudget: 64,
+		DiskPath: filepath.Join(t.TempDir(), "hot.heap"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.(io.Closer).Close()
+	store.Set(1, 1, []byte("resident"))
+	if n := testing.AllocsPerRun(100, func() { GetRef(store, nil, 1, 1, true) }); n != 0 {
+		t.Fatalf("untraced GetRef allocated %v per call", n)
 	}
 }

@@ -97,6 +97,12 @@ const (
 	// entry instead of queueing on the origin; Tier names the tier and N
 	// is the staleness in milliseconds.
 	KindStaleServe Kind = "stale-serve"
+	// KindTier: resolving a fragment ref crossed the store's RAM/disk
+	// boundary (Tier "disk"). Note is "promote" (the ref was served from
+	// disk and copied into RAM), "demote-write" or "demote-clean" (RAM
+	// victims the promotion displaced: written to disk, or evicted for
+	// free because disk still held their copy); N counts them.
+	KindTier Kind = "tier"
 	// KindInfo: an annotation that is provenance but not a decision
 	// (origin response shape, capture overflow, …).
 	KindInfo Kind = "info"
