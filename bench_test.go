@@ -179,19 +179,17 @@ func BenchmarkStoreBackendEndToEnd(b *testing.B) {
 	}
 }
 
-// BenchmarkAssembleStreaming compares buffered vs streaming assembly on
-// the full request path: with -stream the proxy writes pages as templates
-// decode (no full-page buffer), so per-request allocations stop scaling
-// with page size. The raw assembler-level comparison lives in
-// internal/dpc (BenchmarkAssembleStreamingVsBuffered).
+// BenchmarkAssembleStreaming compares whole-page vs streamed responses on
+// the full request path: with the default look-ahead spool a page that
+// outgrows it is written as its template executes, so per-request memory
+// stops scaling with page size; StreamSpoolBytes -1 holds every page whole.
 func BenchmarkAssembleStreaming(b *testing.B) {
-	for _, stream := range []bool{false, true} {
-		name := "buffered"
-		if stream {
-			name = "streaming"
-		}
-		b.Run(name, func(b *testing.B) {
-			cfg := dpcache.SystemConfig{Capacity: 256, Strict: true, Seed: 1, Stream: stream}
+	for _, mode := range []struct {
+		name  string
+		spool int
+	}{{"buffered", -1}, {"streaming", 0}} {
+		b.Run(mode.name, func(b *testing.B) {
+			cfg := dpcache.SystemConfig{Capacity: 256, Strict: true, Seed: 1, StreamSpoolBytes: mode.spool}
 			fetch, done := startBenchSystem(b, cfg, "binary")
 			defer done()
 			b.ReportAllocs()

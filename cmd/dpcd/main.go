@@ -30,14 +30,19 @@
 // The request path is a staged pipeline (admin, static-cache, pagecache,
 // coalesce, origin-fetch, assemble, stale-fallback, respond) with
 // per-stage latency histograms served from /_dpc/stats. Single-flight
-// coalescing of identical in-flight origin fetches (-coalesce) and
-// streaming assembly (-stream, with a strict-mode look-ahead spool sized
-// by -spool) are on by default. Coalesced followers attach to the
-// leader's in-progress broadcast and stream it live; -coalesce-buffer
-// caps the per-flight replay buffer, past which late joiners fetch for
-// themselves:
+// coalescing of identical in-flight origin fetches (-coalesce) is on by
+// default. Coalesced followers attach to the leader's in-progress
+// broadcast and stream it live; -coalesce-buffer caps the per-flight
+// replay buffer, past which late joiners fetch for themselves.
 //
-//	dpcd -coalesce=false -stream=false   # paper-faithful buffered path
+// Every origin response reaches the client through one writer. An
+// assembled page is held in a look-ahead spool (-spool, 64 KiB by
+// default) so that staleness found in its head can still fall back to a
+// clean bypass fetch; a page that fits is sent complete with its
+// Content-Length, a longer one streams from there on. -spool -1 holds
+// every page whole, as the paper's proxy did:
+//
+//	dpcd -coalesce=false -spool -1   # paper-faithful whole-page path
 //
 // -pagecache mounts the whole-page cache tier: complete responses to
 // anonymous-session GETs (no Cookie, Authorization, or X-User header) are
@@ -64,14 +69,14 @@
 // it is off by default: enable it only where the listener is reachable
 // solely by the hub side.
 //
-// -plancache (on by default) compiles each distinct template body into a
-// cached operator program keyed by content hash: repeat assemblies skip
-// the per-request template decode and resolve independent fragment GETs
-// with a bounded parallel prefetch (-plan-parallelism). The streaming
-// interpreter remains the fallback for oversized or corrupt templates;
-// assembled pages are byte-identical on either path. Origin redeploys
-// change the template bytes and miss naturally; plan-cache activity is
-// served under dpc.plancache_* and the plancache section of /_dpc/stats.
+// Each distinct template body is compiled into a cached operator program
+// keyed by content hash: repeat assemblies skip the per-request template
+// decode and resolve independent fragment GETs with a bounded parallel
+// prefetch (-plan-parallelism). A template that cannot be a cached plan
+// (larger than 8 MiB, cut short by the origin, or corrupt) runs through
+// the same operators straight off the decoder. Origin redeploys change the
+// template bytes and miss naturally; plan-cache activity is served under
+// dpc.plancache_* and the plancache section of /_dpc/stats.
 //
 // Store occupancy, byte, and eviction metrics are served from
 // /_dpc/stats, refreshed in the background every -publish interval and,
@@ -128,13 +133,11 @@ func main() {
 	diskPage := flag.Int("disk-page-bytes", 0, "tiered store: heap-file page size in bytes (0 = 32KiB default; changing it invalidates the file)")
 	coalesce := flag.Bool("coalesce", true, "collapse concurrent identical origin fetches into one (single-flight)")
 	coalesceBuf := flag.Int("coalesce-buffer", 0, "per-flight broadcast buffer cap in bytes before late joiners re-fetch (0 = 4MiB default)")
-	stream := flag.Bool("stream", true, "stream assembled pages to clients instead of buffering whole pages")
-	spool := flag.Int("spool", 0, "strict-mode streaming look-ahead spool in bytes (0 = 64KiB default)")
+	spool := flag.Int("spool", 0, "look-ahead spool an assembled page is held in before its headers are committed, in bytes (0 = 64KiB default; negative = hold the whole page)")
 	pageCache := flag.Bool("pagecache", false, "cache whole pages for anonymous-session GETs (X-Cache: PAGE)")
 	pageTTL := flag.Duration("pagecache-ttl", 0, "whole-page cache freshness window (0 = 2s default)")
 	pageEntries := flag.Int("pagecache-entries", 0, "whole-page cache resident page bound (0 = 1024 default)")
 	pageBudget := flag.Int64("pagecache-budget", 0, "whole-page cache resident byte bound (0 = unbounded)")
-	planCache := flag.Bool("plancache", true, "compile templates into cached operator plans with parallel fragment prefetch (the interpreter remains the fallback)")
 	planPar := flag.Int("plan-parallelism", 0, "plan executor prefetch worker fan-out (0 = 4 default; 1 = sequential)")
 	invalidate := flag.Bool("invalidate", false, "mount the coherency invalidation endpoint at /_dpc/invalidate, fanning hub events to every cache tier (unauthenticated write endpoint on the serving listener — enable only where the hub side is the sole client)")
 	depBudget := flag.Int64("depindex-budget", 0, "dependency-index edge byte budget for surgical page invalidation (0 = 1MiB default)")
@@ -185,13 +188,12 @@ func main() {
 		Strict:              *strict,
 		Coalesce:            *coalesce,
 		CoalesceBufferBytes: *coalesceBuf,
-		Stream:              *stream,
+		Stream:              true, // dpc.Config.Stream: false would mean StreamSpoolBytes < 0
 		StreamSpoolBytes:    *spool,
 		PageCache:           *pageCache,
 		PageCacheTTL:        *pageTTL,
 		PageCacheEntries:    *pageEntries,
 		PageCacheBudget:     *pageBudget,
-		PlanCache:           *planCache,
 		PlanParallelism:     *planPar,
 		DepIndexBudget:      *depBudget,
 		PublishInterval:     publish,
@@ -223,8 +225,8 @@ func main() {
 		proxy.HandleAdmin("/_dpc/invalidate", coherency.Handler(fan))
 	}
 	st := store.Stats()
-	fmt.Printf("dpcd: proxying %s on %s (capacity %d, %s codec, strict=%v, coalesce=%v, stream=%v, pagecache=%v, plancache=%v)\n",
-		*originURL, *addr, *capacity, codec.Name(), *strict, *coalesce, *stream, *pageCache, *planCache)
+	fmt.Printf("dpcd: proxying %s on %s (capacity %d, %s codec, strict=%v, coalesce=%v, spool=%d, pagecache=%v)\n",
+		*originURL, *addr, *capacity, codec.Name(), *strict, *coalesce, *spool, *pageCache)
 	fmt.Printf("dpcd: %s store, %d shard(s), byte budget %d, eviction %s; status at http://%s/_dpc/stats\n",
 		st.Backend, st.Shards, st.ByteBudget, *evict, *addr)
 	if ts, ok := fragstore.DiskStats(store); ok {

@@ -132,9 +132,6 @@ type Config struct {
 	// the dpc default, 4 MiB); past it, late joiners degrade to their own
 	// origin fetch instead of replaying the oversized page.
 	CoalesceBufferBytes int
-	// Stream enables streaming assembly at each proxy: pages are written
-	// to the client as templates decode instead of being buffered whole.
-	Stream bool
 	// PageCache mounts each proxy's whole-page cache stage (ahead of
 	// coalesce): complete responses to anonymous-session GETs are cached
 	// by URL for PageCacheTTL and served with X-Cache: PAGE;
@@ -153,12 +150,6 @@ type Config struct {
 	// fragment→page edge set the fabric consults for surgical page
 	// invalidation (0 selects the dpc default, 1 MiB).
 	DepIndexBudget int64
-	// PlanCache compiles each distinct template into a cached operator
-	// program at every proxy (see dpc.Config.PlanCache): repeat
-	// assemblies skip the per-request decode and resolve independent
-	// fragment GETs with a bounded parallel prefetch. The streaming
-	// interpreter remains the fallback; output bytes are identical.
-	PlanCache bool
 	// PlanParallelism bounds the plan executor's prefetch fan-out (0
 	// selects the dpc default, 4; 1 resolves GETs sequentially).
 	PlanParallelism int
@@ -171,8 +162,10 @@ type Config struct {
 	// what makes realistic page TTLs safe. Edges started with StartEdge
 	// subscribe automatically too.
 	Fabric bool
-	// StreamSpoolBytes bounds the strict-mode look-ahead spool used by
-	// streaming assembly (0 selects the dpc default, 64 KiB).
+	// StreamSpoolBytes bounds the look-ahead spool each proxy holds an
+	// assembled page in before committing its headers (0 selects the dpc
+	// default, 64 KiB; negative holds the whole page). A page that fits
+	// is sent complete, with its Content-Length.
 	StreamSpoolBytes int
 	// PublishInterval is each proxy's background store-stats publish
 	// period (0 selects the dpc default of 10s; negative disables).
@@ -292,14 +285,13 @@ func (c Config) proxyConfig(originURL string, store fragstore.FragmentStore, reg
 		Strict:              c.Strict,
 		Coalesce:            c.Coalesce,
 		CoalesceBufferBytes: c.CoalesceBufferBytes,
-		Stream:              c.Stream,
+		Stream:              true, // dpc.Config.Stream: false would mean StreamSpoolBytes < 0
 		StreamSpoolBytes:    c.StreamSpoolBytes,
 		PageCache:           c.PageCache,
 		PageCacheTTL:        c.PageCacheTTL,
 		PageCacheEntries:    c.PageCacheEntries,
 		PageCacheBudget:     c.PageCacheBudget,
 		DepIndexBudget:      c.DepIndexBudget,
-		PlanCache:           c.PlanCache,
 		PlanParallelism:     c.PlanParallelism,
 		PublishInterval:     c.PublishInterval,
 		Registry:            reg,
@@ -324,8 +316,7 @@ func (c Config) proxyConfig(originURL string, store fragstore.FragmentStore, reg
 // invalidations drop only the pages composed from the dead fragment;
 // surgical drops are reported on reg's dpc.pagecache_invalidations and
 // dpc.static_invalidations counters (reg may be nil). The compiled-plan
-// tier, when mounted, subscribes for plan-scoped flushes and gap
-// recovery. It is the single wiring point shared by
+// tier subscribes for plan-scoped flushes and gap recovery. It is the single wiring point shared by
 // System.subscribeTiers, dpcd's /_dpc/invalidate endpoint, and the
 // facade.
 func ProxySubscribers(p *dpc.Proxy, reg *metrics.Registry) []coherency.Subscriber {
@@ -348,13 +339,10 @@ func ProxySubscribers(p *dpc.Proxy, reg *metrics.Registry) []coherency.Subscribe
 		}
 		subs = append(subs, sub)
 	}
-	if plans := p.Plans(); plans != nil {
-		// The plan tier ignores fragment events and purges (plans are
-		// content-hash keyed and hold no fragment bytes); it subscribes for
-		// "plan"-scoped flushes and gap recovery.
-		subs = append(subs, coherency.NewPlanSubscriber(plans.Store()))
-	}
-	return subs
+	// The plan tier ignores fragment events and purges (plans are
+	// content-hash keyed and hold no fragment bytes); it subscribes for
+	// "plan"-scoped flushes and gap recovery.
+	return append(subs, coherency.NewPlanSubscriber(p.Plans().Store()))
 }
 
 // subscribeTiers attaches every cache tier of one proxy to the hub.

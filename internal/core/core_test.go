@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"dpcache/internal/firewall"
 	"dpcache/internal/site"
@@ -158,10 +159,21 @@ func TestFirewallScansOriginLink(t *testing.T) {
 func TestExtraHeaderBytesInflateResponses(t *testing.T) {
 	small := startSynthetic(t, ModeNoCache, Config{})
 	big := startSynthetic(t, ModeNoCache, Config{ExtraHeaderBytes: 300})
-	fetch(t, small.FrontURL()+"/page/synth?page=0", "")
+	// The meter counts a write once it has returned, so a client can hold
+	// the whole body a moment before the count moves: wait for each meter
+	// to reach the floor the bytes already received imply.
+	bytesOut := func(sys *System, floor int64) int64 {
+		deadline := time.Now().Add(2 * time.Second)
+		for sys.Meter.BytesOut() < floor && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		return sys.Meter.BytesOut()
+	}
+	page := fetch(t, small.FrontURL()+"/page/synth?page=0", "")
 	fetch(t, big.FrontURL()+"/page/synth?page=0", "")
-	if big.Meter.BytesOut() <= small.Meter.BytesOut()+250 {
-		t.Fatalf("header padding missing: %d vs %d", big.Meter.BytesOut(), small.Meter.BytesOut())
+	plain := bytesOut(small, int64(len(page)))
+	if padded := bytesOut(big, plain+251); padded <= plain+250 {
+		t.Fatalf("header padding missing: %d vs %d", padded, plain)
 	}
 }
 

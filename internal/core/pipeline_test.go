@@ -7,13 +7,14 @@ import (
 )
 
 // The pipeline knobs must thread from SystemConfig through to the proxy:
-// a streaming+coalescing system serves pages byte-identical to the
-// buffered system's, cold and warm.
+// a coalescing system whose pages outgrow its look-ahead spool, and so
+// stream, serves them byte-identical to a system holding every page whole,
+// cold and warm.
 func TestStreamingSystemServesIdenticalPages(t *testing.T) {
-	buffered := startSynthetic(t, ModeCached, Config{Capacity: 256, Strict: true, Seed: 1})
+	buffered := startSynthetic(t, ModeCached, Config{Capacity: 256, Strict: true, Seed: 1, StreamSpoolBytes: -1})
 	streaming := startSynthetic(t, ModeCached, Config{
 		Capacity: 256, Strict: true, Seed: 1,
-		Stream: true, Coalesce: true,
+		StreamSpoolBytes: 512, Coalesce: true,
 	})
 	for i := 0; i < 3; i++ { // cold (SETs), warm (GETs), warm again
 		for page := 0; page < 4; page++ {
@@ -28,6 +29,9 @@ func TestStreamingSystemServesIdenticalPages(t *testing.T) {
 	}
 	if streaming.Registry.Counter("dpc.streamed").Value() == 0 {
 		t.Fatal("streaming system never streamed a page")
+	}
+	if n := buffered.Registry.Counter("dpc.streamed").Value(); n != 0 {
+		t.Fatalf("whole-page system committed %d responses before assembly finished", n)
 	}
 }
 

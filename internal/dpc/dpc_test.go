@@ -3,9 +3,11 @@ package dpc
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math/rand"
 	"testing"
 
+	"dpcache/internal/fragstore"
 	"dpcache/internal/tmpl"
 )
 
@@ -97,10 +99,24 @@ func encodeTemplate(t *testing.T, c tmpl.Codec, ins []tmpl.Instruction) []byte {
 	return buf.Bytes()
 }
 
+// newTestAssembler returns a proxy's assemble chokepoint over store, so the
+// assembly tests run what production runs: a cached plan when the template
+// compiles, the streamed driver when it does not.
+func newTestAssembler(tb testing.TB, store fragstore.FragmentStore, codec tmpl.Codec, strict bool) func(w io.Writer, raw []byte) (AssembleStats, error) {
+	tb.Helper()
+	p, err := New(Config{OriginURL: "http://unused.invalid", Store: store, Codec: codec, Strict: strict, PublishInterval: -1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return func(w io.Writer, raw []byte) (AssembleStats, error) {
+		return p.assemble(w, bytes.NewReader(raw), nil)
+	}
+}
+
 func TestAssembleSetThenGet(t *testing.T) {
 	for _, codec := range []tmpl.Codec{tmpl.Binary{}, tmpl.Text{}} {
 		store, _ := NewStore(8)
-		asm := NewAssembler(store, codec, true)
+		asm := newTestAssembler(t, store, codec, true)
 
 		// First response: SET populates the slot and the content
 		// appears inline.
@@ -110,7 +126,7 @@ func TestAssembleSetThenGet(t *testing.T) {
 			{Op: tmpl.OpLiteral, Data: []byte("</a>")},
 		})
 		var page1 bytes.Buffer
-		st1, err := asm.Assemble(&page1, bytes.NewReader(t1))
+		st1, err := asm(&page1, t1)
 		if err != nil {
 			t.Fatalf("%s: %v", codec.Name(), err)
 		}
@@ -131,7 +147,7 @@ func TestAssembleSetThenGet(t *testing.T) {
 			{Op: tmpl.OpLiteral, Data: []byte("</b>")},
 		})
 		var page2 bytes.Buffer
-		st2, err := asm.Assemble(&page2, bytes.NewReader(t2))
+		st2, err := asm(&page2, t2)
 		if err != nil {
 			t.Fatalf("%s: %v", codec.Name(), err)
 		}
@@ -152,9 +168,9 @@ func TestAssembleSetThenGet(t *testing.T) {
 
 func TestAssembleStaleUnsetSlot(t *testing.T) {
 	store, _ := NewStore(8)
-	asm := NewAssembler(store, tmpl.Binary{}, false)
+	asm := newTestAssembler(t, store, tmpl.Binary{}, false)
 	raw := encodeTemplate(t, tmpl.Binary{}, []tmpl.Instruction{{Op: tmpl.OpGet, Key: 1, Gen: 1}})
-	_, err := asm.Assemble(&bytes.Buffer{}, bytes.NewReader(raw))
+	_, err := asm(&bytes.Buffer{}, raw)
 	if !errors.Is(err, ErrStale) {
 		t.Fatalf("err = %v, want ErrStale", err)
 	}
@@ -163,15 +179,15 @@ func TestAssembleStaleUnsetSlot(t *testing.T) {
 func TestAssembleStrictGenMismatch(t *testing.T) {
 	store, _ := NewStore(8)
 	_ = store.Set(1, 1, []byte("old"))
-	strict := NewAssembler(store, tmpl.Binary{}, true)
-	fast := NewAssembler(store, tmpl.Binary{}, false)
+	strict := newTestAssembler(t, store, tmpl.Binary{}, true)
+	fast := newTestAssembler(t, store, tmpl.Binary{}, false)
 	raw := encodeTemplate(t, tmpl.Binary{}, []tmpl.Instruction{{Op: tmpl.OpGet, Key: 1, Gen: 2}})
 
-	if _, err := strict.Assemble(&bytes.Buffer{}, bytes.NewReader(raw)); !errors.Is(err, ErrStale) {
+	if _, err := strict(&bytes.Buffer{}, raw); !errors.Is(err, ErrStale) {
 		t.Fatalf("strict err = %v, want ErrStale", err)
 	}
 	var page bytes.Buffer
-	if _, err := fast.Assemble(&page, bytes.NewReader(raw)); err != nil {
+	if _, err := fast(&page, raw); err != nil {
 		t.Fatalf("fast err = %v", err)
 	}
 	if page.String() != "old" {
@@ -181,19 +197,19 @@ func TestAssembleStrictGenMismatch(t *testing.T) {
 
 func TestAssembleCorruptTemplate(t *testing.T) {
 	store, _ := NewStore(2)
-	asm := NewAssembler(store, tmpl.Binary{}, false)
+	asm := newTestAssembler(t, store, tmpl.Binary{}, false)
 	raw := append(append([]byte{}, tmpl.Magic...), 'Q') // unknown op
-	if _, err := asm.Assemble(&bytes.Buffer{}, bytes.NewReader(raw)); err == nil {
+	if _, err := asm(&bytes.Buffer{}, raw); err == nil {
 		t.Fatal("corrupt template assembled")
 	}
 }
 
 func TestAssemblePlainLiteralOnly(t *testing.T) {
 	store, _ := NewStore(2)
-	asm := NewAssembler(store, tmpl.Binary{}, false)
+	asm := newTestAssembler(t, store, tmpl.Binary{}, false)
 	raw := encodeTemplate(t, tmpl.Binary{}, []tmpl.Instruction{{Op: tmpl.OpLiteral, Data: []byte("static page")}})
 	var page bytes.Buffer
-	st, err := asm.Assemble(&page, bytes.NewReader(raw))
+	st, err := asm(&page, raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,13 +241,13 @@ func BenchmarkAssembleAllHits(b *testing.B) {
 	var buf bytes.Buffer
 	_ = tmpl.EncodeAll(tmpl.Binary{}, &buf, ins)
 	raw := buf.Bytes()
-	asm := NewAssembler(store, tmpl.Binary{}, true)
+	asm := newTestAssembler(b, store, tmpl.Binary{}, true)
 	b.SetBytes(int64(len(raw)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var page bytes.Buffer
-		if _, err := asm.Assemble(&page, bytes.NewReader(raw)); err != nil {
+		if _, err := asm(&page, raw); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -248,13 +264,13 @@ func BenchmarkAssembleAllMisses(b *testing.B) {
 	var buf bytes.Buffer
 	_ = tmpl.EncodeAll(tmpl.Binary{}, &buf, ins)
 	raw := buf.Bytes()
-	asm := NewAssembler(store, tmpl.Binary{}, true)
+	asm := newTestAssembler(b, store, tmpl.Binary{}, true)
 	b.SetBytes(int64(len(raw)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var page bytes.Buffer
-		if _, err := asm.Assemble(&page, bytes.NewReader(raw)); err != nil {
+		if _, err := asm(&page, raw); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -265,13 +281,13 @@ func BenchmarkAssembleAllMisses(b *testing.B) {
 // (the anti-poisoning property of DESIGN.md decision 4).
 func TestAssembleAppliesSetsAfterStaleGet(t *testing.T) {
 	store, _ := NewStore(8)
-	asm := NewAssembler(store, tmpl.Binary{}, true)
+	asm := newTestAssembler(t, store, tmpl.Binary{}, true)
 	raw := encodeTemplate(t, tmpl.Binary{}, []tmpl.Instruction{
 		{Op: tmpl.OpGet, Key: 0, Gen: 1}, // stale: never set
 		{Op: tmpl.OpSet, Key: 1, Gen: 2, Data: []byte("later")},
 		{Op: tmpl.OpGet, Key: 5, Gen: 9}, // also stale
 	})
-	st, err := asm.Assemble(&bytes.Buffer{}, bytes.NewReader(raw))
+	st, err := asm(&bytes.Buffer{}, raw)
 	if !errors.Is(err, ErrStale) {
 		t.Fatalf("err = %v", err)
 	}
@@ -310,7 +326,7 @@ func TestAssembleIdentityProperty(t *testing.T) {
 	for _, codec := range []tmpl.Codec{tmpl.Binary{}, tmpl.Text{}} {
 		for trial := 0; trial < 120; trial++ {
 			store, _ := NewStore(32)
-			asm := NewAssembler(store, codec, true)
+			asm := newTestAssembler(t, store, codec, true)
 			type setFrag struct {
 				key, gen uint32
 				data     []byte
@@ -342,7 +358,7 @@ func TestAssembleIdentityProperty(t *testing.T) {
 			}
 			raw := encodeTemplate(t, codec, ins)
 			var page bytes.Buffer
-			if _, err := asm.Assemble(&page, bytes.NewReader(raw)); err != nil {
+			if _, err := asm(&page, raw); err != nil {
 				t.Fatalf("%s trial %d: %v", codec.Name(), trial, err)
 			}
 			if !bytes.Equal(page.Bytes(), want.Bytes()) {

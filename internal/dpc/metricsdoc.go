@@ -32,10 +32,10 @@ var pipelineStageNames = []string{
 func MetricCatalog() []MetricDoc {
 	c := []MetricDoc{
 		// Request path.
-		{"dpc.requests", "counter", "every served response (hit, miss, coalesced, bypass, streamed), counted once in the respond stage"},
+		{"dpc.requests", "counter", "every served response (hit, miss, coalesced, bypass), counted once in the respond stage"},
 		{"dpc.errors", "counter", "a request fails mid-pipeline (502 or aborted stream)"},
-		{"dpc.assembled", "counter", "a template is assembled into a page (buffered or streamed)"},
-		{"dpc.streamed", "counter", "a streamed assembly completes cleanly to the client"},
+		{"dpc.assembled", "counter", "a template is assembled into a page and the page reaches the client complete"},
+		{"dpc.streamed", "counter", "an assembled page outgrew its look-ahead spool, so its headers were committed before assembly finished, and it then completed cleanly"},
 		{"dpc.plain_passthrough", "counter", "a non-template origin response is passed through"},
 		{"dpc.template_bytes", "counter", "template bytes read from the origin (cumulative)"},
 		{"dpc.page_bytes", "counter", "assembled page bytes produced (cumulative)"},
@@ -43,7 +43,7 @@ func MetricCatalog() []MetricDoc {
 		{"dpc.sets", "counter", "SET instructions executed against the fragment store"},
 		// Staleness recovery.
 		{"dpc.stale_fallbacks", "counter", "an assembly found stale slots and recovered with a bypass fetch"},
-		{"dpc.stream_aborts", "counter", "staleness past the streaming spool tore an in-flight response"},
+		{"dpc.stream_aborts", "counter", "staleness past the look-ahead spool tore an in-flight response"},
 		{"dpc.stale_reports", "counter", "an out-of-band stale report was delivered to the BEM after a torn stream"},
 		// Coalescing.
 		{"dpc.coalesced", "counter", "a follower was served its leader's broadcast page"},
@@ -75,11 +75,11 @@ func MetricCatalog() []MetricDoc {
 		{"dpc.pagecache_uncacheable", "counter", "a captured response was not cacheable (non-200, over the capture bound, no-store/private, or Set-Cookie)"},
 		{"dpc.pagecache_304s", "counter", "a page-tier hit with a matching If-None-Match was answered 304 with no body"},
 		{"dpc.pagecache_invalidations", "counter", "a page-tier entry was dropped by the invalidation fabric (subscriber drop or in-flight fill refused)"},
-		// Compiled-template plan cache (populated only when
-		// Config.PlanCache is on; nested-include plan lookups are counted
-		// in the cache's own /_dpc/stats snapshot, not here).
+		// Compiled-template plan cache: hits + misses = template assemblies
+		// (nested-include plan lookups are counted in the cache's own
+		// /_dpc/stats snapshot, not here).
 		{"dpc.plancache_hits", "counter", "a template body hashed to an already-compiled plan"},
-		{"dpc.plancache_misses", "counter", "a template body had no cached plan (compiled fresh, or fell back to the interpreter on a corrupt template)"},
+		{"dpc.plancache_misses", "counter", "a template body had no cached plan: it was compiled fresh, or could not be one (oversized, cut short by the origin, corrupt) and ran through the streamed driver"},
 		{"dpc.plancache_compiles", "counter", "a template was compiled into a new cached plan"},
 		{"dpc.plancache_parallel_gets", "counter", "fragment GETs resolved through the plan executor's parallel prefetch fan-out"},
 		// Dependency index (fragment → page-key edges; refreshed like

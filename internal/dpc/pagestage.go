@@ -214,7 +214,7 @@ func (p *Proxy) stagePageCache(rs *reqState) (stageOutcome, error) {
 	p.reg.Counter("dpc.pagecache_misses").Inc()
 	rs.span.Event(trace.KindMiss, "page", "", 0)
 	// Tee everything the rest of the pipeline writes to this client —
-	// buffered page, streamed assembly, coalesced broadcast — into a
+	// cache-hit page, origin-path writer, coalesced broadcast — into a
 	// bounded side buffer; stageRespond files it under this key. The
 	// epoch snapshot dates the capture: if the fabric flushes the tier
 	// while this response is in flight, the fill is discarded (the flush
@@ -314,7 +314,7 @@ func (p *Proxy) fillPageCache(rs *reqState) {
 
 // pageCapture tees a response into a bounded buffer on its way to the
 // client. It deliberately wraps every downstream write path — writePage,
-// streamPlain, the streaming spool, a coalesced follower's replay — so
+// the spoolWriter, a coalesced follower's replay — so
 // the page cache fills regardless of which pipeline branch produced the
 // page. Buffered bytes are reserved against the page tier's byte ledger
 // while in flight (see maxPageCaptureBytes) and settled when the capture

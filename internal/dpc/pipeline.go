@@ -25,8 +25,8 @@ import (
 // per-stage cost is observable from /_dpc/stats, and each can short-circuit
 // the rest of the pipeline (a static hit jumps straight to respond; a
 // coalesced follower is served its leader's page). Every served response —
-// hit, miss, coalesced, bypass, streamed — is counted exactly once, in the
-// respond stage.
+// hit, miss, coalesced, bypass — is counted exactly once, in the respond
+// stage.
 
 // stageOutcome directs the pipeline runner after a stage returns.
 type stageOutcome int
@@ -69,10 +69,10 @@ type reqState struct {
 	span  *trace.Span
 
 	// Response under construction.
-	body       []byte // buffered page (nil when streamed)
+	body       []byte // whole body from a cache tier or a static fill (nil when a writer carried it)
 	ctype      string
 	cacheState string // STATIC, PAGE, MISS, COALESCE-FOLLOWER, or BYPASS
-	streamed   bool   // body (or part of it) already reached the client
+	streamed   bool   // headers (and whatever body followed) already reached the client
 
 	// reqBody is the client's request body, buffered once so the
 	// stale-fallback retry can replay it to the origin.
@@ -340,10 +340,10 @@ func (p *Proxy) serveFollower(rs *reqState, f *flight, fol *follower) (stageOutc
 }
 
 // finishFlight closes the leader's flight, releasing its followers. A
-// buffered leader (nothing streamed yet) publishes its complete page as one
-// chunk first; a streaming leader has already broadcast every chunk through
-// its spoolWriter or streamPlain. Safe to call when the request leads no
-// flight.
+// response that came through the spoolWriter has already broadcast every
+// chunk; one that never touched it (a plain static fill holds its whole
+// body) is published as one chunk first. Safe to call when the request
+// leads no flight.
 func (p *Proxy) finishFlight(rs *reqState, err error) {
 	if rs.flight == nil {
 		return
@@ -397,8 +397,8 @@ func (p *Proxy) originRequest(rs *reqState, bypassStale []StaleRef) (*http.Respo
 		// re-arm cancellation only when the client disconnects with no
 		// followers attached (then nobody is left to drain for). A leader
 		// whose client goes away mid-flight keeps draining the origin and
-		// broadcasting to committed followers (see streamPlain and
-		// spoolWriter.send) instead of aborting the flight.
+		// broadcasting to committed followers (see spoolWriter.send)
+		// instead of aborting the flight.
 		if rs.originCancel != nil {
 			rs.originCancel() // a previous fetch's watcher (bypass retry)
 		}
@@ -504,118 +504,33 @@ func (p *Proxy) stageOriginFetch(rs *reqState) (stageOutcome, error) {
 			}
 		}
 		rs.ctype, rs.cacheState = ctype, "MISS"
-		// Spool-free passthrough: origin→client with a pooled copy
-		// buffer instead of materializing the body, teeing each chunk
-		// into the flight broadcast for any followers. Only buffer when
-		// the body must be retained for the static cache.
-		if p.cfg.Stream && ttl <= 0 {
-			if err := p.streamPlain(rs, resp); err != nil {
+		if ttl <= 0 {
+			if err := p.relayPlain(rs, resp); err != nil {
 				return stageNext, err
 			}
 			return stageRespond, nil
 		}
+		// The static tier retains the bytes, so this one body is read whole.
 		body, err := io.ReadAll(resp.Body)
 		if err != nil {
 			return stageNext, err
 		}
-		if ttl > 0 {
-			p.static.Put(staticKey(rs.r), body, ctype, ttl)
-			rs.staticFilled = true
-			rs.span.Event(trace.KindFill, "static", "", int64(len(body)))
-			if rs.pageCapture != nil {
-				rs.pageCapture.discard() // the static tier owns this body now
-			}
+		p.static.Put(staticKey(rs.r), body, ctype, ttl)
+		rs.staticFilled = true
+		rs.span.Event(trace.KindFill, "static", "", int64(len(body)))
+		if rs.pageCapture != nil {
+			rs.pageCapture.discard() // the static tier owns this body now
 		}
 		rs.body = body
 		return stageRespond, nil
 	}
-	if codecName != p.asm.codec.Name() {
+	if codecName != p.codec.Name() {
 		resp.Body.Close()
 		return stageNext, fmt.Errorf("origin codec %q does not match proxy codec %q",
-			codecName, p.asm.codec.Name())
+			codecName, p.codec.Name())
 	}
 	rs.resp, rs.ctype, rs.cacheState = resp, ctype, "MISS"
 	return stageNext, nil
-}
-
-// streamPlain copies a passthrough body straight to the client, teeing
-// each chunk into the flight broadcast when this request leads one.
-// Headers are committed at the first body byte — or at clean EOF, so an
-// empty-bodied response (HEAD, 0-length GET) still goes out with the
-// origin's real Content-Length instead of falling through to writePage and
-// having it clobbered. An error before any byte still yields a clean 502.
-func (p *Proxy) streamPlain(rs *reqState, resp *http.Response) error {
-	h := rs.w.Header()
-	ctype := rs.ctype
-	if ctype == "" {
-		ctype = "text/html; charset=utf-8"
-	}
-	h.Set("Content-Type", ctype)
-	if resp.ContentLength >= 0 {
-		h.Set("Content-Length", strconv.FormatInt(resp.ContentLength, 10))
-	}
-	h.Set("Via", "dpcache-dpc/1.0")
-	h.Set("X-Cache", rs.cacheState)
-	if rs.flight != nil {
-		rs.flight.publishHeaders(ctype, resp.ContentLength)
-	}
-	bufp := copyBufPool.Get().(*[]byte)
-	defer copyBufPool.Put(bufp)
-	buf := *bufp
-	clientGone := false
-	for {
-		n, err := resp.Body.Read(buf)
-		if n > 0 {
-			if !rs.streamed {
-				rs.w.WriteHeader(http.StatusOK)
-				rs.streamed = true
-			}
-			if clientGone {
-				// Drain mode: the client is gone but followers are still
-				// parked on this flight, so keep reading the origin and
-				// broadcasting complete chunks. The dead client's writer
-				// is still fed (errors ignored) so the page-capture tee
-				// stays complete and the fill can happen.
-				if rs.flight != nil {
-					rs.flight.append(buf[:n])
-				}
-				_, _ = rs.w.Write(buf[:n])
-			} else {
-				wn, werr := rs.w.Write(buf[:n])
-				if rs.flight != nil {
-					rs.flight.append(buf[:wn])
-				}
-				if werr != nil || wn < n {
-					if rs.flight != nil && rs.flight.waiterCount() > 0 {
-						// The leader's client disconnected mid-body with
-						// followers attached: drain the origin for them
-						// instead of aborting the flight they committed to.
-						clientGone = true
-						p.reg.Counter("dpc.coalesce_leader_drains").Inc()
-						if wn < n {
-							rs.flight.append(buf[wn:n])
-						}
-						continue
-					}
-					if werr != nil {
-						return werr
-					}
-					return io.ErrShortWrite
-				}
-			}
-		}
-		switch err {
-		case nil:
-		case io.EOF:
-			if !rs.streamed {
-				rs.w.WriteHeader(http.StatusOK)
-				rs.streamed = true
-			}
-			return nil
-		default:
-			return err
-		}
-	}
 }
 
 // --- assemble ---
@@ -635,112 +550,108 @@ func (p *Proxy) stageAssemble(rs *reqState) (stageOutcome, error) {
 	rs.resp = nil
 	defer resp.Body.Close()
 
-	if !p.cfg.Stream {
-		// Snapshot the dependency index's flush generation before assembly
-		// reads any fragment, so an assembled-static fill can detect a
-		// fabric flush racing this response (see fillStaticAssembled).
-		var staticEpoch uint64
-		if p.depix != nil {
-			staticEpoch = p.depix.Epoch()
-		}
-		var page bytes.Buffer
-		stats, err := p.assembleTrace(&page, resp.Body, rs.span)
-		p.recordAssembleStats(stats)
-		if err != nil {
-			if errors.Is(err, ErrStale) {
-				rs.staleRefs = stats.Stale
-				return stageNext, nil
-			}
-			return stageNext, err
-		}
-		p.reg.Counter("dpc.assembled").Inc()
-		rs.body = page.Bytes()
-		if rs.pageKey != "" {
-			rs.depRefs = refIDs(stats.Refs)
-		}
-		p.fillStaticAssembled(rs, resp, stats.Refs, staticEpoch)
-		return stageRespond, nil
+	max := p.spool
+	var file func(page []byte, refs []StaleRef)
+	if ttl := p.assembledStaticTTL(rs, resp); ttl > 0 {
+		// The origin opted this page into the static tier, which wants all
+		// of its bytes: hold the whole page and file it from the spool. The
+		// dependency index's flush generation is read before assembly reads
+		// any fragment, so the fill can detect a fabric flush racing it.
+		max = wholePage
+		epoch := p.depix.Epoch()
+		file = func(page []byte, refs []StaleRef) { p.fillStaticAssembled(rs, page, refs, epoch, ttl) }
 	}
+	stats, err := p.assemblePage(rs, resp.Body, max, file)
+	if errors.Is(err, ErrStale) && !rs.streamed {
+		// Clean abort-to-bypass: nothing reached the client, and nothing
+		// entered the flight broadcast (the spool holds uncommitted bytes
+		// back from both).
+		rs.staleRefs = stats.Stale
+		return stageNext, nil
+	}
+	if err != nil {
+		return stageNext, err
+	}
+	return stageRespond, nil
+}
 
-	// Streaming: output is held in a bounded look-ahead spool (staleness
-	// caught inside it — unset slots in any mode, generation mismatches
-	// in strict mode — aborts to a clean bypass), then streams straight
-	// to the client, with every post-spool chunk teed into the flight
-	// broadcast so followers stream it live.
-	sw := newSpoolWriter(rs, p.spool)
-	sw.drains = p.reg.Counter("dpc.coalesce_leader_drains")
+// assemblePage assembles the template in body into the response through a
+// spool writer bounded by max. Staleness caught inside the spool returns
+// ErrStale with nothing committed, for the caller to recover from; past
+// it the response is torn (rs.streamed tells the runner to abort it) and
+// the stale slots are reported out of band. file, when set, is handed the
+// complete page before it is flushed (max must then be wholePage).
+func (p *Proxy) assemblePage(rs *reqState, body io.Reader, max int, file func(page []byte, refs []StaleRef)) (AssembleStats, error) {
+	sw := p.newSpoolWriter(rs, max, -1)
 	defer sw.release()
-	stats, err := p.assembleTrace(sw, resp.Body, rs.span)
+	stats, err := p.assemble(sw, body, rs.span)
 	p.recordAssembleStats(stats)
 	if err != nil {
-		if errors.Is(err, ErrStale) && !sw.committed {
-			// Clean abort-to-bypass: nothing reached the client, and
-			// nothing entered the flight broadcast (the spool holds
-			// uncommitted bytes back from both).
-			rs.staleRefs = stats.Stale
-			return stageNext, nil
+		if sw.committed && errors.Is(err, ErrStale) {
+			// The page is torn, but the BEM must still learn about the
+			// stale slots or the next template repeats the same doomed
+			// GET and every request aborts forever.
+			p.reg.Counter("dpc.stream_aborts").Inc()
+			p.reportStaleAsync(rs.r.Context(), rs.r.URL.RequestURI(), stats.Stale)
 		}
-		if sw.committed {
-			rs.streamed = true // the runner aborts the torn response
-			if errors.Is(err, ErrStale) {
-				// The page is torn, but the BEM must still learn about
-				// the stale slots or the next template repeats the same
-				// doomed GET and every request aborts forever.
-				p.reg.Counter("dpc.stream_aborts").Inc()
-				p.reportStaleAsync(rs.r.Context(), rs.r.URL.RequestURI(), stats.Stale)
-			}
-		}
-		return stageNext, err
+		return stats, err
+	}
+	early := sw.committed
+	if file != nil {
+		file(sw.spool, stats.Refs)
 	}
 	if err := sw.flush(); err != nil {
-		rs.streamed = sw.committed
-		return stageNext, err
+		return stats, err
 	}
-	rs.streamed = true
 	if rs.pageKey != "" {
 		rs.depRefs = refIDs(stats.Refs)
 	}
 	p.reg.Counter("dpc.assembled").Inc()
-	p.reg.Counter("dpc.streamed").Inc()
-	return stageRespond, nil
+	if early {
+		p.reg.Counter("dpc.streamed").Inc()
+	}
+	return stats, nil
 }
 
-// fillStaticAssembled files a buffered assembled page into the static
-// tier when the origin explicitly opted the template's result in
-// (Cache-Control: max-age on the template response; see
-// cacheableAssembled) and the request carries no identity the page could
-// have been personalized on. The paper's rule that dynamic pages are
-// never URL-keyed stays the default — this path exists only for origins
-// that declare an assembled page cacheable. Unlike a plain static fill
-// the entry is fragment-composed, so its dependency edges are recorded
-// under the static key and the static-tier subscriber drops it the
-// moment a source fragment dies. epoch is the dependency index's flush
-// generation snapshotted before assembly read any fragment; a flush in
-// between voids the fill. Streaming assembly never files here — the
-// assembled bytes are not retained.
-func (p *Proxy) fillStaticAssembled(rs *reqState, resp *http.Response, refs []StaleRef, epoch uint64) {
+// assembledStaticTTL reports the static-tier lifetime the origin granted
+// this template's assembled page (Cache-Control: max-age on the template
+// response; see cacheableAssembled), zero when it granted none or the
+// request carries an identity the page could have been personalized on.
+// The paper's rule that dynamic pages are never URL-keyed stays the
+// default — this exists only for origins that declare an assembled page
+// cacheable.
+func (p *Proxy) assembledStaticTTL(rs *reqState, resp *http.Response) time.Duration {
 	if p.static == nil || rs.r.Method != http.MethodGet || !anonymousSession(rs.r) {
-		return
+		return 0
 	}
 	ttl, varied := cacheableAssembled(resp)
-	if ttl <= 0 {
-		if varied {
-			p.reg.Counter("dpc.static_uncacheable_vary").Inc()
-		}
-		return
+	if varied {
+		p.reg.Counter("dpc.static_uncacheable_vary").Inc()
 	}
+	return ttl
+}
+
+// fillStaticAssembled files an assembled page the origin opted in (see
+// assembledStaticTTL) into the static tier. Unlike a plain static fill the
+// entry is fragment-composed, so its dependency edges are recorded under
+// the static key and the static-tier subscriber drops it the moment a
+// source fragment dies. epoch is the dependency index's flush generation
+// snapshotted before assembly read any fragment; a flush in between voids
+// the fill. page is the writer's spool, which is reused: the tier gets a
+// copy.
+func (p *Proxy) fillStaticAssembled(rs *reqState, page []byte, refs []StaleRef, epoch uint64, ttl time.Duration) {
 	key := staticKey(rs.r)
-	ids := refIDs(refs)
+	page = bytes.Clone(page) // outside the filing lock
 	// Fill/invalidate race, exactly as in fillPageCache: a source fragment
 	// died (or the tier flushed) while this page was being assembled.
-	if !p.fileUnlessVoided(ids, epoch, key, func() { p.static.Put(key, rs.body, rs.ctype, ttl) }) {
+	if !p.fileUnlessVoided(refIDs(refs), epoch, key, func() { p.static.Put(key, page, rs.ctype, ttl) }) {
 		p.reg.Counter("dpc.static_invalidations").Inc()
 		rs.span.Event(trace.KindInvalidated, "static", "fill-race", 0)
 		return
 	}
 	rs.staticFilled = true
 	p.reg.Counter("dpc.static_assembled_fills").Inc()
-	rs.span.Event(trace.KindFill, "static", "assembled", int64(len(rs.body)))
+	rs.span.Event(trace.KindFill, "static", "assembled", int64(len(page)))
 }
 
 // reportStaleAsync delivers a stale report to the BEM when no bypass fetch
@@ -800,23 +711,15 @@ func (p *Proxy) stageStaleFallback(rs *reqState) (stageOutcome, error) {
 	}
 	rs.ctype, rs.cacheState = resp.Header.Get("Content-Type"), "BYPASS"
 	if name := resp.Header.Get(headerTemplate); name != "" {
-		// An origin that ignores the bypass header still gets one
-		// buffered assembly; a second staleness is a hard error rather
-		// than a retry loop.
-		if name != p.asm.codec.Name() {
+		// An origin that ignores the bypass header still gets one assembly,
+		// held whole: a second staleness is a hard error with nothing
+		// committed rather than a retry loop.
+		if name != p.codec.Name() {
 			return stageNext, fmt.Errorf("origin codec %q does not match proxy codec %q",
-				name, p.asm.codec.Name())
+				name, p.codec.Name())
 		}
-		var page bytes.Buffer
-		stats, err := p.assembleTrace(&page, resp.Body, rs.span)
-		p.recordAssembleStats(stats)
-		if err != nil {
+		if _, err := p.assemblePage(rs, resp.Body, wholePage, nil); err != nil {
 			return stageNext, err
-		}
-		p.reg.Counter("dpc.assembled").Inc()
-		rs.body = page.Bytes()
-		if rs.pageKey != "" {
-			rs.depRefs = refIDs(stats.Refs)
 		}
 		return stageRespond, nil
 	}
@@ -829,21 +732,12 @@ func (p *Proxy) stageStaleFallback(rs *reqState) (stageOutcome, error) {
 		// fragment bytes until the TTL. Serve it uncached.
 		rs.pageCapture.discard()
 	}
-	if p.cfg.Stream {
-		// The bypass page streams to the client through the same teeing
-		// path as a first-try passthrough — followers parked on this
-		// flight receive the recovery page live instead of waiting for
-		// an io.ReadAll of the whole body.
-		if err := p.streamPlain(rs, resp); err != nil {
-			return stageNext, err
-		}
-		return stageRespond, nil
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
+	// The bypass page reaches the client through the same teeing writer as
+	// a first-try passthrough, so followers parked on this flight receive
+	// the recovery page live.
+	if err := p.relayPlain(rs, resp); err != nil {
 		return stageNext, err
 	}
-	rs.body = body
 	return stageRespond, nil
 }
 
@@ -868,8 +762,8 @@ func (p *Proxy) stageRespond(rs *reqState) (stageOutcome, error) {
 		p.writePage(rs.w, rs.body, rs.ctype, rs.cacheState)
 	}
 	p.fillPageCache(rs)
-	// Every served response — hit, miss, coalesced, bypass, streamed —
-	// is counted here and nowhere else.
+	// Every served response — hit, miss, coalesced, bypass — is counted
+	// here and nowhere else.
 	p.reg.Counter("dpc.requests").Inc()
 	p.reg.Histogram("dpc.latency").Observe(time.Since(rs.start))
 	return stageDone, nil

@@ -561,9 +561,16 @@ func TestBackgroundStorePublish(t *testing.T) {
 	_ = p.Close() // idempotent
 }
 
+// discardResponse is an http.ResponseWriter that drops the body.
+type discardResponse struct{ h http.Header }
+
+func (d discardResponse) Header() http.Header         { return d.h }
+func (d discardResponse) Write(b []byte) (int, error) { return len(b), nil }
+func (d discardResponse) WriteHeader(int)             {}
+
 // BenchmarkAssembleStreamingVsBuffered shows the allocation contrast the
-// streaming mode exists for: buffered assembly allocates O(page) per
-// request while streaming assembly stays O(spool) regardless of page size.
+// look-ahead bound exists for: a page held whole costs O(page) of spool per
+// request while a bounded spool stays O(spool) regardless of page size.
 func BenchmarkAssembleStreamingVsBuffered(b *testing.B) {
 	for _, pageKB := range []int{64, 512, 2048} {
 		store, _ := NewStore(64)
@@ -577,27 +584,25 @@ func BenchmarkAssembleStreamingVsBuffered(b *testing.B) {
 		var buf bytes.Buffer
 		_ = tmpl.EncodeAll(tmpl.Binary{}, &buf, ins)
 		raw := buf.Bytes()
-		asm := NewAssembler(store, tmpl.Binary{}, true)
-
-		b.Run(fmt.Sprintf("buffered/page=%dKB", pageKB), func(b *testing.B) {
-			b.SetBytes(int64(pageKB) * 1024)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				var page bytes.Buffer
-				if _, err := asm.Assemble(&page, bytes.NewReader(raw)); err != nil {
-					b.Fatal(err)
+		p, err := New(Config{OriginURL: "http://unused.invalid", Store: store, Strict: true, PublishInterval: -1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		req := httptest.NewRequest(http.MethodGet, "/page", nil)
+		for _, mode := range []struct {
+			name string
+			max  int
+		}{{"buffered", wholePage}, {"streaming", defaultSpoolBytes}} {
+			b.Run(fmt.Sprintf("%s/page=%dKB", mode.name, pageKB), func(b *testing.B) {
+				b.SetBytes(int64(pageKB) * 1024)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					rs := &reqState{w: discardResponse{h: http.Header{}}, r: req}
+					if _, err := p.assemblePage(rs, bytes.NewReader(raw), mode.max, nil); err != nil {
+						b.Fatal(err)
+					}
 				}
-				_, _ = io.Copy(io.Discard, &page)
-			}
-		})
-		b.Run(fmt.Sprintf("streaming/page=%dKB", pageKB), func(b *testing.B) {
-			b.SetBytes(int64(pageKB) * 1024)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := asm.Assemble(io.Discard, bytes.NewReader(raw)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+			})
+		}
 	}
 }

@@ -1,8 +1,8 @@
 package dpc
 
-// The tentpole benchmark: repeat assemblies of the same template through
-// the interpreter (per-request decode, sequential GETs) versus a warm
-// plan cache (zero-decode compiled program, optionally parallel GETs).
+// Repeat assemblies of the same template through the engine's two drivers:
+// streamed (per-request decode, sequential GETs) versus a warm plan cache
+// (zero-decode compiled program, optionally parallel GETs).
 // CI runs this at -benchtime=1x as a smoke test; run it properly with
 //
 //	go test -run xxx -bench BenchmarkAssembleCompiledVsInterpreted ./internal/dpc/
@@ -44,12 +44,12 @@ func BenchmarkAssembleCompiledVsInterpreted(b *testing.B) {
 	const frags = 16
 	for _, codec := range []tmpl.Codec{tmpl.Binary{}, tmpl.Text{}} {
 		body, store := benchTemplate(b, codec, frags)
-		b.Run("interpreted/"+codec.Name(), func(b *testing.B) {
-			asm := NewAssembler(store, codec, true)
+		b.Run("streamed/"+codec.Name(), func(b *testing.B) {
+			ex := &tmplplan.Exec{Store: store, Strict: true, Codec: codec}
 			b.ReportAllocs()
 			b.SetBytes(int64(len(body)))
 			for i := 0; i < b.N; i++ {
-				if _, err := asm.Assemble(io.Discard, bytes.NewReader(body)); err != nil {
+				if _, err := ex.RunStream(bytes.NewReader(body), io.Discard, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

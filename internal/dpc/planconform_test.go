@@ -1,21 +1,28 @@
 package dpc
 
-// Conformance suite for the compiled plan path: internal/tmplplan must be
-// byte-identical and stats-identical to the streaming interpreter (the
-// oracle in assembler.go) for every template shape, across both codecs,
-// sequentially and under parallel prefetch.
+// Conformance suite for the assembly engine: both of internal/tmplplan's
+// drivers — a cached plan, sequentially and under parallel prefetch, and
+// the streamed decode — must be byte-, stats-, error-text- and
+// SET-side-effect-identical to the reference interpreter
+// (internal/tmplplan/plantest) for every template shape, across both
+// codecs.
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
 	"dpcache/internal/tmpl"
 	"dpcache/internal/tmplplan"
+	"dpcache/internal/tmplplan/plantest"
+	"dpcache/internal/trace"
 )
 
 // seedFrag is a fragment pre-loaded into the store before a conformance run.
@@ -36,6 +43,10 @@ type confCase struct {
 	// checkSets lists key/gen pairs whose post-run store content must
 	// match between the two paths (SET side effects, incl. doomed runs).
 	checkSets []StaleRef
+	// tail is appended raw to the encoded template: a tag with an unknown
+	// verb in each codec's framing, which makes the template corrupt, so
+	// that no plan compiles and only the streamed driver runs.
+	tail []byte
 }
 
 func conformanceCases() []confCase {
@@ -95,6 +106,11 @@ func conformanceCases() []confCase {
 			{Op: tmpl.OpInclude, Key: 20, Gen: 5}, // unset include slot
 			{Op: tmpl.OpSet, Key: 7, Gen: 1, Data: []byte("after")},
 		}, checkSets: []StaleRef{{Key: 7, Gen: 1}}},
+		{name: "corrupt-tail-after-set", ins: []tmpl.Instruction{
+			{Op: tmpl.OpLiteral, Data: []byte("head")},
+			{Op: tmpl.OpSet, Key: 4, Gen: 2, Data: []byte("prefix-set")},
+		}, tail: append(append([]byte("<dpc:zz "), tmpl.Magic...), 'Q'),
+			checkSets: []StaleRef{{Key: 4, Gen: 2}}},
 		{name: "include-doomed-sets-still-land", ins: []tmpl.Instruction{
 			{Op: tmpl.OpGet, Key: 9, Gen: 9}, // dooms the page up front
 			{Op: tmpl.OpInclude, Key: 20, Gen: 1},
@@ -133,57 +149,74 @@ func flattenNest(nest map[uint32][]tmpl.Instruction) []tmpl.Instruction {
 }
 
 func TestPlanConformance(t *testing.T) {
+	// driver runs one of the engine's drivers over body against store.
+	type driver struct {
+		name string
+		run  func(t *testing.T, codec tmpl.Codec, store *Store, body []byte, w *bytes.Buffer) (AssembleStats, error)
+	}
+	cached := func(parallelism int) driver {
+		return driver{fmt.Sprintf("par%d", parallelism), func(t *testing.T, codec tmpl.Codec, store *Store, body []byte, w *bytes.Buffer) (AssembleStats, error) {
+			// Plans resolved through the cache, as the proxy runs them.
+			cache, err := tmplplan.NewCache(codec, tmplplan.CacheConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ex := &tmplplan.Exec{
+				Store: store, Strict: true, Codec: codec,
+				Plans: cache, Parallelism: parallelism, MinParallelGets: 2,
+			}
+			plan, _, err := cache.Get(body)
+			if err != nil {
+				t.Skipf("no plan compiles (%v): the streamed driver owns this case", err)
+			}
+			return ex.Run(plan, w, nil)
+		}}
+	}
+	streamed := driver{"streamed", func(t *testing.T, codec tmpl.Codec, store *Store, body []byte, w *bytes.Buffer) (AssembleStats, error) {
+		ex := &tmplplan.Exec{Store: store, Strict: true, Codec: codec}
+		return ex.RunStream(bytes.NewReader(body), w, nil)
+	}}
 	for _, codec := range []tmpl.Codec{tmpl.Binary{}, tmpl.Text{}} {
-		for _, parallelism := range []int{1, 8} {
+		for _, drv := range []driver{cached(1), cached(8), streamed} {
 			for _, tc := range conformanceCases() {
-				name := fmt.Sprintf("%s/par%d/%s", codec.Name(), parallelism, tc.name)
+				name := fmt.Sprintf("%s/%s/%s", codec.Name(), drv.name, tc.name)
 				t.Run(name, func(t *testing.T) {
-					body := encodeTemplate(t, codec, tc.ins)
+					body := append(encodeTemplate(t, codec, tc.ins), tc.tail...)
 
-					// Oracle: the streaming interpreter on its own store.
+					// Oracle: the reference interpreter on its own store.
 					oracleStore, _ := NewStore(64)
 					seedConformance(t, oracleStore, codec, tc)
-					asm := NewAssembler(oracleStore, codec, true)
+					asm := plantest.NewAssembler(oracleStore, codec, true)
 					var wantPage bytes.Buffer
 					wantStats, wantErr := asm.Assemble(&wantPage, bytes.NewReader(body))
+					if (len(tc.tail) > 0) != errors.Is(wantErr, tmpl.ErrCorrupt) {
+						t.Fatalf("oracle error = %v; corrupt tail: %v", wantErr, len(tc.tail) > 0)
+					}
 
-					// Compiled path on an identically seeded store, plans
-					// resolved through the cache (as the proxy runs it).
-					planStore, _ := NewStore(64)
-					seedConformance(t, planStore, codec, tc)
-					cache, err := tmplplan.NewCache(codec, tmplplan.CacheConfig{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					ex := &tmplplan.Exec{
-						Store: planStore, Strict: true, Codec: codec,
-						Plans: cache, Parallelism: parallelism, MinParallelGets: 2,
-					}
-					plan, _, err := cache.Get(body)
-					if err != nil {
-						t.Fatalf("compile: %v", err)
-					}
+					// The engine on an identically seeded store.
+					engineStore, _ := NewStore(64)
+					seedConformance(t, engineStore, codec, tc)
 					var gotPage bytes.Buffer
-					gotStats, gotErr := ex.Run(plan, &gotPage, nil)
+					gotStats, gotErr := drv.run(t, codec, engineStore, body, &gotPage)
 
 					if (wantErr == nil) != (gotErr == nil) {
-						t.Fatalf("errors diverge: interpreter=%v compiled=%v", wantErr, gotErr)
+						t.Fatalf("errors diverge: oracle=%v engine=%v", wantErr, gotErr)
 					}
 					if wantErr != nil && wantErr.Error() != gotErr.Error() {
-						t.Fatalf("error text diverges:\ninterpreter %q\ncompiled    %q", wantErr, gotErr)
+						t.Fatalf("error text diverges:\noracle %q\nengine %q", wantErr, gotErr)
 					}
 					if !bytes.Equal(wantPage.Bytes(), gotPage.Bytes()) {
-						t.Fatalf("pages diverge:\ninterpreter %q\ncompiled    %q", wantPage.String(), gotPage.String())
+						t.Fatalf("pages diverge:\noracle %q\nengine %q", wantPage.String(), gotPage.String())
 					}
 					gotStats.ParallelGets = 0 // the one field allowed to differ
 					if fmt.Sprintf("%+v", wantStats) != fmt.Sprintf("%+v", gotStats) {
-						t.Fatalf("stats diverge:\ninterpreter %+v\ncompiled    %+v", wantStats, gotStats)
+						t.Fatalf("stats diverge:\noracle %+v\nengine %+v", wantStats, gotStats)
 					}
 					for _, ref := range tc.checkSets {
 						w, wok := oracleStore.Get(ref.Key, ref.Gen, true)
-						g, gok := planStore.Get(ref.Key, ref.Gen, true)
+						g, gok := engineStore.Get(ref.Key, ref.Gen, true)
 						if wok != gok || !bytes.Equal(w, g) {
-							t.Fatalf("SET side effects diverge at %d:%d: interpreter (%q,%v) compiled (%q,%v)",
+							t.Fatalf("SET side effects diverge at %d:%d: oracle (%q,%v) engine (%q,%v)",
 								ref.Key, ref.Gen, w, wok, g, gok)
 						}
 					}
@@ -193,9 +226,8 @@ func TestPlanConformance(t *testing.T) {
 	}
 }
 
-// The plan path must be invisible end to end: a proxy with the plan cache
-// enabled serves byte-identical pages, repeat templates hit the cache, and
-// the plancache counters and /_dpc/stats section move.
+// The plan cache end to end: repeat templates hit it, and the plancache
+// counters and /_dpc/stats section move.
 func TestPlanCachePipeline(t *testing.T) {
 	tmplBody := func() []byte {
 		var buf bytes.Buffer
@@ -213,10 +245,7 @@ func TestPlanCachePipeline(t *testing.T) {
 	}))
 	defer origin.Close()
 
-	p := newTestProxy(t, origin.URL, func(c *Config) {
-		c.PlanCache = true
-		c.Stream = false
-	})
+	p := newTestProxy(t, origin.URL, nil)
 	ts := httptest.NewServer(p)
 	defer ts.Close()
 
@@ -239,9 +268,6 @@ func TestPlanCachePipeline(t *testing.T) {
 	if snap["dpc.plancache_hits"] != 2 {
 		t.Fatalf("hits = %d, want 2", snap["dpc.plancache_hits"])
 	}
-	if p.Plans() == nil {
-		t.Fatal("Plans() nil with PlanCache on")
-	}
 	if st := p.Plans().Stats(); st.Resident != 1 || st.Compiles != 1 {
 		t.Fatalf("plan cache stats = %+v", st)
 	}
@@ -259,7 +285,7 @@ func TestPlanCachePipeline(t *testing.T) {
 }
 
 // A HEAD request for a template response must produce an empty body with
-// the same headers on the plan path — assembly still runs (SETs land).
+// the same headers — assembly still runs (SETs land).
 func TestPlanCacheHeadEmptyBody(t *testing.T) {
 	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		var buf bytes.Buffer
@@ -272,10 +298,7 @@ func TestPlanCacheHeadEmptyBody(t *testing.T) {
 		}
 	}))
 	defer origin.Close()
-	p := newTestProxy(t, origin.URL, func(c *Config) {
-		c.PlanCache = true
-		c.Stream = false
-	})
+	p := newTestProxy(t, origin.URL, nil)
 	ts := httptest.NewServer(p)
 	defer ts.Close()
 
@@ -290,47 +313,167 @@ func TestPlanCacheHeadEmptyBody(t *testing.T) {
 	}
 }
 
-// Streams and oversized or corrupt templates fall back to the streaming
-// interpreter; the page is identical to a plan-cache-off proxy's.
-func TestPlanCacheFallbackCorrupt(t *testing.T) {
-	// A valid binary prefix (the SET lands) followed by garbage: the
-	// interpreter consumes the prefix and reports a decode error; the
-	// plan path must do exactly the same through its fallback.
-	var buf bytes.Buffer
-	enc := tmpl.Binary{}.NewEncoder(&buf)
-	_ = enc.Set(4, 2, []byte("prefix-set"))
-	_ = enc.Flush()
-	corrupt := append(buf.Bytes(), 0xFF, 0xFE, 0xFD)
+// roundTripFunc is a fake origin at the transport seam.
+type roundTripFunc func(*http.Request) (*http.Response, error)
 
-	run := func(planCache bool) (int, string, bool) {
-		origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("X-DPC-Template", "binary")
-			_, _ = w.Write(corrupt)
-		}))
-		defer origin.Close()
-		p := newTestProxy(t, origin.URL, func(c *Config) {
-			c.PlanCache = planCache
-			c.Stream = false
-		})
-		ts := httptest.NewServer(p)
-		defer ts.Close()
-		resp, err := http.Get(ts.URL + "/page")
-		if err != nil {
-			t.Fatal(err)
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// templateTransport answers every request with a binary template whose body
+// is whatever body() reads as, of undeclared length.
+func templateTransport(body func() io.ReadCloser) roundTripFunc {
+	return func(r *http.Request) (*http.Response, error) {
+		return &http.Response{
+			StatusCode: http.StatusOK, ContentLength: -1, Request: r, Body: body(),
+			Header: http.Header{"X-Dpc-Template": {"binary"}},
+		}, nil
+	}
+}
+
+// matchWriter is a response writer that checks the body against want as it
+// arrives, holding none of it, and samples the live heap as it goes.
+type matchWriter struct {
+	h        http.Header
+	want     io.Reader
+	scratch  []byte
+	n        int64
+	diverged bool
+	peakHeap uint64
+}
+
+func (m *matchWriter) Header() http.Header { return m.h }
+func (m *matchWriter) WriteHeader(int)     {}
+func (m *matchWriter) Write(b []byte) (int, error) {
+	for rest := b; len(rest) > 0 && !m.diverged; {
+		k, err := m.want.Read(m.scratch[:min(len(m.scratch), len(rest))])
+		if !bytes.Equal(m.scratch[:k], rest[:k]) || (k == 0 && err != nil) {
+			m.diverged = true
 		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		_, ok := p.Store().Get(4, 2, true)
-		return resp.StatusCode, string(body), ok
+		rest = rest[k:]
 	}
-	offStatus, offBody, offSet := run(false)
-	onStatus, onBody, onSet := run(true)
-	if offStatus != onStatus || offBody != onBody || offSet != onSet {
-		t.Fatalf("fallback diverges: off=(%d,%q,set=%v) on=(%d,%q,set=%v)",
-			offStatus, offBody, offSet, onStatus, onBody, onSet)
+	m.n += int64(len(b))
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	m.peakHeap = max(m.peakHeap, ms.HeapAlloc)
+	return len(b), nil
+}
+
+// What cannot be a cached plan runs through the engine's streamed driver:
+// the SETs ahead of the failure land, the failure surfaces as the decoder
+// met it, nothing enters the plan cache, and the assembly is still counted
+// once (a miss, no compile) and named in the assemble span's plan event.
+func TestPlanCacheFallback(t *testing.T) {
+	prefix := templateBody(t, func(enc tmpl.Encoder) {
+		_ = enc.Literal([]byte("<html>"))
+		_ = enc.Set(4, 2, []byte("prefix-set"))
+	})
+	errTorn := errors.New("origin connection torn")
+
+	// The oversized template: SETs of one slot at rising generations, 1 MiB
+	// each, then a GET of the last. It is several times planMaxTemplate,
+	// its largest instruction is 1 MiB, and it is generated as it is read
+	// so the test holds none of it either.
+	const sets = 6 * planMaxTemplate >> 20
+	content := bytes.Repeat([]byte("0123456789abcdef"), 1<<16)
+	oversized := func() io.ReadCloser {
+		pr, pw := io.Pipe()
+		go func() {
+			enc := tmpl.Binary{}.NewEncoder(pw)
+			_ = enc.Literal([]byte("<html>"))
+			for g := uint32(1); g <= sets; g++ {
+				_ = enc.Set(4, g+1, content)
+			}
+			_ = enc.Get(4, sets+1)
+			_ = enc.Literal([]byte("</html>"))
+			pw.CloseWithError(enc.Flush())
+		}()
+		return pr // closing the body stops the generator
 	}
-	if !onSet {
-		t.Fatal("prefix SET did not land before the corrupt tail")
+	wantOversized := func() io.Reader {
+		parts := []io.Reader{strings.NewReader("<html>")}
+		for i := 0; i < sets+1; i++ {
+			parts = append(parts, bytes.NewReader(content))
+		}
+		return io.MultiReader(append(parts, strings.NewReader("</html>"))...)
+	}
+
+	for _, tc := range []struct {
+		name string
+		body func() io.ReadCloser
+		why  string
+		// wantErr is what the assembly's error must wrap; nil for success.
+		wantErr error
+		setGen  uint32 // generation slot 4 must hold afterwards
+	}{
+		{name: "corrupt", why: "streamed:corrupt", wantErr: tmpl.ErrCorrupt, setGen: 2,
+			body: func() io.ReadCloser { // an unknown op byte after the SET
+				return io.NopCloser(bytes.NewReader(append(append(append([]byte{}, prefix...), tmpl.Magic...), 'Q')))
+			}},
+		{name: "read-error", why: "streamed:read-error", wantErr: errTorn, setGen: 2,
+			body: func() io.ReadCloser {
+				return io.NopCloser(io.MultiReader(bytes.NewReader(prefix), errReader{errTorn}))
+			}},
+		{name: "oversized", why: "streamed:oversized", setGen: sets + 1, body: oversized},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := newTestProxy(t, "http://origin.invalid", func(c *Config) {
+				c.Transport = templateTransport(tc.body)
+				c.Stream = true // the default 64 KiB spool
+				c.Trace, c.TraceSampleEvery = true, 1
+			})
+			req := httptest.NewRequest(http.MethodGet, "/page", nil)
+			if tc.wantErr != nil {
+				rec := httptest.NewRecorder()
+				p.ServeHTTP(rec, req)
+				if rec.Code != http.StatusBadGateway || !strings.Contains(rec.Body.String(), tc.wantErr.Error()) {
+					t.Fatalf("response = %d %q, want a 502 naming %q", rec.Code, rec.Body.String(), tc.wantErr)
+				}
+			} else {
+				// A page many times the spool streams; live memory must stay
+				// near the spool, the buffered template prefix (twice
+				// planMaxTemplate while io.ReadAll grows it) and one
+				// instruction — far from the template's size. (Cumulative
+				// allocation cannot show that: the decoder hands every
+				// instruction over in a fresh slice, so any engine allocates
+				// at least the template's size in total.)
+				defer debug.SetGCPercent(debug.SetGCPercent(20))
+				runtime.GC()
+				var ms runtime.MemStats
+				runtime.ReadMemStats(&ms)
+				w := &matchWriter{h: http.Header{}, want: wantOversized(), scratch: make([]byte, 32<<10)}
+				p.ServeHTTP(w, req)
+				if extra, _ := w.want.Read(w.scratch); w.diverged || extra != 0 {
+					t.Fatalf("page diverged from the expected bytes (%d bytes written)", w.n)
+				}
+				const templateBytes = sets << 20
+				if grew := int64(w.peakHeap) - int64(ms.HeapAlloc); grew > templateBytes/2 {
+					t.Fatalf("live heap grew %d MiB assembling a %d MiB template", grew>>20, templateBytes>>20)
+				}
+				if n := p.Registry().Snapshot()["dpc.streamed"]; n != 1 {
+					t.Fatalf("dpc.streamed = %d, want 1", n)
+				}
+			}
+			if _, ok := p.Store().Get(4, tc.setGen, true); !ok {
+				t.Fatalf("SET 4:%d did not land", tc.setGen)
+			}
+			if st := p.Plans().Stats(); st.Resident != 0 || st.Compiles != 0 {
+				t.Fatalf("plan cache = %+v, want nothing compiled or resident", st)
+			}
+			snap := p.Registry().Snapshot()
+			if snap["dpc.plancache_misses"] != 1 || snap["dpc.plancache_hits"] != 0 || snap["dpc.plancache_compiles"] != 0 {
+				t.Fatalf("plan counters hits=%d misses=%d compiles=%d, want one miss",
+					snap["dpc.plancache_hits"], snap["dpc.plancache_misses"], snap["dpc.plancache_compiles"])
+			}
+			traces := p.Tracer().Traces(0)
+			if len(traces) != 1 || !hasEvent(findChild(traces[0].Root, "assemble"), trace.KindMiss, "plan", tc.why) {
+				t.Fatalf("assemble span carries no plan event %q: %+v", tc.why, traces)
+			}
+			if tc.wantErr != nil {
+				// The error the assemble stage hands the runner wraps the cause.
+				if _, err := p.assemble(io.Discard, tc.body(), nil); !errors.Is(err, tc.wantErr) {
+					t.Fatalf("assemble error = %v, want one wrapping %v", err, tc.wantErr)
+				}
+			}
+		})
 	}
 }
 
@@ -361,11 +504,7 @@ func TestPlanCacheParallelGetsCounter(t *testing.T) {
 		_, _ = w.Write(second.Bytes())
 	}))
 	defer origin.Close()
-	p := newTestProxy(t, origin.URL, func(c *Config) {
-		c.PlanCache = true
-		c.PlanParallelism = 4
-		c.Stream = false
-	})
+	p := newTestProxy(t, origin.URL, func(c *Config) { c.PlanParallelism = 4 })
 	ts := httptest.NewServer(p)
 	defer ts.Close()
 

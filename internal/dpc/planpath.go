@@ -4,26 +4,38 @@ import (
 	"bytes"
 	"io"
 
+	"dpcache/internal/tmplplan"
 	"dpcache/internal/trace"
 )
 
-// The plan path is the assemble stage's fast lane: instead of re-decoding
-// the template stream per request (the interpreter in assembler.go), the
-// template body is buffered, hashed, and looked up in a compiled-plan
-// cache (internal/tmplplan). A hit executes an immutable operator program
-// — literal bytes retained once and emitted zero-copy, independent
-// fragment GETs prefetched by a bounded worker pool — and a miss compiles
-// once and caches for every later request carrying the same bytes. The
-// interpreter remains both the conformance oracle (the compiled executor
-// must be byte- and stats-identical; see planconform_test.go) and the
-// runtime fallback for the cases the plan path refuses: oversized bodies
-// and corrupt streams, whose partial-consumption semantics require
-// decoding in stream order.
+// Every template is assembled by one engine, internal/tmplplan, and this
+// file only decides which of its two drivers runs. A template that arrives
+// whole and compiles runs as a cached plan: the body is hashed and looked
+// up in the plan cache, a hit executes an immutable operator program
+// (literal bytes retained once and emitted zero-copy, independent fragment
+// GETs prefetched by a bounded worker pool), and a miss compiles once for
+// every later request carrying the same bytes. Everything else — a
+// template too large to hold, a body the origin stopped sending, a corrupt
+// stream — runs the same operators straight off the decoder, retaining
+// nothing, so the SETs ahead of the failure land before it surfaces.
+
+// ErrStale reports that one or more GET instructions referenced slots that
+// are empty or (in strict mode) carry a different generation than the
+// template expected. The proxy recovers by re-fetching the page with the
+// bypass header, reporting the stale references so the BEM invalidates
+// them (see AssembleStats.Stale).
+var ErrStale = tmplplan.ErrStale
+
+// StaleRef identifies a slot reference that failed during assembly.
+type StaleRef = tmplplan.Ref
+
+// AssembleStats reports what one assembly consumed and produced. See
+// tmplplan.Stats for field semantics.
+type AssembleStats = tmplplan.Stats
 
 // planMaxTemplate bounds the template bytes buffered for plan-cache
-// hashing. Larger templates are handed to the streaming interpreter
-// instead of being held resident — the same ceiling the request-body
-// replay buffer uses.
+// hashing — the same ceiling the request-body replay buffer uses. Larger
+// templates are streamed instead of being held resident.
 const planMaxTemplate = 8 << 20
 
 // Plan-cache defaults (overridden by the PlanCache* config knobs).
@@ -33,47 +45,43 @@ const (
 	defaultPlanParallelism = 4
 )
 
-// errReader replays a terminal read error so a fallback interpreter run
-// over already-buffered bytes still observes the stream failing at the
-// same point the plan path saw it.
+// errReader replays a terminal read error, so a streamed run over the
+// bytes that did arrive observes the stream failing where the origin's
+// body failed.
 type errReader struct{ err error }
 
 func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
-// assembleTrace is the single assemble chokepoint: every template
-// assembly — buffered, streaming, and stale-fallback — runs through it.
-// With the plan cache disabled it is exactly the interpreter; with it
-// enabled the compiled path runs whenever the template can be buffered
-// and compiled, falling back to the interpreter otherwise with identical
-// output and error semantics either way.
-func (p *Proxy) assembleTrace(w io.Writer, body io.Reader, sp *trace.Span) (AssembleStats, error) {
-	if p.plans == nil {
-		return p.asm.AssembleTrace(w, body, sp)
-	}
+// assemble is the single assemble chokepoint: every template assembly —
+// first try and stale-fallback retry — runs through it. It counts one plan
+// hit or miss per assembly and names the driver, and why, in one "plan"
+// event on sp.
+func (p *Proxy) assemble(w io.Writer, body io.Reader, sp *trace.Span) (AssembleStats, error) {
 	buf, err := io.ReadAll(io.LimitReader(body, planMaxTemplate+1))
-	if err != nil {
-		// The origin stream died mid-template. Replay the prefix through
-		// the interpreter so its SETs still land, then surface the read
-		// error exactly where a streaming decode would have hit it.
-		return p.asm.AssembleTrace(w, io.MultiReader(bytes.NewReader(buf), errReader{err}), sp)
+	var why string
+	rest := body
+	switch {
+	case err != nil:
+		why, rest = "streamed:read-error", errReader{err}
+	case len(buf) > planMaxTemplate:
+		why = "streamed:oversized"
+	default:
+		plan, hit, err := p.plans.Get(buf)
+		if err == nil {
+			if hit {
+				p.reg.Counter("dpc.plancache_hits").Inc()
+				sp.Event(trace.KindHit, "plan", "hit", int64(len(buf)))
+			} else {
+				p.reg.Counter("dpc.plancache_misses").Inc()
+				p.reg.Counter("dpc.plancache_compiles").Inc()
+				sp.Event(trace.KindMiss, "plan", "compile", int64(len(buf)))
+			}
+			return p.exec.Run(plan, w, sp)
+		}
+		// body is at EOF: the decoder meets the corruption in buf.
+		why = "streamed:corrupt"
 	}
-	if len(buf) > planMaxTemplate {
-		// Oversized template: stream it rather than holding it resident.
-		return p.asm.AssembleTrace(w, io.MultiReader(bytes.NewReader(buf), body), sp)
-	}
-	plan, hit, err := p.plans.Get(buf)
-	if err != nil {
-		// Corrupt template: the interpreter over the buffered bytes
-		// reproduces the exact partial-consumption semantics (the prefix's
-		// SETs apply, then the decode error).
-		p.reg.Counter("dpc.plancache_misses").Inc()
-		return p.asm.AssembleTrace(w, bytes.NewReader(buf), sp)
-	}
-	if hit {
-		p.reg.Counter("dpc.plancache_hits").Inc()
-	} else {
-		p.reg.Counter("dpc.plancache_misses").Inc()
-		p.reg.Counter("dpc.plancache_compiles").Inc()
-	}
-	return p.planExec.Run(plan, w, sp)
+	p.reg.Counter("dpc.plancache_misses").Inc()
+	sp.Event(trace.KindMiss, "plan", why, int64(len(buf)))
+	return p.exec.RunStream(io.MultiReader(bytes.NewReader(buf), rest), w, sp)
 }

@@ -60,16 +60,18 @@ type Config struct {
 	// followers lagging more than the cap behind the leader are shed (a
 	// stalled client cannot pin the page in memory).
 	CoalesceBufferBytes int
-	// Stream writes pages to the client as the template decodes instead
-	// of buffering whole pages: assembly streams after a bounded
-	// look-ahead spool and plain passthrough bodies are copied with a
-	// pooled buffer.
+	// Stream selects no code: false means exactly StreamSpoolBytes < 0,
+	// so the zero-value Config serves whole pages with a Content-Length.
+	// The field remains only because the benchmark harness names it.
 	Stream bool
-	// StreamSpoolBytes bounds the streaming look-ahead spool (0 selects
-	// 64 KiB). Staleness detected while the head of the page still fits
-	// in the spool aborts cleanly to a bypass fetch; past it, the
-	// response is torn, the connection is aborted, and the stale slots
-	// are reported to the BEM out of band.
+	// StreamSpoolBytes bounds the look-ahead spool an assembled page is
+	// held in before its headers are committed (0 selects 64 KiB;
+	// negative holds the whole page). Staleness detected while the head
+	// of the page still fits in the spool aborts cleanly to a bypass
+	// fetch; past it, the response is torn, the connection is aborted,
+	// and the stale slots are reported to the BEM out of band. A page
+	// that fits is sent complete, with its Content-Length. See stream.go
+	// for when the bound lifts by itself.
 	StreamSpoolBytes int
 	// PublishInterval is the period of the background ticker that
 	// refreshes the dpc.store.* gauges via fragstore.Publish (0 selects
@@ -115,14 +117,12 @@ type Config struct {
 	PageCacheStore fragstore.Keyed
 	// PageClock overrides the page cache's expiry clock (tests).
 	PageClock clock.Clock
-	// PlanCache compiles each distinct template body into an immutable
-	// operator program, cached by content hash (internal/tmplplan), so
-	// repeat assemblies skip the per-request decode and resolve
-	// independent fragment GETs with a bounded parallel prefetch. The
-	// streaming interpreter remains the fallback for oversized or corrupt
-	// templates; output bytes and error semantics are identical on both
-	// paths. Content hashing makes origin redeploys miss naturally, and
-	// the coherency fabric's "plan" scope flushes the tier explicitly.
+	// PlanCache is ignored: every distinct template body is compiled
+	// into an immutable operator program cached by content hash (see
+	// planpath.go). Content hashing makes origin redeploys miss
+	// naturally, and the coherency fabric's "plan" scope flushes the tier
+	// explicitly. The field remains only because the benchmark harness
+	// names it.
 	PlanCache bool
 	// PlanCacheEntries bounds resident compiled plans (0 selects 512).
 	PlanCacheEntries int
@@ -204,24 +204,24 @@ type Config struct {
 // origin, stores fragments, and assembles pages. Requests flow through an
 // explicit stage pipeline (see pipeline.go).
 type Proxy struct {
-	cfg      Config
-	store    fragstore.FragmentStore
-	asm      *Assembler
-	plans    *tmplplan.Cache  // nil unless Config.PlanCache
-	planExec *tmplplan.Exec   // nil unless Config.PlanCache
-	static   *StaticCache     // nil when disabled
-	pages    *pagecache.Cache // nil when disabled
-	depix    *depindex.Index  // nil unless a keyed tier exists
-	pageTTL  time.Duration
-	client   *http.Client
-	reg      *metrics.Registry
+	cfg     Config
+	store   fragstore.FragmentStore
+	codec   tmpl.Codec
+	plans   *tmplplan.Cache
+	exec    *tmplplan.Exec
+	static  *StaticCache     // nil when disabled
+	pages   *pagecache.Cache // nil when disabled
+	depix   *depindex.Index  // nil unless a keyed tier exists
+	pageTTL time.Duration
+	client  *http.Client
+	reg     *metrics.Registry
 
 	stages     []*Stage
 	respondIdx int
 	flights    *flightGroup  // nil when coalescing disabled
 	admit      *admission    // nil when admission control disabled
 	tracer     *trace.Tracer // nil when tracing disabled
-	spool      int
+	spool      int           // assembled pages' look-ahead bound; negative = whole page
 
 	adminOnce sync.Once
 	admin     *http.ServeMux
@@ -260,7 +260,10 @@ func New(cfg Config) (*Proxy, error) {
 		static = NewStaticCache(cfg.StaticCacheEntries, cfg.StaticClock)
 	}
 	spool := cfg.StreamSpoolBytes
-	if spool <= 0 {
+	if !cfg.Stream {
+		spool = wholePage
+	}
+	if spool == 0 {
 		spool = defaultSpoolBytes
 	}
 	var pages *pagecache.Cache
@@ -292,10 +295,37 @@ func New(cfg Config) (*Proxy, error) {
 			Clock:      cfg.PageClock,
 		})
 	}
+	planEntries := cfg.PlanCacheEntries
+	if planEntries <= 0 {
+		planEntries = defaultPlanEntries
+	}
+	planBudget := cfg.PlanCacheBudget
+	if planBudget <= 0 {
+		planBudget = defaultPlanBudget
+	}
+	plans, err := tmplplan.NewCache(codec, tmplplan.CacheConfig{
+		MaxEntries: planEntries,
+		ByteBudget: planBudget,
+	})
+	if err != nil {
+		return nil, err
+	}
+	par := cfg.PlanParallelism
+	if par <= 0 {
+		par = defaultPlanParallelism
+	}
 	p := &Proxy{
-		cfg:     cfg,
-		store:   store,
-		asm:     NewAssembler(store, codec, cfg.Strict),
+		cfg:   cfg,
+		store: store,
+		codec: codec,
+		plans: plans,
+		exec: &tmplplan.Exec{
+			Store:       store,
+			Strict:      cfg.Strict,
+			Codec:       codec,
+			Plans:       plans,
+			Parallelism: par,
+		},
 		static:  static,
 		pages:   pages,
 		depix:   depix,
@@ -303,35 +333,6 @@ func New(cfg Config) (*Proxy, error) {
 		client:  &http.Client{Transport: transport, Timeout: 30 * time.Second},
 		reg:     reg,
 		spool:   spool,
-	}
-	if cfg.PlanCache {
-		entries := cfg.PlanCacheEntries
-		if entries <= 0 {
-			entries = defaultPlanEntries
-		}
-		budget := cfg.PlanCacheBudget
-		if budget <= 0 {
-			budget = defaultPlanBudget
-		}
-		plans, err := tmplplan.NewCache(codec, tmplplan.CacheConfig{
-			MaxEntries: entries,
-			ByteBudget: budget,
-		})
-		if err != nil {
-			return nil, err
-		}
-		par := cfg.PlanParallelism
-		if par <= 0 {
-			par = defaultPlanParallelism
-		}
-		p.plans = plans
-		p.planExec = &tmplplan.Exec{
-			Store:       store,
-			Strict:      cfg.Strict,
-			Codec:       codec,
-			Plans:       plans,
-			Parallelism: par,
-		}
 	}
 	if cfg.Coalesce {
 		p.flights = newFlightGroup(cfg.CoalesceBufferBytes)
@@ -417,9 +418,9 @@ func (p *Proxy) Close() error {
 	return nil
 }
 
-// Plans exposes the compiled-template plan cache (nil unless
-// Config.PlanCache). The coherency fabric's plan subscriber drives its
-// backing KeyedStore to flush plans on "plan"-scoped events.
+// Plans exposes the compiled-template plan cache. The coherency fabric's
+// plan subscriber drives its backing KeyedStore to flush plans on
+// "plan"-scoped events.
 func (p *Proxy) Plans() *tmplplan.Cache { return p.plans }
 
 // Static exposes the URL-keyed static-content cache (nil when disabled).
@@ -551,9 +552,7 @@ func (p *Proxy) initAdmin() {
 				"evictions": ps.Evictions, "expired": ps.Expired,
 			}
 		}
-		if p.plans != nil {
-			out["plancache"] = p.plans.Stats()
-		}
+		out["plancache"] = p.plans.Stats()
 		if p.depix != nil {
 			out["depindex"] = p.depix.Stats()
 		}

@@ -61,7 +61,7 @@ func assembledGet(t *testing.T, url string, hdr map[string]string) (string, stri
 func TestAssembledStaticFillServesStatic(t *testing.T) {
 	origin, fetches := assembledStaticOrigin(map[string]string{"Cache-Control": "max-age=60"})
 	defer origin.Close()
-	p := newTestProxy(t, origin.URL, func(c *Config) { c.Stream = false; c.PlanCache = true })
+	p := newTestProxy(t, origin.URL, func(c *Config) { c.Stream = true })
 	ts := httptest.NewServer(p)
 	defer ts.Close()
 
@@ -89,7 +89,7 @@ func TestAssembledStaticFillServesStatic(t *testing.T) {
 func TestAssembledStaticFragmentInvalidation(t *testing.T) {
 	origin, fetches := assembledStaticOrigin(map[string]string{"Cache-Control": "max-age=60"})
 	defer origin.Close()
-	p := newTestProxy(t, origin.URL, func(c *Config) { c.Stream = false })
+	p := newTestProxy(t, origin.URL, func(c *Config) { c.Stream = true })
 	ts := httptest.NewServer(p)
 	defer ts.Close()
 
@@ -139,7 +139,7 @@ func TestAssembledStaticRefusals(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			origin, _ := assembledStaticOrigin(tc.extra)
 			defer origin.Close()
-			p := newTestProxy(t, origin.URL, func(c *Config) { c.Stream = false })
+			p := newTestProxy(t, origin.URL, func(c *Config) { c.Stream = true })
 			ts := httptest.NewServer(p)
 			defer ts.Close()
 
@@ -160,13 +160,55 @@ func TestAssembledStaticRefusals(t *testing.T) {
 	}
 }
 
+// The opt-in lifts the look-ahead bound: a page larger than the spool is
+// held whole and filed when the origin asked for it, and a page of the
+// same size it did not ask for streams early and is not.
+func TestAssembledStaticLiftsSpoolBound(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		extra map[string]string
+		filed bool
+	}{
+		{"opted-in", map[string]string{"Cache-Control": "max-age=60"}, true},
+		{"not-opted-in", nil, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			origin, _ := assembledStaticOrigin(tc.extra)
+			defer origin.Close()
+			p := newTestProxy(t, origin.URL, func(c *Config) {
+				c.Stream = true
+				c.StreamSpoolBytes = 16 // the page is 27 bytes
+			})
+			ts := httptest.NewServer(p)
+			defer ts.Close()
+
+			resp, err := http.Get(ts.URL + "/page")
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if string(body) != "<html>assembled body</html>" {
+				t.Fatalf("body = %q", body)
+			}
+			snap := p.Registry().Snapshot()
+			if fills, streamed := snap["dpc.static_assembled_fills"], snap["dpc.streamed"]; (fills == 1) != tc.filed || (streamed == 1) == tc.filed {
+				t.Fatalf("dpc.static_assembled_fills = %d, dpc.streamed = %d, filed=%v", fills, streamed, tc.filed)
+			}
+			if _, state := assembledGet(t, ts.URL+"/page", nil); (state == "STATIC") != tc.filed {
+				t.Fatalf("revisit X-Cache = %q, filed=%v", state, tc.filed)
+			}
+		})
+	}
+}
+
 // Plan-tier coherency: fragment events and purges are no-ops (plans hold
 // no fragment bytes); plan-scoped and global flushes empty it; a sequence
 // gap flushes conservatively.
 func TestPlanSubscriber(t *testing.T) {
 	origin, _ := assembledStaticOrigin(nil)
 	defer origin.Close()
-	p := newTestProxy(t, origin.URL, func(c *Config) { c.Stream = false; c.PlanCache = true })
+	p := newTestProxy(t, origin.URL, func(c *Config) { c.Stream = true })
 	ts := httptest.NewServer(p)
 	defer ts.Close()
 

@@ -28,7 +28,7 @@ func NewTracer(reg *metrics.Registry, sampleEvery int, slow time.Duration, ringS
 // traceWriter attributes response bytes and time-to-first-byte to the
 // request's root span on their way to the client. It wraps the real
 // ResponseWriter *under* any later tee (the pageCapture wraps it in
-// turn), so buffered pages, streamed chunks, and coalesced replays are
+// turn), so whole pages, streamed chunks, and coalesced replays are
 // all attributed.
 type traceWriter struct {
 	http.ResponseWriter

@@ -89,9 +89,6 @@ type Options struct {
 	// Coalesce enables single-flight broadcast coalescing at the measured
 	// system's proxy (SystemConfig.Coalesce) in the live runners.
 	Coalesce bool
-	// Stream enables streaming assembly at the measured system's proxy
-	// (SystemConfig.Stream) in the live runners.
-	Stream bool
 	// StoreBackend selects the measured proxy's fragment-store backend
 	// ("" = the paper-faithful slot store; "sharded" enables budgets).
 	StoreBackend string

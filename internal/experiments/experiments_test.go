@@ -187,8 +187,8 @@ func TestPipelineLive(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 4 knob configs + 3 concurrency-sweep rows + 9 assemble rows
-	// (3 fragment counts × interpreter/compiled/compiled-parallel) +
-	// 2 invalidation rows.
+	// (3 fragment counts × decode-per-request/compiled/compiled-parallel)
+	// + 2 invalidation rows.
 	if len(tab.Rows) != 18 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -211,22 +211,25 @@ func TestPipelineLive(t *testing.T) {
 	if pc, co := cell(t, tab, 3, 1), cell(t, tab, 2, 1); pc >= co {
 		t.Fatalf("pagecache fan-in %v not below coalesce+stream fan-in %v", pc, co)
 	}
-	// The assemble rows hold the plan cache's headline claim: at every
-	// fragment count, a warm compiled plan assembles the page faster
-	// than the per-request interpreter.
-	for i := 0; i < 3; i++ {
-		base := 7 + 3*i
-		interp, err := time.ParseDuration(tab.Rows[base][3])
-		if err != nil {
-			t.Fatalf("assemble interpreter row %d %q: %v", base, tab.Rows[base][3], err)
+	// The assemble rows' timings are reported, not compared: a short
+	// wall-clock measurement on a loaded host proves nothing. What the plan
+	// cache removes is deterministic — the per-request decode and every
+	// allocation it makes — so that is what is asserted, at every fragment
+	// count the rows use.
+	for i, frags := range []int{4, 16, 64} {
+		for j := 0; j < 3; j++ {
+			if _, err := time.ParseDuration(tab.Rows[7+3*i+j][3]); err != nil {
+				t.Fatalf("assemble row %q: %v", tab.Rows[7+3*i+j], err)
+			}
 		}
-		compiled, err := time.ParseDuration(tab.Rows[base+1][3])
+		streamed, cached, err := assembleRunners(frags, 1)
 		if err != nil {
-			t.Fatalf("assemble compiled row %d %q: %v", base+1, tab.Rows[base+1][3], err)
+			t.Fatal(err)
 		}
-		if compiled >= interp {
-			t.Fatalf("%s: compiled %v not faster than interpreter %v",
-				tab.Rows[base][0], compiled, interp)
+		perDecode := testing.AllocsPerRun(20, func() { _ = streamed() })
+		perPlan := testing.AllocsPerRun(20, func() { _ = cached() })
+		if perPlan >= perDecode {
+			t.Fatalf("f=%d: a cached plan allocates %v per assembly, decode-per-request %v", frags, perPlan, perDecode)
 		}
 	}
 	// The invalidation rows hold the PR's freshness claim: without the

@@ -51,7 +51,6 @@ func runPoint(mode core.Mode, siteCfg site.SyntheticConfig, forcedMiss float64,
 		Latency:          lat,
 		ExtraHeaderBytes: opts.ExtraHeaderBytes,
 		Coalesce:         opts.Coalesce,
-		Stream:           opts.Stream,
 		StoreBackend:     opts.StoreBackend,
 		StoreByteBudget:  opts.StoreByteBudget,
 		StoreEviction:    opts.StoreEviction,

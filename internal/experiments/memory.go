@@ -182,7 +182,6 @@ func runRestart(siteCfg site.SyntheticConfig, ramBudget int64, opts Options, nc 
 		Seed:             opts.Seed,
 		ExtraHeaderBytes: opts.ExtraHeaderBytes,
 		Coalesce:         opts.Coalesce,
-		Stream:           opts.Stream,
 		StoreBackend:     "tiered",
 		StoreByteBudget:  ramBudget,
 		StoreEviction:    "lru",

@@ -20,7 +20,7 @@ import (
 )
 
 // Pipeline measures what the request-pipeline knobs (single-flight
-// broadcast coalescing, streaming assembly) buy under the Figure 5
+// broadcast coalescing, the look-ahead spool bound) buy under the Figure 5
 // workload: origin fan-in (origin fetches per served response) and the
 // time-to-first-byte a parked follower sees when a burst of identical
 // requests lands on one page. With the completed-page handoff the follower
@@ -35,16 +35,18 @@ import (
 // without the coherency fabric, and by one request with it.
 func Pipeline(opts Options) (Table, error) {
 	opts = opts.withDefaults()
+	// spool is core.Config.StreamSpoolBytes: -1 holds every page whole (the
+	// barrier rows), 0 is the default 64 KiB look-ahead.
 	configs := []struct {
 		name      string
 		coalesce  bool
-		stream    bool
+		spool     int
 		pagecache bool
 	}{
-		{"no coalesce", false, false, false},
-		{"coalesce (barrier)", true, false, false},
-		{"coalesce+stream (live attach)", true, true, false},
-		{"coalesce+stream+pagecache", true, true, true},
+		{"no coalesce", false, -1, false},
+		{"coalesce (barrier)", true, -1, false},
+		{"coalesce+stream (live attach)", true, 0, false},
+		{"coalesce+stream+pagecache", true, 0, true},
 	}
 	t := Table{
 		ID:    "pipeline",
@@ -54,7 +56,7 @@ func Pipeline(opts Options) (Table, error) {
 		},
 	}
 	for _, c := range configs {
-		fanIn, coalesced, mean, ttfb, err := runPipelinePoint(opts, c.coalesce, c.stream, c.pagecache)
+		fanIn, coalesced, mean, ttfb, err := runPipelinePoint(opts, c.coalesce, c.spool, c.pagecache)
 		if err != nil {
 			return t, fmt.Errorf("pipeline %s: %w", c.name, err)
 		}
@@ -70,7 +72,7 @@ func Pipeline(opts Options) (Table, error) {
 	for _, conc := range []int{2, 8, 16} {
 		o := opts
 		o.Concurrency = conc
-		fanIn, coalesced, mean, ttfb, err := runPipelinePoint(o, true, true, false)
+		fanIn, coalesced, mean, ttfb, err := runPipelinePoint(o, true, 0, false)
 		if err != nil {
 			return t, fmt.Errorf("pipeline sweep c=%d: %w", conc, err)
 		}
@@ -81,18 +83,18 @@ func Pipeline(opts Options) (Table, error) {
 			"-",
 		})
 	}
-	// Assemble stage: per-page assembly cost by fragments-per-page,
-	// template interpreter vs the compiled plan cache (warm), sequential
-	// vs parallel fragment resolution. In-process against a resident
-	// store, so it isolates the decode-and-dispatch overhead the plan
-	// cache removes.
+	// Assemble stage: per-page assembly cost by fragments-per-page, the
+	// engine's streamed driver (decode per request) vs its cached-plan
+	// driver (warm), sequential vs parallel fragment resolution.
+	// In-process against a resident store, so it isolates the
+	// decode-and-dispatch overhead the plan cache removes.
 	for _, frags := range []int{4, 16, 64} {
 		for _, m := range []struct {
 			name        string
 			compiled    bool
 			parallelism int
 		}{
-			{"interpreter", false, 0},
+			{"decode-per-request", false, 0},
 			{"compiled", true, 1},
 			{"compiled par=4", true, 4},
 		} {
@@ -131,74 +133,80 @@ func Pipeline(opts Options) (Table, error) {
 		"the pagecache row serves anonymous revisits whole from the page tier, so origin fan-in falls below the coalesce-only rows",
 		"@c=N rows sweep offered concurrency with coalesce+stream: deeper bursts collapse more identical fetches per flight",
 		fmt.Sprintf("staleness window: elapsed time a %v-TTL page tier kept serving a dead fragment's bytes after a repository write; the fabric drops the page on the invalidation itself, so its window is one in-flight request, not the TTL", invalidationTTL),
-		"assemble rows: in-process mean per-page assembly time (512B fragments, resident store) — the compiled rows run a warm plan cache, so the per-request template decode disappears; par=4 adds the bounded prefetch fan-out, which pays only when fragment reads are slower than goroutine handoff (it loses against a resident in-memory store, as here)")
+		"assemble rows: in-process mean per-page assembly time (512B fragments, resident store), one engine under its two drivers — decode-per-request streams the template through the decoder on every request (what an oversized or corrupt template costs), the compiled rows run a warm plan cache, so the per-request template decode disappears; par=4 adds the bounded prefetch fan-out, which pays only when fragment reads are slower than goroutine handoff (it loses against a resident in-memory store, as here)")
 	return t, nil
 }
 
-// runAssemblePoint measures mean per-page assembly time for a template of
-// frags GET instructions against a resident store: the interpreter
-// (per-request streaming decode) or the compiled plan path (warm plan
-// cache, optionally with parallel fragment prefetch).
-func runAssemblePoint(opts Options, frags int, compiled bool, parallelism int) (time.Duration, error) {
+// assembleRunners builds the assemble rows' fixture — a template of frags
+// GET instructions over a resident store — and returns one assembly per
+// call through each of the engine's drivers: streamed (the template is
+// decoded on every call) and cached (a warm plan cache, with the given
+// prefetch fan-out).
+func assembleRunners(frags, parallelism int) (streamed, cached func() error, err error) {
 	store, err := dpc.NewStore(frags + 1)
 	if err != nil {
-		return 0, err
+		return nil, nil, err
 	}
 	codec := tmpl.Binary{}
 	content := bytes.Repeat([]byte("f"), 512)
-	var buf bytes.Buffer
-	enc := codec.NewEncoder(&buf)
+	var ins []tmpl.Instruction
 	for k := 0; k < frags; k++ {
 		if err := store.Set(uint32(k), 1, content); err != nil {
-			return 0, err
+			return nil, nil, err
 		}
-		if err := enc.Literal([]byte("<div>")); err != nil {
-			return 0, err
-		}
-		if err := enc.Get(uint32(k), 1); err != nil {
-			return 0, err
-		}
-		if err := enc.Literal([]byte("</div>")); err != nil {
-			return 0, err
-		}
+		ins = append(ins,
+			tmpl.Instruction{Op: tmpl.OpLiteral, Data: []byte("<div>")},
+			tmpl.Instruction{Op: tmpl.OpGet, Key: uint32(k), Gen: 1},
+			tmpl.Instruction{Op: tmpl.OpLiteral, Data: []byte("</div>")})
 	}
-	if err := enc.Flush(); err != nil {
-		return 0, err
+	var buf bytes.Buffer
+	if err := tmpl.EncodeAll(codec, &buf, ins); err != nil {
+		return nil, nil, err
 	}
 	body := buf.Bytes()
-
-	iters := 5 * opts.Requests
-	if iters < 500 {
-		iters = 500
-	}
-	if !compiled {
-		asm := dpc.NewAssembler(store, codec, true)
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			if _, err := asm.Assemble(io.Discard, bytes.NewReader(body)); err != nil {
-				return 0, err
-			}
-		}
-		return time.Since(start) / time.Duration(iters), nil
-	}
 	cache, err := tmplplan.NewCache(codec, tmplplan.CacheConfig{})
 	if err != nil {
-		return 0, err
+		return nil, nil, err
 	}
 	ex := &tmplplan.Exec{
 		Store: store, Strict: true, Codec: codec,
 		Plans: cache, Parallelism: parallelism,
 	}
 	if _, _, err := cache.Get(body); err != nil { // warm the plan cache
+		return nil, nil, err
+	}
+	streamed = func() error {
+		_, err := ex.RunStream(bytes.NewReader(body), io.Discard, nil)
+		return err
+	}
+	cached = func() error {
+		plan, _, err := cache.Get(body)
+		if err != nil {
+			return err
+		}
+		_, err = ex.Run(plan, io.Discard, nil)
+		return err
+	}
+	return streamed, cached, nil
+}
+
+// runAssemblePoint measures mean per-page assembly time through one of
+// assembleRunners' drivers.
+func runAssemblePoint(opts Options, frags int, compiled bool, parallelism int) (time.Duration, error) {
+	run, cached, err := assembleRunners(frags, parallelism)
+	if err != nil {
 		return 0, err
+	}
+	if compiled {
+		run = cached
+	}
+	iters := 5 * opts.Requests
+	if iters < 500 {
+		iters = 500
 	}
 	start := time.Now()
 	for i := 0; i < iters; i++ {
-		plan, _, err := cache.Get(body)
-		if err != nil {
-			return 0, err
-		}
-		if _, err := ex.Run(plan, io.Discard, nil); err != nil {
+		if err := run(); err != nil {
 			return 0, err
 		}
 	}
@@ -222,7 +230,6 @@ func runInvalidationPoint(opts Options, fabric bool) (time.Duration, error) {
 		Seed:             opts.Seed,
 		ExtraHeaderBytes: opts.ExtraHeaderBytes,
 		Coalesce:         true,
-		Stream:           true,
 		PageCache:        true,
 		PageCacheTTL:     invalidationTTL,
 		Fabric:           fabric,
@@ -284,7 +291,7 @@ func runInvalidationPoint(opts Options, fabric bool) (time.Duration, error) {
 // runPipelinePoint stands up a cached system with the given pipeline knobs,
 // drives the standard Zipf workload, then probes follower TTFB with a
 // burst of identical requests against one page.
-func runPipelinePoint(opts Options, coalesce, stream, pagecache bool) (fanIn, coalescedPct float64, mean, ttfb time.Duration, err error) {
+func runPipelinePoint(opts Options, coalesce bool, spool int, pagecache bool) (fanIn, coalescedPct float64, mean, ttfb time.Duration, err error) {
 	siteCfg := site.DefaultSynthetic()
 	sys, err := core.NewSystem(core.Config{
 		Capacity:         2 * siteCfg.Pages * siteCfg.FragmentsPerPage,
@@ -294,7 +301,7 @@ func runPipelinePoint(opts Options, coalesce, stream, pagecache bool) (fanIn, co
 		Latency:          repository.LatencyModel{QueryDelay: 200 * time.Microsecond},
 		ExtraHeaderBytes: opts.ExtraHeaderBytes,
 		Coalesce:         coalesce,
-		Stream:           stream,
+		StreamSpoolBytes: spool,
 		PageCache:        pagecache,
 	}, core.ModeCached)
 	if err != nil {

@@ -86,7 +86,6 @@ func runSaturationPoint(opts Options, offered float64, shedding bool) ([]string,
 		Seed:             opts.Seed,
 		ExtraHeaderBytes: opts.ExtraHeaderBytes,
 		Coalesce:         true,
-		Stream:           true,
 		PageCache:        true,
 		PageCacheTTL:     satPageTTL,
 		OriginFaults: &origin.FaultConfig{

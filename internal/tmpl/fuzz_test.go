@@ -5,15 +5,17 @@ package tmpl_test
 //  1. The decoder never panics on arbitrary input (and never trusts a
 //     length header for an allocation — see readSetContent in tmpl.go).
 //  2. tmplplan.Compile never panics and errors exactly when DecodeAll
-//     errors: the proxy decides "plan path vs interpreter fallback" on
-//     that error, so the two must never disagree about corruption.
-//  3. When the template decodes, the compiled executor and the streaming
-//     interpreter agree on error/no-error and on output bytes against
-//     identically seeded stores — the conformance suite's invariant,
-//     extended from eight golden shapes to whatever the mutator finds.
+//     errors: the proxy decides "cached plan vs streamed driver" on that
+//     error, so the two must never disagree about corruption.
+//  3. Both of the engine's drivers agree with the reference interpreter
+//     (internal/tmplplan/plantest) on error/no-error and on output bytes
+//     against identically seeded stores — the streamed driver on every
+//     input, corrupt ones included, the cached plan whenever one compiles.
+//     It is the conformance suite's invariant, extended from its golden
+//     shapes to whatever the mutator finds.
 //
-// The fuzz package is external (tmpl_test) so it can drive the real
-// interpreter in internal/dpc without an import cycle.
+// The fuzz package is external (tmpl_test) so it can drive the engine and
+// the oracle without an import cycle.
 
 import (
 	"bytes"
@@ -22,10 +24,10 @@ import (
 	"runtime"
 	"testing"
 
-	"dpcache/internal/dpc"
 	"dpcache/internal/fragstore"
 	"dpcache/internal/tmpl"
 	"dpcache/internal/tmplplan"
+	"dpcache/internal/tmplplan/plantest"
 )
 
 // seedTemplates mirrors the conformance-suite golden shapes
@@ -88,34 +90,36 @@ func fuzzDecode(t *testing.T, codec tmpl.Codec, data []byte) {
 	if (decErr == nil) != (compErr == nil) {
 		t.Fatalf("decode/compile disagree on corruption:\nDecodeAll: %v\nCompile:   %v", decErr, compErr)
 	}
-	if decErr != nil {
-		return
-	}
 
-	// The template is well-formed: both engines must agree. Stores start
-	// empty and identical; unresolved GETs are strict-mode staleness, not
-	// corruption, and must be reported identically by both paths. The
+	// Stores start empty and identical; unresolved GETs are strict-mode
+	// staleness, not corruption, and must be reported identically. The
 	// map-backed keyed view is used instead of the slot store because the
 	// slot store allocates its full capacity up front and fuzz-mutated
 	// keys span the whole uint32 range.
-	oracleStore := fuzzStore(t)
-	planStore := fuzzStore(t)
-
 	var wantPage bytes.Buffer
-	asm := dpc.NewAssembler(oracleStore, codec, true)
+	asm := plantest.NewAssembler(fuzzStore(t), codec, true)
 	_, wantErr := asm.Assemble(&wantPage, bytes.NewReader(data))
 
-	var gotPage bytes.Buffer
-	ex := &tmplplan.Exec{Store: planStore, Strict: true, Codec: codec, Parallelism: 1}
-	_, gotErr := ex.Run(plan, &gotPage, nil)
-
-	if (wantErr == nil) != (gotErr == nil) {
-		t.Fatalf("engines disagree on error:\ninterpreter: %v\ncompiled:    %v\ntemplate: %q", wantErr, gotErr, data)
+	agree := func(driver string, gotPage []byte, gotErr error) {
+		if (wantErr == nil) != (gotErr == nil) {
+			t.Fatalf("%s driver disagrees on error:\noracle: %v\nengine: %v\ntemplate: %q", driver, wantErr, gotErr, data)
+		}
+		if !bytes.Equal(wantPage.Bytes(), gotPage) {
+			t.Fatalf("%s driver disagrees on output:\noracle: %q\nengine: %q\ntemplate: %q",
+				driver, wantPage.Bytes(), gotPage, data)
+		}
 	}
-	if !bytes.Equal(wantPage.Bytes(), gotPage.Bytes()) {
-		t.Fatalf("engines disagree on output:\ninterpreter: %q\ncompiled:    %q\ntemplate: %q",
-			wantPage.Bytes(), gotPage.Bytes(), data)
+	var streamed bytes.Buffer
+	ex := &tmplplan.Exec{Store: fuzzStore(t), Strict: true, Codec: codec, Parallelism: 1}
+	_, err := ex.RunStream(bytes.NewReader(data), &streamed, nil)
+	agree("streamed", streamed.Bytes(), err)
+	if compErr != nil {
+		return
 	}
+	var cached bytes.Buffer
+	ex = &tmplplan.Exec{Store: fuzzStore(t), Strict: true, Codec: codec, Parallelism: 1}
+	_, err = ex.Run(plan, &cached, nil)
+	agree("cached-plan", cached.Bytes(), err)
 }
 
 // fuzzStore returns an unbounded map-backed fragment store that accepts

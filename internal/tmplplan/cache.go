@@ -62,9 +62,9 @@ func NewCache(codec tmpl.Codec, cfg CacheConfig) (*Cache, error) {
 // miss; hit reports whether the plan was already resident. Two concurrent
 // misses on the same bytes may both compile; plans are immutable, so the
 // duplicate Put is harmless. A compile error (a corrupt template) is
-// returned without caching — the caller falls back to the streaming
-// interpreter, which reproduces the exact partial-consumption error
-// semantics.
+// returned without caching — the caller streams the template through
+// Exec.RunStream instead, which applies the SETs ahead of the corruption
+// and then reports it.
 func (c *Cache) Get(template []byte) (plan *Plan, hit bool, err error) {
 	sum := sha256.Sum256(template)
 	key := string(sum[:])

@@ -26,7 +26,8 @@ type Exec struct {
 	// Strict enables generation checking on GETs (the proxy's strict
 	// mode).
 	Strict bool
-	// Codec decodes nested-include bodies when Plans is nil.
+	// Codec decodes streamed templates, and nested-include bodies when
+	// Plans is nil.
 	Codec tmpl.Codec
 	// Plans, when set, caches compiled nested-include bodies (the same
 	// plan cache that holds top-level plans).
@@ -59,17 +60,17 @@ type execState struct {
 	bits uint64
 	seen []bool
 	// Map dedup for plans with includes, whose sub-programs have their
-	// own slot spaces (lazily allocated, like the interpreter's).
+	// own slot spaces, and for streamed runs, which have no slots at all
+	// (lazily allocated).
 	seenMap map[uint64]struct{}
 	useMap  bool
 }
 
-// Run executes p, writing the assembled page to w. Semantics mirror the
-// interpreter's Assembler.AssembleTrace exactly: SETs are applied even
-// after the page is doomed by a stale GET, output is suppressed from the
-// first stale reference onward, and the final error carries the first
-// stale ref and the total count. sp, when non-nil, receives a child span
-// per fragment resolution, exactly as the interpreter records them.
+// Run executes the cached plan p, writing the assembled page to w: SETs
+// are applied even after the page is doomed by a stale GET, output is
+// suppressed from the first stale reference onward, and the final error
+// carries the first stale ref and the total count. sp, when non-nil,
+// receives a child span per fragment resolution.
 func (e *Exec) Run(p *Plan, w io.Writer, sp *trace.Span) (Stats, error) {
 	var st Stats
 	st.TemplateBytes = p.srcLen
@@ -82,15 +83,53 @@ func (e *Exec) Run(p *Plan, w io.Writer, sp *trace.Span) (Stats, error) {
 		pre = e.prefetch(p, sp != nil)
 		st.ParallelGets = len(p.par)
 	}
-	if err := x.run(p, pre, sp, 0); err != nil {
+	if err := x.run(p.ops, pre, sp, 0); err != nil {
 		return st, err
 	}
-	if len(st.Stale) > 0 {
-		first := st.Stale[0]
-		return st, fmt.Errorf("%w (first: key %d gen %d, %d total)",
-			ErrStale, first.Key, first.Gen, len(st.Stale))
+	return st, st.staleErr()
+}
+
+// RunStream assembles a template it does not hold: it decodes r and steps
+// each instruction the moment it arrives, retaining nothing, so memory
+// stays O(largest instruction) however long the template is and every SET
+// ahead of a read or decode error has landed when that error surfaces. It
+// is the driver for what cannot be a cached plan — a template too large to
+// hold, a body the origin stopped sending, a corrupt stream — and produces
+// the bytes, Stats and errors Run produces for the same template, resolving
+// every GET in stream order.
+func (e *Exec) RunStream(r io.Reader, w io.Writer, sp *trace.Span) (Stats, error) {
+	var st Stats
+	x := &execState{e: e, w: w, st: &st, useMap: true}
+	cr := &countingReader{r: r}
+	err := x.stream(e.Codec.NewDecoder(cr), sp)
+	st.TemplateBytes = cr.n
+	if err != nil {
+		return st, err
 	}
-	return st, nil
+	return st, st.staleErr()
+}
+
+// countingReader counts template bytes as the decoder consumes them.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
+}
+
+// staleErr is the error an assembly that consumed its whole template ends
+// with: nil, or ErrStale naming the first stale reference.
+func (st *Stats) staleErr() error {
+	if len(st.Stale) == 0 {
+		return nil
+	}
+	first := st.Stale[0]
+	return fmt.Errorf("%w (first: key %d gen %d, %d total)",
+		ErrStale, first.Key, first.Gen, len(st.Stale))
 }
 
 func (e *Exec) minParallelGets() int {
@@ -183,25 +222,47 @@ func (x *execState) addRef(key, gen uint32, slot int32) {
 	x.st.Refs = append(x.st.Refs, Ref{Key: key, Gen: gen})
 }
 
-// run walks one program. pre carries the top-level prefetch results
-// (nil for sub-programs, whose GETs resolve in walk order).
-func (x *execState) run(p *Plan, pre []preResult, sp *trace.Span, depth int) error {
+// stream is the decoder driver: each instruction becomes an operator
+// through the conversion Compile uses and is run at once, a program of one.
+func (x *execState) stream(dec tmpl.Decoder, sp *trace.Span) error {
+	for {
+		in, err := dec.Next()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return fmt.Errorf("dpc: decoding template: %w", err)
+		}
+		one := [1]op{newOp(in)}
+		if err := x.run(one[:], nil, sp, 0); err != nil {
+			return err
+		}
+	}
+}
+
+// run executes operators in order: the template semantics, once, for both
+// drivers. A cached plan hands it the whole program (the loop is in here so
+// that costs no call per operator); a streamed run hands it one operator at
+// a time. pre carries a plan's top-level prefetch results (nil for
+// sub-programs and streamed operators, whose GETs resolve in walk order).
+// Nested includes recurse with the include's span as the parent, sharing
+// the run's stats and dedup state, so staleness doom and SET application
+// span the whole page.
+func (x *execState) run(ops []op, pre []preResult, sp *trace.Span, depth int) error {
 	st := x.st
-	for i := range p.ops {
-		o := &p.ops[i]
+	for i := range ops {
+		o := &ops[i]
 		doomed := len(st.Stale) > 0
 		switch o.kind {
-		case opLit:
+		case tmpl.OpLiteral:
 			st.Literals++
 			if doomed {
 				continue
 			}
-			n, err := x.w.Write(o.data)
-			st.PageBytes += int64(n)
-			if err != nil {
+			if err := x.emit(o.data); err != nil {
 				return err
 			}
-		case opSet:
+		case tmpl.OpSet:
 			st.Sets++
 			if err := x.e.Store.Set(o.key, o.gen, o.data); err != nil {
 				return err
@@ -210,12 +271,10 @@ func (x *execState) run(p *Plan, pre []preResult, sp *trace.Span, depth int) err
 			if doomed {
 				continue
 			}
-			n, err := x.w.Write(o.data)
-			st.PageBytes += int64(n)
-			if err != nil {
+			if err := x.emit(o.data); err != nil {
 				return err
 			}
-		case opGet:
+		case tmpl.OpGet:
 			st.Gets++
 			var fsp *trace.Span
 			if sp != nil {
@@ -246,12 +305,10 @@ func (x *execState) run(p *Plan, pre []preResult, sp *trace.Span, depth int) err
 			if doomed {
 				continue
 			}
-			n, err := x.w.Write(data)
-			st.PageBytes += int64(n)
-			if err != nil {
+			if err := x.emit(data); err != nil {
 				return err
 			}
-		case opInc:
+		case tmpl.OpInclude:
 			st.Includes++
 			if depth >= MaxIncludeDepth {
 				return fmt.Errorf("dpc: include depth exceeds %d (key %d gen %d)",
@@ -274,9 +331,12 @@ func (x *execState) run(p *Plan, pre []preResult, sp *trace.Span, depth int) err
 				fsp.Event(trace.KindHit, "fragment", o.refStr, int64(len(data)))
 			}
 			x.addRef(o.key, o.gen, o.refSlot)
-			// Recurse even when doomed: the nested template's SETs must
-			// still land in the store (write suppression carries through
-			// the shared Stats).
+			// The nested body is compiled whole before it runs (it is
+			// resident fragment memory, not a stream), so a corrupt one
+			// errors out before any of its side effects apply. It runs
+			// even when the page is doomed: its SETs must still land in
+			// the store (write suppression carries through the shared
+			// Stats).
 			sub, err := x.subplan(data)
 			if err != nil {
 				if fsp != nil {
@@ -284,16 +344,25 @@ func (x *execState) run(p *Plan, pre []preResult, sp *trace.Span, depth int) err
 				}
 				return fmt.Errorf("dpc: decoding template: %w", err)
 			}
-			err = x.run(sub, nil, fsp, depth+1)
+			err = x.run(sub.ops, nil, fsp, depth+1)
 			if fsp != nil {
 				fsp.Finish()
 			}
 			if err != nil {
 				return err
 			}
+		default:
+			return fmt.Errorf("dpc: unexpected op %v in template", o.kind)
 		}
 	}
 	return nil
+}
+
+// emit writes page bytes and counts what the writer took.
+func (x *execState) emit(b []byte) error {
+	n, err := x.w.Write(b)
+	x.st.PageBytes += int64(n)
+	return err
 }
 
 // subplan resolves a nested-include body to a compiled plan, through the

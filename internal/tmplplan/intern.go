@@ -8,7 +8,7 @@ import (
 // The ref interner maps packed (key, gen) pairs to their canonical
 // "key:gen" strings. The assembler's trace events and the page tier's
 // dependency edges both need that string on the hot path, and building it
-// per request (fmt.Sprintf in the old interpreter) allocated twice per
+// per request (fmt.Sprintf, originally) allocated twice per
 // fragment. Interning makes the steady state allocation-free: a bounded,
 // sharded map hands back the same string forever.
 //

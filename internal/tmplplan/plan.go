@@ -6,30 +6,22 @@ import (
 	"dpcache/internal/tmpl"
 )
 
-// opKind discriminates program operators.
-type opKind uint8
-
-const (
-	opLit opKind = iota // emit data
-	opGet               // resolve slot (key, gen) and emit it
-	opSet               // store data into slot (key, gen), then emit it
-	opInc               // slot (key, gen) holds a nested template; run it
-)
-
-// op is one operator of a compiled program. Programs are immutable after
-// Compile; data slices are owned by the plan and shared zero-copy with
-// every execution.
+// op is one operator: what a template instruction becomes before it is
+// stepped. A compiled program retains its operators, immutable after
+// Compile, with data slices owned by the plan and shared zero-copy with
+// every execution; a streamed run builds each one, steps it and drops it.
 type op struct {
-	kind opKind
+	kind tmpl.Op
 	key  uint32
 	gen  uint32
-	// data holds literal bytes (opLit) or SET content (opSet).
+	// data holds literal bytes (OpLiteral) or SET content (OpSet).
 	data []byte
 	// refStr is the interned "key:gen" string for trace events
-	// (opGet/opSet/opInc).
+	// (OpGet/OpSet/OpInclude).
 	refStr string
 	// refSlot is the plan-dense index of this op's (key, gen) pair, used
-	// for allocation-free ref dedup at execution (-1 for literals).
+	// for allocation-free ref dedup at execution (-1 for literals and for
+	// streamed operators, which dedup by map).
 	refSlot int32
 	// pre is this op's index into Plan.par when the GET is eligible for
 	// parallel prefetch, -1 otherwise.
@@ -38,6 +30,17 @@ type op struct {
 	// SET in the program writes its key, or because it follows an
 	// include (which can SET arbitrary keys at runtime).
 	seq bool
+}
+
+// newOp converts one decoded instruction into its operator. What only a
+// whole program can know (dense ref slots, prefetch eligibility) is left
+// unset for Compile to fill in.
+func newOp(in tmpl.Instruction) op {
+	o := op{kind: in.Op, key: in.Key, gen: in.Gen, data: in.Data, refSlot: -1, pre: -1}
+	if in.Op != tmpl.OpLiteral {
+		o.refStr = RefString(in.Key, in.Gen)
+	}
+	return o
 }
 
 // parGet is one prefetchable lookup: a distinct (key, gen) pair no
@@ -84,8 +87,9 @@ const opOverhead = 64
 
 // Compile decodes template once and builds its operator program. The
 // returned error is the decoder's own (wrapping tmpl.ErrCorrupt for
-// malformed streams); callers fall back to the streaming interpreter in
-// that case so partial-consumption semantics stay identical.
+// malformed streams); callers then stream the template through
+// Exec.RunStream, which applies the SETs ahead of the corruption before
+// reporting it.
 func Compile(codec tmpl.Codec, template []byte) (*Plan, error) {
 	ins, err := tmpl.DecodeAll(codec, bytes.NewReader(template))
 	if err != nil {
@@ -108,18 +112,14 @@ func Compile(codec tmpl.Codec, template []byte) (*Plan, error) {
 		return s
 	}
 	for _, in := range ins {
+		o := newOp(in)
+		retained += int64(len(o.data))
+		if in.Op != tmpl.OpLiteral {
+			o.refSlot = slot(in.Key, in.Gen)
+		}
 		switch in.Op {
-		case tmpl.OpLiteral:
-			p.ops = append(p.ops, op{kind: opLit, data: in.Data, refSlot: -1, pre: -1})
-			retained += int64(len(in.Data))
 		case tmpl.OpGet:
-			o := op{
-				kind: opGet, key: in.Key, gen: in.Gen,
-				refStr:  RefString(in.Key, in.Gen),
-				refSlot: slot(in.Key, in.Gen),
-				pre:     -1,
-				seq:     setKeys[in.Key] || afterInc,
-			}
+			o.seq = setKeys[in.Key] || afterInc
 			if !o.seq {
 				id := uint64(in.Key)<<32 | uint64(in.Gen)
 				pi, ok := parSlots[id]
@@ -130,26 +130,13 @@ func Compile(codec tmpl.Codec, template []byte) (*Plan, error) {
 				}
 				o.pre = pi
 			}
-			p.ops = append(p.ops, o)
 		case tmpl.OpSet:
-			p.ops = append(p.ops, op{
-				kind: opSet, key: in.Key, gen: in.Gen, data: in.Data,
-				refStr:  RefString(in.Key, in.Gen),
-				refSlot: slot(in.Key, in.Gen),
-				pre:     -1,
-			})
-			retained += int64(len(in.Data))
 			setKeys[in.Key] = true
 		case tmpl.OpInclude:
-			p.ops = append(p.ops, op{
-				kind: opInc, key: in.Key, gen: in.Gen,
-				refStr:  RefString(in.Key, in.Gen),
-				refSlot: slot(in.Key, in.Gen),
-				pre:     -1,
-			})
 			p.hasInc = true
 			afterInc = true
 		}
+		p.ops = append(p.ops, o)
 	}
 	p.numRefs = len(refSlots)
 	p.footprint = retained + int64(len(p.ops))*opOverhead + int64(p.numRefs)*24 + 128

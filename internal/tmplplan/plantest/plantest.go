@@ -1,4 +1,13 @@
-package dpc
+// Package plantest holds the reference implementation of template assembly
+// that internal/tmplplan is checked against: a streaming interpreter that
+// re-decodes the template on every run and resolves every GET strictly in
+// stream order, written independently of the engine's operator loop. It is
+// test support, like fragstore/storetest: the conformance suite
+// (internal/dpc/planconform_test.go) and the codec fuzzers
+// (internal/tmpl/fuzz_test.go) compare both of the engine's drivers with it
+// on output bytes, Stats, error text and SET side effects, and nothing
+// outside _test.go files may import it (CI checks that no binary links it).
+package plantest
 
 import (
 	"bytes"
@@ -11,29 +20,20 @@ import (
 	"dpcache/internal/trace"
 )
 
-// ErrStale reports that one or more GET instructions referenced slots that
-// are empty or (in strict mode) carry a different generation than the
-// template expected. The proxy recovers by re-fetching the page with the
-// bypass header, reporting the stale references so the BEM invalidates
-// them (see AssembleStats.Stale). It is the same value both execution
-// paths return — the streaming interpreter here and the compiled executor
-// in internal/tmplplan.
+// ErrStale, StaleRef and AssembleStats are the engine's own types: the
+// oracle must fill and return them identically.
 var ErrStale = tmplplan.ErrStale
 
 // StaleRef identifies a slot reference that failed during assembly.
 type StaleRef = tmplplan.Ref
 
 // AssembleStats reports what one assembly consumed and produced. See
-// tmplplan.Stats for field semantics; the interpreter and the compiled
-// executor fill it identically.
+// tmplplan.Stats for field semantics.
 type AssembleStats = tmplplan.Stats
 
 // Assembler splices fragments into page layouts — the streaming
 // interpreter: it re-decodes the template per request and resolves GETs
-// strictly in stream order. It remains the conformance oracle for the
-// compiled plan path and the fallback for templates the plan path cannot
-// take (oversized bodies, corrupt streams whose partial-SET semantics
-// require streaming consumption). It is stateless apart from the store
+// strictly in stream order. It is stateless apart from the store
 // reference and safe for concurrent use. It works against any fragstore
 // backend.
 type Assembler struct {
@@ -206,7 +206,7 @@ func (x *interpState) step(in tmpl.Instruction, sp *trace.Span, depth int) error
 		// The nested body is decoded whole before execution (it is already
 		// resident fragment memory, not a stream), so a corrupt nested
 		// template errors out before any of its side effects apply — the
-		// same all-or-nothing the compiled path gets from Compile.
+		// same all-or-nothing the engine gets from Compile.
 		// Execution still runs even when the page is doomed: the nested
 		// template's SETs must land in the store like any others.
 		ins, err := tmpl.DecodeAll(x.a.codec, bytes.NewReader(data))

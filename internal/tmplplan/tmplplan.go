@@ -1,27 +1,35 @@
-// Package tmplplan compiles template streams into immutable operator
-// programs and executes them against a fragment store.
+// Package tmplplan is the template assembly engine: it executes template
+// streams against a fragment store, as compiled, cached operator programs
+// wherever it can.
 //
-// The interpreter in internal/dpc pays the paper's scan cost (z·B_C) on
-// every request: the template byte stream is re-decoded and every GET
-// resolves sequentially even when the identical template was assembled
-// microseconds ago. This package pays the scan once. Compile decodes a
-// template into a flat []op program — literal-emit ops referencing the
-// template's bytes (retained once, sliced zero-copy at execution),
-// fragment-get, fragment-set, and nested-include ops — and Cache keys
-// compiled programs by a strong hash of the template bytes, so an origin
-// redeploy that changes the layout naturally misses and recompiles.
+// Decoding a template per request pays the paper's scan cost (z·B_C) every
+// time: the byte stream is re-decoded and every GET resolves sequentially
+// even when the identical template was assembled microseconds ago. This
+// package pays the scan once. Compile decodes a template into a flat []op
+// program — literal-emit ops referencing the template's bytes (retained
+// once, sliced zero-copy at execution), fragment-get, fragment-set, and
+// nested-include ops — and Cache keys compiled programs by a strong hash
+// of the template bytes, so an origin redeploy that changes the layout
+// naturally misses and recompiles.
 //
-// Execution (Exec.Run) walks the program in template order, so output
-// bytes, AssembleStats counters, Refs/Stale ordering, and the
-// "consume all SETs even when doomed" invariant are identical to the
-// interpreter's — the conformance suite in internal/dpc asserts byte
-// equality. The one liberty taken is *when* independent fragment-gets
-// read the store: GETs that no earlier SET or include in the same
-// program can affect are resolved concurrently by a bounded worker
-// fan-out before the walk begins, and the walk stitches the prefetched
-// results back in template order. Fragment refs ("key:gen") are interned
-// package-wide so neither execution path allocates per-request ref
-// strings for trace events or dependency edges.
+// The literal/SET/GET/include semantics live in one operator loop
+// (execState.run), driven two ways. Exec.Run hands it a cached plan's
+// whole program. Exec.RunStream decodes a template it cannot hold — one
+// too large to buffer, one whose origin stopped sending, a corrupt one —
+// turns each instruction into an operator with the conversion Compile
+// uses, and runs it at once, retaining nothing: memory stays O(largest
+// instruction), and the SETs ahead of a read or decode error have landed
+// when the error surfaces. Both walk in template order, so output bytes,
+// Stats counters, Refs/Stale ordering, error text and the "consume all
+// SETs even when doomed" invariant are the same whichever driver runs; the
+// conformance suite in internal/dpc checks both against the reference
+// interpreter in the plantest subpackage. The one liberty a cached plan
+// takes is *when* independent fragment-gets read the store: GETs that no
+// earlier SET or include in the same program can affect are resolved
+// concurrently by a bounded worker fan-out before the walk begins, and the
+// walk stitches the prefetched results back in template order. Fragment
+// refs ("key:gen") are interned package-wide so no run allocates
+// per-request ref strings for trace events or dependency edges.
 package tmplplan
 
 import "errors"
@@ -43,15 +51,13 @@ var ErrStale = errors.New("dpc: template references stale or unset slot")
 
 // MaxIncludeDepth bounds nested-include recursion: a template stored as a
 // fragment may (transitively) include itself, and without a bound a cycle
-// would recurse forever. Both execution paths enforce the same limit so
-// they fail identically.
+// would recurse forever.
 const MaxIncludeDepth = 8
 
 // Stats reports what one assembly consumed and produced. internal/dpc
-// aliases it as AssembleStats; both the interpreter and the compiled
-// executor fill it with identical values for identical inputs (the
-// conformance suite asserts this), except ParallelGets, which only the
-// parallel executor moves.
+// aliases it as AssembleStats; both drivers fill it with identical values
+// for identical inputs (the conformance suite asserts this), except
+// ParallelGets, which only a cached plan's prefetch moves.
 type Stats struct {
 	// TemplateBytes is the template stream size — the bytes that crossed
 	// the origin↔DPC link and were scanned for tags (the z·B_C term of
