@@ -69,10 +69,12 @@
 // it is off by default: enable it only where the listener is reachable
 // solely by the hub side.
 //
-// Each distinct template body is compiled into a cached operator program
-// keyed by content hash: repeat assemblies skip the per-request template
-// decode and resolve independent fragment GETs with a bounded parallel
-// prefetch (-plan-parallelism). A template that cannot be a cached plan
+// Each distinct template body that can recur (one carrying no SET) is
+// compiled into a cached operator program keyed by content hash: repeat
+// assemblies skip the per-request template decode. Fragment GETs resolve
+// in template order; -plan-parallelism above 1 prefetches independent ones
+// with that many workers, which pays only over a heap file on a device slow
+// enough to overlap reads. A template that cannot be a cached plan
 // (larger than 8 MiB, cut short by the origin, or corrupt) runs through
 // the same operators straight off the decoder. Origin redeploys change the
 // template bytes and miss naturally; plan-cache activity is served under
@@ -138,7 +140,7 @@ func main() {
 	pageTTL := flag.Duration("pagecache-ttl", 0, "whole-page cache freshness window (0 = 2s default)")
 	pageEntries := flag.Int("pagecache-entries", 0, "whole-page cache resident page bound (0 = 1024 default)")
 	pageBudget := flag.Int64("pagecache-budget", 0, "whole-page cache resident byte bound (0 = unbounded)")
-	planPar := flag.Int("plan-parallelism", 0, "plan executor prefetch worker fan-out (0 = 4 default; 1 = sequential)")
+	planPar := flag.Int("plan-parallelism", 0, "plan executor prefetch worker fan-out (0 = 1 default: fragment GETs resolve sequentially, in template order)")
 	invalidate := flag.Bool("invalidate", false, "mount the coherency invalidation endpoint at /_dpc/invalidate, fanning hub events to every cache tier (unauthenticated write endpoint on the serving listener — enable only where the hub side is the sole client)")
 	depBudget := flag.Int64("depindex-budget", 0, "dependency-index edge byte budget for surgical page invalidation (0 = 1MiB default)")
 	publishEvery := flag.Duration("publish", 10*time.Second, "background dpc.store.* gauge refresh interval (0 = disabled)")

@@ -151,7 +151,7 @@ type Config struct {
 	// invalidation (0 selects the dpc default, 1 MiB).
 	DepIndexBudget int64
 	// PlanParallelism bounds the plan executor's prefetch fan-out (0
-	// selects the dpc default, 4; 1 resolves GETs sequentially).
+	// selects the dpc default, 1, which resolves GETs sequentially).
 	PlanParallelism int
 	// Fabric wires the coherency invalidation fabric (ModeCached only):
 	// a hub is attached to the BEM's invalidation stream and every cache

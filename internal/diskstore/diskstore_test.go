@@ -393,7 +393,11 @@ func TestConcurrentChurn(t *testing.T) {
 		}(int64(w))
 	}
 	wg.Wait()
-	// Accounting must be internally consistent at quiescence.
+	// Accounting must be internally consistent at quiescence, and no frame
+	// may share its buffer with the free list after concurrent reuse.
+	if err := s.checkInvariants(); err != nil {
+		t.Fatal(err)
+	}
 	s.mu.Lock()
 	var sum int64
 	for _, d := range s.index {

@@ -14,11 +14,45 @@ import (
 // checkInvariants verifies what must hold whenever no operation is in
 // flight: no frame keeps a pin except the unsealed tail, which is resident
 // and pinned exactly once; the clock ring holds exactly the resident
-// frames; and the per-page live counts, the byte ledger and the LRU list
-// agree with the index, as do the twin counters with the twin flags.
+// frames; the free list is within its bound and holds no buffer a frame
+// still reachable — resident (which a frame being written back is), on
+// the ring or dirty — reads or writes through; and the per-page live
+// counts, the byte ledger and the LRU list agree with the index, as do the
+// twin counters with the twin flags.
 func (s *Store) checkInvariants() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if n := len(s.freeBufs); n > s.cfg.PoolPages {
+		return fmt.Errorf("free list holds %d buffers, bound is %d", n, s.cfg.PoolPages)
+	}
+	free := make(map[*byte]bool, len(s.freeBufs))
+	for _, buf := range s.freeBufs {
+		if len(buf) != s.pageBytes || free[&buf[0]] {
+			return fmt.Errorf("free list holds a %d-byte or duplicate buffer", len(buf))
+		}
+		free[&buf[0]] = true
+	}
+	inUse := func(where string, f *frame) error {
+		if f.data == nil || free[&f.data[0]] {
+			return fmt.Errorf("page %d: frame %s has no buffer of its own (nil or on the free list)", f.page, where)
+		}
+		return nil
+	}
+	for _, f := range s.frames {
+		if err := inUse("resident", f); err != nil {
+			return err
+		}
+	}
+	for e := s.clock.Front(); e != nil; e = e.Next() {
+		if err := inUse("on the clock ring", e.Value.(*frame)); err != nil {
+			return err
+		}
+	}
+	for _, f := range s.dirty {
+		if err := inUse("dirty", f); err != nil {
+			return err
+		}
+	}
 	for page, f := range s.frames {
 		want := 0
 		if page == s.tail {

@@ -31,7 +31,13 @@ var (
 //     the page incarnation instead, under the latch.
 //
 // Clock (second-chance) eviction only considers unpinned, clean,
-// loaded frames — evicting one is a pure map delete, never I/O.
+// loaded frames — evicting one is a pure map delete, never I/O. No reader
+// can hold such a frame (a reader pins under the latch before it looks and
+// copies out before it unpins), so its page buffer goes on a free list
+// the next load, free or tail allocation takes from: the pool owns
+// PoolPages buffers and hands them round instead of asking the allocator
+// for a fresh one per miss. Frames orphaned by replaceFrameLocked may still
+// be pinned and are left to the collector.
 
 type frame struct {
 	page int
@@ -104,8 +110,24 @@ func (s *Store) evictFramesLocked() {
 		if s.frames[f.page] == f {
 			delete(s.frames, f.page)
 		}
+		if len(s.freeBufs) < budget {
+			s.freeBufs = append(s.freeBufs, f.data)
+		}
+		f.data = nil
 		s.poolEvictions.Add(1)
 	}
+}
+
+// pageBufLocked returns a page buffer of unspecified content, recycled
+// from an evicted frame when one is waiting.
+func (s *Store) pageBufLocked() []byte {
+	if n := len(s.freeBufs); n > 0 {
+		buf := s.freeBufs[n-1]
+		s.freeBufs[n-1] = nil
+		s.freeBufs = s.freeBufs[:n-1]
+		return buf
+	}
+	return make([]byte, s.pageBytes)
 }
 
 // markDirtyLocked records that f's page needs a write-back.
@@ -145,7 +167,7 @@ func (s *Store) pin(page int, pgen uint64) (*frame, error) {
 		s.poolHits.Add(1)
 		return f, nil
 	}
-	f := &frame{page: page, data: make([]byte, s.pageBytes), loading: make(chan struct{}), pins: 1}
+	f := &frame{page: page, data: s.pageBufLocked(), loading: make(chan struct{}), pins: 1}
 	s.frames[page] = f
 	s.addClockLocked(f)
 	s.evictFramesLocked()
@@ -190,27 +212,33 @@ func (s *Store) unpin(f *frame) {
 // to call from any goroutine; per-page in-flight flags serialize
 // write-backs for the same page id.
 func (s *Store) flushDirty() {
+	// The snapshot page is the store's flushScratch, taken for the length
+	// of the call; a flusher running beside its holder allocates its own.
 	var scratch []byte
 	for {
 		s.mu.Lock()
-		if s.truncating || s.closed {
-			s.mu.Unlock()
-			return
-		}
 		var f *frame
-		for page, cand := range s.dirty {
-			if !s.flushing[page] {
-				f = cand
-				break
+		if !s.truncating && !s.closed {
+			for page, cand := range s.dirty {
+				if !s.flushing[page] {
+					f = cand
+					break
+				}
 			}
 		}
 		if f == nil {
+			if scratch != nil {
+				s.flushScratch = scratch
+			}
 			s.mu.Unlock()
 			return
 		}
 		page := f.page
 		delete(s.dirty, page)
 		s.flushing[page] = true
+		if scratch == nil {
+			scratch, s.flushScratch = s.flushScratch, nil
+		}
 		if scratch == nil {
 			scratch = make([]byte, s.pageBytes)
 		}

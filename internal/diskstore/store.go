@@ -175,6 +175,11 @@ type Store struct {
 	dirty    map[int]*frame
 	flushing map[int]bool // pages with a write-back in flight
 	writes   sync.WaitGroup
+	// freeBufs holds the page buffers of evicted frames, at most PoolPages
+	// of them, for pageBufLocked to hand out again; flushScratch is the one
+	// page flushDirty snapshots into (nil while a flusher holds it).
+	freeBufs     [][]byte
+	flushScratch []byte
 
 	puts, hits, misses, deletes   atomic.Int64
 	expired, evictions            atomic.Int64
@@ -557,7 +562,12 @@ func (s *Store) lookup(key string, expire bool) (Entry, bool) {
 		return Entry{}, false
 	}
 	s.lru.MoveToFront(d.elem)
-	locs := make([]segLoc, len(d.segs))
+	// A record in one segment, the common case, is located from the stack.
+	var one [1]segLoc
+	locs := one[:]
+	if len(d.segs) > 1 {
+		locs = make([]segLoc, len(d.segs))
+	}
 	copy(locs, d.segs)
 	seq, gen, meta, deadline, valLen := d.seq, d.gen, d.meta, d.deadline, d.valLen
 	s.mu.Unlock()
@@ -834,7 +844,7 @@ func (s *Store) settlePagesLocked(kills []segLoc) []segLoc {
 func (s *Store) freePageLocked(page int, pi *pageInfo) {
 	pi.free = true
 	pi.sealed = false
-	f := &frame{page: page, data: make([]byte, s.pageBytes)}
+	f := &frame{page: page, data: s.pageBufLocked()}
 	initPage(f.data)
 	s.replaceFrameLocked(page, f)
 	s.markDirtyLocked(f)
@@ -863,7 +873,7 @@ func (s *Store) allocTailLocked() {
 	pi.free = false
 	f := s.frames[page]
 	if f == nil || f.loading != nil {
-		f = &frame{page: page, data: make([]byte, s.pageBytes)}
+		f = &frame{page: page, data: s.pageBufLocked()}
 		s.replaceFrameLocked(page, f)
 	}
 	initPage(f.data)

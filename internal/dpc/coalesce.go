@@ -82,15 +82,22 @@ type flight struct {
 	method string
 	max    int
 
-	mu        sync.Mutex
-	cond      sync.Cond
-	buf       []byte // bytes [start, start+len(buf)) of the stream
-	start     int64  // absolute offset of buf[0]
-	total     int64  // absolute bytes appended so far
+	mu   sync.Mutex
+	cond sync.Cond
+	// buf holds bytes [start, start+len(buf)) of the stream. Its array
+	// comes from pageBufPool on the first retained append (bufRef is the
+	// pool's handle) and goes back once the flight is terminal and no
+	// follower is attached (releaseBufLocked). Followers copy out of it
+	// under mu and only from [start, total), bytes this flight appended, so
+	// a recycled array never shows one flight's reader another's page.
+	buf       []byte
+	bufRef    *[]byte
+	start     int64 // absolute offset of buf[0]
+	total     int64 // absolute bytes appended so far
 	ctype     string
 	clen      int64 // declared Content-Length for bodyless responses (-1 unknown)
 	state     flightState
-	sealed    bool // over the byte cap: no new followers may attach
+	sealed    bool // over the byte cap, or buffer released: no new followers may attach
 	followers map[*follower]struct{}
 }
 
@@ -122,6 +129,23 @@ func (f *flight) detach(fol *follower) {
 	defer f.mu.Unlock()
 	delete(f.followers, fol)
 	f.trimLocked()
+	f.releaseBufLocked()
+}
+
+// releaseBufLocked returns the broadcast buffer to the pool once nobody can
+// read it again: the flight is terminal, so the leader appends no more and
+// (the group having dropped the flight before closing it) nobody new
+// attaches, and the last follower has detached. close and detach both call
+// it; whichever comes second finds the condition true. Sealing the flight
+// turns an attach that should not happen into a refusal instead of a
+// follower reading an empty page.
+func (f *flight) releaseBufLocked() {
+	if f.state == flightOpen || len(f.followers) > 0 || f.bufRef == nil {
+		return
+	}
+	putPageBuf(f.bufRef, f.buf)
+	f.buf, f.bufRef = nil, nil
+	f.start, f.sealed = f.total, true
 }
 
 // publishHeaders records the response metadata followers replicate. Must be
@@ -144,6 +168,10 @@ func (f *flight) append(p []byte) {
 		return
 	}
 	if !f.sealed || len(f.followers) > 0 {
+		if f.bufRef == nil {
+			f.bufRef = pageBufPool.Get().(*[]byte)
+			f.buf = (*f.bufRef)[:0]
+		}
 		f.buf = append(f.buf, p...)
 	} else {
 		// Sealed with nobody attached: no present or future reader exists,
@@ -179,6 +207,7 @@ func (f *flight) close(aborted bool) {
 		}
 	}
 	f.cond.Broadcast()
+	f.releaseBufLocked()
 	f.mu.Unlock()
 }
 
@@ -255,8 +284,9 @@ func (f *flight) trimLocked() {
 	}
 }
 
-// waiterCount reports attached followers (tests, and the leader's tee
-// decision is gone — every leader broadcasts until sealed).
+// waiterCount reports attached followers: a leader whose client has gone
+// keeps draining the origin only while it is non-zero, and the admission
+// stage bounds a flight's queue by it.
 func (f *flight) waiterCount() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()

@@ -561,7 +561,7 @@ func (p *Proxy) stageAssemble(rs *reqState) (stageOutcome, error) {
 		epoch := p.depix.Epoch()
 		file = func(page []byte, refs []StaleRef) { p.fillStaticAssembled(rs, page, refs, epoch, ttl) }
 	}
-	stats, err := p.assemblePage(rs, resp.Body, max, file)
+	stats, err := p.assemblePage(rs, resp.Body, resp.ContentLength, max, file)
 	if errors.Is(err, ErrStale) && !rs.streamed {
 		// Clean abort-to-bypass: nothing reached the client, and nothing
 		// entered the flight broadcast (the spool holds uncommitted bytes
@@ -575,16 +575,17 @@ func (p *Proxy) stageAssemble(rs *reqState) (stageOutcome, error) {
 	return stageRespond, nil
 }
 
-// assemblePage assembles the template in body into the response through a
-// spool writer bounded by max. Staleness caught inside the spool returns
-// ErrStale with nothing committed, for the caller to recover from; past
-// it the response is torn (rs.streamed tells the runner to abort it) and
-// the stale slots are reported out of band. file, when set, is handed the
-// complete page before it is flushed (max must then be wholePage).
-func (p *Proxy) assemblePage(rs *reqState, body io.Reader, max int, file func(page []byte, refs []StaleRef)) (AssembleStats, error) {
+// assemblePage assembles the template in body (of declared length clen, -1
+// when undeclared) into the response through a spool writer bounded by max.
+// Staleness caught inside the spool returns ErrStale with nothing
+// committed, for the caller to recover from; past it the response is torn
+// (rs.streamed tells the runner to abort it) and the stale slots are
+// reported out of band. file, when set, is handed the complete page before
+// it is flushed (max must then be wholePage).
+func (p *Proxy) assemblePage(rs *reqState, body io.Reader, clen int64, max int, file func(page []byte, refs []StaleRef)) (AssembleStats, error) {
 	sw := p.newSpoolWriter(rs, max, -1)
 	defer sw.release()
-	stats, err := p.assemble(sw, body, rs.span)
+	stats, err := p.assemble(sw, body, clen, rs.span)
 	p.recordAssembleStats(stats)
 	if err != nil {
 		if sw.committed && errors.Is(err, ErrStale) {
@@ -718,7 +719,7 @@ func (p *Proxy) stageStaleFallback(rs *reqState) (stageOutcome, error) {
 			return stageNext, fmt.Errorf("origin codec %q does not match proxy codec %q",
 				name, p.codec.Name())
 		}
-		if _, err := p.assemblePage(rs, resp.Body, wholePage, nil); err != nil {
+		if _, err := p.assemblePage(rs, resp.Body, resp.ContentLength, wholePage, nil); err != nil {
 			return stageNext, err
 		}
 		return stageRespond, nil

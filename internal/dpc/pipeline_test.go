@@ -598,7 +598,7 @@ func BenchmarkAssembleStreamingVsBuffered(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					rs := &reqState{w: discardResponse{h: http.Header{}}, r: req}
-					if _, err := p.assemblePage(rs, bytes.NewReader(raw), mode.max, nil); err != nil {
+					if _, err := p.assemblePage(rs, bytes.NewReader(raw), int64(len(raw)), mode.max, nil); err != nil {
 						b.Fatal(err)
 					}
 				}

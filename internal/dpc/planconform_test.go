@@ -226,19 +226,16 @@ func TestPlanConformance(t *testing.T) {
 	}
 }
 
-// The plan cache end to end: repeat templates hit it, and the plancache
-// counters and /_dpc/stats section move.
+// The plan cache end to end: a GET-only template, the kind that repeats,
+// hits it from the second request on, and the plancache counters and
+// /_dpc/stats section move.
 func TestPlanCachePipeline(t *testing.T) {
-	tmplBody := func() []byte {
-		var buf bytes.Buffer
-		enc := tmpl.Binary{}.NewEncoder(&buf)
+	tmplBody := templateBody(t, func(enc tmpl.Encoder) {
 		_ = enc.Literal([]byte("<html>"))
-		_ = enc.Set(1, 1, []byte("planned page"))
+		_ = enc.Get(1, 1)
 		_ = enc.Get(1, 1)
 		_ = enc.Literal([]byte("</html>"))
-		_ = enc.Flush()
-		return buf.Bytes()
-	}()
+	})
 	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-DPC-Template", "binary")
 		_, _ = w.Write(tmplBody)
@@ -246,6 +243,9 @@ func TestPlanCachePipeline(t *testing.T) {
 	defer origin.Close()
 
 	p := newTestProxy(t, origin.URL, nil)
+	if err := p.Store().Set(1, 1, []byte("planned page")); err != nil {
+		t.Fatal(err)
+	}
 	ts := httptest.NewServer(p)
 	defer ts.Close()
 
@@ -265,8 +265,8 @@ func TestPlanCachePipeline(t *testing.T) {
 	if snap["dpc.plancache_misses"] != 1 || snap["dpc.plancache_compiles"] != 1 {
 		t.Fatalf("misses=%d compiles=%d, want 1/1", snap["dpc.plancache_misses"], snap["dpc.plancache_compiles"])
 	}
-	if snap["dpc.plancache_hits"] != 2 {
-		t.Fatalf("hits = %d, want 2", snap["dpc.plancache_hits"])
+	if snap["dpc.plancache_hits"] != 2 || snap["dpc.plancache_oneoff"] != 0 {
+		t.Fatalf("hits = %d, one-offs = %d, want 2 and 0", snap["dpc.plancache_hits"], snap["dpc.plancache_oneoff"])
 	}
 	if st := p.Plans().Stats(); st.Resident != 1 || st.Compiles != 1 {
 		t.Fatalf("plan cache stats = %+v", st)
@@ -469,7 +469,7 @@ func TestPlanCacheFallback(t *testing.T) {
 			}
 			if tc.wantErr != nil {
 				// The error the assemble stage hands the runner wraps the cause.
-				if _, err := p.assemble(io.Discard, tc.body(), nil); !errors.Is(err, tc.wantErr) {
+				if _, err := p.assemble(io.Discard, tc.body(), -1, nil); !errors.Is(err, tc.wantErr) {
 					t.Fatalf("assemble error = %v, want one wrapping %v", err, tc.wantErr)
 				}
 			}

@@ -10,14 +10,15 @@ import (
 
 // Every template is assembled by one engine, internal/tmplplan, and this
 // file only decides which of its two drivers runs. A template that arrives
-// whole and compiles runs as a cached plan: the body is hashed and looked
-// up in the plan cache, a hit executes an immutable operator program
-// (literal bytes retained once and emitted zero-copy, independent fragment
-// GETs prefetched by a bounded worker pool), and a miss compiles once for
-// every later request carrying the same bytes. Everything else — a
-// template too large to hold, a body the origin stopped sending, a corrupt
-// stream — runs the same operators straight off the decoder, retaining
-// nothing, so the SETs ahead of the failure land before it surfaces.
+// whole and compiles runs as a plan: the body is read into a pooled
+// buffer, hashed and looked up in the plan cache, a hit executes an
+// immutable operator program (its literal bytes the plan's own, emitted
+// zero-copy), and a miss compiles — once for every later request carrying
+// the same bytes when the template can recur, for this request alone when
+// it is a one-off (tmplplan.Plan.OneOff). Everything else — a template too
+// large to hold, a body the origin stopped sending, a corrupt stream —
+// runs the same operators straight off the decoder, retaining nothing, so
+// the SETs ahead of the failure land before it surfaces.
 
 // ErrStale reports that one or more GET instructions referenced slots that
 // are empty or (in strict mode) carry a different generation than the
@@ -38,11 +39,15 @@ type AssembleStats = tmplplan.Stats
 // templates are streamed instead of being held resident.
 const planMaxTemplate = 8 << 20
 
-// Plan-cache defaults (overridden by the PlanCache* config knobs).
+// Plan-cache defaults (overridden by the Plan* config knobs). The byte
+// budget is the cache's one bound by default. Fragment GETs resolve in walk
+// order by default: a read takes about 60 ns from RAM and about a
+// microsecond from a pooled disk page, less than starting the workers that
+// would overlap it (BENCH_pipeline.json, and ROADMAP item 1 for the tiered
+// store end to end).
 const (
-	defaultPlanEntries     = 512
 	defaultPlanBudget      = 32 << 20
-	defaultPlanParallelism = 4
+	defaultPlanParallelism = 1
 )
 
 // errReader replays a terminal read error, so a streamed run over the
@@ -52,12 +57,49 @@ type errReader struct{ err error }
 
 func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
+// readTemplate appends body to buf until EOF, an error, or one byte more
+// than a plan may hold (which is how the caller sees "oversized"). A
+// declared length (the caller has checked it against the limit) is
+// reserved at once; an undeclared one grows by append's steps as
+// io.ReadAll does, not by doubling, so reading up to the limit never has
+// two limit-sized arrays live.
+func readTemplate(buf []byte, body io.Reader, clen int64) ([]byte, error) {
+	// One byte spare, so the read that reports io.EOF has somewhere to go.
+	if need := int(clen) + 1; clen >= 0 && cap(buf) < need {
+		buf = make([]byte, 0, need)
+	}
+	for len(buf) <= planMaxTemplate {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := body.Read(buf[len(buf):min(cap(buf), planMaxTemplate+1)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
+}
+
 // assemble is the single assemble chokepoint: every template assembly —
-// first try and stale-fallback retry — runs through it. It counts one plan
-// hit or miss per assembly and names the driver, and why, in one "plan"
-// event on sp.
-func (p *Proxy) assemble(w io.Writer, body io.Reader, sp *trace.Span) (AssembleStats, error) {
-	buf, err := io.ReadAll(io.LimitReader(body, planMaxTemplate+1))
+// first try and stale-fallback retry — runs through it. clen is the body's
+// declared length, -1 when the origin declared none. It counts one plan hit
+// or miss per assembly and names the driver, and why, in one "plan" event
+// on sp. The template is held in a pooled buffer for the length of the run
+// and in nothing afterwards: a plan owns copies of the bytes it emits.
+func (p *Proxy) assemble(w io.Writer, body io.Reader, clen int64, sp *trace.Span) (AssembleStats, error) {
+	if clen > planMaxTemplate {
+		// Declared too large for a plan: nothing of it needs holding.
+		p.reg.Counter("dpc.plancache_misses").Inc()
+		sp.Event(trace.KindMiss, "plan", "streamed:oversized", clen)
+		return p.exec.RunStream(body, w, sp)
+	}
+	ref := pageBufPool.Get().(*[]byte)
+	buf, err := readTemplate((*ref)[:0], body, clen)
+	defer putPageBuf(ref, buf)
 	var why string
 	rest := body
 	switch {
@@ -68,14 +110,19 @@ func (p *Proxy) assemble(w io.Writer, body io.Reader, sp *trace.Span) (AssembleS
 	default:
 		plan, hit, err := p.plans.Get(buf)
 		if err == nil {
+			kind, note := trace.KindHit, "hit"
 			if hit {
 				p.reg.Counter("dpc.plancache_hits").Inc()
-				sp.Event(trace.KindHit, "plan", "hit", int64(len(buf)))
 			} else {
+				kind, note = trace.KindMiss, "compile"
 				p.reg.Counter("dpc.plancache_misses").Inc()
 				p.reg.Counter("dpc.plancache_compiles").Inc()
-				sp.Event(trace.KindMiss, "plan", "compile", int64(len(buf)))
+				if plan.OneOff() {
+					note = "compile:one-off"
+					p.reg.Counter("dpc.plancache_oneoff").Inc()
+				}
 			}
+			sp.Event(kind, "plan", note, int64(len(buf)))
 			return p.exec.Run(plan, w, sp)
 		}
 		// body is at EOF: the decoder meets the corruption in buf.

@@ -124,14 +124,17 @@ type Config struct {
 	// explicitly. The field remains only because the benchmark harness
 	// names it.
 	PlanCache bool
-	// PlanCacheEntries bounds resident compiled plans (0 selects 512).
+	// PlanCacheEntries bounds resident compiled plans by count (0 = no
+	// count bound: the byte budget is the bound).
 	PlanCacheEntries int
 	// PlanCacheBudget bounds the summed retained footprint of resident
-	// plans (0 selects 32 MiB).
+	// plans (0 selects 32 MiB). Only templates that can recur are kept: a
+	// template carrying a SET is compiled, run and dropped.
 	PlanCacheBudget int64
 	// PlanParallelism bounds the worker fan-out resolving a plan's
-	// independent fragment GETs (0 selects 4; 1 resolves everything
-	// sequentially in walk order).
+	// independent fragment GETs (0 selects 1, which resolves everything
+	// sequentially in walk order; more pays only where a fragment read
+	// waits on a device slow enough to overlap).
 	PlanParallelism int
 	// DepIndexBudget bounds the dependency index's retained edge bytes
 	// (0 selects 1 MiB). The index records which fragments flowed into
@@ -295,16 +298,12 @@ func New(cfg Config) (*Proxy, error) {
 			Clock:      cfg.PageClock,
 		})
 	}
-	planEntries := cfg.PlanCacheEntries
-	if planEntries <= 0 {
-		planEntries = defaultPlanEntries
-	}
 	planBudget := cfg.PlanCacheBudget
 	if planBudget <= 0 {
 		planBudget = defaultPlanBudget
 	}
 	plans, err := tmplplan.NewCache(codec, tmplplan.CacheConfig{
-		MaxEntries: planEntries,
+		MaxEntries: max(cfg.PlanCacheEntries, 0),
 		ByteBudget: planBudget,
 	})
 	if err != nil {

@@ -206,9 +206,21 @@ func TestAssembledStaticLiftsSpoolBound(t *testing.T) {
 // no fragment bytes); plan-scoped and global flushes empty it; a sequence
 // gap flushes conservatively.
 func TestPlanSubscriber(t *testing.T) {
-	origin, _ := assembledStaticOrigin(nil)
+	// A GET-only template: the kind the plan cache keeps.
+	body := templateBody(t, func(enc tmpl.Encoder) {
+		_ = enc.Literal([]byte("<html>"))
+		_ = enc.Get(1, 1)
+		_ = enc.Literal([]byte("</html>"))
+	})
+	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("X-DPC-Template", "binary")
+		_, _ = w.Write(body)
+	}))
 	defer origin.Close()
 	p := newTestProxy(t, origin.URL, func(c *Config) { c.Stream = true })
+	if err := p.Store().Set(1, 1, []byte("assembled body")); err != nil {
+		t.Fatal(err)
+	}
 	ts := httptest.NewServer(p)
 	defer ts.Close()
 

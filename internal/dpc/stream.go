@@ -32,8 +32,8 @@ const defaultSpoolBytes = 64 << 10
 // wholePage is the spool bound that never overflows.
 const wholePage = -1
 
-// maxPooledSpool caps the capacity of spools returned to the pool so one
-// giant page does not pin memory forever.
+// maxPooledSpool caps the capacity of buffers returned to pageBufPool so
+// one giant page does not pin memory forever.
 const maxPooledSpool = 1 << 20
 
 // copyBufPool provides scratch buffers for body copies (plain passthrough
@@ -43,8 +43,22 @@ var copyBufPool = sync.Pool{New: func() any {
 	return &b
 }}
 
-// spoolPool recycles look-ahead spools across requests.
-var spoolPool = sync.Pool{New: func() any { return new([]byte) }}
+// pageBufPool recycles the page-sized buffers a request on the fragment
+// path fills once and is done with: the template read from the origin
+// (Proxy.assemble), the look-ahead spool (spoolWriter) and a flight's
+// broadcast buffer. A buffer is taken empty and only its filled part is
+// ever read, so nothing one request wrote is visible to the next.
+var pageBufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// putPageBuf returns buf, which grew out of *ref, to the pool — unless it
+// outgrew maxPooledSpool, which is left to the collector.
+func putPageBuf(ref *[]byte, buf []byte) {
+	if cap(buf) > maxPooledSpool {
+		return
+	}
+	*ref = buf[:0]
+	pageBufPool.Put(ref)
+}
 
 // spoolWriter carries one origin-path response to the client, holding back
 // up to max bytes. Until the spool overflows nothing — not even response
@@ -78,7 +92,7 @@ type spoolWriter struct {
 func (p *Proxy) newSpoolWriter(rs *reqState, max int, clen int64) *spoolWriter {
 	s := &spoolWriter{p: p, rs: rs, max: max, clen: clen}
 	if max != 0 {
-		s.spoolRef = spoolPool.Get().(*[]byte)
+		s.spoolRef = pageBufPool.Get().(*[]byte)
 		s.spool = (*s.spoolRef)[:0]
 	}
 	return s
@@ -168,9 +182,8 @@ func (s *spoolWriter) flush() error {
 
 // release returns the spool to the pool.
 func (s *spoolWriter) release() {
-	if s.spoolRef != nil && cap(s.spool) <= maxPooledSpool {
-		*s.spoolRef = s.spool[:0]
-		spoolPool.Put(s.spoolRef)
+	if s.spoolRef != nil {
+		putPageBuf(s.spoolRef, s.spool)
 	}
 	s.spoolRef, s.spool = nil, nil
 }

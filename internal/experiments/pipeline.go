@@ -133,7 +133,7 @@ func Pipeline(opts Options) (Table, error) {
 		"the pagecache row serves anonymous revisits whole from the page tier, so origin fan-in falls below the coalesce-only rows",
 		"@c=N rows sweep offered concurrency with coalesce+stream: deeper bursts collapse more identical fetches per flight",
 		fmt.Sprintf("staleness window: elapsed time a %v-TTL page tier kept serving a dead fragment's bytes after a repository write; the fabric drops the page on the invalidation itself, so its window is one in-flight request, not the TTL", invalidationTTL),
-		"assemble rows: in-process mean per-page assembly time (512B fragments, resident store), one engine under its two drivers — decode-per-request streams the template through the decoder on every request (what an oversized or corrupt template costs), the compiled rows run a warm plan cache, so the per-request template decode disappears; par=4 adds the bounded prefetch fan-out, which pays only when fragment reads are slower than goroutine handoff (it loses against a resident in-memory store, as here)")
+		"assemble rows: in-process mean per-page assembly time (512B fragments, resident store), one engine under its two drivers — decode-per-request streams the template through the decoder on every request (what an oversized or corrupt template costs), the compiled rows run a warm plan cache, so the per-request template decode disappears; par=4 adds the bounded prefetch fan-out, which pays only when fragment reads are slower than goroutine handoff (it loses against a resident in-memory store, as here, which is why the proxy resolves GETs in walk order unless -plan-parallelism says otherwise)")
 	return t, nil
 }
 

@@ -251,42 +251,68 @@ type fragmentView struct {
 	tiered   *TieredKeyed // s, when it has a disk tier; else nil
 	backend  string
 	capacity int
-	// keyText holds the keys of slots below maxKeyTable back to back
-	// ("k0k1k2…") and slot n's is keyText[keyAt[n]:keyAt[n+1]], so no
-	// access formats a string and the table holds no pointers for the
-	// collector to chase. Slots past the table format theirs.
-	keyText string
-	keyAt   []uint32
+	// keys is the key table for slots below maxKeyTable, one chunk per
+	// keyChunkSlots slots, each formatted when a slot in it is first
+	// touched: no access to a warm chunk formats a string, a view costs
+	// nothing to build however large its capacity, and the table holds one
+	// pointer per chunk for the collector to chase. Slots past the table
+	// format theirs.
+	keys []atomic.Pointer[keyChunk]
 	// The two misses only the view can see — a key outside the capacity,
 	// and a strict Get that found another generation (a hit to the
 	// engine) — are counted here and folded into Stats.
 	rangeMisses, genMisses atomic.Int64
 }
 
-// maxKeyTable bounds the precomputed key table (4 B of offset plus at most
-// 8 B of text per slot).
-const maxKeyTable = 1 << 20
+// maxKeyTable bounds the key table (4 B of offset plus at most 8 B of text
+// per slot, in chunks of keyChunkSlots).
+const (
+	maxKeyTable   = 1 << 20
+	keyChunkSlots = 1 << 10
+)
+
+// keyChunk holds the keys of keyChunkSlots consecutive slots back to back
+// ("k1024k1025…"): slot base+i's is text[at[i]:at[i+1]].
+type keyChunk struct {
+	text string
+	at   [keyChunkSlots + 1]uint32
+}
 
 func newFragmentView(s Keyed, backend string, capacity int) (*fragmentView, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("fragstore: store capacity must be positive, got %d", capacity)
 	}
-	var text strings.Builder
-	at := make([]uint32, min(capacity, maxKeyTable)+1)
-	for i := range at[1:] {
-		text.WriteByte('k')
-		text.WriteString(strconv.Itoa(i))
-		at[i+1] = uint32(text.Len())
-	}
+	chunks := (min(capacity, maxKeyTable) + keyChunkSlots - 1) / keyChunkSlots
 	tiered, _ := s.(*TieredKeyed)
-	return &fragmentView{s: s, tiered: tiered, backend: backend, capacity: capacity, keyText: text.String(), keyAt: at}, nil
+	return &fragmentView{s: s, tiered: tiered, backend: backend, capacity: capacity,
+		keys: make([]atomic.Pointer[keyChunk], chunks)}, nil
 }
 
 func (v *fragmentView) key(slot uint32) string {
-	if int(slot) < len(v.keyAt)-1 {
-		return v.keyText[v.keyAt[slot]:v.keyAt[slot+1]]
+	if n := int(slot / keyChunkSlots); n < len(v.keys) {
+		c := v.keys[n].Load()
+		if c == nil {
+			c = v.fillKeyChunk(n)
+		}
+		i := slot % keyChunkSlots
+		return c.text[c.at[i]:c.at[i+1]]
 	}
 	return "k" + strconv.FormatUint(uint64(slot), 10)
+}
+
+// fillKeyChunk formats chunk n of the key table. Two first touches may both
+// format it; the chunks are identical and either may be published.
+func (v *fragmentView) fillKeyChunk(n int) *keyChunk {
+	c := new(keyChunk)
+	var text strings.Builder
+	for i := 0; i < keyChunkSlots; i++ {
+		text.WriteByte('k')
+		text.WriteString(strconv.Itoa(n*keyChunkSlots + i))
+		c.at[i+1] = uint32(text.Len())
+	}
+	c.text = text.String()
+	v.keys[n].Store(c)
+	return c
 }
 
 func (v *fragmentView) Set(key, gen uint32, content []byte) error {

@@ -11,7 +11,10 @@ import (
 // Cache is the plan-cache tier: compiled programs keyed by a SHA-256 of
 // the template bytes, stored by reference in a KeyedStore so the global
 // eviction machinery (byte budget via Plan.Footprint, entry bound, LRU)
-// and the invalidation fabric's KeyedTier surface apply unchanged.
+// and the invalidation fabric's KeyedTier surface apply unchanged. It
+// admits only templates that can recur: a one-off (Plan.OneOff) is
+// compiled and handed back but never stored, so the budget goes to the
+// GET-only templates that do repeat.
 // Content hashing makes invalidation-by-redeploy automatic — an origin
 // that ships a changed layout produces different bytes, misses, and
 // compiles fresh; the old plan ages out — while the fabric's
@@ -58,13 +61,16 @@ func NewCache(codec tmpl.Codec, cfg CacheConfig) (*Cache, error) {
 	return &Cache{codec: codec, store: ks}, nil
 }
 
-// Get returns the compiled plan for template, compiling and caching it on
-// miss; hit reports whether the plan was already resident. Two concurrent
-// misses on the same bytes may both compile; plans are immutable, so the
-// duplicate Put is harmless. A compile error (a corrupt template) is
-// returned without caching — the caller streams the template through
-// Exec.RunStream instead, which applies the SETs ahead of the corruption
-// and then reports it.
+// Get returns the compiled plan for template, compiling it on miss and
+// caching it unless it is a one-off; hit reports whether the plan was
+// already resident. The plan holds copies of the bytes it needs, so the
+// caller may reuse template as soon as Get returns. Two concurrent misses
+// on the same bytes may both compile; plans are immutable, so the
+// duplicate Put is harmless. A nested-include body that carries a SET is a
+// one-off too and compiles on every run that includes it. A compile error
+// (a corrupt template) is returned without caching — the caller streams
+// the template through Exec.RunStream instead, which applies the SETs
+// ahead of the corruption and then reports it.
 func (c *Cache) Get(template []byte) (plan *Plan, hit bool, err error) {
 	sum := sha256.Sum256(template)
 	key := string(sum[:])
@@ -80,7 +86,9 @@ func (c *Cache) Get(template []byte) (plan *Plan, hit bool, err error) {
 		return nil, false, err
 	}
 	c.compiles.Add(1)
-	c.store.Put(key, fragstore.KeyedEntry{Obj: p, Cost: p.Footprint()}, 0)
+	if !p.OneOff() {
+		c.store.Put(key, fragstore.KeyedEntry{Obj: p, Cost: p.Footprint()}, 0)
+	}
 	return p, false, nil
 }
 

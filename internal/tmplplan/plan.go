@@ -61,6 +61,8 @@ type Plan struct {
 	// hasInc marks programs containing nested includes, whose ref dedup
 	// must span sub-programs and therefore cannot use the dense slots.
 	hasInc bool
+	// hasSet marks programs containing a SET; see OneOff.
+	hasSet bool
 	// srcLen is the compiled template's byte length (Stats.TemplateBytes).
 	srcLen int64
 	// footprint is the plan's retained memory estimate (cache Cost).
@@ -76,6 +78,12 @@ func (p *Plan) IndependentGets() int { return len(p.par) }
 
 // SrcLen returns the compiled template's byte length.
 func (p *Plan) SrcLen() int64 { return p.srcLen }
+
+// OneOff reports that the program carries a SET, which makes its template
+// one that will not arrive again: the SET is what makes the origin send a
+// GET next time, and a re-SET after an invalidation carries a new
+// generation. A plan cache keeps only plans that are not one-offs.
+func (p *Plan) OneOff() bool { return p.hasSet }
 
 // Footprint estimates the plan's retained bytes — the cost it charges
 // against a plan cache's byte budget.
@@ -132,6 +140,7 @@ func Compile(codec tmpl.Codec, template []byte) (*Plan, error) {
 			}
 		case tmpl.OpSet:
 			setKeys[in.Key] = true
+			p.hasSet = true
 		case tmpl.OpInclude:
 			p.hasInc = true
 			afterInc = true

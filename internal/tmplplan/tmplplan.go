@@ -3,14 +3,15 @@
 // wherever it can.
 //
 // Decoding a template per request pays the paper's scan cost (z·B_C) every
-// time: the byte stream is re-decoded and every GET resolves sequentially
-// even when the identical template was assembled microseconds ago. This
-// package pays the scan once. Compile decodes a template into a flat []op
-// program — literal-emit ops referencing the template's bytes (retained
-// once, sliced zero-copy at execution), fragment-get, fragment-set, and
-// nested-include ops — and Cache keys compiled programs by a strong hash
-// of the template bytes, so an origin redeploy that changes the layout
-// naturally misses and recompiles.
+// time: the byte stream is re-decoded even when the identical template was
+// assembled microseconds ago. This package pays the scan once. Compile
+// decodes a template into a flat []op program — literal-emit and
+// fragment-set ops referencing the plan's own copies of the literal and
+// SET bytes (copied out by the decoder, emitted zero-copy at execution, so
+// a plan outlives the buffer its template was read into), fragment-get
+// and nested-include ops — and Cache keys compiled programs by a strong
+// hash of the template bytes, so an origin redeploy that changes the
+// layout naturally misses and recompiles.
 //
 // The literal/SET/GET/include semantics live in one operator loop
 // (execState.run), driven two ways. Exec.Run hands it a cached plan's
@@ -24,12 +25,13 @@
 // SETs even when doomed" invariant are the same whichever driver runs; the
 // conformance suite in internal/dpc checks both against the reference
 // interpreter in the plantest subpackage. The one liberty a cached plan
-// takes is *when* independent fragment-gets read the store: GETs that no
-// earlier SET or include in the same program can affect are resolved
-// concurrently by a bounded worker fan-out before the walk begins, and the
-// walk stitches the prefetched results back in template order. Fragment
-// refs ("key:gen") are interned package-wide so no run allocates
-// per-request ref strings for trace events or dependency edges.
+// takes is *when* independent fragment-gets read the store: with
+// Exec.Parallelism above 1, GETs that no earlier SET or include in the
+// same program can affect are resolved concurrently by a bounded worker
+// fan-out before the walk begins, and the walk stitches the prefetched
+// results back in template order. Fragment refs ("key:gen") are interned
+// package-wide so no run allocates per-request ref strings for trace
+// events or dependency edges.
 package tmplplan
 
 import "errors"
