@@ -142,7 +142,7 @@ func main() {
 	pageBudget := flag.Int64("pagecache-budget", 0, "whole-page cache resident byte bound (0 = unbounded)")
 	planPar := flag.Int("plan-parallelism", 0, "plan executor prefetch worker fan-out (0 = 1 default: fragment GETs resolve sequentially, in template order)")
 	invalidate := flag.Bool("invalidate", false, "mount the coherency invalidation endpoint at /_dpc/invalidate, fanning hub events to every cache tier (unauthenticated write endpoint on the serving listener — enable only where the hub side is the sole client)")
-	depBudget := flag.Int64("depindex-budget", 0, "dependency-index edge byte budget for surgical page invalidation (0 = 1MiB default)")
+	depBudget := flag.Int64("depindex-budget", 0, "dependency-index byte budget for surgical page invalidation (0 = 1MiB default, about 21500 single-page fragments)")
 	publishEvery := flag.Duration("publish", 10*time.Second, "background dpc.store.* gauge refresh interval (0 = disabled)")
 	statusEvery := flag.Duration("status", 0, "log store status at this interval (0 = disabled)")
 	traceOn := flag.Bool("trace", false, "request-scoped tracing: per-stage spans and decision events, captured to /_dpc/trace")

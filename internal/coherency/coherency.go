@@ -333,9 +333,24 @@ type TierSubscriber struct {
 	// OnDrop, when set, observes every batch of surgically dropped
 	// entries (the wiring layer bumps a metrics counter here).
 	OnDrop func(n int)
-	// OnFlush, when set, observes tier flushes (gap or fallback).
-	OnFlush func()
+	// OnFlush, when set, observes every tier flush with its cause (one of
+	// the Flush* constants; the wiring layer counts them).
+	OnFlush func(cause string)
 }
+
+// Why a TierSubscriber flushed its tier. The cause reaches OnFlush and, as
+// the dependency index's epoch-bump cause, the trace of every in-flight
+// fill the flush refused.
+const (
+	// FlushGap: a sequence gap — events were lost, and any of them could
+	// have named an entry of this tier.
+	FlushGap = "gap"
+	// FlushEvent: a flush event scoped to this tier (or to all).
+	FlushEvent = "event"
+	// FlushFallback: a fragment event the dependency index could not answer
+	// authoritatively (or there is no index to ask).
+	FlushFallback = "index-inexact"
+)
 
 // NewPageSubscriber returns a subscriber keeping a whole-page tier
 // coherent. ix is the owning proxy's dependency index; nil is allowed
@@ -372,7 +387,7 @@ func (s *TierSubscriber) Apply(ev Event) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.lastSeq != 0 && ev.Seq != s.lastSeq+1 && ev.Seq > s.lastSeq {
-		s.flushLocked() // gap: events were lost
+		s.flushLocked(FlushGap) // events were lost
 	}
 	if ev.Seq <= s.lastSeq {
 		return s.lastSeq // duplicate or stale redelivery
@@ -394,7 +409,7 @@ func (s *TierSubscriber) Apply(ev Event) uint64 {
 		}
 	case KindFlush:
 		if ev.Scope == "" || ev.Scope == s.scope {
-			s.flushLocked()
+			s.flushLocked(FlushEvent)
 		}
 	}
 	return s.lastSeq
@@ -404,21 +419,21 @@ func (s *TierSubscriber) applyFragmentLocked(ev Event) {
 	if s.ix == nil {
 		// No index to consult: the only sound answer is a flush.
 		s.fallbacks++
-		s.flushLocked()
+		s.flushLocked(FlushFallback)
 		return
 	}
-	ref := depindex.Ref(ev.Key, ev.Gen)
+	ref := depindex.MakeID(ev.Key, ev.Gen)
 	// Tombstone first: an in-flight capture that read this fragment's
 	// bytes before the drop either filed before the marker, edges and
 	// all, for the Delete below to find, or sees the marker and does not
 	// file.
 	s.ix.MarkInvalid(ref)
-	keys, exact := s.ix.Dependents(ref)
+	keys, exact := s.ix.Lookup(ref)
 	if !exact {
 		// The index evicted edges recently; this fragment's may be among
 		// them. Trade a burst of misses for guaranteed freshness.
 		s.fallbacks++
-		s.flushLocked()
+		s.flushLocked(FlushFallback)
 		return
 	}
 	n := 0
@@ -430,17 +445,17 @@ func (s *TierSubscriber) applyFragmentLocked(ev Event) {
 	s.noteDropsLocked(n)
 }
 
-func (s *TierSubscriber) flushLocked() {
+func (s *TierSubscriber) flushLocked(cause string) {
 	if s.ix != nil {
 		// Kill in-flight fills first: a capture filed after this flush
 		// would resurrect an entry the flush was meant to remove, and one
 		// filed before the bump is there for the flush to remove.
-		s.ix.BumpEpoch()
+		s.ix.BumpEpoch(cause)
 	}
 	s.tier.Flush()
 	s.flushes++
 	if s.OnFlush != nil {
-		s.OnFlush()
+		s.OnFlush(cause)
 	}
 }
 

@@ -1,8 +1,12 @@
 package coherency
 
 import (
+	"fmt"
 	"net/http/httptest"
+	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -28,9 +32,9 @@ func TestTierSubscriberDropsDependents(t *testing.T) {
 	tier.Put("pageA", []byte("a"), "", time.Minute)
 	tier.Put("pageB", []byte("b"), "", time.Minute)
 	tier.Put("pageC", []byte("c"), "", time.Minute)
-	ix.Record(depindex.Ref(5, 9), "pageA")
-	ix.Record(depindex.Ref(5, 9), "pageB")
-	ix.Record(depindex.Ref(6, 1), "pageC")
+	ix.File([]depindex.ID{depindex.MakeID(5, 9)}, "pageA")
+	ix.File([]depindex.ID{depindex.MakeID(5, 9)}, "pageB")
+	ix.File([]depindex.ID{depindex.MakeID(6, 1)}, "pageC")
 
 	sub := NewPageSubscriber(tier, ix)
 	mon, _ := bem.New(bem.Config{Capacity: 8})
@@ -51,7 +55,7 @@ func TestTierSubscriberDropsDependents(t *testing.T) {
 		t.Fatalf("dropped=%d flushes=%d, want 2/0", sub.Dropped(), sub.Flushes())
 	}
 	// The invalidated ref is tombstoned for in-flight fills.
-	if !ix.AnyInvalid([]string{depindex.Ref(5, 9)}) {
+	if !ix.AnyInvalid([]depindex.ID{depindex.MakeID(5, 9)}) {
 		t.Fatal("invalidated ref not tombstoned")
 	}
 	// A fragment with no recorded dependents is a surgical no-op.
@@ -69,21 +73,106 @@ func TestTierSubscriberEvictionFallbackFlushes(t *testing.T) {
 	// A budget small enough that recording evicts earlier fragments.
 	ix := depindex.New(depindex.Config{Shards: 1, ByteBudget: 256, Horizon: time.Minute})
 	tier.Put("victim-page", []byte("stale bytes"), "", time.Minute)
-	ix.Record(depindex.Ref(1, 1), "victim-page")
+	ix.File([]depindex.ID{depindex.MakeID(1, 1)}, "victim-page")
 	for i := uint32(2); i < 40; i++ {
-		ix.Record(depindex.Ref(i, 1), "some-other-rather-long-page-key")
+		ix.File([]depindex.ID{depindex.MakeID(i, 1)}, "some-other-rather-long-page-key")
 	}
 	if ix.Stats().Evictions == 0 {
 		t.Fatal("test setup: no evictions occurred")
 	}
 
 	sub := NewPageSubscriber(tier, ix)
+	var causes []string
+	sub.OnFlush = func(cause string) { causes = append(causes, cause) }
 	sub.Apply(Event{Seq: 1, Kind: KindFragment, Key: 1, Gen: 1})
 	if _, _, ok := tier.Get("victim-page"); ok {
 		t.Fatal("evicted-edge invalidation left the dependent page resident")
 	}
 	if sub.Fallbacks() != 1 || sub.Flushes() != 1 {
 		t.Fatalf("fallbacks=%d flushes=%d, want 1/1", sub.Fallbacks(), sub.Flushes())
+	}
+	// The flush is observable and explained, to the wiring layer and to
+	// the fills it refused.
+	if len(causes) != 1 || causes[0] != FlushFallback || ix.BumpCause() != FlushFallback {
+		t.Fatalf("OnFlush saw %v, index says %q, want one %q", causes, ix.BumpCause(), FlushFallback)
+	}
+}
+
+// The page and static tiers share one index and each asks it about every
+// event: the first subscriber's lookup must leave the edges in place for
+// the second, or a static entry built from the dead fragment survives.
+func TestTierSubscribersShareOneIndex(t *testing.T) {
+	pages, static := newTier(t), newTier(t)
+	ix := depindex.New(depindex.Config{Horizon: time.Minute})
+	ref := []depindex.ID{depindex.MakeID(5, 9)}
+	pages.Put("page-key", []byte("p"), "", time.Minute)
+	static.Put("static-key", []byte("s"), "", time.Minute)
+	ix.File(ref, "page-key")
+	ix.File(ref, "static-key")
+
+	pageSub, staticSub := NewPageSubscriber(pages, ix), NewStaticSubscriber(static, ix)
+	Fanout(pageSub, staticSub).Apply(Event{Seq: 1, Kind: KindFragment, Key: 5, Gen: 9})
+	if pages.Len() != 0 || static.Len() != 0 {
+		t.Fatalf("after one event: %d pages, %d static entries resident, want none", pages.Len(), static.Len())
+	}
+	if pageSub.Flushes() != 0 || staticSub.Flushes() != 0 {
+		t.Fatalf("flushes = %d / %d, want surgical drops", pageSub.Flushes(), staticSub.Flushes())
+	}
+}
+
+// Fills racing invalidations, by the protocol the proxy's fillers follow
+// (check tombstones and epoch, file edges, put — all under Filing): once
+// the writer has invalidated a page's fragment, no filler may leave the
+// page in the tier built from that generation.
+func TestConcurrentFillsAndInvalidations(t *testing.T) {
+	const pages, writes, fillers = 16, 400, 4
+	tier := newTier(t)
+	ix := depindex.New(depindex.Config{Horizon: time.Minute})
+	sub := NewPageSubscriber(tier, ix)
+	pageKey := func(p uint32) string { return fmt.Sprintf("page-%d", p) }
+	// live[p] is the generation of page p's one fragment.
+	var live [pages]atomic.Uint32
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for f := 0; f < fillers; f++ {
+		wg.Add(1)
+		go func(f int) {
+			defer wg.Done()
+			for i := f; ; i += fillers {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				p := uint32(i % pages)
+				epoch := ix.Epoch()
+				gen := live[p].Load() // the fragment is read early …
+				ids := []depindex.ID{depindex.MakeID(p, gen)}
+				filing := ix.Filing() // … and the page filed late
+				filing.Lock()
+				if !ix.AnyInvalid(ids) && ix.Epoch() == epoch {
+					ix.File(ids, pageKey(p))
+					tier.Put(pageKey(p), []byte(strconv.Itoa(int(gen))), "", time.Minute)
+				}
+				filing.Unlock()
+			}
+		}(f)
+	}
+	for seq := uint64(1); seq <= writes; seq++ {
+		p := uint32(seq % pages)
+		dead := live[p].Add(1) - 1
+		sub.Apply(Event{Seq: seq, Kind: KindFragment, Key: p, Gen: dead})
+	}
+	close(stop)
+	wg.Wait()
+	for p := uint32(0); p < pages; p++ {
+		body, _, ok := tier.Get(pageKey(p))
+		if want := strconv.Itoa(int(live[p].Load())); ok && string(body) != want {
+			t.Errorf("page %d is resident built from generation %s, the live one is %s", p, body, want)
+		}
+	}
+	if sub.Flushes() != 0 {
+		t.Errorf("%d tier flushes: the index answered inexactly", sub.Flushes())
 	}
 }
 
@@ -104,8 +193,8 @@ func TestTierSubscriberGapFlushes(t *testing.T) {
 	if sub.Flushes() != 1 {
 		t.Fatalf("flushes = %d", sub.Flushes())
 	}
-	if ix.Epoch() == e0 {
-		t.Fatal("gap flush did not bump the index epoch")
+	if ix.Epoch() == e0 || ix.BumpCause() != FlushGap {
+		t.Fatalf("gap flush: epoch %d → %d, cause %q", e0, ix.Epoch(), ix.BumpCause())
 	}
 	// Duplicates after the gap are idempotent.
 	before := sub.Applied()

@@ -315,10 +315,11 @@ func (c Config) proxyConfig(originURL string, store fragstore.FragmentStore, reg
 // (purge prefixes) and the proxy's dependency index, so fragment
 // invalidations drop only the pages composed from the dead fragment;
 // surgical drops are reported on reg's dpc.pagecache_invalidations and
-// dpc.static_invalidations counters (reg may be nil). The compiled-plan
-// tier subscribes for plan-scoped flushes and gap recovery. It is the single wiring point shared by
-// System.subscribeTiers, dpcd's /_dpc/invalidate endpoint, and the
-// facade.
+// dpc.static_invalidations counters, and whole-tier flushes, by cause, on
+// dpc.pagecache_*flushes and dpc.static_*flushes (reg may be nil). The
+// compiled-plan tier subscribes for plan-scoped flushes and gap recovery.
+// It is the single wiring point shared by System.subscribeTiers, dpcd's
+// /_dpc/invalidate endpoint, and the facade.
 func ProxySubscribers(p *dpc.Proxy, reg *metrics.Registry) []coherency.Subscriber {
 	subs := []coherency.Subscriber{coherency.NewStoreSubscriber(p.Store())}
 	if pages := p.Pages(); pages != nil {
@@ -327,6 +328,11 @@ func ProxySubscribers(p *dpc.Proxy, reg *metrics.Registry) []coherency.Subscribe
 		if reg != nil {
 			dropped := reg.Counter("dpc.pagecache_invalidations")
 			sub.OnDrop = func(n int) { dropped.Add(int64(n)) }
+			sub.OnFlush = countFlushes(reg.Counter("dpc.pagecache_flushes"), map[string]*metrics.Counter{
+				coherency.FlushGap:      reg.Counter("dpc.pagecache_gap_flushes"),
+				coherency.FlushEvent:    reg.Counter("dpc.pagecache_event_flushes"),
+				coherency.FlushFallback: reg.Counter("dpc.pagecache_fallback_flushes"),
+			})
 		}
 		subs = append(subs, sub)
 	}
@@ -336,6 +342,11 @@ func ProxySubscribers(p *dpc.Proxy, reg *metrics.Registry) []coherency.Subscribe
 		if reg != nil {
 			dropped := reg.Counter("dpc.static_invalidations")
 			sub.OnDrop = func(n int) { dropped.Add(int64(n)) }
+			sub.OnFlush = countFlushes(reg.Counter("dpc.static_flushes"), map[string]*metrics.Counter{
+				coherency.FlushGap:      reg.Counter("dpc.static_gap_flushes"),
+				coherency.FlushEvent:    reg.Counter("dpc.static_event_flushes"),
+				coherency.FlushFallback: reg.Counter("dpc.static_fallback_flushes"),
+			})
 		}
 		subs = append(subs, sub)
 	}
@@ -343,6 +354,17 @@ func ProxySubscribers(p *dpc.Proxy, reg *metrics.Registry) []coherency.Subscribe
 	// content-hash keyed and hold no fragment bytes); it subscribes for
 	// "plan"-scoped flushes and gap recovery.
 	return append(subs, coherency.NewPlanSubscriber(p.Plans().Store()))
+}
+
+// countFlushes returns a TierSubscriber.OnFlush hook counting every flush
+// on total and on its cause's counter.
+func countFlushes(total *metrics.Counter, byCause map[string]*metrics.Counter) func(cause string) {
+	return func(cause string) {
+		total.Inc()
+		if c := byCause[cause]; c != nil {
+			c.Inc()
+		}
+	}
 }
 
 // subscribeTiers attaches every cache tier of one proxy to the hub.

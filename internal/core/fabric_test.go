@@ -288,3 +288,113 @@ func BenchmarkInvalidationStorm(b *testing.B) {
 		resp.Body.Close()
 	}
 }
+
+// One write drops one page: a site of the benchmark's shape — 1 000 pages,
+// 12 000 tagged fragments, each on one page — sits in the page tier behind
+// the fabric at the default dependency-index budget. Touching 200 tagged
+// fragments on 200 pages must drop exactly those 200 pages, flush no tier,
+// get an exact answer to every index lookup, leave every other page a tier
+// hit, and serve each touched page fresh on its next GET.
+func TestFabricTwoHundredWritesDropTwoHundredPages(t *testing.T) {
+	siteCfg := site.SyntheticConfig{Pages: 1000, FragmentsPerPage: 16, FragmentBytes: 64, Cacheability: 0.75}
+	sys, err := NewSystem(Config{
+		Capacity:     16384,
+		Strict:       true,
+		Seed:         7,
+		PageCache:    true,
+		PageCacheTTL: 10 * time.Minute,
+		Fabric:       true,
+	}, ModeCached)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, man, err := site.BuildSynthetic(siteCfg, sys.Repo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Register(sc); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = sys.Close() })
+	pageURL := func(p int) string { return fmt.Sprintf("%s/page/synth?page=%d", sys.FrontURL(), p) }
+	counter := func(name string) int64 { return sys.Registry.Counter(name).Value() }
+
+	tagged := 0
+	for _, c := range man.Cacheable {
+		if c {
+			tagged++
+		}
+	}
+	for p := 0; p < siteCfg.Pages; p++ {
+		fabricGet(t, pageURL(p), "")
+	}
+	ix := sys.Proxy.DepIndex()
+	if st := ix.Stats(); st.Fragments != tagged || st.Keys != siteCfg.Pages || st.Evictions != 0 {
+		t.Fatalf("the default budget does not hold the site's %d edges over %d pages: %+v", tagged, siteCfg.Pages, st)
+	}
+	if fills := counter("dpc.pagecache_fills"); fills != int64(siteCfg.Pages) {
+		t.Fatalf("dpc.pagecache_fills = %d after fetching %d pages", fills, siteCfg.Pages)
+	}
+
+	// Every fifth page loses its first tagged fragment.
+	touched := make(map[int]int) // page → fragment
+	for p := 0; p < siteCfg.Pages; p += 5 {
+		for _, j := range man.Pages[p] {
+			if man.Cacheable[j] {
+				touched[p] = j
+				break
+			}
+		}
+	}
+	if len(touched) != 200 {
+		t.Fatalf("test setup: %d pages to touch", len(touched))
+	}
+	dropped := counter("dpc.pagecache_invalidations")
+	for _, j := range touched {
+		site.TouchFragment(sys.Repo, j, "2")
+	}
+	if acked, seq := sys.Hub.AckedThrough(), sys.Hub.Seq(); seq != 200 || acked != seq {
+		t.Fatalf("fabric acked %d of %d events, want 200 of 200", acked, seq)
+	}
+
+	if got := counter("dpc.pagecache_invalidations") - dropped; got != 200 {
+		t.Errorf("200 writes dropped %d pages", got)
+	}
+	for _, name := range []string{
+		"dpc.pagecache_flushes", "dpc.pagecache_gap_flushes", "dpc.pagecache_event_flushes", "dpc.pagecache_fallback_flushes",
+		"dpc.static_flushes",
+	} {
+		if got := counter(name); got != 0 {
+			t.Errorf("%s = %d: a write flushed a tier", name, got)
+		}
+	}
+	if st := ix.Stats(); st.Lookups < 200 || st.Inexact != 0 || st.Evictions != 0 {
+		t.Errorf("index lookups were not all exact: %+v", st)
+	}
+	if got := sys.Proxy.Pages().Len(); got != siteCfg.Pages-200 {
+		t.Errorf("page tier holds %d pages, want %d", got, siteCfg.Pages-200)
+	}
+
+	for p := 0; p < siteCfg.Pages; p++ {
+		resp, body := fabricGet(t, pageURL(p), "")
+		j, wasTouched := touched[p]
+		if !wasTouched {
+			if resp.Header.Get("X-Cache") != "PAGE" {
+				t.Fatalf("untouched page %d: X-Cache = %q, want PAGE", p, resp.Header.Get("X-Cache"))
+			}
+			continue
+		}
+		if resp.Header.Get("X-Cache") == "PAGE" {
+			t.Fatalf("page %d served from the tier after fragment %d was touched", p, j)
+		}
+		if want := fmt.Sprintf("<!--frag %d v2-->", j); !strings.Contains(body, want) {
+			t.Fatalf("page %d is stale after the write: no %s", p, want)
+		}
+		if resp, _ := fabricGet(t, pageURL(p), ""); resp.Header.Get("X-Cache") != "PAGE" {
+			t.Fatalf("page %d was not refiled: X-Cache = %q", p, resp.Header.Get("X-Cache"))
+		}
+	}
+}

@@ -6,31 +6,56 @@
 // enforced by *invalidation*, not time: the BEM knows the moment a
 // fragment dies. But a whole-page entry is an opaque byte blob — the tier
 // that holds it cannot know which fragments are inside. The dependency
-// index is the missing edge set: during assembly the proxy records, for
-// every fragment reference whose bytes entered a captured page, an edge
+// index is the missing edge set: when the proxy files a captured page it
+// records, for every fragment reference whose bytes entered it, an edge
 //
-//	fragment ref ("dpcKey:gen") → page/static store key
+//	fragment ref (key, gen) → page/static store key
 //
 // and the coherency fabric's tier subscribers consult it on each
 // invalidation to drop exactly the entries built from the dead fragment.
 //
-// The index is best-effort storage with *sound degradation*: it is
-// sharded, byte-bounded, and evicts least-recently-recorded fragments
-// under pressure. Because a missing edge must never mean a missed
-// invalidation, every answer is qualified: Dependents reports exact=false
-// whenever the asked-for fragment could have lost edges to eviction
-// recently (each eviction opens a conservative window of one Horizon —
-// the maximum lifetime of the entries the index describes — during which
-// no answer from the shard, hit or miss, is trusted), and the subscriber
-// falls back to a scoped flush of its tier. Edges themselves expire after Horizon: an entry the tier already
-// let go by TTL needs no edge, and a stale edge costs at worst one
-// redundant Delete of a non-resident key.
+// # Storage
 //
-// The index also arbitrates the fill/invalidate race. A page capture is
-// in flight for the whole request: its fragments are read early, the
-// finished page is filed late, and an invalidation landing in between
-// would find nothing to delete yet — the stale page would be filed
-// *after* the drop and survive until TTL. Two mechanisms close this:
+// The index is built to hold a whole site's edges in its default budget,
+// so nothing on the request path is a string or a pointer-rich node:
+//
+//   - a fragment ref is an ID, the slot key and generation packed into a
+//     uint64;
+//   - a dependent key is interned once per index (keytab): an edge holds a
+//     32-bit key id, and the key's bytes are stored and charged once
+//     however many fragments point at it;
+//   - a fragment is one 32-byte record (entry) in a chunked slab, found
+//     through an open-addressed table of slab indexes and linked into its
+//     shard's recency list by index; its first edge lives in the record,
+//     and a fragment on many pages chains 12-byte overflow records.
+//
+// ByteBudget is charged what those structures occupy (see the cost
+// constants), so the budget bounds the index's heap, not a notional count.
+//
+// # Sound degradation
+//
+// The index is best-effort storage: it is sharded, byte-bounded, and
+// evicts least-recently-recorded fragments under pressure. Because a
+// missing edge must never mean a missed invalidation, every answer is
+// qualified: Lookup reports exact=false while the asked-for fragment's
+// shard could still be missing edges it lost to eviction — from the
+// eviction until the last lost edge would have expired anyway — and the
+// subscriber falls back to a scoped flush of its tier. The window covers
+// hits and misses alike. An eviction that loses nothing live (every edge
+// already expired, or the generation was invalidated and its tombstone has
+// run out) opens no window. Edges expire after Horizon, the maximum
+// lifetime of the entries the index describes: an entry the tier already
+// let go by TTL needs no edge, and a stale edge costs at worst one
+// redundant Delete of a non-resident key. Deadlines are kept in whole
+// seconds, rounded up, so an edge never expires before its entry.
+//
+// # The fill/invalidate race
+//
+// A page capture is in flight for the whole request: its fragments are
+// read early, the finished page is filed late, and an invalidation landing
+// in between would find nothing to delete yet — the stale page would be
+// filed *after* the drop and survive until TTL. Three mechanisms close
+// this:
 //
 //   - MarkInvalid / AnyInvalid: subscribers tombstone each invalidated
 //     ref *before* deleting dependents; fillers check their refs and file
@@ -45,12 +70,17 @@
 //     and entry in place for the subscriber's Delete or Flush to find —
 //     or wholly after it, and refused. A page holding a dropped
 //     fragment's bytes is never servable once the drop has been applied.
+//
+// A generation is invalidated at most once, so once its tombstone has run
+// out (tombstoneTTL, far beyond one event's synchronous fan-out to every
+// subscriber) nobody will ask for its edges again: the sweep that retires
+// the tombstone drops the entry with it, unless edges were recorded after
+// the mark.
 package depindex
 
 import (
-	"container/list"
-	"fmt"
-	"hash/maphash"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -58,24 +88,26 @@ import (
 	"dpcache/internal/clock"
 )
 
-// Ref names a fragment reference the way invalidation events do: the DPC
-// slot key plus the generation, "key:gen". A generation is invalidated at
-// most once, so edges keyed this way are exact — slot reuse bumps the
-// generation and cannot alias old edges onto new fragments.
-func Ref(key, gen uint32) string { return fmt.Sprintf("%d:%d", key, gen) }
+// ID names a fragment reference the way invalidation events do: the DPC
+// slot key and the generation, packed key<<32|gen. A generation is
+// invalidated at most once, so edges keyed this way are exact — slot reuse
+// bumps the generation and cannot alias old edges onto new fragments.
+type ID uint64
+
+// MakeID packs a slot key and generation into an ID.
+func MakeID(key, gen uint32) ID { return ID(uint64(key)<<32 | uint64(gen)) }
 
 // Config parameterizes an Index.
 type Config struct {
 	// Shards is rounded up to a power of two; 0 selects 16.
 	Shards int
-	// ByteBudget bounds the retained edge bytes (ref + key string bytes
-	// plus a fixed per-edge overhead); 0 selects 1 MiB. Over budget, the
-	// least-recently-recorded fragment's edges are evicted and the
-	// owning shard answers misses conservatively for one Horizon.
+	// ByteBudget bounds the bytes the index's structures occupy; 0 selects
+	// 1 MiB, which holds about 21 000 single-page fragments. Over budget,
+	// least-recently-recorded fragments are evicted, and a shard that lost
+	// live edges answers conservatively until they would have expired.
 	ByteBudget int64
 	// Horizon is the maximum lifetime of the entries the index describes
-	// (the page tier's TTL): edges expire after it, and an eviction's
-	// conservative-miss window closes after it. 0 selects 2s.
+	// (the page tier's TTL): edges expire after it. 0 selects 2s.
 	Horizon time.Duration
 	// Clock drives expiry; nil selects the real clock.
 	Clock clock.Clock
@@ -83,24 +115,36 @@ type Config struct {
 
 // Stats is a point-in-time snapshot of index occupancy and activity.
 type Stats struct {
-	Fragments int   `json:"fragments"`
-	Edges     int   `json:"edges"`
-	Bytes     int64 `json:"bytes"`
-	// Records counts Record calls; Evictions counts fragments whose
-	// edges were evicted under byte pressure.
+	Fragments int `json:"fragments"`
+	Edges     int `json:"edges"`
+	// Keys counts the distinct dependent keys the edges point at.
+	Keys  int   `json:"keys"`
+	Bytes int64 `json:"bytes"`
+	// Records counts edges recorded or refreshed; Evictions counts
+	// fragments that lost live edges to byte pressure.
 	Records   int64 `json:"records"`
 	Evictions int64 `json:"evictions"`
-	// Lookups counts Dependents calls; Inexact counts the ones answered
-	// conservatively (the caller had to fall back to a scoped flush).
+	// Lookups counts invalidation lookups; Inexact counts the ones
+	// answered conservatively (the caller had to fall back to a scoped
+	// flush).
 	Lookups int64 `json:"lookups"`
 	Inexact int64 `json:"inexact"`
 	// Tombstones counts currently retained invalidated-ref markers.
 	Tombstones int `json:"tombstones"`
 }
 
-// perEdgeOverhead approximates the map/list bookkeeping bytes charged per
-// edge on top of the string bytes themselves.
-const perEdgeOverhead = 64
+// What each structure is charged against ByteBudget. The footprint test
+// holds Stats().Bytes to the heap the index really occupies.
+const (
+	// entryCost is a fragment's slab record plus its share of the shard's
+	// open-addressed table (a 4-byte slot at a load between 3/8 and 3/4).
+	entryCost = 32 + 8
+	// overflowCost is one overflow record: an edge past a fragment's first.
+	overflowCost = 12
+	// keyCost is a key's id-table record and its slot in the lookup map;
+	// the key's bytes are charged on top.
+	keyCost = 24 + 48
+)
 
 // tombstoneTTL bounds how long an invalidated ref is remembered for the
 // fill-race check. It needs to outlive any in-flight request (the proxy's
@@ -114,41 +158,25 @@ const maxTombstones = 4096
 
 // Index is the dependency index. It is safe for concurrent use.
 type Index struct {
-	shards []ishard
+	shards []shard
 	mask   uint64
-	seed   maphash.Seed
+	keys   keytab
 	clk    clock.Clock
+	base   time.Time // second 0 of the index's deadlines
 	budget int64
 	hz     time.Duration
 
 	bytes atomic.Int64
 	epoch atomic.Uint64
+	// bumpCause is why the epoch last moved.
+	bumpCause atomic.Pointer[string]
+	// cursor rotates eviction across shards.
+	cursor atomic.Uint64
 	// filing orders fills (shared) against tombstones and epoch bumps
 	// (exclusive); see the package comment.
 	filing sync.RWMutex
 
 	records, evictions, lookups, inexact atomic.Int64
-}
-
-type ishard struct {
-	mu    sync.Mutex
-	frags map[string]*fragEntry
-	lru   *list.List // front = most recently recorded; values are *fragEntry
-	// tomb holds invalidated refs (MarkInvalid) until their deadline.
-	tomb map[string]time.Time
-	// inexactUntil: after an eviction, every answer from this shard is
-	// qualified exact=false (a re-recorded fragment may be missing its
-	// pre-eviction edges) until the evicted edges' entries have
-	// certainly expired from the tiers they described.
-	inexactUntil time.Time
-	epoch        *atomic.Uint64
-}
-
-type fragEntry struct {
-	ref   string
-	keys  map[string]time.Time // dependent key → edge deadline
-	bytes int64
-	elem  *list.Element
 }
 
 // New returns an index.
@@ -174,131 +202,106 @@ func New(cfg Config) *Index {
 		clk = clock.Real{}
 	}
 	ix := &Index{
-		shards: make([]ishard, p),
+		shards: make([]shard, p),
 		mask:   uint64(p - 1),
-		seed:   maphash.MakeSeed(),
 		clk:    clk,
+		base:   clk.Now(),
 		budget: budget,
 		hz:     hz,
 	}
+	ix.keys.ids = make(map[string]uint32)
 	for i := range ix.shards {
-		sh := &ix.shards[i]
-		sh.frags = make(map[string]*fragEntry)
-		sh.lru = list.New()
-		sh.tomb = make(map[string]time.Time)
-		sh.epoch = &ix.epoch
+		ix.shards[i].tomb = make(map[ID]uint32)
 	}
 	return ix
 }
 
-func (ix *Index) locate(ref string) *ishard {
-	return &ix.shards[maphash.String(ix.seed, ref)&ix.mask]
+// since is the index's time: the duration since its base, never negative.
+func (ix *Index) since() time.Duration {
+	return max(ix.clk.Now().Sub(ix.base), 0)
 }
 
-// Record adds (or refreshes) the edge ref → key. The edge expires after
-// the index's Horizon — the longest the described entry can stay
+// Deadlines are whole seconds since base. now rounds down and a deadline
+// rounds up, so nothing expires before its exact time.
+func secFloor(d time.Duration) uint32 { return uint32(d / time.Second) }
+func secCeil(d time.Duration) uint32  { return uint32((d + time.Second - 1) / time.Second) }
+
+// mix is the splitmix64 finalizer: the low bits pick the shard, the high
+// bits the table slot.
+func mix(id ID) uint64 {
+	x := uint64(id)
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
+}
+
+// File records (or refreshes) the edge id → key for every id: one captured
+// page's references, filed under the page's store key. The edges expire
+// after the index's Horizon — the longest the described entry can stay
 // resident — so the index never outremembers the tiers it describes.
-func (ix *Index) Record(ref, key string) {
-	ix.records.Add(1)
-	now := ix.clk.Now()
-	deadline := now.Add(ix.hz)
-	sh := ix.locate(ref)
-	sh.mu.Lock()
-	e, ok := sh.frags[ref]
-	if !ok {
-		e = &fragEntry{ref: ref, keys: make(map[string]time.Time)}
-		e.bytes = int64(len(ref)) + perEdgeOverhead
-		e.elem = sh.lru.PushFront(e)
-		sh.frags[ref] = e
-		ix.bytes.Add(e.bytes)
-	} else {
-		sh.lru.MoveToFront(e.elem)
+// Re-filing a page whose edges are all present allocates nothing.
+func (ix *Index) File(ids []ID, key string) {
+	if len(ids) == 0 {
+		return
 	}
-	if _, dup := e.keys[key]; !dup {
-		delta := int64(len(key)) + perEdgeOverhead
-		e.bytes += delta
-		ix.bytes.Add(delta)
-	}
-	e.keys[key] = deadline
-	sh.mu.Unlock()
-	if ix.bytes.Load() > ix.budget {
-		ix.evict(now)
-	}
-}
-
-// evict drops least-recently-recorded fragments, round-robin across
-// shards, until the index is back under budget. Each eviction opens the
-// owning shard's conservative-miss window.
-func (ix *Index) evict(now time.Time) {
-	until := now.Add(ix.hz)
-	for ix.bytes.Load() > ix.budget {
-		evicted := false
-		for i := range ix.shards {
-			sh := &ix.shards[i]
-			sh.mu.Lock()
-			if back := sh.lru.Back(); back != nil {
-				e := back.Value.(*fragEntry)
-				sh.removeLocked(e)
-				ix.bytes.Add(-e.bytes)
-				if until.After(sh.inexactUntil) {
-					sh.inexactUntil = until
-				}
-				ix.evictions.Add(1)
-				evicted = true
-			}
-			sh.mu.Unlock()
-			if ix.bytes.Load() <= ix.budget {
-				return
-			}
-		}
-		if !evicted {
-			return // nothing left to give back
-		}
-	}
-}
-
-func (sh *ishard) removeLocked(e *fragEntry) {
-	sh.lru.Remove(e.elem)
-	delete(sh.frags, e.ref)
-}
-
-// Dependents returns the keys recorded as composed from ref. exact
-// reports whether the answer is authoritative: when false (the shard
-// evicted edges recently, so ref's may be among the lost), the caller
-// must treat every entry of its tier as a potential dependent and flush.
-// The window applies to hits as well as misses — a fragment whose entry
-// was evicted and then re-recorded holds only its post-eviction edges,
-// so inside the window even a hit may be missing dependents.
-func (ix *Index) Dependents(ref string) (keys []string, exact bool) {
-	ix.lookups.Add(1)
-	now := ix.clk.Now()
-	sh := ix.locate(ref)
-	sh.mu.Lock()
-	exact = !now.Before(sh.inexactUntil)
-	e, ok := sh.frags[ref]
-	if !ok {
+	ix.records.Add(int64(len(ids)))
+	now := ix.since()
+	deadline := secCeil(now + ix.hz)
+	// The pin keeps the key's id alive while its edges are placed shard by
+	// shard, each new one taking a reference of its own.
+	kid := ix.keys.pin(ix, key)
+	for _, id := range ids {
+		h := mix(id)
+		sh := &ix.shards[h&ix.mask]
+		sh.mu.Lock()
+		sh.record(ix, id, h, kid, deadline)
 		sh.mu.Unlock()
-		if !exact {
-			ix.inexact.Add(1)
-		}
-		return nil, exact
 	}
-	var removed int64
-	for k, deadline := range e.keys {
-		if now.Before(deadline) {
-			keys = append(keys, k)
+	ix.keys.unpin(ix, kid)
+	if ix.bytes.Load() > ix.budget {
+		ix.evict(secFloor(now))
+	}
+}
+
+// evict drops least-recently-recorded fragments, one shard after the next
+// from a rotating cursor, until the index is back under budget.
+func (ix *Index) evict(now uint32) {
+	empty := 0
+	for ix.bytes.Load() > ix.budget && empty < len(ix.shards) {
+		sh := &ix.shards[ix.cursor.Add(1)&ix.mask]
+		sh.mu.Lock()
+		if sh.tail == 0 {
+			empty++
 		} else {
-			delete(e.keys, k)
-			removed += int64(len(k)) + perEdgeOverhead
+			empty = 0
+			if sh.evictTail(ix, now) {
+				ix.evictions.Add(1)
+			}
 		}
+		sh.mu.Unlock()
 	}
-	e.bytes -= removed
-	if len(e.keys) == 0 {
-		removed += int64(len(e.ref)) + perEdgeOverhead
-		sh.removeLocked(e)
-	}
+}
+
+// Lookup returns the keys recorded as composed from id. exact reports
+// whether the answer is authoritative: when false (the shard lost live
+// edges to eviction, so id's may be among them), the caller must treat
+// every entry of its tier as a potential dependent and flush. The window
+// applies to hits as well as misses — a fragment whose entry was evicted
+// and then re-recorded holds only its post-eviction edges. Expired edges
+// are pruned on the way; live ones stay, because every tier's subscriber
+// asks about the same event.
+func (ix *Index) Lookup(id ID) (keys []string, exact bool) {
+	ix.lookups.Add(1)
+	now := secFloor(ix.since())
+	h := mix(id)
+	sh := &ix.shards[h&ix.mask]
+	sh.mu.Lock()
+	exact = now >= sh.inexactUntil
+	keys = sh.dependents(ix, id, h, now)
 	sh.mu.Unlock()
-	ix.bytes.Add(-removed)
 	if !exact {
 		ix.inexact.Add(1)
 	}
@@ -309,47 +312,47 @@ func (ix *Index) Dependents(ref string) (keys []string, exact bool) {
 // fragments were read before the invalidation refuse to file their
 // capture. It waits for fills holding Filing, so their edges are in place
 // when it returns. Subscribers call it before deleting dependents.
-func (ix *Index) MarkInvalid(ref string) {
-	now := ix.clk.Now()
-	sh := ix.locate(ref)
+func (ix *Index) MarkInvalid(id ID) {
+	now := ix.since()
+	h := mix(id)
+	sh := &ix.shards[h&ix.mask]
 	ix.filing.Lock()
 	defer ix.filing.Unlock()
 	sh.mu.Lock()
-	if len(sh.tomb) >= maxTombstones {
-		for r, deadline := range sh.tomb {
-			if !now.Before(deadline) {
-				delete(sh.tomb, r)
-			}
-		}
-		if len(sh.tomb) >= maxTombstones {
-			// Still full: forget selectively remembering and make every
-			// in-flight fill discard instead.
-			sh.tomb = make(map[string]time.Time)
-			sh.epoch.Add(1)
-		}
+	defer sh.mu.Unlock()
+	if nowSec := secFloor(now); nowSec >= sh.tombSweepAt || len(sh.tomb) >= maxTombstones {
+		sh.sweepTombstones(ix, nowSec)
 	}
-	sh.tomb[ref] = now.Add(tombstoneTTL)
-	sh.mu.Unlock()
+	if len(sh.tomb) >= maxTombstones {
+		// Still full: forget selectively remembering and make every
+		// in-flight fill discard instead.
+		clear(sh.tomb)
+		ix.bumpLocked("tombstone-overflow")
+	}
+	sh.tomb[id] = secCeil(now + tombstoneTTL)
+	if i, _ := sh.find(id, h); i != 0 {
+		sh.frags.at(i).dead = true
+	}
 }
 
 // Filing returns the lock a filler holds from its AnyInvalid and Epoch
 // checks until its entry is recorded and put.
 func (ix *Index) Filing() sync.Locker { return ix.filing.RLocker() }
 
-// AnyInvalid reports whether any of refs has been marked invalid within
+// AnyInvalid reports whether any of ids has been marked invalid within
 // the tombstone window. Fillers call it, under Filing, before filing a
 // capture.
-func (ix *Index) AnyInvalid(refs []string) bool {
-	if len(refs) == 0 {
+func (ix *Index) AnyInvalid(ids []ID) bool {
+	if len(ids) == 0 {
 		return false
 	}
-	now := ix.clk.Now()
-	for _, ref := range refs {
-		sh := ix.locate(ref)
+	now := secFloor(ix.since())
+	for _, id := range ids {
+		sh := &ix.shards[mix(id)&ix.mask]
 		sh.mu.Lock()
-		deadline, ok := sh.tomb[ref]
+		deadline, ok := sh.tomb[id]
 		sh.mu.Unlock()
-		if ok && now.Before(deadline) {
+		if ok && now < deadline {
 			return true
 		}
 	}
@@ -362,11 +365,26 @@ func (ix *Index) AnyInvalid(refs []string) bool {
 func (ix *Index) Epoch() uint64 { return ix.epoch.Load() }
 
 // BumpEpoch advances the flush generation; tier subscribers call it
-// whenever they flush (sequence gap, flush-scope event).
-func (ix *Index) BumpEpoch() {
+// whenever they flush, naming why (sequence gap, flush event, inexact
+// index answer) for the fills the bump refuses to report.
+func (ix *Index) BumpEpoch(cause string) {
 	ix.filing.Lock()
-	ix.epoch.Add(1)
+	ix.bumpLocked(cause)
 	ix.filing.Unlock()
+}
+
+// bumpLocked is BumpEpoch for a caller holding filing exclusively.
+func (ix *Index) bumpLocked(cause string) {
+	ix.bumpCause.Store(&cause)
+	ix.epoch.Add(1)
+}
+
+// BumpCause reports why the epoch last moved ("" if it never has).
+func (ix *Index) BumpCause() string {
+	if c := ix.bumpCause.Load(); c != nil {
+		return *c
+	}
+	return ""
 }
 
 // Flush empties the index (edges and tombstones) and bumps the epoch.
@@ -374,16 +392,10 @@ func (ix *Index) Flush() {
 	for i := range ix.shards {
 		sh := &ix.shards[i]
 		sh.mu.Lock()
-		for _, e := range sh.frags {
-			ix.bytes.Add(-e.bytes)
-		}
-		sh.frags = make(map[string]*fragEntry)
-		sh.lru.Init()
-		sh.tomb = make(map[string]time.Time)
-		sh.inexactUntil = time.Time{}
+		sh.reset(ix)
 		sh.mu.Unlock()
 	}
-	ix.BumpEpoch()
+	ix.BumpEpoch("index-flush")
 }
 
 // Stats returns a snapshot of index activity.
@@ -398,12 +410,61 @@ func (ix *Index) Stats() Stats {
 	for i := range ix.shards {
 		sh := &ix.shards[i]
 		sh.mu.Lock()
-		st.Fragments += len(sh.frags)
-		for _, e := range sh.frags {
-			st.Edges += len(e.keys)
-		}
+		st.Fragments += sh.live
+		st.Edges += sh.edges
 		st.Tombstones += len(sh.tomb)
 		sh.mu.Unlock()
 	}
+	ix.keys.mu.Lock()
+	st.Keys = len(ix.keys.ids)
+	ix.keys.mu.Unlock()
 	return st
+}
+
+// The string entry points below are frozen by bench/probes.go, which may
+// not change with the program it measures: they parse "key:gen" and call
+// the integer path, so the probe times the real engine. Nothing in cmd/ or
+// internal/ outside tests may call them (ROADMAP item 1 frees them).
+
+// Ref formats a fragment reference as "key:gen", the form Record and
+// Dependents parse. Frozen for bench/; use MakeID.
+func Ref(key, gen uint32) string {
+	return strconv.FormatUint(uint64(key), 10) + ":" + strconv.FormatUint(uint64(gen), 10)
+}
+
+// parseRef is Ref's inverse.
+func parseRef(ref string) (ID, bool) {
+	k, g, ok := strings.Cut(ref, ":")
+	if !ok {
+		return 0, false
+	}
+	key, err := strconv.ParseUint(k, 10, 32)
+	if err != nil {
+		return 0, false
+	}
+	gen, err := strconv.ParseUint(g, 10, 32)
+	if err != nil {
+		return 0, false
+	}
+	return MakeID(uint32(key), uint32(gen)), true
+}
+
+// Record is File for one "key:gen" ref; a ref of any other form records
+// nothing. Frozen for bench/; use File.
+func (ix *Index) Record(ref, key string) {
+	if id, ok := parseRef(ref); ok {
+		ids := [1]ID{id}
+		ix.File(ids[:], key)
+	}
+}
+
+// Dependents is Lookup for a "key:gen" ref; a ref of any other form can
+// have no edges, which is an exact empty answer. Frozen for bench/; use
+// Lookup.
+func (ix *Index) Dependents(ref string) (keys []string, exact bool) {
+	id, ok := parseRef(ref)
+	if !ok {
+		return nil, true
+	}
+	return ix.Lookup(id)
 }

@@ -67,6 +67,10 @@ func MetricCatalog() []MetricDoc {
 		{"dpc.static_uncacheable_vary", "counter", "a cacheable response was refused because it varies on a non-allowlisted header"},
 		{"dpc.static_assembled_fills", "counter", "an assembled template page the origin opted in (Cache-Control: max-age) was filed into the static tier with dependency edges"},
 		{"dpc.static_invalidations", "counter", "a static-tier entry was dropped by the invalidation fabric (subscriber drop or in-flight assembled fill refused)"},
+		{"dpc.static_flushes", "counter", "the invalidation fabric emptied the whole static tier (the sum of the three causes below)"},
+		{"dpc.static_gap_flushes", "counter", "the static tier was flushed because invalidation events were lost (sequence gap)"},
+		{"dpc.static_event_flushes", "counter", "the static tier was flushed by a flush event scoped to it or to every tier"},
+		{"dpc.static_fallback_flushes", "counter", "the static tier was flushed because the dependency index could not answer a fragment invalidation exactly"},
 		// Whole-page cache tier.
 		{"dpc.pagecache_hits", "counter", "an anonymous GET was served whole from the page tier (X-Cache: PAGE)"},
 		{"dpc.pagecache_misses", "counter", "an anonymous GET missed the page tier and continued down the pipeline"},
@@ -75,6 +79,10 @@ func MetricCatalog() []MetricDoc {
 		{"dpc.pagecache_uncacheable", "counter", "a captured response was not cacheable (non-200, over the capture bound, no-store/private, or Set-Cookie)"},
 		{"dpc.pagecache_304s", "counter", "a page-tier hit with a matching If-None-Match was answered 304 with no body"},
 		{"dpc.pagecache_invalidations", "counter", "a page-tier entry was dropped by the invalidation fabric (subscriber drop or in-flight fill refused)"},
+		{"dpc.pagecache_flushes", "counter", "the invalidation fabric emptied the whole page tier (the sum of the three causes below)"},
+		{"dpc.pagecache_gap_flushes", "counter", "the page tier was flushed because invalidation events were lost (sequence gap)"},
+		{"dpc.pagecache_event_flushes", "counter", "the page tier was flushed by a flush event scoped to it or to every tier"},
+		{"dpc.pagecache_fallback_flushes", "counter", "the page tier was flushed because the dependency index could not answer a fragment invalidation exactly (dpc.depindex_inexact): one write cost every page, not one"},
 		// Compiled-template plan cache: hits + misses = template assemblies
 		// (nested-include plan lookups are counted in the cache's own
 		// /_dpc/stats snapshot, not here).
@@ -87,8 +95,8 @@ func MetricCatalog() []MetricDoc {
 		// dpc.store.* by the background publisher and /_dpc/stats).
 		{"dpc.depindex_fragments", "gauge", "fragments with recorded dependency edges"},
 		{"dpc.depindex_edges", "gauge", "fragment→page dependency edges currently retained"},
-		{"dpc.depindex_bytes", "gauge", "bytes the dependency index retains (budget-bounded)"},
-		{"dpc.depindex_evictions", "gauge", "fragments whose edges were evicted under byte pressure since creation"},
+		{"dpc.depindex_bytes", "gauge", "bytes the dependency index's structures occupy (budget-bounded)"},
+		{"dpc.depindex_evictions", "gauge", "fragments that lost live edges to byte pressure since creation"},
 		{"dpc.depindex_lookups", "gauge", "invalidation lookups against the index since creation"},
 		{"dpc.depindex_inexact", "gauge", "lookups answered conservatively (forcing a tier-flush fallback) since creation"},
 		// Fragment store occupancy (refreshed by the background publisher

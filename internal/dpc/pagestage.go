@@ -8,7 +8,7 @@ import (
 	"strings"
 	"time"
 
-	"dpcache/internal/tmplplan"
+	"dpcache/internal/depindex"
 	"dpcache/internal/trace"
 )
 
@@ -236,23 +236,33 @@ func (p *Proxy) stagePageCache(rs *reqState) (stageOutcome, error) {
 // lock, which invalidations take exclusively — so the entry is either
 // refused, or filed with its edges before the invalidation's Delete looks
 // for it. It is never servable after the invalidation has been applied,
-// not even for the instant a file-then-unfile would allow.
-func (p *Proxy) fileUnlessVoided(refs []string, epoch uint64, key string, put func()) bool {
+// not even for the instant a file-then-unfile would allow. voided is empty
+// when the entry was filed and otherwise names what refused it:
+// "fragment-tombstone", or "epoch-flush:" and the flush's cause.
+func (p *Proxy) fileUnlessVoided(refs []StaleRef, epoch uint64, key string, put func()) (voided string) {
 	if p.depix == nil {
 		put()
-		return true
+		return ""
+	}
+	// The index speaks packed integer refs; a page's worth converts on the
+	// stack.
+	var buf [64]depindex.ID
+	ids := buf[:0]
+	for _, r := range refs {
+		ids = append(ids, depindex.MakeID(r.Key, r.Gen))
 	}
 	filing := p.depix.Filing()
 	filing.Lock()
 	defer filing.Unlock()
-	if p.depix.AnyInvalid(refs) || p.depix.Epoch() != epoch {
-		return false
+	if p.depix.Epoch() != epoch {
+		return "epoch-flush:" + p.depix.BumpCause()
 	}
-	for _, ref := range refs {
-		p.depix.Record(ref, key)
+	if p.depix.AnyInvalid(ids) {
+		return "fragment-tombstone"
 	}
+	p.depix.File(ids, key)
 	put()
-	return true
+	return ""
 }
 
 // fillPageCache files a captured response into the whole-page tier; called
@@ -295,17 +305,11 @@ func (p *Proxy) fillPageCache(rs *reqState) {
 	c.settle()
 	// Fill/invalidate race: one of this page's fragments died (or the
 	// tier was flushed) while the response was in flight.
-	if !p.fileUnlessVoided(rs.depRefs, rs.depEpoch, rs.pageKey, func() {
+	if voided := p.fileUnlessVoided(rs.depRefs, rs.depEpoch, rs.pageKey, func() {
 		p.pages.PutTagged(rs.pageKey, body, ctype, pageETag(body, ctype), p.pageTTL)
-	}) {
+	}); voided != "" {
 		p.reg.Counter("dpc.pagecache_invalidations").Inc()
-		if rs.span != nil {
-			cause := "fragment-tombstone"
-			if p.depix.Epoch() != rs.depEpoch {
-				cause = "epoch-flush"
-			}
-			rs.span.Event(trace.KindInvalidated, "page", cause, 0)
-		}
+		rs.span.Event(trace.KindInvalidated, "page", voided, 0)
 		return
 	}
 	p.reg.Counter("dpc.pagecache_fills").Inc()
@@ -384,20 +388,4 @@ func (c *pageCapture) Flush() {
 	if f, ok := c.ResponseWriter.(http.Flusher); ok {
 		f.Flush()
 	}
-}
-
-// refIDs converts assembler fragment references into the dependency
-// index's ref strings, through the interner so a hot page's refs resolve
-// to the same strings every request instead of reformatting
-// (tmplplan.RefString and depindex.Ref produce the identical "key:gen"
-// form; asserted by TestRefStringMatchesDepindex).
-func refIDs(refs []StaleRef) []string {
-	if len(refs) == 0 {
-		return nil
-	}
-	out := make([]string, len(refs))
-	for i, r := range refs {
-		out[i] = tmplplan.RefString(r.Key, r.Gen)
-	}
-	return out
 }

@@ -12,6 +12,8 @@ import (
 	"time"
 
 	"dpcache/internal/clock"
+	"dpcache/internal/coherency"
+	"dpcache/internal/depindex"
 	"dpcache/internal/tmpl"
 )
 
@@ -529,17 +531,47 @@ func TestFillRecordsDependencyEdges(t *testing.T) {
 	if p.Pages().Len() != 1 {
 		t.Fatalf("page tier holds %d entries", p.Pages().Len())
 	}
-	for _, ref := range []string{"7:3", "9:4"} {
-		keys, exact := p.DepIndex().Dependents(ref)
+	for _, ref := range []depindex.ID{depindex.MakeID(7, 3), depindex.MakeID(9, 4)} {
+		keys, exact := p.DepIndex().Lookup(ref)
 		if !exact || len(keys) != 1 {
-			t.Fatalf("Dependents(%s) = %v, exact=%v", ref, keys, exact)
+			t.Fatalf("Lookup(%d) = %v, exact=%v", ref, keys, exact)
 		}
 		if !p.Pages().Delete(keys[0]) && p.Pages().Len() != 0 {
 			t.Fatalf("recorded key %q does not address the page entry", keys[0])
 		}
 	}
-	if keys, exact := p.DepIndex().Dependents("1:1"); !exact || len(keys) != 0 {
+	if keys, exact := p.DepIndex().Lookup(depindex.MakeID(1, 1)); !exact || len(keys) != 0 {
 		t.Fatalf("unrelated ref has dependents: %v exact=%v", keys, exact)
+	}
+}
+
+// A refused fill says what refused it, down to why the tier was flushed:
+// the note on the request's `invalidated` span event.
+func TestRefusedFillNamesItsCause(t *testing.T) {
+	p := newTestProxy(t, "http://origin.invalid", func(c *Config) { c.PageCache = true })
+	ix := p.DepIndex()
+	refs := []StaleRef{{Key: 7, Gen: 3}, {Key: 9, Gen: 4}}
+	file := func(epoch uint64) (voided string, put bool) {
+		voided = p.fileUnlessVoided(refs, epoch, "page-key", func() { put = true })
+		return voided, put
+	}
+
+	epoch := ix.Epoch()
+	if voided, put := file(epoch); voided != "" || !put {
+		t.Fatalf("clean fill: voided=%q put=%v", voided, put)
+	}
+	if keys, _ := ix.Lookup(depindex.MakeID(9, 4)); len(keys) != 1 || keys[0] != "page-key" {
+		t.Fatalf("clean fill left edges %v", keys)
+	}
+
+	ix.MarkInvalid(depindex.MakeID(9, 4))
+	if voided, put := file(epoch); voided != "fragment-tombstone" || put {
+		t.Fatalf("fill over a tombstone: voided=%q put=%v", voided, put)
+	}
+
+	ix.BumpEpoch(coherency.FlushFallback)
+	if voided, put := file(epoch); voided != "epoch-flush:index-inexact" || put {
+		t.Fatalf("fill across a fallback flush: voided=%q put=%v", voided, put)
 	}
 }
 

@@ -100,7 +100,7 @@ type reqState struct {
 	// depRefs are the fragment references whose bytes flowed into this
 	// response (assembly only); fillPageCache records them as dependency
 	// edges and re-checks them against invalidation tombstones.
-	depRefs []string
+	depRefs []StaleRef
 	// depEpoch snapshots the dependency index's flush generation when the
 	// capture began; a flush in between voids the fill.
 	depEpoch uint64
@@ -605,7 +605,7 @@ func (p *Proxy) assemblePage(rs *reqState, body io.Reader, clen int64, max int, 
 		return stats, err
 	}
 	if rs.pageKey != "" {
-		rs.depRefs = refIDs(stats.Refs)
+		rs.depRefs = stats.Refs
 	}
 	p.reg.Counter("dpc.assembled").Inc()
 	if early {
@@ -645,9 +645,9 @@ func (p *Proxy) fillStaticAssembled(rs *reqState, page []byte, refs []StaleRef, 
 	page = bytes.Clone(page) // outside the filing lock
 	// Fill/invalidate race, exactly as in fillPageCache: a source fragment
 	// died (or the tier flushed) while this page was being assembled.
-	if !p.fileUnlessVoided(refIDs(refs), epoch, key, func() { p.static.Put(key, page, rs.ctype, ttl) }) {
+	if voided := p.fileUnlessVoided(refs, epoch, key, func() { p.static.Put(key, page, rs.ctype, ttl) }); voided != "" {
 		p.reg.Counter("dpc.static_invalidations").Inc()
-		rs.span.Event(trace.KindInvalidated, "static", "fill-race", 0)
+		rs.span.Event(trace.KindInvalidated, "static", voided, 0)
 		return
 	}
 	rs.staticFilled = true

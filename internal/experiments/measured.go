@@ -85,6 +85,11 @@ func runPoint(mode core.Mode, siteCfg site.SyntheticConfig, forcedMiss float64,
 	if err := fetchOnce(sys.OriginURL() + "/page/synth?page=0"); err != nil {
 		return point{}, man, fmt.Errorf("calibration fetch: %w", err)
 	}
+	// The meter counts a write once it has returned, by which time the
+	// client may already hold the response: wait for the count to arrive.
+	for wait := time.Now().Add(time.Second); sys.Meter.BytesOut()-before < pageBytes && time.Now().Before(wait); {
+		time.Sleep(50 * time.Microsecond)
+	}
 	headerBytes := float64(sys.Meter.BytesOut() - before - pageBytes)
 	if headerBytes < 0 {
 		headerBytes = 0

@@ -291,14 +291,14 @@ func (x *execState) run(ops []op, pre []preResult, sp *trace.Span, depth int) er
 			}
 			if !ok {
 				if fsp != nil {
-					fsp.Event(trace.KindMiss, "fragment", o.refStr, 0)
+					fsp.Event(trace.KindMiss, "fragment", RefString(o.key, o.gen), 0)
 					fsp.Finish()
 				}
 				st.Stale = append(st.Stale, Ref{Key: o.key, Gen: o.gen})
 				continue
 			}
 			if fsp != nil {
-				fsp.Event(trace.KindHit, "fragment", o.refStr, int64(len(data)))
+				fsp.Event(trace.KindHit, "fragment", RefString(o.key, o.gen), int64(len(data)))
 				fsp.Finish()
 			}
 			x.addRef(o.key, o.gen, o.refSlot)
@@ -321,14 +321,14 @@ func (x *execState) run(ops []op, pre []preResult, sp *trace.Span, depth int) er
 			data, ok := GetRef(x.e.Store, fsp, o.key, o.gen, x.e.Strict)
 			if !ok {
 				if fsp != nil {
-					fsp.Event(trace.KindMiss, "fragment", o.refStr, 0)
+					fsp.Event(trace.KindMiss, "fragment", RefString(o.key, o.gen), 0)
 					fsp.Finish()
 				}
 				st.Stale = append(st.Stale, Ref{Key: o.key, Gen: o.gen})
 				continue
 			}
 			if fsp != nil {
-				fsp.Event(trace.KindHit, "fragment", o.refStr, int64(len(data)))
+				fsp.Event(trace.KindHit, "fragment", RefString(o.key, o.gen), int64(len(data)))
 			}
 			x.addRef(o.key, o.gen, o.refSlot)
 			// The nested body is compiled whole before it runs (it is

@@ -6,11 +6,12 @@ import (
 )
 
 // The ref interner maps packed (key, gen) pairs to their canonical
-// "key:gen" strings. The assembler's trace events and the page tier's
-// dependency edges both need that string on the hot path, and building it
-// per request (fmt.Sprintf, originally) allocated twice per
-// fragment. Interning makes the steady state allocation-free: a bounded,
-// sharded map hands back the same string forever.
+// "key:gen" strings. A traced assembly names each fragment it resolves in
+// a span event, and building that string per event (fmt.Sprintf,
+// originally) allocated twice per fragment. Interning makes the traced
+// steady state allocation-free: a bounded, sharded map hands back the same
+// string forever. An untraced run never asks, so a proxy with tracing off
+// holds no ref strings at all.
 //
 // The table is an optimization, never a correctness surface: a shard that
 // reaches its cap is simply cleared (the strings already handed out stay
@@ -30,7 +31,7 @@ var interner [internShards]internShard
 
 // RefString returns the canonical "key:gen" string for a fragment ref,
 // interned so repeated calls with the same pair return the same string
-// without allocating. The format matches depindex.Ref exactly.
+// without allocating.
 func RefString(key, gen uint32) string {
 	id := uint64(key)<<32 | uint64(gen)
 	sh := &interner[(key^gen)&(internShards-1)]

@@ -16,9 +16,6 @@ type op struct {
 	gen  uint32
 	// data holds literal bytes (OpLiteral) or SET content (OpSet).
 	data []byte
-	// refStr is the interned "key:gen" string for trace events
-	// (OpGet/OpSet/OpInclude).
-	refStr string
 	// refSlot is the plan-dense index of this op's (key, gen) pair, used
 	// for allocation-free ref dedup at execution (-1 for literals and for
 	// streamed operators, which dedup by map).
@@ -36,11 +33,7 @@ type op struct {
 // whole program can know (dense ref slots, prefetch eligibility) is left
 // unset for Compile to fill in.
 func newOp(in tmpl.Instruction) op {
-	o := op{kind: in.Op, key: in.Key, gen: in.Gen, data: in.Data, refSlot: -1, pre: -1}
-	if in.Op != tmpl.OpLiteral {
-		o.refStr = RefString(in.Key, in.Gen)
-	}
-	return o
+	return op{kind: in.Op, key: in.Key, gen: in.Gen, data: in.Data, refSlot: -1, pre: -1}
 }
 
 // parGet is one prefetchable lookup: a distinct (key, gen) pair no

@@ -31,7 +31,7 @@
 // fan-out before the walk begins, and the walk stitches the prefetched
 // results back in template order. Fragment refs ("key:gen") are interned
 // package-wide so no run allocates per-request ref strings for trace
-// events or dependency edges.
+// events.
 package tmplplan
 
 import "errors"

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"testing"
 
-	"dpcache/internal/depindex"
 	"dpcache/internal/fragstore"
 	"dpcache/internal/tmpl"
 	"dpcache/internal/trace"
@@ -45,11 +44,11 @@ func newStore(t testing.TB) fragstore.FragmentStore {
 	return st
 }
 
-func TestRefStringMatchesDepindex(t *testing.T) {
+func TestRefStringInterned(t *testing.T) {
 	for _, tc := range [][2]uint32{{0, 0}, {1, 2}, {42, 7}, {1 << 31, 999999}, {4294967295, 4294967295}} {
-		want := depindex.Ref(tc[0], tc[1])
+		want := fmt.Sprintf("%d:%d", tc[0], tc[1])
 		if got := RefString(tc[0], tc[1]); got != want {
-			t.Fatalf("RefString(%d,%d) = %q, depindex.Ref = %q", tc[0], tc[1], got, want)
+			t.Fatalf("RefString(%d,%d) = %q, want %q", tc[0], tc[1], got, want)
 		}
 	}
 	// Interned: the steady state allocates nothing.
