@@ -114,7 +114,7 @@ func BenchmarkStrictMode(b *testing.B) {
 			name = "strict"
 		}
 		b.Run(name, func(b *testing.B) {
-			fetch, done := startBenchSystem(b, dpcache.SystemConfig{Capacity: 256, Strict: strict, Seed: 1}, "binary")
+			fetch, done := startBenchSystem(b, dpcache.SystemConfig{Capacity: 256, Seed: 1, Proxy: dpcache.ProxyConfig{Strict: strict}}, "binary")
 			defer done()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -129,7 +129,7 @@ func BenchmarkStrictMode(b *testing.B) {
 func BenchmarkCodecEndToEnd(b *testing.B) {
 	for _, codec := range []string{"binary", "text"} {
 		b.Run(codec, func(b *testing.B) {
-			fetch, done := startBenchSystem(b, dpcache.SystemConfig{Capacity: 256, Strict: true, Seed: 1}, codec)
+			fetch, done := startBenchSystem(b, dpcache.SystemConfig{Capacity: 256, Seed: 1, Proxy: dpcache.ProxyConfig{Strict: true}}, codec)
 			defer done()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -142,7 +142,7 @@ func BenchmarkCodecEndToEnd(b *testing.B) {
 // BenchmarkWarmRequest measures the steady-state end-to-end request path
 // (client → DPC → origin template → assembly) at the Table 2 shape.
 func BenchmarkWarmRequest(b *testing.B) {
-	fetch, done := startBenchSystem(b, dpcache.SystemConfig{Capacity: 256, Strict: true, Seed: 1}, "binary")
+	fetch, done := startBenchSystem(b, dpcache.SystemConfig{Capacity: 256, Seed: 1, Proxy: dpcache.ProxyConfig{Strict: true}}, "binary")
 	defer done()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -156,13 +156,24 @@ func BenchmarkWarmRequest(b *testing.B) {
 // path). Raw store-level comparisons live in internal/fragstore.
 func BenchmarkStoreBackendEndToEnd(b *testing.B) {
 	cfgs := map[string]dpcache.SystemConfig{
-		"slot": {Capacity: 256, Strict: true, Seed: 1,
-			StoreBackend: dpcache.StoreBackendSlot},
-		"sharded": {Capacity: 256, Strict: true, Seed: 1,
-			StoreBackend: dpcache.StoreBackendSharded},
-		"sharded-gdsf": {Capacity: 256, Strict: true, Seed: 1,
-			StoreBackend:    dpcache.StoreBackendSharded,
-			StoreByteBudget: 64 << 20, StoreEviction: "gdsf"},
+		"slot": {
+			Capacity: 256,
+			Seed:     1,
+			Proxy:    dpcache.ProxyConfig{Strict: true},
+			Store:    dpcache.StoreConfig{Backend: dpcache.StoreBackendSlot},
+		},
+		"sharded": {
+			Capacity: 256,
+			Seed:     1,
+			Proxy:    dpcache.ProxyConfig{Strict: true},
+			Store:    dpcache.StoreConfig{Backend: dpcache.StoreBackendSharded},
+		},
+		"sharded-gdsf": {
+			Capacity: 256,
+			Seed:     1,
+			Proxy:    dpcache.ProxyConfig{Strict: true},
+			Store:    dpcache.StoreConfig{Backend: dpcache.StoreBackendSharded, ByteBudget: 64 << 20, Eviction: "gdsf"},
+		},
 	}
 	for _, name := range []string{"slot", "sharded", "sharded-gdsf"} {
 		b.Run(name, func(b *testing.B) {
@@ -189,7 +200,7 @@ func BenchmarkAssembleStreaming(b *testing.B) {
 		spool int
 	}{{"buffered", -1}, {"streaming", 0}} {
 		b.Run(mode.name, func(b *testing.B) {
-			cfg := dpcache.SystemConfig{Capacity: 256, Strict: true, Seed: 1, StreamSpoolBytes: mode.spool}
+			cfg := dpcache.SystemConfig{Capacity: 256, Seed: 1, Proxy: dpcache.ProxyConfig{Strict: true, StreamSpoolBytes: mode.spool}}
 			fetch, done := startBenchSystem(b, cfg, "binary")
 			defer done()
 			b.ReportAllocs()
@@ -211,7 +222,7 @@ func BenchmarkCoalescedStorm(b *testing.B) {
 			name = "coalesced"
 		}
 		b.Run(name, func(b *testing.B) {
-			cfg := dpcache.SystemConfig{Capacity: 256, Strict: true, Seed: 1, Coalesce: coalesce}
+			cfg := dpcache.SystemConfig{Capacity: 256, Seed: 1, Proxy: dpcache.ProxyConfig{Strict: true, Coalesce: coalesce}}
 			fetch, done := startBenchSystem(b, cfg, "binary")
 			defer done()
 			b.ResetTimer()

@@ -100,6 +100,12 @@
 // -pprof mounts net/http/pprof under /_dpc/pprof/ for CPU, heap, and
 // contention profiles (an unauthenticated diagnostic surface on the
 // serving listener, so off by default).
+//
+// Every flag but -addr, -invalidate and -status is bound to a field of
+// dpc.Config or fragstore.Config (README's "Configuration knobs" lists
+// which). A tuning flag of a stage that is not mounted — -admission-*,
+// -pagecache-*, -trace-* without -admission, -pagecache, -trace — selects
+// nothing, and dpcd exits naming it.
 package main
 
 import (
@@ -110,6 +116,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -120,104 +127,114 @@ import (
 	"dpcache/internal/tmpl"
 )
 
-func main() {
-	addr := flag.String("addr", "127.0.0.1:9090", "listen address")
-	originURL := flag.String("origin", "http://127.0.0.1:8080", "origin base URL")
-	capacity := flag.Int("capacity", 4096, "fragment slot capacity (match origin's BEM)")
-	codecName := flag.String("codec", "binary", "template codec: binary or text")
-	strict := flag.Bool("strict", true, "generation-checked assembly with bypass recovery")
-	backend := flag.String("store", fragstore.BackendSlot, "fragment store backend: slot, sharded, or tiered")
-	shards := flag.Int("shards", 0, "sharded and tiered stores: engine shard count, rounded to a power of two (0 = 16)")
-	budget := flag.Int64("store-budget", 0, "sharded and tiered stores: resident fragment byte budget in RAM, one global ledger (0 = unbounded; sharded requires -evict with it)")
-	evict := flag.String("evict", "none", "sharded and tiered stores: eviction policy when over budget, globally coldest first: none, lru, or gdsf")
-	diskPath := flag.String("disk-path", "", "tiered store: heap-file path, replayed on restart so the proxy serves warm (required with -store tiered)")
-	diskBudget := flag.Int64("disk-budget", 0, "tiered store: disk-resident byte budget; over it the disk tier drops LRU victims (0 = unbounded)")
-	diskPage := flag.Int("disk-page-bytes", 0, "tiered store: heap-file page size in bytes (0 = 32KiB default; changing it invalidates the file)")
-	coalesce := flag.Bool("coalesce", true, "collapse concurrent identical origin fetches into one (single-flight)")
-	coalesceBuf := flag.Int("coalesce-buffer", 0, "per-flight broadcast buffer cap in bytes before late joiners re-fetch (0 = 4MiB default)")
-	spool := flag.Int("spool", 0, "look-ahead spool an assembled page is held in before its headers are committed, in bytes (0 = 64KiB default; negative = hold the whole page)")
-	pageCache := flag.Bool("pagecache", false, "cache whole pages for anonymous-session GETs (X-Cache: PAGE)")
-	pageTTL := flag.Duration("pagecache-ttl", 0, "whole-page cache freshness window (0 = 2s default)")
-	pageEntries := flag.Int("pagecache-entries", 0, "whole-page cache resident page bound (0 = 1024 default)")
-	pageBudget := flag.Int64("pagecache-budget", 0, "whole-page cache resident byte bound (0 = unbounded)")
-	planPar := flag.Int("plan-parallelism", 0, "plan executor prefetch worker fan-out (0 = 1 default: fragment GETs resolve sequentially, in template order)")
-	invalidate := flag.Bool("invalidate", false, "mount the coherency invalidation endpoint at /_dpc/invalidate, fanning hub events to every cache tier (unauthenticated write endpoint on the serving listener — enable only where the hub side is the sole client)")
-	depBudget := flag.Int64("depindex-budget", 0, "dependency-index byte budget for surgical page invalidation (0 = 1MiB default, about 21500 single-page fragments)")
-	publishEvery := flag.Duration("publish", 10*time.Second, "background dpc.store.* gauge refresh interval (0 = disabled)")
-	statusEvery := flag.Duration("status", 0, "log store status at this interval (0 = disabled)")
-	traceOn := flag.Bool("trace", false, "request-scoped tracing: per-stage spans and decision events, captured to /_dpc/trace")
-	traceSample := flag.Int("trace-sample", 0, "capture every Nth trace into the ring (0 = 64 default; slow requests always captured)")
-	traceSlow := flag.Duration("trace-slow", 0, "always capture and log requests at least this slow (0 = 250ms default, negative = disabled)")
-	traceRing := flag.Int("trace-ring", 0, "captured-trace ring size served by /_dpc/trace (0 = 256 default)")
-	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /_dpc/pprof/ (exposes runtime profiles on the serving listener)")
-	admission := flag.Bool("admission", false, "admission control: under origin pressure serve stale from the cache tiers or shed with 503 + Retry-After instead of queueing")
-	admitInFlight := flag.Int("admission-inflight", 0, "admission: max concurrent origin-bound requests (0 = unbounded)")
-	admitKey := flag.Int("admission-key-inflight", 0, "admission: max concurrent origin-bound requests per coalesce key (0 = unbounded)")
-	admitTenant := flag.Int("admission-tenant-inflight", 0, "admission: max concurrent origin-bound requests per X-User tenant (0 = unbounded)")
-	admitQueue := flag.Int("admission-queue", 0, "admission: max followers parked on one coalesce flight before shedding (0 = unbounded)")
-	admitShedLat := flag.Duration("admission-shed-latency", 0, "admission: origin latency EWMA past which stale serving is preferred (0 = signal off)")
-	admitStale := flag.Duration("admission-stale-window", 0, "admission: how far past TTL a cache entry may be served under pressure (0 = 30s default)")
-	admitNegTTL := flag.Duration("admission-neg-ttl", 0, "admission: negative-cache lifetime of origin failures (0 = 1s default)")
-	admitRetry := flag.Duration("admission-retry-after", 0, "admission: Retry-After hint on shed 503s (0 = 1s default)")
-	flag.Parse()
+// options is what the command line sets: the proxy's and the store's own
+// configs, each flag bound straight to its field, plus the three settings
+// that belong to the daemon rather than to either library.
+type options struct {
+	proxy dpc.Config
+	store fragstore.Config
 
-	codec, err := tmpl.ByName(*codecName)
-	if err != nil {
-		log.Fatal(err)
+	addr       string
+	invalidate bool
+	status     time.Duration
+}
+
+// bindFlags declares dpcd's flags on fs, each writing into the returned
+// options. The proxy config starts from the daemon's defaults: strict
+// assembly and coalescing on, the binary codec.
+func bindFlags(fs *flag.FlagSet) *options {
+	o := &options{proxy: dpc.Config{
+		Codec:  tmpl.Binary{},
+		Stream: true, // dpc.Config.Stream: false would mean StreamSpoolBytes < 0
+	}}
+	p, s := &o.proxy, &o.store
+	fs.StringVar(&o.addr, "addr", "127.0.0.1:9090", "listen address")
+	fs.StringVar(&p.OriginURL, "origin", "http://127.0.0.1:8080", "origin base URL")
+	fs.IntVar(&s.Capacity, "capacity", 4096, "fragment slot capacity (match origin's BEM)")
+	fs.Func("codec", "template codec: binary or text", func(name string) (err error) {
+		p.Codec, err = tmpl.ByName(name)
+		return err
+	})
+	fs.Lookup("codec").DefValue = p.Codec.Name()
+	fs.BoolVar(&p.Strict, "strict", true, "generation-checked assembly with bypass recovery")
+	fs.StringVar(&s.Backend, "store", fragstore.BackendSlot, "fragment store backend: slot, sharded, or tiered")
+	fs.IntVar(&s.Shards, "shards", 0, "sharded and tiered stores: engine shard count, rounded to a power of two (0 = 16)")
+	fs.Int64Var(&s.ByteBudget, "store-budget", 0, "sharded and tiered stores: resident fragment byte budget in RAM, one global ledger (0 = unbounded; sharded requires -evict with it)")
+	fs.StringVar(&s.Eviction, "evict", "none", "sharded and tiered stores: eviction policy when over budget, globally coldest first: none, lru, or gdsf")
+	fs.StringVar(&s.DiskPath, "disk-path", "", "tiered store: heap-file path, replayed on restart so the proxy serves warm (required with -store tiered)")
+	fs.Int64Var(&s.DiskBudget, "disk-budget", 0, "tiered store: disk-resident byte budget; over it the disk tier drops LRU victims (0 = unbounded)")
+	fs.IntVar(&s.DiskPageBytes, "disk-page-bytes", 0, "tiered store: heap-file page size in bytes (0 = 32KiB default; changing it invalidates the file)")
+	fs.BoolVar(&p.Coalesce, "coalesce", true, "collapse concurrent identical origin fetches into one (single-flight)")
+	fs.IntVar(&p.CoalesceBufferBytes, "coalesce-buffer", 0, "per-flight broadcast buffer cap in bytes before late joiners re-fetch (0 = 4MiB default)")
+	fs.IntVar(&p.StreamSpoolBytes, "spool", 0, "look-ahead spool an assembled page is held in before its headers are committed, in bytes (0 = 64KiB default; negative = hold the whole page)")
+	fs.BoolVar(&p.PageCache, "pagecache", false, "cache whole pages for anonymous-session GETs (X-Cache: PAGE)")
+	fs.DurationVar(&p.PageCacheTTL, "pagecache-ttl", 0, "whole-page cache freshness window (0 = 2s default)")
+	fs.IntVar(&p.PageCacheEntries, "pagecache-entries", 0, "whole-page cache resident page bound (0 = 1024 default)")
+	fs.Int64Var(&p.PageCacheBudget, "pagecache-budget", 0, "whole-page cache resident byte bound (0 = unbounded)")
+	fs.IntVar(&p.PlanParallelism, "plan-parallelism", 0, "plan executor prefetch worker fan-out (0 = 1 default: fragment GETs resolve sequentially, in template order)")
+	fs.BoolVar(&o.invalidate, "invalidate", false, "mount the coherency invalidation endpoint at /_dpc/invalidate, fanning hub events to every cache tier (unauthenticated write endpoint on the serving listener — enable only where the hub side is the sole client)")
+	fs.Int64Var(&p.DepIndexBudget, "depindex-budget", 0, "dependency-index byte budget for surgical page invalidation (0 = 1MiB default, about 21500 single-page fragments)")
+	fs.DurationVar(&p.PublishInterval, "publish", 10*time.Second, "background dpc.store.* gauge refresh interval (0 = disabled)")
+	fs.DurationVar(&o.status, "status", 0, "log store status at this interval (0 = disabled)")
+	fs.BoolVar(&p.Trace, "trace", false, "request-scoped tracing: per-stage spans and decision events, captured to /_dpc/trace")
+	fs.IntVar(&p.TraceSampleEvery, "trace-sample", 0, "capture every Nth trace into the ring (0 = 64 default; slow requests always captured)")
+	fs.DurationVar(&p.TraceSlow, "trace-slow", 0, "always capture and log requests at least this slow (0 = 250ms default, negative = disabled)")
+	fs.IntVar(&p.TraceRingSize, "trace-ring", 0, "captured-trace ring size served by /_dpc/trace (0 = 256 default)")
+	fs.BoolVar(&p.Pprof, "pprof", false, "mount net/http/pprof under /_dpc/pprof/ (exposes runtime profiles on the serving listener)")
+	fs.BoolVar(&p.Admission, "admission", false, "admission control: under origin pressure serve stale from the cache tiers or shed with 503 + Retry-After instead of queueing")
+	fs.IntVar(&p.MaxOriginInFlight, "admission-inflight", 0, "admission: max concurrent origin-bound requests (0 = unbounded)")
+	fs.IntVar(&p.MaxKeyInFlight, "admission-key-inflight", 0, "admission: max concurrent origin-bound requests per coalesce key (0 = unbounded)")
+	fs.IntVar(&p.MaxTenantInFlight, "admission-tenant-inflight", 0, "admission: max concurrent origin-bound requests per X-User tenant (0 = unbounded)")
+	fs.IntVar(&p.MaxFlightWaiters, "admission-queue", 0, "admission: max followers parked on one coalesce flight before shedding (0 = unbounded)")
+	fs.DurationVar(&p.ShedLatency, "admission-shed-latency", 0, "admission: origin latency EWMA past which stale serving is preferred (0 = signal off)")
+	fs.DurationVar(&p.StaleWindow, "admission-stale-window", 0, "admission: how far past TTL a cache entry may be served under pressure (0 = 30s default)")
+	fs.DurationVar(&p.NegTTL, "admission-neg-ttl", 0, "admission: negative-cache lifetime of origin failures (0 = 1s default)")
+	fs.DurationVar(&p.RetryAfter, "admission-retry-after", 0, "admission: Retry-After hint on shed 503s (0 = 1s default)")
+	return o
+}
+
+// parseFlags reads the command line into options. A flag named
+// "-<stage>-*" tunes an optional stage and selects nothing unless "-<stage>"
+// mounts it ("-admission-inflight 64" alone would protect nothing and say
+// nothing), so it is refused.
+func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
+	o := bindFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return nil, err
 	}
-	store, err := fragstore.New(fragstore.Config{
-		Backend:       *backend,
-		Capacity:      *capacity,
-		Shards:        *shards,
-		ByteBudget:    *budget,
-		Eviction:      *evict,
-		DiskPath:      *diskPath,
-		DiskBudget:    *diskBudget,
-		DiskPageBytes: *diskPage,
+	mounted := map[string]bool{"admission": o.proxy.Admission, "pagecache": o.proxy.PageCache, "trace": o.proxy.Trace}
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		stage, _, tunes := strings.Cut(f.Name, "-")
+		if on, optional := mounted[stage]; tunes && optional && !on && err == nil {
+			err = fmt.Errorf("-%s has no effect without -%s", f.Name, stage)
+		}
 	})
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
-	publish := *publishEvery
-	if publish <= 0 {
-		publish = -1 // dpc: negative disables the background publisher
+	o.proxy.Capacity = o.store.Capacity
+	if o.proxy.PublishInterval <= 0 {
+		o.proxy.PublishInterval = -1 // dpc: negative disables the background publisher
 	}
-	proxy, err := dpc.New(dpc.Config{
-		OriginURL:           *originURL,
-		Capacity:            *capacity,
-		Store:               store,
-		Codec:               codec,
-		Strict:              *strict,
-		Coalesce:            *coalesce,
-		CoalesceBufferBytes: *coalesceBuf,
-		Stream:              true, // dpc.Config.Stream: false would mean StreamSpoolBytes < 0
-		StreamSpoolBytes:    *spool,
-		PageCache:           *pageCache,
-		PageCacheTTL:        *pageTTL,
-		PageCacheEntries:    *pageEntries,
-		PageCacheBudget:     *pageBudget,
-		PlanParallelism:     *planPar,
-		DepIndexBudget:      *depBudget,
-		PublishInterval:     publish,
-		Trace:               *traceOn,
-		TraceSampleEvery:    *traceSample,
-		TraceSlow:           *traceSlow,
-		TraceRingSize:       *traceRing,
-		Pprof:               *pprofOn,
-		Admission:           *admission,
-		MaxOriginInFlight:   *admitInFlight,
-		MaxKeyInFlight:      *admitKey,
-		MaxTenantInFlight:   *admitTenant,
-		MaxFlightWaiters:    *admitQueue,
-		ShedLatency:         *admitShedLat,
-		StaleWindow:         *admitStale,
-		NegTTL:              *admitNegTTL,
-		RetryAfter:          *admitRetry,
-	})
+	return o, nil
+}
+
+func main() {
+	o, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		log.Fatalf("dpcd: %v", err)
+	}
+	store, err := fragstore.New(o.store)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *invalidate {
+	o.proxy.Store = store
+	proxy, err := dpc.New(o.proxy)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if o.invalidate {
 		// Every cache tier subscribes to the invalidation fabric through
 		// one endpoint: the hub side (a coherency.RemoteSubscriber
 		// pointed at /_dpc/invalidate) POSTs events here, and fragment
@@ -228,17 +245,17 @@ func main() {
 	}
 	st := store.Stats()
 	fmt.Printf("dpcd: proxying %s on %s (capacity %d, %s codec, strict=%v, coalesce=%v, spool=%d, pagecache=%v)\n",
-		*originURL, *addr, *capacity, codec.Name(), *strict, *coalesce, *spool, *pageCache)
+		o.proxy.OriginURL, o.addr, o.store.Capacity, o.proxy.Codec.Name(), o.proxy.Strict, o.proxy.Coalesce, o.proxy.StreamSpoolBytes, o.proxy.PageCache)
 	fmt.Printf("dpcd: %s store, %d shard(s), byte budget %d, eviction %s; status at http://%s/_dpc/stats\n",
-		st.Backend, st.Shards, st.ByteBudget, *evict, *addr)
+		st.Backend, st.Shards, st.ByteBudget, o.store.Eviction, o.addr)
 	if ts, ok := fragstore.DiskStats(store); ok {
 		ds := ts.Disk
 		fmt.Printf("dpcd: disk tier %s: %d entries (%d bytes) replayed warm, %d torn/bad pages discarded, byte budget %d\n",
-			*diskPath, ds.RecoveredEntries, ds.Bytes, ds.ChecksumDiscards, ds.ByteBudget)
+			o.store.DiskPath, ds.RecoveredEntries, ds.Bytes, ds.ChecksumDiscards, ds.ByteBudget)
 	}
-	if *statusEvery > 0 {
+	if o.status > 0 {
 		go func() {
-			for range time.Tick(*statusEvery) {
+			for range time.Tick(o.status) {
 				s := store.Stats()
 				log.Printf("store: resident=%d/%d bytes=%d sets=%d hits=%d misses=%d drops=%d evictions=%d evicted_bytes=%d",
 					s.Resident, s.Capacity, s.Bytes, s.Sets, s.Hits, s.Misses, s.Drops, s.Evictions, s.EvictedBytes)
@@ -249,7 +266,7 @@ func main() {
 	// RAM tier to the heap file and the next start replays it warm; a
 	// hard kill instead restarts with whatever had already demoted
 	// (append-then-commit keeps the file itself consistent either way).
-	srv := &http.Server{Addr: *addr, Handler: proxy}
+	srv := &http.Server{Addr: o.addr, Handler: proxy}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	sigc := make(chan os.Signal, 1)

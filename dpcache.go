@@ -53,8 +53,12 @@ import (
 type (
 	// System is a wired origin + BEM + DPC deployment.
 	System = core.System
-	// SystemConfig parameterizes NewSystem.
+	// SystemConfig parameterizes NewSystem: the deployment's own settings
+	// plus, by value, the ProxyConfig and StoreConfig every proxy in it
+	// is built from (cfg.Proxy.PageCache, cfg.Store.Backend).
 	SystemConfig = core.Config
+	// ProxyConfig is the Dynamic Proxy Cache's own configuration.
+	ProxyConfig = dpc.Config
 	// Mode selects cached vs no-cache operation.
 	Mode = core.Mode
 	// Monitor is the Back End Monitor (cache directory + freeList).
@@ -66,9 +70,8 @@ type (
 )
 
 // Fragment-store subsystem: the proxy's fragment memory is pluggable (see
-// internal/fragstore). Select a backend per system via SystemConfig's
-// StoreBackend/StoreShards/StoreByteBudget/StoreEviction fields, or build
-// one directly with NewFragmentStore.
+// internal/fragstore). Select a backend per system via SystemConfig.Store
+// (a StoreConfig), or build one directly with NewFragmentStore.
 type (
 	// FragmentStore is the fragment-memory contract shared by all
 	// backends.
@@ -84,7 +87,7 @@ type (
 	KeyedStoreConfig = fragstore.KeyedConfig
 )
 
-// Store backend names for StoreConfig.Backend / SystemConfig.StoreBackend.
+// Store backend names for StoreConfig.Backend.
 const (
 	// StoreBackendSlot is the paper-faithful single-lock slot array.
 	StoreBackendSlot = fragstore.BackendSlot
@@ -95,16 +98,16 @@ const (
 	// StoreBackendTiered is the same view over the disk-backed two-tier
 	// engine: a RAM tier that demotes eviction victims into a heap file
 	// (StoreConfig.DiskPath) replayed on restart, so a bounced proxy
-	// serves warm. See SystemConfig.StoreDiskDir.
+	// serves warm. See SystemConfig.DiskDir.
 	StoreBackendTiered = fragstore.BackendTiered
 )
 
 // NewFragmentStore builds a standalone fragment store (most callers
-// instead set SystemConfig.StoreBackend and let the system wire it).
+// instead set SystemConfig.Store.Backend and let the system wire it).
 func NewFragmentStore(cfg StoreConfig) (FragmentStore, error) { return fragstore.New(cfg) }
 
 // NewKeyedStore builds a standalone keyed store (the proxy wires its own
-// for the static and page tiers; see SystemConfig.PageCache*).
+// for the static and page tiers; see ProxyConfig.PageCache*).
 func NewKeyedStore(cfg KeyedStoreConfig) (*KeyedStore, error) { return fragstore.NewKeyed(cfg) }
 
 // System modes.

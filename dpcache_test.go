@@ -13,7 +13,7 @@ import (
 
 // The facade must support the full documented quick-start flow.
 func TestFacadeQuickStart(t *testing.T) {
-	sys, err := dpcache.NewSystem(dpcache.SystemConfig{Capacity: 64, Strict: true}, dpcache.ModeCached)
+	sys, err := dpcache.NewSystem(dpcache.SystemConfig{Capacity: 64, Proxy: dpcache.ProxyConfig{Strict: true}}, dpcache.ModeCached)
 	if err != nil {
 		t.Fatal(err)
 	}

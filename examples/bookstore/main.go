@@ -17,7 +17,7 @@ import (
 )
 
 func main() {
-	sys, err := dpcache.NewSystem(dpcache.SystemConfig{Capacity: 256, Strict: true}, dpcache.ModeCached)
+	sys, err := dpcache.NewSystem(dpcache.SystemConfig{Capacity: 256, Proxy: dpcache.ProxyConfig{Strict: true}}, dpcache.ModeCached)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 )
 
 func main() {
-	sys, err := dpcache.NewSystem(dpcache.SystemConfig{Capacity: 512, Strict: true}, dpcache.ModeCached)
+	sys, err := dpcache.NewSystem(dpcache.SystemConfig{Capacity: 512, Proxy: dpcache.ProxyConfig{Strict: true}}, dpcache.ModeCached)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 )
 
 func main() {
-	sys, err := dpcache.NewSystem(dpcache.SystemConfig{Capacity: 64, Strict: true}, dpcache.ModeCached)
+	sys, err := dpcache.NewSystem(dpcache.SystemConfig{Capacity: 64, Proxy: dpcache.ProxyConfig{Strict: true}}, dpcache.ModeCached)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -12,12 +12,13 @@ import (
 
 	"dpcache/internal/bem"
 	"dpcache/internal/depindex"
+	"dpcache/internal/fragstore"
 	"dpcache/internal/pagecache"
 )
 
 func newTier(t *testing.T) *pagecache.Cache {
 	t.Helper()
-	c, err := pagecache.NewCache(pagecache.CacheConfig{})
+	c, err := pagecache.NewCache(fragstore.KeyedConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,13 +29,13 @@ func newTier(t *testing.T) *pagecache.Cache {
 // dependency index recorded as composed from it — nothing more.
 func TestTierSubscriberDropsDependents(t *testing.T) {
 	tier := newTier(t)
-	ix := depindex.New(depindex.Config{Horizon: time.Minute})
+	ix := depindex.New(depindex.Config{})
 	tier.Put("pageA", []byte("a"), "", time.Minute)
 	tier.Put("pageB", []byte("b"), "", time.Minute)
 	tier.Put("pageC", []byte("c"), "", time.Minute)
-	ix.File([]depindex.ID{depindex.MakeID(5, 9)}, "pageA")
-	ix.File([]depindex.ID{depindex.MakeID(5, 9)}, "pageB")
-	ix.File([]depindex.ID{depindex.MakeID(6, 1)}, "pageC")
+	ix.File([]depindex.ID{depindex.MakeID(5, 9)}, "pageA", time.Minute)
+	ix.File([]depindex.ID{depindex.MakeID(5, 9)}, "pageB", time.Minute)
+	ix.File([]depindex.ID{depindex.MakeID(6, 1)}, "pageC", time.Minute)
 
 	sub := NewPageSubscriber(tier, ix)
 	mon, _ := bem.New(bem.Config{Capacity: 8})
@@ -71,11 +72,11 @@ func TestTierSubscriberDropsDependents(t *testing.T) {
 func TestTierSubscriberEvictionFallbackFlushes(t *testing.T) {
 	tier := newTier(t)
 	// A budget small enough that recording evicts earlier fragments.
-	ix := depindex.New(depindex.Config{Shards: 1, ByteBudget: 256, Horizon: time.Minute})
+	ix := depindex.New(depindex.Config{Shards: 1, ByteBudget: 256})
 	tier.Put("victim-page", []byte("stale bytes"), "", time.Minute)
-	ix.File([]depindex.ID{depindex.MakeID(1, 1)}, "victim-page")
+	ix.File([]depindex.ID{depindex.MakeID(1, 1)}, "victim-page", time.Minute)
 	for i := uint32(2); i < 40; i++ {
-		ix.File([]depindex.ID{depindex.MakeID(i, 1)}, "some-other-rather-long-page-key")
+		ix.File([]depindex.ID{depindex.MakeID(i, 1)}, "some-other-rather-long-page-key", time.Minute)
 	}
 	if ix.Stats().Evictions == 0 {
 		t.Fatal("test setup: no evictions occurred")
@@ -103,12 +104,12 @@ func TestTierSubscriberEvictionFallbackFlushes(t *testing.T) {
 // the second, or a static entry built from the dead fragment survives.
 func TestTierSubscribersShareOneIndex(t *testing.T) {
 	pages, static := newTier(t), newTier(t)
-	ix := depindex.New(depindex.Config{Horizon: time.Minute})
+	ix := depindex.New(depindex.Config{})
 	ref := []depindex.ID{depindex.MakeID(5, 9)}
 	pages.Put("page-key", []byte("p"), "", time.Minute)
 	static.Put("static-key", []byte("s"), "", time.Minute)
-	ix.File(ref, "page-key")
-	ix.File(ref, "static-key")
+	ix.File(ref, "page-key", time.Minute)
+	ix.File(ref, "static-key", time.Minute)
 
 	pageSub, staticSub := NewPageSubscriber(pages, ix), NewStaticSubscriber(static, ix)
 	Fanout(pageSub, staticSub).Apply(Event{Seq: 1, Kind: KindFragment, Key: 5, Gen: 9})
@@ -127,7 +128,7 @@ func TestTierSubscribersShareOneIndex(t *testing.T) {
 func TestConcurrentFillsAndInvalidations(t *testing.T) {
 	const pages, writes, fillers = 16, 400, 4
 	tier := newTier(t)
-	ix := depindex.New(depindex.Config{Horizon: time.Minute})
+	ix := depindex.New(depindex.Config{})
 	sub := NewPageSubscriber(tier, ix)
 	pageKey := func(p uint32) string { return fmt.Sprintf("page-%d", p) }
 	// live[p] is the generation of page p's one fragment.
@@ -151,7 +152,7 @@ func TestConcurrentFillsAndInvalidations(t *testing.T) {
 				filing := ix.Filing() // … and the page filed late
 				filing.Lock()
 				if !ix.AnyInvalid(ids) && ix.Epoch() == epoch {
-					ix.File(ids, pageKey(p))
+					ix.File(ids, pageKey(p), time.Minute)
 					tier.Put(pageKey(p), []byte(strconv.Itoa(int(gen))), "", time.Minute)
 				}
 				filing.Unlock()
@@ -180,7 +181,7 @@ func TestConcurrentFillsAndInvalidations(t *testing.T) {
 // epoch so in-flight fills discard too.
 func TestTierSubscriberGapFlushes(t *testing.T) {
 	tier := newTier(t)
-	ix := depindex.New(depindex.Config{Horizon: time.Minute})
+	ix := depindex.New(depindex.Config{})
 	tier.Put("p", []byte("x"), "", time.Minute)
 	sub := NewPageSubscriber(tier, ix)
 	e0 := ix.Epoch()
@@ -248,7 +249,7 @@ func TestTierSubscriberFlushScope(t *testing.T) {
 // defeat it entirely.
 func TestStaticSubscriberFragmentNoop(t *testing.T) {
 	tier := newTier(t)
-	ix := depindex.New(depindex.Config{Horizon: time.Minute})
+	ix := depindex.New(depindex.Config{})
 	tier.Put("/asset.css\x00", []byte("body"), "", time.Minute)
 	sub := NewStaticSubscriber(tier, ix)
 	sub.Apply(Event{Seq: 1, Kind: KindFragment, Key: 3, Gen: 7})
@@ -301,7 +302,7 @@ func TestStoreSubscriberSkipsKeyedEvents(t *testing.T) {
 // The HTTP bridge must carry the generalized payloads: a purge event
 // posted to an edge endpoint drops the keyed variants there.
 func TestHTTPBridgeCarriesPurge(t *testing.T) {
-	tier, err := pagecache.NewCache(pagecache.CacheConfig{})
+	tier, err := pagecache.NewCache(fragstore.KeyedConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

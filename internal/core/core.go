@@ -39,33 +39,6 @@ import (
 	"dpcache/internal/trace"
 )
 
-// storeConfig maps the config's Store* selection onto fragstore's config
-// for one named store instance. NewSystem has already defaulted Capacity
-// by the time this is called. Each proxy's tiered heap file is keyed by
-// the instance name ("front", "edge-<name>") so a restarted proxy reopens
-// its own file — the warm-restart path — while co-located proxies never
-// share one.
-func (c Config) storeConfig(instance string) fragstore.Config {
-	cfg := fragstore.Config{
-		Backend:    c.StoreBackend,
-		Capacity:   c.Capacity,
-		Shards:     c.StoreShards,
-		ByteBudget: c.StoreByteBudget,
-		Eviction:   c.StoreEviction,
-	}
-	if c.StoreBackend == fragstore.BackendTiered {
-		cfg.DiskPath = filepath.Join(c.StoreDiskDir, instance+".heap")
-		cfg.DiskBudget = c.StoreDiskBudget
-		cfg.DiskPageBytes = c.StoreDiskPageBytes
-	}
-	return cfg
-}
-
-// newStore builds one fragment store per proxy.
-func (c Config) newStore(instance string) (fragstore.FragmentStore, error) {
-	return fragstore.New(c.storeConfig(instance))
-}
-
 // Mode selects the system configuration under test.
 type Mode int
 
@@ -85,91 +58,28 @@ func (m Mode) String() string {
 	return "no-cache"
 }
 
-// Config parameterizes a System.
+// Config parameterizes a System: what belongs to the deployment as a whole,
+// and by value the two module configs every proxy in it is built from. A
+// knob of the proxy or of its store is declared once, in its own package,
+// and set here as cfg.Proxy.PageCacheTTL or cfg.Store.Backend.
 type Config struct {
-	// Capacity is the fragment-slot count shared by BEM and DPC.
-	// Defaults to 4096.
+	// Capacity is the fragment-slot count shared by the BEM and every
+	// proxy's store. Defaults to 4096.
 	Capacity int
-	// Codec is the template wire format; defaults to binary.
+	// Codec is the template wire format the origin writes and every proxy
+	// reads; defaults to binary.
 	Codec tmpl.Codec
-	// Strict enables generation-checked assembly with bypass recovery.
-	Strict bool
 	// ForcedMissProb pins the BEM hit ratio for experiments (Figure 5).
 	ForcedMissProb float64
-	// StoreBackend selects each proxy's fragment store: "slot" (default,
-	// the paper's single-lock array), "sharded" (the keyed engine:
-	// per-shard locks, byte budget, eviction) or "tiered" (the engine over
-	// a heap file). Every proxy — the reverse proxy and each edge — gets
-	// its own store instance.
-	StoreBackend string
-	// StoreShards is the engine's shard count under the sharded and
-	// tiered backends, rounded up to a power of two (0 selects the
-	// fragstore default).
-	StoreShards int
-	// StoreByteBudget bounds resident fragment bytes in RAM per sharded
-	// or tiered store (0 = unbounded). The sharded backend requires
-	// StoreEviction with it.
-	StoreByteBudget int64
-	// StoreEviction is the engine's policy: "none", "lru", or "gdsf".
-	StoreEviction string
-	// StoreDiskDir is the tiered backend's heap-file directory: each
-	// proxy gets its own file there ("front.heap", "edge-<name>.heap"),
-	// replayed on restart so a bounced proxy serves warm. Required for
-	// (and only meaningful with) StoreBackend "tiered".
-	StoreDiskDir string
-	// StoreDiskBudget bounds each tiered store's disk-resident bytes
-	// (0 = unbounded); over budget the disk tier drops its LRU victims.
-	StoreDiskBudget int64
-	// StoreDiskPageBytes is the heap file's page size (0 selects the
-	// diskstore default, 32 KiB).
-	StoreDiskPageBytes int
-	// Coalesce collapses concurrent identical in-flight origin fetches at
-	// each proxy into a single origin request (single-flight, keyed by
-	// method, URL, and session identity) whose output is broadcast chunk
-	// by chunk to every parked request as the leader's fetch proceeds.
-	Coalesce bool
-	// CoalesceBufferBytes bounds each flight's broadcast buffer (0 selects
-	// the dpc default, 4 MiB); past it, late joiners degrade to their own
-	// origin fetch instead of replaying the oversized page.
-	CoalesceBufferBytes int
-	// PageCache mounts each proxy's whole-page cache stage (ahead of
-	// coalesce): complete responses to anonymous-session GETs are cached
-	// by URL for PageCacheTTL and served with X-Cache: PAGE;
-	// identity-bearing requests bypass the stage.
-	PageCache bool
-	// PageCacheTTL bounds page-cache staleness (0 selects the dpc
-	// default, 2s).
-	PageCacheTTL time.Duration
-	// PageCacheEntries bounds each proxy's resident pages (0 selects the
-	// dpc default, 1024).
-	PageCacheEntries int
-	// PageCacheBudget bounds each proxy's resident page bytes (0 =
-	// unbounded).
-	PageCacheBudget int64
-	// DepIndexBudget bounds each proxy's dependency index — the
-	// fragment→page edge set the fabric consults for surgical page
-	// invalidation (0 selects the dpc default, 1 MiB).
-	DepIndexBudget int64
-	// PlanParallelism bounds the plan executor's prefetch fan-out (0
-	// selects the dpc default, 1, which resolves GETs sequentially).
-	PlanParallelism int
 	// Fabric wires the coherency invalidation fabric (ModeCached only):
 	// a hub is attached to the BEM's invalidation stream and every cache
 	// tier of every proxy — fragment store, whole-page tier, static
 	// tier — subscribes. Fragment invalidations then drop dependent
 	// page-tier entries the moment they happen (via each proxy's
-	// dependency index) instead of waiting out PageCacheTTL, which is
-	// what makes realistic page TTLs safe. Edges started with StartEdge
+	// dependency index) instead of waiting out Proxy.PageCacheTTL, which
+	// is what makes realistic page TTLs safe. Edges started with StartEdge
 	// subscribe automatically too.
 	Fabric bool
-	// StreamSpoolBytes bounds the look-ahead spool each proxy holds an
-	// assembled page in before committing its headers (0 selects the dpc
-	// default, 64 KiB; negative holds the whole page). A page that fits
-	// is sent complete, with its Content-Length.
-	StreamSpoolBytes int
-	// PublishInterval is each proxy's background store-stats publish
-	// period (0 selects the dpc default of 10s; negative disables).
-	PublishInterval time.Duration
 	// Seed drives all deterministic randomness.
 	Seed int64
 	// Latency is the repository's simulated query/update delay.
@@ -182,59 +92,63 @@ type Config struct {
 	// Registry receives all component metrics; a fresh one is created
 	// when nil.
 	Registry *metrics.Registry
-	// Trace enables request-scoped tracing: one tracer is shared by the
-	// front proxy and every edge, so a request that hops edge → interior
-	// proxy (the trace id riding the X-DPC-Trace header) lands as one
-	// stitched tree in each node's capture ring at /_dpc/trace.
-	Trace bool
-	// TraceSampleEvery admits every Nth finished trace to the capture
-	// ring (0 selects the trace default, 64; slow requests are always
-	// admitted regardless).
-	TraceSampleEvery int
-	// TraceSlow is the always-capture slow threshold (0 selects the
-	// trace default, 250ms; negative disables slow capture).
-	TraceSlow time.Duration
-	// TraceRing bounds the shared capture ring (0 selects the trace
-	// default, 256).
-	TraceRing int
-	// Pprof mounts net/http/pprof under /_dpc/pprof/ on each proxy's
-	// admin surface.
-	Pprof bool
-	// Admission mounts each proxy's admission-control stage: under
-	// measured pressure (origin in-flight, latency EWMA, queue depth,
-	// ledger bytes, negative-cached failures) requests are served stale
-	// from the cache tiers or shed with a fast 503 + Retry-After instead
-	// of queueing on the origin (see dpc.Config.Admission).
-	Admission bool
-	// AdmissionMaxInFlight bounds concurrent origin-bound requests per
-	// proxy (0 = unbounded).
-	AdmissionMaxInFlight int
-	// AdmissionMaxKeyInFlight bounds them per coalesce key (0 =
-	// unbounded).
-	AdmissionMaxKeyInFlight int
-	// AdmissionMaxTenantInFlight bounds them per X-User tenant (0 =
-	// unbounded).
-	AdmissionMaxTenantInFlight int
-	// AdmissionMaxFlightWaiters bounds followers parked on one coalesce
-	// flight (0 = unbounded).
-	AdmissionMaxFlightWaiters int
-	// AdmissionShedLatency is the origin-latency EWMA threshold past
-	// which stale serving is preferred (0 disables the signal).
-	AdmissionShedLatency time.Duration
-	// AdmissionStaleWindow bounds how far past TTL a cache entry may be
-	// served under pressure (0 selects the dpc default, 30s).
-	AdmissionStaleWindow time.Duration
-	// AdmissionNegTTL is the negative-cache lifetime of origin failures
-	// (0 selects the dpc default, 1s).
-	AdmissionNegTTL time.Duration
-	// AdmissionRetryAfter is the Retry-After hint on shed 503s (0 selects
-	// the dpc default, 1s).
-	AdmissionRetryAfter time.Duration
 	// OriginFaults injects configured misbehavior (latency, errors,
 	// hangs, mid-body aborts, a bounded worker pool) in front of the
 	// origin's page/static handlers — the saturation experiment's load
 	// model. Nil serves faithfully.
 	OriginFaults *origin.FaultConfig
+	// Proxy is the template every proxy — the front one and each edge —
+	// is built from; see dpc.Config for the knobs. The system fills
+	// OriginURL, Store, Capacity, Codec, Registry and Tracer per proxy,
+	// so setting any of them here is an error. Proxy.Trace builds one
+	// tracer shared by the front proxy and every edge, so a request that
+	// hops edge → interior proxy (the trace id riding the X-DPC-Trace
+	// header) lands as one stitched tree in each node's ring.
+	Proxy dpc.Config
+	// Store is the template of each proxy's own fragment store; see
+	// fragstore.Config. The system fills Capacity and DiskPath per store,
+	// so setting either here is an error.
+	Store fragstore.Config
+	// DiskDir is the tiered backend's heap-file directory: each proxy
+	// gets its own file there ("front.heap", "edge-<name>.heap"), keyed
+	// by instance so a restarted proxy reopens its own file — the
+	// warm-restart path — while co-located proxies never share one.
+	// Required for (and only valid with) Store.Backend "tiered".
+	DiskDir string
+}
+
+// storeConfig is the fragment-store config of one named proxy instance.
+func (c Config) storeConfig(instance string) fragstore.Config {
+	sc := c.Store
+	sc.Capacity = c.Capacity
+	if c.DiskDir != "" {
+		sc.DiskPath = filepath.Join(c.DiskDir, instance+".heap")
+	}
+	return sc
+}
+
+// proxyConfig is the config of one proxy over its store. tracer may be nil
+// (tracing off).
+func (c Config) proxyConfig(originURL string, store fragstore.FragmentStore, tracer *trace.Tracer) dpc.Config {
+	pc := c.Proxy
+	pc.OriginURL, pc.Store, pc.Tracer = originURL, store, tracer
+	pc.Capacity, pc.Codec, pc.Registry = c.Capacity, c.Codec, c.Registry
+	pc.Stream = true // dpc.Config.Stream: false would mean StreamSpoolBytes < 0
+	return pc
+}
+
+// checkTemplates refuses a value in a field the system fills per proxy,
+// which would otherwise be silently replaced.
+func (c Config) checkTemplates() error {
+	p, s := c.Proxy, c.Store
+	if p.OriginURL != "" || p.Store != nil || p.Capacity != 0 || p.Codec != nil || p.Registry != nil || p.Tracer != nil {
+		return fmt.Errorf("core: Proxy.OriginURL, Store, Capacity, Codec, Registry and Tracer are filled per proxy" +
+			" (set Config.Capacity, Codec and Registry, and Proxy.Trace)")
+	}
+	if s.Capacity != 0 || s.DiskPath != "" {
+		return fmt.Errorf("core: Store.Capacity and Store.DiskPath are filled per proxy (set Config.Capacity and DiskDir)")
+	}
+	return nil
 }
 
 // System is a fully wired origin + proxy deployment.
@@ -256,57 +170,17 @@ type System struct {
 	// Registry aggregates metrics across components.
 	Registry *metrics.Registry
 	// Tracer is the request tracer shared by the front proxy and every
-	// edge (nil unless Config.Trace). Sharing one tracer means an
+	// edge (nil unless Config.Proxy.Trace). Sharing one tracer means an
 	// edge-originated trace id resolves in the interior proxy's ring
 	// too, and dpc.trace.* counters aggregate cluster-wide.
 	Tracer *trace.Tracer
 
-	cfg         Config
-	originLn    net.Listener
-	proxyLn     net.Listener
-	originSrv   *http.Server
-	proxySrv    *http.Server
-	edges       []*http.Server
-	edgeProxies []*dpc.Proxy
-	frontStore  io.Closer   // tiered stores hold an open heap file; closing any other is a no-op
-	edgeStores  []io.Closer // likewise, one per edge
-	started     bool
-}
-
-// proxyConfig translates the system config into one proxy's config.
-// tracer may be nil (tracing off); when set it is shared across proxies
-// so edge→interior hops stitch into one trace id space.
-func (c Config) proxyConfig(originURL string, store fragstore.FragmentStore, reg *metrics.Registry, tracer *trace.Tracer) dpc.Config {
-	return dpc.Config{
-		OriginURL:           originURL,
-		Capacity:            c.Capacity,
-		Store:               store,
-		Codec:               c.Codec,
-		Strict:              c.Strict,
-		Coalesce:            c.Coalesce,
-		CoalesceBufferBytes: c.CoalesceBufferBytes,
-		Stream:              true, // dpc.Config.Stream: false would mean StreamSpoolBytes < 0
-		StreamSpoolBytes:    c.StreamSpoolBytes,
-		PageCache:           c.PageCache,
-		PageCacheTTL:        c.PageCacheTTL,
-		PageCacheEntries:    c.PageCacheEntries,
-		PageCacheBudget:     c.PageCacheBudget,
-		DepIndexBudget:      c.DepIndexBudget,
-		PlanParallelism:     c.PlanParallelism,
-		PublishInterval:     c.PublishInterval,
-		Registry:            reg,
-		Tracer:              tracer,
-		Pprof:               c.Pprof,
-		Admission:           c.Admission,
-		MaxOriginInFlight:   c.AdmissionMaxInFlight,
-		MaxKeyInFlight:      c.AdmissionMaxKeyInFlight,
-		MaxTenantInFlight:   c.AdmissionMaxTenantInFlight,
-		MaxFlightWaiters:    c.AdmissionMaxFlightWaiters,
-		ShedLatency:         c.AdmissionShedLatency,
-		StaleWindow:         c.AdmissionStaleWindow,
-		NegTTL:              c.AdmissionNegTTL,
-		RetryAfter:          c.AdmissionRetryAfter,
-	}
+	cfg       Config
+	originLn  net.Listener
+	originSrv *http.Server
+	front     Edge
+	edges     []Edge
+	started   bool
 }
 
 // ProxySubscribers returns one coherency subscriber per cache tier of a
@@ -318,7 +192,7 @@ func (c Config) proxyConfig(originURL string, store fragstore.FragmentStore, reg
 // dpc.static_invalidations counters, and whole-tier flushes, by cause, on
 // dpc.pagecache_*flushes and dpc.static_*flushes (reg may be nil). The
 // compiled-plan tier subscribes for plan-scoped flushes and gap recovery.
-// It is the single wiring point shared by System.subscribeTiers, dpcd's
+// It is the single wiring point shared by System.startProxy, dpcd's
 // /_dpc/invalidate endpoint, and the facade.
 func ProxySubscribers(p *dpc.Proxy, reg *metrics.Registry) []coherency.Subscriber {
 	subs := []coherency.Subscriber{coherency.NewStoreSubscriber(p.Store())}
@@ -336,20 +210,18 @@ func ProxySubscribers(p *dpc.Proxy, reg *metrics.Registry) []coherency.Subscribe
 		}
 		subs = append(subs, sub)
 	}
-	if static := p.Static(); static != nil {
-		sub := coherency.NewStaticSubscriber(static.Cache, p.DepIndex())
-		sub.KeyPrefix = dpc.StaticKeyPrefix
-		if reg != nil {
-			dropped := reg.Counter("dpc.static_invalidations")
-			sub.OnDrop = func(n int) { dropped.Add(int64(n)) }
-			sub.OnFlush = countFlushes(reg.Counter("dpc.static_flushes"), map[string]*metrics.Counter{
-				coherency.FlushGap:      reg.Counter("dpc.static_gap_flushes"),
-				coherency.FlushEvent:    reg.Counter("dpc.static_event_flushes"),
-				coherency.FlushFallback: reg.Counter("dpc.static_fallback_flushes"),
-			})
-		}
-		subs = append(subs, sub)
+	static := coherency.NewStaticSubscriber(p.Static().Cache, p.DepIndex())
+	static.KeyPrefix = dpc.StaticKeyPrefix
+	if reg != nil {
+		dropped := reg.Counter("dpc.static_invalidations")
+		static.OnDrop = func(n int) { dropped.Add(int64(n)) }
+		static.OnFlush = countFlushes(reg.Counter("dpc.static_flushes"), map[string]*metrics.Counter{
+			coherency.FlushGap:      reg.Counter("dpc.static_gap_flushes"),
+			coherency.FlushEvent:    reg.Counter("dpc.static_event_flushes"),
+			coherency.FlushFallback: reg.Counter("dpc.static_fallback_flushes"),
+		})
 	}
+	subs = append(subs, static)
 	// The plan tier ignores fragment events and purges (plans are
 	// content-hash keyed and hold no fragment bytes); it subscribes for
 	// "plan"-scoped flushes and gap recovery.
@@ -367,14 +239,8 @@ func countFlushes(total *metrics.Counter, byCause map[string]*metrics.Counter) f
 	}
 }
 
-// subscribeTiers attaches every cache tier of one proxy to the hub.
-func (s *System) subscribeTiers(p *dpc.Proxy) {
-	for _, sub := range ProxySubscribers(p, s.Registry) {
-		s.Hub.Subscribe(sub)
-	}
-}
-
-// Edge is an additional forward-deployed DPC created by StartEdge.
+// Edge is one running proxy of the system: the front one, or an
+// additional forward-deployed DPC created by StartEdge.
 type Edge struct {
 	// Name identifies the edge (for routers).
 	Name string
@@ -389,8 +255,10 @@ type Edge struct {
 
 // Close shuts this one edge down — server, proxy background work, and
 // (for a tiered store) the heap file, which a later StartEdge of the
-// same name reopens warm. The rest of the system keeps running.
-// Idempotent; System.Close also closes any edges still up.
+// same name reopens warm. The heap file goes last, after its proxy has
+// stopped: a clean diskstore close writes back every dirty page so the
+// next open replays the full resident set. The rest of the system keeps
+// running. Idempotent; System.Close also closes any edges still up.
 func (e Edge) Close() error {
 	var first error
 	if e.srv != nil {
@@ -418,6 +286,9 @@ func NewSystem(cfg Config, mode Mode) (*System, error) {
 	}
 	if cfg.Capacity < 0 {
 		return nil, fmt.Errorf("core: negative capacity")
+	}
+	if err := cfg.checkTemplates(); err != nil {
+		return nil, err
 	}
 	// Fail fast on a bad store selection instead of at Start.
 	if err := cfg.storeConfig("front").Validate(); err != nil {
@@ -460,8 +331,8 @@ func NewSystem(cfg Config, mode Mode) (*System, error) {
 		return nil, err
 	}
 	var tracer *trace.Tracer
-	if cfg.Trace {
-		tracer = dpc.NewTracer(cfg.Registry, cfg.TraceSampleEvery, cfg.TraceSlow, cfg.TraceRing)
+	if pc := cfg.Proxy; pc.Trace {
+		tracer = dpc.NewTracer(cfg.Registry, pc.TraceSampleEvery, pc.TraceSlow, pc.TraceRingSize)
 	}
 	return &System{
 		Mode:     mode,
@@ -488,7 +359,8 @@ func (s *System) Register(scripts ...*script.Script) error {
 	return nil
 }
 
-// Start opens the metered origin listener and the proxy front end.
+// Start opens the metered origin listener and the proxy front end. On
+// error nothing is left running or open, and Start may be called again.
 func (s *System) Start() error {
 	if s.started {
 		return fmt.Errorf("core: already started")
@@ -500,51 +372,59 @@ func (s *System) Start() error {
 	if s.cfg.Firewall != nil {
 		originLn = s.cfg.Firewall.Listener(originLn)
 	}
-	s.originLn = originLn
-	s.originSrv = &http.Server{Handler: s.Origin}
-	go func() { _ = s.originSrv.Serve(originLn) }()
-
-	store, err := s.cfg.newStore("front")
+	originSrv := &http.Server{Handler: s.Origin}
+	go func() { _ = originSrv.Serve(originLn) }()
+	if s.Hub == nil && s.cfg.Fabric && s.Monitor != nil {
+		s.Hub = coherency.NewHub(s.Monitor) // once: a retried Start must not hook the BEM twice
+	}
+	front, err := s.startProxy("front", "http://"+originLn.Addr().String())
 	if err != nil {
-		_ = originLn.Close()
+		_ = originSrv.Close()
+		_ = originLn.Close() // Serve may not have taken it yet
 		return err
 	}
-	if c, ok := store.(io.Closer); ok {
-		s.frontStore = c
-	}
-	proxy, err := dpc.New(s.cfg.proxyConfig("http://"+originLn.Addr().String(), store, s.Registry, s.Tracer))
-	if err != nil {
-		if s.frontStore != nil {
-			_ = s.frontStore.Close()
-		}
-		_ = originLn.Close()
-		return err
-	}
-	s.Proxy = proxy
-	if s.cfg.Fabric && s.Monitor != nil {
-		s.Hub = coherency.NewHub(s.Monitor)
-		s.subscribeTiers(proxy)
-	}
-	proxyLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		_ = proxy.Close()
-		_ = originLn.Close()
-		return err
-	}
-	s.proxyLn = proxyLn
-	s.proxySrv = &http.Server{Handler: proxy}
-	go func() { _ = s.proxySrv.Serve(proxyLn) }()
+	s.originLn, s.originSrv = originLn, originSrv
+	s.front, s.Proxy = front, front.Proxy
 	s.started = true
 	return nil
 }
 
-// FrontURL is what clients request against (the proxy).
-func (s *System) FrontURL() string {
-	if s.proxyLn == nil {
-		return ""
+// startProxy brings up one proxy of the system against originURL: its own
+// store (instance names the tiered heap file), the proxy, its tiers'
+// subscriptions to the fabric, and a loopback listener serving it. On
+// error everything it opened is closed again.
+func (s *System) startProxy(instance, originURL string) (e Edge, err error) {
+	defer func() {
+		if err != nil {
+			_ = e.Close()
+			e = Edge{}
+		}
+	}()
+	store, err := fragstore.New(s.cfg.storeConfig(instance))
+	if err != nil {
+		return e, err
 	}
-	return "http://" + s.proxyLn.Addr().String()
+	e.store, _ = store.(io.Closer)
+	if e.Proxy, err = dpc.New(s.cfg.proxyConfig(originURL, store, s.Tracer)); err != nil {
+		return e, err
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return e, err
+	}
+	e.URL = "http://" + ln.Addr().String()
+	e.srv = &http.Server{Handler: e.Proxy}
+	if s.Hub != nil {
+		for _, sub := range ProxySubscribers(e.Proxy, s.Registry) {
+			s.Hub.Subscribe(sub)
+		}
+	}
+	go func() { _ = e.srv.Serve(ln) }()
+	return e, nil
 }
+
+// FrontURL is what clients request against (the proxy).
+func (s *System) FrontURL() string { return s.front.URL }
 
 // OriginURL is the origin's direct address (bypassing the proxy).
 func (s *System) OriginURL() string {
@@ -563,65 +443,26 @@ func (s *System) StartEdge(name string) (Edge, error) {
 	if !s.started {
 		return Edge{}, fmt.Errorf("core: start the system before adding edges")
 	}
-	store, err := s.cfg.newStore("edge-" + name)
+	e, err := s.startProxy("edge-"+name, s.OriginURL())
 	if err != nil {
 		return Edge{}, err
 	}
-	storeCloser, _ := store.(io.Closer)
-	proxy, err := dpc.New(s.cfg.proxyConfig(s.OriginURL(), store, s.Registry, s.Tracer))
-	if err != nil {
-		if storeCloser != nil {
-			_ = storeCloser.Close()
-		}
-		return Edge{}, err
-	}
-	if s.Hub != nil {
-		s.subscribeTiers(proxy)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		_ = proxy.Close()
-		if storeCloser != nil {
-			_ = storeCloser.Close()
-		}
-		return Edge{}, err
-	}
-	srv := &http.Server{Handler: proxy}
-	s.edges = append(s.edges, srv)
-	s.edgeProxies = append(s.edgeProxies, proxy)
-	if storeCloser != nil {
-		s.edgeStores = append(s.edgeStores, storeCloser)
-	}
-	go func() { _ = srv.Serve(ln) }()
-	return Edge{Name: name, Proxy: proxy, URL: "http://" + ln.Addr().String(), srv: srv, store: storeCloser}, nil
+	e.Name = name
+	s.edges = append(s.edges, e)
+	return e, nil
 }
 
-// Close shuts both servers down, stopping each proxy's background work.
+// Close shuts the origin and every proxy down, stopping each proxy's
+// background work and closing its store. Edges already bounced
+// individually are fine: Edge.Close is idempotent.
 func (s *System) Close() error {
-	var first error
-	srvs := append([]*http.Server{s.proxySrv, s.originSrv}, s.edges...)
-	for _, srv := range srvs {
-		if srv != nil {
-			srv.SetKeepAlivesEnabled(false)
-			if err := srv.Close(); err != nil && first == nil {
-				first = err
-			}
-		}
+	first := s.front.Close()
+	for _, e := range s.edges {
+		_ = e.Close()
 	}
-	for _, p := range append([]*dpc.Proxy{s.Proxy}, s.edgeProxies...) {
-		if p != nil {
-			_ = p.Close()
-		}
-	}
-	// Close the heap files last, after their proxies have stopped; a
-	// clean diskstore close writes back every dirty page so the next
-	// open replays the full resident set. Close is idempotent, so edges
-	// already bounced individually are fine.
-	for _, c := range s.edgeStores {
-		_ = c.Close()
-	}
-	if s.frontStore != nil {
-		if err := s.frontStore.Close(); err != nil && first == nil {
+	if s.originSrv != nil {
+		s.originSrv.SetKeepAlivesEnabled(false)
+		if err := s.originSrv.Close(); err != nil && first == nil {
 			first = err
 		}
 	}

@@ -5,8 +5,8 @@ import (
 	"net/http"
 	"strings"
 	"testing"
-	"time"
 
+	"dpcache/internal/dpc"
 	"dpcache/internal/firewall"
 	"dpcache/internal/site"
 )
@@ -91,7 +91,7 @@ func TestRegisterAfterStartFails(t *testing.T) {
 
 func TestPagesIdenticalAcrossModes(t *testing.T) {
 	nc := startSynthetic(t, ModeNoCache, Config{Seed: 1})
-	ch := startSynthetic(t, ModeCached, Config{Seed: 1, Strict: true})
+	ch := startSynthetic(t, ModeCached, Config{Seed: 1, Proxy: dpc.Config{Strict: true}})
 	for _, q := range []string{"0", "3", "9"} {
 		url := "/page/synth?page=" + q
 		a := fetch(t, nc.FrontURL()+url, "")
@@ -159,20 +159,9 @@ func TestFirewallScansOriginLink(t *testing.T) {
 func TestExtraHeaderBytesInflateResponses(t *testing.T) {
 	small := startSynthetic(t, ModeNoCache, Config{})
 	big := startSynthetic(t, ModeNoCache, Config{ExtraHeaderBytes: 300})
-	// The meter counts a write once it has returned, so a client can hold
-	// the whole body a moment before the count moves: wait for each meter
-	// to reach the floor the bytes already received imply.
-	bytesOut := func(sys *System, floor int64) int64 {
-		deadline := time.Now().Add(2 * time.Second)
-		for sys.Meter.BytesOut() < floor && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-		return sys.Meter.BytesOut()
-	}
-	page := fetch(t, small.FrontURL()+"/page/synth?page=0", "")
+	fetch(t, small.FrontURL()+"/page/synth?page=0", "")
 	fetch(t, big.FrontURL()+"/page/synth?page=0", "")
-	plain := bytesOut(small, int64(len(page)))
-	if padded := bytesOut(big, plain+251); padded <= plain+250 {
+	if plain, padded := small.Meter.BytesOut(), big.Meter.BytesOut(); padded <= plain+250 {
 		t.Fatalf("header padding missing: %d vs %d", padded, plain)
 	}
 }
@@ -193,7 +182,7 @@ func TestDoubleStartFails(t *testing.T) {
 }
 
 func TestInvalidationFlowsThroughSystem(t *testing.T) {
-	sys := startSynthetic(t, ModeCached, Config{Strict: true})
+	sys := startSynthetic(t, ModeCached, Config{Proxy: dpc.Config{Strict: true}})
 	url := sys.FrontURL() + "/page/synth?page=0"
 	before := fetch(t, url, "")
 	fetch(t, url, "") // warm

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"dpcache/internal/coherency"
+	"dpcache/internal/dpc"
 	"dpcache/internal/routing"
 	"dpcache/internal/site"
 )
@@ -17,7 +18,7 @@ import (
 // coherency hub. Asserts session affinity, coherent invalidation, and
 // router failover.
 func TestEdgeDeployment(t *testing.T) {
-	sys, err := NewSystem(Config{Capacity: 256, Strict: true, Seed: 4}, ModeCached)
+	sys, err := NewSystem(Config{Capacity: 256, Seed: 4, Proxy: dpc.Config{Strict: true}}, ModeCached)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"dpcache/internal/dpc"
 	"dpcache/internal/site"
 )
 
@@ -22,12 +23,10 @@ func newFabricSystem(t testing.TB, mutate func(*Config)) (*System, site.Syntheti
 	t.Helper()
 	siteCfg := site.DefaultSynthetic()
 	cfg := Config{
-		Capacity:     2 * siteCfg.Pages * siteCfg.FragmentsPerPage,
-		Strict:       true,
-		Seed:         7,
-		PageCache:    true,
-		PageCacheTTL: time.Minute,
-		Fabric:       true,
+		Capacity: 2 * siteCfg.Pages * siteCfg.FragmentsPerPage,
+		Seed:     7,
+		Fabric:   true,
+		Proxy:    dpc.Config{Strict: true, PageCache: true, PageCacheTTL: time.Minute},
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -182,7 +181,7 @@ var fragVersionRe = regexp.MustCompile(`<!--frag 0 v(\d+)-->`)
 // filed after the drop. Run with -race in CI.
 func TestFabricInvalidationStormNeverServesDropped(t *testing.T) {
 	sys, _ := newFabricSystem(t, func(c *Config) {
-		c.Coalesce = false // single-flight serves point-in-time-of-leader pages; keep the oracle strict
+		c.Proxy.Coalesce = false // single-flight serves point-in-time-of-leader pages; keep the oracle strict
 	})
 	page0 := sys.FrontURL() + "/page/synth?page=0"
 
@@ -298,12 +297,10 @@ func BenchmarkInvalidationStorm(b *testing.B) {
 func TestFabricTwoHundredWritesDropTwoHundredPages(t *testing.T) {
 	siteCfg := site.SyntheticConfig{Pages: 1000, FragmentsPerPage: 16, FragmentBytes: 64, Cacheability: 0.75}
 	sys, err := NewSystem(Config{
-		Capacity:     16384,
-		Strict:       true,
-		Seed:         7,
-		PageCache:    true,
-		PageCacheTTL: 10 * time.Minute,
-		Fabric:       true,
+		Capacity: 16384,
+		Seed:     7,
+		Fabric:   true,
+		Proxy:    dpc.Config{Strict: true, PageCache: true, PageCacheTTL: 10 * time.Minute},
 	}, ModeCached)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"dpcache/internal/dpc"
 	"sync"
 	"testing"
 	"time"
@@ -11,10 +12,11 @@ import (
 // stream, serves them byte-identical to a system holding every page whole,
 // cold and warm.
 func TestStreamingSystemServesIdenticalPages(t *testing.T) {
-	buffered := startSynthetic(t, ModeCached, Config{Capacity: 256, Strict: true, Seed: 1, StreamSpoolBytes: -1})
+	buffered := startSynthetic(t, ModeCached, Config{Capacity: 256, Seed: 1, Proxy: dpc.Config{Strict: true, StreamSpoolBytes: -1}})
 	streaming := startSynthetic(t, ModeCached, Config{
-		Capacity: 256, Strict: true, Seed: 1,
-		StreamSpoolBytes: 512, Coalesce: true,
+		Capacity: 256,
+		Seed:     1,
+		Proxy:    dpc.Config{Strict: true, StreamSpoolBytes: 512, Coalesce: true},
 	})
 	for i := 0; i < 3; i++ { // cold (SETs), warm (GETs), warm again
 		for page := 0; page < 4; page++ {
@@ -40,8 +42,9 @@ func TestStreamingSystemServesIdenticalPages(t *testing.T) {
 // identified traffic still takes the fragment path.
 func TestSystemPageCacheServesAnonymousRevisits(t *testing.T) {
 	sys := startSynthetic(t, ModeCached, Config{
-		Capacity: 256, Strict: true, Seed: 1,
-		PageCache: true, PageCacheTTL: time.Minute,
+		Capacity: 256,
+		Seed:     1,
+		Proxy:    dpc.Config{Strict: true, PageCache: true, PageCacheTTL: time.Minute},
 	})
 	want := fetch(t, sys.FrontURL()+"/page/synth?page=0", "")
 	origin0 := sys.Registry.Counter("origin.requests").Value()
@@ -70,7 +73,7 @@ func TestSystemPageCacheServesAnonymousRevisits(t *testing.T) {
 // A concurrent burst of identical requests against a coalescing system
 // must serve everyone the same intact page.
 func TestCoalescingSystemSurvivesStorm(t *testing.T) {
-	sys := startSynthetic(t, ModeCached, Config{Capacity: 256, Seed: 1, Coalesce: true})
+	sys := startSynthetic(t, ModeCached, Config{Capacity: 256, Seed: 1, Proxy: dpc.Config{Coalesce: true}})
 	want := fetch(t, sys.FrontURL()+"/page/synth?page=0", "u1")
 	var wg sync.WaitGroup
 	pages := make([]string, 16)
@@ -93,7 +96,9 @@ func TestCoalescingSystemSurvivesStorm(t *testing.T) {
 // and be stopped by System.Close.
 func TestSystemPublishesStoreGauges(t *testing.T) {
 	sys := startSynthetic(t, ModeCached, Config{
-		Capacity: 256, Seed: 1, PublishInterval: 5 * time.Millisecond,
+		Capacity: 256,
+		Seed:     1,
+		Proxy:    dpc.Config{PublishInterval: 5 * time.Millisecond},
 	})
 	fetch(t, sys.FrontURL()+"/page/synth?page=0", "u1") // populate the store
 	deadline := time.Now().Add(5 * time.Second)

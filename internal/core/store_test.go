@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"dpcache/internal/dpc"
 	"dpcache/internal/fragstore"
 )
 
@@ -13,13 +14,21 @@ import (
 // detail of the fragment memory, never of the content.
 func TestStoreBackendSelection(t *testing.T) {
 	configs := map[string]Config{
-		"slot-default": {Capacity: 256, Strict: true, Seed: 1},
-		"slot":         {Capacity: 256, Strict: true, Seed: 1, StoreBackend: fragstore.BackendSlot},
-		"sharded":      {Capacity: 256, Strict: true, Seed: 1, StoreBackend: fragstore.BackendSharded, StoreShards: 8},
-		"sharded-lru": {Capacity: 256, Strict: true, Seed: 1, StoreBackend: fragstore.BackendSharded,
-			StoreByteBudget: 1 << 20, StoreEviction: "lru"},
-		"sharded-gdsf": {Capacity: 256, Strict: true, Seed: 1, StoreBackend: fragstore.BackendSharded,
-			StoreByteBudget: 1 << 20, StoreEviction: "gdsf"},
+		"slot-default": {Capacity: 256, Seed: 1, Proxy: dpc.Config{Strict: true}},
+		"slot":         {Capacity: 256, Seed: 1, Proxy: dpc.Config{Strict: true}, Store: fragstore.Config{Backend: fragstore.BackendSlot}},
+		"sharded":      {Capacity: 256, Seed: 1, Proxy: dpc.Config{Strict: true}, Store: fragstore.Config{Backend: fragstore.BackendSharded, Shards: 8}},
+		"sharded-lru": {
+			Capacity: 256,
+			Seed:     1,
+			Proxy:    dpc.Config{Strict: true},
+			Store:    fragstore.Config{Backend: fragstore.BackendSharded, ByteBudget: 1 << 20, Eviction: "lru"},
+		},
+		"sharded-gdsf": {
+			Capacity: 256,
+			Seed:     1,
+			Proxy:    dpc.Config{Strict: true},
+			Store:    fragstore.Config{Backend: fragstore.BackendSharded, ByteBudget: 1 << 20, Eviction: "gdsf"},
+		},
 	}
 	var reference string
 	for name, cfg := range configs {
@@ -45,17 +54,37 @@ func TestStoreBackendSelection(t *testing.T) {
 // TestStoreBackendSelectionRejectsBadConfig ensures misconfiguration
 // fails at NewSystem, not at Start.
 func TestStoreBackendSelectionRejectsBadConfig(t *testing.T) {
-	if _, err := NewSystem(Config{StoreBackend: "bogus"}, ModeCached); err == nil {
+	if _, err := NewSystem(Config{Store: fragstore.Config{Backend: "bogus"}}, ModeCached); err == nil {
 		t.Fatal("unknown store backend accepted")
 	}
-	if _, err := NewSystem(Config{StoreBackend: fragstore.BackendSharded,
-		StoreByteBudget: 1024}, ModeCached); err == nil {
+	if _, err := NewSystem(Config{
+		Store: fragstore.Config{Backend: fragstore.BackendSharded, ByteBudget: 1024},
+	}, ModeCached); err == nil {
 		t.Fatal("byte budget without eviction policy accepted")
 	}
-	_, err := NewSystem(Config{StoreBackend: fragstore.BackendSharded,
-		StoreEviction: "fifo"}, ModeCached)
+	_, err := NewSystem(Config{
+		Store: fragstore.Config{Backend: fragstore.BackendSharded, Eviction: "fifo"},
+	}, ModeCached)
 	if err == nil || !strings.Contains(err.Error(), "fifo") {
 		t.Fatalf("unknown eviction policy error = %v", err)
+	}
+	// What the system fills per proxy is refused, not silently replaced.
+	for _, tc := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{Proxy: dpc.Config{OriginURL: "http://elsewhere"}}, "Proxy.OriginURL"},
+		{Config{Proxy: dpc.Config{Capacity: 64}}, "Proxy.OriginURL"},
+		{Config{Store: fragstore.Config{Backend: fragstore.BackendTiered, DiskPath: "/tmp/x.heap"}}, "Store.DiskPath"},
+		{Config{Store: fragstore.Config{Capacity: 64}}, "Store.Capacity"},
+	} {
+		if _, err := NewSystem(tc.cfg, ModeCached); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%+v: error = %v, want one naming %s", tc.cfg, err, tc.want)
+		}
+	}
+	// A heap-file directory without the backend that uses it selects nothing.
+	if _, err := NewSystem(Config{DiskDir: t.TempDir()}, ModeCached); err == nil {
+		t.Fatal("DiskDir accepted with the slot backend")
 	}
 }
 
@@ -64,7 +93,7 @@ func TestStoreBackendSelectionRejectsBadConfig(t *testing.T) {
 // relies on invalidating each edge independently).
 func TestEdgeProxiesGetDistinctStores(t *testing.T) {
 	sys := startSynthetic(t, ModeCached,
-		Config{Capacity: 64, Strict: true, StoreBackend: fragstore.BackendSharded})
+		Config{Capacity: 64, Proxy: dpc.Config{Strict: true}, Store: fragstore.Config{Backend: fragstore.BackendSharded}})
 	edge, err := sys.StartEdge("edge-1")
 	if err != nil {
 		t.Fatal(err)

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"dpcache/internal/dpc"
 	"dpcache/internal/site"
 )
 
@@ -26,7 +27,7 @@ func TestConcurrentStormIntegrity(t *testing.T) {
 		t.Skip("storm test")
 	}
 	cfg := site.SyntheticConfig{Pages: 4, FragmentsPerPage: 4, FragmentBytes: 256, Cacheability: 1.0}
-	sys, err := NewSystem(Config{Capacity: 64, Strict: true, Seed: 5}, ModeCached)
+	sys, err := NewSystem(Config{Capacity: 64, Seed: 5, Proxy: dpc.Config{Strict: true}}, ModeCached)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"dpcache/internal/dpc"
 	"dpcache/internal/site"
 	"dpcache/internal/trace"
 )
@@ -16,12 +17,9 @@ import (
 // traces land in the one ring System.Tracer serves.
 func TestSystemSharedTracer(t *testing.T) {
 	sys, err := NewSystem(Config{
-		Capacity:         256,
-		Strict:           true,
-		Seed:             11,
-		Trace:            true,
-		TraceSampleEvery: 1,
-		TraceSlow:        -1,
+		Capacity: 256,
+		Seed:     11,
+		Proxy:    dpc.Config{Strict: true, Trace: true, TraceSampleEvery: 1, TraceSlow: -1},
 	}, ModeCached)
 	if err != nil {
 		t.Fatal(err)

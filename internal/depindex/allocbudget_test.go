@@ -40,7 +40,7 @@ func TestAllocBudgetDepindexFootprint(t *testing.T) {
 	before := heap()
 	ix := New(Config{Horizon: 10 * time.Minute})
 	for page := 0; page < pages; page++ {
-		ix.File(pageIDs(page), pageKey(page))
+		ix.File(pageIDs(page), pageKey(page), ix.hz)
 	}
 	after := heap()
 
@@ -64,7 +64,7 @@ func TestAllocBudgetDepindexFootprint(t *testing.T) {
 	}
 
 	key := pageKey(7)
-	if n := testing.AllocsPerRun(100, func() { ix.File(pageIDs(7), key) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { ix.File(pageIDs(7), key, ix.hz) }); n != 0 {
 		t.Fatalf("re-filing an indexed page allocated %v times", n)
 	}
 	if err := ix.checkInvariants(); err != nil {

@@ -43,10 +43,10 @@
 // subscriber falls back to a scoped flush of its tier. The window covers
 // hits and misses alike. An eviction that loses nothing live (every edge
 // already expired, or the generation was invalidated and its tombstone has
-// run out) opens no window. Edges expire after Horizon, the maximum
-// lifetime of the entries the index describes: an entry the tier already
-// let go by TTL needs no edge, and a stale edge costs at worst one
-// redundant Delete of a non-resident key. Deadlines are kept in whole
+// run out) opens no window. An edge expires with the entry it describes
+// (File takes the entry's lifetime): an entry the tier already let go by
+// TTL needs no edge, and a stale edge costs at worst one redundant Delete
+// of a non-resident key. Deadlines are kept in whole
 // seconds, rounded up, so an edge never expires before its entry.
 //
 // # The fill/invalidate race
@@ -106,8 +106,8 @@ type Config struct {
 	// least-recently-recorded fragments are evicted, and a shard that lost
 	// live edges answers conservatively until they would have expired.
 	ByteBudget int64
-	// Horizon is the maximum lifetime of the entries the index describes
-	// (the page tier's TTL): edges expire after it. 0 selects 2s.
+	// Horizon is the edge lifetime Record files under (File takes each
+	// entry's own). 0 selects 2s.
 	Horizon time.Duration
 	// Clock drives expiry; nil selects the real clock.
 	Clock clock.Clock
@@ -240,16 +240,16 @@ func mix(id ID) uint64 {
 
 // File records (or refreshes) the edge id → key for every id: one captured
 // page's references, filed under the page's store key. The edges expire
-// after the index's Horizon — the longest the described entry can stay
-// resident — so the index never outremembers the tiers it describes.
+// after ttl, the lifetime the tier gave the entry, so the index neither
+// forgets an entry still resident nor outremembers the tiers it describes.
 // Re-filing a page whose edges are all present allocates nothing.
-func (ix *Index) File(ids []ID, key string) {
+func (ix *Index) File(ids []ID, key string, ttl time.Duration) {
 	if len(ids) == 0 {
 		return
 	}
 	ix.records.Add(int64(len(ids)))
 	now := ix.since()
-	deadline := secCeil(now + ix.hz)
+	deadline := secCeil(now + ttl)
 	// The pin keeps the key's id alive while its edges are placed shard by
 	// shard, each new one taking a reference of its own.
 	kid := ix.keys.pin(ix, key)
@@ -449,12 +449,12 @@ func parseRef(ref string) (ID, bool) {
 	return MakeID(uint32(key), uint32(gen)), true
 }
 
-// Record is File for one "key:gen" ref; a ref of any other form records
-// nothing. Frozen for bench/; use File.
+// Record is File for one "key:gen" ref and the configured Horizon; a ref of
+// any other form records nothing. Frozen for bench/; use File.
 func (ix *Index) Record(ref, key string) {
 	if id, ok := parseRef(ref); ok {
 		ids := [1]ID{id}
-		ix.File(ids[:], key)
+		ix.File(ids[:], key, ix.hz)
 	}
 }
 

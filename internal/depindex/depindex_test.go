@@ -16,7 +16,7 @@ func newTestIndex(budget int64, hz time.Duration, clk clock.Clock) *Index {
 }
 
 // file records one edge.
-func file(ix *Index, id ID, key string) { ix.File([]ID{id}, key) }
+func file(ix *Index, id ID, key string) { ix.File([]ID{id}, key, ix.hz) }
 
 func TestRecordLayout(t *testing.T) {
 	if n := unsafe.Sizeof(entry{}); n != 32 {
@@ -32,7 +32,7 @@ func TestRecordLayout(t *testing.T) {
 
 func TestFileAndLookup(t *testing.T) {
 	ix := newTestIndex(0, time.Minute, nil)
-	ix.File([]ID{MakeID(1, 1), MakeID(2, 1)}, "pageA")
+	ix.File([]ID{MakeID(1, 1), MakeID(2, 1)}, "pageA", ix.hz)
 	file(ix, MakeID(1, 1), "pageB")
 
 	keys, exact := ix.Lookup(MakeID(1, 1))
@@ -86,7 +86,7 @@ func TestKeysInternedOncePerIndex(t *testing.T) {
 	for i := range ids {
 		ids[i] = MakeID(uint32(i), 1)
 	}
-	ix.File(ids, key)
+	ix.File(ids, key, ix.hz)
 	st := ix.Stats()
 	if want := int64(12*entryCost + len(key) + keyCost); st.Keys != 1 || st.Bytes != want {
 		t.Fatalf("stats = %+v, want 1 key and %d bytes", st, want)
@@ -441,7 +441,7 @@ func TestConcurrentRecordInvalidateLookup(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				ref := MakeID(uint32(i%37), uint32(w))
 				ids := []ID{ref, MakeID(uint32(i%5), 99)}
-				ix.File(ids, fmt.Sprintf("page-%d", i%11))
+				ix.File(ids, fmt.Sprintf("page-%d", i%11), ix.hz)
 				ix.MarkInvalid(MakeID(uint32(i%37), uint32(w^1)))
 				ix.Lookup(ref)
 				ix.AnyInvalid(ids)
@@ -499,7 +499,7 @@ func BenchmarkFileLookup(b *testing.B) {
 		ids := make([]ID, 1)
 		for pb.Next() {
 			ids[0] = MakeID(uint32(i%512), 1)
-			ix.File(ids, "GET\x00/page/synth?page=0\x00")
+			ix.File(ids, "GET\x00/page/synth?page=0\x00", ix.hz)
 			if i%8 == 0 {
 				ix.Lookup(ids[0])
 			}

@@ -251,7 +251,7 @@ func runModel(t *testing.T, shards int, budget int64, ops []byte) {
 				ids[i] = modelRef(arg + byte(i)*5)
 			}
 			key := modelKey(op / 60)
-			ix.File(ids, key)
+			ix.File(ids, key, ix.hz)
 			for _, id := range ids {
 				o.record(now, id, key)
 			}

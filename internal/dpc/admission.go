@@ -380,12 +380,10 @@ func (p *Proxy) serveStale(rs *reqState, key, reason string) (stageOutcome, bool
 			return stageRespond, true
 		}
 	}
-	if p.static != nil {
-		if body, ctype, _, age, ok := p.static.GetStale(staticKey(r)); ok && age <= a.staleWindow {
-			p.reg.Counter("dpc.stale_served_static").Inc()
-			p.serveStaleBody(rs, key, reason, "static", body, ctype, age)
-			return stageRespond, true
-		}
+	if body, ctype, _, age, ok := p.static.GetStale(staticKey(r)); ok && age <= a.staleWindow {
+		p.reg.Counter("dpc.stale_served_static").Inc()
+		p.serveStaleBody(rs, key, reason, "static", body, ctype, age)
+		return stageRespond, true
 	}
 	return stageNext, false
 }

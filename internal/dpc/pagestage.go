@@ -175,9 +175,7 @@ func (p *Proxy) stagePageCache(rs *reqState) (stageOutcome, error) {
 		// fill/invalidate race check voiding the fill if the fabric
 		// invalidates a source fragment mid-revalidation.
 		rs.pageKey = key
-		if p.depix != nil {
-			rs.depEpoch = p.depix.Epoch()
-		}
+		rs.depEpoch = p.depix.Epoch()
 		pc := &pageCapture{ResponseWriter: rs.w, reserve: p.pages.ReserveCapture}
 		rs.pageCapture = pc
 		rs.w = pc
@@ -220,9 +218,7 @@ func (p *Proxy) stagePageCache(rs *reqState) (stageOutcome, error) {
 	// while this response is in flight, the fill is discarded (the flush
 	// could not have removed an entry not yet filed).
 	rs.pageKey = key
-	if p.depix != nil {
-		rs.depEpoch = p.depix.Epoch()
-	}
+	rs.depEpoch = p.depix.Epoch()
 	pc := &pageCapture{ResponseWriter: rs.w, reserve: p.pages.ReserveCapture}
 	rs.pageCapture = pc
 	rs.w = pc
@@ -236,14 +232,11 @@ func (p *Proxy) stagePageCache(rs *reqState) (stageOutcome, error) {
 // lock, which invalidations take exclusively — so the entry is either
 // refused, or filed with its edges before the invalidation's Delete looks
 // for it. It is never servable after the invalidation has been applied,
-// not even for the instant a file-then-unfile would allow. voided is empty
+// not even for the instant a file-then-unfile would allow. ttl is the
+// lifetime put gives the entry; the edges live as long. voided is empty
 // when the entry was filed and otherwise names what refused it:
 // "fragment-tombstone", or "epoch-flush:" and the flush's cause.
-func (p *Proxy) fileUnlessVoided(refs []StaleRef, epoch uint64, key string, put func()) (voided string) {
-	if p.depix == nil {
-		put()
-		return ""
-	}
+func (p *Proxy) fileUnlessVoided(refs []StaleRef, epoch uint64, key string, ttl time.Duration, put func()) (voided string) {
 	// The index speaks packed integer refs; a page's worth converts on the
 	// stack.
 	var buf [64]depindex.ID
@@ -260,7 +253,7 @@ func (p *Proxy) fileUnlessVoided(refs []StaleRef, epoch uint64, key string, put 
 	if p.depix.AnyInvalid(ids) {
 		return "fragment-tombstone"
 	}
-	p.depix.File(ids, key)
+	p.depix.File(ids, key, ttl)
 	put()
 	return ""
 }
@@ -305,7 +298,7 @@ func (p *Proxy) fillPageCache(rs *reqState) {
 	c.settle()
 	// Fill/invalidate race: one of this page's fragments died (or the
 	// tier was flushed) while the response was in flight.
-	if voided := p.fileUnlessVoided(rs.depRefs, rs.depEpoch, rs.pageKey, func() {
+	if voided := p.fileUnlessVoided(rs.depRefs, rs.depEpoch, rs.pageKey, p.pageTTL, func() {
 		p.pages.PutTagged(rs.pageKey, body, ctype, pageETag(body, ctype), p.pageTTL)
 	}); voided != "" {
 		p.reg.Counter("dpc.pagecache_invalidations").Inc()

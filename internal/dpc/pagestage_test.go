@@ -552,7 +552,7 @@ func TestRefusedFillNamesItsCause(t *testing.T) {
 	ix := p.DepIndex()
 	refs := []StaleRef{{Key: 7, Gen: 3}, {Key: 9, Gen: 4}}
 	file := func(epoch uint64) (voided string, put bool) {
-		voided = p.fileUnlessVoided(refs, epoch, "page-key", func() { put = true })
+		voided = p.fileUnlessVoided(refs, epoch, "page-key", time.Minute, func() { put = true })
 		return voided, put
 	}
 

@@ -137,7 +137,7 @@ func (p *Proxy) stageAdmin(rs *reqState) (stageOutcome, error) {
 // --- static-cache ---
 
 func (p *Proxy) stageStaticCache(rs *reqState) (stageOutcome, error) {
-	if p.static == nil || (rs.r.Method != http.MethodGet && rs.r.Method != http.MethodHead) {
+	if rs.r.Method != http.MethodGet && rs.r.Method != http.MethodHead {
 		return stageNext, nil
 	}
 	if p.admit != nil && isReval(rs.r.Context()) {
@@ -493,7 +493,7 @@ func (p *Proxy) stageOriginFetch(rs *reqState) (stageOutcome, error) {
 		defer resp.Body.Close()
 		p.reg.Counter("dpc.plain_passthrough").Inc()
 		var ttl time.Duration
-		if p.static != nil && rs.r.Method == http.MethodGet {
+		if rs.r.Method == http.MethodGet {
 			var varied bool
 			ttl, varied = cacheableStatic(resp)
 			if varied {
@@ -622,7 +622,7 @@ func (p *Proxy) assemblePage(rs *reqState, body io.Reader, clen int64, max int, 
 // default — this exists only for origins that declare an assembled page
 // cacheable.
 func (p *Proxy) assembledStaticTTL(rs *reqState, resp *http.Response) time.Duration {
-	if p.static == nil || rs.r.Method != http.MethodGet || !anonymousSession(rs.r) {
+	if rs.r.Method != http.MethodGet || !anonymousSession(rs.r) {
 		return 0
 	}
 	ttl, varied := cacheableAssembled(resp)
@@ -645,7 +645,7 @@ func (p *Proxy) fillStaticAssembled(rs *reqState, page []byte, refs []StaleRef, 
 	page = bytes.Clone(page) // outside the filing lock
 	// Fill/invalidate race, exactly as in fillPageCache: a source fragment
 	// died (or the tier flushed) while this page was being assembled.
-	if voided := p.fileUnlessVoided(refs, epoch, key, func() { p.static.Put(key, page, rs.ctype, ttl) }); voided != "" {
+	if voided := p.fileUnlessVoided(refs, epoch, key, ttl, func() { p.static.Put(key, page, rs.ctype, ttl) }); voided != "" {
 		p.reg.Counter("dpc.static_invalidations").Inc()
 		rs.span.Event(trace.KindInvalidated, "static", voided, 0)
 		return

@@ -39,14 +39,17 @@ type AssembleStats = tmplplan.Stats
 // templates are streamed instead of being held resident.
 const planMaxTemplate = 8 << 20
 
-// Plan-cache defaults (overridden by the Plan* config knobs). The byte
-// budget is the cache's one bound by default. Fragment GETs resolve in walk
-// order by default: a read takes about 60 ns from RAM and about a
-// microsecond from a pooled disk page, less than starting the workers that
-// would overlap it (BENCH_pipeline.json, and ROADMAP item 1 for the tiered
-// store end to end).
+// planCacheBudget bounds the summed retained footprint of resident plans;
+// it is the plan cache's one bound (no entry count). Only templates that
+// can recur are kept: one carrying a SET is compiled, run and dropped.
+//
+// Fragment GETs resolve in walk order unless Config.PlanParallelism says
+// otherwise: a read takes about 60 ns from RAM and about a microsecond from
+// a pooled disk page, less than starting the workers that would overlap it
+// (BENCH_pipeline.json, and ROADMAP item 1 for the tiered store end to
+// end).
 const (
-	defaultPlanBudget      = 32 << 20
+	planCacheBudget        = 32 << 20
 	defaultPlanParallelism = 1
 )
 

@@ -82,13 +82,9 @@ type Config struct {
 	Transport http.RoundTripper
 	// Registry receives dpc.* metrics; optional.
 	Registry *metrics.Registry
-	// DisableStaticCache turns off URL-keyed caching of explicitly
-	// cacheable non-template responses (on by default, as in the
-	// paper's ISA-server setup).
-	DisableStaticCache bool
-	// StaticCacheEntries bounds the static cache (0 selects 1024).
-	StaticCacheEntries int
-	// StaticClock overrides the static cache's expiry clock (tests).
+	// StaticClock overrides the expiry clock of the static cache (tests).
+	// The static cache — URL-keyed, for explicitly cacheable non-template
+	// responses — is always mounted, as in the paper's ISA-server setup.
 	StaticClock clock.Clock
 	// PageCache mounts the whole-page cache stage ahead of coalesce:
 	// complete responses to anonymous-session GETs (no Cookie,
@@ -124,13 +120,6 @@ type Config struct {
 	// explicitly. The field remains only because the benchmark harness
 	// names it.
 	PlanCache bool
-	// PlanCacheEntries bounds resident compiled plans by count (0 = no
-	// count bound: the byte budget is the bound).
-	PlanCacheEntries int
-	// PlanCacheBudget bounds the summed retained footprint of resident
-	// plans (0 selects 32 MiB). Only templates that can recur are kept: a
-	// template carrying a SET is compiled, run and dropped.
-	PlanCacheBudget int64
 	// PlanParallelism bounds the worker fan-out resolving a plan's
 	// independent fragment GETs (0 selects 1, which resolves everything
 	// sequentially in walk order; more pays only where a fragment read
@@ -212,9 +201,9 @@ type Proxy struct {
 	codec   tmpl.Codec
 	plans   *tmplplan.Cache
 	exec    *tmplplan.Exec
-	static  *StaticCache     // nil when disabled
+	static  *StaticCache
 	pages   *pagecache.Cache // nil when disabled
-	depix   *depindex.Index  // nil unless a keyed tier exists
+	depix   *depindex.Index
 	pageTTL time.Duration
 	client  *http.Client
 	reg     *metrics.Registry
@@ -258,10 +247,6 @@ func New(cfg Config) (*Proxy, error) {
 	if transport == nil {
 		transport = &http.Transport{MaxIdleConnsPerHost: 64}
 	}
-	var static *StaticCache
-	if !cfg.DisableStaticCache {
-		static = NewStaticCache(cfg.StaticCacheEntries, cfg.StaticClock)
-	}
 	spool := cfg.StreamSpoolBytes
 	if !cfg.Stream {
 		spool = wholePage
@@ -274,38 +259,22 @@ func New(cfg Config) (*Proxy, error) {
 	if pageTTL <= 0 {
 		pageTTL = defaultPageTTL
 	}
-	if cfg.PageCache {
+	switch {
+	case !cfg.PageCache:
+	case cfg.PageCacheStore != nil:
+		pages = pagecache.Over(cfg.PageCacheStore)
+	default:
 		var err error
-		pages, err = pagecache.NewCache(pagecache.CacheConfig{
+		pages, err = pagecache.NewCache(fragstore.KeyedConfig{
 			MaxEntries: cfg.PageCacheEntries,
 			ByteBudget: cfg.PageCacheBudget,
 			Clock:      cfg.PageClock,
-			Store:      cfg.PageCacheStore,
 		})
 		if err != nil {
 			return nil, err
 		}
 	}
-	var depix *depindex.Index
-	if pages != nil || static != nil {
-		// The dependency index exists whenever a keyed tier does, so the
-		// coherency fabric's tier subscribers always have an
-		// authoritative (possibly empty) edge set to consult. Its
-		// horizon is the page TTL — the longest a described entry lives.
-		depix = depindex.New(depindex.Config{
-			ByteBudget: cfg.DepIndexBudget,
-			Horizon:    pageTTL,
-			Clock:      cfg.PageClock,
-		})
-	}
-	planBudget := cfg.PlanCacheBudget
-	if planBudget <= 0 {
-		planBudget = defaultPlanBudget
-	}
-	plans, err := tmplplan.NewCache(codec, tmplplan.CacheConfig{
-		MaxEntries: max(cfg.PlanCacheEntries, 0),
-		ByteBudget: planBudget,
-	})
+	plans, err := tmplplan.NewCache(codec, tmplplan.CacheConfig{ByteBudget: planCacheBudget})
 	if err != nil {
 		return nil, err
 	}
@@ -325,9 +294,9 @@ func New(cfg Config) (*Proxy, error) {
 			Plans:       plans,
 			Parallelism: par,
 		},
-		static:  static,
+		static:  NewStaticCache(0, cfg.StaticClock),
 		pages:   pages,
-		depix:   depix,
+		depix:   depindex.New(depindex.Config{ByteBudget: cfg.DepIndexBudget, Clock: cfg.PageClock}),
 		pageTTL: pageTTL,
 		client:  &http.Client{Transport: transport, Timeout: 30 * time.Second},
 		reg:     reg,
@@ -392,11 +361,8 @@ func (p *Proxy) publishStore() {
 }
 
 // publishDepIndex refreshes the dpc.depindex_* gauges from the dependency
-// index's stats snapshot (no-op when no keyed tier exists).
+// index's stats snapshot.
 func (p *Proxy) publishDepIndex() {
-	if p.depix == nil {
-		return
-	}
 	st := p.depix.Stats()
 	p.reg.Gauge("dpc.depindex_fragments").Set(int64(st.Fragments))
 	p.reg.Gauge("dpc.depindex_edges").Set(int64(st.Edges))
@@ -422,15 +388,15 @@ func (p *Proxy) Close() error {
 // "plan"-scoped events.
 func (p *Proxy) Plans() *tmplplan.Cache { return p.plans }
 
-// Static exposes the URL-keyed static-content cache (nil when disabled).
+// Static exposes the URL-keyed static-content cache.
 func (p *Proxy) Static() *StaticCache { return p.static }
 
 // Pages exposes the whole-page cache tier (nil unless Config.PageCache).
 func (p *Proxy) Pages() *pagecache.Cache { return p.pages }
 
-// DepIndex exposes the fragment→page dependency index (nil when no keyed
-// tier exists). The coherency fabric's tier subscribers consult it to
-// invalidate page-tier entries surgically.
+// DepIndex exposes the fragment→page dependency index. The coherency
+// fabric's tier subscribers consult it to invalidate page- and static-tier
+// entries surgically.
 func (p *Proxy) DepIndex() *depindex.Index { return p.depix }
 
 // Store exposes the fragment store (the coherency extension drops slots
@@ -535,13 +501,11 @@ func (p *Proxy) initAdmin() {
 		if ts, ok := fragstore.DiskStats(p.store); ok {
 			out["disk"] = ts
 		}
-		if p.static != nil {
-			ss := p.static.Store().Stats()
-			out["static"] = map[string]any{
-				"entries": ss.Resident, "bytes": ss.Bytes,
-				"hits": ss.Hits, "misses": ss.Misses,
-				"evictions": ss.Evictions, "expired": ss.Expired,
-			}
+		ss := p.static.Store().Stats()
+		out["static"] = map[string]any{
+			"entries": ss.Resident, "bytes": ss.Bytes,
+			"hits": ss.Hits, "misses": ss.Misses,
+			"evictions": ss.Evictions, "expired": ss.Expired,
 		}
 		if p.pages != nil {
 			ps := p.pages.Stats()
@@ -552,9 +516,7 @@ func (p *Proxy) initAdmin() {
 			}
 		}
 		out["plancache"] = p.plans.Stats()
-		if p.depix != nil {
-			out["depindex"] = p.depix.Stats()
-		}
+		out["depindex"] = p.depix.Stats()
 		w.Header().Set("Content-Type", "application/json")
 		_ = json.NewEncoder(w).Encode(out)
 	}))

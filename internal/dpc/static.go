@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"dpcache/internal/clock"
+	"dpcache/internal/fragstore"
 	"dpcache/internal/pagecache"
 )
 
@@ -30,12 +31,12 @@ type StaticCache struct {
 	*pagecache.Cache
 }
 
-// NewStaticCache returns a cache bounded to maxEntries (<=0 selects 1024).
-// A nil clk uses the real clock.
+// NewStaticCache returns a cache bounded to maxEntries (<=0 selects 1024,
+// which is what the proxy mounts). A nil clk uses the real clock.
 func NewStaticCache(maxEntries int, clk clock.Clock) *StaticCache {
-	c, err := pagecache.NewCache(pagecache.CacheConfig{MaxEntries: maxEntries, Clock: clk})
+	c, err := pagecache.NewCache(fragstore.KeyedConfig{MaxEntries: maxEntries, Clock: clk})
 	if err != nil {
-		// Only an unknown eviction name can fail, and none is passed.
+		// Only a negative byte budget can fail, and none is passed.
 		panic(err)
 	}
 	return &StaticCache{Cache: c}

@@ -13,7 +13,9 @@ import (
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"dpcache/internal/clock"
 	"dpcache/internal/coherency"
 	"dpcache/internal/tmpl"
 )
@@ -85,15 +87,23 @@ func TestAssembledStaticFillServesStatic(t *testing.T) {
 }
 
 // A fragment invalidation through the fabric drops the assembled entry
-// surgically: its dependency edges were recorded under the static key.
+// surgically: its dependency edges were recorded under the static key, and
+// live as long as the origin's max-age keeps the entry — not the (shorter)
+// page TTL, past which the invalidation would find no edge and the stale
+// entry would be served for the rest of its minute.
 func TestAssembledStaticFragmentInvalidation(t *testing.T) {
 	origin, fetches := assembledStaticOrigin(map[string]string{"Cache-Control": "max-age=60"})
 	defer origin.Close()
-	p := newTestProxy(t, origin.URL, func(c *Config) { c.Stream = true })
+	fake := clock.NewFake(time.Unix(1000, 0))
+	p := newTestProxy(t, origin.URL, func(c *Config) {
+		c.Stream = true
+		c.StaticClock, c.PageClock = fake, fake
+	})
 	ts := httptest.NewServer(p)
 	defer ts.Close()
 
 	assembledGet(t, ts.URL+"/page", nil)
+	fake.Advance(10 * time.Second) // past defaultPageTTL, inside max-age
 	if _, state := assembledGet(t, ts.URL+"/page", nil); state != "STATIC" {
 		t.Fatalf("warm X-Cache = %q, want STATIC", state)
 	}

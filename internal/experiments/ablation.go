@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"dpcache/internal/core"
+	"dpcache/internal/dpc"
 	"dpcache/internal/netsim"
 	"dpcache/internal/repository"
 	"dpcache/internal/site"
@@ -29,10 +30,10 @@ func runAblation(codec tmpl.Codec, strict bool, churnProb float64, opts Options)
 	sys, err := core.NewSystem(core.Config{
 		Capacity:         256,
 		Codec:            codec,
-		Strict:           strict,
 		ForcedMissProb:   churnProb,
 		Seed:             opts.Seed,
 		ExtraHeaderBytes: opts.ExtraHeaderBytes,
+		Proxy:            dpc.Config{Strict: strict},
 	}, core.ModeCached)
 	if err != nil {
 		return ablationPoint{}, err
@@ -155,9 +156,9 @@ func AblationLatencyModel(opts Options) (Table, error) {
 		for i, mode := range []core.Mode{core.ModeNoCache, core.ModeCached} {
 			sys, err := core.NewSystem(core.Config{
 				Capacity: 1024,
-				Strict:   true,
 				Seed:     opts.Seed,
 				Latency:  repository.LatencyModel{QueryDelay: delay},
+				Proxy:    dpc.Config{Strict: true},
 			}, mode)
 			if err != nil {
 				return t, err

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"dpcache/internal/core"
+	"dpcache/internal/dpc"
 	"dpcache/internal/netsim"
 	"dpcache/internal/pagecache"
 	"dpcache/internal/site"
@@ -45,9 +46,9 @@ func Baselines(opts Options) (Table, error) {
 		}
 		sys, err := core.NewSystem(core.Config{
 			Capacity:         512,
-			Strict:           true,
 			Seed:             opts.Seed,
 			ExtraHeaderBytes: opts.ExtraHeaderBytes,
+			Proxy:            dpc.Config{Strict: true},
 		}, mode)
 		if err != nil {
 			return outcome{}, err

@@ -11,6 +11,7 @@
 package experiments
 
 import (
+	"dpcache/internal/fragstore"
 	"fmt"
 	"strings"
 )
@@ -87,28 +88,19 @@ type Options struct {
 	// ZipfAlpha shapes page popularity.
 	ZipfAlpha float64
 	// Coalesce enables single-flight broadcast coalescing at the measured
-	// system's proxy (SystemConfig.Coalesce) in the live runners.
+	// system's proxy (dpc.Config.Coalesce) in the live runners.
 	Coalesce bool
-	// StoreBackend selects the measured proxy's fragment-store backend
-	// ("" = the paper-faithful slot store; "sharded" enables budgets).
-	StoreBackend string
-	// StoreByteBudget bounds the measured proxy's resident fragment
-	// bytes (0 = unbounded; requires StoreBackend "sharded" and a
-	// StoreEviction policy). The memory experiment sweeps this.
-	StoreByteBudget int64
-	// StoreEviction is the sharded store's policy: "none", "lru", or
-	// "gdsf".
-	StoreEviction string
-	// StoreDiskDir is the tiered backend's heap-file directory
-	// (SystemConfig.StoreDiskDir); required when StoreBackend is
-	// "tiered". The memory experiment's disk rows point this at a
-	// temporary directory per point.
-	StoreDiskDir string
-	// StoreDiskBudget bounds the tiered backend's disk-resident bytes
-	// (0 = unbounded).
-	StoreDiskBudget int64
+	// Store selects and bounds the measured proxy's fragment store (the
+	// zero value is the paper-faithful slot store); the memory experiment
+	// sweeps its ByteBudget. Capacity and DiskPath are the system's to set.
+	Store fragstore.Config
+	// DiskDir is the tiered backend's heap-file directory
+	// (core.Config.DiskDir); required when Store.Backend is "tiered". The
+	// memory experiment's disk rows point this at a temporary directory
+	// per point.
+	DiskDir string
 	// PageCache mounts the whole-page cache stage at the measured
-	// proxy (SystemConfig.PageCache) in the live runners.
+	// proxy (dpc.Config.PageCache) in the live runners.
 	PageCache bool
 }
 

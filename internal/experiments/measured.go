@@ -8,6 +8,7 @@ import (
 
 	"dpcache/internal/analytical"
 	"dpcache/internal/core"
+	"dpcache/internal/dpc"
 	"dpcache/internal/netsim"
 	"dpcache/internal/repository"
 	"dpcache/internal/site"
@@ -45,18 +46,13 @@ func runPoint(mode core.Mode, siteCfg site.SyntheticConfig, forcedMiss float64,
 
 	sys, err := core.NewSystem(core.Config{
 		Capacity:         2 * siteCfg.Pages * siteCfg.FragmentsPerPage,
-		Strict:           true,
 		ForcedMissProb:   forcedMiss,
 		Seed:             opts.Seed,
 		Latency:          lat,
 		ExtraHeaderBytes: opts.ExtraHeaderBytes,
-		Coalesce:         opts.Coalesce,
-		StoreBackend:     opts.StoreBackend,
-		StoreByteBudget:  opts.StoreByteBudget,
-		StoreEviction:    opts.StoreEviction,
-		StoreDiskDir:     opts.StoreDiskDir,
-		StoreDiskBudget:  opts.StoreDiskBudget,
-		PageCache:        opts.PageCache,
+		DiskDir:          opts.DiskDir,
+		Proxy:            dpc.Config{Strict: true, Coalesce: opts.Coalesce, PageCache: opts.PageCache},
+		Store:            opts.Store,
 	}, mode)
 	if err != nil {
 		return point{}, site.Manifest{}, err
@@ -84,11 +80,6 @@ func runPoint(mode core.Mode, siteCfg site.SyntheticConfig, forcedMiss float64,
 	before := sys.Meter.BytesOut()
 	if err := fetchOnce(sys.OriginURL() + "/page/synth?page=0"); err != nil {
 		return point{}, man, fmt.Errorf("calibration fetch: %w", err)
-	}
-	// The meter counts a write once it has returned, by which time the
-	// client may already hold the response: wait for the count to arrive.
-	for wait := time.Now().Add(time.Second); sys.Meter.BytesOut()-before < pageBytes && time.Now().Before(wait); {
-		time.Sleep(50 * time.Microsecond)
 	}
 	headerBytes := float64(sys.Meter.BytesOut() - before - pageBytes)
 	if headerBytes < 0 {
@@ -291,10 +282,10 @@ func CaseStudy(opts Options) (Table, error) {
 	run := func(mode core.Mode) (point, error) {
 		sys, err := core.NewSystem(core.Config{
 			Capacity:         1024,
-			Strict:           true,
 			Seed:             opts.Seed,
 			Latency:          lat,
 			ExtraHeaderBytes: opts.ExtraHeaderBytes,
+			Proxy:            dpc.Config{Strict: true},
 		}, mode)
 		if err != nil {
 			return point{}, err

@@ -5,6 +5,8 @@ import (
 	"os"
 
 	"dpcache/internal/core"
+	"dpcache/internal/dpc"
+	"dpcache/internal/fragstore"
 	"dpcache/internal/netsim"
 	"dpcache/internal/repository"
 	"dpcache/internal/site"
@@ -53,11 +55,9 @@ func Memory(opts Options) (Table, error) {
 
 	run := func(policy string, budget int64) (point, error) {
 		o := opts
-		o.StoreBackend = "sharded"
-		o.StoreByteBudget = budget
-		o.StoreEviction = policy
+		o.Store = fragstore.Config{Backend: "sharded", ByteBudget: budget, Eviction: policy}
 		if budget == 0 {
-			o.StoreEviction = "none"
+			o.Store.Eviction = "none"
 		}
 		ch, _, err := runPoint(core.ModeCached, siteCfg, 0, o, repository.LatencyModel{})
 		return ch, err
@@ -74,10 +74,8 @@ func Memory(opts Options) (Table, error) {
 		}
 		defer os.RemoveAll(dir)
 		o := opts
-		o.StoreBackend = "tiered"
-		o.StoreByteBudget = budget
-		o.StoreEviction = "lru"
-		o.StoreDiskDir = dir
+		o.Store = fragstore.Config{Backend: "tiered", ByteBudget: budget, Eviction: "lru"}
+		o.DiskDir = dir
 		ch, _, err := runPoint(core.ModeCached, siteCfg, 0, o, repository.LatencyModel{})
 		return ch, err
 	}
@@ -138,7 +136,7 @@ func Memory(opts Options) (Table, error) {
 	t.Rows = append(t.Rows, steady, warm, cold)
 
 	t.Notes = append(t.Notes,
-		"budget is the sharded store's global byte ledger (SystemConfig.StoreByteBudget); eviction fires on global pressure only",
+		"budget is the sharded store's global byte ledger (fragstore.Config.ByteBudget); eviction fires on global pressure only",
 		"an evicted slot costs a stale-bypass page fetch (full B_NC page) plus BEM re-learning, so savings fall toward the no-cache baseline as memory shrinks",
 		"fragment sizes follow a heavy-tailed 1x/1x/4x/16x cycle (site.FragmentSizeFactors): GDSF keeps many small hot fragments where LRU pins few large ones, so the policies separate at tight budgets",
 		"lru+disk rows mount the tiered backend (-store=tiered): the same RAM ledger, but victims demote to an unbounded heap file (written once; a victim the file already holds is evicted clean) and disk hits promote a copy back, so the hit ratio holds at the unbounded point at every budget",
@@ -178,14 +176,11 @@ func runRestart(siteCfg site.SyntheticConfig, ramBudget int64, opts Options, nc 
 
 	sys, err := core.NewSystem(core.Config{
 		Capacity:         2 * siteCfg.Pages * siteCfg.FragmentsPerPage,
-		Strict:           true,
 		Seed:             opts.Seed,
 		ExtraHeaderBytes: opts.ExtraHeaderBytes,
-		Coalesce:         opts.Coalesce,
-		StoreBackend:     "tiered",
-		StoreByteBudget:  ramBudget,
-		StoreEviction:    "lru",
-		StoreDiskDir:     dir,
+		DiskDir:          dir,
+		Proxy:            dpc.Config{Strict: true, Coalesce: opts.Coalesce},
+		Store:            fragstore.Config{Backend: "tiered", ByteBudget: ramBudget, Eviction: "lru"},
 	}, core.ModeCached)
 	if err != nil {
 		return nil, nil, nil, err

@@ -35,7 +35,7 @@ import (
 // without the coherency fabric, and by one request with it.
 func Pipeline(opts Options) (Table, error) {
 	opts = opts.withDefaults()
-	// spool is core.Config.StreamSpoolBytes: -1 holds every page whole (the
+	// spool is dpc.Config.StreamSpoolBytes: -1 holds every page whole (the
 	// barrier rows), 0 is the default 64 KiB look-ahead.
 	configs := []struct {
 		name      string
@@ -226,13 +226,10 @@ func runInvalidationPoint(opts Options, fabric bool) (time.Duration, error) {
 	siteCfg := site.DefaultSynthetic()
 	sys, err := core.NewSystem(core.Config{
 		Capacity:         2 * siteCfg.Pages * siteCfg.FragmentsPerPage,
-		Strict:           true,
 		Seed:             opts.Seed,
 		ExtraHeaderBytes: opts.ExtraHeaderBytes,
-		Coalesce:         true,
-		PageCache:        true,
-		PageCacheTTL:     invalidationTTL,
 		Fabric:           fabric,
+		Proxy:            dpc.Config{Strict: true, Coalesce: true, PageCache: true, PageCacheTTL: invalidationTTL},
 	}, core.ModeCached)
 	if err != nil {
 		return 0, err
@@ -295,14 +292,11 @@ func runPipelinePoint(opts Options, coalesce bool, spool int, pagecache bool) (f
 	siteCfg := site.DefaultSynthetic()
 	sys, err := core.NewSystem(core.Config{
 		Capacity:         2 * siteCfg.Pages * siteCfg.FragmentsPerPage,
-		Strict:           true,
 		ForcedMissProb:   0.2, // the Figure 5 h=0.8 operating point
 		Seed:             opts.Seed,
 		Latency:          repository.LatencyModel{QueryDelay: 200 * time.Microsecond},
 		ExtraHeaderBytes: opts.ExtraHeaderBytes,
-		Coalesce:         coalesce,
-		StreamSpoolBytes: spool,
-		PageCache:        pagecache,
+		Proxy:            dpc.Config{Strict: true, Coalesce: coalesce, StreamSpoolBytes: spool, PageCache: pagecache},
 	}, core.ModeCached)
 	if err != nil {
 		return 0, 0, 0, 0, err

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"dpcache/internal/core"
+	"dpcache/internal/dpc"
 	"dpcache/internal/origin"
 	"dpcache/internal/site"
 	"dpcache/internal/workload"
@@ -82,24 +83,21 @@ func runSaturationPoint(opts Options, offered float64, shedding bool) ([]string,
 	siteCfg.Pages = satPages
 	cfg := core.Config{
 		Capacity:         2 * siteCfg.Pages * siteCfg.FragmentsPerPage,
-		Strict:           true,
 		Seed:             opts.Seed,
 		ExtraHeaderBytes: opts.ExtraHeaderBytes,
-		Coalesce:         true,
-		PageCache:        true,
-		PageCacheTTL:     satPageTTL,
 		OriginFaults: &origin.FaultConfig{
 			Latency:       satOriginLatency,
 			MaxConcurrent: satOriginWorkers,
 			Seed:          opts.Seed,
 		},
+		Proxy: dpc.Config{Strict: true, Coalesce: true, PageCache: true, PageCacheTTL: satPageTTL},
 	}
 	if shedding {
-		cfg.Admission = true
-		cfg.AdmissionMaxInFlight = 4
-		cfg.AdmissionMaxFlightWaiters = 8
-		cfg.AdmissionStaleWindow = 30 * time.Second
-		cfg.AdmissionRetryAfter = time.Second
+		cfg.Proxy.Admission = true
+		cfg.Proxy.MaxOriginInFlight = 4
+		cfg.Proxy.MaxFlightWaiters = 8
+		cfg.Proxy.StaleWindow = 30 * time.Second
+		cfg.Proxy.RetryAfter = time.Second
 	}
 	sys, err := core.NewSystem(cfg, core.ModeCached)
 	if err != nil {

@@ -119,10 +119,9 @@ func (c *fwConn) Read(p []byte) (int, error) {
 	return n, err
 }
 
+// Write scans p before passing it on, as a firewall does: a peer never holds
+// bytes the scan accounting has not seen.
 func (c *fwConn) Write(p []byte) (int, error) {
-	n, err := c.Conn.Write(p)
-	if n > 0 {
-		c.f.Scan(p[:n])
-	}
-	return n, err
+	c.f.Scan(p)
+	return c.Conn.Write(p)
 }

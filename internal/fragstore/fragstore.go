@@ -136,8 +136,9 @@ const (
 	BackendTiered = "tiered"
 )
 
-// Config selects and parameterizes a backend from plain values, the shape
-// carried by core.Config and command-line flags.
+// Config selects and parameterizes a backend from plain values. It is
+// declared here once: core.Config carries one by value as the template of
+// every proxy's store, and dpcd binds its store flags to these fields.
 type Config struct {
 	// Backend is "slot" (default), "sharded", or "tiered".
 	Backend string

@@ -112,10 +112,15 @@ func (c *meteredConn) Read(p []byte) (int, error) {
 	return n, err
 }
 
+// Write counts p before handing it to the connection, so the meter never
+// trails what the peer already holds (a reader that has the whole response
+// sees it counted); a short write gives the unwritten part back.
 func (c *meteredConn) Write(p []byte) (int, error) {
+	c.m.onWrite(len(p))
 	n, err := c.Conn.Write(p)
-	if n > 0 {
-		c.m.onWrite(n)
+	if n < len(p) {
+		c.m.bytesOut.Add(int64(n - len(p)))
+		c.m.packetsOut.Add(c.m.segments(int64(n)) - c.m.segments(int64(len(p))))
 	}
 	return n, err
 }

@@ -4,28 +4,8 @@ import (
 	"strings"
 	"time"
 
-	"dpcache/internal/clock"
 	"dpcache/internal/fragstore"
 )
-
-// CacheConfig parameterizes a Cache.
-type CacheConfig struct {
-	// MaxEntries bounds resident pages (0 selects 1024).
-	MaxEntries int
-	// ByteBudget bounds resident page bytes across the whole cache (0 =
-	// unbounded). Like every fragstore-backed tier it is one global
-	// ledger, not a per-shard split.
-	ByteBudget int64
-	// Eviction selects the policy ("", "lru", or "gdsf"; empty = lru).
-	Eviction string
-	// Clock drives TTL expiry (tests); nil = real clock.
-	Clock clock.Clock
-	// Store, when non-nil, is a prebuilt keyed backend the cache wraps
-	// instead of allocating its own (the tiered disk-backed store, or a
-	// test double). All other fields are ignored — the caller owns the
-	// store's sizing, eviction, and lifecycle.
-	Store fragstore.Keyed
-}
 
 // Cache is a URL-keyed whole-page store: a thin typed wrapper over a
 // fragstore.Keyed backend holding complete response bodies plus their
@@ -39,29 +19,28 @@ type Cache struct {
 	store fragstore.Keyed
 }
 
-// NewCache returns a whole-page cache.
-func NewCache(cfg CacheConfig) (*Cache, error) {
-	if cfg.Store != nil {
-		return &Cache{store: cfg.Store}, nil
-	}
+// defaultMaxEntries bounds a cache whose configuration names no entry
+// bound.
+const defaultMaxEntries = 1024
+
+// NewCache returns a whole-page cache over an in-RAM KeyedStore built from
+// cfg, which is the engine's own configuration except that a MaxEntries of
+// zero or less selects defaultMaxEntries.
+func NewCache(cfg fragstore.KeyedConfig) (*Cache, error) {
 	if cfg.MaxEntries <= 0 {
-		cfg.MaxEntries = 1024
+		cfg.MaxEntries = defaultMaxEntries
 	}
-	pol, err := fragstore.ParsePolicy(cfg.Eviction)
-	if err != nil {
-		return nil, err
-	}
-	store, err := fragstore.NewKeyed(fragstore.KeyedConfig{
-		MaxEntries: cfg.MaxEntries,
-		ByteBudget: cfg.ByteBudget,
-		Policy:     pol, // PolicyNone (the zero value) selects LRU in the keyed store
-		Clock:      cfg.Clock,
-	})
+	store, err := fragstore.NewKeyed(cfg)
 	if err != nil {
 		return nil, err
 	}
 	return &Cache{store: store}, nil
 }
+
+// Over returns a whole-page cache over a prebuilt keyed backend (the
+// disk-backed tiered store, or a test double); the caller owns the store's
+// sizing, eviction, and lifecycle.
+func Over(store fragstore.Keyed) *Cache { return &Cache{store: store} }
 
 // metaSep separates the content type from the entity tag inside the
 // keyed store's Meta string. NUL cannot appear in either field (one is a

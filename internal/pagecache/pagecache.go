@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"dpcache/internal/clock"
+	"dpcache/internal/fragstore"
 	"dpcache/internal/metrics"
 )
 
@@ -80,7 +81,7 @@ func New(cfg Config) (*Proxy, error) {
 	if transport == nil {
 		transport = &http.Transport{MaxIdleConnsPerHost: 64}
 	}
-	cache, err := NewCache(CacheConfig{MaxEntries: cfg.MaxEntries, Clock: cfg.Clock})
+	cache, err := NewCache(fragstore.KeyedConfig{MaxEntries: cfg.MaxEntries, Clock: cfg.Clock})
 	if err != nil {
 		return nil, err
 	}

@@ -21,7 +21,7 @@ import (
 // shares.
 func TestPageCacheStoreConformance(t *testing.T) {
 	storetest.Run(t, "pagecache", func(capacity int) (fragstore.FragmentStore, error) {
-		c, err := NewCache(CacheConfig{MaxEntries: 1 << 20})
+		c, err := NewCache(fragstore.KeyedConfig{MaxEntries: 1 << 20})
 		if err != nil {
 			return nil, err
 		}
@@ -30,7 +30,7 @@ func TestPageCacheStoreConformance(t *testing.T) {
 }
 
 func TestCacheByteBudgetEvicts(t *testing.T) {
-	c, err := NewCache(CacheConfig{ByteBudget: 1000, Eviction: "lru"})
+	c, err := NewCache(fragstore.KeyedConfig{ByteBudget: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,12 +42,6 @@ func TestCacheByteBudgetEvicts(t *testing.T) {
 	}
 	if st := c.Stats(); st.Evictions == 0 {
 		t.Fatal("no evictions under over-budget puts")
-	}
-}
-
-func TestCacheRejectsBadEviction(t *testing.T) {
-	if _, err := NewCache(CacheConfig{Eviction: "arc"}); err == nil {
-		t.Fatal("unknown eviction policy accepted")
 	}
 }
 
@@ -216,7 +210,7 @@ func TestMetrics(t *testing.T) {
 // Tagged entries carry their entity tag alongside the content type; the
 // untagged API must keep working and never leak the separator.
 func TestCacheTaggedEntries(t *testing.T) {
-	c, err := NewCache(CacheConfig{})
+	c, err := NewCache(fragstore.KeyedConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +230,7 @@ func TestCacheTaggedEntries(t *testing.T) {
 
 // Deleting a key removes only that entry; DeleteFunc drops by predicate.
 func TestCacheDelete(t *testing.T) {
-	c, err := NewCache(CacheConfig{})
+	c, err := NewCache(fragstore.KeyedConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +250,7 @@ func TestCacheDelete(t *testing.T) {
 // in-flight captures must evict resident pages rather than let
 // resident + in-flight exceed the ledger.
 func TestCacheReserveCapture(t *testing.T) {
-	c, err := NewCache(CacheConfig{ByteBudget: 1024})
+	c, err := NewCache(fragstore.KeyedConfig{ByteBudget: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}

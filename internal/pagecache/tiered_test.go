@@ -12,8 +12,7 @@ import (
 )
 
 // newTieredCache mounts the page cache on the disk-backed tiered store
-// through the CacheConfig.Store override — the wiring the DPC uses for
-// a disk-backed page tier.
+// through Over — the wiring the DPC uses for a disk-backed page tier.
 func newTieredCache(t *testing.T, ramBudget int64) (*Cache, *fragstore.TieredKeyed) {
 	t.Helper()
 	ts, err := fragstore.NewTieredKeyed(fragstore.TieredConfig{
@@ -24,11 +23,7 @@ func newTieredCache(t *testing.T, ramBudget int64) (*Cache, *fragstore.TieredKey
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ts.Close() })
-	c, err := NewCache(CacheConfig{Store: ts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c, ts
+	return Over(ts), ts
 }
 
 // TestTieredPageCache drives whole pages across the tier boundary: a
