@@ -63,6 +63,9 @@ type entry struct {
 	lastUsed   int64 // LRU tick
 	hits       int64
 	deps       []repository.Key
+	// older and newer link the valid entries in recency order (see
+	// Monitor.oldest); both are nil while the entry is invalid.
+	older, newer *entry
 }
 
 // FragmentInfo is a read-only view of one directory entry, for
@@ -146,6 +149,14 @@ type Monitor struct {
 
 	genCounter uint32
 	lruTick    int64
+	// oldest and newest are the ends of the recency list: every valid
+	// entry, in the order of its lastUsed tick. A hit relinks one entry, an
+	// invalidation unlinks one, and the replacement manager's victim is
+	// oldest — no search, whatever the directory's size.
+	oldest, newest *entry
+	// evictVisited counts the entries the replacement manager has examined
+	// in choosing victims: one per eviction, which the tests hold it to.
+	evictVisited int64
 
 	stats Stats
 
@@ -259,7 +270,8 @@ func (m *Monitor) Lookup(fragmentID string, ttl time.Duration) (Decision, error)
 	if ok && e.valid {
 		m.stats.Hits++
 		e.hits++
-		e.lastUsed = m.lruTick
+		m.unlinkLocked(e)
+		m.touchLocked(e)
 		d := Decision{Hit: true, Key: e.dpcKey, Gen: e.gen}
 		evs := m.drainHooksLocked()
 		m.mu.Unlock()
@@ -288,7 +300,7 @@ func (m *Monitor) Lookup(fragmentID string, ttl time.Duration) (Decision, error)
 	e.dpcKey = key
 	e.gen = gen
 	e.valid = true
-	e.lastUsed = m.lruTick
+	m.touchLocked(e)
 	if ttl > 0 {
 		e.expiry = now.Add(ttl)
 	} else {
@@ -359,20 +371,41 @@ func (m *Monitor) allocKeyLocked() (uint32, error) {
 }
 
 func (m *Monitor) evictLRULocked() error {
-	var victim *entry
-	for _, e := range m.dir {
-		if !e.valid {
-			continue
-		}
-		if victim == nil || e.lastUsed < victim.lastUsed {
-			victim = e
-		}
-	}
+	victim := m.oldest
 	if victim == nil {
 		return fmt.Errorf("bem: freeList empty but no valid fragment to evict (capacity %d)", m.cfg.Capacity)
 	}
+	m.evictVisited++
 	m.invalidateLocked(victim, &m.stats.Evictions, ReasonEviction)
 	return nil
+}
+
+// touchLocked stamps e, which is valid and off the recency list, with the
+// current tick and links it in as the newest.
+func (m *Monitor) touchLocked(e *entry) {
+	e.lastUsed = m.lruTick
+	e.older, e.newer = m.newest, nil
+	if m.newest != nil {
+		m.newest.newer = e
+	} else {
+		m.oldest = e
+	}
+	m.newest = e
+}
+
+// unlinkLocked takes e off the recency list.
+func (m *Monitor) unlinkLocked(e *entry) {
+	if e.older != nil {
+		e.older.newer = e.newer
+	} else {
+		m.oldest = e.newer
+	}
+	if e.newer != nil {
+		e.newer.older = e.older
+	} else {
+		m.newest = e.older
+	}
+	e.older, e.newer = nil, nil
 }
 
 // invalidateLocked marks e invalid, returns its key to the freeList tail,
@@ -382,6 +415,7 @@ func (m *Monitor) invalidateLocked(e *entry, counter *int64, reason Invalidation
 		return
 	}
 	e.valid = false
+	m.unlinkLocked(e)
 	m.free.push(e.dpcKey)
 	if counter != nil {
 		*counter++
@@ -541,7 +575,8 @@ func (m *Monitor) Stats() Stats {
 //
 // Invariants: (1) every dpcKey in [0, capacity) is either on the freeList
 // or held by exactly one *valid* directory entry; (2) no key appears twice
-// across those two places; (3) at most Capacity fragments are valid.
+// across those two places; (3) at most Capacity fragments are valid; (4)
+// the recency list holds exactly the valid entries, oldest lastUsed first.
 func (m *Monitor) CheckInvariants() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -570,6 +605,25 @@ func (m *Monitor) CheckInvariants() error {
 		if _, ok := seen[uint32(k)]; !ok {
 			return fmt.Errorf("bem: key %d neither free nor validly held", k)
 		}
+	}
+	listed := 0
+	var prev *entry
+	for e := m.oldest; e != nil; prev, e = e, e.newer {
+		listed++
+		switch {
+		case listed > valid:
+			return fmt.Errorf("bem: recency list runs past the %d valid entries", valid)
+		case !e.valid || m.dir[e.fragmentID] != e:
+			return fmt.Errorf("bem: recency list holds %q, which is not a valid directory entry", e.fragmentID)
+		case e.older != prev:
+			return fmt.Errorf("bem: recency list back-link of %q is broken", e.fragmentID)
+		case prev != nil && prev.lastUsed >= e.lastUsed:
+			return fmt.Errorf("bem: recency list out of order: %q (tick %d) before %q (tick %d)",
+				prev.fragmentID, prev.lastUsed, e.fragmentID, e.lastUsed)
+		}
+	}
+	if listed != valid || m.newest != prev {
+		return fmt.Errorf("bem: recency list holds %d entries and ends at the wrong one, %d are valid", listed, valid)
 	}
 	return nil
 }

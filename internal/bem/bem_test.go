@@ -2,6 +2,7 @@ package bem
 
 import (
 	"math/rand"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -248,6 +249,47 @@ func TestEvictionPrefersLeastRecentlyUsed(t *testing.T) {
 	}
 }
 
+// With the freeList empty every miss evicts. On a bench-sized directory the
+// victims are exactly the least recently used fragments, in order, and
+// choosing each examines one entry — not the 16 384 a scan of the directory
+// under the monitor mutex would, stalling every concurrent Lookup.
+func TestEvictionIsExactLRUWithoutAScan(t *testing.T) {
+	const capacity, extra, kept = 16384, 1000, 10
+	m := newMonitor(t, capacity)
+	var evicted []string
+	m.OnInvalidate(func(id string, _, _ uint32, reason InvalidationReason) {
+		if reason == ReasonEviction {
+			evicted = append(evicted, id)
+		}
+	})
+	id := func(i int) string { return "f" + strconv.Itoa(i) }
+	for i := 0; i < capacity; i++ {
+		_, _ = m.Lookup(id(i), 0)
+	}
+	for i := 0; i < kept; i++ { // the oldest ten become the newest
+		if d, _ := m.Lookup(id(i), 0); !d.Hit {
+			t.Fatalf("%s missed in a directory that holds it", id(i))
+		}
+	}
+	for i := capacity; i < capacity+extra; i++ {
+		_, _ = m.Lookup(id(i), 0)
+	}
+	if len(evicted) != extra {
+		t.Fatalf("%d evictions, want %d", len(evicted), extra)
+	}
+	for n, got := range evicted {
+		if want := id(kept + n); got != want {
+			t.Fatalf("eviction %d took %s, the least recently used was %s", n, got, want)
+		}
+	}
+	if m.evictVisited != extra {
+		t.Fatalf("choosing %d victims examined %d entries, want one each", extra, m.evictVisited)
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestForcedMissPinsHitRatio(t *testing.T) {
 	m, err := New(Config{Capacity: 4, ForcedMissProb: 0.5, Seed: 1})
 	if err != nil {
@@ -361,14 +403,11 @@ func TestInvariantsUnderRandomOps(t *testing.T) {
 			fake.Advance(time.Duration(rng.Intn(1500)) * time.Millisecond)
 			m.SweepExpired()
 		}
-		if op%97 == 0 {
-			if err := m.CheckInvariants(); err != nil {
-				t.Fatalf("op %d: %v", op, err)
-			}
+		// Recency-list order equal to lastUsed order, checked after every
+		// operation, is what makes "evict the oldest" exactly LRU.
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatalf("op %d: %v", op, err)
 		}
-	}
-	if err := m.CheckInvariants(); err != nil {
-		t.Fatal(err)
 	}
 	s := m.Stats()
 	if s.ValidFragments > capacity {
@@ -463,6 +502,27 @@ func BenchmarkLookupHit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := m.Lookup("hot", 0); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkLookupEvicting is a miss on a full bench-sized directory: every
+// Lookup reclaims the least recently used slot.
+func BenchmarkLookupEvicting(b *testing.B) {
+	const capacity = 16384
+	m, _ := New(Config{Capacity: capacity})
+	ids := make([]string, 2*capacity) // the lookup after next of an id finds it evicted
+	for i := range ids {
+		ids[i] = "f" + strconv.Itoa(i)
+	}
+	for _, id := range ids[:capacity] {
+		_, _ = m.Lookup(id, 0)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if d, err := m.Lookup(ids[(capacity+i)%len(ids)], 0); err != nil || d.Hit {
+			b.Fatal(d, err)
 		}
 	}
 }

@@ -22,10 +22,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
+	"net/url"
+	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"dpcache/internal/bem"
@@ -83,6 +85,13 @@ type Server struct {
 	scripts map[string]*script.Script
 	statics map[string]staticAsset
 	reg     *metrics.Registry
+	pad     string // the X-Pad header's value; empty when ExtraHeaderBytes is 0
+
+	// The request paths' metrics, looked up once: the registry takes a
+	// mutex per look-up.
+	requests, templates, plainPages, errors *metrics.Counter
+	staticRequests, staleReportsApplied     *metrics.Counter
+	generate                                *metrics.Histogram
 }
 
 // staticAsset is a fixed response served under /static/ with an explicit
@@ -120,6 +129,15 @@ func New(cfg Config) (*Server, error) {
 		scripts: make(map[string]*script.Script),
 		statics: make(map[string]staticAsset),
 		reg:     reg,
+		pad:     strings.Repeat("p", max(cfg.ExtraHeaderBytes, 0)),
+
+		requests:            reg.Counter("origin.requests"),
+		templates:           reg.Counter("origin.templates"),
+		plainPages:          reg.Counter("origin.plain_pages"),
+		errors:              reg.Counter("origin.errors"),
+		staticRequests:      reg.Counter("origin.static_requests"),
+		staleReportsApplied: reg.Counter("origin.stale_reports_applied"),
+		generate:            reg.Histogram("origin.generate"),
 	}, nil
 }
 
@@ -188,12 +206,25 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// serveStats reports origin metrics and, when a monitor is attached, the
-// BEM's cache-directory statistics, as JSON.
+// serveStats reports origin metrics, the process's allocator and collector
+// counters and, when a monitor is attached, the BEM's cache-directory
+// statistics, as JSON. The runtime counters are cumulative: two reads and
+// the origin.requests between them give bytes and objects allocated per
+// fetch. ReadMemStats stops the world, so it runs here, once per call, and
+// never on the page path.
 func (s *Server) serveStats(w http.ResponseWriter) {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
 	out := map[string]any{
 		"metrics": s.reg.Snapshot(),
 		"scripts": s.Scripts(),
+		"runtime": map[string]any{
+			"total_alloc_bytes": ms.TotalAlloc,
+			"mallocs":           ms.Mallocs,
+			"num_gc":            ms.NumGC,
+			"gc_cpu_fraction":   ms.GCCPUFraction,
+			"heap_alloc_bytes":  ms.HeapAlloc,
+		},
 	}
 	if s.cfg.Monitor != nil {
 		st := s.cfg.Monitor.Stats()
@@ -226,6 +257,16 @@ func (s *Server) serveStats(w http.ResponseWriter) {
 	_ = json.NewEncoder(w).Encode(out)
 }
 
+// maxPooledBody caps the buffer a response goes back to bodyPool with, so
+// one giant page does not pin memory (dpc's pageBufPool has the same cap).
+const maxPooledBody = 1 << 20
+
+// bodyPool recycles the buffer a page response is built in. The buffer is
+// servePage's alone from Get to Put: the encoder and the plain sink write
+// into it, the BEM is told sizes and dependencies and never sees it, and it
+// goes back only after the response writer has taken its bytes.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
 func (s *Server) servePage(w http.ResponseWriter, r *http.Request) {
 	name := strings.TrimPrefix(r.URL.Path, "/page/")
 	sc, ok := s.scripts[name]
@@ -233,13 +274,7 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	params := map[string]string{}
-	for k, vs := range r.URL.Query() {
-		if len(vs) > 0 {
-			params[k] = vs[0]
-		}
-	}
-	ctx := script.NewContext(s.cfg.Repo, r.Header.Get(HeaderUser), params)
+	ctx := script.NewContext(s.cfg.Repo, r.Header.Get(HeaderUser), queryParams(r.URL.RawQuery))
 
 	if s.cfg.Monitor != nil {
 		s.applyStaleReport(r.Header.Get(HeaderStale))
@@ -250,9 +285,15 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request) {
 		r.Header.Get(HeaderBypass) == ""
 
 	start := time.Now()
-	var body bytes.Buffer
+	body := bodyPool.Get().(*bytes.Buffer)
+	body.Reset()
+	defer func() {
+		if body.Cap() <= maxPooledBody {
+			bodyPool.Put(body)
+		}
+	}()
 	if templateMode {
-		enc := s.codec.NewEncoder(&body)
+		enc := s.codec.NewEncoder(body)
 		sink := &bemSink{enc: enc, mon: s.cfg.Monitor}
 		if err := script.Run(sc, ctx, sink); err != nil {
 			s.fail(w, name, err)
@@ -263,25 +304,52 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		w.Header().Set(HeaderTemplate, s.codec.Name())
-		s.reg.Counter("origin.templates").Inc()
+		s.templates.Inc()
 	} else {
-		if err := script.Run(sc, ctx, &script.PlainSink{W: &body}); err != nil {
+		if err := script.Run(sc, ctx, &script.PlainSink{W: body}); err != nil {
 			s.fail(w, name, err)
 			return
 		}
-		s.reg.Counter("origin.plain_pages").Inc()
+		s.plainPages.Inc()
 	}
-	s.reg.Histogram("origin.generate").Observe(time.Since(start))
-	s.reg.Counter("origin.requests").Inc()
+	s.generate.Observe(time.Since(start))
+	s.requests.Inc()
 
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	w.Header().Set("Content-Length", strconv.Itoa(body.Len()))
 	w.Header().Set("Server", "dpcache-origin/1.0")
-	if s.cfg.ExtraHeaderBytes > 0 {
-		w.Header().Set("X-Pad", strings.Repeat("p", s.cfg.ExtraHeaderBytes))
+	if s.pad != "" {
+		w.Header().Set("X-Pad", s.pad)
 	}
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(body.Bytes())
+}
+
+// queryParams returns the first value of each parameter of a raw query:
+// what url.ParseQuery keeps (a pair that holds a semicolon or does not
+// unescape is dropped), without the url.Values and its slice per key.
+func queryParams(query string) map[string]string {
+	params := map[string]string{}
+	for query != "" {
+		var pair string
+		pair, query, _ = strings.Cut(query, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		key, value, _ := strings.Cut(pair, "=")
+		key, err := url.QueryUnescape(key)
+		if err != nil {
+			continue
+		}
+		value, err = url.QueryUnescape(value)
+		if err != nil {
+			continue
+		}
+		if _, seen := params[key]; !seen {
+			params[key] = value
+		}
+	}
+	return params
 }
 
 func (s *Server) serveStatic(w http.ResponseWriter, r *http.Request) {
@@ -291,7 +359,7 @@ func (s *Server) serveStatic(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	s.reg.Counter("origin.static_requests").Inc()
+	s.staticRequests.Inc()
 	w.Header().Set("Content-Type", asset.contentType)
 	w.Header().Set("Content-Length", strconv.Itoa(len(asset.body)))
 	if asset.maxAge > 0 {
@@ -321,13 +389,13 @@ func (s *Server) applyStaleReport(report string) {
 			continue
 		}
 		if s.cfg.Monitor.InvalidateStale(uint32(key), uint32(gen)) {
-			s.reg.Counter("origin.stale_reports_applied").Inc()
+			s.staleReportsApplied.Inc()
 		}
 	}
 }
 
 func (s *Server) fail(w http.ResponseWriter, page string, err error) {
-	s.reg.Counter("origin.errors").Inc()
+	s.errors.Inc()
 	http.Error(w, fmt.Sprintf("origin: page %q: %v", page, err), http.StatusInternalServerError)
 }
 
@@ -344,7 +412,7 @@ type bemSink struct {
 func (s *bemSink) Literal(p []byte) error { return s.enc.Literal(p) }
 
 // Fragment implements script.Sink.
-func (s *bemSink) Fragment(fragmentID string, ttl time.Duration, render func(io.Writer) ([]repository.Key, error)) error {
+func (s *bemSink) Fragment(fragmentID string, ttl time.Duration, r *script.Renderer) error {
 	d, err := s.mon.Lookup(fragmentID, ttl)
 	if err != nil {
 		return err
@@ -352,11 +420,19 @@ func (s *bemSink) Fragment(fragmentID string, ttl time.Duration, render func(io.
 	if d.Hit {
 		return s.enc.Get(d.Key, d.Gen)
 	}
-	var buf bytes.Buffer
-	deps, err := render(&buf)
+	// The miss made the directory entry valid on the promise of a SET. If
+	// the SET does not go out, a later template would carry a GET no proxy
+	// can satisfy: take the promise back, as a proxy's stale report for
+	// this slot and generation would after paying for a bypass.
+	body, deps, err := r.Render()
 	if err != nil {
+		s.mon.InvalidateStale(d.Key, d.Gen)
 		return err
 	}
-	s.mon.Commit(fragmentID, buf.Len(), deps)
-	return s.enc.Set(d.Key, d.Gen, buf.Bytes())
+	s.mon.Commit(fragmentID, len(body), deps)
+	if err := s.enc.Set(d.Key, d.Gen, body); err != nil {
+		s.mon.InvalidateStale(d.Key, d.Gen)
+		return err
+	}
+	return nil
 }

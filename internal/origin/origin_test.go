@@ -1,12 +1,17 @@
 package origin
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,6 +19,7 @@ import (
 	"dpcache/internal/dpc"
 	"dpcache/internal/repository"
 	"dpcache/internal/script"
+	"dpcache/internal/site"
 	"dpcache/internal/tmpl"
 )
 
@@ -506,6 +512,15 @@ func TestStatsEndpoints(t *testing.T) {
 	if !ok || bemStats["lookups"].(float64) == 0 {
 		t.Fatalf("origin stats missing bem data: %v", originStats)
 	}
+	rt, ok := originStats["runtime"].(map[string]any)
+	if !ok || rt["total_alloc_bytes"].(float64) == 0 || rt["mallocs"].(float64) == 0 || rt["heap_alloc_bytes"].(float64) == 0 {
+		t.Fatalf("origin stats missing runtime counters: %v", originStats["runtime"])
+	}
+	for _, k := range []string{"num_gc", "gc_cpu_fraction"} {
+		if _, ok := rt[k].(float64); !ok {
+			t.Fatalf("origin stats runtime section lacks %s: %v", k, rt)
+		}
+	}
 
 	resp, body = get(t, proxyTS.URL+"/_dpc/stats", nil)
 	if resp.StatusCode != http.StatusOK {
@@ -521,4 +536,196 @@ func TestStatsEndpoints(t *testing.T) {
 	if _, ok := proxyStats["static"]; !ok {
 		t.Fatal("proxy stats missing static cache section")
 	}
+}
+
+// flakyScript is a page whose one tagged block fails its first failures
+// renders and succeeds from then on.
+func flakyScript(failures int32) *script.Script {
+	var left atomic.Int32
+	left.Store(failures)
+	return &script.Script{
+		Name: "flaky",
+		Layout: func(*script.Context) []script.Block {
+			return []script.Block{
+				script.Static("head", "<html>"),
+				script.Tagged("flaky", 0, nil, func(_ *script.Context, w io.Writer) error {
+					if left.Add(-1) >= 0 {
+						return errors.New("backend down")
+					}
+					_, err := io.WriteString(w, "[ok]")
+					return err
+				}),
+				script.Static("tail", "</html>"),
+			}
+		},
+	}
+}
+
+// A miss makes the directory entry valid before the fragment is rendered.
+// When the render fails the page is a 500 and no SET goes out, so the entry
+// must not stay valid: the next template would carry a GET the proxy cannot
+// satisfy, and the page would cost a stale bypass before the report heals it.
+func TestFailedRenderLeavesNoDoomedGet(t *testing.T) {
+	mon, _ := bem.New(bem.Config{Capacity: 16})
+	srv, err := New(Config{Repo: testRepo(), Monitor: mon})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Register(flakyScript(1)); err != nil {
+		t.Fatal(err)
+	}
+	originTS := httptest.NewServer(srv)
+	defer originTS.Close()
+	proxy, err := dpc.New(dpc.Config{OriginURL: originTS.URL, Capacity: 16, Strict: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxyTS := httptest.NewServer(proxy)
+	defer proxyTS.Close()
+
+	resp, _ := get(t, originTS.URL+"/page/flaky", map[string]string{HeaderCapable: "1"})
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("failed render answered %d", resp.StatusCode)
+	}
+	if err := mon.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	resp, page := get(t, proxyTS.URL+"/page/flaky", nil)
+	if resp.StatusCode != http.StatusOK || page != "<html>[ok]</html>" {
+		t.Fatalf("page after the failure: %d %q", resp.StatusCode, page)
+	}
+	if st := mon.Stats(); st.Hits != 0 || st.Misses != 2 {
+		t.Fatalf("bem hits=%d misses=%d: the second template carried a GET for a fragment never SET", st.Hits, st.Misses)
+	}
+	if n := proxy.Registry().Counter("dpc.stale_fallbacks").Value(); n != 0 {
+		t.Fatalf("%d stale fallbacks: the proxy was sent a GET it could not satisfy", n)
+	}
+}
+
+// failingSetEncoder is an encoder whose SETs fail, as one writing to a
+// broken pipe would.
+type failingSetEncoder struct{ tmpl.Encoder }
+
+func (failingSetEncoder) Set(uint32, uint32, []byte) error { return errors.New("pipe closed") }
+
+// A SET that cannot be written takes its directory entry with it too.
+func TestFailedSetInvalidatesEntry(t *testing.T) {
+	mon, _ := bem.New(bem.Config{Capacity: 16})
+	var buf bytes.Buffer
+	sink := &bemSink{enc: failingSetEncoder{tmpl.Binary{}.NewEncoder(&buf)}, mon: mon}
+	ctx := script.NewContext(testRepo(), "", nil)
+	if err := script.Run(flakyScript(0), ctx, sink); err == nil {
+		t.Fatal("run succeeded over an encoder that cannot SET")
+	}
+	if st := mon.Stats(); st.ValidFragments != 0 {
+		t.Fatalf("%d fragments valid after the only SET failed", st.ValidFragments)
+	}
+	if err := mon.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// queryParams keeps what url.ParseQuery keeps, first value per key.
+func TestQueryParamsMatchesParseQuery(t *testing.T) {
+	for _, q := range []string{
+		"", "page=1", "page=1&page=2", "a=1&b=2&a=3", "page", "page=", "=v", "&&a=1&&", "a=b=c",
+		"a=1;b=2", "a=1&b=2;c=3&d=4", "a=%31%32&%62=x", "a=%zz&b=1", "%zz=1&b=2", "a=x+y&b+c=d",
+		"categoryID=Nope+such%20thing", "a=%", "a=1&a=%zz",
+	} {
+		want := map[string]string{}
+		parsed, _ := url.ParseQuery(q)
+		for k, vs := range parsed {
+			want[k] = vs[0]
+		}
+		got := queryParams(q)
+		if len(got) != len(want) {
+			t.Errorf("query %q: got %v, url.ParseQuery keeps %v", q, got, want)
+		}
+		for k, v := range want {
+			if gv, ok := got[k]; !ok || gv != v {
+				t.Errorf("query %q: got %v, url.ParseQuery keeps %v", q, got, want)
+			}
+		}
+	}
+}
+
+// The response buffer, the run's render buffer and the synthetic site's
+// block lists are shared between requests through pools and a table. Many
+// requests at once, templates and plain pages of different pages mixed,
+// each get their own page and nothing of another's (run under -race).
+func TestConcurrentFetchesShareNoBytes(t *testing.T) {
+	cfg := site.SyntheticConfig{Pages: 8, FragmentsPerPage: 16, FragmentBytes: 1024, Cacheability: 0.75}
+	repo := repository.New(repository.LatencyModel{})
+	mon, _ := bem.New(bem.Config{Capacity: 256})
+	mon.BindRepo(repo)
+	srv, err := New(Config{Repo: repo, Monitor: mon})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, _, err := site.BuildSynthetic(cfg, repo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Register(sc); err != nil {
+		t.Fatal(err)
+	}
+	// The reference pages come from a server of their own, one at a time.
+	want := make([]string, cfg.Pages)
+	for p := range want {
+		ref := repository.New(repository.LatencyModel{})
+		refScript, _, _ := site.BuildSynthetic(cfg, ref)
+		body, err := script.RenderPage(refScript, script.NewContext(ref, "", map[string]string{"page": fmt.Sprint(p)}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[p] = string(body)
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				p := (g*3 + i) % cfg.Pages
+				req := httptest.NewRequest(http.MethodGet, fmt.Sprintf("/page/synth?page=%d", p), nil)
+				asTemplate := (g+i)%2 == 0
+				if asTemplate {
+					req.Header.Set(HeaderCapable, "1")
+				}
+				rec := httptest.NewRecorder()
+				srv.ServeHTTP(rec, req)
+				if rec.Code != http.StatusOK {
+					t.Errorf("page %d: status %d", p, rec.Code)
+					return
+				}
+				if !asTemplate {
+					if rec.Body.String() != want[p] {
+						t.Errorf("page %d: plain page differs from the reference", p)
+						return
+					}
+					continue
+				}
+				// A template's literals and SETs are pieces of its own page, in order.
+				ins, err := tmpl.DecodeAll(tmpl.Binary{}, rec.Body)
+				if err != nil {
+					t.Errorf("page %d: %v", p, err)
+					return
+				}
+				rest := want[p]
+				for _, in := range ins {
+					if in.Op == tmpl.OpGet {
+						continue
+					}
+					at := strings.Index(rest, string(in.Data))
+					if at < 0 {
+						t.Errorf("page %d: template carries bytes that are not the page's", p)
+						return
+					}
+					rest = rest[at+len(in.Data):]
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

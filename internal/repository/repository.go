@@ -164,27 +164,35 @@ func (r *Repo) Get(k Key) (Row, error) {
 		}
 	}
 	r.mu.RUnlock()
-	if lat > 0 {
-		time.Sleep(lat)
-	}
-	r.queries.Inc()
+	r.chargeQuery(lat)
 	if !ok {
 		return Row{}, ErrNotFound{Key: k}
 	}
 	return cp, nil
 }
 
-// Field is a convenience returning a single column, or def when the row or
-// column is missing.
+// chargeQuery accounts for one query: its simulated delay, taken outside
+// the table lock, and the query counter.
+func (r *Repo) chargeQuery(lat time.Duration) {
+	if lat > 0 {
+		time.Sleep(lat)
+	}
+	r.queries.Inc()
+}
+
+// Field returns a single column, or def when the row or column is missing.
+// It is one query, as Get is, but reads the column in place under the read
+// lock where Get copies the row for its caller to keep.
 func (r *Repo) Field(k Key, column, def string) string {
-	row, err := r.Get(k)
-	if err != nil {
+	r.mu.RLock()
+	lat := r.lat.QueryDelay
+	v, ok := r.tables[k.Table][k.Row].Fields[column]
+	r.mu.RUnlock()
+	r.chargeQuery(lat)
+	if !ok {
 		return def
 	}
-	if v, ok := row.Fields[column]; ok {
-		return v
-	}
-	return def
+	return v
 }
 
 // Version returns the current version of row k, or 0 when absent. It does

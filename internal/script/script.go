@@ -25,6 +25,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"sync"
 	"time"
 
 	"dpcache/internal/repository"
@@ -79,13 +80,6 @@ func (c *Context) Field(table, row, column, def string) string {
 	k := repository.Key{Table: table, Row: row}
 	c.deps = append(c.deps, k)
 	return c.Repo.Field(k, column, def)
-}
-
-// resetDeps clears and returns the dependencies recorded so far.
-func (c *Context) resetDeps() []repository.Key {
-	d := c.deps
-	c.deps = nil
-	return d
 }
 
 // RenderFunc writes a block's output.
@@ -148,40 +142,72 @@ type Script struct {
 // means: the plain sink renders everything; the origin's BEM sink turns
 // tagged blocks into GET/SET template instructions.
 type Sink interface {
-	// Literal receives non-cacheable output bytes.
+	// Literal receives non-cacheable output bytes, valid until it returns.
 	Literal(p []byte) error
-	// Fragment handles one tagged block. render generates the fragment
-	// body on demand and returns the repository keys it depended on.
-	Fragment(fragmentID string, ttl time.Duration, render func(w io.Writer) ([]repository.Key, error)) error
+	// Fragment handles one tagged block. r generates the fragment body on
+	// demand; a sink that does not need the body (the BEM's hit) never
+	// calls it, and then the block costs nothing.
+	Fragment(fragmentID string, ttl time.Duration, r *Renderer) error
 }
 
-// Run executes the script against the sink.
+// Renderer generates the block a run has reached. One serves a whole run:
+// every block renders into its buffer, one after the other, so a request
+// grows one buffer once where it used to grow one per block.
+type Renderer struct {
+	buf    bytes.Buffer
+	script *Script
+	ctx    *Context
+	block  *Block
+}
+
+// maxPooledRender caps the buffer a Renderer goes back to the pool with, so
+// one huge block does not pin memory.
+const maxPooledRender = 1 << 20
+
+var rendererPool = sync.Pool{New: func() any { return new(Renderer) }}
+
+// Render runs the block and returns its output and the repository keys it
+// read. Both are the run's scratch memory: they are valid until the sink
+// method they were obtained in returns, and a sink that keeps either copies.
+func (r *Renderer) Render() (body []byte, deps []repository.Key, err error) {
+	r.buf.Reset()
+	r.ctx.deps = r.ctx.deps[:0]
+	if err := r.block.Render(r.ctx, &r.buf); err != nil {
+		return nil, nil, fmt.Errorf("script %q block %q: %w", r.script.Name, r.block.Name, err)
+	}
+	return r.buf.Bytes(), r.ctx.deps, nil
+}
+
+// Run executes the script against the sink. The blocks Layout returns are
+// only read, so a script whose layout does not depend on the request may
+// return the same slice every time.
 func Run(s *Script, ctx *Context, sink Sink) error {
 	if s.Layout == nil {
 		return fmt.Errorf("script %q has no layout", s.Name)
 	}
-	for _, b := range s.Layout(ctx) {
-		b := b
+	r := rendererPool.Get().(*Renderer)
+	r.script, r.ctx = s, ctx
+	defer func() {
+		r.script, r.ctx, r.block = nil, nil, nil
+		if r.buf.Cap() <= maxPooledRender {
+			rendererPool.Put(r)
+		}
+	}()
+	blocks := s.Layout(ctx)
+	for i := range blocks {
+		b := &blocks[i]
+		r.block = b
 		if !b.Cacheable {
-			var buf bytes.Buffer
-			ctx.resetDeps()
-			if err := b.Render(ctx, &buf); err != nil {
-				return fmt.Errorf("script %q block %q: %w", s.Name, b.Name, err)
+			body, _, err := r.Render()
+			if err != nil {
+				return err
 			}
-			if err := sink.Literal(buf.Bytes()); err != nil {
+			if err := sink.Literal(body); err != nil {
 				return err
 			}
 			continue
 		}
-		fragID := b.FragmentID(ctx)
-		err := sink.Fragment(fragID, b.TTL, func(w io.Writer) ([]repository.Key, error) {
-			ctx.resetDeps()
-			if err := b.Render(ctx, w); err != nil {
-				return nil, fmt.Errorf("script %q block %q: %w", s.Name, b.Name, err)
-			}
-			return ctx.resetDeps(), nil
-		})
-		if err != nil {
+		if err := sink.Fragment(b.FragmentID(ctx), b.TTL, r); err != nil {
 			return err
 		}
 	}
@@ -205,14 +231,12 @@ func (p *PlainSink) Literal(b []byte) error {
 }
 
 // Fragment implements Sink by always generating.
-func (p *PlainSink) Fragment(_ string, _ time.Duration, render func(io.Writer) ([]repository.Key, error)) error {
-	var buf bytes.Buffer
-	if _, err := render(&buf); err != nil {
+func (p *PlainSink) Fragment(_ string, _ time.Duration, r *Renderer) error {
+	body, _, err := r.Render()
+	if err != nil {
 		return err
 	}
-	n, err := p.W.Write(buf.Bytes())
-	p.Bytes += int64(n)
-	return err
+	return p.Literal(body)
 }
 
 // RenderPage is a convenience that runs a script against a PlainSink and

@@ -105,17 +105,16 @@ func (r *recordingSink) Literal(p []byte) error {
 	return nil
 }
 
-func (r *recordingSink) Fragment(id string, _ time.Duration, render func(io.Writer) ([]repository.Key, error)) error {
-	var buf bytes.Buffer
-	deps, err := render(&buf)
+func (r *recordingSink) Fragment(id string, _ time.Duration, rd *Renderer) error {
+	body, deps, err := rd.Render()
 	if err != nil {
 		return err
 	}
 	if r.deps == nil {
 		r.deps = map[string][]repository.Key{}
 	}
-	r.deps[id] = deps
-	r.events = append(r.events, "frag:"+id+":"+buf.String())
+	r.deps[id] = append([]repository.Key(nil), deps...) // the run reuses both
+	r.events = append(r.events, "frag:"+id+":"+string(body))
 	return nil
 }
 
@@ -225,7 +224,7 @@ func TestContextQueryRecordsDepEvenOnMiss(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected not-found error")
 	}
-	deps := ctx.resetDeps()
+	deps := ctx.deps
 	if len(deps) != 1 {
 		t.Fatalf("deps = %v; a miss must still record the dependency", deps)
 	}

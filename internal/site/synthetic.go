@@ -9,6 +9,7 @@ package site
 import (
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 	"time"
 
@@ -60,6 +61,15 @@ func (c SyntheticConfig) TotalFragmentBytes() int64 {
 		total += int64(c.FragmentSize(j))
 	}
 	return total
+}
+
+// maxFragmentSize is the largest FragmentSize of any fragment.
+func (c SyntheticConfig) maxFragmentSize() int {
+	largest := c.FragmentBytes
+	for _, f := range c.FragmentSizeFactors {
+		largest = max(largest, c.FragmentBytes*f)
+	}
+	return largest
 }
 
 // DefaultSynthetic returns Table 2's structural settings.
@@ -139,58 +149,60 @@ func BuildSynthetic(cfg SyntheticConfig, repo *repository.Repo) (*script.Script,
 		}
 	}
 
+	// The layout is a pure function of the page number, so each page's
+	// block list — names, source rows, render closures — is built once,
+	// here, and Layout hands it out for the run to read.
+	filler := strings.Repeat(fillerUnit, cfg.maxFragmentSize()/len(fillerUnit)+1)
+	layouts := make([][]script.Block, cfg.Pages)
+	for i, frags := range man.Pages {
+		layouts[i] = make([]script.Block, len(frags))
+		for k, j := range frags {
+			name := "synthfrag" + strconv.Itoa(j)
+			render := syntheticFragment(j, cfg.FragmentSize(j), filler)
+			if man.Cacheable[j] {
+				layouts[i][k] = script.Tagged(name, cfg.TTL, nil, render)
+			} else {
+				layouts[i][k] = script.Untagged(name, render)
+			}
+		}
+	}
+
 	sc := &script.Script{
 		Name: "synth",
 		Layout: func(ctx *script.Context) []script.Block {
-			page := 0
-			fmt.Sscanf(ctx.Param("page", "0"), "%d", &page)
-			if page < 0 || page >= cfg.Pages {
+			page, err := strconv.Atoi(ctx.Param("page", "0"))
+			if err != nil || page < 0 || page >= cfg.Pages {
 				page = 0
 			}
-			blocks := make([]script.Block, 0, cfg.FragmentsPerPage)
-			for k := 0; k < cfg.FragmentsPerPage; k++ {
-				j := page*cfg.FragmentsPerPage + k
-				render := syntheticFragment(j, cfg.FragmentSize(j))
-				if man.Cacheable[j] {
-					blocks = append(blocks, script.Tagged(
-						fmt.Sprintf("synthfrag%d", j), cfg.TTL, nil, render))
-				} else {
-					blocks = append(blocks, script.Untagged(
-						fmt.Sprintf("synthfrag%d", j), render))
-				}
-			}
-			return blocks
+			return layouts[page]
 		},
 	}
 	return sc, man, nil
 }
 
-func fragRow(j int) string { return fmt.Sprintf("f%d", j) }
+func fragRow(j int) string { return "f" + strconv.Itoa(j) }
+
+const fillerUnit = "abcdefghijklmnopqrstuvwxyz0123456789"
 
 // syntheticFragment renders fragment j to exactly size bytes: a small
 // header identifying the fragment and its source-row version, padded with
-// deterministic filler.
-func syntheticFragment(j, size int) script.RenderFunc {
+// deterministic filler — a prefix of filler, which is fillerUnit repeated
+// past size. Everything but the version is fixed when the site is built.
+func syntheticFragment(j, size int, filler string) script.RenderFunc {
+	row := fragRow(j)
+	open := "<!--frag " + strconv.Itoa(j) + " v"
+	const end = "-->"
 	return func(ctx *script.Context, w io.Writer) error {
-		v := ctx.Field(syntheticTable, fragRow(j), "v", "0")
-		head := fmt.Sprintf("<!--frag %d v%s-->", j, v)
-		if len(head) > size {
-			head = head[:size]
-		}
-		if _, err := io.WriteString(w, head); err != nil {
+		v := ctx.Field(syntheticTable, row, "v", "0")
+		head := len(open) + len(v) + len(end)
+		if head > size {
+			_, err := io.WriteString(w, (open + v + end)[:size])
 			return err
 		}
-		pad := size - len(head)
-		const filler = "abcdefghijklmnopqrstuvwxyz0123456789"
-		for pad > 0 {
-			n := pad
-			if n > len(filler) {
-				n = len(filler)
-			}
-			if _, err := io.WriteString(w, filler[:n]); err != nil {
+		for _, part := range [...]string{open, v, end, filler[:size-head]} {
+			if _, err := io.WriteString(w, part); err != nil {
 				return err
 			}
-			pad -= n
 		}
 		return nil
 	}

@@ -48,72 +48,63 @@ func uvarintLen(v uint64) int {
 
 // NewEncoder implements Codec.
 func (Binary) NewEncoder(w io.Writer) Encoder {
-	return &binEncoder{w: bufio.NewWriter(w), magic: kmp.Compile(Magic)}
+	return &binEncoder{encoderOut: newEncoderOut(w)}
 }
 
 type binEncoder struct {
-	w     *bufio.Writer
-	magic *kmp.Matcher
+	encoderOut
+	// tagBuf is where a tag (magic, op, up to three uvarints) is laid out
+	// before its one Write: a field of the encoder, because a local handed
+	// to an interface method escapes.
+	tagBuf [4 + 1 + 3*binary.MaxVarintLen64]byte
 }
 
-func (e *binEncoder) tag(op byte, fields ...uint64) error {
-	if _, err := e.w.Write(Magic); err != nil {
-		return err
-	}
-	if err := e.w.WriteByte(op); err != nil {
-		return err
-	}
-	var buf [binary.MaxVarintLen64]byte
-	for _, f := range fields {
-		n := binary.PutUvarint(buf[:], f)
-		if _, err := e.w.Write(buf[:n]); err != nil {
-			return err
-		}
-	}
-	return nil
+// The tags that carry no fields.
+var (
+	quoteTag = append(append([]byte(nil), Magic...), bopQuote)
+	endTag   = append(append([]byte(nil), Magic...), bopEnd)
+)
+
+// tag lays out magic, op, key and gen in tagBuf.
+func (e *binEncoder) tag(op byte, key, gen uint32) []byte {
+	buf := append(e.tagBuf[:0], Magic...)
+	buf = append(buf, op)
+	buf = binary.AppendUvarint(buf, uint64(key))
+	return binary.AppendUvarint(buf, uint64(gen))
 }
 
 // Literal writes p, escaping any embedded magic sequences.
-func (e *binEncoder) Literal(p []byte) error {
-	for {
-		i := e.magic.Index(p)
-		if i < 0 {
-			_, err := e.w.Write(p)
-			return err
-		}
-		if _, err := e.w.Write(p[:i]); err != nil {
-			return err
-		}
-		if err := e.tag(bopQuote); err != nil {
-			return err
-		}
-		p = p[i+len(Magic):]
-	}
-}
+func (e *binEncoder) Literal(p []byte) error { return writeEscaped(e, p, Magic, quoteTag) }
 
 func (e *binEncoder) Get(key, gen uint32) error {
-	return e.tag(bopGet, uint64(key), uint64(gen))
+	_, err := e.Write(e.tag(bopGet, key, gen))
+	return err
 }
 
 func (e *binEncoder) Include(key, gen uint32) error {
-	return e.tag(bopInc, uint64(key), uint64(gen))
+	_, err := e.Write(e.tag(bopInc, key, gen))
+	return err
 }
 
 func (e *binEncoder) Set(key, gen uint32, content []byte) error {
-	if err := e.tag(bopSet, uint64(key), uint64(gen), uint64(len(content))); err != nil {
+	open := binary.AppendUvarint(e.tag(bopSet, key, gen), uint64(len(content)))
+	if _, err := e.Write(open); err != nil {
 		return err
 	}
-	if _, err := e.w.Write(content); err != nil {
+	if _, err := e.Write(content); err != nil {
 		return err
 	}
-	return e.tag(bopEnd)
+	_, err := e.Write(endTag)
+	return err
 }
 
-func (e *binEncoder) Flush() error { return e.w.Flush() }
+// magicMatcher is the streaming tag scan of Section 5, compiled once: a
+// Matcher is read-only after Compile, each decoder takes its own Stream.
+var magicMatcher = kmp.Compile(Magic)
 
 // NewDecoder implements Codec.
 func (Binary) NewDecoder(r io.Reader) Decoder {
-	return &binDecoder{r: bufio.NewReader(r), magic: kmp.Compile(Magic).Stream()}
+	return &binDecoder{r: bufio.NewReader(r), magic: magicMatcher.Stream()}
 }
 
 // maxLiteralChunk bounds the size of a single literal instruction so the

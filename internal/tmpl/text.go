@@ -40,57 +40,63 @@ func (Text) SetOverhead(key, gen uint32, contentLen int) int {
 
 // NewEncoder implements Codec.
 func (Text) NewEncoder(w io.Writer) Encoder {
-	return &textEncoder{w: bufio.NewWriter(w), mark: kmp.Compile([]byte(textMark))}
+	return &textEncoder{encoderOut: newEncoderOut(w)}
 }
 
 type textEncoder struct {
-	w    *bufio.Writer
-	mark *kmp.Matcher
+	encoderOut
+	// tagBuf holds a tag while it is formatted (see binEncoder.tagBuf); the
+	// longest, a SET of maximal fields, is 64 bytes.
+	tagBuf [64]byte
 }
 
-func (e *textEncoder) Literal(p []byte) error {
-	for {
-		i := e.mark.Index(p)
-		if i < 0 {
-			_, err := e.w.Write(p)
-			return err
-		}
-		if _, err := e.w.Write(p[:i]); err != nil {
-			return err
-		}
-		if _, err := e.w.WriteString("<dpc:esc/>"); err != nil {
-			return err
-		}
-		p = p[i+len(textMark):]
-	}
+var (
+	textMarkBytes = []byte(textMark)
+	escTag        = []byte("<dpc:esc/>")
+	setCloseTag   = []byte("</dpc:set>")
+	// markMatcher is the text codec's streaming tag scan, compiled once
+	// (see magicMatcher).
+	markMatcher = kmp.Compile(textMarkBytes)
+)
+
+// tag lays out <dpc:VERB k="key" g="gen in tagBuf; the caller closes it.
+func (e *textEncoder) tag(verb string, key, gen uint32) []byte {
+	buf := append(e.tagBuf[:0], textMark...)
+	buf = append(buf, verb...)
+	buf = append(buf, ` k="`...)
+	buf = strconv.AppendUint(buf, uint64(key), 10)
+	buf = append(buf, `" g="`...)
+	return strconv.AppendUint(buf, uint64(gen), 10)
 }
+
+func (e *textEncoder) Literal(p []byte) error { return writeEscaped(e, p, textMarkBytes, escTag) }
 
 func (e *textEncoder) Get(key, gen uint32) error {
-	_, err := fmt.Fprintf(e.w, `<dpc:get k="%d" g="%d"/>`, key, gen)
+	_, err := e.Write(append(e.tag("get", key, gen), `"/>`...))
 	return err
 }
 
 func (e *textEncoder) Include(key, gen uint32) error {
-	_, err := fmt.Fprintf(e.w, `<dpc:inc k="%d" g="%d"/>`, key, gen)
+	_, err := e.Write(append(e.tag("inc", key, gen), `"/>`...))
 	return err
 }
 
 func (e *textEncoder) Set(key, gen uint32, content []byte) error {
-	if _, err := fmt.Fprintf(e.w, `<dpc:set k="%d" g="%d" n="%d">`, key, gen, len(content)); err != nil {
+	open := append(e.tag("set", key, gen), `" n="`...)
+	open = append(strconv.AppendUint(open, uint64(len(content)), 10), `">`...)
+	if _, err := e.Write(open); err != nil {
 		return err
 	}
-	if _, err := e.w.Write(content); err != nil {
+	if _, err := e.Write(content); err != nil {
 		return err
 	}
-	_, err := e.w.WriteString("</dpc:set>")
+	_, err := e.Write(setCloseTag)
 	return err
 }
 
-func (e *textEncoder) Flush() error { return e.w.Flush() }
-
 // NewDecoder implements Codec.
 func (Text) NewDecoder(r io.Reader) Decoder {
-	return &textDecoder{r: bufio.NewReader(r), mark: kmp.Compile([]byte(textMark)).Stream()}
+	return &textDecoder{r: bufio.NewReader(r), mark: markMatcher.Stream()}
 }
 
 type textDecoder struct {

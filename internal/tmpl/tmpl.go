@@ -25,6 +25,7 @@
 package tmpl
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -94,6 +95,50 @@ type Encoder interface {
 	Include(key, gen uint32) error
 	// Flush forces any buffered bytes to the underlying writer.
 	Flush() error
+}
+
+// encoderOut is what an encoder writes to. A writer that also takes single
+// bytes (a bytes.Buffer, a bufio.Writer) already holds its output in memory
+// and the encoder writes straight into it; anything else — a pipe, a
+// connection — gets a bufio.Writer of the encoder's own, which Flush drains.
+type encoderOut struct {
+	io.Writer
+	own *bufio.Writer // nil when writing straight through
+}
+
+func newEncoderOut(w io.Writer) encoderOut {
+	if _, inMemory := w.(io.ByteWriter); inMemory {
+		return encoderOut{Writer: w}
+	}
+	bw := bufio.NewWriter(w)
+	return encoderOut{Writer: bw, own: bw}
+}
+
+// Flush implements Encoder.
+func (o encoderOut) Flush() error {
+	if o.own == nil {
+		return nil
+	}
+	return o.own.Flush()
+}
+
+// writeEscaped writes literal bytes p to w with every occurrence of the
+// codec's tag mark replaced by its escape tag.
+func writeEscaped(w io.Writer, p, mark, escape []byte) error {
+	for {
+		i := bytes.Index(p, mark)
+		if i < 0 {
+			_, err := w.Write(p)
+			return err
+		}
+		if _, err := w.Write(p[:i]); err != nil {
+			return err
+		}
+		if _, err := w.Write(escape); err != nil {
+			return err
+		}
+		p = p[i+len(mark):]
+	}
 }
 
 // Decoder reads a template stream. Next returns io.EOF after the final
