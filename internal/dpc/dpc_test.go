@@ -109,7 +109,7 @@ func newTestAssembler(tb testing.TB, store fragstore.FragmentStore, codec tmpl.C
 		tb.Fatal(err)
 	}
 	return func(w io.Writer, raw []byte) (AssembleStats, error) {
-		return p.assemble(w, bytes.NewReader(raw), int64(len(raw)), nil)
+		return p.assemble(w, bytes.NewReader(raw), int64(len(raw)), &reqState{})
 	}
 }
 

@@ -37,7 +37,9 @@ func MetricCatalog() []MetricDoc {
 		{"dpc.assembled", "counter", "a template is assembled into a page and the page reaches the client complete"},
 		{"dpc.streamed", "counter", "an assembled page outgrew its look-ahead spool, so its headers were committed before assembly finished, and it then completed cleanly"},
 		{"dpc.plain_passthrough", "counter", "a non-template origin response is passed through"},
-		{"dpc.template_bytes", "counter", "template bytes read from the origin (cumulative)"},
+		{"dpc.template_bytes", "counter", "template bytes read from the origin (cumulative; a template answered by reference adds none)"},
+		{"dpc.template_offers", "counter", "an origin fetch named a plan the proxy holds for the key's last template (X-DPC-Have)"},
+		{"dpc.template_refs", "counter", "the origin answered an offer by reference (X-DPC-Same, empty body) and the held plan ran; offers minus refs were answered in full"},
 		{"dpc.page_bytes", "counter", "assembled page bytes produced (cumulative)"},
 		{"dpc.gets", "counter", "GET instructions executed against the fragment store"},
 		{"dpc.sets", "counter", "SET instructions executed against the fragment store"},
@@ -86,7 +88,7 @@ func MetricCatalog() []MetricDoc {
 		// Compiled-template plan cache: hits + misses = template assemblies
 		// (nested-include plan lookups are counted in the cache's own
 		// /_dpc/stats snapshot, not here).
-		{"dpc.plancache_hits", "counter", "a template body hashed to an already-compiled plan"},
+		{"dpc.plancache_hits", "counter", "a template body hashed to an already-compiled plan, or the origin named the plan instead of sending the body (dpc.template_refs)"},
 		{"dpc.plancache_misses", "counter", "a template body had no cached plan: it was compiled fresh, or could not be one (oversized, cut short by the origin, corrupt) and ran through the streamed driver"},
 		{"dpc.plancache_compiles", "counter", "a template was compiled into a plan, whether or not the cache kept it"},
 		{"dpc.plancache_oneoff", "counter", "a compiled template carried a SET, so the same bytes cannot arrive again: its plan ran and was not cached"},

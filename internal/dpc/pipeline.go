@@ -3,6 +3,7 @@ package dpc
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"dpcache/internal/metrics"
+	"dpcache/internal/tmplplan"
 	"dpcache/internal/trace"
 )
 
@@ -81,6 +83,19 @@ type reqState struct {
 	// resp is the open origin response handed from origin-fetch to
 	// assemble (template mode only).
 	resp *http.Response
+
+	// fetchKey is the request's flight key, built once by whichever of
+	// coalesce and origin-fetch first needs it.
+	fetchKey string
+	// hintKey is the key a template fetched for this request is remembered
+	// under in the hint table (see offerPlan); empty when the fetch is not
+	// one that may offer.
+	hintKey string
+	// held is the plan this request's origin fetch offered (X-DPC-Have),
+	// kept from the offer until the answer — so a plan-tier flush in
+	// between cannot take it — and, when the origin answered by reference,
+	// until assemble runs it in place of the template that was not sent.
+	held *tmplplan.Plan
 
 	// staleRefs, when set by assemble, routes the request through the
 	// stale-fallback stage.
@@ -173,7 +188,7 @@ func (p *Proxy) stageCoalesce(rs *reqState) (stageOutcome, error) {
 	if p.flights == nil || !coalescable(rs.r) {
 		return stageNext, nil
 	}
-	f, leader, fol := p.flights.join(flightKey(rs.r), rs.r.Method)
+	f, leader, fol := p.flights.join(rs.flightKey(), rs.r.Method)
 	if leader {
 		rs.flight = f
 		rs.span.Event(trace.KindRole, "coalesce", "leader", int64(f.id))
@@ -359,6 +374,37 @@ func (p *Proxy) finishFlight(rs *reqState, err error) {
 
 // --- origin-fetch ---
 
+// flightKey is flightKey(rs.r), built once.
+func (rs *reqState) flightKey() string {
+	if rs.fetchKey == "" {
+		rs.fetchKey = flightKey(rs.r)
+	}
+	return rs.fetchKey
+}
+
+// offerPlan names, on a first-try GET's origin request, the plan the proxy
+// holds for the template this key was last sent: the hint table remembers
+// the digest, the plan cache must still hold its plan, and the request
+// keeps that plan until the answer. The origin generates the template as
+// ever and, when its digest is the one offered, answers with the headers
+// alone (headerSame); any other answer is the template in full, so a hint
+// can be wrong, or the origin deaf to it, at no cost but the bytes.
+func (p *Proxy) offerPlan(rs *reqState, req *http.Request) {
+	rs.hintKey = rs.flightKey()
+	d, ok := p.hints.lookup(rs.hintKey)
+	if !ok {
+		return
+	}
+	if rs.held = p.plans.Lookup(d); rs.held == nil {
+		return
+	}
+	var have [2 * len(d)]byte
+	hex.Encode(have[:], d[:])
+	req.Header.Set(headerHave, string(have[:]))
+	p.reg.Counter("dpc.template_offers").Inc()
+	rs.span.Event(trace.KindInfo, "origin", "offer", 0)
+}
+
 // maxForwardBody bounds the request-body bytes buffered for replay.
 const maxForwardBody = 8 << 20
 
@@ -435,11 +481,14 @@ func (p *Proxy) originRequest(rs *reqState, bypassStale []StaleRef) (*http.Respo
 		// forwardedHeaders: it must never enter the coalesce key.
 		req.Header.Set(trace.Header, rs.trace.TraceID())
 	}
+	rs.hintKey, rs.held = "", nil
 	if bypassStale != nil {
 		req.Header.Set(headerBypass, "1")
 		if s := FormatStaleRefs(bypassStale); s != "" {
 			req.Header.Set(headerStale, s)
 		}
+	} else if r.Method == http.MethodGet {
+		p.offerPlan(rs, req)
 	}
 	t0 := time.Now()
 	resp, err := p.client.Do(req)
@@ -464,6 +513,16 @@ func (p *Proxy) originRequest(rs *reqState, bypassStale []StaleRef) (*http.Respo
 		}
 		return nil, fmt.Errorf("origin status %d: %s", resp.StatusCode, bytes.TrimSpace(msg))
 	}
+	switch same := resp.Header.Get(headerSame) != ""; {
+	case !same:
+		rs.held = nil // answered in full: the offer was declined, or never heard
+	case rs.held == nil || resp.Header.Get(headerTemplate) == "":
+		// A reference may answer only an offer, and only as a template.
+		resp.Body.Close()
+		return nil, fmt.Errorf("origin answered %s where no offered template stands for the body", headerSame)
+	default:
+		p.reg.Counter("dpc.template_refs").Inc()
+	}
 	return resp, nil
 }
 
@@ -481,8 +540,11 @@ func (p *Proxy) stageOriginFetch(rs *reqState) (stageOutcome, error) {
 	codecName := resp.Header.Get(headerTemplate)
 	if rs.span != nil {
 		shape := "template"
-		if codecName == "" {
+		switch {
+		case codecName == "":
 			shape = "plain"
+		case rs.held != nil:
+			shape = "template-ref"
 		}
 		rs.span.Event(trace.KindInfo, "origin", shape, resp.ContentLength)
 	}
@@ -585,7 +647,7 @@ func (p *Proxy) stageAssemble(rs *reqState) (stageOutcome, error) {
 func (p *Proxy) assemblePage(rs *reqState, body io.Reader, clen int64, max int, file func(page []byte, refs []StaleRef)) (AssembleStats, error) {
 	sw := p.newSpoolWriter(rs, max, -1)
 	defer sw.release()
-	stats, err := p.assemble(sw, body, clen, rs.span)
+	stats, err := p.assemble(sw, body, clen, rs)
 	p.recordAssembleStats(stats)
 	if err != nil {
 		if sw.committed && errors.Is(err, ErrStale) {

@@ -469,7 +469,7 @@ func TestPlanCacheFallback(t *testing.T) {
 			}
 			if tc.wantErr != nil {
 				// The error the assemble stage hands the runner wraps the cause.
-				if _, err := p.assemble(io.Discard, tc.body(), -1, nil); !errors.Is(err, tc.wantErr) {
+				if _, err := p.assemble(io.Discard, tc.body(), -1, &reqState{}); !errors.Is(err, tc.wantErr) {
 					t.Fatalf("assemble error = %v, want one wrapping %v", err, tc.wantErr)
 				}
 			}

@@ -91,9 +91,22 @@ func readTemplate(buf []byte, body io.Reader, clen int64) ([]byte, error) {
 // first try and stale-fallback retry — runs through it. clen is the body's
 // declared length, -1 when the origin declared none. It counts one plan hit
 // or miss per assembly and names the driver, and why, in one "plan" event
-// on sp. The template is held in a pooled buffer for the length of the run
-// and in nothing afterwards: a plan owns copies of the bytes it emits.
-func (p *Proxy) assemble(w io.Writer, body io.Reader, clen int64, sp *trace.Span) (AssembleStats, error) {
+// on the stage's span. The template is held in a pooled buffer for the
+// length of the run and in nothing afterwards: a plan owns copies of the
+// bytes it emits. A template the origin answered by reference (rs.held) is
+// not in body at all: the plan the request offered runs in its place, a
+// hit with no template bytes read.
+func (p *Proxy) assemble(w io.Writer, body io.Reader, clen int64, rs *reqState) (AssembleStats, error) {
+	sp := rs.span
+	if plan := rs.held; plan != nil {
+		rs.held = nil
+		p.plans.CountHit()
+		p.reg.Counter("dpc.plancache_hits").Inc()
+		sp.Event(trace.KindHit, "plan", "hit:ref", 0)
+		st, err := p.exec.Run(plan, w, sp)
+		st.TemplateBytes = 0
+		return st, err
+	}
 	if clen > planMaxTemplate {
 		// Declared too large for a plan: nothing of it needs holding.
 		p.reg.Counter("dpc.plancache_misses").Inc()
@@ -124,6 +137,10 @@ func (p *Proxy) assemble(w io.Writer, body io.Reader, clen int64, sp *trace.Span
 					note = "compile:one-off"
 					p.reg.Counter("dpc.plancache_oneoff").Inc()
 				}
+			}
+			if rs.hintKey != "" && !plan.OneOff() {
+				// The plan is resident: the next fetch of this key can offer it.
+				p.hints.record(rs.hintKey, plan.Digest())
 			}
 			sp.Event(kind, "plan", note, int64(len(buf)))
 			return p.exec.Run(plan, w, sp)

@@ -27,6 +27,8 @@ const (
 	headerBypass   = "X-DPC-Bypass"
 	headerTemplate = "X-DPC-Template"
 	headerStale    = "X-DPC-Stale"
+	headerHave     = "X-DPC-Have"
+	headerSame     = "X-DPC-Same"
 )
 
 // Config parameterizes a Proxy.
@@ -200,6 +202,7 @@ type Proxy struct {
 	store   fragstore.FragmentStore
 	codec   tmpl.Codec
 	plans   *tmplplan.Cache
+	hints   *hintTable
 	exec    *tmplplan.Exec
 	static  *StaticCache
 	pages   *pagecache.Cache // nil when disabled
@@ -287,6 +290,7 @@ func New(cfg Config) (*Proxy, error) {
 		store: store,
 		codec: codec,
 		plans: plans,
+		hints: newHintTable(),
 		exec: &tmplplan.Exec{
 			Store:       store,
 			Strict:      cfg.Strict,

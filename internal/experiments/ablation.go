@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"net/http"
 	"time"
 
 	"dpcache/internal/core"
@@ -26,14 +27,17 @@ type ablationPoint struct {
 	fallbacks   int64
 }
 
-func runAblation(codec tmpl.Codec, strict bool, churnProb float64, opts Options) (ablationPoint, error) {
+// runAblation measures one ablationPoint. link is the proxy's origin
+// transport: the paper's protocol, or nil for the proxy's own, which offers
+// the origin the plans it holds.
+func runAblation(codec tmpl.Codec, strict bool, churnProb float64, link http.RoundTripper, opts Options) (ablationPoint, error) {
 	sys, err := core.NewSystem(core.Config{
 		Capacity:         256,
 		Codec:            codec,
 		ForcedMissProb:   churnProb,
 		Seed:             opts.Seed,
 		ExtraHeaderBytes: opts.ExtraHeaderBytes,
-		Proxy:            dpc.Config{Strict: strict},
+		Proxy:            dpc.Config{Strict: strict, Transport: link},
 	}, core.ModeCached)
 	if err != nil {
 		return ablationPoint{}, err
@@ -93,20 +97,32 @@ func AblationCodec(opts Options) (Table, error) {
 		Title:   "Ablation: template codec (binary vs text) at the Table 2 operating point",
 		Columns: []string{"codec", "origin wire bytes/req", "mean latency"},
 	}
-	for _, codec := range []tmpl.Codec{tmpl.Binary{}, tmpl.Text{}} {
+	row := func(name string, codec tmpl.Codec, link http.RoundTripper) error {
 		// No churn: the codec comparison is about tag encoding on the
 		// steady-state hit path, so invalidation noise is excluded.
-		pt, err := runAblation(codec, true, 0, opts)
+		pt, err := runAblation(codec, true, 0, link, opts)
 		if err != nil {
-			return t, fmt.Errorf("codec %s: %w", codec.Name(), err)
+			return fmt.Errorf("codec %s: %w", name, err)
 		}
 		t.Rows = append(t.Rows, []string{
-			codec.Name(),
+			name,
 			fmt.Sprint(pt.wireOut / int64(opts.Requests)),
 			pt.meanLatency.Round(time.Microsecond).String(),
 		})
+		return nil
+	}
+	for _, codec := range []tmpl.Codec{tmpl.Binary{}, tmpl.Text{}} {
+		if err := row(codec.Name(), codec, newPaperProtocol()); err != nil {
+			return t, err
+		}
+	}
+	// Beyond the paper: the same point with the proxy offering the plans it
+	// holds, so a template that recurs crosses the link as its headers.
+	if err := row("binary+refs", tmpl.Binary{}, nil); err != nil {
+		return t, err
 	}
 	t.Notes = append(t.Notes, "binary tags are ~2-3x smaller; at 1KB fragments the wire difference is small, which is why the paper could treat g as a 10-byte constant")
+	t.Notes = append(t.Notes, "binary+refs is not the paper's protocol: the proxy names the plan it holds (X-DPC-Have) and an unchanged template is answered by reference, so B_C falls to the response headers and the tag bytes stop mattering at all")
 	return t, nil
 }
 
@@ -126,7 +142,7 @@ func AblationStrict(opts Options) (Table, error) {
 		if strict {
 			name = "strict"
 		}
-		pt, err := runAblation(tmpl.Binary{}, strict, 0.2, opts)
+		pt, err := runAblation(tmpl.Binary{}, strict, 0.2, newPaperProtocol(), opts)
 		if err != nil {
 			return t, fmt.Errorf("%s: %w", name, err)
 		}
@@ -158,7 +174,7 @@ func AblationLatencyModel(opts Options) (Table, error) {
 				Capacity: 1024,
 				Seed:     opts.Seed,
 				Latency:  repository.LatencyModel{QueryDelay: delay},
-				Proxy:    dpc.Config{Strict: true},
+				Proxy:    dpc.Config{Strict: true, Transport: newPaperProtocol()},
 			}, mode)
 			if err != nil {
 				return t, err

@@ -48,7 +48,7 @@ func Baselines(opts Options) (Table, error) {
 			Capacity:         512,
 			Seed:             opts.Seed,
 			ExtraHeaderBytes: opts.ExtraHeaderBytes,
-			Proxy:            dpc.Config{Strict: true},
+			Proxy:            dpc.Config{Strict: true, Transport: newPaperProtocol()},
 		}, mode)
 		if err != nil {
 			return outcome{}, err

@@ -51,8 +51,9 @@ func runPoint(mode core.Mode, siteCfg site.SyntheticConfig, forcedMiss float64,
 		Latency:          lat,
 		ExtraHeaderBytes: opts.ExtraHeaderBytes,
 		DiskDir:          opts.DiskDir,
-		Proxy:            dpc.Config{Strict: true, Coalesce: opts.Coalesce, PageCache: opts.PageCache},
 		Store:            opts.Store,
+		Proxy: dpc.Config{Strict: true, Coalesce: opts.Coalesce, PageCache: opts.PageCache,
+			Transport: newPaperProtocol()},
 	}, mode)
 	if err != nil {
 		return point{}, site.Manifest{}, err
@@ -285,7 +286,7 @@ func CaseStudy(opts Options) (Table, error) {
 			Seed:             opts.Seed,
 			Latency:          lat,
 			ExtraHeaderBytes: opts.ExtraHeaderBytes,
-			Proxy:            dpc.Config{Strict: true},
+			Proxy:            dpc.Config{Strict: true, Transport: newPaperProtocol()},
 		}, mode)
 		if err != nil {
 			return point{}, err

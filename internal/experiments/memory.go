@@ -179,8 +179,10 @@ func runRestart(siteCfg site.SyntheticConfig, ramBudget int64, opts Options, nc 
 		Seed:             opts.Seed,
 		ExtraHeaderBytes: opts.ExtraHeaderBytes,
 		DiskDir:          dir,
-		Proxy:            dpc.Config{Strict: true, Coalesce: opts.Coalesce},
-		Store:            fragstore.Config{Backend: "tiered", ByteBudget: ramBudget, Eviction: "lru"},
+		// The table's savings column is the paper's metric, measured against
+		// runPoint's no-cache bytes: the restart rows speak its protocol too.
+		Proxy: dpc.Config{Strict: true, Coalesce: opts.Coalesce, Transport: newPaperProtocol()},
+		Store: fragstore.Config{Backend: "tiered", ByteBudget: ramBudget, Eviction: "lru"},
 	}, core.ModeCached)
 	if err != nil {
 		return nil, nil, nil, err

@@ -82,6 +82,48 @@ func TestAllocBudgetServePageTemplate(t *testing.T) {
 	}
 }
 
+// digestWriter is a discardWriter that hashes the one body it is handed.
+type digestWriter struct {
+	discardWriter
+	digest string
+}
+
+func (d *digestWriter) Write(b []byte) (int, error) {
+	d.digest = hexDigest(string(b))
+	return len(b), nil
+}
+
+// The same fetch answered by reference — the caller offers the template's
+// digest, the server hashes what it generated and sends no body — stays
+// inside the full answer's budget: the hash and the comparison allocate
+// nothing.
+func TestAllocBudgetServePageTemplateRef(t *testing.T) {
+	srv, req := benchPageServer(t)
+	full := &digestWriter{discardWriter: discardWriter{h: http.Header{}}}
+	srv.servePage(full, req)
+	req.Header.Set(HeaderHave, full.digest)
+	srv.servePage(&discardWriter{h: http.Header{}}, req)
+	refs0 := srv.reg.Snapshot()["origin.template_refs"]
+
+	const requests = 500
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < requests; i++ {
+		srv.servePage(&discardWriter{h: http.Header{}}, req)
+	}
+	runtime.ReadMemStats(&after)
+
+	if got := srv.reg.Snapshot()["origin.template_refs"] - refs0; refs0 != 1 || got != requests {
+		t.Fatalf("%d then %d of %d fetches answered by reference", refs0, got, requests)
+	}
+	bytesPer := (after.TotalAlloc - before.TotalAlloc) / requests
+	objsPer := (after.Mallocs - before.Mallocs) / requests
+	t.Logf("%d B in %d objects per fetch", bytesPer, objsPer)
+	if bytesPer > 2<<10 || objsPer > 40 {
+		t.Fatalf("%d B in %d objects allocated per fetch, budget 2048 B in 40", bytesPer, objsPer)
+	}
+}
+
 func BenchmarkServePageTemplate(b *testing.B) {
 	srv, req := benchPageServer(b)
 	b.ReportAllocs()

@@ -148,10 +148,12 @@ var goldenSites = []goldenSite{
 }
 
 // Every byte the origin answers with — template or plain body and each
-// response header — is what it was at commit 249a917, where the hashes in
-// testdata were generated: the proxy's plan cache keys on the template's
-// SHA-256 and the paper's figures count header bytes, so a faster emission
-// path may not move one of them.
+// response header — is what it was at commit 249a917, where the cold and
+// warm hashes in testdata were generated: the proxy's plan cache keys on
+// the template's SHA-256 and the paper's figures count header bytes, so a
+// faster emission path may not move one of them. The ref hashes hold the
+// answers to offers, by reference and in full, as they were when that
+// answer shape was added.
 func TestTemplateBytesGolden(t *testing.T) {
 	got := map[string]string{}
 	for _, gs := range goldenSites {
@@ -174,15 +176,21 @@ func TestTemplateBytesGolden(t *testing.T) {
 			if err := srv.Register(sc); err != nil {
 				t.Fatal(err)
 			}
-			for _, pass := range []string{"cold", "warm"} {
+			// The third pass makes every request of the script twice, the
+			// repeat offering (HeaderHave) the body the first got: where that
+			// was a GET-only template the repeat generates it again and
+			// answers by reference, where it carried a SET the repeat is a
+			// new template sent in full, and a plain page ignores the offer.
+			for _, pass := range []string{"cold", "warm", "ref"} {
 				h := sha256.New()
-				for i, gr := range gs.requests {
-					if gr.before != nil {
-						gr.before(repo, clk)
-					}
+				refs := 0
+				do := func(i int, gr goldenRequest, have string) string {
 					req := httptest.NewRequest(http.MethodGet, gr.url, nil)
 					for k, v := range gr.headers {
 						req.Header.Set(k, v)
+					}
+					if have != "" {
+						req.Header.Set(HeaderHave, have)
 					}
 					rec := httptest.NewRecorder()
 					srv.ServeHTTP(rec, req)
@@ -199,6 +207,21 @@ func TestTemplateBytesGolden(t *testing.T) {
 					}
 					fmt.Fprintf(h, "\n%d\n", rec.Body.Len())
 					h.Write(rec.Body.Bytes())
+					if rec.Header().Get(HeaderSame) != "" {
+						refs++
+					}
+					return hexDigest(rec.Body.String())
+				}
+				for i, gr := range gs.requests {
+					if gr.before != nil {
+						gr.before(repo, clk)
+					}
+					if digest := do(i, gr, ""); pass == "ref" {
+						do(i, gr, digest)
+					}
+				}
+				if n := len(gs.requests); pass == "ref" && (refs == 0 || refs == n) {
+					t.Errorf("%s/%s: %d of %d offers answered by reference; the script should see both answers", gs.name, codec.Name(), refs, n)
 				}
 				got[gs.name+"/"+codec.Name()+"/"+pass] = hex.EncodeToString(h.Sum(nil))
 			}

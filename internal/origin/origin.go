@@ -16,10 +16,21 @@
 // transparent to non-proxy clients. The X-DPC-Bypass header forces a plain
 // page even from a capable caller — the strict-mode recovery path the DPC
 // uses when it detects a stale slot.
+//
+// A template can also be answered by reference. A DPC that still holds the
+// plan it compiled from the template this URL last produced names it in
+// X-DPC-Have (the SHA-256 of the template bytes, in hex). The server
+// generates the template exactly as it would have — every script block,
+// every BEM lookup — and, when what it generated carries no SET and hashes
+// to the offer, sends the response's headers with X-DPC-Same and no body.
+// The server keeps no record of what any proxy holds: the offer is compared
+// with this request's own bytes, so a wrong one is answered in full.
 package origin
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -54,6 +65,12 @@ const (
 	// could not satisfy; the BEM invalidates them so the next template
 	// regenerates the fragments (set on bypass recovery fetches).
 	HeaderStale = "X-DPC-Stale"
+	// HeaderHave carries, on a capable caller's request, the hex SHA-256
+	// of a template whose compiled plan the caller holds.
+	HeaderHave = "X-DPC-Have"
+	// HeaderSame marks a template response whose body was left out because
+	// it is the template the request named in HeaderHave.
+	HeaderSame = "X-DPC-Same"
 )
 
 // Config parameterizes a Server.
@@ -89,9 +106,9 @@ type Server struct {
 
 	// The request paths' metrics, looked up once: the registry takes a
 	// mutex per look-up.
-	requests, templates, plainPages, errors *metrics.Counter
-	staticRequests, staleReportsApplied     *metrics.Counter
-	generate                                *metrics.Histogram
+	requests, templates, plainPages, errors           *metrics.Counter
+	templateRefs, staticRequests, staleReportsApplied *metrics.Counter
+	generate                                          *metrics.Histogram
 }
 
 // staticAsset is a fixed response served under /static/ with an explicit
@@ -133,6 +150,7 @@ func New(cfg Config) (*Server, error) {
 
 		requests:            reg.Counter("origin.requests"),
 		templates:           reg.Counter("origin.templates"),
+		templateRefs:        reg.Counter("origin.template_refs"),
 		plainPages:          reg.Counter("origin.plain_pages"),
 		errors:              reg.Counter("origin.errors"),
 		staticRequests:      reg.Counter("origin.static_requests"),
@@ -292,6 +310,7 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request) {
 			bodyPool.Put(body)
 		}
 	}()
+	same := false
 	if templateMode {
 		enc := s.codec.NewEncoder(body)
 		sink := &bemSink{enc: enc, mon: s.cfg.Monitor}
@@ -305,6 +324,13 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request) {
 		}
 		w.Header().Set(HeaderTemplate, s.codec.Name())
 		s.templates.Inc()
+		// A template with a SET is new to every proxy, so only a GET-only
+		// one is worth hashing against the caller's offer.
+		if have := r.Header.Get(HeaderHave); have != "" && !sink.set && sameDigest(body.Bytes(), have) {
+			same = true
+			w.Header().Set(HeaderSame, "1")
+			s.templateRefs.Inc()
+		}
 	} else {
 		if err := script.Run(sc, ctx, &script.PlainSink{W: body}); err != nil {
 			s.fail(w, name, err)
@@ -315,14 +341,27 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request) {
 	s.generate.Observe(time.Since(start))
 	s.requests.Inc()
 
+	out := body.Bytes()
+	if same {
+		out = nil // the caller holds these bytes' plan
+	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	w.Header().Set("Content-Length", strconv.Itoa(body.Len()))
+	w.Header().Set("Content-Length", strconv.Itoa(len(out)))
 	w.Header().Set("Server", "dpcache-origin/1.0")
 	if s.pad != "" {
 		w.Header().Set("X-Pad", s.pad)
 	}
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(body.Bytes())
+	_, _ = w.Write(out)
+}
+
+// sameDigest reports whether have is the hex SHA-256 of template, as a DPC
+// writes it. Nothing here allocates.
+func sameDigest(template []byte, have string) bool {
+	sum := sha256.Sum256(template)
+	var enc [2 * sha256.Size]byte
+	hex.Encode(enc[:], sum[:])
+	return string(enc[:]) == have
 }
 
 // queryParams returns the first value of each parameter of a raw query:
@@ -406,6 +445,7 @@ func (s *Server) fail(w http.ResponseWriter, page string, err error) {
 type bemSink struct {
 	enc tmpl.Encoder
 	mon *bem.Monitor
+	set bool // a SET went out
 }
 
 // Literal implements script.Sink.
@@ -430,6 +470,7 @@ func (s *bemSink) Fragment(fragmentID string, ttl time.Duration, r *script.Rende
 		return err
 	}
 	s.mon.Commit(fragmentID, len(body), deps)
+	s.set = true
 	if err := s.enc.Set(d.Key, d.Gen, body); err != nil {
 		s.mon.InvalidateStale(d.Key, d.Gen)
 		return err

@@ -28,6 +28,10 @@ type Cache struct {
 	compiles atomic.Int64
 }
 
+// Digest names a template by the SHA-256 of its bytes: the plan cache's
+// key, and what a proxy offers the origin in place of a template it holds.
+type Digest [sha256.Size]byte
+
 // CacheConfig parameterizes a plan cache.
 type CacheConfig struct {
 	// Shards is the backing KeyedStore's shard count (0 = default).
@@ -72,13 +76,10 @@ func NewCache(codec tmpl.Codec, cfg CacheConfig) (*Cache, error) {
 // the template through Exec.RunStream instead, which applies the SETs
 // ahead of the corruption and then reports it.
 func (c *Cache) Get(template []byte) (plan *Plan, hit bool, err error) {
-	sum := sha256.Sum256(template)
-	key := string(sum[:])
-	if e, ok := c.store.Get(key); ok {
-		if p, ok := e.Obj.(*Plan); ok {
-			c.hits.Add(1)
-			return p, true, nil
-		}
+	sum := Digest(sha256.Sum256(template))
+	if p := c.Lookup(sum); p != nil {
+		c.hits.Add(1)
+		return p, true, nil
 	}
 	c.misses.Add(1)
 	p, err := Compile(c.codec, template)
@@ -86,11 +87,29 @@ func (c *Cache) Get(template []byte) (plan *Plan, hit bool, err error) {
 		return nil, false, err
 	}
 	c.compiles.Add(1)
+	p.digest = sum
 	if !p.OneOff() {
-		c.store.Put(key, fragstore.KeyedEntry{Obj: p, Cost: p.Footprint()}, 0)
+		c.store.Put(string(sum[:]), fragstore.KeyedEntry{Obj: p, Cost: p.Footprint()}, 0)
 	}
 	return p, false, nil
 }
+
+// Lookup returns the resident plan of the template with digest d, nil when
+// the cache does not hold it. It counts nothing: a caller that goes on to
+// run the plan in place of a template it was spared reading says so with
+// CountHit.
+func (c *Cache) Lookup(d Digest) *Plan {
+	if e, ok := c.store.Get(string(d[:])); ok {
+		if p, ok := e.Obj.(*Plan); ok {
+			return p
+		}
+	}
+	return nil
+}
+
+// CountHit records a hit for a plan that Lookup found and that then ran: a
+// template the origin named instead of sending found its plan.
+func (c *Cache) CountHit() { c.hits.Add(1) }
 
 // Codec returns the codec plans are compiled with.
 func (c *Cache) Codec() tmpl.Codec { return c.codec }

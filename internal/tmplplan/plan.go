@@ -60,6 +60,9 @@ type Plan struct {
 	srcLen int64
 	// footprint is the plan's retained memory estimate (cache Cost).
 	footprint int64
+	// digest is the compiled template's digest, set by the Cache that
+	// compiled the plan (zero for a plan compiled outside one).
+	digest Digest
 }
 
 // Ops returns the program length in operators.
@@ -71,6 +74,9 @@ func (p *Plan) IndependentGets() int { return len(p.par) }
 
 // SrcLen returns the compiled template's byte length.
 func (p *Plan) SrcLen() int64 { return p.srcLen }
+
+// Digest returns the digest of the template a Cache compiled the plan from.
+func (p *Plan) Digest() Digest { return p.digest }
 
 // OneOff reports that the program carries a SET, which makes its template
 // one that will not arrive again: the SET is what makes the origin send a

@@ -2,6 +2,7 @@ package tmplplan
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io"
@@ -289,6 +290,47 @@ func TestCacheHitMissCompile(t *testing.T) {
 	st = c.Stats()
 	if st.Misses != 3 || st.Compiles != 1 {
 		t.Fatalf("after corrupt: %+v", st)
+	}
+}
+
+// Lookup finds a resident plan by its template's digest and counts nothing
+// until the caller says the plan ran; a one-off has a digest and no
+// residence, and a flushed plan is gone.
+func TestCacheLookupByDigest(t *testing.T) {
+	codec := tmpl.Binary{}
+	c, err := NewCache(codec, CacheConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := encode(t, codec, []tmpl.Instruction{lit("x"), get(1, 1)})
+	kept, _, err := c.Get(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kept.Digest() != Digest(sha256.Sum256(body)) {
+		t.Fatalf("digest %x is not the template's SHA-256", kept.Digest())
+	}
+	if got := c.Lookup(kept.Digest()); got != kept {
+		t.Fatalf("Lookup = %p, want the resident plan %p", got, kept)
+	}
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 1 {
+		t.Fatalf("Lookup moved the counters: %+v", st)
+	}
+	c.CountHit()
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 || st.Compiles != 1 {
+		t.Fatalf("after CountHit: %+v", st)
+	}
+
+	oneOff, _, err := c.Get(encode(t, codec, []tmpl.Instruction{set(2, 1, "v")}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if oneOff.Digest() == (Digest{}) || c.Lookup(oneOff.Digest()) != nil {
+		t.Fatal("a one-off has a digest and no residence")
+	}
+	c.Store().Flush()
+	if c.Lookup(kept.Digest()) != nil {
+		t.Fatal("Lookup found a flushed plan")
 	}
 }
 
