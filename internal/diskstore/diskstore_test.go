@@ -206,6 +206,45 @@ func TestTwinProbe(t *testing.T) {
 	}
 }
 
+// TestReadReportsSecondTouch: Read tells a faster tier whether the record
+// was also read within the last window Reads — the index entry is the
+// ghost list — while Peek and Twin are not reads, and a rewritten record
+// starts over.
+func TestReadReportsSecondTouch(t *testing.T) {
+	s := openTemp(t, Config{})
+	for _, k := range []string{"a", "b", "c", "d"} {
+		s.Put(k, Entry{Value: []byte("value-" + k)})
+	}
+	read := func(key string, window uint64, want bool) {
+		t.Helper()
+		e, again, ok := s.Read(key, window, false)
+		if !ok || string(e.Value) != "value-"+key {
+			t.Fatalf("Read(%s) = %q, %v", key, e.Value, ok)
+		}
+		if again != want {
+			t.Fatalf("Read(%s, window %d): again = %v, want %v", key, window, again, want)
+		}
+	}
+	read("a", 2, false) // read 1: never read before
+	read("a", 2, true)  // read 2: last read one ago
+	read("b", 2, false) // read 3
+	read("c", 2, false) // read 4
+	read("a", 2, false) // read 5: last read three ago
+	read("a", 0, false) // read 6: an empty window holds nothing
+	// Neither a Peek nor a Twin is a read: b's stamp and the clock stay put.
+	if _, ok := s.Peek("b"); !ok || !s.Twin("b", true) {
+		t.Fatal("b lost")
+	}
+	read("d", 5, false) // read 7
+	read("b", 5, true)  // read 8: last read five ago
+	// A rewritten record has never been read.
+	s.Put("a", Entry{Value: []byte("value-a")})
+	read("a", 5, false)
+	if err := s.checkInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestOversizedRefused(t *testing.T) {
 	s := openTemp(t, Config{ByteBudget: 64})
 	if s.Put("k", Entry{Value: make([]byte, 100)}) {

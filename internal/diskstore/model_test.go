@@ -99,9 +99,19 @@ func (s *Store) checkInvariants() error {
 			return fmt.Errorf("page %d: live = %d, index holds %d segments", page, pi.live, live[page])
 		}
 	}
-	if charged != s.bytes || s.lru.Len() != len(s.index) {
+	ring := 0
+	for d := s.lru.next; d != &s.lru; d = d.next {
+		if s.index[d.key] != d || d.next.prev != d {
+			return fmt.Errorf("LRU ring holds %q, which the index does not, or its links disagree", d.key)
+		}
+		if d.touch > s.reads {
+			return fmt.Errorf("%q touched at read %d, the store has served %d", d.key, d.touch, s.reads)
+		}
+		ring++
+	}
+	if charged != s.bytes || ring != len(s.index) {
 		return fmt.Errorf("ledger %d B / LRU %d entries, index holds %d B / %d entries",
-			s.bytes, s.lru.Len(), charged, len(s.index))
+			s.bytes, ring, charged, len(s.index))
 	}
 	if twinned != s.twinned || twinBytes != s.twinBytes {
 		return fmt.Errorf("twin counters %d / %d B, index flags %d / %d B", s.twinned, s.twinBytes, twinned, twinBytes)

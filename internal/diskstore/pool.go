@@ -32,8 +32,9 @@ var (
 //
 // Clock (second-chance) eviction only considers unpinned, clean,
 // loaded frames — evicting one is a pure map delete, never I/O. No reader
-// can hold such a frame (a reader pins under the latch before it looks and
-// copies out before it unpins), so its page buffer goes on a free list
+// can hold such a frame (a reader copies out under the latch, or pins under
+// the latch before it looks and copies out before it unpins), so its page
+// buffer goes on a free list
 // the next load, free or tail allocation takes from: the pool owns
 // PoolPages buffers and hands them round instead of asking the allocator
 // for a fresh one per miss. Frames orphaned by replaceFrameLocked may still

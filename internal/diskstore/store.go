@@ -3,8 +3,10 @@
 //
 // The store keeps a full in-memory index (key → record location + LRU
 // position + byte accounting); the heap file holds the bytes. All disk
-// I/O happens outside the store latch: reads go through buffer-pool
-// frames loaded via a publish-on-channel protocol, and writes are
+// I/O happens outside the store latch: a read whose pages are all pooled
+// is one hold of the latch, copy included; one that must load a page
+// releases it and goes through buffer-pool frames loaded via a
+// publish-on-channel protocol; and writes are
 // staged into pinned frames under the latch, then written back from
 // private snapshots after it is released (one in-flight write per page,
 // so page images land in staging order). Deleting a record rewrites its
@@ -15,9 +17,11 @@
 // leaves it here, and Twin is the latch-only probe by which a later
 // eviction from RAM learns that its victim's copy is still held — in which
 // case nothing is written — while keeping that copy's LRU position as
-// fresh as its twin's use. Steady-state traffic over a read-mostly set is
-// therefore reads and probes; writes are first-time demotions and
-// invalidations.
+// fresh as its twin's use. Read tells it which records to promote: each
+// index entry remembers when it was last read, so the store can say that a
+// record was read twice within a window of the caller's choosing. Steady-
+// state traffic over a read-mostly set is therefore reads and probes;
+// writes are first-time demotions and invalidations.
 //
 // Crash behavior: a record is committed once its page(s) carry valid
 // checksums on disk, which the prompt write-back makes true moments
@@ -128,16 +132,19 @@ type segLoc struct {
 }
 
 type dentry struct {
-	key      string
-	elem     *list.Element
-	segs     []segLoc
-	seq      uint64
-	gen      uint64
-	meta     string
-	deadline int64
-	valLen   int
-	charge   int64
-	twin     bool // a faster tier holds a copy too; see Twin
+	key        string
+	prev, next *dentry // LRU ring; see Store.lru
+	segs       []segLoc
+	seq        uint64
+	gen        uint64
+	meta       string
+	deadline   int64
+	valLen     int
+	charge     int64
+	twin       bool // a faster tier holds a copy too; see Twin
+	// touch is the store's read count (Store.reads) at the record's last
+	// Read, zero while it has never been read; see Read.
+	touch uint64
 }
 
 type pageInfo struct {
@@ -156,7 +163,8 @@ type Store struct {
 
 	mu         sync.Mutex
 	index      map[string]*dentry
-	lru        list.List // *dentry; front = most recently used
+	lru        dentry // ring sentinel: lru.next is the most recently used, lru.prev the least
+	reads      uint64 // Reads served so far: the clock dentry.touch is read against
 	bytes      int64
 	twinned    int // records flagged twin, and their charge
 	twinBytes  int64
@@ -223,6 +231,7 @@ func Open(cfg Config) (*Store, error) {
 		dirty:     make(map[int]*frame),
 		flushing:  make(map[int]bool),
 	}
+	s.lru.prev, s.lru.next = &s.lru, &s.lru
 	if err := s.replay(); err != nil {
 		f.Close()
 		return nil, err
@@ -352,7 +361,7 @@ func (s *Store) replay() error {
 	// LRU order = sequence order (older seq = colder).
 	sort.Slice(winners, func(i, j int) bool { return winners[i].seq < winners[j].seq })
 	for _, d := range winners {
-		d.elem = s.lru.PushFront(d)
+		s.lruPushFront(d)
 		s.index[d.key] = d
 		s.bytes += d.charge
 		for _, p := range winnerPages[d] {
@@ -372,8 +381,8 @@ func (s *Store) replay() error {
 	// Enforce a (possibly shrunken) budget on the recovered set.
 	if s.cfg.ByteBudget > 0 {
 		var kills []segLoc
-		for s.bytes > s.cfg.ByteBudget && s.lru.Len() > 0 {
-			d := s.lru.Back().Value.(*dentry)
+		for s.bytes > s.cfg.ByteBudget && len(s.index) > 0 {
+			d := s.lru.prev
 			s.removeLocked(d, &kills)
 			s.evictions.Add(1)
 			s.evictedBytes.Add(d.charge)
@@ -444,8 +453,8 @@ func (s *Store) Put(key string, e Entry) bool {
 	if old := s.index[key]; old != nil {
 		s.removeLocked(old, &kills)
 	}
-	for s.cfg.ByteBudget > 0 && s.bytes+charge > s.cfg.ByteBudget && s.lru.Len() > 0 {
-		victim := s.lru.Back().Value.(*dentry)
+	for s.cfg.ByteBudget > 0 && s.bytes+charge > s.cfg.ByteBudget && len(s.index) > 0 {
+		victim := s.lru.prev
 		s.removeLocked(victim, &kills)
 		s.evictions.Add(1)
 		s.evictedBytes.Add(victim.charge)
@@ -458,7 +467,7 @@ func (s *Store) Put(key string, e Entry) bool {
 			key: key, segs: segs, seq: seq, gen: e.Gen, meta: e.Meta,
 			deadline: deadline, valLen: len(e.Value), charge: charge,
 		}
-		d.elem = s.lru.PushFront(d)
+		s.lruPushFront(d)
 		s.index[key] = d
 		s.bytes += charge
 	}
@@ -533,22 +542,42 @@ func (s *Store) stageLocked(key string, e Entry, seq uint64, deadline int64) []s
 
 // Get returns the entry for key, lazily dropping it if expired.
 func (s *Store) Get(key string) (Entry, bool) {
-	return s.lookup(key, true)
+	e, _, ok := s.read(key, true, true, 0)
+	return e, ok
 }
 
 // Peek returns the entry for key even when its deadline has passed;
-// callers inspect Entry.Deadline (stale-while-revalidate reads).
+// callers inspect Entry.Deadline (stale-while-revalidate reads). A Peek is
+// not a Read: it leaves the record's touch stamp alone.
 func (s *Store) Peek(key string) (Entry, bool) {
-	return s.lookup(key, false)
+	e, _, ok := s.read(key, false, false, 0)
+	return e, ok
 }
 
-func (s *Store) lookup(key string, expire bool) (Entry, bool) {
+// Read is Get for a caller that keeps a faster tier in front of the store
+// and must decide whether this record has earned a place there. again
+// reports that the record was also read no more than window of the store's
+// Reads ago: the index entry remembers when it was last read, so the index
+// is the ghost list and remembering costs eight bytes a record. With the
+// faster tier's entry count as the window, again means the record would
+// still have been resident there had its previous read admitted it. With
+// keepLapsed a record past its deadline is returned (and left) as Peek
+// would.
+func (s *Store) Read(key string, window uint64, keepLapsed bool) (e Entry, again, ok bool) {
+	return s.read(key, !keepLapsed, true, window)
+}
+
+// read is the one read path. When every page of the record is in a loaded
+// frame — a pool hit — the whole read is one hold of the latch: index,
+// LRU, touch stamp, frame and copy. Only a read that must load a page
+// releases the latch and goes through pin.
+func (s *Store) read(key string, expire, touch bool, window uint64) (e Entry, again, ok bool) {
 	s.mu.Lock()
 	d := s.index[key]
 	if d == nil {
 		s.mu.Unlock()
 		s.misses.Add(1)
-		return Entry{}, false
+		return Entry{}, false, false
 	}
 	if expire && d.deadline != 0 && d.deadline <= s.clk.Now().UnixNano() {
 		var kills []segLoc
@@ -559,9 +588,26 @@ func (s *Store) lookup(key string, expire bool) (Entry, bool) {
 		s.misses.Add(1)
 		s.applyKills(kills)
 		s.flushDirty()
-		return Entry{}, false
+		return Entry{}, false, false
 	}
-	s.lru.MoveToFront(d.elem)
+	s.lruToFront(d)
+	if touch {
+		s.reads++
+		again = d.touch != 0 && s.reads-d.touch <= window
+		d.touch = s.reads
+	}
+	e = Entry{Meta: d.meta, Gen: d.gen}
+	if d.deadline != 0 {
+		e.Deadline = time.Unix(0, d.deadline)
+	}
+	if val, resident := s.copyResidentLocked(d); resident {
+		pages := int64(len(d.segs))
+		s.mu.Unlock()
+		s.poolHits.Add(pages)
+		s.hits.Add(1)
+		e.Value = val
+		return e, again, true
+	}
 	// A record in one segment, the common case, is located from the stack.
 	var one [1]segLoc
 	locs := one[:]
@@ -569,7 +615,7 @@ func (s *Store) lookup(key string, expire bool) (Entry, bool) {
 		locs = make([]segLoc, len(d.segs))
 	}
 	copy(locs, d.segs)
-	seq, gen, meta, deadline, valLen := d.seq, d.gen, d.meta, d.deadline, d.valLen
+	seq, valLen := d.seq, d.valLen
 	s.mu.Unlock()
 
 	val, ok := s.readRecord(key, locs, seq, valLen)
@@ -577,19 +623,65 @@ func (s *Store) lookup(key string, expire bool) (Entry, bool) {
 		// Concurrently deleted or page recycled between unlock and
 		// read: indistinguishable from a miss.
 		s.misses.Add(1)
-		return Entry{}, false
+		return Entry{}, false, false
 	}
 	s.hits.Add(1)
-	e := Entry{Value: val, Meta: meta, Gen: gen}
-	if deadline != 0 {
-		e.Deadline = time.Unix(0, deadline)
+	e.Value = val
+	return e, again, true
+}
+
+// copyResidentLocked assembles d's value from frames already loaded,
+// reporting false when a page of it is absent or still loading. Under the
+// latch an indexed record's locations cannot be stale and no append can run
+// beside the copy, so nothing is pinned.
+func (s *Store) copyResidentLocked(d *dentry) ([]byte, bool) {
+	for _, loc := range d.segs {
+		if f := s.frames[loc.page]; f == nil || f.loading != nil {
+			return nil, false
+		}
 	}
-	return e, true
+	val := make([]byte, 0, d.valLen)
+	for i, loc := range d.segs {
+		f := s.frames[loc.page]
+		f.ref = true
+		seg, ok := segmentValue(f.data, loc.slot, d.key, d.seq, i)
+		if !ok {
+			return nil, false // readRecord reports it the same way: a miss
+		}
+		val = append(val, seg...)
+	}
+	return val, len(val) == d.valLen
+}
+
+// segmentValue returns the value bytes of segment segIdx of the record
+// (key, seq) in slot of a page, aliasing buf, verifying key and sequence so
+// a stale location can never yield another record's bytes. The slot is the
+// record's own, written before the record was indexed; the page's slot
+// count is not read (an append to the tail moves it), so the directory
+// bound is checked by size.
+func segmentValue(buf []byte, slot int, key string, seq uint64, segIdx int) ([]byte, bool) {
+	if slot < 0 || pageHeaderLen+slotLen*(slot+1) > len(buf) {
+		return nil, false
+	}
+	off, length := pageSlot(buf, slot)
+	if off < pageHeaderLen || length < recHeaderLen || off+length > len(buf) {
+		return nil, false // off is zero in a dead slot
+	}
+	h := parseRecHeader(buf[off:])
+	if recHeaderLen+h.keyLen+h.metaLen+h.segVal != length || h.seq != seq || h.segIdx != segIdx {
+		return nil, false
+	}
+	p := off + recHeaderLen
+	if string(buf[p:p+h.keyLen]) != key {
+		return nil, false
+	}
+	p += h.keyLen + h.metaLen
+	return buf[p : p+h.segVal], true
 }
 
 // readRecord assembles the record's value from its segments via the
-// buffer pool, verifying key and sequence on every segment so a stale
-// location can never yield another record's bytes.
+// buffer pool, pinning each page (and loading it if need be) outside the
+// latch.
 func (s *Store) readRecord(key string, locs []segLoc, seq uint64, valLen int) ([]byte, bool) {
 	val := make([]byte, 0, valLen)
 	for i, loc := range locs {
@@ -597,28 +689,14 @@ func (s *Store) readRecord(key string, locs []segLoc, seq uint64, valLen int) ([
 		if err != nil {
 			return nil, false
 		}
-		// The slot is this record's own, written before the record was
-		// indexed; the page's slot count is not read (an append to the
-		// tail moves it), so the directory bound is checked by size.
-		ok := loc.slot >= 0 && pageHeaderLen+slotLen*(loc.slot+1) <= len(f.data)
-		var seg segment
+		seg, ok := segmentValue(f.data, loc.slot, key, seq, i)
 		if ok {
-			off, length := pageSlot(f.data, loc.slot)
-			if off == 0 {
-				ok = false
-			} else {
-				seg, ok = parseSegment(f.data, off, length)
-			}
+			val = append(val, seg...)
 		}
-		if ok && (seg.hdr.seq != seq || seg.key != key || seg.hdr.segIdx != i) {
-			ok = false
-		}
+		s.unpin(f)
 		if !ok {
-			s.unpin(f)
 			return nil, false
 		}
-		val = append(val, seg.val...)
-		s.unpin(f)
 	}
 	if len(val) != valLen {
 		return nil, false
@@ -636,11 +714,31 @@ func (s *Store) Twin(key string, held bool) bool {
 	s.mu.Lock()
 	d := s.index[key]
 	if d != nil {
-		s.lru.MoveToFront(d.elem)
+		s.lruToFront(d)
 		s.setTwinLocked(d, held)
 	}
 	s.mu.Unlock()
 	return d != nil
+}
+
+// lruPushFront, lruUnlink and lruToFront keep the ring of index entries in
+// recency order; called with s.mu held.
+func (s *Store) lruPushFront(d *dentry) {
+	d.prev, d.next = &s.lru, s.lru.next
+	d.next.prev = d
+	s.lru.next = d
+}
+
+func (s *Store) lruUnlink(d *dentry) {
+	d.prev.next, d.next.prev = d.next, d.prev
+	d.prev, d.next = nil, nil
+}
+
+func (s *Store) lruToFront(d *dentry) {
+	if s.lru.next != d {
+		s.lruUnlink(d)
+		s.lruPushFront(d)
+	}
 }
 
 func (s *Store) setTwinLocked(d *dentry, held bool) {
@@ -719,7 +817,7 @@ func (s *Store) Flush() {
 
 func (s *Store) resetLocked() {
 	s.index = make(map[string]*dentry)
-	s.lru.Init()
+	s.lru.prev, s.lru.next = &s.lru, &s.lru
 	s.bytes = 0
 	s.twinned, s.twinBytes = 0, 0
 	s.pages = make(map[int]*pageInfo)
@@ -804,7 +902,7 @@ func (s *Store) Close() error {
 // after the latch is released.
 func (s *Store) removeLocked(d *dentry, kills *[]segLoc) {
 	delete(s.index, d.key)
-	s.lru.Remove(d.elem)
+	s.lruUnlink(d)
 	s.bytes -= d.charge
 	s.setTwinLocked(d, false)
 	for _, loc := range d.segs {

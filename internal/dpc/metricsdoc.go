@@ -116,12 +116,13 @@ func MetricCatalog() []MetricDoc {
 		{"dpc.store.evicted_bytes", "gauge", "cumulative bytes evicted by the budget policy"},
 		// Disk tier (published only when the tiered backend is mounted;
 		// refreshed alongside the dpc.store.* gauges above).
-		{"dpc.store.disk_hits", "gauge", "GETs answered by the disk tier since creation"},
-		{"dpc.store.disk_promotions", "gauge", "disk hits copied into the RAM tier since creation (the disk copy stays)"},
+		{"dpc.store.disk_hits", "gauge", "GETs answered by the disk tier since creation (disk_promotions + disk_served_in_place)"},
+		{"dpc.store.disk_promotions", "gauge", "disk hits copied into the RAM tier since creation (the disk copy stays): RAM had room, or the key's second disk read within a RAM-tier's-worth of them"},
+		{"dpc.store.disk_served_in_place", "gauge", "disk hits served from the disk tier's page and left there since creation: a first touch with RAM full, or an entry RAM cannot hold"},
 		{"dpc.store.disk_demotions", "gauge", "RAM evictions written to the disk tier since creation (the disk tier did not hold the victim)"},
 		{"dpc.store.disk_clean_evictions", "gauge", "RAM evictions that wrote nothing since creation (the disk tier still held the victim's copy)"},
 		{"dpc.store.disk_resident", "gauge", "entries currently resident on the disk tier"},
-		{"dpc.store.disk_twinned", "gauge", "disk-tier entries the RAM tier currently holds a copy of (approximate while crossings of one key race)"},
+		{"dpc.store.disk_twinned", "gauge", "disk-tier entries the RAM tier currently holds a copy of (exact whenever no crossing of such a key is in flight)"},
 		{"dpc.store.disk_bytes", "gauge", "bytes currently charged against the disk tier's budget"},
 		{"dpc.store.disk_file_bytes", "gauge", "the heap file's extent, free pages included (against disk_bytes: fragmentation)"},
 		{"dpc.store.disk_byte_budget", "gauge", "the disk tier's configured byte budget (0 = unbounded)"},

@@ -2,7 +2,6 @@ package fragstore
 
 import (
 	"container/heap"
-	"container/list"
 	"fmt"
 	"hash/maphash"
 	"math"
@@ -35,9 +34,9 @@ const maxShards = 1024
 // filling one shard does not evict while the store as a whole has
 // headroom. Eviction is global too: under pressure the store compares
 // every shard's local victim candidate (LRU recency via a store-wide
-// touch sequence, GDSF priority) and evicts the globally coldest — the
-// shard count is small, so the O(shards) scan per eviction buys exact
-// global policy order rather than the per-shard approximation.
+// touch sequence, GDSF priority) and evicts the globally coldest — each
+// shard publishes a lower bound on its candidate's score, so the O(shards)
+// scan per eviction reads a word per shard and locks only the winner's.
 //
 // Values returned by Get are shared with the store; callers must not
 // modify them. Put copies its input. Expiry is lazy: an expired entry is
@@ -136,13 +135,26 @@ type kshard struct {
 	st      *KeyedStore // the store-wide ledgers, sequences and policy
 	entries map[string]*kentry
 	bytes   int64
-	lru     *list.List // front = most recent; values are *kentry
 	heap    kheap
 	free    *kentry // unused entries of the slabs, chained through next
+	// cold is a lower bound on the score of the shard's eviction candidate
+	// (float64 bits; +Inf while it has none), so coldestKey compares shards
+	// without locking them. It is published under mu whenever the candidate
+	// can have got colder (an entry arrives) or an entry leaves; a hit only
+	// ever warms the candidate, publishes nothing, and leaves the bound low
+	// for coldestKey to correct when it locks the shard. coldPub is the
+	// value last stored.
+	cold    atomic.Uint64
+	coldPub float64
 
 	evictions                          int64
 	evictedBytes                       int64
 	puts, hits, misses, drops, expired atomic.Int64
+
+	// lru is the LRU ring's sentinel: lru.next is the most recent entry,
+	// lru.prev the coldest. Only its links are used; it sits last so the
+	// rest of it does not spread the fields above over more cache lines.
+	lru kentry
 }
 
 type kentry struct {
@@ -150,12 +162,11 @@ type kentry struct {
 	val      KeyedEntry
 	deadline time.Time // zero = no expiry
 
-	elem     *list.Element // LRU handle
-	touchSeq int64         // store-wide recency stamp (LRU cross-shard compare)
-	freq     int64         // GDSF access count
-	prio     float64       // GDSF priority
-	hidx     int           // GDSF heap index
-	next     *kentry       // free-chain link while unused
+	prev, next *kentry // LRU ring links while resident (prev nil before the first touch); next chains the free list while unused
+	touchSeq   int64   // store-wide recency stamp (LRU cross-shard compare)
+	freq       int64   // GDSF access count
+	prio       float64 // GDSF priority
+	hidx       int     // GDSF heap index
 }
 
 // entrySlab is how many entries a shard allocates at a time. The
@@ -212,9 +223,9 @@ func NewKeyed(cfg KeyedConfig) (*KeyedStore, error) {
 		sh := &s.shards[i]
 		sh.st = s
 		sh.entries = make(map[string]*kentry)
-		if cfg.Policy == PolicyLRU {
-			sh.lru = list.New()
-		}
+		sh.lru.prev, sh.lru.next = &sh.lru, &sh.lru
+		sh.coldPub = math.Inf(1)
+		sh.cold.Store(math.Float64bits(sh.coldPub))
 	}
 	return s, nil
 }
@@ -344,6 +355,15 @@ func (s *KeyedStore) refuses(entry KeyedEntry) bool {
 	return s.led.budget > 0 && entry.size() > s.led.budget
 }
 
+// hasRoom reports whether entry can be added without pushing the store
+// over either limit: admitting it would evict nobody.
+func (s *KeyedStore) hasRoom(entry KeyedEntry) bool {
+	if s.led.budget > 0 && s.led.Used()+entry.size() > s.led.budget {
+		return false
+	}
+	return s.cfg.MaxEntries <= 0 || int(s.entries.Load()) < s.cfg.MaxEntries
+}
+
 // insert files entry under key without relieving the pressure it may
 // cause; the caller follows with an eviction loop. It takes ownership of
 // entry.Value and an absolute deadline (zero = none) — the tiered store's
@@ -400,24 +420,38 @@ func (s *KeyedStore) evictGlobal() {
 	}
 }
 
-// coldestKey scans every shard's local victim candidate (its LRU tail or
-// GDSF heap minimum) and returns the key of the coldest of those minima —
-// which is the store-wide minimum, so the global policy order is exact,
-// not a per-shard approximation. Candidates are read under each shard's
-// lock but compared outside it; a concurrent touch can warm the chosen
-// key before it is evicted — a benign inversion bounded by one concurrent
-// access.
+// coldestKey compares every shard's victim candidate (its LRU tail or GDSF
+// heap minimum) and returns the key of the coldest of those minima — which
+// is the store-wide minimum, so the global policy order is exact, not a
+// per-shard approximation. The published scores are read without the
+// shards' locks and only the winner is locked, to read its key. A published
+// score is a lower bound: if hits have since warmed the winner's candidate
+// the bound is corrected under the lock and the scan repeated, at most once
+// per shard. A concurrent touch can warm the chosen key before it is
+// evicted — a benign inversion bounded by one concurrent access.
 func (s *KeyedStore) coldestKey() (key string, ok bool) {
-	best := 0.0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		if e, m := sh.coldest(); e != nil && (!ok || m < best) {
-			best, key, ok = m, e.key, true
+	for {
+		var coldest *kshard
+		best := math.Inf(1)
+		for i := range s.shards {
+			if m := math.Float64frombits(s.shards[i].cold.Load()); m < best {
+				best, coldest = m, &s.shards[i]
+			}
 		}
-		sh.mu.Unlock()
+		if coldest == nil {
+			return "", false
+		}
+		coldest.mu.Lock()
+		e, _ := coldest.coldest()
+		if e != nil {
+			key = e.key
+		}
+		exact := !coldest.publishCold()
+		coldest.mu.Unlock()
+		if exact && e != nil {
+			return key, true
+		}
 	}
-	return key, ok
 }
 
 // evictKey removes the entry under key as a policy eviction and returns a
@@ -447,8 +481,7 @@ func (s *KeyedStore) evictKey(key string) (kentry, bool) {
 func (sh *kshard) coldest() (*kentry, float64) {
 	switch sh.st.cfg.Policy {
 	case PolicyLRU:
-		if back := sh.lru.Back(); back != nil {
-			e := back.Value.(*kentry)
+		if e := sh.lru.prev; e != &sh.lru {
 			return e, float64(e.touchSeq)
 		}
 	case PolicyGDSF:
@@ -583,12 +616,18 @@ func (s *KeyedStore) Stats() KeyedStats {
 func (sh *kshard) touch(e *kentry) {
 	switch sh.st.cfg.Policy {
 	case PolicyLRU:
-		if e.elem == nil {
-			e.elem = sh.lru.PushFront(e)
-		} else {
-			sh.lru.MoveToFront(e.elem)
+		if sh.lru.next != e {
+			if e.prev != nil {
+				e.prev.next, e.next.prev = e.next, e.prev
+			}
+			e.prev, e.next = &sh.lru, sh.lru.next
+			e.next.prev = e
+			sh.lru.next = e
 		}
 		e.touchSeq = sh.st.seq.Add(1)
+		if sh.lru.prev == e && sh.coldPub > float64(e.touchSeq) {
+			sh.publishCold() // the first entry of an empty shard
+		}
 	case PolicyGDSF:
 		e.freq++
 		e.prio = sh.inflation() + gdsfValue(e)
@@ -597,7 +636,24 @@ func (sh *kshard) touch(e *kentry) {
 		} else {
 			heap.Fix(&sh.heap, e.hidx)
 		}
+		if sh.heap[0] == e && sh.coldPub > e.prio {
+			sh.publishCold() // a new entry, or one rewritten larger, may be the coldest yet
+		}
 	}
+}
+
+// publishCold publishes the shard's candidate score and reports whether
+// what stood published was out of date.
+func (sh *kshard) publishCold() (moved bool) {
+	m := math.Inf(1)
+	if e, score := sh.coldest(); e != nil {
+		m = score
+	}
+	if moved = m != sh.coldPub; moved {
+		sh.coldPub = m
+		sh.cold.Store(math.Float64bits(m))
+	}
+	return moved
 }
 
 // inflation reads the store-wide GDSF aging term.
@@ -622,13 +678,14 @@ func (sh *kshard) remove(e *kentry) {
 	sh.st.entries.Add(-1)
 	switch sh.st.cfg.Policy {
 	case PolicyLRU:
-		sh.lru.Remove(e.elem)
+		e.prev.next, e.next.prev = e.next, e.prev
 	case PolicyGDSF:
 		heap.Remove(&sh.heap, e.hidx)
 	}
 	delete(sh.entries, e.key)
 	*e = kentry{next: sh.free} // lets go of the value; the slot is reused
 	sh.free = e
+	sh.publishCold() // a store without a policy has +Inf standing and stores nothing
 }
 
 // gdsfValue is the unaged GDSF priority term frequency·cost/size with unit

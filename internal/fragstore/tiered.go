@@ -1,6 +1,7 @@
 package fragstore
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,12 +46,16 @@ type TieredStats struct {
 	RAM  KeyedStats      `json:"ram"`
 	Disk diskstore.Stats `json:"disk"`
 	// DiskHits counts Gets served from the disk tier (also counted in
-	// the aggregate Hits).
+	// the aggregate Hits): Promotions + ServedInPlace.
 	DiskHits int64 `json:"disk_hits"`
-	// Promotions counts disk hits copied back into RAM. Demotions counts
-	// RAM evictions written to disk; CleanEvictions counts those that
-	// wrote nothing because the disk tier still held the victim's copy.
+	// Promotions counts disk hits copied back into RAM; ServedInPlace
+	// counts those served from the disk tier's page and left there — a
+	// first touch while RAM is full, or an entry RAM could never hold.
+	// Demotions counts RAM evictions written to disk; CleanEvictions counts
+	// those that wrote nothing because the disk tier still held the victim's
+	// copy.
 	Promotions     int64 `json:"promotions"`
+	ServedInPlace  int64 `json:"served_in_place"`
 	Demotions      int64 `json:"demotions"`
 	CleanEvictions int64 `json:"clean_evictions"`
 }
@@ -58,23 +63,31 @@ type TieredStats struct {
 // TieredKeyed is a two-tier Keyed store: a KeyedStore in RAM fronting a
 // diskstore heap file. The tiers are inclusive and eviction from RAM is
 // clean wherever it can be. The global byte ledger of the RAM tier is the
-// admission gate between them: a Get that misses RAM but hits disk
-// *promotes* — copies the entry into RAM and leaves the disk copy where it
-// is — and eviction under ledger pressure *demotes* the victim, which
-// costs a disk write only when the disk tier does not already hold it (it
-// never did, or its own budget reclaimed the copy). In a read-mostly
-// workload every entry is written once, while the store warms, and
-// steady-state eviction writes nothing; the price is that up to one RAM
-// budget of bytes is resident in both tiers. Entries too large for the RAM
-// budget bypass it and are served from disk.
+// admission gate between them, and an entry has to earn its way through
+// it: a Get that misses RAM but hits disk is served from the disk tier's
+// pooled page, and *promoted* — copied into RAM, the disk copy left where
+// it is — only when RAM has room to spare or the key was also read from
+// disk recently enough that it would still be resident had that read
+// admitted it (see promote). An entry read once displaces nothing, so one
+// pass over the whole store promotes only what it finds already on
+// probation, where admit-on-read would replace the RAM tier with the tail of
+// the pass. Eviction under ledger pressure *demotes* the victim, which costs
+// a disk write only when the disk tier does not already hold it (it never
+// did, or its own budget reclaimed the copy). In a read-mostly workload
+// every entry is written once, while the store warms, and steady-state
+// eviction writes nothing; the price is that up to one RAM budget of bytes
+// is resident in both tiers. Entries too large for the RAM budget bypass it
+// and are served from disk.
 //
 // The invariant that makes trusting the disk copy safe: whenever both
 // tiers hold a key, the two copies are identical (value, meta, generation,
 // deadline). Put deletes the disk copy before it stores a new version;
 // Delete, DeleteFunc, Flush and fabric invalidations apply to both tiers;
-// and every operation that writes one of a key's copies registers in the
-// transit map while it runs, so that a Delete or a Put overlapping a
-// promotion or a demotion of the same key wins — see transit.
+// and every operation that moves a key's only current copy or replaces it
+// registers in the transit table while it runs, so that a Delete or a Put
+// overlapping a demotion of the same key wins — see transit. Reads register
+// nothing: they consult the table, and a promotion is one critical section
+// that checks no write has begun since its read did.
 //
 // On construction the disk tier replays its heap file, so a restarted
 // proxy reopening the same path serves warm from disk immediately.
@@ -84,34 +97,46 @@ type TieredKeyed struct {
 
 	mu      sync.Mutex
 	transit map[string]*transit
+	free    *transit // unused records, chained through next
+	// bulks holds the predicates of the DeleteFuncs and Flushes in flight:
+	// a crossing that registers while one matches its key is born killed.
+	bulks []*bulk
+	// writes counts the Puts, Deletes and bulk invalidations that have
+	// registered: a promotion inserts what it read only if the count has
+	// not moved since before the read.
+	writes uint64
 
 	hits, misses, puts        atomic.Int64
 	drops                     atomic.Int64
-	diskHits, promotions      atomic.Int64
+	promotions, inPlace       atomic.Int64
 	demotions, cleanEvictions atomic.Int64
 }
 
 // transit tracks one key while crossings — operations that change which
-// tier holds it, or what the tiers hold for it — are in flight: a lookup
-// reading the disk tier and promoting, an eviction from RAM, a Put, a
-// Delete. Promotions and evictions copy the version the store already
-// holds; a Put or a Delete overlapping one could otherwise be undone by
-// it, the older version landing in a tier after the newer one was stored
-// or the key removed. So a Put or Delete overlapping any other crossing
-// marks the record stale, a DeleteFunc or Flush marks the records it
-// matches killed, and while a mark stands nobody trusts what the tiers
-// hold for the key: lookups miss, victims are dropped instead of demoted,
-// and whoever finishes a crossing removes the key — from the disk tier
-// (whose copy may be the older version) when stale, from both when killed.
+// tier holds it, or what the tiers hold for it — are in flight: an eviction
+// from RAM, a Put, a Delete. An eviction copies the version the store
+// already holds; a Put or a Delete overlapping one could otherwise be
+// undone by it, the older version landing on disk after the newer one was
+// stored or the key removed. So a Put or Delete overlapping any other
+// crossing marks the record stale, a DeleteFunc or Flush marks the records
+// it matches killed — those in flight when it begins and those that
+// register while it runs — and while a mark stands nobody trusts what the
+// tiers hold for the key: lookups miss, victims are dropped instead of
+// demoted, and whoever finishes a crossing removes the key — from the disk
+// tier (whose copy may be the older version) when stale, from both when
+// killed. Records are recycled through TieredKeyed.free, so a crossing
+// allocates nothing.
 type transit struct {
 	refs    int // crossings in flight
 	writers int // Puts and Deletes among them
 	killed  bool
 	stale   bool
-	// victim is the entry an eviction is moving to disk. It has left the
-	// RAM tier and may not be readable from the disk tier yet, so lookups
-	// are served from here.
-	victim *victim
+	// victim is the entry an eviction is moving to disk, valid while held.
+	// It has left the RAM tier and may not be readable from the disk tier
+	// yet, so lookups are served from here.
+	held   bool
+	victim victim
+	next   *transit
 }
 
 type victim struct {
@@ -119,15 +144,16 @@ type victim struct {
 	deadline time.Time
 }
 
+// bulk is one DeleteFunc or Flush in flight.
+type bulk struct{ pred func(key string) bool }
+
 // role is what a crossing does to its key.
 type role uint8
 
 const (
 	// mover copies the key's current version across the boundary, or set
-	// out to and wrote nothing.
+	// out to and wrote nothing (an eviction).
 	mover role = iota
-	// promoter is a mover that did insert the disk copy into RAM.
-	promoter
 	// writer stores a new version or removes the key (Put, Delete).
 	writer
 )
@@ -149,13 +175,18 @@ func NewTieredKeyed(cfg TieredConfig) (*TieredKeyed, error) {
 	return &TieredKeyed{ram: ram, disk: disk, transit: make(map[string]*transit)}, nil
 }
 
-// registerLocked adds a crossing of key to the transit map. suspect
+// registerLocked adds a crossing of key to the transit table. suspect
 // reports a mark already standing, or set by this very overlap: the caller
 // must write nothing. Called with t.mu held.
 func (t *TieredKeyed) registerLocked(key string, r role) (f *transit, suspect bool) {
 	f = t.transit[key]
 	if f == nil {
-		f = &transit{}
+		if f = t.free; f != nil {
+			t.free, f.next = f.next, nil
+		} else {
+			f = &transit{}
+		}
+		f.killed = t.doomedLocked(key)
 		t.transit[key] = f
 	}
 	if f.refs > 0 && (r == writer || f.writers > 0) {
@@ -164,35 +195,47 @@ func (t *TieredKeyed) registerLocked(key string, r role) (f *transit, suspect bo
 	f.refs++
 	if r == writer {
 		f.writers++
+		t.writes++
 	}
 	return f, f.killed || f.stale
 }
 
-// enterTransit registers a crossing of key; held is the victim of an
-// eviction of the key already in flight.
-func (t *TieredKeyed) enterTransit(key string, r role) (f *transit, suspect bool, held *victim) {
+// doomedLocked reports whether a bulk invalidation in flight matches key.
+// Called with t.mu held: the table must answer for the predicate atomically
+// with the registration, and Keyed.DeleteFunc's contract already binds pred
+// to be fast and never to re-enter the store, as under the RAM tier's shard
+// locks.
+func (t *TieredKeyed) doomedLocked(key string) bool {
+	for _, b := range t.bulks {
+		if b.pred(key) {
+			return true
+		}
+	}
+	return false
+}
+
+// enterTransit registers a crossing of key.
+func (t *TieredKeyed) enterTransit(key string, r role) (f *transit, suspect bool) {
 	t.mu.Lock()
 	f, suspect = t.registerLocked(key, r)
-	held = f.victim
 	t.mu.Unlock()
-	return f, suspect, held
+	return f, suspect
 }
 
 // exitTransit completes a crossing and applies the marks that arrived
-// while it was in flight, so the Delete or the Put wins. A stale promoter
-// removes the RAM copy too: it cannot tell whether the entry it inserted
-// was since replaced by the Put's. The removal comes before the crossing
-// is deregistered — once the record is gone, the next lookup trusts what
-// the tiers hold. v is the victim the crossing published, if it did.
-func (t *TieredKeyed) exitTransit(key string, f *transit, r role, v *victim) {
+// while it was in flight, so the Delete or the Put wins. The removal comes
+// before the crossing is deregistered — once the record is gone, the next
+// lookup trusts what the tiers hold. published says the crossing is the
+// eviction whose victim the record holds.
+func (t *TieredKeyed) exitTransit(key string, f *transit, r role, published bool) {
 	t.mu.Lock()
-	if v != nil && f.victim == v {
-		f.victim = nil
+	if published {
+		f.held, f.victim = false, victim{}
 	}
 	if f.killed || f.stale {
 		killed := f.killed
 		t.mu.Unlock()
-		if killed || r == promoter {
+		if killed {
 			t.ram.Delete(key)
 		}
 		t.disk.Delete(key)
@@ -204,30 +247,38 @@ func (t *TieredKeyed) exitTransit(key string, f *transit, r role, v *victim) {
 	}
 	if f.refs == 0 {
 		delete(t.transit, key)
+		*f = transit{next: t.free}
+		t.free = f
 	}
 	t.mu.Unlock()
 }
 
-// killTransits marks every in-flight crossing whose key matches pred as
-// deleted. The transit map only ever holds the few keys mid-crossing, so
-// the scan is short; pred runs on a snapshot, without the transit lock.
-func (t *TieredKeyed) killTransits(pred func(key string) bool) {
+// beginBulk makes a bulk invalidation a crossing of its own: pred marks the
+// crossings in flight that it matches and stands in the table, where
+// registerLocked consults it, until endBulk. An eviction that registers
+// after the marking — its victim already out of RAM, and so past both
+// sweeps — is thereby killed like one that registered before.
+func (t *TieredKeyed) beginBulk(pred func(key string) bool) *bulk {
+	b := &bulk{pred: pred}
 	t.mu.Lock()
-	keys := make([]string, 0, len(t.transit))
-	for k := range t.transit {
-		keys = append(keys, k)
-	}
-	t.mu.Unlock()
-	for _, k := range keys {
-		if !pred(k) {
-			continue
-		}
-		t.mu.Lock()
-		if f := t.transit[k]; f != nil {
+	t.writes++
+	t.bulks = append(t.bulks, b)
+	for key, f := range t.transit {
+		//dpclint:ignore lockscope pred is contract-bound to be fast and never re-enter the store (see doomedLocked), and the table only ever holds the few keys mid-crossing
+		if pred(key) {
 			f.killed = true
 		}
-		t.mu.Unlock()
 	}
+	t.mu.Unlock()
+	return b
+}
+
+func (t *TieredKeyed) endBulk(b *bulk) {
+	t.mu.Lock()
+	if i := slices.Index(t.bulks, b); i >= 0 {
+		t.bulks = slices.Delete(t.bulks, i, i+1)
+	}
+	t.mu.Unlock()
 }
 
 // demotion is what became of one RAM-tier victim.
@@ -241,36 +292,37 @@ const (
 
 // evict moves key's entry out of the RAM tier. A victim whose copy the
 // disk tier still holds is clean: the probe refreshes that copy's LRU
-// position and nothing is written. Otherwise the victim is written, unless
-// it is a structured payload (Obj cannot be serialized), already past its
-// deadline, or its key carries a mark (see transit).
+// position, clears its twin flag and nothing is written. Otherwise the
+// victim is written, unless it is a structured payload (Obj cannot be
+// serialized), already past its deadline, or its key carries a mark (see
+// transit).
 //
 // Registering the crossing, unlinking the entry and publishing it as the
 // crossing's victim are one critical section. A Put or Delete of the key
 // therefore either finished before it — and the entry unlinked is the one
-// it left — or overlaps the crossing and marks it; and a lookup that
-// misses RAM finds the victim.
+// it left — or overlaps the crossing and marks it; a lookup that misses
+// RAM finds the victim; and no promotion of the key can land before the
+// crossing ends, so the twin flag cleared here is still the truth then.
 func (t *TieredKeyed) evict(key string) demotion {
-	var v *victim
 	t.mu.Lock()
 	f, suspect := t.registerLocked(key, mover)
 	ev, ok := t.ram.evictKey(key)
-	if ok && !suspect && ev.val.Obj == nil {
-		v = &victim{e: ev.val, deadline: ev.deadline}
-		f.victim = v
+	published := ok && !suspect && ev.val.Obj == nil
+	if published {
+		f.held, f.victim = true, victim{e: ev.val, deadline: ev.deadline}
 	}
 	t.mu.Unlock()
 	out := demoteDropped
 	switch {
-	case v == nil:
+	case !published:
 	case t.disk.Twin(key, false):
 		t.cleanEvictions.Add(1)
 		out = demoteClean
-	case t.expired(v.deadline):
-	case t.writeDisk(key, v.e, v.deadline):
+	case t.expired(ev.deadline):
+	case t.writeDisk(key, ev.val, ev.deadline):
 		out = demoteWritten
 	}
-	t.exitTransit(key, f, mover, v)
+	t.exitTransit(key, f, mover, published)
 	return out
 }
 
@@ -284,12 +336,13 @@ func (t *TieredKeyed) writeDisk(key string, e KeyedEntry, deadline time.Time) bo
 }
 
 // Crossings is the tier-boundary traffic one read caused: whether it was
-// served from disk and promoted, and what became of the RAM victims the
-// promotion displaced.
+// served from disk, and then whether it was promoted or served in place,
+// and what became of the RAM victims a promotion displaced.
 type Crossings struct {
-	Promoted     bool
-	DemoteWrites int
-	DemoteCleans int
+	Promoted      bool
+	ServedInPlace bool
+	DemoteWrites  int
+	DemoteCleans  int
 }
 
 // relieve evicts from the RAM tier, coldest first, until it is within its
@@ -313,29 +366,57 @@ func (t *TieredKeyed) relieve(c *Crossings) {
 	}
 }
 
-// promote copies a disk hit into RAM; the disk copy stays where it is,
-// flagged as twinned. It runs inside the lookup's crossing f and reports
-// whether it inserted. Entries the RAM budget could never admit stay
-// disk-only — promoting them would bounce straight back out.
+// consult reads what the transit table knows of a key that missed RAM,
+// and registers nothing. suspect: a mark stands, a Put or Delete of the key
+// is in flight, or a bulk invalidation in flight matches it — the tiers are
+// not to be trusted and the lookup misses. held: an eviction has the entry
+// in flight, and v is that entry. writes is the count a promotion of what
+// the lookup goes on to read must find unchanged.
+func (t *TieredKeyed) consult(key string) (suspect, held bool, v victim, writes uint64) {
+	t.mu.Lock()
+	writes = t.writes
+	if f := t.transit[key]; f != nil {
+		suspect = f.killed || f.stale || f.writers > 0
+		if held = f.held && !suspect; held {
+			v = f.victim
+		}
+	} else if len(t.bulks) > 0 {
+		suspect = t.doomedLocked(key)
+	}
+	t.mu.Unlock()
+	return suspect, held, v, writes
+}
+
+// promote copies a disk hit into RAM, if the entry has earned it, and
+// reports whether it did; the disk copy stays where it is, flagged as
+// twinned. An entry earns its RAM when admitting it displaces nobody — the
+// tier has room — or when again says the disk tier saw it read within the
+// last RAM-tier's-worth of its reads: had the earlier read admitted it, it
+// would still be resident, so this read is the hit that admission would
+// have bought. A first touch buys nothing and is served in place. Entries
+// the RAM budget could never admit stay disk-only — promoting them would
+// bounce straight back out.
 //
-// The insert happens under the transit lock, and only while the crossing
-// is unmarked: a Put of the key either registers after it — and stores over
-// the promoted copy — or has marked the crossing, and then what was read
-// from disk may be the version it replaced.
-func (t *TieredKeyed) promote(key string, f *transit, e diskstore.Entry) bool {
-	ke := fromDisk(e)
-	if t.ram.refuses(ke) {
+// The check, the insert and the twin flag are one critical section of the
+// transit lock, and it writes only if no Put, Delete or bulk invalidation
+// (of any key: writes is one counter) has registered since before the disk
+// read and no crossing of the key is in flight. A Put of the key therefore
+// either registers after it — and stores over the promoted copy — or has
+// moved the counter, and then what was read from disk may be the version it
+// replaced; and an eviction of the key cannot interleave, so the flag and
+// the RAM tier's holding the key change together.
+func (t *TieredKeyed) promote(key string, e KeyedEntry, deadline time.Time, again bool, writes uint64) bool {
+	if t.ram.refuses(e) || !(again || t.ram.hasRoom(e)) {
 		return false
 	}
-	t.disk.Twin(key, true)
 	t.mu.Lock()
 	// e.Value was assembled for this read and is shared with nobody else.
-	inserted := !f.killed && !f.stale && t.ram.insert(key, ke, e.Deadline, true)
-	t.mu.Unlock()
-	if inserted {
-		t.promotions.Add(1)
+	ok := t.writes == writes && t.transit[key] == nil && t.ram.insert(key, e, deadline, true)
+	if ok {
+		t.disk.Twin(key, true)
 	}
-	return inserted
+	t.mu.Unlock()
+	return ok
 }
 
 // fromDisk converts a disk-tier record to the engine's entry shape.
@@ -361,58 +442,49 @@ func (t *TieredKeyed) expired(deadline time.Time) bool {
 }
 
 // lookup is the one read path behind Get and GetKeep: RAM first, then an
-// eviction in flight, then disk, promoting a disk hit into RAM. Under
-// keepLapsed an expired entry misses but stays where it is for a later
-// GetStale, so the disk tier is peeked rather than read (a disk Get drops
-// what has lapsed). c, when non-nil, receives the crossings the read
-// caused.
+// eviction in flight, then disk — one hold of the transit lock and, on a
+// pool hit, one of the disk latch — promoting a disk hit that has earned
+// it. Under keepLapsed an expired entry misses but stays where it is for a
+// later GetStale. c, when non-nil, receives the crossings the read caused.
 func (t *TieredKeyed) lookup(key string, mode freshness, c *Crossings) (KeyedEntry, bool) {
 	if e, _, ok := t.ram.lookup(key, mode); ok {
 		t.hits.Add(1)
 		return e, true
 	}
-	// The disk read and the promotion are one crossing: a Put landing
-	// between them would otherwise be overwritten by the older copy.
-	f, suspect, held := t.enterTransit(key, mover)
-	if suspect || held != nil {
-		t.exitTransit(key, f, mover, nil)
-		if !suspect && !t.expired(held.deadline) {
-			t.hits.Add(1)
-			return held.e, true
-		}
-		t.misses.Add(1)
-		return KeyedEntry{}, false
+	suspect, held, v, writes := t.consult(key)
+	if held && !t.expired(v.deadline) {
+		t.hits.Add(1)
+		return v.e, true
 	}
 	var e diskstore.Entry
-	var ok bool
-	if mode == expireLapsed {
-		e, ok = t.disk.Get(key)
-	} else if e, ok = t.disk.Peek(key); ok {
-		ok = !t.expired(e.Deadline)
+	var again, ok bool
+	if !suspect && !held {
+		e, again, ok = t.disk.Read(key, uint64(t.ram.Len()), mode == keepLapsed)
+		ok = ok && !(mode == keepLapsed && t.expired(e.Deadline))
 	}
 	if !ok {
-		t.exitTransit(key, f, mover, nil)
 		t.misses.Add(1)
 		return KeyedEntry{}, false
 	}
 	t.hits.Add(1)
-	t.diskHits.Add(1)
-	r := mover
-	if t.promote(key, f, e) {
-		r = promoter
-	}
-	t.exitTransit(key, f, r, nil)
-	if r == promoter {
+	ke := fromDisk(e)
+	if !t.promote(key, ke, e.Deadline, again, writes) {
+		t.inPlace.Add(1)
 		if c != nil {
-			c.Promoted = true
+			c.ServedInPlace = true
 		}
-		t.relieve(c)
+		return ke, true
 	}
-	return fromDisk(e), true
+	t.promotions.Add(1)
+	if c != nil {
+		c.Promoted = true
+	}
+	t.relieve(c)
+	return ke, true
 }
 
-// Get returns the entry under key from either tier, promoting disk hits
-// into RAM.
+// Get returns the entry under key from either tier, promoting a disk hit
+// into RAM when it has earned it (see promote).
 func (t *TieredKeyed) Get(key string) (KeyedEntry, bool) { return t.lookup(key, expireLapsed, nil) }
 
 // GetKeep behaves like Get but leaves expired entries resident (in
@@ -420,19 +492,18 @@ func (t *TieredKeyed) Get(key string) (KeyedEntry, bool) { return t.lookup(key, 
 func (t *TieredKeyed) GetKeep(key string) (KeyedEntry, bool) { return t.lookup(key, keepLapsed, nil) }
 
 // GetStale returns the entry under key even past its TTL, with its age
-// (zero while fresh), from whichever tier holds it. Stale reads do not
-// promote — the next fresh Get will.
+// (zero while fresh), from whichever tier holds it. Stale reads neither
+// promote nor count as a touch towards promotion — a fresh Get does.
 func (t *TieredKeyed) GetStale(key string) (KeyedEntry, time.Duration, bool) {
 	if e, age, ok := t.ram.lookup(key, serveLapsed); ok {
 		return e, age, true
 	}
-	f, suspect, held := t.enterTransit(key, mover)
-	defer t.exitTransit(key, f, mover, nil)
+	suspect, held, v, _ := t.consult(key)
 	switch {
 	case suspect:
-	case held != nil:
-		age, _ := t.lapse(held.deadline)
-		return held.e, age, true
+	case held:
+		age, _ := t.lapse(v.deadline)
+		return v.e, age, true
 	default:
 		if e, ok := t.disk.Peek(key); ok {
 			age, _ := t.lapse(e.Deadline)
@@ -448,7 +519,7 @@ func (t *TieredKeyed) GetStale(key string) (KeyedEntry, time.Duration, bool) {
 // first, so the tiers never hold two versions.
 func (t *TieredKeyed) Put(key string, entry KeyedEntry, ttl time.Duration) {
 	t.puts.Add(1)
-	f, _, _ := t.enterTransit(key, writer)
+	f, _ := t.enterTransit(key, writer)
 	t.disk.Delete(key)
 	if entry.Obj == nil && t.ram.refuses(entry) {
 		// Too large for the RAM ledger: admit directly to the disk tier,
@@ -462,7 +533,7 @@ func (t *TieredKeyed) Put(key string, entry KeyedEntry, ttl time.Duration) {
 	} else {
 		t.ram.store(key, entry, ttl)
 	}
-	t.exitTransit(key, f, writer, nil)
+	t.exitTransit(key, f, writer, false)
 	// Victims leave after the crossing: the entry just stored may be one
 	// of them (GDSF), and must not find its own Put in flight.
 	t.relieve(nil)
@@ -472,10 +543,10 @@ func (t *TieredKeyed) Put(key string, entry KeyedEntry, ttl time.Duration) {
 // own, so an eviction or promotion of the key in flight cannot put back
 // what it removed.
 func (t *TieredKeyed) Delete(key string) bool {
-	f, _, _ := t.enterTransit(key, writer)
+	f, _ := t.enterTransit(key, writer)
 	r := t.ram.Delete(key)
 	d := t.disk.Delete(key)
-	t.exitTransit(key, f, writer, nil)
+	t.exitTransit(key, f, writer, false)
 	if r || d {
 		t.drops.Add(1)
 		return true
@@ -484,9 +555,13 @@ func (t *TieredKeyed) Delete(key string) bool {
 }
 
 // DeleteFunc removes every key matching pred from both tiers, returning
-// how many distinct keys it dropped.
+// how many distinct keys it dropped. Like Keyed.DeleteFunc's, pred must be
+// fast and must not call back into the store. The sweep is a crossing (see
+// beginBulk): whatever matches pred and crosses the boundary while it runs
+// is removed too.
 func (t *TieredKeyed) DeleteFunc(pred func(key string) bool) int {
-	t.killTransits(pred)
+	b := t.beginBulk(pred)
+	defer t.endBulk(b)
 	inRAM := make(map[string]struct{})
 	n := t.ram.DeleteFunc(func(key string) bool {
 		if !pred(key) {
@@ -520,7 +595,8 @@ func (t *TieredKeyed) ReserveScratch(n int64) {
 
 // Flush empties both tiers (and truncates the heap file).
 func (t *TieredKeyed) Flush() {
-	t.killTransits(func(string) bool { return true })
+	b := t.beginBulk(func(string) bool { return true })
+	defer t.endBulk(b)
 	t.drops.Add(int64(t.Len()))
 	t.ram.Flush()
 	t.disk.Flush()
@@ -567,11 +643,13 @@ func (t *TieredKeyed) Stats() KeyedStats {
 
 // TierStats returns the per-tier detail plus cross-tier traffic.
 func (t *TieredKeyed) TierStats() TieredStats {
+	promotions, inPlace := t.promotions.Load(), t.inPlace.Load()
 	return TieredStats{
 		RAM:            t.ram.Stats(),
 		Disk:           t.disk.Stats(),
-		DiskHits:       t.diskHits.Load(),
-		Promotions:     t.promotions.Load(),
+		DiskHits:       promotions + inPlace,
+		Promotions:     promotions,
+		ServedInPlace:  inPlace,
 		Demotions:      t.demotions.Load(),
 		CleanEvictions: t.cleanEvictions.Load(),
 	}
@@ -606,6 +684,7 @@ func PublishDisk(reg *metrics.Registry, prefix string, ts TieredStats) {
 	}
 	reg.Gauge(prefix + ".disk_hits").Set(ts.DiskHits)
 	reg.Gauge(prefix + ".disk_promotions").Set(ts.Promotions)
+	reg.Gauge(prefix + ".disk_served_in_place").Set(ts.ServedInPlace)
 	reg.Gauge(prefix + ".disk_demotions").Set(ts.Demotions)
 	reg.Gauge(prefix + ".disk_clean_evictions").Set(ts.CleanEvictions)
 	reg.Gauge(prefix + ".disk_twinned").Set(int64(ts.Disk.Twinned))

@@ -77,8 +77,10 @@ func sameEntry(a, b modelEntry) bool {
 
 // check verifies, with no operation in flight: (b) where both tiers hold a
 // key the copies are identical; (c) Len, Bytes and Stats count each key
-// once, BudgetUsed is the tiers' own charges, and the twin counter is the
-// overlap; (d) a key the oracle does not hold is in neither tier; and that
+// once, BudgetUsed is the tiers' own charges, and the twin counters are the
+// overlap — twinned == |RAM ∩ disk|, twinBytes its disk charge — which is
+// what keeps a promotion racing an eviction from leaving the flag and the
+// RAM tier in disagreement; (d) a key the oracle does not hold is in neither tier; and that
 // every held key carries the oracle's version. Keys that vanished are
 // reconciled against lapse and the disk tier's eviction counter.
 func (m *tieredModel) check(step int, what string) {
@@ -87,16 +89,17 @@ func (m *tieredModel) check(step int, what string) {
 		m.t.Helper()
 		m.t.Fatalf("step %d, after %s: %s", step, what, fmt.Sprintf(format, args...))
 	}
-	if n := len(m.ts.transit); n != 0 {
+	if n := len(m.ts.transit) + len(m.ts.bulks); n != 0 {
 		fail("%d crossings still registered", n)
 	}
 	ram, disk := m.tiers()
-	var bytesOnce int64
+	var bytesOnce, twinBytes int64
 	twinned, distinct := 0, len(ram)
 	for key, r := range ram {
 		bytesOnce += int64(len(r.e.Value))
 		if d, both := disk[key]; both {
 			twinned++
+			twinBytes += int64(len(key) + len(d.e.Meta) + len(d.e.Value))
 			if !sameEntry(r, d) {
 				fail("%q differs between tiers: RAM %d B gen %d deadline %v, disk %d B gen %d deadline %v",
 					key, len(r.e.Value), r.e.Gen, r.deadline, len(d.e.Value), d.e.Gen, d.deadline)
@@ -119,8 +122,9 @@ func (m *tieredModel) check(step int, what string) {
 	if used, want := m.ts.BudgetUsed(), m.ts.ram.BudgetUsed()+ds.Bytes; used != want {
 		fail("BudgetUsed %d, tiers charge %d", used, want)
 	}
-	if ds.Twinned != twinned || ds.Resident != len(disk) {
-		fail("disk reports %d resident / %d twinned, tiers hold %d / %d", ds.Resident, ds.Twinned, len(disk), twinned)
+	if ds.Twinned != twinned || ds.TwinnedBytes != twinBytes || ds.Resident != len(disk) {
+		fail("disk reports %d resident / %d twinned (%d B), tiers hold %d / %d (%d B)",
+			ds.Resident, ds.Twinned, ds.TwinnedBytes, len(disk), twinned, twinBytes)
 	}
 	if b := m.cfg.Disk.ByteBudget; ds.Bytes > b {
 		fail("disk tier holds %d B over a budget of %d", ds.Bytes, b)

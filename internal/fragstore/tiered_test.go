@@ -36,8 +36,9 @@ func tieredFactory(t *testing.T, ramBudget int64) storetest.Factory {
 func TestTieredConformance(t *testing.T) {
 	storetest.Run(t, "tiered", tieredFactory(t, 0))
 	// A 64-byte RAM budget forces nearly every Set through a demotion
-	// and every Get through a disk hit + promotion, so the conformance
-	// contract must hold while entries bounce across the tier boundary.
+	// and every Get through a disk hit, served in place or promoted, so the
+	// conformance contract must hold while entries bounce across the tier
+	// boundary.
 	storetest.Run(t, "tiered-tiny-ram", tieredFactory(t, 64))
 }
 
@@ -55,13 +56,20 @@ func newTiered(t *testing.T, ram fragstore.KeyedConfig, disk diskstore.Config) *
 }
 
 // TestTieredDemotionOrder checks that RAM evicts its coldest entry into
-// the disk tier (not dropping it), that a disk Get promotes a copy and
-// leaves the disk's where it is, that a victim the disk has never seen is
-// written once, and that a victim the disk still holds is evicted clean.
+// the disk tier (not dropping it), that a disk hit is served in place on
+// its first touch and promoted — a copy, the disk's left where it is — on
+// its second, that a victim the disk has never seen is written once, and
+// that a victim the disk still holds is evicted clean.
 func TestTieredDemotionOrder(t *testing.T) {
 	val := func(s string) fragstore.KeyedEntry { return fragstore.KeyedEntry{Value: []byte(s)} }
 	// Budget fits exactly two 8-byte values.
 	ts := newTiered(t, fragstore.KeyedConfig{Shards: 1, ByteBudget: 16}, diskstore.Config{})
+	get := func(k string) {
+		t.Helper()
+		if e, ok := ts.Get(k); !ok || e.Value[0] != k[0] || len(e.Value) != 8 {
+			t.Fatalf("%s lost or corrupt across the tier boundary: ok=%v %q", k, ok, e.Value)
+		}
+	}
 	ts.Put("a", val("aaaaaaaa"), 0)
 	ts.Put("b", val("bbbbbbbb"), 0)
 	ts.Put("c", val("cccccccc"), 0) // a is coldest → demoted to disk
@@ -69,18 +77,29 @@ func TestTieredDemotionOrder(t *testing.T) {
 	if st.Demotions != 1 || st.Disk.Resident != 1 || st.RAM.Resident != 2 || st.Disk.Twinned != 0 {
 		t.Fatalf("after 3 puts: %+v", st)
 	}
-	// Get(a): disk hit, promoted, the disk copy kept as a's twin; b (now
-	// coldest, never on disk) is written to make room.
-	e, ok := ts.Get("a")
-	if !ok || string(e.Value) != "aaaaaaaa" {
-		t.Fatalf("a not served from disk: ok=%v %q", ok, e.Value)
-	}
+	// Get(a): a disk hit, and a's first; RAM is full, so admitting a would
+	// cost b its place on the strength of one read. Served in place.
+	get("a")
 	st = ts.TierStats()
-	if st.DiskHits != 1 || st.Promotions != 1 {
-		t.Fatalf("promotion not counted: %+v", st)
+	if st.DiskHits != 1 || st.Promotions != 0 || st.ServedInPlace != 1 {
+		t.Fatalf("first touch: want one disk hit served in place: %+v", st)
+	}
+	if st.Demotions != 1 || st.RAM.Resident != 2 || st.Disk.Twinned != 0 || st.RAM.Evictions != 1 {
+		t.Fatalf("first touch moved something across the boundary: %+v", st)
+	}
+	// Get(a) again: the second touch. Promoted, the disk copy kept as a's
+	// twin; b (now coldest, never on disk) is written to make room.
+	get("a")
+	st = ts.TierStats()
+	if st.DiskHits != 2 || st.Promotions != 1 || st.ServedInPlace != 1 {
+		t.Fatalf("second touch: promotion not counted: %+v", st)
 	}
 	if st.Demotions != 2 || st.CleanEvictions != 0 || st.Disk.Resident != 2 || st.Disk.Twinned != 1 {
 		t.Fatalf("after promoting a: want a twinned and b written: %+v", st)
+	}
+	get("a") // from RAM now
+	if got := ts.TierStats(); got.DiskHits != 2 || got.RAM.Hits != st.RAM.Hits+1 {
+		t.Fatalf("a not served from RAM after its promotion: %+v", got)
 	}
 	// Three distinct entries, a counted once although both tiers hold it.
 	if n, by := ts.Len(), ts.Bytes(); n != 3 || by != 16+int64(len("b")+8) {
@@ -89,15 +108,16 @@ func TestTieredDemotionOrder(t *testing.T) {
 	if used := ts.BudgetUsed(); used != st.RAM.Bytes+st.Disk.Bytes {
 		t.Fatalf("BudgetUsed %d, tiers charge %d + %d", used, st.RAM.Bytes, st.Disk.Bytes)
 	}
-	// Get(b): promoted; c (coldest, never on disk) is written.
-	// Get(c): promoted; a is coldest and the disk still holds its copy, so
-	// its eviction is clean — nothing is written.
-	for _, k := range []string{"b", "c"} {
-		if _, ok := ts.Get(k); !ok {
-			t.Fatalf("%s lost across the tier boundary", k)
-		}
+	// b twice: promoted on the second read; c (coldest, never on disk) is
+	// written. c twice: promoted; a is coldest and the disk still holds its
+	// copy, so its eviction is clean — nothing is written.
+	for _, k := range []string{"b", "b", "c", "c"} {
+		get(k)
 	}
 	st = ts.TierStats()
+	if st.Promotions != 3 || st.ServedInPlace != 3 || st.DiskHits != 6 {
+		t.Fatalf("want each of a, b, c served in place once and promoted once: %+v", st)
+	}
 	if st.Demotions != 3 || st.CleanEvictions != 1 || st.Disk.Puts != 3 {
 		t.Fatalf("a's eviction should have been clean: %+v", st)
 	}
@@ -105,15 +125,17 @@ func TestTieredDemotionOrder(t *testing.T) {
 		t.Fatalf("want all three on disk, b and c twinned: %+v (Len %d)", st, ts.Len())
 	}
 	// From here on the store is in steady state: every entry is on disk and
-	// no sequence of reads writes anything.
-	for i := 0; i < 12; i++ {
-		k := string("abc"[i%3])
-		if e, ok := ts.Get(k); !ok || e.Value[0] != k[0] {
-			t.Fatalf("%s lost or corrupt in steady state", k)
-		}
+	// no sequence of reads writes anything. Each promotion displaces one
+	// entry, cleanly.
+	for i := 0; i < 24; i++ {
+		get(string("aabbcc"[i%6]))
 	}
-	if st = ts.TierStats(); st.Disk.Puts != 3 || st.Demotions != 3 || st.CleanEvictions == 1 {
-		t.Fatalf("steady-state reads wrote to disk or evicted nothing: %+v", st)
+	st = ts.TierStats()
+	if st.Disk.Puts != 3 || st.Demotions != 3 {
+		t.Fatalf("steady-state reads wrote to disk: %+v", st)
+	}
+	if st.Promotions == 3 || st.CleanEvictions != st.Promotions-2 || st.DiskHits != st.Promotions+st.ServedInPlace {
+		t.Fatalf("steady state: want every promotion paid for by one clean eviction: %+v", st)
 	}
 	if ag := ts.Stats(); ag.Evictions != 0 {
 		t.Fatalf("aggregate evictions should be zero while disk is unbounded: %+v", ag)

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,9 +15,10 @@ import (
 
 // The tests in this file force the interleavings at the tier boundary that
 // a scheduler produces once in a long while. One side of each race runs as
-// the real call; the other is a crossing held open by hand — registered
-// as evict and lookup register theirs, its write issued with the calls they
-// make, finished with exitTransit — so the order of the steps is fixed.
+// the real call; the other is held open by hand — an eviction registered as
+// evict registers its own, its write issued with the calls evict makes,
+// finished with exitTransit; a lookup as the consult, disk Read and promote
+// that lookup strings together — so the order of the steps is fixed.
 
 func newTransitStore(t *testing.T, ramBudget int64) *TieredKeyed {
 	t.Helper()
@@ -33,18 +35,34 @@ func newTransitStore(t *testing.T, ramBudget int64) *TieredKeyed {
 
 // beginEvict is the first half of evict: the crossing registered, the entry
 // out of RAM and published as the victim, nothing written yet.
-func beginEvict(t *testing.T, ts *TieredKeyed, key string, e KeyedEntry) (*transit, *victim) {
+func beginEvict(t *testing.T, ts *TieredKeyed, key string, e KeyedEntry) *transit {
 	t.Helper()
-	v := &victim{e: e}
 	ts.mu.Lock()
 	f, suspect := ts.registerLocked(key, mover)
 	ts.ram.evictKey(key)
-	f.victim = v
+	f.held, f.victim = true, victim{e: e}
 	ts.mu.Unlock()
 	if suspect {
 		t.Fatal("a lone eviction entered suspect")
 	}
-	return f, v
+	return f
+}
+
+// beginLookup is the first half of a lookup that missed RAM: the transit
+// table consulted, the disk tier read, nothing promoted yet.
+func beginLookup(t *testing.T, ts *TieredKeyed, key string) (e diskstore.Entry, writes uint64) {
+	t.Helper()
+	suspect, held, _, writes := ts.consult(key)
+	e, _, ok := ts.disk.Read(key, uint64(ts.ram.Len()), false)
+	if suspect || held || !ok {
+		t.Fatalf("setup: suspect=%v held=%v ok=%v", suspect, held, ok)
+	}
+	return e, writes
+}
+
+// finishLookup is the second half, the entry having earned its promotion.
+func finishLookup(ts *TieredKeyed, key string, e diskstore.Entry, writes uint64) bool {
+	return ts.promote(key, fromDisk(e), e.Deadline, true, writes)
 }
 
 func entryOf(s string) KeyedEntry { return KeyedEntry{Value: []byte(s)} }
@@ -72,10 +90,10 @@ func TestTieredPutSupersedesDemotionInFlight(t *testing.T) {
 	ts := newTransitStore(t, 16)
 	old := entryOf("old-old-")
 	ts.Put("k", old, 0)
-	f, v := beginEvict(t, ts, "k", old) // A: registered, not yet written
+	f := beginEvict(t, ts, "k", old)    // A: registered, not yet written
 	ts.Put("k", entryOf("new-new-"), 0) // B
 	ts.writeDisk("k", old, time.Time{}) // A's write lands after B's Delete
-	ts.exitTransit("k", f, mover, v)
+	ts.exitTransit("k", f, mover, true)
 
 	if e, ok := ts.disk.Peek("k"); ok {
 		t.Fatalf("disk tier holds %q after the demoter exited; the Put superseded it", e.Value)
@@ -94,13 +112,13 @@ func TestTieredPutSupersedesDemotionInFlight(t *testing.T) {
 func TestTieredEvictionDuringPutIsDropped(t *testing.T) {
 	ts := newTransitStore(t, 16)
 	ts.Put("k", entryOf("old-old-"), 0)
-	f, _, _ := ts.enterTransit("k", writer) // B
+	f, _ := ts.enterTransit("k", writer) // B
 	ts.disk.Delete("k")
 	if out := ts.evict("k"); out != demoteDropped { // A
 		t.Fatalf("eviction during a Put of the same key: outcome %d, want dropped", out)
 	}
 	ts.ram.store("k", entryOf("new-new-"), 0)
-	ts.exitTransit("k", f, writer, nil)
+	ts.exitTransit("k", f, writer, false)
 
 	if e, ok := ts.disk.Peek("k"); ok {
 		t.Fatalf("disk tier holds %q", e.Value)
@@ -112,57 +130,155 @@ func TestTieredEvictionDuringPutIsDropped(t *testing.T) {
 // TestTieredPutSupersedesPromotionInFlight: a Get has read k's old version
 // from disk and not yet inserted it into RAM when a Put stores a new one.
 func TestTieredPutSupersedesPromotionInFlight(t *testing.T) {
-	setup := func(t *testing.T) (*TieredKeyed, *transit, diskstore.Entry) {
+	setup := func(t *testing.T) (*TieredKeyed, diskstore.Entry, uint64) {
 		ts := newTransitStore(t, 16)
 		ts.Put("k", entryOf("old-old-"), 0)
 		evictAll(ts) // k → disk only
-		f, suspect, held := ts.enterTransit("k", mover)
-		e, ok := ts.disk.Get("k")
-		if suspect || held != nil || !ok {
-			t.Fatalf("setup: suspect=%v held=%v ok=%v", suspect, held, ok)
-		}
-		return ts, f, e
+		e, writes := beginLookup(t, ts, "k")
+		return ts, e, writes
 	}
 	t.Run("new version still in RAM", func(t *testing.T) {
-		ts, f, e := setup(t)
+		ts, e, writes := setup(t)
 		ts.Put("k", entryOf("new-new-"), 0)
-		if ts.promote("k", f, e) {
+		if finishLookup(ts, "k", e, writes) {
 			t.Fatal("promotion replaced the entry a Put stored meanwhile")
 		}
-		ts.exitTransit("k", f, mover, nil)
 		mustGet(t, ts, "k", "new-new-")
 		evictAll(ts)
 		mustGet(t, ts, "k", "new-new-")
 	})
 	t.Run("new version already evicted", func(t *testing.T) {
-		// The Put's entry has left RAM again (dropped, its key being marked)
-		// by the time the promotion would insert. It must not: RAM would
-		// serve the older copy until the crossing ended. The key is lost,
-		// which a cache may do, and never stale.
-		ts, f, e := setup(t)
+		// The Put's entry has left RAM again, for the disk tier, by the time
+		// the promotion would insert. It must not: RAM would serve the older
+		// copy over the newer one on disk for as long as it stayed.
+		ts, e, writes := setup(t)
 		ts.Put("k", entryOf("new-new-"), 0)
 		evictAll(ts)
-		if ts.promote("k", f, e) {
-			t.Fatal("a marked crossing promoted the copy it read before the Put")
+		if finishLookup(ts, "k", e, writes) {
+			t.Fatal("a promotion inserted the copy it read before the Put")
 		}
-		ts.exitTransit("k", f, mover, nil)
-		if e, ok := ts.Get("k"); ok {
-			t.Fatalf("Get(k) = %q after a Put of new-new- returned", e.Value)
-		}
+		mustGet(t, ts, "k", "new-new-")
 	})
 	t.Run("put after the promotion inserted", func(t *testing.T) {
-		ts, f, e := setup(t)
-		if !ts.promote("k", f, e) {
+		ts, e, writes := setup(t)
+		if !finishLookup(ts, "k", e, writes) {
 			t.Fatal("setup: promotion did not insert")
 		}
 		ts.Put("k", entryOf("new-new-"), 0)
-		ts.exitTransit("k", f, promoter, nil)
-		// The promoter cannot tell its copy from the Put's and removes what
-		// RAM holds; the older version must be gone from both tiers.
-		if e, ok := ts.Get("k"); ok && string(e.Value) != "new-new-" {
-			t.Fatalf("Get(k) = %q after a Put of new-new- returned", e.Value)
+		mustGet(t, ts, "k", "new-new-")
+		evictAll(ts)
+		mustGet(t, ts, "k", "new-new-") // the older version is in neither tier
+	})
+	t.Run("delete and bulk invalidation", func(t *testing.T) {
+		for name, remove := range map[string]func(*TieredKeyed){
+			"Delete":     func(ts *TieredKeyed) { ts.Delete("k") },
+			"DeleteFunc": func(ts *TieredKeyed) { ts.DeleteFunc(func(k string) bool { return k == "k" }) },
+			"Flush":      func(ts *TieredKeyed) { ts.Flush() },
+		} {
+			ts, e, writes := setup(t)
+			remove(ts)
+			if finishLookup(ts, "k", e, writes) {
+				t.Fatalf("a promotion put back what %s removed", name)
+			}
+			if e, ok := ts.Get("k"); ok {
+				t.Fatalf("Get(k) = %q after %s returned", e.Value, name)
+			}
 		}
 	})
+}
+
+// TestTieredPromotionYieldsToEvictionInFlight: promoter A has read k from
+// disk; B's earlier copy of k is being evicted by E, which has unlinked it
+// and not yet cleared the twin flag. If A inserted now, E's clearing would
+// land last: RAM holding k, the flag saying it does not (disk_twinned one
+// short, Len and Bytes one over, for as long as k stayed). A must not.
+func TestTieredPromotionYieldsToEvictionInFlight(t *testing.T) {
+	ts := newTransitStore(t, 16)
+	ts.Put("k", entryOf("kkkkkkkk"), 0)
+	evictAll(ts)                         // k → disk only
+	e, writes := beginLookup(t, ts, "k") // A
+	mustGet(t, ts, "k", "kkkkkkkk")      // B: k's second touch, promoted
+	if st := ts.TierStats(); st.Promotions != 1 || st.Disk.Twinned != 1 {
+		t.Fatalf("setup: B did not promote k: %+v", st)
+	}
+	f := beginEvict(t, ts, "k", entryOf("kkkkkkkk")) // E: unlinked, flag not yet cleared
+	if finishLookup(ts, "k", e, writes) {
+		t.Fatal("a promotion inserted k while an eviction of k was in flight")
+	}
+	if !ts.disk.Twin("k", false) {
+		t.Fatal("the disk tier lost k")
+	}
+	ts.exitTransit("k", f, mover, true)
+	if st := ts.TierStats(); st.Disk.Twinned != 0 || st.RAM.Resident != 1 || ts.Len() != 3 {
+		t.Fatalf("twin flag and RAM tier disagree about k: %+v (Len %d)", st, ts.Len())
+	}
+}
+
+// TestTieredBulkInvalidationOutlivesNoEviction: a DeleteFunc is under way —
+// past the point where it marks the crossings in flight — when an eviction
+// of a matching key registers and unlinks its victim from RAM, so the RAM
+// sweep does not see it; the disk sweep finds nothing either, the disk
+// tier having never held the key; and only then does the eviction write.
+// The invalidated bytes must not be on disk, to be served by the next read,
+// once both have returned.
+func TestTieredBulkInvalidationOutlivesNoEviction(t *testing.T) {
+	ts, err := NewTieredKeyed(TieredConfig{
+		RAM:  KeyedConfig{Shards: 2, ByteBudget: 64},
+		Disk: diskstore.Config{Path: filepath.Join(t.TempDir(), "bulk.heap"), PageBytes: diskstore.MinPageBytes},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ts.Close() })
+	// hook is a key of the shard the sweep visits first and victim one of the
+	// shard it visits second: the predicate's call for hook, made under the
+	// first shard's lock, is where the eviction of victim begins.
+	var hook, victimKey string
+	for i := 0; hook == "" || victimKey == ""; i++ {
+		switch key := fmt.Sprintf("page/%d", i); ts.ram.locate(key) {
+		case &ts.ram.shards[0]:
+			hook = key
+		case &ts.ram.shards[1]:
+			victimKey = key
+		}
+	}
+	doomed := entryOf("doomed--")
+	ts.Put(hook, entryOf("hook----"), 0)
+	ts.Put(victimKey, doomed, 0)
+	var f *transit
+	var published bool
+	ts.DeleteFunc(func(key string) bool {
+		if key == hook && f == nil {
+			// evict's critical section, by hand.
+			ts.mu.Lock()
+			var suspect bool
+			f, suspect = ts.registerLocked(victimKey, mover)
+			_, ok := ts.ram.evictKey(victimKey)
+			if published = ok && !suspect; published {
+				f.held, f.victim = true, victim{e: doomed}
+			}
+			ts.mu.Unlock()
+		}
+		return strings.HasPrefix(key, "page/")
+	})
+	if f == nil {
+		t.Fatal("setup: the sweep never asked about the hook key")
+	}
+	// Both sweeps have passed. The rest of evict:
+	if published && !ts.disk.Twin(victimKey, false) {
+		ts.writeDisk(victimKey, doomed, time.Time{})
+	}
+	ts.exitTransit(victimKey, f, mover, published)
+
+	if e, ok := ts.disk.Peek(victimKey); ok {
+		t.Fatalf("the disk tier holds %q, which the DeleteFunc invalidated", e.Value)
+	}
+	if e, ok := ts.Get(victimKey); ok {
+		t.Fatalf("Get(%s) = %q after the DeleteFunc returned", victimKey, e.Value)
+	}
+	if n := len(ts.transit) + len(ts.bulks); n != 0 {
+		t.Fatalf("%d crossings left registered", n)
+	}
 }
 
 // TestTieredLookupServesDemotionInFlight: between the RAM tier unlinking a
@@ -171,7 +287,7 @@ func TestTieredPutSupersedesPromotionInFlight(t *testing.T) {
 func TestTieredLookupServesDemotionInFlight(t *testing.T) {
 	ts := newTransitStore(t, 16)
 	ts.Put("k", entryOf("victim--"), 0)
-	f, v := beginEvict(t, ts, "k", entryOf("victim--"))
+	f := beginEvict(t, ts, "k", entryOf("victim--"))
 	before := ts.Stats()
 	mustGet(t, ts, "k", "victim--")
 	if e, ok := ts.GetKeep("k"); !ok || string(e.Value) != "victim--" {
@@ -180,8 +296,8 @@ func TestTieredLookupServesDemotionInFlight(t *testing.T) {
 	if st := ts.Stats(); st.Hits != before.Hits+2 || st.Misses != before.Misses {
 		t.Fatalf("window reads not counted as hits: %+v → %+v", before, st)
 	}
-	ts.writeDisk("k", v.e, v.deadline)
-	ts.exitTransit("k", f, mover, v)
+	ts.writeDisk("k", entryOf("victim--"), time.Time{})
+	ts.exitTransit("k", f, mover, true)
 	mustGet(t, ts, "k", "victim--") // now a disk hit
 	if st := ts.TierStats(); st.DiskHits != 1 {
 		t.Fatalf("after the crossing the disk tier serves: %+v", st)
@@ -189,13 +305,13 @@ func TestTieredLookupServesDemotionInFlight(t *testing.T) {
 
 	// A Delete in the window wins over the victim in flight.
 	ts.Put("d", entryOf("doomed--"), 0)
-	f, v2 := beginEvict(t, ts, "d", entryOf("doomed--"))
+	f = beginEvict(t, ts, "d", entryOf("doomed--"))
 	ts.Delete("d")
 	if e, ok := ts.Get("d"); ok {
 		t.Fatalf("Get(d) = %q from a crossing a Delete overlapped", e.Value)
 	}
-	ts.writeDisk("d", v2.e, v2.deadline)
-	ts.exitTransit("d", f, mover, v2)
+	ts.writeDisk("d", entryOf("doomed--"), time.Time{})
+	ts.exitTransit("d", f, mover, true)
 	if _, ok := ts.Get("d"); ok {
 		t.Fatal("deleted key resurfaced from the tier boundary")
 	}

@@ -38,9 +38,17 @@ func TestTieredPageCache(t *testing.T) {
 	if st := ts.TierStats(); st.Disk.Resident != 1 {
 		t.Fatalf("setup: want one page demoted, got %+v", st)
 	}
-	body, ctype, etag, ok := c.GetTagged("GET /a")
-	if !ok || !bytes.Equal(body, pageA) || ctype != "text/html" || etag != `"etag-a"` {
-		t.Fatalf("demoted page lost its envelope: ok=%v ctype=%q etag=%q", ok, ctype, etag)
+	// The first read of /a off the disk serves it from there: RAM is full,
+	// and one read has not earned /a the place /b holds. The second has:
+	// /a is copied into RAM and /b written to disk to make room.
+	for touch, wantPromotions := range []int64{0, 1} {
+		body, ctype, etag, ok := c.GetTagged("GET /a")
+		if !ok || !bytes.Equal(body, pageA) || ctype != "text/html" || etag != `"etag-a"` {
+			t.Fatalf("demoted page lost its envelope: ok=%v ctype=%q etag=%q", ok, ctype, etag)
+		}
+		if st := ts.TierStats(); st.Promotions != wantPromotions || st.DiskHits != int64(touch)+1 {
+			t.Fatalf("touch %d of /a: %d promotions, want %d: %+v", touch+1, st.Promotions, wantPromotions, st)
+		}
 	}
 
 	// A scoped purge (key-prefix DeleteFunc, the TierSubscriber's purge

@@ -156,6 +156,9 @@ func tierEvents(fsp *trace.Span, c fragstore.Crossings) {
 	if c.Promoted {
 		fsp.Event(trace.KindTier, "disk", "promote", 1)
 	}
+	if c.ServedInPlace {
+		fsp.Event(trace.KindTier, "disk", "serve-in-place", 1)
+	}
 	if c.DemoteWrites > 0 {
 		fsp.Event(trace.KindTier, "disk", "demote-write", int64(c.DemoteWrites))
 	}

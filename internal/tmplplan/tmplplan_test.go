@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -487,9 +488,11 @@ func BenchmarkRefSprintf(b *testing.B) {
 }
 
 // TestTierEventsOnFragmentSpans: over the tiered store a traced run
-// records, on the fragment span that caused it, a promotion and what became
-// of the RAM victims it displaced — through the sequential walk and the
-// parallel prefetch alike — and an untraced read asks for none of it.
+// records, on the fragment span that caused it, what a disk hit came to —
+// served in place on a first touch, promoted on the second — and what
+// became of the RAM victims a promotion displaced, through the sequential
+// walk and the parallel prefetch alike; an untraced read asks for none of
+// it.
 func TestTierEventsOnFragmentSpans(t *testing.T) {
 	codec := tmpl.Binary{}
 	for _, parallelism := range []int{1, 4} {
@@ -540,42 +543,52 @@ func TestTierEventsOnFragmentSpans(t *testing.T) {
 			// The Sets left fragments 1 and 2 on disk only and 3 and 4 in RAM
 			// only, at the cost of two writes that no read caused.
 			setup, _ := fragstore.DiskStats(store)
-			first, second := tierEventsOf(), tierEventsOf()
+			first, second, third := tierEventsOf(), tierEventsOf(), tierEventsOf()
 			if parallelism == 1 {
-				// In walk order 1 and 2 displace 3 and 4 with a first-time
-				// write each, and 3 and 4, coming back, displace 1 and 2
-				// for free. By the second pass the disk tier holds every
-				// fragment: evictions are clean.
-				if first["promote"] != 4 || first["demote-write"] != 2 || first["demote-clean"] != 2 {
-					t.Fatalf("first pass: tier events %v; want 4 promotions, 2 first-time writes, 2 clean evictions", first)
+				// In walk order: the first pass meets 1 and 2 on disk for the
+				// first time with RAM full, and serves them where they are.
+				// The second meets them again: each is promoted and displaces
+				// 3, then 4, with a first-time write; 3 and 4, now on disk
+				// only, are in turn served in place. The third promotes 3 and
+				// 4 over 1 and 2, whose disk copies are still there: clean.
+				want := []map[string]int64{
+					{"serve-in-place": 2},
+					{"promote": 2, "demote-write": 2, "serve-in-place": 2},
+					{"promote": 2, "demote-clean": 2},
 				}
-				if second["promote"] != 4 || second["demote-write"] != 0 || second["demote-clean"] != 4 {
-					t.Fatalf("second pass: tier events %v; want 4 promotions and 4 clean evictions, no writes", second)
+				for i, got := range []map[string]int64{first, second, third} {
+					if !reflect.DeepEqual(got, want[i]) {
+						t.Fatalf("pass %d: tier events %v, want %v", i+1, got, want[i])
+					}
 				}
 			}
-			// With four workers the split depends on the schedule: a RAM hit
-			// on 3 or 4 that lands between a promotion's insert and the
-			// eviction it owes makes the just-promoted fragment, whose disk
-			// copy is still there, the coldest, so that eviction is clean
-			// and a first-time write moves to a later pass or never comes;
-			// and two workers relieving at once can evict one entry more
-			// than they inserted. What holds on every schedule: 1 and 2 can
-			// only come from disk, 3 and 4 are written at most once each,
-			// and every crossing the store counted is on a fragment span.
-			if first["promote"] < 2 {
+			// With four workers the split depends on the schedule: which of
+			// two reads the disk tier counts first decides whether the other
+			// is a second touch within the window, a RAM hit that lands
+			// between a promotion's insert and the eviction it owes changes
+			// the victim, and two workers relieving at once can evict one
+			// entry more than they inserted. What holds on every schedule: 1
+			// and 2 can only come from disk, 3 and 4 are written at most once
+			// each, and every crossing the store counted is on a fragment
+			// span.
+			if first["promote"]+first["serve-in-place"] < 2 {
 				t.Fatalf("first pass: tier events %v; fragments 1 and 2 were on disk only", first)
 			}
+			sum := func(note string) int64 { return first[note] + second[note] + third[note] }
 			ts, _ := fragstore.DiskStats(store)
-			writes := first["demote-write"] + second["demote-write"]
-			if writes > 2 || writes != ts.Demotions-setup.Demotions {
+			if writes := sum("demote-write"); writes > 2 || writes != ts.Demotions-setup.Demotions {
 				t.Fatalf("spans recorded %d writes, the store counted %d since set-up; at most 2 fragments lacked a disk copy",
 					writes, ts.Demotions-setup.Demotions)
 			}
-			if n := first["demote-clean"] + second["demote-clean"]; n != ts.CleanEvictions-setup.CleanEvictions {
+			if n := sum("demote-clean"); n != ts.CleanEvictions-setup.CleanEvictions {
 				t.Fatalf("spans recorded %d clean evictions, the store counted %d", n, ts.CleanEvictions-setup.CleanEvictions)
 			}
-			if n := first["promote"] + second["promote"]; n != ts.Promotions {
+			if n := sum("promote"); n != ts.Promotions {
 				t.Fatalf("spans recorded %d promotions, the store counted %d", n, ts.Promotions)
+			}
+			if n := sum("serve-in-place"); n != ts.ServedInPlace || ts.DiskHits != ts.Promotions+ts.ServedInPlace {
+				t.Fatalf("spans recorded %d in-place serves, the store counted %d of %d disk hits with %d promotions",
+					n, ts.ServedInPlace, ts.DiskHits, ts.Promotions)
 			}
 		})
 	}

@@ -99,9 +99,11 @@ const (
 	KindStaleServe Kind = "stale-serve"
 	// KindTier: resolving a fragment ref crossed the store's RAM/disk
 	// boundary (Tier "disk"). Note is "promote" (the ref was served from
-	// disk and copied into RAM), "demote-write" or "demote-clean" (RAM
-	// victims the promotion displaced: written to disk, or evicted for
-	// free because disk still held their copy); N counts them.
+	// disk and copied into RAM), "serve-in-place" (served from disk and
+	// left there: a first touch with RAM full, or an entry RAM cannot
+	// hold), "demote-write" or "demote-clean" (RAM victims a promotion
+	// displaced: written to disk, or evicted for free because disk still
+	// held their copy); N counts them.
 	KindTier Kind = "tier"
 	// KindInfo: an annotation that is provenance but not a decision
 	// (origin response shape, capture overflow, …).
