@@ -5,7 +5,7 @@
 //
 // The fragment store backend is selectable: the default "slot" backend is
 // the paper's single-lock slot array; "-store sharded" mounts the keyed
-// storage engine the static and page tiers already use (hashed shards,
+// storage engine the whole-response tier already uses (hashed shards,
 // per-shard locks), optionally bounded by a byte budget with LRU or GDSF
 // eviction. The budget (-store-budget) is one global ledger shared by all
 // shards — eviction (-evict lru|gdsf) fires only when the store as a
@@ -27,7 +27,7 @@
 //	dpcd -store tiered -store-budget 67108864 -evict lru \
 //	     -disk-path /var/cache/dpcd.heap -disk-budget 1073741824
 //
-// The request path is a staged pipeline (admin, static-cache, pagecache,
+// The request path is a staged pipeline (admin, pagecache, admission,
 // coalesce, origin-fetch, assemble, stale-fallback, respond) with
 // per-stage latency histograms served from /_dpc/stats. Single-flight
 // coalescing of identical in-flight origin fetches (-coalesce) is on by
@@ -44,26 +44,29 @@
 //
 //	dpcd -coalesce=false -spool -1   # paper-faithful whole-page path
 //
-// -pagecache mounts the whole-page cache tier: complete responses to
+// The whole-response tier is always mounted: a response the origin marks
+// Cache-Control: max-age (an asset, or an assembled page for anonymous
+// GETs) is cached that long in 1024 entries, served with X-Cache: STATIC.
+// -pagecache adds the page rule to it: complete responses to
 // anonymous-session GETs (no Cookie, Authorization, or X-User header) are
-// cached for -pagecache-ttl — keyed by method, URI, and the forwarded
-// variant headers, the same derivation as the coalesce key — and served
-// with X-Cache: PAGE, so a burst on a hot page costs one origin fetch.
-// Identity-bearing requests bypass the tier. Off by default, and like
-// -coalesce the key excludes the per-client X-Forwarded-For, so origins
-// that vary responses on client IP must not enable it:
+// cached for -pagecache-ttl — keyed like a coalesced fetch: URI, method,
+// forwarded variant headers — and served with X-Cache: PAGE, so a burst on
+// a hot page costs one origin fetch; -pagecache-entries and
+// -pagecache-budget then bound both rules. Like -coalesce, the key excludes
+// the per-client X-Forwarded-For, so origins that vary responses on client
+// IP must not enable it:
 //
 //	dpcd -pagecache -pagecache-ttl 2s -pagecache-entries 4096
 //
-// Page-tier entries are stamped with a strong ETag; anonymous
-// revalidations with a matching If-None-Match are answered 304 with no
-// body. Freshness beyond the TTL comes from the invalidation fabric:
+// Tier entries are stamped with a strong ETag; revalidations with a
+// matching If-None-Match are answered 304 with no body. Freshness beyond
+// the TTL comes from the invalidation fabric:
 // -invalidate mounts /_dpc/invalidate, and a hub-side
 // coherency.RemoteSubscriber POSTing the BEM's events there fans each
 // fragment invalidation out to every tier — the slot store drops the
-// fragment, and the page tier consults the in-proxy dependency index
-// (bounded by -depindex-budget) to drop exactly the pages composed from
-// it, falling back to a tier flush when the index evicted the edge. The
+// fragment, and the whole-response tier consults the in-proxy dependency
+// index (bounded by -depindex-budget) to drop exactly the entries composed
+// from it, falling back to a tier flush when the index evicted the edge. The
 // endpoint is an unauthenticated write surface on the serving listener
 // (a forged event or sequence gap forces conservative tier flushes), so
 // it is off by default: enable it only where the listener is reachable
@@ -167,10 +170,10 @@ func bindFlags(fs *flag.FlagSet) *options {
 	fs.BoolVar(&p.Coalesce, "coalesce", true, "collapse concurrent identical origin fetches into one (single-flight)")
 	fs.IntVar(&p.CoalesceBufferBytes, "coalesce-buffer", 0, "per-flight broadcast buffer cap in bytes before late joiners re-fetch (0 = 4MiB default)")
 	fs.IntVar(&p.StreamSpoolBytes, "spool", 0, "look-ahead spool an assembled page is held in before its headers are committed, in bytes (0 = 64KiB default; negative = hold the whole page)")
-	fs.BoolVar(&p.PageCache, "pagecache", false, "cache whole pages for anonymous-session GETs (X-Cache: PAGE)")
-	fs.DurationVar(&p.PageCacheTTL, "pagecache-ttl", 0, "whole-page cache freshness window (0 = 2s default)")
-	fs.IntVar(&p.PageCacheEntries, "pagecache-entries", 0, "whole-page cache resident page bound (0 = 1024 default)")
-	fs.Int64Var(&p.PageCacheBudget, "pagecache-budget", 0, "whole-page cache resident byte bound (0 = unbounded)")
+	fs.BoolVar(&p.PageCache, "pagecache", false, "add the page rule to the whole-response tier: whole pages for anonymous-session GETs (X-Cache: PAGE)")
+	fs.DurationVar(&p.PageCacheTTL, "pagecache-ttl", 0, "page-rule freshness window (0 = 2s default)")
+	fs.IntVar(&p.PageCacheEntries, "pagecache-entries", 0, "whole-response tier resident entry bound, both rules (0 = 1024 default)")
+	fs.Int64Var(&p.PageCacheBudget, "pagecache-budget", 0, "whole-response tier resident byte bound, both rules (0 = unbounded)")
 	fs.IntVar(&p.PlanParallelism, "plan-parallelism", 0, "plan executor prefetch worker fan-out (0 = 1 default: fragment GETs resolve sequentially, in template order)")
 	fs.BoolVar(&o.invalidate, "invalidate", false, "mount the coherency invalidation endpoint at /_dpc/invalidate, fanning hub events to every cache tier (unauthenticated write endpoint on the serving listener — enable only where the hub side is the sole client)")
 	fs.Int64Var(&p.DepIndexBudget, "depindex-budget", 0, "dependency-index byte budget for surgical page invalidation (0 = 1MiB default, about 21500 single-page fragments)")
@@ -239,7 +242,7 @@ func main() {
 		// one endpoint: the hub side (a coherency.RemoteSubscriber
 		// pointed at /_dpc/invalidate) POSTs events here, and fragment
 		// drops fan out to the slot store plus — consulting the
-		// dependency index — the page and static tiers.
+		// dependency index — the whole-response tier.
 		fan := coherency.Fanout(core.ProxySubscribers(proxy, proxy.Registry())...)
 		proxy.HandleAdmin("/_dpc/invalidate", coherency.Handler(fan))
 	}

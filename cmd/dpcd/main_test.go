@@ -67,7 +67,6 @@ var libraryOnly = map[string]string{
 	"Proxy.Transport":      "tests inject it",
 	"Proxy.Registry":       "the proxy makes its own",
 	"Proxy.Tracer":         "core shares one across proxies; dpcd runs one proxy",
-	"Proxy.StaticClock":    "tests",
 	"Proxy.PageClock":      "tests",
 }
 

@@ -81,7 +81,7 @@ type (
 	// StoreStats is a point-in-time snapshot of store activity.
 	StoreStats = fragstore.Stats
 	// KeyedStore is the string-keyed, TTL-aware, globally byte-budgeted
-	// sharded store backing the static and whole-page cache tiers.
+	// sharded store backing the whole-response tier.
 	KeyedStore = fragstore.KeyedStore
 	// KeyedStoreConfig parameterizes NewKeyedStore.
 	KeyedStoreConfig = fragstore.KeyedConfig
@@ -107,7 +107,7 @@ const (
 func NewFragmentStore(cfg StoreConfig) (FragmentStore, error) { return fragstore.New(cfg) }
 
 // NewKeyedStore builds a standalone keyed store (the proxy wires its own
-// for the static and page tiers; see ProxyConfig.PageCache*).
+// for the whole-response tier; see ProxyConfig.PageCache*).
 func NewKeyedStore(cfg KeyedStoreConfig) (*KeyedStore, error) { return fragstore.NewKeyed(cfg) }
 
 // System modes.
@@ -224,8 +224,8 @@ type (
 	// StoreSubscriber applies hub invalidations to an edge's fragment
 	// store.
 	StoreSubscriber = coherency.StoreSubscriber
-	// TierSubscriber keeps a keyed cache tier (page or static) coherent
-	// with the hub via the proxy's dependency index.
+	// TierSubscriber keeps a proxy's whole-response tier coherent with the
+	// hub via the proxy's dependency index.
 	TierSubscriber = coherency.TierSubscriber
 	// CoherencyEvent is one typed hub event (fragment, purge, or flush).
 	CoherencyEvent = coherency.Event
@@ -242,16 +242,12 @@ func NewStoreSubscriber(p *Proxy) *StoreSubscriber {
 	return coherency.NewStoreSubscriber(p.Store())
 }
 
-// NewPageSubscriber wraps a proxy's whole-page tier (with its dependency
-// index) for hub subscription, so fragment invalidations drop dependent
-// pages the moment they happen. Returns nil when the proxy runs no page
-// tier.
+// NewPageSubscriber wraps a proxy's whole-response tier (with its
+// dependency index) for hub subscription, so fragment invalidations drop
+// dependent entries — pages, and assembled pages the origin opted in — the
+// moment they happen, and purges reach every entry for a URI.
 func NewPageSubscriber(p *Proxy) *TierSubscriber {
-	pages := p.Pages()
-	if pages == nil {
-		return nil
-	}
-	sub := coherency.NewPageSubscriber(pages, p.DepIndex())
+	sub := coherency.NewPageSubscriber(p.Pages(), p.DepIndex())
 	sub.KeyPrefix = dpc.PageKeyPrefix
 	return sub
 }

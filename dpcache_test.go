@@ -1,14 +1,18 @@
 package dpcache_test
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
 	"dpcache"
+	"dpcache/internal/dpc"
+	"dpcache/internal/tmpl"
 )
 
 // The facade must support the full documented quick-start flow.
@@ -155,6 +159,50 @@ func TestFacadeRouterAndHub(t *testing.T) {
 	ev := hub.Broadcast("f", 0, 1)
 	if ev.Seq != 1 {
 		t.Fatalf("seq = %d", ev.Seq)
+	}
+}
+
+// The facade's page subscriber covers the whole-response tier under both
+// admission rules: an assembled page the origin opted in (Cache-Control:
+// max-age) is dropped by a fragment event delivered through it, with the
+// page rule off and on.
+func TestFacadePageSubscriberDropsOptInPage(t *testing.T) {
+	var buf bytes.Buffer
+	enc := tmpl.Binary{}.NewEncoder(&buf)
+	_ = enc.Literal([]byte("<html>"))
+	_ = enc.Set(1, 1, []byte("opted in"))
+	_ = enc.Literal([]byte("</html>"))
+	_ = enc.Flush()
+	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("X-DPC-Template", "binary")
+		w.Header().Set("Cache-Control", "max-age=60")
+		_, _ = w.Write(buf.Bytes())
+	}))
+	defer origin.Close()
+
+	for _, pageCache := range []bool{false, true} {
+		p, err := dpc.New(dpcache.ProxyConfig{OriginURL: origin.URL, Capacity: 8, PublishInterval: -1, PageCache: pageCache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		get := func() string {
+			rec := httptest.NewRecorder()
+			p.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/page", nil))
+			return rec.Header().Get("X-Cache")
+		}
+		get()
+		if state := get(); state != "STATIC" {
+			t.Fatalf("pagecache=%v: revisit X-Cache = %q, want STATIC", pageCache, state)
+		}
+		sub := dpcache.NewPageSubscriber(p)
+		if sub == nil {
+			t.Fatalf("pagecache=%v: no subscriber for the proxy's tier", pageCache)
+		}
+		sub.Apply(dpcache.CoherencyEvent{Seq: 1, Key: 1, Gen: 1}) // the page's fragment dies
+		if state := get(); state == "STATIC" {
+			t.Fatalf("pagecache=%v: the opted-in page outlived its fragment", pageCache)
+		}
 	}
 }
 

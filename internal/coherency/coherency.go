@@ -1,7 +1,7 @@
 // Package coherency is the invalidation fabric: it turns the BEM's
 // invalidation stream into a sequenced broadcast that *every* cache tier
-// subscribes to — fragment stores on edge DPCs, and the keyed page and
-// static tiers on any proxy.
+// subscribes to — fragment stores on edge DPCs, and the keyed
+// whole-response and plan tiers on any proxy.
 //
 // It began (paper Section 7) as the answer to multi-edge fragment
 // coherency: the reverse-proxy design needs no invalidation channel at
@@ -21,17 +21,20 @@
 // subscriber has durably applied — the property the stale-read tests
 // assert on.
 //
-// Three subscriber families cover the tiers:
+// Two subscriber families cover the tiers:
 //
 //   - StoreSubscriber drops fragment-store slots (any fragstore backend).
-//   - PageSubscriber / StaticSubscriber (TierSubscriber) consult the
-//     proxy's dependency index (internal/depindex) to surgically drop
-//     only the keyed entries composed from the invalidated fragment,
-//     falling back to a scoped tier flush when the index has evicted the
-//     edge and cannot answer authoritatively.
+//   - TierSubscriber keeps a keyed tier coherent. The page subscriber
+//     (one per proxy, for the whole-response tier under both of its
+//     admission rules) consults the proxy's dependency index
+//     (internal/depindex) to surgically drop only the entries composed
+//     from the invalidated fragment, falling back to a tier flush when the
+//     index has evicted the edge and cannot answer authoritatively. The
+//     plan subscriber only flushes.
 package coherency
 
 import (
+	"slices"
 	"sync"
 
 	"dpcache/internal/bem"
@@ -69,8 +72,8 @@ type Event struct {
 	Reason string
 	// URI is the request URI whose entries are purged (KindPurge).
 	URI string
-	// Scope targets KindFlush: "page", "static", "store", "plan", or ""
-	// for every tier.
+	// Scope targets KindFlush: "page" or "static" (both name the
+	// whole-response tier), "store", "plan", or "" for every tier.
 	Scope string
 }
 
@@ -120,8 +123,8 @@ func (h *Hub) Broadcast(fragID string, key, gen uint32) Event {
 	return h.BroadcastEvent(Event{Kind: KindFragment, FragmentID: fragID, Key: key, Gen: gen})
 }
 
-// BroadcastPurge drops every keyed-tier entry (page and static, all
-// variants) for one request URI on every subscriber.
+// BroadcastPurge drops every whole-response tier entry (either admission
+// rule, all variants) for one request URI on every subscriber.
 func (h *Hub) BroadcastPurge(uri string) Event {
 	return h.BroadcastEvent(Event{Kind: KindPurge, URI: uri})
 }
@@ -288,8 +291,8 @@ func (s *StoreSubscriber) SeedSeq(seq uint64) {
 }
 
 // KeyedTier is the string-keyed cache surface a TierSubscriber drives —
-// implemented by pagecache.Cache and therefore by the DPC's page and
-// static tiers.
+// implemented by pagecache.Cache and therefore by the DPC's
+// whole-response tier.
 type KeyedTier interface {
 	// Delete removes one entry, reporting whether it was resident.
 	Delete(key string) bool
@@ -299,8 +302,8 @@ type KeyedTier interface {
 	Flush()
 }
 
-// TierSubscriber keeps one keyed cache tier (page or static) coherent
-// with the BEM's fragment stream. On a fragment invalidation it asks the
+// TierSubscriber keeps one keyed cache tier coherent with the BEM's
+// fragment stream. On a fragment invalidation it asks the
 // dependency index which keys were composed from the dead fragment and
 // drops exactly those; when the index cannot answer authoritatively (the
 // edge was evicted recently) it falls back to flushing the tier. It
@@ -310,8 +313,8 @@ type TierSubscriber struct {
 	mu   sync.Mutex
 	tier KeyedTier
 	ix   *depindex.Index
-	// scope is the tier's flush-scope name ("page", "static", or "plan").
-	scope string
+	// scopes are the flush-scope names that address the tier.
+	scopes []string
 	// fragmentEvents marks the tier as able to hold fragment-composed
 	// entries. When false (the plan tier: compiled programs are keyed by
 	// template content hash and retain no fragment bytes), fragment
@@ -352,22 +355,15 @@ const (
 	FlushFallback = "index-inexact"
 )
 
-// NewPageSubscriber returns a subscriber keeping a whole-page tier
-// coherent. ix is the owning proxy's dependency index; nil is allowed
-// and makes every fragment event a conservative tier flush.
+// NewPageSubscriber returns a subscriber keeping a whole-response tier
+// coherent: the entries of both its admission rules — pages, and the
+// responses the origin opted in (plain assets, and assembled template
+// pages whose edges are in the index like any page's). A flush scoped
+// "page" or "static" empties it. ix is the owning proxy's dependency
+// index; nil is allowed and makes every fragment event a conservative
+// tier flush.
 func NewPageSubscriber(tier KeyedTier, ix *depindex.Index) *TierSubscriber {
-	return &TierSubscriber{tier: tier, ix: ix, scope: "page", fragmentEvents: true}
-}
-
-// NewStaticSubscriber returns a subscriber keeping a static tier
-// coherent. The static tier is mostly plain explicitly-cacheable
-// responses, but origins can opt assembled template pages into it
-// (Cache-Control: max-age on a template response); those entries are
-// fragment-composed, with their edges recorded in the index under the
-// static key, so fragment invalidations are consulted exactly as the
-// page tier's are and drop the dependent entries surgically.
-func NewStaticSubscriber(tier KeyedTier, ix *depindex.Index) *TierSubscriber {
-	return &TierSubscriber{tier: tier, ix: ix, scope: "static", fragmentEvents: true}
+	return &TierSubscriber{tier: tier, ix: ix, scopes: []string{"page", "static"}, fragmentEvents: true}
 }
 
 // NewPlanSubscriber returns a subscriber keeping a compiled-template
@@ -379,7 +375,7 @@ func NewStaticSubscriber(tier KeyedTier, ix *depindex.Index) *TierSubscriber {
 // event could have been such a flush, so the tier conservatively empties
 // and recompiles on demand.
 func NewPlanSubscriber(tier KeyedTier) *TierSubscriber {
-	return &TierSubscriber{tier: tier, scope: "plan"}
+	return &TierSubscriber{tier: tier, scopes: []string{"plan"}}
 }
 
 // Apply implements Subscriber.
@@ -408,7 +404,7 @@ func (s *TierSubscriber) Apply(ev Event) uint64 {
 			s.noteDropsLocked(n)
 		}
 	case KindFlush:
-		if ev.Scope == "" || ev.Scope == s.scope {
+		if ev.Scope == "" || slices.Contains(s.scopes, ev.Scope) {
 			s.flushLocked(FlushEvent)
 		}
 	}

@@ -99,25 +99,29 @@ func TestTierSubscriberEvictionFallbackFlushes(t *testing.T) {
 	}
 }
 
-// The page and static tiers share one index and each asks it about every
-// event: the first subscriber's lookup must leave the edges in place for
-// the second, or a static entry built from the dead fragment survives.
+// One tier holds both admission rules' entries, so one fragment event asks
+// the index once — one tombstone, one lookup — and drops the page and the
+// opted-in assembled page built from the dead fragment together.
 func TestTierSubscribersShareOneIndex(t *testing.T) {
-	pages, static := newTier(t), newTier(t)
+	tier := newTier(t)
 	ix := depindex.New(depindex.Config{})
 	ref := []depindex.ID{depindex.MakeID(5, 9)}
-	pages.Put("page-key", []byte("p"), "", time.Minute)
-	static.Put("static-key", []byte("s"), "", time.Minute)
-	ix.File(ref, "page-key", time.Minute)
-	ix.File(ref, "static-key", time.Minute)
+	tier.Put("/p\x00GET\x00", []byte("p"), "", time.Minute)
+	tier.Put("/opt\x00", []byte("s"), "", time.Minute)
+	tier.Put("/asset.css\x00", []byte("a"), "", time.Minute)
+	ix.File(ref, "/p\x00GET\x00", time.Minute)
+	ix.File(ref, "/opt\x00", time.Minute)
 
-	pageSub, staticSub := NewPageSubscriber(pages, ix), NewStaticSubscriber(static, ix)
-	Fanout(pageSub, staticSub).Apply(Event{Seq: 1, Kind: KindFragment, Key: 5, Gen: 9})
-	if pages.Len() != 0 || static.Len() != 0 {
-		t.Fatalf("after one event: %d pages, %d static entries resident, want none", pages.Len(), static.Len())
+	sub := NewPageSubscriber(tier, ix)
+	sub.Apply(Event{Seq: 1, Kind: KindFragment, Key: 5, Gen: 9})
+	if tier.Len() != 1 {
+		t.Fatalf("after one event: %d entries resident, want the unrelated asset only", tier.Len())
 	}
-	if pageSub.Flushes() != 0 || staticSub.Flushes() != 0 {
-		t.Fatalf("flushes = %d / %d, want surgical drops", pageSub.Flushes(), staticSub.Flushes())
+	if sub.Flushes() != 0 || sub.Dropped() != 2 {
+		t.Fatalf("flushes = %d, dropped = %d, want 2 surgical drops", sub.Flushes(), sub.Dropped())
+	}
+	if n := ix.Stats().Lookups; n != 1 {
+		t.Fatalf("index lookups = %d for one event, want 1", n)
 	}
 }
 
@@ -227,34 +231,37 @@ func TestTierSubscriberPurgeDropsVariants(t *testing.T) {
 	}
 }
 
-// Flush events respect scope: a "static" flush must not touch a page
-// tier, a "" flush empties everything.
+// Flush events respect scope: "page" and "static" both name the one
+// whole-response tier, "" names every tier, and another tier's scope
+// leaves it alone.
 func TestTierSubscriberFlushScope(t *testing.T) {
 	tier := newTier(t)
-	tier.Put("p", []byte("x"), "", time.Minute)
 	sub := NewPageSubscriber(tier, nil)
-	sub.Apply(Event{Seq: 1, Kind: KindFlush, Scope: "static"})
-	if tier.Len() != 1 {
-		t.Fatal("static-scoped flush emptied the page tier")
-	}
-	sub.Apply(Event{Seq: 2, Kind: KindFlush, Scope: "page"})
-	if tier.Len() != 0 {
-		t.Fatal("page-scoped flush did not empty the page tier")
+	for seq, scope := range []string{"static", "page", ""} {
+		tier.Put("p", []byte("x"), "", time.Minute)
+		sub.Apply(Event{Seq: uint64(2*seq + 1), Kind: KindFlush, Scope: "plan"})
+		if tier.Len() != 1 {
+			t.Fatal("plan-scoped flush emptied the whole-response tier")
+		}
+		sub.Apply(Event{Seq: uint64(2*seq + 2), Kind: KindFlush, Scope: scope})
+		if tier.Len() != 0 {
+			t.Fatalf("%q-scoped flush did not empty the whole-response tier", scope)
+		}
 	}
 }
 
-// The static subscriber treats fragment events with an authoritative
-// empty dependent set as no-ops — static entries are never assembled
-// from fragments, and flushing the static tier per invalidation would
-// defeat it entirely.
+// The tier's subscriber treats fragment events with an authoritative
+// empty dependent set as no-ops — a plain asset the origin opted in is
+// never assembled from fragments, and flushing the tier per invalidation
+// would defeat the opt-in entirely.
 func TestStaticSubscriberFragmentNoop(t *testing.T) {
 	tier := newTier(t)
 	ix := depindex.New(depindex.Config{})
 	tier.Put("/asset.css\x00", []byte("body"), "", time.Minute)
-	sub := NewStaticSubscriber(tier, ix)
+	sub := NewPageSubscriber(tier, ix)
 	sub.Apply(Event{Seq: 1, Kind: KindFragment, Key: 3, Gen: 7})
 	if tier.Len() != 1 || sub.Flushes() != 0 {
-		t.Fatalf("fragment event disturbed the static tier: len=%d flushes=%d", tier.Len(), sub.Flushes())
+		t.Fatalf("fragment event disturbed an opted-in asset: len=%d flushes=%d", tier.Len(), sub.Flushes())
 	}
 }
 

@@ -184,48 +184,36 @@ type System struct {
 }
 
 // ProxySubscribers returns one coherency subscriber per cache tier of a
-// proxy: the fragment store (slot drops), the whole-page tier, and the
-// static tier. The keyed-tier subscribers carry the dpc key schema
-// (purge prefixes) and the proxy's dependency index, so fragment
-// invalidations drop only the pages composed from the dead fragment;
-// surgical drops are reported on reg's dpc.pagecache_invalidations and
-// dpc.static_invalidations counters, and whole-tier flushes, by cause, on
-// dpc.pagecache_*flushes and dpc.static_*flushes (reg may be nil). The
-// compiled-plan tier subscribes for plan-scoped flushes and gap recovery.
-// It is the single wiring point shared by System.startProxy, dpcd's
-// /_dpc/invalidate endpoint, and the facade.
+// proxy: the fragment store (slot drops), the whole-response tier, and the
+// compiled-plan tier. The whole-response subscriber carries the dpc key
+// schema (one purge prefix for both admission rules) and the proxy's
+// dependency index, so fragment invalidations drop only the entries
+// composed from the dead fragment; surgical drops are reported on reg's
+// dpc.pagecache_invalidations counter, and whole-tier flushes, by cause, on
+// dpc.pagecache_*flushes (reg may be nil). The plan tier subscribes for
+// plan-scoped flushes and gap recovery. It is the single wiring point
+// shared by System.startProxy, dpcd's /_dpc/invalidate endpoint, and the
+// benchmark.
 func ProxySubscribers(p *dpc.Proxy, reg *metrics.Registry) []coherency.Subscriber {
-	subs := []coherency.Subscriber{coherency.NewStoreSubscriber(p.Store())}
-	if pages := p.Pages(); pages != nil {
-		sub := coherency.NewPageSubscriber(pages, p.DepIndex())
-		sub.KeyPrefix = dpc.PageKeyPrefix
-		if reg != nil {
-			dropped := reg.Counter("dpc.pagecache_invalidations")
-			sub.OnDrop = func(n int) { dropped.Add(int64(n)) }
-			sub.OnFlush = countFlushes(reg.Counter("dpc.pagecache_flushes"), map[string]*metrics.Counter{
-				coherency.FlushGap:      reg.Counter("dpc.pagecache_gap_flushes"),
-				coherency.FlushEvent:    reg.Counter("dpc.pagecache_event_flushes"),
-				coherency.FlushFallback: reg.Counter("dpc.pagecache_fallback_flushes"),
-			})
-		}
-		subs = append(subs, sub)
-	}
-	static := coherency.NewStaticSubscriber(p.Static().Cache, p.DepIndex())
-	static.KeyPrefix = dpc.StaticKeyPrefix
+	pages := coherency.NewPageSubscriber(p.Pages(), p.DepIndex())
+	pages.KeyPrefix = dpc.PageKeyPrefix
 	if reg != nil {
-		dropped := reg.Counter("dpc.static_invalidations")
-		static.OnDrop = func(n int) { dropped.Add(int64(n)) }
-		static.OnFlush = countFlushes(reg.Counter("dpc.static_flushes"), map[string]*metrics.Counter{
-			coherency.FlushGap:      reg.Counter("dpc.static_gap_flushes"),
-			coherency.FlushEvent:    reg.Counter("dpc.static_event_flushes"),
-			coherency.FlushFallback: reg.Counter("dpc.static_fallback_flushes"),
+		dropped := reg.Counter("dpc.pagecache_invalidations")
+		pages.OnDrop = func(n int) { dropped.Add(int64(n)) }
+		pages.OnFlush = countFlushes(reg.Counter("dpc.pagecache_flushes"), map[string]*metrics.Counter{
+			coherency.FlushGap:      reg.Counter("dpc.pagecache_gap_flushes"),
+			coherency.FlushEvent:    reg.Counter("dpc.pagecache_event_flushes"),
+			coherency.FlushFallback: reg.Counter("dpc.pagecache_fallback_flushes"),
 		})
 	}
-	subs = append(subs, static)
 	// The plan tier ignores fragment events and purges (plans are
 	// content-hash keyed and hold no fragment bytes); it subscribes for
 	// "plan"-scoped flushes and gap recovery.
-	return append(subs, coherency.NewPlanSubscriber(p.Plans().Store()))
+	return []coherency.Subscriber{
+		coherency.NewStoreSubscriber(p.Store()),
+		pages,
+		coherency.NewPlanSubscriber(p.Plans().Store()),
+	}
 }
 
 // countFlushes returns a TierSubscriber.OnFlush hook counting every flush

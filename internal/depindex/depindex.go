@@ -1,6 +1,6 @@
 // Package depindex tracks which cache-tier entries were composed from
 // which fragments, so a fragment invalidation can be fanned out to the
-// page and static tiers surgically instead of waiting for their TTLs.
+// whole-response tier surgically instead of waiting for its TTLs.
 //
 // The paper's correctness story for dynamic content is that freshness is
 // enforced by *invalidation*, not time: the BEM knows the moment a
@@ -9,7 +9,7 @@
 // index is the missing edge set: when the proxy files a captured page it
 // records, for every fragment reference whose bytes entered it, an edge
 //
-//	fragment ref (key, gen) → page/static store key
+//	fragment ref (key, gen) → tier store key
 //
 // and the coherency fabric's tier subscribers consult it on each
 // invalidation to drop exactly the entries built from the dead fragment.

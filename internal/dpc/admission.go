@@ -335,7 +335,7 @@ func (p *Proxy) stageAdmission(rs *reqState) (stageOutcome, error) {
 		sig.keyInFlight = a.perKey[key]
 		sig.tenantInFlight = a.perTenant[tenant]
 		a.mu.Unlock()
-		if sig.ledgerBudget > 0 && p.pages != nil {
+		if sig.ledgerBudget > 0 {
 			sig.ledgerBytes = p.pages.Bytes()
 		}
 	}
@@ -362,33 +362,21 @@ func (p *Proxy) stageAdmission(rs *reqState) (stageOutcome, error) {
 	return p.shed(rs, reason)
 }
 
-// serveStale answers a GET from an expired cache entry within the stale
-// window, kicking one background revalidation to refresh the tier. The
-// page tier is consulted under the same predicate as its stage
-// (anonymous bodyless GET), then the static tier.
+// serveStale answers a GET from an expired tier entry within the stale
+// window, kicking one background revalidation to refresh it. The tier is
+// probed as its stage probes it: the origin's opt-in key, then the page key
+// under the page rule's predicate (anonymous bodyless GET).
 func (p *Proxy) serveStale(rs *reqState, key, reason string) (stageOutcome, bool) {
 	r := rs.r
 	if r.Method != http.MethodGet {
 		return stageNext, false
 	}
-	a := p.admit
-	if p.pages != nil && anonymousSession(r) &&
-		r.ContentLength == 0 && len(r.TransferEncoding) == 0 {
-		if body, ctype, _, age, ok := p.pages.GetStale(pageKey(r)); ok && age <= a.staleWindow {
-			p.reg.Counter("dpc.stale_served_page").Inc()
-			p.serveStaleBody(rs, key, reason, "page", body, ctype, age)
-			return stageRespond, true
-		}
+	page, _ := p.pageRule(r)
+	hit, _, ok := p.probe(r, page, p.admit.staleWindow)
+	if !ok {
+		return stageNext, false
 	}
-	if body, ctype, _, age, ok := p.static.GetStale(staticKey(r)); ok && age <= a.staleWindow {
-		p.reg.Counter("dpc.stale_served_static").Inc()
-		p.serveStaleBody(rs, key, reason, "static", body, ctype, age)
-		return stageRespond, true
-	}
-	return stageNext, false
-}
-
-func (p *Proxy) serveStaleBody(rs *reqState, key, reason, tier string, body []byte, ctype string, age time.Duration) {
+	p.reg.Counter("dpc.stale_served_page").Inc()
 	if rs.pageCapture != nil {
 		// The stale bytes must not be re-filed under a fresh TTL; the
 		// background revalidation replaces the entry instead.
@@ -396,18 +384,19 @@ func (p *Proxy) serveStaleBody(rs *reqState, key, reason, tier string, body []by
 		rs.w = rs.pageCapture.ResponseWriter
 		rs.pageCapture = nil
 	}
-	rs.body, rs.ctype, rs.cacheState = body, ctype, "STALE"
-	rs.span.Event(trace.KindStaleServe, tier, reason, age.Milliseconds())
+	rs.body, rs.ctype, rs.cacheState = hit.body, hit.ctype, "STALE"
+	rs.span.Event(trace.KindStaleServe, hit.rule, reason, hit.age.Milliseconds())
 	p.kickRevalidate(rs, key)
+	return stageRespond, true
 }
 
 // kickRevalidate starts at most one background revalidation for key: the
 // request is cloned onto a detached context marked as a revalidation and
 // driven through the full pipeline against a discarding writer, so the
-// refresh reuses every existing fill path — page-tier capture, static
-// fill, and crucially fillPageCache's fill/invalidate race check, which
-// voids the fill if the fabric invalidates a source fragment while the
-// revalidation is in flight.
+// refresh reuses the one fill path — the tier's capture and, crucially,
+// fillTier's fill/invalidate race check, which voids the fill if the
+// fabric invalidates a source fragment while the revalidation is in
+// flight.
 func (p *Proxy) kickRevalidate(rs *reqState, key string) {
 	a := p.admit
 	if a.negLookup(key) {

@@ -558,7 +558,7 @@ func TestStaleRevalidationReplacesOnce(t *testing.T) {
 	}
 }
 
-// The static tier serves stale under pressure too: an expired
+// The origin's opt-in entries serve stale under pressure too: an expired
 // Cache-Control entry inside the window answers with X-Cache: STALE.
 func TestAdmissionStaleServeStatic(t *testing.T) {
 	fake := clock.NewFake(time.Unix(1700000000, 0))
@@ -583,7 +583,7 @@ func TestAdmissionStaleServeStatic(t *testing.T) {
 	p := newTestProxy(t, origin.URL, func(c *Config) {
 		c.Admission = true
 		c.MaxOriginInFlight = 1
-		c.StaticClock = fake
+		c.PageClock = fake
 	})
 	ts := httptest.NewServer(p)
 	defer ts.Close()
@@ -611,8 +611,8 @@ func TestAdmissionStaleServeStatic(t *testing.T) {
 	if status != http.StatusOK || cache != "STALE" || body != "css-1" {
 		t.Fatalf("pressured fetch: status=%d cache=%q body=%q, want 200 STALE css-1", status, cache, body)
 	}
-	if got := p.Registry().Counter("dpc.stale_served_static").Value(); got < 1 {
-		t.Fatalf("dpc.stale_served_static = %d, want >= 1", got)
+	if got := p.Registry().Counter("dpc.stale_served_page").Value(); got < 1 {
+		t.Fatalf("dpc.stale_served_page = %d, want >= 1", got)
 	}
 }
 

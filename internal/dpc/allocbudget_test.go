@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"testing"
+	"time"
 
 	"dpcache/internal/tmpl"
 )
@@ -109,5 +110,50 @@ func TestAllocBudgetTemplateRefRequest(t *testing.T) {
 	if perRequest > pageBytes/2 || objs > fullObjs+1 {
 		t.Fatalf("%d B in %d objects allocated per request by reference; budget %d B (half a %d-byte page) and the full path's %d objects",
 			perRequest, objs, pageBytes/2, pageBytes, fullObjs)
+	}
+}
+
+// pageHitObjs is the allocation count of one page-tier hit, measured by
+// this test at the parent of the change that merged the static tier into
+// the page tier (the static lookup then had a stage of its own). The merged
+// stage probes the same two keys and may not allocate more.
+const pageHitObjs = 16
+
+// A steady-state page-tier hit — page_hot's whole request — allocates no
+// more objects than it did with two stages.
+func TestAllocBudgetPageHitRequest(t *testing.T) {
+	page := bytes.Repeat([]byte("p"), 16<<10)
+	header := http.Header{"Content-Type": {"text/html"}}
+	p := newTestProxy(t, "http://origin.invalid", func(c *Config) {
+		c.Coalesce = true
+		c.Stream = true
+		c.PageCache = true
+		c.PageCacheTTL = time.Hour
+		c.Transport = roundTripFunc(func(r *http.Request) (*http.Response, error) {
+			return &http.Response{
+				StatusCode: http.StatusOK, ContentLength: int64(len(page)), Request: r,
+				Body: io.NopCloser(bytes.NewReader(page)), Header: header,
+			}, nil
+		})
+	})
+	req := httptest.NewRequest(http.MethodGet, "/page?id=1", nil)
+	serve := func(n int) {
+		for i := 0; i < n; i++ {
+			p.ServeHTTP(&discardWriter{h: http.Header{}}, req)
+		}
+	}
+	serve(50)
+	const requests = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	serve(requests)
+	runtime.ReadMemStats(&after)
+	if hits := p.Registry().Counter("dpc.pagecache_hits").Value(); hits != 50+requests-1 {
+		t.Fatalf("page hits = %d, want %d: the requests did not hit the page tier", hits, 50+requests-1)
+	}
+	objs := (after.Mallocs - before.Mallocs) / requests
+	t.Logf("%d B in %d objects allocated per page hit", (after.TotalAlloc-before.TotalAlloc)/requests, objs)
+	if objs > pageHitObjs {
+		t.Fatalf("%d objects allocated per page hit, budget %d", objs, pageHitObjs)
 	}
 }

@@ -408,18 +408,21 @@ func coalesceIdentityFrom(forwarded []string) []string {
 	return ids
 }
 
-// coalesceKey identifies an origin fetch: method, full request URI, and
+// coalesceKey identifies an origin fetch: full request URI, method, and
 // the identity headers above. Two requests sharing a key would receive
 // byte-identical origin responses, so one fetch may serve all of them.
 func coalesceKey(r *http.Request) string {
 	return coalesceKeyAs(r, r.Method)
 }
 
+// coalesceKeyAs writes the URI first: the key doubles as the page rule's
+// tier key, and every tier key begins with the URI and a NUL (see
+// PageKeyPrefix).
 func coalesceKeyAs(r *http.Request, method string) string {
 	var b strings.Builder
-	b.WriteString(method)
-	b.WriteByte(0)
 	b.WriteString(r.URL.RequestURI())
+	b.WriteByte(0)
+	b.WriteString(method)
 	for _, h := range coalesceIdentityHeaders {
 		b.WriteByte(0)
 		b.WriteString(r.Header.Get(h))

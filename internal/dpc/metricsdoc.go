@@ -22,7 +22,7 @@ type MetricDoc struct {
 // order; each owns a dpc.stage.<name>.latency histogram. New keeps its
 // stage list consistent with this (asserted by TestMetricsDocumented).
 var pipelineStageNames = []string{
-	"admin", "static-cache", "pagecache", "admission", "coalesce",
+	"admin", "pagecache", "admission", "coalesce",
 	"origin-fetch", "assemble", "stale-fallback", "respond",
 }
 
@@ -61,30 +61,23 @@ func MetricCatalog() []MetricDoc {
 		{"dpc.shed_per_tenant", "counter", "a shed tripped on the per-tenant (X-User) origin concurrency bound"},
 		{"dpc.negcache_hits", "counter", "a request hit the negative cache of a recent origin failure and was answered stale or shed without touching the origin"},
 		{"dpc.negcache_fills", "counter", "an origin failure (transport error or non-200) was negative-cached for NegTTL"},
-		{"dpc.stale_served_page", "counter", "a request under pressure was served an expired page-tier entry (X-Cache: STALE)"},
-		{"dpc.stale_served_static", "counter", "a request under pressure was served an expired static-tier entry (X-Cache: STALE)"},
+		{"dpc.stale_served_page", "counter", "a request under pressure was served an expired whole-response tier entry, under either admission rule (X-Cache: STALE)"},
 		{"dpc.stale_revalidations", "counter", "a stale serve kicked one background revalidation to refresh the tier"},
-		// Static cache tier.
-		{"dpc.static_hits", "counter", "a request was served from the URL-keyed static cache"},
-		{"dpc.static_uncacheable_vary", "counter", "a cacheable response was refused because it varies on a non-allowlisted header"},
-		{"dpc.static_assembled_fills", "counter", "an assembled template page the origin opted in (Cache-Control: max-age) was filed into the static tier with dependency edges"},
-		{"dpc.static_invalidations", "counter", "a static-tier entry was dropped by the invalidation fabric (subscriber drop or in-flight assembled fill refused)"},
-		{"dpc.static_flushes", "counter", "the invalidation fabric emptied the whole static tier (the sum of the three causes below)"},
-		{"dpc.static_gap_flushes", "counter", "the static tier was flushed because invalidation events were lost (sequence gap)"},
-		{"dpc.static_event_flushes", "counter", "the static tier was flushed by a flush event scoped to it or to every tier"},
-		{"dpc.static_fallback_flushes", "counter", "the static tier was flushed because the dependency index could not answer a fragment invalidation exactly"},
-		// Whole-page cache tier.
-		{"dpc.pagecache_hits", "counter", "an anonymous GET was served whole from the page tier (X-Cache: PAGE)"},
-		{"dpc.pagecache_misses", "counter", "an anonymous GET missed the page tier and continued down the pipeline"},
-		{"dpc.pagecache_fills", "counter", "a completed anonymous response was filed into the page tier"},
-		{"dpc.pagecache_bypass_identity", "counter", "a request carried identity (Cookie, Authorization, X-User) and bypassed the page tier"},
-		{"dpc.pagecache_uncacheable", "counter", "a captured response was not cacheable (non-200, over the capture bound, no-store/private, or Set-Cookie)"},
-		{"dpc.pagecache_304s", "counter", "a page-tier hit with a matching If-None-Match was answered 304 with no body"},
-		{"dpc.pagecache_invalidations", "counter", "a page-tier entry was dropped by the invalidation fabric (subscriber drop or in-flight fill refused)"},
-		{"dpc.pagecache_flushes", "counter", "the invalidation fabric emptied the whole page tier (the sum of the three causes below)"},
-		{"dpc.pagecache_gap_flushes", "counter", "the page tier was flushed because invalidation events were lost (sequence gap)"},
-		{"dpc.pagecache_event_flushes", "counter", "the page tier was flushed by a flush event scoped to it or to every tier"},
-		{"dpc.pagecache_fallback_flushes", "counter", "the page tier was flushed because the dependency index could not answer a fragment invalidation exactly (dpc.depindex_inexact): one write cost every page, not one"},
+		// Whole-response tier: one store, two admission rules — the
+		// origin's opt-in (X-Cache: STATIC) and, with Config.PageCache, the
+		// page rule (X-Cache: PAGE).
+		{"dpc.pagecache_hits", "counter", "a request was served whole from the tier, under either rule (X-Cache: STATIC or PAGE)"},
+		{"dpc.pagecache_misses", "counter", "an anonymous bodyless GET the page rule could have filled missed the tier and continued down the pipeline (misses of the opt-in key alone are not counted, so hits over hits plus misses is the page rule's hit ratio wherever the origin opts nothing in)"},
+		{"dpc.pagecache_fills", "counter", "a completed response was filed into the tier, under either rule"},
+		{"dpc.pagecache_bypass_identity", "counter", "a bodyless GET carried identity (Cookie, Authorization, X-User), so the page rule did not admit it"},
+		{"dpc.pagecache_uncacheable", "counter", "an admitted response could not be filed (non-200, over the 1 MiB capture bound, no-store/private, or Set-Cookie)"},
+		{"dpc.pagecache_uncacheable_vary", "counter", "a response the origin marked cacheable (Cache-Control: max-age) was refused the opt-in because it varies on a header other than Accept-Encoding"},
+		{"dpc.pagecache_304s", "counter", "a tier hit with a matching If-None-Match was answered 304 with no body"},
+		{"dpc.pagecache_invalidations", "counter", "a tier entry was dropped by the invalidation fabric (subscriber drop or in-flight fill refused)"},
+		{"dpc.pagecache_flushes", "counter", "the invalidation fabric emptied the whole tier (the sum of the three causes below)"},
+		{"dpc.pagecache_gap_flushes", "counter", "the tier was flushed because invalidation events were lost (sequence gap)"},
+		{"dpc.pagecache_event_flushes", "counter", "the tier was flushed by a flush event scoped \"page\", \"static\", or to every tier"},
+		{"dpc.pagecache_fallback_flushes", "counter", "the tier was flushed because the dependency index could not answer a fragment invalidation exactly (dpc.depindex_inexact): one write cost every entry, not one"},
 		// Compiled-template plan cache: hits + misses = template assemblies
 		// (nested-include plan lookups are counted in the cache's own
 		// /_dpc/stats snapshot, not here).
@@ -93,10 +86,10 @@ func MetricCatalog() []MetricDoc {
 		{"dpc.plancache_compiles", "counter", "a template was compiled into a plan, whether or not the cache kept it"},
 		{"dpc.plancache_oneoff", "counter", "a compiled template carried a SET, so the same bytes cannot arrive again: its plan ran and was not cached"},
 		{"dpc.plancache_parallel_gets", "counter", "fragment GETs resolved through the plan executor's parallel prefetch fan-out"},
-		// Dependency index (fragment → page-key edges; refreshed like
+		// Dependency index (fragment → tier-key edges; refreshed like
 		// dpc.store.* by the background publisher and /_dpc/stats).
 		{"dpc.depindex_fragments", "gauge", "fragments with recorded dependency edges"},
-		{"dpc.depindex_edges", "gauge", "fragment→page dependency edges currently retained"},
+		{"dpc.depindex_edges", "gauge", "fragment→entry dependency edges currently retained"},
 		{"dpc.depindex_bytes", "gauge", "bytes the dependency index's structures occupy (budget-bounded)"},
 		{"dpc.depindex_evictions", "gauge", "fragments that lost live edges to byte pressure since creation"},
 		{"dpc.depindex_lookups", "gauge", "invalidation lookups against the index since creation"},

@@ -132,7 +132,7 @@ func TestMetricsDocumented(t *testing.T) {
 	}
 	// Sanity: the exercise really did touch the major surfaces.
 	for _, want := range []string{
-		"dpc.requests", "dpc.assembled", "dpc.static_hits", "dpc.static_uncacheable_vary",
+		"dpc.requests", "dpc.assembled", "dpc.pagecache_uncacheable_vary",
 		"dpc.pagecache_hits", "dpc.pagecache_bypass_identity", "dpc.store.resident",
 	} {
 		if _, ok := snap[want]; !ok {

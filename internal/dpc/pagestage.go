@@ -12,34 +12,37 @@ import (
 	"dpcache/internal/trace"
 )
 
-// The pagecache stage is the whole-page cache tier: a cache of complete
-// responses keyed like a coalesced flight (method, URI, forwarded
-// variant headers), mounted ahead of coalesce, for anonymous-session
-// traffic only. The paper's correctness argument against page-level
-// caching (Section 3.2.1) is that the URL does not identify the content —
-// but that argument rests on identity the cache cannot see. A request
-// carrying no identity (no Cookie, Authorization, or X-User) gives the
-// origin nothing to personalize on, so for that slice of traffic the URL
-// *does* identify the content and a whole-page tier is sound: an
-// anonymous burst on a hot page is served N−1 times from memory with one
-// origin fetch. Identity-bearing requests bypass the stage
-// (dpc.pagecache_bypass_identity) and take the fragment-assembly path.
+// The pagecache stage is the proxy's one whole-response tier, mounted
+// ahead of coalesce. An entry gets in by one of two admission rules, and
+// both fill through the same tee, the same fill/invalidate check
+// (fileUnlessVoided) and the same store:
 //
-// Freshness has two signals. The TTL (PageCacheTTL) is the baseline
-// bound, and for pages containing *non-cacheable* fragments — content
-// the BEM never tracks, regenerated per request — it is the only one, so
-// micro-caching windows remain right for such pages. For the cacheable
-// fragments, the invalidation fabric closes the gap: assembly records
-// fragment→pageKey edges in the proxy's dependency index
-// (internal/depindex), and a coherency PageSubscriber wired to the BEM
-// drops the exact pages composed from an invalidated fragment the moment
-// it dies. With the fabric attached, fragment-backed staleness no longer
-// waits for the TTL, which makes realistic (multi-second) TTLs safe.
+//   - the origin's opt-in (Section 4.2; see static.go): a plain GET
+//     response, or the assembled page of an anonymous GET, carrying
+//     Cache-Control: max-age is filed under staticKey for that long, for
+//     any session. Hits say X-Cache: STATIC.
+//   - the page rule (Config.PageCache): the response to an anonymous
+//     bodyless GET is filed under pageKey for PageCacheTTL. Hits say
+//     X-Cache: PAGE. Section 3.2.1's objection to page caching — the URL
+//     does not identify the content — rests on identity the cache cannot
+//     see; a request carrying none (no Cookie, Authorization, or X-User)
+//     gives the origin nothing to personalize on.
 //
-// Entries are stamped with a strong ETag at capture time; an anonymous
-// revalidation carrying a matching If-None-Match is answered 304 with no
-// body (dpc.pagecache_304s), so pages that survive invalidation cost a
-// handshake instead of a transfer.
+// A lookup probes the opt-in key, then the page key; a response is filed
+// under one of them, the opt-in winning. The TTL bounds the staleness of
+// content the BEM never tracks; the invalidation fabric drops an entry the
+// moment a fragment it was assembled from dies (its edges are in
+// internal/depindex). Entries carry a strong ETag, so a matching
+// If-None-Match is answered 304 (dpc.pagecache_304s).
+
+// The admission rules, as named in span events.
+const (
+	ruleStatic = "static"
+	rulePage   = "page"
+)
+
+// xCache is the X-Cache value of a hit, by the rule that admitted it.
+var xCache = map[string]string{ruleStatic: "STATIC", rulePage: "PAGE"}
 
 // defaultPageTTL is the page-cache freshness window when
 // Config.PageCacheTTL is zero: a micro-caching TTL, long enough to absorb
@@ -48,11 +51,10 @@ import (
 const defaultPageTTL = 2 * time.Second
 
 // maxPageCaptureBytes bounds the response bytes teed aside to fill the
-// page cache; larger pages are served normally but not captured
-// (dpc.pagecache_uncacheable). In-flight capture bytes are charged
-// against the page tier's byte ledger, so a storm of concurrent misses
-// evicts resident pages instead of holding budget-busting bytes off the
-// books.
+// tier, under either rule; larger responses are served normally but not
+// captured (dpc.pagecache_uncacheable). In-flight capture bytes are charged
+// against the tier's byte ledger, so a storm of concurrent misses evicts
+// resident entries instead of holding budget-busting bytes off the books.
 const maxPageCaptureBytes = 1 << 20
 
 // pageIdentityHeaders mark a request as belonging to an identified
@@ -71,31 +73,27 @@ func anonymousSession(r *http.Request) bool {
 	return true
 }
 
-// pageKey identifies a cached page. It is the coalesce key — method, full
-// request URI, and every forwarded header the origin may vary a response
-// on (Accept, Accept-Language, User-Agent, X-Requested-With, …) — so two
-// requests share a cached page exactly when they would have shared a
-// coalesced fetch: only if the origin would have produced byte-identical
-// responses for both. Keying on the URL alone would hand one client's
-// variant (a French page, a JSON XHR body) to another. The identity
-// headers in the key are always empty here: identity-bearing requests
-// bypassed the stage already.
+// pageKey is the page rule's key for a request. It is the coalesce key —
+// full request URI, method, and every forwarded header the origin may vary
+// a response on (Accept, Accept-Language, User-Agent, X-Requested-With, …)
+// — so two requests share a cached page exactly when they would have
+// shared a coalesced fetch: only if the origin would have produced
+// byte-identical responses for both. Keying on the URL alone would hand one
+// client's variant (a French page, a JSON XHR body) to another. The
+// identity headers in the key are always empty here: identity-bearing
+// requests are never page-admitted.
 func pageKey(r *http.Request) string { return coalesceKey(r) }
 
-// PageKeyPrefix returns the page-tier store-key prefix shared by every
-// variant of one request URI. The coherency fabric's purge events use it
-// to drop a URI surgically without knowing the full variant-header key.
-func PageKeyPrefix(uri string) string {
-	return http.MethodGet + "\x00" + uri + "\x00"
-}
+// PageKeyPrefix returns the tier's store-key prefix shared by every entry
+// for one request URI, under either admission rule and in every variant:
+// both pageKey and staticKey begin with the URI and a NUL. The coherency
+// fabric's purge events use it to drop a URI surgically without knowing
+// the full variant key.
+func PageKeyPrefix(uri string) string { return uri + "\x00" }
 
-// StaticKeyPrefix is PageKeyPrefix's static-tier counterpart (the static
-// key is URI plus the folded Accept-Encoding variant).
-func StaticKeyPrefix(uri string) string { return uri + "\x00" }
-
-// pageETag computes the strong entity tag a page-tier entry is stamped
-// with at capture time: a content hash, so the tag changes exactly when
-// the body does and survives re-captures of identical bytes.
+// pageETag computes the strong entity tag a tier entry is stamped with at
+// fill time, under either rule: a content hash, so the tag changes exactly
+// when the body does and survives re-captures of identical bytes.
 func pageETag(body []byte, ctype string) string {
 	h := fnv.New128a()
 	_, _ = h.Write(body)
@@ -153,81 +151,167 @@ func pageCacheable(h http.Header) bool {
 
 // --- pagecache ---
 
+// pageRule reports whether the page rule admits r: the tier is on for
+// pages, and r is a bodyless GET — the coalescable() discipline: a request
+// body is forwarded to the origin and can vary the response, but is not
+// part of pageKey — from an anonymous session. identified reports a
+// bodyless GET refused for carrying an identity.
+func (p *Proxy) pageRule(r *http.Request) (admit, identified bool) {
+	if !p.cfg.PageCache || r.Method != http.MethodGet ||
+		r.ContentLength != 0 || len(r.TransferEncoding) > 0 {
+		return false, false
+	}
+	anon := anonymousSession(r)
+	return anon, !anon
+}
+
+// tierHit is one entry found by probe.
+type tierHit struct {
+	body        []byte
+	ctype, etag string
+	rule        string        // the admission rule whose key found it
+	age         time.Duration // how far past its TTL (stale probes only)
+}
+
+// probe looks r up in the tier under each key an entry for it may have been
+// filed under, in precedence order: the origin's opt-in (staticKey), then —
+// when page is set — the page rule (pageKey, returned so a miss can be
+// filed under it). A zero stale reads fresh entries only (keeping expired
+// ones resident while admission control may still serve them); a positive
+// one reads entries up to stale past their TTL.
+func (p *Proxy) probe(r *http.Request, page bool, stale time.Duration) (hit tierHit, pkey string, ok bool) {
+	if hit, ok = p.tierGet(staticKey(r), ruleStatic, stale); ok || !page {
+		return hit, "", ok
+	}
+	pkey = pageKey(r)
+	hit, ok = p.tierGet(pkey, rulePage, stale)
+	return hit, pkey, ok
+}
+
+func (p *Proxy) tierGet(key, rule string, stale time.Duration) (h tierHit, ok bool) {
+	h.rule = rule
+	switch {
+	case stale > 0:
+		h.body, h.ctype, h.etag, h.age, ok = p.pages.GetStale(key)
+		ok = ok && h.age <= stale
+	case p.admit != nil:
+		// Keep expired entries resident for the admission stage's
+		// stale-while-revalidate path (see KeyedStore.GetKeep).
+		h.body, h.ctype, h.etag, ok = p.pages.GetTaggedKeep(key)
+	default:
+		h.body, h.ctype, h.etag, ok = p.pages.GetTagged(key)
+	}
+	return h, ok
+}
+
 func (p *Proxy) stagePageCache(rs *reqState) (stageOutcome, error) {
-	// Bodyless GETs only, the coalescable() discipline: a request body is
-	// forwarded to the origin and can vary the response, but is not part
-	// of pageKey — caching a bodied GET would serve one body's page to
-	// another.
-	if p.pages == nil || rs.r.Method != http.MethodGet ||
-		rs.r.ContentLength != 0 || len(rs.r.TransferEncoding) > 0 {
+	if rs.r.Method != http.MethodGet && rs.r.Method != http.MethodHead {
 		return stageNext, nil
 	}
-	if !anonymousSession(rs.r) {
+	page, identified := p.pageRule(rs.r)
+	if identified {
 		p.reg.Counter("dpc.pagecache_bypass_identity").Inc()
-		rs.span.Event(trace.KindBypass, "page", "identity", 0)
-		return stageNext, nil
+		rs.span.Event(trace.KindBypass, rulePage, "identity", 0)
 	}
-	key := pageKey(rs.r)
 	if p.admit != nil && isReval(rs.r.Context()) {
 		// A background revalidation skips the lookup — its purpose is to
-		// refresh this very entry — but still captures its response below
-		// so fillPageCache replaces the stale copy, with the usual
-		// fill/invalidate race check voiding the fill if the fabric
-		// invalidates a source fragment mid-revalidation.
-		rs.pageKey = key
-		rs.depEpoch = p.depix.Epoch()
-		pc := &pageCapture{ResponseWriter: rs.w, reserve: p.pages.ReserveCapture}
-		rs.pageCapture = pc
-		rs.w = pc
+		// refresh this very entry — but still captures its response so
+		// fillTier replaces the stale copy, with the usual fill/invalidate
+		// race check voiding the fill if the fabric invalidates a source
+		// fragment mid-revalidation.
+		if page {
+			p.admitFill(rs, pageKey(rs.r), p.pageTTL, rulePage, p.depix.Epoch())
+		}
 		return stageNext, nil
 	}
-	lookup := p.pages.GetTagged
-	if p.admit != nil {
-		// Keep expired pages resident for the admission stage's
-		// stale-while-revalidate path (see KeyedStore.GetKeep).
-		lookup = p.pages.GetTaggedKeep
-	}
-	if body, ctype, etag, ok := lookup(key); ok {
+	hit, pkey, ok := p.probe(rs.r, page, 0)
+	if ok {
 		p.reg.Counter("dpc.pagecache_hits").Inc()
-		if etag != "" && etagMatches(rs.r, etag) {
+		if hit.etag != "" && etagMatches(rs.r, hit.etag) {
 			// Conditional hit: the client already holds these bytes. A
 			// 304 carries the tag back and nothing else — zero body
-			// bytes for a revalidation of a surviving page.
+			// bytes for a revalidation of a surviving entry.
 			p.reg.Counter("dpc.pagecache_304s").Inc()
-			rs.span.Event(trace.KindHit, "page", "304", 0)
+			rs.span.Event(trace.KindHit, hit.rule, "304", 0)
 			h := rs.w.Header()
-			h.Set("ETag", etag)
+			h.Set("ETag", hit.etag)
 			h.Set("Via", "dpcache-dpc/1.0")
-			h.Set("X-Cache", "PAGE")
+			h.Set("X-Cache", xCache[hit.rule])
 			rs.w.WriteHeader(http.StatusNotModified)
 			rs.streamed = true // headers committed; respond must not write a body
-			rs.cacheState = "PAGE"
+			rs.cacheState = xCache[hit.rule]
 			return stageRespond, nil
 		}
-		rs.span.Event(trace.KindHit, "page", "", int64(len(body)))
-		rs.body, rs.ctype, rs.cacheState = body, ctype, "PAGE"
-		rs.pageETag = etag
+		rs.span.Event(trace.KindHit, hit.rule, "", int64(len(hit.body)))
+		rs.body, rs.ctype, rs.cacheState = hit.body, hit.ctype, xCache[hit.rule]
+		rs.hitETag = hit.etag
 		return stageRespond, nil
 	}
+	if !page {
+		rs.span.Event(trace.KindMiss, ruleStatic, "", 0)
+		return stageNext, nil
+	}
 	p.reg.Counter("dpc.pagecache_misses").Inc()
-	rs.span.Event(trace.KindMiss, "page", "", 0)
-	// Tee everything the rest of the pipeline writes to this client —
-	// cache-hit page, origin-path writer, coalesced broadcast — into a
-	// bounded side buffer; stageRespond files it under this key. The
-	// epoch snapshot dates the capture: if the fabric flushes the tier
-	// while this response is in flight, the fill is discarded (the flush
-	// could not have removed an entry not yet filed).
-	rs.pageKey = key
-	rs.depEpoch = p.depix.Epoch()
-	pc := &pageCapture{ResponseWriter: rs.w, reserve: p.pages.ReserveCapture}
-	rs.pageCapture = pc
-	rs.w = pc
+	rs.span.Event(trace.KindMiss, rulePage, "", 0)
+	p.admitFill(rs, pkey, p.pageTTL, rulePage, p.depix.Epoch())
 	return stageNext, nil
 }
 
-// fileUnlessVoided files a fragment-composed entry into a keyed tier
-// through put, unless an invalidation has already voided it: one of refs
-// is tombstoned, or the tier was flushed since epoch was read. The check,
+// admitFill records the request's tier admission — key, TTL and rule,
+// replacing any earlier one (the opt-in outranks the page rule) — and, on
+// the first, tees what the rest of the pipeline writes to this client into
+// the capture respond files. epoch, the index's flush generation read
+// before the origin could generate the response, dates it: a flush in
+// between voids the fill. It must run before the response's first byte.
+func (p *Proxy) admitFill(rs *reqState, key string, ttl time.Duration, rule string, epoch uint64) {
+	rs.fillKey, rs.fillTTL, rs.fillRule = key, ttl, rule
+	if rs.pageCapture != nil {
+		return
+	}
+	rs.depEpoch = epoch
+	pc := &pageCapture{ResponseWriter: rs.w, reserve: p.pages.ReserveCapture}
+	rs.pageCapture = pc
+	rs.w = pc
+}
+
+// admitOrigin applies the origin's opt-in to a first-try origin response:
+// a max-age on a plain GET response (cacheableStatic), or on the template
+// of an anonymous GET (cacheableAssembled), files it under staticKey for
+// that long, whatever the page rule says; epoch was read before the fetch.
+// Otherwise a page-admitted response the origin forbade caching is
+// refused.
+func (p *Proxy) admitOrigin(rs *reqState, resp *http.Response, epoch uint64) {
+	var ttl time.Duration
+	var varied bool
+	switch {
+	case rs.r.Method != http.MethodGet:
+	case resp.Header.Get(headerTemplate) == "":
+		ttl, varied = cacheableStatic(resp)
+	case anonymousSession(rs.r):
+		// The paper's rule that dynamic pages are never URL-keyed stays the
+		// default: this is for origins that declare an assembled page
+		// cacheable, and never for a page that could be personalized.
+		ttl, varied = cacheableAssembled(resp)
+	}
+	if varied {
+		// Cacheable by Cache-Control but varying on a header staticKey does
+		// not fold in: a URL-keyed entry would serve one variant to every
+		// client.
+		p.reg.Counter("dpc.pagecache_uncacheable_vary").Inc()
+	}
+	if ttl > 0 {
+		p.admitFill(rs, staticKey(rs.r), ttl, ruleStatic, epoch)
+		return
+	}
+	if rs.pageCapture != nil && !pageCacheable(resp.Header) {
+		rs.pageCapture.refuse()
+		rs.span.Event(trace.KindBypass, rulePage, "origin-uncacheable", 0)
+	}
+}
+
+// fileUnlessVoided files an entry — fragment-composed or not — into the
+// tier through put, unless an invalidation has already voided it: one of
+// refs is tombstoned, or the tier was flushed since epoch was read. The check,
 // the dependency edges and the Put all happen under the index's Filing
 // lock, which invalidations take exclusively — so the entry is either
 // refused, or filed with its edges before the invalidation's Delete looks
@@ -258,35 +342,30 @@ func (p *Proxy) fileUnlessVoided(refs []StaleRef, epoch uint64, key string, ttl 
 	return ""
 }
 
-// fillPageCache files a captured response into the whole-page tier; called
-// from the respond stage once the response has fully reached the client.
-func (p *Proxy) fillPageCache(rs *reqState) {
+// fillTier files a captured response into the tier under the request's
+// admission; called from the respond stage once the response has fully
+// reached the client.
+func (p *Proxy) fillTier(rs *reqState) {
 	c := rs.pageCapture
-	if p.pages == nil || c == nil {
+	if c == nil {
 		return
 	}
 	defer c.settle()
-	if rs.staticFilled {
-		// The body just entered the static tier, whose stage runs first
-		// and whose TTL the origin chose; a page-tier copy would be dead
-		// weight duplicating the bytes.
-		return
-	}
 	if rs.cacheState == "COALESCE-FOLLOWER" {
-		// pageKey == coalesce key, so the flight's leader is filling this
-		// exact key (with origin-header knowledge the follower lacks).
+		// The flight's leader is filling this exact key (with
+		// origin-header knowledge the follower lacks).
 		return
 	}
-	if c.status != http.StatusOK || c.overflow || rs.pageUncacheable {
+	if c.status != http.StatusOK || c.overflow || c.uncacheable {
 		p.reg.Counter("dpc.pagecache_uncacheable").Inc()
-		rs.span.Event(trace.KindBypass, "page", "uncacheable", 0)
+		rs.span.Event(trace.KindBypass, rs.fillRule, "uncacheable", 0)
 		return
 	}
 	if c.discarded {
 		// The capture was dropped mid-request for a reason none of the
 		// cases above explain (e.g. this request parked as a follower,
 		// then the leader aborted and it fell back to its own fetch):
-		// the buffer no longer holds the page. Filing it would poison
+		// the buffer no longer holds the response. Filing it would poison
 		// the key with an empty body.
 		return
 	}
@@ -296,32 +375,33 @@ func (p *Proxy) fillPageCache(rs *reqState) {
 	// copy: double-charging the same bytes would evict the very entry
 	// being filed on a tight budget.
 	c.settle()
-	// Fill/invalidate race: one of this page's fragments died (or the
-	// tier was flushed) while the response was in flight.
-	if voided := p.fileUnlessVoided(rs.depRefs, rs.depEpoch, rs.pageKey, p.pageTTL, func() {
-		p.pages.PutTagged(rs.pageKey, body, ctype, pageETag(body, ctype), p.pageTTL)
+	// Fill/invalidate race: one of the entry's fragments died (or the tier
+	// was flushed) while the response was in flight.
+	if voided := p.fileUnlessVoided(rs.depRefs, rs.depEpoch, rs.fillKey, rs.fillTTL, func() {
+		p.pages.PutTagged(rs.fillKey, body, ctype, pageETag(body, ctype), rs.fillTTL)
 	}); voided != "" {
 		p.reg.Counter("dpc.pagecache_invalidations").Inc()
-		rs.span.Event(trace.KindInvalidated, "page", voided, 0)
+		rs.span.Event(trace.KindInvalidated, rs.fillRule, voided, 0)
 		return
 	}
 	p.reg.Counter("dpc.pagecache_fills").Inc()
-	rs.span.Event(trace.KindFill, "page", "", int64(len(body)))
+	rs.span.Event(trace.KindFill, rs.fillRule, "", int64(len(body)))
 }
 
 // pageCapture tees a response into a bounded buffer on its way to the
-// client. It deliberately wraps every downstream write path — writePage,
-// the spoolWriter, a coalesced follower's replay — so
-// the page cache fills regardless of which pipeline branch produced the
-// page. Buffered bytes are reserved against the page tier's byte ledger
-// while in flight (see maxPageCaptureBytes) and settled when the capture
-// is filed, discarded, or the request ends.
+// client. It deliberately wraps every downstream write path — the
+// spoolWriter, a coalesced follower's replay — so the tier fills regardless
+// of which pipeline branch produced the response. Buffered bytes are
+// reserved against the tier's byte ledger while in flight (see
+// maxPageCaptureBytes) and settled when the capture is filed, discarded, or
+// the request ends.
 type pageCapture struct {
 	http.ResponseWriter
-	status    int
-	buf       bytes.Buffer
-	overflow  bool
-	discarded bool // the fill is already known moot; stop buffering
+	status      int
+	buf         bytes.Buffer
+	overflow    bool
+	discarded   bool // the fill is already known moot; stop buffering
+	uncacheable bool // the origin's headers forbade the fill (see refuse)
 
 	reserve  func(delta int64) // page tier's ledger hook; nil skips accounting
 	reserved int64
@@ -329,12 +409,21 @@ type pageCapture struct {
 
 // discard drops the retained bytes and stops buffering: called as soon as
 // a request learns its fill can never be used (it became a coalesced
-// follower — the leader fills the same key — or its body already entered
-// the static tier), so a hot burst does not copy the page N extra times.
+// follower — the leader fills the same key — or it was served stale), so a
+// hot burst does not copy the page N extra times.
 func (c *pageCapture) discard() {
 	c.buf = bytes.Buffer{}
 	c.discarded = true
 	c.settle()
+}
+
+// refuse is discard for a response the origin forbade caching
+// (no-store/no-cache/private or Set-Cookie): the proxy strips origin
+// headers before the client sees them, so this is decided at fetch time
+// and counted at fill time (dpc.pagecache_uncacheable).
+func (c *pageCapture) refuse() {
+	c.uncacheable = true
+	c.discard()
 }
 
 // settle releases the capture's ledger reservation; idempotent, and

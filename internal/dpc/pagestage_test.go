@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -317,8 +318,8 @@ func TestFillPageCacheSkipsDiscardedCapture(t *testing.T) {
 		t.Fatal(err)
 	}
 	pc.discard()
-	rs := &reqState{w: pc, pageKey: "GET\x00/x", pageCapture: pc, cacheState: "MISS"}
-	p.fillPageCache(rs)
+	rs := &reqState{w: pc, fillKey: "/x\x00GET\x00", fillTTL: time.Minute, fillRule: rulePage, pageCapture: pc, cacheState: "MISS"}
+	p.fillTier(rs)
 	if got := p.Pages().Len(); got != 0 {
 		t.Fatalf("discarded capture filed into the page tier (%d entries)", got)
 	}
@@ -340,8 +341,9 @@ func TestPageCacheableMultiValueCacheControl(t *testing.T) {
 	}
 }
 
-// A statically cacheable anonymous response is filed once, in the static
-// tier; the page tier must not duplicate the bytes.
+// A statically cacheable anonymous response is filed once, under the
+// origin's opt-in (its key and max-age), though the page rule admitted it
+// too: the tier holds one entry, and the revisit says STATIC.
 func TestPageCacheSkipsStaticallyCached(t *testing.T) {
 	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Cache-Control", "max-age=60")
@@ -359,11 +361,8 @@ func TestPageCacheSkipsStaticallyCached(t *testing.T) {
 	if _, state := pageGet(t, ts.URL+"/asset.css", nil); state != "STATIC" {
 		t.Fatalf("revisit state = %s, want static STATIC", state)
 	}
-	if got := p.Pages().Len(); got != 0 {
-		t.Fatalf("page tier duplicated a statically cached body (%d entries)", got)
-	}
-	if got := p.Static().Len(); got != 1 {
-		t.Fatalf("static tier holds %d entries, want 1", got)
+	if got := p.Pages().Len(); got != 1 {
+		t.Fatalf("tier holds %d entries, want 1 (the opt-in's, not a page duplicate)", got)
 	}
 }
 
@@ -408,72 +407,87 @@ func condGet(t *testing.T, url, inm string) *http.Response {
 	return resp
 }
 
-// Page-tier entries are stamped with a strong ETag at capture time; an
-// anonymous revalidation with a matching If-None-Match — exact, weak
-// (W/), in a list, or "*" — is answered 304 with zero body bytes.
+// Tier entries are stamped with a strong ETag at fill time, under either
+// admission rule; a revalidation with a matching If-None-Match — exact,
+// weak (W/), in a list, or "*" — is answered 304 with zero body bytes. The
+// inputs are an anonymous page (the page rule) and a max-age asset (the
+// origin's opt-in).
 func TestPageCacheConditional304(t *testing.T) {
-	var fetches atomic.Int64
-	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		fetches.Add(1)
-		fmt.Fprint(w, "<html>conditional page</html>")
-	}))
-	defer origin.Close()
-	p := newTestProxy(t, origin.URL, func(c *Config) {
-		c.PageCache = true
-		c.PageCacheTTL = time.Minute
-	})
-	ts := httptest.NewServer(p)
-	defer ts.Close()
-
-	// Miss fills the tier; the hit replays the stored ETag.
-	pageGet(t, ts.URL+"/p", nil)
-	hit := condGet(t, ts.URL+"/p", "")
-	etag := hit.Header.Get("ETag")
-	if hit.Header.Get("X-Cache") != "PAGE" || etag == "" {
-		t.Fatalf("page hit: X-Cache=%q ETag=%q", hit.Header.Get("X-Cache"), etag)
-	}
-	if !strings.HasPrefix(etag, `"`) || strings.HasPrefix(etag, "W/") {
-		t.Fatalf("stored ETag %q is not strong", etag)
-	}
-
-	for name, inm := range map[string]string{
-		"exact":    etag,
-		"weak":     "W/" + etag,
-		"multiple": `"bogus", ` + etag + `, "other"`,
-		"star":     "*",
+	for _, tc := range []struct {
+		name, path, state string
+	}{
+		{"page", "/p", "PAGE"},
+		{"static", "/asset.css", "STATIC"},
 	} {
-		resp := condGet(t, ts.URL+"/p", inm)
-		if resp.StatusCode != http.StatusNotModified {
-			t.Fatalf("%s If-None-Match: status = %d, want 304", name, resp.StatusCode)
-		}
-		b, _ := io.ReadAll(resp.Body)
-		if len(b) != 0 {
-			t.Fatalf("%s 304 carried %d body bytes", name, len(b))
-		}
-		if resp.Header.Get("ETag") != etag {
-			t.Fatalf("%s 304 ETag = %q, want %q", name, resp.Header.Get("ETag"), etag)
-		}
-		if resp.Header.Get("X-Cache") != "PAGE" {
-			t.Fatalf("%s 304 X-Cache = %q", name, resp.Header.Get("X-Cache"))
-		}
-	}
-	// A non-matching validator gets the full body.
-	resp := condGet(t, ts.URL+"/p", `"deadbeef"`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("non-matching If-None-Match: status = %d", resp.StatusCode)
-	}
-	if b, _ := io.ReadAll(resp.Body); string(b) != "<html>conditional page</html>" {
-		t.Fatalf("non-matching body = %q", b)
-	}
-	if got := fetches.Load(); got != 1 {
-		t.Fatalf("origin saw %d fetches — conditional hits must not refetch", got)
-	}
-	if got := p.Registry().Counter("dpc.pagecache_304s").Value(); got != 4 {
-		t.Fatalf("dpc.pagecache_304s = %d, want 4", got)
-	}
-	// Every 304 is still a served response.
-	if got := p.Registry().Counter("dpc.requests").Value(); got != 7 {
-		t.Fatalf("dpc.requests = %d, want 7", got)
+		t.Run(tc.name, func(t *testing.T) {
+			var fetches atomic.Int64
+			origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				fetches.Add(1)
+				if r.URL.Path == "/asset.css" {
+					w.Header().Set("Cache-Control", "max-age=60")
+				}
+				fmt.Fprint(w, "<html>conditional page</html>")
+			}))
+			defer origin.Close()
+			p := newTestProxy(t, origin.URL, func(c *Config) {
+				c.PageCache = true
+				c.PageCacheTTL = time.Minute
+			})
+			ts := httptest.NewServer(p)
+			defer ts.Close()
+			url := ts.URL + tc.path
+
+			// Miss fills the tier; the hit replays the stored ETag.
+			pageGet(t, url, nil)
+			hit := condGet(t, url, "")
+			etag := hit.Header.Get("ETag")
+			if hit.Header.Get("X-Cache") != tc.state || etag == "" {
+				t.Fatalf("hit: X-Cache=%q ETag=%q", hit.Header.Get("X-Cache"), etag)
+			}
+			if !strings.HasPrefix(etag, `"`) || strings.HasPrefix(etag, "W/") {
+				t.Fatalf("stored ETag %q is not strong", etag)
+			}
+
+			for name, inm := range map[string]string{
+				"exact":    etag,
+				"weak":     "W/" + etag,
+				"multiple": `"bogus", ` + etag + `, "other"`,
+				"star":     "*",
+			} {
+				resp := condGet(t, url, inm)
+				if resp.StatusCode != http.StatusNotModified {
+					t.Fatalf("%s If-None-Match: status = %d, want 304", name, resp.StatusCode)
+				}
+				b, _ := io.ReadAll(resp.Body)
+				if len(b) != 0 {
+					t.Fatalf("%s 304 carried %d body bytes", name, len(b))
+				}
+				if resp.Header.Get("ETag") != etag {
+					t.Fatalf("%s 304 ETag = %q, want %q", name, resp.Header.Get("ETag"), etag)
+				}
+				if resp.Header.Get("X-Cache") != tc.state {
+					t.Fatalf("%s 304 X-Cache = %q", name, resp.Header.Get("X-Cache"))
+				}
+			}
+			// A non-matching validator gets the full body.
+			resp := condGet(t, url, `"deadbeef"`)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("non-matching If-None-Match: status = %d", resp.StatusCode)
+			}
+			if b, _ := io.ReadAll(resp.Body); string(b) != "<html>conditional page</html>" {
+				t.Fatalf("non-matching body = %q", b)
+			}
+			if got := fetches.Load(); got != 1 {
+				t.Fatalf("origin saw %d fetches — conditional hits must not refetch", got)
+			}
+			if got := p.Registry().Counter("dpc.pagecache_304s").Value(); got != 4 {
+				t.Fatalf("dpc.pagecache_304s = %d, want 4", got)
+			}
+			// Every 304 is still a served response.
+			if got := p.Registry().Counter("dpc.requests").Value(); got != 7 {
+				t.Fatalf("dpc.requests = %d, want 7", got)
+			}
+		})
 	}
 }
 
@@ -606,5 +620,101 @@ func TestPageCaptureAccountedAgainstBudget(t *testing.T) {
 	}
 	if bytes, used := p.Pages().Bytes(), p.Pages().Store().BudgetUsed(); bytes != used {
 		t.Fatalf("unsettled capture reservation: resident=%d ledger=%d", bytes, used)
+	}
+}
+
+// Fills under both admission rules race fragment invalidations and scoped
+// flushes (run under -race in CI): the tee attached lazily for an opted-in
+// response, the page rule's tee retargeted to the opt-in key, and settled
+// captures against the subscriber's tombstones and epoch bumps. Every
+// response must be whole, and once the storm passes the tier's ledger must
+// hold exactly its resident bytes.
+func TestPageCacheConcurrentFillsAndFlushes(t *testing.T) {
+	const frags = 4
+	var gens [frags]atomic.Uint32
+	p := newTestProxy(t, "http://origin.invalid", func(c *Config) {
+		c.PageCache = true
+		c.PageCacheTTL = time.Minute
+		c.PageCacheBudget = 1 << 20
+		c.Coalesce = true
+		c.Stream = true
+		c.Transport = roundTripFunc(func(r *http.Request) (*http.Response, error) {
+			kind, idx, _ := strings.Cut(strings.TrimPrefix(r.URL.Path, "/"), "/")
+			h := http.Header{"Content-Type": {"text/html"}}
+			var body []byte
+			switch kind {
+			case "asset":
+				h.Set("Cache-Control", "max-age=60")
+				body = []byte("asset " + idx)
+			default: // "opt" (opted in) or "page"
+				if kind == "opt" {
+					h.Set("Cache-Control", "max-age=60")
+				}
+				h.Set("X-DPC-Template", "binary")
+				k := uint32(len(idx)+int(idx[0])) % frags
+				body = templateBody(t, func(enc tmpl.Encoder) {
+					_ = enc.Literal([]byte("<" + idx + ">"))
+					_ = enc.Set(k, gens[k].Load(), []byte(fmt.Sprintf("frag %d", k)))
+					_ = enc.Literal([]byte("</" + idx + ">"))
+				})
+			}
+			return &http.Response{
+				StatusCode: http.StatusOK, ContentLength: int64(len(body)), Request: r,
+				Body: io.NopCloser(bytes.NewReader(body)), Header: h,
+			}, nil
+		})
+	})
+	sub := coherency.NewPageSubscriber(p.Pages(), p.DepIndex())
+	sub.KeyPrefix = PageKeyPrefix
+
+	done := make(chan struct{})
+	var writer sync.WaitGroup
+	writer.Add(1)
+	go func() {
+		defer writer.Done()
+		for seq := uint64(1); ; seq++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			switch seq % 8 {
+			case 3:
+				sub.Apply(coherency.Event{Seq: seq, Kind: coherency.KindFlush, Scope: []string{"page", "static"}[seq/8%2]})
+			case 5:
+				sub.Apply(coherency.Event{Seq: seq, Kind: coherency.KindPurge, URI: "/opt/1"})
+			default:
+				k := uint32(seq % frags)
+				old := gens[k].Add(1) - 1
+				sub.Apply(coherency.Event{Seq: seq, Kind: coherency.KindFragment, Key: k, Gen: old})
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+	}()
+	var clients sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		clients.Add(1)
+		go func(c int) {
+			defer clients.Done()
+			for i := 0; i < 150; i++ {
+				kind := []string{"asset", "opt", "page"}[(i+c)%3]
+				path := fmt.Sprintf("/%s/%d", kind, i%3)
+				rec := serveGet(p, path)
+				want := fmt.Sprintf("<%d>frag %d</%d>", i%3, uint32(1+'0'+i%3)%frags, i%3)
+				if kind == "asset" {
+					want = fmt.Sprintf("asset %d", i%3)
+				}
+				if rec.Code != http.StatusOK || rec.Body.String() != want {
+					t.Errorf("%s: %d %q, want %q", path, rec.Code, rec.Body, want)
+					return
+				}
+			}
+		}(c)
+	}
+	clients.Wait()
+	close(done)
+	writer.Wait()
+	if bytes, used := p.Pages().Bytes(), p.Pages().Store().BudgetUsed(); bytes != used {
+		t.Fatalf("unsettled capture reservations: resident=%d ledger=%d", bytes, used)
 	}
 }

@@ -20,12 +20,12 @@ import (
 
 // The request path is an explicit pipeline of named stages:
 //
-//	admin → static-cache → pagecache → coalesce → origin-fetch →
+//	admin → pagecache → admission → coalesce → origin-fetch →
 //	assemble → stale-fallback → respond
 //
 // Each stage owns a latency histogram (dpc.stage.<name>.latency) so
 // per-stage cost is observable from /_dpc/stats, and each can short-circuit
-// the rest of the pipeline (a static hit jumps straight to respond; a
+// the rest of the pipeline (a tier hit jumps straight to respond; a
 // coalesced follower is served its leader's page). Every served response —
 // hit, miss, coalesced, bypass — is counted exactly once, in the respond
 // stage.
@@ -71,7 +71,7 @@ type reqState struct {
 	span  *trace.Span
 
 	// Response under construction.
-	body       []byte // whole body from a cache tier or a static fill (nil when a writer carried it)
+	body       []byte // whole body from the tier (nil when a writer carried it)
 	ctype      string
 	cacheState string // STATIC, PAGE, MISS, COALESCE-FOLLOWER, or BYPASS
 	streamed   bool   // headers (and whatever body followed) already reached the client
@@ -104,29 +104,26 @@ type reqState struct {
 	// flight is non-nil while this request leads a coalesced fetch.
 	flight *flight
 
-	// pageKey/pageCapture are set by the pagecache stage on a cacheable
-	// miss: w is wrapped so the outgoing response is teed aside, and
-	// respond files it under pageKey.
-	pageKey     string
+	// fillKey, fillTTL and fillRule are the request's tier admission: the
+	// key its response is filed under, for how long, and by which rule
+	// (rulePage or ruleStatic). The pagecache stage sets them for the page
+	// rule and admitOrigin for the origin's opt-in; pageCapture, attached
+	// with the first of them, tees the outgoing response aside for
+	// respond to file.
+	fillKey     string
+	fillTTL     time.Duration
+	fillRule    string
 	pageCapture *pageCapture
-	// pageETag is the stored entity tag of a page-tier hit; respond
-	// relays it so clients can revalidate conditionally next time.
-	pageETag string
+	// hitETag is the stored entity tag of a tier hit; respond relays it so
+	// clients can revalidate conditionally next time.
+	hitETag string
 	// depRefs are the fragment references whose bytes flowed into this
-	// response (assembly only); fillPageCache records them as dependency
-	// edges and re-checks them against invalidation tombstones.
+	// response (assembly only); fillTier records them as dependency edges
+	// and re-checks them against invalidation tombstones.
 	depRefs []StaleRef
 	// depEpoch snapshots the dependency index's flush generation when the
 	// capture began; a flush in between voids the fill.
 	depEpoch uint64
-	// pageUncacheable records that the origin's response headers forbade
-	// page caching (no-store/no-cache/private or Set-Cookie); the proxy
-	// strips origin headers before the client sees them, so this is
-	// decided at fetch time, not from the capture.
-	pageUncacheable bool
-	// staticFilled records that origin-fetch stored this response in the
-	// static tier, so the page tier need not duplicate it.
-	staticFilled bool
 
 	// admitRelease releases the admission stage's in-flight token
 	// (idempotent; nil when the stage took none). Called in respond and
@@ -147,39 +144,6 @@ func (p *Proxy) stageAdmin(rs *reqState) (stageOutcome, error) {
 	p.adminOnce.Do(p.initAdmin)
 	p.admin.ServeHTTP(rs.w, rs.r)
 	return stageDone, nil
-}
-
-// --- static-cache ---
-
-func (p *Proxy) stageStaticCache(rs *reqState) (stageOutcome, error) {
-	if rs.r.Method != http.MethodGet && rs.r.Method != http.MethodHead {
-		return stageNext, nil
-	}
-	if p.admit != nil && isReval(rs.r.Context()) {
-		// A background revalidation exists to refresh the tiers; serving
-		// it from cache would refresh nothing.
-		return stageNext, nil
-	}
-	var (
-		body  []byte
-		ctype string
-		ok    bool
-	)
-	if p.admit != nil {
-		// Keep expired entries resident: the admission stage may serve
-		// them stale under pressure (see KeyedStore.GetKeep).
-		body, ctype, ok = p.static.GetKeep(staticKey(rs.r))
-	} else {
-		body, ctype, ok = p.static.Get(staticKey(rs.r))
-	}
-	if !ok {
-		rs.span.Event(trace.KindMiss, "static", "", 0)
-		return stageNext, nil
-	}
-	p.reg.Counter("dpc.static_hits").Inc()
-	rs.span.Event(trace.KindHit, "static", "", int64(len(body)))
-	rs.body, rs.ctype, rs.cacheState = body, ctype, "STATIC"
-	return stageRespond, nil
 }
 
 // --- coalesce ---
@@ -354,21 +318,15 @@ func (p *Proxy) serveFollower(rs *reqState, f *flight, fol *follower) (stageOutc
 	}
 }
 
-// finishFlight closes the leader's flight, releasing its followers. A
-// response that came through the spoolWriter has already broadcast every
-// chunk; one that never touched it (a plain static fill holds its whole
-// body) is published as one chunk first. Safe to call when the request
-// leads no flight.
+// finishFlight closes the leader's flight, releasing its followers: every
+// response a leader serves came through the spoolWriter, which has already
+// broadcast every chunk. Safe to call when the request leads no flight.
 func (p *Proxy) finishFlight(rs *reqState, err error) {
 	if rs.flight == nil {
 		return
 	}
 	f := rs.flight
 	rs.flight = nil
-	if err == nil && !rs.streamed {
-		f.publishHeaders(rs.ctype, -1)
-		f.append(rs.body)
-	}
 	p.flights.finish(f, err != nil)
 }
 
@@ -527,15 +485,12 @@ func (p *Proxy) originRequest(rs *reqState, bypassStale []StaleRef) (*http.Respo
 }
 
 func (p *Proxy) stageOriginFetch(rs *reqState) (stageOutcome, error) {
+	epoch := p.depix.Epoch() // dates a fill the origin's answer may opt into
 	resp, err := p.originRequest(rs, nil)
 	if err != nil {
 		return stageNext, err
 	}
-	if rs.pageCapture != nil && !pageCacheable(resp.Header) {
-		rs.pageUncacheable = true
-		rs.pageCapture.discard()
-		rs.span.Event(trace.KindBypass, "page", "origin-uncacheable", 0)
-	}
+	p.admitOrigin(rs, resp, epoch)
 	ctype := resp.Header.Get("Content-Type")
 	codecName := resp.Header.Get(headerTemplate)
 	if rs.span != nil {
@@ -549,41 +504,13 @@ func (p *Proxy) stageOriginFetch(rs *reqState) (stageOutcome, error) {
 		rs.span.Event(trace.KindInfo, "origin", shape, resp.ContentLength)
 	}
 	if codecName == "" {
-		// Plain response: pass through untouched, caching it by URL when
-		// the origin explicitly allows (static content only — templates
-		// and bypass pages never carry Cache-Control).
+		// Plain response: pass through untouched.
 		defer resp.Body.Close()
 		p.reg.Counter("dpc.plain_passthrough").Inc()
-		var ttl time.Duration
-		if rs.r.Method == http.MethodGet {
-			var varied bool
-			ttl, varied = cacheableStatic(resp)
-			if varied {
-				// Cacheable by Cache-Control but varying on a header the
-				// static key does not fold in: a URL-keyed entry would
-				// serve one variant to every client.
-				p.reg.Counter("dpc.static_uncacheable_vary").Inc()
-			}
-		}
 		rs.ctype, rs.cacheState = ctype, "MISS"
-		if ttl <= 0 {
-			if err := p.relayPlain(rs, resp); err != nil {
-				return stageNext, err
-			}
-			return stageRespond, nil
-		}
-		// The static tier retains the bytes, so this one body is read whole.
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
+		if err := p.relayPlain(rs, resp); err != nil {
 			return stageNext, err
 		}
-		p.static.Put(staticKey(rs.r), body, ctype, ttl)
-		rs.staticFilled = true
-		rs.span.Event(trace.KindFill, "static", "", int64(len(body)))
-		if rs.pageCapture != nil {
-			rs.pageCapture.discard() // the static tier owns this body now
-		}
-		rs.body = body
 		return stageRespond, nil
 	}
 	if codecName != p.codec.Name() {
@@ -612,18 +539,7 @@ func (p *Proxy) stageAssemble(rs *reqState) (stageOutcome, error) {
 	rs.resp = nil
 	defer resp.Body.Close()
 
-	max := p.spool
-	var file func(page []byte, refs []StaleRef)
-	if ttl := p.assembledStaticTTL(rs, resp); ttl > 0 {
-		// The origin opted this page into the static tier, which wants all
-		// of its bytes: hold the whole page and file it from the spool. The
-		// dependency index's flush generation is read before assembly reads
-		// any fragment, so the fill can detect a fabric flush racing it.
-		max = wholePage
-		epoch := p.depix.Epoch()
-		file = func(page []byte, refs []StaleRef) { p.fillStaticAssembled(rs, page, refs, epoch, ttl) }
-	}
-	stats, err := p.assemblePage(rs, resp.Body, resp.ContentLength, max, file)
+	stats, err := p.assemblePage(rs, resp.Body, resp.ContentLength, p.spool)
 	if errors.Is(err, ErrStale) && !rs.streamed {
 		// Clean abort-to-bypass: nothing reached the client, and nothing
 		// entered the flight broadcast (the spool holds uncommitted bytes
@@ -642,9 +558,8 @@ func (p *Proxy) stageAssemble(rs *reqState) (stageOutcome, error) {
 // Staleness caught inside the spool returns ErrStale with nothing
 // committed, for the caller to recover from; past it the response is torn
 // (rs.streamed tells the runner to abort it) and the stale slots are
-// reported out of band. file, when set, is handed the complete page before
-// it is flushed (max must then be wholePage).
-func (p *Proxy) assemblePage(rs *reqState, body io.Reader, clen int64, max int, file func(page []byte, refs []StaleRef)) (AssembleStats, error) {
+// reported out of band.
+func (p *Proxy) assemblePage(rs *reqState, body io.Reader, clen int64, max int) (AssembleStats, error) {
 	sw := p.newSpoolWriter(rs, max, -1)
 	defer sw.release()
 	stats, err := p.assemble(sw, body, clen, rs)
@@ -660,13 +575,10 @@ func (p *Proxy) assemblePage(rs *reqState, body io.Reader, clen int64, max int, 
 		return stats, err
 	}
 	early := sw.committed
-	if file != nil {
-		file(sw.spool, stats.Refs)
-	}
 	if err := sw.flush(); err != nil {
 		return stats, err
 	}
-	if rs.pageKey != "" {
+	if rs.pageCapture != nil {
 		rs.depRefs = stats.Refs
 	}
 	p.reg.Counter("dpc.assembled").Inc()
@@ -674,47 +586,6 @@ func (p *Proxy) assemblePage(rs *reqState, body io.Reader, clen int64, max int, 
 		p.reg.Counter("dpc.streamed").Inc()
 	}
 	return stats, nil
-}
-
-// assembledStaticTTL reports the static-tier lifetime the origin granted
-// this template's assembled page (Cache-Control: max-age on the template
-// response; see cacheableAssembled), zero when it granted none or the
-// request carries an identity the page could have been personalized on.
-// The paper's rule that dynamic pages are never URL-keyed stays the
-// default — this exists only for origins that declare an assembled page
-// cacheable.
-func (p *Proxy) assembledStaticTTL(rs *reqState, resp *http.Response) time.Duration {
-	if rs.r.Method != http.MethodGet || !anonymousSession(rs.r) {
-		return 0
-	}
-	ttl, varied := cacheableAssembled(resp)
-	if varied {
-		p.reg.Counter("dpc.static_uncacheable_vary").Inc()
-	}
-	return ttl
-}
-
-// fillStaticAssembled files an assembled page the origin opted in (see
-// assembledStaticTTL) into the static tier. Unlike a plain static fill the
-// entry is fragment-composed, so its dependency edges are recorded under
-// the static key and the static-tier subscriber drops it the moment a
-// source fragment dies. epoch is the dependency index's flush generation
-// snapshotted before assembly read any fragment; a flush in between voids
-// the fill. page is the writer's spool, which is reused: the tier gets a
-// copy.
-func (p *Proxy) fillStaticAssembled(rs *reqState, page []byte, refs []StaleRef, epoch uint64, ttl time.Duration) {
-	key := staticKey(rs.r)
-	page = bytes.Clone(page) // outside the filing lock
-	// Fill/invalidate race, exactly as in fillPageCache: a source fragment
-	// died (or the tier flushed) while this page was being assembled.
-	if voided := p.fileUnlessVoided(refs, epoch, key, ttl, func() { p.static.Put(key, page, rs.ctype, ttl) }); voided != "" {
-		p.reg.Counter("dpc.static_invalidations").Inc()
-		rs.span.Event(trace.KindInvalidated, "static", voided, 0)
-		return
-	}
-	rs.staticFilled = true
-	p.reg.Counter("dpc.static_assembled_fills").Inc()
-	rs.span.Event(trace.KindFill, "static", "assembled", int64(len(page)))
 }
 
 // reportStaleAsync delivers a stale report to the BEM when no bypass fetch
@@ -768,9 +639,13 @@ func (p *Proxy) stageStaleFallback(rs *reqState) (stageOutcome, error) {
 		return stageNext, err
 	}
 	defer resp.Body.Close()
-	if rs.pageCapture != nil && !pageCacheable(resp.Header) {
-		rs.pageUncacheable = true
+	switch {
+	case rs.fillRule == ruleStatic:
+		// The opt-in came with the template that went stale: the bypass
+		// answer is not what the origin opted in.
 		rs.pageCapture.discard()
+	case rs.pageCapture != nil && !pageCacheable(resp.Header):
+		rs.pageCapture.refuse()
 	}
 	rs.ctype, rs.cacheState = resp.Header.Get("Content-Type"), "BYPASS"
 	if name := resp.Header.Get(headerTemplate); name != "" {
@@ -781,7 +656,7 @@ func (p *Proxy) stageStaleFallback(rs *reqState) (stageOutcome, error) {
 			return stageNext, fmt.Errorf("origin codec %q does not match proxy codec %q",
 				name, p.codec.Name())
 		}
-		if _, err := p.assemblePage(rs, resp.Body, resp.ContentLength, wholePage, nil); err != nil {
+		if _, err := p.assemblePage(rs, resp.Body, resp.ContentLength, wholePage); err != nil {
 			return stageNext, err
 		}
 		return stageRespond, nil
@@ -817,14 +692,14 @@ func (p *Proxy) stageRespond(rs *reqState) (stageOutcome, error) {
 		rs.admitRelease = nil
 	}
 	if !rs.streamed {
-		if rs.pageETag != "" {
-			// A page-tier hit replays its stored strong ETag so the
-			// client's next revisit can revalidate into a 304.
-			rs.w.Header().Set("ETag", rs.pageETag)
+		if rs.hitETag != "" {
+			// A tier hit replays its stored strong ETag so the client's
+			// next revisit can revalidate into a 304.
+			rs.w.Header().Set("ETag", rs.hitETag)
 		}
 		p.writePage(rs.w, rs.body, rs.ctype, rs.cacheState)
 	}
-	p.fillPageCache(rs)
+	p.fillTier(rs)
 	// Every served response — hit, miss, coalesced, bypass — is counted
 	// here and nowhere else.
 	p.reg.Counter("dpc.requests").Inc()

@@ -489,8 +489,8 @@ func TestStaticHitCountedInRespondStage(t *testing.T) {
 		resp.Body.Close()
 	}
 	reg := p.Registry()
-	if got := reg.Counter("dpc.static_hits").Value(); got != 2 {
-		t.Fatalf("static_hits = %d, want 2", got)
+	if got := reg.Counter("dpc.pagecache_hits").Value(); got != 2 {
+		t.Fatalf("pagecache_hits = %d, want 2", got)
 	}
 	if got := reg.Counter("dpc.requests").Value(); got != 3 {
 		t.Fatalf("dpc.requests = %d, want 3 (hits must be counted)", got)
@@ -521,7 +521,7 @@ func TestPerStageLatencyRecorded(t *testing.T) {
 	for _, st := range p.Stages() {
 		counts[st.Name] = st.hist.Count()
 	}
-	for _, name := range []string{"admin", "static-cache", "coalesce", "origin-fetch", "respond"} {
+	for _, name := range []string{"admin", "pagecache", "coalesce", "origin-fetch", "respond"} {
 		if counts[name] != 1 {
 			t.Fatalf("stage %s observed %d requests, want 1 (all: %v)", name, counts[name], counts)
 		}
@@ -598,7 +598,7 @@ func BenchmarkAssembleStreamingVsBuffered(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					rs := &reqState{w: discardResponse{h: http.Header{}}, r: req}
-					if _, err := p.assemblePage(rs, bytes.NewReader(raw), int64(len(raw)), mode.max, nil); err != nil {
+					if _, err := p.assemblePage(rs, bytes.NewReader(raw), int64(len(raw)), mode.max); err != nil {
 						b.Fatal(err)
 					}
 				}

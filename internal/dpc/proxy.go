@@ -84,36 +84,34 @@ type Config struct {
 	Transport http.RoundTripper
 	// Registry receives dpc.* metrics; optional.
 	Registry *metrics.Registry
-	// StaticClock overrides the expiry clock of the static cache (tests).
-	// The static cache — URL-keyed, for explicitly cacheable non-template
-	// responses — is always mounted, as in the paper's ISA-server setup.
-	StaticClock clock.Clock
-	// PageCache mounts the whole-page cache stage ahead of coalesce:
-	// complete responses to anonymous-session GETs (no Cookie,
-	// Authorization, or X-User) are cached for PageCacheTTL — keyed like
-	// a coalesced flight (method, URI, forwarded variant headers) — and
-	// served with X-Cache: PAGE. Identity-bearing requests bypass the
-	// stage. Off by default — a page cache cannot see fragment
-	// invalidations, so enabling it trades bounded staleness for burst
-	// absorption. Like Coalesce, the key excludes the per-client
-	// X-Forwarded-For: origins that vary responses on client IP
-	// (geo-targeting) must not enable PageCache.
+	// PageCache adds the page rule to the whole-response tier (see
+	// pagestage.go), which is always mounted for the origin's opt-in
+	// (Cache-Control: max-age, X-Cache: STATIC), as in the paper's
+	// ISA-server setup: complete responses to anonymous-session GETs (no
+	// Cookie, Authorization, or X-User) are cached for PageCacheTTL —
+	// keyed like a coalesced flight (URI, method, forwarded variant
+	// headers) — and served with X-Cache: PAGE. Identity-bearing requests
+	// are not page-admitted. Off by default — without the invalidation
+	// fabric a page cache cannot see fragment invalidations, so enabling it
+	// trades bounded staleness for burst absorption. Like Coalesce, the key
+	// excludes the per-client X-Forwarded-For: origins that vary responses
+	// on client IP (geo-targeting) must not enable PageCache.
 	PageCache bool
 	// PageCacheTTL bounds page-cache staleness (0 selects the 2s
 	// micro-caching default).
 	PageCacheTTL time.Duration
-	// PageCacheEntries bounds resident pages (0 selects 1024).
+	// PageCacheEntries bounds the tier's resident entries, under both
+	// rules (0 selects 1024).
 	PageCacheEntries int
-	// PageCacheBudget bounds resident page bytes across the tier (0 =
-	// unbounded); enforced by the keyed store's global ledger.
+	// PageCacheBudget bounds the tier's resident bytes, under both rules
+	// (0 = unbounded); enforced by the keyed store's global ledger.
 	PageCacheBudget int64
-	// PageCacheStore overrides the page cache's keyed backend (the
-	// disk-backed tiered store, or a test double). When non-nil,
-	// PageCacheEntries, PageCacheBudget, and PageClock stop applying —
-	// the caller owns the store's sizing and lifecycle. Ignored unless
-	// PageCache is set.
+	// PageCacheStore overrides the tier's keyed backend (the disk-backed
+	// tiered store, or a test double). When non-nil, PageCacheEntries,
+	// PageCacheBudget, and PageClock stop applying to the tier — the
+	// caller owns the store's sizing and lifecycle.
 	PageCacheStore fragstore.Keyed
-	// PageClock overrides the page cache's expiry clock (tests).
+	// PageClock overrides the tier's expiry clock (tests).
 	PageClock clock.Clock
 	// PlanCache is ignored: every distinct template body is compiled
 	// into an immutable operator program cached by content hash (see
@@ -129,7 +127,7 @@ type Config struct {
 	PlanParallelism int
 	// DepIndexBudget bounds the dependency index's retained edge bytes
 	// (0 selects 1 MiB). The index records which fragments flowed into
-	// which page-tier entries so the coherency fabric can invalidate
+	// which tier entries so the coherency fabric can invalidate
 	// them surgically; over budget it evicts edges and the fabric falls
 	// back to scoped flushes (see internal/depindex).
 	DepIndexBudget int64
@@ -154,13 +152,13 @@ type Config struct {
 	// Pprof mounts net/http/pprof under /_dpc/pprof/ on the admin mux.
 	// Off by default: profiles expose internals and cost CPU on demand.
 	Pprof bool
-	// Admission mounts the admission-control stage between the cache-hit
-	// tiers and coalesce (see admission.go): under measured pressure the
-	// proxy serves stale-while-revalidate from the page or static tier
+	// Admission mounts the admission-control stage between the
+	// whole-response tier and coalesce (see admission.go): under measured
+	// pressure the proxy serves stale-while-revalidate from the tier
 	// instead of queueing on the origin, negative-caches origin failures,
 	// and sheds with a fast 503 + Retry-After when a hard bound is hit
-	// and no stale copy exists. Off by default. When on, the cache-hit
-	// stages stop lazily removing expired entries (GetKeep), so the stale
+	// and no stale copy exists. Off by default. When on, the tier's
+	// lookups stop lazily removing expired entries (GetKeep), so the stale
 	// copies the stage serves stay resident until refreshed or evicted.
 	Admission bool
 	// MaxOriginInFlight bounds concurrent origin-bound requests through
@@ -204,8 +202,7 @@ type Proxy struct {
 	plans   *tmplplan.Cache
 	hints   *hintTable
 	exec    *tmplplan.Exec
-	static  *StaticCache
-	pages   *pagecache.Cache // nil when disabled
+	pages   *pagecache.Cache
 	depix   *depindex.Index
 	pageTTL time.Duration
 	client  *http.Client
@@ -257,16 +254,14 @@ func New(cfg Config) (*Proxy, error) {
 	if spool == 0 {
 		spool = defaultSpoolBytes
 	}
-	var pages *pagecache.Cache
 	pageTTL := cfg.PageCacheTTL
 	if pageTTL <= 0 {
 		pageTTL = defaultPageTTL
 	}
-	switch {
-	case !cfg.PageCache:
-	case cfg.PageCacheStore != nil:
+	var pages *pagecache.Cache
+	if cfg.PageCacheStore != nil {
 		pages = pagecache.Over(cfg.PageCacheStore)
-	default:
+	} else {
 		var err error
 		pages, err = pagecache.NewCache(fragstore.KeyedConfig{
 			MaxEntries: cfg.PageCacheEntries,
@@ -298,7 +293,6 @@ func New(cfg Config) (*Proxy, error) {
 			Plans:       plans,
 			Parallelism: par,
 		},
-		static:  NewStaticCache(0, cfg.StaticClock),
 		pages:   pages,
 		depix:   depindex.New(depindex.Config{ByteBudget: cfg.DepIndexBudget, Clock: cfg.PageClock}),
 		pageTTL: pageTTL,
@@ -320,7 +314,6 @@ func New(cfg Config) (*Proxy, error) {
 	}
 	p.stages = []*Stage{
 		p.newStage("admin", p.stageAdmin),
-		p.newStage("static-cache", p.stageStaticCache),
 		p.newStage("pagecache", p.stagePageCache),
 		p.newStage("admission", p.stageAdmission),
 		p.newStage("coalesce", p.stageCoalesce),
@@ -392,15 +385,13 @@ func (p *Proxy) Close() error {
 // "plan"-scoped events.
 func (p *Proxy) Plans() *tmplplan.Cache { return p.plans }
 
-// Static exposes the URL-keyed static-content cache.
-func (p *Proxy) Static() *StaticCache { return p.static }
-
-// Pages exposes the whole-page cache tier (nil unless Config.PageCache).
+// Pages exposes the whole-response tier, which holds the entries of both
+// admission rules (see pagestage.go); never nil.
 func (p *Proxy) Pages() *pagecache.Cache { return p.pages }
 
-// DepIndex exposes the fragment→page dependency index. The coherency
-// fabric's tier subscribers consult it to invalidate page- and static-tier
-// entries surgically.
+// DepIndex exposes the fragment→entry dependency index. The coherency
+// fabric's tier subscriber consults it to invalidate tier entries
+// surgically.
 func (p *Proxy) DepIndex() *depindex.Index { return p.depix }
 
 // Store exposes the fragment store (the coherency extension drops slots
@@ -505,19 +496,11 @@ func (p *Proxy) initAdmin() {
 		if ts, ok := fragstore.DiskStats(p.store); ok {
 			out["disk"] = ts
 		}
-		ss := p.static.Store().Stats()
-		out["static"] = map[string]any{
-			"entries": ss.Resident, "bytes": ss.Bytes,
-			"hits": ss.Hits, "misses": ss.Misses,
-			"evictions": ss.Evictions, "expired": ss.Expired,
-		}
-		if p.pages != nil {
-			ps := p.pages.Stats()
-			out["pagecache"] = map[string]any{
-				"entries": ps.Resident, "bytes": ps.Bytes,
-				"hits": ps.Hits, "misses": ps.Misses,
-				"evictions": ps.Evictions, "expired": ps.Expired,
-			}
+		ps := p.pages.Stats()
+		out["pagecache"] = map[string]any{
+			"entries": ps.Resident, "bytes": ps.Bytes,
+			"hits": ps.Hits, "misses": ps.Misses,
+			"evictions": ps.Evictions, "expired": ps.Expired,
 		}
 		out["plancache"] = p.plans.Stats()
 		out["depindex"] = p.depix.Stats()

@@ -6,48 +6,15 @@ import (
 	"strconv"
 	"strings"
 	"time"
-
-	"dpcache/internal/clock"
-	"dpcache/internal/fragstore"
-	"dpcache/internal/pagecache"
 )
 
-// StaticCache is the conventional URL-keyed cache the DPC also runs
-// (Section 4.2: "the DPC can also cache other types of content as well,
-// e.g., rich content, static fragments"; the paper's test setup serves
-// all static content from the ISA proxy cache so it never touches the
-// measured origin link).
-//
-// Only responses the origin explicitly marks with Cache-Control: max-age
-// are cached, and never template responses — dynamic pages must not be
-// URL-keyed, which is the paper's core correctness argument. Storage is
-// the same wrapper the whole-page tier uses (pagecache.Cache over
-// fragstore.KeyedStore — sharded, globally byte-ledgered), so this tier
-// carries no locking or eviction logic of its own: the keyed store owns
-// LRU eviction beyond MaxEntries and lazy TTL expiry. Only the keying
-// policy (staticKey's Vary fold) and admission rules (cacheableStatic)
-// live here.
-type StaticCache struct {
-	*pagecache.Cache
-}
-
-// NewStaticCache returns a cache bounded to maxEntries (<=0 selects 1024,
-// which is what the proxy mounts). A nil clk uses the real clock.
-func NewStaticCache(maxEntries int, clk clock.Clock) *StaticCache {
-	c, err := pagecache.NewCache(fragstore.KeyedConfig{MaxEntries: maxEntries, Clock: clk})
-	if err != nil {
-		// Only a negative byte budget can fail, and none is passed.
-		panic(err)
-	}
-	return &StaticCache{Cache: c}
-}
-
-// Stats returns hit and miss counts (the full keyed-store snapshot is
-// available via Store().Stats()).
-func (c *StaticCache) Stats() (hits, misses int64) {
-	st := c.Cache.Stats()
-	return st.Hits, st.Misses
-}
+// The origin's opt-in rule of the whole-response tier (see pagestage.go):
+// the conventional URL-keyed cache the DPC also runs (Section 4.2; the
+// paper's setup serves all static content from the ISA proxy cache). Only
+// a response the origin marks Cache-Control: max-age is admitted, and a
+// template response only for an anonymous session. This file holds the
+// rule's key (staticKey's Vary fold) and checks (cacheableStatic,
+// cacheableAssembled); storage, lookup and filing are the tier's.
 
 // maxAgeFrom parses Cache-Control for a positive max-age; no-store and
 // no-cache disable caching.
@@ -72,7 +39,7 @@ func maxAgeFrom(cacheControl string) time.Duration {
 	return age
 }
 
-// staticVaryAllowlist names the Vary request headers the static tier can
+// staticVaryAllowlist names the Vary request headers the opt-in rule can
 // serve correctly by folding the header's request value into the store
 // key (see staticKey). Everything else makes a response uncacheable here:
 // the cache is URL-keyed, and a variant served under a bare URL key would
@@ -87,8 +54,12 @@ var staticVaryAllowlist = map[string]bool{
 	"Accept-Encoding": true,
 }
 
-// staticKey builds the static tier's store key for a request: the full
+// staticKey builds the opt-in rule's store key for a request: the full
 // request URI plus the request's values for every allowlisted Vary header.
+// It shares pageKey's leading URI and NUL (so one PageKeyPrefix purges
+// both rules' entries) and cannot collide with a page key: the folded
+// variant is lowercase, the method that follows the URI in a page key is
+// not.
 // Folding them in unconditionally (rather than per-entry Vary metadata)
 // keeps lookups a single Get. The cost is duplication: today the proxy
 // strips Accept-Encoding toward the origin and always serves identity
@@ -102,7 +73,7 @@ func staticKey(r *http.Request) string {
 	var b strings.Builder
 	b.WriteString(r.URL.RequestURI())
 	b.WriteByte(0)
-	//dpclint:ignore headerkey Accept-Encoding is folded into the static-tier variant key itself, and the proxy strips it toward the origin (it is not forwarded), so stored bodies cannot vary on it cross-user
+	//dpclint:ignore headerkey Accept-Encoding is folded into the opt-in rule's variant key itself, and the proxy strips it toward the origin (it is not forwarded), so stored bodies cannot vary on it cross-user
 	b.WriteString(normalizeVariant(r.Header.Get("Accept-Encoding")))
 	return b.String()
 }
@@ -129,15 +100,15 @@ func normalizeVariant(v string) string {
 	return strings.Join(out, ",")
 }
 
-// cacheableStatic reports whether a proxied response may enter the static
-// cache: 200, explicitly cacheable, not a template, and carrying no Vary
+// cacheableStatic reports the TTL the origin granted a plain response under
+// the opt-in rule: 200, explicitly cacheable, not a template, and carrying no Vary
 // beyond the allowlist. The cache is URL-keyed (plus the allowlisted
 // variant fold), so a response the origin varies on any other request
 // header (Vary: Cookie, Vary: User-Agent, …) would be served to clients
 // that sent different values; such responses are refused. varied reports
 // that a non-allowlisted Vary alone blocked an otherwise-cacheable
 // response, so the caller can count the remaining refusals
-// (dpc.static_uncacheable_vary).
+// (dpc.pagecache_uncacheable_vary).
 func cacheableStatic(resp *http.Response) (ttl time.Duration, varied bool) {
 	if resp.StatusCode != http.StatusOK {
 		return 0, false
@@ -161,10 +132,9 @@ func cacheableStatic(resp *http.Response) (ttl time.Duration, varied bool) {
 // unless the origin says so — and this check is that explicit opt-in: a
 // template response carrying Cache-Control: max-age (and no Vary beyond
 // the allowlist) asks the proxy to serve the assembled result from the
-// static tier for the TTL, with the invalidation fabric dropping the
-// entry early if a source fragment dies (its dependency edges are
-// recorded under the static key; see fillStaticAssembled). varied
-// mirrors cacheableStatic's.
+// tier for the TTL, with the invalidation fabric dropping the entry early
+// if a source fragment dies (its dependency edges are recorded under the
+// static key, as every fill's are). varied mirrors cacheableStatic's.
 func cacheableAssembled(resp *http.Response) (ttl time.Duration, varied bool) {
 	age := maxAgeFrom(strings.Join(resp.Header.Values("Cache-Control"), ","))
 	if age > 0 && !varyAllowlisted(resp.Header) {
@@ -173,8 +143,8 @@ func cacheableAssembled(resp *http.Response) (ttl time.Duration, varied bool) {
 	return age, false
 }
 
-// varyAllowlisted reports whether every header named by Vary is one the
-// static tier folds into its key. "Vary: *" is never cacheable.
+// varyAllowlisted reports whether every header named by Vary is one
+// staticKey folds in. "Vary: *" is never cacheable.
 func varyAllowlisted(h http.Header) bool {
 	for _, v := range h.Values("Vary") {
 		for _, name := range strings.Split(v, ",") {

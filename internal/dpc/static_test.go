@@ -1,10 +1,12 @@
 package dpc
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -70,11 +72,11 @@ func TestStaticCacheVaryNotCrossServed(t *testing.T) {
 	if got := get("sid=bob"); got != "variant for sid=bob" {
 		t.Fatalf("bob got %q — served alice's cached variant", got)
 	}
-	if got := p.Static().Len(); got != 0 {
-		t.Fatalf("static cache holds %d entries, want 0 (Vary responses must not enter)", got)
+	if got := p.Pages().Len(); got != 0 {
+		t.Fatalf("tier holds %d entries, want 0 (Vary responses must not enter)", got)
 	}
-	if got := p.Registry().Counter("dpc.static_uncacheable_vary").Value(); got != 2 {
-		t.Fatalf("dpc.static_uncacheable_vary = %d, want 2", got)
+	if got := p.Registry().Counter("dpc.pagecache_uncacheable_vary").Value(); got != 2 {
+		t.Fatalf("dpc.pagecache_uncacheable_vary = %d, want 2", got)
 	}
 }
 
@@ -147,11 +149,11 @@ func TestStaticCacheVaryAcceptEncodingKeyed(t *testing.T) {
 	if got := origins.Load(); got != 2 {
 		t.Fatalf("origin fetches = %d, want 2 (one per encoding variant)", got)
 	}
-	if got := p.Static().Len(); got != 2 {
-		t.Fatalf("static entries = %d, want 2 variant entries", got)
+	if got := p.Pages().Len(); got != 2 {
+		t.Fatalf("tier entries = %d, want 2 variant entries", got)
 	}
-	if got := p.Registry().Counter("dpc.static_uncacheable_vary").Value(); got != 0 {
-		t.Fatalf("dpc.static_uncacheable_vary = %d, want 0 (allowlisted Vary is not a refusal)", got)
+	if got := p.Registry().Counter("dpc.pagecache_uncacheable_vary").Value(); got != 0 {
+		t.Fatalf("dpc.pagecache_uncacheable_vary = %d, want 0 (allowlisted Vary is not a refusal)", got)
 	}
 }
 
@@ -187,91 +189,167 @@ func TestNormalizeVariantTokenSet(t *testing.T) {
 	}
 }
 
+// The cases below drive the origin's opt-in rule of the one tier through
+// the proxy, against an in-process origin at the transport seam.
+
+// assetOrigin answers every request with body under Cache-Control cc and
+// Content-Type ctype, counting fetches.
+func assetOrigin(cc, ctype string, body func(r *http.Request) []byte, fetches *atomic.Int64) http.RoundTripper {
+	return roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		fetches.Add(1)
+		b := body(r)
+		h := http.Header{"Content-Type": {ctype}}
+		if cc != "" {
+			h.Set("Cache-Control", cc)
+		}
+		return &http.Response{
+			StatusCode: http.StatusOK, ContentLength: int64(len(b)), Request: r,
+			Body: io.NopCloser(bytes.NewReader(b)), Header: h,
+		}, nil
+	})
+}
+
+// serveGet drives one GET through p in process.
+func serveGet(p *Proxy, path string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	p.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+	return rec
+}
+
+func fixedBody(s string) func(*http.Request) []byte {
+	return func(*http.Request) []byte { return []byte(s) }
+}
+
 func TestStaticCachePutGet(t *testing.T) {
-	c := NewStaticCache(4, nil)
-	c.Put("/static/logo", []byte("png-bytes"), "image/png", time.Minute)
-	body, ctype, ok := c.Get("/static/logo")
-	if !ok || string(body) != "png-bytes" || ctype != "image/png" {
-		t.Fatalf("get = %q %q %v", body, ctype, ok)
+	var fetches atomic.Int64
+	p := newTestProxy(t, "http://origin.invalid", func(c *Config) {
+		c.Transport = assetOrigin("max-age=60", "image/png", fixedBody("png-bytes"), &fetches)
+	})
+	if rec := serveGet(p, "/static/logo"); rec.Header().Get("X-Cache") != "MISS" || rec.Body.String() != "png-bytes" {
+		t.Fatalf("fill: %q %q", rec.Header().Get("X-Cache"), rec.Body)
 	}
-	hits, misses := c.Stats()
-	if hits != 1 || misses != 0 {
-		t.Fatalf("stats = %d/%d", hits, misses)
+	rec := serveGet(p, "/static/logo")
+	if rec.Header().Get("X-Cache") != "STATIC" || rec.Body.String() != "png-bytes" || rec.Header().Get("Content-Type") != "image/png" {
+		t.Fatalf("hit: %q %q %q", rec.Header().Get("X-Cache"), rec.Body, rec.Header().Get("Content-Type"))
+	}
+	snap := p.Registry().Snapshot()
+	if snap["dpc.pagecache_fills"] != 1 || snap["dpc.pagecache_hits"] != 1 || fetches.Load() != 1 {
+		t.Fatalf("fills=%d hits=%d origin fetches=%d, want 1/1/1", snap["dpc.pagecache_fills"], snap["dpc.pagecache_hits"], fetches.Load())
 	}
 }
 
+// A miss of the opt-in key alone is not a page-tier miss: with the page
+// rule off nothing counts one, and with it on an anonymous GET that misses
+// both keys counts one, so dpc.pagecache_misses keeps meaning "requests the
+// page rule could have filled".
 func TestStaticCacheMiss(t *testing.T) {
-	c := NewStaticCache(4, nil)
-	if _, _, ok := c.Get("/nope"); ok {
-		t.Fatal("hit on empty cache")
-	}
-	if _, misses := c.Stats(); misses != 1 {
-		t.Fatal("miss not counted")
+	for _, page := range []bool{false, true} {
+		var fetches atomic.Int64
+		p := newTestProxy(t, "http://origin.invalid", func(c *Config) {
+			c.PageCache = page
+			c.Transport = assetOrigin("", "text/plain", fixedBody("x"), &fetches)
+		})
+		if rec := serveGet(p, "/nope"); rec.Header().Get("X-Cache") != "MISS" {
+			t.Fatalf("page=%v: X-Cache = %q on an empty tier", page, rec.Header().Get("X-Cache"))
+		}
+		want := int64(0)
+		if page {
+			want = 1
+		}
+		if got := p.Registry().Counter("dpc.pagecache_misses").Value(); got != want {
+			t.Fatalf("page=%v: dpc.pagecache_misses = %d, want %d", page, got, want)
+		}
 	}
 }
 
 func TestStaticCacheExpiry(t *testing.T) {
 	fake := clock.NewFake(time.Unix(0, 0))
-	c := NewStaticCache(4, fake)
-	c.Put("/a", []byte("x"), "text/plain", 10*time.Second)
+	var fetches atomic.Int64
+	p := newTestProxy(t, "http://origin.invalid", func(c *Config) {
+		c.PageClock = fake
+		c.Transport = assetOrigin("max-age=10", "text/plain", fixedBody("x"), &fetches)
+	})
+	serveGet(p, "/a")
 	fake.Advance(9 * time.Second)
-	if _, _, ok := c.Get("/a"); !ok {
-		t.Fatal("expired early")
+	if rec := serveGet(p, "/a"); rec.Header().Get("X-Cache") != "STATIC" {
+		t.Fatalf("expired early: X-Cache = %q", rec.Header().Get("X-Cache"))
 	}
 	fake.Advance(2 * time.Second)
-	if _, _, ok := c.Get("/a"); ok {
-		t.Fatal("served past expiry")
-	}
-	if c.Len() != 0 {
-		t.Fatal("expired entry not removed")
+	if rec := serveGet(p, "/a"); rec.Header().Get("X-Cache") != "MISS" || fetches.Load() != 2 {
+		t.Fatalf("past max-age: X-Cache = %q after %d fetches", rec.Header().Get("X-Cache"), fetches.Load())
 	}
 }
 
 func TestStaticCacheZeroTTLIgnored(t *testing.T) {
-	c := NewStaticCache(4, nil)
-	c.Put("/a", []byte("x"), "text/plain", 0)
-	if c.Len() != 0 {
-		t.Fatal("zero-TTL entry stored")
+	var fetches atomic.Int64
+	p := newTestProxy(t, "http://origin.invalid", func(c *Config) {
+		c.Transport = assetOrigin("max-age=0", "text/plain", fixedBody("x"), &fetches)
+	})
+	serveGet(p, "/a")
+	if rec := serveGet(p, "/a"); rec.Header().Get("X-Cache") != "MISS" || p.Pages().Len() != 0 {
+		t.Fatalf("max-age=0 response filed: X-Cache = %q, %d entries", rec.Header().Get("X-Cache"), p.Pages().Len())
 	}
 }
 
+// Without the page rule the tier is today's static tier: 1024 entries, the
+// least recently used one evicted first.
 func TestStaticCacheLRUEviction(t *testing.T) {
-	c := NewStaticCache(2, nil)
-	c.Put("/a", []byte("a"), "t", time.Hour)
-	c.Put("/b", []byte("b"), "t", time.Hour)
-	if _, _, ok := c.Get("/a"); !ok { // touch a; b becomes LRU
-		t.Fatal("a missing")
+	const bound = 1024
+	var fetches atomic.Int64
+	p := newTestProxy(t, "http://origin.invalid", func(c *Config) {
+		c.Transport = assetOrigin("max-age=3600", "text/plain", func(r *http.Request) []byte { return []byte(r.URL.Path) }, &fetches)
+	})
+	for i := 0; i < bound; i++ {
+		serveGet(p, fmt.Sprintf("/f%d", i))
 	}
-	c.Put("/c", []byte("c"), "t", time.Hour)
-	if _, _, ok := c.Get("/b"); ok {
-		t.Fatal("LRU entry b survived")
+	if rec := serveGet(p, "/f0"); rec.Header().Get("X-Cache") != "STATIC" { // touch f0; f1 becomes LRU
+		t.Fatal("f0 missing at the bound")
 	}
-	if _, _, ok := c.Get("/a"); !ok {
-		t.Fatal("recently used entry a evicted")
+	serveGet(p, fmt.Sprintf("/f%d", bound))
+	if p.Pages().Len() != bound {
+		t.Fatalf("tier holds %d entries, want %d", p.Pages().Len(), bound)
+	}
+	if rec := serveGet(p, "/f1"); rec.Header().Get("X-Cache") == "STATIC" {
+		t.Fatal("LRU entry f1 survived")
+	}
+	if rec := serveGet(p, "/f0"); rec.Header().Get("X-Cache") != "STATIC" {
+		t.Fatal("recently used entry f0 evicted")
 	}
 }
 
+// A refetch after expiry replaces the entry in place.
 func TestStaticCacheOverwrite(t *testing.T) {
-	c := NewStaticCache(2, nil)
-	c.Put("/a", []byte("v1"), "t", time.Hour)
-	c.Put("/a", []byte("v2"), "t", time.Hour)
-	body, _, _ := c.Get("/a")
-	if string(body) != "v2" {
-		t.Fatalf("body = %q", body)
+	fake := clock.NewFake(time.Unix(0, 0))
+	var fetches atomic.Int64
+	p := newTestProxy(t, "http://origin.invalid", func(c *Config) {
+		c.PageClock = fake
+		c.Transport = assetOrigin("max-age=10", "text/plain", func(*http.Request) []byte {
+			return []byte(fmt.Sprintf("v%d", fetches.Load()))
+		}, &fetches)
+	})
+	serveGet(p, "/a")
+	fake.Advance(11 * time.Second)
+	serveGet(p, "/a")
+	if rec := serveGet(p, "/a"); rec.Header().Get("X-Cache") != "STATIC" || rec.Body.String() != "v2" {
+		t.Fatalf("after refetch: %q %q", rec.Header().Get("X-Cache"), rec.Body)
 	}
-	if c.Len() != 1 {
-		t.Fatalf("len = %d", c.Len())
+	if p.Pages().Len() != 1 {
+		t.Fatalf("len = %d", p.Pages().Len())
 	}
 }
 
+// The filed entry owns its bytes: the origin reusing the buffer it answered
+// from does not reach a later hit.
 func TestStaticCacheCopiesBody(t *testing.T) {
-	c := NewStaticCache(2, nil)
 	src := []byte("abc")
-	c.Put("/a", src, "t", time.Hour)
+	var fetches atomic.Int64
+	p := newTestProxy(t, "http://origin.invalid", func(c *Config) {
+		c.Transport = assetOrigin("max-age=60", "text/plain", func(*http.Request) []byte { return src }, &fetches)
+	})
+	serveGet(p, "/a")
 	src[0] = 'z'
-	body, _, _ := c.Get("/a")
-	if string(body) != "abc" {
-		t.Fatal("cache aliased caller buffer")
+	if rec := serveGet(p, "/a"); rec.Header().Get("X-Cache") != "STATIC" || rec.Body.String() != "abc" {
+		t.Fatalf("hit = %q %q: the tier aliased the origin's buffer", rec.Header().Get("X-Cache"), rec.Body)
 	}
 }
 
@@ -297,12 +375,72 @@ func TestMaxAgeParsing(t *testing.T) {
 	}
 }
 
+// With the page rule on, both rules share the configured bound.
 func TestStaticCacheManyEntriesBounded(t *testing.T) {
-	c := NewStaticCache(8, nil)
-	for i := 0; i < 100; i++ {
-		c.Put(fmt.Sprintf("/f%d", i), []byte("x"), "t", time.Hour)
+	var fetches atomic.Int64
+	p := newTestProxy(t, "http://origin.invalid", func(c *Config) {
+		c.PageCache = true
+		c.PageCacheEntries = 8
+		c.Transport = roundTripFunc(func(r *http.Request) (*http.Response, error) {
+			cc := ""
+			if strings.HasPrefix(r.URL.Path, "/asset") {
+				cc = "max-age=3600"
+			}
+			return assetOrigin(cc, "text/plain", fixedBody("x"), &fetches).RoundTrip(r)
+		})
+	})
+	for i := 0; i < 50; i++ {
+		serveGet(p, fmt.Sprintf("/asset%d", i))
+		serveGet(p, fmt.Sprintf("/page%d", i))
 	}
-	if c.Len() != 8 {
-		t.Fatalf("len = %d, want 8", c.Len())
+	if p.Pages().Len() != 8 || p.Registry().Counter("dpc.pagecache_fills").Value() != 100 {
+		t.Fatalf("len = %d after %d fills, want 8 after 100", p.Pages().Len(), p.Registry().Counter("dpc.pagecache_fills").Value())
+	}
+}
+
+// An opted-in asset larger than the capture bound is relayed intact and
+// not filed — the tier's one fill path holds no more than
+// maxPageCaptureBytes of any response — and the refusal is counted.
+func TestStaticOversizedAssetNotFiled(t *testing.T) {
+	big := bytes.Repeat([]byte("0123456789abcdef"), (2<<20)/16)
+	var fetches atomic.Int64
+	p := newTestProxy(t, "http://origin.invalid", func(c *Config) {
+		c.Transport = assetOrigin("max-age=60", "application/octet-stream", func(*http.Request) []byte { return big }, &fetches)
+	})
+	for i := 0; i < 2; i++ {
+		rec := serveGet(p, "/big.bin")
+		if rec.Header().Get("X-Cache") != "MISS" || !bytes.Equal(rec.Body.Bytes(), big) {
+			t.Fatalf("request %d: X-Cache = %q, %d of %d bytes intact", i, rec.Header().Get("X-Cache"), rec.Body.Len(), len(big))
+		}
+	}
+	if p.Pages().Len() != 0 || fetches.Load() != 2 {
+		t.Fatalf("a %d-byte asset was filed: %d entries, %d origin fetches", len(big), p.Pages().Len(), fetches.Load())
+	}
+	if got := p.Registry().Counter("dpc.pagecache_uncacheable").Value(); got != 2 {
+		t.Fatalf("dpc.pagecache_uncacheable = %d, want 2", got)
+	}
+}
+
+// A tier flush landing while an opted-in asset is in flight voids its fill:
+// the flush could not have removed an entry not yet filed, so filing it
+// afterwards would outlive the flush.
+func TestStaticFillVoidedByRacingFlush(t *testing.T) {
+	var p *Proxy
+	var fetches atomic.Int64
+	assets := assetOrigin("max-age=60", "text/css", fixedBody("body{}"), &fetches)
+	p = newTestProxy(t, "http://origin.invalid", func(c *Config) {
+		c.Transport = roundTripFunc(func(r *http.Request) (*http.Response, error) {
+			p.DepIndex().BumpEpoch("event") // the fabric flushes the tier mid-fetch
+			return assets.RoundTrip(r)
+		})
+	})
+	if rec := serveGet(p, "/site.css"); rec.Body.String() != "body{}" {
+		t.Fatalf("body = %q", rec.Body)
+	}
+	if p.Pages().Len() != 0 {
+		t.Fatal("a fill that raced a flush was filed")
+	}
+	if got := p.Registry().Counter("dpc.pagecache_invalidations").Value(); got != 1 {
+		t.Fatalf("dpc.pagecache_invalidations = %d, want 1", got)
 	}
 }

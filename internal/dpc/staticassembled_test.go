@@ -1,10 +1,10 @@
 package dpc
 
-// Assembled pages entering the static tier: a template response carrying
-// an explicit Cache-Control max-age is the origin's opt-in to cache the
-// assembled result like any static asset — filed under the static key
-// with fragment dependency edges, so the invalidation fabric can drop it
-// surgically when a composing fragment dies.
+// Assembled pages under the origin's opt-in: a template response carrying
+// an explicit Cache-Control max-age asks the proxy to cache the assembled
+// result like any static asset — filed in the one tier under the static
+// key with fragment dependency edges, so the invalidation fabric can drop
+// it surgically when a composing fragment dies.
 
 import (
 	"bytes"
@@ -71,12 +71,12 @@ func TestAssembledStaticFillServesStatic(t *testing.T) {
 	if state1 == "STATIC" {
 		t.Fatalf("first request X-Cache = %q", state1)
 	}
-	if got := p.Registry().Snapshot()["dpc.static_assembled_fills"]; got != 1 {
-		t.Fatalf("dpc.static_assembled_fills = %d, want 1", got)
-	}
 	body2, state2 := assembledGet(t, ts.URL+"/page", nil)
 	if state2 != "STATIC" {
 		t.Fatalf("second request X-Cache = %q, want STATIC", state2)
+	}
+	if got := p.Registry().Snapshot()["dpc.pagecache_fills"]; got != 1 {
+		t.Fatalf("dpc.pagecache_fills = %d, want 1", got)
 	}
 	if body1 != body2 || body1 != "<html>assembled body</html>" {
 		t.Fatalf("bodies: %q then %q", body1, body2)
@@ -97,7 +97,7 @@ func TestAssembledStaticFragmentInvalidation(t *testing.T) {
 	fake := clock.NewFake(time.Unix(1000, 0))
 	p := newTestProxy(t, origin.URL, func(c *Config) {
 		c.Stream = true
-		c.StaticClock, c.PageClock = fake, fake
+		c.PageClock = fake
 	})
 	ts := httptest.NewServer(p)
 	defer ts.Close()
@@ -108,10 +108,10 @@ func TestAssembledStaticFragmentInvalidation(t *testing.T) {
 		t.Fatalf("warm X-Cache = %q, want STATIC", state)
 	}
 
-	// The same wiring core.ProxySubscribers uses for the static tier.
-	sub := coherency.NewStaticSubscriber(p.Static().Cache, p.DepIndex())
-	sub.KeyPrefix = StaticKeyPrefix
-	dropped := p.Registry().Counter("dpc.static_invalidations")
+	// The same wiring core.ProxySubscribers uses for the tier.
+	sub := coherency.NewPageSubscriber(p.Pages(), p.DepIndex())
+	sub.KeyPrefix = PageKeyPrefix
+	dropped := p.Registry().Counter("dpc.pagecache_invalidations")
 	sub.OnDrop = func(n int) { dropped.Add(int64(n)) }
 
 	sub.Apply(coherency.Event{Seq: 1, Kind: coherency.KindFragment, Key: 1, Gen: 1})
@@ -119,7 +119,7 @@ func TestAssembledStaticFragmentInvalidation(t *testing.T) {
 		t.Fatalf("subscriber dropped %d entries (fallbacks=%d), want surgical 1", sub.Dropped(), sub.Fallbacks())
 	}
 	if dropped.Value() != 1 {
-		t.Fatalf("dpc.static_invalidations = %d, want 1", dropped.Value())
+		t.Fatalf("dpc.pagecache_invalidations = %d, want 1", dropped.Value())
 	}
 	if _, state := assembledGet(t, ts.URL+"/page", nil); state == "STATIC" {
 		t.Fatal("stale assembled entry served after its fragment was invalidated")
@@ -129,8 +129,8 @@ func TestAssembledStaticFragmentInvalidation(t *testing.T) {
 	}
 }
 
-// Without the origin's explicit max-age, assembled pages never enter the
-// static tier; identity-bearing requests never do either; a non-allowlisted
+// Without the origin's explicit max-age, assembled pages are never
+// URL-keyed; identity-bearing requests never are either; a non-allowlisted
 // Vary refuses the opt-in and counts it.
 func TestAssembledStaticRefusals(t *testing.T) {
 	for _, tc := range []struct {
@@ -143,7 +143,7 @@ func TestAssembledStaticRefusals(t *testing.T) {
 		{name: "identity", extra: map[string]string{"Cache-Control": "max-age=60"},
 			reqHdr: map[string]string{"Cookie": "sid=1"}},
 		{name: "vary", extra: map[string]string{"Cache-Control": "max-age=60", "Vary": "X-User"},
-			counter: "dpc.static_uncacheable_vary"},
+			counter: "dpc.pagecache_uncacheable_vary"},
 		{name: "private", extra: map[string]string{"Cache-Control": "private, max-age=60"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -154,26 +154,26 @@ func TestAssembledStaticRefusals(t *testing.T) {
 			defer ts.Close()
 
 			assembledGet(t, ts.URL+"/page", tc.reqHdr)
-			snap := p.Registry().Snapshot()
-			if got := snap["dpc.static_assembled_fills"]; got != 0 {
-				t.Fatalf("dpc.static_assembled_fills = %d, want 0", got)
-			}
 			if _, state := assembledGet(t, ts.URL+"/page", tc.reqHdr); state == "STATIC" {
 				t.Fatal("refused page served STATIC")
 			}
+			snap := p.Registry().Snapshot()
+			if got := snap["dpc.pagecache_fills"]; got != 0 {
+				t.Fatalf("dpc.pagecache_fills = %d, want 0", got)
+			}
 			if tc.counter != "" {
-				if got := snap[tc.counter]; got != 1 {
-					t.Fatalf("%s = %d, want 1", tc.counter, got)
+				if got := snap[tc.counter]; got != 2 {
+					t.Fatalf("%s = %d, want 2 (one per fetch)", tc.counter, got)
 				}
 			}
 		})
 	}
 }
 
-// The opt-in lifts the look-ahead bound: a page larger than the spool is
-// held whole and filed when the origin asked for it, and a page of the
-// same size it did not ask for streams early and is not.
-func TestAssembledStaticLiftsSpoolBound(t *testing.T) {
+// A page longer than the look-ahead spool streams whether or not the
+// origin opted it in — the opt-in no longer holds it whole — and the
+// opted-in one is still filed: the tee sees every byte the spool sends.
+func TestAssembledStaticStreamsAndFills(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		extra map[string]string
@@ -192,21 +192,16 @@ func TestAssembledStaticLiftsSpoolBound(t *testing.T) {
 			ts := httptest.NewServer(p)
 			defer ts.Close()
 
-			resp, err := http.Get(ts.URL + "/page")
-			if err != nil {
-				t.Fatal(err)
-			}
-			body, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if string(body) != "<html>assembled body</html>" {
+			if body, _ := assembledGet(t, ts.URL+"/page", nil); body != "<html>assembled body</html>" {
 				t.Fatalf("body = %q", body)
 			}
-			snap := p.Registry().Snapshot()
-			if fills, streamed := snap["dpc.static_assembled_fills"], snap["dpc.streamed"]; (fills == 1) != tc.filed || (streamed == 1) == tc.filed {
-				t.Fatalf("dpc.static_assembled_fills = %d, dpc.streamed = %d, filed=%v", fills, streamed, tc.filed)
+			body, state := assembledGet(t, ts.URL+"/page", nil)
+			if body != "<html>assembled body</html>" || (state == "STATIC") != tc.filed {
+				t.Fatalf("revisit: X-Cache %q, body %q, filed=%v", state, body, tc.filed)
 			}
-			if _, state := assembledGet(t, ts.URL+"/page", nil); (state == "STATIC") != tc.filed {
-				t.Fatalf("revisit X-Cache = %q, filed=%v", state, tc.filed)
+			snap := p.Registry().Snapshot()
+			if fills := snap["dpc.pagecache_fills"]; (fills == 1) != tc.filed || snap["dpc.streamed"] == 0 {
+				t.Fatalf("dpc.pagecache_fills = %d, dpc.streamed = %d, filed=%v", fills, snap["dpc.streamed"], tc.filed)
 			}
 		})
 	}

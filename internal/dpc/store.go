@@ -5,22 +5,23 @@
 //
 // Requests flow through an explicit stage pipeline (pipeline.go):
 //
-//	admin → static-cache → pagecache → coalesce → origin-fetch →
+//	admin → pagecache → admission → coalesce → origin-fetch →
 //	assemble → stale-fallback → respond
 //
 // crossing three cache tiers. The fragment store (assemble) holds
-// slot-keyed fragments invalidated by the BEM; the static cache
-// (static-cache) holds URL-keyed responses the origin explicitly marked
-// cacheable, with allowlisted Vary headers (Accept-Encoding) folded into
-// the key; the whole-page cache (pagecache) holds complete pages for
-// anonymous-session GETs only, bounded by a micro-TTL. See
-// docs/ARCHITECTURE.md for the full design and docs/METRICS.md for the
-// metric surface (MetricCatalog is its in-code source of truth).
+// slot-keyed fragments invalidated by the BEM; the whole-response tier
+// (pagecache) holds complete responses admitted by one of two rules — the
+// origin's explicit Cache-Control: max-age, with allowlisted Vary headers
+// (Accept-Encoding) folded into the key, or (Config.PageCache) any page
+// served to an anonymous-session GET, bounded by a micro-TTL; the plan
+// cache holds compiled templates. See docs/ARCHITECTURE.md for the full
+// design and docs/METRICS.md for the metric surface (MetricCatalog is its
+// in-code source of truth).
 //
 // Storage ownership after the unified-cache refactor: this package
-// implements no cache storage of its own. All three tiers store through
+// implements no cache storage of its own. Every tier stores through
 // internal/fragstore — the fragment store behind the FragmentStore
-// contract, the static and page tiers as thin wrappers over
+// contract, the whole-response tier as a thin wrapper over
 // fragstore.KeyedStore — so locking, TTL expiry, entry bounds, and
 // byte-budget eviction (one global ledger per store, never per-shard
 // partitions) live in exactly one place.

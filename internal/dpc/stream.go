@@ -16,10 +16,9 @@ import (
 //     staleness detected early (unset slots in any mode, generation
 //     mismatches in strict mode) can still abort to a clean bypass fetch
 //     with nothing committed to the client;
-//   - it is held whole when the configuration asks for whole pages, when
-//     it is the stale-fallback stage's second assembly (a second staleness
-//     must stay a clean error), and when the origin opted the assembled
-//     page into the static tier, which wants all of its bytes anyway;
+//   - it is held whole when the configuration asks for whole pages, and
+//     when it is the stale-fallback stage's second assembly (a second
+//     staleness must stay a clean error);
 //   - a plain body is not held at all: there is no staleness to catch.
 //
 // A page that fits its spool is committed complete, with an exact

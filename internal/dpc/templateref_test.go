@@ -56,7 +56,7 @@ func fetchAssemble(p *Proxy, path string) (*httptest.ResponseRecorder, AssembleS
 		return rec, AssembleStats{}, err
 	}
 	defer rs.resp.Body.Close()
-	st, err := p.assemblePage(rs, rs.resp.Body, rs.resp.ContentLength, wholePage, nil)
+	st, err := p.assemblePage(rs, rs.resp.Body, rs.resp.ContentLength, wholePage)
 	return rec, st, err
 }
 
@@ -344,9 +344,9 @@ func TestTemplateRefProtocol(t *testing.T) {
 				}
 			}
 			snap := p.Registry().Snapshot()
-			if snap["dpc.errors"] != 2 || snap["dpc.template_refs"] != 0 || snap["dpc.pagecache_fills"] != 0 || snap["dpc.static_assembled_fills"] != 0 {
-				t.Fatalf("bare=%v: errors=%d refs=%d page fills=%d static fills=%d, want two errors and nothing cached", bare,
-					snap["dpc.errors"], snap["dpc.template_refs"], snap["dpc.pagecache_fills"], snap["dpc.static_assembled_fills"])
+			if snap["dpc.errors"] != 2 || snap["dpc.template_refs"] != 0 || snap["dpc.pagecache_fills"] != 0 {
+				t.Fatalf("bare=%v: errors=%d refs=%d fills=%d, want two errors and nothing cached", bare,
+					snap["dpc.errors"], snap["dpc.template_refs"], snap["dpc.pagecache_fills"])
 			}
 			if st := p.Plans().Stats(); st.Resident != 0 || st.Hits != 0 {
 				t.Fatalf("plan cache %+v after protocol errors", st)

@@ -144,7 +144,7 @@ func TestTraceFullPipelineCapture(t *testing.T) {
 	if root.Name != "GET /page" {
 		t.Fatalf("root span = %q", root.Name)
 	}
-	for _, stage := range []string{"static-cache", "pagecache", "coalesce", "origin-fetch", "assemble", "respond"} {
+	for _, stage := range []string{"pagecache", "coalesce", "origin-fetch", "assemble", "respond"} {
 		if findChild(root, stage) == nil {
 			t.Errorf("trace lacks a %q stage span (children: %+v)", stage, root.Children)
 		}

@@ -161,8 +161,7 @@ func runSaturationPoint(opts Options, offered float64, shedding bool) ([]string,
 		Seed:        opts.Seed,
 	}
 	shed0 := sys.Registry.Counter("dpc.shed_503s").Value()
-	stale0 := sys.Registry.Counter("dpc.stale_served_page").Value() +
-		sys.Registry.Counter("dpc.stale_served_static").Value()
+	stale0 := sys.Registry.Counter("dpc.stale_served_page").Value()
 	res, err := driver.RunTrace(trace)
 	if err != nil {
 		return nil, err
@@ -174,8 +173,7 @@ func runSaturationPoint(opts Options, offered float64, shedding bool) ([]string,
 	}
 	goodput := float64(res.Requests-res.Errors) / res.Elapsed.Seconds()
 	shedN := sys.Registry.Counter("dpc.shed_503s").Value() - shed0
-	staleN := sys.Registry.Counter("dpc.stale_served_page").Value() +
-		sys.Registry.Counter("dpc.stale_served_static").Value() - stale0
+	staleN := sys.Registry.Counter("dpc.stale_served_page").Value() - stale0
 	return []string{
 		mode, f1(offered), f1(goodput),
 		res.Latency.Quantile(0.99).Round(time.Millisecond).String(),

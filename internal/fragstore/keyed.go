@@ -26,8 +26,7 @@ const maxShards = 1024
 // eviction, a global byte-budget ledger, per-entry TTL expiry and an
 // optional entry-count bound. Every cache tier in the system is a view of
 // it — the sharded and tiered fragment backends through AsFragmentStore,
-// the DPC's static cache, the whole-page cache and the plan cache
-// directly — instead of carrying its own mutex+LRU implementation.
+// the DPC's whole-response tier and the plan cache directly — instead of carrying its own mutex+LRU implementation.
 //
 // Budgets are global, never per-shard: ByteBudget and MaxEntries are
 // enforced on store-wide atomic ledgers, so a skewed key distribution

@@ -11,9 +11,9 @@ import (
 )
 
 // Keyed is the string-keyed store surface shared by *KeyedStore and
-// *TieredKeyed, so cache tiers (pagecache, the static cache) can mount
-// either a RAM-only store or a RAM+disk tiered one without changing
-// their code.
+// *TieredKeyed, so a cache tier (the DPC's whole-response tier) can mount
+// either a RAM-only store or a RAM+disk tiered one without changing its
+// code.
 type Keyed interface {
 	Get(key string) (KeyedEntry, bool)
 	GetKeep(key string) (KeyedEntry, bool)

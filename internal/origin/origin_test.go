@@ -469,8 +469,8 @@ func TestDynamicPagesNeverURLCached(t *testing.T) {
 	if strings.Contains(alicePage, "Hello") {
 		t.Fatalf("dynamic page leaked through URL cache: %q", alicePage)
 	}
-	if proxy.Static().Len() != 0 {
-		t.Fatal("dynamic response entered the static cache")
+	if proxy.Pages().Len() != 0 {
+		t.Fatal("dynamic response entered the URL-keyed tier")
 	}
 }
 
@@ -533,8 +533,8 @@ func TestStatsEndpoints(t *testing.T) {
 	if proxyStats["slots_resident"].(float64) == 0 {
 		t.Fatalf("proxy stats show empty store after a request: %v", proxyStats)
 	}
-	if _, ok := proxyStats["static"]; !ok {
-		t.Fatal("proxy stats missing static cache section")
+	if _, ok := proxyStats["pagecache"]; !ok {
+		t.Fatal("proxy stats missing the whole-response tier's section")
 	}
 }
 

@@ -13,8 +13,8 @@ import (
 // eviction (entry bound, global byte budget) and TTL expiry are owned by
 // the keyed backend, which is an in-RAM KeyedStore by default or the
 // disk-backed TieredKeyed when the caller supplies one. Both consumers
-// share it: the baseline Proxy in this package and the DPC's pagecache
-// pipeline stage.
+// share it: the baseline Proxy in this package and the DPC's
+// whole-response tier (its pagecache pipeline stage).
 type Cache struct {
 	store fragstore.Keyed
 }
@@ -78,14 +78,8 @@ func (c *Cache) GetTagged(key string) (body []byte, contentType, etag string, ok
 	return e.Value, contentType, etag, true
 }
 
-// GetKeep is Get without lazy-expiry removal: an expired page misses but
-// stays resident for a later GetStale (see KeyedStore.GetKeep).
-func (c *Cache) GetKeep(key string) (body []byte, contentType string, ok bool) {
-	body, contentType, _, ok = c.GetTaggedKeep(key)
-	return body, contentType, ok
-}
-
-// GetTaggedKeep is GetTagged without lazy-expiry removal.
+// GetTaggedKeep is GetTagged without lazy-expiry removal: an expired page
+// misses but stays resident for a later GetStale (see KeyedStore.GetKeep).
 func (c *Cache) GetTaggedKeep(key string) (body []byte, contentType, etag string, ok bool) {
 	e, ok := c.store.GetKeep(key)
 	if !ok {

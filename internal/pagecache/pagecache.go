@@ -14,11 +14,13 @@
 //     volatile fragment (a stock price) forces regeneration of all the
 //     stable ones.
 //
-// As a Cache it is the DPC's whole-page tier: the dpc package mounts it
-// as the "pagecache" pipeline stage for *anonymous-session* traffic only
+// As a Cache it is the DPC's whole-response tier: the dpc package mounts
+// it as the "pagecache" pipeline stage, admitting a response under one of
+// two rules — the origin's explicit Cache-Control: max-age opt-in, or
+// (with Config.PageCache) any page served to *anonymous-session* traffic
 // (no Cookie, Authorization, or X-User), where the URL does identify the
-// content and the baseline's correctness flaw cannot occur. Short TTLs
-// bound its staleness — a page cache cannot see fragment invalidations.
+// content and the baseline's correctness flaw cannot occur. TTLs bound its
+// staleness where no invalidation fabric reaches it.
 //
 // Storage is fragstore.KeyedStore in both roles: this package owns no
 // mutexes, LRU lists, or byte accounting. Eviction (entry bound and the

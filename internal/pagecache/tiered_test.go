@@ -68,7 +68,7 @@ func TestTieredPageCache(t *testing.T) {
 	// Delete of a disk-resident page reports true.
 	c.PutTagged("GET /a", pageA, "text/html", "", time.Minute)
 	c.PutTagged("GET /b", pageB, "text/html", "", time.Minute)
-	if _, _, ok := c.GetKeep("GET /a"); !ok {
+	if _, _, _, ok := c.GetTaggedKeep("GET /a"); !ok {
 		t.Fatal("page lost")
 	}
 	if ts.TierStats().Disk.Resident == 0 {
