@@ -61,12 +61,12 @@
 // Tier entries are stamped with a strong ETag; revalidations with a
 // matching If-None-Match are answered 304 with no body. Freshness beyond
 // the TTL comes from the invalidation fabric:
-// -invalidate mounts /_dpc/invalidate, and a hub-side
-// coherency.RemoteSubscriber POSTing the BEM's events there fans each
-// fragment invalidation out to every tier — the slot store drops the
-// fragment, and the whole-response tier consults the in-proxy dependency
-// index (bounded by -depindex-budget) to drop exactly the entries composed
-// from it, falling back to a tier flush when the index evicted the edge. The
+// -invalidate mounts /_dpc/invalidate, where a hub-side
+// coherency.RemoteSubscriber POSTs the BEM's events and the proxy applies
+// each to every tier — a fragment invalidation drops the slot, and the
+// in-proxy dependency index (bounded by -depindex-budget) names exactly
+// the whole-response entries composed from it, falling back to a tier
+// flush when the index evicted the edge. The
 // endpoint is an unauthenticated write surface on the serving listener
 // (a forged event or sequence gap forces conservative tier flushes), so
 // it is off by default: enable it only where the listener is reachable
@@ -124,7 +124,6 @@ import (
 	"time"
 
 	"dpcache/internal/coherency"
-	"dpcache/internal/core"
 	"dpcache/internal/dpc"
 	"dpcache/internal/fragstore"
 	"dpcache/internal/tmpl"
@@ -238,13 +237,10 @@ func main() {
 		log.Fatal(err)
 	}
 	if o.invalidate {
-		// Every cache tier subscribes to the invalidation fabric through
-		// one endpoint: the hub side (a coherency.RemoteSubscriber
-		// pointed at /_dpc/invalidate) POSTs events here, and fragment
-		// drops fan out to the slot store plus — consulting the
-		// dependency index — the whole-response tier.
-		fan := coherency.Fanout(core.ProxySubscribers(proxy, proxy.Registry())...)
-		proxy.HandleAdmin("/_dpc/invalidate", coherency.Handler(fan))
+		// The hub side (a coherency.RemoteSubscriber pointed at
+		// /_dpc/invalidate) POSTs events here; the proxy applies each to
+		// every tier.
+		proxy.HandleAdmin("/_dpc/invalidate", coherency.Handler(proxy))
 	}
 	st := store.Stats()
 	fmt.Printf("dpcd: proxying %s on %s (capacity %d, %s codec, strict=%v, coalesce=%v, spool=%d, pagecache=%v)\n",

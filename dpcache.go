@@ -221,12 +221,6 @@ type (
 	CoherencyHub = coherency.Hub
 	// Edge is a forward-deployed DPC created by System.StartEdge.
 	Edge = core.Edge
-	// StoreSubscriber applies hub invalidations to an edge's fragment
-	// store.
-	StoreSubscriber = coherency.StoreSubscriber
-	// TierSubscriber keeps a proxy's whole-response tier coherent with the
-	// hub via the proxy's dependency index.
-	TierSubscriber = coherency.TierSubscriber
 	// CoherencyEvent is one typed hub event (fragment, purge, or flush).
 	CoherencyEvent = coherency.Event
 )
@@ -234,23 +228,9 @@ type (
 // NewRouter returns an empty edge router.
 func NewRouter() *Router { return routing.NewRouter(nil) }
 
-// NewCoherencyHub wires a hub to a system's monitor.
+// NewCoherencyHub wires a hub to a system's monitor. A *Proxy is itself
+// what Subscribe takes: it applies each event to all of its tiers.
 func NewCoherencyHub(mon *Monitor) *CoherencyHub { return coherency.NewHub(mon) }
-
-// NewStoreSubscriber wraps an edge proxy's store for hub subscription.
-func NewStoreSubscriber(p *Proxy) *StoreSubscriber {
-	return coherency.NewStoreSubscriber(p.Store())
-}
-
-// NewPageSubscriber wraps a proxy's whole-response tier (with its
-// dependency index) for hub subscription, so fragment invalidations drop
-// dependent entries — pages, and assembled pages the origin opted in — the
-// moment they happen, and purges reach every entry for a URI.
-func NewPageSubscriber(p *Proxy) *TierSubscriber {
-	sub := coherency.NewPageSubscriber(p.Pages(), p.DepIndex())
-	sub.KeyPrefix = dpc.PageKeyPrefix
-	return sub
-}
 
 // Analytical model (paper Section 5).
 type (

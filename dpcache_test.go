@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"dpcache"
+	"dpcache/internal/bem"
 	"dpcache/internal/dpc"
 	"dpcache/internal/tmpl"
 )
@@ -162,10 +163,10 @@ func TestFacadeRouterAndHub(t *testing.T) {
 	}
 }
 
-// The facade's page subscriber covers the whole-response tier under both
-// admission rules: an assembled page the origin opted in (Cache-Control:
-// max-age) is dropped by a fragment event delivered through it, with the
-// page rule off and on.
+// A facade proxy subscribed to a hub covers the whole-response tier under
+// both admission rules: an assembled page the origin opted in
+// (Cache-Control: max-age) is dropped by a fragment event broadcast
+// through the hub, with the page rule off and on.
 func TestFacadePageSubscriberDropsOptInPage(t *testing.T) {
 	var buf bytes.Buffer
 	enc := tmpl.Binary{}.NewEncoder(&buf)
@@ -180,6 +181,10 @@ func TestFacadePageSubscriberDropsOptInPage(t *testing.T) {
 	}))
 	defer origin.Close()
 
+	mon, err := bem.New(bem.Config{Capacity: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, pageCache := range []bool{false, true} {
 		p, err := dpc.New(dpcache.ProxyConfig{OriginURL: origin.URL, Capacity: 8, PublishInterval: -1, PageCache: pageCache})
 		if err != nil {
@@ -195,11 +200,9 @@ func TestFacadePageSubscriberDropsOptInPage(t *testing.T) {
 		if state := get(); state != "STATIC" {
 			t.Fatalf("pagecache=%v: revisit X-Cache = %q, want STATIC", pageCache, state)
 		}
-		sub := dpcache.NewPageSubscriber(p)
-		if sub == nil {
-			t.Fatalf("pagecache=%v: no subscriber for the proxy's tier", pageCache)
-		}
-		sub.Apply(dpcache.CoherencyEvent{Seq: 1, Key: 1, Gen: 1}) // the page's fragment dies
+		hub := dpcache.NewCoherencyHub(mon)
+		hub.Subscribe(p)
+		hub.Broadcast("frag", 1, 1) // the page's fragment dies
 		if state := get(); state == "STATIC" {
 			t.Fatalf("pagecache=%v: the opted-in page outlived its fragment", pageCache)
 		}

@@ -40,7 +40,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		hub.Subscribe(dpcache.NewStoreSubscriber(edge.Proxy))
+		hub.Subscribe(edge.Proxy)
 		router.AddProxy(name, edge.URL)
 		fmt.Printf("started %s at %s\n", name, edge.URL)
 	}

@@ -1,25 +1,57 @@
-package coherency
+package coherency_test
 
 import (
 	"net/http/httptest"
+	"sync"
 	"testing"
 
 	"dpcache/internal/bem"
+	"dpcache/internal/coherency"
 	"dpcache/internal/dpc"
 	"dpcache/internal/fragstore"
 )
 
-func newStore(t *testing.T, capacity int) *dpc.Store {
+// newProxy returns a proxy with no origin behind it, for applying events
+// to its tiers directly. A nil store selects the default slot store.
+func newProxy(t *testing.T, store fragstore.FragmentStore, mutate ...func(*dpc.Config)) *dpc.Proxy {
 	t.Helper()
-	s, err := dpc.NewStore(capacity)
+	cfg := dpc.Config{OriginURL: "http://origin.invalid", Capacity: 8, Store: store, PublishInterval: -1}
+	for _, m := range mutate {
+		m(&cfg)
+	}
+	p, err := dpc.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s
+	t.Cleanup(func() { _ = p.Close() })
+	return p
 }
 
-// storeBackends enumerates every fragment-store backend the subscriber
-// must keep coherent.
+// counter reads one of the proxy's dpc.* counters.
+func counter(p *dpc.Proxy, name string) int64 { return p.Registry().Counter(name).Value() }
+
+// recorder is a subscriber that keeps every event it is delivered and
+// acknowledges the last.
+type recorder struct {
+	mu  sync.Mutex
+	evs []coherency.Event
+}
+
+func (r *recorder) Apply(ev coherency.Event) uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.evs = append(r.evs, ev)
+	return ev.Seq
+}
+
+func (r *recorder) events() []coherency.Event {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]coherency.Event(nil), r.evs...)
+}
+
+// storeBackends enumerates every fragment-store backend the fabric must
+// keep coherent.
 func storeBackends(t *testing.T, capacity int) map[string]fragstore.FragmentStore {
 	t.Helper()
 	slot, err := fragstore.NewSlotStore(capacity)
@@ -35,27 +67,27 @@ func storeBackends(t *testing.T, capacity int) map[string]fragstore.FragmentStor
 
 func TestBroadcastDropsSlotOnAllSubscribers(t *testing.T) {
 	mon, _ := bem.New(bem.Config{Capacity: 8})
-	hub := NewHub(mon)
-	s1, s2 := newStore(t, 8), newStore(t, 8)
-	_ = s1.Set(3, 1, []byte("frag"))
-	_ = s2.Set(3, 1, []byte("frag"))
-	hub.Subscribe(NewStoreSubscriber(s1))
-	hub.Subscribe(NewStoreSubscriber(s2))
+	hub := coherency.NewHub(mon)
+	p1, p2 := newProxy(t, nil), newProxy(t, nil)
+	_ = p1.Store().Set(3, 1, []byte("frag"))
+	_ = p2.Store().Set(3, 1, []byte("frag"))
+	hub.Subscribe(p1)
+	hub.Subscribe(p2)
 
 	// Drive a real BEM invalidation: lookup then invalidate.
 	d, _ := mon.Lookup("f", 0)
 	mon.Invalidate("f")
-	if _, ok := s1.Get(d.Key, d.Gen, false); ok {
+	if _, ok := p1.Store().Get(d.Key, d.Gen, false); ok {
 		t.Fatal("subscriber 1 still holds dropped slot")
 	}
-	if _, ok := s2.Get(d.Key, d.Gen, false); ok {
+	if _, ok := p2.Store().Get(d.Key, d.Gen, false); ok {
 		t.Fatal("subscriber 2 still holds dropped slot")
 	}
 }
 
 func TestSequenceNumbersMonotonic(t *testing.T) {
 	mon, _ := bem.New(bem.Config{Capacity: 4})
-	hub := NewHub(mon)
+	hub := coherency.NewHub(mon)
 	e1 := hub.Broadcast("a", 0, 1)
 	e2 := hub.Broadcast("b", 1, 2)
 	if e2.Seq != e1.Seq+1 {
@@ -68,9 +100,8 @@ func TestSequenceNumbersMonotonic(t *testing.T) {
 
 func TestAckedThrough(t *testing.T) {
 	mon, _ := bem.New(bem.Config{Capacity: 4})
-	hub := NewHub(mon)
-	s1 := NewStoreSubscriber(newStore(t, 4))
-	hub.Subscribe(s1)
+	hub := coherency.NewHub(mon)
+	hub.Subscribe(&recorder{})
 	hub.Broadcast("a", 0, 1)
 	hub.Broadcast("b", 1, 2)
 	if got := hub.AckedThrough(); got != 2 {
@@ -84,18 +115,18 @@ func TestGapForcesFlush(t *testing.T) {
 			for k := uint32(0); k < 4; k++ {
 				_ = store.Set(k, 1, []byte("x"))
 			}
-			sub := NewStoreSubscriber(store)
-			sub.Apply(Event{Seq: 1, Key: 0})
+			p := newProxy(t, store)
+			p.Apply(coherency.Event{Seq: 1, Key: 0})
 			if store.Resident() != 3 {
 				t.Fatalf("resident = %d after seq 1", store.Resident())
 			}
 			// Seq 3 arrives, 2 was lost: everything must flush.
-			sub.Apply(Event{Seq: 3, Key: 1})
+			p.Apply(coherency.Event{Seq: 3, Key: 1})
 			if store.Resident() != 0 {
 				t.Fatalf("resident = %d after gap, want 0", store.Resident())
 			}
-			if sub.Flushes() != 1 {
-				t.Fatalf("flushes = %d", sub.Flushes())
+			if n := counter(p, "dpc.pagecache_gap_flushes"); n != 1 {
+				t.Fatalf("gap flushes = %d", n)
 			}
 		})
 	}
@@ -104,12 +135,12 @@ func TestGapForcesFlush(t *testing.T) {
 // lossySubscriber forwards hub events to an inner subscriber except the
 // sequence numbers listed in drop — a lossy delivery channel.
 type lossySubscriber struct {
-	inner Subscriber
+	inner coherency.Subscriber
 	drop  map[uint64]bool
 	acked uint64
 }
 
-func (l *lossySubscriber) Apply(ev Event) uint64 {
+func (l *lossySubscriber) Apply(ev coherency.Event) uint64 {
 	if l.drop[ev.Seq] {
 		return l.acked
 	}
@@ -117,10 +148,10 @@ func (l *lossySubscriber) Apply(ev Event) uint64 {
 	return l.acked
 }
 
-// TestHubGapFlushEndToEnd drives the full hub → subscriber path over a
-// lossy channel for both store backends: a dropped broadcast must surface
-// as a sequence gap at the store subscriber and flush every resident
-// fragment, after which the store keeps working.
+// TestHubGapFlushEndToEnd drives the full hub → proxy path over a lossy
+// channel for both store backends: a dropped broadcast must surface as a
+// sequence gap at the proxy and flush every resident fragment, after
+// which the store keeps working.
 func TestHubGapFlushEndToEnd(t *testing.T) {
 	for name, store := range storeBackends(t, 8) {
 		t.Run(name, func(t *testing.T) {
@@ -128,9 +159,9 @@ func TestHubGapFlushEndToEnd(t *testing.T) {
 				_ = store.Set(k, 1, []byte("frag"))
 			}
 			mon, _ := bem.New(bem.Config{Capacity: 8})
-			hub := NewHub(mon)
-			sub := NewStoreSubscriber(store)
-			hub.Subscribe(&lossySubscriber{inner: sub, drop: map[uint64]bool{2: true}})
+			hub := coherency.NewHub(mon)
+			p := newProxy(t, store)
+			hub.Subscribe(&lossySubscriber{inner: p, drop: map[uint64]bool{2: true}})
 
 			hub.Broadcast("a", 0, 1) // seq 1: applied, drops key 0
 			if got := store.Resident(); got != 7 {
@@ -144,95 +175,77 @@ func TestHubGapFlushEndToEnd(t *testing.T) {
 			if got := store.Resident(); got != 0 {
 				t.Fatalf("resident = %d after gap, want 0 (full flush)", got)
 			}
-			if sub.Flushes() != 1 {
-				t.Fatalf("flushes = %d, want 1", sub.Flushes())
+			if n := counter(p, "dpc.pagecache_gap_flushes"); n != 1 {
+				t.Fatalf("gap flushes = %d, want 1", n)
 			}
-			// The subscriber is caught up: in-order events keep applying
+			// The proxy is caught up: in-order events keep applying
 			// without another flush.
 			_ = store.Set(5, 2, []byte("fresh"))
 			hub.Broadcast("d", 5, 2) // seq 4
 			if _, ok := store.Get(5, 2, false); ok {
 				t.Fatal("post-flush invalidation not applied")
 			}
-			if sub.Flushes() != 1 {
-				t.Fatalf("flushes = %d after in-order resume, want 1", sub.Flushes())
+			if n := counter(p, "dpc.pagecache_flushes"); n != 1 {
+				t.Fatalf("flushes = %d after in-order resume, want 1", n)
 			}
 		})
 	}
 }
 
 func TestDuplicateAndStaleEventsIdempotent(t *testing.T) {
-	store := newStore(t, 4)
-	sub := NewStoreSubscriber(store)
-	sub.Apply(Event{Seq: 1, Key: 0})
-	sub.Apply(Event{Seq: 2, Key: 1})
-	before := sub.Applied()
-	sub.Apply(Event{Seq: 2, Key: 1}) // duplicate
-	sub.Apply(Event{Seq: 1, Key: 0}) // stale
-	if sub.Applied() != before {
+	p := newProxy(t, nil)
+	p.Apply(coherency.Event{Seq: 1, Key: 0})
+	p.Apply(coherency.Event{Seq: 2, Key: 1})
+	_ = p.Store().Set(0, 1, []byte("refilled"))
+	_ = p.Store().Set(1, 1, []byte("refilled"))
+	for _, ev := range []coherency.Event{{Seq: 2, Key: 1}, {Seq: 1, Key: 0}} { // duplicate, stale
+		if acked := p.Apply(ev); acked != 2 {
+			t.Fatalf("seq %d acked %d, want 2", ev.Seq, acked)
+		}
+	}
+	if p.Store().Resident() != 2 {
 		t.Fatal("duplicate/stale events were applied")
 	}
-	if sub.Flushes() != 0 {
+	if n := counter(p, "dpc.pagecache_flushes"); n != 0 {
 		t.Fatal("duplicates treated as gaps")
 	}
 }
 
+// A proxy subscribed mid-stream meets the hub at its current sequence:
+// its first event is not a gap.
 func TestSeedSeqSuppressesInitialGap(t *testing.T) {
-	store := newStore(t, 4)
-	sub := NewStoreSubscriber(store)
-	sub.SeedSeq(41)
-	sub.Apply(Event{Seq: 42, Key: 0})
-	if sub.Flushes() != 0 {
-		t.Fatal("seeded subscriber flushed on first event")
+	mon, _ := bem.New(bem.Config{Capacity: 8})
+	hub := coherency.NewHub(mon)
+	for i := uint32(0); i < 6; i++ {
+		hub.Broadcast("before", i, 1)
 	}
-}
-
-func TestEventsLog(t *testing.T) {
-	mon, _ := bem.New(bem.Config{Capacity: 4})
-	hub := NewHub(mon)
-	hub.Broadcast("a", 0, 1)
-	hub.Broadcast("b", 1, 2)
-	hub.Broadcast("c", 2, 3)
-	evs, ok := hub.Events(1)
-	if !ok || len(evs) != 2 || evs[0].Seq != 2 {
-		t.Fatalf("Events(1) = %v, %v", evs, ok)
+	p := newProxy(t, nil)
+	_ = p.Store().Set(2, 1, []byte("frag"))
+	hub.Subscribe(p)
+	if ev := hub.Broadcast("first", 0, 1); ev.Seq != 7 {
+		t.Fatalf("first event seq = %d, want 7", ev.Seq)
 	}
-	all, ok := hub.Events(0)
-	if !ok || len(all) != 3 {
-		t.Fatalf("Events(0) = %v, %v", all, ok)
+	if n := counter(p, "dpc.pagecache_flushes"); n != 0 || p.Store().Resident() != 1 {
+		t.Fatalf("proxy subscribed mid-stream flushed on its first event (flushes %d)", n)
 	}
-}
-
-func TestEventsLogTrimReportsTooOld(t *testing.T) {
-	mon, _ := bem.New(bem.Config{Capacity: 4})
-	hub := NewHub(mon)
-	hub.MaxLog = 2
-	for i := 0; i < 5; i++ {
-		hub.Broadcast("x", uint32(i%4), uint32(i))
-	}
-	if _, ok := hub.Events(0); ok {
-		t.Fatal("trimmed log claimed to reach back to 0")
-	}
-	evs, ok := hub.Events(3)
-	if !ok || len(evs) != 2 {
-		t.Fatalf("Events(3) = %v, %v", evs, ok)
+	if hub.AckedThrough() != 7 {
+		t.Fatalf("AckedThrough = %d, want 7", hub.AckedThrough())
 	}
 }
 
 func TestHTTPBridgeDeliversAndAcks(t *testing.T) {
-	store := newStore(t, 8)
-	_ = store.Set(5, 9, []byte("stale"))
-	edgeSub := NewStoreSubscriber(store)
-	edge := httptest.NewServer(Handler(edgeSub))
+	p := newProxy(t, nil)
+	_ = p.Store().Set(5, 9, []byte("stale"))
+	edge := httptest.NewServer(coherency.Handler(p))
 	defer edge.Close()
 
 	mon, _ := bem.New(bem.Config{Capacity: 8})
-	hub := NewHub(mon)
-	remote := &RemoteSubscriber{URL: edge.URL}
+	hub := coherency.NewHub(mon)
+	remote := &coherency.RemoteSubscriber{URL: edge.URL}
 	hub.Subscribe(remote)
 
 	hub.Broadcast("f", 5, 9)
-	if _, ok := store.Get(5, 9, false); ok {
+	if _, ok := p.Store().Get(5, 9, false); ok {
 		t.Fatal("edge store still holds invalidated slot")
 	}
 	if hub.AckedThrough() != 1 {
@@ -242,8 +255,8 @@ func TestHTTPBridgeDeliversAndAcks(t *testing.T) {
 
 func TestHTTPBridgeToleratesDeadEdge(t *testing.T) {
 	mon, _ := bem.New(bem.Config{Capacity: 8})
-	hub := NewHub(mon)
-	remote := &RemoteSubscriber{URL: "http://127.0.0.1:1/invalidate"}
+	hub := coherency.NewHub(mon)
+	remote := &coherency.RemoteSubscriber{URL: "http://127.0.0.1:1/invalidate"}
 	hub.Subscribe(remote)
 	hub.Broadcast("f", 0, 1) // must not panic or block
 	if remote.Errors() != 1 {
@@ -252,7 +265,7 @@ func TestHTTPBridgeToleratesDeadEdge(t *testing.T) {
 }
 
 func TestHandlerRejectsBadRequests(t *testing.T) {
-	edge := httptest.NewServer(Handler(NewStoreSubscriber(newStore(t, 2))))
+	edge := httptest.NewServer(coherency.Handler(&recorder{}))
 	defer edge.Close()
 	resp, err := edge.Client().Get(edge.URL)
 	if err != nil {

@@ -1,4 +1,4 @@
-package coherency
+package coherency_test
 
 import (
 	"fmt"
@@ -11,25 +11,16 @@ import (
 	"time"
 
 	"dpcache/internal/bem"
+	"dpcache/internal/coherency"
 	"dpcache/internal/depindex"
-	"dpcache/internal/fragstore"
-	"dpcache/internal/pagecache"
+	"dpcache/internal/dpc"
 )
 
-func newTier(t *testing.T) *pagecache.Cache {
-	t.Helper()
-	c, err := pagecache.NewCache(fragstore.KeyedConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
-
-// A fragment invalidation must drop exactly the keyed entries the
+// A fragment invalidation must drop exactly the whole-response entries the
 // dependency index recorded as composed from it — nothing more.
 func TestTierSubscriberDropsDependents(t *testing.T) {
-	tier := newTier(t)
-	ix := depindex.New(depindex.Config{})
+	p := newProxy(t, nil)
+	tier, ix := p.Pages(), p.DepIndex()
 	tier.Put("pageA", []byte("a"), "", time.Minute)
 	tier.Put("pageB", []byte("b"), "", time.Minute)
 	tier.Put("pageC", []byte("c"), "", time.Minute)
@@ -37,10 +28,9 @@ func TestTierSubscriberDropsDependents(t *testing.T) {
 	ix.File([]depindex.ID{depindex.MakeID(5, 9)}, "pageB", time.Minute)
 	ix.File([]depindex.ID{depindex.MakeID(6, 1)}, "pageC", time.Minute)
 
-	sub := NewPageSubscriber(tier, ix)
 	mon, _ := bem.New(bem.Config{Capacity: 8})
-	hub := NewHub(mon)
-	hub.Subscribe(sub)
+	hub := coherency.NewHub(mon)
+	hub.Subscribe(p)
 
 	hub.Broadcast("frag", 5, 9)
 	if _, _, ok := tier.Get("pageA"); ok {
@@ -52,8 +42,9 @@ func TestTierSubscriberDropsDependents(t *testing.T) {
 	if _, _, ok := tier.Get("pageC"); !ok {
 		t.Fatal("pageC dropped though its fragment is alive")
 	}
-	if sub.Dropped() != 2 || sub.Flushes() != 0 {
-		t.Fatalf("dropped=%d flushes=%d, want 2/0", sub.Dropped(), sub.Flushes())
+	dropped, flushes := counter(p, "dpc.pagecache_invalidations"), counter(p, "dpc.pagecache_flushes")
+	if dropped != 2 || flushes != 0 {
+		t.Fatalf("dropped=%d flushes=%d, want 2/0", dropped, flushes)
 	}
 	// The invalidated ref is tombstoned for in-flight fills.
 	if !ix.AnyInvalid([]depindex.ID{depindex.MakeID(5, 9)}) {
@@ -61,18 +52,18 @@ func TestTierSubscriberDropsDependents(t *testing.T) {
 	}
 	// A fragment with no recorded dependents is a surgical no-op.
 	hub.Broadcast("other", 7, 1)
-	if tier.Len() != 1 || sub.Flushes() != 0 {
-		t.Fatalf("no-dependent event disturbed the tier: len=%d flushes=%d", tier.Len(), sub.Flushes())
+	if flushes := counter(p, "dpc.pagecache_flushes"); tier.Len() != 1 || flushes != 0 {
+		t.Fatalf("no-dependent event disturbed the tier: len=%d flushes=%d", tier.Len(), flushes)
 	}
 }
 
-// When the index evicted the edge under byte pressure, the subscriber
-// cannot know which pages held the fragment — it must flush the tier
-// (the documented fallback) rather than risk serving stale bytes.
+// When the index evicted the edge under byte pressure, the proxy cannot
+// know which pages held the fragment — it must flush the tier (the
+// documented fallback) rather than risk serving stale bytes.
 func TestTierSubscriberEvictionFallbackFlushes(t *testing.T) {
-	tier := newTier(t)
 	// A budget small enough that recording evicts earlier fragments.
-	ix := depindex.New(depindex.Config{Shards: 1, ByteBudget: 256})
+	p := newProxy(t, nil, func(c *dpc.Config) { c.DepIndexBudget = 256 })
+	tier, ix := p.Pages(), p.DepIndex()
 	tier.Put("victim-page", []byte("stale bytes"), "", time.Minute)
 	ix.File([]depindex.ID{depindex.MakeID(1, 1)}, "victim-page", time.Minute)
 	for i := uint32(2); i < 40; i++ {
@@ -82,20 +73,17 @@ func TestTierSubscriberEvictionFallbackFlushes(t *testing.T) {
 		t.Fatal("test setup: no evictions occurred")
 	}
 
-	sub := NewPageSubscriber(tier, ix)
-	var causes []string
-	sub.OnFlush = func(cause string) { causes = append(causes, cause) }
-	sub.Apply(Event{Seq: 1, Kind: KindFragment, Key: 1, Gen: 1})
+	p.Apply(coherency.Event{Seq: 1, Kind: coherency.KindFragment, Key: 1, Gen: 1})
 	if _, _, ok := tier.Get("victim-page"); ok {
 		t.Fatal("evicted-edge invalidation left the dependent page resident")
 	}
-	if sub.Fallbacks() != 1 || sub.Flushes() != 1 {
-		t.Fatalf("fallbacks=%d flushes=%d, want 1/1", sub.Fallbacks(), sub.Flushes())
+	fallbacks, flushes := counter(p, "dpc.pagecache_fallback_flushes"), counter(p, "dpc.pagecache_flushes")
+	if fallbacks != 1 || flushes != 1 {
+		t.Fatalf("fallbacks=%d flushes=%d, want 1/1", fallbacks, flushes)
 	}
-	// The flush is observable and explained, to the wiring layer and to
-	// the fills it refused.
-	if len(causes) != 1 || causes[0] != FlushFallback || ix.BumpCause() != FlushFallback {
-		t.Fatalf("OnFlush saw %v, index says %q, want one %q", causes, ix.BumpCause(), FlushFallback)
+	// The flush is explained to the fills it refused.
+	if ix.BumpCause() != dpc.FlushFallback {
+		t.Fatalf("index says %q, want %q", ix.BumpCause(), dpc.FlushFallback)
 	}
 }
 
@@ -103,8 +91,8 @@ func TestTierSubscriberEvictionFallbackFlushes(t *testing.T) {
 // the index once — one tombstone, one lookup — and drops the page and the
 // opted-in assembled page built from the dead fragment together.
 func TestTierSubscribersShareOneIndex(t *testing.T) {
-	tier := newTier(t)
-	ix := depindex.New(depindex.Config{})
+	p := newProxy(t, nil)
+	tier, ix := p.Pages(), p.DepIndex()
 	ref := []depindex.ID{depindex.MakeID(5, 9)}
 	tier.Put("/p\x00GET\x00", []byte("p"), "", time.Minute)
 	tier.Put("/opt\x00", []byte("s"), "", time.Minute)
@@ -112,13 +100,13 @@ func TestTierSubscribersShareOneIndex(t *testing.T) {
 	ix.File(ref, "/p\x00GET\x00", time.Minute)
 	ix.File(ref, "/opt\x00", time.Minute)
 
-	sub := NewPageSubscriber(tier, ix)
-	sub.Apply(Event{Seq: 1, Kind: KindFragment, Key: 5, Gen: 9})
+	p.Apply(coherency.Event{Seq: 1, Kind: coherency.KindFragment, Key: 5, Gen: 9})
 	if tier.Len() != 1 {
 		t.Fatalf("after one event: %d entries resident, want the unrelated asset only", tier.Len())
 	}
-	if sub.Flushes() != 0 || sub.Dropped() != 2 {
-		t.Fatalf("flushes = %d, dropped = %d, want 2 surgical drops", sub.Flushes(), sub.Dropped())
+	dropped, flushes := counter(p, "dpc.pagecache_invalidations"), counter(p, "dpc.pagecache_flushes")
+	if flushes != 0 || dropped != 2 {
+		t.Fatalf("flushes = %d, dropped = %d, want 2 surgical drops", flushes, dropped)
 	}
 	if n := ix.Stats().Lookups; n != 1 {
 		t.Fatalf("index lookups = %d for one event, want 1", n)
@@ -131,9 +119,8 @@ func TestTierSubscribersShareOneIndex(t *testing.T) {
 // page in the tier built from that generation.
 func TestConcurrentFillsAndInvalidations(t *testing.T) {
 	const pages, writes, fillers = 16, 400, 4
-	tier := newTier(t)
-	ix := depindex.New(depindex.Config{})
-	sub := NewPageSubscriber(tier, ix)
+	p := newProxy(t, nil)
+	tier, ix := p.Pages(), p.DepIndex()
 	pageKey := func(p uint32) string { return fmt.Sprintf("page-%d", p) }
 	// live[p] is the generation of page p's one fragment.
 	var live [pages]atomic.Uint32
@@ -164,70 +151,70 @@ func TestConcurrentFillsAndInvalidations(t *testing.T) {
 		}(f)
 	}
 	for seq := uint64(1); seq <= writes; seq++ {
-		p := uint32(seq % pages)
-		dead := live[p].Add(1) - 1
-		sub.Apply(Event{Seq: seq, Kind: KindFragment, Key: p, Gen: dead})
+		pg := uint32(seq % pages)
+		dead := live[pg].Add(1) - 1
+		p.Apply(coherency.Event{Seq: seq, Kind: coherency.KindFragment, Key: pg, Gen: dead})
 	}
 	close(stop)
 	wg.Wait()
-	for p := uint32(0); p < pages; p++ {
-		body, _, ok := tier.Get(pageKey(p))
-		if want := strconv.Itoa(int(live[p].Load())); ok && string(body) != want {
-			t.Errorf("page %d is resident built from generation %s, the live one is %s", p, body, want)
+	for pg := uint32(0); pg < pages; pg++ {
+		body, _, ok := tier.Get(pageKey(pg))
+		if want := strconv.Itoa(int(live[pg].Load())); ok && string(body) != want {
+			t.Errorf("page %d is resident built from generation %s, the live one is %s", pg, body, want)
 		}
 	}
-	if sub.Flushes() != 0 {
-		t.Errorf("%d tier flushes: the index answered inexactly", sub.Flushes())
+	if n := counter(p, "dpc.pagecache_flushes"); n != 0 {
+		t.Errorf("%d tier flushes: the index answered inexactly", n)
 	}
 }
 
 // A sequence gap (lost event) must flush the tier and bump the index
 // epoch so in-flight fills discard too.
 func TestTierSubscriberGapFlushes(t *testing.T) {
-	tier := newTier(t)
-	ix := depindex.New(depindex.Config{})
+	p := newProxy(t, nil)
+	tier, ix := p.Pages(), p.DepIndex()
 	tier.Put("p", []byte("x"), "", time.Minute)
-	sub := NewPageSubscriber(tier, ix)
 	e0 := ix.Epoch()
 
-	sub.Apply(Event{Seq: 1, Kind: KindFragment, Key: 0, Gen: 1})
-	sub.Apply(Event{Seq: 3, Kind: KindFragment, Key: 1, Gen: 1}) // 2 lost
+	p.Apply(coherency.Event{Seq: 1, Kind: coherency.KindFragment, Key: 0, Gen: 1})
+	p.Apply(coherency.Event{Seq: 3, Kind: coherency.KindFragment, Key: 1, Gen: 1}) // 2 lost
 	if tier.Len() != 0 {
 		t.Fatal("gap did not flush the tier")
 	}
-	if sub.Flushes() != 1 {
-		t.Fatalf("flushes = %d", sub.Flushes())
+	if n := counter(p, "dpc.pagecache_flushes"); n != 1 {
+		t.Fatalf("flushes = %d", n)
 	}
-	if ix.Epoch() == e0 || ix.BumpCause() != FlushGap {
+	if ix.Epoch() == e0 || ix.BumpCause() != dpc.FlushGap {
 		t.Fatalf("gap flush: epoch %d → %d, cause %q", e0, ix.Epoch(), ix.BumpCause())
 	}
 	// Duplicates after the gap are idempotent.
-	before := sub.Applied()
-	sub.Apply(Event{Seq: 3, Kind: KindFragment, Key: 1, Gen: 1})
-	if sub.Applied() != before {
+	_ = p.Store().Set(1, 2, []byte("refilled"))
+	if acked := p.Apply(coherency.Event{Seq: 3, Kind: coherency.KindFragment, Key: 1, Gen: 1}); acked != 3 {
+		t.Fatalf("duplicate acked %d, want 3", acked)
+	}
+	if p.Store().Resident() != 1 {
 		t.Fatal("duplicate event applied twice")
 	}
 }
 
 // A purge event drops every variant of one URI — and only that URI —
-// using the tier's key-prefix schema supplied by the wiring layer.
+// by the tier's key prefix (dpc.PageKeyPrefix).
 func TestTierSubscriberPurgeDropsVariants(t *testing.T) {
-	tier := newTier(t)
-	tier.Put("GET\x00/a\x00fr", []byte("x"), "", time.Minute)
-	tier.Put("GET\x00/a\x00en", []byte("x"), "", time.Minute)
-	tier.Put("GET\x00/ab\x00", []byte("x"), "", time.Minute)
-	sub := NewPageSubscriber(tier, nil)
-	sub.KeyPrefix = func(uri string) string { return "GET\x00" + uri + "\x00" }
+	p := newProxy(t, nil)
+	tier := p.Pages()
+	tier.Put("/a\x00GET\x00fr", []byte("x"), "", time.Minute)
+	tier.Put("/a\x00GET\x00en", []byte("x"), "", time.Minute)
+	tier.Put("/ab\x00GET\x00", []byte("x"), "", time.Minute)
 
-	sub.Apply(Event{Seq: 1, Kind: KindPurge, URI: "/a"})
+	p.Apply(coherency.Event{Seq: 1, Kind: coherency.KindPurge, URI: "/a"})
 	if tier.Len() != 1 {
 		t.Fatalf("purge left %d entries, want 1 (/ab must survive)", tier.Len())
 	}
-	if _, _, ok := tier.Get("GET\x00/ab\x00"); !ok {
+	if _, _, ok := tier.Get("/ab\x00GET\x00"); !ok {
 		t.Fatal("purge of /a dropped /ab")
 	}
-	if sub.Dropped() != 2 {
-		t.Fatalf("dropped = %d, want 2", sub.Dropped())
+	if n := counter(p, "dpc.pagecache_invalidations"); n != 2 {
+		t.Fatalf("dropped = %d, want 2", n)
 	}
 }
 
@@ -235,73 +222,81 @@ func TestTierSubscriberPurgeDropsVariants(t *testing.T) {
 // whole-response tier, "" names every tier, and another tier's scope
 // leaves it alone.
 func TestTierSubscriberFlushScope(t *testing.T) {
-	tier := newTier(t)
-	sub := NewPageSubscriber(tier, nil)
+	p := newProxy(t, nil)
+	tier := p.Pages()
 	for seq, scope := range []string{"static", "page", ""} {
 		tier.Put("p", []byte("x"), "", time.Minute)
-		sub.Apply(Event{Seq: uint64(2*seq + 1), Kind: KindFlush, Scope: "plan"})
+		p.Apply(coherency.Event{Seq: uint64(3*seq + 1), Kind: coherency.KindFlush, Scope: "plan"})
+		p.Apply(coherency.Event{Seq: uint64(3*seq + 2), Kind: coherency.KindFlush, Scope: "store"})
 		if tier.Len() != 1 {
-			t.Fatal("plan-scoped flush emptied the whole-response tier")
+			t.Fatal("another tier's flush emptied the whole-response tier")
 		}
-		sub.Apply(Event{Seq: uint64(2*seq + 2), Kind: KindFlush, Scope: scope})
+		p.Apply(coherency.Event{Seq: uint64(3*seq + 3), Kind: coherency.KindFlush, Scope: scope})
 		if tier.Len() != 0 {
 			t.Fatalf("%q-scoped flush did not empty the whole-response tier", scope)
 		}
 	}
+	if n := counter(p, "dpc.pagecache_event_flushes"); n != 3 {
+		t.Fatalf("event flushes = %d, want 3", n)
+	}
 }
 
-// The tier's subscriber treats fragment events with an authoritative
-// empty dependent set as no-ops — a plain asset the origin opted in is
-// never assembled from fragments, and flushing the tier per invalidation
-// would defeat the opt-in entirely.
+// Fragment events with an authoritative empty dependent set are no-ops
+// for the tier — a plain asset the origin opted in is never assembled
+// from fragments, and flushing the tier per invalidation would defeat the
+// opt-in entirely.
 func TestStaticSubscriberFragmentNoop(t *testing.T) {
-	tier := newTier(t)
-	ix := depindex.New(depindex.Config{})
+	p := newProxy(t, nil)
+	tier := p.Pages()
 	tier.Put("/asset.css\x00", []byte("body"), "", time.Minute)
-	sub := NewPageSubscriber(tier, ix)
-	sub.Apply(Event{Seq: 1, Kind: KindFragment, Key: 3, Gen: 7})
-	if tier.Len() != 1 || sub.Flushes() != 0 {
-		t.Fatalf("fragment event disturbed an opted-in asset: len=%d flushes=%d", tier.Len(), sub.Flushes())
+	p.Apply(coherency.Event{Seq: 1, Kind: coherency.KindFragment, Key: 3, Gen: 7})
+	if flushes := counter(p, "dpc.pagecache_flushes"); tier.Len() != 1 || flushes != 0 {
+		t.Fatalf("fragment event disturbed an opted-in asset: len=%d flushes=%d", tier.Len(), flushes)
 	}
 }
 
 // Fanout must deliver to every member and ack the minimum, so the hub's
-// gap semantics hold for the slowest tier behind one endpoint.
+// gap semantics hold for the slowest member behind one endpoint.
 func TestFanoutAcksMinimum(t *testing.T) {
-	fast := NewStoreSubscriber(newStore(t, 4))
-	slow := &lossySubscriber{inner: NewStoreSubscriber(newStore(t, 4)), drop: map[uint64]bool{2: true}}
-	f := Fanout(fast, slow)
-	if got := f.Apply(Event{Seq: 1, Kind: KindFragment, Key: 0}); got != 1 {
+	fast := &recorder{}
+	slow := &lossySubscriber{inner: &recorder{}, drop: map[uint64]bool{2: true}}
+	f := coherency.Fanout(fast, slow)
+	if got := f.Apply(coherency.Event{Seq: 1, Kind: coherency.KindFragment, Key: 0}); got != 1 {
 		t.Fatalf("ack = %d, want 1", got)
 	}
-	if got := f.Apply(Event{Seq: 2, Kind: KindFragment, Key: 1}); got != 1 {
+	if got := f.Apply(coherency.Event{Seq: 2, Kind: coherency.KindFragment, Key: 1}); got != 1 {
 		t.Fatalf("ack = %d after a lossy member, want 1 (min)", got)
+	}
+	if n := len(fast.events()); n != 2 {
+		t.Fatalf("fast member saw %d events, want 2", n)
 	}
 }
 
-// A store subscriber must advance its cursor over keyed-tier events
-// (purge) without treating them as gaps or dropping slots.
+// The fragment store advances with the proxy's cursor over events meant
+// for other tiers (a purge, a page-scoped flush) without treating them as
+// gaps or dropping slots; an unscoped flush empties it.
 func TestStoreSubscriberSkipsKeyedEvents(t *testing.T) {
-	store := newStore(t, 4)
+	p := newProxy(t, nil)
+	store := p.Store()
 	_ = store.Set(2, 1, []byte("frag"))
-	sub := NewStoreSubscriber(store)
-	sub.Apply(Event{Seq: 1, Kind: KindPurge, URI: "/x"})
+	p.Apply(coherency.Event{Seq: 1, Kind: coherency.KindPurge, URI: "/x"})
 	if store.Resident() != 1 {
 		t.Fatal("purge event touched the fragment store")
 	}
-	sub.Apply(Event{Seq: 2, Kind: KindFragment, Key: 2, Gen: 1})
+	p.Apply(coherency.Event{Seq: 2, Kind: coherency.KindFragment, Key: 2, Gen: 1})
 	if store.Resident() != 0 {
 		t.Fatal("in-order fragment event after purge not applied")
 	}
-	if sub.Flushes() != 0 {
+	if n := counter(p, "dpc.pagecache_gap_flushes"); n != 0 {
 		t.Fatal("purge event mistaken for a gap")
 	}
-	sub.Apply(Event{Seq: 3, Kind: KindFlush, Scope: "page"})
-	if sub.Flushes() != 0 {
+	_ = store.Set(2, 2, []byte("frag"))
+	p.Apply(coherency.Event{Seq: 3, Kind: coherency.KindFlush, Scope: "page"})
+	if store.Resident() != 1 {
 		t.Fatal("page-scoped flush applied to the fragment store")
 	}
-	sub.Apply(Event{Seq: 4, Kind: KindFlush})
-	if sub.Flushes() != 1 {
+	p.Apply(coherency.Event{Seq: 4, Kind: coherency.KindFlush})
+	if store.Resident() != 0 {
 		t.Fatal("unscoped flush did not drop the store")
 	}
 }
@@ -309,19 +304,15 @@ func TestStoreSubscriberSkipsKeyedEvents(t *testing.T) {
 // The HTTP bridge must carry the generalized payloads: a purge event
 // posted to an edge endpoint drops the keyed variants there.
 func TestHTTPBridgeCarriesPurge(t *testing.T) {
-	tier, err := pagecache.NewCache(fragstore.KeyedConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tier.Put("GET\x00/p\x00", []byte("x"), "", time.Minute)
-	sub := NewPageSubscriber(tier, nil)
-	sub.KeyPrefix = func(uri string) string { return "GET\x00" + uri + "\x00" }
-	edge := httptest.NewServer(Handler(sub))
+	p := newProxy(t, nil)
+	tier := p.Pages()
+	tier.Put("/p\x00GET\x00", []byte("x"), "", time.Minute)
+	edge := httptest.NewServer(coherency.Handler(p))
 	defer edge.Close()
 
 	mon, _ := bem.New(bem.Config{Capacity: 4})
-	hub := NewHub(mon)
-	hub.Subscribe(&RemoteSubscriber{URL: edge.URL})
+	hub := coherency.NewHub(mon)
+	hub.Subscribe(&coherency.RemoteSubscriber{URL: edge.URL})
 	hub.BroadcastPurge("/p")
 	if tier.Len() != 0 {
 		t.Fatal("purge did not cross the HTTP bridge")
@@ -334,16 +325,18 @@ func TestHTTPBridgeCarriesPurge(t *testing.T) {
 // Fragment events arriving from the BEM carry their invalidation reason.
 func TestHubEventCarriesReason(t *testing.T) {
 	mon, _ := bem.New(bem.Config{Capacity: 4})
-	hub := NewHub(mon)
+	hub := coherency.NewHub(mon)
+	rec := &recorder{}
+	hub.Subscribe(rec)
 	if _, err := mon.Lookup("f", 0); err != nil {
 		t.Fatal(err)
 	}
 	mon.Invalidate("f")
-	evs, ok := hub.Events(0)
-	if !ok || len(evs) != 1 {
-		t.Fatalf("events = %v, %v", evs, ok)
+	evs := rec.events()
+	if len(evs) != 1 {
+		t.Fatalf("events = %v", evs)
 	}
-	if evs[0].Kind != KindFragment || evs[0].Reason != string(bem.ReasonExplicit) {
+	if evs[0].Kind != coherency.KindFragment || evs[0].Reason != string(bem.ReasonExplicit) {
 		t.Fatalf("event = %+v, want explicit fragment invalidation", evs[0])
 	}
 	if !strings.Contains(evs[0].FragmentID, "f") {

@@ -11,8 +11,8 @@ import (
 
 // The HTTP bridge carries hub events between machines: the hub side POSTs
 // JSON events to each edge's invalidation endpoint; the edge side applies
-// them to its store subscriber. Lost deliveries surface as sequence gaps,
-// which the StoreSubscriber already handles by flushing.
+// them to its subscriber, the edge proxy itself. Lost deliveries surface
+// as sequence gaps, which the subscriber handles by flushing.
 
 // wireEvent is the JSON encoding of an Event. Kind zero (fragment) and
 // empty payload fields are omitted, so pre-generalization peers remain

@@ -1,10 +1,11 @@
-package coherency
+package coherency_test
 
 import (
 	"io"
 	"path/filepath"
 	"testing"
 
+	"dpcache/internal/coherency"
 	"dpcache/internal/fragstore"
 )
 
@@ -40,8 +41,8 @@ func TestStoreSubscriberDropsDiskResident(t *testing.T) {
 		t.Fatalf("setup: want key 1 demoted to disk, got %+v", st)
 	}
 
-	sub := NewStoreSubscriber(fs)
-	sub.Apply(Event{Seq: 1, Kind: KindFragment, FragmentID: "f1", Key: 1, Gen: 5})
+	p := newProxy(t, fs)
+	p.Apply(coherency.Event{Seq: 1, Kind: coherency.KindFragment, FragmentID: "f1", Key: 1, Gen: 5})
 	if _, ok := fs.Get(1, 5, false); ok {
 		t.Fatal("invalidated disk-resident fragment still served")
 	}
@@ -53,7 +54,7 @@ func TestStoreSubscriberDropsDiskResident(t *testing.T) {
 	for k := uint32(1); k <= 3; k++ {
 		fs.Set(k, 5, []byte("88888888"))
 	}
-	sub.Apply(Event{Seq: 5, Kind: KindFragment, FragmentID: "f2", Key: 2, Gen: 5})
+	p.Apply(coherency.Event{Seq: 5, Kind: coherency.KindFragment, FragmentID: "f2", Key: 2, Gen: 5})
 	if fs.Resident() != 0 {
 		t.Fatalf("gap flush left %d entries across the tiers", fs.Resident())
 	}

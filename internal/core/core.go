@@ -72,13 +72,13 @@ type Config struct {
 	// ForcedMissProb pins the BEM hit ratio for experiments (Figure 5).
 	ForcedMissProb float64
 	// Fabric wires the coherency invalidation fabric (ModeCached only):
-	// a hub is attached to the BEM's invalidation stream and every cache
-	// tier of every proxy — fragment store, whole-page tier, static
-	// tier — subscribes. Fragment invalidations then drop dependent
-	// page-tier entries the moment they happen (via each proxy's
-	// dependency index) instead of waiting out Proxy.PageCacheTTL, which
-	// is what makes realistic page TTLs safe. Edges started with StartEdge
-	// subscribe automatically too.
+	// a hub is attached to the BEM's invalidation stream and every proxy
+	// subscribes, applying each event to all of its tiers — fragment
+	// store, whole-response tier and plan tier. Fragment invalidations
+	// then drop dependent whole-response entries the moment they happen
+	// (via each proxy's dependency index) instead of waiting out
+	// Proxy.PageCacheTTL, which is what makes realistic page TTLs safe.
+	// Edges started with StartEdge subscribe automatically too.
 	Fabric bool
 	// Seed drives all deterministic randomness.
 	Seed int64
@@ -165,7 +165,7 @@ type System struct {
 	// Meter measures the origin↔proxy link.
 	Meter *netsim.Meter
 	// Hub is the coherency invalidation fabric (nil unless Config.Fabric
-	// and ModeCached). Every proxy's tiers are subscribed to it.
+	// and ModeCached). Every proxy is subscribed to it.
 	Hub *coherency.Hub
 	// Registry aggregates metrics across components.
 	Registry *metrics.Registry
@@ -183,48 +183,12 @@ type System struct {
 	started   bool
 }
 
-// ProxySubscribers returns one coherency subscriber per cache tier of a
-// proxy: the fragment store (slot drops), the whole-response tier, and the
-// compiled-plan tier. The whole-response subscriber carries the dpc key
-// schema (one purge prefix for both admission rules) and the proxy's
-// dependency index, so fragment invalidations drop only the entries
-// composed from the dead fragment; surgical drops are reported on reg's
-// dpc.pagecache_invalidations counter, and whole-tier flushes, by cause, on
-// dpc.pagecache_*flushes (reg may be nil). The plan tier subscribes for
-// plan-scoped flushes and gap recovery. It is the single wiring point
-// shared by System.startProxy, dpcd's /_dpc/invalidate endpoint, and the
-// benchmark.
+// ProxySubscribers returns the subscribers that keep a proxy's tiers
+// coherent: the proxy itself (dpc.Proxy.Apply), which counts on its own
+// registry, so reg is ignored. It survives only because the benchmark
+// names it.
 func ProxySubscribers(p *dpc.Proxy, reg *metrics.Registry) []coherency.Subscriber {
-	pages := coherency.NewPageSubscriber(p.Pages(), p.DepIndex())
-	pages.KeyPrefix = dpc.PageKeyPrefix
-	if reg != nil {
-		dropped := reg.Counter("dpc.pagecache_invalidations")
-		pages.OnDrop = func(n int) { dropped.Add(int64(n)) }
-		pages.OnFlush = countFlushes(reg.Counter("dpc.pagecache_flushes"), map[string]*metrics.Counter{
-			coherency.FlushGap:      reg.Counter("dpc.pagecache_gap_flushes"),
-			coherency.FlushEvent:    reg.Counter("dpc.pagecache_event_flushes"),
-			coherency.FlushFallback: reg.Counter("dpc.pagecache_fallback_flushes"),
-		})
-	}
-	// The plan tier ignores fragment events and purges (plans are
-	// content-hash keyed and hold no fragment bytes); it subscribes for
-	// "plan"-scoped flushes and gap recovery.
-	return []coherency.Subscriber{
-		coherency.NewStoreSubscriber(p.Store()),
-		pages,
-		coherency.NewPlanSubscriber(p.Plans().Store()),
-	}
-}
-
-// countFlushes returns a TierSubscriber.OnFlush hook counting every flush
-// on total and on its cause's counter.
-func countFlushes(total *metrics.Counter, byCause map[string]*metrics.Counter) func(cause string) {
-	return func(cause string) {
-		total.Inc()
-		if c := byCause[cause]; c != nil {
-			c.Inc()
-		}
-	}
+	return []coherency.Subscriber{p}
 }
 
 // Edge is one running proxy of the system: the front one, or an
@@ -378,8 +342,8 @@ func (s *System) Start() error {
 }
 
 // startProxy brings up one proxy of the system against originURL: its own
-// store (instance names the tiered heap file), the proxy, its tiers'
-// subscriptions to the fabric, and a loopback listener serving it. On
+// store (instance names the tiered heap file), the proxy, its
+// subscription to the fabric, and a loopback listener serving it. On
 // error everything it opened is closed again.
 func (s *System) startProxy(instance, originURL string) (e Edge, err error) {
 	defer func() {
@@ -403,9 +367,7 @@ func (s *System) startProxy(instance, originURL string) (e Edge, err error) {
 	e.URL = "http://" + ln.Addr().String()
 	e.srv = &http.Server{Handler: e.Proxy}
 	if s.Hub != nil {
-		for _, sub := range ProxySubscribers(e.Proxy, s.Registry) {
-			s.Hub.Subscribe(sub)
-		}
+		s.Hub.Subscribe(e.Proxy)
 	}
 	go func() { _ = e.srv.Serve(ln) }()
 	return e, nil
@@ -425,7 +387,7 @@ func (s *System) OriginURL() string {
 // StartEdge launches an additional DPC against this system's origin — a
 // forward-proxy node in the Section 7 deployment. Edge proxies share the
 // BEM's key space; pair them with routing.Router for request routing and
-// coherency.Hub (subscribing each edge's Store) for invalidation
+// coherency.Hub (subscribing each edge's Proxy) for invalidation
 // propagation. The system must be started first.
 func (s *System) StartEdge(name string) (Edge, error) {
 	if !s.started {

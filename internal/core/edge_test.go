@@ -45,7 +45,7 @@ func TestEdgeDeployment(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hub.Subscribe(coherency.NewStoreSubscriber(edge.Proxy.Store()))
+		hub.Subscribe(edge.Proxy)
 		router.AddProxy(name, edge.URL)
 	}
 	front := httptest.NewServer(router)

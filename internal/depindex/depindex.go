@@ -11,8 +11,8 @@
 //
 //	fragment ref (key, gen) → tier store key
 //
-// and the coherency fabric's tier subscribers consult it on each
-// invalidation to drop exactly the entries built from the dead fragment.
+// and the proxy consults it on each fabric invalidation (dpc.Proxy.Apply)
+// to drop exactly the entries built from the dead fragment.
 //
 // # Storage
 //
@@ -40,7 +40,7 @@
 // qualified: Lookup reports exact=false while the asked-for fragment's
 // shard could still be missing edges it lost to eviction — from the
 // eviction until the last lost edge would have expired anyway — and the
-// subscriber falls back to a scoped flush of its tier. The window covers
+// caller falls back to a scoped flush of its tier. The window covers
 // hits and misses alike. An eviction that loses nothing live (every edge
 // already expired, or the generation was invalidated and its tombstone has
 // run out) opens no window. An edge expires with the entry it describes
@@ -57,7 +57,7 @@
 // filed *after* the drop and survive until TTL. Three mechanisms close
 // this:
 //
-//   - MarkInvalid / AnyInvalid: subscribers tombstone each invalidated
+//   - MarkInvalid / AnyInvalid: the invalidator tombstones each invalidated
 //     ref *before* deleting dependents; fillers check their refs and file
 //     only when none is tombstoned.
 //   - Epoch: scoped flushes (sequence gaps, explicit tier flushes) bump a
@@ -67,13 +67,13 @@
 //   - Filing: a filler checks, records its edges and puts its entry while
 //     holding the Filing lock, which MarkInvalid and BumpEpoch take
 //     exclusively. A fill is therefore wholly before the marker — edges
-//     and entry in place for the subscriber's Delete or Flush to find —
+//     and entry in place for the invalidator's Delete or Flush to find —
 //     or wholly after it, and refused. A page holding a dropped
 //     fragment's bytes is never servable once the drop has been applied.
 //
 // A generation is invalidated at most once, so once its tombstone has run
-// out (tombstoneTTL, far beyond one event's synchronous fan-out to every
-// subscriber) nobody will ask for its edges again: the sweep that retires
+// out (tombstoneTTL, far beyond one event's synchronous delivery to every
+// proxy) nobody will ask for its edges again: the sweep that retires
 // the tombstone drops the entry with it, unless edges were recorded after
 // the mark.
 package depindex
@@ -291,8 +291,7 @@ func (ix *Index) evict(now uint32) {
 // every entry of its tier as a potential dependent and flush. The window
 // applies to hits as well as misses — a fragment whose entry was evicted
 // and then re-recorded holds only its post-eviction edges. Expired edges
-// are pruned on the way; live ones stay, because every tier's subscriber
-// asks about the same event.
+// are pruned on the way; live ones stay.
 func (ix *Index) Lookup(id ID) (keys []string, exact bool) {
 	ix.lookups.Add(1)
 	now := secFloor(ix.since())
@@ -311,7 +310,7 @@ func (ix *Index) Lookup(id ID) (keys []string, exact bool) {
 // MarkInvalid tombstones an invalidated ref so in-flight fills whose
 // fragments were read before the invalidation refuse to file their
 // capture. It waits for fills holding Filing, so their edges are in place
-// when it returns. Subscribers call it before deleting dependents.
+// when it returns. The invalidator calls it before deleting dependents.
 func (ix *Index) MarkInvalid(id ID) {
 	now := ix.since()
 	h := mix(id)
@@ -364,8 +363,8 @@ func (ix *Index) AnyInvalid(ids []ID) bool {
 // time — a scoped flush in between could not have removed the capture.
 func (ix *Index) Epoch() uint64 { return ix.epoch.Load() }
 
-// BumpEpoch advances the flush generation; tier subscribers call it
-// whenever they flush, naming why (sequence gap, flush event, inexact
+// BumpEpoch advances the flush generation; the invalidator calls it
+// whenever it flushes a tier, naming why (sequence gap, flush event, inexact
 // index answer) for the fills the bump refuses to report.
 func (ix *Index) BumpEpoch(cause string) {
 	ix.filing.Lock()

@@ -290,7 +290,7 @@ func (sh *shard) evictTail(ix *Index, now uint32) (lossy bool) {
 	e := sh.frags.at(sh.tail)
 	settled := false
 	if e.dead {
-		// Invalidated, and every subscriber has long asked: see the package
+		// Invalidated, and the invalidator has long asked: see the package
 		// comment on tombstoneTTL.
 		deadline, ok := sh.tomb[e.ref]
 		settled = ok && deadline <= now

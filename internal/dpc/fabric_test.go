@@ -1,0 +1,92 @@
+package dpc
+
+import (
+	"bytes"
+	"io"
+	"net/http"
+	"sync/atomic"
+	"testing"
+
+	"dpcache/internal/bem"
+	"dpcache/internal/coherency"
+	"dpcache/internal/tmpl"
+)
+
+// One hub.Subscribe(p) reaches all three tiers: a fragment event drops the
+// slot and the opted-in page built from it, a "plan" flush empties the
+// plans, and a skipped sequence number flushes each tier exactly once.
+func TestApplyReachesEveryTier(t *testing.T) {
+	var gen atomic.Uint32 // of fragment 1, which /opt SETs; the origin opts /opt in
+	gen.Store(1)
+	plan := templateBody(t, func(enc tmpl.Encoder) { // GET-only: the kind the plan tier keeps
+		_ = enc.Literal([]byte("<p>"))
+		_ = enc.Get(2, 1)
+		_ = enc.Literal([]byte("</p>"))
+	})
+	p := newTestProxy(t, "http://origin.invalid", func(c *Config) {
+		c.Transport = roundTripFunc(func(r *http.Request) (*http.Response, error) {
+			h := http.Header{"X-Dpc-Template": {"binary"}}
+			body := plan
+			if r.URL.Path == "/opt" {
+				h.Set("Cache-Control", "max-age=60")
+				body = templateBody(t, func(enc tmpl.Encoder) {
+					_ = enc.Literal([]byte("<html>"))
+					_ = enc.Set(1, gen.Load(), []byte("opted in"))
+					_ = enc.Literal([]byte("</html>"))
+				})
+			}
+			return &http.Response{
+				StatusCode: http.StatusOK, ContentLength: int64(len(body)), Request: r,
+				Body: io.NopCloser(bytes.NewReader(body)), Header: h,
+			}, nil
+		})
+	})
+	warm := func() {
+		t.Helper()
+		if err := p.Store().Set(2, 1, []byte("held")); err != nil {
+			t.Fatal(err)
+		}
+		serveGet(p, "/opt")
+		if state := serveGet(p, "/opt").Header().Get("X-Cache"); state != "STATIC" {
+			t.Fatalf("opted-in revisit X-Cache = %q, want STATIC", state)
+		}
+		if rec := serveGet(p, "/plan"); rec.Body.String() != "<p>held</p>" {
+			t.Fatalf("/plan = %q", rec.Body)
+		}
+		if n := p.Plans().Stats().Resident; n != 1 {
+			t.Fatalf("plans resident = %d, want 1", n)
+		}
+	}
+	mon, _ := bem.New(bem.Config{Capacity: 8})
+	hub := coherency.NewHub(mon)
+	hub.Subscribe(p)
+
+	warm()
+	hub.Broadcast("frag", 1, gen.Add(1)-1)
+	if _, ok := p.Store().Get(1, 1, false); ok {
+		t.Fatal("fragment event left the slot resident")
+	}
+	if p.Pages().Len() != 0 {
+		t.Fatal("fragment event left the opted-in page built from it")
+	}
+	if n := p.Plans().Stats().Resident; n != 1 {
+		t.Fatalf("fragment event disturbed the plans: resident = %d", n)
+	}
+
+	hub.BroadcastFlush("plan")
+	if n := p.Plans().Stats().Resident; n != 0 {
+		t.Fatalf("plan flush left %d plans", n)
+	}
+
+	warm()
+	if acked := p.Apply(coherency.Event{Seq: hub.Seq() + 2, Kind: coherency.KindPurge, URI: "/elsewhere"}); acked != hub.Seq()+2 {
+		t.Fatalf("acked %d", acked)
+	}
+	if p.Store().Resident() != 0 || p.Pages().Len() != 0 || p.Plans().Stats().Resident != 0 {
+		t.Fatalf("gap left store %d, pages %d, plans %d", p.Store().Resident(), p.Pages().Len(), p.Plans().Stats().Resident)
+	}
+	snap := p.Registry().Snapshot()
+	if snap["dpc.pagecache_gap_flushes"] != 1 || snap["dpc.pagecache_flushes"] != 1 {
+		t.Fatalf("gap flushes = %d of %d flushes, want 1 of 1", snap["dpc.pagecache_gap_flushes"], snap["dpc.pagecache_flushes"])
+	}
+}

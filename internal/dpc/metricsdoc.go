@@ -73,7 +73,7 @@ func MetricCatalog() []MetricDoc {
 		{"dpc.pagecache_uncacheable", "counter", "an admitted response could not be filed (non-200, over the 1 MiB capture bound, no-store/private, or Set-Cookie)"},
 		{"dpc.pagecache_uncacheable_vary", "counter", "a response the origin marked cacheable (Cache-Control: max-age) was refused the opt-in because it varies on a header other than Accept-Encoding"},
 		{"dpc.pagecache_304s", "counter", "a tier hit with a matching If-None-Match was answered 304 with no body"},
-		{"dpc.pagecache_invalidations", "counter", "a tier entry was dropped by the invalidation fabric (subscriber drop or in-flight fill refused)"},
+		{"dpc.pagecache_invalidations", "counter", "a tier entry was dropped by the invalidation fabric (a dependent of a fragment event, a purged URI, or an in-flight fill refused)"},
 		{"dpc.pagecache_flushes", "counter", "the invalidation fabric emptied the whole tier (the sum of the three causes below)"},
 		{"dpc.pagecache_gap_flushes", "counter", "the tier was flushed because invalidation events were lost (sequence gap)"},
 		{"dpc.pagecache_event_flushes", "counter", "the tier was flushed by a flush event scoped \"page\", \"static\", or to every tier"},

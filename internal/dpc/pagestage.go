@@ -86,9 +86,9 @@ func pageKey(r *http.Request) string { return coalesceKey(r) }
 
 // PageKeyPrefix returns the tier's store-key prefix shared by every entry
 // for one request URI, under either admission rule and in every variant:
-// both pageKey and staticKey begin with the URI and a NUL. The coherency
-// fabric's purge events use it to drop a URI surgically without knowing
-// the full variant key.
+// both pageKey and staticKey begin with the URI and a NUL. A fabric purge
+// event (Apply) uses it to drop a URI surgically without knowing the full
+// variant key.
 func PageKeyPrefix(uri string) string { return uri + "\x00" }
 
 // pageETag computes the strong entity tag a tier entry is stamped with at

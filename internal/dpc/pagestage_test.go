@@ -583,7 +583,7 @@ func TestRefusedFillNamesItsCause(t *testing.T) {
 		t.Fatalf("fill over a tombstone: voided=%q put=%v", voided, put)
 	}
 
-	ix.BumpEpoch(coherency.FlushFallback)
+	ix.BumpEpoch(FlushFallback)
 	if voided, put := file(epoch); voided != "epoch-flush:index-inexact" || put {
 		t.Fatalf("fill across a fallback flush: voided=%q put=%v", voided, put)
 	}
@@ -626,7 +626,7 @@ func TestPageCaptureAccountedAgainstBudget(t *testing.T) {
 // Fills under both admission rules race fragment invalidations and scoped
 // flushes (run under -race in CI): the tee attached lazily for an opted-in
 // response, the page rule's tee retargeted to the opt-in key, and settled
-// captures against the subscriber's tombstones and epoch bumps. Every
+// captures against Apply's tombstones and epoch bumps. Every
 // response must be whole, and once the storm passes the tier's ledger must
 // hold exactly its resident bytes.
 func TestPageCacheConcurrentFillsAndFlushes(t *testing.T) {
@@ -664,9 +664,6 @@ func TestPageCacheConcurrentFillsAndFlushes(t *testing.T) {
 			}, nil
 		})
 	})
-	sub := coherency.NewPageSubscriber(p.Pages(), p.DepIndex())
-	sub.KeyPrefix = PageKeyPrefix
-
 	done := make(chan struct{})
 	var writer sync.WaitGroup
 	writer.Add(1)
@@ -680,13 +677,13 @@ func TestPageCacheConcurrentFillsAndFlushes(t *testing.T) {
 			}
 			switch seq % 8 {
 			case 3:
-				sub.Apply(coherency.Event{Seq: seq, Kind: coherency.KindFlush, Scope: []string{"page", "static"}[seq/8%2]})
+				p.Apply(coherency.Event{Seq: seq, Kind: coherency.KindFlush, Scope: []string{"page", "static"}[seq/8%2]})
 			case 5:
-				sub.Apply(coherency.Event{Seq: seq, Kind: coherency.KindPurge, URI: "/opt/1"})
+				p.Apply(coherency.Event{Seq: seq, Kind: coherency.KindPurge, URI: "/opt/1"})
 			default:
 				k := uint32(seq % frags)
 				old := gens[k].Add(1) - 1
-				sub.Apply(coherency.Event{Seq: seq, Kind: coherency.KindFragment, Key: k, Gen: old})
+				p.Apply(coherency.Event{Seq: seq, Kind: coherency.KindFragment, Key: k, Gen: old})
 			}
 			time.Sleep(50 * time.Microsecond)
 		}

@@ -220,6 +220,8 @@ type Proxy struct {
 
 	closeOnce sync.Once
 	stopPub   chan struct{}
+
+	fabric fabric // Apply's cursor and counters (fabric.go)
 }
 
 // New returns a Proxy with an empty store.
@@ -300,6 +302,7 @@ func New(cfg Config) (*Proxy, error) {
 		reg:     reg,
 		spool:   spool,
 	}
+	p.fabric.register(reg)
 	if cfg.Coalesce {
 		p.flights = newFlightGroup(cfg.CoalesceBufferBytes)
 	}
@@ -380,22 +383,18 @@ func (p *Proxy) Close() error {
 	return nil
 }
 
-// Plans exposes the compiled-template plan cache. The coherency fabric's
-// plan subscriber drives its backing KeyedStore to flush plans on
-// "plan"-scoped events.
+// Plans exposes the compiled-template plan cache.
 func (p *Proxy) Plans() *tmplplan.Cache { return p.plans }
 
 // Pages exposes the whole-response tier, which holds the entries of both
 // admission rules (see pagestage.go); never nil.
 func (p *Proxy) Pages() *pagecache.Cache { return p.pages }
 
-// DepIndex exposes the fragment→entry dependency index. The coherency
-// fabric's tier subscriber consults it to invalidate tier entries
-// surgically.
+// DepIndex exposes the fragment→entry dependency index, which Apply
+// consults to invalidate tier entries surgically.
 func (p *Proxy) DepIndex() *depindex.Index { return p.depix }
 
-// Store exposes the fragment store (the coherency extension drops slots
-// through it).
+// Store exposes the fragment store.
 func (p *Proxy) Store() fragstore.FragmentStore { return p.store }
 
 // Registry returns the proxy's metrics registry.

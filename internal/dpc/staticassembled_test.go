@@ -108,18 +108,10 @@ func TestAssembledStaticFragmentInvalidation(t *testing.T) {
 		t.Fatalf("warm X-Cache = %q, want STATIC", state)
 	}
 
-	// The same wiring core.ProxySubscribers uses for the tier.
-	sub := coherency.NewPageSubscriber(p.Pages(), p.DepIndex())
-	sub.KeyPrefix = PageKeyPrefix
-	dropped := p.Registry().Counter("dpc.pagecache_invalidations")
-	sub.OnDrop = func(n int) { dropped.Add(int64(n)) }
-
-	sub.Apply(coherency.Event{Seq: 1, Kind: coherency.KindFragment, Key: 1, Gen: 1})
-	if sub.Dropped() != 1 {
-		t.Fatalf("subscriber dropped %d entries (fallbacks=%d), want surgical 1", sub.Dropped(), sub.Fallbacks())
-	}
-	if dropped.Value() != 1 {
-		t.Fatalf("dpc.pagecache_invalidations = %d, want 1", dropped.Value())
+	p.Apply(coherency.Event{Seq: 1, Kind: coherency.KindFragment, Key: 1, Gen: 1})
+	dropped, flushes := p.Registry().Counter("dpc.pagecache_invalidations"), p.Registry().Counter("dpc.pagecache_flushes")
+	if dropped.Value() != 1 || flushes.Value() != 0 {
+		t.Fatalf("dpc.pagecache_invalidations = %d, flushes = %d, want one surgical drop", dropped.Value(), flushes.Value())
 	}
 	if _, state := assembledGet(t, ts.URL+"/page", nil); state == "STATIC" {
 		t.Fatal("stale assembled entry served after its fragment was invalidated")
@@ -237,30 +229,32 @@ func TestPlanSubscriber(t *testing.T) {
 		}
 	}
 	warm()
-	sub := coherency.NewPlanSubscriber(p.Plans().Store())
 
 	// Fragment and purge events leave compiled plans alone.
-	sub.Apply(coherency.Event{Seq: 1, Kind: coherency.KindFragment, Key: 1, Gen: 1})
-	sub.Apply(coherency.Event{Seq: 2, Kind: coherency.KindPurge, URI: "/page"})
+	p.Apply(coherency.Event{Seq: 1, Kind: coherency.KindFragment, Key: 1, Gen: 1})
+	p.Apply(coherency.Event{Seq: 2, Kind: coherency.KindPurge, URI: "/page"})
 	// Foreign-scope flush too.
-	sub.Apply(coherency.Event{Seq: 3, Kind: coherency.KindFlush, Scope: "page"})
+	p.Apply(coherency.Event{Seq: 3, Kind: coherency.KindFlush, Scope: "page"})
 	if st := p.Plans().Stats(); st.Resident != 1 {
 		t.Fatalf("plan survived nothing: resident = %d after no-op events", st.Resident)
 	}
 
 	// A plan-scoped flush empties the tier.
-	sub.Apply(coherency.Event{Seq: 4, Kind: coherency.KindFlush, Scope: "plan"})
+	p.Apply(coherency.Event{Seq: 4, Kind: coherency.KindFlush, Scope: "plan"})
 	if st := p.Plans().Stats(); st.Resident != 0 {
 		t.Fatalf("resident = %d after plan flush, want 0", st.Resident)
 	}
 
 	// A sequence gap is conservative: flush and recompile on demand.
+	if err := p.Store().Set(1, 1, []byte("assembled body")); err != nil { // the fragment event dropped it
+		t.Fatal(err)
+	}
 	warm()
-	sub.Apply(coherency.Event{Seq: 9, Kind: coherency.KindFragment, Key: 1, Gen: 1})
+	p.Apply(coherency.Event{Seq: 9, Kind: coherency.KindFragment, Key: 1, Gen: 1})
 	if st := p.Plans().Stats(); st.Resident != 0 {
 		t.Fatalf("resident = %d after gap, want 0 (conservative flush)", st.Resident)
 	}
-	if sub.Flushes() != 2 {
-		t.Fatalf("flushes = %d, want 2", sub.Flushes())
+	if n := p.Registry().Counter("dpc.pagecache_gap_flushes").Value(); n != 1 {
+		t.Fatalf("gap flushes = %d, want 1", n)
 	}
 }

@@ -65,7 +65,7 @@ type FragmentStore interface {
 	// invalidation) rather than waiting for slot reuse. Unknown and
 	// out-of-range keys are no-ops.
 	Drop(key uint32)
-	// DropAll removes every resident entry (the coherency subscriber's
+	// DropAll removes every resident entry (the invalidation fabric's
 	// gap-detection full flush).
 	DropAll()
 	// Capacity returns the key-space size (the BEM's slot count).

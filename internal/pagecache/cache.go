@@ -121,7 +121,7 @@ func (c *Cache) PutTagged(key string, body []byte, contentType, etag string, ttl
 }
 
 // Delete removes the page under key, reporting whether one was resident.
-// The coherency fabric's page subscriber drops invalidated pages here.
+// The invalidation fabric (dpc.Proxy.Apply) drops invalidated pages here.
 func (c *Cache) Delete(key string) bool { return c.store.Delete(key) }
 
 // DeleteFunc removes every page whose key satisfies pred, returning the

@@ -11,7 +11,7 @@ import (
 // Cache is the plan-cache tier: compiled programs keyed by a SHA-256 of
 // the template bytes, stored by reference in a KeyedStore so the global
 // eviction machinery (byte budget via Plan.Footprint, entry bound, LRU)
-// and the invalidation fabric's KeyedTier surface apply unchanged. It
+// and the invalidation fabric's Flush apply unchanged. It
 // admits only templates that can recur: a one-off (Plan.OneOff) is
 // compiled and handed back but never stored, so the budget goes to the
 // GET-only templates that do repeat.
@@ -114,8 +114,8 @@ func (c *Cache) CountHit() { c.hits.Add(1) }
 // Codec returns the codec plans are compiled with.
 func (c *Cache) Codec() tmpl.Codec { return c.codec }
 
-// Store exposes the backing KeyedStore — the KeyedTier surface the
-// invalidation fabric's plan subscriber drives.
+// Store exposes the backing KeyedStore, which the invalidation fabric
+// (dpc.Proxy.Apply) flushes.
 func (c *Cache) Store() *fragstore.KeyedStore { return c.store }
 
 // Stats snapshots cache activity.
