@@ -163,3 +163,57 @@ func TestTemplateRefAfterFragmentWrite(t *testing.T) {
 		t.Fatalf("origin.template_refs = %d, want 4", got)
 	}
 }
+
+// userGet fetches url as user and returns the body.
+func userGet(t *testing.T, url, user string) string {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodGet, url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-User", user)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s as %s: status %d, %v", url, user, resp.StatusCode, err)
+	}
+	return string(b)
+}
+
+// Identified visitors share a page's template. After a tagged write the
+// first of them pays for the SET and for the new generation's template in
+// full; the next, another user who has never seen that template, is offered
+// the page's new plan and answered by reference.
+func TestTemplateRefAfterFragmentWriteAcrossUsers(t *testing.T) {
+	sys, link := newTemplateRefSystem(t)
+	page := sys.FrontURL() + "/page/synth?page=0"
+	visit := func(what, user, marker string, wantOffer bool, wantRefs int64) {
+		t.Helper()
+		if body := userGet(t, page, user); !strings.Contains(body, marker) {
+			t.Fatalf("%s: page lacks %q", what, marker)
+		}
+		if offered := link.lastOffer() != ""; offered != wantOffer || counter(sys, "dpc.template_refs") != wantRefs {
+			t.Fatalf("%s: offered=%v refs=%d, want offered=%v refs=%d", what, offered, counter(sys, "dpc.template_refs"), wantOffer, wantRefs)
+		}
+	}
+	visit("A, cold", "alice", "<!--frag 0 v1-->", false, 0)
+	visit("A, GET-only template, first sight", "alice", "<!--frag 0 v1-->", false, 0)
+	visit("B, first visit: the page's plan", "bob", "<!--frag 0 v1-->", true, 1)
+
+	site.TouchFragment(sys.Repo, 0, "2") // tagged
+	visit("A after the write: a SET", "alice", "<!--frag 0 v2-->", true, 1)
+	visit("A, new generation's GET, first sight", "alice", "<!--frag 0 v2-->", true, 1)
+	visit("B, new generation: the page's new plan", "bob", "<!--frag 0 v2-->", true, 2)
+	visit("A again", "alice", "<!--frag 0 v2-->", true, 3)
+
+	if errs, stale := counter(sys, "dpc.errors"), counter(sys, "dpc.stale_fallbacks"); errs != 0 || stale != 0 {
+		t.Fatalf("errors=%d stale fallbacks=%d", errs, stale)
+	}
+	if offers, refs := counter(sys, "dpc.template_offers"), counter(sys, "dpc.template_refs"); offers != 5 || refs != 3 {
+		t.Fatalf("offers=%d refs=%d, want 5 and 3: A's two after the write declined", offers, refs)
+	}
+}

@@ -310,11 +310,20 @@ func (p *Proxy) stageAdmission(rs *reqState) (stageOutcome, error) {
 	if isReval(r.Context()) {
 		return stageNext, nil
 	}
-	key := flightKey(r)
+	return p.admitRequest(rs, p.flights != nil && coalescable(r))
+}
+
+// admitRequest decides one request's admission. With mayFollow, a flight
+// already open for its key admits it as that flight's follower, taking no
+// token (rs.admitFollower); the coalesce stage admits it again, as the
+// origin fetch it then is, if it does not get to follow after all.
+func (p *Proxy) admitRequest(rs *reqState, mayFollow bool) (stageOutcome, error) {
+	a := p.admit
+	key := rs.flightKey()
 	// X-User feeds per-tenant concurrency accounting only; it never
 	// selects a cached response (and it is part of the coalesce key
 	// already), so it is safe to read outside the key-building path.
-	tenant := r.Header.Get("X-User")
+	tenant := rs.r.Header.Get("X-User")
 	sig := pressureSignals{
 		maxWaiters:   a.maxWaiters,
 		maxInFlight:  a.maxInFlight,
@@ -324,7 +333,7 @@ func (p *Proxy) stageAdmission(rs *reqState) (stageOutcome, error) {
 		shedLatency:  a.shedLatency,
 		ledgerBudget: p.cfg.PageCacheBudget,
 	}
-	if p.flights != nil && coalescable(r) {
+	if mayFollow {
 		sig.flightExists, sig.waiters = p.flights.depth(key)
 	}
 	if !sig.flightExists {
@@ -341,9 +350,11 @@ func (p *Proxy) stageAdmission(rs *reqState) (stageOutcome, error) {
 	}
 	verdict, reason := decide(sig)
 	if verdict == admitOK {
-		if !sig.flightExists {
-			// Followers take no token: they add no origin work. The
-			// leader-to-be is charged until respond/fail releases it.
+		if sig.flightExists {
+			// Followers take no token: they add no origin work.
+			rs.admitFollower = true
+		} else {
+			// The leader-to-be is charged until respond/fail releases it.
 			rs.admitRelease = a.acquire(key, tenant)
 		}
 		return stageNext, nil
@@ -365,7 +376,10 @@ func (p *Proxy) stageAdmission(rs *reqState) (stageOutcome, error) {
 // serveStale answers a GET from an expired tier entry within the stale
 // window, kicking one background revalidation to refresh it. The tier is
 // probed as its stage probes it: the origin's opt-in key, then the page key
-// under the page rule's predicate (anonymous bodyless GET).
+// under the page rule's predicate (anonymous bodyless GET). An entry that
+// has not lapsed was filed after the pagecache stage missed — most often by
+// the very revalidation a stale serve kicked — and is served as the tier
+// hit it is, with nothing to revalidate.
 func (p *Proxy) serveStale(rs *reqState, key, reason string) (stageOutcome, bool) {
 	r := rs.r
 	if r.Method != http.MethodGet {
@@ -376,17 +390,21 @@ func (p *Proxy) serveStale(rs *reqState, key, reason string) (stageOutcome, bool
 	if !ok {
 		return stageNext, false
 	}
-	p.reg.Counter("dpc.stale_served_page").Inc()
 	if rs.pageCapture != nil {
-		// The stale bytes must not be re-filed under a fresh TTL; the
-		// background revalidation replaces the entry instead.
+		// The tier's bytes must not be re-filed under a fresh TTL; the
+		// background revalidation replaces a stale entry instead.
 		rs.pageCapture.discard()
 		rs.w = rs.pageCapture.ResponseWriter
 		rs.pageCapture = nil
 	}
+	if hit.age < 0 {
+		p.serveHit(rs, hit)
+		return stageRespond, true
+	}
+	p.reg.Counter("dpc.stale_served_page").Inc()
 	rs.body, rs.ctype, rs.cacheState = hit.body, hit.ctype, "STALE"
 	rs.span.Event(trace.KindStaleServe, hit.rule, reason, hit.age.Milliseconds())
-	p.kickRevalidate(rs, key)
+	p.kickRevalidate(rs, key, page)
 	return stageRespond, true
 }
 
@@ -396,8 +414,9 @@ func (p *Proxy) serveStale(rs *reqState, key, reason string) (stageOutcome, bool
 // refresh reuses the one fill path — the tier's capture and, crucially,
 // fillTier's fill/invalidate race check, which voids the fill if the
 // fabric invalidates a source fragment while the revalidation is in
-// flight.
-func (p *Proxy) kickRevalidate(rs *reqState, key string) {
+// flight. page is the page rule's verdict, for probing the tier as
+// serveStale did.
+func (p *Proxy) kickRevalidate(rs *reqState, key string, page bool) {
 	a := p.admit
 	if a.negLookup(key) {
 		// The origin just failed this key; revalidating now would hammer
@@ -405,6 +424,13 @@ func (p *Proxy) kickRevalidate(rs *reqState, key string) {
 		return
 	}
 	if !a.revalTryStart(key) {
+		return
+	}
+	if hit, _, ok := p.probe(rs.r, page, a.staleWindow); ok && hit.age < 0 {
+		// The previous revalidation refilled the entry after it was found
+		// lapsed, and released the slot before this claim: a revalidation
+		// fills before it releases, so nothing is left to refresh.
+		a.revalDone(key)
 		return
 	}
 	p.reg.Counter("dpc.stale_revalidations").Inc()

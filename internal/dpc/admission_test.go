@@ -465,6 +465,145 @@ func TestAdmissionStaleServePage(t *testing.T) {
 	}
 }
 
+// A revalidation can file a fresh entry between the pagecache stage's miss
+// on the lapsed one and admission's stale probe. The probe then finds an
+// entry that has not lapsed: it is served as the page hit it is — PAGE, its
+// ETag, a pagecache hit — and kicks no second revalidation. Driven stage by
+// stage, so the window is hit every time.
+func TestAdmissionStaleProbeFindsFreshEntry(t *testing.T) {
+	fake := clock.NewFake(time.Unix(1700000000, 0))
+	o := newHoldOrigin("")
+	origin := httptest.NewServer(o.handler())
+	defer origin.Close()
+	p := newTestProxy(t, origin.URL, func(c *Config) {
+		c.Admission = true
+		c.MaxOriginInFlight = 1
+		c.PageCache = true
+		c.PageCacheTTL = time.Second
+		c.PageClock = fake
+	})
+	p.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/page/x", nil)) // filed
+	fake.Advance(2 * time.Second)
+	defer p.admit.acquire("/page/other", "")() // the origin bound is taken
+
+	rec := httptest.NewRecorder()
+	req := httptest.NewRequest(http.MethodGet, "/page/x", nil)
+	rs := &reqState{w: rec, r: req, start: time.Now()}
+	if out, err := p.stagePageCache(rs); out != stageNext || err != nil || rs.pageCapture == nil {
+		t.Fatalf("pagecache stage on the lapsed entry: %v %v, capture %v; want a miss", out, err, rs.pageCapture != nil)
+	}
+	// What the revalidation would file, landing in the window.
+	fresh := []byte("body-/page/x-fresh")
+	etag := pageETag(fresh, "text/plain")
+	p.pages.PutTagged(pageKey(req), fresh, "text/plain", etag, time.Second)
+
+	if out, err := p.stageAdmission(rs); out != stageRespond || err != nil {
+		t.Fatalf("admission stage: %v %v, want a response from the tier", out, err)
+	}
+	if _, err := p.stageRespond(rs); err != nil {
+		t.Fatal(err)
+	}
+	if got := rec.Header().Get("X-Cache"); got != "PAGE" || rec.Body.String() != string(fresh) || rec.Header().Get("ETag") != etag {
+		t.Fatalf("X-Cache %q ETag %q body %q; want the fresh entry as a PAGE hit with its ETag", got, rec.Header().Get("ETag"), rec.Body)
+	}
+	snap := p.Registry().Snapshot()
+	if snap["dpc.stale_revalidations"] != 0 || snap["dpc.stale_served_page"] != 0 || snap["dpc.pagecache_hits"] != 1 {
+		t.Fatalf("stale_revalidations=%d stale_served_page=%d pagecache_hits=%d; want 0, 0, 1",
+			snap["dpc.stale_revalidations"], snap["dpc.stale_served_page"], snap["dpc.pagecache_hits"])
+	}
+	if n := o.count("/page/x"); n != 1 {
+		t.Fatalf("origin fetches for /page/x = %d, want the warm one alone", n)
+	}
+}
+
+// Admission lets a request through without a token when a flight is open
+// for its key: it will follow. If that flight — a revalidation's, here —
+// closes before the request joins it, the request would fetch on its own,
+// past the origin bound. It is admitted again instead, and served what the
+// flight filed, as a PAGE hit. Driven stage by stage.
+func TestAdmissionStaleFollowerWhoseFlightClosed(t *testing.T) {
+	fake := clock.NewFake(time.Unix(1700000000, 0))
+	o := newHoldOrigin("")
+	origin := httptest.NewServer(o.handler())
+	defer origin.Close()
+	p := newTestProxy(t, origin.URL, func(c *Config) {
+		c.Admission = true
+		c.MaxOriginInFlight = 1
+		c.Coalesce = true
+		c.PageCache = true
+		c.PageCacheTTL = time.Second
+		c.PageClock = fake
+	})
+	p.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/page/x", nil)) // filed
+	fake.Advance(2 * time.Second)
+	defer p.admit.acquire("/page/other", "")() // the origin bound is taken
+
+	rec := httptest.NewRecorder()
+	req := httptest.NewRequest(http.MethodGet, "/page/x", nil)
+	rs := &reqState{w: rec, r: req, start: time.Now()}
+	reval, leader, _ := p.flights.join(rs.flightKey(), http.MethodGet, true)
+	if !leader {
+		t.Fatal("could not open the revalidation's flight")
+	}
+	if out, err := p.stagePageCache(rs); out != stageNext || err != nil {
+		t.Fatalf("pagecache stage on the lapsed entry: %v %v; want a miss", out, err)
+	}
+	if out, err := p.stageAdmission(rs); out != stageNext || err != nil || !rs.admitFollower || rs.admitRelease != nil {
+		t.Fatalf("admission: %v %v follower=%v token=%v; want a follower, no token", out, err, rs.admitFollower, rs.admitRelease != nil)
+	}
+	// The revalidation files its page and closes its flight.
+	fresh := []byte("body-/page/x-fresh")
+	p.pages.PutTagged(pageKey(req), fresh, "text/plain", pageETag(fresh, "text/plain"), time.Second)
+	p.flights.finish(reval, false)
+
+	if out, err := p.stageCoalesce(rs); out != stageRespond || err != nil || rs.flight != nil {
+		t.Fatalf("coalesce with the flight gone: %v %v, leads a flight: %v; want a response from the tier", out, err, rs.flight != nil)
+	}
+	if _, err := p.stageRespond(rs); err != nil {
+		t.Fatal(err)
+	}
+	if got := rec.Header().Get("X-Cache"); got != "PAGE" || rec.Body.String() != string(fresh) {
+		t.Fatalf("X-Cache %q body %q; want the flight's page as a PAGE hit", got, rec.Body)
+	}
+	if n, revals := o.count("/page/x"), p.Registry().Counter("dpc.stale_revalidations").Value(); n != 1 || revals != 0 {
+		t.Fatalf("origin fetches for /page/x = %d, revalidations = %d; want the warm fetch alone", n, revals)
+	}
+}
+
+// A stale serve claims the revalidation slot only after probing: the
+// previous revalidation may have refilled the entry and released the slot
+// in between. The claim re-probes, finds the entry fresh, and starts
+// nothing.
+func TestAdmissionStaleRevalidationSkipsRefilledEntry(t *testing.T) {
+	fake := clock.NewFake(time.Unix(1700000000, 0))
+	o := newHoldOrigin("")
+	origin := httptest.NewServer(o.handler())
+	defer origin.Close()
+	p := newTestProxy(t, origin.URL, func(c *Config) {
+		c.Admission = true
+		c.PageCache = true
+		c.PageCacheTTL = time.Second
+		c.PageClock = fake
+	})
+	req := httptest.NewRequest(http.MethodGet, "/page/x", nil)
+	p.ServeHTTP(httptest.NewRecorder(), req) // filed
+	fake.Advance(2 * time.Second)
+	fresh := []byte("body-/page/x-fresh")
+	p.pages.PutTagged(pageKey(req), fresh, "text/plain", pageETag(fresh, "text/plain"), time.Second)
+
+	rs := &reqState{w: httptest.NewRecorder(), r: req, start: time.Now()}
+	p.kickRevalidate(rs, rs.flightKey(), true)
+	if n := p.Registry().Counter("dpc.stale_revalidations").Value(); n != 0 {
+		t.Fatalf("dpc.stale_revalidations = %d for a refilled entry, want 0", n)
+	}
+	if !p.admit.revalTryStart(rs.flightKey()) {
+		t.Fatal("the revalidation slot was not released")
+	}
+	if n := o.count("/page/x"); n != 1 {
+		t.Fatalf("origin fetches for /page/x = %d, want the warm one alone", n)
+	}
+}
+
 // A burst of stale serves for one key must collapse to ONE revalidation:
 // the per-key reval slot is claimed once, every other pressured request
 // serves the stale copy (or rides the revalidation's flight), and the

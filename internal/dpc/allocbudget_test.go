@@ -28,8 +28,9 @@ func (d *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
 // fetched, plan hit, page assembled from a warm store through the spool,
 // coalescing on — and returns the bytes and objects allocated per request,
 // and the page's size. With byRef the origin speaks the reference protocol,
-// so from the second request on the template is named and not sent.
-func fragmentPathAllocs(t *testing.T, byRef bool) (bytesPer, objsPer, pageBytes uint64) {
+// so from the second request on the template is named and not sent; a
+// non-empty user sends every request with that X-User.
+func fragmentPathAllocs(t *testing.T, byRef bool, user string) (bytesPer, objsPer, pageBytes uint64) {
 	const frags, fragBytes = 16, 1 << 10
 	body := templateBody(t, func(enc tmpl.Encoder) {
 		for k := uint32(0); k < frags; k++ {
@@ -61,6 +62,9 @@ func fragmentPathAllocs(t *testing.T, byRef bool) (bytesPer, objsPer, pageBytes 
 		}
 	}
 	req := httptest.NewRequest(http.MethodGet, "/page", nil)
+	if user != "" {
+		req.Header.Set("X-User", user)
+	}
 	serve := func(n int) {
 		for i := 0; i < n; i++ {
 			p.ServeHTTP(&discardWriter{h: http.Header{}}, req)
@@ -94,7 +98,7 @@ func fragmentPathAllocs(t *testing.T, byRef bool) (bytesPer, objsPer, pageBytes 
 // fresh buffer for the template, the spool or the flight's broadcast copy
 // is a page or more each and breaks the budget.
 func TestAllocBudgetFragmentPathRequest(t *testing.T) {
-	perRequest, _, pageBytes := fragmentPathAllocs(t, false)
+	perRequest, _, pageBytes := fragmentPathAllocs(t, false, "")
 	if perRequest > pageBytes/2 {
 		t.Fatalf("%d B allocated per request, budget %d B (half a %d-byte page)", perRequest, pageBytes/2, pageBytes)
 	}
@@ -103,13 +107,16 @@ func TestAllocBudgetFragmentPathRequest(t *testing.T) {
 // The same request with its template answered by reference stays inside
 // that budget and costs no more objects than reading the template did (one
 // spare, for a collector cycle's own): the offer is a hint lookup and a
-// header.
+// header. So does an identified request, offered its page's plan: the page
+// key is a substring of the fetch key.
 func TestAllocBudgetTemplateRefRequest(t *testing.T) {
-	_, fullObjs, _ := fragmentPathAllocs(t, false)
-	perRequest, objs, pageBytes := fragmentPathAllocs(t, true)
-	if perRequest > pageBytes/2 || objs > fullObjs+1 {
-		t.Fatalf("%d B in %d objects allocated per request by reference; budget %d B (half a %d-byte page) and the full path's %d objects",
-			perRequest, objs, pageBytes/2, pageBytes, fullObjs)
+	for _, user := range []string{"", "u1"} {
+		_, fullObjs, _ := fragmentPathAllocs(t, false, user)
+		perRequest, objs, pageBytes := fragmentPathAllocs(t, true, user)
+		if perRequest > pageBytes/2 || objs > fullObjs+1 {
+			t.Fatalf("user %q: %d B in %d objects allocated per request by reference; budget %d B (half a %d-byte page) and the full path's %d objects",
+				user, perRequest, objs, pageBytes/2, pageBytes, fullObjs)
+		}
 	}
 }
 

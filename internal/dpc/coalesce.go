@@ -308,14 +308,15 @@ func newFlightGroup(maxBytes int) *flightGroup {
 	return &flightGroup{m: make(map[string]*flight), max: maxBytes}
 }
 
-// join returns the flight for key. leader is true for the caller that must
-// perform the fetch and eventually call finish. Followers receive their
-// attached cursor; a nil cursor with leader false means the flight is
-// sealed and the caller must fetch independently. A nil *flight* with
-// leader false is a method mismatch: the key is GET-normalized so HEAD
-// can ride a GET broadcast, but a GET arriving while a HEAD leads the key
-// cannot be served a body and must fetch for itself.
-func (g *flightGroup) join(key, method string) (f *flight, leader bool, fol *follower) {
+// join returns the flight for key, starting one when there is none and
+// lead allows it. leader is true for the caller that must perform the
+// fetch and eventually call finish. Followers receive their attached
+// cursor; a nil cursor with leader false means the flight is sealed and the
+// caller must fetch independently. A nil *flight* with leader false is no
+// flight the caller may lead, or a method mismatch: the key is
+// GET-normalized so HEAD can ride a GET broadcast, but a GET arriving while
+// a HEAD leads the key cannot be served a body and must fetch for itself.
+func (g *flightGroup) join(key, method string, lead bool) (f *flight, leader bool, fol *follower) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if f, ok := g.m[key]; ok {
@@ -323,6 +324,9 @@ func (g *flightGroup) join(key, method string) (f *flight, leader bool, fol *fol
 			return nil, false, nil
 		}
 		return f, false, f.attach()
+	}
+	if !lead {
+		return nil, false, nil
 	}
 	f = newFlight(key, method, g.max)
 	g.seq++

@@ -526,13 +526,13 @@ func TestAbortedFlightPrefixNotServedToUncommittedFollower(t *testing.T) {
 	}
 	defer p.Close()
 
-	f, leader, _ := p.flights.join("k", http.MethodGet)
+	f, leader, _ := p.flights.join("k", http.MethodGet, true)
 	if !leader {
 		t.Fatal("first join must lead")
 	}
 	f.publishHeaders("text/html", -1)
 	f.append([]byte("torn prefix"))
-	_, l2, fol := p.flights.join("k", http.MethodGet)
+	_, l2, fol := p.flights.join("k", http.MethodGet, true)
 	if l2 || fol == nil {
 		t.Fatal("second join must attach as a follower")
 	}

@@ -147,8 +147,8 @@ func TestFlightBufferReuseLeaksNothingAcrossUsers(t *testing.T) {
 		r, _ := http.NewRequest(http.MethodGet, "/account", nil)
 		r.Header.Set("X-User", user)
 		key := flightKey(r)
-		f, leader, _ := g.join(key, http.MethodGet)
-		_, _, fol := g.join(key, http.MethodGet)
+		f, leader, _ := g.join(key, http.MethodGet, true)
+		_, _, fol := g.join(key, http.MethodGet, true)
 		if !leader || fol == nil {
 			t.Fatalf("%s: join gave leader=%v follower=%v", user, leader, fol)
 		}

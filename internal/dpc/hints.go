@@ -2,20 +2,28 @@ package dpc
 
 import (
 	"hash/maphash"
+	"strings"
 	"sync"
 
 	"dpcache/internal/tmplplan"
 )
 
-// The hint table remembers, per fetch key, the digest of the template the
-// origin last sent for it, so the next fetch of that key can offer the
-// plan instead of reading the template again (see offerPlan). A hint needs
-// no coherency: the origin compares the offer with the template it has
-// just generated for this very request, so a hint that is stale, belongs
-// to another key or was overwritten costs one full-size answer and never a
-// wrong page. That is what lets the table be this cheap — a fixed array
-// that forgets by being written over, with nothing to evict, budget or
-// flush.
+// The hint table remembers the digest of the template the origin last sent,
+// so the next fetch can offer the plan instead of reading the template
+// again (see offerPlan). It is keyed first by what a template mostly
+// depends on, the page: the fetch key's URI prefix up to its first NUL
+// (PageKeyPrefix's convention). A fetch key — the identity, with X-User,
+// Cookie and the other forwarded headers — keeps a hint of its own only
+// while its template differs from the page's, as on a site whose layout is
+// per user. So a site that shows every visitor the same template pays one
+// full answer per page per template change, not one per visitor and page.
+//
+// A hint needs no coherency: the origin compares the offer with the
+// template it has just generated for this very request, so a hint that is
+// stale, belongs to another page or another visitor, or was overwritten
+// costs one full-size answer and never a wrong page. That is what lets the
+// table be this cheap — a fixed array that forgets by being written over,
+// with nothing to evict, budget or flush.
 
 const (
 	// hintBuckets × hintWays slots of 40 bytes: 320 KiB however many keys
@@ -34,49 +42,89 @@ type hintSlot struct {
 	digest tmplplan.Digest
 }
 
+// hintBucket holds the bucket's most recently inserted key first.
+type hintBucket [hintWays]hintSlot
+
+func (b *hintBucket) find(tag uint64) *hintSlot {
+	for i := range b {
+		if b[i].tag == tag {
+			return &b[i]
+		}
+	}
+	return nil
+}
+
+// set gives tag the digest d: over its own slot when it has one, else over
+// the bucket's older slot.
+func (b *hintBucket) set(tag uint64, d tmplplan.Digest) {
+	if s := b.find(tag); s != nil {
+		s.digest = d
+		return
+	}
+	b[1] = b[0]
+	b[0] = hintSlot{tag: tag, digest: d}
+}
+
+// clear empties tag's slot, leaving it the next to be written over.
+func (b *hintBucket) clear(tag uint64) {
+	switch tag {
+	case b[0].tag:
+		b[0], b[1] = b[1], hintSlot{}
+	case b[1].tag:
+		b[1] = hintSlot{}
+	}
+}
+
 // hintTable is the fixed-size, lossy key → template-digest memory. One
-// mutex covers it: a critical section is a 40-byte copy.
+// mutex covers it: an offer or a lesson holds it once, for two 40-byte
+// slots.
 type hintTable struct {
 	seed    maphash.Seed
 	mu      sync.Mutex
-	buckets [hintBuckets][hintWays]hintSlot
+	buckets [hintBuckets]hintBucket
 }
 
 func newHintTable() *hintTable { return &hintTable{seed: maphash.MakeSeed()} }
 
-// bucket returns key's tag and the index of the bucket it lives in.
-func (t *hintTable) bucket(key string) (tag uint64, i int) {
+// hintPage is the page a fetch key belongs to: its URI prefix up to and
+// including the first NUL, a substring of the key.
+func hintPage(key string) string { return key[:strings.IndexByte(key, 0)+1] }
+
+// bucket returns key's tag and the bucket it lives in.
+func (t *hintTable) bucket(key string) (tag uint64, b *hintBucket) {
 	tag = maphash.String(t.seed, key)
-	return tag, int(tag % hintBuckets)
+	return tag, &t.buckets[tag%hintBuckets]
 }
 
-// lookup returns the digest last recorded for key.
-func (t *hintTable) lookup(key string) (d tmplplan.Digest, ok bool) {
-	tag, i := t.bucket(key)
+// offer returns the digest to offer on a fetch of key: the identity's own
+// hint when it has one, else its page's. own reports the first.
+func (t *hintTable) offer(key string) (d tmplplan.Digest, own, ok bool) {
+	idTag, idb := t.bucket(key)
+	pgTag, pgb := t.bucket(hintPage(key))
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, s := range &t.buckets[i] {
-		if s.tag == tag {
-			return s.digest, true
-		}
+	if s := idb.find(idTag); s != nil {
+		return s.digest, true, true
 	}
-	return d, false
+	if s := pgb.find(pgTag); s != nil {
+		return s.digest, false, true
+	}
+	return d, false, false
 }
 
-// record remembers d for key: over key's own slot when it has one, else
-// over the bucket's older slot.
-func (t *hintTable) record(key string, d tmplplan.Digest) {
-	tag, i := t.bucket(key)
+// learn files d, the template a fetch of key ran, under key's page, every
+// time. Under key itself it files d only while d differs from what the page
+// last produced, and clears key's slot once the two agree again; a page
+// with no hint yet has nothing to differ from.
+func (t *hintTable) learn(key string, d tmplplan.Digest) {
+	idTag, idb := t.bucket(key)
+	pgTag, pgb := t.bucket(hintPage(key))
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	b := &t.buckets[i]
-	switch tag {
-	case b[0].tag:
-		b[0].digest = d
-	case b[1].tag:
-		b[1].digest = d
-	default:
-		b[1] = b[0]
-		b[0] = hintSlot{tag: tag, digest: d}
+	if s := pgb.find(pgTag); s != nil && s.digest != d {
+		idb.set(idTag, d)
+	} else {
+		idb.clear(idTag)
 	}
+	pgb.set(pgTag, d)
 }

@@ -38,7 +38,7 @@ func MetricCatalog() []MetricDoc {
 		{"dpc.streamed", "counter", "an assembled page outgrew its look-ahead spool, so its headers were committed before assembly finished, and it then completed cleanly"},
 		{"dpc.plain_passthrough", "counter", "a non-template origin response is passed through"},
 		{"dpc.template_bytes", "counter", "template bytes read from the origin (cumulative; a template answered by reference adds none)"},
-		{"dpc.template_offers", "counter", "an origin fetch named a plan the proxy holds for the key's last template (X-DPC-Have)"},
+		{"dpc.template_offers", "counter", "an origin fetch named a plan the proxy holds for the page's or the identity's last template (X-DPC-Have)"},
 		{"dpc.template_refs", "counter", "the origin answered an offer by reference (X-DPC-Same, empty body) and the held plan ran; offers minus refs were answered in full"},
 		{"dpc.page_bytes", "counter", "assembled page bytes produced (cumulative)"},
 		{"dpc.gets", "counter", "GET instructions executed against the fragment store"},

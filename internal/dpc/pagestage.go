@@ -170,7 +170,7 @@ type tierHit struct {
 	body        []byte
 	ctype, etag string
 	rule        string        // the admission rule whose key found it
-	age         time.Duration // how far past its TTL (stale probes only)
+	age         time.Duration // how far past its TTL, negative while fresh (stale probes only)
 }
 
 // probe looks r up in the tier under each key an entry for it may have been
@@ -226,25 +226,7 @@ func (p *Proxy) stagePageCache(rs *reqState) (stageOutcome, error) {
 	}
 	hit, pkey, ok := p.probe(rs.r, page, 0)
 	if ok {
-		p.reg.Counter("dpc.pagecache_hits").Inc()
-		if hit.etag != "" && etagMatches(rs.r, hit.etag) {
-			// Conditional hit: the client already holds these bytes. A
-			// 304 carries the tag back and nothing else — zero body
-			// bytes for a revalidation of a surviving entry.
-			p.reg.Counter("dpc.pagecache_304s").Inc()
-			rs.span.Event(trace.KindHit, hit.rule, "304", 0)
-			h := rs.w.Header()
-			h.Set("ETag", hit.etag)
-			h.Set("Via", "dpcache-dpc/1.0")
-			h.Set("X-Cache", xCache[hit.rule])
-			rs.w.WriteHeader(http.StatusNotModified)
-			rs.streamed = true // headers committed; respond must not write a body
-			rs.cacheState = xCache[hit.rule]
-			return stageRespond, nil
-		}
-		rs.span.Event(trace.KindHit, hit.rule, "", int64(len(hit.body)))
-		rs.body, rs.ctype, rs.cacheState = hit.body, hit.ctype, xCache[hit.rule]
-		rs.hitETag = hit.etag
+		p.serveHit(rs, hit)
 		return stageRespond, nil
 	}
 	if !page {
@@ -255,6 +237,30 @@ func (p *Proxy) stagePageCache(rs *reqState) (stageOutcome, error) {
 	rs.span.Event(trace.KindMiss, rulePage, "", 0)
 	p.admitFill(rs, pkey, p.pageTTL, rulePage, p.depix.Epoch())
 	return stageNext, nil
+}
+
+// serveHit answers the request from a fresh tier entry, with a 304 when the
+// client already holds its bytes.
+func (p *Proxy) serveHit(rs *reqState, hit tierHit) {
+	p.reg.Counter("dpc.pagecache_hits").Inc()
+	if hit.etag != "" && etagMatches(rs.r, hit.etag) {
+		// Conditional hit: the client already holds these bytes. A
+		// 304 carries the tag back and nothing else — zero body
+		// bytes for a revalidation of a surviving entry.
+		p.reg.Counter("dpc.pagecache_304s").Inc()
+		rs.span.Event(trace.KindHit, hit.rule, "304", 0)
+		h := rs.w.Header()
+		h.Set("ETag", hit.etag)
+		h.Set("Via", "dpcache-dpc/1.0")
+		h.Set("X-Cache", xCache[hit.rule])
+		rs.w.WriteHeader(http.StatusNotModified)
+		rs.streamed = true // headers committed; respond must not write a body
+		rs.cacheState = xCache[hit.rule]
+		return
+	}
+	rs.span.Event(trace.KindHit, hit.rule, "", int64(len(hit.body)))
+	rs.body, rs.ctype, rs.cacheState = hit.body, hit.ctype, xCache[hit.rule]
+	rs.hitETag = hit.etag
 }
 
 // admitFill records the request's tier admission — key, TTL and rule,

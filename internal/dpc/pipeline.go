@@ -85,9 +85,9 @@ type reqState struct {
 	resp *http.Response
 
 	// fetchKey is the request's flight key, built once by whichever of
-	// coalesce and origin-fetch first needs it.
+	// admission, coalesce and origin-fetch first needs it.
 	fetchKey string
-	// hintKey is the key a template fetched for this request is remembered
+	// hintKey is the key a template fetched for this request is learnt
 	// under in the hint table (see offerPlan); empty when the fetch is not
 	// one that may offer.
 	hintKey string
@@ -129,6 +129,9 @@ type reqState struct {
 	// (idempotent; nil when the stage took none). Called in respond and
 	// fail — the token covers the request's whole origin-bound lifetime.
 	admitRelease func()
+	// admitFollower reports that admission let the request through as the
+	// follower of a flight already open for its key, with no token.
+	admitFollower bool
 	// originCancel releases the leader's detached origin context (see
 	// originRequest): it cancels the fetch if still running and frees the
 	// client-disconnect watcher. Idempotent; nil for non-leaders.
@@ -152,16 +155,37 @@ func (p *Proxy) stageCoalesce(rs *reqState) (stageOutcome, error) {
 	if p.flights == nil || !coalescable(rs.r) {
 		return stageNext, nil
 	}
-	f, leader, fol := p.flights.join(rs.flightKey(), rs.r.Method)
+	out, err := p.coalesce(rs)
+	if out == stageNext && err == nil && rs.admitFollower {
+		// Admitted as a follower, the request is about to fetch after
+		// all: the flight closed before it could join, or failed it. Admit
+		// it again, as the origin fetch it now is — under a hard bound a
+		// tier entry filed by that flight, or a stale one, or a shed.
+		rs.admitFollower = false
+		return p.admitRequest(rs, false)
+	}
+	return out, err
+}
+
+// coalesce joins the request's flight: it leads a new one, or follows the
+// open one to its end, or — where it cannot follow — falls through to fetch
+// independently. A request admitted as a follower never leads.
+func (p *Proxy) coalesce(rs *reqState) (stageOutcome, error) {
+	f, leader, fol := p.flights.join(rs.flightKey(), rs.r.Method, !rs.admitFollower)
 	if leader {
 		rs.flight = f
 		rs.span.Event(trace.KindRole, "coalesce", "leader", int64(f.id))
 		return stageNext, nil
 	}
 	if f == nil {
-		// Method mismatch: a GET cannot be served from a HEAD-led flight
-		// (the leader's response has no body). Fetch independently.
-		rs.span.Event(trace.KindMiss, "coalesce", "method-mismatch", 0)
+		// No flight it may lead, or a method mismatch: a GET cannot be
+		// served from a HEAD-led flight (the leader's response has no
+		// body). Fetch independently.
+		note := "method-mismatch"
+		if rs.admitFollower {
+			note = "no-flight"
+		}
+		rs.span.Event(trace.KindMiss, "coalesce", note, 0)
 		return stageNext, nil
 	}
 	if fol == nil {
@@ -341,15 +365,17 @@ func (rs *reqState) flightKey() string {
 }
 
 // offerPlan names, on a first-try GET's origin request, the plan the proxy
-// holds for the template this key was last sent: the hint table remembers
-// the digest, the plan cache must still hold its plan, and the request
-// keeps that plan until the answer. The origin generates the template as
-// ever and, when its digest is the one offered, answers with the headers
-// alone (headerSame); any other answer is the template in full, so a hint
-// can be wrong, or the origin deaf to it, at no cost but the bytes.
+// holds for the template this request's identity was last sent when it
+// differed from its page's, else for the page's last template: the hint
+// table remembers the digest, the plan cache must still hold its plan, and
+// the request keeps that plan until the answer. The origin generates the
+// template as ever and, when its digest is the one offered, answers with
+// the headers alone (headerSame); any other answer is the template in full,
+// so a hint can be wrong, or the origin deaf to it, at no cost but the
+// bytes.
 func (p *Proxy) offerPlan(rs *reqState, req *http.Request) {
 	rs.hintKey = rs.flightKey()
-	d, ok := p.hints.lookup(rs.hintKey)
+	d, own, ok := p.hints.offer(rs.hintKey)
 	if !ok {
 		return
 	}
@@ -360,7 +386,11 @@ func (p *Proxy) offerPlan(rs *reqState, req *http.Request) {
 	hex.Encode(have[:], d[:])
 	req.Header.Set(headerHave, string(have[:]))
 	p.reg.Counter("dpc.template_offers").Inc()
-	rs.span.Event(trace.KindInfo, "origin", "offer", 0)
+	note := "offer:page"
+	if own {
+		note = "offer:identity"
+	}
+	rs.span.Event(trace.KindInfo, "origin", note, 0)
 }
 
 // maxForwardBody bounds the request-body bytes buffered for replay.

@@ -139,8 +139,8 @@ func (p *Proxy) assemble(w io.Writer, body io.Reader, clen int64, rs *reqState) 
 				}
 			}
 			if rs.hintKey != "" && !plan.OneOff() {
-				// The plan is resident: the next fetch of this key can offer it.
-				p.hints.record(rs.hintKey, plan.Digest())
+				// The plan is resident: the next fetch of this page can offer it.
+				p.hints.learn(rs.hintKey, plan.Digest())
 			}
 			sp.Event(kind, "plan", note, int64(len(buf)))
 			return p.exec.Run(plan, w, sp)

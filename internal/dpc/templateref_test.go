@@ -208,6 +208,21 @@ func keyOf(path, user string) string {
 	return flightKey(req)
 }
 
+// plant makes d the hint a fetch of key is offered: key's own slot, or its
+// page's with key's own slot cleared.
+func plant(tab *hintTable, key string, own bool, d tmplplan.Digest) {
+	idTag, idb := tab.bucket(key)
+	pgTag, pgb := tab.bucket(hintPage(key))
+	tab.mu.Lock()
+	defer tab.mu.Unlock()
+	if own {
+		idb.set(idTag, d)
+		return
+	}
+	idb.clear(idTag)
+	pgb.set(pgTag, d)
+}
+
 // A hint is only ever a guess about what the origin will generate. Whatever
 // it says — a template no request produces, another page's, another user's
 // on a site whose template is the user's own — the origin compares it with
@@ -220,25 +235,29 @@ func TestTemplateRefWrongHint(t *testing.T) {
 	alice, bob := visit{"/page/portal", "u0"}, visit{"/page/portal", "u1"}
 	page0, page1 := visit{"/page/synth?page=0", ""}, visit{"/page/synth?page=1", ""}
 	want := map[visit]string{}
+	hint := map[visit]tmplplan.Digest{}
 	for _, v := range []visit{alice, bob, page0, page1} {
 		serve(t, p, v.path, v.user) // SETs
-		serve(t, p, v.path, v.user) // GETs: the plan is kept, the hint recorded
+		serve(t, p, v.path, v.user) // GETs: the plan is kept, the hint learnt
 		rec := serve(t, p, v.path, v.user)
 		want[v] = rec.Body.String()
-	}
-	snap := p.Registry().Snapshot()
-	if snap["dpc.template_refs"] != 4 || snap["dpc.template_offers"] != 4 {
-		t.Fatalf("warm-up: offers=%d refs=%d, want every third visit answered by reference", snap["dpc.template_offers"], snap["dpc.template_refs"])
-	}
-	if want[alice] == want[bob] || want[page0] == want[page1] {
-		t.Fatal("the pages do not differ: the test would prove nothing")
-	}
-	hintOf := func(v visit) tmplplan.Digest {
-		d, ok := p.hints.lookup(keyOf(v.path, v.user))
+		d, _, ok := p.hints.offer(keyOf(v.path, v.user))
 		if !ok || p.plans.Lookup(d) == nil {
 			t.Fatalf("no hint with a resident plan for %+v", v)
 		}
-		return d
+		hint[v] = d
+	}
+	// Offers: Alice's third visit the page's hint; Bob's first two Alice's
+	// template as the page's (both declined: his SETs, then his own
+	// GET-only template, which he keeps as his own hint) and his third his
+	// own; each synth page's third its page's.
+	snap := p.Registry().Snapshot()
+	if snap["dpc.template_offers"] != 6 || snap["dpc.template_refs"] != 4 {
+		t.Fatalf("warm-up: offers=%d refs=%d, want 6 and 4: every third visit answered by reference, Bob's first two declined",
+			snap["dpc.template_offers"], snap["dpc.template_refs"])
+	}
+	if want[alice] == want[bob] || want[page0] == want[page1] || hint[alice] == hint[bob] {
+		t.Fatal("the pages do not differ: the test would prove nothing")
 	}
 	stray, _, err := p.plans.Get(templateBody(t, func(enc tmpl.Encoder) { _ = enc.Literal([]byte("no page looks like this")) }))
 	if err != nil {
@@ -248,14 +267,15 @@ func TestTemplateRefWrongHint(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		to   visit
+		own  bool // planted as the identity's own hint, else as the page's
 		hint tmplplan.Digest
 	}{
-		{"a template no request produces", page0, stray.Digest()},
-		{"another page's", page0, hintOf(page1)},
-		{"another user's", bob, hintOf(alice)},
+		{"a template no request produces", page0, false, stray.Digest()},
+		{"another page's", page0, false, hint[page1]},
+		{"another user's", bob, true, hint[alice]},
 	} {
 		before := p.Registry().Snapshot()
-		p.hints.record(keyOf(tc.to.path, tc.to.user), tc.hint)
+		plant(p.hints, keyOf(tc.to.path, tc.to.user), tc.own, tc.hint)
 		rec := serve(t, p, tc.to.path, tc.to.user)
 		if rec.Body.String() != want[tc.to] {
 			t.Fatalf("%s hint: served %q, want %q", tc.name, rec.Body, want[tc.to])
@@ -430,105 +450,239 @@ func TestTemplateRefProtocol(t *testing.T) {
 	})
 }
 
-// The origin-fetch span says what was offered and what shape came back, the
-// assemble span that the plan ran by reference; an offer the origin declined
-// is an offer event with a full template after it.
+// The origin-fetch span says what was offered — the page's hint or the
+// identity's own — and what shape came back, the assemble span that the plan
+// ran by reference; an offer the origin declined is an offer event with a
+// full template after it.
 func TestTemplateRefTraceEvents(t *testing.T) {
-	body := templateBody(t, func(enc tmpl.Encoder) { _ = enc.Literal([]byte("<html>traced</html>")) })
+	bodies := map[string][]byte{}
+	for _, user := range []string{"a", "b"} {
+		bodies[user] = templateBody(t, func(enc tmpl.Encoder) { _ = enc.Literal([]byte("<html>traced for " + user + "</html>")) })
+	}
 	decline := false
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if decline {
 			r.Header.Del(headerHave)
 		}
-		refOrigin(tmpl.Binary{}, body).ServeHTTP(w, r)
+		refOrigin(tmpl.Binary{}, bodies[r.Header.Get("X-User")]).ServeHTTP(w, r)
 	}))
 	defer ts.Close()
 	p := newTestProxy(t, ts.URL, func(c *Config) { c.Trace, c.TraceSampleEvery = true, 1 })
-	serve(t, p, "/page", "")
-	serve(t, p, "/page", "")
-	decline = true
-	serve(t, p, "/page", "")
 
-	traces := p.Tracer().Traces(0) // newest first
-	if len(traces) != 3 {
-		t.Fatalf("%d traces, want 3", len(traces))
-	}
-	for i, want := range []struct {
-		offer       bool
+	steps := []struct {
+		user, offer string // offer: the offer event's note, "" for none
+		decline     bool
 		shape, plan string
 		planKind    trace.Kind
 	}{
-		{true, "template", "hit", trace.KindHit}, // declined
-		{true, "template-ref", "hit:ref", trace.KindHit},
-		{false, "template", "compile", trace.KindMiss},
-	} {
-		fetch, asm := findChild(traces[i].Root, "origin-fetch"), findChild(traces[i].Root, "assemble")
-		if hasEvent(fetch, trace.KindInfo, "origin", "offer") != want.offer ||
+		{"a", "", false, "template", "compile", trace.KindMiss},
+		{"a", "offer:page", false, "template-ref", "hit:ref", trace.KindHit},
+		{"b", "offer:page", false, "template", "compile", trace.KindMiss}, // a's template: declined
+		{"b", "offer:identity", false, "template-ref", "hit:ref", trace.KindHit},
+		{"b", "offer:identity", true, "template", "hit", trace.KindHit}, // declined
+	}
+	for _, s := range steps {
+		decline = s.decline
+		serve(t, p, "/page", s.user)
+	}
+	traces := p.Tracer().Traces(0) // newest first
+	if len(traces) != len(steps) {
+		t.Fatalf("%d traces, want %d", len(traces), len(steps))
+	}
+	for i, want := range steps {
+		fetch := findChild(traces[len(steps)-1-i].Root, "origin-fetch")
+		asm := findChild(traces[len(steps)-1-i].Root, "assemble")
+		offered := hasEvent(fetch, trace.KindInfo, "origin", "offer:page") || hasEvent(fetch, trace.KindInfo, "origin", "offer:identity")
+		if offered != (want.offer != "") || want.offer != "" && !hasEvent(fetch, trace.KindInfo, "origin", want.offer) ||
 			!hasEvent(fetch, trace.KindInfo, "origin", want.shape) ||
 			!hasEvent(asm, want.planKind, "plan", want.plan) {
-			t.Fatalf("trace %d: want offer=%v shape %q plan %q; origin-fetch %+v assemble %+v", i, want.offer, want.shape, want.plan, fetch, asm)
+			t.Fatalf("step %d: want offer %q shape %q plan %q; origin-fetch %+v assemble %+v", i, want.offer, want.shape, want.plan, fetch, asm)
 		}
 	}
 }
 
-// The hint table is its array: however many keys pass through, it is the
-// same few hundred KiB, and what no longer fits is written over.
+// plainPage is the page the origin renders for path and user to a caller
+// that does not speak templates.
+func (o *realOrigin) plainPage(t *testing.T, path, user string) string {
+	t.Helper()
+	req, _ := http.NewRequest(http.MethodGet, o.URL+path, nil)
+	if user != "" {
+		req.Header.Set("X-User", user)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var b bytes.Buffer
+	if _, err := b.ReadFrom(resp.Body); err != nil || resp.Header.Get(headerTemplate) != "" {
+		t.Fatalf("plain render of %s as %q: %v, template header %q", path, user, err, resp.Header.Get(headerTemplate))
+	}
+	return b.String()
+}
+
+// A site whose template is the same for every visitor: once one identity
+// has warmed a page, every other identity's first fetch of it — identified
+// or anonymous — is offered the page's plan and answered by reference, and
+// the page is the one the origin renders plain.
+func TestTemplateRefPageHintAcrossIdentities(t *testing.T) {
+	o := newRealOrigin(t, portalAndSynth(t))
+	p := newTestProxy(t, o.URL, func(c *Config) { c.Capacity, c.Strict = 1024, true })
+	identities := []string{"u0", "u1", "u2", ""}
+	for pg := 0; pg < 3; pg++ {
+		path := fmt.Sprintf("/page/synth?page=%d", pg)
+		warmer := identities[pg]
+		serve(t, p, path, warmer) // SETs
+		serve(t, p, path, warmer) // GETs: the plan is kept, the page's hint learnt
+		for _, user := range identities {
+			if user == warmer {
+				continue
+			}
+			before := p.Registry().Snapshot()
+			got := serve(t, p, path, user).Body.String()
+			after := p.Registry().Snapshot()
+			if after["dpc.template_offers"] != before["dpc.template_offers"]+1 || after["dpc.template_refs"] != before["dpc.template_refs"]+1 {
+				t.Fatalf("page %d, %q's first fetch after %q warmed it: offers %d→%d refs %d→%d, want one offer answered by reference",
+					pg, user, warmer, before["dpc.template_offers"], after["dpc.template_offers"], before["dpc.template_refs"], after["dpc.template_refs"])
+			}
+			if want := o.plainPage(t, path, user); got != want {
+				t.Fatalf("page %d as %q: served %q, plain render %q", pg, user, got, want)
+			}
+		}
+	}
+	if n := p.Registry().Snapshot()["dpc.errors"]; n != 0 {
+		t.Fatalf("dpc.errors = %d", n)
+	}
+}
+
+// A per-user layout: Alice's template is never Bob's. After one declined
+// offer each, each keeps a hint of their own, so however their visits
+// interleave every one is answered by reference — a hint keyed by the page
+// alone would offer each the other's — and no page is ever the other's.
+func TestTemplateRefPerUserLayout(t *testing.T) {
+	o := newRealOrigin(t, portalAndSynth(t))
+	p := newTestProxy(t, o.URL, func(c *Config) { c.Capacity, c.Strict = 1024, true })
+	const path = "/page/portal"
+	want := map[string]string{"u0": o.plainPage(t, path, "u0"), "u1": o.plainPage(t, path, "u1")}
+	if want["u0"] == want["u1"] {
+		t.Fatal("the two users' pages do not differ: the test would prove nothing")
+	}
+	// Warm-up: each user's SETs and first GET-only template, then Alice
+	// once more behind Bob, whose template is now the page's.
+	for _, user := range []string{"u0", "u0", "u1", "u1", "u0"} {
+		serve(t, p, path, user)
+	}
+	for i, user := range []string{"u1", "u0", "u1", "u0", "u0", "u1", "u1", "u0"} {
+		before := p.Registry().Counter("dpc.template_refs").Value()
+		if got := serve(t, p, path, user).Body.String(); got != want[user] {
+			t.Fatalf("visit %d as %s: served %q, want %q", i, user, got, want[user])
+		}
+		if refs := p.Registry().Counter("dpc.template_refs").Value(); refs != before+1 {
+			t.Fatalf("visit %d as %s: not answered by reference", i, user)
+		}
+	}
+	if n := p.Registry().Snapshot()["dpc.errors"]; n != 0 {
+		t.Fatalf("dpc.errors = %d", n)
+	}
+}
+
+// The hint table is its array: 4 096 buckets of two 40-byte slots however
+// many keys pass through, a bucket's third key writes over its older one,
+// and a cleared slot is the next to be written over.
 func TestHintTableFixedSizeAndOverwrite(t *testing.T) {
-	if size := unsafe.Sizeof(hintTable{}); size > 512<<10 {
-		t.Fatalf("hint table is %d bytes", size)
+	var tab hintTable
+	if size := unsafe.Sizeof(tab.buckets); size != 320<<10 {
+		t.Fatalf("hint table slots take %d bytes, want 320 KiB", size)
 	}
-	tab := newHintTable()
 	digest := func(i int) tmplplan.Digest { return sha256.Sum256([]byte(fmt.Sprint(i))) }
-	if _, ok := tab.lookup("never recorded"); ok {
-		t.Fatal("lookup of an unrecorded key hit")
+	var b hintBucket
+	for tag := uint64(1); tag <= hintWays+1; tag++ {
+		b.set(tag, digest(int(tag)))
 	}
-	// hintWays+1 keys of one bucket, recorded in order: the first is
-	// written over, the others keep their digests.
-	var keys []string
-	_, bucket := tab.bucket("key 0")
-	for i := 0; len(keys) <= hintWays; i++ {
-		if _, b := tab.bucket(fmt.Sprint("key ", i)); b == bucket {
-			keys = append(keys, fmt.Sprint("key ", i))
+	if b.find(1) != nil {
+		t.Fatalf("%d keys live in a bucket of %d", hintWays+1, hintWays)
+	}
+	for tag := uint64(2); tag <= hintWays+1; tag++ {
+		if s := b.find(tag); s == nil || s.digest != digest(int(tag)) {
+			t.Fatalf("tag %d lost its digest", tag)
 		}
 	}
-	for i, k := range keys {
-		tab.record(k, digest(i))
+	// Setting a key again replaces its digest and displaces nobody.
+	b.set(2, digest(99))
+	if s2, s3 := b.find(2), b.find(3); s2 == nil || s2.digest != digest(99) || s3 == nil {
+		t.Fatal("re-setting one key displaced its neighbour or kept its old digest")
 	}
-	if _, ok := tab.lookup(keys[0]); ok {
-		t.Fatalf("%d keys live in a bucket of %d", len(keys), hintWays)
+	// A cleared key is gone, and its slot is the one a new key takes.
+	b.clear(3)
+	b.set(4, digest(4))
+	if b.find(3) != nil || b.find(2) == nil || b.find(4) == nil {
+		t.Fatalf("after clearing 3 and setting 4: bucket %v", b)
 	}
-	for i, k := range keys[1:] {
-		if d, ok := tab.lookup(k); !ok || d != digest(i+1) {
-			t.Fatalf("key %q: digest %x, %v", k, d, ok)
-		}
-	}
-	// Recording a key again replaces its digest and displaces nobody.
-	tab.record(keys[2], digest(99))
-	if d, _ := tab.lookup(keys[2]); d != digest(99) {
-		t.Fatal("re-recorded key kept its old digest")
-	}
-	if d, ok := tab.lookup(keys[1]); !ok || d != digest(1) {
-		t.Fatal("re-recording one key displaced its neighbour")
-	}
-	// Many times the table's slots: it answers for recent keys and has
+
+	// Many times the table's slots: it answers for recent pages and has
 	// nowhere to have grown.
+	t2 := newHintTable()
 	const n = 8 * hintBuckets * hintWays
 	for i := 0; i < n; i++ {
-		tab.record(fmt.Sprint("flood ", i), digest(i))
+		t2.learn(keyOf(fmt.Sprint("/flood/", i), ""), digest(i))
 	}
-	if d, ok := tab.lookup(fmt.Sprint("flood ", n-1)); !ok || d != digest(n-1) {
-		t.Fatal("the most recently recorded key is not in the table")
+	if d, _, ok := t2.offer(keyOf(fmt.Sprint("/flood/", n-1), "u9")); !ok || d != digest(n-1) {
+		t.Fatal("the most recently learnt page is not in the table")
 	}
 }
 
-// Concurrent record and lookup: a lookup returns a digest that was recorded
-// for that key, whole, or nothing.
+// Offer, learn and clear. A page's hint is the last template any of its
+// fetches ran; an identity has a hint of its own only while its template
+// differs from what the page last produced, and loses it once they agree.
+func TestHintTableOfferLearnClear(t *testing.T) {
+	tab := newHintTable()
+	T, U := tmplplan.Digest{1}, tmplplan.Digest{2}
+	offer := func(what, path, user string, want tmplplan.Digest, wantOwn bool) {
+		t.Helper()
+		d, own, ok := tab.offer(keyOf(path, user))
+		if !ok || d != want || own != wantOwn {
+			t.Fatalf("%s: offer to %s as %q = %x own=%v ok=%v, want %x own=%v", what, path, user, d[:1], own, ok, want[:1], wantOwn)
+		}
+	}
+	if page := hintPage(keyOf("/a?x=1", "u1")); page != PageKeyPrefix("/a?x=1") {
+		t.Fatalf("page of a fetch key = %q, want %q", page, PageKeyPrefix("/a?x=1"))
+	}
+	if _, _, ok := tab.offer(keyOf("/a", "u1")); ok {
+		t.Fatal("an empty table offered a hint")
+	}
+
+	tab.learn(keyOf("/a", "u1"), T) // the page's first template: nothing to differ from
+	offer("first lesson", "/a", "u1", T, false)
+	offer("first lesson, another visitor", "/a", "u2", T, false)
+	offer("first lesson, anonymous", "/a", "", T, false)
+	if _, _, ok := tab.offer(keyOf("/b", "u1")); ok {
+		t.Fatal("another page was offered /a's hint")
+	}
+
+	tab.learn(keyOf("/a", "u2"), U) // differs from the page's T: u2 keeps its own
+	offer("u2 differs", "/a", "u2", U, true)
+	offer("u2 differs, the page follows", "/a", "u3", U, false)
+	tab.learn(keyOf("/a", "u1"), T) // differs from the page's U now: u1 keeps its own
+	offer("u1 differs", "/a", "u1", T, true)
+	offer("u1 differs, u2 keeps its own", "/a", "u2", U, true)
+	offer("u1 differs, the page follows", "/a", "u3", T, false)
+
+	tab.learn(keyOf("/a", "u2"), T) // agrees with the page again: u2's slot is cleared
+	offer("u2 agrees", "/a", "u2", T, false)
+	tab.learn(keyOf("/a", "u1"), T) // u1 too
+	offer("u1 agrees", "/a", "u1", T, false)
+	tab.learn(keyOf("/a", "u3"), U) // the page changes: its first visitor's lesson
+	offer("page changed", "/a", "u1", U, false)
+}
+
+// Concurrent learn and offer: an offer returns a digest that was learnt on
+// that page, whole, or nothing.
 func TestHintTableConcurrent(t *testing.T) {
 	tab := newHintTable()
-	const workers, keys, rounds = 8, 64, 2000
-	digest := func(k, v int) (d tmplplan.Digest) {
+	const workers, pages, users, rounds = 8, 16, 4, 2000
+	digest := func(pg, v int) (d tmplplan.Digest) {
 		for i := range d {
-			d[i] = byte(k)
+			d[i] = byte(pg)
 		}
 		d[0] = byte(v)
 		return d
@@ -539,16 +693,16 @@ func TestHintTableConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				k := (i*7 + w) % keys
-				key := fmt.Sprint("k", k)
+				pg, user := (i*7+w)%pages, (i+w)%users
+				key := keyOf(fmt.Sprint("/p", pg), fmt.Sprint("u", user))
 				if w%2 == 0 {
-					tab.record(key, digest(k, i))
+					tab.learn(key, digest(pg, i))
 					continue
 				}
-				if d, ok := tab.lookup(key); ok {
+				if d, _, ok := tab.offer(key); ok {
 					for _, b := range d[1:] {
-						if b != byte(k) {
-							t.Errorf("key %d: torn or foreign digest %x", k, d)
+						if b != byte(pg) {
+							t.Errorf("page %d: torn or foreign digest %x", pg, d)
 							return
 						}
 					}

@@ -250,29 +250,38 @@ const (
 	expireLapsed freshness = iota
 	// keepLapsed misses on a lapsed entry but leaves it resident (GetKeep).
 	keepLapsed
-	// serveLapsed returns a lapsed entry with its age and moves neither
-	// the hit nor the miss counter (GetStale).
+	// serveLapsed returns an entry lapsed or not, with how far past its
+	// deadline it is, and moves neither the hit nor the miss counter
+	// (GetStale).
 	serveLapsed
 )
 
+// pastDeadline is how far now is past deadline: negative while an entry is
+// fresh, zero or more once it has lapsed, and the most negative duration
+// for an entry stored without a TTL, which never lapses.
+func pastDeadline(now, deadline time.Time) time.Duration {
+	if deadline.IsZero() {
+		return math.MinInt64
+	}
+	return now.Sub(deadline)
+}
+
 // lookup is the one read path behind Get, GetKeep and GetStale. A served
-// entry has its recency (LRU) or frequency (GDSF) refreshed.
+// entry has its recency (LRU) or frequency (GDSF) refreshed. age is
+// reported under serveLapsed only (see pastDeadline).
 func (s *KeyedStore) lookup(key string, mode freshness) (val KeyedEntry, age time.Duration, ok bool) {
 	sh := s.locate(key)
 	sh.mu.Lock()
 	e, found := sh.entries[key]
-	if found && !e.deadline.IsZero() {
-		if now := s.clk.Now(); !now.Before(e.deadline) {
-			if mode == serveLapsed {
-				age = now.Sub(e.deadline)
-			} else {
-				if mode == expireLapsed {
-					sh.remove(e)
-					sh.expired.Add(1)
-				}
-				found = false
-			}
+	switch {
+	case found && mode == serveLapsed:
+		age = pastDeadline(s.clk.Now(), e.deadline)
+	case found && !e.deadline.IsZero() && !s.clk.Now().Before(e.deadline):
+		if mode == expireLapsed {
+			sh.remove(e)
+			sh.expired.Add(1)
 		}
+		found = false
 	}
 	if found {
 		sh.touch(e)
@@ -309,14 +318,15 @@ func (s *KeyedStore) GetKeep(key string) (KeyedEntry, bool) {
 }
 
 // GetStale returns the entry stored under key even when its TTL has
-// lapsed, along with how far past its deadline it is (zero while still
-// fresh). Unlike Get it never removes an expired entry — the caller is a
-// stale-while-revalidate path that wants the lapsed copy served while a
-// background refresh replaces it. Invalidation is unaffected: Delete and
-// DeleteFunc remove entries outright, so a stale read can only observe
-// TTL lapse, never invalidated content. The read refreshes recency (a
-// key being stale-served is still hot) but is not counted as a hit or
-// miss — it is not a freshness lookup.
+// lapsed, along with how far past its deadline it is: negative while still
+// fresh, so a caller can tell a fresh entry from one that lapsed exactly at
+// its deadline (see pastDeadline). Unlike Get it never removes an expired
+// entry — the caller is a stale-while-revalidate path that wants the
+// lapsed copy served while a background refresh replaces it. Invalidation
+// is unaffected: Delete and DeleteFunc remove entries outright, so a stale
+// read can only observe TTL lapse, never invalidated content. The read
+// refreshes recency (a key being stale-served is still hot) but is not
+// counted as a hit or miss — it is not a freshness lookup.
 func (s *KeyedStore) GetStale(key string) (entry KeyedEntry, age time.Duration, ok bool) {
 	return s.lookup(key, serveLapsed)
 }

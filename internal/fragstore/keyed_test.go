@@ -348,18 +348,28 @@ func TestKeyedGetKeepLeavesExpiredResident(t *testing.T) {
 }
 
 // GetStale serves entries past their deadline with their age, without
-// touching the hit/miss counters, and a fresh entry reads back with age
-// zero. Delete still removes the entry outright — an invalidation beats
+// touching the hit/miss counters. A fresh entry reads back with a negative
+// age — the time it has left — so it is never mistaken for one that lapsed
+// exactly at its deadline, which reads zero; an entry with no TTL never
+// lapses. Delete still removes the entry outright — an invalidation beats
 // any stale serve.
 func TestKeyedGetStale(t *testing.T) {
 	fake := clock.NewFake(time.Unix(0, 0))
 	s := newKeyed(t, fragstore.KeyedConfig{Clock: fake})
 	s.Put("/a", fragstore.KeyedEntry{Value: []byte("v"), Meta: "text/plain"}, 10*time.Second)
+	s.Put("/forever", fragstore.KeyedEntry{Value: []byte("v")}, 0)
 
-	if e, age, ok := s.GetStale("/a"); !ok || age != 0 || e.Meta != "text/plain" {
-		t.Fatalf("fresh GetStale: entry=%+v age=%v ok=%v", e, age, ok)
+	if e, age, ok := s.GetStale("/a"); !ok || age != -10*time.Second || e.Meta != "text/plain" {
+		t.Fatalf("fresh GetStale: entry=%+v age=%v ok=%v, want age -10s", e, age, ok)
 	}
-	fake.Advance(13 * time.Second)
+	fake.Advance(10 * time.Second)
+	if _, age, ok := s.GetStale("/a"); !ok || age != 0 {
+		t.Fatalf("GetStale at the deadline: age=%v ok=%v, want 0 true", age, ok)
+	}
+	if _, age, ok := s.GetStale("/forever"); !ok || age >= 0 {
+		t.Fatalf("GetStale of an entry with no TTL: age=%v ok=%v, want a negative age", age, ok)
+	}
+	fake.Advance(3 * time.Second)
 	if _, age, ok := s.GetStale("/a"); !ok || age != 3*time.Second {
 		t.Fatalf("expired GetStale: age=%v ok=%v, want 3s true", age, ok)
 	}

@@ -424,22 +424,12 @@ func fromDisk(e diskstore.Entry) KeyedEntry {
 	return KeyedEntry{Value: e.Value, Meta: e.Meta, Gen: uint32(e.Gen)}
 }
 
-// lapse reports whether a deadline has passed, and by how much.
-func (t *TieredKeyed) lapse(deadline time.Time) (age time.Duration, expired bool) {
-	if deadline.IsZero() {
-		return 0, false
-	}
-	now := t.ram.clk.Now()
-	if now.Before(deadline) {
-		return 0, false
-	}
-	return now.Sub(deadline), true
+// lapse is how far past deadline the clock is (see pastDeadline).
+func (t *TieredKeyed) lapse(deadline time.Time) time.Duration {
+	return pastDeadline(t.ram.clk.Now(), deadline)
 }
 
-func (t *TieredKeyed) expired(deadline time.Time) bool {
-	_, expired := t.lapse(deadline)
-	return expired
-}
+func (t *TieredKeyed) expired(deadline time.Time) bool { return t.lapse(deadline) >= 0 }
 
 // lookup is the one read path behind Get and GetKeep: RAM first, then an
 // eviction in flight, then disk — one hold of the transit lock and, on a
@@ -491,9 +481,10 @@ func (t *TieredKeyed) Get(key string) (KeyedEntry, bool) { return t.lookup(key, 
 // whichever tier holds them) for a later GetStale.
 func (t *TieredKeyed) GetKeep(key string) (KeyedEntry, bool) { return t.lookup(key, keepLapsed, nil) }
 
-// GetStale returns the entry under key even past its TTL, with its age
-// (zero while fresh), from whichever tier holds it. Stale reads neither
-// promote nor count as a touch towards promotion — a fresh Get does.
+// GetStale returns the entry under key even past its TTL, with how far past
+// it is (negative while fresh, as KeyedStore.GetStale), from whichever tier
+// holds it. Stale reads neither promote nor count as a touch towards
+// promotion — a fresh Get does.
 func (t *TieredKeyed) GetStale(key string) (KeyedEntry, time.Duration, bool) {
 	if e, age, ok := t.ram.lookup(key, serveLapsed); ok {
 		return e, age, true
@@ -502,12 +493,10 @@ func (t *TieredKeyed) GetStale(key string) (KeyedEntry, time.Duration, bool) {
 	switch {
 	case suspect:
 	case held:
-		age, _ := t.lapse(v.deadline)
-		return v.e, age, true
+		return v.e, t.lapse(v.deadline), true
 	default:
 		if e, ok := t.disk.Peek(key); ok {
-			age, _ := t.lapse(e.Deadline)
-			return fromDisk(e), age, true
+			return fromDisk(e), t.lapse(e.Deadline), true
 		}
 	}
 	return KeyedEntry{}, 0, false

@@ -207,7 +207,12 @@ func TestTieredTTLAcrossTiers(t *testing.T) {
 	if st := ts.TierStats(); st.Disk.Resident != 1 {
 		t.Fatalf("setup: ttl entry not on disk: %+v", st)
 	}
-	// Still fresh: served from disk.
+	// Still fresh: a stale probe on disk reports the time it has left, as
+	// the RAM tier would.
+	if _, age, ok := ts.GetStale("ttl"); !ok || age != -time.Minute {
+		t.Fatalf("GetStale of a fresh demoted entry: age=%v ok=%v, want -1m0s true", age, ok)
+	}
+	// And it is served from disk.
 	if e, ok := ts.Get("ttl"); !ok || string(e.Value) != "12345678" {
 		t.Fatalf("fresh demoted entry not served: ok=%v", ok)
 	}

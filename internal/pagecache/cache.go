@@ -90,7 +90,7 @@ func (c *Cache) GetTaggedKeep(key string) (body []byte, contentType, etag string
 }
 
 // GetStale returns the cached page under key even when its TTL has
-// lapsed, along with how far past expiry it is (zero while fresh). The
+// lapsed, along with how far past expiry it is (negative while fresh). The
 // admission-control stage serves these during origin overload
 // (stale-while-revalidate); invalidated pages are Deleted outright and
 // can never surface here. The caller bounds acceptable staleness.
