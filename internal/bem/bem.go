@@ -108,6 +108,16 @@ type Decision struct {
 	Hit bool
 	Key uint32
 	Gen uint32
+	// Handle names the entry a hit found, for Recheck; zero on a miss.
+	Handle Handle
+}
+
+// Handle is one Lookup hit kept for later: the directory entry and the
+// generation it was valid at. A generation is never valid twice, so an
+// entry still valid at that generation has not been invalidated since.
+type Handle struct {
+	e   *entry
+	gen uint32
 }
 
 // Stats is a point-in-time summary of monitor activity.
@@ -272,7 +282,7 @@ func (m *Monitor) Lookup(fragmentID string, ttl time.Duration) (Decision, error)
 		e.hits++
 		m.unlinkLocked(e)
 		m.touchLocked(e)
-		d := Decision{Hit: true, Key: e.dpcKey, Gen: e.gen}
+		d := Decision{Hit: true, Key: e.dpcKey, Gen: e.gen, Handle: Handle{e, e.gen}}
 		evs := m.drainHooksLocked()
 		m.mu.Unlock()
 		m.fire(evs)
@@ -313,21 +323,51 @@ func (m *Monitor) Lookup(fragmentID string, ttl time.Duration) (Decision, error)
 	return Decision{Hit: false, Key: key, Gen: gen}, nil
 }
 
-// Commit records generation results for a fragment that just missed: its
-// content size (for stats) and the data dependencies discovered while
-// generating it (for update-driven invalidation).
-func (m *Monitor) Commit(fragmentID string, size int, deps []repository.Key) {
+// Depend registers row k as a data dependency of fragmentID while the
+// generation gen a Lookup miss handed out is rendering, before the render
+// reads k. From then on a write to k invalidates the entry, as it would
+// after Commit. Registered only at Commit, a write landing between the
+// render's read and Commit would find nothing to invalidate, and the entry
+// would stay valid — and be named by every concurrent Lookup that hits it
+// — with content older than the row. Registered first, such a write is
+// either seen by the read or invalidates the entry. A generation the entry
+// no longer has registers nothing.
+func (m *Monitor) Depend(fragmentID string, gen uint32, k repository.Key) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	e, ok := m.dir[fragmentID]
+	if !ok || !e.valid || e.gen != gen {
+		return
+	}
+	set, ok := m.deps[k]
 	if !ok {
+		set = make(map[string]struct{})
+		m.deps[k] = set
+	}
+	if _, dup := set[fragmentID]; !dup {
+		set[fragmentID] = struct{}{}
+		e.deps = append(e.deps, k)
+	}
+}
+
+// Commit records generation results for the generation gen of a fragment
+// that just missed: its content size (for stats) and the rows read while
+// generating it, which become its exact data dependencies (for
+// update-driven invalidation; Depend has registered each before it was
+// read). A generation the entry no longer has commits nothing: whoever
+// revalidated the entry commits its own.
+func (m *Monitor) Commit(fragmentID string, gen uint32, size int, reads []repository.Read) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	e, ok := m.dir[fragmentID]
+	if !ok || e.gen != gen {
 		return
 	}
 	e.size = size
-	m.setDepsLocked(e, deps)
+	m.setDepsLocked(e, reads)
 }
 
-func (m *Monitor) setDepsLocked(e *entry, deps []repository.Key) {
+func (m *Monitor) setDepsLocked(e *entry, reads []repository.Read) {
 	for _, d := range e.deps {
 		if set, ok := m.deps[d]; ok {
 			delete(set, e.fragmentID)
@@ -336,7 +376,10 @@ func (m *Monitor) setDepsLocked(e *entry, deps []repository.Key) {
 			}
 		}
 	}
-	e.deps = append([]repository.Key(nil), deps...)
+	e.deps = make([]repository.Key, len(reads))
+	for i, rd := range reads {
+		e.deps[i] = rd.Key
+	}
 	for _, d := range e.deps {
 		set, ok := m.deps[d]
 		if !ok {
@@ -345,6 +388,37 @@ func (m *Monitor) setDepsLocked(e *entry, deps []repository.Key) {
 		}
 		set[e.fragmentID] = struct{}{}
 	}
+}
+
+// Recheck reports whether Lookups of the fragments the handles name would
+// all hit now, with the keys and generations they had: every entry still
+// valid at its handle's generation and not past its TTL. If so, it counts
+// them as those Lookups would — a lookup and a hit each, and a touch of the
+// recency list in handle order — under one hold of the monitor lock, and
+// the caller may emit the same GETs without looking them up. If not, it
+// changes nothing, and the caller looks them up. With ForcedMissProb set it
+// always answers false, so that every lookup draws its forced miss.
+func (m *Monitor) Recheck(hs []Handle) bool {
+	if m.cfg.ForcedMissProb > 0 {
+		return false
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	now := m.clk.Now()
+	for _, h := range hs {
+		if e := h.e; !e.valid || e.gen != h.gen || (!e.expiry.IsZero() && !now.Before(e.expiry)) {
+			return false
+		}
+	}
+	for _, h := range hs {
+		m.stats.Lookups++
+		m.stats.Hits++
+		m.lruTick++
+		h.e.hits++
+		m.unlinkLocked(h.e)
+		m.touchLocked(h.e)
+	}
+	return true
 }
 
 // allocKeyLocked pops a free dpcKey, evicting the LRU valid fragment when

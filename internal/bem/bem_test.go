@@ -3,6 +3,7 @@ package bem
 import (
 	"math/rand"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -181,10 +182,10 @@ func TestDependencyInvalidation(t *testing.T) {
 	m.BindRepo(repo)
 
 	dep := repository.Key{Table: "quotes", Row: "IBM"}
-	_, _ = m.Lookup("quote+IBM", 0)
-	m.Commit("quote+IBM", 100, []repository.Key{dep})
-	_, _ = m.Lookup("headlines+IBM", 0)
-	m.Commit("headlines+IBM", 400, []repository.Key{{Table: "news", Row: "IBM"}})
+	d, _ := m.Lookup("quote+IBM", 0)
+	m.Commit("quote+IBM", d.Gen, 100, []repository.Read{{Key: dep}})
+	d, _ = m.Lookup("headlines+IBM", 0)
+	m.Commit("headlines+IBM", d.Gen, 400, []repository.Read{{Key: repository.Key{Table: "news", Row: "IBM"}}})
 
 	repo.Put(dep, map[string]string{"px": "142.10"})
 
@@ -203,11 +204,11 @@ func TestCommitReplacesDeps(t *testing.T) {
 	m := newMonitor(t, 4)
 	old := repository.Key{Table: "t", Row: "old"}
 	nw := repository.Key{Table: "t", Row: "new"}
-	_, _ = m.Lookup("f", 0)
-	m.Commit("f", 10, []repository.Key{old})
+	d, _ := m.Lookup("f", 0)
+	m.Commit("f", d.Gen, 10, []repository.Read{{Key: old}})
 	m.Invalidate("f")
-	_, _ = m.Lookup("f", 0)
-	m.Commit("f", 10, []repository.Key{nw})
+	d, _ = m.Lookup("f", 0)
+	m.Commit("f", d.Gen, 10, []repository.Read{{Key: nw}})
 	if n := m.InvalidateDependents(old); n != 0 {
 		t.Fatalf("stale dependency still registered: invalidated %d", n)
 	}
@@ -391,10 +392,11 @@ func TestInvariantsUnderRandomOps(t *testing.T) {
 		case 0, 1:
 			id := frags[rng.Intn(len(frags))]
 			ttl := time.Duration(rng.Intn(3)) * time.Second
-			if _, err := m.Lookup(id, ttl); err != nil {
+			d, err := m.Lookup(id, ttl)
+			if err != nil {
 				t.Fatalf("op %d: %v", op, err)
 			}
-			m.Commit(id, rng.Intn(2048), []repository.Key{deps[rng.Intn(len(deps))]})
+			m.Commit(id, d.Gen, rng.Intn(2048), []repository.Read{{Key: deps[rng.Intn(len(deps))]}})
 		case 2:
 			m.Invalidate(frags[rng.Intn(len(frags))])
 		case 3:
@@ -601,13 +603,13 @@ func TestSweeperReclaimsExpiredSlots(t *testing.T) {
 
 func TestTopFragments(t *testing.T) {
 	m := newMonitor(t, 8)
-	_, _ = m.Lookup("hot", 0)
-	m.Commit("hot", 512, nil)
+	d, _ := m.Lookup("hot", 0)
+	m.Commit("hot", d.Gen, 512, nil)
 	for i := 0; i < 5; i++ {
 		_, _ = m.Lookup("hot", 0)
 	}
-	_, _ = m.Lookup("cold", 0)
-	m.Commit("cold", 128, nil)
+	d, _ = m.Lookup("cold", 0)
+	m.Commit("cold", d.Gen, 128, nil)
 	_, _ = m.Lookup("cold", 0)
 
 	top := m.TopFragments(1)
@@ -630,5 +632,177 @@ func TestTopFragmentsDeterministicTies(t *testing.T) {
 	top := m.TopFragments(2)
 	if top[0].FragmentID != "a" || top[1].FragmentID != "b" {
 		t.Fatalf("tie order = %v, %v", top[0].FragmentID, top[1].FragmentID)
+	}
+}
+
+// A Recheck that succeeds is, to the monitor, the Lookups it stands for:
+// the same counters, the same hit counts per fragment and the same recency
+// order, so the replacement manager evicts the same victims afterwards.
+func TestRecheckCountsAsLookups(t *testing.T) {
+	ids := []string{"a", "b", "c", "d"}
+	build := func() (*Monitor, []Handle, *[]string) {
+		m := newMonitor(t, 5)
+		var evicted []string
+		m.OnInvalidate(func(id string, _, _ uint32, reason InvalidationReason) {
+			if reason == ReasonEviction {
+				evicted = append(evicted, id)
+			}
+		})
+		for _, id := range []string{"d", "c", "b", "a"} {
+			_, _ = m.Lookup(id, time.Minute)
+		}
+		var hs []Handle
+		for _, id := range ids {
+			d, _ := m.Lookup(id, time.Minute)
+			hs = append(hs, d.Handle)
+		}
+		return m, hs, &evicted
+	}
+	looked, _, lookedEvicted := build()
+	rechecked, hs, recheckedEvicted := build()
+	order := []int{3, 0, 2, 0} // the same fragment twice is two lookups
+	for _, i := range order {
+		if d, _ := looked.Lookup(ids[i], time.Minute); !d.Hit {
+			t.Fatalf("lookup of %s missed", ids[i])
+		}
+	}
+	var again []Handle
+	for _, i := range order {
+		again = append(again, hs[i])
+	}
+	if !rechecked.Recheck(again) {
+		t.Fatal("Recheck of entries nobody touched refused")
+	}
+	if a, b := looked.Stats(), rechecked.Stats(); a != b {
+		t.Fatalf("stats after Lookups %+v, after Recheck %+v", a, b)
+	}
+	if a, b := looked.TopFragments(0), rechecked.TopFragments(0); len(a) != len(b) || a[0] != b[0] || a[3] != b[3] {
+		t.Fatalf("per-fragment hits after Lookups %+v, after Recheck %+v", a, b)
+	}
+	for _, m := range []*Monitor{looked, rechecked} {
+		for _, id := range []string{"x", "y", "z", "w"} {
+			_, _ = m.Lookup(id, 0)
+		}
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if strings.Join(*lookedEvicted, ",") != strings.Join(*recheckedEvicted, ",") || len(*lookedEvicted) != 3 {
+		t.Fatalf("evicted after Lookups %v, after Recheck %v", *lookedEvicted, *recheckedEvicted)
+	}
+}
+
+// Recheck refuses — and changes nothing — as soon as one handle's Lookup
+// would not hit with the same key and generation: the entry was invalidated
+// (by data, a stale report, eviction), came back at a new generation, or
+// outlived its TTL. A forced-miss monitor refuses every time.
+func TestRecheckRefusesWhatALookupWouldMiss(t *testing.T) {
+	fake := clock.NewFake(time.Unix(0, 0))
+	repo := repository.New(repository.LatencyModel{})
+	row := repository.Key{Table: "t", Row: "r"}
+	repo.Put(row, map[string]string{"a": "1"})
+	cases := []struct {
+		name  string
+		spoil func(m *Monitor, d Decision)
+	}{
+		{"data write", func(*Monitor, Decision) { repo.Put(row, map[string]string{"a": "2"}) }},
+		{"stale report", func(m *Monitor, d Decision) { m.InvalidateStale(d.Key, d.Gen) }},
+		{"new generation", func(m *Monitor, _ Decision) {
+			m.Invalidate("f")
+			if d, _ := m.Lookup("f", time.Second); d.Hit {
+				t.Fatal("lookup after invalidation hit")
+			}
+		}},
+		{"ttl", func(*Monitor, Decision) { fake.Advance(time.Second) }},
+		{"eviction", func(m *Monitor, _ Decision) {
+			_, _ = m.Lookup("g", 0)
+			_, _ = m.Lookup("h", 0)
+		}},
+	}
+	for _, tc := range cases {
+		m, err := New(Config{Capacity: 2, Clock: fake})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.BindRepo(repo)
+		d, _ := m.Lookup("f", time.Second)
+		m.Commit("f", d.Gen, 1, []repository.Read{{Key: row}})
+		d, _ = m.Lookup("f", time.Second)
+		if !m.Recheck([]Handle{d.Handle}) {
+			t.Fatalf("%s: Recheck refused before anything happened", tc.name)
+		}
+		tc.spoil(m, d)
+		before := m.Stats()
+		if m.Recheck([]Handle{d.Handle}) {
+			t.Fatalf("%s: Recheck accepted", tc.name)
+		}
+		if after := m.Stats(); after != before {
+			t.Fatalf("%s: a refused Recheck moved the counters: %+v → %+v", tc.name, before, after)
+		}
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	forced, err := New(Config{Capacity: 2, ForcedMissProb: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _ = forced.Lookup("f", 0)
+	var d Decision
+	for !d.Hit {
+		d, _ = forced.Lookup("f", 0)
+	}
+	if forced.Recheck([]Handle{d.Handle}) {
+		t.Fatal("a forced-miss monitor accepted a Recheck")
+	}
+}
+
+// A write that lands after a render read its row and before Commit would
+// find no dependency to invalidate if Commit were the first to register
+// it. Depend registers the row before the read, so the write invalidates
+// the entry it was rendering for — with a data invalidation's hook — and a
+// Lookup meanwhile does not hit content older than the row.
+func TestCommitRaceDependBeforeRead(t *testing.T) {
+	m := newMonitor(t, 4)
+	repo := repository.New(repository.LatencyModel{})
+	m.BindRepo(repo)
+	row := repository.Key{Table: "quotes", Row: "IBM"}
+	repo.Put(row, map[string]string{"px": "141.80"})
+	var fired []InvalidationReason
+	m.OnInvalidate(func(_ string, _, _ uint32, reason InvalidationReason) { fired = append(fired, reason) })
+
+	d, _ := m.Lookup("quote+IBM", 0)
+	m.Depend("quote+IBM", d.Gen, row)
+	m.Depend("quote+IBM", d.Gen, row) // a second read of the row registers nothing more
+	_, read := repo.FieldVersion(row, "px", "")
+	repo.Put(row, map[string]string{"px": "142.10"}) // between the render's read and Commit
+	if len(fired) != 1 || fired[0] != ReasonData {
+		t.Fatalf("hooks %v; want one data invalidation as the write landed", fired)
+	}
+	again, _ := m.Lookup("quote+IBM", 0)
+	if again.Hit {
+		t.Fatal("a Lookup during the render hit the entry the write invalidated")
+	}
+	// That Lookup's render commits first. The raced render's Commit comes
+	// after, for a generation the entry no longer has, naming what it read
+	// (another row, say): it must not replace the live generation's
+	// dependencies.
+	m.Depend("quote+IBM", again.Gen, row)
+	_, now := repo.FieldVersion(row, "px", "")
+	m.Commit("quote+IBM", again.Gen, 64, []repository.Read{{Key: row, Version: now}})
+	m.Commit("quote+IBM", d.Gen, 64, []repository.Read{{Key: repository.Key{Table: "quotes", Row: "GE"}, Version: read}})
+	if d2, _ := m.Lookup("quote+IBM", 0); !d2.Hit || d2.Gen != again.Gen {
+		t.Fatalf("lookup after both commits: %+v, want a hit on generation %d", d2, again.Gen)
+	}
+	repo.Put(row, map[string]string{"px": "142.20"})
+	if d3, _ := m.Lookup("quote+IBM", 0); d3.Hit {
+		t.Fatal("a stale generation's Commit replaced the live one's dependencies")
+	}
+	if m.Stats().DataInvalidations != 2 {
+		t.Fatalf("%d data invalidations, want 2", m.Stats().DataInvalidations)
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -20,7 +20,7 @@ func Example() {
 
 	d, _ := mon.Lookup("pxquote+IBM", 2*time.Second)
 	fmt.Println("first lookup hit:", d.Hit)
-	mon.Commit("pxquote+IBM", 64, []repository.Key{quote})
+	mon.Commit("pxquote+IBM", d.Gen, 64, []repository.Read{{Key: quote}})
 
 	d, _ = mon.Lookup("pxquote+IBM", 2*time.Second)
 	fmt.Println("second lookup hit:", d.Hit)

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"testing"
 
 	"dpcache/internal/bem"
@@ -93,28 +94,45 @@ func (d *digestWriter) Write(b []byte) (int, error) {
 	return len(b), nil
 }
 
-// The same fetch answered by reference — the caller offers the template's
-// digest, the server hashes what it generated and sends no body — stays
-// inside the full answer's budget: the hash and the comparison allocate
-// nothing.
-func TestAllocBudgetServePageTemplateRef(t *testing.T) {
-	srv, req := benchPageServer(t)
+// offeredPageServer is benchPageServer with the request offering the
+// digest of the page's GET-only template, which the server has answered
+// once by generating and hashing it — and so has filed.
+func offeredPageServer(tb testing.TB) (*Server, *http.Request) {
+	srv, req := benchPageServer(tb)
 	full := &digestWriter{discardWriter: discardWriter{h: http.Header{}}}
 	srv.servePage(full, req)
 	req.Header.Set(HeaderHave, full.digest)
 	srv.servePage(&discardWriter{h: http.Header{}}, req)
+	return srv, req
+}
+
+// forget empties the request's validator slot, so that the next offer is
+// answered by generating and hashing the template, as a first offer is.
+func forget(srv *Server, req *http.Request) {
+	srv.valid.slot(strings.TrimPrefix(req.URL.Path, "/page/"), req.Header.Get(HeaderUser), req.URL.RawQuery).Store(nil)
+}
+
+// The same fetch answered by reference from a generated template — the
+// caller offers the template's digest, the server generates it, hashes it,
+// files it for the next offer and sends no body — stays inside the full
+// answer's budget: the hash and the comparison allocate nothing, and the
+// record costs three objects.
+func TestAllocBudgetServePageTemplateRef(t *testing.T) {
+	srv, req := offeredPageServer(t)
 	refs0 := srv.reg.Snapshot()["origin.template_refs"]
 
 	const requests = 500
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < requests; i++ {
+		forget(srv, req)
 		srv.servePage(&discardWriter{h: http.Header{}}, req)
 	}
 	runtime.ReadMemStats(&after)
 
-	if got := srv.reg.Snapshot()["origin.template_refs"] - refs0; refs0 != 1 || got != requests {
-		t.Fatalf("%d then %d of %d fetches answered by reference", refs0, got, requests)
+	snap := srv.reg.Snapshot()
+	if got := snap["origin.template_refs"] - refs0; refs0 != 1 || got != requests || snap["origin.template_refs_validated"] != 0 {
+		t.Fatalf("%d then %d of %d fetches answered by reference, %d of them validated", refs0, got, requests, snap["origin.template_refs_validated"])
 	}
 	bytesPer := (after.TotalAlloc - before.TotalAlloc) / requests
 	objsPer := (after.Mallocs - before.Mallocs) / requests
@@ -124,8 +142,59 @@ func TestAllocBudgetServePageTemplateRef(t *testing.T) {
 	}
 }
 
+// The offer repeated, answered by reference from the filed record — no
+// context, no script run, no template buffer, no hash — allocates only its
+// headers: fewer objects than the generated answer by reference above.
+func TestAllocBudgetServePageValidated(t *testing.T) {
+	srv, req := offeredPageServer(t)
+	const requests = 500
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < requests; i++ {
+		srv.servePage(&discardWriter{h: http.Header{}}, req)
+	}
+	runtime.ReadMemStats(&after)
+	if got := srv.reg.Snapshot()["origin.template_refs_validated"]; got != requests {
+		t.Fatalf("%d of %d offers validated", got, requests)
+	}
+	validatedObjs := (after.Mallocs - before.Mallocs) / requests
+	t.Logf("%d B in %d objects per fetch", (after.TotalAlloc-before.TotalAlloc)/requests, validatedObjs)
+
+	runtime.ReadMemStats(&before)
+	for i := 0; i < requests; i++ {
+		forget(srv, req)
+		srv.servePage(&discardWriter{h: http.Header{}}, req)
+	}
+	runtime.ReadMemStats(&after)
+	if generatedObjs := (after.Mallocs - before.Mallocs) / requests; validatedObjs >= generatedObjs {
+		t.Fatalf("validated answer %d objects, generated answer by reference %d: want fewer", validatedObjs, generatedObjs)
+	}
+}
+
 func BenchmarkServePageTemplate(b *testing.B) {
 	srv, req := benchPageServer(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		srv.servePage(&discardWriter{h: http.Header{}}, req)
+	}
+}
+
+// BenchmarkServePageTemplateRef is an offer answered by generating and
+// hashing the template: the first offer after anything moved.
+func BenchmarkServePageTemplateRef(b *testing.B) {
+	srv, req := offeredPageServer(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		forget(srv, req)
+		srv.servePage(&discardWriter{h: http.Header{}}, req)
+	}
+}
+
+// BenchmarkServePageValidated is the same offer answered from the record.
+func BenchmarkServePageValidated(b *testing.B) {
+	srv, req := offeredPageServer(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

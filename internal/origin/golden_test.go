@@ -153,9 +153,14 @@ var goldenSites = []goldenSite{
 // the template's SHA-256 and the paper's figures count header bytes, so a
 // faster emission path may not move one of them. The ref hashes hold the
 // answers to offers, by reference and in full, as they were when that
-// answer shape was added.
+// answer shape was added. The validated hashes were generated before the
+// server filed records, when every answer by reference was a generated and
+// hashed template: an offer answered from a record instead must put the
+// same headers on the wire, and leave the BEM's directory — keys,
+// generations, recency — as the Lookups it stood in for would have.
 func TestTemplateBytesGolden(t *testing.T) {
 	got := map[string]string{}
+	validated := int64(0)
 	for _, gs := range goldenSites {
 		for _, codec := range []tmpl.Codec{tmpl.Binary{}, tmpl.Text{}} {
 			repo := repository.New(repository.LatencyModel{})
@@ -181,7 +186,9 @@ func TestTemplateBytesGolden(t *testing.T) {
 			// was a GET-only template the repeat generates it again and
 			// answers by reference, where it carried a SET the repeat is a
 			// new template sent in full, and a plain page ignores the offer.
-			for _, pass := range []string{"cold", "warm", "ref"} {
+			// The fourth makes the offer twice: the second is answered from
+			// the record the first filed, where nothing it names has moved.
+			for _, pass := range []string{"cold", "warm", "ref", "validated"} {
 				h := sha256.New()
 				refs := 0
 				do := func(i int, gr goldenRequest, have string) string {
@@ -216,7 +223,12 @@ func TestTemplateBytesGolden(t *testing.T) {
 					if gr.before != nil {
 						gr.before(repo, clk)
 					}
-					if digest := do(i, gr, ""); pass == "ref" {
+					digest := do(i, gr, "")
+					switch pass {
+					case "ref":
+						do(i, gr, digest)
+					case "validated":
+						do(i, gr, digest)
 						do(i, gr, digest)
 					}
 				}
@@ -228,6 +240,7 @@ func TestTemplateBytesGolden(t *testing.T) {
 			if err := mon.CheckInvariants(); err != nil {
 				t.Fatal(err)
 			}
+			validated += srv.reg.Snapshot()["origin.template_refs_validated"]
 		}
 	}
 
@@ -243,6 +256,9 @@ func TestTemplateBytesGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		return
+	}
+	if validated == 0 {
+		t.Error("no offer was answered from a filed record")
 	}
 	raw, err := os.ReadFile(goldenFile)
 	if err != nil {

@@ -19,18 +19,19 @@
 //
 // A template can also be answered by reference. A DPC that still holds the
 // plan it compiled from the template this URL last produced names it in
-// X-DPC-Have (the SHA-256 of the template bytes, in hex). The server
-// generates the template exactly as it would have — every script block,
-// every BEM lookup — and, when what it generated carries no SET and hashes
-// to the offer, sends the response's headers with X-DPC-Same and no body.
+// X-DPC-Have (the SHA-256 of the template bytes, in hex). When the template
+// this request produces carries no SET and is the one offered, the server
+// sends the response's headers with X-DPC-Same and no body. It finds that
+// out in one of two ways: by generating the template and hashing it, or,
+// when it generated and hashed this same request's template before, by
+// re-validating what that template was built from — the rows its layout and
+// untagged blocks read, and the BEM entries its GETs named (validator.go).
 // The server keeps no record of what any proxy holds: the offer is compared
-// with this request's own bytes, so a wrong one is answered in full.
+// with this request's own template, so a wrong one is answered in full.
 package origin
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -103,12 +104,14 @@ type Server struct {
 	statics map[string]staticAsset
 	reg     *metrics.Registry
 	pad     string // the X-Pad header's value; empty when ExtraHeaderBytes is 0
+	valid   *validator
 
 	// The request paths' metrics, looked up once: the registry takes a
 	// mutex per look-up.
-	requests, templates, plainPages, errors           *metrics.Counter
-	templateRefs, staticRequests, staleReportsApplied *metrics.Counter
-	generate                                          *metrics.Histogram
+	requests, templates, plainPages, errors *metrics.Counter
+	templateRefs, templateRefsValidated     *metrics.Counter
+	staticRequests, staleReportsApplied     *metrics.Counter
+	generate                                *metrics.Histogram
 }
 
 // staticAsset is a fixed response served under /static/ with an explicit
@@ -147,15 +150,17 @@ func New(cfg Config) (*Server, error) {
 		statics: make(map[string]staticAsset),
 		reg:     reg,
 		pad:     strings.Repeat("p", max(cfg.ExtraHeaderBytes, 0)),
+		valid:   newValidator(),
 
-		requests:            reg.Counter("origin.requests"),
-		templates:           reg.Counter("origin.templates"),
-		templateRefs:        reg.Counter("origin.template_refs"),
-		plainPages:          reg.Counter("origin.plain_pages"),
-		errors:              reg.Counter("origin.errors"),
-		staticRequests:      reg.Counter("origin.static_requests"),
-		staleReportsApplied: reg.Counter("origin.stale_reports_applied"),
-		generate:            reg.Histogram("origin.generate"),
+		requests:              reg.Counter("origin.requests"),
+		templates:             reg.Counter("origin.templates"),
+		templateRefs:          reg.Counter("origin.template_refs"),
+		templateRefsValidated: reg.Counter("origin.template_refs_validated"),
+		plainPages:            reg.Counter("origin.plain_pages"),
+		errors:                reg.Counter("origin.errors"),
+		staticRequests:        reg.Counter("origin.static_requests"),
+		staleReportsApplied:   reg.Counter("origin.stale_reports_applied"),
+		generate:              reg.Histogram("origin.generate"),
 	}, nil
 }
 
@@ -292,7 +297,7 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	ctx := script.NewContext(s.cfg.Repo, r.Header.Get(HeaderUser), queryParams(r.URL.RawQuery))
+	user, query := r.Header.Get(HeaderUser), r.URL.RawQuery
 
 	if s.cfg.Monitor != nil {
 		s.applyStaleReport(r.Header.Get(HeaderStale))
@@ -301,7 +306,27 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request) {
 	templateMode := s.cfg.Monitor != nil &&
 		r.Header.Get(HeaderCapable) != "" &&
 		r.Header.Get(HeaderBypass) == ""
+	have := ""
+	if templateMode {
+		have = r.Header.Get(HeaderHave)
+	}
 
+	if have != "" {
+		start := time.Now()
+		if s.valid.answers(name, user, query, have, s.cfg.Repo, s.cfg.Monitor) {
+			s.templates.Inc()
+			s.templateRefs.Inc()
+			s.templateRefsValidated.Inc()
+			s.generate.Observe(time.Since(start))
+			s.requests.Inc()
+			w.Header().Set(HeaderTemplate, s.codec.Name())
+			w.Header().Set(HeaderSame, "1")
+			s.respond(w, nil)
+			return
+		}
+	}
+
+	ctx := script.NewContext(s.cfg.Repo, user, queryParams(query))
 	start := time.Now()
 	body := bodyPool.Get().(*bytes.Buffer)
 	body.Reset()
@@ -314,6 +339,9 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request) {
 	if templateMode {
 		enc := s.codec.NewEncoder(body)
 		sink := &bemSink{enc: enc, mon: s.cfg.Monitor}
+		if have != "" {
+			sink.gets = make([]bem.Handle, 0, 16)
+		}
 		if err := script.Run(sc, ctx, sink); err != nil {
 			s.fail(w, name, err)
 			return
@@ -325,11 +353,16 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(HeaderTemplate, s.codec.Name())
 		s.templates.Inc()
 		// A template with a SET is new to every proxy, so only a GET-only
-		// one is worth hashing against the caller's offer.
-		if have := r.Header.Get(HeaderHave); have != "" && !sink.set && sameDigest(body.Bytes(), have) {
-			same = true
-			w.Header().Set(HeaderSame, "1")
-			s.templateRefs.Inc()
+		// one is worth hashing against the caller's offer, and filing for
+		// the next.
+		if have != "" && !sink.set {
+			digest := templateDigest(body.Bytes())
+			s.valid.file(name, user, query, digest, ctx.Reads(), sink.gets)
+			if string(digest[:]) == have {
+				same = true
+				w.Header().Set(HeaderSame, "1")
+				s.templateRefs.Inc()
+			}
 		}
 	} else {
 		if err := script.Run(sc, ctx, &script.PlainSink{W: body}); err != nil {
@@ -345,6 +378,11 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request) {
 	if same {
 		out = nil // the caller holds these bytes' plan
 	}
+	s.respond(w, out)
+}
+
+// respond writes a page answer's headers, the same for every shape, and out.
+func (s *Server) respond(w http.ResponseWriter, out []byte) {
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	w.Header().Set("Content-Length", strconv.Itoa(len(out)))
 	w.Header().Set("Server", "dpcache-origin/1.0")
@@ -353,15 +391,6 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request) {
 	}
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(out)
-}
-
-// sameDigest reports whether have is the hex SHA-256 of template, as a DPC
-// writes it. Nothing here allocates.
-func sameDigest(template []byte, have string) bool {
-	sum := sha256.Sum256(template)
-	var enc [2 * sha256.Size]byte
-	hex.Encode(enc[:], sum[:])
-	return string(enc[:]) == have
 }
 
 // queryParams returns the first value of each parameter of a raw query:
@@ -443,9 +472,10 @@ func (s *Server) fail(w http.ResponseWriter, page string, err error) {
 // GET tag; anything else regenerates the fragment and becomes a SET tag
 // pair carrying the fresh content.
 type bemSink struct {
-	enc tmpl.Encoder
-	mon *bem.Monitor
-	set bool // a SET went out
+	enc  tmpl.Encoder
+	mon  *bem.Monitor
+	set  bool         // a SET went out
+	gets []bem.Handle // a handle per GET, in order, when non-nil
 }
 
 // Literal implements script.Sink.
@@ -458,18 +488,21 @@ func (s *bemSink) Fragment(fragmentID string, ttl time.Duration, r *script.Rende
 		return err
 	}
 	if d.Hit {
+		if s.gets != nil {
+			s.gets = append(s.gets, d.Handle)
+		}
 		return s.enc.Get(d.Key, d.Gen)
 	}
 	// The miss made the directory entry valid on the promise of a SET. If
 	// the SET does not go out, a later template would carry a GET no proxy
 	// can satisfy: take the promise back, as a proxy's stale report for
 	// this slot and generation would after paying for a bypass.
-	body, deps, err := r.Render()
+	body, reads, err := r.Render(func(k repository.Key) { s.mon.Depend(fragmentID, d.Gen, k) })
 	if err != nil {
 		s.mon.InvalidateStale(d.Key, d.Gen)
 		return err
 	}
-	s.mon.Commit(fragmentID, len(body), deps)
+	s.mon.Commit(fragmentID, d.Gen, len(body), reads)
 	s.set = true
 	if err := s.enc.Set(d.Key, d.Gen, body); err != nil {
 		s.mon.InvalidateStale(d.Key, d.Gen)

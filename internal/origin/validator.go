@@ -1,0 +1,90 @@
+package origin
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"hash/maphash"
+	"slices"
+	"sync/atomic"
+
+	"dpcache/internal/bem"
+	"dpcache/internal/repository"
+)
+
+// The validator answers an offered template by reference without generating
+// it. A template is a function of the request — path, query, X-User — of
+// the rows its layout and untagged blocks read (the contract package script
+// states), and of the BEM's answer for each tagged block. So when a
+// GET-only template generated for an offer is filed with the versions of
+// the rows that run read and a bem.Handle per GET it emitted, a later offer
+// for the same request is answered X-DPC-Same when the offer names that
+// template, every row is still at its version and bem.Monitor.Recheck
+// finds every entry still valid at its generation: a version comparison in
+// place of a script run and a SHA-256.
+//
+// Like the proxy's hint table it is a fixed array that forgets by being
+// written over, but it is exact where the hint table is lossy: a record
+// holds its request's path, user and query and answers for no other. It
+// keeps no template bytes, and anything it cannot vouch for — no record,
+// another request's, a moved row, an invalidated, regenerated or expired
+// entry, a forced-miss monitor — is generated as before.
+
+// validatorSlots is the size of the direct-mapped record array: 64 KiB of
+// pointers when empty, and a few hundred bytes more per request key filed.
+const validatorSlots = 1 << 13
+
+// validation is one filed template. It is never changed once stored, so a
+// check reads it without a lock.
+type validation struct {
+	path, user, query string
+	digest            [2 * sha256.Size]byte // hex, as an offer is written
+	reads             []repository.Read
+	gets              []bem.Handle
+}
+
+type validator struct {
+	seed  maphash.Seed
+	slots [validatorSlots]atomic.Pointer[validation]
+}
+
+func newValidator() *validator { return &validator{seed: maphash.MakeSeed()} }
+
+func (v *validator) slot(path, user, query string) *atomic.Pointer[validation] {
+	var h maphash.Hash
+	h.SetSeed(v.seed)
+	h.WriteString(path)
+	h.WriteByte(0)
+	h.WriteString(user)
+	h.WriteByte(0)
+	h.WriteString(query)
+	return &v.slots[h.Sum64()%validatorSlots]
+}
+
+// answers reports whether the offer have for this request may be answered
+// by reference without generating the template: its record names the
+// template offered, no row it read has moved, and the BEM would hit every
+// GET at the generation it names — in which case Recheck has counted those
+// hits.
+func (v *validator) answers(path, user, query, have string, repo *repository.Repo, mon *bem.Monitor) bool {
+	rec := v.slot(path, user, query).Load()
+	return rec != nil && rec.path == path && rec.user == user && rec.query == query &&
+		string(rec.digest[:]) == have && repo.Unchanged(rec.reads) && mon.Recheck(rec.gets)
+}
+
+// file records a GET-only template generated for this request. It copies
+// reads and takes ownership of gets.
+func (v *validator) file(path, user, query string, digest [2 * sha256.Size]byte, reads []repository.Read, gets []bem.Handle) {
+	v.slot(path, user, query).Store(&validation{
+		path: path, user: user, query: query, digest: digest,
+		reads: slices.Clone(reads), gets: gets,
+	})
+}
+
+// templateDigest is the hex SHA-256 of template, as a DPC writes it in an
+// offer. Nothing here allocates.
+func templateDigest(template []byte) [2 * sha256.Size]byte {
+	sum := sha256.Sum256(template)
+	var enc [2 * sha256.Size]byte
+	hex.Encode(enc[:], sum[:])
+	return enc
+}

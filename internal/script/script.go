@@ -19,6 +19,17 @@
 //
 // That shared code path is what makes the with/without-cache comparisons
 // of Section 6 apples-to-apples.
+//
+// The contract a script keeps: its Layout, every KeyParams and every block
+// are functions of the request — the path, the query parameters and the
+// user — and of the repository rows they read through the Context (Query
+// and Field). Nothing else may change what they write: no clock, no random
+// numbers, no state kept between runs, no repository read past the
+// Context. The BEM relies on it for tagged blocks (a fragment stays valid
+// until a row it read is written or its TTL passes), and the origin for
+// the page around them (a template answered by reference is re-validated
+// from the rows the layout and the untagged blocks read, Context.Reads,
+// without running the script again).
 package script
 
 import (
@@ -33,9 +44,10 @@ import (
 
 // Context carries per-request state through a script run: the request
 // parameters, the requesting user (empty for anonymous visitors), and the
-// repository handle. It also collects the data dependencies touched while
-// rendering the current fragment, which the BEM uses for update-driven
-// invalidation.
+// repository handle. It also records every row read and the version the
+// read saw: a tagged block's reads are its fragment's data dependencies,
+// which the BEM uses for update-driven invalidation, and the rest are the
+// page's (Reads).
 type Context struct {
 	// Params are the request's query parameters (e.g. categoryID).
 	Params map[string]string
@@ -44,7 +56,13 @@ type Context struct {
 	// Repo is the content repository backing the site.
 	Repo *repository.Repo
 
-	deps []repository.Key
+	reads []repository.Read
+	// watch, while a tagged block renders for a sink that asked, hears of
+	// each row before it is read (Renderer.Render).
+	watch func(repository.Key)
+	// readBuf holds a page's first reads, so that a page reading a few rows
+	// allocates nothing for them beyond the Context.
+	readBuf [4]repository.Read
 }
 
 // NewContext returns a request context.
@@ -52,7 +70,9 @@ func NewContext(repo *repository.Repo, userID string, params map[string]string) 
 	if params == nil {
 		params = map[string]string{}
 	}
-	return &Context{Params: params, UserID: userID, Repo: repo}
+	c := &Context{Params: params, UserID: userID, Repo: repo}
+	c.reads = c.readBuf[:0]
+	return c
 }
 
 // Param returns a request parameter or def when absent.
@@ -66,21 +86,35 @@ func (c *Context) Param(name, def string) string {
 // Anonymous reports whether the request has no registered user.
 func (c *Context) Anonymous() bool { return c.UserID == "" }
 
-// Query reads a repository row, recording the dependency for the fragment
-// currently being rendered.
+// Query reads a repository row, recording it and the version read (0 for a
+// missing row).
 func (c *Context) Query(table, row string) (repository.Row, error) {
 	k := repository.Key{Table: table, Row: row}
-	c.deps = append(c.deps, k)
-	return c.Repo.Get(k)
+	if c.watch != nil {
+		c.watch(k)
+	}
+	r, err := c.Repo.Get(k)
+	c.reads = append(c.reads, repository.Read{Key: k, Version: r.Version})
+	return r, err
 }
 
-// Field reads one column, recording the dependency; def is returned when
-// the row or column is missing.
+// Field reads one column, recording the row and the version read; def is
+// returned when the row or column is missing.
 func (c *Context) Field(table, row, column, def string) string {
 	k := repository.Key{Table: table, Row: row}
-	c.deps = append(c.deps, k)
-	return c.Repo.Field(k, column, def)
+	if c.watch != nil {
+		c.watch(k)
+	}
+	v, version := c.Repo.FieldVersion(k, column, def)
+	c.reads = append(c.reads, repository.Read{Key: k, Version: version})
+	return v
 }
+
+// Reads returns the rows the current run has read outside its tagged
+// blocks' renders — in Layout, in KeyParams and in untagged blocks — with
+// the version each read saw. After Run returns it is the page's whole read
+// set, left as it is until another Run on the same Context starts.
+func (c *Context) Reads() []repository.Read { return c.reads }
 
 // RenderFunc writes a block's output.
 type RenderFunc func(ctx *Context, w io.Writer) error
@@ -166,16 +200,23 @@ const maxPooledRender = 1 << 20
 
 var rendererPool = sync.Pool{New: func() any { return new(Renderer) }}
 
-// Render runs the block and returns its output and the repository keys it
-// read. Both are the run's scratch memory: they are valid until the sink
-// method they were obtained in returns, and a sink that keeps either copies.
-func (r *Renderer) Render() (body []byte, deps []repository.Key, err error) {
+// Render runs the block and returns its output and the rows it read, each
+// with the version read. Both are the run's scratch memory: they are valid
+// until the sink method they were obtained in returns, and a sink that
+// keeps either copies. A non-nil watch is called with each row before the
+// block reads it, so that a sink can depend on the row from before the read
+// (the BEM's Depend): a write that lands while the block renders is then
+// either seen by the read or heard by the sink.
+func (r *Renderer) Render(watch func(repository.Key)) (body []byte, reads []repository.Read, err error) {
 	r.buf.Reset()
-	r.ctx.deps = r.ctx.deps[:0]
-	if err := r.block.Render(r.ctx, &r.buf); err != nil {
+	start := len(r.ctx.reads)
+	r.ctx.watch = watch
+	err = r.block.Render(r.ctx, &r.buf)
+	r.ctx.watch = nil
+	if err != nil {
 		return nil, nil, fmt.Errorf("script %q block %q: %w", r.script.Name, r.block.Name, err)
 	}
-	return r.buf.Bytes(), r.ctx.deps, nil
+	return r.buf.Bytes(), r.ctx.reads[start:], nil
 }
 
 // Run executes the script against the sink. The blocks Layout returns are
@@ -193,12 +234,13 @@ func Run(s *Script, ctx *Context, sink Sink) error {
 			rendererPool.Put(r)
 		}
 	}()
+	ctx.reads = ctx.reads[:0]
 	blocks := s.Layout(ctx)
 	for i := range blocks {
 		b := &blocks[i]
 		r.block = b
 		if !b.Cacheable {
-			body, _, err := r.Render()
+			body, _, err := r.Render(nil)
 			if err != nil {
 				return err
 			}
@@ -207,7 +249,13 @@ func Run(s *Script, ctx *Context, sink Sink) error {
 			}
 			continue
 		}
-		if err := sink.Fragment(b.FragmentID(ctx), b.TTL, r); err != nil {
+		id := b.FragmentID(ctx)
+		// What a tagged block's render reads is its fragment's, not the
+		// page's: the sink has had it by the time Fragment returns.
+		mark := len(ctx.reads)
+		err := sink.Fragment(id, b.TTL, r)
+		ctx.reads = ctx.reads[:mark]
+		if err != nil {
 			return err
 		}
 	}
@@ -232,7 +280,7 @@ func (p *PlainSink) Literal(b []byte) error {
 
 // Fragment implements Sink by always generating.
 func (p *PlainSink) Fragment(_ string, _ time.Duration, r *Renderer) error {
-	body, _, err := r.Render()
+	body, _, err := r.Render(nil)
 	if err != nil {
 		return err
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -97,7 +98,7 @@ func TestFragmentIDIncludesParams(t *testing.T) {
 // recordingSink captures the fragment/literal sequence a run produces.
 type recordingSink struct {
 	events []string
-	deps   map[string][]repository.Key
+	deps   map[string][]repository.Read
 }
 
 func (r *recordingSink) Literal(p []byte) error {
@@ -106,14 +107,14 @@ func (r *recordingSink) Literal(p []byte) error {
 }
 
 func (r *recordingSink) Fragment(id string, _ time.Duration, rd *Renderer) error {
-	body, deps, err := rd.Render()
+	body, deps, err := rd.Render(nil)
 	if err != nil {
 		return err
 	}
 	if r.deps == nil {
-		r.deps = map[string][]repository.Key{}
+		r.deps = map[string][]repository.Read{}
 	}
-	r.deps[id] = append([]repository.Key(nil), deps...) // the run reuses both
+	r.deps[id] = append([]repository.Read(nil), deps...) // the run reuses both
 	r.events = append(r.events, "frag:"+id+":"+string(body))
 	return nil
 }
@@ -154,12 +155,98 @@ func TestDependencyScopingPerFragment(t *testing.T) {
 		t.Fatal(err)
 	}
 	greetDeps := sink.deps["greet+bob"]
-	if len(greetDeps) != 1 || greetDeps[0] != (repository.Key{Table: "users", Row: "bob"}) {
+	if len(greetDeps) != 1 || greetDeps[0].Key != (repository.Key{Table: "users", Row: "bob"}) {
 		t.Fatalf("greet deps = %v", greetDeps)
 	}
 	catDeps := sink.deps["cat+fiction"]
-	if len(catDeps) != 1 || catDeps[0] != (repository.Key{Table: "cat", Row: "fiction"}) {
+	if len(catDeps) != 1 || catDeps[0].Key != (repository.Key{Table: "cat", Row: "fiction"}) {
 		t.Fatalf("cat deps = %v", catDeps)
+	}
+}
+
+// The page's read set is what the layout, the KeyParams and the untagged
+// blocks read, each at the version it saw; a tagged block's render reads go
+// to its fragment alone. A new run starts a new set.
+func TestRunReadSet(t *testing.T) {
+	repo := newRepo()
+	layoutRow := repository.Key{Table: "layout", Row: "main"}
+	vLayout := repo.Put(layoutRow, map[string]string{"rail": "left"})
+	vNav := repo.Put(repository.Key{Table: "nav", Row: "top"}, map[string]string{"html": "<nav>"})
+	vBob := repo.Version(repository.Key{Table: "users", Row: "bob"})
+	s := &Script{
+		Name: "page",
+		Layout: func(c *Context) []Block {
+			c.Field("layout", "main", "rail", "")
+			return []Block{
+				Untagged("nav", func(c *Context, w io.Writer) error {
+					_, err := io.WriteString(w, c.Field("nav", "top", "html", ""))
+					return err
+				}),
+				Tagged("greet", 0,
+					func(c *Context) string { return c.Field("users", c.UserID, "name", "") },
+					func(c *Context, w io.Writer) error {
+						_, err := io.WriteString(w, c.Field("cat", "fiction", "title", ""))
+						return err
+					}),
+			}
+		},
+	}
+	ctx := NewContext(repo, "bob", nil)
+	sink := &recordingSink{}
+	for run := 0; run < 2; run++ {
+		if err := Run(s, ctx, sink); err != nil {
+			t.Fatal(err)
+		}
+		want := []repository.Read{
+			{Key: layoutRow, Version: vLayout},
+			{Key: repository.Key{Table: "nav", Row: "top"}, Version: vNav},
+			{Key: repository.Key{Table: "users", Row: "bob"}, Version: vBob}, // KeyParams: names the fragment
+		}
+		if got := ctx.Reads(); !slices.Equal(got, want) {
+			t.Fatalf("run %d: page reads %v, want %v", run, got, want)
+		}
+	}
+	cat := sink.deps["greet+Bob"]
+	if len(cat) != 1 || cat[0].Key != (repository.Key{Table: "cat", Row: "fiction"}) || cat[0].Version != repo.Version(cat[0].Key) {
+		t.Fatalf("fragment reads %v, want cat/fiction at its version", cat)
+	}
+}
+
+// watchingSink renders every fragment with a watch that writes the row it
+// is told of, as a write racing the render would.
+type watchingSink struct {
+	PlainSink
+	repo    *repository.Repo
+	watched []repository.Key
+}
+
+func (w *watchingSink) Fragment(_ string, _ time.Duration, r *Renderer) error {
+	body, _, err := r.Render(func(k repository.Key) {
+		w.watched = append(w.watched, k)
+		w.repo.Put(k, map[string]string{"title": "Watched", "name": "Watched"})
+	})
+	if err != nil {
+		return err
+	}
+	return w.Literal(body)
+}
+
+// A watch hears of each row a tagged block reads before the read, and of no
+// other: the write it makes is what the read returns, and the untagged
+// blocks and the layout read unwatched.
+func TestRenderWatchHearsRowsBeforeTheirReads(t *testing.T) {
+	repo := newRepo()
+	var page bytes.Buffer
+	sink := &watchingSink{PlainSink: PlainSink{W: &page}, repo: repo}
+	if err := Run(greetingScript(), NewContext(repo, "bob", map[string]string{"categoryID": "fiction"}), sink); err != nil {
+		t.Fatal(err)
+	}
+	want := []repository.Key{{Table: "users", Row: "bob"}, {Table: "cat", Row: "fiction"}}
+	if !slices.Equal(sink.watched, want) {
+		t.Fatalf("watched %v, want %v", sink.watched, want)
+	}
+	if page.String() != "<html>Hello, Watched[Watched]</html>" {
+		t.Fatalf("page %q: a read ran before its watch", page.String())
 	}
 }
 
@@ -224,8 +311,8 @@ func TestContextQueryRecordsDepEvenOnMiss(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected not-found error")
 	}
-	deps := ctx.deps
-	if len(deps) != 1 {
-		t.Fatalf("deps = %v; a miss must still record the dependency", deps)
+	deps := ctx.Reads()
+	if len(deps) != 1 || deps[0].Version != 0 {
+		t.Fatalf("reads = %v; a miss must still record the dependency, at version 0", deps)
 	}
 }

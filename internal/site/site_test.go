@@ -3,6 +3,7 @@ package site
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -282,5 +283,65 @@ func TestPadTo(t *testing.T) {
 	long := padTo("x", 200)
 	if len(long) != 200 {
 		t.Fatalf("padTo long = %d", len(long))
+	}
+}
+
+// Every shipped site keeps the contract package script states: a page is a
+// function of the request and of the rows it reads through the Context. Run
+// twice on one repository, each request writes the same bytes and reads the
+// same rows at the same versions; on a second build of the site, the same
+// bytes. The origin answers an offered template from its read set alone, so
+// a site that broke this would be answered with stale templates.
+func TestSitesRenderDeterministically(t *testing.T) {
+	type request struct {
+		user   string
+		params map[string]string
+	}
+	sites := []struct {
+		name     string
+		build    func(repo *repository.Repo) (*script.Script, error)
+		requests []request
+	}{
+		{"synth", func(repo *repository.Repo) (*script.Script, error) {
+			cfg := SyntheticConfig{Pages: 3, FragmentsPerPage: 4, FragmentBytes: 64, Cacheability: 0.5}
+			sc, _, err := BuildSynthetic(cfg, repo)
+			return sc, err
+		}, []request{{"", map[string]string{"page": "1"}}, {"u1", map[string]string{"page": "2"}}, {"", nil}}},
+		{"bookstore", func(repo *repository.Repo) (*script.Script, error) { return BuildBookstore(repo), nil },
+			[]request{{"", map[string]string{"categoryID": "Fiction"}}, {"bob", map[string]string{"categoryID": "Computing"}}, {"mallory", nil}}},
+		{"brokerage", func(repo *repository.Repo) (*script.Script, error) { return BuildBrokerage(repo), nil },
+			[]request{{"", map[string]string{"ticker": "GE"}}, {"", nil}}},
+		{"portal", func(repo *repository.Repo) (*script.Script, error) { return BuildPortal(DefaultPortal(), repo) },
+			[]request{{"", nil}, {"u3", nil}, {"stranger", nil}}},
+	}
+	for _, s := range sites {
+		render := func(sc *script.Script, repo *repository.Repo, rq request) (string, []repository.Read) {
+			ctx := script.NewContext(repo, rq.user, rq.params)
+			var b strings.Builder
+			if err := script.Run(sc, ctx, &script.PlainSink{W: &b}); err != nil {
+				t.Fatalf("%s: %v", s.name, err)
+			}
+			return b.String(), ctx.Reads()
+		}
+		repoA, repoB := newRepo(), newRepo()
+		a, err := s.build(repoA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := s.build(repoB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rq := range s.requests {
+			first, firstReads := render(a, repoA, rq)
+			again, againReads := render(a, repoA, rq)
+			other, _ := render(b, repoB, rq)
+			if again != first || other != first {
+				t.Errorf("%s %+v: renders differ:\n%q\n%q\n%q", s.name, rq, first, again, other)
+			}
+			if !slices.Equal(againReads, firstReads) {
+				t.Errorf("%s %+v: page reads differ: %v then %v", s.name, rq, firstReads, againReads)
+			}
+		}
 	}
 }
