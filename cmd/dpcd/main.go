@@ -65,8 +65,9 @@
 // coherency.RemoteSubscriber POSTs the BEM's events and the proxy applies
 // each to every tier — a fragment invalidation drops the slot, and the
 // in-proxy dependency index (bounded by -depindex-budget) names exactly
-// the whole-response entries composed from it, falling back to a tier
-// flush when the index evicted the edge. The
+// the whole-response entries composed from it. An index over budget
+// forgets its least-recently-filed fragments and drops their entries with
+// them, so a write never costs more than its own pages. The
 // endpoint is an unauthenticated write surface on the serving listener
 // (a forged event or sequence gap forces conservative tier flushes), so
 // it is off by default: enable it only where the listener is reachable

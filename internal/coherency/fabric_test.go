@@ -1,8 +1,12 @@
 package coherency_test
 
 import (
+	"bytes"
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -14,6 +18,7 @@ import (
 	"dpcache/internal/coherency"
 	"dpcache/internal/depindex"
 	"dpcache/internal/dpc"
+	"dpcache/internal/tmpl"
 )
 
 // A fragment invalidation must drop exactly the whole-response entries the
@@ -57,33 +62,68 @@ func TestTierSubscriberDropsDependents(t *testing.T) {
 	}
 }
 
-// When the index evicted the edge under byte pressure, the proxy cannot
-// know which pages held the fragment — it must flush the tier (the
-// documented fallback) rather than risk serving stale bytes.
-func TestTierSubscriberEvictionFallbackFlushes(t *testing.T) {
-	// A budget small enough that recording evicts earlier fragments.
-	p := newProxy(t, nil, func(c *dpc.Config) { c.DepIndexBudget = 256 })
-	tier, ix := p.Pages(), p.DepIndex()
-	tier.Put("victim-page", []byte("stale bytes"), "", time.Minute)
-	ix.File([]depindex.ID{depindex.MakeID(1, 1)}, "victim-page", time.Minute)
-	for i := uint32(2); i < 40; i++ {
-		ix.File([]depindex.ID{depindex.MakeID(i, 1)}, "some-other-rather-long-page-key", time.Minute)
-	}
-	if ix.Stats().Evictions == 0 {
-		t.Fatal("test setup: no evictions occurred")
+// When the index sheds a fragment's record under byte pressure, the pages
+// that record named leave the tier with it: the tier never holds a page
+// the index has forgotten, and a later event on that fragment finds
+// nothing left to drop and flushes nothing.
+func TestTierSubscriberShedDropsVictimPage(t *testing.T) {
+	// Page n is one fragment, (n, 1), set by the origin's template.
+	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		n, _ := strconv.Atoi(r.URL.Query().Get("n"))
+		var buf bytes.Buffer
+		enc := tmpl.Binary{}.NewEncoder(&buf)
+		_ = enc.Set(uint32(n), 1, []byte("fragment "+strconv.Itoa(n)))
+		_ = enc.Flush()
+		w.Header().Set("X-DPC-Template", "binary")
+		_, _ = w.Write(buf.Bytes())
+	}))
+	defer origin.Close()
+	p := newProxy(t, nil, func(c *dpc.Config) {
+		c.OriginURL, c.Capacity = origin.URL, 64
+		c.PageCache, c.PageCacheTTL = true, time.Minute
+		c.DepIndexBudget = 1024 // about eight of these pages
+	})
+	front := httptest.NewServer(p)
+	defer front.Close()
+	get := func(n int) string {
+		t.Helper()
+		resp, err := http.Get(fmt.Sprintf("%s/page?n=%d", front.URL, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.Header.Get("X-Cache")
 	}
 
-	p.Apply(coherency.Event{Seq: 1, Kind: coherency.KindFragment, Key: 1, Gen: 1})
-	if _, _, ok := tier.Get("victim-page"); ok {
-		t.Fatal("evicted-edge invalidation left the dependent page resident")
+	const pages = 40
+	for n := 0; n < pages; n++ {
+		get(n)
 	}
-	fallbacks, flushes := counter(p, "dpc.pagecache_fallback_flushes"), counter(p, "dpc.pagecache_flushes")
-	if fallbacks != 1 || flushes != 1 {
-		t.Fatalf("fallbacks=%d flushes=%d, want 1/1", fallbacks, flushes)
+	tier, ix := p.Pages(), p.DepIndex()
+	st, shed := ix.Stats(), counter(p, "dpc.pagecache_shed_drops")
+	if fills := counter(p, "dpc.pagecache_fills"); fills != pages || st.Evictions < 16 {
+		t.Fatalf("test setup: %d fills, %+v", fills, st)
 	}
-	// The flush is explained to the fills it refused.
-	if ix.BumpCause() != dpc.FlushFallback {
-		t.Fatalf("index says %q, want %q", ix.BumpCause(), dpc.FlushFallback)
+	// Each shed record named one resident page, and every page the index
+	// still names is resident.
+	if shed != st.Evictions || tier.Len() != pages-int(shed) || tier.Len() != st.Keys {
+		t.Fatalf("%d records shed, %d pages dropped: the tier holds %d pages, the index names %d",
+			st.Evictions, shed, tier.Len(), st.Keys)
+	}
+	// Page 0 was filed first; sixteen sheds visit every shard of the index.
+	if keys := ix.Lookup(depindex.MakeID(0, 1)); len(keys) != 0 {
+		t.Fatalf("the oldest page's record survived: %v", keys)
+	}
+	p.Apply(coherency.Event{Seq: 1, Kind: coherency.KindFragment, Key: 0, Gen: 1})
+	if flushes, dropped := counter(p, "dpc.pagecache_flushes"), counter(p, "dpc.pagecache_invalidations"); flushes != 0 || dropped != 0 {
+		t.Fatalf("an event on a shed fragment: %d flushes, %d drops, want none", flushes, dropped)
+	}
+	if tier.Len() != pages-int(shed) {
+		t.Fatal("an event on a shed fragment disturbed the tier")
+	}
+	if cache := get(0); cache == "PAGE" {
+		t.Fatal("the shed page was served from the tier")
 	}
 }
 
@@ -114,23 +154,34 @@ func TestTierSubscribersShareOneIndex(t *testing.T) {
 }
 
 // Fills racing invalidations, by the protocol the proxy's fillers follow
-// (check tombstones and epoch, file edges, put — all under Filing): once
-// the writer has invalidated a page's fragment, no filler may leave the
-// page in the tier built from that generation.
+// (check tombstones and epoch, file edges, put — all under Filing — then
+// shed): once the writer has invalidated a page's fragment, no filler may
+// leave the page in the tier built from that generation, and no event may
+// flush the tier. The shedding budget holds about four of the sixteen
+// pages, so fills, sheds and invalidations interleave.
 func TestConcurrentFillsAndInvalidations(t *testing.T) {
+	for name, budget := range map[string]int64{"default": 0, "shedding": 512} {
+		t.Run(name, func(t *testing.T) { concurrentFillsAndInvalidations(t, budget) })
+	}
+}
+
+func concurrentFillsAndInvalidations(t *testing.T, budget int64) {
 	const pages, writes, fillers = 16, 400, 4
-	p := newProxy(t, nil)
+	p := newProxy(t, nil, func(c *dpc.Config) { c.DepIndexBudget = budget })
 	tier, ix := p.Pages(), p.DepIndex()
 	pageKey := func(p uint32) string { return fmt.Sprintf("page-%d", p) }
-	// live[p] is the generation of page p's one fragment.
+	drop := func(key string) { tier.Delete(key) }
+	// live[p] is the generation of page p's one fragment; attempts counts
+	// the fills begun, so the writer can keep pace with them.
 	var live [pages]atomic.Uint32
+	var attempts atomic.Int64
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for f := 0; f < fillers; f++ {
 		wg.Add(1)
 		go func(f int) {
 			defer wg.Done()
-			for i := f; ; i += fillers {
+			for i := f * pages / fillers; ; i++ { // each filler cycles every page
 				select {
 				case <-stop:
 					return
@@ -147,10 +198,15 @@ func TestConcurrentFillsAndInvalidations(t *testing.T) {
 					tier.Put(pageKey(p), []byte(strconv.Itoa(int(gen))), "", time.Minute)
 				}
 				filing.Unlock()
+				ix.Shed(drop)
+				attempts.Add(1)
 			}
 		}(f)
 	}
 	for seq := uint64(1); seq <= writes; seq++ {
+		for attempts.Load() < int64(seq)*fillers {
+			runtime.Gosched()
+		}
 		pg := uint32(seq % pages)
 		dead := live[pg].Add(1) - 1
 		p.Apply(coherency.Event{Seq: seq, Kind: coherency.KindFragment, Key: pg, Gen: dead})
@@ -164,7 +220,10 @@ func TestConcurrentFillsAndInvalidations(t *testing.T) {
 		}
 	}
 	if n := counter(p, "dpc.pagecache_flushes"); n != 0 {
-		t.Errorf("%d tier flushes: the index answered inexactly", n)
+		t.Errorf("%d tier flushes", n)
+	}
+	if st := ix.Stats(); budget > 0 && st.Evictions == 0 {
+		t.Errorf("nothing was shed: %+v", st)
 	}
 }
 

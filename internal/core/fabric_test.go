@@ -290,17 +290,25 @@ func BenchmarkInvalidationStorm(b *testing.B) {
 
 // One write drops one page: a site of the benchmark's shape — 1 000 pages,
 // 12 000 tagged fragments, each on one page — sits in the page tier behind
-// the fabric at the default dependency-index budget. Touching 200 tagged
+// the fabric. At the default dependency-index budget, touching 200 tagged
 // fragments on 200 pages must drop exactly those 200 pages, flush no tier,
-// get an exact answer to every index lookup, leave every other page a tier
-// hit, and serve each touched page fresh on its next GET.
+// leave every other page a tier hit, and serve each touched page fresh on
+// its next GET. At a tenth of the budget the index cannot hold the site:
+// it sheds the least-recently-filed fragments and their pages leave the
+// tier, but a write still flushes nothing, and no page is ever served
+// with a dead fragment.
 func TestFabricTwoHundredWritesDropTwoHundredPages(t *testing.T) {
+	t.Run("default-budget", func(t *testing.T) { twoHundredWrites(t, 0) })
+	t.Run("tenth-budget", func(t *testing.T) { twoHundredWrites(t, 1<<20/10) })
+}
+
+func twoHundredWrites(t *testing.T, budget int64) {
 	siteCfg := site.SyntheticConfig{Pages: 1000, FragmentsPerPage: 16, FragmentBytes: 64, Cacheability: 0.75}
 	sys, err := NewSystem(Config{
 		Capacity: 16384,
 		Seed:     7,
 		Fabric:   true,
-		Proxy:    dpc.Config{Strict: true, PageCache: true, PageCacheTTL: 10 * time.Minute},
+		Proxy:    dpc.Config{Strict: true, PageCache: true, PageCacheTTL: 10 * time.Minute, DepIndexBudget: budget},
 	}, ModeCached)
 	if err != nil {
 		t.Fatal(err)
@@ -329,12 +337,16 @@ func TestFabricTwoHundredWritesDropTwoHundredPages(t *testing.T) {
 		fabricGet(t, pageURL(p), "")
 	}
 	ix := sys.Proxy.DepIndex()
-	if st := ix.Stats(); st.Fragments != tagged || st.Keys != siteCfg.Pages || st.Evictions != 0 {
+	shedding := budget > 0
+	if st := ix.Stats(); !shedding && (st.Fragments != tagged || st.Keys != siteCfg.Pages || st.Evictions != 0) {
 		t.Fatalf("the default budget does not hold the site's %d edges over %d pages: %+v", tagged, siteCfg.Pages, st)
+	} else if shedding && st.Evictions == 0 {
+		t.Fatalf("test setup: a tenth of the budget shed nothing: %+v", st)
 	}
 	if fills := counter("dpc.pagecache_fills"); fills != int64(siteCfg.Pages) {
 		t.Fatalf("dpc.pagecache_fills = %d after fetching %d pages", fills, siteCfg.Pages)
 	}
+	resident := sys.Proxy.Pages().Len()
 
 	// Every fifth page loses its first tagged fragment.
 	touched := make(map[int]int) // page → fragment
@@ -357,29 +369,38 @@ func TestFabricTwoHundredWritesDropTwoHundredPages(t *testing.T) {
 		t.Fatalf("fabric acked %d of %d events, want 200 of 200", acked, seq)
 	}
 
-	if got := counter("dpc.pagecache_invalidations") - dropped; got != 200 {
+	got := counter("dpc.pagecache_invalidations") - dropped
+	if !shedding && got != 200 {
 		t.Errorf("200 writes dropped %d pages", got)
 	}
-	for _, name := range []string{
-		"dpc.pagecache_flushes", "dpc.pagecache_gap_flushes", "dpc.pagecache_event_flushes", "dpc.pagecache_fallback_flushes",
-	} {
+	for _, name := range []string{"dpc.pagecache_flushes", "dpc.pagecache_gap_flushes", "dpc.pagecache_event_flushes"} {
 		if got := counter(name); got != 0 {
 			t.Errorf("%s = %d: a write flushed a tier", name, got)
 		}
 	}
-	if st := ix.Stats(); st.Lookups != 200 || st.Inexact != 0 || st.Evictions != 0 {
-		t.Errorf("want one exact index lookup per write: %+v", st)
+	if shedding && counter("dpc.pagecache_shed_drops") == 0 {
+		t.Error("the index shed records but no page left the tier with them")
 	}
-	if got := sys.Proxy.Pages().Len(); got != siteCfg.Pages-200 {
-		t.Errorf("page tier holds %d pages, want %d", got, siteCfg.Pages-200)
+	if st := ix.Stats(); st.Lookups != 200 || (!shedding && st.Evictions != 0) {
+		t.Errorf("want one index lookup per write: %+v", st)
+	}
+	if left := sys.Proxy.Pages().Len(); left != resident-int(got) || (!shedding && left != siteCfg.Pages-200) {
+		t.Errorf("page tier holds %d pages, %d before the writes dropped %d", left, resident, got)
 	}
 
 	for p := 0; p < siteCfg.Pages; p++ {
 		resp, body := fabricGet(t, pageURL(p), "")
 		j, wasTouched := touched[p]
 		if !wasTouched {
-			if resp.Header.Get("X-Cache") != "PAGE" {
+			if !shedding && resp.Header.Get("X-Cache") != "PAGE" {
 				t.Fatalf("untouched page %d: X-Cache = %q, want PAGE", p, resp.Header.Get("X-Cache"))
+			}
+			// Touched fragments sit on touched pages only, so an untouched
+			// page holds no dead fragment: it holds every live one at v1.
+			for _, f := range man.Pages[p] {
+				if man.Cacheable[f] && !strings.Contains(body, fmt.Sprintf("<!--frag %d v1-->", f)) {
+					t.Fatalf("untouched page %d does not carry fragment %d at v1", p, f)
+				}
 			}
 			continue
 		}
@@ -389,7 +410,7 @@ func TestFabricTwoHundredWritesDropTwoHundredPages(t *testing.T) {
 		if want := fmt.Sprintf("<!--frag %d v2-->", j); !strings.Contains(body, want) {
 			t.Fatalf("page %d is stale after the write: no %s", p, want)
 		}
-		if resp, _ := fabricGet(t, pageURL(p), ""); resp.Header.Get("X-Cache") != "PAGE" {
+		if resp, _ := fabricGet(t, pageURL(p), ""); !shedding && resp.Header.Get("X-Cache") != "PAGE" {
 			t.Fatalf("page %d was not refiled: X-Cache = %q", p, resp.Header.Get("X-Cache"))
 		}
 	}

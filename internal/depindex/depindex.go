@@ -32,22 +32,25 @@
 // ByteBudget is charged what those structures occupy (see the cost
 // constants), so the budget bounds the index's heap, not a notional count.
 //
-// # Sound degradation
+// # Bounded by dropping pages
 //
-// The index is best-effort storage: it is sharded, byte-bounded, and
-// evicts least-recently-recorded fragments under pressure. Because a
-// missing edge must never mean a missed invalidation, every answer is
-// qualified: Lookup reports exact=false while the asked-for fragment's
-// shard could still be missing edges it lost to eviction — from the
-// eviction until the last lost edge would have expired anyway — and the
-// caller falls back to a scoped flush of its tier. The window covers
-// hits and misses alike. An eviction that loses nothing live (every edge
-// already expired, or the generation was invalidated and its tombstone has
-// run out) opens no window. An edge expires with the entry it describes
-// (File takes the entry's lifetime): an entry the tier already let go by
-// TTL needs no edge, and a stale edge costs at worst one redundant Delete
-// of a non-resident key. Deadlines are kept in whole
-// seconds, rounded up, so an edge never expires before its entry.
+// The index is sharded and byte-bounded, and every answer is exact: when
+// it must forget a fragment, the pages that fragment's record names leave
+// the tier with it. File only records. A filler that leaves the index over
+// budget calls Shed once its shared hold on Filing has ended; Shed takes
+// Filing exclusively, evicts least-recently-recorded fragments, and hands
+// the caller every unexpired key an evicted record names, for the caller
+// to delete from its tier before the lock is released. Under that hold no
+// fill sits between its File and its Put, so a page the index forgets is
+// either resident and dropped then, or filed later with fresh edges. A
+// dead generation's record hands back nothing: its invalidation already
+// returned its keys. Under pressure a site therefore loses its
+// least-recently-filed pages from the tier, never the next write's
+// precision. An edge expires with the entry it describes (File takes the
+// entry's lifetime): an entry the tier already let go by TTL needs no
+// edge, and a stale edge costs at worst one redundant Delete of a
+// non-resident key. Deadlines are kept in whole seconds, rounded up, so an
+// edge never expires before its entry.
 //
 // # The fill/invalidate race
 //
@@ -57,19 +60,20 @@
 // filed *after* the drop and survive until TTL. Three mechanisms close
 // this:
 //
-//   - MarkInvalid / AnyInvalid: the invalidator tombstones each invalidated
-//     ref *before* deleting dependents; fillers check their refs and file
-//     only when none is tombstoned.
+//   - Invalidate / AnyInvalid: the invalidator tombstones each invalidated
+//     ref and reads its dependents in one step, *before* deleting them;
+//     fillers check their refs and file only when none is tombstoned.
 //   - Epoch: scoped flushes (sequence gaps, explicit tier flushes) bump a
 //     generation counter *before* flushing; a filler whose capture began
 //     under an older epoch does not file, since the flush could not have
 //     removed a page that was not yet filed.
 //   - Filing: a filler checks, records its edges and puts its entry while
-//     holding the Filing lock, which MarkInvalid and BumpEpoch take
+//     holding the Filing lock, which Invalidate, BumpEpoch and Shed take
 //     exclusively. A fill is therefore wholly before the marker — edges
 //     and entry in place for the invalidator's Delete or Flush to find —
 //     or wholly after it, and refused. A page holding a dropped
-//     fragment's bytes is never servable once the drop has been applied.
+//     fragment's bytes is never servable once the drop has been applied,
+//     and no shed falls between a tombstone and its answer.
 //
 // A generation is invalidated at most once, so once its tombstone has run
 // out (tombstoneTTL, far beyond one event's synchronous delivery to every
@@ -103,11 +107,11 @@ type Config struct {
 	Shards int
 	// ByteBudget bounds the bytes the index's structures occupy; 0 selects
 	// 1 MiB, which holds about 21 000 single-page fragments. Over budget,
-	// least-recently-recorded fragments are evicted, and a shard that lost
-	// live edges answers conservatively until they would have expired.
+	// Shed evicts least-recently-recorded fragments and hands back the
+	// pages they name, for the caller to drop.
 	ByteBudget int64
 	// Horizon is the edge lifetime Record files under (File takes each
-	// entry's own). 0 selects 2s.
+	// entry's own). 0 selects 2s. Frozen for bench/, like Record.
 	Horizon time.Duration
 	// Clock drives expiry; nil selects the real clock.
 	Clock clock.Clock
@@ -121,12 +125,11 @@ type Stats struct {
 	Keys  int   `json:"keys"`
 	Bytes int64 `json:"bytes"`
 	// Records counts edges recorded or refreshed; Evictions counts
-	// fragments that lost live edges to byte pressure.
+	// fragments shed under byte pressure that still named live pages.
 	Records   int64 `json:"records"`
 	Evictions int64 `json:"evictions"`
-	// Lookups counts invalidation lookups; Inexact counts the ones
-	// answered conservatively (the caller had to fall back to a scoped
-	// flush).
+	// Lookups counts Invalidate and Lookup answers. Inexact is always 0:
+	// every answer is exact. It stays only because bench/ reads it.
 	Lookups int64 `json:"lookups"`
 	Inexact int64 `json:"inexact"`
 	// Tombstones counts currently retained invalidated-ref markers.
@@ -172,11 +175,11 @@ type Index struct {
 	bumpCause atomic.Pointer[string]
 	// cursor rotates eviction across shards.
 	cursor atomic.Uint64
-	// filing orders fills (shared) against tombstones and epoch bumps
-	// (exclusive); see the package comment.
+	// filing orders fills (shared) against invalidations, epoch bumps and
+	// sheds (exclusive); see the package comment.
 	filing sync.RWMutex
 
-	records, evictions, lookups, inexact atomic.Int64
+	records, evictions, lookups atomic.Int64
 }
 
 // New returns an index.
@@ -242,14 +245,14 @@ func mix(id ID) uint64 {
 // page's references, filed under the page's store key. The edges expire
 // after ttl, the lifetime the tier gave the entry, so the index neither
 // forgets an entry still resident nor outremembers the tiers it describes.
-// Re-filing a page whose edges are all present allocates nothing.
+// Re-filing a page whose edges are all present allocates nothing. File
+// never evicts: a filler that leaves the index over budget calls Shed.
 func (ix *Index) File(ids []ID, key string, ttl time.Duration) {
 	if len(ids) == 0 {
 		return
 	}
 	ix.records.Add(int64(len(ids)))
-	now := ix.since()
-	deadline := secCeil(now + ttl)
+	deadline := secCeil(ix.since() + ttl)
 	// The pin keeps the key's id alive while its edges are placed shard by
 	// shard, each new one taking a reference of its own.
 	kid := ix.keys.pin(ix, key)
@@ -261,65 +264,73 @@ func (ix *Index) File(ids []ID, key string, ttl time.Duration) {
 		sh.mu.Unlock()
 	}
 	ix.keys.unpin(ix, kid)
-	if ix.bytes.Load() > ix.budget {
-		ix.evict(secFloor(now))
-	}
 }
 
-// evict drops least-recently-recorded fragments, one shard after the next
-// from a rotating cursor, until the index is back under budget.
-func (ix *Index) evict(now uint32) {
-	empty := 0
-	for ix.bytes.Load() > ix.budget && empty < len(ix.shards) {
+// Shed brings an index over budget back under it: it evicts
+// least-recently-recorded fragments, one shard after the next from a
+// rotating cursor, and calls drop with each unexpired key an evicted record
+// of a live generation names. It holds Filing exclusively throughout, so
+// the caller's drops land before any fill files or any invalidation
+// answers; a filler calls it after its own shared hold has ended, and drop
+// must not call back into the index. Under budget it returns at once.
+func (ix *Index) Shed(drop func(key string)) {
+	if ix.bytes.Load() <= ix.budget {
+		return
+	}
+	ix.filing.Lock()
+	defer ix.filing.Unlock()
+	now := secFloor(ix.since())
+	var keys []string
+	for empty := 0; ix.bytes.Load() > ix.budget && empty < len(ix.shards); {
 		sh := &ix.shards[ix.cursor.Add(1)&ix.mask]
 		sh.mu.Lock()
+		keys = keys[:0]
 		if sh.tail == 0 {
 			empty++
 		} else {
 			empty = 0
-			if sh.evictTail(ix, now) {
-				ix.evictions.Add(1)
-			}
+			keys = sh.evictTail(ix, now, keys)
 		}
 		sh.mu.Unlock()
+		if len(keys) > 0 {
+			ix.evictions.Add(1)
+		}
+		for _, k := range keys {
+			//dpclint:ignore lockscope dropping the entries under Filing is the protocol: no fill may file between the eviction and the drop; drop is contract-bound (doc comment) not to re-enter the index
+			drop(k)
+		}
 	}
 }
 
-// Lookup returns the keys recorded as composed from id. exact reports
-// whether the answer is authoritative: when false (the shard lost live
-// edges to eviction, so id's may be among them), the caller must treat
-// every entry of its tier as a potential dependent and flush. The window
-// applies to hits as well as misses — a fragment whose entry was evicted
-// and then re-recorded holds only its post-eviction edges. Expired edges
-// are pruned on the way; live ones stay.
-func (ix *Index) Lookup(id ID) (keys []string, exact bool) {
+// Lookup returns the unexpired keys recorded as composed from id, pruning
+// the expired edges on the way.
+func (ix *Index) Lookup(id ID) []string {
 	ix.lookups.Add(1)
 	now := secFloor(ix.since())
 	h := mix(id)
 	sh := &ix.shards[h&ix.mask]
 	sh.mu.Lock()
-	exact = now >= sh.inexactUntil
-	keys = sh.dependents(ix, id, h, now)
-	sh.mu.Unlock()
-	if !exact {
-		ix.inexact.Add(1)
-	}
-	return keys, exact
+	defer sh.mu.Unlock()
+	return sh.dependents(ix, id, h, now)
 }
 
-// MarkInvalid tombstones an invalidated ref so in-flight fills whose
+// Invalidate tombstones an invalidated ref, so in-flight fills whose
 // fragments were read before the invalidation refuse to file their
-// capture. It waits for fills holding Filing, so their edges are in place
-// when it returns. The invalidator calls it before deleting dependents.
-func (ix *Index) MarkInvalid(id ID) {
+// capture, and returns the keys Lookup would: the entries the caller must
+// delete. Both happen under one exclusive hold of Filing, so the edges of
+// every fill before it are in place and no shed falls between the mark
+// and the answer.
+func (ix *Index) Invalidate(id ID) []string {
+	ix.lookups.Add(1)
 	now := ix.since()
+	nowSec := secFloor(now)
 	h := mix(id)
 	sh := &ix.shards[h&ix.mask]
 	ix.filing.Lock()
 	defer ix.filing.Unlock()
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if nowSec := secFloor(now); nowSec >= sh.tombSweepAt || len(sh.tomb) >= maxTombstones {
+	if nowSec >= sh.tombSweepAt || len(sh.tomb) >= maxTombstones {
 		sh.sweepTombstones(ix, nowSec)
 	}
 	if len(sh.tomb) >= maxTombstones {
@@ -332,6 +343,7 @@ func (ix *Index) MarkInvalid(id ID) {
 	if i, _ := sh.find(id, h); i != 0 {
 		sh.frags.at(i).dead = true
 	}
+	return sh.dependents(ix, id, h, nowSec)
 }
 
 // Filing returns the lock a filler holds from its AnyInvalid and Epoch
@@ -364,8 +376,8 @@ func (ix *Index) AnyInvalid(ids []ID) bool {
 func (ix *Index) Epoch() uint64 { return ix.epoch.Load() }
 
 // BumpEpoch advances the flush generation; the invalidator calls it
-// whenever it flushes a tier, naming why (sequence gap, flush event, inexact
-// index answer) for the fills the bump refuses to report.
+// whenever it flushes a tier, naming why (sequence gap, flush event) for
+// the fills the bump refuses to report.
 func (ix *Index) BumpEpoch(cause string) {
 	ix.filing.Lock()
 	ix.bumpLocked(cause)
@@ -404,7 +416,6 @@ func (ix *Index) Stats() Stats {
 		Records:   ix.records.Load(),
 		Evictions: ix.evictions.Load(),
 		Lookups:   ix.lookups.Load(),
-		Inexact:   ix.inexact.Load(),
 	}
 	for i := range ix.shards {
 		sh := &ix.shards[i]
@@ -449,7 +460,8 @@ func parseRef(ref string) (ID, bool) {
 }
 
 // Record is File for one "key:gen" ref and the configured Horizon; a ref of
-// any other form records nothing. Frozen for bench/; use File.
+// any other form records nothing. Like File it never sheds. Frozen for
+// bench/; use File.
 func (ix *Index) Record(ref, key string) {
 	if id, ok := parseRef(ref); ok {
 		ids := [1]ID{id}
@@ -457,13 +469,11 @@ func (ix *Index) Record(ref, key string) {
 	}
 }
 
-// Dependents is Lookup for a "key:gen" ref; a ref of any other form can
-// have no edges, which is an exact empty answer. Frozen for bench/; use
-// Lookup.
-func (ix *Index) Dependents(ref string) (keys []string, exact bool) {
-	id, ok := parseRef(ref)
-	if !ok {
-		return nil, true
+// Dependents is Lookup for a "key:gen" ref; a ref of any other form has no
+// edges. Frozen for bench/; use Lookup.
+func (ix *Index) Dependents(ref string) []string {
+	if id, ok := parseRef(ref); ok {
+		return ix.Lookup(id)
 	}
-	return ix.Lookup(id)
+	return nil
 }

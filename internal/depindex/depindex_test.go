@@ -15,8 +15,13 @@ func newTestIndex(budget int64, hz time.Duration, clk clock.Clock) *Index {
 	return New(Config{Shards: 4, ByteBudget: budget, Horizon: hz, Clock: clk})
 }
 
-// file records one edge.
-func file(ix *Index, id ID, key string) { ix.File([]ID{id}, key, ix.hz) }
+// file records one edge as a filler does, File then Shed, and returns the
+// keys the shed handed back.
+func file(ix *Index, id ID, key string) (dropped []string) {
+	ix.File([]ID{id}, key, ix.hz)
+	ix.Shed(func(k string) { dropped = append(dropped, k) })
+	return dropped
+}
 
 func TestRecordLayout(t *testing.T) {
 	if n := unsafe.Sizeof(entry{}); n != 32 {
@@ -35,25 +40,20 @@ func TestFileAndLookup(t *testing.T) {
 	ix.File([]ID{MakeID(1, 1), MakeID(2, 1)}, "pageA", ix.hz)
 	file(ix, MakeID(1, 1), "pageB")
 
-	keys, exact := ix.Lookup(MakeID(1, 1))
+	keys := ix.Lookup(MakeID(1, 1))
 	slices.Sort(keys)
-	if !exact || !slices.Equal(keys, []string{"pageA", "pageB"}) {
-		t.Fatalf("Lookup(1:1) = %v, exact=%v", keys, exact)
+	if !slices.Equal(keys, []string{"pageA", "pageB"}) {
+		t.Fatalf("Lookup(1:1) = %v", keys)
 	}
-	// Every tier's subscriber asks about the same event: a lookup must not
-	// consume what it returns.
-	if again, _ := ix.Lookup(MakeID(1, 1)); len(again) != 2 {
+	// A lookup must not consume what it returns.
+	if again := ix.Lookup(MakeID(1, 1)); len(again) != 2 {
 		t.Fatalf("second Lookup(1:1) = %v", again)
 	}
-	keys, exact = ix.Lookup(MakeID(2, 1))
-	if !exact || len(keys) != 1 || keys[0] != "pageA" {
-		t.Fatalf("Lookup(2:1) = %v, exact=%v", keys, exact)
+	if keys = ix.Lookup(MakeID(2, 1)); len(keys) != 1 || keys[0] != "pageA" {
+		t.Fatalf("Lookup(2:1) = %v", keys)
 	}
-	// A never-recorded fragment is an authoritative empty answer as long
-	// as nothing has been evicted.
-	keys, exact = ix.Lookup(MakeID(9, 9))
-	if !exact || keys != nil {
-		t.Fatalf("Lookup(9:9) = %v, exact=%v, want exact empty", keys, exact)
+	if keys = ix.Lookup(MakeID(9, 9)); keys != nil {
+		t.Fatalf("Lookup(9:9) = %v, want empty", keys)
 	}
 	if st := ix.Stats(); st.Fragments != 2 || st.Edges != 3 || st.Keys != 2 {
 		t.Fatalf("stats = %+v", st)
@@ -71,7 +71,7 @@ func TestDuplicateEdgesNotDoubleCounted(t *testing.T) {
 	if b2 := ix.Stats().Bytes; b2 != b1 {
 		t.Fatalf("duplicate edge grew bytes %d → %d", b1, b2)
 	}
-	if keys, _ := ix.Lookup(7); len(keys) != 1 {
+	if keys := ix.Lookup(7); len(keys) != 1 {
 		t.Fatalf("keys = %v", keys)
 	}
 }
@@ -110,138 +110,181 @@ func TestEdgesExpireAfterHorizon(t *testing.T) {
 	ix := newTestIndex(0, 10*time.Second, fake)
 	file(ix, 7, "k")
 	fake.Advance(9 * time.Second)
-	if keys, _ := ix.Lookup(7); len(keys) != 1 {
+	if keys := ix.Lookup(7); len(keys) != 1 {
 		t.Fatal("edge expired before the horizon")
 	}
 	fake.Advance(2 * time.Second)
-	keys, exact := ix.Lookup(7)
-	if !exact || len(keys) != 0 {
-		t.Fatalf("expired edge survived: %v, exact=%v", keys, exact)
+	if keys := ix.Lookup(7); len(keys) != 0 {
+		t.Fatalf("expired edge survived: %v", keys)
 	}
 	if st := ix.Stats(); st.Fragments != 0 || st.Bytes != 0 {
 		t.Fatalf("expired fragment not reclaimed: %+v", st)
 	}
 }
 
-// Eviction under byte pressure must make misses conservative (exact =
-// false) until the lost edges would have expired, then heal: after that
-// every described entry has expired anyway, so an authoritative empty
-// answer is sound again.
-func TestEvictionFallbackWindowHeals(t *testing.T) {
-	fake := clock.NewFake(time.Unix(0, 0))
-	const hz = 10 * time.Second
-	ix := newTestIndex(512, hz, fake)
-	for i := 0; i < 64; i++ {
-		file(ix, MakeID(uint32(i), 1), fmt.Sprintf("page-%d-with-a-long-key", i))
+// Over budget, a shed evicts least-recently-recorded fragments until the
+// index fits and hands back exactly the unexpired keys the evicted records
+// named; every record it keeps answers as before.
+func TestShedHandsBackLiveKeys(t *testing.T) {
+	const budget = 1024
+	ix := newTestIndex(budget, time.Minute, nil)
+	// Page p is composed of fragments p and p+1: most fragments sit on two
+	// pages, so a record's keys outnumber its fragment.
+	const pages = 40
+	for p := uint32(0); p < pages; p++ {
+		ix.File([]ID{MakeID(p, 1), MakeID(p+1, 1)}, fmt.Sprintf("page-%02d", p), ix.hz)
 	}
+	before := make(map[ID][]string)
+	for f := uint32(0); f <= pages; f++ {
+		before[MakeID(f, 1)] = ix.Lookup(MakeID(f, 1))
+	}
+	var dropped []string
+	ix.Shed(func(k string) { dropped = append(dropped, k) })
+
 	st := ix.Stats()
-	if st.Evictions == 0 {
-		t.Fatalf("no evictions under a %d-byte budget: %+v", 512, st)
+	if st.Bytes > budget {
+		t.Fatalf("shed left the index over budget: %+v", st)
 	}
-	if st.Bytes > 512 {
-		t.Fatalf("index settled over budget: %+v", st)
-	}
-	// Some fragment was evicted; a miss anywhere must now be inexact
-	// (shard-granular — assert on a ref we know was evicted: the oldest).
-	inexactSeen := false
-	for i := 0; i < 64; i++ {
-		if _, exact := ix.Lookup(MakeID(uint32(i), 1)); !exact {
-			inexactSeen = true
+	var want []string
+	evicted := 0
+	for id, keys := range before {
+		after := ix.Lookup(id)
+		if after == nil {
+			want = append(want, keys...)
+			evicted++
+			continue
+		}
+		slices.Sort(keys)
+		slices.Sort(after)
+		if !slices.Equal(keys, after) {
+			t.Fatalf("kept record %d answers %v, %v before the shed", id, after, keys)
 		}
 	}
-	if !inexactSeen {
-		t.Fatal("no lookup answered conservatively after eviction")
+	slices.Sort(want)
+	slices.Sort(dropped)
+	if evicted == 0 || !slices.Equal(dropped, want) {
+		t.Fatalf("%d records shed, handed back %v, want %v", evicted, dropped, want)
 	}
-	if ix.Stats().Inexact == 0 {
-		t.Fatal("inexact lookups not counted")
-	}
-	// Past the horizon the window closes.
-	fake.Advance(hz + time.Second)
-	if _, exact := ix.Lookup(MakeID(999, 1)); !exact {
-		t.Fatal("conservative window never healed")
+	if st.Evictions != int64(evicted) {
+		t.Fatalf("evictions = %d, %d records shed", st.Evictions, evicted)
 	}
 	if err := ix.checkInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// The conservative window must cover hits too: a fragment evicted and
-// then re-recorded holds only its post-eviction edges, so trusting the
-// hit would silently forget the pre-eviction dependents.
-func TestEvictionWindowQualifiesHits(t *testing.T) {
-	fake := clock.NewFake(time.Unix(0, 0))
-	const hz = 10 * time.Second
-	ix := New(Config{Shards: 1, ByteBudget: 400, Horizon: hz, Clock: fake})
-	const victim = ID(1 << 40)
-	file(ix, victim, "pre-eviction-page-with-a-long-key")
-	for i := 0; i < 8; i++ {
-		file(ix, MakeID(uint32(i), 1), "filler-page-with-a-rather-long-key")
+// A fragment shed and then filed again answers exactly its new edges: the
+// page its old record named was handed back when the record went.
+func TestShedThenRefileAnswersExactly(t *testing.T) {
+	const room = 4 // fragments the budget holds, each on a page of its own
+	ix := New(Config{Shards: 1, ByteBudget: room * (entryCost + keyCost + 8), Horizon: time.Minute})
+	victim := MakeID(99, 1)
+	file(ix, victim, "page-old")
+	var dropped []string
+	for i := 0; i < room; i++ {
+		dropped = append(dropped, file(ix, MakeID(uint32(i), 1), fmt.Sprintf("page-%03d", i))...)
 	}
-	if ix.Stats().Evictions == 0 {
-		t.Fatal("test setup: no evictions occurred")
+	if !slices.Equal(dropped, []string{"page-old"}) {
+		t.Fatalf("shedding the victim handed back %v, want its one page", dropped)
 	}
-	// Re-record the evicted fragment: the hit must still be answered
-	// conservatively inside the window.
-	file(ix, victim, "post-eviction-page")
-	if _, exact := ix.Lookup(victim); exact {
-		t.Fatal("hit inside the eviction window claimed to be exact")
-	}
-	fake.Advance(hz + time.Second)
-	file(ix, victim, "post-window-page")
-	if keys, exact := ix.Lookup(victim); !exact || len(keys) == 0 {
-		t.Fatalf("post-window hit = %v, exact=%v", keys, exact)
+	file(ix, victim, "page-new")
+	if keys := ix.Lookup(victim); !slices.Equal(keys, []string{"page-new"}) {
+		t.Fatalf("Lookup(victim) = %v after refiling", keys)
 	}
 }
 
-// An eviction that loses nothing opens no window: the victim's edges had
-// all expired, so no answer the shard gives afterwards can be missing one.
-func TestExpiredVictimOpensNoWindow(t *testing.T) {
+// A victim whose edges have all expired names no page the tier still
+// holds: shedding it hands back nothing and counts no eviction.
+func TestShedExpiredVictimHandsBackNothing(t *testing.T) {
 	fake := clock.NewFake(time.Unix(0, 0))
 	const hz = 10 * time.Second
-	const room = 4 // fragments the budget holds, each on a page of its own
+	const room = 4
 	ix := New(Config{Shards: 1, ByteBudget: room * (entryCost + keyCost + 8), Horizon: hz, Clock: fake})
 	for i := 0; i < room; i++ {
 		file(ix, MakeID(uint32(i), 1), fmt.Sprintf("page-%03d", i))
 	}
 	fake.Advance(hz + time.Second)
 	for i := room; i < 2*room; i++ {
-		file(ix, MakeID(uint32(i), 1), fmt.Sprintf("page-%03d", i))
-	}
-	st := ix.Stats()
-	if st.Fragments != room || st.Bytes > room*(entryCost+keyCost+8) {
-		t.Fatalf("test setup: the old fragments were not displaced: %+v", st)
-	}
-	if st.Evictions != 0 {
-		t.Fatalf("%d reclaimed fragments counted as lossy evictions", st.Evictions)
-	}
-	for i := 0; i < 2*room; i++ {
-		if _, exact := ix.Lookup(MakeID(uint32(i), 1)); !exact {
-			t.Fatalf("Lookup(%d:1) inexact after an eviction that lost nothing", i)
+		if dropped := file(ix, MakeID(uint32(i), 1), fmt.Sprintf("page-%03d", i)); len(dropped) != 0 {
+			t.Fatalf("shedding expired victims handed back %v", dropped)
 		}
+	}
+	if st := ix.Stats(); st.Fragments != room || st.Evictions != 0 {
+		t.Fatalf("stats = %+v, want the expired fragments displaced silently", st)
+	}
+}
+
+// A dead generation's Invalidate already returned its keys, so shedding
+// its record hands back nothing, whether its tombstone is still held or
+// has run out.
+func TestShedDeadVictimHandsBackNothing(t *testing.T) {
+	for name, wait := range map[string]time.Duration{"held": 0, "settled": tombstoneTTL + time.Second} {
+		t.Run(name, func(t *testing.T) {
+			fake := clock.NewFake(time.Unix(0, 0))
+			const room = 4
+			ix := New(Config{Shards: 1, ByteBudget: room * (entryCost + keyCost + 8), Horizon: 10 * time.Minute, Clock: fake})
+			for i := 0; i < room; i++ {
+				id, key := MakeID(uint32(i), 1), fmt.Sprintf("page-%03d", i)
+				file(ix, id, key)
+				if keys := ix.Invalidate(id); !slices.Equal(keys, []string{key}) {
+					t.Fatalf("Invalidate(%d) = %v", id, keys)
+				}
+			}
+			fake.Advance(wait)
+			for i := room; i < 2*room; i++ {
+				if dropped := file(ix, MakeID(uint32(i), 1), fmt.Sprintf("page-%03d", i)); len(dropped) != 0 {
+					t.Fatalf("shedding dead generations handed back %v", dropped)
+				}
+			}
+			if st := ix.Stats(); st.Fragments != room || st.Evictions != 0 {
+				t.Fatalf("stats = %+v, want the dead generations displaced silently", st)
+			}
+		})
+	}
+}
+
+// A shed takes Filing exclusively: it waits for a fill in progress, so the
+// fill's Put is in the tier before the shed hands its page back.
+func TestShedWaitsForFills(t *testing.T) {
+	ix := New(Config{Shards: 1, ByteBudget: entryCost + keyCost + 8, Horizon: time.Minute})
+	file(ix, MakeID(1, 1), "page-001")
+	filing := ix.Filing()
+	filing.Lock()
+	ix.File([]ID{MakeID(2, 1)}, "page-002", ix.hz)
+	shed := make(chan []string)
+	go func() {
+		var dropped []string
+		ix.Shed(func(k string) { dropped = append(dropped, k) })
+		shed <- dropped
+	}()
+	select {
+	case <-shed:
+		t.Fatal("shed ran in the middle of a fill")
+	case <-time.After(20 * time.Millisecond):
+	}
+	filing.Unlock()
+	if dropped := <-shed; !slices.Equal(dropped, []string{"page-001"}) {
+		t.Fatalf("shed handed back %v, want the older page", dropped)
 	}
 }
 
 // A dead generation does not wait out a Horizon: when its tombstone is
-// retired its entry goes too, silently, and until then it is there for
-// every subscriber's lookup.
+// retired its entry goes too, silently.
 func TestDeadGenerationReclaimedWithTombstone(t *testing.T) {
 	fake := clock.NewFake(time.Unix(0, 0))
 	ix := New(Config{Shards: 1, Horizon: 10 * time.Minute, Clock: fake})
 	dead, revived := MakeID(1, 1), MakeID(2, 1)
 	file(ix, dead, "page-1")
 	file(ix, revived, "page-2")
-	ix.MarkInvalid(dead)
-	ix.MarkInvalid(revived)
-	for sub := 0; sub < 2; sub++ {
-		if keys, exact := ix.Lookup(dead); !exact || len(keys) != 1 {
-			t.Fatalf("subscriber %d: Lookup(dead) = %v, exact=%v", sub, keys, exact)
-		}
+	if keys := ix.Invalidate(dead); len(keys) != 1 {
+		t.Fatalf("Invalidate(dead) = %v", keys)
 	}
+	ix.Invalidate(revived)
 	// An edge recorded after the mark is not the dead generation's.
 	file(ix, revived, "page-3")
 
 	fake.Advance(tombstoneTTL + time.Second)
-	ix.MarkInvalid(MakeID(3, 1)) // any mark on the shard runs the sweep
+	ix.Invalidate(MakeID(3, 1)) // any mark on the shard runs the sweep
 	st := ix.Stats()
 	if st.Fragments != 1 || st.Tombstones != 1 {
 		t.Fatalf("after the sweep: %+v, want the revived fragment and the new tombstone", st)
@@ -249,36 +292,14 @@ func TestDeadGenerationReclaimedWithTombstone(t *testing.T) {
 	if st.Evictions != 0 {
 		t.Fatalf("sweep counted %d evictions", st.Evictions)
 	}
-	if keys, exact := ix.Lookup(dead); !exact || len(keys) != 0 {
-		t.Fatalf("Lookup(dead) after the sweep = %v, exact=%v", keys, exact)
+	if keys := ix.Lookup(dead); len(keys) != 0 {
+		t.Fatalf("Lookup(dead) after the sweep = %v", keys)
 	}
-	if keys, exact := ix.Lookup(revived); !exact || len(keys) != 2 {
-		t.Fatalf("Lookup(revived) = %v, exact=%v", keys, exact)
+	if keys := ix.Lookup(revived); len(keys) != 2 {
+		t.Fatalf("Lookup(revived) = %v", keys)
 	}
 	if err := ix.checkInvariants(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// Under pressure a dead generation whose tombstone has run out is a victim
-// like any other, except that losing it opens no window.
-func TestSettledDeadVictimOpensNoWindow(t *testing.T) {
-	fake := clock.NewFake(time.Unix(0, 0))
-	const room = 4
-	ix := New(Config{Shards: 1, ByteBudget: room * (entryCost + keyCost + 8), Horizon: 10 * time.Minute, Clock: fake})
-	for i := 0; i < room; i++ {
-		file(ix, MakeID(uint32(i), 1), fmt.Sprintf("page-%03d", i))
-		ix.MarkInvalid(MakeID(uint32(i), 1))
-	}
-	fake.Advance(tombstoneTTL + time.Second)
-	for i := room; i < 2*room; i++ {
-		file(ix, MakeID(uint32(i), 1), fmt.Sprintf("page-%03d", i))
-	}
-	if st := ix.Stats(); st.Evictions != 0 || st.Fragments != room {
-		t.Fatalf("stats = %+v, want the dead generations displaced silently", st)
-	}
-	if _, exact := ix.Lookup(MakeID(99, 1)); !exact {
-		t.Fatal("losing a settled dead generation opened the conservative window")
 	}
 }
 
@@ -325,7 +346,7 @@ func TestTombstones(t *testing.T) {
 	if ix.AnyInvalid([]ID{1, 2}) {
 		t.Fatal("empty index reported invalid refs")
 	}
-	ix.MarkInvalid(2)
+	ix.Invalidate(2)
 	if !ix.AnyInvalid([]ID{1, 2}) {
 		t.Fatal("marked ref not reported")
 	}
@@ -337,13 +358,13 @@ func TestTombstones(t *testing.T) {
 	}
 }
 
-// A fill in progress holds Filing: a tombstone or an epoch bump waits for
-// it, so the subscriber's lookup that follows finds the fill's edges, and
-// a fill that starts afterwards sees the marker.
+// A fill in progress holds Filing: an invalidation or an epoch bump waits
+// for it, so its answer finds the fill's edges, and a fill that starts
+// afterwards sees the marker.
 func TestFilingOrdersFillsAgainstInvalidations(t *testing.T) {
 	ref := MakeID(1, 1)
 	for name, invalidate := range map[string]func(*Index){
-		"tombstone": func(ix *Index) { ix.MarkInvalid(ref) },
+		"tombstone": func(ix *Index) { ix.Invalidate(ref) },
 		"epoch":     func(ix *Index) { ix.BumpEpoch("test") },
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -367,7 +388,7 @@ func TestFilingOrdersFillsAgainstInvalidations(t *testing.T) {
 			file(ix, ref, "page")
 			filing.Unlock()
 			<-applied
-			if keys, _ := ix.Lookup(ref); len(keys) != 1 {
+			if keys := ix.Lookup(ref); len(keys) != 1 {
 				t.Fatalf("invalidation does not find the fill's edge: %v", keys)
 			}
 			if !ix.AnyInvalid([]ID{ref}) && ix.Epoch() == epoch {
@@ -380,7 +401,7 @@ func TestFilingOrdersFillsAgainstInvalidations(t *testing.T) {
 func TestTombstonesExpire(t *testing.T) {
 	fake := clock.NewFake(time.Unix(0, 0))
 	ix := newTestIndex(0, time.Second, fake)
-	ix.MarkInvalid(7)
+	ix.Invalidate(7)
 	fake.Advance(tombstoneTTL - time.Second)
 	if !ix.AnyInvalid([]ID{7}) {
 		t.Fatal("tombstone expired before its TTL")
@@ -402,13 +423,13 @@ func TestEpochBumpsOnFlush(t *testing.T) {
 		t.Fatalf("epoch = %d, cause = %q after bump", ix.Epoch(), ix.BumpCause())
 	}
 	file(ix, 7, "k")
-	ix.MarkInvalid(8)
+	ix.Invalidate(8)
 	ix.Flush()
 	if ix.Epoch() == e0+1 {
 		t.Fatal("Flush did not bump the epoch")
 	}
-	if keys, exact := ix.Lookup(7); !exact || len(keys) != 0 {
-		t.Fatalf("flush left edges: %v exact=%v", keys, exact)
+	if keys := ix.Lookup(7); len(keys) != 0 {
+		t.Fatalf("flush left edges: %v", keys)
 	}
 	if st := ix.Stats(); st.Bytes != 0 || st.Fragments != 0 || st.Keys != 0 || st.Tombstones != 0 {
 		t.Fatalf("flush left state: %+v", st)
@@ -424,7 +445,7 @@ func TestTombstoneOverflowBumpsEpoch(t *testing.T) {
 	ix := New(Config{Shards: 1, Horizon: time.Minute})
 	e0 := ix.Epoch()
 	for i := 0; i <= maxTombstones; i++ {
-		ix.MarkInvalid(MakeID(uint32(i), 1))
+		ix.Invalidate(MakeID(uint32(i), 1))
 	}
 	if ix.Epoch() == e0 || ix.BumpCause() != "tombstone-overflow" {
 		t.Fatalf("overflowing the tombstone set: epoch %d → %d, cause %q", e0, ix.Epoch(), ix.BumpCause())
@@ -442,7 +463,8 @@ func TestConcurrentRecordInvalidateLookup(t *testing.T) {
 				ref := MakeID(uint32(i%37), uint32(w))
 				ids := []ID{ref, MakeID(uint32(i%5), 99)}
 				ix.File(ids, fmt.Sprintf("page-%d", i%11), ix.hz)
-				ix.MarkInvalid(MakeID(uint32(i%37), uint32(w^1)))
+				ix.Shed(func(string) {})
+				ix.Invalidate(MakeID(uint32(i%37), uint32(w^1)))
 				ix.Lookup(ref)
 				ix.AnyInvalid(ids)
 				if i%100 == 99 {
@@ -472,19 +494,19 @@ func TestStringShimsMatchIntegerPath(t *testing.T) {
 		}
 		ix.Record(Ref(k, g), "via-string")
 		file(ix, MakeID(k, g), "via-integer")
-		byString, exactS := ix.Dependents(Ref(k, g))
-		byInteger, exactI := ix.Lookup(MakeID(k, g))
+		byString := ix.Dependents(Ref(k, g))
+		byInteger := ix.Lookup(MakeID(k, g))
 		slices.Sort(byString)
 		slices.Sort(byInteger)
-		if !slices.Equal(byString, []string{"via-integer", "via-string"}) || !slices.Equal(byString, byInteger) || exactS != exactI {
-			t.Fatalf("%d:%d: Dependents = %v/%v, Lookup = %v/%v", k, g, byString, exactS, byInteger, exactI)
+		if !slices.Equal(byString, []string{"via-integer", "via-string"}) || !slices.Equal(byString, byInteger) {
+			t.Fatalf("%d:%d: Dependents = %v, Lookup = %v", k, g, byString, byInteger)
 		}
 	}
 	before := ix.Stats()
 	for _, bad := range []string{"", "7", "7:", ":3", "a:b", "7:3:1", "-1:2", "4294967296:1"} {
 		ix.Record(bad, "page")
-		if keys, exact := ix.Dependents(bad); keys != nil || !exact {
-			t.Fatalf("Dependents(%q) = %v, %v", bad, keys, exact)
+		if keys := ix.Dependents(bad); keys != nil {
+			t.Fatalf("Dependents(%q) = %v", bad, keys)
 		}
 	}
 	if after := ix.Stats(); after.Edges != before.Edges || after.Keys != before.Keys {

@@ -155,7 +155,9 @@ func modelKey(b byte) string    { return fmt.Sprintf("GET\x00/page/%d\x00", b%mo
 func modelRefName(id ID) string { return Ref(uint32(id>>32), uint32(id)) }
 
 // oracleEdge is one edge the oracle remembers: when it expires, to the
-// nanosecond, and whether the index has been released from holding it.
+// nanosecond, and whether the index has been released from holding it (a
+// shed handed its key back, or its generation died before it was
+// recorded again).
 type oracleEdge struct {
 	until    time.Duration
 	optional bool
@@ -164,9 +166,10 @@ type oracleEdge struct {
 // oracle is the map-of-sets the index is checked against.
 type oracle struct {
 	edges map[ID]map[string]*oracleEdge
-	// dead holds, for a ref marked invalid and not recorded since, when
-	// its tombstone runs out: from then on the index may forget its edges.
-	dead map[ID]time.Duration
+	// dead holds the refs invalidated and not recorded since: Invalidate
+	// returned their dependents, so they have no live ones, and the index
+	// may forget their edges (a shed or a tombstone sweep) at any time.
+	dead map[ID]bool
 	// tomb holds when each marked ref's tombstone runs out.
 	tomb map[ID]time.Duration
 }
@@ -174,18 +177,16 @@ type oracle struct {
 func newOracle() *oracle {
 	return &oracle{
 		edges: make(map[ID]map[string]*oracleEdge),
-		dead:  make(map[ID]time.Duration),
+		dead:  make(map[ID]bool),
 		tomb:  make(map[ID]time.Duration),
 	}
 }
 
 func (o *oracle) record(now time.Duration, id ID, key string) {
-	if until, ok := o.dead[id]; ok {
-		if now >= until {
-			// The index may already have swept the generation's old edges.
-			for _, e := range o.edges[id] {
-				e.optional = true
-			}
+	if o.dead[id] {
+		// The index may already have dropped the generation's old edges.
+		for _, e := range o.edges[id] {
+			e.optional = true
 		}
 		delete(o.dead, id)
 	}
@@ -195,40 +196,62 @@ func (o *oracle) record(now time.Duration, id ID, key string) {
 	o.edges[id][key] = &oracleEdge{until: now + modelHorizon}
 }
 
-// check holds one Lookup answer to the oracle. Soundness: every unexpired
-// dependent the oracle holds for id is in the answer, or the answer is
-// inexact. And nothing is invented: every key in the answer was recorded
-// and has not expired by the index's whole-second reckoning.
-func (o *oracle) check(now time.Duration, id ID, keys []string, exact, lossless bool) error {
+// live reports whether the oracle's edge may still be held by the index's
+// whole-second reckoning.
+func live(now time.Duration, e *oracleEdge) bool {
+	return e != nil && secFloor(now) < secCeil(e.until)
+}
+
+// check holds one Lookup or Invalidate answer to the oracle. Complete:
+// every live dependent the oracle holds for id is in the answer. And
+// nothing is invented: every key in the answer was recorded and has not
+// expired by the index's whole-second reckoning.
+func (o *oracle) check(now time.Duration, id ID, keys []string) error {
 	got := make(map[string]bool, len(keys))
 	for _, k := range keys {
 		if got[k] {
 			return fmt.Errorf("answer repeats %q", k)
 		}
 		got[k] = true
-		if e := o.edges[id][k]; e == nil || secFloor(now) >= secCeil(e.until) {
+		if !live(now, o.edges[id][k]) {
 			return fmt.Errorf("answer holds %q, which the oracle never recorded or has expired", k)
 		}
 	}
-	if lossless && !exact {
-		return fmt.Errorf("inexact answer though nothing was ever evicted")
-	}
-	if until, dead := o.dead[id]; dead && now >= until {
-		return nil // a dead generation past its tombstone: nobody asks
+	if o.dead[id] {
+		return nil
 	}
 	for k, e := range o.edges[id] {
-		if now < e.until && !e.optional && !got[k] && exact {
-			return fmt.Errorf("exact answer %v misses %q, live until %v", keys, k, e.until)
+		if now < e.until && !e.optional && !got[k] {
+			return fmt.Errorf("answer %v misses %q, live until %v", keys, k, e.until)
 		}
 	}
 	return nil
 }
 
-// runModel decodes ops into a File / Record / Lookup / MarkInvalid /
+// shed takes the keys a shed handed back. Each must be a live key of a
+// live generation; the tier drops the page, so the oracle releases the
+// index from every edge to it.
+func (o *oracle) shed(now time.Duration, dropped []string) error {
+	for _, k := range dropped {
+		named := false
+		for id, edges := range o.edges {
+			if e := edges[k]; e != nil {
+				named = named || (!o.dead[id] && live(now, e))
+				e.optional = true
+			}
+		}
+		if !named {
+			return fmt.Errorf("shed handed back %q, which no live generation names", k)
+		}
+	}
+	return nil
+}
+
+// runModel decodes ops into a File / Record / Lookup / Invalidate /
 // AnyInvalid / advance / Flush / BumpEpoch sequence and applies it to an
 // index of the given budget on a fake clock and to the oracle, checking
 // every answer against the oracle and the index's invariants after every
-// step.
+// step. Each File or Record is followed by a Shed, as a filler's is.
 func runModel(t *testing.T, shards int, budget int64, ops []byte) {
 	t.Helper()
 	fake := clock.NewFake(time.Unix(1_000_000, 500))
@@ -261,19 +284,16 @@ func runModel(t *testing.T, shards int, budget int64, ops []byte) {
 			o.record(now, id, key)
 		case 4, 5:
 			id := modelRef(arg)
-			keys, exact := ix.Lookup(id)
-			if err := o.check(now, id, keys, exact, ix.Stats().Evictions == 0); err != nil {
+			if err := o.check(now, id, ix.Lookup(id)); err != nil {
 				fail("Lookup(%s): %v", modelRefName(id), err)
 			}
-		case 6: // an invalidation, as a tier subscriber applies it
+		case 6: // an invalidation, as the proxy applies it
 			id := modelRef(arg)
-			ix.MarkInvalid(id)
-			o.tomb[id] = now + tombstoneTTL
-			o.dead[id] = now + tombstoneTTL
-			keys, exact := ix.Lookup(id)
-			if err := o.check(now, id, keys, exact, ix.Stats().Evictions == 0); err != nil {
-				fail("Lookup(%s) after MarkInvalid: %v", modelRefName(id), err)
+			if err := o.check(now, id, ix.Invalidate(id)); err != nil {
+				fail("Invalidate(%s): %v", modelRefName(id), err)
 			}
+			o.tomb[id] = now + tombstoneTTL
+			o.dead[id] = true
 		case 7:
 			ids := []ID{modelRef(arg), modelRef(arg + 7)}
 			got := ix.AnyInvalid(ids)
@@ -301,6 +321,13 @@ func runModel(t *testing.T, shards int, budget int64, ops []byte) {
 				fail("epoch did not move")
 			}
 		}
+		if op%10 <= 3 {
+			var dropped []string
+			ix.Shed(func(k string) { dropped = append(dropped, k) })
+			if err := o.shed(now, dropped); err != nil {
+				fail("%v", err)
+			}
+		}
 		if err := ix.checkInvariants(); err != nil {
 			fail("%v", err)
 		}
@@ -309,8 +336,8 @@ func runModel(t *testing.T, shards int, budget int64, ops []byte) {
 		}
 	}
 
-	// With nothing evicted the index is the oracle: every lookup is exact
-	// and equal, and the occupancy counters add up to the answers.
+	// With nothing shed the index is the oracle: every lookup is equal,
+	// and the occupancy counters add up to the answers.
 	st := ix.Stats()
 	if st.Evictions != 0 || budget < 1<<30 {
 		return
@@ -320,8 +347,8 @@ func runModel(t *testing.T, shards int, budget int64, ops []byte) {
 	held := make(map[string]bool)
 	for b := byte(0); b < modelRefs; b++ {
 		id := modelRef(b)
-		keys, exact := ix.Lookup(id)
-		if err := o.check(now, id, keys, exact, true); err != nil {
+		keys := ix.Lookup(id)
+		if err := o.check(now, id, keys); err != nil {
 			t.Fatalf("final Lookup(%s): %v", modelRefName(id), err)
 		}
 		if len(keys) > 0 {

@@ -41,7 +41,8 @@ type entry struct {
 	// more heads the chain of overflow records holding the other edges.
 	more uint32
 	// dead marks a generation invalidated since its last edge was
-	// recorded: the tombstone sweep drops the entry.
+	// recorded: the tombstone sweep drops the entry, and a shed evicting
+	// it hands nothing back.
 	dead bool
 }
 
@@ -64,14 +65,9 @@ type shard struct {
 	// head is the most recently recorded fragment, tail the least.
 	head, tail  uint32
 	live, edges int
-	// tomb holds invalidated refs (MarkInvalid) and their deadline second.
+	// tomb holds invalidated refs (Invalidate) and their deadline second.
 	tomb        map[ID]uint32
 	tombSweepAt uint32
-	// inexactUntil: after an eviction that lost live edges, every answer
-	// from this shard is qualified exact=false (a re-recorded fragment may
-	// be missing its pre-eviction edges) until the second the last lost
-	// edge would have expired.
-	inexactUntil uint32
 }
 
 func (sh *shard) home(h uint64) uint32 { return uint32(h>>32) & uint32(len(sh.tab)-1) }
@@ -217,6 +213,16 @@ func (sh *shard) dependents(ix *Index, id ID, h uint64, now uint32) (keys []stri
 	if i == 0 {
 		return nil
 	}
+	keys = sh.appendLive(ix, i, now, nil)
+	if e := sh.frags.at(i); e.key == 0 && e.more == 0 {
+		sh.remove(ix, i)
+	}
+	return keys
+}
+
+// appendLive appends fragment i's unexpired keys to keys and prunes its
+// expired edges.
+func (sh *shard) appendLive(ix *Index, i, now uint32, keys []string) []string {
 	e := sh.frags.at(i)
 	ix.keys.mu.Lock()
 	if e.key != 0 {
@@ -241,9 +247,6 @@ func (sh *shard) dependents(ix *Index, id ID, h uint64, now uint32) (keys []stri
 		sh.freeOverflow(ix, j)
 	}
 	ix.keys.mu.Unlock()
-	if e.key == 0 && e.more == 0 {
-		sh.remove(ix, i)
-	}
 	return keys
 }
 
@@ -254,20 +257,17 @@ func (sh *shard) freeOverflow(ix *Index, j uint32) {
 	ix.bytes.Add(-overflowCost)
 }
 
-// remove drops fragment i with every edge it still has and returns the
-// latest deadline among them (0 if it had none).
-func (sh *shard) remove(ix *Index, i uint32) (last uint32) {
+// remove drops fragment i with every edge it still has.
+func (sh *shard) remove(ix *Index, i uint32) {
 	e := sh.frags.at(i)
 	ix.keys.mu.Lock()
 	if e.key != 0 {
 		ix.keys.release(ix, e.key)
-		last = e.until
 		sh.edges--
 	}
 	for j := e.more; j != 0; {
 		o := sh.more.at(j)
 		ix.keys.release(ix, o.key)
-		last = max(last, o.until)
 		next := o.next
 		sh.freeOverflow(ix, j)
 		j = next
@@ -280,27 +280,18 @@ func (sh *shard) remove(ix *Index, i uint32) (last uint32) {
 	sh.freeFrag = i
 	sh.live--
 	ix.bytes.Add(-entryCost)
-	return last
 }
 
-// evictTail drops the least recently recorded fragment and reports whether
-// that lost anything: a live edge of a generation nobody has finished
-// invalidating. Only then does the shard's conservative window open.
-func (sh *shard) evictTail(ix *Index, now uint32) (lossy bool) {
-	e := sh.frags.at(sh.tail)
-	settled := false
-	if e.dead {
-		// Invalidated, and the invalidator has long asked: see the package
-		// comment on tombstoneTTL.
-		deadline, ok := sh.tomb[e.ref]
-		settled = ok && deadline <= now
+// evictTail drops the least recently recorded fragment and appends to keys
+// the unexpired keys it named, unless its generation is dead: that
+// generation's Invalidate has already returned them.
+func (sh *shard) evictTail(ix *Index, now uint32, keys []string) []string {
+	i := sh.tail
+	if !sh.frags.at(i).dead {
+		keys = sh.appendLive(ix, i, now, keys)
 	}
-	last := sh.remove(ix, sh.tail)
-	if last <= now || settled {
-		return false
-	}
-	sh.inexactUntil = max(sh.inexactUntil, last)
-	return true
+	sh.remove(ix, i)
+	return keys
 }
 
 // sweepTombstones retires the tombstones that have run out and, with each,
@@ -327,5 +318,5 @@ func (sh *shard) reset(ix *Index) {
 	sh.freeFrag, sh.freeMore = 0, 0
 	sh.tab = nil
 	clear(sh.tomb)
-	sh.tombSweepAt, sh.inexactUntil = 0, 0
+	sh.tombSweepAt = 0
 }

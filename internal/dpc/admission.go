@@ -24,7 +24,7 @@ import (
 // stale copy exists and the signal is hard. The paper's DPC sits on the
 // critical path of every dynamic request; without this valve a saturated
 // origin queues every miss and a capture storm degrades all users
-// equally (ROADMAP open item 4).
+// equally.
 
 // Defaults when the corresponding Config field is zero.
 const (

@@ -24,9 +24,6 @@ const (
 	FlushGap = "gap"
 	// FlushEvent: a flush event scoped to the tier (or to every tier).
 	FlushEvent = "event"
-	// FlushFallback: a fragment event the dependency index could not answer
-	// exactly.
-	FlushFallback = "index-inexact"
 )
 
 // fabric is the proxy's position in the hub's event stream and the
@@ -36,19 +33,20 @@ type fabric struct {
 	lastSeq uint64
 
 	dropped *metrics.Counter            // dpc.pagecache_invalidations
+	shed    *metrics.Counter            // dpc.pagecache_shed_drops
 	flushes *metrics.Counter            // dpc.pagecache_flushes
-	byCause map[string]*metrics.Counter // dpc.pagecache_{gap,event,fallback}_flushes
+	byCause map[string]*metrics.Counter // dpc.pagecache_{gap,event}_flushes
 }
 
 // register looks the counters up once, so they read 0 before the first
 // event.
 func (f *fabric) register(reg *metrics.Registry) {
 	f.dropped = reg.Counter("dpc.pagecache_invalidations")
+	f.shed = reg.Counter("dpc.pagecache_shed_drops")
 	f.flushes = reg.Counter("dpc.pagecache_flushes")
 	f.byCause = map[string]*metrics.Counter{
-		FlushGap:      reg.Counter("dpc.pagecache_gap_flushes"),
-		FlushEvent:    reg.Counter("dpc.pagecache_event_flushes"),
-		FlushFallback: reg.Counter("dpc.pagecache_fallback_flushes"),
+		FlushGap:   reg.Counter("dpc.pagecache_gap_flushes"),
+		FlushEvent: reg.Counter("dpc.pagecache_event_flushes"),
 	}
 }
 
@@ -62,8 +60,7 @@ func (f *fabric) register(reg *metrics.Registry) {
 //     proxy held nothing the events before it could name.
 //   - A fragment event drops the slot, then drops exactly the
 //     whole-response entries the dependency index says were composed from
-//     that generation; an inexact answer flushes the tier instead. Plans
-//     hold no fragment bytes and are left alone.
+//     that generation. Plans hold no fragment bytes and are left alone.
 //   - A purge deletes every whole-response entry for the URI.
 //   - A flush scoped "store", "page"/"static" or "plan" empties that tier;
 //     "" empties all three.
@@ -83,7 +80,15 @@ func (p *Proxy) Apply(ev coherency.Event) uint64 {
 	switch ev.Kind {
 	case coherency.KindFragment:
 		p.store.Drop(ev.Key)
-		p.dropDependents(depindex.MakeID(ev.Key, ev.Gen))
+		// The index tombstones the generation and answers in one step: an
+		// in-flight capture that read this fragment's bytes either filed
+		// before it, edges and all, for the Delete below to find, or sees
+		// the tombstone and does not file.
+		for _, k := range p.depix.Invalidate(depindex.MakeID(ev.Key, ev.Gen)) {
+			if p.pages.Delete(k) {
+				f.dropped.Inc()
+			}
+		}
 	case coherency.KindPurge:
 		prefix := PageKeyPrefix(ev.URI)
 		f.dropped.Add(int64(p.pages.DeleteFunc(func(key string) bool { return strings.HasPrefix(key, prefix) })))
@@ -102,23 +107,11 @@ func (p *Proxy) Apply(ev coherency.Event) uint64 {
 	return f.lastSeq
 }
 
-// dropDependents deletes the whole-response entries composed from ref.
-func (p *Proxy) dropDependents(ref depindex.ID) {
-	// Tombstone first: an in-flight capture that read this fragment's
-	// bytes before the drop either filed before the marker, edges and all,
-	// for the Delete below to find, or sees the marker and does not file.
-	p.depix.MarkInvalid(ref)
-	keys, exact := p.depix.Lookup(ref)
-	if !exact {
-		// The index evicted edges recently; this fragment's may be among
-		// them. Trade a burst of misses for guaranteed freshness.
-		p.flushPages(FlushFallback)
-		return
-	}
-	for _, k := range keys {
-		if p.pages.Delete(k) {
-			p.fabric.dropped.Inc()
-		}
+// dropShed deletes an entry whose dependency record the index shed: with
+// the record gone, no fragment event could find the entry any more.
+func (p *Proxy) dropShed(key string) {
+	if p.pages.Delete(key) {
+		p.fabric.shed.Inc()
 	}
 }
 

@@ -74,10 +74,10 @@ func MetricCatalog() []MetricDoc {
 		{"dpc.pagecache_uncacheable_vary", "counter", "a response the origin marked cacheable (Cache-Control: max-age) was refused the opt-in because it varies on a header other than Accept-Encoding"},
 		{"dpc.pagecache_304s", "counter", "a tier hit with a matching If-None-Match was answered 304 with no body"},
 		{"dpc.pagecache_invalidations", "counter", "a tier entry was dropped by the invalidation fabric (a dependent of a fragment event, a purged URI, or an in-flight fill refused)"},
-		{"dpc.pagecache_flushes", "counter", "the invalidation fabric emptied the whole tier (the sum of the three causes below)"},
+		{"dpc.pagecache_shed_drops", "counter", "a tier entry was dropped because the dependency index, over its byte budget, shed the record of a fragment the entry was built from: the entry is refilled, with fresh edges, on its next miss"},
+		{"dpc.pagecache_flushes", "counter", "the invalidation fabric emptied the whole tier (the sum of the two causes below)"},
 		{"dpc.pagecache_gap_flushes", "counter", "the tier was flushed because invalidation events were lost (sequence gap)"},
 		{"dpc.pagecache_event_flushes", "counter", "the tier was flushed by a flush event scoped \"page\", \"static\", or to every tier"},
-		{"dpc.pagecache_fallback_flushes", "counter", "the tier was flushed because the dependency index could not answer a fragment invalidation exactly (dpc.depindex_inexact): one write cost every entry, not one"},
 		// Compiled-template plan cache: hits + misses = template assemblies
 		// (nested-include plan lookups are counted in the cache's own
 		// /_dpc/stats snapshot, not here).
@@ -91,9 +91,8 @@ func MetricCatalog() []MetricDoc {
 		{"dpc.depindex_fragments", "gauge", "fragments with recorded dependency edges"},
 		{"dpc.depindex_edges", "gauge", "fragment→entry dependency edges currently retained"},
 		{"dpc.depindex_bytes", "gauge", "bytes the dependency index's structures occupy (budget-bounded)"},
-		{"dpc.depindex_evictions", "gauge", "fragments that lost live edges to byte pressure since creation"},
+		{"dpc.depindex_evictions", "gauge", "fragments shed under byte pressure while they still named live entries, since creation (those entries left the tier: dpc.pagecache_shed_drops)"},
 		{"dpc.depindex_lookups", "gauge", "invalidation lookups against the index since creation"},
-		{"dpc.depindex_inexact", "gauge", "lookups answered conservatively (forcing a tier-flush fallback) since creation"},
 		// Fragment store occupancy (refreshed by the background publisher
 		// and on each /_dpc/stats request).
 		{"dpc.store.capacity", "gauge", "the store's key-space size"},

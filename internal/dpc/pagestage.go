@@ -325,7 +325,9 @@ func (p *Proxy) admitOrigin(rs *reqState, resp *http.Response, epoch uint64) {
 // not even for the instant a file-then-unfile would allow. ttl is the
 // lifetime put gives the entry; the edges live as long. voided is empty
 // when the entry was filed and otherwise names what refused it:
-// "fragment-tombstone", or "epoch-flush:" and the flush's cause.
+// "fragment-tombstone", or "epoch-flush:" and the flush's cause. A fill
+// that left the index over budget sheds once its shared hold has ended,
+// dropping the entries whose records the index let go.
 func (p *Proxy) fileUnlessVoided(refs []StaleRef, epoch uint64, key string, ttl time.Duration, put func()) (voided string) {
 	// The index speaks packed integer refs; a page's worth converts on the
 	// stack.
@@ -334,6 +336,7 @@ func (p *Proxy) fileUnlessVoided(refs []StaleRef, epoch uint64, key string, ttl 
 	for _, r := range refs {
 		ids = append(ids, depindex.MakeID(r.Key, r.Gen))
 	}
+	defer p.depix.Shed(p.dropShed) // runs after the Unlock below
 	filing := p.depix.Filing()
 	filing.Lock()
 	defer filing.Unlock()

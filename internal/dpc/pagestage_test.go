@@ -546,16 +546,16 @@ func TestFillRecordsDependencyEdges(t *testing.T) {
 		t.Fatalf("page tier holds %d entries", p.Pages().Len())
 	}
 	for _, ref := range []depindex.ID{depindex.MakeID(7, 3), depindex.MakeID(9, 4)} {
-		keys, exact := p.DepIndex().Lookup(ref)
-		if !exact || len(keys) != 1 {
-			t.Fatalf("Lookup(%d) = %v, exact=%v", ref, keys, exact)
+		keys := p.DepIndex().Lookup(ref)
+		if len(keys) != 1 {
+			t.Fatalf("Lookup(%d) = %v", ref, keys)
 		}
 		if !p.Pages().Delete(keys[0]) && p.Pages().Len() != 0 {
 			t.Fatalf("recorded key %q does not address the page entry", keys[0])
 		}
 	}
-	if keys, exact := p.DepIndex().Lookup(depindex.MakeID(1, 1)); !exact || len(keys) != 0 {
-		t.Fatalf("unrelated ref has dependents: %v exact=%v", keys, exact)
+	if keys := p.DepIndex().Lookup(depindex.MakeID(1, 1)); len(keys) != 0 {
+		t.Fatalf("unrelated ref has dependents: %v", keys)
 	}
 }
 
@@ -574,18 +574,16 @@ func TestRefusedFillNamesItsCause(t *testing.T) {
 	if voided, put := file(epoch); voided != "" || !put {
 		t.Fatalf("clean fill: voided=%q put=%v", voided, put)
 	}
-	if keys, _ := ix.Lookup(depindex.MakeID(9, 4)); len(keys) != 1 || keys[0] != "page-key" {
+	if keys := ix.Invalidate(depindex.MakeID(9, 4)); len(keys) != 1 || keys[0] != "page-key" {
 		t.Fatalf("clean fill left edges %v", keys)
 	}
-
-	ix.MarkInvalid(depindex.MakeID(9, 4))
 	if voided, put := file(epoch); voided != "fragment-tombstone" || put {
 		t.Fatalf("fill over a tombstone: voided=%q put=%v", voided, put)
 	}
 
-	ix.BumpEpoch(FlushFallback)
-	if voided, put := file(epoch); voided != "epoch-flush:index-inexact" || put {
-		t.Fatalf("fill across a fallback flush: voided=%q put=%v", voided, put)
+	ix.BumpEpoch(FlushEvent)
+	if voided, put := file(epoch); voided != "epoch-flush:event" || put {
+		t.Fatalf("fill across a flush event: voided=%q put=%v", voided, put)
 	}
 }
 

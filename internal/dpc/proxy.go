@@ -128,8 +128,9 @@ type Config struct {
 	// DepIndexBudget bounds the dependency index's retained edge bytes
 	// (0 selects 1 MiB). The index records which fragments flowed into
 	// which tier entries so the coherency fabric can invalidate
-	// them surgically; over budget it evicts edges and the fabric falls
-	// back to scoped flushes (see internal/depindex).
+	// them surgically; over budget it sheds its least-recently-filed
+	// fragments and the tier drops the entries they named
+	// (dpc.pagecache_shed_drops; see internal/depindex).
 	DepIndexBudget int64
 	// Trace enables request-scoped tracing (internal/trace): a span tree
 	// per request with per-stage and per-fragment child spans, sampled
@@ -369,7 +370,6 @@ func (p *Proxy) publishDepIndex() {
 	p.reg.Gauge("dpc.depindex_bytes").Set(st.Bytes)
 	p.reg.Gauge("dpc.depindex_evictions").Set(st.Evictions)
 	p.reg.Gauge("dpc.depindex_lookups").Set(st.Lookups)
-	p.reg.Gauge("dpc.depindex_inexact").Set(st.Inexact)
 }
 
 // Close stops the proxy's background work (the store-stats publisher). The
