@@ -110,6 +110,8 @@ type Decision struct {
 	Gen uint32
 	// Handle names the entry a hit found, for Recheck; zero on a miss.
 	Handle Handle
+	// Expiry is when the entry's TTL runs out, zero when it has none.
+	Expiry time.Time
 }
 
 // Handle is one Lookup hit kept for later: the directory entry and the
@@ -282,7 +284,7 @@ func (m *Monitor) Lookup(fragmentID string, ttl time.Duration) (Decision, error)
 		e.hits++
 		m.unlinkLocked(e)
 		m.touchLocked(e)
-		d := Decision{Hit: true, Key: e.dpcKey, Gen: e.gen, Handle: Handle{e, e.gen}}
+		d := Decision{Hit: true, Key: e.dpcKey, Gen: e.gen, Handle: Handle{e, e.gen}, Expiry: e.expiry}
 		evs := m.drainHooksLocked()
 		m.mu.Unlock()
 		m.fire(evs)
@@ -317,11 +319,16 @@ func (m *Monitor) Lookup(fragmentID string, ttl time.Duration) (Decision, error)
 		e.expiry = time.Time{}
 	}
 	m.byKey[key] = fragmentID
+	d := Decision{Hit: false, Key: key, Gen: gen, Expiry: e.expiry}
 	evs := m.drainHooksLocked()
 	m.mu.Unlock()
 	m.fire(evs)
-	return Decision{Hit: false, Key: key, Gen: gen}, nil
+	return d, nil
 }
+
+// Now is the time on the monitor's clock, the one TTL expiries are read
+// against.
+func (m *Monitor) Now() time.Time { return m.clk.Now() }
 
 // Depend registers row k as a data dependency of fragmentID while the
 // generation gen a Lookup miss handed out is rendering, before the render
@@ -395,20 +402,24 @@ func (m *Monitor) setDepsLocked(e *entry, reads []repository.Read) {
 // valid at its handle's generation and not past its TTL. If so, it counts
 // them as those Lookups would — a lookup and a hit each, and a touch of the
 // recency list in handle order — under one hold of the monitor lock, and
-// the caller may emit the same GETs without looking them up. If not, it
-// changes nothing, and the caller looks them up. With ForcedMissProb set it
-// always answers false, so that every lookup draws its forced miss.
-func (m *Monitor) Recheck(hs []Handle) bool {
+// the caller may emit the same GETs without looking them up; expiry is then
+// the earliest TTL expiry among the entries, zero when none has a TTL. If
+// not, it changes nothing, and the caller looks them up. With
+// ForcedMissProb set it always answers false, so that every lookup draws
+// its forced miss.
+func (m *Monitor) Recheck(hs []Handle) (expiry time.Time, ok bool) {
 	if m.cfg.ForcedMissProb > 0 {
-		return false
+		return expiry, false
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	now := m.clk.Now()
 	for _, h := range hs {
-		if e := h.e; !e.valid || e.gen != h.gen || (!e.expiry.IsZero() && !now.Before(e.expiry)) {
-			return false
+		e := h.e
+		if !e.valid || e.gen != h.gen || (!e.expiry.IsZero() && !now.Before(e.expiry)) {
+			return time.Time{}, false
 		}
+		expiry = Earliest(expiry, e.expiry)
 	}
 	for _, h := range hs {
 		m.stats.Lookups++
@@ -418,7 +429,15 @@ func (m *Monitor) Recheck(hs []Handle) bool {
 		m.unlinkLocked(h.e)
 		m.touchLocked(h.e)
 	}
-	return true
+	return expiry, true
+}
+
+// Earliest is the earlier of two TTL expiries, where zero means none.
+func Earliest(a, b time.Time) time.Time {
+	if a.IsZero() || (!b.IsZero() && b.Before(a)) {
+		return b
+	}
+	return a
 }
 
 // allocKeyLocked pops a free dpcKey, evicting the LRU valid fragment when

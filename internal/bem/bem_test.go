@@ -670,8 +670,12 @@ func TestRecheckCountsAsLookups(t *testing.T) {
 	for _, i := range order {
 		again = append(again, hs[i])
 	}
-	if !rechecked.Recheck(again) {
+	expiry, ok := rechecked.Recheck(again)
+	if !ok {
 		t.Fatal("Recheck of entries nobody touched refused")
+	}
+	if want := Earliest(Earliest(hs[3].e.expiry, hs[0].e.expiry), hs[2].e.expiry); expiry.IsZero() || !expiry.Equal(want) {
+		t.Fatalf("Recheck reported expiry %v, want the earliest of its entries', %v", expiry, want)
 	}
 	if a, b := looked.Stats(), rechecked.Stats(); a != b {
 		t.Fatalf("stats after Lookups %+v, after Recheck %+v", a, b)
@@ -728,12 +732,12 @@ func TestRecheckRefusesWhatALookupWouldMiss(t *testing.T) {
 		d, _ := m.Lookup("f", time.Second)
 		m.Commit("f", d.Gen, 1, []repository.Read{{Key: row}})
 		d, _ = m.Lookup("f", time.Second)
-		if !m.Recheck([]Handle{d.Handle}) {
-			t.Fatalf("%s: Recheck refused before anything happened", tc.name)
+		if expiry, ok := m.Recheck([]Handle{d.Handle}); !ok || !expiry.Equal(d.Expiry) || !expiry.Equal(fake.Now().Add(time.Second)) {
+			t.Fatalf("%s: Recheck before anything happened = %v, %v; want the entry's expiry %v", tc.name, expiry, ok, d.Expiry)
 		}
 		tc.spoil(m, d)
 		before := m.Stats()
-		if m.Recheck([]Handle{d.Handle}) {
+		if _, ok := m.Recheck([]Handle{d.Handle}); ok {
 			t.Fatalf("%s: Recheck accepted", tc.name)
 		}
 		if after := m.Stats(); after != before {
@@ -753,7 +757,7 @@ func TestRecheckRefusesWhatALookupWouldMiss(t *testing.T) {
 	for !d.Hit {
 		d, _ = forced.Lookup("f", 0)
 	}
-	if forced.Recheck([]Handle{d.Handle}) {
+	if _, ok := forced.Recheck([]Handle{d.Handle}); ok {
 		t.Fatal("a forced-miss monitor accepted a Recheck")
 	}
 }
@@ -801,6 +805,42 @@ func TestCommitRaceDependBeforeRead(t *testing.T) {
 	}
 	if m.Stats().DataInvalidations != 2 {
 		t.Fatalf("%d data invalidations, want 2", m.Stats().DataInvalidations)
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A page's shell for leases is an entry only Depend ever adds to: runs
+// against the generation a Lookup hit register their reads too, nothing
+// replaces them, so a write to a row any of them read invalidates it.
+// Decision.Expiry reports the entry's TTL expiry, zero without one.
+func TestLeaseShellDependenciesGrowWhileItsGenerationLives(t *testing.T) {
+	fake := clock.NewFake(time.Unix(0, 0))
+	m, err := New(Config{Capacity: 4, Clock: fake})
+	if err != nil {
+		t.Fatal(err)
+	}
+	repo := repository.New(repository.LatencyModel{})
+	m.BindRepo(repo)
+	rows := []repository.Key{{Table: "prefs", Row: "u0"}, {Table: "prefs", Row: "u1"}}
+	for _, r := range rows {
+		repo.Put(r, map[string]string{"theme": "plain"})
+	}
+	const shell = "\x00dash?"
+	miss, _ := m.Lookup(shell, 0)
+	m.Depend(shell, miss.Gen, rows[0]) // u0's run
+	hit, _ := m.Lookup(shell, 0)
+	if !hit.Hit || hit.Gen != miss.Gen || !hit.Expiry.IsZero() {
+		t.Fatalf("second lookup %+v, want a hit on generation %d with no expiry", hit, miss.Gen)
+	}
+	m.Depend(shell, hit.Gen, rows[1]) // u1's run, against the same generation
+	repo.Put(rows[0], map[string]string{"theme": "dark"})
+	if again, _ := m.Lookup(shell, 0); again.Hit {
+		t.Fatal("a write to a row u0's run read left the shell valid after u1's run")
+	}
+	if ttl, _ := m.Lookup("f", time.Minute); !ttl.Expiry.Equal(fake.Now().Add(time.Minute)) {
+		t.Fatalf("a one-minute entry reports expiry %v", ttl.Expiry)
 	}
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)

@@ -13,7 +13,9 @@ import (
 
 // gatedLink is the proxy's origin transport with a gate on it: while armed,
 // a request stops after the proxy has written its headers — the offer is
-// made — and before the origin sees it. It records each request's offer.
+// made — and before the origin sees it. It records each request's offer. It
+// withholds the lease ask (X-DPC-Lease), so that every request the tests
+// make reaches the origin: the offer and its answer are what they observe.
 type gatedLink struct {
 	next http.RoundTripper
 
@@ -32,6 +34,10 @@ func (g *gatedLink) RoundTrip(r *http.Request) (*http.Response, error) {
 	if entered != nil {
 		close(entered)
 		<-release
+	}
+	if r.Header.Get("X-DPC-Lease") != "" {
+		r = r.Clone(r.Context())
+		r.Header.Del("X-DPC-Lease")
 	}
 	return g.next.RoundTrip(r)
 }

@@ -3,6 +3,7 @@ package dpc
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"dpcache/internal/coherency"
 	"dpcache/internal/depindex"
@@ -12,8 +13,8 @@ import (
 // This file is the proxy's end of the invalidation fabric
 // (internal/coherency). The hub numbers and delivers events; Apply is the
 // one place a proxy applies them, to all three of its tiers — the fragment
-// store, the whole-response tier and the plan tier — under one sequence
-// cursor.
+// store, the whole-response tier and the plan tier — and to its template
+// leases (lease.go), under one sequence cursor.
 
 // Why the fabric flushed the whole-response tier. Each cause has its
 // counter and, as the dependency index's epoch-bump cause, reaches the
@@ -31,6 +32,9 @@ const (
 type fabric struct {
 	mu      sync.Mutex
 	lastSeq uint64
+	// attached flips when the first event applies: from then on the proxy
+	// hears the BEM's invalidations, and asks for leases.
+	attached atomic.Bool
 
 	dropped *metrics.Counter            // dpc.pagecache_invalidations
 	shed    *metrics.Counter            // dpc.pagecache_shed_drops
@@ -55,12 +59,15 @@ func (f *fabric) register(reg *metrics.Registry) {
 // sequence number applied.
 //
 //   - A duplicate or older event is acknowledged and ignored.
-//   - A skipped sequence number flushes each tier once before the event
-//     applies. The first event after subscribing is never a gap: the
-//     proxy held nothing the events before it could name.
-//   - A fragment event drops the slot, then drops exactly the
-//     whole-response entries the dependency index says were composed from
-//     that generation. Plans hold no fragment bytes and are left alone.
+//   - A skipped sequence number flushes each tier once, and clears the
+//     leases, before the event applies. The first event after subscribing
+//     is never a gap: the proxy held nothing the events before it could
+//     name.
+//   - A fragment event raises the slot's floor past the generation, which
+//     voids every lease naming it and refuses any late SET of it; drops
+//     the slot; then drops exactly the whole-response entries the
+//     dependency index says were composed from that generation. Plans hold
+//     no fragment bytes and are left alone.
 //   - A purge deletes every whole-response entry for the URI.
 //   - A flush scoped "store", "page"/"static" or "plan" empties that tier;
 //     "" empties all three.
@@ -73,12 +80,18 @@ func (p *Proxy) Apply(ev coherency.Event) uint64 {
 	}
 	if f.lastSeq != 0 && ev.Seq != f.lastSeq+1 {
 		p.store.DropAll()
-		p.flushPages(FlushGap)
+		p.flushPages(FlushGap) // bumps the epoch first: no lease fetched before the gap is filed
 		p.plans.Store().Flush()
+		p.leases.clear(voidGap)
 	}
 	f.lastSeq = ev.Seq
+	if !f.attached.Load() {
+		p.leases.open()
+		f.attached.Store(true)
+	}
 	switch ev.Kind {
 	case coherency.KindFragment:
+		p.floors.raise(ev.Key, ev.Gen)
 		p.store.Drop(ev.Key)
 		// The index tombstones the generation and answers in one step: an
 		// in-flight capture that read this fragment's bytes either filed

@@ -23,7 +23,9 @@ import (
 // stale, belongs to another page or another visitor, or was overwritten
 // costs one full-size answer and never a wrong page. That is what lets the
 // table be this cheap — a fixed array that forgets by being written over,
-// with nothing to evict, budget or flush.
+// with nothing to evict, budget or flush. A lease (lease.go), a template the
+// proxy reuses without asking, does need coherency: it lives in a table of
+// its own, under the exact fetch key, and the fabric's events revoke it.
 
 const (
 	// hintBuckets × hintWays slots of 40 bytes: 320 KiB however many keys

@@ -73,7 +73,7 @@ type reqState struct {
 	// Response under construction.
 	body       []byte // whole body from the tier (nil when a writer carried it)
 	ctype      string
-	cacheState string // STATIC, PAGE, MISS, COALESCE-FOLLOWER, or BYPASS
+	cacheState string // STATIC, PAGE, MISS, LEASE, COALESCE-FOLLOWER, or BYPASS
 	streamed   bool   // headers (and whatever body followed) already reached the client
 
 	// reqBody is the client's request body, buffered once so the
@@ -96,6 +96,9 @@ type reqState struct {
 	// between cannot take it — and, when the origin answered by reference,
 	// until assemble runs it in place of the template that was not sent.
 	held *tmplplan.Plan
+	// leased reports that held came from a lease, in place of an origin
+	// fetch (useLease), and has not run yet.
+	leased bool
 
 	// staleRefs, when set by assemble, routes the request through the
 	// stale-fallback stage.
@@ -477,6 +480,9 @@ func (p *Proxy) originRequest(rs *reqState, bypassStale []StaleRef) (*http.Respo
 		}
 	} else if r.Method == http.MethodGet {
 		p.offerPlan(rs, req)
+		if p.leasing(r) {
+			req.Header.Set(headerLease, "1")
+		}
 	}
 	t0 := time.Now()
 	resp, err := p.client.Do(req)
@@ -514,13 +520,28 @@ func (p *Proxy) originRequest(rs *reqState, bypassStale []StaleRef) (*http.Respo
 	return resp, nil
 }
 
+// stageOriginFetch fetches the request from the origin, unless a live lease
+// stands in for the round trip.
 func (p *Proxy) stageOriginFetch(rs *reqState) (stageOutcome, error) {
-	epoch := p.depix.Epoch() // dates a fill the origin's answer may opt into
+	if p.useLease(rs) {
+		return stageNext, nil
+	}
+	return p.fetchOrigin(rs)
+}
+
+// fetchOrigin asks the origin and takes its answer in: the tier opt-in, the
+// lease an answer by reference grants, and the template or the plain body.
+func (p *Proxy) fetchOrigin(rs *reqState) (stageOutcome, error) {
+	epoch := p.depix.Epoch() // dates a fill the origin's answer may opt into, and a lease
+	start := p.clk.Now()
 	resp, err := p.originRequest(rs, nil)
 	if err != nil {
 		return stageNext, err
 	}
 	p.admitOrigin(rs, resp, epoch)
+	if rs.held != nil {
+		p.grantLease(rs, resp, start, epoch)
+	}
 	ctype := resp.Header.Get("Content-Type")
 	codecName := resp.Header.Get(headerTemplate)
 	if rs.span != nil {
@@ -565,6 +586,15 @@ func (p *Proxy) recordAssembleStats(st AssembleStats) {
 }
 
 func (p *Proxy) stageAssemble(rs *reqState) (stageOutcome, error) {
+	if rs.leased {
+		if served, err := p.assembleLease(rs); served || err != nil {
+			return stageRespond, err
+		}
+		// The lease was void: fetch as if there had been none.
+		if out, err := p.fetchOrigin(rs); out != stageNext || err != nil {
+			return out, err
+		}
+	}
 	resp := rs.resp
 	rs.resp = nil
 	defer resp.Body.Close()

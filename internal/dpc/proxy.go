@@ -29,6 +29,7 @@ const (
 	headerStale    = "X-DPC-Stale"
 	headerHave     = "X-DPC-Have"
 	headerSame     = "X-DPC-Same"
+	headerLease    = "X-DPC-Lease"
 )
 
 // Config parameterizes a Proxy.
@@ -202,10 +203,13 @@ type Proxy struct {
 	codec   tmpl.Codec
 	plans   *tmplplan.Cache
 	hints   *hintTable
+	leases  *leaseTable
+	floors  *floorStore // the store as the assembler sees it (lease.go)
 	exec    *tmplplan.Exec
 	pages   *pagecache.Cache
 	depix   *depindex.Index
 	pageTTL time.Duration
+	clk     clock.Clock // PageClock, or the real clock: lease terms
 	client  *http.Client
 	reg     *metrics.Registry
 
@@ -283,14 +287,21 @@ func New(cfg Config) (*Proxy, error) {
 	if par <= 0 {
 		par = defaultPlanParallelism
 	}
+	clk := cfg.PageClock
+	if clk == nil {
+		clk = clock.Real{}
+	}
+	floors := newFloorStore(store)
 	p := &Proxy{
-		cfg:   cfg,
-		store: store,
-		codec: codec,
-		plans: plans,
-		hints: newHintTable(),
+		cfg:    cfg,
+		store:  store,
+		codec:  codec,
+		plans:  plans,
+		hints:  newHintTable(),
+		leases: newLeaseTable(reg),
+		floors: floors,
 		exec: &tmplplan.Exec{
-			Store:       store,
+			Store:       floors,
 			Strict:      cfg.Strict,
 			Codec:       codec,
 			Plans:       plans,
@@ -299,6 +310,7 @@ func New(cfg Config) (*Proxy, error) {
 		pages:   pages,
 		depix:   depindex.New(depindex.Config{ByteBudget: cfg.DepIndexBudget, Clock: cfg.PageClock}),
 		pageTTL: pageTTL,
+		clk:     clk,
 		client:  &http.Client{Transport: transport, Timeout: 30 * time.Second},
 		reg:     reg,
 		spool:   spool,

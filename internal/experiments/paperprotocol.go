@@ -11,7 +11,9 @@ import (
 // request. It withholds the proxy's offer of a plan it already holds
 // (origin.HeaderHave), so the origin answers in full, as the analytical
 // model's B_C assumes; the synthetic site's layout never changes, and with
-// the offer its templates would cross the link once each.
+// the offer its templates would cross the link once each. It withholds a
+// lease ask (origin.HeaderLease) too: with one, a proxy on the fabric would
+// not ask at all.
 type paperProtocol struct{ link http.RoundTripper }
 
 // newPaperProtocol returns a paper-protocol link over a transport set up as
@@ -21,9 +23,10 @@ func newPaperProtocol() http.RoundTripper {
 }
 
 func (p paperProtocol) RoundTrip(r *http.Request) (*http.Response, error) {
-	if r.Header.Get(origin.HeaderHave) != "" {
+	if r.Header.Get(origin.HeaderHave) != "" || r.Header.Get(origin.HeaderLease) != "" {
 		r = r.Clone(r.Context()) // a RoundTripper leaves the caller's request alone
 		r.Header.Del(origin.HeaderHave)
+		r.Header.Del(origin.HeaderLease)
 	}
 	return p.link.RoundTrip(r)
 }

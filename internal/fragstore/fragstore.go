@@ -406,14 +406,25 @@ func DiskStats(store FragmentStore) (TieredStats, bool) {
 
 // GetCrossings is store.Get that also reports the tier crossings the read
 // caused, for the request trace: a promotion, and what became of the RAM
-// victims it displaced. A store without a disk tier reports none.
+// victims it displaced. A store without a disk tier reports none; a store
+// that wraps another reports its reads' by being a CrossingGetter.
 func GetCrossings(store FragmentStore, key, gen uint32, strict bool) (data []byte, ok bool, c Crossings) {
-	if v, isView := store.(*fragmentView); isView {
-		data, ok = v.get(key, gen, strict, &c)
-	} else {
+	switch s := store.(type) {
+	case *fragmentView:
+		data, ok = s.get(key, gen, strict, &c)
+	case CrossingGetter:
+		return s.GetCrossings(key, gen, strict)
+	default:
 		data, ok = store.Get(key, gen, strict)
 	}
 	return data, ok, c
+}
+
+// CrossingGetter is a FragmentStore that answers GetCrossings itself: one
+// that wraps another store and passes the crossings of the reads it
+// forwards.
+type CrossingGetter interface {
+	GetCrossings(key, gen uint32, strict bool) ([]byte, bool, Crossings)
 }
 
 // Policy selects the engine's eviction strategy.

@@ -157,7 +157,9 @@ var goldenSites = []goldenSite{
 // server filed records, when every answer by reference was a generated and
 // hashed template: an offer answered from a record instead must put the
 // same headers on the wire, and leave the BEM's directory — keys,
-// generations, recency — as the Lookups it stood in for would have.
+// generations, recency — as the Lookups it stood in for would have. The
+// asked hashes were recorded when the lease ask was added; the four passes
+// before them, which do not ask, did not move.
 func TestTemplateBytesGolden(t *testing.T) {
 	got := map[string]string{}
 	validated := int64(0)
@@ -188,7 +190,10 @@ func TestTemplateBytesGolden(t *testing.T) {
 			// new template sent in full, and a plain page ignores the offer.
 			// The fourth makes the offer twice: the second is answered from
 			// the record the first filed, where nothing it names has moved.
-			for _, pass := range []string{"cold", "warm", "ref", "validated"} {
+			// The fifth is the fourth with every request asking for a lease:
+			// each template opens with its page's shell, and each answer by
+			// reference carries a grant.
+			for _, pass := range []string{"cold", "warm", "ref", "validated", "asked"} {
 				h := sha256.New()
 				refs := 0
 				do := func(i int, gr goldenRequest, have string) string {
@@ -198,6 +203,9 @@ func TestTemplateBytesGolden(t *testing.T) {
 					}
 					if have != "" {
 						req.Header.Set(HeaderHave, have)
+					}
+					if pass == "asked" {
+						req.Header.Set(HeaderLease, "1")
 					}
 					rec := httptest.NewRecorder()
 					srv.ServeHTTP(rec, req)
@@ -227,7 +235,7 @@ func TestTemplateBytesGolden(t *testing.T) {
 					switch pass {
 					case "ref":
 						do(i, gr, digest)
-					case "validated":
+					case "validated", "asked":
 						do(i, gr, digest)
 						do(i, gr, digest)
 					}

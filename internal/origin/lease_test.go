@@ -1,0 +1,237 @@
+package origin
+
+import (
+	"bytes"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+	"time"
+
+	"dpcache/internal/bem"
+	"dpcache/internal/clock"
+	"dpcache/internal/repository"
+	"dpcache/internal/script"
+	"dpcache/internal/site"
+	"dpcache/internal/tmpl"
+)
+
+// leaseServer serves the given scripts over a BEM on a fake clock.
+func leaseServer(t *testing.T, capacity int, build func(repo *repository.Repo) []*script.Script) (*Server, *bem.Monitor, *repository.Repo, *clock.Fake) {
+	t.Helper()
+	repo := repository.New(repository.LatencyModel{})
+	clk := clock.NewFake(time.Date(2002, 6, 4, 9, 30, 0, 0, time.UTC))
+	mon, err := bem.New(bem.Config{Capacity: capacity, Clock: clk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon.BindRepo(repo)
+	srv, err := New(Config{Repo: repo, Monitor: mon})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sc := range build(repo) {
+		if err := srv.Register(sc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return srv, mon, repo, clk
+}
+
+// leaseFetch makes one capable request, asking for a lease or not.
+func leaseFetch(t *testing.T, srv *Server, url, user, have string, ask bool) *httptest.ResponseRecorder {
+	t.Helper()
+	req := httptest.NewRequest(http.MethodGet, url, nil)
+	req.Header.Set(HeaderCapable, "1")
+	if user != "" {
+		req.Header.Set(HeaderUser, user)
+	}
+	if have != "" {
+		req.Header.Set(HeaderHave, have)
+	}
+	if ask {
+		req.Header.Set(HeaderLease, "1")
+	}
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("%s as %q: status %d: %s", url, user, rec.Code, rec.Body)
+	}
+	return rec
+}
+
+// instructions decodes a binary template.
+func instructions(t *testing.T, template []byte) []tmpl.Instruction {
+	t.Helper()
+	ins, err := tmpl.DecodeAll(tmpl.Binary{}, bytes.NewReader(template))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ins
+}
+
+func synthOnly(cfg site.SyntheticConfig) func(repo *repository.Repo) []*script.Script {
+	return func(repo *repository.Repo) []*script.Script {
+		sc, _, err := site.BuildSynthetic(cfg, repo)
+		if err != nil {
+			panic(err)
+		}
+		return []*script.Script{sc}
+	}
+}
+
+// A request that asks for a lease gets a template that opens with its page's
+// shell — a SET with an empty body when the shell's entry is new, a GET of
+// it after — and is otherwise the template a request that does not ask gets,
+// which carries no shell at all.
+func TestLeaseTemplateOpensWithShell(t *testing.T) {
+	srv, mon, _, _ := leaseServer(t, 64, synthOnly(site.DefaultSynthetic()))
+	const url = "/page/synth?page=0"
+	leaseFetch(t, srv, url, "", "", false)                       // the SETs
+	plain := leaseFetch(t, srv, url, "", "", false).Body.Bytes() // GET-only
+
+	first := instructions(t, leaseFetch(t, srv, url, "", "", true).Body.Bytes())
+	if len(first) == 0 || first[0].Op != tmpl.OpSet || len(first[0].Data) != 0 {
+		t.Fatalf("first asked template opens with %+v, want a SET with no body", first[0])
+	}
+	second := leaseFetch(t, srv, url, "u1", "", true).Body.Bytes()
+	ins := instructions(t, second)
+	if ins[0].Op != tmpl.OpGet || ins[0].Key != first[0].Key || ins[0].Gen != first[0].Gen {
+		t.Fatalf("second asked template opens with %+v, want a GET of the shell %d:%d", ins[0], first[0].Key, first[0].Gen)
+	}
+	var rest bytes.Buffer
+	if err := tmpl.EncodeAll(tmpl.Binary{}, &rest, ins[1:]); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(rest.Bytes(), plain) {
+		t.Fatal("past its shell, the asked template differs from the one a request that does not ask gets")
+	}
+	for _, in := range instructions(t, leaseFetch(t, srv, url, "", "", false).Body.Bytes()) {
+		if in.Op != tmpl.OpLiteral && in.Key == first[0].Key {
+			t.Fatalf("a request that did not ask got the shell's slot: %+v", in)
+		}
+	}
+	var shells int
+	for _, f := range mon.TopFragments(0) {
+		if strings.HasPrefix(f.FragmentID, shellMark) {
+			shells++
+		}
+	}
+	if shells != 1 {
+		t.Fatalf("%d shell entries for one page and query, visited by two identities", shells)
+	}
+}
+
+// An answer by reference to a request that asked carries the grant: whether
+// generated and compared, or validated from its record, it names the time
+// left until the earliest TTL expiry among the template's entries, or none.
+// A request that did not ask is never granted one, and a record filed for
+// one kind of request never answers the other.
+func TestLeaseGrant(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ttl  time.Duration
+		want string // the grant after the clock moved 300 ms
+	}{
+		{"no TTL", 0, "none"},
+		{"2 s TTL", 2 * time.Second, "1700"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := site.DefaultSynthetic()
+			cfg.TTL = tc.ttl
+			srv, _, _, clk := leaseServer(t, 64, synthOnly(cfg))
+			const url = "/page/synth?page=0"
+			leaseFetch(t, srv, url, "", "", true) // shell and fragments SET
+			d := hexDigest(leaseFetch(t, srv, url, "", "", true).Body.String())
+			clk.Advance(300 * time.Millisecond)
+
+			generated := leaseFetch(t, srv, url, "u1", d, true)
+			validated := leaseFetch(t, srv, url, "u1", d, true)
+			for what, rec := range map[string]*httptest.ResponseRecorder{"generated": generated, "validated": validated} {
+				if rec.Header().Get(HeaderSame) != "1" || rec.Header().Get(HeaderLease) != tc.want {
+					t.Fatalf("%s answer: %s=%q %s=%q, want a reference granting %q", what,
+						HeaderSame, rec.Header().Get(HeaderSame), HeaderLease, rec.Header().Get(HeaderLease), tc.want)
+				}
+			}
+			snap := srv.reg.Snapshot()
+			if snap["origin.leases_granted"] != 2 || snap["origin.template_refs_validated"] != 1 {
+				t.Fatalf("leases_granted=%d validated=%d, want 2 and 1", snap["origin.leases_granted"], snap["origin.template_refs_validated"])
+			}
+
+			// Without the ask: the record filed above does not answer (its
+			// template has a shell), so the offer is declined in full.
+			if rec := leaseFetch(t, srv, url, "u1", d, false); rec.Header().Get(HeaderSame) != "" || rec.Header().Get(HeaderLease) != "" {
+				t.Fatal("a request that did not ask was answered with the asked template, or granted a lease")
+			}
+			plain := hexDigest(leaseFetch(t, srv, url, "u2", "", false).Body.String())
+			leaseFetch(t, srv, url, "u2", plain, false) // filed without the ask
+			before := srv.reg.Snapshot()["origin.template_refs_validated"]
+			if rec := leaseFetch(t, srv, url, "u2", plain, true); rec.Header().Get(HeaderSame) != "" ||
+				srv.reg.Snapshot()["origin.template_refs_validated"] != before {
+				t.Fatal("a record filed without the ask answered a request that asked")
+			}
+		})
+	}
+}
+
+// The shell's dependencies are the union of what every visitor's run read:
+// on the portal, whose layout reads the visitor's own profile, a write to
+// u0's profile kills the shell u1's lease names too — an over-invalidation,
+// never a stale lease — and a later run by u1 does not narrow them to u1's
+// reads.
+func TestLeaseShellDependsOnEveryVisitorsReads(t *testing.T) {
+	srv, mon, repo, _ := leaseServer(t, 256, func(repo *repository.Repo) []*script.Script {
+		sc, err := site.BuildPortal(site.PortalConfig{Users: 4, Modules: 6, ModulesPerPage: 3, ModuleBytes: 64}, repo)
+		if err != nil {
+			panic(err)
+		}
+		return []*script.Script{sc}
+	})
+	var died []string
+	mon.OnInvalidate(func(id string, _, _ uint32, reason bem.InvalidationReason) {
+		if strings.HasPrefix(id, shellMark) {
+			died = append(died, string(reason))
+		}
+	})
+	shellOf := func(user string) tmpl.Instruction {
+		return instructions(t, leaseFetch(t, srv, "/page/portal", user, "", true).Body.Bytes())[0]
+	}
+	shellOf("u0")
+	shellOf("u1")
+	shellOf("u1") // a second run of u1's against the same generation
+	s := shellOf("u1")
+	if s.Op != tmpl.OpGet {
+		t.Fatalf("u1's template opens with %+v, want a GET of the page's shell", s)
+	}
+	repo.Put(repository.Key{Table: "profiles", Row: "u0"}, map[string]string{"name": "Zero", "modules": "mod1,mod2,mod3"})
+	if len(died) != 1 || died[0] != string(bem.ReasonData) {
+		t.Fatalf("shell invalidations after a write to u0's profile: %v, want one, by data", died)
+	}
+	if after := shellOf("u1"); after.Op != tmpl.OpSet || after.Gen <= s.Gen {
+		t.Fatalf("u1's next template opens with %+v, want a SET of the shell's new generation", after)
+	}
+}
+
+// A tagged block cannot name a page's shell: a fragment ID that begins as a
+// shell's does fails the page instead of reading or writing the shell.
+func TestLeaseShellIDUnforgeable(t *testing.T) {
+	srv, mon, _, _ := leaseServer(t, 16, func(*repository.Repo) []*script.Script {
+		forged := script.Tagged(shellID("forge", ""), 0, nil, func(_ *script.Context, w io.Writer) error {
+			_, err := io.WriteString(w, "forged")
+			return err
+		})
+		return []*script.Script{{Name: "forge", Layout: func(*script.Context) []script.Block { return []script.Block{forged} }}}
+	})
+	req := httptest.NewRequest(http.MethodGet, "/page/forge", nil)
+	req.Header.Set(HeaderCapable, "1")
+	req.Header.Set(HeaderLease, "1")
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, req)
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("a block named like a shell: status %d, want 500", rec.Code)
+	}
+	if st := mon.Stats(); st.Lookups != 1 {
+		t.Fatalf("%d BEM lookups: the block reached the directory", st.Lookups)
+	}
+}

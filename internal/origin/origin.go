@@ -28,6 +28,15 @@
 // untagged blocks read, and the BEM entries its GETs named (validator.go).
 // The server keeps no record of what any proxy holds: the offer is compared
 // with this request's own template, so a wrong one is answered in full.
+//
+// A caller that asks for a lease (X-DPC-Lease) is one that hears every BEM
+// invalidation over the fabric. Its template opens with one more BEM entry,
+// the page's shell: keyed by the script and the raw query, and depending on
+// every row the layout, a KeyParams or an untagged block reads, registered
+// before the read. An answer by reference to it grants a lease until the
+// earliest TTL expiry among the template's entries. The template's bytes
+// are then a function of entries the caller hears invalidated, so it may
+// reuse them until one is.
 package origin
 
 import (
@@ -72,7 +81,18 @@ const (
 	// HeaderSame marks a template response whose body was left out because
 	// it is the template the request named in HeaderHave.
 	HeaderSame = "X-DPC-Same"
+	// HeaderLease, on a capable caller's request, asks for a lease: a
+	// template that opens with its page's shell entry, and on an answer by
+	// reference a grant. On such an answer it is the grant: the whole
+	// milliseconds until the earliest TTL expiry among the BEM entries the
+	// template names, or "none" when none of them expires. A caller that
+	// hears every invalidation of those entries may reuse the template until
+	// then without asking again.
+	HeaderLease = "X-DPC-Lease"
 )
+
+// leaseNone is HeaderLease's grant when no entry the template names expires.
+const leaseNone = "none"
 
 // Config parameterizes a Server.
 type Config struct {
@@ -110,6 +130,7 @@ type Server struct {
 	// mutex per look-up.
 	requests, templates, plainPages, errors *metrics.Counter
 	templateRefs, templateRefsValidated     *metrics.Counter
+	leasesGranted                           *metrics.Counter
 	staticRequests, staleReportsApplied     *metrics.Counter
 	generate                                *metrics.Histogram
 }
@@ -156,6 +177,7 @@ func New(cfg Config) (*Server, error) {
 		templates:             reg.Counter("origin.templates"),
 		templateRefs:          reg.Counter("origin.template_refs"),
 		templateRefsValidated: reg.Counter("origin.template_refs_validated"),
+		leasesGranted:         reg.Counter("origin.leases_granted"),
 		plainPages:            reg.Counter("origin.plain_pages"),
 		errors:                reg.Counter("origin.errors"),
 		staticRequests:        reg.Counter("origin.static_requests"),
@@ -306,14 +328,14 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request) {
 	templateMode := s.cfg.Monitor != nil &&
 		r.Header.Get(HeaderCapable) != "" &&
 		r.Header.Get(HeaderBypass) == ""
-	have := ""
+	have, lease := "", false
 	if templateMode {
-		have = r.Header.Get(HeaderHave)
+		have, lease = r.Header.Get(HeaderHave), r.Header.Get(HeaderLease) != ""
 	}
 
 	if have != "" {
 		start := time.Now()
-		if s.valid.answers(name, user, query, have, s.cfg.Repo, s.cfg.Monitor) {
+		if expiry, ok := s.valid.answers(name, user, query, have, lease, s.cfg.Repo, s.cfg.Monitor); ok {
 			s.templates.Inc()
 			s.templateRefs.Inc()
 			s.templateRefsValidated.Inc()
@@ -321,6 +343,9 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request) {
 			s.requests.Inc()
 			w.Header().Set(HeaderTemplate, s.codec.Name())
 			w.Header().Set(HeaderSame, "1")
+			if lease {
+				s.grant(w, expiry)
+			}
 			s.respond(w, nil)
 			return
 		}
@@ -342,6 +367,12 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request) {
 		if have != "" {
 			sink.gets = make([]bem.Handle, 0, 16)
 		}
+		if lease {
+			if err := sink.shell(ctx, shellID(name, query)); err != nil {
+				s.fail(w, name, err)
+				return
+			}
+		}
 		if err := script.Run(sc, ctx, sink); err != nil {
 			s.fail(w, name, err)
 			return
@@ -357,11 +388,14 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request) {
 		// the next.
 		if have != "" && !sink.set {
 			digest := templateDigest(body.Bytes())
-			s.valid.file(name, user, query, digest, ctx.Reads(), sink.gets)
+			s.valid.file(name, user, query, digest, lease, ctx.Reads(), sink.gets)
 			if string(digest[:]) == have {
 				same = true
 				w.Header().Set(HeaderSame, "1")
 				s.templateRefs.Inc()
+				if lease {
+					s.grant(w, sink.expiry)
+				}
 			}
 		}
 	} else {
@@ -379,6 +413,18 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request) {
 		out = nil // the caller holds these bytes' plan
 	}
 	s.respond(w, out)
+}
+
+// grant puts a lease on an answer by reference to a request that asked for
+// one: until expiry, the earliest TTL expiry among the entries the template
+// names (zero when none expires).
+func (s *Server) grant(w http.ResponseWriter, expiry time.Time) {
+	v := leaseNone
+	if !expiry.IsZero() {
+		v = strconv.FormatInt(expiry.Sub(s.cfg.Monitor.Now()).Milliseconds(), 10)
+	}
+	w.Header().Set(HeaderLease, v)
+	s.leasesGranted.Inc()
 }
 
 // respond writes a page answer's headers, the same for every shape, and out.
@@ -476,6 +522,47 @@ type bemSink struct {
 	mon  *bem.Monitor
 	set  bool         // a SET went out
 	gets []bem.Handle // a handle per GET, in order, when non-nil
+	// expiry is the earliest TTL expiry among the entries the GETs named,
+	// zero when none expires.
+	expiry time.Time
+}
+
+// shellMark opens a shell's fragment ID. No tagged block's ID may begin
+// with it (Fragment refuses one), so no block can name a page's shell.
+const shellMark = "\x00"
+
+// shellID names the shell of the page a script and a raw query render: the
+// BEM entry of the rows the page reads outside its tagged blocks, whoever
+// the visitor.
+func shellID(script, query string) string { return shellMark + script + "?" + query }
+
+// shell opens the template of a request that asks for a lease with its
+// page's shell entry — a GET, or a SET with an empty body — and has each row
+// the page reads registered as the shell's dependency before it is read.
+// Only Depend ever adds to a shell's dependencies and nothing replaces them
+// while its generation lives, so they are the union of what every run
+// against that generation read: a write to a row any visitor's layout read
+// invalidates the shell, and so every lease that names it.
+func (s *bemSink) shell(ctx *script.Context, id string) error {
+	d, err := s.mon.Lookup(id, 0)
+	if err != nil {
+		return err
+	}
+	ctx.WatchReads(func(k repository.Key) { s.mon.Depend(id, d.Gen, k) })
+	if d.Hit {
+		return s.get(d)
+	}
+	s.set = true
+	return s.enc.Set(d.Key, d.Gen, nil)
+}
+
+// get emits a GET for a hit.
+func (s *bemSink) get(d bem.Decision) error {
+	if s.gets != nil {
+		s.gets = append(s.gets, d.Handle)
+		s.expiry = bem.Earliest(s.expiry, d.Expiry)
+	}
+	return s.enc.Get(d.Key, d.Gen)
 }
 
 // Literal implements script.Sink.
@@ -483,15 +570,15 @@ func (s *bemSink) Literal(p []byte) error { return s.enc.Literal(p) }
 
 // Fragment implements script.Sink.
 func (s *bemSink) Fragment(fragmentID string, ttl time.Duration, r *script.Renderer) error {
+	if strings.HasPrefix(fragmentID, shellMark) {
+		return fmt.Errorf("fragment ID %q begins with NUL, which only a page's shell may", fragmentID)
+	}
 	d, err := s.mon.Lookup(fragmentID, ttl)
 	if err != nil {
 		return err
 	}
 	if d.Hit {
-		if s.gets != nil {
-			s.gets = append(s.gets, d.Handle)
-		}
-		return s.enc.Get(d.Key, d.Gen)
+		return s.get(d)
 	}
 	// The miss made the directory entry valid on the promise of a SET. If
 	// the SET does not go out, a later template would carry a GET no proxy

@@ -6,6 +6,7 @@ import (
 	"hash/maphash"
 	"slices"
 	"sync/atomic"
+	"time"
 
 	"dpcache/internal/bem"
 	"dpcache/internal/repository"
@@ -38,8 +39,11 @@ const validatorSlots = 1 << 13
 type validation struct {
 	path, user, query string
 	digest            [2 * sha256.Size]byte // hex, as an offer is written
-	reads             []repository.Read
-	gets              []bem.Handle
+	// lease records that the request asked for a lease, so the template
+	// opens with the page's shell and gets holds the shell's handle first.
+	lease bool
+	reads []repository.Read
+	gets  []bem.Handle
 }
 
 type validator struct {
@@ -60,22 +64,26 @@ func (v *validator) slot(path, user, query string) *atomic.Pointer[validation] {
 	return &v.slots[h.Sum64()%validatorSlots]
 }
 
-// answers reports whether the offer have for this request may be answered
-// by reference without generating the template: its record names the
-// template offered, no row it read has moved, and the BEM would hit every
-// GET at the generation it names — in which case Recheck has counted those
-// hits.
-func (v *validator) answers(path, user, query, have string, repo *repository.Repo, mon *bem.Monitor) bool {
+// answers reports whether the offer have for this request, which asked for
+// a lease or did not, may be answered by reference without generating the
+// template: its record was filed by a request that asked the same and names
+// the template offered, no row it read has moved, and the BEM would hit
+// every GET at the generation it names — in which case Recheck has counted
+// those hits and expiry is the earliest TTL expiry among them.
+func (v *validator) answers(path, user, query, have string, lease bool, repo *repository.Repo, mon *bem.Monitor) (expiry time.Time, ok bool) {
 	rec := v.slot(path, user, query).Load()
-	return rec != nil && rec.path == path && rec.user == user && rec.query == query &&
-		string(rec.digest[:]) == have && repo.Unchanged(rec.reads) && mon.Recheck(rec.gets)
+	if rec == nil || rec.path != path || rec.user != user || rec.query != query || rec.lease != lease ||
+		string(rec.digest[:]) != have || !repo.Unchanged(rec.reads) {
+		return expiry, false
+	}
+	return mon.Recheck(rec.gets)
 }
 
 // file records a GET-only template generated for this request. It copies
 // reads and takes ownership of gets.
-func (v *validator) file(path, user, query string, digest [2 * sha256.Size]byte, reads []repository.Read, gets []bem.Handle) {
+func (v *validator) file(path, user, query string, digest [2 * sha256.Size]byte, lease bool, reads []repository.Read, gets []bem.Handle) {
 	v.slot(path, user, query).Store(&validation{
-		path: path, user: user, query: query, digest: digest,
+		path: path, user: user, query: query, digest: digest, lease: lease,
 		reads: slices.Clone(reads), gets: gets,
 	})
 }

@@ -29,7 +29,9 @@
 // until a row it read is written or its TTL passes), and the origin for
 // the page around them (a template answered by reference is re-validated
 // from the rows the layout and the untagged blocks read, Context.Reads,
-// without running the script again).
+// without running the script again; and a proxy leasing the template keeps
+// it until a write to one of those rows invalidates the page's own BEM
+// entry, whose dependencies WatchReads registers).
 package script
 
 import (
@@ -57,9 +59,12 @@ type Context struct {
 	Repo *repository.Repo
 
 	reads []repository.Read
-	// watch, while a tagged block renders for a sink that asked, hears of
-	// each row before it is read (Renderer.Render).
+	// watch hears of each row before it is read: while a tagged block
+	// renders for a sink that asked, the block's own (Renderer.Render), and
+	// otherwise pageWatch.
 	watch func(repository.Key)
+	// pageWatch is what WatchReads set: the watch on the page's own reads.
+	pageWatch func(repository.Key)
 	// readBuf holds a page's first reads, so that a page reading a few rows
 	// allocates nothing for them beyond the Context.
 	readBuf [4]repository.Read
@@ -109,6 +114,13 @@ func (c *Context) Field(table, row, column, def string) string {
 	c.reads = append(c.reads, repository.Read{Key: k, Version: version})
 	return v
 }
+
+// WatchReads has fn hear of each row the page reads — in Layout, in
+// KeyParams and in untagged blocks, the rows Reads returns — before it is
+// read, so that a sink can depend on the row from before the read (the
+// BEM's Depend on a page's shell): a write that lands while the page runs is
+// then either seen by the read or heard by the sink. Set it before Run.
+func (c *Context) WatchReads(fn func(repository.Key)) { c.watch, c.pageWatch = fn, fn }
 
 // Reads returns the rows the current run has read outside its tagged
 // blocks' renders — in Layout, in KeyParams and in untagged blocks — with
@@ -212,7 +224,7 @@ func (r *Renderer) Render(watch func(repository.Key)) (body []byte, reads []repo
 	start := len(r.ctx.reads)
 	r.ctx.watch = watch
 	err = r.block.Render(r.ctx, &r.buf)
-	r.ctx.watch = nil
+	r.ctx.watch = r.ctx.pageWatch
 	if err != nil {
 		return nil, nil, fmt.Errorf("script %q block %q: %w", r.script.Name, r.block.Name, err)
 	}
@@ -240,7 +252,7 @@ func Run(s *Script, ctx *Context, sink Sink) error {
 		b := &blocks[i]
 		r.block = b
 		if !b.Cacheable {
-			body, _, err := r.Render(nil)
+			body, _, err := r.Render(ctx.pageWatch)
 			if err != nil {
 				return err
 			}
