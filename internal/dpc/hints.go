@@ -25,7 +25,9 @@ import (
 // table be this cheap — a fixed array that forgets by being written over,
 // with nothing to evict, budget or flush. A lease (lease.go), a template the
 // proxy reuses without asking, does need coherency: it lives in a table of
-// its own, under the exact fetch key, and the fabric's events revoke it.
+// its own, under the page's key when the origin says no visitor shapes the
+// template and under the exact fetch key otherwise, and the fabric's events
+// revoke it.
 
 const (
 	// hintBuckets × hintWays slots of 40 bytes: 320 KiB however many keys

@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,8 +29,10 @@ import (
 // template — the shell and the entry of each GET — is a BEM entry whose
 // death reaches the proxy as a fragment event. An answer by reference to
 // such a request grants the lease, until the earliest TTL expiry among those
-// entries; the proxy files it under the request's exact fetch key, and the
-// next fetch of that key runs the held plan with no round trip.
+// entries. The proxy files it under the request's exact fetch key, or, when
+// the grant says the run never read the visitor (";page"), under the page's
+// key (pageLeaseKey): such a template is every visitor's. The next fetch of
+// either key runs the held plan with no round trip.
 //
 // Revocation needs no list of who holds what. A fragment event (k, g)
 // raises slot k's floor to g+1, and the store the assembler reads and writes
@@ -48,9 +51,10 @@ import (
 
 const (
 	// leaseBuckets × leaseWays slots of 80 bytes: 1.25 MiB however many
-	// keys pass through. A lease belongs to one visitor's fetch key, not to
-	// the page: the visitors of one page would share its slot and evict each
-	// other's leases.
+	// keys pass through. A lease is filed under the page's key only when the
+	// origin says its template is every visitor's; otherwise under the
+	// visitor's fetch key, since a per-visitor template in the page's slot
+	// would have the page's visitors evict each other's leases.
 	leaseBuckets = 1 << 13
 	leaseWays    = 2
 )
@@ -90,17 +94,18 @@ type leaseTable struct {
 	// that never does has no use for it.
 	buckets *[leaseBuckets][leaseWays]lease
 
-	hits, grants, voids *metrics.Counter
-	byCause             map[string]*metrics.Counter
+	hits, grants, pageGrants, voids *metrics.Counter
+	byCause                         map[string]*metrics.Counter
 }
 
 func newLeaseTable(reg *metrics.Registry) *leaseTable {
 	seed := maphash.MakeSeed()
 	return &leaseTable{
-		hash:   func(key string) uint64 { return maphash.String(seed, key) },
-		hits:   reg.Counter("dpc.lease_hits"),
-		grants: reg.Counter("dpc.lease_grants"),
-		voids:  reg.Counter("dpc.lease_voids"),
+		hash:       func(key string) uint64 { return maphash.String(seed, key) },
+		hits:       reg.Counter("dpc.lease_hits"),
+		grants:     reg.Counter("dpc.lease_grants"),
+		pageGrants: reg.Counter("dpc.lease_page_grants"),
+		voids:      reg.Counter("dpc.lease_voids"),
 		byCause: map[string]*metrics.Counter{
 			voidFloor:   reg.Counter("dpc.lease_floor_voids"),
 			voidExpired: reg.Counter("dpc.lease_expired_voids"),
@@ -127,14 +132,16 @@ func (t *leaseTable) bucket(key string) *[leaseWays]lease {
 	return &t.buckets[t.hash(key)%leaseBuckets]
 }
 
-// get returns key's lease.
-func (t *leaseTable) get(key string) (lease, bool) {
+// get returns the lease filed under page, or else the one under exact.
+func (t *leaseTable) get(page, exact string) (lease, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if b := t.bucket(key); b != nil {
-		for _, l := range b {
-			if l.key == key {
-				return l, true
+	for _, key := range [2]string{page, exact} {
+		if b := t.bucket(key); b != nil {
+			for _, l := range b {
+				if l.key == key {
+					return l, true
+				}
 			}
 		}
 	}
@@ -205,34 +212,45 @@ func (p *Proxy) leasing(r *http.Request) bool {
 		r.ContentLength == 0 && len(r.TransferEncoding) == 0
 }
 
+// pageLeaseKey is the key a page-scoped lease is filed under: a GET's fetch
+// key cut after its URI and method. A fetch key carries a field per identity
+// header after them, so no fetch key is a page's.
+func pageLeaseKey(key string) string { return key[:len(hintPage(key))+len(http.MethodGet)] }
+
 // useLease lets a live lease stand in for the request's origin fetch: the
 // plan it names becomes the request's held plan, for assemble to run as it
-// runs a template answered by reference. A lease found past its term or
-// without its plan is voided, and the request fetches.
+// runs a template answered by reference. The page's lease is looked for
+// first, then the visitor's own. A lease found past its term or without its
+// plan is voided, and the request fetches.
 func (p *Proxy) useLease(rs *reqState) bool {
 	if !p.leasing(rs.r) {
 		return false
 	}
 	key := rs.flightKey()
-	l, ok := p.leases.get(key)
+	page := pageLeaseKey(key)
+	l, ok := p.leases.get(page, key)
 	if !ok {
 		return false
 	}
 	if p.clk.Now().UnixNano() >= l.deadline {
-		p.voidLease(rs, key, voidExpired)
+		p.voidLease(rs, l.key, voidExpired)
 		return false
 	}
 	plan := p.plans.Lookup(l.digest)
 	if plan == nil {
-		p.voidLease(rs, key, voidPlan)
+		p.voidLease(rs, l.key, voidPlan)
 		return false
 	}
-	rs.held, rs.leased = plan, true
+	rs.held, rs.leaseKey = plan, l.key
 	rs.ctype, rs.cacheState = l.ctype, "LEASE"
 	if rs.pageCapture != nil && !l.cacheable {
 		rs.pageCapture.refuse()
 	}
-	rs.span.Event(trace.KindHit, "origin", "lease:hit", 0)
+	note := "lease:hit"
+	if l.key == page {
+		note = "lease:hit:page"
+	}
+	rs.span.Event(trace.KindHit, "origin", note, 0)
 	return true
 }
 
@@ -246,10 +264,11 @@ func (p *Proxy) voidLease(rs *reqState, key, cause string) {
 // turned out void — the caller then fetches from the origin — and true when
 // the page went out, or err says why it did not.
 func (p *Proxy) assembleLease(rs *reqState) (served bool, err error) {
-	rs.leased = false
+	key := rs.leaseKey
+	rs.leaseKey = ""
 	_, err = p.assemblePage(rs, nil, 0, wholePage)
 	if errors.Is(err, ErrStale) && !rs.streamed {
-		p.voidLease(rs, rs.flightKey(), voidFloor)
+		p.voidLease(rs, key, voidFloor)
 		return false, nil
 	}
 	if err == nil {
@@ -260,13 +279,23 @@ func (p *Proxy) assembleLease(rs *reqState) (served bool, err error) {
 
 // grantLease files the lease an answer by reference carries (HeaderLease),
 // for a fetch that started at start, when the index's epoch read before it
-// was epoch. The term is what the origin granted, capped at the page tier's
-// TTL. A response the origin opted into the tier under its own max-age is
-// not leased: a lease keeps no headers to renew that opt-in with.
+// was epoch: under the page's key when the grant ends in ";page", else under
+// the request's fetch key. The term is what the origin granted, capped at
+// the page tier's TTL. A response the origin opted into the tier under its
+// own max-age is not leased: a lease keeps no headers to renew that opt-in
+// with. A grant that does not parse is not filed.
 func (p *Proxy) grantLease(rs *reqState, resp *http.Response, start time.Time, epoch uint64) {
 	v := resp.Header.Get(headerLease)
 	if v == "" || rs.fillRule == ruleStatic || !p.leasing(rs.r) {
 		return
+	}
+	key := rs.flightKey()
+	v, scope, scoped := strings.Cut(v, ";")
+	if scoped {
+		if scope != "page" {
+			return
+		}
+		key = pageLeaseKey(key)
 	}
 	term := p.pageTTL
 	if v != "none" {
@@ -280,7 +309,7 @@ func (p *Proxy) grantLease(rs *reqState, resp *http.Response, start time.Time, e
 		return
 	}
 	l := lease{
-		key:       rs.flightKey(),
+		key:       key,
 		digest:    rs.held.Digest(),
 		ctype:     resp.Header.Get("Content-Type"),
 		deadline:  start.Add(term).UnixNano(),
@@ -288,6 +317,9 @@ func (p *Proxy) grantLease(rs *reqState, resp *http.Response, start time.Time, e
 	}
 	if p.leases.file(l, func() bool { return p.depix.Epoch() == epoch }) {
 		p.leases.grants.Inc()
+		if scoped {
+			p.leases.pageGrants.Inc()
+		}
 	}
 }
 

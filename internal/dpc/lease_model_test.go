@@ -51,6 +51,9 @@ type leaseSite struct {
 	// crossed names, for the crossed-SET episode, a page and the tagged
 	// fragments on it; nil where the episode does not run.
 	crossed *crossedPage
+	// pageScoped says the site's runs never read the visitor, so its leases
+	// are the page's; where it is false, no lease may be.
+	pageScoped bool
 }
 
 type crossedPage struct {
@@ -85,12 +88,12 @@ func buildPrefs(repo *repository.Repo) (*script.Script, error) {
 		})
 	}
 	theme := script.Untagged("theme", func(c *script.Context, w io.Writer) error {
-		_, err := io.WriteString(w, "<body class="+c.Field("prefs", c.UserID, "theme", "plain")+">")
+		_, err := io.WriteString(w, "<body class="+c.Field("prefs", c.User(), "theme", "plain")+">")
 		return err
 	})
 	return &script.Script{Name: "prefs", Layout: func(c *script.Context) []script.Block {
 		blocks := []script.Block{theme}
-		for _, n := range strings.Split(c.Field("prefs", c.UserID, "show", "news0"), ",") {
+		for _, n := range strings.Split(c.Field("prefs", c.User(), "show", "news0"), ",") {
 			blocks = append(blocks, item(n))
 		}
 		return blocks
@@ -123,7 +126,8 @@ var leaseSites = []leaseSite{
 			_, page, _ := strings.Cut(url, "page=")
 			touch(repo, 4*int(page[0]-'0')+rng.Intn(4), rng)
 		},
-		crossed: &crossedPage{url: "/page/synth?page=0", frags: []int{0, 1, 2, 3}},
+		crossed:    &crossedPage{url: "/page/synth?page=0", frags: []int{0, 1, 2, 3}},
+		pageScoped: true,
 	},
 	{
 		// A per-user layout: the profile row the layout reads picks the
@@ -225,8 +229,9 @@ type leaseRig struct {
 	link  *heldLink
 	sub   *quietSub
 	quiet time.Time // the last write whose events the fabric lost
-	// checked counts the lease responses checked against a fresh render.
-	checked int
+	// checked counts the lease responses checked against a fresh render,
+	// and pageChecked those of them the page's lease served.
+	checked, pageChecked int
 }
 
 func newLeaseRig(t testing.TB, ls leaseSite, seed int64) *leaseRig {
@@ -297,9 +302,14 @@ func (g *leaseRig) plain(url, user string) string {
 	return rec.Body.String()
 }
 
-// visit serves url as user and holds a lease's page to the oracle.
+// visit serves url as user and holds a lease's page to the oracle. A lease
+// response came from the page's lease exactly when the table held one before
+// the visit: that is the one the request looks for first, and one found void
+// sends the request to the origin.
 func (g *leaseRig) visit(url, user string) {
 	g.t.Helper()
+	page := pageLeaseKey(flightKey(httptest.NewRequest(http.MethodGet, url, nil)))
+	_, pageLeased := g.p.leases.get(page, page)
 	rec := g.serve(url, user)
 	if rec.Code != http.StatusOK {
 		g.fatalf("%s as %q: status %d: %s", url, user, rec.Code, rec.Body)
@@ -308,6 +318,9 @@ func (g *leaseRig) visit(url, user string) {
 		return
 	}
 	g.checked++
+	if pageLeased {
+		g.pageChecked++
+	}
 	if want := g.plain(url, user); rec.Body.String() != want && !g.clk.Now().Before(g.quiet.Add(leaseModelTTL)) {
 		g.fatalf("%s as %q was served by a lease, but the page is now\n%q\nnot\n%q", url, user, want, rec.Body)
 	}
@@ -423,8 +436,12 @@ func (g *leaseRig) run(steps int) int {
 			g.crossed()
 		}
 	}
-	if n := g.p.Registry().Snapshot()["dpc.errors"]; n != 0 {
+	snap := g.p.Registry().Snapshot()
+	if n := snap["dpc.errors"]; n != 0 {
 		g.fatalf("dpc.errors = %d", n)
+	}
+	if n := snap["dpc.lease_page_grants"]; !ls.pageScoped && (n != 0 || g.pageChecked != 0) {
+		g.fatalf("%d page-scoped grants and %d lease responses from a page's lease, on a site whose runs read the visitor", n, g.pageChecked)
 	}
 	return g.checked
 }
@@ -434,21 +451,28 @@ func (g *leaseRig) run(steps int) int {
 // blocks read, BEM evictions, TTL expiry, sequence gaps, plan flushes and
 // the event-before-SET order. Each part of the lease is needed for that:
 // without the floor, the shell, the shell's growing dependencies, the term
-// cap or the full key comparison, some seed here serves a stale page.
+// cap or the full key comparison, some seed here serves a stale page. So is
+// its scope: the synthetic site's visitors share the page's lease, and a
+// site whose runs ask who the visitor is — the portal's and the dashboard's
+// layouts — gets none, or some seed serves one visitor another's page.
 func TestLeaseModel(t *testing.T) {
 	for _, ls := range leaseSites {
-		checked := 0
+		checked, pageChecked := 0, 0
 		var voids, hits int64
 		for seed := int64(1); seed <= 8; seed++ {
 			g := newLeaseRig(t, ls, seed)
 			checked += g.run(600)
+			pageChecked += g.pageChecked
 			snap := g.p.Registry().Snapshot()
 			voids += snap["dpc.lease_voids"]
 			hits += snap["dpc.lease_hits"]
 		}
-		t.Logf("%s: %d lease responses checked, %d lease hits, %d voids", ls.name, checked, hits, voids)
+		t.Logf("%s: %d lease responses checked (%d from a page's lease), %d lease hits, %d voids", ls.name, checked, pageChecked, hits, voids)
 		if checked < 100 || voids == 0 {
 			t.Errorf("%s: %d lease responses and %d voids over 8 seeds; the model barely reaches the leases", ls.name, checked, voids)
+		}
+		if ls.pageScoped && pageChecked == 0 {
+			t.Errorf("%s: no lease response came from a page's lease", ls.name)
 		}
 	}
 }

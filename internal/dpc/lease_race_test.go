@@ -23,12 +23,15 @@ import (
 // raceOrigin serves one page built from one fragment, slot 1, at the
 // fragment's current generation g: the template is a GET of (1, g), the
 // fragment's bytes are "v<g>". An offer of that template is answered by
-// reference with a lease. A bypass gets the page plain, as it is now.
-// /seed?g=N answers a template that SETs generation N — the current one, or
+// reference with a lease, scoped by scope. A bypass gets the page plain, as
+// it is now. /seed?g=N answers a template that SETs generation N — the current one, or
 // a dead one arriving late, as a template generated before its event would.
 type raceOrigin struct {
 	mu  sync.Mutex
 	gen uint32
+	// scope follows "none" in each grant: empty for the visitor's, ";page"
+	// for the page's.
+	scope string
 	// parkGrant, while non-nil, parks the next answer by reference after it
 	// was decided, until it is closed.
 	parkGrant, parked chan struct{}
@@ -60,7 +63,7 @@ func (o *raceOrigin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	o.mu.Lock()
-	g, park, parked := o.gen, o.parkGrant, o.parked
+	g, park, parked, scope := o.gen, o.parkGrant, o.parked, o.scope
 	body := pageTemplate(g)
 	sum := hexDigest(body)
 	same := r.Header.Get(headerHave) == sum
@@ -83,7 +86,7 @@ func (o *raceOrigin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set(headerSame, "1")
 	if r.Header.Get(headerLease) != "" {
-		w.Header().Set(headerLease, "none")
+		w.Header().Set(headerLease, "none"+scope)
 	}
 }
 
@@ -191,6 +194,67 @@ func TestLeaseRaceOrders(t *testing.T) {
 			t.Fatalf("a grant for v%d filed after its event: X-Cache %q body %q", dead, xc, body)
 		}
 	})
+	// Two identities share one page-scoped lease, and both read while the
+	// event naming its generation lands: no response that starts after the
+	// event was applied may carry that generation, whoever's grant it was.
+	t.Run("page-lease-shared", func(t *testing.T) {
+		g := newRaceRig(t)
+		g.o.mu.Lock()
+		g.o.scope = ";page"
+		g.o.mu.Unlock()
+		g.leased("u1")
+		cur := g.o.current()
+		stale := fmt.Sprintf("v%d", cur)
+		if xc, body := g.get("/page", "u2"); xc != "LEASE" || body != stale {
+			t.Fatalf("u2's first visit: X-Cache %q body %q, want u1's grant serving %s", xc, body, stale)
+		}
+		epoch := time.Now()
+		var applied atomic.Int64 // when the event's Apply returned, since epoch; 0 before
+		var wg sync.WaitGroup
+		for _, u := range []string{"u1", "u2"} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 8; i++ {
+					started := int64(time.Since(epoch))
+					xc, body := g.get("/page", u)
+					if at := applied.Load(); at != 0 && at-1 < started && body == stale {
+						t.Errorf("%s: a response started %v after %s's event was applied carries it (X-Cache %s)",
+							u, time.Duration(started-(at-1)), stale, xc)
+					}
+				}
+			}()
+		}
+		g.write()
+		applied.Store(int64(time.Since(epoch)) + 1)
+		wg.Wait()
+		for _, u := range []string{"u1", "u2"} {
+			if xc, body := g.get("/page", u); xc == "LEASE" || body == stale {
+				t.Fatalf("%s after the event for %s: X-Cache %q body %q", u, stale, xc, body)
+			}
+		}
+		if n := g.p.Registry().Snapshot()["dpc.lease_page_grants"]; n == 0 {
+			t.Fatal("no page-scoped grant was filed")
+		}
+	})
+}
+
+// A grant the proxy cannot read is not filed: a scope it does not know is
+// one it cannot honour.
+func TestLeaseGrantUnknownScopeNotFiled(t *testing.T) {
+	g := newRaceRig(t)
+	g.o.mu.Lock()
+	g.o.scope = ";street"
+	g.o.mu.Unlock()
+	g.seed(1)
+	for i := 0; i < 4; i++ {
+		if xc, body := g.get("/page", "u1"); xc == "LEASE" || body != "v1" {
+			t.Fatalf("visit %d: X-Cache %q body %q, want the origin's answer v1", i, xc, body)
+		}
+	}
+	if n := g.p.Registry().Snapshot()["dpc.lease_grants"]; n != 0 {
+		t.Fatalf("dpc.lease_grants = %d for grants with an unknown scope", n)
+	}
 }
 
 // Readers, a writer and a late-SET sender at once. Every response is held to

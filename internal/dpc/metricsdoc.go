@@ -40,7 +40,8 @@ func MetricCatalog() []MetricDoc {
 		{"dpc.template_bytes", "counter", "template bytes read from the origin (cumulative; a template answered by reference adds none)"},
 		{"dpc.template_offers", "counter", "an origin fetch named a plan the proxy holds for the page's or the identity's last template (X-DPC-Have)"},
 		{"dpc.template_refs", "counter", "the origin answered an offer by reference (X-DPC-Same, empty body) and the held plan ran; offers minus refs were answered in full"},
-		{"dpc.lease_grants", "counter", "an answer by reference carried a lease (X-DPC-Lease) and the proxy filed it under the request's fetch key; a fetch that began before a gap or a flush files none"},
+		{"dpc.lease_grants", "counter", "an answer by reference carried a lease (X-DPC-Lease) and the proxy filed it, under the request's fetch key or the page's; a fetch that began before a gap or a flush files none"},
+		{"dpc.lease_page_grants", "counter", "a filed lease was page-scoped (X-DPC-Lease ending in ;page: the origin's run never read the visitor), so it was filed under the page's key and serves every visitor of the URI (a subset of dpc.lease_grants)"},
 		{"dpc.lease_hits", "counter", "a lease stood in for the origin fetch and its plan ran to a complete page (X-Cache: LEASE); no origin exchange"},
 		{"dpc.lease_voids", "counter", "a lease was found void and dropped, or cleared by a sequence gap (the sum of the four causes below); a request that found it void fetched with the ordinary offer"},
 		{"dpc.lease_floor_voids", "counter", "a lease's plan met a ref that did not resolve: a fabric event had named its generation, or the slot was gone from the store"},

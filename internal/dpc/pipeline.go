@@ -96,9 +96,9 @@ type reqState struct {
 	// between cannot take it — and, when the origin answered by reference,
 	// until assemble runs it in place of the template that was not sent.
 	held *tmplplan.Plan
-	// leased reports that held came from a lease, in place of an origin
-	// fetch (useLease), and has not run yet.
-	leased bool
+	// leaseKey is the lease table key held came from, in place of an origin
+	// fetch (useLease), until the lease's plan runs; empty otherwise.
+	leaseKey string
 
 	// staleRefs, when set by assemble, routes the request through the
 	// stale-fallback stage.
@@ -586,7 +586,7 @@ func (p *Proxy) recordAssembleStats(st AssembleStats) {
 }
 
 func (p *Proxy) stageAssemble(rs *reqState) (stageOutcome, error) {
-	if rs.leased {
+	if rs.leaseKey != "" {
 		if served, err := p.assembleLease(rs); served || err != nil {
 			return stageRespond, err
 		}

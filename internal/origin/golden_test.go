@@ -159,7 +159,10 @@ var goldenSites = []goldenSite{
 // same headers on the wire, and leave the BEM's directory — keys,
 // generations, recency — as the Lookups it stood in for would have. The
 // asked hashes were recorded when the lease ask was added; the four passes
-// before them, which do not ask, did not move.
+// before them, which do not ask, did not move. They were recorded again when
+// a grant gained its scope: the synthetic site's grants now end in ";page"
+// and nothing else on the wire moved (bookstore and portal grants stay
+// exact, and the brokerage's eight-slot BEM evicts before any grant).
 func TestTemplateBytesGolden(t *testing.T) {
 	got := map[string]string{}
 	validated := int64(0)

@@ -125,25 +125,32 @@ func TestLeaseTemplateOpensWithShell(t *testing.T) {
 
 // An answer by reference to a request that asked carries the grant: whether
 // generated and compared, or validated from its record, it names the time
-// left until the earliest TTL expiry among the template's entries, or none.
-// A request that did not ask is never granted one, and a record filed for
-// one kind of request never answers the other.
+// left until the earliest TTL expiry among the template's entries, or none,
+// and ends in ";page" when the run never read the user — on the synthetic
+// site, not on the portal, whose layout asks who the visitor is. A request
+// that did not ask is never granted one, and a record filed for one kind of
+// request never answers the other.
 func TestLeaseGrant(t *testing.T) {
+	synth := func(ttl time.Duration) func(repo *repository.Repo) []*script.Script {
+		cfg := site.DefaultSynthetic()
+		cfg.TTL = ttl
+		return synthOnly(cfg)
+	}
 	for _, tc := range []struct {
-		name string
-		ttl  time.Duration
-		want string // the grant after the clock moved 300 ms
+		name  string
+		build func(repo *repository.Repo) []*script.Script
+		url   string
+		want  string // the grant after the clock moved 300 ms
 	}{
-		{"no TTL", 0, "none"},
-		{"2 s TTL", 2 * time.Second, "1700"},
+		{"no TTL", synth(0), "/page/synth?page=0", "none;page"},
+		{"2 s TTL", synth(2 * time.Second), "/page/synth?page=0", "1700;page"},
+		{"portal", portalOnly, "/page/portal", "3599700"}, // the modules' hour
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := site.DefaultSynthetic()
-			cfg.TTL = tc.ttl
-			srv, _, _, clk := leaseServer(t, 64, synthOnly(cfg))
-			const url = "/page/synth?page=0"
-			leaseFetch(t, srv, url, "", "", true) // shell and fragments SET
-			d := hexDigest(leaseFetch(t, srv, url, "", "", true).Body.String())
+			srv, _, _, clk := leaseServer(t, 64, tc.build)
+			url := tc.url
+			leaseFetch(t, srv, url, "u1", "", true) // shell and fragments SET
+			d := hexDigest(leaseFetch(t, srv, url, "u1", "", true).Body.String())
 			clk.Advance(300 * time.Millisecond)
 
 			generated := leaseFetch(t, srv, url, "u1", d, true)
@@ -155,8 +162,13 @@ func TestLeaseGrant(t *testing.T) {
 				}
 			}
 			snap := srv.reg.Snapshot()
-			if snap["origin.leases_granted"] != 2 || snap["origin.template_refs_validated"] != 1 {
-				t.Fatalf("leases_granted=%d validated=%d, want 2 and 1", snap["origin.leases_granted"], snap["origin.template_refs_validated"])
+			wantPage := int64(0)
+			if strings.HasSuffix(tc.want, leasePageScope) {
+				wantPage = 2
+			}
+			if snap["origin.leases_granted"] != 2 || snap["origin.leases_granted_page"] != wantPage || snap["origin.template_refs_validated"] != 1 {
+				t.Fatalf("leases_granted=%d leases_granted_page=%d validated=%d, want 2, %d and 1", snap["origin.leases_granted"],
+					snap["origin.leases_granted_page"], snap["origin.template_refs_validated"], wantPage)
 			}
 
 			// Without the ask: the record filed above does not answer (its
@@ -164,6 +176,7 @@ func TestLeaseGrant(t *testing.T) {
 			if rec := leaseFetch(t, srv, url, "u1", d, false); rec.Header().Get(HeaderSame) != "" || rec.Header().Get(HeaderLease) != "" {
 				t.Fatal("a request that did not ask was answered with the asked template, or granted a lease")
 			}
+			leaseFetch(t, srv, url, "u2", "", false) // u2's own fragments SET, on the portal
 			plain := hexDigest(leaseFetch(t, srv, url, "u2", "", false).Body.String())
 			leaseFetch(t, srv, url, "u2", plain, false) // filed without the ask
 			before := srv.reg.Snapshot()["origin.template_refs_validated"]
@@ -175,19 +188,21 @@ func TestLeaseGrant(t *testing.T) {
 	}
 }
 
+func portalOnly(repo *repository.Repo) []*script.Script {
+	sc, err := site.BuildPortal(site.PortalConfig{Users: 4, Modules: 6, ModulesPerPage: 3, ModuleBytes: 64}, repo)
+	if err != nil {
+		panic(err)
+	}
+	return []*script.Script{sc}
+}
+
 // The shell's dependencies are the union of what every visitor's run read:
 // on the portal, whose layout reads the visitor's own profile, a write to
 // u0's profile kills the shell u1's lease names too — an over-invalidation,
 // never a stale lease — and a later run by u1 does not narrow them to u1's
 // reads.
 func TestLeaseShellDependsOnEveryVisitorsReads(t *testing.T) {
-	srv, mon, repo, _ := leaseServer(t, 256, func(repo *repository.Repo) []*script.Script {
-		sc, err := site.BuildPortal(site.PortalConfig{Users: 4, Modules: 6, ModulesPerPage: 3, ModuleBytes: 64}, repo)
-		if err != nil {
-			panic(err)
-		}
-		return []*script.Script{sc}
-	})
+	srv, mon, repo, _ := leaseServer(t, 256, portalOnly)
 	var died []string
 	mon.OnInvalidate(func(id string, _, _ uint32, reason bem.InvalidationReason) {
 		if strings.HasPrefix(id, shellMark) {

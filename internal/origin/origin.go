@@ -36,7 +36,9 @@
 // before the read. An answer by reference to it grants a lease until the
 // earliest TTL expiry among the template's entries. The template's bytes
 // are then a function of entries the caller hears invalidated, so it may
-// reuse them until one is.
+// reuse them until one is. When the run never read the user, they are also
+// every visitor's, and the grant says so: the caller may reuse them for any
+// visitor of the same URI.
 package origin
 
 import (
@@ -85,14 +87,21 @@ const (
 	// template that opens with its page's shell entry, and on an answer by
 	// reference a grant. On such an answer it is the grant: the whole
 	// milliseconds until the earliest TTL expiry among the BEM entries the
-	// template names, or "none" when none of them expires. A caller that
-	// hears every invalidation of those entries may reuse the template until
-	// then without asking again.
+	// template names, or "none" when none of them expires, followed by
+	// ";page" when the run never read the user. A caller that hears every
+	// invalidation of those entries may reuse the template until then without
+	// asking again: for the request's visitor, or with ";page" for every
+	// visitor of the same URI.
 	HeaderLease = "X-DPC-Lease"
 )
 
-// leaseNone is HeaderLease's grant when no entry the template names expires.
-const leaseNone = "none"
+const (
+	// leaseNone is HeaderLease's grant when no entry the template names
+	// expires.
+	leaseNone = "none"
+	// leasePageScope ends a grant whose template is every visitor's.
+	leasePageScope = ";page"
+)
 
 // Config parameterizes a Server.
 type Config struct {
@@ -130,7 +139,7 @@ type Server struct {
 	// mutex per look-up.
 	requests, templates, plainPages, errors *metrics.Counter
 	templateRefs, templateRefsValidated     *metrics.Counter
-	leasesGranted                           *metrics.Counter
+	leasesGranted, leasesGrantedPage        *metrics.Counter
 	staticRequests, staleReportsApplied     *metrics.Counter
 	generate                                *metrics.Histogram
 }
@@ -178,6 +187,7 @@ func New(cfg Config) (*Server, error) {
 		templateRefs:          reg.Counter("origin.template_refs"),
 		templateRefsValidated: reg.Counter("origin.template_refs_validated"),
 		leasesGranted:         reg.Counter("origin.leases_granted"),
+		leasesGrantedPage:     reg.Counter("origin.leases_granted_page"),
 		plainPages:            reg.Counter("origin.plain_pages"),
 		errors:                reg.Counter("origin.errors"),
 		staticRequests:        reg.Counter("origin.static_requests"),
@@ -335,7 +345,7 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request) {
 
 	if have != "" {
 		start := time.Now()
-		if expiry, ok := s.valid.answers(name, user, query, have, lease, s.cfg.Repo, s.cfg.Monitor); ok {
+		if expiry, page, ok := s.valid.answers(name, user, query, have, lease, s.cfg.Repo, s.cfg.Monitor); ok {
 			s.templates.Inc()
 			s.templateRefs.Inc()
 			s.templateRefsValidated.Inc()
@@ -344,7 +354,7 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set(HeaderTemplate, s.codec.Name())
 			w.Header().Set(HeaderSame, "1")
 			if lease {
-				s.grant(w, expiry)
+				s.grant(w, expiry, page)
 			}
 			s.respond(w, nil)
 			return
@@ -388,13 +398,13 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request) {
 		// the next.
 		if have != "" && !sink.set {
 			digest := templateDigest(body.Bytes())
-			s.valid.file(name, user, query, digest, lease, ctx.Reads(), sink.gets)
+			s.valid.file(name, user, query, digest, lease, !ctx.ReadIdentity(), ctx.Reads(), sink.gets)
 			if string(digest[:]) == have {
 				same = true
 				w.Header().Set(HeaderSame, "1")
 				s.templateRefs.Inc()
 				if lease {
-					s.grant(w, sink.expiry)
+					s.grant(w, sink.expiry, !ctx.ReadIdentity())
 				}
 			}
 		}
@@ -417,11 +427,16 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request) {
 
 // grant puts a lease on an answer by reference to a request that asked for
 // one: until expiry, the earliest TTL expiry among the entries the template
-// names (zero when none expires).
-func (s *Server) grant(w http.ResponseWriter, expiry time.Time) {
+// names (zero when none expires), scoped to the page when the run that
+// decided the template never read the user.
+func (s *Server) grant(w http.ResponseWriter, expiry time.Time, page bool) {
 	v := leaseNone
 	if !expiry.IsZero() {
 		v = strconv.FormatInt(expiry.Sub(s.cfg.Monitor.Now()).Milliseconds(), 10)
+	}
+	if page {
+		v += leasePageScope
+		s.leasesGrantedPage.Inc()
 	}
 	w.Header().Set(HeaderLease, v)
 	s.leasesGranted.Inc()

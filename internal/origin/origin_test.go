@@ -37,9 +37,9 @@ func catalogScript() *script.Script {
 			blocks := []script.Block{script.Static("head", "<html>")}
 			if !ctx.Anonymous() {
 				blocks = append(blocks, script.Tagged("greet", 0,
-					func(c *script.Context) string { return c.UserID },
+					func(c *script.Context) string { return c.User() },
 					func(c *script.Context, w io.Writer) error {
-						_, err := fmt.Fprintf(w, "Hello, %s!", c.Field("users", c.UserID, "name", c.UserID))
+						_, err := fmt.Fprintf(w, "Hello, %s!", c.Field("users", c.User(), "name", c.User()))
 						return err
 					}))
 			}

@@ -28,7 +28,9 @@ import (
 // holds its request's path, user and query and answers for no other. It
 // keeps no template bytes, and anything it cannot vouch for — no record,
 // another request's, a moved row, an invalidated, regenerated or expired
-// entry, a forced-miss monitor — is generated as before.
+// entry, a forced-miss monitor — is generated as before. A record whose run
+// never read the user still answers only its own visitor's offers; it keeps
+// that fact so that the lease it grants is scoped to the page.
 
 // validatorSlots is the size of the direct-mapped record array: 64 KiB of
 // pointers when empty, and a few hundred bytes more per request key filed.
@@ -42,6 +44,9 @@ type validation struct {
 	// lease records that the request asked for a lease, so the template
 	// opens with the page's shell and gets holds the shell's handle first.
 	lease bool
+	// page records that the run never read the user (ReadIdentity): the
+	// template is every visitor's, and a lease on it is the page's.
+	page  bool
 	reads []repository.Read
 	gets  []bem.Handle
 }
@@ -69,21 +74,23 @@ func (v *validator) slot(path, user, query string) *atomic.Pointer[validation] {
 // template: its record was filed by a request that asked the same and names
 // the template offered, no row it read has moved, and the BEM would hit
 // every GET at the generation it names — in which case Recheck has counted
-// those hits and expiry is the earliest TTL expiry among them.
-func (v *validator) answers(path, user, query, have string, lease bool, repo *repository.Repo, mon *bem.Monitor) (expiry time.Time, ok bool) {
+// those hits, expiry is the earliest TTL expiry among them, and page reports
+// that the run the record was filed from never read the user.
+func (v *validator) answers(path, user, query, have string, lease bool, repo *repository.Repo, mon *bem.Monitor) (expiry time.Time, page, ok bool) {
 	rec := v.slot(path, user, query).Load()
 	if rec == nil || rec.path != path || rec.user != user || rec.query != query || rec.lease != lease ||
 		string(rec.digest[:]) != have || !repo.Unchanged(rec.reads) {
-		return expiry, false
+		return expiry, false, false
 	}
-	return mon.Recheck(rec.gets)
+	expiry, ok = mon.Recheck(rec.gets)
+	return expiry, rec.page, ok
 }
 
 // file records a GET-only template generated for this request. It copies
 // reads and takes ownership of gets.
-func (v *validator) file(path, user, query string, digest [2 * sha256.Size]byte, lease bool, reads []repository.Read, gets []bem.Handle) {
+func (v *validator) file(path, user, query string, digest [2 * sha256.Size]byte, lease, page bool, reads []repository.Read, gets []bem.Handle) {
 	v.slot(path, user, query).Store(&validation{
-		path: path, user: user, query: query, digest: digest, lease: lease,
+		path: path, user: user, query: query, digest: digest, lease: lease, page: page,
 		reads: slices.Clone(reads), gets: gets,
 	})
 }

@@ -22,16 +22,19 @@
 //
 // The contract a script keeps: its Layout, every KeyParams and every block
 // are functions of the request — the path, the query parameters and the
-// user — and of the repository rows they read through the Context (Query
-// and Field). Nothing else may change what they write: no clock, no random
-// numbers, no state kept between runs, no repository read past the
-// Context. The BEM relies on it for tagged blocks (a fragment stays valid
-// until a row it read is written or its TTL passes), and the origin for
-// the page around them (a template answered by reference is re-validated
-// from the rows the layout and the untagged blocks read, Context.Reads,
-// without running the script again; and a proxy leasing the template keeps
-// it until a write to one of those rows invalidates the page's own BEM
-// entry, whose dependencies WatchReads registers).
+// user, the user only through User / Anonymous — and of the repository rows
+// they read through the Context (Query and Field). Nothing else may change
+// what they write: no clock, no random numbers, no state kept between runs,
+// no repository read past the Context. The BEM relies on it for tagged
+// blocks (a fragment stays valid until a row it read is written or its TTL
+// passes), and the origin for the page around them (a template answered by
+// reference is re-validated from the rows the layout and the untagged
+// blocks read, Context.Reads, without running the script again; and a proxy
+// leasing the template keeps it until a write to one of those rows
+// invalidates the page's own BEM entry, whose dependencies WatchReads
+// registers). So a run that never asked for the user (ReadIdentity) wrote
+// what the same request by any other visitor, anonymous included, would
+// have: the origin leases such a template to the page, not the visitor.
 package script
 
 import (
@@ -49,14 +52,20 @@ import (
 // repository handle. It also records every row read and the version the
 // read saw: a tagged block's reads are its fragment's data dependencies,
 // which the BEM uses for update-driven invalidation, and the rest are the
-// page's (Reads).
+// page's (Reads). Likewise it records whether the page asked who the user
+// is (ReadIdentity).
 type Context struct {
 	// Params are the request's query parameters (e.g. categoryID).
 	Params map[string]string
-	// UserID identifies a registered user; empty means anonymous.
-	UserID string
 	// Repo is the content repository backing the site.
 	Repo *repository.Repo
+
+	// userID identifies a registered user; empty means anonymous. User and
+	// Anonymous read it, and mark the run as one that read it.
+	userID string
+	// readUser reports that the current run read userID outside its tagged
+	// blocks' renders.
+	readUser bool
 
 	reads []repository.Read
 	// watch hears of each row before it is read: while a tagged block
@@ -75,7 +84,7 @@ func NewContext(repo *repository.Repo, userID string, params map[string]string) 
 	if params == nil {
 		params = map[string]string{}
 	}
-	c := &Context{Params: params, UserID: userID, Repo: repo}
+	c := &Context{Params: params, userID: userID, Repo: repo}
 	c.reads = c.readBuf[:0]
 	return c
 }
@@ -88,8 +97,25 @@ func (c *Context) Param(name, def string) string {
 	return def
 }
 
+// User returns the registered user's ID, empty for an anonymous visitor.
+func (c *Context) User() string {
+	c.readUser = true
+	return c.userID
+}
+
 // Anonymous reports whether the request has no registered user.
-func (c *Context) Anonymous() bool { return c.UserID == "" }
+func (c *Context) Anonymous() bool {
+	c.readUser = true
+	return c.userID == ""
+}
+
+// ReadIdentity reports whether the current run asked for the user — through
+// User or Anonymous, in Layout, in a KeyParams or in an untagged block —
+// and is left as it is after Run returns, until another Run on the same
+// Context starts. What a tagged block's render reads belongs to its
+// fragment, whose ID carries the user through KeyParams if the render
+// depends on it, so it does not count.
+func (c *Context) ReadIdentity() bool { return c.readUser }
 
 // Query reads a repository row, recording it and the version read (0 for a
 // missing row).
@@ -221,10 +247,13 @@ var rendererPool = sync.Pool{New: func() any { return new(Renderer) }}
 // either seen by the read or heard by the sink.
 func (r *Renderer) Render(watch func(repository.Key)) (body []byte, reads []repository.Read, err error) {
 	r.buf.Reset()
-	start := len(r.ctx.reads)
+	start, readUser := len(r.ctx.reads), r.ctx.readUser
 	r.ctx.watch = watch
 	err = r.block.Render(r.ctx, &r.buf)
 	r.ctx.watch = r.ctx.pageWatch
+	if r.block.Cacheable {
+		r.ctx.readUser = readUser // the fragment's, not the page's
+	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("script %q block %q: %w", r.script.Name, r.block.Name, err)
 	}
@@ -246,7 +275,7 @@ func Run(s *Script, ctx *Context, sink Sink) error {
 			rendererPool.Put(r)
 		}
 	}()
-	ctx.reads = ctx.reads[:0]
+	ctx.reads, ctx.readUser = ctx.reads[:0], false
 	blocks := s.Layout(ctx)
 	for i := range blocks {
 		b := &blocks[i]

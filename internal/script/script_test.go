@@ -27,9 +27,9 @@ func greetingScript() *Script {
 			blocks := []Block{Static("head", "<html>")}
 			if !ctx.Anonymous() {
 				blocks = append(blocks, Tagged("greet", 0,
-					func(c *Context) string { return c.UserID },
+					func(c *Context) string { return c.User() },
 					func(c *Context, w io.Writer) error {
-						name := c.Field("users", c.UserID, "name", c.UserID)
+						name := c.Field("users", c.User(), "name", c.User())
 						_, err := fmt.Fprintf(w, "Hello, %s", name)
 						return err
 					}))
@@ -183,7 +183,7 @@ func TestRunReadSet(t *testing.T) {
 					return err
 				}),
 				Tagged("greet", 0,
-					func(c *Context) string { return c.Field("users", c.UserID, "name", "") },
+					func(c *Context) string { return c.Field("users", c.User(), "name", "") },
 					func(c *Context, w io.Writer) error {
 						_, err := io.WriteString(w, c.Field("cat", "fiction", "title", ""))
 						return err
@@ -314,5 +314,38 @@ func TestContextQueryRecordsDepEvenOnMiss(t *testing.T) {
 	deps := ctx.Reads()
 	if len(deps) != 1 || deps[0].Version != 0 {
 		t.Fatalf("reads = %v; a miss must still record the dependency, at version 0", deps)
+	}
+}
+
+// ReadIdentity reports whether the run asked for the user in page context —
+// the layout, a KeyParams or an untagged block — and not when only a tagged
+// block's render did: that read is its fragment's. Each Run starts afresh.
+func TestReadIdentity(t *testing.T) {
+	repo := newRepo()
+	user := func(c *Context, w io.Writer) error {
+		_, err := io.WriteString(w, c.User())
+		return err
+	}
+	for _, tc := range []struct {
+		name   string
+		blocks func(*Context) []Block
+		want   bool
+	}{
+		{"none", func(*Context) []Block { return []Block{Static("s", "x")} }, false},
+		{"layout", func(c *Context) []Block { c.Anonymous(); return nil }, true},
+		{"key params", func(*Context) []Block {
+			return []Block{Tagged("t", 0, func(c *Context) string { return c.User() }, user)}
+		}, true},
+		{"untagged block", func(*Context) []Block { return []Block{Untagged("u", user)} }, true},
+		{"tagged render", func(*Context) []Block { return []Block{Tagged("t", 0, nil, user)} }, false},
+	} {
+		ctx := NewContext(repo, "bob", nil)
+		ctx.User() // before the run: Run starts afresh
+		if _, err := RenderPage(&Script{Name: "p", Layout: tc.blocks}, ctx); err != nil {
+			t.Fatal(err)
+		}
+		if ctx.ReadIdentity() != tc.want {
+			t.Errorf("%s: ReadIdentity() = %v, want %v", tc.name, ctx.ReadIdentity(), tc.want)
+		}
 	}
 }

@@ -50,9 +50,9 @@ func BuildBookstore(repo *repository.Repo) *script.Script {
 		})
 
 	greeting := script.Tagged("greeting", 0,
-		func(c *script.Context) string { return c.UserID },
+		func(c *script.Context) string { return c.User() },
 		func(c *script.Context, w io.Writer) error {
-			name := c.Field("users", c.UserID, "name", c.UserID)
+			name := c.Field("users", c.User(), "name", c.User())
 			_, err := fmt.Fprintf(w, `<div class="greet">Hello, %s!</div>`, name)
 			return err
 		})
@@ -78,9 +78,9 @@ func BuildBookstore(repo *repository.Repo) *script.Script {
 		})
 
 	recommendations := script.Tagged("recs", 0,
-		func(c *script.Context) string { return c.UserID },
+		func(c *script.Context) string { return c.User() },
 		func(c *script.Context, w io.Writer) error {
-			likes := c.Field("users", c.UserID, "likes", "Fiction")
+			likes := c.Field("users", c.User(), "likes", "Fiction")
 			top := c.Field("books", likes+"/0", "title", "our bestsellers")
 			_, err := fmt.Fprintf(w, `<aside>Because you like %s: %s</aside>`, likes, top)
 			return err

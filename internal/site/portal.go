@@ -82,9 +82,9 @@ func BuildPortal(cfg PortalConfig, repo *repository.Repo) (*script.Script, error
 	}
 
 	greeting := script.Tagged("portal-greet", 0,
-		func(c *script.Context) string { return c.UserID },
+		func(c *script.Context) string { return c.User() },
 		func(c *script.Context, w io.Writer) error {
-			name := c.Field("profiles", c.UserID, "name", c.UserID)
+			name := c.Field("profiles", c.User(), "name", c.User())
 			_, err := fmt.Fprintf(w, `<header>Welcome back, %s</header>`, name)
 			return err
 		})
@@ -98,7 +98,7 @@ func BuildPortal(cfg PortalConfig, repo *repository.Repo) (*script.Script, error
 				blocks = append(blocks, moduleBlock(moduleNames[0]), moduleBlock(moduleNames[1]))
 			} else {
 				blocks = append(blocks, greeting)
-				mods := ctx.Field("profiles", ctx.UserID, "modules", moduleNames[0])
+				mods := ctx.Field("profiles", ctx.User(), "modules", moduleNames[0])
 				for _, m := range strings.Split(mods, ",") {
 					blocks = append(blocks, moduleBlock(m))
 				}

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"dpcache/internal/analytical"
 	"dpcache/internal/repository"
@@ -292,6 +293,14 @@ func TestPadTo(t *testing.T) {
 // same rows at the same versions; on a second build of the site, the same
 // bytes. The origin answers an offered template from its read set alone, so
 // a site that broke this would be answered with stale templates.
+//
+// It also holds each site to the scope its runs report. A run that did not
+// read the user (ReadIdentity) is answered, for another visitor and for an
+// anonymous one, with the same plain page and the same template: the origin
+// leases such a template to every visitor of the page. The synthetic site
+// and the brokerage never read the user; the bookstore and the portal always
+// do, their layouts calling Anonymous. These are the four sites the server
+// ships; examples/ registers these and defines no script of its own.
 func TestSitesRenderDeterministically(t *testing.T) {
 	type request struct {
 		user   string
@@ -301,27 +310,44 @@ func TestSitesRenderDeterministically(t *testing.T) {
 		name     string
 		build    func(repo *repository.Repo) (*script.Script, error)
 		requests []request
+		// exact says the site's runs read the user, so its templates are
+		// leased to the visitor; otherwise to the page.
+		exact bool
 	}{
 		{"synth", func(repo *repository.Repo) (*script.Script, error) {
 			cfg := SyntheticConfig{Pages: 3, FragmentsPerPage: 4, FragmentBytes: 64, Cacheability: 0.5}
 			sc, _, err := BuildSynthetic(cfg, repo)
 			return sc, err
-		}, []request{{"", map[string]string{"page": "1"}}, {"u1", map[string]string{"page": "2"}}, {"", nil}}},
+		}, []request{{"", map[string]string{"page": "1"}}, {"u1", map[string]string{"page": "2"}}, {"", nil}}, false},
 		{"bookstore", func(repo *repository.Repo) (*script.Script, error) { return BuildBookstore(repo), nil },
-			[]request{{"", map[string]string{"categoryID": "Fiction"}}, {"bob", map[string]string{"categoryID": "Computing"}}, {"mallory", nil}}},
+			[]request{{"", map[string]string{"categoryID": "Fiction"}}, {"bob", map[string]string{"categoryID": "Computing"}}, {"mallory", nil}}, true},
 		{"brokerage", func(repo *repository.Repo) (*script.Script, error) { return BuildBrokerage(repo), nil },
-			[]request{{"", map[string]string{"ticker": "GE"}}, {"", nil}}},
+			[]request{{"", map[string]string{"ticker": "GE"}}, {"carol", nil}}, false},
 		{"portal", func(repo *repository.Repo) (*script.Script, error) { return BuildPortal(DefaultPortal(), repo) },
-			[]request{{"", nil}, {"u3", nil}, {"stranger", nil}}},
+			[]request{{"", nil}, {"u3", nil}, {"stranger", nil}}, true},
 	}
 	for _, s := range sites {
-		render := func(sc *script.Script, repo *repository.Repo, rq request) (string, []repository.Read) {
+		type run struct {
+			page, template string
+			reads          []repository.Read
+			readIdentity   bool
+		}
+		render := func(sc *script.Script, repo *repository.Repo, rq request) run {
 			ctx := script.NewContext(repo, rq.user, rq.params)
 			var b strings.Builder
 			if err := script.Run(sc, ctx, &script.PlainSink{W: &b}); err != nil {
 				t.Fatalf("%s: %v", s.name, err)
 			}
-			return b.String(), ctx.Reads()
+			r := run{page: b.String(), reads: ctx.Reads(), readIdentity: ctx.ReadIdentity()}
+			var tmpl templateSink
+			if err := script.Run(sc, ctx, &tmpl); err != nil {
+				t.Fatalf("%s: %v", s.name, err)
+			}
+			if ctx.ReadIdentity() != r.readIdentity {
+				t.Errorf("%s %+v: the plain run read the user: %v; the template run: %v", s.name, rq, r.readIdentity, ctx.ReadIdentity())
+			}
+			r.template = tmpl.b.String()
+			return r
 		}
 		repoA, repoB := newRepo(), newRepo()
 		a, err := s.build(repoA)
@@ -333,15 +359,42 @@ func TestSitesRenderDeterministically(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, rq := range s.requests {
-			first, firstReads := render(a, repoA, rq)
-			again, againReads := render(a, repoA, rq)
-			other, _ := render(b, repoB, rq)
-			if again != first || other != first {
-				t.Errorf("%s %+v: renders differ:\n%q\n%q\n%q", s.name, rq, first, again, other)
+			first := render(a, repoA, rq)
+			again := render(a, repoA, rq)
+			other := render(b, repoB, rq)
+			if again.page != first.page || other.page != first.page || again.template != first.template || other.template != first.template {
+				t.Errorf("%s %+v: renders differ:\n%q\n%q\n%q", s.name, rq, first.page, again.page, other.page)
 			}
-			if !slices.Equal(againReads, firstReads) {
-				t.Errorf("%s %+v: page reads differ: %v then %v", s.name, rq, firstReads, againReads)
+			if !slices.Equal(again.reads, first.reads) {
+				t.Errorf("%s %+v: page reads differ: %v then %v", s.name, rq, first.reads, again.reads)
+			}
+			if first.readIdentity != s.exact {
+				t.Errorf("%s %+v: the run read the user: %v, want %v", s.name, rq, first.readIdentity, s.exact)
+			}
+			if first.readIdentity {
+				continue
+			}
+			for _, user := range []string{"someone-else", ""} {
+				if as := render(a, repoA, request{user, rq.params}); as.page != first.page || as.template != first.template {
+					t.Errorf("%s %+v read no user, yet as %q it renders\n%q / %q\nnot\n%q / %q",
+						s.name, rq, user, as.page, as.template, first.page, first.template)
+				}
 			}
 		}
 	}
+}
+
+// templateSink writes what a template carries — the literal bytes, and each
+// tagged block's fragment ID and TTL — without rendering a tagged block, as
+// the origin's sink does on a BEM hit.
+type templateSink struct{ b strings.Builder }
+
+func (s *templateSink) Literal(p []byte) error {
+	s.b.Write(p)
+	return nil
+}
+
+func (s *templateSink) Fragment(id string, ttl time.Duration, _ *script.Renderer) error {
+	fmt.Fprintf(&s.b, "\x00%s\x00%v\x00", id, ttl)
+	return nil
 }
