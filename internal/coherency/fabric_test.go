@@ -6,11 +6,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -50,10 +47,6 @@ func TestTierSubscriberDropsDependents(t *testing.T) {
 	dropped, flushes := counter(p, "dpc.pagecache_invalidations"), counter(p, "dpc.pagecache_flushes")
 	if dropped != 2 || flushes != 0 {
 		t.Fatalf("dropped=%d flushes=%d, want 2/0", dropped, flushes)
-	}
-	// The invalidated ref is tombstoned for in-flight fills.
-	if !ix.AnyInvalid([]depindex.ID{depindex.MakeID(5, 9)}) {
-		t.Fatal("invalidated ref not tombstoned")
 	}
 	// A fragment with no recorded dependents is a surgical no-op.
 	hub.Broadcast("other", 7, 1)
@@ -128,7 +121,7 @@ func TestTierSubscriberShedDropsVictimPage(t *testing.T) {
 }
 
 // One tier holds both admission rules' entries, so one fragment event asks
-// the index once — one tombstone, one lookup — and drops the page and the
+// the index once — one lookup — and drops the page and the
 // opted-in assembled page built from the dead fragment together.
 func TestTierSubscribersShareOneIndex(t *testing.T) {
 	p := newProxy(t, nil)
@@ -150,80 +143,6 @@ func TestTierSubscribersShareOneIndex(t *testing.T) {
 	}
 	if n := ix.Stats().Lookups; n != 1 {
 		t.Fatalf("index lookups = %d for one event, want 1", n)
-	}
-}
-
-// Fills racing invalidations, by the protocol the proxy's fillers follow
-// (check tombstones and epoch, file edges, put — all under Filing — then
-// shed): once the writer has invalidated a page's fragment, no filler may
-// leave the page in the tier built from that generation, and no event may
-// flush the tier. The shedding budget holds about four of the sixteen
-// pages, so fills, sheds and invalidations interleave.
-func TestConcurrentFillsAndInvalidations(t *testing.T) {
-	for name, budget := range map[string]int64{"default": 0, "shedding": 512} {
-		t.Run(name, func(t *testing.T) { concurrentFillsAndInvalidations(t, budget) })
-	}
-}
-
-func concurrentFillsAndInvalidations(t *testing.T, budget int64) {
-	const pages, writes, fillers = 16, 400, 4
-	p := newProxy(t, nil, func(c *dpc.Config) { c.DepIndexBudget = budget })
-	tier, ix := p.Pages(), p.DepIndex()
-	pageKey := func(p uint32) string { return fmt.Sprintf("page-%d", p) }
-	drop := func(key string) { tier.Delete(key) }
-	// live[p] is the generation of page p's one fragment; attempts counts
-	// the fills begun, so the writer can keep pace with them.
-	var live [pages]atomic.Uint32
-	var attempts atomic.Int64
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for f := 0; f < fillers; f++ {
-		wg.Add(1)
-		go func(f int) {
-			defer wg.Done()
-			for i := f * pages / fillers; ; i++ { // each filler cycles every page
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				p := uint32(i % pages)
-				epoch := ix.Epoch()
-				gen := live[p].Load() // the fragment is read early …
-				ids := []depindex.ID{depindex.MakeID(p, gen)}
-				filing := ix.Filing() // … and the page filed late
-				filing.Lock()
-				if !ix.AnyInvalid(ids) && ix.Epoch() == epoch {
-					ix.File(ids, pageKey(p), time.Minute)
-					tier.Put(pageKey(p), []byte(strconv.Itoa(int(gen))), "", time.Minute)
-				}
-				filing.Unlock()
-				ix.Shed(drop)
-				attempts.Add(1)
-			}
-		}(f)
-	}
-	for seq := uint64(1); seq <= writes; seq++ {
-		for attempts.Load() < int64(seq)*fillers {
-			runtime.Gosched()
-		}
-		pg := uint32(seq % pages)
-		dead := live[pg].Add(1) - 1
-		p.Apply(coherency.Event{Seq: seq, Kind: coherency.KindFragment, Key: pg, Gen: dead})
-	}
-	close(stop)
-	wg.Wait()
-	for pg := uint32(0); pg < pages; pg++ {
-		body, _, ok := tier.Get(pageKey(pg))
-		if want := strconv.Itoa(int(live[pg].Load())); ok && string(body) != want {
-			t.Errorf("page %d is resident built from generation %s, the live one is %s", pg, body, want)
-		}
-	}
-	if n := counter(p, "dpc.pagecache_flushes"); n != 0 {
-		t.Errorf("%d tier flushes", n)
-	}
-	if st := ix.Stats(); budget > 0 && st.Evictions == 0 {
-		t.Errorf("nothing was shed: %+v", st)
 	}
 }
 

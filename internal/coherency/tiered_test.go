@@ -12,7 +12,7 @@ import (
 // TestStoreSubscriberDropsDiskResident pins the coherency guarantee at
 // the tier boundary: a fabric invalidation must remove a fragment that
 // has been demoted out of RAM and lives only in the heap file — the
-// disk tier honors tombstones exactly like the RAM tier.
+// disk tier honors invalidations exactly like the RAM tier.
 func TestStoreSubscriberDropsDiskResident(t *testing.T) {
 	fs, err := fragstore.New(fragstore.Config{
 		Backend:    fragstore.BackendTiered,

@@ -176,9 +176,9 @@ var fragVersionRe = regexp.MustCompile(`<!--frag 0 v(\d+)-->`)
 // The invalidation-storm race: writers update a fragment's source row
 // while readers hammer the page anonymously. A response that *began*
 // after version N committed must never carry a version older than N —
-// the page tier's fill/invalidate handshake (dependency edges +
-// tombstones + epoch) is what closes the window where a stale capture is
-// filed after the drop. Run with -race in CI.
+// the page tier's fill/invalidate handshake (dependency edges + the
+// slots' floors + epoch) is what closes the window where a stale capture
+// is filed after the drop. Run with -race in CI.
 func TestFabricInvalidationStormNeverServesDropped(t *testing.T) {
 	sys, _ := newFabricSystem(t, func(c *Config) {
 		c.Proxy.Coalesce = false // single-flight serves point-in-time-of-leader pages; keep the oracle strict

@@ -42,9 +42,9 @@
 // the caller every unexpired key an evicted record names, for the caller
 // to delete from its tier before the lock is released. Under that hold no
 // fill sits between its File and its Put, so a page the index forgets is
-// either resident and dropped then, or filed later with fresh edges. A
-// dead generation's record hands back nothing: its invalidation already
-// returned its keys. Under pressure a site therefore loses its
+// either resident and dropped then, or filed later with fresh edges. An
+// invalidated generation has no record left to shed: Invalidate removed it
+// with its answer. Under pressure a site therefore loses its
 // least-recently-filed pages from the tier, never the next write's
 // precision. An edge expires with the entry it describes (File takes the
 // entry's lifetime): an entry the tier already let go by TTL needs no
@@ -57,29 +57,25 @@
 // A page capture is in flight for the whole request: its fragments are
 // read early, the finished page is filed late, and an invalidation landing
 // in between would find nothing to delete yet — the stale page would be
-// filed *after* the drop and survive until TTL. Three mechanisms close
-// this:
+// filed *after* the drop and survive until TTL. The index keeps edges
+// only; which generations are dead is the caller's record (dpc's per-slot
+// floor), marked before it calls Invalidate. Two mechanisms order fills
+// against that mark:
 //
-//   - Invalidate / AnyInvalid: the invalidator tombstones each invalidated
-//     ref and reads its dependents in one step, *before* deleting them;
-//     fillers check their refs and file only when none is tombstoned.
+//   - Filing: a filler checks its refs against the caller's record and
+//     the epoch, records its edges and puts its entry while holding the
+//     Filing lock, which Invalidate, BumpEpoch and Shed take exclusively.
+//     A fill is therefore wholly before the invalidation — edges and entry
+//     in place for the answer Invalidate returns — or wholly after the
+//     mark, and refused. A page holding a dropped fragment's bytes is
+//     never servable once the drop has been applied.
 //   - Epoch: scoped flushes (sequence gaps, explicit tier flushes) bump a
 //     generation counter *before* flushing; a filler whose capture began
 //     under an older epoch does not file, since the flush could not have
 //     removed a page that was not yet filed.
-//   - Filing: a filler checks, records its edges and puts its entry while
-//     holding the Filing lock, which Invalidate, BumpEpoch and Shed take
-//     exclusively. A fill is therefore wholly before the marker — edges
-//     and entry in place for the invalidator's Delete or Flush to find —
-//     or wholly after it, and refused. A page holding a dropped
-//     fragment's bytes is never servable once the drop has been applied,
-//     and no shed falls between a tombstone and its answer.
 //
-// A generation is invalidated at most once, so once its tombstone has run
-// out (tombstoneTTL, far beyond one event's synchronous delivery to every
-// proxy) nobody will ask for its edges again: the sweep that retires
-// the tombstone drops the entry with it, unless edges were recorded after
-// the mark.
+// A generation is invalidated at most once, so Invalidate removes its
+// record as it answers: nobody will ask for those edges again.
 package depindex
 
 import (
@@ -132,8 +128,6 @@ type Stats struct {
 	// every answer is exact. It stays only because bench/ reads it.
 	Lookups int64 `json:"lookups"`
 	Inexact int64 `json:"inexact"`
-	// Tombstones counts currently retained invalidated-ref markers.
-	Tombstones int `json:"tombstones"`
 }
 
 // What each structure is charged against ByteBudget. The footprint test
@@ -148,16 +142,6 @@ const (
 	// the key's bytes are charged on top.
 	keyCost = 24 + 48
 )
-
-// tombstoneTTL bounds how long an invalidated ref is remembered for the
-// fill-race check. It needs to outlive any in-flight request (the proxy's
-// origin client times out at 30s); past it the capture is long settled.
-const tombstoneTTL = 2 * time.Minute
-
-// maxTombstones bounds each shard's tombstone set. On overflow the shard
-// clears it and bumps the epoch instead — every in-flight fill discards,
-// which is the same conservative direction as a scoped flush.
-const maxTombstones = 4096
 
 // Index is the dependency index. It is safe for concurrent use.
 type Index struct {
@@ -213,9 +197,6 @@ func New(cfg Config) *Index {
 		hz:     hz,
 	}
 	ix.keys.ids = make(map[string]uint32)
-	for i := range ix.shards {
-		ix.shards[i].tomb = make(map[ID]uint32)
-	}
 	return ix
 }
 
@@ -269,10 +250,11 @@ func (ix *Index) File(ids []ID, key string, ttl time.Duration) {
 // Shed brings an index over budget back under it: it evicts
 // least-recently-recorded fragments, one shard after the next from a
 // rotating cursor, and calls drop with each unexpired key an evicted record
-// of a live generation names. It holds Filing exclusively throughout, so
-// the caller's drops land before any fill files or any invalidation
-// answers; a filler calls it after its own shared hold has ended, and drop
-// must not call back into the index. Under budget it returns at once.
+// names (an invalidated generation has no record left). It holds Filing
+// exclusively throughout, so the caller's drops land before any fill files
+// or any invalidation answers; a filler calls it after its own shared hold
+// has ended, and drop must not call back into the index. Under budget it
+// returns at once.
 func (ix *Index) Shed(drop func(key string)) {
 	if ix.bytes.Load() <= ix.budget {
 		return
@@ -304,71 +286,32 @@ func (ix *Index) Shed(drop func(key string)) {
 
 // Lookup returns the unexpired keys recorded as composed from id, pruning
 // the expired edges on the way.
-func (ix *Index) Lookup(id ID) []string {
-	ix.lookups.Add(1)
-	now := secFloor(ix.since())
-	h := mix(id)
-	sh := &ix.shards[h&ix.mask]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.dependents(ix, id, h, now)
-}
+func (ix *Index) Lookup(id ID) []string { return ix.dependents(id, false) }
 
-// Invalidate tombstones an invalidated ref, so in-flight fills whose
-// fragments were read before the invalidation refuse to file their
-// capture, and returns the keys Lookup would: the entries the caller must
-// delete. Both happen under one exclusive hold of Filing, so the edges of
-// every fill before it are in place and no shed falls between the mark
-// and the answer.
+// Invalidate returns the keys Lookup would — the entries the caller must
+// delete — and removes id's record. It holds Filing exclusively, so the
+// edges of every fill before it are in place, and the caller has already
+// marked id dead for the fills after it (see the package comment).
 func (ix *Index) Invalidate(id ID) []string {
-	ix.lookups.Add(1)
-	now := ix.since()
-	nowSec := secFloor(now)
-	h := mix(id)
-	sh := &ix.shards[h&ix.mask]
 	ix.filing.Lock()
 	defer ix.filing.Unlock()
+	return ix.dependents(id, true)
+}
+
+// dependents answers Lookup, and Invalidate when forget is set.
+func (ix *Index) dependents(id ID, forget bool) []string {
+	ix.lookups.Add(1)
+	now := secFloor(ix.since())
+	h := mix(id)
+	sh := &ix.shards[h&ix.mask]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if nowSec >= sh.tombSweepAt || len(sh.tomb) >= maxTombstones {
-		sh.sweepTombstones(ix, nowSec)
-	}
-	if len(sh.tomb) >= maxTombstones {
-		// Still full: forget selectively remembering and make every
-		// in-flight fill discard instead.
-		clear(sh.tomb)
-		ix.bumpLocked("tombstone-overflow")
-	}
-	sh.tomb[id] = secCeil(now + tombstoneTTL)
-	if i, _ := sh.find(id, h); i != 0 {
-		sh.frags.at(i).dead = true
-	}
-	return sh.dependents(ix, id, h, nowSec)
+	return sh.dependents(ix, id, h, now, forget)
 }
 
-// Filing returns the lock a filler holds from its AnyInvalid and Epoch
-// checks until its entry is recorded and put.
+// Filing returns the lock a filler holds from its checks of dead
+// generations and the Epoch until its entry is recorded and put.
 func (ix *Index) Filing() sync.Locker { return ix.filing.RLocker() }
-
-// AnyInvalid reports whether any of ids has been marked invalid within
-// the tombstone window. Fillers call it, under Filing, before filing a
-// capture.
-func (ix *Index) AnyInvalid(ids []ID) bool {
-	if len(ids) == 0 {
-		return false
-	}
-	now := secFloor(ix.since())
-	for _, id := range ids {
-		sh := &ix.shards[mix(id)&ix.mask]
-		sh.mu.Lock()
-		deadline, ok := sh.tomb[id]
-		sh.mu.Unlock()
-		if ok && now < deadline {
-			return true
-		}
-	}
-	return false
-}
 
 // Epoch returns the current flush generation. A filler snapshots it when
 // its capture begins and discards the fill when it changed by filing
@@ -380,14 +323,9 @@ func (ix *Index) Epoch() uint64 { return ix.epoch.Load() }
 // the fills the bump refuses to report.
 func (ix *Index) BumpEpoch(cause string) {
 	ix.filing.Lock()
-	ix.bumpLocked(cause)
-	ix.filing.Unlock()
-}
-
-// bumpLocked is BumpEpoch for a caller holding filing exclusively.
-func (ix *Index) bumpLocked(cause string) {
 	ix.bumpCause.Store(&cause)
 	ix.epoch.Add(1)
+	ix.filing.Unlock()
 }
 
 // BumpCause reports why the epoch last moved ("" if it never has).
@@ -396,17 +334,6 @@ func (ix *Index) BumpCause() string {
 		return *c
 	}
 	return ""
-}
-
-// Flush empties the index (edges and tombstones) and bumps the epoch.
-func (ix *Index) Flush() {
-	for i := range ix.shards {
-		sh := &ix.shards[i]
-		sh.mu.Lock()
-		sh.reset(ix)
-		sh.mu.Unlock()
-	}
-	ix.BumpEpoch("index-flush")
 }
 
 // Stats returns a snapshot of index activity.
@@ -422,7 +349,6 @@ func (ix *Index) Stats() Stats {
 		sh.mu.Lock()
 		st.Fragments += sh.live
 		st.Edges += sh.edges
-		st.Tombstones += len(sh.tomb)
 		sh.mu.Unlock()
 	}
 	ix.keys.mu.Lock()

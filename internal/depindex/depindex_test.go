@@ -214,35 +214,6 @@ func TestShedExpiredVictimHandsBackNothing(t *testing.T) {
 	}
 }
 
-// A dead generation's Invalidate already returned its keys, so shedding
-// its record hands back nothing, whether its tombstone is still held or
-// has run out.
-func TestShedDeadVictimHandsBackNothing(t *testing.T) {
-	for name, wait := range map[string]time.Duration{"held": 0, "settled": tombstoneTTL + time.Second} {
-		t.Run(name, func(t *testing.T) {
-			fake := clock.NewFake(time.Unix(0, 0))
-			const room = 4
-			ix := New(Config{Shards: 1, ByteBudget: room * (entryCost + keyCost + 8), Horizon: 10 * time.Minute, Clock: fake})
-			for i := 0; i < room; i++ {
-				id, key := MakeID(uint32(i), 1), fmt.Sprintf("page-%03d", i)
-				file(ix, id, key)
-				if keys := ix.Invalidate(id); !slices.Equal(keys, []string{key}) {
-					t.Fatalf("Invalidate(%d) = %v", id, keys)
-				}
-			}
-			fake.Advance(wait)
-			for i := room; i < 2*room; i++ {
-				if dropped := file(ix, MakeID(uint32(i), 1), fmt.Sprintf("page-%03d", i)); len(dropped) != 0 {
-					t.Fatalf("shedding dead generations handed back %v", dropped)
-				}
-			}
-			if st := ix.Stats(); st.Fragments != room || st.Evictions != 0 {
-				t.Fatalf("stats = %+v, want the dead generations displaced silently", st)
-			}
-		})
-	}
-}
-
 // A shed takes Filing exclusively: it waits for a fill in progress, so the
 // fill's Put is in the tier before the shed hands its page back.
 func TestShedWaitsForFills(t *testing.T) {
@@ -265,41 +236,6 @@ func TestShedWaitsForFills(t *testing.T) {
 	filing.Unlock()
 	if dropped := <-shed; !slices.Equal(dropped, []string{"page-001"}) {
 		t.Fatalf("shed handed back %v, want the older page", dropped)
-	}
-}
-
-// A dead generation does not wait out a Horizon: when its tombstone is
-// retired its entry goes too, silently.
-func TestDeadGenerationReclaimedWithTombstone(t *testing.T) {
-	fake := clock.NewFake(time.Unix(0, 0))
-	ix := New(Config{Shards: 1, Horizon: 10 * time.Minute, Clock: fake})
-	dead, revived := MakeID(1, 1), MakeID(2, 1)
-	file(ix, dead, "page-1")
-	file(ix, revived, "page-2")
-	if keys := ix.Invalidate(dead); len(keys) != 1 {
-		t.Fatalf("Invalidate(dead) = %v", keys)
-	}
-	ix.Invalidate(revived)
-	// An edge recorded after the mark is not the dead generation's.
-	file(ix, revived, "page-3")
-
-	fake.Advance(tombstoneTTL + time.Second)
-	ix.Invalidate(MakeID(3, 1)) // any mark on the shard runs the sweep
-	st := ix.Stats()
-	if st.Fragments != 1 || st.Tombstones != 1 {
-		t.Fatalf("after the sweep: %+v, want the revived fragment and the new tombstone", st)
-	}
-	if st.Evictions != 0 {
-		t.Fatalf("sweep counted %d evictions", st.Evictions)
-	}
-	if keys := ix.Lookup(dead); len(keys) != 0 {
-		t.Fatalf("Lookup(dead) after the sweep = %v", keys)
-	}
-	if keys := ix.Lookup(revived); len(keys) != 2 {
-		t.Fatalf("Lookup(revived) = %v", keys)
-	}
-	if err := ix.checkInvariants(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -341,74 +277,77 @@ func TestEvictionRotatesAcrossShards(t *testing.T) {
 	}
 }
 
-func TestTombstones(t *testing.T) {
-	ix := newTestIndex(0, time.Minute, nil)
-	if ix.AnyInvalid([]ID{1, 2}) {
-		t.Fatal("empty index reported invalid refs")
-	}
-	ix.Invalidate(2)
-	if !ix.AnyInvalid([]ID{1, 2}) {
-		t.Fatal("marked ref not reported")
-	}
-	if ix.AnyInvalid([]ID{1}) {
-		t.Fatal("unmarked ref reported invalid")
-	}
-	if ix.AnyInvalid(nil) {
-		t.Fatal("nil refs reported invalid")
-	}
-}
-
 // A fill in progress holds Filing: an invalidation or an epoch bump waits
-// for it, so its answer finds the fill's edges, and a fill that starts
-// afterwards sees the marker.
+// for it, so an invalidation's answer holds the fill's edge, and a fill
+// that starts after a bump sees the new epoch.
 func TestFilingOrdersFillsAgainstInvalidations(t *testing.T) {
 	ref := MakeID(1, 1)
-	for name, invalidate := range map[string]func(*Index){
-		"tombstone": func(ix *Index) { ix.Invalidate(ref) },
-		"epoch":     func(ix *Index) { ix.BumpEpoch("test") },
+	for name, tc := range map[string]struct {
+		invalidate func(*Index) []string
+		// answer is what the invalidation returns, after what Lookup
+		// finds once it has applied.
+		answer, after []string
+	}{
+		"invalidate": {func(ix *Index) []string { return ix.Invalidate(ref) }, []string{"page"}, nil},
+		"epoch":      {func(ix *Index) []string { ix.BumpEpoch("test"); return nil }, nil, []string{"page"}},
 	} {
 		t.Run(name, func(t *testing.T) {
 			ix := newTestIndex(0, time.Minute, nil)
 			epoch := ix.Epoch()
 			filing := ix.Filing()
 			filing.Lock()
-			applied := make(chan struct{})
-			go func() {
-				invalidate(ix)
-				close(applied)
-			}()
+			applied := make(chan []string, 1)
+			go func() { applied <- tc.invalidate(ix) }()
 			select {
 			case <-applied:
 				t.Fatal("invalidation applied in the middle of a fill")
 			case <-time.After(20 * time.Millisecond):
 			}
-			if ix.AnyInvalid([]ID{ref}) || ix.Epoch() != epoch {
-				t.Fatal("fill in progress already sees the invalidation")
+			if ix.Epoch() != epoch {
+				t.Fatal("fill in progress already sees the bump")
 			}
 			file(ix, ref, "page")
 			filing.Unlock()
-			<-applied
-			if keys := ix.Lookup(ref); len(keys) != 1 {
-				t.Fatalf("invalidation does not find the fill's edge: %v", keys)
+			if keys := <-applied; !slices.Equal(keys, tc.answer) {
+				t.Fatalf("invalidation answered %v, want %v", keys, tc.answer)
 			}
-			if !ix.AnyInvalid([]ID{ref}) && ix.Epoch() == epoch {
-				t.Fatal("a later fill does not see the invalidation")
+			if keys := ix.Lookup(ref); !slices.Equal(keys, tc.after) {
+				t.Fatalf("Lookup after the invalidation = %v, want %v", keys, tc.after)
+			}
+			if bumped := ix.Epoch() != epoch; bumped != (name == "epoch") {
+				t.Fatalf("epoch moved: %v", bumped)
 			}
 		})
 	}
 }
 
-func TestTombstonesExpire(t *testing.T) {
-	fake := clock.NewFake(time.Unix(0, 0))
-	ix := newTestIndex(0, time.Second, fake)
-	ix.Invalidate(7)
-	fake.Advance(tombstoneTTL - time.Second)
-	if !ix.AnyInvalid([]ID{7}) {
-		t.Fatal("tombstone expired before its TTL")
+// Invalidate answers a generation's dependents and forgets them in one
+// step: the record's bytes are released at once, and a later shed hands
+// back none of its keys.
+func TestInvalidateRemovesTheRecord(t *testing.T) {
+	const room = 4
+	ix := New(Config{Shards: 1, ByteBudget: room * (entryCost + keyCost + 8), Horizon: time.Minute})
+	dead := MakeID(99, 1)
+	file(ix, dead, "page-dead")
+	file(ix, MakeID(1, 1), "page-001")
+	if keys := ix.Invalidate(dead); !slices.Equal(keys, []string{"page-dead"}) {
+		t.Fatalf("Invalidate = %v", keys)
 	}
-	fake.Advance(2 * time.Second)
-	if ix.AnyInvalid([]ID{7}) {
-		t.Fatal("tombstone survived past its TTL")
+	if keys := ix.Lookup(dead); len(keys) != 0 {
+		t.Fatalf("Lookup after Invalidate = %v", keys)
+	}
+	if st, want := ix.Stats(), int64(entryCost+keyCost+len("page-001")); st.Fragments != 1 || st.Bytes != want {
+		t.Fatalf("stats = %+v, want one fragment in %d bytes", st, want)
+	}
+	var dropped []string
+	for i := 2; i < 2+2*room; i++ {
+		dropped = append(dropped, file(ix, MakeID(uint32(i), 1), fmt.Sprintf("page-%03d", i))...)
+	}
+	if !slices.Contains(dropped, "page-001") || slices.Contains(dropped, "page-dead") {
+		t.Fatalf("sheds handed back %v: want page-001, and never the invalidated page", dropped)
+	}
+	if err := ix.checkInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -418,37 +357,14 @@ func TestEpochBumpsOnFlush(t *testing.T) {
 	if ix.BumpCause() != "" {
 		t.Fatalf("fresh index names a bump cause: %q", ix.BumpCause())
 	}
+	file(ix, 7, "k")
 	ix.BumpEpoch("gap")
 	if ix.Epoch() != e0+1 || ix.BumpCause() != "gap" {
 		t.Fatalf("epoch = %d, cause = %q after bump", ix.Epoch(), ix.BumpCause())
 	}
-	file(ix, 7, "k")
-	ix.Invalidate(8)
-	ix.Flush()
-	if ix.Epoch() == e0+1 {
-		t.Fatal("Flush did not bump the epoch")
-	}
-	if keys := ix.Lookup(7); len(keys) != 0 {
-		t.Fatalf("flush left edges: %v", keys)
-	}
-	if st := ix.Stats(); st.Bytes != 0 || st.Fragments != 0 || st.Keys != 0 || st.Tombstones != 0 {
-		t.Fatalf("flush left state: %+v", st)
-	}
-	if err := ix.checkInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Tombstone-set overflow must fail conservative: the shard forgets its
-// markers but bumps the epoch so every in-flight fill discards.
-func TestTombstoneOverflowBumpsEpoch(t *testing.T) {
-	ix := New(Config{Shards: 1, Horizon: time.Minute})
-	e0 := ix.Epoch()
-	for i := 0; i <= maxTombstones; i++ {
-		ix.Invalidate(MakeID(uint32(i), 1))
-	}
-	if ix.Epoch() == e0 || ix.BumpCause() != "tombstone-overflow" {
-		t.Fatalf("overflowing the tombstone set: epoch %d → %d, cause %q", e0, ix.Epoch(), ix.BumpCause())
+	// A bump refuses the fills in flight; the edges filed before it stay.
+	if keys := ix.Lookup(7); len(keys) != 1 {
+		t.Fatalf("bump dropped edges: %v", keys)
 	}
 }
 
@@ -466,9 +382,8 @@ func TestConcurrentRecordInvalidateLookup(t *testing.T) {
 				ix.Shed(func(string) {})
 				ix.Invalidate(MakeID(uint32(i%37), uint32(w^1)))
 				ix.Lookup(ref)
-				ix.AnyInvalid(ids)
 				if i%100 == 99 {
-					ix.Flush()
+					ix.BumpEpoch("test")
 				}
 			}
 		}(w)

@@ -147,7 +147,7 @@ const (
 
 var modelSteps = []time.Duration{
 	300 * time.Millisecond, time.Second, 7 * time.Second, 31 * time.Second,
-	modelHorizon + time.Second, tombstoneTTL + time.Second, 3 * time.Minute,
+	modelHorizon + time.Second, 2*modelHorizon + time.Second, 3 * time.Minute,
 }
 
 func modelRef(b byte) ID        { return MakeID(uint32(b%modelRefs)/4, uint32(b%modelRefs)%4) }
@@ -156,8 +156,7 @@ func modelRefName(id ID) string { return Ref(uint32(id>>32), uint32(id)) }
 
 // oracleEdge is one edge the oracle remembers: when it expires, to the
 // nanosecond, and whether the index has been released from holding it (a
-// shed handed its key back, or its generation died before it was
-// recorded again).
+// shed handed its key back).
 type oracleEdge struct {
 	until    time.Duration
 	optional bool
@@ -166,30 +165,13 @@ type oracleEdge struct {
 // oracle is the map-of-sets the index is checked against.
 type oracle struct {
 	edges map[ID]map[string]*oracleEdge
-	// dead holds the refs invalidated and not recorded since: Invalidate
-	// returned their dependents, so they have no live ones, and the index
-	// may forget their edges (a shed or a tombstone sweep) at any time.
-	dead map[ID]bool
-	// tomb holds when each marked ref's tombstone runs out.
-	tomb map[ID]time.Duration
 }
 
 func newOracle() *oracle {
-	return &oracle{
-		edges: make(map[ID]map[string]*oracleEdge),
-		dead:  make(map[ID]bool),
-		tomb:  make(map[ID]time.Duration),
-	}
+	return &oracle{edges: make(map[ID]map[string]*oracleEdge)}
 }
 
 func (o *oracle) record(now time.Duration, id ID, key string) {
-	if o.dead[id] {
-		// The index may already have dropped the generation's old edges.
-		for _, e := range o.edges[id] {
-			e.optional = true
-		}
-		delete(o.dead, id)
-	}
 	if o.edges[id] == nil {
 		o.edges[id] = make(map[string]*oracleEdge)
 	}
@@ -217,9 +199,6 @@ func (o *oracle) check(now time.Duration, id ID, keys []string) error {
 			return fmt.Errorf("answer holds %q, which the oracle never recorded or has expired", k)
 		}
 	}
-	if o.dead[id] {
-		return nil
-	}
 	for k, e := range o.edges[id] {
 		if now < e.until && !e.optional && !got[k] {
 			return fmt.Errorf("answer %v misses %q, live until %v", keys, k, e.until)
@@ -229,26 +208,26 @@ func (o *oracle) check(now time.Duration, id ID, keys []string) error {
 }
 
 // shed takes the keys a shed handed back. Each must be a live key of a
-// live generation; the tier drops the page, so the oracle releases the
+// recorded generation; the tier drops the page, so the oracle releases the
 // index from every edge to it.
 func (o *oracle) shed(now time.Duration, dropped []string) error {
 	for _, k := range dropped {
 		named := false
-		for id, edges := range o.edges {
+		for _, edges := range o.edges {
 			if e := edges[k]; e != nil {
-				named = named || (!o.dead[id] && live(now, e))
+				named = named || live(now, e)
 				e.optional = true
 			}
 		}
 		if !named {
-			return fmt.Errorf("shed handed back %q, which no live generation names", k)
+			return fmt.Errorf("shed handed back %q, which no recorded generation names", k)
 		}
 	}
 	return nil
 }
 
 // runModel decodes ops into a File / Record / Lookup / Invalidate /
-// AnyInvalid / advance / Flush / BumpEpoch sequence and applies it to an
+// advance / BumpEpoch sequence and applies it to an
 // index of the given budget on a fake clock and to the oracle, checking
 // every answer against the oracle and the index's invariants after every
 // step. Each File or Record is followed by a Shed, as a filler's is.
@@ -287,37 +266,22 @@ func runModel(t *testing.T, shards int, budget int64, ops []byte) {
 			if err := o.check(now, id, ix.Lookup(id)); err != nil {
 				fail("Lookup(%s): %v", modelRefName(id), err)
 			}
-		case 6: // an invalidation, as the proxy applies it
+		case 6, 7:
+			// An invalidation, as the proxy applies it: it answers every
+			// live dependent and leaves none behind.
 			id := modelRef(arg)
 			if err := o.check(now, id, ix.Invalidate(id)); err != nil {
 				fail("Invalidate(%s): %v", modelRefName(id), err)
 			}
-			o.tomb[id] = now + tombstoneTTL
-			o.dead[id] = true
-		case 7:
-			ids := []ID{modelRef(arg), modelRef(arg + 7)}
-			got := ix.AnyInvalid(ids)
-			must, may := false, false
-			for _, id := range ids {
-				if until, ok := o.tomb[id]; ok {
-					must = must || now < until
-					may = may || secFloor(now) < secCeil(until)
-				}
-			}
-			if (must && !got) || (got && !may) {
-				fail("AnyInvalid = %v, oracle: must %v may %v", got, must, may)
+			delete(o.edges, id)
+			if keys := ix.Lookup(id); len(keys) != 0 {
+				fail("Lookup(%s) after Invalidate = %v", modelRefName(id), keys)
 			}
 		case 8:
 			fake.Advance(modelSteps[int(arg)%len(modelSteps)])
 		case 9:
 			epoch := ix.Epoch()
-			if arg%4 == 0 {
-				ix.Flush()
-				o = newOracle()
-			} else {
-				ix.BumpEpoch("model")
-			}
-			if ix.Epoch() == epoch {
+			if ix.BumpEpoch("model"); ix.Epoch() == epoch {
 				fail("epoch did not move")
 			}
 		}

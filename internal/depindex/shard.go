@@ -40,10 +40,6 @@ type entry struct {
 	key, until uint32
 	// more heads the chain of overflow records holding the other edges.
 	more uint32
-	// dead marks a generation invalidated since its last edge was
-	// recorded: the tombstone sweep drops the entry, and a shed evicting
-	// it hands nothing back.
-	dead bool
 }
 
 // overflow is one edge past a fragment's first: 12 bytes.
@@ -65,9 +61,6 @@ type shard struct {
 	// head is the most recently recorded fragment, tail the least.
 	head, tail  uint32
 	live, edges int
-	// tomb holds invalidated refs (Invalidate) and their deadline second.
-	tomb        map[ID]uint32
-	tombSweepAt uint32
 }
 
 func (sh *shard) home(h uint64) uint32 { return uint32(h>>32) & uint32(len(sh.tab)-1) }
@@ -153,7 +146,7 @@ func (sh *shard) unlink(i uint32) {
 
 // record adds or refreshes the edge id → kid; a new edge takes its own
 // reference on the key (the caller holds a pin). Recording makes the
-// fragment the shard's most recent and clears its dead mark.
+// fragment the shard's most recent.
 func (sh *shard) record(ix *Index, id ID, h uint64, kid, until uint32) {
 	i, _ := sh.find(id, h)
 	if i == 0 {
@@ -176,7 +169,6 @@ func (sh *shard) record(ix *Index, id ID, h uint64, kid, until uint32) {
 		sh.unlink(i)
 		sh.pushFront(i)
 	}
-	e.dead = false
 	if e.key == kid {
 		e.until = until
 		return
@@ -206,15 +198,15 @@ func (sh *shard) record(ix *Index, id ID, h uint64, kid, until uint32) {
 	ix.bytes.Add(overflowCost)
 }
 
-// dependents returns id's unexpired keys, pruning the expired edges and,
-// if none is left, the entry.
-func (sh *shard) dependents(ix *Index, id ID, h uint64, now uint32) (keys []string) {
+// dependents returns id's unexpired keys, pruning the expired edges, and
+// removes the entry when forget is set or no edge is left.
+func (sh *shard) dependents(ix *Index, id ID, h uint64, now uint32, forget bool) (keys []string) {
 	i, _ := sh.find(id, h)
 	if i == 0 {
 		return nil
 	}
 	keys = sh.appendLive(ix, i, now, nil)
-	if e := sh.frags.at(i); e.key == 0 && e.more == 0 {
+	if e := sh.frags.at(i); forget || e.key == 0 && e.more == 0 {
 		sh.remove(ix, i)
 	}
 	return keys
@@ -283,40 +275,10 @@ func (sh *shard) remove(ix *Index, i uint32) {
 }
 
 // evictTail drops the least recently recorded fragment and appends to keys
-// the unexpired keys it named, unless its generation is dead: that
-// generation's Invalidate has already returned them.
+// the unexpired keys it named.
 func (sh *shard) evictTail(ix *Index, now uint32, keys []string) []string {
 	i := sh.tail
-	if !sh.frags.at(i).dead {
-		keys = sh.appendLive(ix, i, now, keys)
-	}
+	keys = sh.appendLive(ix, i, now, keys)
 	sh.remove(ix, i)
 	return keys
-}
-
-// sweepTombstones retires the tombstones that have run out and, with each,
-// the dead generation's entry.
-func (sh *shard) sweepTombstones(ix *Index, now uint32) {
-	for id, deadline := range sh.tomb {
-		if deadline > now {
-			continue
-		}
-		delete(sh.tomb, id)
-		if i, _ := sh.find(id, mix(id)); i != 0 && sh.frags.at(i).dead {
-			sh.remove(ix, i)
-		}
-	}
-	sh.tombSweepAt = now + secCeil(tombstoneTTL)/4
-}
-
-// reset empties the shard and returns its memory.
-func (sh *shard) reset(ix *Index) {
-	for sh.tail != 0 {
-		sh.remove(ix, sh.tail)
-	}
-	sh.frags, sh.more = slab[entry]{}, slab[overflow]{}
-	sh.freeFrag, sh.freeMore = 0, 0
-	sh.tab = nil
-	clear(sh.tomb)
-	sh.tombSweepAt = 0
 }

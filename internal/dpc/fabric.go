@@ -64,10 +64,11 @@ func (f *fabric) register(reg *metrics.Registry) {
 //     is never a gap: the proxy held nothing the events before it could
 //     name.
 //   - A fragment event raises the slot's floor past the generation, which
-//     voids every lease naming it and refuses any late SET of it; drops
-//     the slot; then drops exactly the whole-response entries the
-//     dependency index says were composed from that generation. Plans hold
-//     no fragment bytes and are left alone.
+//     voids every lease naming it and refuses any late SET of it and any
+//     fill built from it; drops the slot; then drops exactly the
+//     whole-response entries the dependency index says were composed from
+//     that generation, and the index forgets it. Plans hold no fragment
+//     bytes and are left alone.
 //   - A purge deletes every whole-response entry for the URI.
 //   - A flush scoped "store", "page"/"static" or "plan" empties that tier;
 //     "" empties all three.
@@ -91,12 +92,12 @@ func (p *Proxy) Apply(ev coherency.Event) uint64 {
 	}
 	switch ev.Kind {
 	case coherency.KindFragment:
+		// The floor is raised before Invalidate takes Filing exclusively:
+		// an in-flight capture that read this fragment's bytes either filed
+		// before it, edges and all, for the Delete below to find, or sees
+		// the floor and does not file — the rule a lease is voided by.
 		p.floors.raise(ev.Key, ev.Gen)
 		p.store.Drop(ev.Key)
-		// The index tombstones the generation and answers in one step: an
-		// in-flight capture that read this fragment's bytes either filed
-		// before it, edges and all, for the Delete below to find, or sees
-		// the tombstone and does not file.
 		for _, k := range p.depix.Invalidate(depindex.MakeID(ev.Key, ev.Gen)) {
 			if p.pages.Delete(k) {
 				f.dropped.Inc()

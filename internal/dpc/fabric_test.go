@@ -2,10 +2,15 @@ package dpc
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net/http"
+	"runtime"
+	"strconv"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"dpcache/internal/bem"
 	"dpcache/internal/coherency"
@@ -88,5 +93,73 @@ func TestApplyReachesEveryTier(t *testing.T) {
 	snap := p.Registry().Snapshot()
 	if snap["dpc.pagecache_gap_flushes"] != 1 || snap["dpc.pagecache_flushes"] != 1 {
 		t.Fatalf("gap flushes = %d of %d flushes, want 1 of 1", snap["dpc.pagecache_gap_flushes"], snap["dpc.pagecache_flushes"])
+	}
+}
+
+// Fills racing invalidations on the real fill path: fillers capture a
+// page's one fragment early and file late through fileUnlessVoided, while
+// a writer invalidates through Apply. Once Apply has returned for a
+// generation, no page built from it may be resident, and no event may
+// flush the tier. The shedding budget holds about four of the sixteen
+// pages, so fills, sheds and invalidations interleave.
+func TestConcurrentFillsAndInvalidations(t *testing.T) {
+	for name, budget := range map[string]int64{"default": 0, "shedding": 512} {
+		t.Run(name, func(t *testing.T) { concurrentFillsAndInvalidations(t, budget) })
+	}
+}
+
+func concurrentFillsAndInvalidations(t *testing.T, budget int64) {
+	const pages, writes, fillers = 16, 400, 4
+	p := newTestProxy(t, "http://origin.invalid", func(c *Config) { c.DepIndexBudget = budget })
+	tier, ix := p.Pages(), p.DepIndex()
+	pageKey := func(p uint32) string { return fmt.Sprintf("page-%d", p) }
+	// live[p] is the generation of page p's one fragment; attempts counts
+	// the fills begun, so the writer can keep pace with them.
+	var live [pages]atomic.Uint32
+	var attempts atomic.Int64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for f := 0; f < fillers; f++ {
+		wg.Add(1)
+		go func(f int) {
+			defer wg.Done()
+			for i := f * pages / fillers; ; i++ { // each filler cycles every page
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				pg := uint32(i % pages)
+				epoch := ix.Epoch()
+				gen := live[pg].Load() // the fragment is read early …
+				refs := []StaleRef{{Key: pg, Gen: gen}}
+				p.fileUnlessVoided(refs, epoch, pageKey(pg), time.Minute, func() { // … and the page filed late
+					tier.Put(pageKey(pg), []byte(strconv.Itoa(int(gen))), "", time.Minute)
+				})
+				attempts.Add(1)
+			}
+		}(f)
+	}
+	for seq := uint64(1); seq <= writes; seq++ {
+		for attempts.Load() < int64(seq)*fillers {
+			runtime.Gosched()
+		}
+		pg := uint32(seq % pages)
+		dead := live[pg].Add(1) - 1
+		p.Apply(coherency.Event{Seq: seq, Kind: coherency.KindFragment, Key: pg, Gen: dead})
+	}
+	close(stop)
+	wg.Wait()
+	for pg := uint32(0); pg < pages; pg++ {
+		body, _, ok := tier.Get(pageKey(pg))
+		if want := strconv.Itoa(int(live[pg].Load())); ok && string(body) != want {
+			t.Errorf("page %d is resident built from generation %s, the live one is %s", pg, body, want)
+		}
+	}
+	if n := p.Registry().Counter("dpc.pagecache_flushes").Value(); n != 0 {
+		t.Errorf("%d tier flushes", n)
+	}
+	if st := ix.Stats(); budget > 0 && st.Evictions == 0 {
+		t.Errorf("nothing was shed: %+v", st)
 	}
 }

@@ -326,10 +326,16 @@ func (p *Proxy) grantLease(rs *reqState, resp *http.Response, start time.Time, e
 // floorStore is the store the assembler reads and writes: the configured
 // backend behind a per-slot floor, 4 bytes a slot. A fragment event (k, g)
 // raises slot k's floor to g+1 (Apply); a SET or GET of slot k at a
-// generation below its floor is refused. The floor is what makes a lease's
-// refs resolve exactly while every entry it names lives: a SET of a dead
-// generation that arrives after its event, in a template generated before
-// it, cannot bring the generation back.
+// generation below its floor is refused. The floor is the proxy's one
+// record of dead generations, and it never expires. One rule serves leases
+// and fills: Apply raises the floor before the dependency index's
+// Invalidate takes Filing exclusively, so a capture is filed wholly before
+// the event, with edges for Invalidate to find, or sees the floor under
+// Filing and is refused (fileUnlessVoided). A lease's refs resolve exactly
+// while every entry it names lives: a SET of a dead generation that
+// arrives after its event, in a template generated before it, cannot bring
+// the generation back. A page's refs are all within the store's capacity
+// (a SET outside it fails, a GET misses), so each has a floor.
 type floorStore struct {
 	fragstore.FragmentStore
 	floor []atomic.Uint32

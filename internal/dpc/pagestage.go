@@ -317,25 +317,20 @@ func (p *Proxy) admitOrigin(rs *reqState, resp *http.Response, epoch uint64) {
 
 // fileUnlessVoided files an entry — fragment-composed or not — into the
 // tier through put, unless an invalidation has already voided it: one of
-// refs is tombstoned, or the tier was flushed since epoch was read. The check,
-// the dependency edges and the Put all happen under the index's Filing
-// lock, which invalidations take exclusively — so the entry is either
+// refs is below its slot's floor (floorStore), or the tier was flushed
+// since epoch was read. The check, the dependency edges and the Put all
+// happen under the index's Filing lock, which invalidations take
+// exclusively after raising the floor (Apply) — so the entry is either
 // refused, or filed with its edges before the invalidation's Delete looks
 // for it. It is never servable after the invalidation has been applied,
-// not even for the instant a file-then-unfile would allow. ttl is the
-// lifetime put gives the entry; the edges live as long. voided is empty
-// when the entry was filed and otherwise names what refused it:
-// "fragment-tombstone", or "epoch-flush:" and the flush's cause. A fill
-// that left the index over budget sheds once its shared hold has ended,
-// dropping the entries whose records the index let go.
+// not even for the instant a file-then-unfile would allow, however long
+// the response took to reach the client. ttl is the lifetime put gives the
+// entry; the edges live as long. voided is empty when the entry was filed
+// and otherwise names what refused it: "fragment-floor", or "epoch-flush:"
+// and the flush's cause. A fill that left the index over budget sheds once
+// its shared hold has ended, dropping the entries whose records the index
+// let go.
 func (p *Proxy) fileUnlessVoided(refs []StaleRef, epoch uint64, key string, ttl time.Duration, put func()) (voided string) {
-	// The index speaks packed integer refs; a page's worth converts on the
-	// stack.
-	var buf [64]depindex.ID
-	ids := buf[:0]
-	for _, r := range refs {
-		ids = append(ids, depindex.MakeID(r.Key, r.Gen))
-	}
 	defer p.depix.Shed(p.dropShed) // runs after the Unlock below
 	filing := p.depix.Filing()
 	filing.Lock()
@@ -343,8 +338,15 @@ func (p *Proxy) fileUnlessVoided(refs []StaleRef, epoch uint64, key string, ttl 
 	if p.depix.Epoch() != epoch {
 		return "epoch-flush:" + p.depix.BumpCause()
 	}
-	if p.depix.AnyInvalid(ids) {
-		return "fragment-tombstone"
+	// The index speaks packed integer refs; a page's worth converts on the
+	// stack.
+	var buf [64]depindex.ID
+	ids := buf[:0]
+	for _, r := range refs {
+		if p.floors.dead(r.Key, r.Gen) {
+			return "fragment-floor"
+		}
+		ids = append(ids, depindex.MakeID(r.Key, r.Gen))
 	}
 	p.depix.File(ids, key, ttl)
 	put()

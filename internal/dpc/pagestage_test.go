@@ -560,29 +560,45 @@ func TestFillRecordsDependencyEdges(t *testing.T) {
 }
 
 // A refused fill says what refused it, down to why the tier was flushed:
-// the note on the request's `invalidated` span event.
+// the note on the request's `invalidated` span event. A dead generation is
+// refused however long after its event the fill comes: the floor never
+// expires.
 func TestRefusedFillNamesItsCause(t *testing.T) {
-	p := newTestProxy(t, "http://origin.invalid", func(c *Config) { c.PageCache = true })
+	fake := clock.NewFake(time.Unix(1_000_000, 0))
+	p := newTestProxy(t, "http://origin.invalid", func(c *Config) {
+		c.PageCache = true
+		c.PageClock = fake
+	})
 	ix := p.DepIndex()
-	refs := []StaleRef{{Key: 7, Gen: 3}, {Key: 9, Gen: 4}}
-	file := func(epoch uint64) (voided string, put bool) {
+	file := func(epoch uint64, refs ...StaleRef) (voided string, put bool) {
 		voided = p.fileUnlessVoided(refs, epoch, "page-key", time.Minute, func() { put = true })
 		return voided, put
 	}
+	a, b := StaleRef{Key: 7, Gen: 3}, StaleRef{Key: 9, Gen: 4}
 
 	epoch := ix.Epoch()
-	if voided, put := file(epoch); voided != "" || !put {
+	if voided, put := file(epoch, a, b); voided != "" || !put {
 		t.Fatalf("clean fill: voided=%q put=%v", voided, put)
 	}
-	if keys := ix.Invalidate(depindex.MakeID(9, 4)); len(keys) != 1 || keys[0] != "page-key" {
+	if keys := ix.Lookup(depindex.MakeID(b.Key, b.Gen)); len(keys) != 1 || keys[0] != "page-key" {
 		t.Fatalf("clean fill left edges %v", keys)
 	}
-	if voided, put := file(epoch); voided != "fragment-tombstone" || put {
-		t.Fatalf("fill over a tombstone: voided=%q put=%v", voided, put)
+	p.Apply(coherency.Event{Seq: 1, Kind: coherency.KindFragment, Key: b.Key, Gen: b.Gen})
+	if voided, put := file(epoch, a, b); voided != "fragment-floor" || put {
+		t.Fatalf("fill over a dead generation: voided=%q put=%v", voided, put)
+	}
+
+	// The slow fill: its response reached the client minutes after the
+	// event.
+	epoch = ix.Epoch()
+	p.Apply(coherency.Event{Seq: 2, Kind: coherency.KindFragment, Key: a.Key, Gen: a.Gen})
+	fake.Advance(2*time.Minute + time.Second)
+	if voided, put := file(epoch, a); voided != "fragment-floor" || put {
+		t.Fatalf("slow fill over a dead generation: voided=%q put=%v", voided, put)
 	}
 
 	ix.BumpEpoch(FlushEvent)
-	if voided, put := file(epoch); voided != "epoch-flush:event" || put {
+	if voided, put := file(epoch, a, b); voided != "epoch-flush:event" || put {
 		t.Fatalf("fill across a flush event: voided=%q put=%v", voided, put)
 	}
 }
@@ -624,7 +640,7 @@ func TestPageCaptureAccountedAgainstBudget(t *testing.T) {
 // Fills under both admission rules race fragment invalidations and scoped
 // flushes (run under -race in CI): the tee attached lazily for an opted-in
 // response, the page rule's tee retargeted to the opt-in key, and settled
-// captures against Apply's tombstones and epoch bumps. Every
+// captures against Apply's floors and epoch bumps. Every
 // response must be whole, and once the storm passes the tier's ledger must
 // hold exactly its resident bytes.
 func TestPageCacheConcurrentFillsAndFlushes(t *testing.T) {

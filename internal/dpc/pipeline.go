@@ -122,7 +122,7 @@ type reqState struct {
 	hitETag string
 	// depRefs are the fragment references whose bytes flowed into this
 	// response (assembly only); fillTier records them as dependency edges
-	// and re-checks them against invalidation tombstones.
+	// and re-checks them against the slots' floors.
 	depRefs []StaleRef
 	// depEpoch snapshots the dependency index's flush generation when the
 	// capture began; a flush in between voids the fill.

@@ -83,8 +83,8 @@ const (
 	// was recovered with a bypass fetch; Note carries the refs.
 	KindStaleBypass Kind = "stale-bypass"
 	// KindInvalidated: the invalidation fabric voided this request's
-	// page-tier fill; Note is the cause ("fragment tombstone", "epoch
-	// flush").
+	// page-tier fill; Note is the cause ("fragment-floor",
+	// "epoch-flush:<cause>").
 	KindInvalidated Kind = "invalidated"
 	// KindFill: a cache tier stored this response (Tier names it, N the
 	// body bytes).
