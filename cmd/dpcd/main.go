@@ -51,10 +51,12 @@
 // anonymous-session GETs (no Cookie, Authorization, or X-User header) are
 // cached for -pagecache-ttl — keyed like a coalesced fetch: URI, method,
 // forwarded variant headers — and served with X-Cache: PAGE, so a burst on
-// a hot page costs one origin fetch; -pagecache-entries and
-// -pagecache-budget then bound both rules. Like -coalesce, the key excludes
-// the per-client X-Forwarded-For, so origins that vary responses on client
-// IP must not enable it:
+// a hot page costs one origin fetch. -pagecache-entries and
+// -pagecache-budget bound the tier under both rules, and -pagecache-ttl
+// also caps every template lease's term, so all three apply with or
+// without -pagecache. Like -coalesce, the page key excludes the per-client
+// X-Forwarded-For, so origins that vary responses on client IP must not
+// enable it:
 //
 //	dpcd -pagecache -pagecache-ttl 2s -pagecache-entries 4096
 //
@@ -76,9 +78,7 @@
 // Each distinct template body that can recur (one carrying no SET) is
 // compiled into a cached operator program keyed by content hash: repeat
 // assemblies skip the per-request template decode. Fragment GETs resolve
-// in template order; -plan-parallelism above 1 prefetches independent ones
-// with that many workers, which pays only over a heap file on a device slow
-// enough to overlap reads. A template that cannot be a cached plan
+// in template order. A template that cannot be a cached plan
 // (larger than 8 MiB, cut short by the origin, or corrupt) runs through
 // the same operators straight off the decoder. Origin redeploys change the
 // template bytes and miss naturally; plan-cache activity is served under
@@ -107,9 +107,10 @@
 //
 // Every flag but -addr, -invalidate and -status is bound to a field of
 // dpc.Config or fragstore.Config (README's "Configuration knobs" lists
-// which). A tuning flag of a stage that is not mounted — -admission-*,
-// -pagecache-*, -trace-* without -admission, -pagecache, -trace — selects
-// nothing, and dpcd exits naming it.
+// which). A tuning flag of a stage that is not mounted — -admission-* or
+// -trace-* without -admission or -trace — selects nothing, and dpcd exits
+// naming it. The whole-response tier is always mounted, so -pagecache-*
+// needs no -pagecache.
 package main
 
 import (
@@ -171,10 +172,9 @@ func bindFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&p.CoalesceBufferBytes, "coalesce-buffer", 0, "per-flight broadcast buffer cap in bytes before late joiners re-fetch (0 = 4MiB default)")
 	fs.IntVar(&p.StreamSpoolBytes, "spool", 0, "look-ahead spool an assembled page is held in before its headers are committed, in bytes (0 = 64KiB default; negative = hold the whole page)")
 	fs.BoolVar(&p.PageCache, "pagecache", false, "add the page rule to the whole-response tier: whole pages for anonymous-session GETs (X-Cache: PAGE)")
-	fs.DurationVar(&p.PageCacheTTL, "pagecache-ttl", 0, "page-rule freshness window (0 = 2s default)")
+	fs.DurationVar(&p.PageCacheTTL, "pagecache-ttl", 0, "page-rule freshness window, and the cap on every template lease's term (0 = 2s default)")
 	fs.IntVar(&p.PageCacheEntries, "pagecache-entries", 0, "whole-response tier resident entry bound, both rules (0 = 1024 default)")
 	fs.Int64Var(&p.PageCacheBudget, "pagecache-budget", 0, "whole-response tier resident byte bound, both rules (0 = unbounded)")
-	fs.IntVar(&p.PlanParallelism, "plan-parallelism", 0, "plan executor prefetch worker fan-out (0 = 1 default: fragment GETs resolve sequentially, in template order)")
 	fs.BoolVar(&o.invalidate, "invalidate", false, "mount the coherency invalidation endpoint at /_dpc/invalidate, fanning hub events to every cache tier (unauthenticated write endpoint on the serving listener — enable only where the hub side is the sole client)")
 	fs.Int64Var(&p.DepIndexBudget, "depindex-budget", 0, "dependency-index byte budget for surgical page invalidation (0 = 1MiB default, about 21500 single-page fragments)")
 	fs.DurationVar(&p.PublishInterval, "publish", 10*time.Second, "background dpc.store.* gauge refresh interval (0 = disabled)")
@@ -197,15 +197,17 @@ func bindFlags(fs *flag.FlagSet) *options {
 }
 
 // parseFlags reads the command line into options. A flag named
-// "-<stage>-*" tunes an optional stage and selects nothing unless "-<stage>"
-// mounts it ("-admission-inflight 64" alone would protect nothing and say
-// nothing), so it is refused.
+// "-<stage>-*" tunes an optional stage (admission, trace) and selects
+// nothing unless "-<stage>" mounts it ("-admission-inflight 64" alone would
+// protect nothing and say nothing), so it is refused. The whole-response
+// tier is always mounted: -pagecache adds a rule to it, and its tuning
+// flags take effect without that rule.
 func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 	o := bindFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
-	mounted := map[string]bool{"admission": o.proxy.Admission, "pagecache": o.proxy.PageCache, "trace": o.proxy.Trace}
+	mounted := map[string]bool{"admission": o.proxy.Admission, "trace": o.proxy.Trace}
 	var err error
 	fs.Visit(func(f *flag.Flag) {
 		stage, _, tunes := strings.Cut(f.Name, "-")

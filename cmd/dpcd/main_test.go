@@ -169,9 +169,7 @@ func TestEveryKnobHasAFlagOrAReason(t *testing.T) {
 func TestTuningFlagNeedsItsSwitch(t *testing.T) {
 	for _, args := range [][]string{
 		{"-admission-inflight", "64"},
-		{"-pagecache-ttl", "5s"},
 		{"-trace-ring", "16"},
-		{"-pagecache=false", "-pagecache-entries", "10"},
 	} {
 		fs := flag.NewFlagSet("dpcd", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
@@ -181,6 +179,14 @@ func TestTuningFlagNeedsItsSwitch(t *testing.T) {
 		}
 	}
 	parse(t, "-admission", "-admission-inflight", "64", "-pagecache", "-pagecache-ttl", "5s", "-trace", "-trace-ring", "16")
+	// The whole-response tier is always mounted: its bounds and the lease
+	// cap its TTL sets apply without the page rule.
+	if o, _ := parse(t, "-pagecache-entries", "10"); o.proxy.PageCacheEntries != 10 {
+		t.Errorf("-pagecache-entries 10 alone: PageCacheEntries = %d", o.proxy.PageCacheEntries)
+	}
+	if o, _ := parse(t, "-pagecache-ttl", "1m"); o.proxy.PageCacheTTL != time.Minute {
+		t.Errorf("-pagecache-ttl 1m alone: PageCacheTTL = %v", o.proxy.PageCacheTTL)
+	}
 }
 
 // README's "Configuration knobs" table has one row per flag, giving the

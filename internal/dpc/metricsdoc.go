@@ -93,7 +93,6 @@ func MetricCatalog() []MetricDoc {
 		{"dpc.plancache_misses", "counter", "a template body had no cached plan: it was compiled fresh, or could not be one (oversized, cut short by the origin, corrupt) and ran through the streamed driver"},
 		{"dpc.plancache_compiles", "counter", "a template was compiled into a plan, whether or not the cache kept it"},
 		{"dpc.plancache_oneoff", "counter", "a compiled template carried a SET, so the same bytes cannot arrive again: its plan ran and was not cached"},
-		{"dpc.plancache_parallel_gets", "counter", "fragment GETs resolved through the plan executor's parallel prefetch fan-out"},
 		// Dependency index (fragment → tier-key edges; refreshed like
 		// dpc.store.* by the background publisher and /_dpc/stats).
 		{"dpc.depindex_fragments", "gauge", "fragments with recorded dependency edges"},

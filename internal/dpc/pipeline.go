@@ -580,9 +580,6 @@ func (p *Proxy) recordAssembleStats(st AssembleStats) {
 	p.reg.Counter("dpc.page_bytes").Add(st.PageBytes)
 	p.reg.Counter("dpc.gets").Add(int64(st.Gets))
 	p.reg.Counter("dpc.sets").Add(int64(st.Sets))
-	if st.ParallelGets > 0 {
-		p.reg.Counter("dpc.plancache_parallel_gets").Add(int64(st.ParallelGets))
-	}
 }
 
 func (p *Proxy) stageAssemble(rs *reqState) (stageOutcome, error) {

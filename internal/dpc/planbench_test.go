@@ -1,15 +1,14 @@
 package dpc
 
 // Repeat assemblies of the same template through the engine's two drivers:
-// streamed (per-request decode, sequential GETs) versus a warm plan cache
-// (zero-decode compiled program, optionally parallel GETs).
+// streamed (per-request decode) versus a warm plan cache (zero-decode
+// compiled program); both resolve GETs in template order.
 // CI runs this at -benchtime=1x as a smoke test; run it properly with
 //
 //	go test -run xxx -bench BenchmarkAssembleCompiledVsInterpreted ./internal/dpc/
 
 import (
 	"bytes"
-	"fmt"
 	"io"
 	"testing"
 
@@ -54,31 +53,26 @@ func BenchmarkAssembleCompiledVsInterpreted(b *testing.B) {
 				}
 			}
 		})
-		for _, par := range []int{1, 4} {
-			b.Run(fmt.Sprintf("compiled/%s/par%d", codec.Name(), par), func(b *testing.B) {
-				cache, err := tmplplan.NewCache(codec, tmplplan.CacheConfig{})
-				if err != nil {
+		b.Run("compiled/"+codec.Name(), func(b *testing.B) {
+			cache, err := tmplplan.NewCache(codec, tmplplan.CacheConfig{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			ex := &tmplplan.Exec{Store: store, Strict: true, Codec: codec, Plans: cache}
+			if _, _, err := cache.Get(body); err != nil { // warm the cache
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.SetBytes(int64(len(body)))
+			for i := 0; i < b.N; i++ {
+				plan, hit, err := cache.Get(body)
+				if err != nil || !hit {
+					b.Fatalf("hit=%v err=%v", hit, err)
+				}
+				if _, err := ex.Run(plan, io.Discard, nil); err != nil {
 					b.Fatal(err)
 				}
-				ex := &tmplplan.Exec{
-					Store: store, Strict: true, Codec: codec,
-					Plans: cache, Parallelism: par,
-				}
-				if _, _, err := cache.Get(body); err != nil { // warm the cache
-					b.Fatal(err)
-				}
-				b.ReportAllocs()
-				b.SetBytes(int64(len(body)))
-				for i := 0; i < b.N; i++ {
-					plan, hit, err := cache.Get(body)
-					if err != nil || !hit {
-						b.Fatalf("hit=%v err=%v", hit, err)
-					}
-					if _, err := ex.Run(plan, io.Discard, nil); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }

@@ -42,16 +42,7 @@ const planMaxTemplate = 8 << 20
 // planCacheBudget bounds the summed retained footprint of resident plans;
 // it is the plan cache's one bound (no entry count). Only templates that
 // can recur are kept: one carrying a SET is compiled, run and dropped.
-//
-// Fragment GETs resolve in walk order unless Config.PlanParallelism says
-// otherwise: a read takes about 60 ns from RAM and about a microsecond from
-// a pooled disk page, less than starting the workers that would overlap it
-// (BENCH_pipeline.json, and ROADMAP item 1 for the tiered store end to
-// end).
-const (
-	planCacheBudget        = 32 << 20
-	defaultPlanParallelism = 1
-)
+const planCacheBudget = 32 << 20
 
 // errReader replays a terminal read error, so a streamed run over the
 // bytes that did arrive observes the stream failing where the origin's

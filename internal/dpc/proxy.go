@@ -121,11 +121,6 @@ type Config struct {
 	// explicitly. The field remains only because the benchmark harness
 	// names it.
 	PlanCache bool
-	// PlanParallelism bounds the worker fan-out resolving a plan's
-	// independent fragment GETs (0 selects 1, which resolves everything
-	// sequentially in walk order; more pays only where a fragment read
-	// waits on a device slow enough to overlap).
-	PlanParallelism int
 	// DepIndexBudget bounds the dependency index's retained edge bytes
 	// (0 selects 1 MiB). The index records which fragments flowed into
 	// which tier entries so the coherency fabric can invalidate
@@ -283,10 +278,6 @@ func New(cfg Config) (*Proxy, error) {
 	if err != nil {
 		return nil, err
 	}
-	par := cfg.PlanParallelism
-	if par <= 0 {
-		par = defaultPlanParallelism
-	}
 	clk := cfg.PageClock
 	if clk == nil {
 		clk = clock.Real{}
@@ -301,11 +292,10 @@ func New(cfg Config) (*Proxy, error) {
 		leases: newLeaseTable(reg),
 		floors: floors,
 		exec: &tmplplan.Exec{
-			Store:       floors,
-			Strict:      cfg.Strict,
-			Codec:       codec,
-			Plans:       plans,
-			Parallelism: par,
+			Store:  floors,
+			Strict: cfg.Strict,
+			Codec:  codec,
+			Plans:  plans,
 		},
 		pages:   pages,
 		depix:   depindex.New(depindex.Config{ByteBudget: cfg.DepIndexBudget, Clock: cfg.PageClock}),

@@ -11,9 +11,10 @@
 // crossing three cache tiers. The fragment store (assemble) holds
 // slot-keyed fragments invalidated by the BEM; the whole-response tier
 // (pagecache) holds complete responses admitted by one of two rules — the
-// origin's explicit Cache-Control: max-age, with allowlisted Vary headers
-// (Accept-Encoding) folded into the key, or (Config.PageCache) any page
-// served to an anonymous-session GET, bounded by a micro-TTL; the plan
+// origin's explicit Cache-Control: max-age, keyed by URL alone (an
+// allowlisted Vary: Accept-Encoding does not split it: the proxy serves
+// identity to every client), or (Config.PageCache) any page served to an
+// anonymous-session GET, bounded by a micro-TTL; the plan
 // cache holds compiled templates. See docs/ARCHITECTURE.md for the full
 // design and docs/METRICS.md for the metric surface (MetricCatalog is its
 // in-code source of truth).

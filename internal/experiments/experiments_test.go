@@ -186,10 +186,10 @@ func TestPipelineLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 4 knob configs + 3 concurrency-sweep rows + 9 assemble rows
-	// (3 fragment counts × decode-per-request/compiled/compiled-parallel)
-	// + 2 invalidation rows.
-	if len(tab.Rows) != 18 {
+	// 4 knob configs + 3 concurrency-sweep rows + 6 assemble rows
+	// (3 fragment counts × decode-per-request/compiled) + 2 invalidation
+	// rows.
+	if len(tab.Rows) != 15 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
 	// Without coalescing every served response costs at least one origin
@@ -217,12 +217,12 @@ func TestPipelineLive(t *testing.T) {
 	// allocation it makes — so that is what is asserted, at every fragment
 	// count the rows use.
 	for i, frags := range []int{4, 16, 64} {
-		for j := 0; j < 3; j++ {
-			if _, err := time.ParseDuration(tab.Rows[7+3*i+j][3]); err != nil {
-				t.Fatalf("assemble row %q: %v", tab.Rows[7+3*i+j], err)
+		for j := 0; j < 2; j++ {
+			if _, err := time.ParseDuration(tab.Rows[7+2*i+j][3]); err != nil {
+				t.Fatalf("assemble row %q: %v", tab.Rows[7+2*i+j], err)
 			}
 		}
-		streamed, cached, err := assembleRunners(frags, 1)
+		streamed, cached, err := assembleRunners(frags)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,13 +235,13 @@ func TestPipelineLive(t *testing.T) {
 	// The invalidation rows hold the PR's freshness claim: without the
 	// fabric the page tier serves the dead fragment until its TTL;
 	// with it, freshness returns within one request, not the TTL.
-	ttlWindow, err := time.ParseDuration(tab.Rows[16][5])
+	ttlWindow, err := time.ParseDuration(tab.Rows[13][5])
 	if err != nil {
-		t.Fatalf("ttl-only staleness window %q: %v", tab.Rows[16][5], err)
+		t.Fatalf("ttl-only staleness window %q: %v", tab.Rows[13][5], err)
 	}
-	fabricWindow, err := time.ParseDuration(tab.Rows[17][5])
+	fabricWindow, err := time.ParseDuration(tab.Rows[14][5])
 	if err != nil {
-		t.Fatalf("fabric staleness window %q: %v", tab.Rows[17][5], err)
+		t.Fatalf("fabric staleness window %q: %v", tab.Rows[14][5], err)
 	}
 	if ttlWindow < invalidationTTL/2 {
 		t.Fatalf("ttl-only staleness window %v implausibly short for a %v TTL", ttlWindow, invalidationTTL)

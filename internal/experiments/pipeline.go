@@ -85,20 +85,17 @@ func Pipeline(opts Options) (Table, error) {
 	}
 	// Assemble stage: per-page assembly cost by fragments-per-page, the
 	// engine's streamed driver (decode per request) vs its cached-plan
-	// driver (warm), sequential vs parallel fragment resolution.
-	// In-process against a resident store, so it isolates the
-	// decode-and-dispatch overhead the plan cache removes.
+	// driver (warm). In-process against a resident store, so it isolates
+	// the decode-and-dispatch overhead the plan cache removes.
 	for _, frags := range []int{4, 16, 64} {
 		for _, m := range []struct {
-			name        string
-			compiled    bool
-			parallelism int
+			name     string
+			compiled bool
 		}{
-			{"decode-per-request", false, 0},
-			{"compiled", true, 1},
-			{"compiled par=4", true, 4},
+			{"decode-per-request", false},
+			{"compiled", true},
 		} {
-			mean, err := runAssemblePoint(opts, frags, m.compiled, m.parallelism)
+			mean, err := runAssemblePoint(opts, frags, m.compiled)
 			if err != nil {
 				return t, fmt.Errorf("pipeline assemble f=%d %s: %w", frags, m.name, err)
 			}
@@ -133,16 +130,15 @@ func Pipeline(opts Options) (Table, error) {
 		"the pagecache row serves anonymous revisits whole from the page tier, so origin fan-in falls below the coalesce-only rows",
 		"@c=N rows sweep offered concurrency with coalesce+stream: deeper bursts collapse more identical fetches per flight",
 		fmt.Sprintf("staleness window: elapsed time a %v-TTL page tier kept serving a dead fragment's bytes after a repository write; the fabric drops the page on the invalidation itself, so its window is one in-flight request, not the TTL", invalidationTTL),
-		"assemble rows: in-process mean per-page assembly time (512B fragments, resident store), one engine under its two drivers — decode-per-request streams the template through the decoder on every request (what an oversized or corrupt template costs), the compiled rows run a warm plan cache, so the per-request template decode disappears; par=4 adds the bounded prefetch fan-out, which pays only when fragment reads are slower than goroutine handoff (it loses against a resident in-memory store, as here, which is why the proxy resolves GETs in walk order unless -plan-parallelism says otherwise)")
+		"assemble rows: in-process mean per-page assembly time (512B fragments, resident store), one engine under its two drivers — decode-per-request streams the template through the decoder on every request (what an oversized or corrupt template costs), the compiled rows run a warm plan cache, so the per-request template decode disappears")
 	return t, nil
 }
 
 // assembleRunners builds the assemble rows' fixture — a template of frags
 // GET instructions over a resident store — and returns one assembly per
 // call through each of the engine's drivers: streamed (the template is
-// decoded on every call) and cached (a warm plan cache, with the given
-// prefetch fan-out).
-func assembleRunners(frags, parallelism int) (streamed, cached func() error, err error) {
+// decoded on every call) and cached (a warm plan cache).
+func assembleRunners(frags int) (streamed, cached func() error, err error) {
 	store, err := dpc.NewStore(frags + 1)
 	if err != nil {
 		return nil, nil, err
@@ -168,10 +164,7 @@ func assembleRunners(frags, parallelism int) (streamed, cached func() error, err
 	if err != nil {
 		return nil, nil, err
 	}
-	ex := &tmplplan.Exec{
-		Store: store, Strict: true, Codec: codec,
-		Plans: cache, Parallelism: parallelism,
-	}
+	ex := &tmplplan.Exec{Store: store, Strict: true, Codec: codec, Plans: cache}
 	if _, _, err := cache.Get(body); err != nil { // warm the plan cache
 		return nil, nil, err
 	}
@@ -192,8 +185,8 @@ func assembleRunners(frags, parallelism int) (streamed, cached func() error, err
 
 // runAssemblePoint measures mean per-page assembly time through one of
 // assembleRunners' drivers.
-func runAssemblePoint(opts Options, frags int, compiled bool, parallelism int) (time.Duration, error) {
-	run, cached, err := assembleRunners(frags, parallelism)
+func runAssemblePoint(opts Options, frags int, compiled bool) (time.Duration, error) {
+	run, cached, err := assembleRunners(frags)
 	if err != nil {
 		return 0, err
 	}

@@ -110,14 +110,14 @@ func fuzzDecode(t *testing.T, codec tmpl.Codec, data []byte) {
 		}
 	}
 	var streamed bytes.Buffer
-	ex := &tmplplan.Exec{Store: fuzzStore(t), Strict: true, Codec: codec, Parallelism: 1}
+	ex := &tmplplan.Exec{Store: fuzzStore(t), Strict: true, Codec: codec}
 	_, err := ex.RunStream(bytes.NewReader(data), &streamed, nil)
 	agree("streamed", streamed.Bytes(), err)
 	if compErr != nil {
 		return
 	}
 	var cached bytes.Buffer
-	ex = &tmplplan.Exec{Store: fuzzStore(t), Strict: true, Codec: codec, Parallelism: 1}
+	ex = &tmplplan.Exec{Store: fuzzStore(t), Strict: true, Codec: codec}
 	_, err = ex.Run(plan, &cached, nil)
 	agree("cached-plan", cached.Bytes(), err)
 }

@@ -3,8 +3,6 @@ package tmplplan
 import (
 	"fmt"
 	"io"
-	"sync"
-	"sync/atomic"
 
 	"dpcache/internal/fragstore"
 	"dpcache/internal/tmpl"
@@ -32,21 +30,10 @@ type Exec struct {
 	// Plans, when set, caches compiled nested-include bodies (the same
 	// plan cache that holds top-level plans).
 	Plans Planner
-	// Parallelism bounds the prefetch worker fan-out for independent
-	// GETs; <= 1 disables prefetch and resolves everything in walk
-	// order.
+	// Parallelism is ignored: every fragment GET resolves in template
+	// order, the one schedule. The field remains only because the
+	// benchmark harness names it.
 	Parallelism int
-	// MinParallelGets is the minimum number of distinct independent GETs
-	// a plan must carry before the fan-out is worth its goroutines
-	// (default 4).
-	MinParallelGets int
-}
-
-// preResult is one prefetched lookup, indexed like Plan.par.
-type preResult struct {
-	data  []byte
-	ok    bool
-	cross fragstore.Crossings // kept by traced runs only
 }
 
 // execState threads the per-run mutable state through include recursion:
@@ -78,12 +65,7 @@ func (e *Exec) Run(p *Plan, w io.Writer, sp *trace.Span) (Stats, error) {
 	if !p.hasInc && p.numRefs > 64 {
 		x.seen = make([]bool, p.numRefs)
 	}
-	var pre []preResult
-	if min := e.minParallelGets(); e.Parallelism > 1 && len(p.par) >= min {
-		pre = e.prefetch(p, sp != nil)
-		st.ParallelGets = len(p.par)
-	}
-	if err := x.run(p.ops, pre, sp, 0); err != nil {
+	if err := x.run(p.ops, sp, 0); err != nil {
 		return st, err
 	}
 	return st, st.staleErr()
@@ -132,13 +114,6 @@ func (st *Stats) staleErr() error {
 		ErrStale, first.Key, first.Gen, len(st.Stale))
 }
 
-func (e *Exec) minParallelGets() int {
-	if e.MinParallelGets > 0 {
-		return e.MinParallelGets
-	}
-	return 4
-}
-
 // GetRef resolves one fragment reference. With a span it also asks the
 // store which tier crossings the read caused and records them as tier
 // events; without one it is store.Get and allocates nothing.
@@ -165,40 +140,6 @@ func tierEvents(fsp *trace.Span, c fragstore.Crossings) {
 	if c.DemoteCleans > 0 {
 		fsp.Event(trace.KindTier, "disk", "demote-clean", int64(c.DemoteCleans))
 	}
-}
-
-// prefetch resolves the plan's independent GETs with a bounded worker
-// pool and returns the results indexed like p.par. A traced run keeps each
-// read's tier crossings for its fragment span.
-func (e *Exec) prefetch(p *Plan, traced bool) []preResult {
-	res := make([]preResult, len(p.par))
-	workers := e.Parallelism
-	if workers > len(p.par) {
-		workers = len(p.par)
-	}
-	var next atomic.Int32
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(p.par) {
-					return
-				}
-				g := p.par[i]
-				r := &res[i]
-				if traced {
-					r.data, r.ok, r.cross = fragstore.GetCrossings(e.Store, g.key, g.gen, e.Strict)
-				} else {
-					r.data, r.ok = e.Store.Get(g.key, g.gen, e.Strict)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return res
 }
 
 // addRef records a unique fragment reference in first-use order.
@@ -237,7 +178,7 @@ func (x *execState) stream(dec tmpl.Decoder, sp *trace.Span) error {
 			return fmt.Errorf("dpc: decoding template: %w", err)
 		}
 		one := [1]op{newOp(in)}
-		if err := x.run(one[:], nil, sp, 0); err != nil {
+		if err := x.run(one[:], sp, 0); err != nil {
 			return err
 		}
 	}
@@ -246,12 +187,10 @@ func (x *execState) stream(dec tmpl.Decoder, sp *trace.Span) error {
 // run executes operators in order: the template semantics, once, for both
 // drivers. A cached plan hands it the whole program (the loop is in here so
 // that costs no call per operator); a streamed run hands it one operator at
-// a time. pre carries a plan's top-level prefetch results (nil for
-// sub-programs and streamed operators, whose GETs resolve in walk order).
-// Nested includes recurse with the include's span as the parent, sharing
-// the run's stats and dedup state, so staleness doom and SET application
-// span the whole page.
-func (x *execState) run(ops []op, pre []preResult, sp *trace.Span, depth int) error {
+// a time. Nested includes recurse with the include's span as the parent,
+// sharing the run's stats and dedup state, so staleness doom and SET
+// application span the whole page.
+func (x *execState) run(ops []op, sp *trace.Span, depth int) error {
 	st := x.st
 	for i := range ops {
 		o := &ops[i]
@@ -283,29 +222,11 @@ func (x *execState) run(ops []op, pre []preResult, sp *trace.Span, depth int) er
 			if sp != nil {
 				fsp = sp.Child("fragment")
 			}
-			var data []byte
-			var ok bool
-			if pre != nil && o.pre >= 0 {
-				r := pre[o.pre]
-				data, ok = r.data, r.ok
-				tierEvents(fsp, r.cross) // none unless the run is traced
-			} else {
-				data, ok = GetRef(x.e.Store, fsp, o.key, o.gen, x.e.Strict)
-			}
-			if !ok {
-				if fsp != nil {
-					fsp.Event(trace.KindMiss, "fragment", RefString(o.key, o.gen), 0)
-					fsp.Finish()
-				}
-				st.Stale = append(st.Stale, Ref{Key: o.key, Gen: o.gen})
-				continue
-			}
+			data, ok := x.resolve(o, fsp)
 			if fsp != nil {
-				fsp.Event(trace.KindHit, "fragment", RefString(o.key, o.gen), int64(len(data)))
 				fsp.Finish()
 			}
-			x.addRef(o.key, o.gen, o.refSlot)
-			if doomed {
+			if !ok || doomed {
 				continue
 			}
 			if err := x.emit(data); err != nil {
@@ -317,23 +238,12 @@ func (x *execState) run(ops []op, pre []preResult, sp *trace.Span, depth int) er
 				return fmt.Errorf("dpc: include depth exceeds %d (key %d gen %d)",
 					MaxIncludeDepth, o.key, o.gen)
 			}
-			var fsp *trace.Span
-			if sp != nil {
-				fsp = sp.Child("include")
-			}
-			data, ok := GetRef(x.e.Store, fsp, o.key, o.gen, x.e.Strict)
+			fsp := sp.Child("include")
+			data, ok := x.resolve(o, fsp)
 			if !ok {
-				if fsp != nil {
-					fsp.Event(trace.KindMiss, "fragment", RefString(o.key, o.gen), 0)
-					fsp.Finish()
-				}
-				st.Stale = append(st.Stale, Ref{Key: o.key, Gen: o.gen})
+				fsp.Finish()
 				continue
 			}
-			if fsp != nil {
-				fsp.Event(trace.KindHit, "fragment", RefString(o.key, o.gen), int64(len(data)))
-			}
-			x.addRef(o.key, o.gen, o.refSlot)
 			// The nested body is compiled whole before it runs (it is
 			// resident fragment memory, not a stream), so a corrupt one
 			// errors out before any of its side effects apply. It runs
@@ -342,15 +252,11 @@ func (x *execState) run(ops []op, pre []preResult, sp *trace.Span, depth int) er
 			// Stats).
 			sub, err := x.subplan(data)
 			if err != nil {
-				if fsp != nil {
-					fsp.Finish()
-				}
-				return fmt.Errorf("dpc: decoding template: %w", err)
+				err = fmt.Errorf("dpc: decoding template: %w", err)
+			} else {
+				err = x.run(sub.ops, fsp, depth+1)
 			}
-			err = x.run(sub.ops, nil, fsp, depth+1)
-			if fsp != nil {
-				fsp.Finish()
-			}
+			fsp.Finish()
 			if err != nil {
 				return err
 			}
@@ -359,6 +265,26 @@ func (x *execState) run(ops []op, pre []preResult, sp *trace.Span, depth int) er
 		}
 	}
 	return nil
+}
+
+// resolve reads the fragment a GET or include names: on a hit it records
+// the reference and returns the bytes, on a miss it records the reference
+// stale. fsp, the reference's span when the run is traced, gets the tier,
+// hit and miss events.
+func (x *execState) resolve(o *op, fsp *trace.Span) ([]byte, bool) {
+	data, ok := GetRef(x.e.Store, fsp, o.key, o.gen, x.e.Strict)
+	if !ok {
+		if fsp != nil {
+			fsp.Event(trace.KindMiss, "fragment", RefString(o.key, o.gen), 0)
+		}
+		x.st.Stale = append(x.st.Stale, Ref{Key: o.key, Gen: o.gen})
+		return nil, false
+	}
+	if fsp != nil {
+		fsp.Event(trace.KindHit, "fragment", RefString(o.key, o.gen), int64(len(data)))
+	}
+	x.addRef(o.key, o.gen, o.refSlot)
+	return data, true
 }
 
 // emit writes page bytes and counts what the writer took.

@@ -20,35 +20,19 @@ type op struct {
 	// for allocation-free ref dedup at execution (-1 for literals and for
 	// streamed operators, which dedup by map).
 	refSlot int32
-	// pre is this op's index into Plan.par when the GET is eligible for
-	// parallel prefetch, -1 otherwise.
-	pre int32
-	// seq marks a GET that must resolve in walk order because an earlier
-	// SET in the program writes its key, or because it follows an
-	// include (which can SET arbitrary keys at runtime).
-	seq bool
 }
 
 // newOp converts one decoded instruction into its operator. What only a
-// whole program can know (dense ref slots, prefetch eligibility) is left
-// unset for Compile to fill in.
+// whole program can know (its dense ref slot) is left unset for Compile to
+// fill in.
 func newOp(in tmpl.Instruction) op {
-	return op{kind: in.Op, key: in.Key, gen: in.Gen, data: in.Data, refSlot: -1, pre: -1}
-}
-
-// parGet is one prefetchable lookup: a distinct (key, gen) pair no
-// earlier program op can affect.
-type parGet struct {
-	key uint32
-	gen uint32
+	return op{kind: in.Op, key: in.Key, gen: in.Gen, data: in.Data, refSlot: -1}
 }
 
 // Plan is an immutable compiled template program. A Plan is safe for
 // concurrent execution by any number of goroutines.
 type Plan struct {
 	ops []op
-	// par lists the distinct independent GET lookups, in first-use order.
-	par []parGet
 	// numRefs is the count of distinct (key, gen) pairs referenced.
 	numRefs int
 	// hasInc marks programs containing nested includes, whose ref dedup
@@ -67,10 +51,6 @@ type Plan struct {
 
 // Ops returns the program length in operators.
 func (p *Plan) Ops() int { return len(p.ops) }
-
-// IndependentGets returns how many distinct GET lookups are eligible for
-// parallel prefetch.
-func (p *Plan) IndependentGets() int { return len(p.par) }
 
 // SrcLen returns the compiled template's byte length.
 func (p *Plan) SrcLen() int64 { return p.srcLen }
@@ -105,9 +85,6 @@ func Compile(codec tmpl.Codec, template []byte) (*Plan, error) {
 	p := &Plan{srcLen: int64(len(template))}
 	p.ops = make([]op, 0, len(ins))
 	refSlots := make(map[uint64]int32, 8)
-	parSlots := make(map[uint64]int32, 8)
-	setKeys := make(map[uint32]bool, 4)
-	afterInc := false
 	var retained int64
 	slot := func(key, gen uint32) int32 {
 		id := uint64(key)<<32 | uint64(gen)
@@ -125,24 +102,10 @@ func Compile(codec tmpl.Codec, template []byte) (*Plan, error) {
 			o.refSlot = slot(in.Key, in.Gen)
 		}
 		switch in.Op {
-		case tmpl.OpGet:
-			o.seq = setKeys[in.Key] || afterInc
-			if !o.seq {
-				id := uint64(in.Key)<<32 | uint64(in.Gen)
-				pi, ok := parSlots[id]
-				if !ok {
-					pi = int32(len(p.par))
-					parSlots[id] = pi
-					p.par = append(p.par, parGet{key: in.Key, gen: in.Gen})
-				}
-				o.pre = pi
-			}
 		case tmpl.OpSet:
-			setKeys[in.Key] = true
 			p.hasSet = true
 		case tmpl.OpInclude:
 			p.hasInc = true
-			afterInc = true
 		}
 		p.ops = append(p.ops, o)
 	}
