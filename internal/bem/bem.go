@@ -21,6 +21,14 @@
 // for why in-flight references drain before a slot changes meaning. The
 // generation number (a BEM-wide counter) makes reuse detectable by the
 // strict-mode DPC even under concurrency.
+//
+// A generation's dependencies are the rows Depend registered for it, each
+// before it was read: the one record of what the entry was built from,
+// cleared when a miss hands out the next generation. The origin keeps a
+// page's shell here as well — an entry with no bytes whose dependencies are
+// the rows the page's layout and untagged blocks read — so the directory is
+// the one authority on whether a template, and not only each of its
+// fragments, is still valid.
 package bem
 
 import (
@@ -259,9 +267,10 @@ func (m *Monitor) fire(evs []hookEvent) {
 // Lookup consults the cache directory for fragmentID, implementing the two
 // run-time cases of Section 4.3.2. On a miss the directory entry is created
 // (or revalidated) immediately — dpcKey assigned from the freeList head,
-// generation bumped — and the caller is expected to generate the fragment
-// and emit a SET carrying the returned key and generation, then call
-// Commit with the fragment's size and data dependencies.
+// generation bumped, the dependencies of the generation before it cleared —
+// and the caller is expected to generate the fragment, calling Depend
+// before each row it reads, emit a SET carrying the returned key and
+// generation, then call Commit with the fragment's size.
 //
 // ttl <= 0 means the fragment does not expire by time.
 func (m *Monitor) Lookup(fragmentID string, ttl time.Duration) (Decision, error) {
@@ -309,6 +318,7 @@ func (m *Monitor) Lookup(fragmentID string, ttl time.Duration) (Decision, error)
 		e = &entry{fragmentID: fragmentID}
 		m.dir[fragmentID] = e
 	}
+	m.clearDepsLocked(e)
 	e.dpcKey = key
 	e.gen = gen
 	e.valid = true
@@ -330,15 +340,15 @@ func (m *Monitor) Lookup(fragmentID string, ttl time.Duration) (Decision, error)
 // against.
 func (m *Monitor) Now() time.Time { return m.clk.Now() }
 
-// Depend registers row k as a data dependency of fragmentID while the
-// generation gen a Lookup miss handed out is rendering, before the render
-// reads k. From then on a write to k invalidates the entry, as it would
-// after Commit. Registered only at Commit, a write landing between the
-// render's read and Commit would find nothing to invalidate, and the entry
-// would stay valid — and be named by every concurrent Lookup that hits it
-// — with content older than the row. Registered first, such a write is
-// either seen by the read or invalidates the entry. A generation the entry
-// no longer has registers nothing.
+// Depend registers row k as a data dependency of the generation gen of
+// fragmentID, before whoever renders it reads k. It is the only way a
+// dependency is recorded: from then on a write to k invalidates the entry,
+// until a Lookup miss hands out another generation and clears them.
+// Registered after the read, a write landing between the two would find
+// nothing to invalidate, and the entry would stay valid — and be named by
+// every concurrent Lookup that hits it — with content older than the row.
+// Registered first, such a write is either seen by the read or invalidates
+// the entry. A generation the entry no longer has registers nothing.
 func (m *Monitor) Depend(fragmentID string, gen uint32, k repository.Key) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -357,24 +367,19 @@ func (m *Monitor) Depend(fragmentID string, gen uint32, k repository.Key) {
 	}
 }
 
-// Commit records generation results for the generation gen of a fragment
-// that just missed: its content size (for stats) and the rows read while
-// generating it, which become its exact data dependencies (for
-// update-driven invalidation; Depend has registered each before it was
-// read). A generation the entry no longer has commits nothing: whoever
-// revalidated the entry commits its own.
-func (m *Monitor) Commit(fragmentID string, gen uint32, size int, reads []repository.Read) {
+// Commit records the content size (for stats) of the generation gen of a
+// fragment that just missed. A generation the entry no longer has commits
+// nothing: whoever revalidated the entry commits its own.
+func (m *Monitor) Commit(fragmentID string, gen uint32, size int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	e, ok := m.dir[fragmentID]
-	if !ok || e.gen != gen {
-		return
+	if e, ok := m.dir[fragmentID]; ok && e.gen == gen {
+		e.size = size
 	}
-	e.size = size
-	m.setDepsLocked(e, reads)
 }
 
-func (m *Monitor) setDepsLocked(e *entry, reads []repository.Read) {
+// clearDepsLocked forgets every dependency of e.
+func (m *Monitor) clearDepsLocked(e *entry) {
 	for _, d := range e.deps {
 		if set, ok := m.deps[d]; ok {
 			delete(set, e.fragmentID)
@@ -383,18 +388,7 @@ func (m *Monitor) setDepsLocked(e *entry, reads []repository.Read) {
 			}
 		}
 	}
-	e.deps = make([]repository.Key, len(reads))
-	for i, rd := range reads {
-		e.deps[i] = rd.Key
-	}
-	for _, d := range e.deps {
-		set, ok := m.deps[d]
-		if !ok {
-			set = make(map[string]struct{})
-			m.deps[d] = set
-		}
-		set[e.fragmentID] = struct{}{}
-	}
+	e.deps = e.deps[:0]
 }
 
 // Recheck reports whether Lookups of the fragments the handles name would
@@ -517,7 +511,7 @@ func (m *Monitor) invalidateLocked(e *entry, counter *int64, reason Invalidation
 }
 
 func (m *Monitor) removeEntryLocked(e *entry) {
-	m.setDepsLocked(e, nil)
+	m.clearDepsLocked(e)
 	delete(m.dir, e.fragmentID)
 }
 

@@ -183,9 +183,11 @@ func TestDependencyInvalidation(t *testing.T) {
 
 	dep := repository.Key{Table: "quotes", Row: "IBM"}
 	d, _ := m.Lookup("quote+IBM", 0)
-	m.Commit("quote+IBM", d.Gen, 100, []repository.Read{{Key: dep}})
+	m.Depend("quote+IBM", d.Gen, dep)
+	m.Commit("quote+IBM", d.Gen, 100)
 	d, _ = m.Lookup("headlines+IBM", 0)
-	m.Commit("headlines+IBM", d.Gen, 400, []repository.Read{{Key: repository.Key{Table: "news", Row: "IBM"}}})
+	m.Depend("headlines+IBM", d.Gen, repository.Key{Table: "news", Row: "IBM"})
+	m.Commit("headlines+IBM", d.Gen, 400)
 
 	repo.Put(dep, map[string]string{"px": "142.10"})
 
@@ -200,20 +202,29 @@ func TestDependencyInvalidation(t *testing.T) {
 	}
 }
 
-func TestCommitReplacesDeps(t *testing.T) {
+// A miss hands out a generation with no dependencies: the rows the last one
+// read are forgotten, and only Depend against the new generation adds any.
+func TestMissClearsDeps(t *testing.T) {
 	m := newMonitor(t, 4)
 	old := repository.Key{Table: "t", Row: "old"}
 	nw := repository.Key{Table: "t", Row: "new"}
 	d, _ := m.Lookup("f", 0)
-	m.Commit("f", d.Gen, 10, []repository.Read{{Key: old}})
+	m.Depend("f", d.Gen, old)
+	m.Commit("f", d.Gen, 10)
 	m.Invalidate("f")
+	dead := d.Gen
 	d, _ = m.Lookup("f", 0)
-	m.Commit("f", d.Gen, 10, []repository.Read{{Key: nw}})
+	m.Depend("f", dead, old) // a render of the dead generation reads on
+	m.Depend("f", d.Gen, nw)
+	m.Commit("f", d.Gen, 10)
 	if n := m.InvalidateDependents(old); n != 0 {
 		t.Fatalf("stale dependency still registered: invalidated %d", n)
 	}
 	if n := m.InvalidateDependents(nw); n != 1 {
 		t.Fatalf("new dependency not registered: invalidated %d", n)
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -396,7 +407,8 @@ func TestInvariantsUnderRandomOps(t *testing.T) {
 			if err != nil {
 				t.Fatalf("op %d: %v", op, err)
 			}
-			m.Commit(id, d.Gen, rng.Intn(2048), []repository.Read{{Key: deps[rng.Intn(len(deps))]}})
+			m.Depend(id, d.Gen, deps[rng.Intn(len(deps))])
+			m.Commit(id, d.Gen, rng.Intn(2048))
 		case 2:
 			m.Invalidate(frags[rng.Intn(len(frags))])
 		case 3:
@@ -604,12 +616,12 @@ func TestSweeperReclaimsExpiredSlots(t *testing.T) {
 func TestTopFragments(t *testing.T) {
 	m := newMonitor(t, 8)
 	d, _ := m.Lookup("hot", 0)
-	m.Commit("hot", d.Gen, 512, nil)
+	m.Commit("hot", d.Gen, 512)
 	for i := 0; i < 5; i++ {
 		_, _ = m.Lookup("hot", 0)
 	}
 	d, _ = m.Lookup("cold", 0)
-	m.Commit("cold", d.Gen, 128, nil)
+	m.Commit("cold", d.Gen, 128)
 	_, _ = m.Lookup("cold", 0)
 
 	top := m.TopFragments(1)
@@ -730,7 +742,8 @@ func TestRecheckRefusesWhatALookupWouldMiss(t *testing.T) {
 		}
 		m.BindRepo(repo)
 		d, _ := m.Lookup("f", time.Second)
-		m.Commit("f", d.Gen, 1, []repository.Read{{Key: row}})
+		m.Depend("f", d.Gen, row)
+		m.Commit("f", d.Gen, 1)
 		d, _ = m.Lookup("f", time.Second)
 		if expiry, ok := m.Recheck([]Handle{d.Handle}); !ok || !expiry.Equal(d.Expiry) || !expiry.Equal(fake.Now().Add(time.Second)) {
 			t.Fatalf("%s: Recheck before anything happened = %v, %v; want the entry's expiry %v", tc.name, expiry, ok, d.Expiry)
@@ -763,10 +776,10 @@ func TestRecheckRefusesWhatALookupWouldMiss(t *testing.T) {
 }
 
 // A write that lands after a render read its row and before Commit would
-// find no dependency to invalidate if Commit were the first to register
-// it. Depend registers the row before the read, so the write invalidates
-// the entry it was rendering for — with a data invalidation's hook — and a
-// Lookup meanwhile does not hit content older than the row.
+// find no dependency to invalidate if the row were registered after the
+// read. Depend registers it before, so the write invalidates the entry it
+// was rendering for — with a data invalidation's hook — and a Lookup
+// meanwhile does not hit content older than the row.
 func TestCommitRaceDependBeforeRead(t *testing.T) {
 	m := newMonitor(t, 4)
 	repo := repository.New(repository.LatencyModel{})
@@ -779,7 +792,7 @@ func TestCommitRaceDependBeforeRead(t *testing.T) {
 	d, _ := m.Lookup("quote+IBM", 0)
 	m.Depend("quote+IBM", d.Gen, row)
 	m.Depend("quote+IBM", d.Gen, row) // a second read of the row registers nothing more
-	_, read := repo.FieldVersion(row, "px", "")
+	_ = repo.Field(row, "px", "")
 	repo.Put(row, map[string]string{"px": "142.10"}) // between the render's read and Commit
 	if len(fired) != 1 || fired[0] != ReasonData {
 		t.Fatalf("hooks %v; want one data invalidation as the write landed", fired)
@@ -788,20 +801,28 @@ func TestCommitRaceDependBeforeRead(t *testing.T) {
 	if again.Hit {
 		t.Fatal("a Lookup during the render hit the entry the write invalidated")
 	}
-	// That Lookup's render commits first. The raced render's Commit comes
-	// after, for a generation the entry no longer has, naming what it read
-	// (another row, say): it must not replace the live generation's
-	// dependencies.
+	// That Lookup's render commits first. The raced render goes on after,
+	// for a generation the entry no longer has: it reads another row and
+	// commits, and neither may touch the live generation's dependencies.
 	m.Depend("quote+IBM", again.Gen, row)
-	_, now := repo.FieldVersion(row, "px", "")
-	m.Commit("quote+IBM", again.Gen, 64, []repository.Read{{Key: row, Version: now}})
-	m.Commit("quote+IBM", d.Gen, 64, []repository.Read{{Key: repository.Key{Table: "quotes", Row: "GE"}, Version: read}})
+	_ = repo.Field(row, "px", "")
+	m.Commit("quote+IBM", again.Gen, 64)
+	ge := repository.Key{Table: "quotes", Row: "GE"}
+	m.Depend("quote+IBM", d.Gen, ge)
+	m.Commit("quote+IBM", d.Gen, 32)
 	if d2, _ := m.Lookup("quote+IBM", 0); !d2.Hit || d2.Gen != again.Gen {
 		t.Fatalf("lookup after both commits: %+v, want a hit on generation %d", d2, again.Gen)
 	}
+	if top := m.TopFragments(1); top[0].Size != 64 {
+		t.Fatalf("size %d, want the live generation's 64", top[0].Size)
+	}
+	repo.Put(ge, map[string]string{"px": "20.00"})
+	if d2, _ := m.Lookup("quote+IBM", 0); !d2.Hit {
+		t.Fatal("a write to a row only the dead generation read invalidated the live one")
+	}
 	repo.Put(row, map[string]string{"px": "142.20"})
 	if d3, _ := m.Lookup("quote+IBM", 0); d3.Hit {
-		t.Fatal("a stale generation's Commit replaced the live one's dependencies")
+		t.Fatal("the live generation's dependency did not survive the dead one's render")
 	}
 	if m.Stats().DataInvalidations != 2 {
 		t.Fatalf("%d data invalidations, want 2", m.Stats().DataInvalidations)
@@ -811,9 +832,9 @@ func TestCommitRaceDependBeforeRead(t *testing.T) {
 	}
 }
 
-// A page's shell for leases is an entry only Depend ever adds to: runs
-// against the generation a Lookup hit register their reads too, nothing
-// replaces them, so a write to a row any of them read invalidates it.
+// A page's shell is an entry only Depend ever adds to: runs against the
+// generation a Lookup hit register their reads too, nothing replaces them,
+// so a write to a row any of them read invalidates it.
 // Decision.Expiry reports the entry's TTL expiry, zero without one.
 func TestLeaseShellDependenciesGrowWhileItsGenerationLives(t *testing.T) {
 	fake := clock.NewFake(time.Unix(0, 0))

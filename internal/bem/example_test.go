@@ -20,7 +20,8 @@ func Example() {
 
 	d, _ := mon.Lookup("pxquote+IBM", 2*time.Second)
 	fmt.Println("first lookup hit:", d.Hit)
-	mon.Commit("pxquote+IBM", d.Gen, 64, []repository.Read{{Key: quote}})
+	mon.Depend("pxquote+IBM", d.Gen, quote) // before the render reads the row
+	mon.Commit("pxquote+IBM", d.Gen, 64)
 
 	d, _ = mon.Lookup("pxquote+IBM", 2*time.Second)
 	fmt.Println("second lookup hit:", d.Hit)

@@ -73,6 +73,11 @@ type Subscriber interface {
 
 // Hub fans invalidation events out to subscribers.
 type Hub struct {
+	// deliver is held while one event is numbered and delivered, so that
+	// every subscriber applies events in sequence order. It is not mu:
+	// Subscribe, Seq and AckedThrough never wait on a delivery.
+	deliver sync.Mutex
+
 	mu   sync.Mutex
 	seq  uint64
 	subs []Subscriber
@@ -119,8 +124,11 @@ func (h *Hub) BroadcastFlush(scope string) Event {
 }
 
 // BroadcastEvent assigns the next sequence number and delivers the event
-// to every subscriber synchronously.
+// to every subscriber synchronously. Concurrent calls deliver one at a time,
+// in the order they were numbered: a subscriber never sees n+1 before n.
 func (h *Hub) BroadcastEvent(ev Event) Event {
+	h.deliver.Lock()
+	defer h.deliver.Unlock()
 	h.mu.Lock()
 	h.seq++
 	ev.Seq = h.seq

@@ -4,6 +4,7 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+	"time"
 
 	"dpcache/internal/bem"
 	"dpcache/internal/coherency"
@@ -106,6 +107,85 @@ func TestAckedThrough(t *testing.T) {
 	hub.Broadcast("b", 1, 2)
 	if got := hub.AckedThrough(); got != 2 {
 		t.Fatalf("AckedThrough = %d, want 2", got)
+	}
+}
+
+// holdingSubscriber stands in front of a proxy and keeps one sequence
+// number from it until released; it records what the proxy acknowledged for
+// each event it was handed.
+type holdingSubscriber struct {
+	p                *dpc.Proxy
+	hold             uint64
+	entered, release chan struct{}
+
+	mu   sync.Mutex
+	acks map[uint64]uint64
+}
+
+func (s *holdingSubscriber) Apply(ev coherency.Event) uint64 {
+	if ev.Seq == s.hold {
+		close(s.entered)
+		<-s.release
+	}
+	acked := s.p.Apply(ev)
+	s.mu.Lock()
+	s.acks[ev.Seq] = acked
+	s.mu.Unlock()
+	return acked
+}
+
+// Two broadcasts at once reach a subscriber in the order the hub numbered
+// them: while event 2 is held on its way to the proxy, event 3 waits for it,
+// so the proxy applies both and sees no gap. Delivered 3 first, the proxy
+// would flush every tier for the skipped number and then ignore 2.
+func TestHubDeliversInSequenceOrder(t *testing.T) {
+	mon, _ := bem.New(bem.Config{Capacity: 8})
+	hub := coherency.NewHub(mon)
+	p := newProxy(t, nil)
+	sub := &holdingSubscriber{p: p, hold: 2, entered: make(chan struct{}), release: make(chan struct{}), acks: map[uint64]uint64{}}
+	hub.Subscribe(sub)
+	hub.Broadcast("a", 0, 1)
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		hub.Broadcast("b", 1, 2)
+	}()
+	<-sub.entered
+	third := make(chan coherency.Event)
+	go func() { third <- hub.Broadcast("c", 2, 3) }()
+	// Give the third broadcast the time to overtake the held one, as it
+	// would if the hub delivered outside a lock.
+	var ev coherency.Event
+	select {
+	case ev = <-third:
+	case <-time.After(20 * time.Millisecond):
+	}
+	if ev.Seq == 0 && hub.Seq() != 2 {
+		t.Fatalf("hub numbered %d events while the second was in delivery", hub.Seq())
+	}
+	close(sub.release)
+	wg.Wait()
+	if ev.Seq == 0 {
+		ev = <-third
+	}
+
+	if ev.Seq != 3 {
+		t.Fatalf("third broadcast numbered %d", ev.Seq)
+	}
+	sub.mu.Lock()
+	defer sub.mu.Unlock()
+	for seq := uint64(1); seq <= 3; seq++ {
+		if sub.acks[seq] != seq {
+			t.Errorf("event %d: the proxy acknowledged %d; want it applied in order", seq, sub.acks[seq])
+		}
+	}
+	if n := counter(p, "dpc.pagecache_gap_flushes"); n != 0 {
+		t.Errorf("dpc.pagecache_gap_flushes = %d: the proxy saw a gap", n)
+	}
+	if got := hub.AckedThrough(); got != 3 {
+		t.Errorf("AckedThrough = %d, want 3", got)
 	}
 }
 

@@ -23,9 +23,9 @@ import (
 func TestTierSubscriberDropsDependents(t *testing.T) {
 	p := newProxy(t, nil)
 	tier, ix := p.Pages(), p.DepIndex()
-	tier.Put("pageA", []byte("a"), "", time.Minute)
-	tier.Put("pageB", []byte("b"), "", time.Minute)
-	tier.Put("pageC", []byte("c"), "", time.Minute)
+	tier.PutTagged("pageA", []byte("a"), "", "", time.Minute)
+	tier.PutTagged("pageB", []byte("b"), "", "", time.Minute)
+	tier.PutTagged("pageC", []byte("c"), "", "", time.Minute)
 	ix.File([]depindex.ID{depindex.MakeID(5, 9)}, "pageA", time.Minute)
 	ix.File([]depindex.ID{depindex.MakeID(5, 9)}, "pageB", time.Minute)
 	ix.File([]depindex.ID{depindex.MakeID(6, 1)}, "pageC", time.Minute)
@@ -35,13 +35,13 @@ func TestTierSubscriberDropsDependents(t *testing.T) {
 	hub.Subscribe(p)
 
 	hub.Broadcast("frag", 5, 9)
-	if _, _, ok := tier.Get("pageA"); ok {
+	if _, _, _, ok := tier.GetTagged("pageA"); ok {
 		t.Fatal("pageA survived its fragment's invalidation")
 	}
-	if _, _, ok := tier.Get("pageB"); ok {
+	if _, _, _, ok := tier.GetTagged("pageB"); ok {
 		t.Fatal("pageB survived its fragment's invalidation")
 	}
-	if _, _, ok := tier.Get("pageC"); !ok {
+	if _, _, _, ok := tier.GetTagged("pageC"); !ok {
 		t.Fatal("pageC dropped though its fragment is alive")
 	}
 	dropped, flushes := counter(p, "dpc.pagecache_invalidations"), counter(p, "dpc.pagecache_flushes")
@@ -127,9 +127,9 @@ func TestTierSubscribersShareOneIndex(t *testing.T) {
 	p := newProxy(t, nil)
 	tier, ix := p.Pages(), p.DepIndex()
 	ref := []depindex.ID{depindex.MakeID(5, 9)}
-	tier.Put("/p\x00GET\x00", []byte("p"), "", time.Minute)
-	tier.Put("/opt\x00", []byte("s"), "", time.Minute)
-	tier.Put("/asset.css\x00", []byte("a"), "", time.Minute)
+	tier.PutTagged("/p\x00GET\x00", []byte("p"), "", "", time.Minute)
+	tier.PutTagged("/opt\x00", []byte("s"), "", "", time.Minute)
+	tier.PutTagged("/asset.css\x00", []byte("a"), "", "", time.Minute)
 	ix.File(ref, "/p\x00GET\x00", time.Minute)
 	ix.File(ref, "/opt\x00", time.Minute)
 
@@ -151,7 +151,7 @@ func TestTierSubscribersShareOneIndex(t *testing.T) {
 func TestTierSubscriberGapFlushes(t *testing.T) {
 	p := newProxy(t, nil)
 	tier, ix := p.Pages(), p.DepIndex()
-	tier.Put("p", []byte("x"), "", time.Minute)
+	tier.PutTagged("p", []byte("x"), "", "", time.Minute)
 	e0 := ix.Epoch()
 
 	p.Apply(coherency.Event{Seq: 1, Kind: coherency.KindFragment, Key: 0, Gen: 1})
@@ -180,15 +180,15 @@ func TestTierSubscriberGapFlushes(t *testing.T) {
 func TestTierSubscriberPurgeDropsVariants(t *testing.T) {
 	p := newProxy(t, nil)
 	tier := p.Pages()
-	tier.Put("/a\x00GET\x00fr", []byte("x"), "", time.Minute)
-	tier.Put("/a\x00GET\x00en", []byte("x"), "", time.Minute)
-	tier.Put("/ab\x00GET\x00", []byte("x"), "", time.Minute)
+	tier.PutTagged("/a\x00GET\x00fr", []byte("x"), "", "", time.Minute)
+	tier.PutTagged("/a\x00GET\x00en", []byte("x"), "", "", time.Minute)
+	tier.PutTagged("/ab\x00GET\x00", []byte("x"), "", "", time.Minute)
 
 	p.Apply(coherency.Event{Seq: 1, Kind: coherency.KindPurge, URI: "/a"})
 	if tier.Len() != 1 {
 		t.Fatalf("purge left %d entries, want 1 (/ab must survive)", tier.Len())
 	}
-	if _, _, ok := tier.Get("/ab\x00GET\x00"); !ok {
+	if _, _, _, ok := tier.GetTagged("/ab\x00GET\x00"); !ok {
 		t.Fatal("purge of /a dropped /ab")
 	}
 	if n := counter(p, "dpc.pagecache_invalidations"); n != 2 {
@@ -203,7 +203,7 @@ func TestTierSubscriberFlushScope(t *testing.T) {
 	p := newProxy(t, nil)
 	tier := p.Pages()
 	for seq, scope := range []string{"static", "page", ""} {
-		tier.Put("p", []byte("x"), "", time.Minute)
+		tier.PutTagged("p", []byte("x"), "", "", time.Minute)
 		p.Apply(coherency.Event{Seq: uint64(3*seq + 1), Kind: coherency.KindFlush, Scope: "plan"})
 		p.Apply(coherency.Event{Seq: uint64(3*seq + 2), Kind: coherency.KindFlush, Scope: "store"})
 		if tier.Len() != 1 {
@@ -226,7 +226,7 @@ func TestTierSubscriberFlushScope(t *testing.T) {
 func TestStaticSubscriberFragmentNoop(t *testing.T) {
 	p := newProxy(t, nil)
 	tier := p.Pages()
-	tier.Put("/asset.css\x00", []byte("body"), "", time.Minute)
+	tier.PutTagged("/asset.css\x00", []byte("body"), "", "", time.Minute)
 	p.Apply(coherency.Event{Seq: 1, Kind: coherency.KindFragment, Key: 3, Gen: 7})
 	if flushes := counter(p, "dpc.pagecache_flushes"); tier.Len() != 1 || flushes != 0 {
 		t.Fatalf("fragment event disturbed an opted-in asset: len=%d flushes=%d", tier.Len(), flushes)
@@ -284,7 +284,7 @@ func TestStoreSubscriberSkipsKeyedEvents(t *testing.T) {
 func TestHTTPBridgeCarriesPurge(t *testing.T) {
 	p := newProxy(t, nil)
 	tier := p.Pages()
-	tier.Put("/p\x00GET\x00", []byte("x"), "", time.Minute)
+	tier.PutTagged("/p\x00GET\x00", []byte("x"), "", "", time.Minute)
 	edge := httptest.NewServer(coherency.Handler(p))
 	defer edge.Close()
 

@@ -35,14 +35,12 @@ func getAs(t *testing.T, url, user string) (xcache, body string) {
 	return resp.Header.Get("X-Cache"), string(b)
 }
 
-// A write to a row an untagged block reads reaches a proxy on the fabric
-// like a fragment write: the page's shell — the BEM entry of the rows the
-// page itself reads, which the template of a lease-asking fetch opens with —
-// dies, and with it the whole-response entry built on it and every lease
-// naming it. So the next anonymous GET is a miss with the new bytes, where
-// the page tier used to serve the old ones until PageCacheTTL, and the next
-// identified GET goes to the origin instead of being served by its lease.
-func TestLeaseLayoutRowWriteReachesPageTierAndLeases(t *testing.T) {
+// mixedPageSystem starts a system on the fabric with the page tier on and a
+// long TTL, serving a synthetic site whose page 1 mixes tagged and untagged
+// blocks. It returns page 1's URL and a marker of its first untagged block
+// at a version.
+func mixedPageSystem(t *testing.T) (sys *System, page string, j int, marker func(v int) string) {
+	t.Helper()
 	siteCfg := site.SyntheticConfig{Pages: 4, FragmentsPerPage: 8, FragmentBytes: 64, Cacheability: 0.6}
 	sys, err := NewSystem(Config{
 		Capacity: 256,
@@ -65,7 +63,6 @@ func TestLeaseLayoutRowWriteReachesPageTierAndLeases(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = sys.Close() })
 
-	// Page 1 mixes tagged and untagged blocks; j is its first untagged one.
 	j, tagged := -1, 0
 	for _, f := range man.Pages[1] {
 		if man.Cacheable[f] {
@@ -77,9 +74,18 @@ func TestLeaseLayoutRowWriteReachesPageTierAndLeases(t *testing.T) {
 	if j < 0 || tagged == 0 {
 		t.Fatalf("test setup: page 1 is not mixed: %v", man.Pages[1])
 	}
-	page := sys.FrontURL() + "/page/synth?page=1"
-	marker := func(v int) string { return fmt.Sprintf("<!--frag %d v%d-->", j, v) }
+	return sys, sys.FrontURL() + "/page/synth?page=1", j, func(v int) string { return fmt.Sprintf("<!--frag %d v%d-->", j, v) }
+}
 
+// A write to a row an untagged block reads reaches a proxy on the fabric
+// like a fragment write: the page's shell — the BEM entry of the rows the
+// page itself reads, which every template opens with — dies, and with it the
+// whole-response entry built on it and every lease naming it. So the next
+// anonymous GET is a miss with the new bytes, where the page tier used to
+// serve the old ones until PageCacheTTL, and the next identified GET goes to
+// the origin instead of being served by its lease.
+func TestLeaseLayoutRowWriteReachesPageTierAndLeases(t *testing.T) {
+	sys, page, j, marker := mixedPageSystem(t)
 	sys.Hub.BroadcastPurge("/page/synth?page=99") // the proxy's first event: it is on the fabric now
 	for i, want := range []string{"MISS", "PAGE"} {
 		if xc, body := getAs(t, page, ""); xc != want || !strings.Contains(body, marker(1)) {
@@ -109,5 +115,43 @@ func TestLeaseLayoutRowWriteReachesPageTierAndLeases(t *testing.T) {
 		if n := sys.Registry.Counter(name).Value(); n != 0 {
 			t.Fatalf("%s = %d", name, n)
 		}
+	}
+}
+
+// A page the tier filed before its proxy heard the fabric's first event is
+// dropped by a write to a row its untagged block reads, as one filed after
+// the proxy attached is: every template opens with the page's shell, so the
+// entry carries the shell's edge whenever it was filed, and the write's
+// event is the proxy's first. Served from the tier, the page would keep the
+// old bytes until PageCacheTTL.
+func TestPageFiledBeforeFirstEventDroppedByUntaggedWrite(t *testing.T) {
+	for _, attached := range []bool{false, true} {
+		t.Run(fmt.Sprintf("attached=%v", attached), func(t *testing.T) {
+			sys, page, j, marker := mixedPageSystem(t)
+			if attached {
+				sys.Hub.BroadcastPurge("/page/synth?page=99")
+			}
+			for i, want := range []string{"MISS", "PAGE"} {
+				if xc, body := getAs(t, page, ""); xc != want || !strings.Contains(body, marker(1)) {
+					t.Fatalf("visit %d: X-Cache %q, want %q with %s", i, xc, want, marker(1))
+				}
+			}
+			seq := sys.Hub.Seq()
+			site.TouchFragment(sys.Repo, j, "2")
+			if xc, body := getAs(t, page, ""); xc != "MISS" || !strings.Contains(body, marker(2)) {
+				t.Fatalf("GET after the write: X-Cache %q, has %s: %v; want a miss with the new bytes", xc, marker(2), strings.Contains(body, marker(2)))
+			}
+			if sys.Hub.Seq() == seq || sys.Hub.AckedThrough() != sys.Hub.Seq() {
+				t.Fatalf("the write sent no event, or the proxy did not ack it: seq %d → %d, acked %d", seq, sys.Hub.Seq(), sys.Hub.AckedThrough())
+			}
+			if n := sys.Registry.Counter("dpc.pagecache_invalidations").Value(); n != 1 {
+				t.Fatalf("dpc.pagecache_invalidations = %d, want the page dropped by the shell's event", n)
+			}
+			for _, name := range []string{"dpc.errors", "dpc.stale_fallbacks", "dpc.pagecache_flushes"} {
+				if n := sys.Registry.Counter(name).Value(); n != 0 {
+					t.Fatalf("%s = %d", name, n)
+				}
+			}
+		})
 	}
 }

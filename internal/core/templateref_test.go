@@ -126,8 +126,9 @@ func TestTemplateRefPlanFlushBetweenOfferAndAnswer(t *testing.T) {
 // A write to a tagged fragment makes the next template carry a SET, which
 // is never a reference; the GET-only template after it names a new
 // generation, which the proxy has not seen; only then do references resume.
-// A write to an untagged fragment changes the template's own bytes, with
-// the same effect one request sooner. Every page along the way is fresh.
+// A write to an untagged fragment invalidates the page's shell, whose SET
+// the next template carries, with the same effect. Every page along the way
+// is fresh.
 func TestTemplateRefAfterFragmentWrite(t *testing.T) {
 	sys, link := newTemplateRefSystem(t)
 	page := sys.FrontURL() + "/page/synth?page=0"
@@ -151,19 +152,21 @@ func TestTemplateRefAfterFragmentWrite(t *testing.T) {
 	visit("new generation's GET again", "<!--frag 0 v2-->", true, 2)
 
 	// Page 3's four fragments (12 to 15) are all untagged: its template is
-	// one literal, GET-only from the first request.
+	// the page's shell and one literal, GET-only from the second request.
 	page = sys.FrontURL() + "/page/synth?page=3"
-	visit("untagged page, first sight", "<!--frag 12 v1-->", false, 2)
+	visit("untagged page: the shell's SET", "<!--frag 12 v1-->", false, 2)
+	visit("untagged page: the shell's GET, first sight", "<!--frag 12 v1-->", false, 2)
 	visit("untagged page again", "<!--frag 12 v1-->", true, 3)
 	site.TouchFragment(sys.Repo, 12, "7")
-	visit("after an untagged write: new literal bytes", "<!--frag 12 v7-->", true, 3)
+	visit("after an untagged write: the shell's SET", "<!--frag 12 v7-->", true, 3)
+	visit("the shell's new generation, first sight", "<!--frag 12 v7-->", true, 3)
 	visit("the new template again", "<!--frag 12 v7-->", true, 4)
 
 	if errs, stale := counter(sys, "dpc.errors"), counter(sys, "dpc.stale_fallbacks"); errs != 0 || stale != 0 {
 		t.Fatalf("errors=%d stale fallbacks=%d", errs, stale)
 	}
-	if offers, refs := counter(sys, "dpc.template_offers"), counter(sys, "dpc.template_refs"); offers != 7 || refs != 4 {
-		t.Fatalf("offers=%d refs=%d, want 7 and 4: three offers declined", offers, refs)
+	if offers, refs := counter(sys, "dpc.template_offers"), counter(sys, "dpc.template_refs"); offers != 8 || refs != 4 {
+		t.Fatalf("offers=%d refs=%d, want 8 and 4: four offers declined", offers, refs)
 	}
 	if got := counter(sys, "origin.template_refs"); got != 4 {
 		t.Fatalf("origin.template_refs = %d, want 4", got)

@@ -134,7 +134,7 @@ func concurrentFillsAndInvalidations(t *testing.T, budget int64) {
 				gen := live[pg].Load() // the fragment is read early …
 				refs := []StaleRef{{Key: pg, Gen: gen}}
 				p.fileUnlessVoided(refs, epoch, pageKey(pg), time.Minute, func() { // … and the page filed late
-					tier.Put(pageKey(pg), []byte(strconv.Itoa(int(gen))), "", time.Minute)
+					tier.PutTagged(pageKey(pg), []byte(strconv.Itoa(int(gen))), "", "", time.Minute)
 				})
 				attempts.Add(1)
 			}
@@ -151,7 +151,7 @@ func concurrentFillsAndInvalidations(t *testing.T, budget int64) {
 	close(stop)
 	wg.Wait()
 	for pg := uint32(0); pg < pages; pg++ {
-		body, _, ok := tier.Get(pageKey(pg))
+		body, _, _, ok := tier.GetTagged(pageKey(pg))
 		if want := strconv.Itoa(int(live[pg].Load())); ok && string(body) != want {
 			t.Errorf("page %d is resident built from generation %s, the live one is %s", pg, body, want)
 		}

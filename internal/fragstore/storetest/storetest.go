@@ -40,6 +40,29 @@ func Run(t *testing.T, name string, factory Factory) {
 		}
 	})
 
+	// A page's shell is a fragment with no bytes: its SET is a hit like any
+	// other, whether the content came as nil or as an empty slice.
+	t.Run(name+"/ZeroLengthSet", func(t *testing.T) {
+		s := mk(t, 8)
+		for key, content := range map[uint32][]byte{2: nil, 5: {}} {
+			if err := s.Set(key, 9, content); err != nil {
+				t.Fatal(err)
+			}
+			if got, ok := s.Get(key, 9, true); !ok || len(got) != 0 {
+				t.Fatalf("key %d: strict Get = %q, %v; want a hit with no bytes", key, got, ok)
+			}
+			if _, ok := s.Get(key, 8, true); ok {
+				t.Fatalf("key %d: strict Get matched another generation", key)
+			}
+			if got, ok := s.Get(key, 8, false); !ok || len(got) != 0 {
+				t.Fatalf("key %d: non-strict Get = %q, %v; want a hit with no bytes", key, got, ok)
+			}
+		}
+		if n := s.Resident(); n != 2 {
+			t.Fatalf("Resident = %d, want the 2 empty fragments", n)
+		}
+	})
+
 	t.Run(name+"/GetUnset", func(t *testing.T) {
 		s := mk(t, 8)
 		if _, ok := s.Get(0, 0, false); ok {

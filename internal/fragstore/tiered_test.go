@@ -3,6 +3,7 @@ package fragstore_test
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"path/filepath"
 	"sync"
@@ -40,6 +41,61 @@ func TestTieredConformance(t *testing.T) {
 	// conformance contract must hold while entries bounce across the tier
 	// boundary.
 	storetest.Run(t, "tiered-tiny-ram", tieredFactory(t, 64))
+}
+
+// A page's shell is a fragment with no bytes, and on a RAM tier smaller
+// than the site it crosses the tier boundary like any other: demoted to
+// disk, then promoted back on its first touch (it costs RAM nothing, so it
+// always has room), and a hit at its generation with no bytes throughout.
+func TestTieredZeroLengthFragmentCrossesTheBoundary(t *testing.T) {
+	s, err := fragstore.New(fragstore.Config{
+		Backend:    fragstore.BackendTiered,
+		Capacity:   8,
+		ByteBudget: 16, // two 8-byte fragments
+		Eviction:   "lru",
+		DiskPath:   filepath.Join(t.TempDir(), "shell.heap"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = s.(io.Closer).Close() })
+	const shell, gen = 0, 5
+	if err := s.Set(shell, gen, nil); err != nil {
+		t.Fatal(err)
+	}
+	for k := uint32(1); k <= 3; k++ {
+		if err := s.Set(k, 1, bytes.Repeat([]byte{'a' + byte(k)}, 8)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stats := func() fragstore.TieredStats {
+		st, ok := fragstore.DiskStats(s)
+		if !ok {
+			t.Fatal("no disk tier")
+		}
+		return st
+	}
+	if st := stats(); st.Demotions == 0 || st.Disk.Resident == 0 {
+		t.Fatalf("the empty fragment was not demoted: %+v", st)
+	}
+	get := func(what string) {
+		t.Helper()
+		if got, ok := s.Get(shell, gen, true); !ok || len(got) != 0 {
+			t.Fatalf("%s: Get = %q, %v; want a hit with no bytes", what, got, ok)
+		}
+	}
+	get("first touch, from disk")
+	if st := stats(); st.DiskHits != 1 || st.Promotions != 1 {
+		t.Fatalf("first touch: want a disk hit promoted: %+v", st)
+	}
+	before := stats()
+	get("from RAM")
+	if st := stats(); st.DiskHits != before.DiskHits || st.RAM.Hits != before.RAM.Hits+1 {
+		t.Fatalf("the promoted empty fragment was not served from RAM: %+v", st)
+	}
+	if _, ok := s.Get(shell, gen+1, true); ok {
+		t.Fatal("the empty fragment matched another generation")
+	}
 }
 
 func newTiered(t *testing.T, ram fragstore.KeyedConfig, disk diskstore.Config) *fragstore.TieredKeyed {

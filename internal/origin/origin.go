@@ -17,6 +17,15 @@
 // page even from a capable caller — the strict-mode recovery path the DPC
 // uses when it detects a stale slot.
 //
+// Every template opens with one BEM entry beyond its tagged blocks', the
+// page's shell: keyed by the script and the raw query, and depending on
+// every row the layout, a KeyParams or an untagged block reads, registered
+// before the read. So a template's bytes are a function of the request and
+// of the BEM entries it names, and the BEM's dependencies are the one record
+// of what they were built from: a write to any row the page read
+// invalidates one of those entries, and a proxy on the invalidation fabric
+// hears of it. The shell holds no bytes; its SET is empty.
+//
 // A template can also be answered by reference. A DPC that still holds the
 // plan it compiled from the template this URL last produced names it in
 // X-DPC-Have (the SHA-256 of the template bytes, in hex). When the template
@@ -24,20 +33,17 @@
 // sends the response's headers with X-DPC-Same and no body. It finds that
 // out in one of two ways: by generating the template and hashing it, or,
 // when it generated and hashed this same request's template before, by
-// re-validating what that template was built from — the rows its layout and
-// untagged blocks read, and the BEM entries its GETs named (validator.go).
-// The server keeps no record of what any proxy holds: the offer is compared
-// with this request's own template, so a wrong one is answered in full.
+// re-checking that every BEM entry that template named, its shell first, is
+// still valid at the generation it named (validator.go). The server keeps
+// no record of what any proxy holds: the offer is compared with this
+// request's own template, so a wrong one is answered in full.
 //
 // A caller that asks for a lease (X-DPC-Lease) is one that hears every BEM
-// invalidation over the fabric. Its template opens with one more BEM entry,
-// the page's shell: keyed by the script and the raw query, and depending on
-// every row the layout, a KeyParams or an untagged block reads, registered
-// before the read. An answer by reference to it grants a lease until the
-// earliest TTL expiry among the template's entries. The template's bytes
-// are then a function of entries the caller hears invalidated, so it may
-// reuse them until one is. When the run never read the user, they are also
-// every visitor's, and the grant says so: the caller may reuse them for any
+// invalidation over the fabric. An answer by reference to it grants a lease
+// until the earliest TTL expiry among the template's entries: the caller
+// may reuse the template until then, or until it hears one of them
+// invalidated. When the run never read the user, the template is also
+// every visitor's, and the grant says so: the caller may reuse it for any
 // visitor of the same URI.
 package origin
 
@@ -83,9 +89,8 @@ const (
 	// HeaderSame marks a template response whose body was left out because
 	// it is the template the request named in HeaderHave.
 	HeaderSame = "X-DPC-Same"
-	// HeaderLease, on a capable caller's request, asks for a lease: a
-	// template that opens with its page's shell entry, and on an answer by
-	// reference a grant. On such an answer it is the grant: the whole
+	// HeaderLease, on a capable caller's request, asks for a grant on an
+	// answer by reference. On such an answer it is the grant: the whole
 	// milliseconds until the earliest TTL expiry among the BEM entries the
 	// template names, or "none" when none of them expires, followed by
 	// ";page" when the run never read the user. A caller that hears every
@@ -345,7 +350,7 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request) {
 
 	if have != "" {
 		start := time.Now()
-		if expiry, page, ok := s.valid.answers(name, user, query, have, lease, s.cfg.Repo, s.cfg.Monitor); ok {
+		if expiry, page, ok := s.valid.answers(name, user, query, have, s.cfg.Monitor); ok {
 			s.templates.Inc()
 			s.templateRefs.Inc()
 			s.templateRefsValidated.Inc()
@@ -377,17 +382,15 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request) {
 		if have != "" {
 			sink.gets = make([]bem.Handle, 0, 16)
 		}
-		if lease {
-			if err := sink.shell(ctx, shellID(name, query)); err != nil {
-				s.fail(w, name, err)
-				return
-			}
+		err := sink.shell(ctx, shellID(name, query))
+		if err == nil {
+			err = script.Run(sc, ctx, sink)
 		}
-		if err := script.Run(sc, ctx, sink); err != nil {
-			s.fail(w, name, err)
-			return
+		if err == nil {
+			err = enc.Flush()
 		}
-		if err := enc.Flush(); err != nil {
+		if err != nil {
+			sink.abandon()
 			s.fail(w, name, err)
 			return
 		}
@@ -398,7 +401,7 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request) {
 		// the next.
 		if have != "" && !sink.set {
 			digest := templateDigest(body.Bytes())
-			s.valid.file(name, user, query, digest, lease, !ctx.ReadIdentity(), ctx.Reads(), sink.gets)
+			s.valid.file(name, user, query, digest, !ctx.ReadIdentity(), sink.gets)
 			if string(digest[:]) == have {
 				same = true
 				w.Header().Set(HeaderSame, "1")
@@ -537,6 +540,9 @@ type bemSink struct {
 	mon  *bem.Monitor
 	set  bool         // a SET went out
 	gets []bem.Handle // a handle per GET, in order, when non-nil
+	// shellKey and shellGen are the shell's slot and generation when it
+	// missed and its SET went out; shellGen is zero otherwise.
+	shellKey, shellGen uint32
 	// expiry is the earliest TTL expiry among the entries the GETs named,
 	// zero when none expires.
 	expiry time.Time
@@ -551,13 +557,13 @@ const shellMark = "\x00"
 // the visitor.
 func shellID(script, query string) string { return shellMark + script + "?" + query }
 
-// shell opens the template of a request that asks for a lease with its
-// page's shell entry — a GET, or a SET with an empty body — and has each row
-// the page reads registered as the shell's dependency before it is read.
-// Only Depend ever adds to a shell's dependencies and nothing replaces them
-// while its generation lives, so they are the union of what every run
-// against that generation read: a write to a row any visitor's layout read
-// invalidates the shell, and so every lease that names it.
+// shell opens a template with its page's shell entry — a GET, or a SET with
+// an empty body — and has each row the page reads registered as the shell's
+// dependency before it is read. Only Depend ever adds to a shell's
+// dependencies and only the next generation's miss clears them, so they are
+// the union of what every run against that generation read: a write to a
+// row any visitor's layout read invalidates the shell, and so every
+// template, validator record and lease that names it.
 func (s *bemSink) shell(ctx *script.Context, id string) error {
 	d, err := s.mon.Lookup(id, 0)
 	if err != nil {
@@ -567,8 +573,18 @@ func (s *bemSink) shell(ctx *script.Context, id string) error {
 	if d.Hit {
 		return s.get(d)
 	}
-	s.set = true
+	s.set, s.shellKey, s.shellGen = true, d.Key, d.Gen
 	return s.enc.Set(d.Key, d.Gen, nil)
+}
+
+// abandon takes back the shell's SET of a template that will not be sent:
+// the entry was made valid on the promise of that SET, and the next
+// template would carry a GET of it no proxy can satisfy. Fragment does the
+// same for a tagged block's.
+func (s *bemSink) abandon() {
+	if s.shellGen != 0 {
+		s.mon.InvalidateStale(s.shellKey, s.shellGen)
+	}
 }
 
 // get emits a GET for a hit.
@@ -599,12 +615,12 @@ func (s *bemSink) Fragment(fragmentID string, ttl time.Duration, r *script.Rende
 	// the SET does not go out, a later template would carry a GET no proxy
 	// can satisfy: take the promise back, as a proxy's stale report for
 	// this slot and generation would after paying for a bypass.
-	body, reads, err := r.Render(func(k repository.Key) { s.mon.Depend(fragmentID, d.Gen, k) })
+	body, err := r.Render(func(k repository.Key) { s.mon.Depend(fragmentID, d.Gen, k) })
 	if err != nil {
 		s.mon.InvalidateStale(d.Key, d.Gen)
 		return err
 	}
-	s.mon.Commit(fragmentID, d.Gen, len(body), reads)
+	s.mon.Commit(fragmentID, d.Gen, len(body))
 	s.set = true
 	if err := s.enc.Set(d.Key, d.Gen, body); err != nil {
 		s.mon.InvalidateStale(d.Key, d.Gen)

@@ -27,7 +27,7 @@ import (
 type modelSite struct {
 	name string
 	// capacity is the BEM's slot count: small enough that the directory
-	// evicts while the model runs.
+	// evicts while the model runs. It counts a slot for each URL's shell.
 	capacity int
 	// step is the unit of a clock step, near the site's shortest TTL.
 	step  time.Duration
@@ -43,7 +43,7 @@ var modelSites = []modelSite{
 	{
 		// Half the fragments are untagged (their rows are page reads), and
 		// every tagged one expires.
-		name: "synth", capacity: 5, step: time.Second,
+		name: "synth", capacity: 5 + 5, step: time.Second,
 		build: func(repo *repository.Repo) (*script.Script, error) {
 			cfg := site.SyntheticConfig{Pages: 4, FragmentsPerPage: 4, FragmentBytes: 64, Cacheability: 0.5, TTL: 2 * time.Second}
 			sc, _, err := site.BuildSynthetic(cfg, repo)
@@ -58,7 +58,7 @@ var modelSites = []modelSite{
 	{
 		// A per-user layout: the profile row the layout reads picks the
 		// modules, and the greeting is a fragment per user.
-		name: "portal", capacity: 8, step: 20 * time.Minute,
+		name: "portal", capacity: 8 + 1, step: 20 * time.Minute,
 		build: func(repo *repository.Repo) (*script.Script, error) {
 			return site.BuildPortal(site.PortalConfig{Users: 4, Modules: 6, ModulesPerPage: 3, ModuleBytes: 64}, repo)
 		},
@@ -79,7 +79,7 @@ var modelSites = []modelSite{
 	{
 		// Every block that reads a row is tagged; the layout depends on
 		// whether there is a user.
-		name: "bookstore", capacity: 8, step: 10 * time.Minute,
+		name: "bookstore", capacity: 8 + 4, step: 10 * time.Minute,
 		build: func(repo *repository.Repo) (*script.Script, error) { return site.BuildBookstore(repo), nil },
 		urls: []string{"/page/catalog?categoryID=Fiction", "/page/catalog?categoryID=Science",
 			"/page/catalog?categoryID=History", "/page/catalog"},
@@ -125,8 +125,9 @@ func carriesSet(t testing.TB, template []byte) bool {
 // to rows the page reads; clock steps across TTLs — on a BEM small enough to
 // evict. After every offer answered from a filed record, it generates the
 // same request afresh: the template must be GET-only and hash to the offer.
-// It returns how many offers were answered from a record.
-func runValidatorModel(t testing.TB, ms modelSite, seed int64, steps int) int64 {
+// It returns how many offers were answered from a record, and how many
+// entries the BEM evicted.
+func runValidatorModel(t testing.TB, ms modelSite, seed int64, steps int) (validated, evictions int64) {
 	rng := rand.New(rand.NewSource(seed))
 	repo := repository.New(repository.LatencyModel{})
 	clk := clock.NewFake(time.Date(2002, 6, 4, 9, 30, 0, 0, time.UTC))
@@ -165,7 +166,7 @@ func runValidatorModel(t testing.TB, ms modelSite, seed int64, steps int) int64 
 		}
 		return rec
 	}
-	validated := func() int64 { return srv.reg.Snapshot()["origin.template_refs_validated"] }
+	answered := func() int64 { return srv.reg.Snapshot()["origin.template_refs_validated"] }
 
 	for step := 0; step < steps; step++ {
 		switch op := rng.Intn(10); {
@@ -194,7 +195,7 @@ func runValidatorModel(t testing.TB, ms modelSite, seed int64, steps int) int64 
 					stale = fmt.Sprintf("%d:%d", f.DpcKey, f.Gen)
 				}
 			}
-			before := validated()
+			before := answered()
 			rec := do(k, have, stale)
 			if rec.Header().Get(HeaderSame) == "" {
 				if len(seen[k]) == 0 {
@@ -203,7 +204,7 @@ func runValidatorModel(t testing.TB, ms modelSite, seed int64, steps int) int64 
 				seen[k] = append(seen[k], hexDigest(rec.Body.String()))
 				continue
 			}
-			if validated() == before {
+			if answered() == before {
 				continue // hashed: compared with this request's own bytes
 			}
 			fresh := do(k, "", "")
@@ -221,7 +222,7 @@ func runValidatorModel(t testing.TB, ms modelSite, seed int64, steps int) int64 
 	if err := mon.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	return validated()
+	return answered(), mon.Stats().Evictions
 }
 
 // The validator against its oracle, a fresh generation: on every site, under
@@ -232,13 +233,17 @@ func runValidatorModel(t testing.TB, ms modelSite, seed int64, steps int) int64 
 // here answers a template that is no longer the request's.
 func TestValidatorModel(t *testing.T) {
 	for _, ms := range modelSites {
-		var validated int64
+		var validated, evictions int64
 		for seed := int64(1); seed <= 8; seed++ {
-			validated += runValidatorModel(t, ms, seed, 600)
+			v, e := runValidatorModel(t, ms, seed, 600)
+			validated, evictions = validated+v, evictions+e
 		}
-		t.Logf("%s: %d offers answered from a record", ms.name, validated)
+		t.Logf("%s: %d offers answered from a record, %d BEM evictions", ms.name, validated, evictions)
 		if validated < 50 {
 			t.Errorf("%s: %d offers answered from a record over 8 seeds; the model barely reaches the validator", ms.name, validated)
+		}
+		if evictions == 0 {
+			t.Errorf("%s: the BEM never evicted; the model does not reach eviction", ms.name)
 		}
 	}
 }

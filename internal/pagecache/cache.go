@@ -61,14 +61,8 @@ func unpackMeta(meta string) (contentType, etag string) {
 	return meta, ""
 }
 
-// Get returns the cached page under key, if fresh.
-func (c *Cache) Get(key string) (body []byte, contentType string, ok bool) {
-	body, contentType, _, ok = c.GetTagged(key)
-	return body, contentType, ok
-}
-
-// GetTagged returns the cached page under key plus the entity tag it was
-// stamped with at capture time ("" when stored untagged).
+// GetTagged returns the cached page under key, if fresh, plus the entity
+// tag it was stamped with at capture time ("" when stored untagged).
 func (c *Cache) GetTagged(key string) (body []byte, contentType, etag string, ok bool) {
 	e, ok := c.store.Get(key)
 	if !ok {
@@ -103,16 +97,12 @@ func (c *Cache) GetStale(key string) (body []byte, contentType, etag string, age
 	return e.Value, contentType, etag, age, true
 }
 
-// Put stores a page under key for ttl. Non-positive ttl is ignored: a
-// URL-keyed page cache cannot see fragment invalidations on its own, so
-// time is the baseline freshness signal — an unexpiring page would be
-// wrong forever wherever no invalidation fabric is wired.
-func (c *Cache) Put(key string, body []byte, contentType string, ttl time.Duration) {
-	c.PutTagged(key, body, contentType, "", ttl)
-}
-
-// PutTagged stores a page along with its strong entity tag, letting the
-// tier answer If-None-Match revalidations with a 304 instead of a body.
+// PutTagged stores a page under key for ttl along with its strong entity
+// tag ("" for none), letting the tier answer If-None-Match revalidations
+// with a 304 instead of a body. Non-positive ttl is ignored: a URL-keyed
+// page cache cannot see fragment invalidations on its own, so time is the
+// baseline freshness signal — an unexpiring page would be wrong forever
+// wherever no invalidation fabric is wired.
 func (c *Cache) PutTagged(key string, body []byte, contentType, etag string, ttl time.Duration) {
 	if ttl <= 0 {
 		return

@@ -35,7 +35,7 @@ func TestCacheByteBudgetEvicts(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 40; i++ {
-		c.Put(fmt.Sprintf("/p%d", i), make([]byte, 100), "text/html", time.Minute)
+		c.PutTagged(fmt.Sprintf("/p%d", i), make([]byte, 100), "text/html", "", time.Minute)
 	}
 	if got := c.Bytes(); got > 1000 {
 		t.Fatalf("resident %d bytes, over the 1000 budget", got)
@@ -207,8 +207,9 @@ func TestMetrics(t *testing.T) {
 	}
 }
 
-// Tagged entries carry their entity tag alongside the content type; the
-// untagged API must keep working and never leak the separator.
+// Tagged entries carry their entity tag alongside the content type; an
+// entry stored with no tag reads back with none, and the separator never
+// leaks into either field.
 func TestCacheTaggedEntries(t *testing.T) {
 	c, err := NewCache(fragstore.KeyedConfig{})
 	if err != nil {
@@ -219,12 +220,9 @@ func TestCacheTaggedEntries(t *testing.T) {
 	if !ok || string(body) != "body" || ctype != "text/html" || etag != `"abc123"` {
 		t.Fatalf("GetTagged = %q, %q, %q, %v", body, ctype, etag, ok)
 	}
-	if _, ctype, ok := c.Get("/p"); !ok || ctype != "text/html" {
-		t.Fatalf("untagged Get on a tagged entry: ctype = %q, ok = %v", ctype, ok)
-	}
-	c.Put("/q", []byte("other"), "text/plain", time.Minute)
-	if _, _, etag, _ := c.GetTagged("/q"); etag != "" {
-		t.Fatalf("untagged Put produced etag %q", etag)
+	c.PutTagged("/q", []byte("other"), "text/plain", "", time.Minute)
+	if _, ctype, etag, ok := c.GetTagged("/q"); !ok || ctype != "text/plain" || etag != "" {
+		t.Fatalf("an entry stored with no tag reads back ctype %q, etag %q, ok %v", ctype, etag, ok)
 	}
 }
 
@@ -234,9 +232,9 @@ func TestCacheDelete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Put("GET\x00/a\x00fr", []byte("x"), "", time.Minute)
-	c.Put("GET\x00/a\x00en", []byte("x"), "", time.Minute)
-	c.Put("GET\x00/b\x00", []byte("x"), "", time.Minute)
+	c.PutTagged("GET\x00/a\x00fr", []byte("x"), "", "", time.Minute)
+	c.PutTagged("GET\x00/a\x00en", []byte("x"), "", "", time.Minute)
+	c.PutTagged("GET\x00/b\x00", []byte("x"), "", "", time.Minute)
 	if !c.Delete("GET\x00/b\x00") || c.Delete("GET\x00/b\x00") {
 		t.Fatal("Delete did not report residency correctly")
 	}
@@ -254,13 +252,13 @@ func TestCacheReserveCapture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Put("/hot", make([]byte, 800), "", time.Minute)
+	c.PutTagged("/hot", make([]byte, 800), "", "", time.Minute)
 	c.ReserveCapture(800)
 	if c.Len() != 0 {
 		t.Fatalf("resident = %d under capture pressure, want 0", c.Len())
 	}
 	c.ReserveCapture(-800)
-	c.Put("/hot", make([]byte, 800), "", time.Minute)
+	c.PutTagged("/hot", make([]byte, 800), "", "", time.Minute)
 	if c.Len() != 1 {
 		t.Fatal("release did not restore headroom")
 	}

@@ -35,13 +35,6 @@ type Row struct {
 	Version uint64
 }
 
-// Read is one row a computation read and the version it saw: 0 when the
-// row was absent.
-type Read struct {
-	Key
-	Version uint64
-}
-
 // UpdateEvent describes one committed write.
 type UpdateEvent struct {
 	Key     Key
@@ -191,24 +184,15 @@ func (r *Repo) chargeQuery(lat time.Duration) {
 // It is one query, as Get is, but reads the column in place under the read
 // lock where Get copies the row for its caller to keep.
 func (r *Repo) Field(k Key, column, def string) string {
-	v, _ := r.FieldVersion(k, column, def)
-	return v
-}
-
-// FieldVersion is Field that also returns the version of the row the
-// column was read from (0 when the row is absent), taken under the same
-// lock as the value.
-func (r *Repo) FieldVersion(k Key, column, def string) (string, uint64) {
 	r.mu.RLock()
 	lat := r.lat.QueryDelay
-	row := r.tables[k.Table][k.Row]
-	v, ok := row.Fields[column]
+	v, ok := r.tables[k.Table][k.Row].Fields[column]
 	r.mu.RUnlock()
 	r.chargeQuery(lat)
 	if !ok {
 		v = def
 	}
-	return v, row.Version
+	return v
 }
 
 // Version returns the current version of row k, or 0 when absent. It does
@@ -217,20 +201,6 @@ func (r *Repo) Version(k Key) uint64 {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.tables[k.Table][k.Row].Version
-}
-
-// Unchanged reports whether every row of reads still has the version it
-// was read at, under one hold of the lock. Like Version it compares
-// versions and charges no query latency.
-func (r *Repo) Unchanged(reads []Read) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for _, rd := range reads {
-		if r.tables[rd.Table][rd.Row].Version != rd.Version {
-			return false
-		}
-	}
-	return true
 }
 
 // Scan returns the row keys of a table in unspecified order.

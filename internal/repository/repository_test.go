@@ -75,40 +75,6 @@ func TestVersionMissingRowIsZero(t *testing.T) {
 	}
 }
 
-// A read remembers the version it saw, and Unchanged holds exactly until the
-// row is written, deleted, or — for a row read as absent — created.
-func TestFieldVersionAndUnchanged(t *testing.T) {
-	r := New(LatencyModel{})
-	k, absent := Key{Table: "t", Row: "r"}, Key{Table: "t", Row: "later"}
-	v1 := r.Put(k, map[string]string{"a": "1"})
-	val, ver := r.FieldVersion(k, "a", "d")
-	if val != "1" || ver != v1 {
-		t.Fatalf("FieldVersion = %q@%d, want \"1\"@%d", val, ver, v1)
-	}
-	if val, ver := r.FieldVersion(k, "nope", "d"); val != "d" || ver != v1 {
-		t.Fatalf("missing column = %q@%d, want the default at the row's version %d", val, ver, v1)
-	}
-	if val, ver := r.FieldVersion(absent, "a", "d"); val != "d" || ver != 0 {
-		t.Fatalf("missing row = %q@%d, want the default at 0", val, ver)
-	}
-	reads := []Read{{Key: k, Version: v1}, {Key: absent}}
-	if !r.Unchanged(reads) || !r.Unchanged(nil) {
-		t.Fatal("nothing was written, yet the reads are not unchanged")
-	}
-	r.Put(absent, map[string]string{"a": "2"})
-	if r.Unchanged(reads) {
-		t.Fatal("a row read as absent was created, yet the reads are unchanged")
-	}
-	r.Delete(absent)
-	if !r.Unchanged(reads) {
-		t.Fatal("the row is absent again, as it was read")
-	}
-	r.Delete(k)
-	if r.Unchanged(reads[:1]) {
-		t.Fatal("a read row was deleted, yet the reads are unchanged")
-	}
-}
-
 func TestUpdateBusFiresOnPutAndDelete(t *testing.T) {
 	r := New(LatencyModel{})
 	var events []UpdateEvent

@@ -14,7 +14,7 @@ import (
 
 // A run over a bench-shaped page — sixteen 1 KiB blocks, twelve tagged —
 // renders every block into the run's one pooled buffer: no buffer per
-// block, no closure per tagged block, no dependency slice per render.
+// block, no closure per tagged block.
 func TestAllocBudgetRunRendersIntoOneBuffer(t *testing.T) {
 	const blocks, blockBytes = 16, 1 << 10
 	body := strings.Repeat("x", blockBytes)
@@ -39,7 +39,7 @@ func TestAllocBudgetRunRendersIntoOneBuffer(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	run() // sizes the pooled buffer and the context's dependency list
+	run() // sizes the pooled buffer
 
 	const runs = 200
 	var before, after runtime.MemStats

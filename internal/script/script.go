@@ -27,14 +27,14 @@
 // what they write: no clock, no random numbers, no state kept between runs,
 // no repository read past the Context. The BEM relies on it for tagged
 // blocks (a fragment stays valid until a row it read is written or its TTL
-// passes), and the origin for the page around them (a template answered by
-// reference is re-validated from the rows the layout and the untagged
-// blocks read, Context.Reads, without running the script again; and a proxy
-// leasing the template keeps it until a write to one of those rows
-// invalidates the page's own BEM entry, whose dependencies WatchReads
-// registers). So a run that never asked for the user (ReadIdentity) wrote
-// what the same request by any other visitor, anonymous included, would
-// have: the origin leases such a template to the page, not the visitor.
+// passes), and the origin for the page around them: the rows the layout
+// and the untagged blocks read are the dependencies of the page's own BEM
+// entry, its shell, which WatchReads registers. A template answered by
+// reference without running the script again, or leased to a proxy, stays
+// current until a write to one of those rows invalidates the shell. So a
+// run that never asked for the user (ReadIdentity) wrote what the same
+// request by any other visitor, anonymous included, would have: the origin
+// leases such a template to the page, not the visitor.
 package script
 
 import (
@@ -49,11 +49,11 @@ import (
 
 // Context carries per-request state through a script run: the request
 // parameters, the requesting user (empty for anonymous visitors), and the
-// repository handle. It also records every row read and the version the
-// read saw: a tagged block's reads are its fragment's data dependencies,
-// which the BEM uses for update-driven invalidation, and the rest are the
-// page's (Reads). Likewise it records whether the page asked who the user
-// is (ReadIdentity).
+// repository handle. It tells a sink of every row before it is read: a
+// tagged block's reads are its fragment's data dependencies, which the BEM
+// uses for update-driven invalidation, and the rest are the page's
+// (WatchReads). It also records whether the page asked who the user is
+// (ReadIdentity).
 type Context struct {
 	// Params are the request's query parameters (e.g. categoryID).
 	Params map[string]string
@@ -67,16 +67,12 @@ type Context struct {
 	// blocks' renders.
 	readUser bool
 
-	reads []repository.Read
 	// watch hears of each row before it is read: while a tagged block
 	// renders for a sink that asked, the block's own (Renderer.Render), and
 	// otherwise pageWatch.
 	watch func(repository.Key)
 	// pageWatch is what WatchReads set: the watch on the page's own reads.
 	pageWatch func(repository.Key)
-	// readBuf holds a page's first reads, so that a page reading a few rows
-	// allocates nothing for them beyond the Context.
-	readBuf [4]repository.Read
 }
 
 // NewContext returns a request context.
@@ -84,9 +80,7 @@ func NewContext(repo *repository.Repo, userID string, params map[string]string) 
 	if params == nil {
 		params = map[string]string{}
 	}
-	c := &Context{Params: params, userID: userID, Repo: repo}
-	c.reads = c.readBuf[:0]
-	return c
+	return &Context{Params: params, userID: userID, Repo: repo}
 }
 
 // Param returns a request parameter or def when absent.
@@ -117,42 +111,33 @@ func (c *Context) Anonymous() bool {
 // depends on it, so it does not count.
 func (c *Context) ReadIdentity() bool { return c.readUser }
 
-// Query reads a repository row, recording it and the version read (0 for a
-// missing row).
+// Query reads a repository row, after the watch has heard of it (a missing
+// row too).
 func (c *Context) Query(table, row string) (repository.Row, error) {
 	k := repository.Key{Table: table, Row: row}
 	if c.watch != nil {
 		c.watch(k)
 	}
-	r, err := c.Repo.Get(k)
-	c.reads = append(c.reads, repository.Read{Key: k, Version: r.Version})
-	return r, err
+	return c.Repo.Get(k)
 }
 
-// Field reads one column, recording the row and the version read; def is
+// Field reads one column, after the watch has heard of the row; def is
 // returned when the row or column is missing.
 func (c *Context) Field(table, row, column, def string) string {
 	k := repository.Key{Table: table, Row: row}
 	if c.watch != nil {
 		c.watch(k)
 	}
-	v, version := c.Repo.FieldVersion(k, column, def)
-	c.reads = append(c.reads, repository.Read{Key: k, Version: version})
-	return v
+	return c.Repo.Field(k, column, def)
 }
 
 // WatchReads has fn hear of each row the page reads — in Layout, in
-// KeyParams and in untagged blocks, the rows Reads returns — before it is
-// read, so that a sink can depend on the row from before the read (the
-// BEM's Depend on a page's shell): a write that lands while the page runs is
-// then either seen by the read or heard by the sink. Set it before Run.
+// KeyParams and in untagged blocks, not in a tagged block's render — before
+// it is read, so that a sink can depend on the row from before the read
+// (the BEM's Depend on a page's shell): a write that lands while the page
+// runs is then either seen by the read or heard by the sink. Set it before
+// Run.
 func (c *Context) WatchReads(fn func(repository.Key)) { c.watch, c.pageWatch = fn, fn }
-
-// Reads returns the rows the current run has read outside its tagged
-// blocks' renders — in Layout, in KeyParams and in untagged blocks — with
-// the version each read saw. After Run returns it is the page's whole read
-// set, left as it is until another Run on the same Context starts.
-func (c *Context) Reads() []repository.Read { return c.reads }
 
 // RenderFunc writes a block's output.
 type RenderFunc func(ctx *Context, w io.Writer) error
@@ -238,26 +223,25 @@ const maxPooledRender = 1 << 20
 
 var rendererPool = sync.Pool{New: func() any { return new(Renderer) }}
 
-// Render runs the block and returns its output and the rows it read, each
-// with the version read. Both are the run's scratch memory: they are valid
-// until the sink method they were obtained in returns, and a sink that
-// keeps either copies. A non-nil watch is called with each row before the
+// Render runs the block and returns its output, the run's scratch memory:
+// it is valid until the sink method it was obtained in returns, and a sink
+// that keeps it copies. A non-nil watch is called with each row before the
 // block reads it, so that a sink can depend on the row from before the read
 // (the BEM's Depend): a write that lands while the block renders is then
 // either seen by the read or heard by the sink.
-func (r *Renderer) Render(watch func(repository.Key)) (body []byte, reads []repository.Read, err error) {
+func (r *Renderer) Render(watch func(repository.Key)) ([]byte, error) {
 	r.buf.Reset()
-	start, readUser := len(r.ctx.reads), r.ctx.readUser
+	readUser := r.ctx.readUser
 	r.ctx.watch = watch
-	err = r.block.Render(r.ctx, &r.buf)
+	err := r.block.Render(r.ctx, &r.buf)
 	r.ctx.watch = r.ctx.pageWatch
 	if r.block.Cacheable {
 		r.ctx.readUser = readUser // the fragment's, not the page's
 	}
 	if err != nil {
-		return nil, nil, fmt.Errorf("script %q block %q: %w", r.script.Name, r.block.Name, err)
+		return nil, fmt.Errorf("script %q block %q: %w", r.script.Name, r.block.Name, err)
 	}
-	return r.buf.Bytes(), r.ctx.reads[start:], nil
+	return r.buf.Bytes(), nil
 }
 
 // Run executes the script against the sink. The blocks Layout returns are
@@ -275,13 +259,13 @@ func Run(s *Script, ctx *Context, sink Sink) error {
 			rendererPool.Put(r)
 		}
 	}()
-	ctx.reads, ctx.readUser = ctx.reads[:0], false
+	ctx.readUser = false
 	blocks := s.Layout(ctx)
 	for i := range blocks {
 		b := &blocks[i]
 		r.block = b
 		if !b.Cacheable {
-			body, _, err := r.Render(ctx.pageWatch)
+			body, err := r.Render(ctx.pageWatch)
 			if err != nil {
 				return err
 			}
@@ -290,13 +274,7 @@ func Run(s *Script, ctx *Context, sink Sink) error {
 			}
 			continue
 		}
-		id := b.FragmentID(ctx)
-		// What a tagged block's render reads is its fragment's, not the
-		// page's: the sink has had it by the time Fragment returns.
-		mark := len(ctx.reads)
-		err := sink.Fragment(id, b.TTL, r)
-		ctx.reads = ctx.reads[:mark]
-		if err != nil {
+		if err := sink.Fragment(b.FragmentID(ctx), b.TTL, r); err != nil {
 			return err
 		}
 	}
@@ -321,7 +299,7 @@ func (p *PlainSink) Literal(b []byte) error {
 
 // Fragment implements Sink by always generating.
 func (p *PlainSink) Fragment(_ string, _ time.Duration, r *Renderer) error {
-	body, _, err := r.Render(nil)
+	body, err := r.Render(nil)
 	if err != nil {
 		return err
 	}

@@ -95,10 +95,11 @@ func TestFragmentIDIncludesParams(t *testing.T) {
 	}
 }
 
-// recordingSink captures the fragment/literal sequence a run produces.
+// recordingSink captures the fragment/literal sequence a run produces, and
+// the rows each fragment's render reads.
 type recordingSink struct {
 	events []string
-	deps   map[string][]repository.Read
+	deps   map[string][]repository.Key
 }
 
 func (r *recordingSink) Literal(p []byte) error {
@@ -107,14 +108,13 @@ func (r *recordingSink) Literal(p []byte) error {
 }
 
 func (r *recordingSink) Fragment(id string, _ time.Duration, rd *Renderer) error {
-	body, deps, err := rd.Render(nil)
+	if r.deps == nil {
+		r.deps = map[string][]repository.Key{}
+	}
+	body, err := rd.Render(func(k repository.Key) { r.deps[id] = append(r.deps[id], k) })
 	if err != nil {
 		return err
 	}
-	if r.deps == nil {
-		r.deps = map[string][]repository.Read{}
-	}
-	r.deps[id] = append([]repository.Read(nil), deps...) // the run reuses both
 	r.events = append(r.events, "frag:"+id+":"+string(body))
 	return nil
 }
@@ -155,24 +155,23 @@ func TestDependencyScopingPerFragment(t *testing.T) {
 		t.Fatal(err)
 	}
 	greetDeps := sink.deps["greet+bob"]
-	if len(greetDeps) != 1 || greetDeps[0].Key != (repository.Key{Table: "users", Row: "bob"}) {
+	if len(greetDeps) != 1 || greetDeps[0] != (repository.Key{Table: "users", Row: "bob"}) {
 		t.Fatalf("greet deps = %v", greetDeps)
 	}
 	catDeps := sink.deps["cat+fiction"]
-	if len(catDeps) != 1 || catDeps[0].Key != (repository.Key{Table: "cat", Row: "fiction"}) {
+	if len(catDeps) != 1 || catDeps[0] != (repository.Key{Table: "cat", Row: "fiction"}) {
 		t.Fatalf("cat deps = %v", catDeps)
 	}
 }
 
-// The page's read set is what the layout, the KeyParams and the untagged
-// blocks read, each at the version it saw; a tagged block's render reads go
-// to its fragment alone. A new run starts a new set.
+// The page's read set, the rows WatchReads hears of, is what the layout, the
+// KeyParams and the untagged blocks read; a tagged block's render reads go
+// to its fragment alone.
 func TestRunReadSet(t *testing.T) {
 	repo := newRepo()
 	layoutRow := repository.Key{Table: "layout", Row: "main"}
-	vLayout := repo.Put(layoutRow, map[string]string{"rail": "left"})
-	vNav := repo.Put(repository.Key{Table: "nav", Row: "top"}, map[string]string{"html": "<nav>"})
-	vBob := repo.Version(repository.Key{Table: "users", Row: "bob"})
+	repo.Put(layoutRow, map[string]string{"rail": "left"})
+	repo.Put(repository.Key{Table: "nav", Row: "top"}, map[string]string{"html": "<nav>"})
 	s := &Script{
 		Name: "page",
 		Layout: func(c *Context) []Block {
@@ -192,23 +191,26 @@ func TestRunReadSet(t *testing.T) {
 		},
 	}
 	ctx := NewContext(repo, "bob", nil)
+	var got []repository.Key
+	ctx.WatchReads(func(k repository.Key) { got = append(got, k) })
 	sink := &recordingSink{}
 	for run := 0; run < 2; run++ {
+		got = got[:0]
 		if err := Run(s, ctx, sink); err != nil {
 			t.Fatal(err)
 		}
-		want := []repository.Read{
-			{Key: layoutRow, Version: vLayout},
-			{Key: repository.Key{Table: "nav", Row: "top"}, Version: vNav},
-			{Key: repository.Key{Table: "users", Row: "bob"}, Version: vBob}, // KeyParams: names the fragment
+		want := []repository.Key{
+			layoutRow,
+			{Table: "nav", Row: "top"},
+			{Table: "users", Row: "bob"}, // KeyParams: names the fragment
 		}
-		if got := ctx.Reads(); !slices.Equal(got, want) {
+		if !slices.Equal(got, want) {
 			t.Fatalf("run %d: page reads %v, want %v", run, got, want)
 		}
 	}
 	cat := sink.deps["greet+Bob"]
-	if len(cat) != 1 || cat[0].Key != (repository.Key{Table: "cat", Row: "fiction"}) || cat[0].Version != repo.Version(cat[0].Key) {
-		t.Fatalf("fragment reads %v, want cat/fiction at its version", cat)
+	if want := (repository.Key{Table: "cat", Row: "fiction"}); len(cat) != 2 || cat[0] != want || cat[1] != want {
+		t.Fatalf("fragment reads %v over two runs, want cat/fiction in each", cat)
 	}
 }
 
@@ -221,7 +223,7 @@ type watchingSink struct {
 }
 
 func (w *watchingSink) Fragment(_ string, _ time.Duration, r *Renderer) error {
-	body, _, err := r.Render(func(k repository.Key) {
+	body, err := r.Render(func(k repository.Key) {
 		w.watched = append(w.watched, k)
 		w.repo.Put(k, map[string]string{"title": "Watched", "name": "Watched"})
 	})
@@ -307,13 +309,14 @@ func TestContextParamDefault(t *testing.T) {
 func TestContextQueryRecordsDepEvenOnMiss(t *testing.T) {
 	repo := repository.New(repository.LatencyModel{})
 	ctx := NewContext(repo, "", nil)
+	var deps []repository.Key
+	ctx.WatchReads(func(k repository.Key) { deps = append(deps, k) })
 	_, err := ctx.Query("t", "missing")
 	if err == nil {
 		t.Fatal("expected not-found error")
 	}
-	deps := ctx.Reads()
-	if len(deps) != 1 || deps[0].Version != 0 {
-		t.Fatalf("reads = %v; a miss must still record the dependency, at version 0", deps)
+	if len(deps) != 1 || deps[0] != (repository.Key{Table: "t", Row: "missing"}) {
+		t.Fatalf("watched %v; a miss must still record the dependency", deps)
 	}
 }
 

@@ -290,9 +290,10 @@ func TestPadTo(t *testing.T) {
 // Every shipped site keeps the contract package script states: a page is a
 // function of the request and of the rows it reads through the Context. Run
 // twice on one repository, each request writes the same bytes and reads the
-// same rows at the same versions; on a second build of the site, the same
-// bytes. The origin answers an offered template from its read set alone, so
-// a site that broke this would be answered with stale templates.
+// same rows (WatchReads); on a second build of the site, the same bytes. The
+// rows a page reads are its shell's BEM dependencies, and the origin answers
+// an offered template from those entries alone, so a site that broke this
+// would be answered with stale templates.
 //
 // It also holds each site to the scope its runs report. A run that did not
 // read the user (ReadIdentity) is answered, for another visitor and for an
@@ -329,16 +330,19 @@ func TestSitesRenderDeterministically(t *testing.T) {
 	for _, s := range sites {
 		type run struct {
 			page, template string
-			reads          []repository.Read
+			reads          []repository.Key
 			readIdentity   bool
 		}
 		render := func(sc *script.Script, repo *repository.Repo, rq request) run {
 			ctx := script.NewContext(repo, rq.user, rq.params)
+			var r run
+			ctx.WatchReads(func(k repository.Key) { r.reads = append(r.reads, k) })
 			var b strings.Builder
 			if err := script.Run(sc, ctx, &script.PlainSink{W: &b}); err != nil {
 				t.Fatalf("%s: %v", s.name, err)
 			}
-			r := run{page: b.String(), reads: ctx.Reads(), readIdentity: ctx.ReadIdentity()}
+			ctx.WatchReads(nil)
+			r.page, r.readIdentity = b.String(), ctx.ReadIdentity()
 			var tmpl templateSink
 			if err := script.Run(sc, ctx, &tmpl); err != nil {
 				t.Fatalf("%s: %v", s.name, err)
