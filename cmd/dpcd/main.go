@@ -65,15 +65,14 @@
 // the TTL comes from the invalidation fabric:
 // -invalidate mounts /_dpc/invalidate, where a hub-side
 // coherency.RemoteSubscriber POSTs the BEM's events and the proxy applies
-// each to every tier — a fragment invalidation drops the slot, and the
-// in-proxy dependency index (bounded by -depindex-budget) names exactly
-// the whole-response entries composed from it. An index over budget
-// forgets its least-recently-filed fragments and drops their entries with
-// them, so a write never costs more than its own pages. The
-// endpoint is an unauthenticated write surface on the serving listener
-// (a forged event or sequence gap forces conservative tier flushes), so
-// it is off by default: enable it only where the listener is reachable
-// solely by the hub side.
+// each to every tier — a fragment invalidation drops the slot and raises
+// its floor. Every whole-response entry carries the fragment generations
+// it was built from, and a read that finds one below its floor drops the
+// entry instead of serving it, so a write never costs more than its own
+// pages. The endpoint is an unauthenticated write surface on the serving
+// listener (a forged event or sequence gap forces conservative tier
+// flushes), so it is off by default: enable it only where the listener is
+// reachable solely by the hub side.
 //
 // Each distinct template body that can recur (one carrying no SET) is
 // compiled into a cached operator program keyed by content hash: repeat
@@ -176,7 +175,6 @@ func bindFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&p.PageCacheEntries, "pagecache-entries", 0, "whole-response tier resident entry bound, both rules (0 = 1024 default)")
 	fs.Int64Var(&p.PageCacheBudget, "pagecache-budget", 0, "whole-response tier resident byte bound, both rules (0 = unbounded)")
 	fs.BoolVar(&o.invalidate, "invalidate", false, "mount the coherency invalidation endpoint at /_dpc/invalidate, fanning hub events to every cache tier (unauthenticated write endpoint on the serving listener — enable only where the hub side is the sole client)")
-	fs.Int64Var(&p.DepIndexBudget, "depindex-budget", 0, "dependency-index byte budget for surgical page invalidation (0 = 1MiB default, about 21500 single-page fragments)")
 	fs.DurationVar(&p.PublishInterval, "publish", 10*time.Second, "background dpc.store.* gauge refresh interval (0 = disabled)")
 	fs.DurationVar(&o.status, "status", 0, "log store status at this interval (0 = disabled)")
 	fs.BoolVar(&p.Trace, "trace", false, "request-scoped tracing: per-stage spans and decision events, captured to /_dpc/trace")

@@ -2,168 +2,101 @@ package coherency_test
 
 import (
 	"bytes"
-	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"dpcache/internal/bem"
 	"dpcache/internal/coherency"
-	"dpcache/internal/depindex"
 	"dpcache/internal/dpc"
+	"dpcache/internal/pagecache"
 	"dpcache/internal/tmpl"
 )
 
-// A fragment invalidation must drop exactly the whole-response entries the
-// dependency index recorded as composed from it — nothing more.
+// A fragment invalidation retires exactly the whole-response entries built
+// from it — nothing more — under either admission rule: pageA and pageB
+// (the origin opts pageB in) carry fragment 5:9, pageC carries 6:1. Each
+// dead entry is dropped by the read that finds it, and no event flushes.
 func TestTierSubscriberDropsDependents(t *testing.T) {
-	p := newProxy(t, nil)
-	tier, ix := p.Pages(), p.DepIndex()
-	tier.PutTagged("pageA", []byte("a"), "", "", time.Minute)
-	tier.PutTagged("pageB", []byte("b"), "", "", time.Minute)
-	tier.PutTagged("pageC", []byte("c"), "", "", time.Minute)
-	ix.File([]depindex.ID{depindex.MakeID(5, 9)}, "pageA", time.Minute)
-	ix.File([]depindex.ID{depindex.MakeID(5, 9)}, "pageB", time.Minute)
-	ix.File([]depindex.ID{depindex.MakeID(6, 1)}, "pageC", time.Minute)
-
-	mon, _ := bem.New(bem.Config{Capacity: 8})
-	hub := coherency.NewHub(mon)
-	hub.Subscribe(p)
-
-	hub.Broadcast("frag", 5, 9)
-	if _, _, _, ok := tier.GetTagged("pageA"); ok {
-		t.Fatal("pageA survived its fragment's invalidation")
-	}
-	if _, _, _, ok := tier.GetTagged("pageB"); ok {
-		t.Fatal("pageB survived its fragment's invalidation")
-	}
-	if _, _, _, ok := tier.GetTagged("pageC"); !ok {
-		t.Fatal("pageC dropped though its fragment is alive")
-	}
-	dropped, flushes := counter(p, "dpc.pagecache_invalidations"), counter(p, "dpc.pagecache_flushes")
-	if dropped != 2 || flushes != 0 {
-		t.Fatalf("dropped=%d flushes=%d, want 2/0", dropped, flushes)
-	}
-	// A fragment with no recorded dependents is a surgical no-op.
-	hub.Broadcast("other", 7, 1)
-	if flushes := counter(p, "dpc.pagecache_flushes"); tier.Len() != 1 || flushes != 0 {
-		t.Fatalf("no-dependent event disturbed the tier: len=%d flushes=%d", tier.Len(), flushes)
-	}
-}
-
-// When the index sheds a fragment's record under byte pressure, the pages
-// that record named leave the tier with it: the tier never holds a page
-// the index has forgotten, and a later event on that fragment finds
-// nothing left to drop and flushes nothing.
-func TestTierSubscriberShedDropsVictimPage(t *testing.T) {
-	// Page n is one fragment, (n, 1), set by the origin's template.
+	var gen atomic.Uint32 // of fragment 5, which pageA and pageB SET
+	gen.Store(9)
 	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		n, _ := strconv.Atoi(r.URL.Query().Get("n"))
 		var buf bytes.Buffer
 		enc := tmpl.Binary{}.NewEncoder(&buf)
-		_ = enc.Set(uint32(n), 1, []byte("fragment "+strconv.Itoa(n)))
+		switch r.URL.Path {
+		case "/pageC":
+			_ = enc.Set(6, 1, []byte("c"))
+		case "/pageB":
+			w.Header().Set("Cache-Control", "max-age=60")
+			fallthrough
+		default:
+			_ = enc.Set(5, gen.Load(), []byte("ab"))
+		}
 		_ = enc.Flush()
 		w.Header().Set("X-DPC-Template", "binary")
 		_, _ = w.Write(buf.Bytes())
 	}))
 	defer origin.Close()
 	p := newProxy(t, nil, func(c *dpc.Config) {
-		c.OriginURL, c.Capacity = origin.URL, 64
+		c.OriginURL = origin.URL
 		c.PageCache, c.PageCacheTTL = true, time.Minute
-		c.DepIndexBudget = 1024 // about eight of these pages
 	})
-	front := httptest.NewServer(p)
-	defer front.Close()
-	get := func(n int) string {
-		t.Helper()
-		resp, err := http.Get(fmt.Sprintf("%s/page?n=%d", front.URL, n))
-		if err != nil {
-			t.Fatal(err)
+	get := func(path string) string {
+		rec := httptest.NewRecorder()
+		p.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		return rec.Header().Get("X-Cache")
+	}
+	want := map[string]string{"/pageA": "PAGE", "/pageB": "STATIC", "/pageC": "PAGE"}
+	for path, hit := range want {
+		get(path)
+		if got := get(path); got != hit {
+			t.Fatalf("%s revisit X-Cache = %q, want %q", path, got, hit)
 		}
-		_, _ = io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		return resp.Header.Get("X-Cache")
 	}
 
-	const pages = 40
-	for n := 0; n < pages; n++ {
-		get(n)
-	}
-	tier, ix := p.Pages(), p.DepIndex()
-	st, shed := ix.Stats(), counter(p, "dpc.pagecache_shed_drops")
-	if fills := counter(p, "dpc.pagecache_fills"); fills != pages || st.Evictions < 16 {
-		t.Fatalf("test setup: %d fills, %+v", fills, st)
-	}
-	// Each shed record named one resident page, and every page the index
-	// still names is resident.
-	if shed != st.Evictions || tier.Len() != pages-int(shed) || tier.Len() != st.Keys {
-		t.Fatalf("%d records shed, %d pages dropped: the tier holds %d pages, the index names %d",
-			st.Evictions, shed, tier.Len(), st.Keys)
-	}
-	// Page 0 was filed first; sixteen sheds visit every shard of the index.
-	if keys := ix.Lookup(depindex.MakeID(0, 1)); len(keys) != 0 {
-		t.Fatalf("the oldest page's record survived: %v", keys)
-	}
-	p.Apply(coherency.Event{Seq: 1, Kind: coherency.KindFragment, Key: 0, Gen: 1})
-	if flushes, dropped := counter(p, "dpc.pagecache_flushes"), counter(p, "dpc.pagecache_invalidations"); flushes != 0 || dropped != 0 {
-		t.Fatalf("an event on a shed fragment: %d flushes, %d drops, want none", flushes, dropped)
-	}
-	if tier.Len() != pages-int(shed) {
-		t.Fatal("an event on a shed fragment disturbed the tier")
-	}
-	if cache := get(0); cache == "PAGE" {
-		t.Fatal("the shed page was served from the tier")
-	}
-}
-
-// One tier holds both admission rules' entries, so one fragment event asks
-// the index once — one lookup — and drops the page and the
-// opted-in assembled page built from the dead fragment together.
-func TestTierSubscribersShareOneIndex(t *testing.T) {
-	p := newProxy(t, nil)
-	tier, ix := p.Pages(), p.DepIndex()
-	ref := []depindex.ID{depindex.MakeID(5, 9)}
-	tier.PutTagged("/p\x00GET\x00", []byte("p"), "", "", time.Minute)
-	tier.PutTagged("/opt\x00", []byte("s"), "", "", time.Minute)
-	tier.PutTagged("/asset.css\x00", []byte("a"), "", "", time.Minute)
-	ix.File(ref, "/p\x00GET\x00", time.Minute)
-	ix.File(ref, "/opt\x00", time.Minute)
-
-	p.Apply(coherency.Event{Seq: 1, Kind: coherency.KindFragment, Key: 5, Gen: 9})
-	if tier.Len() != 1 {
-		t.Fatalf("after one event: %d entries resident, want the unrelated asset only", tier.Len())
+	mon, _ := bem.New(bem.Config{Capacity: 8})
+	hub := coherency.NewHub(mon)
+	hub.Subscribe(p)
+	hub.Broadcast("frag", 5, gen.Add(1)-1)
+	for path, hit := range want {
+		if got := get(path); (got == hit) != (path == "/pageC") {
+			t.Fatalf("after fragment 5:9's event %s was answered X-Cache %q", path, got)
+		}
 	}
 	dropped, flushes := counter(p, "dpc.pagecache_invalidations"), counter(p, "dpc.pagecache_flushes")
-	if flushes != 0 || dropped != 2 {
-		t.Fatalf("flushes = %d, dropped = %d, want 2 surgical drops", flushes, dropped)
+	if dropped != 2 || flushes != 0 {
+		t.Fatalf("dropped=%d flushes=%d, want 2/0", dropped, flushes)
 	}
-	if n := ix.Stats().Lookups; n != 1 {
-		t.Fatalf("index lookups = %d for one event, want 1", n)
+	// A fragment no entry was built from is a surgical no-op.
+	hub.Broadcast("other", 7, 1)
+	for path, hit := range want {
+		if got := get(path); got != hit {
+			t.Fatalf("a no-dependent event disturbed %s: X-Cache %q", path, got)
+		}
+	}
+	if flushes := counter(p, "dpc.pagecache_flushes"); flushes != 0 {
+		t.Fatalf("a no-dependent event flushed the tier %d times", flushes)
 	}
 }
 
-// A sequence gap (lost event) must flush the tier and bump the index
-// epoch so in-flight fills discard too.
+// A sequence gap (lost event) must flush the tier once, counted as a gap
+// flush; the epoch it ends voids in-flight fills too (internal/dpc's
+// TestRefusedFillNamesItsCause).
 func TestTierSubscriberGapFlushes(t *testing.T) {
 	p := newProxy(t, nil)
-	tier, ix := p.Pages(), p.DepIndex()
-	tier.PutTagged("p", []byte("x"), "", "", time.Minute)
-	e0 := ix.Epoch()
+	tier := p.Pages()
+	tier.PutTagged("p", []byte("x"), "", "", "", time.Minute)
 
 	p.Apply(coherency.Event{Seq: 1, Kind: coherency.KindFragment, Key: 0, Gen: 1})
 	p.Apply(coherency.Event{Seq: 3, Kind: coherency.KindFragment, Key: 1, Gen: 1}) // 2 lost
 	if tier.Len() != 0 {
 		t.Fatal("gap did not flush the tier")
 	}
-	if n := counter(p, "dpc.pagecache_flushes"); n != 1 {
-		t.Fatalf("flushes = %d", n)
-	}
-	if ix.Epoch() == e0 || ix.BumpCause() != dpc.FlushGap {
-		t.Fatalf("gap flush: epoch %d → %d, cause %q", e0, ix.Epoch(), ix.BumpCause())
+	if n, gaps := counter(p, "dpc.pagecache_flushes"), counter(p, "dpc.pagecache_gap_flushes"); n != 1 || gaps != 1 {
+		t.Fatalf("flushes = %d, gap flushes = %d, want 1 of 1", n, gaps)
 	}
 	// Duplicates after the gap are idempotent.
 	_ = p.Store().Set(1, 2, []byte("refilled"))
@@ -180,15 +113,15 @@ func TestTierSubscriberGapFlushes(t *testing.T) {
 func TestTierSubscriberPurgeDropsVariants(t *testing.T) {
 	p := newProxy(t, nil)
 	tier := p.Pages()
-	tier.PutTagged("/a\x00GET\x00fr", []byte("x"), "", "", time.Minute)
-	tier.PutTagged("/a\x00GET\x00en", []byte("x"), "", "", time.Minute)
-	tier.PutTagged("/ab\x00GET\x00", []byte("x"), "", "", time.Minute)
+	tier.PutTagged("/a\x00GET\x00fr", []byte("x"), "", "", "", time.Minute)
+	tier.PutTagged("/a\x00GET\x00en", []byte("x"), "", "", "", time.Minute)
+	tier.PutTagged("/ab\x00GET\x00", []byte("x"), "", "", "", time.Minute)
 
 	p.Apply(coherency.Event{Seq: 1, Kind: coherency.KindPurge, URI: "/a"})
 	if tier.Len() != 1 {
 		t.Fatalf("purge left %d entries, want 1 (/ab must survive)", tier.Len())
 	}
-	if _, _, _, ok := tier.GetTagged("/ab\x00GET\x00"); !ok {
+	if _, ok := tier.Lookup("/ab\x00GET\x00", pagecache.Fresh); !ok {
 		t.Fatal("purge of /a dropped /ab")
 	}
 	if n := counter(p, "dpc.pagecache_invalidations"); n != 2 {
@@ -203,7 +136,7 @@ func TestTierSubscriberFlushScope(t *testing.T) {
 	p := newProxy(t, nil)
 	tier := p.Pages()
 	for seq, scope := range []string{"static", "page", ""} {
-		tier.PutTagged("p", []byte("x"), "", "", time.Minute)
+		tier.PutTagged("p", []byte("x"), "", "", "", time.Minute)
 		p.Apply(coherency.Event{Seq: uint64(3*seq + 1), Kind: coherency.KindFlush, Scope: "plan"})
 		p.Apply(coherency.Event{Seq: uint64(3*seq + 2), Kind: coherency.KindFlush, Scope: "store"})
 		if tier.Len() != 1 {
@@ -226,7 +159,7 @@ func TestTierSubscriberFlushScope(t *testing.T) {
 func TestStaticSubscriberFragmentNoop(t *testing.T) {
 	p := newProxy(t, nil)
 	tier := p.Pages()
-	tier.PutTagged("/asset.css\x00", []byte("body"), "", "", time.Minute)
+	tier.PutTagged("/asset.css\x00", []byte("body"), "", "", "", time.Minute)
 	p.Apply(coherency.Event{Seq: 1, Kind: coherency.KindFragment, Key: 3, Gen: 7})
 	if flushes := counter(p, "dpc.pagecache_flushes"); tier.Len() != 1 || flushes != 0 {
 		t.Fatalf("fragment event disturbed an opted-in asset: len=%d flushes=%d", tier.Len(), flushes)
@@ -284,7 +217,7 @@ func TestStoreSubscriberSkipsKeyedEvents(t *testing.T) {
 func TestHTTPBridgeCarriesPurge(t *testing.T) {
 	p := newProxy(t, nil)
 	tier := p.Pages()
-	tier.PutTagged("/p\x00GET\x00", []byte("x"), "", "", time.Minute)
+	tier.PutTagged("/p\x00GET\x00", []byte("x"), "", "", "", time.Minute)
 	edge := httptest.NewServer(coherency.Handler(p))
 	defer edge.Close()
 

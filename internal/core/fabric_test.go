@@ -97,8 +97,8 @@ func TestFabricInvalidatesPageTierEndToEnd(t *testing.T) {
 	}
 
 	// Invalidate fragment 0 (page 0's first cacheable fragment) through
-	// the BEM's data-dependency path: a repository write. The fabric
-	// must drop page 0's tier entry synchronously.
+	// the BEM's data-dependency path: a repository write. Once the fabric
+	// has acked it, page 0's tier entry must never be served again.
 	site.TouchFragment(sys.Repo, 0, "2")
 	if acked, seq := sys.Hub.AckedThrough(), sys.Hub.Seq(); seq == 0 || acked != seq {
 		t.Fatalf("fabric acked %d of %d events", acked, seq)
@@ -290,25 +290,21 @@ func BenchmarkInvalidationStorm(b *testing.B) {
 
 // One write drops one page: a site of the benchmark's shape — 1 000 pages,
 // 12 000 tagged fragments, each on one page — sits in the page tier behind
-// the fabric. At the default dependency-index budget, touching 200 tagged
-// fragments on 200 pages must drop exactly those 200 pages, flush no tier,
-// leave every other page a tier hit, and serve each touched page fresh on
-// its next GET. At a tenth of the budget the index cannot hold the site:
-// it sheds the least-recently-filed fragments and their pages leave the
-// tier, but a write still flushes nothing, and no page is ever served
-// with a dead fragment.
+// the fabric. Touching 200 tagged fragments on 200 pages must flush no
+// tier, leave every other page a tier hit, and serve each touched page
+// fresh on its next GET: the read that finds a touched page's entry dead
+// drops it, 200 drops in all, and the refetch files it again.
 func TestFabricTwoHundredWritesDropTwoHundredPages(t *testing.T) {
-	t.Run("default-budget", func(t *testing.T) { twoHundredWrites(t, 0) })
-	t.Run("tenth-budget", func(t *testing.T) { twoHundredWrites(t, 1<<20/10) })
+	t.Run("default-budget", twoHundredWrites)
 }
 
-func twoHundredWrites(t *testing.T, budget int64) {
+func twoHundredWrites(t *testing.T) {
 	siteCfg := site.SyntheticConfig{Pages: 1000, FragmentsPerPage: 16, FragmentBytes: 64, Cacheability: 0.75}
 	sys, err := NewSystem(Config{
 		Capacity: 16384,
 		Seed:     7,
 		Fabric:   true,
-		Proxy:    dpc.Config{Strict: true, PageCache: true, PageCacheTTL: 10 * time.Minute, DepIndexBudget: budget},
+		Proxy:    dpc.Config{Strict: true, PageCache: true, PageCacheTTL: 10 * time.Minute},
 	}, ModeCached)
 	if err != nil {
 		t.Fatal(err)
@@ -327,27 +323,12 @@ func twoHundredWrites(t *testing.T, budget int64) {
 	pageURL := func(p int) string { return fmt.Sprintf("%s/page/synth?page=%d", sys.FrontURL(), p) }
 	counter := func(name string) int64 { return sys.Registry.Counter(name).Value() }
 
-	tagged := 0
-	for _, c := range man.Cacheable {
-		if c {
-			tagged++
-		}
-	}
 	for p := 0; p < siteCfg.Pages; p++ {
 		fabricGet(t, pageURL(p), "")
-	}
-	ix := sys.Proxy.DepIndex()
-	shedding := budget > 0
-	// Each page's entry depends on its tagged fragments and on its shell.
-	if st := ix.Stats(); !shedding && (st.Fragments != tagged+siteCfg.Pages || st.Keys != siteCfg.Pages || st.Evictions != 0) {
-		t.Fatalf("the default budget does not hold the site's %d fragment and %d shell edges over %d pages: %+v", tagged, siteCfg.Pages, siteCfg.Pages, st)
-	} else if shedding && st.Evictions == 0 {
-		t.Fatalf("test setup: a tenth of the budget shed nothing: %+v", st)
 	}
 	if fills := counter("dpc.pagecache_fills"); fills != int64(siteCfg.Pages) {
 		t.Fatalf("dpc.pagecache_fills = %d after fetching %d pages", fills, siteCfg.Pages)
 	}
-	resident := sys.Proxy.Pages().Len()
 
 	// Every fifth page loses its first tagged fragment.
 	touched := make(map[int]int) // page → fragment
@@ -370,30 +351,17 @@ func twoHundredWrites(t *testing.T, budget int64) {
 		t.Fatalf("fabric acked %d of %d events, want 200 of 200", acked, seq)
 	}
 
-	got := counter("dpc.pagecache_invalidations") - dropped
-	if !shedding && got != 200 {
-		t.Errorf("200 writes dropped %d pages", got)
-	}
 	for _, name := range []string{"dpc.pagecache_flushes", "dpc.pagecache_gap_flushes", "dpc.pagecache_event_flushes"} {
 		if got := counter(name); got != 0 {
 			t.Errorf("%s = %d: a write flushed a tier", name, got)
 		}
-	}
-	if shedding && counter("dpc.pagecache_shed_drops") == 0 {
-		t.Error("the index shed records but no page left the tier with them")
-	}
-	if st := ix.Stats(); st.Lookups != 200 || (!shedding && st.Evictions != 0) {
-		t.Errorf("want one index lookup per write: %+v", st)
-	}
-	if left := sys.Proxy.Pages().Len(); left != resident-int(got) || (!shedding && left != siteCfg.Pages-200) {
-		t.Errorf("page tier holds %d pages, %d before the writes dropped %d", left, resident, got)
 	}
 
 	for p := 0; p < siteCfg.Pages; p++ {
 		resp, body := fabricGet(t, pageURL(p), "")
 		j, wasTouched := touched[p]
 		if !wasTouched {
-			if !shedding && resp.Header.Get("X-Cache") != "PAGE" {
+			if resp.Header.Get("X-Cache") != "PAGE" {
 				t.Fatalf("untouched page %d: X-Cache = %q, want PAGE", p, resp.Header.Get("X-Cache"))
 			}
 			// Touched fragments sit on touched pages only, so an untouched
@@ -411,8 +379,11 @@ func twoHundredWrites(t *testing.T, budget int64) {
 		if want := fmt.Sprintf("<!--frag %d v2-->", j); !strings.Contains(body, want) {
 			t.Fatalf("page %d is stale after the write: no %s", p, want)
 		}
-		if resp, _ := fabricGet(t, pageURL(p), ""); !shedding && resp.Header.Get("X-Cache") != "PAGE" {
+		if resp, _ := fabricGet(t, pageURL(p), ""); resp.Header.Get("X-Cache") != "PAGE" {
 			t.Fatalf("page %d was not refiled: X-Cache = %q", p, resp.Header.Get("X-Cache"))
 		}
+	}
+	if got := counter("dpc.pagecache_invalidations") - dropped; got != 200 {
+		t.Errorf("200 writes dropped %d pages", got)
 	}
 }

@@ -386,7 +386,7 @@ func (p *Proxy) serveStale(rs *reqState, key, reason string) (stageOutcome, bool
 		return stageNext, false
 	}
 	page, _ := p.pageRule(r)
-	hit, _, ok := p.probe(r, page, p.admit.staleWindow)
+	hit, _, ok := p.probe(rs, page, p.admit.staleWindow)
 	if !ok {
 		return stageNext, false
 	}
@@ -397,13 +397,13 @@ func (p *Proxy) serveStale(rs *reqState, key, reason string) (stageOutcome, bool
 		rs.w = rs.pageCapture.ResponseWriter
 		rs.pageCapture = nil
 	}
-	if hit.age < 0 {
+	if hit.Age < 0 {
 		p.serveHit(rs, hit)
 		return stageRespond, true
 	}
 	p.reg.Counter("dpc.stale_served_page").Inc()
-	rs.body, rs.ctype, rs.cacheState = hit.body, hit.ctype, "STALE"
-	rs.span.Event(trace.KindStaleServe, hit.rule, reason, hit.age.Milliseconds())
+	rs.body, rs.ctype, rs.cacheState = hit.Body, hit.ContentType, "STALE"
+	rs.span.Event(trace.KindStaleServe, hit.rule, reason, hit.Age.Milliseconds())
 	p.kickRevalidate(rs, key, page)
 	return stageRespond, true
 }
@@ -412,10 +412,9 @@ func (p *Proxy) serveStale(rs *reqState, key, reason string) (stageOutcome, bool
 // request is cloned onto a detached context marked as a revalidation and
 // driven through the full pipeline against a discarding writer, so the
 // refresh reuses the one fill path — the tier's capture and, crucially,
-// fillTier's fill/invalidate race check, which voids the fill if the
-// fabric invalidates a source fragment while the revalidation is in
-// flight. page is the page rule's verdict, for probing the tier as
-// serveStale did.
+// the record fillTier files it with, which voids the entry if the fabric
+// invalidates a source fragment while the revalidation is in flight. page
+// is the page rule's verdict, for probing the tier as serveStale did.
 func (p *Proxy) kickRevalidate(rs *reqState, key string, page bool) {
 	a := p.admit
 	if a.negLookup(key) {
@@ -426,7 +425,7 @@ func (p *Proxy) kickRevalidate(rs *reqState, key string, page bool) {
 	if !a.revalTryStart(key) {
 		return
 	}
-	if hit, _, ok := p.probe(rs.r, page, a.staleWindow); ok && hit.age < 0 {
+	if hit, _, ok := p.probe(rs, page, a.staleWindow); ok && hit.Age < 0 {
 		// The previous revalidation refilled the entry after it was found
 		// lapsed, and released the slot before this claim: a revalidation
 		// fills before it releases, so nothing is left to refresh.

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"dpcache/internal/coherency"
-	"dpcache/internal/depindex"
 	"dpcache/internal/metrics"
 )
 
@@ -17,8 +16,8 @@ import (
 // leases (lease.go), under one sequence cursor.
 
 // Why the fabric flushed the whole-response tier. Each cause has its
-// counter and, as the dependency index's epoch-bump cause, reaches the
-// trace of every in-flight fill the flush refused.
+// counter and, as the epoch's last cause, reaches the trace of every fill
+// and every read the flush voided.
 const (
 	// FlushGap: a sequence gap — events were lost, and any of them could
 	// have named an entry of any tier.
@@ -27,17 +26,21 @@ const (
 	FlushEvent = "event"
 )
 
-// fabric is the proxy's position in the hub's event stream and the
-// counters Apply moves.
+// fabric is the proxy's position in the hub's event stream, the tier's
+// flush epoch and the counters Apply moves.
 type fabric struct {
 	mu      sync.Mutex
 	lastSeq uint64
 	// attached flips when the first event applies: from then on the proxy
 	// hears the BEM's invalidations, and asks for leases.
 	attached atomic.Bool
+	// epoch counts the whole-response tier's flushes. An entry or a fill
+	// whose record carries an older one (voided), and a lease fetched
+	// under one (grantLease), is void; cause is why it last moved.
+	epoch atomic.Uint64
+	cause atomic.Pointer[string]
 
 	dropped *metrics.Counter            // dpc.pagecache_invalidations
-	shed    *metrics.Counter            // dpc.pagecache_shed_drops
 	flushes *metrics.Counter            // dpc.pagecache_flushes
 	byCause map[string]*metrics.Counter // dpc.pagecache_{gap,event}_flushes
 }
@@ -46,7 +49,6 @@ type fabric struct {
 // event.
 func (f *fabric) register(reg *metrics.Registry) {
 	f.dropped = reg.Counter("dpc.pagecache_invalidations")
-	f.shed = reg.Counter("dpc.pagecache_shed_drops")
 	f.flushes = reg.Counter("dpc.pagecache_flushes")
 	f.byCause = map[string]*metrics.Counter{
 		FlushGap:   reg.Counter("dpc.pagecache_gap_flushes"),
@@ -63,12 +65,11 @@ func (f *fabric) register(reg *metrics.Registry) {
 //     leases, before the event applies. The first event after subscribing
 //     is never a gap: the proxy held nothing the events before it could
 //     name.
-//   - A fragment event raises the slot's floor past the generation, which
-//     voids every lease naming it and refuses any late SET of it and any
-//     fill built from it; drops the slot; then drops exactly the
-//     whole-response entries the dependency index says were composed from
-//     that generation, and the index forgets it. Plans hold no fragment
-//     bytes and are left alone.
+//   - A fragment event raises the slot's floor past the generation and
+//     drops the slot, and that is all it does. The floor voids every lease
+//     naming the generation, refuses any late SET of it, and voids every
+//     whole-response entry built from it, where the entry is filed or read
+//     (voided). Plans hold no fragment bytes and are left alone.
 //   - A purge deletes every whole-response entry for the URI.
 //   - A flush scoped "store", "page"/"static" or "plan" empties that tier;
 //     "" empties all three.
@@ -92,17 +93,8 @@ func (p *Proxy) Apply(ev coherency.Event) uint64 {
 	}
 	switch ev.Kind {
 	case coherency.KindFragment:
-		// The floor is raised before Invalidate takes Filing exclusively:
-		// an in-flight capture that read this fragment's bytes either filed
-		// before it, edges and all, for the Delete below to find, or sees
-		// the floor and does not file — the rule a lease is voided by.
 		p.floors.raise(ev.Key, ev.Gen)
 		p.store.Drop(ev.Key)
-		for _, k := range p.depix.Invalidate(depindex.MakeID(ev.Key, ev.Gen)) {
-			if p.pages.Delete(k) {
-				f.dropped.Inc()
-			}
-		}
 	case coherency.KindPurge:
 		prefix := PageKeyPrefix(ev.URI)
 		f.dropped.Add(int64(p.pages.DeleteFunc(func(key string) bool { return strings.HasPrefix(key, prefix) })))
@@ -121,21 +113,23 @@ func (p *Proxy) Apply(ev coherency.Event) uint64 {
 	return f.lastSeq
 }
 
-// dropShed deletes an entry whose dependency record the index shed: with
-// the record gone, no fragment event could find the entry any more.
-func (p *Proxy) dropShed(key string) {
-	if p.pages.Delete(key) {
-		p.fabric.shed.Inc()
-	}
-}
-
-// flushPages empties the whole-response tier and counts the flush by cause.
+// flushPages ends the tier's epoch, then empties the tier to reclaim its
+// memory, and counts the flush by cause.
 func (p *Proxy) flushPages(cause string) {
-	// Kill in-flight fills first: a capture filed after this flush would
-	// resurrect an entry the flush was meant to remove, and one filed
-	// before the bump is there for the flush to remove.
-	p.depix.BumpEpoch(cause)
+	// The bump is what voids: an entry filed under the old epoch, however
+	// late its fill lands, is void wherever it is found. The cause is
+	// stored first, so a reader that sees the new epoch sees its cause.
+	p.fabric.cause.Store(&cause)
+	p.fabric.epoch.Add(1)
 	p.pages.Flush()
 	p.fabric.flushes.Inc()
 	p.fabric.byCause[cause].Inc()
+}
+
+// flushCause is why the tier's epoch last moved ("" if it never has).
+func (f *fabric) flushCause() string {
+	if c := f.cause.Load(); c != nil {
+		return *c
+	}
+	return ""
 }

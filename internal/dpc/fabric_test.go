@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strconv"
 	"sync"
@@ -15,11 +16,12 @@ import (
 	"dpcache/internal/bem"
 	"dpcache/internal/coherency"
 	"dpcache/internal/tmpl"
+	"dpcache/internal/trace"
 )
 
 // One hub.Subscribe(p) reaches all three tiers: a fragment event drops the
-// slot and the opted-in page built from it, a "plan" flush empties the
-// plans, and a skipped sequence number flushes each tier exactly once.
+// slot and voids the opted-in page built from it, a "plan" flush empties
+// the plans, and a skipped sequence number flushes each tier exactly once.
 func TestApplyReachesEveryTier(t *testing.T) {
 	var gen atomic.Uint32 // of fragment 1, which /opt SETs; the origin opts /opt in
 	gen.Store(1)
@@ -71,11 +73,14 @@ func TestApplyReachesEveryTier(t *testing.T) {
 	if _, ok := p.Store().Get(1, 1, false); ok {
 		t.Fatal("fragment event left the slot resident")
 	}
-	if p.Pages().Len() != 0 {
-		t.Fatal("fragment event left the opted-in page built from it")
-	}
 	if n := p.Plans().Stats().Resident; n != 1 {
 		t.Fatalf("fragment event disturbed the plans: resident = %d", n)
+	}
+	if rec := serveGet(p, "/opt"); rec.Header().Get("X-Cache") == "STATIC" || rec.Body.String() != "<html>opted in</html>" {
+		t.Fatalf("after its fragment's event the opted-in page was served X-Cache %q, %q", rec.Header().Get("X-Cache"), rec.Body)
+	}
+	if n := p.Registry().Counter("dpc.pagecache_invalidations").Value(); n != 1 {
+		t.Fatalf("dpc.pagecache_invalidations = %d, want 1: the dead entry, found on the read", n)
 	}
 
 	hub.BroadcastFlush("plan")
@@ -87,8 +92,11 @@ func TestApplyReachesEveryTier(t *testing.T) {
 	if acked := p.Apply(coherency.Event{Seq: hub.Seq() + 2, Kind: coherency.KindPurge, URI: "/elsewhere"}); acked != hub.Seq()+2 {
 		t.Fatalf("acked %d", acked)
 	}
-	if p.Store().Resident() != 0 || p.Pages().Len() != 0 || p.Plans().Stats().Resident != 0 {
-		t.Fatalf("gap left store %d, pages %d, plans %d", p.Store().Resident(), p.Pages().Len(), p.Plans().Stats().Resident)
+	if p.Store().Resident() != 0 || p.Plans().Stats().Resident != 0 {
+		t.Fatalf("gap left store %d, plans %d", p.Store().Resident(), p.Plans().Stats().Resident)
+	}
+	if state := serveGet(p, "/opt").Header().Get("X-Cache"); state == "STATIC" {
+		t.Fatal("the opted-in page was served from the tier across a gap")
 	}
 	snap := p.Registry().Snapshot()
 	if snap["dpc.pagecache_gap_flushes"] != 1 || snap["dpc.pagecache_flushes"] != 1 {
@@ -97,21 +105,17 @@ func TestApplyReachesEveryTier(t *testing.T) {
 }
 
 // Fills racing invalidations on the real fill path: fillers capture a
-// page's one fragment early and file late through fileUnlessVoided, while
-// a writer invalidates through Apply. Once Apply has returned for a
-// generation, no page built from it may be resident, and no event may
-// flush the tier. The shedding budget holds about four of the sixteen
-// pages, so fills, sheds and invalidations interleave.
+// page's one fragment early and file late through fillTier, while a writer
+// invalidates through Apply and reads each page back through the tier's
+// validating read. Once Apply has returned for a generation, no page built
+// from it is served, and no event flushes the tier.
 func TestConcurrentFillsAndInvalidations(t *testing.T) {
-	for name, budget := range map[string]int64{"default": 0, "shedding": 512} {
-		t.Run(name, func(t *testing.T) { concurrentFillsAndInvalidations(t, budget) })
-	}
+	t.Run("default", concurrentFillsAndInvalidations)
 }
 
-func concurrentFillsAndInvalidations(t *testing.T, budget int64) {
+func concurrentFillsAndInvalidations(t *testing.T) {
 	const pages, writes, fillers = 16, 400, 4
-	p := newTestProxy(t, "http://origin.invalid", func(c *Config) { c.DepIndexBudget = budget })
-	tier, ix := p.Pages(), p.DepIndex()
+	p := newTestProxy(t, "http://origin.invalid", nil)
 	pageKey := func(p uint32) string { return fmt.Sprintf("page-%d", p) }
 	// live[p] is the generation of page p's one fragment; attempts counts
 	// the fills begun, so the writer can keep pace with them.
@@ -130,15 +134,17 @@ func concurrentFillsAndInvalidations(t *testing.T, budget int64) {
 				default:
 				}
 				pg := uint32(i % pages)
-				epoch := ix.Epoch()
-				gen := live[pg].Load() // the fragment is read early …
-				refs := []StaleRef{{Key: pg, Gen: gen}}
-				p.fileUnlessVoided(refs, epoch, pageKey(pg), time.Minute, func() { // … and the page filed late
-					tier.PutTagged(pageKey(pg), []byte(strconv.Itoa(int(gen))), "", "", time.Minute)
-				})
+				epoch := p.fabric.epoch.Load()
+				// The fragment is read early, and the page filed late.
+				gen := live[pg].Load()
+				fillCaptured(p, nil, pageKey(pg), strconv.Itoa(int(gen)), epoch, StaleRef{Key: pg, Gen: gen})
 				attempts.Add(1)
 			}
 		}(f)
+	}
+	served := func(pg uint32) (string, bool) {
+		hit, ok := p.tierGet(&reqState{}, pageKey(pg), rulePage, 0)
+		return string(hit.Body), ok
 	}
 	for seq := uint64(1); seq <= writes; seq++ {
 		for attempts.Load() < int64(seq)*fillers {
@@ -147,19 +153,30 @@ func concurrentFillsAndInvalidations(t *testing.T, budget int64) {
 		pg := uint32(seq % pages)
 		dead := live[pg].Add(1) - 1
 		p.Apply(coherency.Event{Seq: seq, Kind: coherency.KindFragment, Key: pg, Gen: dead})
+		if body, ok := served(pg); ok && body == strconv.Itoa(int(dead)) {
+			t.Errorf("page %d was served built from generation %d after its event", pg, dead)
+		}
 	}
 	close(stop)
 	wg.Wait()
 	for pg := uint32(0); pg < pages; pg++ {
-		body, _, _, ok := tier.GetTagged(pageKey(pg))
-		if want := strconv.Itoa(int(live[pg].Load())); ok && string(body) != want {
-			t.Errorf("page %d is resident built from generation %s, the live one is %s", pg, body, want)
+		if body, ok := served(pg); ok && body != strconv.Itoa(int(live[pg].Load())) {
+			t.Errorf("page %d was served built from generation %s, the live one is %d", pg, body, live[pg].Load())
 		}
 	}
 	if n := p.Registry().Counter("dpc.pagecache_flushes").Value(); n != 0 {
 		t.Errorf("%d tier flushes", n)
 	}
-	if st := ix.Stats(); budget > 0 && st.Evictions == 0 {
-		t.Errorf("nothing was shed: %+v", st)
-	}
+}
+
+// fillCaptured files body under key through fillTier, as the response to a
+// request traced under span whose capture began at epoch and was assembled
+// from refs.
+func fillCaptured(p *Proxy, span *trace.Span, key, body string, epoch uint64, refs ...StaleRef) {
+	c := &pageCapture{ResponseWriter: httptest.NewRecorder(), status: http.StatusOK}
+	c.buf.WriteString(body)
+	p.fillTier(&reqState{
+		span: span, pageCapture: c, fillKey: key, fillTTL: time.Minute, fillRule: rulePage,
+		depRefs: refs, depEpoch: epoch,
+	})
 }

@@ -83,8 +83,8 @@ type lease struct {
 }
 
 // leaseTable is the fixed-size key → lease memory. One mutex covers it, and
-// it orders a filing against a clear: a gap bumps the dependency index's
-// epoch before it clears, and a filing checks the epoch under the mutex.
+// it orders a filing against a clear: a gap bumps the tier's epoch before
+// it clears, and a filing checks the epoch under the mutex.
 type leaseTable struct {
 	// hash picks a key's bucket; it may collide, since a slot matches only
 	// its own key.
@@ -278,7 +278,7 @@ func (p *Proxy) assembleLease(rs *reqState) (served bool, err error) {
 }
 
 // grantLease files the lease an answer by reference carries (HeaderLease),
-// for a fetch that started at start, when the index's epoch read before it
+// for a fetch that started at start, when the tier's epoch read before it
 // was epoch: under the page's key when the grant ends in ";page", else under
 // the request's fetch key. The term is what the origin granted, capped at
 // the page tier's TTL. A response the origin opted into the tier under its
@@ -315,7 +315,7 @@ func (p *Proxy) grantLease(rs *reqState, resp *http.Response, start time.Time, e
 		deadline:  start.Add(term).UnixNano(),
 		cacheable: pageCacheable(resp.Header),
 	}
-	if p.leases.file(l, func() bool { return p.depix.Epoch() == epoch }) {
+	if p.leases.file(l, func() bool { return p.fabric.epoch.Load() == epoch }) {
 		p.leases.grants.Inc()
 		if scoped {
 			p.leases.pageGrants.Inc()
@@ -328,10 +328,9 @@ func (p *Proxy) grantLease(rs *reqState, resp *http.Response, start time.Time, e
 // raises slot k's floor to g+1 (Apply); a SET or GET of slot k at a
 // generation below its floor is refused. The floor is the proxy's one
 // record of dead generations, and it never expires. One rule serves leases
-// and fills: Apply raises the floor before the dependency index's
-// Invalidate takes Filing exclusively, so a capture is filed wholly before
-// the event, with edges for Invalidate to find, or sees the floor under
-// Filing and is refused (fileUnlessVoided). A lease's refs resolve exactly
+// and whole-response entries: an entry's record names the generations it
+// was built from, and one below its floor voids the entry where it is
+// filed or read (voided). A lease's refs resolve exactly
 // while every entry it names lives: a SET of a dead generation that
 // arrives after its event, in a template generated before it, cannot bring
 // the generation back. A page's refs are all within the store's capacity

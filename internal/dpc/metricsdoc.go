@@ -81,8 +81,7 @@ func MetricCatalog() []MetricDoc {
 		{"dpc.pagecache_uncacheable", "counter", "an admitted response could not be filed (non-200, over the 1 MiB capture bound, no-store/private, or Set-Cookie)"},
 		{"dpc.pagecache_uncacheable_vary", "counter", "a response the origin marked cacheable (Cache-Control: max-age) was refused the opt-in because it varies on a header other than Accept-Encoding"},
 		{"dpc.pagecache_304s", "counter", "a tier hit with a matching If-None-Match was answered 304 with no body"},
-		{"dpc.pagecache_invalidations", "counter", "a tier entry was dropped by the invalidation fabric (a dependent of a fragment event, a purged URI, or an in-flight fill refused)"},
-		{"dpc.pagecache_shed_drops", "counter", "a tier entry was dropped because the dependency index, over its byte budget, shed the record of a fragment the entry was built from: the entry is refilled, with fresh edges, on its next miss"},
+		{"dpc.pagecache_invalidations", "counter", "a tier entry was dropped as void: found on a read built from a fragment generation the fabric killed or filed before a tier flush, purged with its URI, or refused at fill time"},
 		{"dpc.pagecache_flushes", "counter", "the invalidation fabric emptied the whole tier (the sum of the two causes below)"},
 		{"dpc.pagecache_gap_flushes", "counter", "the tier was flushed because invalidation events were lost (sequence gap)"},
 		{"dpc.pagecache_event_flushes", "counter", "the tier was flushed by a flush event scoped \"page\", \"static\", or to every tier"},
@@ -93,13 +92,6 @@ func MetricCatalog() []MetricDoc {
 		{"dpc.plancache_misses", "counter", "a template body had no cached plan: it was compiled fresh, or could not be one (oversized, cut short by the origin, corrupt) and ran through the streamed driver"},
 		{"dpc.plancache_compiles", "counter", "a template was compiled into a plan, whether or not the cache kept it"},
 		{"dpc.plancache_oneoff", "counter", "a compiled template carried a SET, so the same bytes cannot arrive again: its plan ran and was not cached"},
-		// Dependency index (fragment → tier-key edges; refreshed like
-		// dpc.store.* by the background publisher and /_dpc/stats).
-		{"dpc.depindex_fragments", "gauge", "fragments with recorded dependency edges"},
-		{"dpc.depindex_edges", "gauge", "fragment→entry dependency edges currently retained"},
-		{"dpc.depindex_bytes", "gauge", "bytes the dependency index's structures occupy (budget-bounded)"},
-		{"dpc.depindex_evictions", "gauge", "fragments shed under byte pressure while they still named live entries, since creation (those entries left the tier: dpc.pagecache_shed_drops)"},
-		{"dpc.depindex_lookups", "gauge", "invalidation lookups against the index since creation"},
 		// Fragment store occupancy (refreshed by the background publisher
 		// and on each /_dpc/stats request).
 		{"dpc.store.capacity", "gauge", "the store's key-space size"},

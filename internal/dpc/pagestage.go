@@ -2,20 +2,21 @@ package dpc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"net/http"
 	"strings"
 	"time"
 
-	"dpcache/internal/depindex"
+	"dpcache/internal/pagecache"
 	"dpcache/internal/trace"
 )
 
 // The pagecache stage is the proxy's one whole-response tier, mounted
 // ahead of coalesce. An entry gets in by one of two admission rules, and
-// both fill through the same tee, the same fill/invalidate check
-// (fileUnlessVoided) and the same store:
+// both fill through the same tee, the same record (voided) and the same
+// store:
 //
 //   - the origin's opt-in (Section 4.2; see static.go): a plain GET
 //     response, or the assembled page of an anonymous GET, carrying
@@ -30,10 +31,13 @@ import (
 //
 // A lookup probes the opt-in key, then the page key; a response is filed
 // under one of them, the opt-in winning. The TTL bounds the staleness of
-// content the BEM never tracks; the invalidation fabric drops an entry the
-// moment a fragment it was assembled from dies (its edges are in
-// internal/depindex). Entries carry a strong ETag, so a matching
-// If-None-Match is answered 304 (dpc.pagecache_304s).
+// content the BEM never tracks. Each entry carries its record — the epoch
+// its capture began under and the fragment refs it was assembled from — and
+// every read judges it, as a lease is judged: an entry one of whose
+// fragments the fabric has killed, or filed under an epoch a flush has
+// ended, is deleted where it is found and never served. Entries carry a
+// strong ETag, so a matching If-None-Match is answered 304
+// (dpc.pagecache_304s).
 
 // The admission rules, as named in span events.
 const (
@@ -165,43 +169,92 @@ func (p *Proxy) pageRule(r *http.Request) (admit, identified bool) {
 	return anon, !anon
 }
 
-// tierHit is one entry found by probe.
+// tierHit is one entry found by probe, and the admission rule whose key
+// found it.
 type tierHit struct {
-	body        []byte
-	ctype, etag string
-	rule        string        // the admission rule whose key found it
-	age         time.Duration // how far past its TTL, negative while fresh (stale probes only)
+	pagecache.Page
+	rule string
 }
 
-// probe looks r up in the tier under each key an entry for it may have been
-// filed under, in precedence order: the origin's opt-in (staticKey), then —
-// when page is set — the page rule (pageKey, returned so a miss can be
-// filed under it). A zero stale reads fresh entries only (keeping expired
-// ones resident while admission control may still serve them); a positive
-// one reads entries up to stale past their TTL.
-func (p *Proxy) probe(r *http.Request, page bool, stale time.Duration) (hit tierHit, pkey string, ok bool) {
-	if hit, ok = p.tierGet(staticKey(r), ruleStatic, stale); ok || !page {
+// probe looks rs's request up in the tier under each key an entry for it
+// may have been filed under, in precedence order: the origin's opt-in
+// (staticKey), then — when page is set — the page rule (pageKey, returned so
+// a miss can be filed under it). A zero stale reads fresh entries only
+// (keeping expired ones resident while admission control may still serve
+// them); a positive one reads entries up to stale past their TTL.
+func (p *Proxy) probe(rs *reqState, page bool, stale time.Duration) (hit tierHit, pkey string, ok bool) {
+	if hit, ok = p.tierGet(rs, staticKey(rs.r), ruleStatic, stale); ok || !page {
 		return hit, "", ok
 	}
-	pkey = pageKey(r)
-	hit, ok = p.tierGet(pkey, rulePage, stale)
+	pkey = pageKey(rs.r)
+	hit, ok = p.tierGet(rs, pkey, rulePage, stale)
 	return hit, pkey, ok
 }
 
-func (p *Proxy) tierGet(key, rule string, stale time.Duration) (h tierHit, ok bool) {
-	h.rule = rule
+// tierGet reads key and judges the entry's record: a void entry is deleted,
+// counted and traced with its cause, and misses.
+func (p *Proxy) tierGet(rs *reqState, key, rule string, stale time.Duration) (tierHit, bool) {
+	mode := pagecache.Fresh
 	switch {
 	case stale > 0:
-		h.body, h.ctype, h.etag, h.age, ok = p.pages.GetStale(key)
-		ok = ok && h.age <= stale
+		mode = pagecache.Stale
 	case p.admit != nil:
 		// Keep expired entries resident for the admission stage's
 		// stale-while-revalidate path (see KeyedStore.GetKeep).
-		h.body, h.ctype, h.etag, ok = p.pages.GetTaggedKeep(key)
-	default:
-		h.body, h.ctype, h.etag, ok = p.pages.GetTagged(key)
+		mode = pagecache.Keep
 	}
-	return h, ok
+	pg, ok := p.pages.Lookup(key, mode)
+	if !ok {
+		return tierHit{}, false
+	}
+	if voided := p.voided(pg.Record); voided != "" {
+		if p.pages.Delete(key) {
+			p.fabric.dropped.Inc()
+		}
+		rs.span.Event(trace.KindInvalidated, rule, voided, 0)
+		return tierHit{}, false
+	}
+	if stale > 0 && pg.Age > stale {
+		return tierHit{}, false
+	}
+	return tierHit{Page: pg, rule: rule}, true
+}
+
+// A tier entry's record is what it was built from, packed after its ETag
+// (pagecache.Page.Record): the epoch its capture began under, 8 bytes, then
+// the key and generation of each fragment ref, 4 bytes each, little-endian.
+func packRecord(epoch uint64, refs []StaleRef) string {
+	b := make([]byte, 8, 8+8*len(refs))
+	binary.LittleEndian.PutUint64(b, epoch)
+	for _, r := range refs {
+		b = binary.LittleEndian.AppendUint32(b, r.Key)
+		b = binary.LittleEndian.AppendUint32(b, r.Gen)
+	}
+	return string(b)
+}
+
+// voided judges a record: "" while everything it was built from lives,
+// "fragment-floor" when one of its refs is below its slot's floor
+// (floorStore), and "epoch-flush:" and the flush's cause when the tier has
+// been flushed since its capture began. fillTier asks before it files and
+// tierGet on every read, so nothing below a floor, or filed under an older
+// epoch, is served once Apply has returned — however late the fill that
+// filed it, and whichever read path finds it.
+func (p *Proxy) voided(record string) string {
+	if len(record) < 8 || uint64(le32(record))|uint64(le32(record[4:]))<<32 != p.fabric.epoch.Load() {
+		return "epoch-flush:" + p.fabric.flushCause()
+	}
+	for i := 8; i+8 <= len(record); i += 8 {
+		if p.floors.dead(le32(record[i:]), le32(record[i+4:])) {
+			return "fragment-floor"
+		}
+	}
+	return ""
+}
+
+// le32 reads a little-endian uint32 from the front of s.
+func le32(s string) uint32 {
+	return uint32(s[0]) | uint32(s[1])<<8 | uint32(s[2])<<16 | uint32(s[3])<<24
 }
 
 func (p *Proxy) stagePageCache(rs *reqState) (stageOutcome, error) {
@@ -216,15 +269,14 @@ func (p *Proxy) stagePageCache(rs *reqState) (stageOutcome, error) {
 	if p.admit != nil && isReval(rs.r.Context()) {
 		// A background revalidation skips the lookup — its purpose is to
 		// refresh this very entry — but still captures its response so
-		// fillTier replaces the stale copy, with the usual fill/invalidate
-		// race check voiding the fill if the fabric invalidates a source
-		// fragment mid-revalidation.
+		// fillTier replaces the stale copy; its record voids the fill if
+		// the fabric invalidates a source fragment mid-revalidation.
 		if page {
-			p.admitFill(rs, pageKey(rs.r), p.pageTTL, rulePage, p.depix.Epoch())
+			p.admitFill(rs, pageKey(rs.r), p.pageTTL, rulePage, p.fabric.epoch.Load())
 		}
 		return stageNext, nil
 	}
-	hit, pkey, ok := p.probe(rs.r, page, 0)
+	hit, pkey, ok := p.probe(rs, page, 0)
 	if ok {
 		p.serveHit(rs, hit)
 		return stageRespond, nil
@@ -235,7 +287,7 @@ func (p *Proxy) stagePageCache(rs *reqState) (stageOutcome, error) {
 	}
 	p.reg.Counter("dpc.pagecache_misses").Inc()
 	rs.span.Event(trace.KindMiss, rulePage, "", 0)
-	p.admitFill(rs, pkey, p.pageTTL, rulePage, p.depix.Epoch())
+	p.admitFill(rs, pkey, p.pageTTL, rulePage, p.fabric.epoch.Load())
 	return stageNext, nil
 }
 
@@ -243,14 +295,14 @@ func (p *Proxy) stagePageCache(rs *reqState) (stageOutcome, error) {
 // client already holds its bytes.
 func (p *Proxy) serveHit(rs *reqState, hit tierHit) {
 	p.reg.Counter("dpc.pagecache_hits").Inc()
-	if hit.etag != "" && etagMatches(rs.r, hit.etag) {
+	if hit.ETag != "" && etagMatches(rs.r, hit.ETag) {
 		// Conditional hit: the client already holds these bytes. A
 		// 304 carries the tag back and nothing else — zero body
 		// bytes for a revalidation of a surviving entry.
 		p.reg.Counter("dpc.pagecache_304s").Inc()
 		rs.span.Event(trace.KindHit, hit.rule, "304", 0)
 		h := rs.w.Header()
-		h.Set("ETag", hit.etag)
+		h.Set("ETag", hit.ETag)
 		h.Set("Via", "dpcache-dpc/1.0")
 		h.Set("X-Cache", xCache[hit.rule])
 		rs.w.WriteHeader(http.StatusNotModified)
@@ -258,17 +310,18 @@ func (p *Proxy) serveHit(rs *reqState, hit tierHit) {
 		rs.cacheState = xCache[hit.rule]
 		return
 	}
-	rs.span.Event(trace.KindHit, hit.rule, "", int64(len(hit.body)))
-	rs.body, rs.ctype, rs.cacheState = hit.body, hit.ctype, xCache[hit.rule]
-	rs.hitETag = hit.etag
+	rs.span.Event(trace.KindHit, hit.rule, "", int64(len(hit.Body)))
+	rs.body, rs.ctype, rs.cacheState = hit.Body, hit.ContentType, xCache[hit.rule]
+	rs.hitETag = hit.ETag
 }
 
 // admitFill records the request's tier admission — key, TTL and rule,
 // replacing any earlier one (the opt-in outranks the page rule) — and, on
 // the first, tees what the rest of the pipeline writes to this client into
-// the capture respond files. epoch, the index's flush generation read
-// before the origin could generate the response, dates it: a flush in
-// between voids the fill. It must run before the response's first byte.
+// the capture respond files. epoch, the tier's flush generation read
+// before the origin could generate the response, dates it in the entry's
+// record: a flush in between voids the fill. It must run before the
+// response's first byte.
 func (p *Proxy) admitFill(rs *reqState, key string, ttl time.Duration, rule string, epoch uint64) {
 	rs.fillKey, rs.fillTTL, rs.fillRule = key, ttl, rule
 	if rs.pageCapture != nil {
@@ -315,44 +368,6 @@ func (p *Proxy) admitOrigin(rs *reqState, resp *http.Response, epoch uint64) {
 	}
 }
 
-// fileUnlessVoided files an entry — fragment-composed or not — into the
-// tier through put, unless an invalidation has already voided it: one of
-// refs is below its slot's floor (floorStore), or the tier was flushed
-// since epoch was read. The check, the dependency edges and the Put all
-// happen under the index's Filing lock, which invalidations take
-// exclusively after raising the floor (Apply) — so the entry is either
-// refused, or filed with its edges before the invalidation's Delete looks
-// for it. It is never servable after the invalidation has been applied,
-// not even for the instant a file-then-unfile would allow, however long
-// the response took to reach the client. ttl is the lifetime put gives the
-// entry; the edges live as long. voided is empty when the entry was filed
-// and otherwise names what refused it: "fragment-floor", or "epoch-flush:"
-// and the flush's cause. A fill that left the index over budget sheds once
-// its shared hold has ended, dropping the entries whose records the index
-// let go.
-func (p *Proxy) fileUnlessVoided(refs []StaleRef, epoch uint64, key string, ttl time.Duration, put func()) (voided string) {
-	defer p.depix.Shed(p.dropShed) // runs after the Unlock below
-	filing := p.depix.Filing()
-	filing.Lock()
-	defer filing.Unlock()
-	if p.depix.Epoch() != epoch {
-		return "epoch-flush:" + p.depix.BumpCause()
-	}
-	// The index speaks packed integer refs; a page's worth converts on the
-	// stack.
-	var buf [64]depindex.ID
-	ids := buf[:0]
-	for _, r := range refs {
-		if p.floors.dead(r.Key, r.Gen) {
-			return "fragment-floor"
-		}
-		ids = append(ids, depindex.MakeID(r.Key, r.Gen))
-	}
-	p.depix.File(ids, key, ttl)
-	put()
-	return ""
-}
-
 // fillTier files a captured response into the tier under the request's
 // admission; called from the respond stage once the response has fully
 // reached the client.
@@ -376,7 +391,7 @@ func (p *Proxy) fillTier(rs *reqState) {
 		// The capture was dropped mid-request for a reason none of the
 		// cases above explain (e.g. this request parked as a follower,
 		// then the leader aborted and it fell back to its own fetch):
-		// the buffer no longer holds the response. Filing it would poison
+		// the buffer no longer holds the response. Storing it would poison
 		// the key with an empty body.
 		return
 	}
@@ -386,15 +401,17 @@ func (p *Proxy) fillTier(rs *reqState) {
 	// copy: double-charging the same bytes would evict the very entry
 	// being filed on a tight budget.
 	c.settle()
-	// Fill/invalidate race: one of the entry's fragments died (or the tier
-	// was flushed) while the response was in flight.
-	if voided := p.fileUnlessVoided(rs.depRefs, rs.depEpoch, rs.fillKey, rs.fillTTL, func() {
-		p.pages.PutTagged(rs.fillKey, body, ctype, pageETag(body, ctype), rs.fillTTL)
-	}); voided != "" {
-		p.reg.Counter("dpc.pagecache_invalidations").Inc()
+	// One of the entry's fragments died (or the tier was flushed) while
+	// the response was in flight: the entry is doomed, so it is not filed.
+	// An event that lands after this check finds the filed entry void on
+	// its first read.
+	record := packRecord(rs.depEpoch, rs.depRefs)
+	if voided := p.voided(record); voided != "" {
+		p.fabric.dropped.Inc()
 		rs.span.Event(trace.KindInvalidated, rs.fillRule, voided, 0)
 		return
 	}
+	p.pages.PutTagged(rs.fillKey, body, ctype, pageETag(body, ctype), record, rs.fillTTL)
 	p.reg.Counter("dpc.pagecache_fills").Inc()
 	rs.span.Event(trace.KindFill, rs.fillRule, "", int64(len(body)))
 }

@@ -14,8 +14,9 @@ import (
 
 	"dpcache/internal/clock"
 	"dpcache/internal/coherency"
-	"dpcache/internal/depindex"
+	"dpcache/internal/pagecache"
 	"dpcache/internal/tmpl"
+	"dpcache/internal/trace"
 )
 
 func pageGet(t *testing.T, url string, hdr map[string]string) (string, string) {
@@ -517,11 +518,9 @@ func TestPageCacheConditionalMissServesBody(t *testing.T) {
 	}
 }
 
-// Two pages sharing a fragment: invalidating the fragment (simulated
-// through the dependency index + a page subscriber is exercised in the
-// coherency and core tests; here the proxy-side fill must record edges
-// for exactly the refs that flowed into the page).
-func TestFillRecordsDependencyEdges(t *testing.T) {
+// A fill stores its entry with the record it was built from: the epoch its
+// capture began under and exactly the refs that flowed into the page.
+func TestFillStoresItsRecord(t *testing.T) {
 	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		var buf bytes.Buffer
 		enc := tmpl.Binary{}.NewEncoder(&buf)
@@ -538,24 +537,17 @@ func TestFillRecordsDependencyEdges(t *testing.T) {
 		c.PageCache = true
 		c.PageCacheTTL = time.Minute
 	})
-	ts := httptest.NewServer(p)
-	defer ts.Close()
 
-	pageGet(t, ts.URL+"/page/x", nil)
-	if p.Pages().Len() != 1 {
-		t.Fatalf("page tier holds %d entries", p.Pages().Len())
+	p.Apply(coherency.Event{Seq: 1, Kind: coherency.KindFlush, Scope: "page"}) // epoch 1
+	serveGet(p, "/page/x")
+	pg, ok := p.Pages().Lookup(pageKey(httptest.NewRequest(http.MethodGet, "/page/x", nil)), pagecache.Fresh)
+	if want := packRecord(1, []StaleRef{{Key: 7, Gen: 3}, {Key: 9, Gen: 4}}); !ok || pg.Record != want {
+		t.Fatalf("filed record %x (resident %v), want %x", pg.Record, ok, want)
 	}
-	for _, ref := range []depindex.ID{depindex.MakeID(7, 3), depindex.MakeID(9, 4)} {
-		keys := p.DepIndex().Lookup(ref)
-		if len(keys) != 1 {
-			t.Fatalf("Lookup(%d) = %v", ref, keys)
-		}
-		if !p.Pages().Delete(keys[0]) && p.Pages().Len() != 0 {
-			t.Fatalf("recorded key %q does not address the page entry", keys[0])
-		}
-	}
-	if keys := p.DepIndex().Lookup(depindex.MakeID(1, 1)); len(keys) != 0 {
-		t.Fatalf("unrelated ref has dependents: %v", keys)
+	// An event on another generation leaves the page served from the tier.
+	p.Apply(coherency.Event{Seq: 2, Kind: coherency.KindFragment, Key: 9, Gen: 3})
+	if state := serveGet(p, "/page/x").Header().Get("X-Cache"); state != "PAGE" {
+		t.Fatalf("after an unrelated event X-Cache = %q, want PAGE", state)
 	}
 }
 
@@ -568,20 +560,31 @@ func TestRefusedFillNamesItsCause(t *testing.T) {
 	p := newTestProxy(t, "http://origin.invalid", func(c *Config) {
 		c.PageCache = true
 		c.PageClock = fake
+		c.Trace = true
+		c.TraceSampleEvery = 1
 	})
-	ix := p.DepIndex()
+	// file fills the tier through fillTier under one traced request and
+	// returns the cause on its `invalidated` event ("" if none) and whether
+	// the entry is resident.
 	file := func(epoch uint64, refs ...StaleRef) (voided string, put bool) {
-		voided = p.fileUnlessVoided(refs, epoch, "page-key", time.Minute, func() { put = true })
+		t.Helper()
+		p.Pages().Flush()
+		root := p.Tracer().StartRequest("GET /page", "")
+		fillCaptured(p, root, "page-key", "page", epoch, refs...)
+		root.Finish()
+		for _, e := range p.Tracer().Traces(0)[0].Root.Events {
+			if e.Kind == trace.KindInvalidated {
+				voided = e.Note
+			}
+		}
+		_, put = p.Pages().Lookup("page-key", pagecache.Fresh)
 		return voided, put
 	}
 	a, b := StaleRef{Key: 7, Gen: 3}, StaleRef{Key: 9, Gen: 4}
 
-	epoch := ix.Epoch()
+	epoch := p.fabric.epoch.Load()
 	if voided, put := file(epoch, a, b); voided != "" || !put {
 		t.Fatalf("clean fill: voided=%q put=%v", voided, put)
-	}
-	if keys := ix.Lookup(depindex.MakeID(b.Key, b.Gen)); len(keys) != 1 || keys[0] != "page-key" {
-		t.Fatalf("clean fill left edges %v", keys)
 	}
 	p.Apply(coherency.Event{Seq: 1, Kind: coherency.KindFragment, Key: b.Key, Gen: b.Gen})
 	if voided, put := file(epoch, a, b); voided != "fragment-floor" || put {
@@ -590,16 +593,112 @@ func TestRefusedFillNamesItsCause(t *testing.T) {
 
 	// The slow fill: its response reached the client minutes after the
 	// event.
-	epoch = ix.Epoch()
 	p.Apply(coherency.Event{Seq: 2, Kind: coherency.KindFragment, Key: a.Key, Gen: a.Gen})
 	fake.Advance(2*time.Minute + time.Second)
 	if voided, put := file(epoch, a); voided != "fragment-floor" || put {
 		t.Fatalf("slow fill over a dead generation: voided=%q put=%v", voided, put)
 	}
 
-	ix.BumpEpoch(FlushEvent)
-	if voided, put := file(epoch, a, b); voided != "epoch-flush:event" || put {
+	p.Apply(coherency.Event{Seq: 3, Kind: coherency.KindFlush, Scope: "page"})
+	if voided, put := file(epoch); voided != "epoch-flush:event" || put {
 		t.Fatalf("fill across a flush event: voided=%q put=%v", voided, put)
+	}
+	p.Apply(coherency.Event{Seq: 5, Kind: coherency.KindPurge, URI: "/elsewhere"}) // 4 lost
+	if voided, put := file(epoch + 1); voided != "epoch-flush:gap" || put {
+		t.Fatalf("fill across a gap: voided=%q put=%v", voided, put)
+	}
+	if n := p.Registry().Counter("dpc.pagecache_invalidations").Value(); n != 4 {
+		t.Fatalf("dpc.pagecache_invalidations = %d, want the 4 refused fills", n)
+	}
+}
+
+// A dead entry is never served, on any read path: not by the pagecache
+// stage's probe, not by admission's stale probe under pressure, and not as
+// a 304 to a client holding its ETag. The first read that finds it deletes
+// it and counts it. An entry is dead when one of its fragments' events has
+// been applied, or when it was filed under an epoch a gap ended: the gap
+// flushes the tier, so the entry is put back as a fill that passed its
+// check before the gap and landed after the flush would have filed it.
+func TestDeadPageNeverServedOnAnyReadPath(t *testing.T) {
+	// Each kill returns fragment 9's generation from then on: the page's
+	// refetch is built from a live one.
+	kills := map[string]func(p *Proxy) uint32{
+		"fragment": func(p *Proxy) uint32 {
+			p.Apply(coherency.Event{Seq: 1, Kind: coherency.KindFragment, Key: 9, Gen: 4})
+			return 5
+		},
+		"gap": func(p *Proxy) uint32 {
+			p.Apply(coherency.Event{Seq: 1, Kind: coherency.KindPurge, URI: "/elsewhere"})
+			p.Apply(coherency.Event{Seq: 3, Kind: coherency.KindPurge, URI: "/elsewhere"}) // 2 lost
+			return 4
+		},
+	}
+	paths := map[string]func(t *testing.T, p *Proxy, fake *clock.Fake, etag string) *httptest.ResponseRecorder{
+		"probe": func(t *testing.T, p *Proxy, _ *clock.Fake, _ string) *httptest.ResponseRecorder {
+			return serveGet(p, "/page/x")
+		},
+		"stale-probe": func(t *testing.T, p *Proxy, fake *clock.Fake, _ string) *httptest.ResponseRecorder {
+			fake.Advance(2 * time.Second)              // past the TTL, inside the stale window
+			defer p.admit.acquire("/page/other", "")() // the origin bound is taken
+			return serveGet(p, "/page/x")
+		},
+		"if-none-match": func(t *testing.T, p *Proxy, _ *clock.Fake, etag string) *httptest.ResponseRecorder {
+			rec := httptest.NewRecorder()
+			req := httptest.NewRequest(http.MethodGet, "/page/x", nil)
+			req.Header.Set("If-None-Match", etag)
+			p.ServeHTTP(rec, req)
+			return rec
+		},
+	}
+	for kill, apply := range kills {
+		for path, read := range paths {
+			t.Run(kill+"/"+path, func(t *testing.T) {
+				var gen atomic.Uint32
+				gen.Store(4)
+				fake := clock.NewFake(time.Unix(1_700_000_000, 0))
+				p := newTestProxy(t, "http://origin.invalid", func(c *Config) {
+					c.Admission = true
+					c.MaxOriginInFlight = 1
+					c.PageCache = true
+					c.PageCacheTTL = time.Second
+					c.PageClock = fake
+					c.Transport = roundTripFunc(func(r *http.Request) (*http.Response, error) {
+						page := templateBody(t, func(enc tmpl.Encoder) {
+							_ = enc.Literal([]byte("<html>"))
+							_ = enc.Set(7, 3, []byte("fragment A"))
+							_ = enc.Set(9, gen.Load(), []byte("fragment B"))
+							_ = enc.Literal([]byte("</html>"))
+						})
+						return &http.Response{
+							StatusCode: http.StatusOK, ContentLength: int64(len(page)), Request: r,
+							Body: io.NopCloser(bytes.NewReader(page)), Header: http.Header{"X-Dpc-Template": {"binary"}},
+						}, nil
+					})
+				})
+				key := pageKey(httptest.NewRequest(http.MethodGet, "/page/x", nil))
+				if rec := serveGet(p, "/page/x"); rec.Body.String() != "<html>fragment Afragment B</html>" {
+					t.Fatalf("first fetch: %q", rec.Body)
+				}
+				filed, ok := p.Pages().Lookup(key, pagecache.Fresh)
+				if !ok {
+					t.Fatal("test setup: the page was not filed")
+				}
+				gen.Store(apply(p))
+				// The late fill, or the entry Apply left where it was.
+				p.Pages().PutTagged(key, filed.Body, filed.ContentType, filed.ETag, filed.Record, time.Second)
+
+				rec := read(t, p, fake, filed.ETag)
+				if state := rec.Header().Get("X-Cache"); rec.Code == http.StatusNotModified || state == "PAGE" || state == "STALE" {
+					t.Fatalf("the dead entry was served: %d, X-Cache %q", rec.Code, state)
+				}
+				if n := p.Registry().Counter("dpc.pagecache_invalidations").Value(); n != 1 {
+					t.Fatalf("dpc.pagecache_invalidations = %d, want 1", n)
+				}
+				if pg, ok := p.Pages().Lookup(key, pagecache.Stale); ok && pg.Record == filed.Record {
+					t.Fatal("the dead entry is still resident after its first read")
+				}
+			})
+		}
 	}
 }
 

@@ -121,11 +121,10 @@ type reqState struct {
 	// clients can revalidate conditionally next time.
 	hitETag string
 	// depRefs are the fragment references whose bytes flowed into this
-	// response (assembly only); fillTier records them as dependency edges
-	// and re-checks them against the slots' floors.
-	depRefs []StaleRef
-	// depEpoch snapshots the dependency index's flush generation when the
-	// capture began; a flush in between voids the fill.
+	// response (assembly only) and depEpoch the tier's flush epoch when the
+	// capture began: together the record fillTier files the entry with,
+	// which voided judges on the fill and on every read.
+	depRefs  []StaleRef
 	depEpoch uint64
 
 	// admitRelease releases the admission stage's in-flight token
@@ -532,7 +531,7 @@ func (p *Proxy) stageOriginFetch(rs *reqState) (stageOutcome, error) {
 // fetchOrigin asks the origin and takes its answer in: the tier opt-in, the
 // lease an answer by reference grants, and the template or the plain body.
 func (p *Proxy) fetchOrigin(rs *reqState) (stageOutcome, error) {
-	epoch := p.depix.Epoch() // dates a fill the origin's answer may opt into, and a lease
+	epoch := p.fabric.epoch.Load() // dates a fill the origin's answer may opt into, and a lease
 	start := p.clk.Now()
 	resp, err := p.originRequest(rs, nil)
 	if err != nil {

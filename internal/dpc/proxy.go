@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"dpcache/internal/clock"
-	"dpcache/internal/depindex"
 	"dpcache/internal/fragstore"
 	"dpcache/internal/metrics"
 	"dpcache/internal/pagecache"
@@ -121,13 +120,6 @@ type Config struct {
 	// explicitly. The field remains only because the benchmark harness
 	// names it.
 	PlanCache bool
-	// DepIndexBudget bounds the dependency index's retained edge bytes
-	// (0 selects 1 MiB). The index records which fragments flowed into
-	// which tier entries so the coherency fabric can invalidate
-	// them surgically; over budget it sheds its least-recently-filed
-	// fragments and the tier drops the entries they named
-	// (dpc.pagecache_shed_drops; see internal/depindex).
-	DepIndexBudget int64
 	// Trace enables request-scoped tracing (internal/trace): a span tree
 	// per request with per-stage and per-fragment child spans, sampled
 	// into a bounded ring served at /_dpc/trace. Off by default; the
@@ -202,7 +194,6 @@ type Proxy struct {
 	floors  *floorStore // the store as the assembler sees it (lease.go)
 	exec    *tmplplan.Exec
 	pages   *pagecache.Cache
-	depix   *depindex.Index
 	pageTTL time.Duration
 	clk     clock.Clock // PageClock, or the real clock: lease terms
 	client  *http.Client
@@ -298,7 +289,6 @@ func New(cfg Config) (*Proxy, error) {
 			Plans:  plans,
 		},
 		pages:   pages,
-		depix:   depindex.New(depindex.Config{ByteBudget: cfg.DepIndexBudget, Clock: cfg.PageClock}),
 		pageTTL: pageTTL,
 		clk:     clk,
 		client:  &http.Client{Transport: transport, Timeout: 30 * time.Second},
@@ -347,7 +337,6 @@ func (p *Proxy) publishLoop(interval time.Duration) {
 		select {
 		case <-t.C:
 			p.publishStore()
-			p.publishDepIndex()
 		case <-p.stopPub:
 			return
 		}
@@ -361,17 +350,6 @@ func (p *Proxy) publishStore() {
 	if ts, ok := fragstore.DiskStats(p.store); ok {
 		fragstore.PublishDisk(p.reg, "dpc.store", ts)
 	}
-}
-
-// publishDepIndex refreshes the dpc.depindex_* gauges from the dependency
-// index's stats snapshot.
-func (p *Proxy) publishDepIndex() {
-	st := p.depix.Stats()
-	p.reg.Gauge("dpc.depindex_fragments").Set(int64(st.Fragments))
-	p.reg.Gauge("dpc.depindex_edges").Set(int64(st.Edges))
-	p.reg.Gauge("dpc.depindex_bytes").Set(st.Bytes)
-	p.reg.Gauge("dpc.depindex_evictions").Set(st.Evictions)
-	p.reg.Gauge("dpc.depindex_lookups").Set(st.Lookups)
 }
 
 // Close stops the proxy's background work (the store-stats publisher). The
@@ -391,10 +369,6 @@ func (p *Proxy) Plans() *tmplplan.Cache { return p.plans }
 // Pages exposes the whole-response tier, which holds the entries of both
 // admission rules (see pagestage.go); never nil.
 func (p *Proxy) Pages() *pagecache.Cache { return p.pages }
-
-// DepIndex exposes the fragment→entry dependency index, which Apply
-// consults to invalidate tier entries surgically.
-func (p *Proxy) DepIndex() *depindex.Index { return p.depix }
 
 // Store exposes the fragment store.
 func (p *Proxy) Store() fragstore.FragmentStore { return p.store }
@@ -451,7 +425,6 @@ func (p *Proxy) initAdmin() {
 		// Refresh the pull-model gauges first, as /_dpc/stats does, so a
 		// scrape observes current occupancy rather than the last tick's.
 		p.publishStore()
-		p.publishDepIndex()
 		w.Header().Set("Content-Type", metrics.PromContentType)
 		_ = metrics.WritePrometheus(w, p.reg, expositionMetrics())
 	}))
@@ -475,8 +448,7 @@ func (p *Proxy) initAdmin() {
 	}
 	p.admin.HandleFunc("/_dpc/stats", getOnly(func(w http.ResponseWriter, _ *http.Request) {
 		st := p.store.Stats()
-		p.publishStore()
-		p.publishDepIndex() // before the snapshot below, so gauges are current
+		p.publishStore() // before the snapshot below, so gauges are current
 		stages := make(map[string]any, len(p.stages))
 		for _, s := range p.stages {
 			stages[s.Name] = map[string]int64{
@@ -504,7 +476,6 @@ func (p *Proxy) initAdmin() {
 			"evictions": ps.Evictions, "expired": ps.Expired,
 		}
 		out["plancache"] = p.plans.Stats()
-		out["depindex"] = p.depix.Stats()
 		w.Header().Set("Content-Type", "application/json")
 		_ = json.NewEncoder(w).Encode(out)
 	}))

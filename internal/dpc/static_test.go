@@ -412,7 +412,7 @@ func TestStaticFillVoidedByRacingFlush(t *testing.T) {
 	assets := assetOrigin("max-age=60", "text/css", fixedBody("body{}"), &fetches)
 	p = newTestProxy(t, "http://origin.invalid", func(c *Config) {
 		c.Transport = roundTripFunc(func(r *http.Request) (*http.Response, error) {
-			p.DepIndex().BumpEpoch("event") // the fabric flushes the tier mid-fetch
+			p.flushPages(FlushEvent) // the fabric flushes the tier mid-fetch
 			return assets.RoundTrip(r)
 		})
 	})

@@ -3,8 +3,8 @@ package dpc
 // Assembled pages under the origin's opt-in: a template response carrying
 // an explicit Cache-Control max-age asks the proxy to cache the assembled
 // result like any static asset — filed in the one tier under the static
-// key with fragment dependency edges, so the invalidation fabric can drop
-// it surgically when a composing fragment dies.
+// key with the record of the fragments it was built from, so the entry is
+// dropped, not served, once the fabric kills a composing fragment.
 
 import (
 	"bytes"
@@ -86,11 +86,11 @@ func TestAssembledStaticFillServesStatic(t *testing.T) {
 	}
 }
 
-// A fragment invalidation through the fabric drops the assembled entry
-// surgically: its dependency edges were recorded under the static key, and
-// live as long as the origin's max-age keeps the entry — not the (shorter)
-// page TTL, past which the invalidation would find no edge and the stale
-// entry would be served for the rest of its minute.
+// A fragment invalidation through the fabric voids the assembled entry
+// surgically, however long the origin's max-age keeps it: past the
+// (shorter) page TTL the entry is still judged by its record, and the read
+// that finds it dead drops it instead of serving it for the rest of its
+// minute.
 func TestAssembledStaticFragmentInvalidation(t *testing.T) {
 	origin, fetches := assembledStaticOrigin(map[string]string{"Cache-Control": "max-age=60"})
 	defer origin.Close()
@@ -109,12 +109,14 @@ func TestAssembledStaticFragmentInvalidation(t *testing.T) {
 	}
 
 	p.Apply(coherency.Event{Seq: 1, Kind: coherency.KindFragment, Key: 1, Gen: 1})
-	dropped, flushes := p.Registry().Counter("dpc.pagecache_invalidations"), p.Registry().Counter("dpc.pagecache_flushes")
-	if dropped.Value() != 1 || flushes.Value() != 0 {
-		t.Fatalf("dpc.pagecache_invalidations = %d, flushes = %d, want one surgical drop", dropped.Value(), flushes.Value())
-	}
 	if _, state := assembledGet(t, ts.URL+"/page", nil); state == "STATIC" {
 		t.Fatal("stale assembled entry served after its fragment was invalidated")
+	}
+	// The read drops the dead entry, and the refetch's fill is refused: this
+	// origin sends the dead generation again.
+	dropped, flushes := p.Registry().Counter("dpc.pagecache_invalidations"), p.Registry().Counter("dpc.pagecache_flushes")
+	if dropped.Value() != 2 || flushes.Value() != 0 {
+		t.Fatalf("dpc.pagecache_invalidations = %d, flushes = %d, want two surgical drops", dropped.Value(), flushes.Value())
 	}
 	if fetches.Load() != 2 {
 		t.Fatalf("origin fetched %d times, want 2 (refetched after invalidation)", fetches.Load())

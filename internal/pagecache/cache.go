@@ -42,76 +42,94 @@ func NewCache(cfg fragstore.KeyedConfig) (*Cache, error) {
 // sizing, eviction, and lifecycle.
 func Over(store fragstore.Keyed) *Cache { return &Cache{store: store} }
 
-// metaSep separates the content type from the entity tag inside the
-// keyed store's Meta string. NUL cannot appear in either field (one is a
-// header value, the other a quoted hex digest).
+// metaSep separates the content type, the entity tag and the record inside
+// the keyed store's Meta string. NUL cannot appear in the first two (one is
+// a header value, the other a quoted hex digest); the record, last, may hold
+// any byte.
 const metaSep = "\x00"
 
-func packMeta(contentType, etag string) string {
-	if etag == "" {
-		return contentType
+func packMeta(contentType, etag, record string) string {
+	switch {
+	case record != "":
+		return contentType + metaSep + etag + metaSep + record
+	case etag != "":
+		return contentType + metaSep + etag
 	}
-	return contentType + metaSep + etag
+	return contentType
 }
 
-func unpackMeta(meta string) (contentType, etag string) {
-	if i := strings.IndexByte(meta, 0); i >= 0 {
-		return meta[:i], meta[i+1:]
-	}
-	return meta, ""
+func unpackMeta(meta string) (contentType, etag, record string) {
+	contentType, rest, _ := strings.Cut(meta, metaSep)
+	etag, record, _ = strings.Cut(rest, metaSep)
+	return contentType, etag, record
 }
 
-// GetTagged returns the cached page under key, if fresh, plus the entity
-// tag it was stamped with at capture time ("" when stored untagged).
-func (c *Cache) GetTagged(key string) (body []byte, contentType, etag string, ok bool) {
-	e, ok := c.store.Get(key)
+// Mode says how Lookup treats an entry past its TTL.
+type Mode int
+
+const (
+	// Fresh reads fresh entries only, removing an expired one it finds.
+	Fresh Mode = iota
+	// Keep reads fresh entries only and leaves an expired one resident for
+	// a later Stale read (see KeyedStore.GetKeep).
+	Keep
+	// Stale reads an entry whether or not its TTL has lapsed, with its age;
+	// the caller bounds the staleness it accepts.
+	Stale
+)
+
+// Page is one cached response.
+type Page struct {
+	Body        []byte
+	ContentType string
+	// ETag is the entity tag the page was stamped with at capture time (""
+	// when stored untagged).
+	ETag string
+	// Age is how far past its TTL the page is, negative while fresh; read
+	// in Stale mode only, zero otherwise.
+	Age time.Duration
+	// Record is what the filer stored beside the page to judge it by when
+	// it is read (the DPC's tier: the epoch and fragment refs it was built
+	// from); opaque here, "" when none was given.
+	Record string
+}
+
+// Lookup returns the page under key, read as mode says, through the keyed
+// store's Get, GetKeep or GetStale.
+func (c *Cache) Lookup(key string, mode Mode) (pg Page, ok bool) {
+	var e fragstore.KeyedEntry
+	switch mode {
+	case Stale:
+		e, pg.Age, ok = c.store.GetStale(key)
+	case Keep:
+		e, ok = c.store.GetKeep(key)
+	default:
+		e, ok = c.store.Get(key)
+	}
 	if !ok {
-		return nil, "", "", false
+		return Page{}, false
 	}
-	contentType, etag = unpackMeta(e.Meta)
-	return e.Value, contentType, etag, true
-}
-
-// GetTaggedKeep is GetTagged without lazy-expiry removal: an expired page
-// misses but stays resident for a later GetStale (see KeyedStore.GetKeep).
-func (c *Cache) GetTaggedKeep(key string) (body []byte, contentType, etag string, ok bool) {
-	e, ok := c.store.GetKeep(key)
-	if !ok {
-		return nil, "", "", false
-	}
-	contentType, etag = unpackMeta(e.Meta)
-	return e.Value, contentType, etag, true
-}
-
-// GetStale returns the cached page under key even when its TTL has
-// lapsed, along with how far past expiry it is (negative while fresh). The
-// admission-control stage serves these during origin overload
-// (stale-while-revalidate); invalidated pages are Deleted outright and
-// can never surface here. The caller bounds acceptable staleness.
-func (c *Cache) GetStale(key string) (body []byte, contentType, etag string, age time.Duration, ok bool) {
-	e, age, ok := c.store.GetStale(key)
-	if !ok {
-		return nil, "", "", 0, false
-	}
-	contentType, etag = unpackMeta(e.Meta)
-	return e.Value, contentType, etag, age, true
+	pg.Body = e.Value
+	pg.ContentType, pg.ETag, pg.Record = unpackMeta(e.Meta)
+	return pg, true
 }
 
 // PutTagged stores a page under key for ttl along with its strong entity
 // tag ("" for none), letting the tier answer If-None-Match revalidations
-// with a 304 instead of a body. Non-positive ttl is ignored: a URL-keyed
-// page cache cannot see fragment invalidations on its own, so time is the
-// baseline freshness signal — an unexpiring page would be wrong forever
-// wherever no invalidation fabric is wired.
-func (c *Cache) PutTagged(key string, body []byte, contentType, etag string, ttl time.Duration) {
+// with a 304 instead of a body, and the record Lookup hands back with it.
+// Non-positive ttl is ignored: a URL-keyed page cache cannot see fragment
+// invalidations on its own, so time is the baseline freshness signal — an
+// unexpiring page would be wrong forever wherever no invalidation fabric is
+// wired.
+func (c *Cache) PutTagged(key string, body []byte, contentType, etag, record string, ttl time.Duration) {
 	if ttl <= 0 {
 		return
 	}
-	c.store.Put(key, fragstore.KeyedEntry{Value: body, Meta: packMeta(contentType, etag)}, ttl)
+	c.store.Put(key, fragstore.KeyedEntry{Value: body, Meta: packMeta(contentType, etag, record)}, ttl)
 }
 
 // Delete removes the page under key, reporting whether one was resident.
-// The invalidation fabric (dpc.Proxy.Apply) drops invalidated pages here.
+// The DPC's tier drops a page here when its record is found void.
 func (c *Cache) Delete(key string) bool { return c.store.Delete(key) }
 
 // DeleteFunc removes every page whose key satisfies pred, returning the

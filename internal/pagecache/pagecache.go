@@ -106,9 +106,9 @@ func (p *Proxy) Cache() *Cache { return p.cache }
 // identity is invisible to the cache.
 func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	key := r.URL.RequestURI()
-	if body, ctype, _, ok := p.cache.GetTagged(key); ok {
+	if pg, ok := p.cache.Lookup(key, Fresh); ok {
 		p.reg.Counter("pagecache.hits").Inc()
-		p.write(w, body, ctype, "HIT")
+		p.write(w, pg.Body, pg.ContentType, "HIT")
 		return
 	}
 	p.reg.Counter("pagecache.misses").Inc()
@@ -145,7 +145,7 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ctype := resp.Header.Get("Content-Type")
-	p.cache.PutTagged(key, body, ctype, "", p.cfg.TTL)
+	p.cache.PutTagged(key, body, ctype, "", "", p.cfg.TTL)
 	p.write(w, body, ctype, "MISS")
 }
 

@@ -35,7 +35,7 @@ func TestCacheByteBudgetEvicts(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 40; i++ {
-		c.PutTagged(fmt.Sprintf("/p%d", i), make([]byte, 100), "text/html", "", time.Minute)
+		c.PutTagged(fmt.Sprintf("/p%d", i), make([]byte, 100), "text/html", "", "", time.Minute)
 	}
 	if got := c.Bytes(); got > 1000 {
 		t.Fatalf("resident %d bytes, over the 1000 budget", got)
@@ -207,22 +207,52 @@ func TestMetrics(t *testing.T) {
 	}
 }
 
-// Tagged entries carry their entity tag alongside the content type; an
-// entry stored with no tag reads back with none, and the separator never
-// leaks into either field.
+// Tagged entries carry their entity tag and record alongside the content
+// type; an entry stored with neither reads back with neither, the
+// separator never leaks into a field, and a record may hold any byte.
 func TestCacheTaggedEntries(t *testing.T) {
 	c, err := NewCache(fragstore.KeyedConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.PutTagged("/p", []byte("body"), "text/html", `"abc123"`, time.Minute)
-	body, ctype, etag, ok := c.GetTagged("/p")
-	if !ok || string(body) != "body" || ctype != "text/html" || etag != `"abc123"` {
-		t.Fatalf("GetTagged = %q, %q, %q, %v", body, ctype, etag, ok)
+	const record = "\x00\x01rec\x00"
+	c.PutTagged("/p", []byte("body"), "text/html", `"abc123"`, record, time.Minute)
+	pg, ok := c.Lookup("/p", Fresh)
+	if !ok || string(pg.Body) != "body" || pg.ContentType != "text/html" || pg.ETag != `"abc123"` || pg.Record != record {
+		t.Fatalf("Lookup = %+v, %v", pg, ok)
 	}
-	c.PutTagged("/q", []byte("other"), "text/plain", "", time.Minute)
-	if _, ctype, etag, ok := c.GetTagged("/q"); !ok || ctype != "text/plain" || etag != "" {
-		t.Fatalf("an entry stored with no tag reads back ctype %q, etag %q, ok %v", ctype, etag, ok)
+	c.PutTagged("/q", []byte("other"), "text/plain", "", "", time.Minute)
+	if pg, ok := c.Lookup("/q", Fresh); !ok || pg.ContentType != "text/plain" || pg.ETag != "" || pg.Record != "" {
+		t.Fatalf("an entry stored with no tag or record reads back %+v, %v", pg, ok)
+	}
+	c.PutTagged("/r", []byte("x"), "text/plain", "", record, time.Minute)
+	if pg, ok := c.Lookup("/r", Fresh); !ok || pg.ContentType != "text/plain" || pg.ETag != "" || pg.Record != record {
+		t.Fatalf("an untagged entry with a record reads back %+v, %v", pg, ok)
+	}
+}
+
+// Each mode reads through its own getter: Fresh removes an expired entry,
+// Keep leaves it for a Stale read, and Stale reports how far past its TTL
+// the entry is.
+func TestCacheLookupModes(t *testing.T) {
+	clk := clock.NewFake(time.Unix(1_000_000, 0))
+	c, err := NewCache(fragstore.KeyedConfig{Clock: clk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.PutTagged("/p", []byte("body"), "text/html", `"e"`, "rec", time.Second)
+	if pg, ok := c.Lookup("/p", Stale); !ok || pg.Age >= 0 || pg.Record != "rec" {
+		t.Fatalf("fresh entry read stale: %+v, %v", pg, ok)
+	}
+	clk.Advance(3 * time.Second)
+	if _, ok := c.Lookup("/p", Keep); ok || c.Len() != 1 {
+		t.Fatalf("Keep: ok=%v resident=%d, want a miss that keeps the entry", ok, c.Len())
+	}
+	if pg, ok := c.Lookup("/p", Stale); !ok || pg.Age != 2*time.Second || string(pg.Body) != "body" || pg.ETag != `"e"` {
+		t.Fatalf("Stale = %+v, %v, want the entry 2s past its TTL", pg, ok)
+	}
+	if _, ok := c.Lookup("/p", Fresh); ok || c.Len() != 0 {
+		t.Fatalf("Fresh: ok=%v resident=%d, want a miss that removes the entry", ok, c.Len())
 	}
 }
 
@@ -232,9 +262,9 @@ func TestCacheDelete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.PutTagged("GET\x00/a\x00fr", []byte("x"), "", "", time.Minute)
-	c.PutTagged("GET\x00/a\x00en", []byte("x"), "", "", time.Minute)
-	c.PutTagged("GET\x00/b\x00", []byte("x"), "", "", time.Minute)
+	c.PutTagged("GET\x00/a\x00fr", []byte("x"), "", "", "", time.Minute)
+	c.PutTagged("GET\x00/a\x00en", []byte("x"), "", "", "", time.Minute)
+	c.PutTagged("GET\x00/b\x00", []byte("x"), "", "", "", time.Minute)
 	if !c.Delete("GET\x00/b\x00") || c.Delete("GET\x00/b\x00") {
 		t.Fatal("Delete did not report residency correctly")
 	}
@@ -252,13 +282,13 @@ func TestCacheReserveCapture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.PutTagged("/hot", make([]byte, 800), "", "", time.Minute)
+	c.PutTagged("/hot", make([]byte, 800), "", "", "", time.Minute)
 	c.ReserveCapture(800)
 	if c.Len() != 0 {
 		t.Fatalf("resident = %d under capture pressure, want 0", c.Len())
 	}
 	c.ReserveCapture(-800)
-	c.PutTagged("/hot", make([]byte, 800), "", "", time.Minute)
+	c.PutTagged("/hot", make([]byte, 800), "", "", "", time.Minute)
 	if c.Len() != 1 {
 		t.Fatal("release did not restore headroom")
 	}

@@ -27,14 +27,14 @@ func newTieredCache(t *testing.T, ramBudget int64) (*Cache, *fragstore.TieredKey
 }
 
 // TestTieredPageCache drives whole pages across the tier boundary: a
-// page demoted to disk must come back with its content type and entity
-// tag intact, and purges must reach disk-resident pages.
+// page demoted to disk must come back with its content type entity
+// tag and record intact, and purges must reach disk-resident pages.
 func TestTieredPageCache(t *testing.T) {
 	c, ts := newTieredCache(t, 64)
 	pageA := bytes.Repeat([]byte("A"), 48)
 	pageB := bytes.Repeat([]byte("B"), 48)
-	c.PutTagged("GET /a", pageA, "text/html", `"etag-a"`, time.Minute)
-	c.PutTagged("GET /b", pageB, "text/html", `"etag-b"`, time.Minute)
+	c.PutTagged("GET /a", pageA, "text/html", `"etag-a"`, "rec\x00a", time.Minute)
+	c.PutTagged("GET /b", pageB, "text/html", `"etag-b"`, "", time.Minute)
 	if st := ts.TierStats(); st.Disk.Resident != 1 {
 		t.Fatalf("setup: want one page demoted, got %+v", st)
 	}
@@ -42,9 +42,9 @@ func TestTieredPageCache(t *testing.T) {
 	// and one read has not earned /a the place /b holds. The second has:
 	// /a is copied into RAM and /b written to disk to make room.
 	for touch, wantPromotions := range []int64{0, 1} {
-		body, ctype, etag, ok := c.GetTagged("GET /a")
-		if !ok || !bytes.Equal(body, pageA) || ctype != "text/html" || etag != `"etag-a"` {
-			t.Fatalf("demoted page lost its envelope: ok=%v ctype=%q etag=%q", ok, ctype, etag)
+		pg, ok := c.Lookup("GET /a", Fresh)
+		if !ok || !bytes.Equal(pg.Body, pageA) || pg.ContentType != "text/html" || pg.ETag != `"etag-a"` || pg.Record != "rec\x00a" {
+			t.Fatalf("demoted page lost its envelope: ok=%v ctype=%q etag=%q record=%q", ok, pg.ContentType, pg.ETag, pg.Record)
 		}
 		if st := ts.TierStats(); st.Promotions != wantPromotions || st.DiskHits != int64(touch)+1 {
 			t.Fatalf("touch %d of /a: %d promotions, want %d: %+v", touch+1, st.Promotions, wantPromotions, st)
@@ -66,9 +66,9 @@ func TestTieredPageCache(t *testing.T) {
 	}
 
 	// Delete of a disk-resident page reports true.
-	c.PutTagged("GET /a", pageA, "text/html", "", time.Minute)
-	c.PutTagged("GET /b", pageB, "text/html", "", time.Minute)
-	if _, _, _, ok := c.GetTaggedKeep("GET /a"); !ok {
+	c.PutTagged("GET /a", pageA, "text/html", "", "", time.Minute)
+	c.PutTagged("GET /b", pageB, "text/html", "", "", time.Minute)
+	if _, ok := c.Lookup("GET /a", Keep); !ok {
 		t.Fatal("page lost")
 	}
 	if ts.TierStats().Disk.Resident == 0 {

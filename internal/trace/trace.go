@@ -82,9 +82,9 @@ const (
 	// KindStaleBypass: assembly found stale fragment refs and the request
 	// was recovered with a bypass fetch; Note carries the refs.
 	KindStaleBypass Kind = "stale-bypass"
-	// KindInvalidated: the invalidation fabric voided this request's
-	// page-tier fill; Note is the cause ("fragment-floor",
-	// "epoch-flush:<cause>").
+	// KindInvalidated: a whole-response tier entry was found void — this
+	// request's fill, or an entry its read found (dropped, not served);
+	// Note is the cause ("fragment-floor", "epoch-flush:<cause>").
 	KindInvalidated Kind = "invalidated"
 	// KindFill: a cache tier stored this response (Tier names it, N the
 	// body bytes).
