@@ -385,8 +385,11 @@ func (p *Proxy) serveStale(rs *reqState, key, reason string) (stageOutcome, bool
 	if r.Method != http.MethodGet {
 		return stageNext, false
 	}
-	page, _ := p.pageRule(r)
-	hit, _, ok := p.probe(rs, page, p.admit.staleWindow)
+	var pkey string
+	if page, _ := p.pageRule(r); page {
+		pkey = pageKey(r)
+	}
+	hit, ok := p.probe(rs, pkey, p.admit.staleWindow)
 	if !ok {
 		return stageNext, false
 	}
@@ -398,13 +401,13 @@ func (p *Proxy) serveStale(rs *reqState, key, reason string) (stageOutcome, bool
 		rs.pageCapture = nil
 	}
 	if hit.Age < 0 {
-		p.serveHit(rs, hit)
+		p.serveHit(rs, hit, "")
 		return stageRespond, true
 	}
 	p.reg.Counter("dpc.stale_served_page").Inc()
 	rs.body, rs.ctype, rs.cacheState = hit.Body, hit.ContentType, "STALE"
 	rs.span.Event(trace.KindStaleServe, hit.rule, reason, hit.Age.Milliseconds())
-	p.kickRevalidate(rs, key, page)
+	p.kickRevalidate(rs, key, pkey)
 	return stageRespond, true
 }
 
@@ -413,9 +416,10 @@ func (p *Proxy) serveStale(rs *reqState, key, reason string) (stageOutcome, bool
 // driven through the full pipeline against a discarding writer, so the
 // refresh reuses the one fill path — the tier's capture and, crucially,
 // the record fillTier files it with, which voids the entry if the fabric
-// invalidates a source fragment while the revalidation is in flight. page
-// is the page rule's verdict, for probing the tier as serveStale did.
-func (p *Proxy) kickRevalidate(rs *reqState, key string, page bool) {
+// invalidates a source fragment while the revalidation is in flight. pkey
+// is the page rule's key, "" when it does not admit the request, for probing
+// the tier as serveStale did.
+func (p *Proxy) kickRevalidate(rs *reqState, key, pkey string) {
 	a := p.admit
 	if a.negLookup(key) {
 		// The origin just failed this key; revalidating now would hammer
@@ -425,7 +429,7 @@ func (p *Proxy) kickRevalidate(rs *reqState, key string, page bool) {
 	if !a.revalTryStart(key) {
 		return
 	}
-	if hit, _, ok := p.probe(rs, page, a.staleWindow); ok && hit.Age < 0 {
+	if hit, ok := p.probe(rs, pkey, a.staleWindow); ok && hit.Age < 0 {
 		// The previous revalidation refilled the entry after it was found
 		// lapsed, and released the slot before this claim: a revalidation
 		// fills before it releases, so nothing is left to refresh.

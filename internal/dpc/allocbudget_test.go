@@ -126,6 +126,32 @@ func TestAllocBudgetTemplateRefRequest(t *testing.T) {
 // stage probes the same two keys and may not allocate more.
 const pageHitObjs = 16
 
+// pageHitAllocs serves req 50 times to warm p up, then 200 more, and
+// returns the objects allocated per request once it has checked that each
+// of the 200 was a page-tier hit.
+func pageHitAllocs(t *testing.T, p *Proxy, req *http.Request) uint64 {
+	t.Helper()
+	serve := func(n int) {
+		for i := 0; i < n; i++ {
+			p.ServeHTTP(&discardWriter{h: http.Header{}}, req)
+		}
+	}
+	serve(50)
+	hits := p.Registry().Counter("dpc.pagecache_hits")
+	warm := hits.Value()
+	const requests = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	serve(requests)
+	runtime.ReadMemStats(&after)
+	if n := hits.Value() - warm; n != requests {
+		t.Fatalf("%d page hits of %d requests: the requests did not hit the page tier", n, requests)
+	}
+	objs := (after.Mallocs - before.Mallocs) / requests
+	t.Logf("%d B in %d objects allocated per page hit", (after.TotalAlloc-before.TotalAlloc)/requests, objs)
+	return objs
+}
+
 // A steady-state page-tier hit — page_hot's whole request — allocates no
 // more objects than it did with two stages.
 func TestAllocBudgetPageHitRequest(t *testing.T) {
@@ -143,24 +169,38 @@ func TestAllocBudgetPageHitRequest(t *testing.T) {
 			}, nil
 		})
 	})
-	req := httptest.NewRequest(http.MethodGet, "/page?id=1", nil)
-	serve := func(n int) {
-		for i := 0; i < n; i++ {
-			p.ServeHTTP(&discardWriter{h: http.Header{}}, req)
-		}
-	}
-	serve(50)
-	const requests = 200
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	serve(requests)
-	runtime.ReadMemStats(&after)
-	if hits := p.Registry().Counter("dpc.pagecache_hits").Value(); hits != 50+requests-1 {
-		t.Fatalf("page hits = %d, want %d: the requests did not hit the page tier", hits, 50+requests-1)
-	}
-	objs := (after.Mallocs - before.Mallocs) / requests
-	t.Logf("%d B in %d objects allocated per page hit", (after.TotalAlloc-before.TotalAlloc)/requests, objs)
-	if objs > pageHitObjs {
+	if objs := pageHitAllocs(t, p, httptest.NewRequest(http.MethodGet, "/page?id=1", nil)); objs > pageHitObjs {
 		t.Fatalf("%d objects allocated per page hit, budget %d", objs, pageHitObjs)
+	}
+}
+
+// identifiedPageHitObjs is the allocation count of one identified visitor's
+// page-tier hit under the page's lease, measured by this test when the hit
+// was introduced (an anonymous hit then measured 15: anonymousPageKey is
+// built in one allocation, and the page's lease key is cut from it).
+const identifiedPageHitObjs = 14
+
+// An identified visitor's page-tier hit under the page's lease — write_mix's
+// identified half — costs what an anonymous hit does: its page key, blanked
+// of the visitor, and the lease lookup add at most two objects to
+// pageHitObjs.
+func TestAllocBudgetIdentifiedPageHitRequest(t *testing.T) {
+	origin, warm := pageLeaseOrigin(t)
+	p := newTestProxy(t, "http://origin.invalid", func(c *Config) {
+		origin(c)
+		c.Coalesce = true
+		c.Stream = true
+		c.PageCache = true
+		c.PageCacheTTL = time.Hour
+	})
+	warm(p)
+	req := httptest.NewRequest(http.MethodGet, "/page?id=1", nil)
+	req.Header.Set("X-User", "u1")
+	objs := pageHitAllocs(t, p, req)
+	if n := p.Registry().Counter("dpc.pagecache_identity_hits").Value(); n < 200 {
+		t.Fatalf("dpc.pagecache_identity_hits = %d: the hits were not the identified visitor's", n)
+	}
+	if objs > identifiedPageHitObjs || objs > pageHitObjs+2 {
+		t.Fatalf("%d objects allocated per identified page hit, budget %d (at most %d)", objs, identifiedPageHitObjs, pageHitObjs+2)
 	}
 }

@@ -176,7 +176,8 @@ func fillCaptured(p *Proxy, span *trace.Span, key, body string, epoch uint64, re
 	c := &pageCapture{ResponseWriter: httptest.NewRecorder(), status: http.StatusOK}
 	c.buf.WriteString(body)
 	p.fillTier(&reqState{
-		span: span, pageCapture: c, fillKey: key, fillTTL: time.Minute, fillRule: rulePage,
+		r: httptest.NewRequest(http.MethodGet, "/", nil), span: span, pageCapture: c,
+		fillKey: key, fillTTL: time.Minute, fillRule: rulePage,
 		depRefs: refs, depEpoch: epoch,
 	})
 }

@@ -80,6 +80,7 @@ type lease struct {
 	ctype     string          // the origin answer's Content-Type
 	deadline  int64           // end of term, in the proxy clock's UnixNano
 	cacheable bool            // the origin answer let the page rule file the page (pageCacheable)
+	page      bool            // granted with ";page": filed under the page's key, every visitor's
 }
 
 // leaseTable is the fixed-size key → lease memory. One mutex covers it, and
@@ -132,11 +133,11 @@ func (t *leaseTable) bucket(key string) *[leaseWays]lease {
 	return &t.buckets[t.hash(key)%leaseBuckets]
 }
 
-// get returns the lease filed under page, or else the one under exact.
-func (t *leaseTable) get(page, exact string) (lease, bool) {
+// get returns the lease filed under the first of keys that holds one.
+func (t *leaseTable) get(keys ...string) (lease, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, key := range [2]string{page, exact} {
+	for _, key := range keys {
 		if b := t.bucket(key); b != nil {
 			for _, l := range b {
 				if l.key == key {
@@ -217,22 +218,31 @@ func (p *Proxy) leasing(r *http.Request) bool {
 // header after them, so no fetch key is a page's.
 func pageLeaseKey(key string) string { return key[:len(hintPage(key))+len(http.MethodGet)] }
 
+// live reports that l is within its term at the proxy clock's now.
+func (p *Proxy) live(l lease) bool { return p.clk.Now().UnixNano() < l.deadline }
+
 // useLease lets a live lease stand in for the request's origin fetch: the
 // plan it names becomes the request's held plan, for assemble to run as it
 // runs a template answered by reference. The page's lease is looked for
-// first, then the visitor's own. A lease found past its term or without its
-// plan is voided, and the request fetches.
+// first, then the visitor's own — unless the pagecache stage already found
+// the page's (rs.lease, for an identified GET that missed the tier), under
+// the epoch its capture is dated by: while that epoch stands no gap has
+// cleared the table. A lease found past its term or without its plan is
+// voided, and the request fetches.
 func (p *Proxy) useLease(rs *reqState) bool {
 	if !p.leasing(rs.r) {
 		return false
 	}
-	key := rs.flightKey()
-	page := pageLeaseKey(key)
-	l, ok := p.leases.get(page, key)
-	if !ok {
-		return false
+	l := rs.lease
+	rs.lease = lease{}
+	if l.key == "" || p.fabric.epoch.Load() != rs.depEpoch {
+		key := rs.flightKey()
+		var ok bool
+		if l, ok = p.leases.get(pageLeaseKey(key), key); !ok {
+			return false
+		}
 	}
-	if p.clk.Now().UnixNano() >= l.deadline {
+	if !p.live(l) {
 		p.voidLease(rs, l.key, voidExpired)
 		return false
 	}
@@ -241,13 +251,13 @@ func (p *Proxy) useLease(rs *reqState) bool {
 		p.voidLease(rs, l.key, voidPlan)
 		return false
 	}
-	rs.held, rs.leaseKey = plan, l.key
+	rs.held, rs.lease = plan, l
 	rs.ctype, rs.cacheState = l.ctype, "LEASE"
 	if rs.pageCapture != nil && !l.cacheable {
 		rs.pageCapture.refuse()
 	}
 	note := "lease:hit"
-	if l.key == page {
+	if l.page {
 		note = "lease:hit:page"
 	}
 	rs.span.Event(trace.KindHit, "origin", note, 0)
@@ -264,11 +274,9 @@ func (p *Proxy) voidLease(rs *reqState, key, cause string) {
 // turned out void — the caller then fetches from the origin — and true when
 // the page went out, or err says why it did not.
 func (p *Proxy) assembleLease(rs *reqState) (served bool, err error) {
-	key := rs.leaseKey
-	rs.leaseKey = ""
 	_, err = p.assemblePage(rs, nil, 0, wholePage)
 	if errors.Is(err, ErrStale) && !rs.streamed {
-		p.voidLease(rs, key, voidFloor)
+		p.voidLease(rs, rs.lease.key, voidFloor)
 		return false, nil
 	}
 	if err == nil {
@@ -314,6 +322,7 @@ func (p *Proxy) grantLease(rs *reqState, resp *http.Response, start time.Time, e
 		ctype:     resp.Header.Get("Content-Type"),
 		deadline:  start.Add(term).UnixNano(),
 		cacheable: pageCacheable(resp.Header),
+		page:      scoped,
 	}
 	if p.leases.file(l, func() bool { return p.fabric.epoch.Load() == epoch }) {
 		p.leases.grants.Inc()

@@ -25,10 +25,11 @@ import (
 
 // The lease model: a proxy on the invalidation fabric in front of a real
 // origin and BEM, on a fake clock, driven by seeded schedules. After every
-// response a lease served, the page must be the one the origin renders
-// plain from the repository as it is now — unless the fabric went quiet
-// (a write whose events were lost) within the page tier's TTL, the
-// staleness a lease's term bounds.
+// response a lease served, and every page-tier hit an identified visitor
+// was served under the page's lease, the page must be the one the origin
+// renders plain from the repository as it is now, for that visitor —
+// unless the fabric went quiet (a write whose events were lost) within the
+// page tier's TTL, the staleness a lease's term bounds.
 
 // leaseModelTTL is the proxy's PageCacheTTL in the model: every lease's term.
 const leaseModelTTL = 10 * time.Second
@@ -52,7 +53,8 @@ type leaseSite struct {
 	// fragments on it; nil where the episode does not run.
 	crossed *crossedPage
 	// pageScoped says the site's runs never read the visitor, so its leases
-	// are the page's; where it is false, no lease may be.
+	// are the page's and the page tier serves its identified visitors; where
+	// it is false, neither may be.
 	pageScoped bool
 }
 
@@ -165,6 +167,38 @@ var leaseSites = []leaseSite{
 		page:  func(repo *repository.Repo, rng *rand.Rand) { prefs(repo, rng, "u"+strconv.Itoa(rng.Intn(3))) },
 		spoil: func(repo *repository.Repo, rng *rand.Rand, _, user string) { prefs(repo, rng, user) },
 	},
+	{
+		// Section 3.2.1's catalog: the layout asks whether there is a
+		// visitor, and every block that reads a row is tagged. Fourteen
+		// slots hold everything the schedules reach; one fewer and the
+		// BEM's evictions leave too few leases to check.
+		name: "bookstore", capacity: 14, step: time.Minute,
+		build: func(repo *repository.Repo) (*script.Script, error) { return site.BuildBookstore(repo), nil },
+		urls: []string{"/page/catalog?categoryID=Fiction", "/page/catalog?categoryID=Science",
+			"/page/catalog?categoryID=History", "/page/catalog"},
+		users:  []string{"", "bob", "carol", "mallory"},
+		tagged: func(repo *repository.Repo, rng *rand.Rand) { category(repo, rng, bookCategories[rng.Intn(3)]) },
+		page: func(repo *repository.Repo, rng *rand.Rand) {
+			repo.Put(repository.Key{Table: "users", Row: []string{"bob", "carol"}[rng.Intn(2)]},
+				map[string]string{"name": "Name " + strconv.Itoa(rng.Intn(1000)), "likes": bookCategories[rng.Intn(3)]})
+		},
+		spoil: func(repo *repository.Repo, rng *rand.Rand, url, _ string) {
+			cat := "Fiction"
+			if _, c, ok := strings.Cut(url, "categoryID="); ok {
+				cat = c
+			}
+			category(repo, rng, cat)
+		},
+	},
+}
+
+var bookCategories = []string{"Fiction", "Science", "History"}
+
+// category retitles a bookstore category, which its page's tagged block
+// reads.
+func category(repo *repository.Repo, rng *rand.Rand, cat string) {
+	repo.Put(repository.Key{Table: "categories", Row: cat},
+		map[string]string{"title": cat + " " + strconv.Itoa(rng.Intn(1000)), "count": "2"})
 }
 
 // heldLink is the proxy's origin link, in memory, with two holds the
@@ -230,8 +264,9 @@ type leaseRig struct {
 	sub   *quietSub
 	quiet time.Time // the last write whose events the fabric lost
 	// checked counts the lease responses checked against a fresh render,
-	// and pageChecked those of them the page's lease served.
-	checked, pageChecked int
+	// pageChecked those of them the page's lease served, and identityPages
+	// the page-tier hits an identified visitor was served, each checked too.
+	checked, pageChecked, identityPages int
 }
 
 func newLeaseRig(t testing.TB, ls leaseSite, seed int64) *leaseRig {
@@ -302,27 +337,33 @@ func (g *leaseRig) plain(url, user string) string {
 	return rec.Body.String()
 }
 
-// visit serves url as user and holds a lease's page to the oracle. A lease
-// response came from the page's lease exactly when the table held one before
-// the visit: that is the one the request looks for first, and one found void
-// sends the request to the origin.
+// visit serves url as user and holds a lease's page, and an identified
+// visitor's page-tier hit, to the oracle. A lease response came from the
+// page's lease exactly when the table held one before the visit: that is
+// the one the request looks for first, and one found void sends the
+// request to the origin.
 func (g *leaseRig) visit(url, user string) {
 	g.t.Helper()
 	page := pageLeaseKey(flightKey(httptest.NewRequest(http.MethodGet, url, nil)))
-	_, pageLeased := g.p.leases.get(page, page)
+	_, pageLeased := g.p.leases.get(page)
 	rec := g.serve(url, user)
 	if rec.Code != http.StatusOK {
 		g.fatalf("%s as %q: status %d: %s", url, user, rec.Code, rec.Body)
 	}
-	if rec.Header().Get("X-Cache") != "LEASE" {
+	by := rec.Header().Get("X-Cache")
+	switch {
+	case by == "LEASE":
+		g.checked++
+		if pageLeased {
+			g.pageChecked++
+		}
+	case by == "PAGE" && user != "":
+		g.identityPages++
+	default:
 		return
 	}
-	g.checked++
-	if pageLeased {
-		g.pageChecked++
-	}
 	if want := g.plain(url, user); rec.Body.String() != want && !g.clk.Now().Before(g.quiet.Add(leaseModelTTL)) {
-		g.fatalf("%s as %q was served by a lease, but the page is now\n%q\nnot\n%q", url, user, want, rec.Body)
+		g.fatalf("%s as %q was served X-Cache %s, but the page is now\n%q\nnot\n%q", url, user, by, want, rec.Body)
 	}
 }
 
@@ -440,8 +481,10 @@ func (g *leaseRig) run(steps int) int {
 	if n := snap["dpc.errors"]; n != 0 {
 		g.fatalf("dpc.errors = %d", n)
 	}
-	if n := snap["dpc.lease_page_grants"]; !ls.pageScoped && (n != 0 || g.pageChecked != 0) {
-		g.fatalf("%d page-scoped grants and %d lease responses from a page's lease, on a site whose runs read the visitor", n, g.pageChecked)
+	grants, hits := snap["dpc.lease_page_grants"], snap["dpc.pagecache_identity_hits"]
+	if !ls.pageScoped && (grants != 0 || g.pageChecked != 0 || hits != 0) {
+		g.fatalf("%d page-scoped grants, %d lease responses from a page's lease and %d identified page-tier hits, on a site whose runs read the visitor",
+			grants, g.pageChecked, hits)
 	}
 	return g.checked
 }
@@ -452,27 +495,31 @@ func (g *leaseRig) run(steps int) int {
 // the event-before-SET order. Each part of the lease is needed for that:
 // without the floor, the shell, the shell's growing dependencies, the term
 // cap or the full key comparison, some seed here serves a stale page. So is
-// its scope: the synthetic site's visitors share the page's lease, and a
-// site whose runs ask who the visitor is — the portal's and the dashboard's
-// layouts — gets none, or some seed serves one visitor another's page.
+// its scope: the synthetic site's visitors share the page's lease, and its
+// page-tier entry once that lease vouches for it, while a site whose runs
+// ask who the visitor is — the portal's, the dashboard's and the
+// bookstore's layouts — gets neither, or some seed serves one visitor
+// another's page.
 func TestLeaseModel(t *testing.T) {
 	for _, ls := range leaseSites {
-		checked, pageChecked := 0, 0
+		checked, pageChecked, identityPages := 0, 0, 0
 		var voids, hits int64
 		for seed := int64(1); seed <= 8; seed++ {
 			g := newLeaseRig(t, ls, seed)
 			checked += g.run(600)
 			pageChecked += g.pageChecked
+			identityPages += g.identityPages
 			snap := g.p.Registry().Snapshot()
 			voids += snap["dpc.lease_voids"]
 			hits += snap["dpc.lease_hits"]
 		}
-		t.Logf("%s: %d lease responses checked (%d from a page's lease), %d lease hits, %d voids", ls.name, checked, pageChecked, hits, voids)
+		t.Logf("%s: %d lease responses checked (%d from a page's lease), %d identified page-tier hits checked, %d lease hits, %d voids",
+			ls.name, checked, pageChecked, identityPages, hits, voids)
 		if checked < 100 || voids == 0 {
 			t.Errorf("%s: %d lease responses and %d voids over 8 seeds; the model barely reaches the leases", ls.name, checked, voids)
 		}
-		if ls.pageScoped && pageChecked == 0 {
-			t.Errorf("%s: no lease response came from a page's lease", ls.name)
+		if ls.pageScoped && (pageChecked == 0 || identityPages == 0) {
+			t.Errorf("%s: %d lease responses from a page's lease and %d identified page-tier hits", ls.name, pageChecked, identityPages)
 		}
 	}
 }

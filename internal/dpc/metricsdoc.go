@@ -75,9 +75,10 @@ func MetricCatalog() []MetricDoc {
 		// origin's opt-in (X-Cache: STATIC) and, with Config.PageCache, the
 		// page rule (X-Cache: PAGE).
 		{"dpc.pagecache_hits", "counter", "a request was served whole from the tier, under either rule (X-Cache: STATIC or PAGE)"},
-		{"dpc.pagecache_misses", "counter", "an anonymous bodyless GET the page rule could have filled missed the tier and continued down the pipeline (misses of the opt-in key alone are not counted, so hits over hits plus misses is the page rule's hit ratio wherever the origin opts nothing in)"},
+		{"dpc.pagecache_identity_hits", "counter", "an identified bodyless GET (Cookie, Authorization, X-User) was served from the page rule's entry under the page's live page-scoped lease, whose plan built it (X-Cache: PAGE; a subset of dpc.pagecache_hits)"},
+		{"dpc.pagecache_misses", "counter", "a bodyless GET the page rule could have filled — anonymous, or identified under the page's live page-scoped lease — missed the tier and continued down the pipeline (misses of the opt-in key alone are not counted, so hits over hits plus misses is the page rule's hit ratio wherever the origin opts nothing in)"},
 		{"dpc.pagecache_fills", "counter", "a completed response was filed into the tier, under either rule"},
-		{"dpc.pagecache_bypass_identity", "counter", "a bodyless GET carried identity (Cookie, Authorization, X-User), so the page rule did not admit it"},
+		{"dpc.pagecache_bypass_identity", "counter", "an identified bodyless GET (Cookie, Authorization, X-User) that the page rule could neither serve nor fill: its page held no live page-scoped lease, or the lease turned out void and the request fetched (plus dpc.pagecache_identity_hits, this is every identified GET but the few misses that filed their lease's page)"},
 		{"dpc.pagecache_uncacheable", "counter", "an admitted response could not be filed (non-200, over the 1 MiB capture bound, no-store/private, or Set-Cookie)"},
 		{"dpc.pagecache_uncacheable_vary", "counter", "a response the origin marked cacheable (Cache-Control: max-age) was refused the opt-in because it varies on a header other than Accept-Encoding"},
 		{"dpc.pagecache_304s", "counter", "a tier hit with a matching If-None-Match was answered 304 with no body"},

@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net/http"
+	"slices"
 	"strings"
 	"time"
 
 	"dpcache/internal/pagecache"
+	"dpcache/internal/tmplplan"
 	"dpcache/internal/trace"
 )
 
@@ -27,7 +29,14 @@ import (
 //     X-Cache: PAGE. Section 3.2.1's objection to page caching — the URL
 //     does not identify the content — rests on identity the cache cannot
 //     see; a request carrying none (no Cookie, Authorization, or X-User)
-//     gives the origin nothing to personalize on.
+//     gives the origin nothing to personalize on. An identified bodyless
+//     GET is answered under the same key exactly when a live page-scoped
+//     lease (lease.go) vouches for the entry: the origin has certified that
+//     the run never read the visitor, and the entry's record names the
+//     plan that lease runs. Such a hit is a memoised lease run — the same
+//     plan, every ref alive, inside the lease's term. On a miss the request
+//     runs the lease and files its page there; every other identified
+//     request bypasses the rule.
 //
 // A lookup probes the opt-in key, then the page key; a response is filed
 // under one of them, the opt-in winning. The TTL bounds the staleness of
@@ -63,7 +72,9 @@ const maxPageCaptureBytes = 1 << 20
 
 // pageIdentityHeaders mark a request as belonging to an identified
 // session. Any of them present → the response may be personalized → the
-// whole-page tier must not serve or store it.
+// page rule serves or stores it only under a page-scoped lease, and then
+// under the key the same request would have without them
+// (anonymousPageKey).
 var pageIdentityHeaders = []string{"X-User", "Cookie", "Authorization"}
 
 // anonymousSession reports whether the request carries no identity the
@@ -84,9 +95,34 @@ func anonymousSession(r *http.Request) bool {
 // shared a coalesced fetch: only if the origin would have produced
 // byte-identical responses for both. Keying on the URL alone would hand one
 // client's variant (a French page, a JSON XHR body) to another. The
-// identity headers in the key are always empty here: identity-bearing
-// requests are never page-admitted.
+// identity headers in the key are always empty: an identified request is
+// looked up under anonymousPageKey.
 func pageKey(r *http.Request) string { return coalesceKey(r) }
+
+// anonymousPageKey is pageKey of r with its identity headers blanked: the
+// entry an anonymous visitor sending r's other headers is served. It begins
+// with the page's lease key (pageLeaseKey), and is built in one allocation.
+func anonymousPageKey(r *http.Request) string {
+	uri := r.URL.RequestURI()
+	n := len(uri) + 1 + len(http.MethodGet) + len(coalesceIdentityHeaders)
+	for _, h := range coalesceIdentityHeaders {
+		if !slices.Contains(pageIdentityHeaders, h) {
+			n += len(r.Header.Get(h))
+		}
+	}
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteString(uri)
+	b.WriteByte(0)
+	b.WriteString(http.MethodGet)
+	for _, h := range coalesceIdentityHeaders {
+		b.WriteByte(0)
+		if !slices.Contains(pageIdentityHeaders, h) {
+			b.WriteString(r.Header.Get(h))
+		}
+	}
+	return b.String()
+}
 
 // PageKeyPrefix returns the tier's store-key prefix shared by every entry
 // for one request URI, under either admission rule and in every variant:
@@ -178,17 +214,15 @@ type tierHit struct {
 
 // probe looks rs's request up in the tier under each key an entry for it
 // may have been filed under, in precedence order: the origin's opt-in
-// (staticKey), then — when page is set — the page rule (pageKey, returned so
-// a miss can be filed under it). A zero stale reads fresh entries only
-// (keeping expired ones resident while admission control may still serve
-// them); a positive one reads entries up to stale past their TTL.
-func (p *Proxy) probe(rs *reqState, page bool, stale time.Duration) (hit tierHit, pkey string, ok bool) {
-	if hit, ok = p.tierGet(rs, staticKey(rs.r), ruleStatic, stale); ok || !page {
-		return hit, "", ok
+// (staticKey), then — when pkey is set — the page rule's. A zero stale
+// reads fresh entries only (keeping expired ones resident while admission
+// control may still serve them); a positive one reads entries up to stale
+// past their TTL.
+func (p *Proxy) probe(rs *reqState, pkey string, stale time.Duration) (hit tierHit, ok bool) {
+	if hit, ok = p.tierGet(rs, staticKey(rs.r), ruleStatic, stale); ok || pkey == "" {
+		return hit, ok
 	}
-	pkey = pageKey(rs.r)
-	hit, ok = p.tierGet(rs, pkey, rulePage, stale)
-	return hit, pkey, ok
+	return p.tierGet(rs, pkey, rulePage, stale)
 }
 
 // tierGet reads key and judges the entry's record: a void entry is deleted,
@@ -221,16 +255,27 @@ func (p *Proxy) tierGet(rs *reqState, key, rule string, stale time.Duration) (ti
 }
 
 // A tier entry's record is what it was built from, packed after its ETag
-// (pagecache.Page.Record): the epoch its capture began under, 8 bytes, then
-// the key and generation of each fragment ref, 4 bytes each, little-endian.
-func packRecord(epoch uint64, refs []StaleRef) string {
-	b := make([]byte, 8, 8+8*len(refs))
+// (pagecache.Page.Record): the epoch its capture began under, 8 bytes, the
+// digest of the held plan that assembled it (zero for a template that
+// arrived whole), 32 bytes, then the key and generation of each fragment
+// ref, 4 bytes each, little-endian.
+func packRecord(epoch uint64, digest tmplplan.Digest, refs []StaleRef) string {
+	b := make([]byte, recordRefs, recordRefs+8*len(refs))
 	binary.LittleEndian.PutUint64(b, epoch)
+	copy(b[8:], digest[:])
 	for _, r := range refs {
 		b = binary.LittleEndian.AppendUint32(b, r.Key)
 		b = binary.LittleEndian.AppendUint32(b, r.Gen)
 	}
 	return string(b)
+}
+
+// recordRefs is the offset of a record's first ref.
+const recordRefs = 8 + len(tmplplan.Digest{})
+
+// vouches reports that l's plan assembled the entry whose record is record.
+func (l lease) vouches(record string) bool {
+	return len(record) >= recordRefs && record[8:recordRefs] == string(l.digest[:])
 }
 
 // voided judges a record: "" while everything it was built from lives,
@@ -241,10 +286,10 @@ func packRecord(epoch uint64, refs []StaleRef) string {
 // epoch, is served once Apply has returned — however late the fill that
 // filed it, and whichever read path finds it.
 func (p *Proxy) voided(record string) string {
-	if len(record) < 8 || uint64(le32(record))|uint64(le32(record[4:]))<<32 != p.fabric.epoch.Load() {
+	if len(record) < recordRefs || uint64(le32(record))|uint64(le32(record[4:]))<<32 != p.fabric.epoch.Load() {
 		return "epoch-flush:" + p.fabric.flushCause()
 	}
-	for i := 8; i+8 <= len(record); i += 8 {
+	for i := recordRefs; i+8 <= len(record); i += 8 {
 		if p.floors.dead(le32(record[i:]), le32(record[i+4:])) {
 			return "fragment-floor"
 		}
@@ -262,10 +307,6 @@ func (p *Proxy) stagePageCache(rs *reqState) (stageOutcome, error) {
 		return stageNext, nil
 	}
 	page, identified := p.pageRule(rs.r)
-	if identified {
-		p.reg.Counter("dpc.pagecache_bypass_identity").Inc()
-		rs.span.Event(trace.KindBypass, rulePage, "identity", 0)
-	}
 	if p.admit != nil && isReval(rs.r.Context()) {
 		// A background revalidation skips the lookup — its purpose is to
 		// refresh this very entry — but still captures its response so
@@ -276,31 +317,78 @@ func (p *Proxy) stagePageCache(rs *reqState) (stageOutcome, error) {
 		}
 		return stageNext, nil
 	}
-	hit, pkey, ok := p.probe(rs, page, 0)
-	if ok {
-		p.serveHit(rs, hit)
-		return stageRespond, nil
+	epoch := p.fabric.epoch.Load()
+	var pkey, note string
+	switch {
+	case page:
+		pkey = pageKey(rs.r)
+	case identified:
+		if pkey, rs.lease = p.vouchingLease(rs.r); pkey == "" {
+			p.bypassIdentity(rs)
+		}
+		note = notePageLease
 	}
-	if !page {
+	switch hit, ok := p.probe(rs, pkey, 0); {
+	case ok && (!identified || hit.rule == ruleStatic):
+		p.serveHit(rs, hit, "")
+		return stageRespond, nil
+	case ok && rs.lease.vouches(hit.Record):
+		// An identified visitor's hit: the lease vouches for the page its
+		// own plan built, and for no other.
+		p.reg.Counter("dpc.pagecache_identity_hits").Inc()
+		p.serveHit(rs, hit, note)
+		return stageRespond, nil
+	case pkey == "":
 		rs.span.Event(trace.KindMiss, ruleStatic, "", 0)
 		return stageNext, nil
 	}
 	p.reg.Counter("dpc.pagecache_misses").Inc()
-	rs.span.Event(trace.KindMiss, rulePage, "", 0)
-	p.admitFill(rs, pkey, p.pageTTL, rulePage, p.fabric.epoch.Load())
+	rs.span.Event(trace.KindMiss, rulePage, note, 0)
+	p.admitFill(rs, pkey, p.pageTTL, rulePage, epoch)
 	return stageNext, nil
 }
 
+// notePageLease marks the page rule's hit or miss for an identified visitor
+// whose page's lease vouched for the key.
+const notePageLease = "lease:page"
+
+// vouchingLease returns, for an identified bodyless GET on a leasing
+// proxy, the key the page rule serves and files it under and the page's
+// lease that vouches for it: the page's lease alone, within its term. akey
+// is "" when there is none.
+func (p *Proxy) vouchingLease(r *http.Request) (akey string, l lease) {
+	if !p.leasing(r) {
+		return "", lease{}
+	}
+	akey = anonymousPageKey(r)
+	l, ok := p.leases.get(pageLeaseKey(akey))
+	if !ok || !p.live(l) {
+		return "", lease{}
+	}
+	return akey, l
+}
+
+// bypassIdentity counts an identified bodyless GET the page rule could
+// neither serve nor fill.
+func (p *Proxy) bypassIdentity(rs *reqState) {
+	p.reg.Counter("dpc.pagecache_bypass_identity").Inc()
+	rs.span.Event(trace.KindBypass, rulePage, "identity", 0)
+}
+
 // serveHit answers the request from a fresh tier entry, with a 304 when the
-// client already holds its bytes.
-func (p *Proxy) serveHit(rs *reqState, hit tierHit) {
+// client already holds its bytes. note marks the hit's trace event:
+// notePageLease for an identified visitor's.
+func (p *Proxy) serveHit(rs *reqState, hit tierHit, note string) {
 	p.reg.Counter("dpc.pagecache_hits").Inc()
 	if hit.ETag != "" && etagMatches(rs.r, hit.ETag) {
 		// Conditional hit: the client already holds these bytes. A
 		// 304 carries the tag back and nothing else — zero body
 		// bytes for a revalidation of a surviving entry.
 		p.reg.Counter("dpc.pagecache_304s").Inc()
-		rs.span.Event(trace.KindHit, hit.rule, "304", 0)
+		if note != "" {
+			note += ":"
+		}
+		rs.span.Event(trace.KindHit, hit.rule, note+"304", 0)
 		h := rs.w.Header()
 		h.Set("ETag", hit.ETag)
 		h.Set("Via", "dpcache-dpc/1.0")
@@ -310,7 +398,7 @@ func (p *Proxy) serveHit(rs *reqState, hit tierHit) {
 		rs.cacheState = xCache[hit.rule]
 		return
 	}
-	rs.span.Event(trace.KindHit, hit.rule, "", int64(len(hit.Body)))
+	rs.span.Event(trace.KindHit, hit.rule, note, int64(len(hit.Body)))
 	rs.body, rs.ctype, rs.cacheState = hit.Body, hit.ContentType, xCache[hit.rule]
 	rs.hitETag = hit.ETag
 }
@@ -395,6 +483,13 @@ func (p *Proxy) fillTier(rs *reqState) {
 		// the key with an empty body.
 		return
 	}
+	if rs.fillRule == rulePage && !anonymousSession(rs.r) && !rs.ranPageLease() {
+		// An identified page is filed only as the run of the page's lease
+		// that vouched for its key; the lease turned out void, and
+		// the request fetched.
+		p.bypassIdentity(rs)
+		return
+	}
 	body := c.buf.Bytes()
 	ctype := c.Header().Get("Content-Type")
 	// Settle the in-flight reservation before the Put reserves the stored
@@ -405,7 +500,7 @@ func (p *Proxy) fillTier(rs *reqState) {
 	// the response was in flight: the entry is doomed, so it is not filed.
 	// An event that lands after this check finds the filed entry void on
 	// its first read.
-	record := packRecord(rs.depEpoch, rs.depRefs)
+	record := packRecord(rs.depEpoch, rs.depDigest, rs.depRefs)
 	if voided := p.voided(record); voided != "" {
 		p.fabric.dropped.Inc()
 		rs.span.Event(trace.KindInvalidated, rs.fillRule, voided, 0)
@@ -414,6 +509,13 @@ func (p *Proxy) fillTier(rs *reqState) {
 	p.pages.PutTagged(rs.fillKey, body, ctype, pageETag(body, ctype), record, rs.fillTTL)
 	p.reg.Counter("dpc.pagecache_fills").Inc()
 	rs.span.Event(trace.KindFill, rs.fillRule, "", int64(len(body)))
+}
+
+// ranPageLease reports that the response came from running a page-scoped
+// lease's plan whole: a lease hit, on the page's key, whose record will name
+// that lease's plan.
+func (rs *reqState) ranPageLease() bool {
+	return rs.cacheState == "LEASE" && rs.lease.page && rs.depDigest == rs.lease.digest
 }
 
 // pageCapture tees a response into a bounded buffer on its way to the

@@ -16,6 +16,7 @@ import (
 	"dpcache/internal/coherency"
 	"dpcache/internal/pagecache"
 	"dpcache/internal/tmpl"
+	"dpcache/internal/tmplplan"
 	"dpcache/internal/trace"
 )
 
@@ -108,7 +109,8 @@ func TestPageCacheBurstServesFromPage(t *testing.T) {
 	}
 }
 
-// Identity-bearing requests must bypass the whole-page tier entirely —
+// Off the invalidation fabric no lease vouches for a page, so
+// identity-bearing requests must bypass the whole-page tier entirely —
 // neither served from it nor stored into it — or the baseline's
 // Bob/Alice failure comes back.
 func TestPageCacheIdentityBypass(t *testing.T) {
@@ -266,6 +268,34 @@ func TestPageCacheKeysByVariantHeaders(t *testing.T) {
 	}
 	if got := fetches.Load(); got != 2 {
 		t.Fatalf("origin saw %d fetches, want 2 (one per variant)", got)
+	}
+}
+
+// An identified visitor is looked up under the key an anonymous visitor
+// sending its other headers is filed under — so a French identified visitor
+// gets the French page — and the page's lease key is cut from it, as it is
+// from the visitor's own fetch key.
+func TestAnonymousPageKeyBlanksIdentityOnly(t *testing.T) {
+	variant := map[string]string{"Accept": "text/html", "Accept-Language": "fr", "User-Agent": "ua/1", "X-Requested-With": "xhr"}
+	anon := httptest.NewRequest(http.MethodGet, "/page/p?x=1", nil)
+	identified := httptest.NewRequest(http.MethodGet, "/page/p?x=1", nil)
+	for h, v := range variant {
+		anon.Header.Set(h, v)
+		identified.Header.Set(h, v)
+	}
+	for _, h := range pageIdentityHeaders {
+		identified.Header.Set(h, "who")
+	}
+	key := anonymousPageKey(identified)
+	if want := pageKey(anon); key != want {
+		t.Fatalf("anonymousPageKey = %q, want the anonymous visitor's page key %q", key, want)
+	}
+	if got, want := pageLeaseKey(key), pageLeaseKey(flightKey(identified)); got != want {
+		t.Fatalf("lease key cut from it = %q, from the fetch key %q", got, want)
+	}
+	anon.Header.Set("Accept-Language", "en")
+	if key == pageKey(anon) {
+		t.Fatal("anonymousPageKey ignores a variant header")
 	}
 }
 
@@ -541,7 +571,7 @@ func TestFillStoresItsRecord(t *testing.T) {
 	p.Apply(coherency.Event{Seq: 1, Kind: coherency.KindFlush, Scope: "page"}) // epoch 1
 	serveGet(p, "/page/x")
 	pg, ok := p.Pages().Lookup(pageKey(httptest.NewRequest(http.MethodGet, "/page/x", nil)), pagecache.Fresh)
-	if want := packRecord(1, []StaleRef{{Key: 7, Gen: 3}, {Key: 9, Gen: 4}}); !ok || pg.Record != want {
+	if want := packRecord(1, tmplplan.Digest{}, []StaleRef{{Key: 7, Gen: 3}, {Key: 9, Gen: 4}}); !ok || pg.Record != want {
 		t.Fatalf("filed record %x (resident %v), want %x", pg.Record, ok, want)
 	}
 	// An event on another generation leaves the page served from the tier.

@@ -96,9 +96,11 @@ type reqState struct {
 	// between cannot take it — and, when the origin answered by reference,
 	// until assemble runs it in place of the template that was not sent.
 	held *tmplplan.Plan
-	// leaseKey is the lease table key held came from, in place of an origin
-	// fetch (useLease), until the lease's plan runs; empty otherwise.
-	leaseKey string
+	// lease is the page's lease the pagecache stage found vouching for an
+	// identified GET, kept for useLease; then the lease useLease let stand
+	// in for the origin fetch (X-Cache: LEASE), whose plan is held; zero
+	// otherwise.
+	lease lease
 
 	// staleRefs, when set by assemble, routes the request through the
 	// stale-fallback stage.
@@ -121,11 +123,13 @@ type reqState struct {
 	// clients can revalidate conditionally next time.
 	hitETag string
 	// depRefs are the fragment references whose bytes flowed into this
-	// response (assembly only) and depEpoch the tier's flush epoch when the
-	// capture began: together the record fillTier files the entry with,
-	// which voided judges on the fill and on every read.
-	depRefs  []StaleRef
-	depEpoch uint64
+	// response (assembly only), depDigest the held plan that assembled it
+	// (zero for a template that arrived whole) and depEpoch the tier's flush
+	// epoch when the capture began: together the record fillTier files the
+	// entry with, which voided judges on the fill and on every read.
+	depRefs   []StaleRef
+	depDigest tmplplan.Digest
+	depEpoch  uint64
 
 	// admitRelease releases the admission stage's in-flight token
 	// (idempotent; nil when the stage took none). Called in respond and
@@ -582,7 +586,7 @@ func (p *Proxy) recordAssembleStats(st AssembleStats) {
 }
 
 func (p *Proxy) stageAssemble(rs *reqState) (stageOutcome, error) {
-	if rs.leaseKey != "" {
+	if rs.cacheState == "LEASE" {
 		if served, err := p.assembleLease(rs); served || err != nil {
 			return stageRespond, err
 		}

@@ -90,10 +90,12 @@ type Config struct {
 	// ISA-server setup: complete responses to anonymous-session GETs (no
 	// Cookie, Authorization, or X-User) are cached for PageCacheTTL —
 	// keyed like a coalesced flight (URI, method, forwarded variant
-	// headers) — and served with X-Cache: PAGE. Identity-bearing requests
-	// are not page-admitted. Off by default — without the invalidation
-	// fabric a page cache cannot see fragment invalidations, so enabling it
-	// trades bounded staleness for burst absorption. Like Coalesce, the key
+	// headers) — and served with X-Cache: PAGE. An identity-bearing request
+	// is page-admitted only while a live page-scoped lease vouches for the
+	// page (see pagestage.go), which needs Strict and the fabric. Off by
+	// default — without the invalidation fabric a page cache cannot see
+	// fragment invalidations, so enabling it trades bounded staleness for
+	// burst absorption. Like Coalesce, the key
 	// excludes the per-client X-Forwarded-For: origins that vary responses
 	// on client IP (geo-targeting) must not enable PageCache.
 	PageCache bool
