@@ -83,7 +83,8 @@ func mixedPageSystem(t *testing.T) (sys *System, page string, j int, marker func
 // whole-response entry built on it and every lease naming it. So the next
 // anonymous GET is a miss with the new bytes, where the page tier used to
 // serve the old ones until PageCacheTTL, and the next identified GET goes to
-// the origin instead of being served by its lease.
+// the origin instead of being served by the page its grant filed or by its
+// lease.
 func TestLeaseLayoutRowWriteReachesPageTierAndLeases(t *testing.T) {
 	sys, page, j, marker := mixedPageSystem(t)
 	sys.Hub.BroadcastPurge("/page/synth?page=99") // the proxy's first event: it is on the fabric now
@@ -92,7 +93,7 @@ func TestLeaseLayoutRowWriteReachesPageTierAndLeases(t *testing.T) {
 			t.Fatalf("anonymous visit %d: X-Cache %q, want %q with %s", i, xc, want, marker(1))
 		}
 	}
-	for i, want := range []string{"MISS", "MISS", "LEASE"} { // the template, a reference with its grant, the lease
+	for i, want := range []string{"MISS", "MISS", "PAGE"} { // the template, a reference with the page's grant, the page it filed
 		if xc, body := getAs(t, page, "u1"); xc != want || !strings.Contains(body, marker(1)) {
 			t.Fatalf("u1's visit %d: X-Cache %q, want %q with %s", i, xc, want, marker(1))
 		}

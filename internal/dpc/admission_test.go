@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"dpcache/internal/clock"
-	"dpcache/internal/tmplplan"
 )
 
 // decide is a pure function of one request's pressure snapshot; this
@@ -496,7 +495,7 @@ func TestAdmissionStaleProbeFindsFreshEntry(t *testing.T) {
 	// What the revalidation would file, landing in the window.
 	fresh := []byte("body-/page/x-fresh")
 	etag := pageETag(fresh, "text/plain")
-	p.pages.PutTagged(pageKey(req), fresh, "text/plain", etag, packRecord(0, tmplplan.Digest{}, nil), time.Second)
+	p.pages.PutTagged(pageKey(req), fresh, "text/plain", etag, packRecord(0, 0, nil), time.Second)
 
 	if out, err := p.stageAdmission(rs); out != stageRespond || err != nil {
 		t.Fatalf("admission stage: %v %v, want a response from the tier", out, err)
@@ -554,7 +553,7 @@ func TestAdmissionStaleFollowerWhoseFlightClosed(t *testing.T) {
 	}
 	// The revalidation files its page and closes its flight.
 	fresh := []byte("body-/page/x-fresh")
-	p.pages.PutTagged(pageKey(req), fresh, "text/plain", pageETag(fresh, "text/plain"), packRecord(0, tmplplan.Digest{}, nil), time.Second)
+	p.pages.PutTagged(pageKey(req), fresh, "text/plain", pageETag(fresh, "text/plain"), packRecord(0, 0, nil), time.Second)
 	p.flights.finish(reval, false)
 
 	if out, err := p.stageCoalesce(rs); out != stageRespond || err != nil || rs.flight != nil {
@@ -590,7 +589,7 @@ func TestAdmissionStaleRevalidationSkipsRefilledEntry(t *testing.T) {
 	p.ServeHTTP(httptest.NewRecorder(), req) // filed
 	fake.Advance(2 * time.Second)
 	fresh := []byte("body-/page/x-fresh")
-	p.pages.PutTagged(pageKey(req), fresh, "text/plain", pageETag(fresh, "text/plain"), packRecord(0, tmplplan.Digest{}, nil), time.Second)
+	p.pages.PutTagged(pageKey(req), fresh, "text/plain", pageETag(fresh, "text/plain"), packRecord(0, 0, nil), time.Second)
 
 	rs := &reqState{w: httptest.NewRecorder(), r: req, start: time.Now()}
 	p.kickRevalidate(rs, rs.flightKey(), pageKey(req))

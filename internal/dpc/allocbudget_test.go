@@ -175,17 +175,17 @@ func TestAllocBudgetPageHitRequest(t *testing.T) {
 }
 
 // identifiedPageHitObjs is the allocation count of one identified visitor's
-// page-tier hit under the page's lease, measured by this test when the hit
+// page-tier hit under the page's grant, measured by this test when the hit
 // was introduced (an anonymous hit then measured 15: anonymousPageKey is
-// built in one allocation, and the page's lease key is cut from it).
+// built in one allocation), and again when the hit stopped looking up a
+// lease.
 const identifiedPageHitObjs = 14
 
-// An identified visitor's page-tier hit under the page's lease — write_mix's
+// An identified visitor's page-tier hit under the page's grant — write_mix's
 // identified half — costs what an anonymous hit does: its page key, blanked
-// of the visitor, and the lease lookup add at most two objects to
-// pageHitObjs.
+// of the visitor, adds at most two objects to pageHitObjs.
 func TestAllocBudgetIdentifiedPageHitRequest(t *testing.T) {
-	origin, warm := pageLeaseOrigin(t)
+	origin, warm := pageLeaseOrigin(t, "none;page")
 	p := newTestProxy(t, "http://origin.invalid", func(c *Config) {
 		origin(c)
 		c.Coalesce = true

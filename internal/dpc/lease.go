@@ -29,10 +29,11 @@ import (
 // template — the shell and the entry of each GET — is a BEM entry whose
 // death reaches the proxy as a fragment event. An answer by reference to
 // such a request grants the lease, until the earliest TTL expiry among those
-// entries. The proxy files it under the request's exact fetch key, or, when
-// the grant says the run never read the visitor (";page"), under the page's
-// key (pageLeaseKey): such a template is every visitor's. The next fetch of
-// either key runs the held plan with no round trip.
+// entries. The proxy files it under the request's exact fetch key, and the
+// next fetch of that key runs the held plan with no round trip. A grant that
+// says the run never read the visitor (";page") also vouches for the page
+// itself: the answer is filed in the page tier for every visitor, with the
+// grant's end in its record (pagestage.go).
 //
 // Revocation needs no list of who holds what. A fragment event (k, g)
 // raises slot k's floor to g+1, and the store the assembler reads and writes
@@ -51,10 +52,9 @@ import (
 
 const (
 	// leaseBuckets × leaseWays slots of 80 bytes: 1.25 MiB however many
-	// keys pass through. A lease is filed under the page's key only when the
-	// origin says its template is every visitor's; otherwise under the
-	// visitor's fetch key, since a per-visitor template in the page's slot
-	// would have the page's visitors evict each other's leases.
+	// keys pass through. A lease is filed under the visitor's fetch key,
+	// whatever its scope: a page-scoped grant reaches the page's other
+	// visitors through the page tier.
 	leaseBuckets = 1 << 13
 	leaseWays    = 2
 )
@@ -80,7 +80,6 @@ type lease struct {
 	ctype     string          // the origin answer's Content-Type
 	deadline  int64           // end of term, in the proxy clock's UnixNano
 	cacheable bool            // the origin answer let the page rule file the page (pageCacheable)
-	page      bool            // granted with ";page": filed under the page's key, every visitor's
 }
 
 // leaseTable is the fixed-size key → lease memory. One mutex covers it, and
@@ -133,16 +132,14 @@ func (t *leaseTable) bucket(key string) *[leaseWays]lease {
 	return &t.buckets[t.hash(key)%leaseBuckets]
 }
 
-// get returns the lease filed under the first of keys that holds one.
-func (t *leaseTable) get(keys ...string) (lease, bool) {
+// get returns the lease filed under key.
+func (t *leaseTable) get(key string) (lease, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, key := range keys {
-		if b := t.bucket(key); b != nil {
-			for _, l := range b {
-				if l.key == key {
-					return l, true
-				}
+	if b := t.bucket(key); b != nil {
+		for _, l := range b {
+			if l.key == key {
+				return l, true
 			}
 		}
 	}
@@ -213,59 +210,39 @@ func (p *Proxy) leasing(r *http.Request) bool {
 		r.ContentLength == 0 && len(r.TransferEncoding) == 0
 }
 
-// pageLeaseKey is the key a page-scoped lease is filed under: a GET's fetch
-// key cut after its URI and method. A fetch key carries a field per identity
-// header after them, so no fetch key is a page's.
-func pageLeaseKey(key string) string { return key[:len(hintPage(key))+len(http.MethodGet)] }
-
-// live reports that l is within its term at the proxy clock's now.
-func (p *Proxy) live(l lease) bool { return p.clk.Now().UnixNano() < l.deadline }
-
-// useLease lets a live lease stand in for the request's origin fetch: the
-// plan it names becomes the request's held plan, for assemble to run as it
-// runs a template answered by reference. The page's lease is looked for
-// first, then the visitor's own — unless the pagecache stage already found
-// the page's (rs.lease, for an identified GET that missed the tier), under
-// the epoch its capture is dated by: while that epoch stands no gap has
-// cleared the table. A lease found past its term or without its plan is
-// voided, and the request fetches.
+// useLease lets a live lease filed under the request's fetch key stand in
+// for its origin fetch: the plan it names becomes the request's held plan,
+// for assemble to run as it runs a template answered by reference. A lease
+// found past its term or without its plan is voided, and the request
+// fetches.
 func (p *Proxy) useLease(rs *reqState) bool {
 	if !p.leasing(rs.r) {
 		return false
 	}
-	l := rs.lease
-	rs.lease = lease{}
-	if l.key == "" || p.fabric.epoch.Load() != rs.depEpoch {
-		key := rs.flightKey()
-		var ok bool
-		if l, ok = p.leases.get(pageLeaseKey(key), key); !ok {
-			return false
-		}
+	l, ok := p.leases.get(rs.flightKey())
+	if !ok {
+		return false
 	}
-	if !p.live(l) {
-		p.voidLease(rs, l.key, voidExpired)
+	if p.clk.Now().UnixNano() >= l.deadline {
+		p.voidLease(rs, voidExpired)
 		return false
 	}
 	plan := p.plans.Lookup(l.digest)
 	if plan == nil {
-		p.voidLease(rs, l.key, voidPlan)
+		p.voidLease(rs, voidPlan)
 		return false
 	}
-	rs.held, rs.lease = plan, l
+	rs.held = plan
 	rs.ctype, rs.cacheState = l.ctype, "LEASE"
 	if rs.pageCapture != nil && !l.cacheable {
 		rs.pageCapture.refuse()
 	}
-	note := "lease:hit"
-	if l.page {
-		note = "lease:hit:page"
-	}
-	rs.span.Event(trace.KindHit, "origin", note, 0)
+	rs.span.Event(trace.KindHit, "origin", "lease:hit", 0)
 	return true
 }
 
-func (p *Proxy) voidLease(rs *reqState, key, cause string) {
-	p.leases.void(key, cause)
+func (p *Proxy) voidLease(rs *reqState, cause string) {
+	p.leases.void(rs.flightKey(), cause)
 	rs.span.Event(trace.KindMiss, "origin", "lease:void:"+cause, 0)
 }
 
@@ -276,7 +253,7 @@ func (p *Proxy) voidLease(rs *reqState, key, cause string) {
 func (p *Proxy) assembleLease(rs *reqState) (served bool, err error) {
 	_, err = p.assemblePage(rs, nil, 0, wholePage)
 	if errors.Is(err, ErrStale) && !rs.streamed {
-		p.voidLease(rs, rs.lease.key, voidFloor)
+		p.voidLease(rs, voidFloor)
 		return false, nil
 	}
 	if err == nil {
@@ -285,25 +262,23 @@ func (p *Proxy) assembleLease(rs *reqState) (served bool, err error) {
 	return true, err
 }
 
-// grantLease files the lease an answer by reference carries (HeaderLease),
-// for a fetch that started at start, when the tier's epoch read before it
-// was epoch: under the page's key when the grant ends in ";page", else under
-// the request's fetch key. The term is what the origin granted, capped at
-// the page tier's TTL. A response the origin opted into the tier under its
-// own max-age is not leased: a lease keeps no headers to renew that opt-in
+// grantLease files the lease an answer by reference carries (HeaderLease)
+// under the request's fetch key, for a fetch that started at start, when
+// the tier's epoch read before it was epoch. The term is what the origin
+// granted, capped at the page tier's TTL. A grant ending in ";page" also
+// dates the response's tier record (rs.pageUntil), and admits an identified
+// visitor's page to the page rule under the key every visitor of the page
+// is served from. A response the origin opted into the tier under its own
+// max-age is not leased: a lease keeps no headers to renew that opt-in
 // with. A grant that does not parse is not filed.
 func (p *Proxy) grantLease(rs *reqState, resp *http.Response, start time.Time, epoch uint64) {
 	v := resp.Header.Get(headerLease)
 	if v == "" || rs.fillRule == ruleStatic || !p.leasing(rs.r) {
 		return
 	}
-	key := rs.flightKey()
 	v, scope, scoped := strings.Cut(v, ";")
-	if scoped {
-		if scope != "page" {
-			return
-		}
-		key = pageLeaseKey(key)
+	if scoped && scope != "page" {
+		return
 	}
 	term := p.pageTTL
 	if v != "none" {
@@ -317,17 +292,21 @@ func (p *Proxy) grantLease(rs *reqState, resp *http.Response, start time.Time, e
 		return
 	}
 	l := lease{
-		key:       key,
+		key:       rs.flightKey(),
 		digest:    rs.held.Digest(),
 		ctype:     resp.Header.Get("Content-Type"),
 		deadline:  start.Add(term).UnixNano(),
 		cacheable: pageCacheable(resp.Header),
-		page:      scoped,
 	}
-	if p.leases.file(l, func() bool { return p.fabric.epoch.Load() == epoch }) {
-		p.leases.grants.Inc()
-		if scoped {
-			p.leases.pageGrants.Inc()
+	if !p.leases.file(l, func() bool { return p.fabric.epoch.Load() == epoch }) {
+		return
+	}
+	p.leases.grants.Inc()
+	if scoped {
+		p.leases.pageGrants.Inc()
+		rs.pageUntil = l.deadline
+		if _, identified := p.pageRule(rs.r); identified && l.cacheable {
+			p.admitFill(rs, anonymousPageKey(rs.r), p.pageTTL, rulePage, epoch)
 		}
 	}
 }

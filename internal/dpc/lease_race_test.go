@@ -91,7 +91,8 @@ func (o *raceOrigin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // raceRig is a strict proxy on the fabric in front of a raceOrigin; the
-// test is the hub, numbering the events it applies.
+// test is the hub, numbering the events it applies. configure, if any,
+// adjusts the proxy's configuration.
 type raceRig struct {
 	t   testing.TB
 	o   *raceOrigin
@@ -99,11 +100,15 @@ type raceRig struct {
 	seq atomic.Uint64
 }
 
-func newRaceRig(t testing.TB) *raceRig {
+func newRaceRig(t testing.TB, configure ...func(*Config)) *raceRig {
 	o := &raceOrigin{gen: 1}
 	ts := httptest.NewServer(o)
 	t.Cleanup(ts.Close)
-	p, err := New(Config{OriginURL: ts.URL, Capacity: 4, Strict: true, PublishInterval: -1})
+	cfg := Config{OriginURL: ts.URL, Capacity: 4, Strict: true, PublishInterval: -1}
+	for _, c := range configure {
+		c(&cfg)
+	}
+	p, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,12 +149,14 @@ func (g *raceRig) get(path, user string) (xcache, body string) {
 func (g *raceRig) seed(gen uint32) { g.get("/seed?g="+strconv.FormatUint(uint64(gen), 10), "seeder") }
 
 // leased brings u's lease on the page, at the current generation, into the
-// table: the template, an answer by reference with the grant, a lease hit.
-func (g *raceRig) leased(u string) {
+// table: the template, an answer by reference with the grant, and a visit
+// served as third says — LEASE, the lease's run, or PAGE where the answer
+// carried a page-scoped grant and filed the page in the tier.
+func (g *raceRig) leased(u, third string) {
 	g.t.Helper()
 	cur := g.o.current()
 	g.seed(cur)
-	for i, want := range []string{"MISS", "MISS", "LEASE"} {
+	for i, want := range []string{"MISS", "MISS", third} {
 		if xc, body := g.get("/page", u); xc != want || body != fmt.Sprintf("v%d", cur) {
 			g.t.Fatalf("warm-up visit %d as %s: X-Cache %q body %q, want %q and v%d", i, u, xc, body, want, cur)
 		}
@@ -163,7 +170,7 @@ func (g *raceRig) leased(u string) {
 func TestLeaseRaceOrders(t *testing.T) {
 	t.Run("event-before-SET", func(t *testing.T) {
 		g := newRaceRig(t)
-		g.leased("u1")
+		g.leased("u1", "LEASE")
 		dead := g.write()
 		g.seed(dead) // late
 		if xc, body := g.get("/page", "u1"); xc == "LEASE" || body == fmt.Sprintf("v%d", dead) {
@@ -175,7 +182,7 @@ func TestLeaseRaceOrders(t *testing.T) {
 	})
 	t.Run("grant-after-event", func(t *testing.T) {
 		g := newRaceRig(t)
-		g.leased("u1") // u2's first fetch offers the page's plan
+		g.leased("u1", "LEASE") // u2's first fetch offers the page's plan
 		g.o.mu.Lock()
 		g.o.parkGrant, g.o.parked = make(chan struct{}), make(chan struct{})
 		park, parked := g.o.parkGrant, g.o.parked
@@ -194,18 +201,19 @@ func TestLeaseRaceOrders(t *testing.T) {
 			t.Fatalf("a grant for v%d filed after its event: X-Cache %q body %q", dead, xc, body)
 		}
 	})
-	// Two identities share one page-scoped lease, and both read while the
-	// event naming its generation lands: no response that starts after the
-	// event was applied may carry that generation, whoever's grant it was.
+	// Two identities share the page one page-scoped grant filed in the
+	// tier, and both read while the event naming its generation lands: no
+	// response that starts after the event was applied may carry that
+	// generation, whoever's grant it was.
 	t.Run("page-lease-shared", func(t *testing.T) {
-		g := newRaceRig(t)
+		g := newRaceRig(t, func(c *Config) { c.PageCache = true })
 		g.o.mu.Lock()
 		g.o.scope = ";page"
 		g.o.mu.Unlock()
-		g.leased("u1")
+		g.leased("u1", "PAGE")
 		cur := g.o.current()
 		stale := fmt.Sprintf("v%d", cur)
-		if xc, body := g.get("/page", "u2"); xc != "LEASE" || body != stale {
+		if xc, body := g.get("/page", "u2"); xc != "PAGE" || body != stale {
 			t.Fatalf("u2's first visit: X-Cache %q body %q, want u1's grant serving %s", xc, body, stale)
 		}
 		epoch := time.Now()

@@ -40,8 +40,8 @@ func MetricCatalog() []MetricDoc {
 		{"dpc.template_bytes", "counter", "template bytes read from the origin (cumulative; a template answered by reference adds none)"},
 		{"dpc.template_offers", "counter", "an origin fetch named a plan the proxy holds for the page's or the identity's last template (X-DPC-Have)"},
 		{"dpc.template_refs", "counter", "the origin answered an offer by reference (X-DPC-Same, empty body) and the held plan ran; offers minus refs were answered in full"},
-		{"dpc.lease_grants", "counter", "an answer by reference carried a lease (X-DPC-Lease) and the proxy filed it, under the request's fetch key or the page's; a fetch that began before a gap or a flush files none"},
-		{"dpc.lease_page_grants", "counter", "a filed lease was page-scoped (X-DPC-Lease ending in ;page: the origin's run never read the visitor), so it was filed under the page's key and serves every visitor of the URI (a subset of dpc.lease_grants)"},
+		{"dpc.lease_grants", "counter", "an answer by reference carried a lease (X-DPC-Lease) and the proxy filed it under the request's fetch key, whatever its scope; a fetch that began before a gap or a flush files none"},
+		{"dpc.lease_page_grants", "counter", "a filed lease was page-scoped (X-DPC-Lease ending in ;page: the origin's run never read the visitor); it is filed under the fetch key like any other, and it also marks the answer's page-tier fill, which serves every visitor of the URI until the grant ends (a subset of dpc.lease_grants)"},
 		{"dpc.lease_hits", "counter", "a lease stood in for the origin fetch and its plan ran to a complete page (X-Cache: LEASE); no origin exchange"},
 		{"dpc.lease_voids", "counter", "a lease was found void and dropped, or cleared by a sequence gap (the sum of the four causes below); a request that found it void fetched with the ordinary offer"},
 		{"dpc.lease_floor_voids", "counter", "a lease's plan met a ref that did not resolve: a fabric event had named its generation, or the slot was gone from the store"},
@@ -75,10 +75,10 @@ func MetricCatalog() []MetricDoc {
 		// origin's opt-in (X-Cache: STATIC) and, with Config.PageCache, the
 		// page rule (X-Cache: PAGE).
 		{"dpc.pagecache_hits", "counter", "a request was served whole from the tier, under either rule (X-Cache: STATIC or PAGE)"},
-		{"dpc.pagecache_identity_hits", "counter", "an identified bodyless GET (Cookie, Authorization, X-User) was served from the page rule's entry under the page's live page-scoped lease, whose plan built it (X-Cache: PAGE; a subset of dpc.pagecache_hits)"},
-		{"dpc.pagecache_misses", "counter", "a bodyless GET the page rule could have filled — anonymous, or identified under the page's live page-scoped lease — missed the tier and continued down the pipeline (misses of the opt-in key alone are not counted, so hits over hits plus misses is the page rule's hit ratio wherever the origin opts nothing in)"},
+		{"dpc.pagecache_identity_hits", "counter", "an identified bodyless GET (Cookie, Authorization, X-User) was served from the page rule's entry, whose record says it was built under a page-scoped grant that has not ended (X-Cache: PAGE; a subset of dpc.pagecache_hits)"},
+		{"dpc.pagecache_misses", "counter", "an anonymous bodyless GET the page rule could have filled missed the tier and continued down the pipeline (misses of the opt-in key alone are not counted, and an identified GET the tier did not serve counts in dpc.pagecache_bypass_identity instead, so hits over hits, misses and identity bypasses is the page rule's hit ratio wherever the origin opts nothing in)"},
 		{"dpc.pagecache_fills", "counter", "a completed response was filed into the tier, under either rule"},
-		{"dpc.pagecache_bypass_identity", "counter", "an identified bodyless GET (Cookie, Authorization, X-User) that the page rule could neither serve nor fill: its page held no live page-scoped lease, or the lease turned out void and the request fetched (plus dpc.pagecache_identity_hits, this is every identified GET but the few misses that filed their lease's page)"},
+		{"dpc.pagecache_bypass_identity", "counter", "an identified bodyless GET (Cookie, Authorization, X-User) the tier did not serve: no entry built under a page-scoped grant that has not ended, or a proxy that does not lease; its answer still files the page when it carries such a grant (plus dpc.pagecache_identity_hits, this is every identified GET on a leasing proxy, but any the origin's opt-in served)"},
 		{"dpc.pagecache_uncacheable", "counter", "an admitted response could not be filed (non-200, over the 1 MiB capture bound, no-store/private, or Set-Cookie)"},
 		{"dpc.pagecache_uncacheable_vary", "counter", "a response the origin marked cacheable (Cache-Control: max-age) was refused the opt-in because it varies on a header other than Accept-Encoding"},
 		{"dpc.pagecache_304s", "counter", "a tier hit with a matching If-None-Match was answered 304 with no body"},

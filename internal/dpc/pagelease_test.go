@@ -9,7 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"dpcache/internal/clock"
 	"dpcache/internal/coherency"
+	"dpcache/internal/pagecache"
 	"dpcache/internal/repository"
 	"dpcache/internal/script"
 	"dpcache/internal/tmpl"
@@ -59,7 +61,8 @@ func (g *leaseRig) expect(user, want string) {
 	}
 }
 
-// pageLease visits as user until the origin grants the page's lease.
+// pageLease visits as user until the origin grants the page's lease, which
+// files the page in the tier for every visitor.
 func (g *leaseRig) pageLease(user string) {
 	g.t.Helper()
 	grants := g.p.Registry().Counter("dpc.lease_page_grants")
@@ -71,16 +74,17 @@ func (g *leaseRig) pageLease(user string) {
 	}
 }
 
-// A page-tier entry serves an identified visitor only when the page's live
-// lease vouches for it — its record names the lease's plan — and only a run
-// of that lease fills it for one. The page here switches scope through
-// state the fabric never hears of, so the entry's record and the lease's
-// term are all that stand between one visitor and another's page.
+// A page-tier entry serves an identified visitor only when it was built
+// under a page-scoped grant that has not ended — its record carries the
+// grant's end — and only the answer that carried the grant files it for
+// one. The page here switches scope through state the fabric never hears
+// of, so the entry's record is all that stands between one visitor and
+// another's page.
 func TestPageLeaseMustAgreeWithEntry(t *testing.T) {
 	// The anonymous page is filed while the layout reads the visitor; then
-	// the page turns every visitor's and u1 earns the page's lease. The
-	// entry's refs all live, but it is not the lease's page: u2 must be
-	// served the lease's, and u3 the entry that run filed.
+	// the page turns every visitor's and u1 earns the page's grant. The
+	// entry's refs all live, but it was built under no grant: u1's granted
+	// answer files the page again, and u2 and u3 are served that.
 	t.Run("entry-of-another-plan", func(t *testing.T) {
 		var personal atomic.Bool
 		g := newLeaseRig(t, switchSite(&personal), 1)
@@ -90,23 +94,23 @@ func TestPageLeaseMustAgreeWithEntry(t *testing.T) {
 		g.expect("", "PAGE")
 		personal.Store(false)
 		g.pageLease("u1")
-		g.expect("u2", "LEASE")
+		g.expect("u2", "PAGE")
 		g.expect("u3", "PAGE")
-		if n := g.p.Registry().Counter("dpc.pagecache_identity_hits").Value(); n != 1 {
-			t.Fatalf("dpc.pagecache_identity_hits = %d, want u3's visit", n)
+		if n := g.p.Registry().Counter("dpc.pagecache_identity_hits").Value(); n != 2 {
+			t.Fatalf("dpc.pagecache_identity_hits = %d, want u2's and u3's visits", n)
 		}
 	})
-	// The page's lease and its entry agree; then the page turns per-visitor
-	// and a write kills the news item. u1 still finds the lease within its
-	// term, misses the dead entry and captures, but the lease is void and
-	// the origin renders u1's own page: that capture must not be filed
-	// where the anonymous visitor looks.
+	// The page's grant filed its entry; then the page turns per-visitor and
+	// a write kills the news item. u1 misses the dead entry and finds its
+	// own lease within its term, but the lease is void and the origin
+	// renders u1's own page: nothing may be filed where the anonymous
+	// visitor looks.
 	t.Run("void-lease-files-nothing", func(t *testing.T) {
 		var personal atomic.Bool
 		g := newLeaseRig(t, switchSite(&personal), 2)
 		g.hub.BroadcastPurge("/none")
 		g.pageLease("u1")
-		g.expect("u2", "LEASE")
+		g.expect("u2", "PAGE")
 		g.expect("u3", "PAGE")
 		personal.Store(true)
 		g.repo.Put(repository.Key{Table: "news", Row: "n0"}, map[string]string{"title": "second"})
@@ -117,32 +121,104 @@ func TestPageLeaseMustAgreeWithEntry(t *testing.T) {
 		}
 		g.expect("", "")
 		if n := g.p.Registry().Counter("dpc.pagecache_bypass_identity").Value(); n != bypassed+1 {
-			t.Fatalf("dpc.pagecache_bypass_identity moved %d → %d, want u1's refused fill counted", bypassed, n)
+			t.Fatalf("dpc.pagecache_bypass_identity moved %d → %d, want u1's visit counted", bypassed, n)
 		}
 	})
-	// The entry outlives the lease that vouched for it: filed halfway
-	// through the lease's term, it is fresh for as long again. Once the
-	// term is over the lease vouches for nothing, and the page, now
-	// per-visitor, must be u3's own.
+	// Once the grant's term is over the entry vouches for nothing, and the
+	// page, now per-visitor, must be u3's own. (Here the term is the tier's
+	// TTL, so the entry ends with it; grant-shorter-than-ttl below is the
+	// case where the entry outlives its grant.)
 	t.Run("lease-past-its-term", func(t *testing.T) {
 		var personal atomic.Bool
 		g := newLeaseRig(t, switchSite(&personal), 3)
 		g.hub.BroadcastPurge("/none")
 		g.pageLease("u1")
 		g.clk.Advance(leaseModelTTL / 2)
-		g.expect("u2", "LEASE")
+		g.expect("u2", "PAGE")
 		personal.Store(true)
 		g.clk.Advance(leaseModelTTL/2 + time.Second)
 		g.expect("u3", "")
 	})
+	// A grant of half a second under an hour's TTL: the entry outlives its
+	// grant. From the grant's end on, the entry is the anonymous visitor's
+	// alone — an identified visitor must not be served it, whatever its TTL
+	// says.
+	t.Run("grant-shorter-than-ttl", func(t *testing.T) {
+		origin, warm := pageLeaseOrigin(t, "500;page")
+		clk := clock.NewFake(time.Date(2002, 6, 4, 9, 30, 0, 0, time.UTC))
+		p := newTestProxy(t, "http://origin.invalid", func(c *Config) {
+			origin(c)
+			c.PageCache, c.PageCacheTTL, c.PageClock = true, time.Hour, clk
+		})
+		warm(p)
+		visit := func(user string) string {
+			req := httptest.NewRequest(http.MethodGet, "/page", nil)
+			if user != "" {
+				req.Header.Set("X-User", user)
+			}
+			rec := httptest.NewRecorder()
+			p.ServeHTTP(rec, req)
+			return rec.Header().Get("X-Cache")
+		}
+		for i, want := range []string{"MISS", "MISS", "PAGE"} {
+			if xc := visit("u1"); xc != want {
+				t.Fatalf("u1's visit %d: X-Cache %q, want %q", i, xc, want)
+			}
+		}
+		clk.Advance(time.Second)
+		if xc := visit("u2"); xc == "PAGE" {
+			t.Fatal("u2 was served the page after its grant ended")
+		}
+		if xc := visit(""); xc != "PAGE" {
+			t.Fatalf("anonymous visit after the grant ended: X-Cache %q, want PAGE", xc)
+		}
+	})
+}
+
+// An identified visitor's answer by reference carries the page's grant, but
+// a ref of its plan is below its floor — a fabric event the BEM never heard
+// of — and the stale fallback's answer, from an origin that ignores the
+// bypass header, is a template of the page as it now is: the visitor's
+// own. That page is not the granted plan's, so it must not be filed where
+// the anonymous visitor, or another identity, is served.
+func TestPageLeaseStaleFallbackFilesNothing(t *testing.T) {
+	var personal atomic.Bool
+	g := newLeaseRig(t, switchSite(&personal), 4)
+	g.hub.BroadcastPurge("/none")
+	g.pageLease("u1")
+	pg, ok := g.p.pages.Lookup(anonymousPageKey(httptest.NewRequest(http.MethodGet, switchURL, nil)), pagecache.Fresh)
+	if !ok {
+		t.Fatal("the page's grant filed no entry")
+	}
+	for i := recordRefs; i+8 <= len(pg.Record); i += 8 {
+		g.hub.Broadcast("behind-the-origin", le32(pg.Record[i:]), le32(pg.Record[i+4:]))
+	}
+	inner := g.link.origin
+	g.link.origin = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Header.Get(headerBypass) != "" {
+			r.Header.Del(headerBypass)
+			personal.Store(true)
+		}
+		inner.ServeHTTP(w, r)
+	})
+	grants := g.p.Registry().Counter("dpc.lease_page_grants").Value()
+	g.expect("u1", "BYPASS")
+	g.link.origin = inner
+	snap := g.p.Registry().Snapshot()
+	if snap["dpc.lease_page_grants"] != grants+1 || snap["dpc.stale_fallbacks"] != 1 {
+		t.Fatalf("page-scoped grants %d → %d, stale fallbacks %d: want u1's granted answer to go stale",
+			grants, snap["dpc.lease_page_grants"], snap["dpc.stale_fallbacks"])
+	}
+	g.expect("", "")
+	g.expect("u2", "")
 }
 
 // pageLeaseOrigin is an origin for one page of 16 fragments of 1 KiB at
 // generation 1 that answers an offer of its template by reference with a
-// page-scoped lease. origin points a strict proxy's configuration at it;
-// warm fills the proxy's store and joins it to the fabric, so that its
-// fetches ask for leases.
-func pageLeaseOrigin(t testing.TB) (origin func(*Config), warm func(*Proxy)) {
+// lease, granted as grant says (X-DPC-Lease). origin points a strict
+// proxy's configuration at it; warm fills the proxy's store and joins it to
+// the fabric, so that its fetches ask for leases.
+func pageLeaseOrigin(t testing.TB, grant string) (origin func(*Config), warm func(*Proxy)) {
 	const frags, fragBytes = 16, 1 << 10
 	var b bytes.Buffer
 	enc := tmpl.Binary{}.NewEncoder(&b)
@@ -157,7 +233,7 @@ func pageLeaseOrigin(t testing.TB) (origin func(*Config), warm func(*Proxy)) {
 	digest := hexDigest(body)
 	// The same header maps every time, so an allocation count is the proxy's.
 	fullHeader := http.Header{"X-Dpc-Template": {"binary"}, "Content-Type": {"text/html"}}
-	leaseHeader := http.Header{"X-Dpc-Template": {"binary"}, "Content-Type": {"text/html"}, "X-Dpc-Same": {"1"}, "X-Dpc-Lease": {"none;page"}}
+	leaseHeader := http.Header{"X-Dpc-Template": {"binary"}, "Content-Type": {"text/html"}, "X-Dpc-Same": {"1"}, "X-Dpc-Lease": {grant}}
 	origin = func(c *Config) {
 		c.Strict = true
 		c.Transport = roundTripFunc(func(r *http.Request) (*http.Response, error) {
@@ -182,10 +258,10 @@ func pageLeaseOrigin(t testing.TB) (origin func(*Config), warm func(*Proxy)) {
 }
 
 // An identified visitor's way to the page tier, in its trace: bypassed
-// until the page holds a lease, then a miss that runs the lease and fills
-// the tier, then hits noted lease:page — a conditional one lease:page:304.
+// until an answer carries the page's grant and fills the tier, then hits
+// noted lease:page — a conditional one lease:page:304.
 func TestPageLeaseTraceNotes(t *testing.T) {
-	origin, warm := pageLeaseOrigin(t)
+	origin, warm := pageLeaseOrigin(t, "none;page")
 	p := newTestProxy(t, "http://origin.invalid", func(c *Config) {
 		origin(c)
 		c.PageCache, c.PageCacheTTL = true, time.Hour
@@ -197,11 +273,11 @@ func TestPageLeaseTraceNotes(t *testing.T) {
 		kind   trace.Kind
 		note   string // on the pagecache span, tier page
 	}{
-		{"MISS", trace.KindBypass, "identity"},  // the template
-		{"MISS", trace.KindBypass, "identity"},  // by reference, granting the page's lease
-		{"LEASE", trace.KindMiss, "lease:page"}, // the lease's run fills the tier
-		{"PAGE", trace.KindHit, "lease:page"},   // a hit under the lease
-		{"", trace.KindHit, "lease:page:304"},   // and a conditional one
+		{"MISS", trace.KindBypass, "identity"}, // the template
+		{"MISS", trace.KindBypass, "identity"}, // by reference, with the page's grant: fills the tier
+		{"PAGE", trace.KindHit, "lease:page"},  // a hit under the grant
+		{"PAGE", trace.KindHit, "lease:page"},  // another
+		{"", trace.KindHit, "lease:page:304"},  // and a conditional one
 	}
 	var etag string
 	for i, s := range steps {
@@ -222,8 +298,8 @@ func TestPageLeaseTraceNotes(t *testing.T) {
 		}
 	}
 	snap := p.Registry().Snapshot()
-	if snap["dpc.pagecache_identity_hits"] != 2 || snap["dpc.pagecache_bypass_identity"] != 2 || snap["dpc.pagecache_fills"] != 1 {
-		t.Fatalf("identity hits %d, bypasses %d, fills %d; want 2, 2, 1",
+	if snap["dpc.pagecache_identity_hits"] != 3 || snap["dpc.pagecache_bypass_identity"] != 2 || snap["dpc.pagecache_fills"] != 1 {
+		t.Fatalf("identity hits %d, bypasses %d, fills %d; want 3, 2, 1",
 			snap["dpc.pagecache_identity_hits"], snap["dpc.pagecache_bypass_identity"], snap["dpc.pagecache_fills"])
 	}
 }

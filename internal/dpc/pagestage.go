@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"dpcache/internal/pagecache"
-	"dpcache/internal/tmplplan"
 	"dpcache/internal/trace"
 )
 
@@ -29,20 +28,21 @@ import (
 //     X-Cache: PAGE. Section 3.2.1's objection to page caching — the URL
 //     does not identify the content — rests on identity the cache cannot
 //     see; a request carrying none (no Cookie, Authorization, or X-User)
-//     gives the origin nothing to personalize on. An identified bodyless
-//     GET is answered under the same key exactly when a live page-scoped
-//     lease (lease.go) vouches for the entry: the origin has certified that
-//     the run never read the visitor, and the entry's record names the
-//     plan that lease runs. Such a hit is a memoised lease run — the same
-//     plan, every ref alive, inside the lease's term. On a miss the request
-//     runs the lease and files its page there; every other identified
-//     request bypasses the rule.
+//     gives the origin nothing to personalize on. On a leasing proxy an
+//     identified bodyless GET is answered under the same key
+//     (anonymousPageKey) exactly when the entry was built under a
+//     page-scoped grant (lease.go) that has not yet ended: the origin
+//     certified that the run never read the visitor, and the entry's record
+//     carries the grant's end. The answer that carries such a grant files
+//     the page there for every visitor, whoever asked; every other
+//     identified request bypasses the rule.
 //
 // A lookup probes the opt-in key, then the page key; a response is filed
 // under one of them, the opt-in winning. The TTL bounds the staleness of
 // content the BEM never tracks. Each entry carries its record — the epoch
-// its capture began under and the fragment refs it was assembled from — and
-// every read judges it, as a lease is judged: an entry one of whose
+// its capture began under, the end of the page-scoped grant it was built
+// under and the fragment refs it was assembled from — and every read judges
+// it, as a lease is judged: an entry one of whose
 // fragments the fabric has killed, or filed under an epoch a flush has
 // ended, is deleted where it is found and never served. Entries carry a
 // strong ETag, so a matching If-None-Match is answered 304
@@ -72,7 +72,7 @@ const maxPageCaptureBytes = 1 << 20
 
 // pageIdentityHeaders mark a request as belonging to an identified
 // session. Any of them present → the response may be personalized → the
-// page rule serves or stores it only under a page-scoped lease, and then
+// page rule serves or stores it only under a page-scoped grant, and then
 // under the key the same request would have without them
 // (anonymousPageKey).
 var pageIdentityHeaders = []string{"X-User", "Cookie", "Authorization"}
@@ -100,8 +100,8 @@ func anonymousSession(r *http.Request) bool {
 func pageKey(r *http.Request) string { return coalesceKey(r) }
 
 // anonymousPageKey is pageKey of r with its identity headers blanked: the
-// entry an anonymous visitor sending r's other headers is served. It begins
-// with the page's lease key (pageLeaseKey), and is built in one allocation.
+// entry an anonymous visitor sending r's other headers is served. It is
+// built in one allocation.
 func anonymousPageKey(r *http.Request) string {
 	uri := r.URL.RequestURI()
 	n := len(uri) + 1 + len(http.MethodGet) + len(coalesceIdentityHeaders)
@@ -256,13 +256,13 @@ func (p *Proxy) tierGet(rs *reqState, key, rule string, stale time.Duration) (ti
 
 // A tier entry's record is what it was built from, packed after its ETag
 // (pagecache.Page.Record): the epoch its capture began under, 8 bytes, the
-// digest of the held plan that assembled it (zero for a template that
-// arrived whole), 32 bytes, then the key and generation of each fragment
-// ref, 4 bytes each, little-endian.
-func packRecord(epoch uint64, digest tmplplan.Digest, refs []StaleRef) string {
+// end of the page-scoped grant it was built under (rs.pageUntil, zero for
+// none), 8 bytes, then the key and generation of each fragment ref, 4 bytes
+// each, little-endian.
+func packRecord(epoch uint64, until int64, refs []StaleRef) string {
 	b := make([]byte, recordRefs, recordRefs+8*len(refs))
 	binary.LittleEndian.PutUint64(b, epoch)
-	copy(b[8:], digest[:])
+	binary.LittleEndian.PutUint64(b[8:], uint64(until))
 	for _, r := range refs {
 		b = binary.LittleEndian.AppendUint32(b, r.Key)
 		b = binary.LittleEndian.AppendUint32(b, r.Gen)
@@ -271,11 +271,13 @@ func packRecord(epoch uint64, digest tmplplan.Digest, refs []StaleRef) string {
 }
 
 // recordRefs is the offset of a record's first ref.
-const recordRefs = 8 + len(tmplplan.Digest{})
+const recordRefs = 16
 
-// vouches reports that l's plan assembled the entry whose record is record.
-func (l lease) vouches(record string) bool {
-	return len(record) >= recordRefs && record[8:recordRefs] == string(l.digest[:])
+// granted reports that the page-scoped grant the entry whose record is
+// record was built under has not ended at the proxy clock's now.
+func (p *Proxy) granted(record string) bool {
+	until := int64(le32(record[8:])) | int64(le32(record[12:]))<<32
+	return p.clk.Now().UnixNano() < until
 }
 
 // voided judges a record: "" while everything it was built from lives,
@@ -318,66 +320,41 @@ func (p *Proxy) stagePageCache(rs *reqState) (stageOutcome, error) {
 		return stageNext, nil
 	}
 	epoch := p.fabric.epoch.Load()
-	var pkey, note string
+	var pkey string
 	switch {
 	case page:
 		pkey = pageKey(rs.r)
-	case identified:
-		if pkey, rs.lease = p.vouchingLease(rs.r); pkey == "" {
-			p.bypassIdentity(rs)
-		}
-		note = notePageLease
+	case identified && p.leasing(rs.r):
+		pkey = anonymousPageKey(rs.r)
 	}
 	switch hit, ok := p.probe(rs, pkey, 0); {
 	case ok && (!identified || hit.rule == ruleStatic):
 		p.serveHit(rs, hit, "")
 		return stageRespond, nil
-	case ok && rs.lease.vouches(hit.Record):
-		// An identified visitor's hit: the lease vouches for the page its
-		// own plan built, and for no other.
+	case ok && p.granted(hit.Record):
+		// An identified visitor's hit: the page was built under a
+		// page-scoped grant that has not ended.
 		p.reg.Counter("dpc.pagecache_identity_hits").Inc()
-		p.serveHit(rs, hit, note)
+		p.serveHit(rs, hit, "lease:page")
 		return stageRespond, nil
+	case identified:
+		p.reg.Counter("dpc.pagecache_bypass_identity").Inc()
+		rs.span.Event(trace.KindBypass, rulePage, "identity", 0)
+		return stageNext, nil
 	case pkey == "":
 		rs.span.Event(trace.KindMiss, ruleStatic, "", 0)
 		return stageNext, nil
 	}
 	p.reg.Counter("dpc.pagecache_misses").Inc()
-	rs.span.Event(trace.KindMiss, rulePage, note, 0)
+	rs.span.Event(trace.KindMiss, rulePage, "", 0)
 	p.admitFill(rs, pkey, p.pageTTL, rulePage, epoch)
 	return stageNext, nil
 }
 
-// notePageLease marks the page rule's hit or miss for an identified visitor
-// whose page's lease vouched for the key.
-const notePageLease = "lease:page"
-
-// vouchingLease returns, for an identified bodyless GET on a leasing
-// proxy, the key the page rule serves and files it under and the page's
-// lease that vouches for it: the page's lease alone, within its term. akey
-// is "" when there is none.
-func (p *Proxy) vouchingLease(r *http.Request) (akey string, l lease) {
-	if !p.leasing(r) {
-		return "", lease{}
-	}
-	akey = anonymousPageKey(r)
-	l, ok := p.leases.get(pageLeaseKey(akey))
-	if !ok || !p.live(l) {
-		return "", lease{}
-	}
-	return akey, l
-}
-
-// bypassIdentity counts an identified bodyless GET the page rule could
-// neither serve nor fill.
-func (p *Proxy) bypassIdentity(rs *reqState) {
-	p.reg.Counter("dpc.pagecache_bypass_identity").Inc()
-	rs.span.Event(trace.KindBypass, rulePage, "identity", 0)
-}
-
 // serveHit answers the request from a fresh tier entry, with a 304 when the
 // client already holds its bytes. note marks the hit's trace event:
-// notePageLease for an identified visitor's.
+// "lease:page" for an identified visitor's, served under the page-scoped
+// grant the entry was built under.
 func (p *Proxy) serveHit(rs *reqState, hit tierHit, note string) {
 	p.reg.Counter("dpc.pagecache_hits").Inc()
 	if hit.ETag != "" && etagMatches(rs.r, hit.ETag) {
@@ -483,11 +460,9 @@ func (p *Proxy) fillTier(rs *reqState) {
 		// the key with an empty body.
 		return
 	}
-	if rs.fillRule == rulePage && !anonymousSession(rs.r) && !rs.ranPageLease() {
-		// An identified page is filed only as the run of the page's lease
-		// that vouched for its key; the lease turned out void, and
-		// the request fetched.
-		p.bypassIdentity(rs)
+	if rs.fillRule == rulePage && rs.pageUntil == 0 && !anonymousSession(rs.r) {
+		// An identified page is filed only as the answer that carried the
+		// page's grant; the stale fallback fetched another.
 		return
 	}
 	body := c.buf.Bytes()
@@ -500,7 +475,7 @@ func (p *Proxy) fillTier(rs *reqState) {
 	// the response was in flight: the entry is doomed, so it is not filed.
 	// An event that lands after this check finds the filed entry void on
 	// its first read.
-	record := packRecord(rs.depEpoch, rs.depDigest, rs.depRefs)
+	record := packRecord(rs.depEpoch, rs.pageUntil, rs.depRefs)
 	if voided := p.voided(record); voided != "" {
 		p.fabric.dropped.Inc()
 		rs.span.Event(trace.KindInvalidated, rs.fillRule, voided, 0)
@@ -509,13 +484,6 @@ func (p *Proxy) fillTier(rs *reqState) {
 	p.pages.PutTagged(rs.fillKey, body, ctype, pageETag(body, ctype), record, rs.fillTTL)
 	p.reg.Counter("dpc.pagecache_fills").Inc()
 	rs.span.Event(trace.KindFill, rs.fillRule, "", int64(len(body)))
-}
-
-// ranPageLease reports that the response came from running a page-scoped
-// lease's plan whole: a lease hit, on the page's key, whose record will name
-// that lease's plan.
-func (rs *reqState) ranPageLease() bool {
-	return rs.cacheState == "LEASE" && rs.lease.page && rs.depDigest == rs.lease.digest
 }
 
 // pageCapture tees a response into a bounded buffer on its way to the

@@ -16,7 +16,6 @@ import (
 	"dpcache/internal/coherency"
 	"dpcache/internal/pagecache"
 	"dpcache/internal/tmpl"
-	"dpcache/internal/tmplplan"
 	"dpcache/internal/trace"
 )
 
@@ -109,7 +108,7 @@ func TestPageCacheBurstServesFromPage(t *testing.T) {
 	}
 }
 
-// Off the invalidation fabric no lease vouches for a page, so
+// Off the invalidation fabric no grant vouches for a page, so
 // identity-bearing requests must bypass the whole-page tier entirely —
 // neither served from it nor stored into it — or the baseline's
 // Bob/Alice failure comes back.
@@ -273,8 +272,7 @@ func TestPageCacheKeysByVariantHeaders(t *testing.T) {
 
 // An identified visitor is looked up under the key an anonymous visitor
 // sending its other headers is filed under — so a French identified visitor
-// gets the French page — and the page's lease key is cut from it, as it is
-// from the visitor's own fetch key.
+// gets the French page.
 func TestAnonymousPageKeyBlanksIdentityOnly(t *testing.T) {
 	variant := map[string]string{"Accept": "text/html", "Accept-Language": "fr", "User-Agent": "ua/1", "X-Requested-With": "xhr"}
 	anon := httptest.NewRequest(http.MethodGet, "/page/p?x=1", nil)
@@ -289,9 +287,6 @@ func TestAnonymousPageKeyBlanksIdentityOnly(t *testing.T) {
 	key := anonymousPageKey(identified)
 	if want := pageKey(anon); key != want {
 		t.Fatalf("anonymousPageKey = %q, want the anonymous visitor's page key %q", key, want)
-	}
-	if got, want := pageLeaseKey(key), pageLeaseKey(flightKey(identified)); got != want {
-		t.Fatalf("lease key cut from it = %q, from the fetch key %q", got, want)
 	}
 	anon.Header.Set("Accept-Language", "en")
 	if key == pageKey(anon) {
@@ -571,7 +566,7 @@ func TestFillStoresItsRecord(t *testing.T) {
 	p.Apply(coherency.Event{Seq: 1, Kind: coherency.KindFlush, Scope: "page"}) // epoch 1
 	serveGet(p, "/page/x")
 	pg, ok := p.Pages().Lookup(pageKey(httptest.NewRequest(http.MethodGet, "/page/x", nil)), pagecache.Fresh)
-	if want := packRecord(1, tmplplan.Digest{}, []StaleRef{{Key: 7, Gen: 3}, {Key: 9, Gen: 4}}); !ok || pg.Record != want {
+	if want := packRecord(1, 0, []StaleRef{{Key: 7, Gen: 3}, {Key: 9, Gen: 4}}); !ok || pg.Record != want {
 		t.Fatalf("filed record %x (resident %v), want %x", pg.Record, ok, want)
 	}
 	// An event on another generation leaves the page served from the tier.

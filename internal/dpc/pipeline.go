@@ -96,11 +96,6 @@ type reqState struct {
 	// between cannot take it — and, when the origin answered by reference,
 	// until assemble runs it in place of the template that was not sent.
 	held *tmplplan.Plan
-	// lease is the page's lease the pagecache stage found vouching for an
-	// identified GET, kept for useLease; then the lease useLease let stand
-	// in for the origin fetch (X-Cache: LEASE), whose plan is held; zero
-	// otherwise.
-	lease lease
 
 	// staleRefs, when set by assemble, routes the request through the
 	// stale-fallback stage.
@@ -123,13 +118,16 @@ type reqState struct {
 	// clients can revalidate conditionally next time.
 	hitETag string
 	// depRefs are the fragment references whose bytes flowed into this
-	// response (assembly only), depDigest the held plan that assembled it
-	// (zero for a template that arrived whole) and depEpoch the tier's flush
-	// epoch when the capture began: together the record fillTier files the
-	// entry with, which voided judges on the fill and on every read.
+	// response (assembly only), depEpoch the tier's flush epoch when the
+	// capture began, and pageUntil the end of the page-scoped grant the
+	// origin's answer carried (grantLease; zero for none, and cleared when
+	// the stale fallback fetched another answer), in the proxy clock's
+	// UnixNano: together the record fillTier files the entry with, which
+	// voided judges on the fill and on every read, and granted on an
+	// identified visitor's.
 	depRefs   []StaleRef
-	depDigest tmplplan.Digest
 	depEpoch  uint64
+	pageUntil int64
 
 	// admitRelease releases the admission stage's in-flight token
 	// (idempotent; nil when the stage took none). Called in respond and
@@ -688,7 +686,9 @@ func (p *Proxy) stageStaleFallback(rs *reqState) (stageOutcome, error) {
 	}
 	// Recover with a bypass fetch, reporting the stale slots so the BEM
 	// invalidates them and the next template carries fresh SETs instead
-	// of looping here.
+	// of looping here. The bypass answer is not the plan a page-scoped
+	// grant vouched for: the page it files is the asker's alone.
+	rs.pageUntil = 0
 	p.reg.Counter("dpc.stale_fallbacks").Inc()
 	if rs.span != nil {
 		rs.span.Event(trace.KindStaleBypass, "fragment",

@@ -86,14 +86,11 @@ func readTemplate(buf []byte, body io.Reader, clen int64) ([]byte, error) {
 // length of the run and in nothing afterwards: a plan owns copies of the
 // bytes it emits. A template the origin answered by reference (rs.held) is
 // not in body at all: the plan the request offered runs in its place, a
-// hit with no template bytes read; its digest goes into the page's record
-// (rs.depDigest), where a page-scoped lease can recognise its own page.
+// hit with no template bytes read.
 func (p *Proxy) assemble(w io.Writer, body io.Reader, clen int64, rs *reqState) (AssembleStats, error) {
 	sp := rs.span
-	rs.depDigest = tmplplan.Digest{}
 	if plan := rs.held; plan != nil {
 		rs.held = nil
-		rs.depDigest = plan.Digest()
 		p.plans.CountHit()
 		p.reg.Counter("dpc.plancache_hits").Inc()
 		sp.Event(trace.KindHit, "plan", "hit:ref", 0)

@@ -91,8 +91,8 @@ type Config struct {
 	// Cookie, Authorization, or X-User) are cached for PageCacheTTL —
 	// keyed like a coalesced flight (URI, method, forwarded variant
 	// headers) — and served with X-Cache: PAGE. An identity-bearing request
-	// is page-admitted only while a live page-scoped lease vouches for the
-	// page (see pagestage.go), which needs Strict and the fabric. Off by
+	// is page-admitted only while the page-scoped grant the entry was built
+	// under lasts (see pagestage.go), which needs Strict and the fabric. Off by
 	// default — without the invalidation fabric a page cache cannot see
 	// fragment invalidations, so enabling it trades bounded staleness for
 	// burst absorption. Like Coalesce, the key
