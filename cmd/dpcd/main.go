@@ -100,6 +100,20 @@
 //
 //	dpcd -trace -trace-sample 16 -trace-slow 100ms
 //
+// -admission mounts the overload valve between the cache tiers and the
+// origin path: under pressure it serves an expired tier entry (X-Cache:
+// STALE, refreshed by one background revalidation) or sheds with a fast
+// 503 + Retry-After instead of queueing on the origin. Its signals are
+// the origin in-flight bound (-admission-inflight), the bound per X-User
+// tenant (-admission-tenant-inflight), the followers one coalesce flight
+// may hold (-admission-queue), the origin-latency EWMA
+// (-admission-shed-latency) and the negative cache of recent origin
+// failures (-admission-neg-ttl). Each is there because an overload run
+// shows that removing it changes an outcome (docs/ARCHITECTURE.md).
+// -admission-stale-window and -admission-retry-after shape the answers:
+//
+//	dpcd -admission -admission-inflight 64 -admission-queue 256
+//
 // -pprof mounts net/http/pprof under /_dpc/pprof/ for CPU, heap, and
 // contention profiles (an unauthenticated diagnostic surface on the
 // serving listener, so off by default).
@@ -184,7 +198,6 @@ func bindFlags(fs *flag.FlagSet) *options {
 	fs.BoolVar(&p.Pprof, "pprof", false, "mount net/http/pprof under /_dpc/pprof/ (exposes runtime profiles on the serving listener)")
 	fs.BoolVar(&p.Admission, "admission", false, "admission control: under origin pressure serve stale from the cache tiers or shed with 503 + Retry-After instead of queueing")
 	fs.IntVar(&p.MaxOriginInFlight, "admission-inflight", 0, "admission: max concurrent origin-bound requests (0 = unbounded)")
-	fs.IntVar(&p.MaxKeyInFlight, "admission-key-inflight", 0, "admission: max concurrent origin-bound requests per coalesce key (0 = unbounded)")
 	fs.IntVar(&p.MaxTenantInFlight, "admission-tenant-inflight", 0, "admission: max concurrent origin-bound requests per X-User tenant (0 = unbounded)")
 	fs.IntVar(&p.MaxFlightWaiters, "admission-queue", 0, "admission: max followers parked on one coalesce flight before shedding (0 = unbounded)")
 	fs.DurationVar(&p.ShedLatency, "admission-shed-latency", 0, "admission: origin latency EWMA past which stale serving is preferred (0 = signal off)")

@@ -67,7 +67,7 @@ var libraryOnly = map[string]string{
 	"Proxy.Transport":      "tests inject it",
 	"Proxy.Registry":       "the proxy makes its own",
 	"Proxy.Tracer":         "core shares one across proxies; dpcd runs one proxy",
-	"Proxy.PageClock":      "tests",
+	"Proxy.Clock":          "tests",
 }
 
 // daemonOnly names the flags that set the daemon's own behaviour and no

@@ -340,6 +340,9 @@ func (m *Monitor) Lookup(fragmentID string, ttl time.Duration) (Decision, error)
 // against.
 func (m *Monitor) Now() time.Time { return m.clk.Now() }
 
+// Clock is the monitor's clock, for what its origin times on it.
+func (m *Monitor) Clock() clock.Clock { return m.clk }
+
 // Depend registers row k as a data dependency of the generation gen of
 // fragmentID, before whoever renders it reads k. It is the only way a
 // dependency is recorded: from then on a write to k invalidates the entry,

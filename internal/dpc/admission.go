@@ -9,22 +9,23 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dpcache/internal/clock"
 	"dpcache/internal/trace"
 )
 
 // The admission stage is the proxy's overload valve, mounted between the
 // cache-hit tiers and coalesce. Every stage before it can answer from
 // memory; everything after it queues work on the origin. Under measured
-// pressure — origin in-flight count, origin latency EWMA, per-key and
-// per-tenant concurrency, coalesce-flight queue depth, page-ledger byte
-// pressure, or a negative-cache hit from a recent origin failure — the
-// stage answers from an expired cache entry (stale-while-revalidate,
-// X-Cache: STALE, with one background revalidation refreshing the tier)
-// rather than queueing, and sheds with a fast 503 + Retry-After when no
-// stale copy exists and the signal is hard. The paper's DPC sits on the
-// critical path of every dynamic request; without this valve a saturated
-// origin queues every miss and a capture storm degrades all users
-// equally.
+// pressure — origin in-flight count, origin latency EWMA, per-tenant
+// concurrency, coalesce-flight queue depth, or a negative-cache hit from a
+// recent origin failure — the stage answers from an expired cache entry
+// (stale-while-revalidate, X-Cache: STALE, with one background
+// revalidation refreshing the tier) rather than queueing, and sheds with a
+// fast 503 + Retry-After when no stale copy exists and the signal is hard.
+// The paper's DPC sits on the critical path of every dynamic request;
+// without this valve a saturated origin queues every miss and a capture
+// storm degrades all users equally. Each signal stays because the overload
+// harness (overload_test.go) shows that removing it changes an outcome.
 
 // Defaults when the corresponding Config field is zero.
 const (
@@ -54,9 +55,9 @@ type admitVerdict int
 const (
 	// admitOK: no pressure; proceed to the origin path.
 	admitOK admitVerdict = iota
-	// admitStale: soft pressure (latency EWMA, byte ledger). Prefer a
-	// stale cache entry; admit anyway when none exists — soft signals
-	// degrade quality, they do not refuse work.
+	// admitStale: soft pressure (the latency EWMA). Prefer a stale cache
+	// entry; admit anyway when none exists — a soft signal degrades
+	// quality, it does not refuse work.
 	admitStale
 	// admitShed: hard pressure (a bound is at its cap, or the origin
 	// recently failed this key). Serve stale if a copy exists, else a
@@ -80,24 +81,18 @@ type pressureSignals struct {
 	inFlight    int64 // origin requests currently in flight through this proxy
 	maxInFlight int   // Config.MaxOriginInFlight (0 = unbounded)
 
-	keyInFlight int // in-flight origin requests for this key
-	maxKey      int // Config.MaxKeyInFlight (0 = unbounded)
-
 	tenant         string // X-User, "" when anonymous
 	tenantInFlight int    // in-flight origin requests for this tenant
 	maxTenant      int    // Config.MaxTenantInFlight (0 = unbounded)
 
 	latency     time.Duration // origin latency EWMA
 	shedLatency time.Duration // Config.ShedLatency (0 disables the signal)
-
-	ledgerBytes  int64 // page-tier resident + in-flight capture bytes
-	ledgerBudget int64 // Config.PageCacheBudget (0 disables the signal)
 }
 
 // decide maps a pressure snapshot to a verdict plus the signal that
-// tripped ("queue", "negcache", "inflight", "per-key", "per-tenant",
-// "latency", "bytes"). Hard bounds are checked before soft signals: a
-// capped queue must shed even when the latency EWMA is calm.
+// tripped ("queue", "negcache", "inflight", "per-tenant", "latency").
+// Hard bounds are checked before the soft signal: a capped pipeline must
+// shed even when the latency EWMA is calm.
 func decide(sig pressureSignals) (admitVerdict, string) {
 	if sig.flightExists {
 		// A follower joins an existing fetch: the only way it adds load
@@ -112,16 +107,10 @@ func decide(sig pressureSignals) (admitVerdict, string) {
 		return admitShed, "negcache"
 	case sig.maxInFlight > 0 && sig.inFlight >= int64(sig.maxInFlight):
 		return admitShed, "inflight"
-	case sig.maxKey > 0 && sig.keyInFlight >= sig.maxKey:
-		return admitShed, "per-key"
 	case sig.maxTenant > 0 && sig.tenant != "" && sig.tenantInFlight >= sig.maxTenant:
 		return admitShed, "per-tenant"
 	case sig.shedLatency > 0 && sig.latency >= sig.shedLatency:
 		return admitStale, "latency"
-	case sig.ledgerBudget > 0 && sig.ledgerBytes*10 >= sig.ledgerBudget*9:
-		// Past 90% of the page tier's byte budget a capture storm is
-		// evicting the very pages it fills; prefer serving what exists.
-		return admitStale, "bytes"
 	}
 	return admitOK, ""
 }
@@ -129,11 +118,11 @@ func decide(sig pressureSignals) (admitVerdict, string) {
 // admission is the pressure-measuring controller behind the stage. One
 // instance per proxy; every field is safe for concurrent use.
 type admission struct {
+	clk         clock.Clock // the proxy's: negative-cache expiries
 	staleWindow time.Duration
 	negTTL      time.Duration
 	retryAfter  time.Duration
 	maxInFlight int
-	maxKey      int
 	maxTenant   int
 	maxWaiters  int
 	shedLatency time.Duration
@@ -142,24 +131,22 @@ type admission struct {
 	ewmaNS   atomic.Int64 // origin latency EWMA, nanoseconds
 
 	mu        sync.Mutex
-	perKey    map[string]int
 	perTenant map[string]int
 	neg       map[string]time.Time // key → negative-cache expiry
 	revals    map[string]struct{}  // keys with a revalidation in flight
 	revalN    int
 }
 
-func newAdmission(cfg Config) *admission {
+func newAdmission(cfg Config, clk clock.Clock) *admission {
 	a := &admission{
+		clk:         clk,
 		staleWindow: cfg.StaleWindow,
 		negTTL:      cfg.NegTTL,
 		retryAfter:  cfg.RetryAfter,
 		maxInFlight: cfg.MaxOriginInFlight,
-		maxKey:      cfg.MaxKeyInFlight,
 		maxTenant:   cfg.MaxTenantInFlight,
 		maxWaiters:  cfg.MaxFlightWaiters,
 		shedLatency: cfg.ShedLatency,
-		perKey:      make(map[string]int),
 		perTenant:   make(map[string]int),
 		neg:         make(map[string]time.Time),
 		revals:      make(map[string]struct{}),
@@ -195,32 +182,27 @@ func (a *admission) latency() time.Duration {
 	return time.Duration(a.ewmaNS.Load())
 }
 
-// acquire charges one origin-bound request against the global, per-key,
-// and per-tenant in-flight counts, returning an idempotent release.
-func (a *admission) acquire(key, tenant string) func() {
+// acquire charges one origin-bound request against the global and
+// per-tenant in-flight counts, returning an idempotent release.
+func (a *admission) acquire(tenant string) func() {
 	a.inflight.Add(1)
-	a.mu.Lock()
-	a.perKey[key]++
 	if tenant != "" {
+		a.mu.Lock()
 		a.perTenant[tenant]++
+		a.mu.Unlock()
 	}
-	a.mu.Unlock()
 	var once sync.Once
 	return func() {
 		once.Do(func() {
 			a.inflight.Add(-1)
-			a.mu.Lock()
-			if a.perKey[key] <= 1 {
-				delete(a.perKey, key)
-			} else {
-				a.perKey[key]--
+			if tenant == "" {
+				return
 			}
-			if tenant != "" {
-				if a.perTenant[tenant] <= 1 {
-					delete(a.perTenant, tenant)
-				} else {
-					a.perTenant[tenant]--
-				}
+			a.mu.Lock()
+			if a.perTenant[tenant] <= 1 {
+				delete(a.perTenant, tenant)
+			} else {
+				a.perTenant[tenant]--
 			}
 			a.mu.Unlock()
 		})
@@ -229,7 +211,7 @@ func (a *admission) acquire(key, tenant string) func() {
 
 // negLookup reports whether key has an unexpired negative-cache entry.
 func (a *admission) negLookup(key string) bool {
-	now := time.Now()
+	now := a.clk.Now()
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	exp, ok := a.neg[key]
@@ -247,7 +229,7 @@ func (a *admission) negLookup(key string) bool {
 // insert sweeps expired entries first and is dropped if the map is still
 // full — losing a negative entry only costs one extra origin attempt.
 func (a *admission) negFill(key string) bool {
-	now := time.Now()
+	now := a.clk.Now()
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if _, ok := a.neg[key]; !ok && len(a.neg) >= maxNegEntries {
@@ -325,13 +307,11 @@ func (p *Proxy) admitRequest(rs *reqState, mayFollow bool) (stageOutcome, error)
 	// already), so it is safe to read outside the key-building path.
 	tenant := rs.r.Header.Get("X-User")
 	sig := pressureSignals{
-		maxWaiters:   a.maxWaiters,
-		maxInFlight:  a.maxInFlight,
-		maxKey:       a.maxKey,
-		maxTenant:    a.maxTenant,
-		tenant:       tenant,
-		shedLatency:  a.shedLatency,
-		ledgerBudget: p.cfg.PageCacheBudget,
+		maxWaiters:  a.maxWaiters,
+		maxInFlight: a.maxInFlight,
+		maxTenant:   a.maxTenant,
+		tenant:      tenant,
+		shedLatency: a.shedLatency,
 	}
 	if mayFollow {
 		sig.flightExists, sig.waiters = p.flights.depth(key)
@@ -341,12 +321,8 @@ func (p *Proxy) admitRequest(rs *reqState, mayFollow bool) (stageOutcome, error)
 		sig.inFlight = a.inflight.Load()
 		sig.latency = a.latency()
 		a.mu.Lock()
-		sig.keyInFlight = a.perKey[key]
 		sig.tenantInFlight = a.perTenant[tenant]
 		a.mu.Unlock()
-		if sig.ledgerBudget > 0 {
-			sig.ledgerBytes = p.pages.Bytes()
-		}
 	}
 	verdict, reason := decide(sig)
 	if verdict == admitOK {
@@ -355,7 +331,7 @@ func (p *Proxy) admitRequest(rs *reqState, mayFollow bool) (stageOutcome, error)
 			rs.admitFollower = true
 		} else {
 			// The leader-to-be is charged until respond/fail releases it.
-			rs.admitRelease = a.acquire(key, tenant)
+			rs.admitRelease = a.acquire(tenant)
 		}
 		return stageNext, nil
 	}
@@ -367,7 +343,7 @@ func (p *Proxy) admitRequest(rs *reqState, mayFollow bool) (stageOutcome, error)
 	}
 	if verdict == admitStale {
 		// Soft signal with no stale copy: degrade nothing, admit.
-		rs.admitRelease = a.acquire(key, tenant)
+		rs.admitRelease = a.acquire(tenant)
 		return stageNext, nil
 	}
 	return p.shed(rs, reason)
@@ -461,8 +437,6 @@ func (p *Proxy) shed(rs *reqState, reason string) (stageOutcome, error) {
 		p.reg.Counter("dpc.shed_inflight").Inc()
 	case "queue":
 		p.reg.Counter("dpc.shed_queue").Inc()
-	case "per-key":
-		p.reg.Counter("dpc.shed_per_key").Inc()
 	case "per-tenant":
 		p.reg.Counter("dpc.shed_per_tenant").Inc()
 	}

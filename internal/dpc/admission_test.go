@@ -34,23 +34,17 @@ func TestAdmissionDecideTable(t *testing.T) {
 		{"follower ignores origin pressure", pressureSignals{
 			flightExists: true, waiters: 0, maxWaiters: 4,
 			negCached: true, inFlight: 99, maxInFlight: 1,
-			keyInFlight: 9, maxKey: 1,
 			latency: time.Second, shedLatency: time.Millisecond,
 		}, admitOK, ""},
 		{"negcache", pressureSignals{negCached: true}, admitShed, "negcache"},
 		{"inflight at cap", pressureSignals{inFlight: 4, maxInFlight: 4}, admitShed, "inflight"},
 		{"inflight below cap", pressureSignals{inFlight: 3, maxInFlight: 4}, admitOK, ""},
 		{"inflight unbounded", pressureSignals{inFlight: 1000}, admitOK, ""},
-		{"per-key at cap", pressureSignals{keyInFlight: 1, maxKey: 1}, admitShed, "per-key"},
-		{"per-key unbounded", pressureSignals{keyInFlight: 50}, admitOK, ""},
 		{"per-tenant at cap", pressureSignals{tenant: "alice", tenantInFlight: 2, maxTenant: 2}, admitShed, "per-tenant"},
 		{"anonymous skips tenant bound", pressureSignals{tenant: "", tenantInFlight: 5, maxTenant: 1}, admitOK, ""},
 		{"latency at threshold", pressureSignals{latency: 250 * time.Millisecond, shedLatency: 250 * time.Millisecond}, admitStale, "latency"},
 		{"latency below threshold", pressureSignals{latency: 249 * time.Millisecond, shedLatency: 250 * time.Millisecond}, admitOK, ""},
 		{"latency signal disabled", pressureSignals{latency: time.Hour}, admitOK, ""},
-		{"bytes at 90 percent", pressureSignals{ledgerBytes: 90, ledgerBudget: 100}, admitStale, "bytes"},
-		{"bytes below 90 percent", pressureSignals{ledgerBytes: 89, ledgerBudget: 100}, admitOK, ""},
-		{"bytes signal disabled", pressureSignals{ledgerBytes: 1 << 40}, admitOK, ""},
 		// Hard bounds outrank soft signals: a capped pipeline must shed
 		// even when the EWMA alone would merely prefer stale.
 		{"inflight outranks latency", pressureSignals{
@@ -60,10 +54,10 @@ func TestAdmissionDecideTable(t *testing.T) {
 		{"negcache outranks inflight", pressureSignals{
 			negCached: true, inFlight: 9, maxInFlight: 1,
 		}, admitShed, "negcache"},
-		{"per-key outranks bytes", pressureSignals{
-			keyInFlight: 1, maxKey: 1,
-			ledgerBytes: 100, ledgerBudget: 100,
-		}, admitShed, "per-key"},
+		{"per-tenant outranks latency", pressureSignals{
+			tenant: "alice", tenantInFlight: 1, maxTenant: 1,
+			latency: time.Second, shedLatency: time.Millisecond,
+		}, admitShed, "per-tenant"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -72,6 +66,51 @@ func TestAdmissionDecideTable(t *testing.T) {
 				t.Fatalf("decide() = (%v, %q), want (%v, %q)", got, reason, tc.want, tc.reason)
 			}
 		})
+	}
+}
+
+// A page tier bounded by bytes sits near its budget once it is warm, which
+// says nothing about the origin: on an idle proxy a lapsed page is fetched
+// again (MISS), not served stale, and no revalidation starts.
+func TestFullPageTierIsNotPressure(t *testing.T) {
+	fake := clock.NewFake(time.Unix(1700000000, 0))
+	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprintf(w, "%-100s", r.URL.RequestURI())
+	}))
+	defer origin.Close()
+	const budget = 4096
+	p := newTestProxy(t, origin.URL, func(c *Config) {
+		c.Admission = true
+		c.PageCache = true
+		c.PageCacheTTL = time.Second
+		c.PageCacheBudget = budget
+		c.Clock = fake
+	})
+	ts := httptest.NewServer(p)
+	defer ts.Close()
+
+	const pages = 40
+	for i := 0; i < pages; i++ {
+		if status, _, _, _ := get(t, fmt.Sprintf("%s/page/p?n=%d", ts.URL, i), nil); status != http.StatusOK {
+			t.Fatalf("fill %d: status %d", i, status)
+		}
+	}
+	if b := p.pages.Bytes(); b*10 < budget*9 {
+		t.Fatalf("tier holds %d of %d bytes; the test needs it past 90 percent", b, budget)
+	}
+	fake.Advance(2 * time.Second)
+	stale := 0
+	for i := 0; i < pages; i++ {
+		status, cache, _, _ := get(t, fmt.Sprintf("%s/page/p?n=%d", ts.URL, i), nil)
+		if status != http.StatusOK {
+			t.Fatalf("re-read %d: status %d", i, status)
+		}
+		if cache != "MISS" {
+			stale++
+		}
+	}
+	if n := p.Registry().Counter("dpc.stale_revalidations").Value(); stale != 0 || n != 0 {
+		t.Fatalf("%d of %d lapsed pages were not fetched again, %d revalidations; want 0 and 0 on an idle proxy", stale, pages, n)
 	}
 }
 
@@ -263,45 +302,6 @@ func TestAdmissionQueueBoundSheds(t *testing.T) {
 	}
 }
 
-// Without coalescing, concurrent fetches for one key pile onto the origin
-// individually; MaxKeyInFlight bounds that key without starving others.
-func TestAdmissionPerKeyBound(t *testing.T) {
-	o := newHoldOrigin("/page/hot")
-	origin := httptest.NewServer(o.handler())
-	defer origin.Close()
-
-	p := newTestProxy(t, origin.URL, func(c *Config) {
-		c.Admission = true
-		c.MaxKeyInFlight = 1
-	})
-	ts := httptest.NewServer(p)
-	defer ts.Close()
-
-	leaderDone := make(chan int, 1)
-	go func() {
-		status, _, _, _ := get(t, ts.URL+"/page/hot", nil)
-		leaderDone <- status
-	}()
-	<-o.entered
-
-	status, cache, _, _ := get(t, ts.URL+"/page/hot", nil)
-	if status != http.StatusServiceUnavailable || cache != "SHED" {
-		t.Fatalf("same-key status=%d cache=%q, want shed 503", status, cache)
-	}
-	if got := p.Registry().Counter("dpc.shed_per_key").Value(); got != 1 {
-		t.Fatalf("dpc.shed_per_key = %d, want 1", got)
-	}
-	// A different key is under no bound and must be admitted.
-	if status, _, _, _ := get(t, ts.URL+"/page/cold", nil); status != http.StatusOK {
-		t.Fatalf("other-key status = %d, want 200", status)
-	}
-
-	close(o.release)
-	if status := <-leaderDone; status != http.StatusOK {
-		t.Fatalf("leader status = %d, want 200", status)
-	}
-}
-
 // MaxTenantInFlight bounds one tenant's concurrent origin work across
 // keys; anonymous requests and other tenants are unaffected.
 func TestAdmissionPerTenantBound(t *testing.T) {
@@ -349,6 +349,7 @@ func TestAdmissionPerTenantBound(t *testing.T) {
 // fast 503 without re-touching the origin, then the entry lapses and the
 // origin is probed again.
 func TestAdmissionNegativeCache(t *testing.T) {
+	fake := clock.NewFake(time.Unix(1700000000, 0))
 	o := newHoldOrigin("/never")
 	o.status["/page/err"] = http.StatusInternalServerError
 	origin := httptest.NewServer(o.handler())
@@ -357,6 +358,7 @@ func TestAdmissionNegativeCache(t *testing.T) {
 	p := newTestProxy(t, origin.URL, func(c *Config) {
 		c.Admission = true
 		c.NegTTL = 100 * time.Millisecond
+		c.Clock = fake
 	})
 	ts := httptest.NewServer(p)
 	defer ts.Close()
@@ -380,7 +382,11 @@ func TestAdmissionNegativeCache(t *testing.T) {
 		t.Fatalf("origin fetches = %d inside the negative window, want 1", got)
 	}
 
-	time.Sleep(150 * time.Millisecond) // past NegTTL
+	fake.Advance(100 * time.Millisecond) // at NegTTL: still negative
+	if status, _, _, _ := get(t, ts.URL+"/page/err", nil); status != http.StatusServiceUnavailable {
+		t.Fatalf("at NegTTL status = %d, want the shed 503", status)
+	}
+	fake.Advance(time.Millisecond) // past NegTTL
 	status, _, _, _ = get(t, ts.URL+"/page/err", nil)
 	if status != http.StatusBadGateway {
 		t.Fatalf("post-expiry status = %d, want 502 (origin probed again)", status)
@@ -407,7 +413,7 @@ func TestAdmissionStaleServePage(t *testing.T) {
 		c.Coalesce = true
 		c.PageCache = true
 		c.PageCacheTTL = time.Second
-		c.PageClock = fake
+		c.Clock = fake
 	})
 	ts := httptest.NewServer(p)
 	defer ts.Close()
@@ -480,11 +486,11 @@ func TestAdmissionStaleProbeFindsFreshEntry(t *testing.T) {
 		c.MaxOriginInFlight = 1
 		c.PageCache = true
 		c.PageCacheTTL = time.Second
-		c.PageClock = fake
+		c.Clock = fake
 	})
 	p.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/page/x", nil)) // filed
 	fake.Advance(2 * time.Second)
-	defer p.admit.acquire("/page/other", "")() // the origin bound is taken
+	defer p.admit.acquire("")() // the origin bound is taken
 
 	rec := httptest.NewRecorder()
 	req := httptest.NewRequest(http.MethodGet, "/page/x", nil)
@@ -532,11 +538,11 @@ func TestAdmissionStaleFollowerWhoseFlightClosed(t *testing.T) {
 		c.Coalesce = true
 		c.PageCache = true
 		c.PageCacheTTL = time.Second
-		c.PageClock = fake
+		c.Clock = fake
 	})
 	p.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/page/x", nil)) // filed
 	fake.Advance(2 * time.Second)
-	defer p.admit.acquire("/page/other", "")() // the origin bound is taken
+	defer p.admit.acquire("")() // the origin bound is taken
 
 	rec := httptest.NewRecorder()
 	req := httptest.NewRequest(http.MethodGet, "/page/x", nil)
@@ -583,7 +589,7 @@ func TestAdmissionStaleRevalidationSkipsRefilledEntry(t *testing.T) {
 		c.Admission = true
 		c.PageCache = true
 		c.PageCacheTTL = time.Second
-		c.PageClock = fake
+		c.Clock = fake
 	})
 	req := httptest.NewRequest(http.MethodGet, "/page/x", nil)
 	p.ServeHTTP(httptest.NewRecorder(), req) // filed
@@ -620,7 +626,7 @@ func TestStaleRevalidationReplacesOnce(t *testing.T) {
 		c.Coalesce = true
 		c.PageCache = true
 		c.PageCacheTTL = time.Second
-		c.PageClock = fake
+		c.Clock = fake
 	})
 	ts := httptest.NewServer(p)
 	defer ts.Close()
@@ -722,7 +728,7 @@ func TestAdmissionStaleServeStatic(t *testing.T) {
 	p := newTestProxy(t, origin.URL, func(c *Config) {
 		c.Admission = true
 		c.MaxOriginInFlight = 1
-		c.PageClock = fake
+		c.Clock = fake
 	})
 	ts := httptest.NewServer(p)
 	defer ts.Close()
@@ -774,7 +780,6 @@ func TestAdmissionStormRace(t *testing.T) {
 	p := newTestProxy(t, origin.URL, func(c *Config) {
 		c.Admission = true
 		c.MaxOriginInFlight = 2
-		c.MaxKeyInFlight = 1
 		c.MaxTenantInFlight = 2
 		c.MaxFlightWaiters = 2
 		c.NegTTL = 20 * time.Millisecond

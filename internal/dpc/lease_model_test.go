@@ -291,7 +291,7 @@ func newLeaseRig(t testing.TB, ls leaseSite, seed int64) *leaseRig {
 	link := &heldLink{origin: srv}
 	p, err := New(Config{
 		OriginURL: "http://origin.invalid", Capacity: ls.capacity, Strict: true, Transport: link,
-		PageCache: true, PageCacheTTL: leaseModelTTL, PageClock: clk, PublishInterval: -1,
+		PageCache: true, PageCacheTTL: leaseModelTTL, Clock: clk, PublishInterval: -1,
 	})
 	if err != nil {
 		t.Fatal(err)

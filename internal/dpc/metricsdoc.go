@@ -65,7 +65,6 @@ func MetricCatalog() []MetricDoc {
 		{"dpc.shed_503s", "counter", "a request was refused with a fast 503 + Retry-After (hard pressure, no stale copy available)"},
 		{"dpc.shed_inflight", "counter", "a shed tripped on the global origin in-flight bound"},
 		{"dpc.shed_queue", "counter", "a shed tripped on the coalesce-flight waiter bound"},
-		{"dpc.shed_per_key", "counter", "a shed tripped on the per-key origin concurrency bound"},
 		{"dpc.shed_per_tenant", "counter", "a shed tripped on the per-tenant (X-User) origin concurrency bound"},
 		{"dpc.negcache_hits", "counter", "a request hit the negative cache of a recent origin failure and was answered stale or shed without touching the origin"},
 		{"dpc.negcache_fills", "counter", "an origin failure (transport error or non-200) was negative-cached for NegTTL"},

@@ -148,7 +148,7 @@ func TestPageLeaseMustAgreeWithEntry(t *testing.T) {
 		clk := clock.NewFake(time.Date(2002, 6, 4, 9, 30, 0, 0, time.UTC))
 		p := newTestProxy(t, "http://origin.invalid", func(c *Config) {
 			origin(c)
-			c.PageCache, c.PageCacheTTL, c.PageClock = true, time.Hour, clk
+			c.PageCache, c.PageCacheTTL, c.Clock = true, time.Hour, clk
 		})
 		warm(p)
 		visit := func(user string) string {

@@ -174,7 +174,7 @@ func TestPageCacheTTLExpiry(t *testing.T) {
 	p := newTestProxy(t, origin.URL, func(c *Config) {
 		c.PageCache = true
 		c.PageCacheTTL = 10 * time.Second
-		c.PageClock = fake
+		c.Clock = fake
 	})
 	ts := httptest.NewServer(p)
 	defer ts.Close()
@@ -584,7 +584,7 @@ func TestRefusedFillNamesItsCause(t *testing.T) {
 	fake := clock.NewFake(time.Unix(1_000_000, 0))
 	p := newTestProxy(t, "http://origin.invalid", func(c *Config) {
 		c.PageCache = true
-		c.PageClock = fake
+		c.Clock = fake
 		c.Trace = true
 		c.TraceSampleEvery = 1
 	})
@@ -663,8 +663,8 @@ func TestDeadPageNeverServedOnAnyReadPath(t *testing.T) {
 			return serveGet(p, "/page/x")
 		},
 		"stale-probe": func(t *testing.T, p *Proxy, fake *clock.Fake, _ string) *httptest.ResponseRecorder {
-			fake.Advance(2 * time.Second)              // past the TTL, inside the stale window
-			defer p.admit.acquire("/page/other", "")() // the origin bound is taken
+			fake.Advance(2 * time.Second) // past the TTL, inside the stale window
+			defer p.admit.acquire("")()   // the origin bound is taken
 			return serveGet(p, "/page/x")
 		},
 		"if-none-match": func(t *testing.T, p *Proxy, _ *clock.Fake, etag string) *httptest.ResponseRecorder {
@@ -686,7 +686,7 @@ func TestDeadPageNeverServedOnAnyReadPath(t *testing.T) {
 					c.MaxOriginInFlight = 1
 					c.PageCache = true
 					c.PageCacheTTL = time.Second
-					c.PageClock = fake
+					c.Clock = fake
 					c.Transport = roundTripFunc(func(r *http.Request) (*http.Response, error) {
 						page := templateBody(t, func(enc tmpl.Encoder) {
 							_ = enc.Literal([]byte("<html>"))

@@ -166,6 +166,9 @@ func (p *Proxy) stageCoalesce(rs *reqState) (stageOutcome, error) {
 		// it again, as the origin fetch it now is — under a hard bound a
 		// tier entry filed by that flight, or a stale one, or a shed.
 		rs.admitFollower = false
+		if p.readmitting != nil {
+			p.readmitting(rs.r)
+		}
 		return p.admitRequest(rs, false)
 	}
 	return out, err
@@ -485,10 +488,10 @@ func (p *Proxy) originRequest(rs *reqState, bypassStale []StaleRef) (*http.Respo
 			req.Header.Set(headerLease, "1")
 		}
 	}
-	t0 := time.Now()
+	t0 := p.clk.Now()
 	resp, err := p.client.Do(req)
 	if a := p.admit; a != nil {
-		a.observe(time.Since(t0))
+		a.observe(p.clk.Now().Sub(t0))
 	}
 	if err != nil {
 		if a := p.admit; a != nil && negEligible(r, err) {

@@ -110,11 +110,16 @@ type Config struct {
 	PageCacheBudget int64
 	// PageCacheStore overrides the tier's keyed backend (the disk-backed
 	// tiered store, or a test double). When non-nil, PageCacheEntries,
-	// PageCacheBudget, and PageClock stop applying to the tier — the
-	// caller owns the store's sizing and lifecycle.
+	// PageCacheBudget, and Clock stop applying to the tier's expiry — the
+	// caller owns the store's sizing, clock and lifecycle.
 	PageCacheStore fragstore.Keyed
-	// PageClock overrides the tier's expiry clock (tests).
-	PageClock clock.Clock
+	// Clock is the proxy's one clock (nil selects the real one): every
+	// time that decides a response's outcome is read on it — the tier's
+	// expiry, lease terms, admission's negative cache and its
+	// origin-latency samples. Tests pass a clock.Fake. Safety timeouts
+	// that bound real resources (the origin client's, a revalidation's)
+	// stay on the real clock.
+	Clock clock.Clock
 	// PlanCache is ignored: every distinct template body is compiled
 	// into an immutable operator program cached by content hash (see
 	// planpath.go). Content hashing makes origin redeploys miss
@@ -155,9 +160,6 @@ type Config struct {
 	// MaxOriginInFlight bounds concurrent origin-bound requests through
 	// this proxy (0 = unbounded). At the bound, new origin work is shed.
 	MaxOriginInFlight int
-	// MaxKeyInFlight bounds concurrent origin-bound requests per coalesce
-	// key (0 = unbounded). Mostly relevant with coalescing off.
-	MaxKeyInFlight int
 	// MaxTenantInFlight bounds concurrent origin-bound requests per
 	// tenant, identified by the X-User header (0 = unbounded). Anonymous
 	// requests are never tenant-bounded.
@@ -197,7 +199,7 @@ type Proxy struct {
 	exec    *tmplplan.Exec
 	pages   *pagecache.Cache
 	pageTTL time.Duration
-	clk     clock.Clock // PageClock, or the real clock: lease terms
+	clk     clock.Clock // Config.Clock, or the real clock
 	client  *http.Client
 	reg     *metrics.Registry
 
@@ -207,6 +209,13 @@ type Proxy struct {
 	admit      *admission    // nil when admission control disabled
 	tracer     *trace.Tracer // nil when tracing disabled
 	spool      int           // assembled pages' look-ahead bound; negative = whole page
+
+	// readmitting, when set, runs before a follower that fetches after all
+	// is admitted again. One flight's end releases all its followers at
+	// once, and the scheduler picks which is re-admitted first; the
+	// overload harness (overload_test.go) takes them one at a time, in
+	// arrival order, so that a seed replays.
+	readmitting func(*http.Request)
 
 	adminOnce sync.Once
 	admin     *http.ServeMux
@@ -261,7 +270,7 @@ func New(cfg Config) (*Proxy, error) {
 		pages, err = pagecache.NewCache(fragstore.KeyedConfig{
 			MaxEntries: cfg.PageCacheEntries,
 			ByteBudget: cfg.PageCacheBudget,
-			Clock:      cfg.PageClock,
+			Clock:      cfg.Clock,
 		})
 		if err != nil {
 			return nil, err
@@ -271,7 +280,7 @@ func New(cfg Config) (*Proxy, error) {
 	if err != nil {
 		return nil, err
 	}
-	clk := cfg.PageClock
+	clk := cfg.Clock
 	if clk == nil {
 		clk = clock.Real{}
 	}
@@ -302,7 +311,7 @@ func New(cfg Config) (*Proxy, error) {
 		p.flights = newFlightGroup(cfg.CoalesceBufferBytes)
 	}
 	if cfg.Admission {
-		p.admit = newAdmission(cfg)
+		p.admit = newAdmission(cfg, clk)
 	}
 	switch {
 	case cfg.Tracer != nil:

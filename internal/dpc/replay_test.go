@@ -256,7 +256,7 @@ func runReplay(t *testing.T, ops []replayOp) []replayLine {
 	fake := clock.NewFake(time.Unix(1_700_000_000, 0))
 	p, err := dpc.New(dpc.Config{
 		OriginURL: srv.URL, Capacity: 16, Strict: true, Stream: true, PublishInterval: -1,
-		PageCache: true, PageCacheTTL: 10 * time.Second, PageClock: fake,
+		PageCache: true, PageCacheTTL: 10 * time.Second, Clock: fake,
 		Admission: true, NegTTL: time.Hour,
 	})
 	if err != nil {

@@ -248,7 +248,7 @@ func TestStaticCacheExpiry(t *testing.T) {
 	fake := clock.NewFake(time.Unix(0, 0))
 	var fetches atomic.Int64
 	p := newTestProxy(t, "http://origin.invalid", func(c *Config) {
-		c.PageClock = fake
+		c.Clock = fake
 		c.Transport = assetOrigin("max-age=10", "text/plain", fixedBody("x"), &fetches)
 	})
 	serveGet(p, "/a")
@@ -304,7 +304,7 @@ func TestStaticCacheOverwrite(t *testing.T) {
 	fake := clock.NewFake(time.Unix(0, 0))
 	var fetches atomic.Int64
 	p := newTestProxy(t, "http://origin.invalid", func(c *Config) {
-		c.PageClock = fake
+		c.Clock = fake
 		c.Transport = assetOrigin("max-age=10", "text/plain", func(*http.Request) []byte {
 			return []byte(fmt.Sprintf("v%d", fetches.Load()))
 		}, &fetches)

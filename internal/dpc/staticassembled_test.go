@@ -97,7 +97,7 @@ func TestAssembledStaticFragmentInvalidation(t *testing.T) {
 	fake := clock.NewFake(time.Unix(1000, 0))
 	p := newTestProxy(t, origin.URL, func(c *Config) {
 		c.Stream = true
-		c.PageClock = fake
+		c.Clock = fake
 	})
 	ts := httptest.NewServer(p)
 	defer ts.Close()

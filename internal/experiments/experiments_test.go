@@ -426,43 +426,3 @@ func TestBaselinesLive(t *testing.T) {
 		t.Fatalf("DPC bytes (%v) not below no-cache (%v)", cell(t, tab, 2, 1), cell(t, tab, 0, 1))
 	}
 }
-
-func TestSaturationLive(t *testing.T) {
-	if testing.Short() {
-		t.Skip("live experiment")
-	}
-	// A 2s measured window per point: long enough past the page-tier TTL
-	// that the unprotected pipeline visibly queues at overload.
-	opts := QuickOptions()
-	opts.Requests = 200
-	tab, err := Saturation(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 6 {
-		t.Fatalf("rows = %d, want 6 (3 offered rates × off/on)", len(tab.Rows))
-	}
-	for i, r := range tab.Rows {
-		want := "off"
-		if i%2 == 1 {
-			want = "on"
-		}
-		if r[0] != want {
-			t.Fatalf("row %d mode = %q, want %q", i, r[0], want)
-		}
-	}
-	// At 4× origin capacity the admission stage must actually be working:
-	// it shed or stale-served some of the overflow…
-	offShed := cell(t, tab, 4, 4) + cell(t, tab, 4, 5)
-	onShed := cell(t, tab, 5, 4) + cell(t, tab, 5, 5)
-	if onShed == 0 {
-		t.Fatalf("admission-on row shed/stale-served nothing at 4x capacity:\n%s", tab)
-	}
-	if offShed != 0 {
-		t.Fatalf("admission-off row recorded sheds/stale serves (stage must be absent):\n%s", tab)
-	}
-	// …and goodput with shedding must beat the collapsing unprotected run.
-	if off, on := cell(t, tab, 4, 2), cell(t, tab, 5, 2); on <= off {
-		t.Fatalf("goodput at 4x capacity: shedding on (%v rps) did not beat shedding off (%v rps)\n%s", on, off, tab)
-	}
-}

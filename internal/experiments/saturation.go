@@ -29,6 +29,11 @@ import (
 // self-regulates a small hot set (flights lengthen, refreshes per page
 // per second fall, the queue stabilizes), so collapse only appears when
 // the expired-key working set outruns what the origin can refresh.
+//
+// This is the wall-clock, over-sockets run of that operating point, for
+// the record dpcbench writes. Its checks live in virtual time: the
+// overload harness in internal/dpc (TestOverloadSaturation) runs the same
+// point on a fake clock, deterministically, in well under a second.
 const (
 	satOriginWorkers = 2
 	satOriginLatency = 120 * time.Millisecond

@@ -1,10 +1,13 @@
 package origin
 
 import (
+	"context"
 	"math/rand"
 	"net/http"
 	"sync"
 	"time"
+
+	"dpcache/internal/clock"
 )
 
 // Fault injection: a deterministic misbehavior layer in front of the
@@ -36,28 +39,39 @@ type FaultConfig struct {
 	// connection is aborted.
 	AbortRate float64
 	// MaxConcurrent bounds requests inside the fault layer (0 =
-	// unbounded): excess arrivals queue, modeling a fixed origin worker
-	// pool — offered load past MaxConcurrent/Latency collapses into
-	// queueing delay, which is what a saturation experiment sweeps.
+	// unbounded): excess arrivals queue, first come first served,
+	// modeling a fixed origin worker pool — offered load past
+	// MaxConcurrent/Latency collapses into queueing delay, which is what
+	// a saturation experiment sweeps.
 	MaxConcurrent int
 	// Seed makes the random draws reproducible (0 selects 1).
 	Seed int64
 }
 
-// FaultInjector applies a FaultConfig; safe for concurrent use.
+// FaultInjector applies a FaultConfig; safe for concurrent use. Its
+// sleeps run on the clock of the Monitor its Server attaches it to (the
+// real clock when there is none), so a test on a fake clock drives them.
 type FaultInjector struct {
 	cfg  FaultConfig
-	sem  chan struct{} // nil when unbounded
-	mu   sync.Mutex
-	rng  *rand.Rand
+	clk  clock.Clock
 	reg  *faultMetrics
 	hang time.Duration
+
+	mu   sync.Mutex
+	rng  *rand.Rand
+	busy int // workers serving a request
+	// queue holds the arrivals waiting for a worker, oldest first. Its
+	// order is fixed when a request is counted as waiting
+	// (origin.fault_waiting), not when its goroutine next runs, so a test
+	// that moves a fake clock once every request is parked replays it.
+	queue []chan struct{}
 }
 
-// faultMetrics is the injector's counter set, bound when the Server
+// faultMetrics is the injector's metric set, bound when the Server
 // attaches the injector (the Server owns the registry).
 type faultMetrics struct {
 	errors, hangs, aborts, queued interface{ Inc() }
+	waiting                       interface{ Set(int64) } // len(queue), set under mu
 }
 
 // NewFaultInjector returns an injector for cfg.
@@ -70,15 +84,12 @@ func NewFaultInjector(cfg FaultConfig) *FaultInjector {
 	if hang <= 0 {
 		hang = 5 * time.Second
 	}
-	f := &FaultInjector{
+	return &FaultInjector{
 		cfg:  cfg,
+		clk:  clock.Real{},
 		rng:  rand.New(rand.NewSource(seed)),
 		hang: hang,
 	}
-	if cfg.MaxConcurrent > 0 {
-		f.sem = make(chan struct{}, cfg.MaxConcurrent)
-	}
-	return f
 }
 
 // roll draws a uniform float in [0, 1) under the injector's lock, so
@@ -102,24 +113,12 @@ func (f *FaultInjector) jitter() time.Duration {
 // the request was fully handled (error injected or slot wait cancelled)
 // and next must not run.
 func (f *FaultInjector) wrap(w http.ResponseWriter, r *http.Request, next func(http.ResponseWriter, *http.Request)) {
-	if f.sem != nil {
-		select {
-		case f.sem <- struct{}{}:
-		default:
-			// Worker pool busy: queue (the whole point — queueing delay
-			// is the saturation signal), but respect client cancellation
-			// so a shed/timed-out caller does not hold a queue slot.
-			if f.reg != nil {
-				f.reg.queued.Inc()
-			}
-			select {
-			case f.sem <- struct{}{}:
-			case <-r.Context().Done():
-				w.WriteHeader(http.StatusServiceUnavailable)
-				return
-			}
+	if f.cfg.MaxConcurrent > 0 {
+		if !f.acquire(r.Context()) {
+			w.WriteHeader(http.StatusServiceUnavailable)
+			return
 		}
-		defer func() { <-f.sem }()
+		defer f.release()
 	}
 	if d := f.cfg.Latency + f.jitter(); d > 0 {
 		f.sleep(r, d)
@@ -147,12 +146,74 @@ func (f *FaultInjector) wrap(w http.ResponseWriter, r *http.Request, next func(h
 	next(w, r)
 }
 
-// sleep waits d or until the client gives up.
+// acquire takes a worker. When all are busy the request queues (the whole
+// point — queueing delay is the saturation signal), first come first
+// served, but a caller that gives up leaves the queue, so a shed or
+// timed-out request does not hold a place. It reports whether a worker was
+// taken.
+func (f *FaultInjector) acquire(ctx context.Context) bool {
+	f.mu.Lock()
+	if f.busy < f.cfg.MaxConcurrent {
+		f.busy++
+		f.mu.Unlock()
+		return true
+	}
+	ready := make(chan struct{})
+	f.queue = append(f.queue, ready)
+	f.setWaitingLocked()
+	f.mu.Unlock()
+	if f.reg != nil {
+		f.reg.queued.Inc()
+	}
+	select {
+	case <-ready:
+		return true
+	case <-ctx.Done():
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for i, q := range f.queue {
+		if q == ready {
+			f.queue = append(f.queue[:i], f.queue[i+1:]...)
+			f.setWaitingLocked()
+			return false
+		}
+	}
+	f.releaseLocked() // handed a worker as it gave up: pass it on
+	return false
+}
+
+// release hands the caller's worker to the oldest queued request, or frees
+// it.
+func (f *FaultInjector) release() {
+	f.mu.Lock()
+	f.releaseLocked()
+	f.mu.Unlock()
+}
+
+func (f *FaultInjector) releaseLocked() {
+	if len(f.queue) == 0 {
+		f.busy--
+		return
+	}
+	close(f.queue[0])
+	f.queue = f.queue[1:]
+	f.setWaitingLocked()
+}
+
+func (f *FaultInjector) setWaitingLocked() {
+	if f.reg != nil {
+		f.reg.waiting.Set(int64(len(f.queue)))
+	}
+}
+
+// sleep waits d on the injector's clock, or until the client gives up.
 func (f *FaultInjector) sleep(r *http.Request, d time.Duration) {
-	t := time.NewTimer(d)
+	done := make(chan struct{})
+	t := f.clk.AfterFunc(d, func() { close(done) })
 	defer t.Stop()
 	select {
-	case <-t.C:
+	case <-done:
 	case <-r.Context().Done():
 	}
 }

@@ -172,10 +172,14 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Faults != nil {
 		cfg.Faults.reg = &faultMetrics{
-			errors: reg.Counter("origin.fault_errors"),
-			hangs:  reg.Counter("origin.fault_hangs"),
-			aborts: reg.Counter("origin.fault_aborts"),
-			queued: reg.Counter("origin.fault_queued"),
+			errors:  reg.Counter("origin.fault_errors"),
+			hangs:   reg.Counter("origin.fault_hangs"),
+			aborts:  reg.Counter("origin.fault_aborts"),
+			queued:  reg.Counter("origin.fault_queued"),
+			waiting: reg.Gauge("origin.fault_waiting"),
+		}
+		if cfg.Monitor != nil {
+			cfg.Faults.clk = cfg.Monitor.Clock()
 		}
 	}
 	return &Server{

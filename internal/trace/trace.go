@@ -91,7 +91,7 @@ const (
 	KindFill Kind = "fill"
 	// KindShed: the admission stage refused to queue this request on the
 	// origin (fast 503 + Retry-After); Note is the pressure signal that
-	// tripped ("inflight", "queue", "per-key", "per-tenant", "negcache").
+	// tripped ("inflight", "queue", "per-tenant", "negcache").
 	KindShed Kind = "shed"
 	// KindStaleServe: the admission stage answered from an expired cache
 	// entry instead of queueing on the origin; Tier names the tier and N
