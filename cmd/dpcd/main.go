@@ -62,17 +62,29 @@
 //
 // Tier entries are stamped with a strong ETag; revalidations with a
 // matching If-None-Match are answered 304 with no body. Freshness beyond
-// the TTL comes from the invalidation fabric:
-// -invalidate mounts /_dpc/invalidate, where a hub-side
-// coherency.RemoteSubscriber POSTs the BEM's events and the proxy applies
-// each to every tier — a fragment invalidation drops the slot and raises
-// its floor. Every whole-response entry carries the fragment generations
-// it was built from, and a read that finds one below its floor drops the
-// entry instead of serving it, so a write never costs more than its own
-// pages. The endpoint is an unauthenticated write surface on the serving
-// listener (a forged event or sequence gap forces conservative tier
-// flushes), so it is off by default: enable it only where the listener is
-// reachable solely by the hub side.
+// the TTL comes from the invalidation fabric. dpcd pulls it by default: at
+// start it polls the origin's event stream (/_dpc/events, which origind
+// serves in cached mode) and, on the first answer, sets its cursor to the
+// hub's sequence before it listens, so it asks for template leases from its
+// first request. Each event applies to every tier — a fragment invalidation
+// drops the slot and raises its floor. Every whole-response entry carries
+// the fragment generations it was built from, and a read that finds one
+// below its floor drops the entry instead of serving it, so a write never
+// costs more than its own pages. A write at the origin returns once dpcd
+// has acked its event, or once the hub's bound (2s) has dropped a silent
+// dpcd; dpcd stops leasing before that bound can pass without an answer,
+// and a dropped dpcd's next poll is a gap, which flushes every tier. An
+// origin that answers 404 there (origind -mode plain, any origin that is
+// not a DPC origin) leaves dpcd on the paper's protocol: every request
+// asks the origin. The start-up banner names which.
+//
+// -invalidate is the push alternative, and turns the pull off (two hubs
+// number events independently, and one cursor cannot follow both): it
+// mounts /_dpc/invalidate, where a hub-side coherency.RemoteSubscriber
+// POSTs the BEM's events. The endpoint is an unauthenticated write surface
+// on the serving listener (a forged event or sequence gap forces
+// conservative tier flushes), so it is off by default: enable it only where
+// the listener is reachable solely by the hub side.
 //
 // Each distinct template body that can recur (one carrying no SET) is
 // compiled into a cached operator program keyed by content hash: repeat
@@ -127,6 +139,8 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -188,7 +202,7 @@ func bindFlags(fs *flag.FlagSet) *options {
 	fs.DurationVar(&p.PageCacheTTL, "pagecache-ttl", 0, "page-rule freshness window, and the cap on every template lease's term (0 = 2s default)")
 	fs.IntVar(&p.PageCacheEntries, "pagecache-entries", 0, "whole-response tier resident entry bound, both rules (0 = 1024 default)")
 	fs.Int64Var(&p.PageCacheBudget, "pagecache-budget", 0, "whole-response tier resident byte bound, both rules (0 = unbounded)")
-	fs.BoolVar(&o.invalidate, "invalidate", false, "mount the coherency invalidation endpoint at /_dpc/invalidate, fanning hub events to every cache tier (unauthenticated write endpoint on the serving listener — enable only where the hub side is the sole client)")
+	fs.BoolVar(&o.invalidate, "invalidate", false, "take the fabric's events by push instead of pulling the origin's stream: mount /_dpc/invalidate, where a hub-side subscriber POSTs them to every cache tier (unauthenticated write endpoint on the serving listener — enable only where the hub side is the sole client)")
 	fs.DurationVar(&p.PublishInterval, "publish", 10*time.Second, "background dpc.store.* gauge refresh interval (0 = disabled)")
 	fs.DurationVar(&o.status, "status", 0, "log store status at this interval (0 = disabled)")
 	fs.BoolVar(&p.Trace, "trace", false, "request-scoped tracing: per-stage spans and decision events, captured to /_dpc/trace")
@@ -250,17 +264,15 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if o.invalidate {
-		// The hub side (a coherency.RemoteSubscriber pointed at
-		// /_dpc/invalidate) POSTs events here; the proxy applies each to
-		// every tier.
-		proxy.HandleAdmin("/_dpc/invalidate", coherency.Handler(proxy))
-	}
+	ctx, stop := context.WithCancel(context.Background())
+	defer stop()
+	fabric := subscribe(ctx, proxy, o)
 	st := store.Stats()
 	fmt.Printf("dpcd: proxying %s on %s (capacity %d, %s codec, strict=%v, coalesce=%v, spool=%d, pagecache=%v)\n",
 		o.proxy.OriginURL, o.addr, o.store.Capacity, o.proxy.Codec.Name(), o.proxy.Strict, o.proxy.Coalesce, o.proxy.StreamSpoolBytes, o.proxy.PageCache)
 	fmt.Printf("dpcd: %s store, %d shard(s), byte budget %d, eviction %s; status at http://%s/_dpc/stats\n",
 		st.Backend, st.Shards, st.ByteBudget, o.store.Eviction, o.addr)
+	fmt.Printf("dpcd: fabric: %s\n", fabric)
 	if ts, ok := fragstore.DiskStats(store); ok {
 		ds := ts.Disk
 		fmt.Printf("dpcd: disk tier %s: %d entries (%d bytes) replayed warm, %d torn/bad pages discarded, byte budget %d\n",
@@ -289,6 +301,7 @@ func main() {
 		log.Fatal(err)
 	case sig := <-sigc:
 		log.Printf("dpcd: %v: shutting down", sig)
+		stop()
 		srv.SetKeepAlivesEnabled(false)
 		_ = srv.Close()
 		_ = proxy.Close()
@@ -298,4 +311,31 @@ func main() {
 			}
 		}
 	}
+}
+
+// subscribe puts the proxy on the invalidation fabric and says how, for
+// the start-up banner. With -invalidate a hub-side
+// coherency.RemoteSubscriber POSTs events to /_dpc/invalidate. Otherwise
+// the proxy joins its origin's event stream, before it serves a request,
+// and follows it until ctx ends; an origin with no stream leaves it off the
+// fabric.
+func subscribe(ctx context.Context, proxy *dpc.Proxy, o *options) string {
+	if o.invalidate {
+		proxy.HandleAdmin("/_dpc/invalidate", coherency.Handler(proxy))
+		return "push via -invalidate (/_dpc/invalidate); the origin's stream is not pulled"
+	}
+	err := proxy.Join(ctx)
+	if errors.Is(err, coherency.ErrNoStream) {
+		return "none: the origin has no stream; every request asks the origin"
+	}
+	go func() {
+		if err := proxy.Follow(ctx); err != nil {
+			log.Printf("dpcd: %s stopped serving its event stream: the proxy no longer leases", o.proxy.OriginURL)
+		}
+	}()
+	how := "pull from " + o.proxy.OriginURL + coherency.EventsPath
+	if err != nil {
+		how += fmt.Sprintf(" (no answer yet: %v; retrying)", err)
+	}
+	return how
 }

@@ -1,19 +1,27 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"reflect"
 	"regexp"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"dpcache/internal/bem"
+	"dpcache/internal/coherency"
 	"dpcache/internal/dpc"
 	"dpcache/internal/fragstore"
+	"dpcache/internal/origin"
+	"dpcache/internal/repository"
 	"dpcache/internal/tmpl"
 )
 
@@ -229,4 +237,63 @@ func TestFlagsDocumented(t *testing.T) {
 	for name := range rows {
 		t.Errorf("README documents -%s, which dpcd does not have", name)
 	}
+}
+
+// The start-up banner names the fabric: a pull from an origin that serves
+// the stream, push with -invalidate (which sends no poll at all), and none
+// in front of an origin with no stream.
+func TestFabricBanner(t *testing.T) {
+	cached, err := origin.New(origin.Config{Repo: repository.New(repository.LatencyModel{}), Monitor: mustMonitor(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := origin.New(origin.Config{Repo: repository.New(repository.LatencyModel{})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		origin http.Handler
+		args   []string
+		want   string
+		polled bool
+	}{
+		{"cached", cached, nil, "pull from ", true},
+		{"push", cached, []string{"-invalidate"}, "push via -invalidate", false},
+		{"plain", plain, nil, "none: the origin has no stream", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var polls atomic.Int64
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == coherency.EventsPath {
+					polls.Add(1)
+				}
+				tc.origin.ServeHTTP(w, r)
+			}))
+			defer ts.Close()
+			o, _ := parse(t, append([]string{"-origin", ts.URL}, tc.args...)...)
+			proxy, err := dpc.New(o.proxy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer proxy.Close()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			if got := subscribe(ctx, proxy, o); !strings.HasPrefix(got, tc.want) || strings.Contains(got, "no answer") {
+				t.Fatalf("banner %q, want it to begin %q", got, tc.want)
+			}
+			if (polls.Load() > 0) != tc.polled {
+				t.Fatalf("%d polls", polls.Load())
+			}
+		})
+	}
+}
+
+func mustMonitor(t *testing.T) *bem.Monitor {
+	t.Helper()
+	mon, err := bem.New(bem.Config{Capacity: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mon
 }

@@ -3,6 +3,17 @@
 // dpcd as the reverse proxy and loadgen as the client.
 //
 //	origind -addr :8080 -sites bookstore,brokerage,portal,synth
+//
+// In cached mode origind also serves the BEM's invalidation stream at
+// /_dpc/events, a long poll that dpcd follows from start-up, so the pair
+// runs with template leases and an exact page tier without further wiring
+// (internal/coherency). The stream carries each invalidated fragment's ID,
+// slot and generation, which name no more than the templates a proxy
+// assembles already show it (personal fragments included): serve it where
+// templates may go, and no further.
+// /stats has a fabric section: the hub's sequence, acks, pullers and drops.
+// In plain mode there is no BEM and no stream (404), and dpcd asks the
+// origin on every request, as the paper's proxy does.
 package main
 
 import (
@@ -105,5 +116,8 @@ func main() {
 	}
 
 	fmt.Printf("origind: serving %v in %s mode on %s\n", srv.Scripts(), *mode, *addr)
+	if srv.Hub() != nil {
+		fmt.Printf("origind: invalidation stream at http://%s/_dpc/events\n", *addr)
+	}
 	log.Fatal(http.ListenAndServe(*addr, srv))
 }

@@ -217,7 +217,10 @@ type (
 	// Router routes requests across edge DPCs with session affinity and
 	// failover.
 	Router = routing.Router
-	// CoherencyHub broadcasts BEM invalidations to edge caches.
+	// CoherencyHub broadcasts BEM invalidations to edge caches. Each
+	// origin with a monitor owns one (System.Origin.Hub()); a *Proxy is
+	// itself what Subscribe takes, and applies each event to all of its
+	// tiers.
 	CoherencyHub = coherency.Hub
 	// Edge is a forward-deployed DPC created by System.StartEdge.
 	Edge = core.Edge
@@ -227,10 +230,6 @@ type (
 
 // NewRouter returns an empty edge router.
 func NewRouter() *Router { return routing.NewRouter(nil) }
-
-// NewCoherencyHub wires a hub to a system's monitor. A *Proxy is itself
-// what Subscribe takes: it applies each event to all of its tiers.
-func NewCoherencyHub(mon *Monitor) *CoherencyHub { return coherency.NewHub(mon) }
 
 // Analytical model (paper Section 5).
 type (

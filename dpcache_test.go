@@ -12,6 +12,7 @@ import (
 
 	"dpcache"
 	"dpcache/internal/bem"
+	"dpcache/internal/coherency"
 	"dpcache/internal/dpc"
 	"dpcache/internal/tmpl"
 )
@@ -158,7 +159,7 @@ func TestFacadeRouterAndHub(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hub := dpcache.NewCoherencyHub(sys.Monitor)
+	hub := sys.Origin.Hub()
 	ev := hub.Broadcast("f", 0, 1)
 	if ev.Seq != 1 {
 		t.Fatalf("seq = %d", ev.Seq)
@@ -202,7 +203,7 @@ func TestFacadePageSubscriberDropsOptInPage(t *testing.T) {
 		if state := get(); state != "STATIC" {
 			t.Fatalf("pagecache=%v: revisit X-Cache = %q, want STATIC", pageCache, state)
 		}
-		hub := dpcache.NewCoherencyHub(mon)
+		hub := coherency.NewHub(mon)
 		hub.Subscribe(p)
 		hub.Broadcast("frag", 1, 1) // the page's fragment dies
 		if state := get(); state == "STATIC" {

@@ -32,8 +32,8 @@ func main() {
 	}
 	defer sys.Close()
 
-	// Three forward-deployed proxies, one coherency hub.
-	hub := dpcache.NewCoherencyHub(sys.Monitor)
+	// Three forward-deployed proxies, one coherency hub: the origin's own.
+	hub := sys.Origin.Hub()
 	router := dpcache.NewRouter()
 	for _, name := range []string{"edge-east", "edge-west", "edge-eu"} {
 		edge, err := sys.StartEdge(name)

@@ -1,8 +1,10 @@
 // Package coherency is the invalidation fabric's sender side: it numbers
 // each event of the BEM's invalidation stream, delivers it to every
 // subscriber, and reports the lowest sequence number every subscriber has
-// acknowledged. What an event means to a cache — which slot, page or plan
-// it empties — is the subscriber's business; a proxy subscribes itself
+// acknowledged. A subscriber is pushed to (Subscribe; over HTTP,
+// RemoteSubscriber and Handler) or pulls the events from the stream the hub
+// serves (pull.go). What an event means to a cache — which slot, page or
+// plan it empties — is the subscriber's business; a proxy subscribes itself
 // (dpc.Proxy.Apply) and applies each event to all of its tiers.
 //
 // It began (paper Section 7) as the answer to multi-edge fragment
@@ -23,7 +25,9 @@
 package coherency
 
 import (
+	"math/rand/v2"
 	"sync"
+	"time"
 
 	"dpcache/internal/bem"
 )
@@ -82,11 +86,28 @@ type Hub struct {
 	seq  uint64
 	subs []Subscriber
 	acks []uint64
+
+	// The pull side (pull.go): the incarnation, the drop bound, the last
+	// events by sequence number modulo retain, the pullers by id, and a
+	// channel closed and replaced whenever the sequence moves or a puller
+	// joins, acks or is dropped.
+	inc, lastSub       uint64
+	bound              time.Duration
+	ring               []Event
+	pullers            map[uint64]*puller
+	changed            chan struct{}
+	polls, gaps, drops uint64
 }
 
 // NewHub returns a hub wired to the monitor's invalidation stream.
 func NewHub(mon *bem.Monitor) *Hub {
-	h := &Hub{}
+	h := &Hub{
+		inc:     rand.Uint64() | 1,
+		bound:   DropAfter,
+		ring:    make([]Event, retain),
+		pullers: make(map[uint64]*puller),
+		changed: make(chan struct{}),
+	}
 	mon.OnInvalidate(func(fragID string, key, gen uint32, reason bem.InvalidationReason) {
 		h.BroadcastEvent(Event{
 			Kind: KindFragment, FragmentID: fragID, Key: key, Gen: gen,
@@ -123,18 +144,42 @@ func (h *Hub) BroadcastFlush(scope string) Event {
 	return h.BroadcastEvent(Event{Kind: KindFlush, Scope: scope})
 }
 
-// BroadcastEvent assigns the next sequence number and delivers the event
-// to every subscriber synchronously. Concurrent calls deliver one at a time,
-// in the order they were numbered: a subscriber never sees n+1 before n.
+// BroadcastEvent assigns the next sequence number, delivers the event to
+// every subscriber synchronously, and returns once every puller has acked
+// it or been dropped (pull.go). Concurrent calls deliver one at a time, in
+// the order they were numbered: a subscriber never sees n+1 before n.
 func (h *Hub) BroadcastEvent(ev Event) Event {
+	ev, pulled := h.number(ev)
+	if pulled {
+		h.awaitPullers(ev.Seq, time.Now())
+	}
+	return ev
+}
+
+// number assigns ev the next sequence number, keeps it for pullers, wakes
+// their polls and delivers it to the push subscribers under the delivery
+// lock. It reports whether any puller must ack it; one that joins later
+// starts past it.
+func (h *Hub) number(ev Event) (Event, bool) {
 	h.deliver.Lock()
 	defer h.deliver.Unlock()
 	h.mu.Lock()
 	h.seq++
 	ev.Seq = h.seq
+	h.ring[ev.Seq%retain] = ev
+	pulled := len(h.pullers) > 0
+	if pulled {
+		h.notifyLocked()
+	}
 	subs := append([]Subscriber(nil), h.subs...)
 	h.mu.Unlock()
+	h.push(subs, ev)
+	return ev, pulled
+}
 
+// push delivers ev to the push subscribers subs, in order, recording each
+// one's ack; the caller holds h.deliver.
+func (h *Hub) push(subs []Subscriber, ev Event) {
 	for i, s := range subs {
 		acked := s.Apply(ev)
 		h.mu.Lock()
@@ -143,7 +188,6 @@ func (h *Hub) BroadcastEvent(ev Event) Event {
 		}
 		h.mu.Unlock()
 	}
-	return ev
 }
 
 // Seq returns the last assigned sequence number.
@@ -154,20 +198,18 @@ func (h *Hub) Seq() uint64 {
 }
 
 // AckedThrough returns the highest sequence number acknowledged by every
-// subscriber (the last assigned one when there are none).
+// subscriber, pushed or pulling (the last assigned one when there are none).
 func (h *Hub) AckedThrough() uint64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if len(h.acks) == 0 {
-		return h.seq
+	lo := h.seq
+	for _, a := range h.acks {
+		lo = min(lo, a)
 	}
-	min := h.acks[0]
-	for _, a := range h.acks[1:] {
-		if a < min {
-			min = a
-		}
+	for _, p := range h.pullers {
+		lo = min(lo, p.acked)
 	}
-	return min
+	return lo
 }
 
 // Fanout combines subscribers into one: Apply delivers the event to each

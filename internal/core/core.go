@@ -72,13 +72,15 @@ type Config struct {
 	// ForcedMissProb pins the BEM hit ratio for experiments (Figure 5).
 	ForcedMissProb float64
 	// Fabric wires the coherency invalidation fabric (ModeCached only):
-	// a hub is attached to the BEM's invalidation stream and every proxy
-	// subscribes, applying each event to all of its tiers — fragment
-	// store, whole-response tier and plan tier. Fragment invalidations
-	// then drop dependent whole-response entries the moment they happen
-	// (via each proxy's dependency index) instead of waiting out
-	// Proxy.PageCacheTTL, which is what makes realistic page TTLs safe.
-	// Edges started with StartEdge subscribe automatically too.
+	// every proxy subscribes to the origin's hub (origin.Server.Hub), in
+	// process, applying each event to all of its tiers — fragment store,
+	// whole-response tier and plan tier. A fragment invalidation raises the
+	// slot's floor, and a whole-response entry built from it is then void
+	// wherever it is read instead of living out Proxy.PageCacheTTL, which
+	// is what makes realistic page TTLs safe. Edges started with StartEdge
+	// subscribe automatically too. The origin serves the same hub's stream
+	// whatever Fabric says; only a proxy that follows it (dpc.Proxy.Follow)
+	// pulls from it.
 	Fabric bool
 	// Seed drives all deterministic randomness.
 	Seed int64
@@ -164,8 +166,9 @@ type System struct {
 	Proxy *dpc.Proxy
 	// Meter measures the origin↔proxy link.
 	Meter *netsim.Meter
-	// Hub is the coherency invalidation fabric (nil unless Config.Fabric
-	// and ModeCached). Every proxy is subscribed to it.
+	// Hub is the coherency invalidation fabric: the origin's own hub
+	// (origin.Server.Hub), set when Config.Fabric and ModeCached, nil
+	// otherwise. Every proxy is subscribed to it.
 	Hub *coherency.Hub
 	// Registry aggregates metrics across components.
 	Registry *metrics.Registry
@@ -286,11 +289,16 @@ func NewSystem(cfg Config, mode Mode) (*System, error) {
 	if pc := cfg.Proxy; pc.Trace {
 		tracer = dpc.NewTracer(cfg.Registry, pc.TraceSampleEvery, pc.TraceSlow, pc.TraceRingSize)
 	}
+	var hub *coherency.Hub
+	if cfg.Fabric {
+		hub = org.Hub()
+	}
 	return &System{
 		Mode:     mode,
 		Repo:     repo,
 		Monitor:  mon,
 		Origin:   org,
+		Hub:      hub,
 		Meter:    netsim.NewMeter(0),
 		Registry: cfg.Registry,
 		Tracer:   tracer,
@@ -326,9 +334,6 @@ func (s *System) Start() error {
 	}
 	originSrv := &http.Server{Handler: s.Origin}
 	go func() { _ = originSrv.Serve(originLn) }()
-	if s.Hub == nil && s.cfg.Fabric && s.Monitor != nil {
-		s.Hub = coherency.NewHub(s.Monitor) // once: a retried Start must not hook the BEM twice
-	}
 	front, err := s.startProxy("front", "http://"+originLn.Addr().String())
 	if err != nil {
 		_ = originSrv.Close()

@@ -22,7 +22,7 @@ import (
 // still valid; a proxy on the invalidation fabric hears every BEM
 // invalidation too (Apply), so it can keep the answer until one revokes it.
 //
-// A proxy that has applied a fabric event asks for a lease on each bodyless
+// A proxy live on the fabric (fabric.go) asks for a lease on each bodyless
 // GET it sends the origin (X-DPC-Lease). The template the origin then writes
 // opens with the page's shell: a BEM entry that depends on every row the
 // layout and the untagged blocks read. So everything that determines the
@@ -202,11 +202,13 @@ func (t *leaseTable) count(cause string, n int) {
 
 // leasing reports whether r is a request a lease may stand in for, and so
 // one whose origin fetch asks for a lease: a bodyless GET, through a proxy
-// that has applied a fabric event — a proxy that would not hear the
-// invalidations could not keep one — and checks generations (Config.Strict),
-// so that a slot holding another generation never resolves a lease's ref.
+// live on the fabric (fabric.live) — a proxy that would not hear the
+// invalidations could not keep one, and one that pulls them stops trusting
+// it has heard them all before the hub can stop waiting for it — and checks
+// generations (Config.Strict), so that a slot holding another generation
+// never resolves a lease's ref.
 func (p *Proxy) leasing(r *http.Request) bool {
-	return p.cfg.Strict && p.fabric.attached.Load() && r.Method == http.MethodGet &&
+	return p.cfg.Strict && p.fabric.live() && r.Method == http.MethodGet &&
 		r.ContentLength == 0 && len(r.TransferEncoding) == 0
 }
 

@@ -1,6 +1,7 @@
 package dpc
 
 import (
+	"context"
 	"fmt"
 	"hash/maphash"
 	"io"
@@ -250,19 +251,22 @@ func (q *quietSub) Apply(ev coherency.Event) uint64 {
 }
 
 type leaseRig struct {
-	t     testing.TB
-	ls    leaseSite
-	seed  int64
-	step  int
-	rng   *rand.Rand
-	clk   *clock.Fake
-	repo  *repository.Repo
-	srv   *origin.Server
-	hub   *coherency.Hub
-	p     *Proxy
-	link  *heldLink
-	sub   *quietSub
-	quiet time.Time // the last write whose events the fabric lost
+	t    testing.TB
+	ls   leaseSite
+	seed int64
+	step int
+	rng  *rand.Rand
+	clk  *clock.Fake
+	repo *repository.Repo
+	srv  *origin.Server
+	hub  *coherency.Hub
+	p    *Proxy
+	link *heldLink
+	sub  *quietSub // the push subscription; nil on the pull path
+	// stopFollow stops the proxy's Follow and waits for it to return; nil
+	// on the push path.
+	stopFollow func()
+	quiet      time.Time // the last write whose events the fabric lost
 	// checked counts the lease responses checked against a fresh render,
 	// and identityPages the page-tier hits an identified visitor was served,
 	// each checked too.
@@ -270,6 +274,53 @@ type leaseRig struct {
 }
 
 func newLeaseRig(t testing.TB, ls leaseSite, seed int64) *leaseRig {
+	g := buildLeaseRig(t, ls, seed, false)
+	g.sub = &quietSub{p: g.p}
+	g.hub.Subscribe(g.sub)
+	return g
+}
+
+// newPulledLeaseRig is newLeaseRig with the proxy on the pull path: it
+// joins the origin's event stream over its link and follows it, instead of
+// being subscribed to the hub.
+func newPulledLeaseRig(t testing.TB, ls leaseSite, seed int64) *leaseRig {
+	g := buildLeaseRig(t, ls, seed, true)
+	if err := g.p.Join(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	g.follow()
+	t.Cleanup(func() { g.stopFollow() })
+	return g
+}
+
+// follow starts the proxy's Follow.
+func (g *leaseRig) follow() {
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = g.p.Follow(ctx)
+	}()
+	g.stopFollow = func() {
+		cancel()
+		<-done
+	}
+}
+
+// streamLink sends the proxy's polls of the event stream straight to the
+// origin, around the holds of its link, which are for page fetches.
+type streamLink struct{ *heldLink }
+
+func (l streamLink) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.URL.Path != coherency.EventsPath {
+		return l.heldLink.RoundTrip(r)
+	}
+	rec := httptest.NewRecorder()
+	l.origin.ServeHTTP(rec, r)
+	return rec.Result(), nil
+}
+
+func buildLeaseRig(t testing.TB, ls leaseSite, seed int64, pulled bool) *leaseRig {
 	repo := repository.New(repository.LatencyModel{})
 	clk := clock.NewFake(time.Date(2002, 6, 4, 9, 30, 0, 0, time.UTC))
 	mon, err := bem.New(bem.Config{Capacity: ls.capacity, Clock: clk})
@@ -289,8 +340,12 @@ func newLeaseRig(t testing.TB, ls leaseSite, seed int64) *leaseRig {
 		t.Fatal(err)
 	}
 	link := &heldLink{origin: srv}
+	var transport http.RoundTripper = link
+	if pulled {
+		transport = streamLink{link}
+	}
 	p, err := New(Config{
-		OriginURL: "http://origin.invalid", Capacity: ls.capacity, Strict: true, Transport: link,
+		OriginURL: "http://origin.invalid", Capacity: ls.capacity, Strict: true, Transport: transport,
 		PageCache: true, PageCacheTTL: leaseModelTTL, Clock: clk, PublishInterval: -1,
 	})
 	if err != nil {
@@ -302,11 +357,8 @@ func newLeaseRig(t testing.TB, ls leaseSite, seed int64) *leaseRig {
 		hashSeed := maphash.MakeSeed()
 		p.leases.hash = func(key string) uint64 { return maphash.String(hashSeed, hintPage(key)) }
 	}
-	hub := coherency.NewHub(mon)
-	sub := &quietSub{p: p}
-	hub.Subscribe(sub)
 	return &leaseRig{t: t, ls: ls, seed: seed, rng: rand.New(rand.NewSource(seed)), clk: clk,
-		repo: repo, srv: srv, hub: hub, p: p, link: link, sub: sub}
+		repo: repo, srv: srv, hub: srv.Hub(), p: p, link: link}
 }
 
 func (g *leaseRig) fatalf(format string, args ...any) {
@@ -359,11 +411,45 @@ func (g *leaseRig) visit(url, user string) {
 	}
 }
 
-// quietWrite makes a write whose invalidations the fabric loses.
+// quietWrite makes a write whose invalidations the fabric loses. On the
+// pull path the proxy stops following, its polls ack the write's events
+// without applying them, and it follows again from past them: lost events
+// no gap reveals.
 func (g *leaseRig) quietWrite(write func(*repository.Repo, *rand.Rand)) {
-	g.sub.quiet.Store(true)
-	write(g.repo, g.rng)
-	g.sub.quiet.Store(false)
+	if g.sub != nil {
+		g.sub.quiet.Store(true)
+		write(g.repo, g.rng)
+		g.sub.quiet.Store(false)
+		g.quiet = g.clk.Now()
+		return
+	}
+	g.stopFollow()
+	f := &g.p.fabric
+	f.mu.Lock()
+	c := f.cursor
+	f.mu.Unlock()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		write(g.repo, g.rng)
+	}()
+	for acking := true; acking; {
+		select {
+		case <-done:
+			acking = false
+		default:
+		}
+		c.After = g.hub.Seq()
+		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+		if a := g.hub.Poll(ctx, c); a.Gap {
+			g.fatalf("the hub dropped the proxy while its polls acked: %+v", a)
+		}
+		cancel()
+	}
+	f.mu.Lock()
+	f.lastSeq = c.After
+	f.mu.Unlock()
+	g.follow()
 	g.quiet = g.clk.Now()
 }
 
@@ -504,6 +590,33 @@ func TestLeaseModel(t *testing.T) {
 		}
 		t.Logf("%s: %d lease responses and %d identified page-tier hits checked, %d lease hits, %d voids",
 			ls.name, checked, identityPages, hits, voids)
+		if checked+identityPages < 100 || voids == 0 {
+			t.Errorf("%s: %d lease responses, %d identified page-tier hits and %d voids over 8 seeds; the model barely reaches the leases",
+				ls.name, checked, identityPages, voids)
+		}
+		if ls.pageScoped && identityPages == 0 {
+			t.Errorf("%s: no identified page-tier hit on a site whose runs never read the visitor", ls.name)
+		}
+	}
+}
+
+// TestLeaseModel with the proxy on the pull path: it follows the origin's
+// event stream, and each write returns once the proxy's poll has acked its
+// events.
+func TestLeaseModelPulled(t *testing.T) {
+	for _, ls := range leaseSites {
+		checked, identityPages := 0, 0
+		var voids int64
+		for seed := int64(1); seed <= 8; seed++ {
+			g := newPulledLeaseRig(t, ls, seed)
+			checked += g.run(600)
+			identityPages += g.identityPages
+			voids += g.p.Registry().Snapshot()["dpc.lease_voids"]
+			if n := g.p.Registry().Snapshot()["dpc.fabric_gaps"]; n != 0 {
+				t.Errorf("%s seed %d: %d gaps on a stream that lost nothing", ls.name, seed, n)
+			}
+		}
+		t.Logf("%s: %d lease responses and %d identified page-tier hits checked, %d voids", ls.name, checked, identityPages, voids)
 		if checked+identityPages < 100 || voids == 0 {
 			t.Errorf("%s: %d lease responses, %d identified page-tier hits and %d voids over 8 seeds; the model barely reaches the leases",
 				ls.name, checked, identityPages, voids)

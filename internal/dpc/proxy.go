@@ -487,6 +487,7 @@ func (p *Proxy) initAdmin() {
 			"evictions": ps.Evictions, "expired": ps.Expired,
 		}
 		out["plancache"] = p.plans.Stats()
+		out["fabric"] = p.fabricStats()
 		w.Header().Set("Content-Type", "application/json")
 		_ = json.NewEncoder(w).Encode(out)
 	}))

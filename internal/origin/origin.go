@@ -45,6 +45,14 @@
 // invalidated. When the run never read the user, the template is also
 // every visitor's, and the grant says so: the caller may reuse it for any
 // visitor of the same URI.
+//
+// A server with a Monitor owns the hub of its invalidation stream
+// (coherency.Hub) and serves it at coherency.EventsPath as a long poll: a
+// DPC that follows it hears every BEM invalidation, in order, and is a
+// caller that may ask for leases. The stream carries each invalidated
+// fragment's ID with its slot and generation: nothing a proxy that
+// assembles the templates, personal fragments included, does not already
+// see. Polls are neither counted as page requests nor fault-injected.
 package origin
 
 import (
@@ -60,6 +68,7 @@ import (
 	"time"
 
 	"dpcache/internal/bem"
+	"dpcache/internal/coherency"
 	"dpcache/internal/metrics"
 	"dpcache/internal/repository"
 	"dpcache/internal/script"
@@ -126,7 +135,8 @@ type Config struct {
 	// Faults injects configured misbehavior — latency, errors, hangs,
 	// mid-body aborts, a bounded worker pool — in front of the page and
 	// static handlers (see faults.go). Nil serves faithfully. Admin
-	// endpoints (/healthz, /stats) are never fault-injected.
+	// endpoints (/healthz, /stats) and the event stream are never
+	// fault-injected.
 	Faults *FaultInjector
 }
 
@@ -139,6 +149,7 @@ type Server struct {
 	reg     *metrics.Registry
 	pad     string // the X-Pad header's value; empty when ExtraHeaderBytes is 0
 	valid   *validator
+	hub     *coherency.Hub // the Monitor's invalidation stream; nil without one
 
 	// The request paths' metrics, looked up once: the registry takes a
 	// mutex per look-up.
@@ -182,8 +193,13 @@ func New(cfg Config) (*Server, error) {
 			cfg.Faults.clk = cfg.Monitor.Clock()
 		}
 	}
+	var hub *coherency.Hub
+	if cfg.Monitor != nil {
+		hub = coherency.NewHub(cfg.Monitor)
+	}
 	return &Server{
 		cfg:     cfg,
+		hub:     hub,
 		codec:   codec,
 		scripts: make(map[string]*script.Script),
 		statics: make(map[string]staticAsset),
@@ -245,6 +261,11 @@ func (s *Server) Scripts() []string {
 // Monitor returns the attached Back End Monitor (nil in no-cache mode).
 func (s *Server) Monitor() *bem.Monitor { return s.cfg.Monitor }
 
+// Hub returns the hub of the Monitor's invalidation stream, which the
+// server serves at coherency.EventsPath (nil in no-cache mode). Push
+// subscribers subscribe to it; there is one hub per BEM.
+func (s *Server) Hub() *coherency.Hub { return s.hub }
+
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch {
@@ -260,6 +281,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		s.serveStatic(w, r)
+	case r.URL.Path == coherency.EventsPath && s.hub != nil:
+		s.hub.ServeHTTP(w, r)
 	case r.URL.Path == "/healthz":
 		w.WriteHeader(http.StatusOK)
 		fmt.Fprintln(w, "ok")
@@ -303,6 +326,7 @@ func (s *Server) serveStats(w http.ResponseWriter) {
 			})
 		}
 		out["hot_fragments"] = hot
+		out["fabric"] = s.hub.Stats()
 		out["bem"] = map[string]any{
 			"lookups":             st.Lookups,
 			"hits":                st.Hits,
