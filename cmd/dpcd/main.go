@@ -74,9 +74,12 @@
 // has acked its event, or once the hub's bound (2s) has dropped a silent
 // dpcd; dpcd stops leasing before that bound can pass without an answer,
 // and a dropped dpcd's next poll is a gap, which flushes every tier. An
-// origin that answers 404 there (origind -mode plain, any origin that is
-// not a DPC origin) leaves dpcd on the paper's protocol: every request
-// asks the origin. The start-up banner names which.
+// origin that answers 404 there, or another client error, or a page that
+// is not JSON (origind -mode plain, any origin that is not a DPC origin),
+// leaves dpcd on the paper's protocol: every request asks the origin. An
+// origin that cannot be reached at start is polled again, less and less
+// often; once its stream has answered, a failed poll of any kind is
+// retried. The start-up banner names which.
 //
 // -invalidate is the push alternative, and turns the pull off (two hubs
 // number events independently, and one cursor cannot follow both): it
@@ -330,7 +333,7 @@ func subscribe(ctx context.Context, proxy *dpc.Proxy, o *options) string {
 	}
 	go func() {
 		if err := proxy.Follow(ctx); err != nil {
-			log.Printf("dpcd: %s stopped serving its event stream: the proxy no longer leases", o.proxy.OriginURL)
+			log.Printf("dpcd: %s serves no event stream (%v): every request asks the origin", o.proxy.OriginURL, err)
 		}
 	}()
 	how := "pull from " + o.proxy.OriginURL + coherency.EventsPath

@@ -10,7 +10,12 @@
 // (internal/coherency). The stream carries each invalidated fragment's ID,
 // slot and generation, which name no more than the templates a proxy
 // assembles already show it (personal fragments included): serve it where
-// templates may go, and no further.
+// templates may go, and no further. The stream is also a way to slow the
+// origin: a client that joins it and never acks holds every BEM
+// invalidation — writes, and page requests that expire, evict or report a
+// stale fragment — for up to twice the hub's 2s bound, and the hub takes at
+// most 64 followers. So origind's listener, like dpcd's -invalidate
+// endpoint, must be reachable only by its proxies.
 // /stats has a fabric section: the hub's sequence, acks, pullers and drops.
 // In plain mode there is no BEM and no stream (404), and dpcd asks the
 // origin on every request, as the paper's proxy does.

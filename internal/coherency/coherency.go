@@ -146,12 +146,12 @@ func (h *Hub) BroadcastFlush(scope string) Event {
 
 // BroadcastEvent assigns the next sequence number, delivers the event to
 // every subscriber synchronously, and returns once every puller has acked
-// it or been dropped (pull.go). Concurrent calls deliver one at a time, in
+// it or been dropped, within twice DropAfter (pull.go). Concurrent calls deliver one at a time, in
 // the order they were numbered: a subscriber never sees n+1 before n.
 func (h *Hub) BroadcastEvent(ev Event) Event {
 	ev, pulled := h.number(ev)
 	if pulled {
-		h.awaitPullers(ev.Seq, time.Now())
+		h.awaitPullers(ev.Seq)
 	}
 	return ev
 }

@@ -14,7 +14,7 @@ import (
 
 // newProxy returns a proxy with no origin behind it, for applying events
 // to its tiers directly. A nil store selects the default slot store.
-func newProxy(t *testing.T, store fragstore.FragmentStore, mutate ...func(*dpc.Config)) *dpc.Proxy {
+func newProxy(t testing.TB, store fragstore.FragmentStore, mutate ...func(*dpc.Config)) *dpc.Proxy {
 	t.Helper()
 	cfg := dpc.Config{OriginURL: "http://origin.invalid", Capacity: 8, Store: store, PublishInterval: -1}
 	for _, m := range mutate {

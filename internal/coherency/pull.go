@@ -20,14 +20,25 @@ import (
 //
 // A broadcast waits for every puller to ack it, as it waits for a push
 // subscriber's Apply, or drops the puller once the bound has passed since
-// the broadcast — or since the puller was last heard from, if that was
-// earlier and no poll of its is waiting. A dropped puller's next poll is
-// answered as a gap. The puller, for its part, trusts an answer for three
-// quarters of the bound from the moment it sent the poll, so it stops
-// relying on having heard every event before the hub can stop waiting for
-// it (dpc.Proxy.Follow). The hub holds a poll that finds nothing new for a
-// quarter of the bound, so a healthy puller's answers arrive well inside
-// that trust.
+// the hub last answered it. That one deadline decides every drop. The
+// puller, for its part, trusts an answer for three quarters of the bound
+// from the moment it sent the poll, which is no later than the hub
+// answered it, so it stops relying on having heard every event before the
+// hub can stop waiting for it (dpc.Proxy.Follow). A poll that does not ack
+// what the hub's last answer to it carried is answered as a gap, so a
+// puller cannot push its deadline on without acking; the puller it was
+// keeps its deadline. A dropped puller's next poll is a gap too. The hub
+// holds a poll that finds nothing new for a quarter of the bound, so a
+// healthy puller's answers arrive well inside that trust.
+//
+// So a broadcast returns within twice the bound: a puller last answered
+// just before it may be answered once more, the event included, just
+// before its deadline, and then has the bound from that answer to ack.
+//
+// Anyone who reaches the stream can join it and hold every broadcast for
+// that long, and a BEM broadcasts inside page requests too (expiries,
+// evictions, stale reports): serve the stream only to the origin's
+// proxies. The hub takes at most MaxPullers pullers at once.
 //
 // Time here is wall time, whatever clock the monitor runs on: the stream is
 // a socket, and its bound is a property of the network.
@@ -35,9 +46,13 @@ import (
 // EventsPath is where an origin serves its hub's stream.
 const EventsPath = "/_dpc/events"
 
-// DropAfter is how long a broadcast waits for a puller's ack before it
-// drops the puller.
+// DropAfter is how long after the hub last answered a puller a broadcast
+// the puller has not acked drops it.
 const DropAfter = 2 * time.Second
+
+// MaxPullers is the most pullers a hub keeps at once. A join beyond it is
+// refused (503 over HTTP) until a puller is dropped.
+const MaxPullers = 64
 
 // retain is the number of events the hub keeps for pullers; a cursor further
 // behind is answered as a gap. A live puller is never more than the events
@@ -45,7 +60,7 @@ const DropAfter = 2 * time.Second
 const retain = 1024
 
 // ErrNoStream is what Poll returns when the URL serves no event stream: the
-// origin answers 404 (or another sign that nothing is there).
+// origin answers 404, or another sign that nothing is there.
 var ErrNoStream = errors.New("coherency: the origin serves no event stream")
 
 // Cursor is a puller's position in one hub's stream. The zero Cursor joins:
@@ -65,11 +80,13 @@ type Answer struct {
 	// Inc and Seq are the hub's incarnation and last assigned sequence
 	// number when it answered.
 	Inc, Seq uint64
-	// Sub is the puller's id, to send back with the next poll.
+	// Sub is the puller's id, to send back with the next poll; zero when
+	// the hub refused a join, having MaxPullers pullers already.
 	Sub uint64
 	// Gap says the hub could not vouch for the cursor: it was behind the
-	// retained events, ahead of Seq, from an earlier incarnation, or the
-	// puller had been dropped. The puller must flush everything the stream
+	// retained events, ahead of Seq, from an earlier incarnation, behind
+	// what the hub last answered the puller (no ack), or the puller had
+	// been dropped. The puller must flush everything the stream
 	// kept current and restart at Seq. A gap carries no events.
 	Gap bool
 	// Bound is the hub's drop bound (DropAfter).
@@ -85,10 +102,12 @@ func (a Answer) Trust() time.Duration { return a.Bound * 3 / 4 }
 // puller is the hub's record of one pulling subscriber.
 type puller struct {
 	acked uint64
-	// heard is when its latest poll arrived or was answered; parked counts
-	// its polls waiting for an event.
-	heard  time.Time
-	parked int
+	// answered is the sequence number the hub last answered it through, at
+	// answeredAt; the drop deadline is answeredAt plus the bound. parked
+	// counts its polls waiting for an event (HubStats).
+	answered   uint64
+	answeredAt time.Time
+	parked     int
 }
 
 // HubStats is a snapshot of a hub's sequence and its pullers.
@@ -111,8 +130,8 @@ func (h *Hub) notifyLocked() {
 }
 
 // awaitPullers returns once every puller has acked seq, dropping those that
-// do not in time. t0 is when seq was numbered.
-func (h *Hub) awaitPullers(seq uint64, t0 time.Time) {
+// do not in time.
+func (h *Hub) awaitPullers(seq uint64) {
 	for {
 		h.mu.Lock()
 		now := time.Now()
@@ -121,15 +140,9 @@ func (h *Hub) awaitPullers(seq uint64, t0 time.Time) {
 			if p.acked >= seq {
 				continue
 			}
-			due := t0.Add(h.bound)
-			if p.parked == 0 && p.heard.Before(t0) {
-				due = p.heard.Add(h.bound)
-			}
-			if !now.Before(due) {
+			if due := h.dueLocked(p); !now.Before(due) {
 				h.dropLocked(id)
-				continue
-			}
-			if next.IsZero() || due.Before(next) {
+			} else if next.IsZero() || due.Before(next) {
 				next = due
 			}
 		}
@@ -147,24 +160,32 @@ func (h *Hub) awaitPullers(seq uint64, t0 time.Time) {
 	}
 }
 
+// dueLocked is when p may be dropped: the bound after the hub last answered
+// it, by when it no longer trusts any answer it was sent.
+func (h *Hub) dueLocked(p *puller) time.Time { return p.answeredAt.Add(h.bound) }
+
 func (h *Hub) dropLocked(id uint64) {
 	delete(h.pullers, id)
 	h.drops++
 	h.notifyLocked()
 }
 
-// joinLocked registers a new puller at the hub's sequence. It first drops
-// every puller the next broadcast would drop at once, so that pullers that
-// joined and went away do not pile up on a hub with no events.
+// joinLocked registers a new puller at the hub's sequence, told of a gap if
+// gap. It first drops every puller past its deadline, so that pullers that
+// went away do not pile up on a hub with no events, and refuses the join if
+// the hub still has MaxPullers.
 func (h *Hub) joinLocked(gap bool) Answer {
 	now := time.Now()
 	for id, p := range h.pullers {
-		if p.parked == 0 && !now.Before(p.heard.Add(h.bound)) {
+		if !now.Before(h.dueLocked(p)) {
 			h.dropLocked(id)
 		}
 	}
+	if len(h.pullers) >= MaxPullers {
+		return Answer{Inc: h.inc, Seq: h.seq, Bound: h.bound}
+	}
 	h.lastSub++
-	h.pullers[h.lastSub] = &puller{acked: h.seq, heard: now}
+	h.pullers[h.lastSub] = &puller{acked: h.seq, answered: h.seq, answeredAt: now}
 	if gap {
 		h.gaps++
 	}
@@ -172,19 +193,13 @@ func (h *Hub) joinLocked(gap bool) Answer {
 	return Answer{Inc: h.inc, Seq: h.seq, Sub: h.lastSub, Gap: gap, Bound: h.bound}
 }
 
-// rejoinLocked answers a cursor the hub cannot vouch for: the puller sub,
-// if the hub still has it, is forgotten and joins again, told of a gap.
-func (h *Hub) rejoinLocked(sub uint64) Answer {
-	delete(h.pullers, sub)
-	return h.joinLocked(true)
-}
-
 // vouchesLocked returns c's puller when the hub can serve the events after
 // c: c is this incarnation's, its puller has not been dropped, and its ack
-// is neither ahead of the sequence nor behind the ring. It returns nil
-// otherwise.
+// is neither ahead of the sequence, nor behind what the hub last answered
+// the puller, nor behind the ring. It returns nil otherwise.
 func (h *Hub) vouchesLocked(c Cursor) *puller {
-	if p := h.pullers[c.Sub]; p != nil && c.Inc == h.inc && c.After <= h.seq && h.seq-c.After <= retain {
+	if p := h.pullers[c.Sub]; p != nil && c.Inc == h.inc && c.After <= h.seq &&
+		c.After >= p.answered && h.seq-c.After <= retain {
 		return p
 	}
 	return nil
@@ -193,9 +208,10 @@ func (h *Hub) vouchesLocked(c Cursor) *puller {
 // Poll answers one poll from cursor c. A zero Sub joins at the current
 // sequence at once. Otherwise c.After acks, and the answer carries the
 // events after it, waiting up to a quarter of the bound for one when there
-// is none yet; a cursor the hub cannot vouch for is answered as a gap at
-// once. A poll whose ctx ends stops waiting; its puller is not dropped at
-// once, since it may still trust an earlier answer (see awaitPullers).
+// is none yet. A cursor the hub cannot vouch for is answered at once as a
+// gap, under a new id; the puller the cursor named, if the hub has it, is
+// left to its deadline, since it may still trust an earlier answer. A poll
+// whose ctx ends stops waiting, and is answered like any other.
 func (h *Hub) Poll(ctx context.Context, c Cursor) Answer {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -205,9 +221,8 @@ func (h *Hub) Poll(ctx context.Context, c Cursor) Answer {
 	}
 	p := h.vouchesLocked(c)
 	if p == nil {
-		return h.rejoinLocked(c.Sub)
+		return h.joinLocked(true)
 	}
-	p.heard = time.Now()
 	if c.After > p.acked {
 		p.acked = c.After
 		h.notifyLocked()
@@ -228,15 +243,15 @@ func (h *Hub) Poll(ctx context.Context, c Cursor) Answer {
 		}
 		hold.Stop()
 		p.parked--
-		p.heard = time.Now()
-		if h.vouchesLocked(c) == nil {
-			return h.rejoinLocked(c.Sub)
+		if h.vouchesLocked(c) != p {
+			return h.joinLocked(true)
 		}
 	}
 	evs := make([]Event, 0, h.seq-c.After)
 	for s := c.After + 1; s <= h.seq; s++ {
 		evs = append(evs, h.ring[s%retain])
 	}
+	p.answered, p.answeredAt = h.seq, time.Now()
 	return Answer{Inc: h.inc, Seq: h.seq, Sub: c.Sub, Bound: h.bound, Events: evs}
 }
 
@@ -287,6 +302,11 @@ func (h *Hub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	a := h.Poll(r.Context(), c)
+	if a.Sub == 0 {
+		w.Header().Set("Retry-After", "1")
+		http.Error(w, "the hub has as many pullers as it takes", http.StatusServiceUnavailable)
+		return
+	}
 	out := wireAnswer{Inc: a.Inc, Seq: a.Seq, Sub: a.Sub, Gap: a.Gap, Bound: a.Bound.Milliseconds(),
 		Events: make([]wireEvent, len(a.Events))}
 	for i, ev := range a.Events {
@@ -298,8 +318,10 @@ func (h *Hub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // Poll sends one poll from c to the stream at streamURL (an origin's base
-// URL followed by EventsPath). It returns ErrNoStream when nothing serves a
-// stream there: a 404 or 405, or an answer that is not JSON.
+// URL followed by EventsPath). It returns ErrNoStream when the answer says
+// nothing serves a stream there: a client error other than 408 or 429, or
+// a 200 that is not JSON. A server error, such as a hub refusing a join, is
+// an ordinary error.
 func Poll(ctx context.Context, client *http.Client, streamURL string, c Cursor) (Answer, error) {
 	u := streamURL
 	if c.Sub != 0 {
@@ -318,12 +340,12 @@ func Poll(ctx context.Context, client *http.Client, streamURL string, c Cursor) 
 		return Answer{}, err
 	}
 	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-	case http.StatusNotFound, http.StatusMethodNotAllowed:
-		return Answer{}, ErrNoStream
+	switch code := resp.StatusCode; {
+	case code == http.StatusOK:
+	case code >= 400 && code < 500 && code != http.StatusRequestTimeout && code != http.StatusTooManyRequests:
+		return Answer{}, fmt.Errorf("%w (status %d)", ErrNoStream, code)
 	default:
-		return Answer{}, fmt.Errorf("coherency: poll: status %d", resp.StatusCode)
+		return Answer{}, fmt.Errorf("coherency: poll: status %d", code)
 	}
 	if mt, _, _ := mime.ParseMediaType(resp.Header.Get("Content-Type")); mt != "application/json" {
 		return Answer{}, ErrNoStream

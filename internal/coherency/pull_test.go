@@ -21,7 +21,7 @@ import (
 	"dpcache/internal/site"
 )
 
-func newPullHub(t *testing.T) *coherency.Hub {
+func newPullHub(t testing.TB) *coherency.Hub {
 	t.Helper()
 	mon, err := bem.New(bem.Config{Capacity: 8})
 	if err != nil {
@@ -120,8 +120,8 @@ func TestPullWriteReturnsOnlyAfterAck(t *testing.T) {
 	}
 }
 
-// A puller that goes silent is dropped once the bound has passed since it
-// was last heard from; the write then returns, and the puller's next poll
+// A puller that goes silent is dropped once the bound has passed since the
+// hub last answered it; the write then returns, and the puller's next poll
 // is answered as a gap at the hub's sequence.
 func TestPullSilentPullerDropped(t *testing.T) {
 	const bound = 100 * time.Millisecond
@@ -431,5 +431,219 @@ func TestPullSilentPullersPrunedOnJoin(t *testing.T) {
 	join(t, hub)
 	if st := hub.Stats(); st.Pullers != 1 || st.Drops != 3 {
 		t.Fatalf("stats %+v, want the three silent pullers dropped", st)
+	}
+}
+
+// A poll that does not ack what the hub's last answer carried is answered
+// as a gap, under a new id, and the puller it was keeps its deadline: the
+// write waits for the bound after the answer that carried its event, as the
+// puller may be trusting an earlier answer until close to then.
+func TestPullPollThatDoesNotAckIsAGap(t *testing.T) {
+	const bound = 200 * time.Millisecond
+	hub := newPullHub(t)
+	coherency.SetBound(hub, bound)
+	c := join(t, hub)
+	done := broadcast(hub, 6)
+	start := time.Now()
+	if ans := hub.Poll(context.Background(), c); len(ans.Events) != 1 {
+		t.Fatalf("answer %+v, want the one event", ans)
+	}
+	for i := 0; i < 3; i++ { // the same poll again, and again: never an ack
+		again := hub.Poll(context.Background(), c)
+		if !again.Gap || again.Sub == c.Sub || len(again.Events) != 0 {
+			t.Fatalf("a poll that did not ack was answered %+v, want a gap under a new id", again)
+		}
+	}
+	<-done
+	if took := time.Since(start); took < bound {
+		t.Fatalf("the write returned %v after its event was answered; the puller is trusted up to %v", took, bound*3/4)
+	} else if took > 10*bound {
+		t.Fatalf("the write waited %v: polls without an ack pushed the deadline on", took)
+	}
+	if st := hub.Stats(); st.Drops != 1 || st.AckedThrough != 1 {
+		t.Fatalf("stats %+v, want the puller that never acked dropped", st)
+	}
+}
+
+// A hub keeps at most MaxPullers pullers: the next join is refused, over
+// HTTP with a status the client takes for a passing fault, until the bound
+// has passed and the silent ones are dropped.
+func TestPullHubRefusesJoinsPastMaxPullers(t *testing.T) {
+	const bound = 100 * time.Millisecond
+	hub := newPullHub(t)
+	coherency.SetBound(hub, bound)
+	for i := 0; i < coherency.MaxPullers; i++ {
+		join(t, hub)
+	}
+	if a := hub.Poll(context.Background(), coherency.Cursor{}); a.Sub != 0 {
+		t.Fatalf("join %d answered %+v, want it refused", coherency.MaxPullers+1, a)
+	}
+	srv := httptest.NewServer(hub)
+	defer srv.Close()
+	if _, err := coherency.Poll(context.Background(), srv.Client(), srv.URL, coherency.Cursor{}); err == nil || errors.Is(err, coherency.ErrNoStream) {
+		t.Fatalf("a refused join over HTTP: err = %v, want a passing error", err)
+	}
+	time.Sleep(bound)
+	join(t, hub)
+	if st := hub.Stats(); st.Pullers != 1 || st.Drops != coherency.MaxPullers {
+		t.Fatalf("stats %+v, want the silent pullers dropped and one joined", st)
+	}
+}
+
+// lossyStream fails polls of the stream it fronts (503, the hub never sees
+// them) to a script: once armed at the hub's sequence, it fails every poll
+// until a write is numbered, then one more, lets the next through and fails
+// every poll after it, the ack included.
+type lossyStream struct {
+	origin http.Handler
+	hub    *coherency.Hub
+
+	mu                     sync.Mutex
+	armed, passed          bool
+	seq0                   uint64
+	failedBefore, failedIn int
+}
+
+func (l *lossyStream) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path == coherency.EventsPath && !l.pass() {
+		http.Error(w, "lost", http.StatusServiceUnavailable)
+		return
+	}
+	l.origin.ServeHTTP(w, r)
+}
+
+func (l *lossyStream) pass() bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	switch {
+	case !l.armed:
+		return true
+	case l.hub.Seq() == l.seq0:
+		l.failedBefore++
+		return false
+	case l.failedIn == 0:
+		l.failedIn++
+		return false
+	case !l.passed:
+		l.passed = true
+		return true
+	}
+	return false
+}
+
+func (l *lossyStream) arm() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.armed, l.seq0 = true, l.hub.Seq()
+}
+
+func (l *lossyStream) disarm() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.armed = false
+}
+
+func (l *lossyStream) failures() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.failedBefore
+}
+
+// A poll fails, a write lands, the retry fails too, the next retry is
+// answered with the write's event, and the ack is lost: the write returns
+// only once the proxy no longer trusts the answer that carried it, and the
+// proxy's next poll that reaches the hub is a gap. Had the hub timed its
+// drop from the write rather than from its last answer, the write would
+// return while the proxy still leased, and a second write would find no
+// puller at all.
+func TestPullLostAckAfterALateRetry(t *testing.T) {
+	const bound = 400 * time.Millisecond
+	srv, repo := streamOrigin(t, bound)
+	hub := srv.Hub()
+	front := &lossyStream{origin: srv, hub: hub}
+	ts := httptest.NewServer(front)
+	defer ts.Close()
+	p := newProxy(t, nil, func(c *dpc.Config) { c.OriginURL, c.Capacity, c.Strict = ts.URL, 64, true })
+	if err := p.Join(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	f := follow(p)
+	defer f.kill()
+	for i := 0; ; i++ {
+		rec := httptest.NewRecorder()
+		p.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/page/synth?page=0", nil))
+		if rec.Header().Get("X-Cache") == "LEASE" {
+			break
+		}
+		if i == 8 {
+			t.Fatal("the proxy never leased the page")
+		}
+	}
+
+	front.arm()
+	waitFor(t, "a poll to fail", func() bool { return front.failures() > 0 })
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		site.TouchFragment(repo, 0, "written between two failed polls")
+	}()
+	<-done
+	if fabricLive(t, p) {
+		t.Fatal("the write returned while the proxy still trusted an answer, and its ack never reached the hub")
+	}
+	if cursor := fabricCursor(t, p); cursor != hub.Seq() {
+		t.Fatalf("the proxy's cursor is %d, the hub's sequence %d: the answer with the write never reached it", cursor, hub.Seq())
+	}
+	if st := hub.Stats(); st.Drops != 1 {
+		t.Fatalf("hub %+v, want the proxy dropped", st)
+	}
+	front.disarm()
+	waitFor(t, "the gap", func() bool { return counter(p, "dpc.fabric_gaps") == 1 })
+}
+
+// fabricLive reads whether the proxy is live on the fabric from its
+// /_dpc/stats.
+func fabricLive(t *testing.T, p *dpc.Proxy) bool {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	p.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/_dpc/stats", nil))
+	var out struct {
+		Fabric struct {
+			Attached bool `json:"attached"`
+		} `json:"fabric"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+		t.Fatal(err)
+	}
+	return out.Fabric.Attached
+}
+
+// BenchmarkBroadcastToPuller is what a broadcast costs the write that makes
+// it: with no subscriber, with one proxy pushed to in process, and with one
+// proxy following the stream over loopback HTTP, where the broadcast
+// returns only once the proxy's next poll has acked it.
+func BenchmarkBroadcastToPuller(b *testing.B) {
+	for _, how := range []string{"none", "pushed", "pulled"} {
+		b.Run(how, func(b *testing.B) {
+			hub := newPullHub(b)
+			p := newProxy(b, nil)
+			switch how {
+			case "pushed":
+				hub.Subscribe(p)
+			case "pulled":
+				ts := httptest.NewServer(hub)
+				defer ts.Close()
+				p = newProxy(b, nil, func(c *dpc.Config) { c.OriginURL = ts.URL })
+				if err := p.Join(context.Background()); err != nil {
+					b.Fatal(err)
+				}
+				f := follow(p)
+				defer f.kill()
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				hub.Broadcast("f", uint32(i%8), uint32(i+1))
+			}
+		})
 	}
 }

@@ -183,30 +183,53 @@ func (p *Proxy) Join(ctx context.Context) error {
 // and the page tier's answers to identified visitors (live), before the hub
 // can drop it. A proxy the hub dropped, or whose origin restarted, is
 // answered a gap: it flushes every tier, as for lost events, and goes on
-// from the hub's sequence. Follow returns nil when ctx ends, and
-// coherency.ErrNoStream when the origin stops serving a stream; either way
+// from the hub's sequence. Until the stream has answered once, the retries
+// back off (retryAfter), and an answer that says the origin serves no
+// stream is final: Follow returns coherency.ErrNoStream. After that, such
+// an answer is one more failed poll (an origin restarting behind a
+// balancer, say). Follow returns nil when ctx ends. Once it has returned,
 // the proxy is no longer live on the fabric.
 func (p *Proxy) Follow(ctx context.Context) error {
 	// A proxy that no longer follows no longer trusts what it heard.
 	defer p.fabric.trusted.Store(1)
 	client := &http.Client{Transport: p.client.Transport}
+	var wait time.Duration
 	for {
 		err := p.pull(ctx, client)
-		switch {
-		case ctx.Err() != nil:
+		if ctx.Err() != nil {
 			return nil
-		case errors.Is(err, coherency.ErrNoStream):
-			return err
-		case err != nil:
-			_, trust := p.position()
-			t := time.NewTimer(trust / 3)
-			select {
-			case <-ctx.Done():
-			case <-t.C:
-			}
-			t.Stop()
 		}
+		if err == nil {
+			wait = 0
+			continue
+		}
+		c, trust := p.position()
+		if c.Sub == 0 && errors.Is(err, coherency.ErrNoStream) {
+			return err
+		}
+		wait = retryAfter(wait, trust, c.Sub != 0)
+		t := time.NewTimer(wait)
+		select {
+		case <-ctx.Done():
+		case <-t.C:
+		}
+		t.Stop()
 	}
+}
+
+// maxRetry caps the back-off of Follow's retries against an origin whose
+// stream has never answered.
+const maxRetry = 30 * time.Second
+
+// retryAfter is how long Follow waits after a failed poll, the one before
+// it (if it failed too) having waited prev: a third of the trust, so a
+// stream that has answered is asked again before its trust lapses, and,
+// while the stream never has, twice prev up to maxRetry.
+func retryAfter(prev, trust time.Duration, answered bool) time.Duration {
+	if answered || prev == 0 {
+		return trust / 3
+	}
+	return min(2*prev, maxRetry)
 }
 
 // position is the proxy's cursor in the stream, its ack included, and the

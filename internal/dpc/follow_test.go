@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -191,5 +193,127 @@ func TestPulledProxyLeasesOnlyWhileTrusted(t *testing.T) {
 				t.Fatalf("%d gaps", n)
 			}
 		})
+	}
+}
+
+// fakeStream answers polls of the event stream as a hub with a 40ms bound
+// and no events would, after a 5ms hold, or with the status or page set in
+// fail.
+type fakeStream struct {
+	fail  atomic.Pointer[func(http.ResponseWriter)]
+	polls atomic.Int64
+}
+
+func (s *fakeStream) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	s.polls.Add(1)
+	if f := s.fail.Load(); f != nil {
+		(*f)(w)
+		return
+	}
+	time.Sleep(5 * time.Millisecond)
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = io.WriteString(w, `{"inc":1,"seq":0,"sub":1,"bound_ms":40,"events":[]}`)
+}
+
+func (s *fakeStream) set(f func(http.ResponseWriter)) {
+	if f == nil {
+		s.fail.Store(nil)
+		return
+	}
+	s.fail.Store(&f)
+}
+
+// An origin that says it serves no stream before its stream ever answered —
+// any client error, or a page that is not JSON — leaves the proxy off the
+// fabric for good. Once the stream has answered, the same answer is one more
+// failed poll: Follow retries, and the next answer makes the proxy live
+// again.
+func TestPulledProxyTakesNoStreamAsFinalOnlyBeforeAnAnswer(t *testing.T) {
+	notFound := func(w http.ResponseWriter) { http.Error(w, "no", http.StatusNotFound) }
+	noStream := map[string]func(http.ResponseWriter){
+		"404":  notFound,
+		"401":  func(w http.ResponseWriter) { http.Error(w, "no", http.StatusUnauthorized) },
+		"403":  func(w http.ResponseWriter) { http.Error(w, "no", http.StatusForbidden) },
+		"400":  func(w http.ResponseWriter) { http.Error(w, "no", http.StatusBadRequest) },
+		"html": func(w http.ResponseWriter) { _, _ = io.WriteString(w, "<html>") },
+	}
+	newFollower := func(s *fakeStream) *Proxy {
+		p, err := New(Config{OriginURL: "http://origin.invalid", Capacity: 8, Strict: true,
+			Transport: &heldLink{origin: s}, PublishInterval: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { p.Close() })
+		return p
+	}
+	for name, f := range noStream {
+		s := &fakeStream{}
+		s.set(f)
+		p := newFollower(s)
+		if err := p.Join(context.Background()); !errors.Is(err, coherency.ErrNoStream) {
+			t.Errorf("%s before any answer: Join = %v, want ErrNoStream", name, err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		if err := p.Follow(ctx); !errors.Is(err, coherency.ErrNoStream) {
+			t.Errorf("%s before any answer: Follow = %v, want ErrNoStream (nil: it kept polling)", name, err)
+		}
+		cancel()
+	}
+
+	s := &fakeStream{}
+	p := newFollower(s)
+	if err := p.Join(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- p.Follow(ctx) }()
+	for name, f := range noStream {
+		errs := p.Registry().Counter("dpc.fabric_poll_errors").Value()
+		s.set(f)
+		for deadline := time.Now().Add(5 * time.Second); p.Registry().Counter("dpc.fabric_poll_errors").Value() < errs+2; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s after an answer: the proxy stopped polling", name)
+			}
+		}
+		s.set(nil)
+		select {
+		case err := <-done:
+			t.Fatalf("%s after an answer: Follow returned %v", name, err)
+		default:
+		}
+		for deadline := time.Now().Add(5 * time.Second); !p.fabric.live(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s after an answer: the proxy never came back on the fabric", name)
+			}
+		}
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("Follow = %v", err)
+	}
+	if n := p.Registry().Counter("dpc.fabric_gaps").Value(); n != 0 {
+		t.Fatalf("%d gaps", n)
+	}
+}
+
+// Follow retries a failed poll after a third of the trust once the stream
+// has answered, so that the retry comes before the trust lapses; while it
+// never has, each retry waits twice as long as the one before, up to
+// maxRetry.
+func TestPulledProxyBacksOffUntilAnswered(t *testing.T) {
+	const trust = 1500 * time.Millisecond
+	var waits []time.Duration
+	for w, i := time.Duration(0), 0; i < 8; i++ {
+		w = retryAfter(w, trust, false)
+		waits = append(waits, w)
+	}
+	want := []time.Duration{500 * time.Millisecond, time.Second, 2 * time.Second, 4 * time.Second,
+		8 * time.Second, 16 * time.Second, maxRetry, maxRetry}
+	if !reflect.DeepEqual(waits, want) {
+		t.Fatalf("waits before an answer %v, want %v", waits, want)
+	}
+	if w := retryAfter(8*time.Second, trust, true); w != trust/3 {
+		t.Fatalf("wait after an answer = %v, want %v", w, trust/3)
 	}
 }

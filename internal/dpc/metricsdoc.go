@@ -50,7 +50,7 @@ func MetricCatalog() []MetricDoc {
 		{"dpc.lease_gap_voids", "counter", "a lease was cleared by a sequence gap, with the tiers"},
 		// The origin's event stream, pulled (Follow).
 		{"dpc.fabric_polls", "counter", "a poll of the origin's event stream (coherency.EventsPath) was sent: answered, failed or cut off by its deadline"},
-		{"dpc.fabric_poll_errors", "counter", "a poll of the event stream brought no answer (the origin unreachable, an error status, or the poll's deadline); the proxy retries, and stops leasing once its last answer is no longer trusted"},
+		{"dpc.fabric_poll_errors", "counter", "a poll of the event stream brought no answer (the origin unreachable, an error status, a page that is not the stream, or the poll's deadline); the proxy retries, and stops leasing once its last answer is no longer trusted"},
 		{"dpc.fabric_gaps", "counter", "the event stream answered a poll with a gap — the hub had dropped the proxy, restarted, or could not serve its cursor — and the proxy flushed every tier and cleared its leases (each also counts in dpc.pagecache_gap_flushes)"},
 		{"dpc.page_bytes", "counter", "assembled page bytes produced (cumulative)"},
 		{"dpc.gets", "counter", "GET instructions executed against the fragment store"},

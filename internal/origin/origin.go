@@ -53,6 +53,11 @@
 // fragment's ID with its slot and generation: nothing a proxy that
 // assembles the templates, personal fragments included, does not already
 // see. Polls are neither counted as page requests nor fault-injected.
+// Whoever reaches the stream can delay the origin: a follower that never
+// acks holds each BEM invalidation — and the BEM invalidates inside page
+// requests too, on expiry, eviction and stale reports — until the hub drops
+// it, and the hub takes at most coherency.MaxPullers followers. Serve a
+// Server with a Monitor only to its proxies.
 package origin
 
 import (
