@@ -2,6 +2,7 @@ package dpc
 
 import (
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -423,13 +424,30 @@ func coalesceKey(r *http.Request) string {
 // tier key, and every tier key begins with the URI and a NUL (see
 // PageKeyPrefix).
 func coalesceKeyAs(r *http.Request, method string) string {
+	return buildKey(r, method, false)
+}
+
+// buildKey writes the URI, a NUL, method and each of the identity headers
+// after a NUL of its own — blank, for the page identity headers, when
+// anonymous — in one allocation.
+func buildKey(r *http.Request, method string, anonymous bool) string {
+	uri := r.URL.RequestURI()
+	n := len(uri) + 1 + len(method) + len(coalesceIdentityHeaders)
+	for _, h := range coalesceIdentityHeaders {
+		if !anonymous || !slices.Contains(pageIdentityHeaders, h) {
+			n += len(r.Header.Get(h))
+		}
+	}
 	var b strings.Builder
-	b.WriteString(r.URL.RequestURI())
+	b.Grow(n)
+	b.WriteString(uri)
 	b.WriteByte(0)
 	b.WriteString(method)
 	for _, h := range coalesceIdentityHeaders {
 		b.WriteByte(0)
-		b.WriteString(r.Header.Get(h))
+		if !anonymous || !slices.Contains(pageIdentityHeaders, h) {
+			b.WriteString(r.Header.Get(h))
+		}
 	}
 	return b.String()
 }

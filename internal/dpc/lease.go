@@ -13,7 +13,6 @@ import (
 
 	"dpcache/internal/fragstore"
 	"dpcache/internal/metrics"
-	"dpcache/internal/tmplplan"
 	"dpcache/internal/trace"
 )
 
@@ -51,7 +50,7 @@ import (
 // the request goes on to the origin with the ordinary offer.
 
 const (
-	// leaseBuckets × leaseWays slots of 80 bytes: 1.25 MiB however many
+	// leaseBuckets × leaseWays slots of 64 bytes: 1 MiB however many
 	// keys pass through. A lease is filed under the visitor's fetch key,
 	// whatever its scope: a page-scoped grant reaches the page's other
 	// visitors through the page tier.
@@ -75,11 +74,11 @@ const (
 
 // lease is one filed grant. A zero key is an empty slot.
 type lease struct {
-	key       string          // the fetch key, compared in full
-	digest    tmplplan.Digest // the template, whose plan runs in its place
-	ctype     string          // the origin answer's Content-Type
-	deadline  int64           // end of term, in the proxy clock's UnixNano
-	cacheable bool            // the origin answer let the page rule file the page (pageCacheable)
+	key       string // the fetch key, compared in full
+	plan      string // the template's plan-cache key (tmplplan.Plan.Key), whose plan runs in its place
+	ctype     string // the origin answer's Content-Type
+	deadline  int64  // end of term, in the proxy clock's UnixNano
+	cacheable bool   // the origin answer let the page rule file the page (pageCacheable)
 }
 
 // leaseTable is the fixed-size key → lease memory. One mutex covers it, and
@@ -212,56 +211,66 @@ func (p *Proxy) leasing(r *http.Request) bool {
 		r.ContentLength == 0 && len(r.TransferEncoding) == 0
 }
 
-// useLease lets a live lease filed under the request's fetch key stand in
-// for its origin fetch: the plan it names becomes the request's held plan,
-// for assemble to run as it runs a template answered by reference. A lease
-// found past its term or without its plan is voided, and the request
-// fetches.
-func (p *Proxy) useLease(rs *reqState) bool {
-	if !p.leasing(rs.r) {
-		return false
-	}
-	l, ok := p.leases.get(rs.flightKey())
+// serveLease serves the request from the lease filed under its fetch key,
+// beside the tier probe and ahead of admission and the flight, since it asks
+// the origin nothing: the plan the lease holds runs whole, and the request
+// goes to respond. A page-rule capture the pagecache stage attached tees the
+// page, and is refused once the page has gone out if the answer that granted
+// the lease forbade caching. A lease found void — past its term, without its
+// plan, or with a ref that does not resolve — is dropped, and the request
+// goes on to the origin as a miss.
+func (p *Proxy) serveLease(rs *reqState) (stageOutcome, error) {
+	l, ok := p.useLease(rs)
 	if !ok {
-		return false
+		return stageNext, nil
 	}
-	if p.clk.Now().UnixNano() >= l.deadline {
-		p.voidLease(rs, voidExpired)
-		return false
+	_, err := p.assemblePage(rs, nil, 0, wholePage)
+	if errors.Is(err, ErrStale) && !rs.streamed {
+		// Held whole, the run committed nothing.
+		p.voidLease(rs, voidFloor)
+		rs.ctype, rs.cacheState = "", ""
+		return stageNext, nil
 	}
-	plan := p.plans.Lookup(l.digest)
-	if plan == nil {
-		p.voidLease(rs, voidPlan)
-		return false
+	if err != nil {
+		return stageNext, err
 	}
-	rs.held = plan
-	rs.ctype, rs.cacheState = l.ctype, "LEASE"
+	p.leases.hits.Inc()
 	if rs.pageCapture != nil && !l.cacheable {
 		rs.pageCapture.refuse()
 	}
+	return stageRespond, nil
+}
+
+// useLease finds a live lease filed under the request's fetch key and makes
+// the plan it names the request's held plan, for assemble to run as it runs
+// a template answered by reference. A lease found past its term or without
+// its plan is voided.
+func (p *Proxy) useLease(rs *reqState) (lease, bool) {
+	if !p.leasing(rs.r) {
+		return lease{}, false
+	}
+	l, ok := p.leases.get(rs.flightKey())
+	if !ok {
+		return lease{}, false
+	}
+	if p.clk.Now().UnixNano() >= l.deadline {
+		p.voidLease(rs, voidExpired)
+		return lease{}, false
+	}
+	plan := p.plans.LookupKey(l.plan)
+	if plan == nil {
+		p.voidLease(rs, voidPlan)
+		return lease{}, false
+	}
+	rs.held = plan
+	rs.ctype, rs.cacheState = l.ctype, "LEASE"
 	rs.span.Event(trace.KindHit, "origin", "lease:hit", 0)
-	return true
+	return l, true
 }
 
 func (p *Proxy) voidLease(rs *reqState, cause string) {
 	p.leases.void(rs.flightKey(), cause)
 	rs.span.Event(trace.KindMiss, "origin", "lease:void:"+cause, 0)
-}
-
-// assembleLease runs the plan a lease holds, held whole so that a ref that
-// does not resolve leaves nothing committed. served is false when the lease
-// turned out void — the caller then fetches from the origin — and true when
-// the page went out, or err says why it did not.
-func (p *Proxy) assembleLease(rs *reqState) (served bool, err error) {
-	_, err = p.assemblePage(rs, nil, 0, wholePage)
-	if errors.Is(err, ErrStale) && !rs.streamed {
-		p.voidLease(rs, voidFloor)
-		return false, nil
-	}
-	if err == nil {
-		p.leases.hits.Inc()
-	}
-	return true, err
 }
 
 // grantLease files the lease an answer by reference carries (HeaderLease)
@@ -295,7 +304,7 @@ func (p *Proxy) grantLease(rs *reqState, resp *http.Response, start time.Time, e
 	}
 	l := lease{
 		key:       rs.flightKey(),
-		digest:    rs.held.Digest(),
+		plan:      rs.held.Key(),
 		ctype:     resp.Header.Get("Content-Type"),
 		deadline:  start.Add(term).UnixNano(),
 		cacheable: pageCacheable(resp.Header),

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net/http"
-	"slices"
 	"strings"
 	"time"
 
@@ -15,7 +14,9 @@ import (
 )
 
 // The pagecache stage is the proxy's one whole-response tier, mounted
-// ahead of coalesce. An entry gets in by one of two admission rules, and
+// ahead of admission and coalesce; a request the tier misses may still be
+// served there by its lease (lease.go). An entry gets in by one of two
+// admission rules, and
 // both fill through the same tee, the same record (voided) and the same
 // store:
 //
@@ -37,7 +38,8 @@ import (
 //     the page there for every visitor, whoever asked; every other
 //     identified request bypasses the rule.
 //
-// A lookup probes the opt-in key, then the page key; a response is filed
+// A lookup probes the opt-in key, then the page key, while the tier holds
+// any entry at all; a response is filed
 // under one of them, the opt-in winning. The TTL bounds the staleness of
 // content the BEM never tracks. Each entry carries its record — the epoch
 // its capture began under, the end of the page-scoped grant it was built
@@ -100,29 +102,8 @@ func anonymousSession(r *http.Request) bool {
 func pageKey(r *http.Request) string { return coalesceKey(r) }
 
 // anonymousPageKey is pageKey of r with its identity headers blanked: the
-// entry an anonymous visitor sending r's other headers is served. It is
-// built in one allocation.
-func anonymousPageKey(r *http.Request) string {
-	uri := r.URL.RequestURI()
-	n := len(uri) + 1 + len(http.MethodGet) + len(coalesceIdentityHeaders)
-	for _, h := range coalesceIdentityHeaders {
-		if !slices.Contains(pageIdentityHeaders, h) {
-			n += len(r.Header.Get(h))
-		}
-	}
-	var b strings.Builder
-	b.Grow(n)
-	b.WriteString(uri)
-	b.WriteByte(0)
-	b.WriteString(http.MethodGet)
-	for _, h := range coalesceIdentityHeaders {
-		b.WriteByte(0)
-		if !slices.Contains(pageIdentityHeaders, h) {
-			b.WriteString(r.Header.Get(h))
-		}
-	}
-	return b.String()
-}
+// entry an anonymous visitor sending r's other headers is served.
+func anonymousPageKey(r *http.Request) string { return buildKey(r, http.MethodGet, true) }
 
 // PageKeyPrefix returns the tier's store-key prefix shared by every entry
 // for one request URI, under either admission rule and in every variant:
@@ -219,6 +200,9 @@ type tierHit struct {
 // control may still serve them); a positive one reads entries up to stale
 // past their TTL.
 func (p *Proxy) probe(rs *reqState, pkey string, stale time.Duration) (hit tierHit, ok bool) {
+	if p.pages.Len() == 0 {
+		return tierHit{}, false // nothing is filed under either key
+	}
 	if hit, ok = p.tierGet(rs, staticKey(rs.r), ruleStatic, stale); ok || pkey == "" {
 		return hit, ok
 	}
@@ -304,9 +288,22 @@ func le32(s string) uint32 {
 	return uint32(s[0]) | uint32(s[1])<<8 | uint32(s[2])<<16 | uint32(s[3])<<24
 }
 
+// stagePageCache answers the request from the whole-response tier, or else
+// from its lease (serveLease): both serve without asking the origin. Only a
+// request neither answers goes on to admission, the flight and the origin.
 func (p *Proxy) stagePageCache(rs *reqState) (stageOutcome, error) {
+	if p.lookupTier(rs) {
+		return stageRespond, nil
+	}
+	return p.serveLease(rs)
+}
+
+// lookupTier probes the tier for a GET or HEAD and serves a hit, reporting
+// whether it did; on a page-rule miss it attaches the capture that files the
+// response.
+func (p *Proxy) lookupTier(rs *reqState) (served bool) {
 	if rs.r.Method != http.MethodGet && rs.r.Method != http.MethodHead {
-		return stageNext, nil
+		return false
 	}
 	page, identified := p.pageRule(rs.r)
 	if p.admit != nil && isReval(rs.r.Context()) {
@@ -317,7 +314,7 @@ func (p *Proxy) stagePageCache(rs *reqState) (stageOutcome, error) {
 		if page {
 			p.admitFill(rs, pageKey(rs.r), p.pageTTL, rulePage, p.fabric.epoch.Load())
 		}
-		return stageNext, nil
+		return false
 	}
 	epoch := p.fabric.epoch.Load()
 	var pkey string
@@ -330,25 +327,25 @@ func (p *Proxy) stagePageCache(rs *reqState) (stageOutcome, error) {
 	switch hit, ok := p.probe(rs, pkey, 0); {
 	case ok && (!identified || hit.rule == ruleStatic):
 		p.serveHit(rs, hit, "")
-		return stageRespond, nil
+		return true
 	case ok && p.granted(hit.Record):
 		// An identified visitor's hit: the page was built under a
 		// page-scoped grant that has not ended.
-		p.reg.Counter("dpc.pagecache_identity_hits").Inc()
+		p.m.pageIdentityHits.Inc()
 		p.serveHit(rs, hit, "lease:page")
-		return stageRespond, nil
+		return true
 	case identified:
-		p.reg.Counter("dpc.pagecache_bypass_identity").Inc()
+		p.m.pageBypassIdentity.Inc()
 		rs.span.Event(trace.KindBypass, rulePage, "identity", 0)
-		return stageNext, nil
+		return false
 	case pkey == "":
 		rs.span.Event(trace.KindMiss, ruleStatic, "", 0)
-		return stageNext, nil
+		return false
 	}
-	p.reg.Counter("dpc.pagecache_misses").Inc()
+	p.m.pageMisses.Inc()
 	rs.span.Event(trace.KindMiss, rulePage, "", 0)
 	p.admitFill(rs, pkey, p.pageTTL, rulePage, epoch)
-	return stageNext, nil
+	return false
 }
 
 // serveHit answers the request from a fresh tier entry, with a 304 when the
@@ -356,12 +353,12 @@ func (p *Proxy) stagePageCache(rs *reqState) (stageOutcome, error) {
 // "lease:page" for an identified visitor's, served under the page-scoped
 // grant the entry was built under.
 func (p *Proxy) serveHit(rs *reqState, hit tierHit, note string) {
-	p.reg.Counter("dpc.pagecache_hits").Inc()
+	p.m.pageHits.Inc()
 	if hit.ETag != "" && etagMatches(rs.r, hit.ETag) {
 		// Conditional hit: the client already holds these bytes. A
 		// 304 carries the tag back and nothing else — zero body
 		// bytes for a revalidation of a surviving entry.
-		p.reg.Counter("dpc.pagecache_304s").Inc()
+		p.m.page304s.Inc()
 		if note != "" {
 			note += ":"
 		}
@@ -448,7 +445,7 @@ func (p *Proxy) fillTier(rs *reqState) {
 		return
 	}
 	if c.status != http.StatusOK || c.overflow || c.uncacheable {
-		p.reg.Counter("dpc.pagecache_uncacheable").Inc()
+		p.m.pageUncacheable.Inc()
 		rs.span.Event(trace.KindBypass, rs.fillRule, "uncacheable", 0)
 		return
 	}
@@ -482,7 +479,7 @@ func (p *Proxy) fillTier(rs *reqState) {
 		return
 	}
 	p.pages.PutTagged(rs.fillKey, body, ctype, pageETag(body, ctype), record, rs.fillTTL)
-	p.reg.Counter("dpc.pagecache_fills").Inc()
+	p.m.pageFills.Inc()
 	rs.span.Event(trace.KindFill, rs.fillRule, "", int64(len(body)))
 }
 

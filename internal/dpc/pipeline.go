@@ -25,10 +25,11 @@ import (
 //
 // Each stage owns a latency histogram (dpc.stage.<name>.latency) so
 // per-stage cost is observable from /_dpc/stats, and each can short-circuit
-// the rest of the pipeline (a tier hit jumps straight to respond; a
-// coalesced follower is served its leader's page). Every served response —
-// hit, miss, coalesced, bypass — is counted exactly once, in the respond
-// stage.
+// the rest of the pipeline (a tier hit or a lease hit jumps straight to
+// respond from pagecache, so only a request that asks the origin meets
+// admission and the flight; a coalesced follower is served its leader's
+// page). Every served response — hit, miss, coalesced, bypass — is counted
+// exactly once, in the respond stage.
 
 // stageOutcome directs the pipeline runner after a stage returns.
 type stageOutcome int
@@ -252,7 +253,7 @@ func (p *Proxy) serveHeadFollower(rs *reqState, f *flight, fol *follower) (stage
 	rs.w.WriteHeader(http.StatusOK)
 	rs.streamed = true // headers committed; respond must not write a body
 	rs.cacheState = "COALESCE-FOLLOWER"
-	p.reg.Counter("dpc.coalesced").Inc()
+	p.m.coalesced.Inc()
 	p.reg.Counter("dpc.coalesce_head_shared").Inc()
 	return stageRespond, nil
 }
@@ -342,7 +343,7 @@ func (p *Proxy) serveFollower(rs *reqState, f *flight, fol *follower) (stageOutc
 			if !committed {
 				commit(c) // empty page or bodyless response
 			}
-			p.reg.Counter("dpc.coalesced").Inc()
+			p.m.coalesced.Inc()
 			return stageRespond, nil
 		}
 		// flightOpen with no bytes: spurious wakeup.
@@ -392,7 +393,7 @@ func (p *Proxy) offerPlan(rs *reqState, req *http.Request) {
 	var have [2 * len(d)]byte
 	hex.Encode(have[:], d[:])
 	req.Header.Set(headerHave, string(have[:]))
-	p.reg.Counter("dpc.template_offers").Inc()
+	p.m.templateOffers.Inc()
 	note := "offer:page"
 	if own {
 		note = "offer:identity"
@@ -519,23 +520,15 @@ func (p *Proxy) originRequest(rs *reqState, bypassStale []StaleRef) (*http.Respo
 		resp.Body.Close()
 		return nil, fmt.Errorf("origin answered %s where no offered template stands for the body", headerSame)
 	default:
-		p.reg.Counter("dpc.template_refs").Inc()
+		p.m.templateRefs.Inc()
 	}
 	return resp, nil
 }
 
-// stageOriginFetch fetches the request from the origin, unless a live lease
-// stands in for the round trip.
+// stageOriginFetch asks the origin and takes its answer in: the tier
+// opt-in, the lease an answer by reference grants, and the template or the
+// plain body.
 func (p *Proxy) stageOriginFetch(rs *reqState) (stageOutcome, error) {
-	if p.useLease(rs) {
-		return stageNext, nil
-	}
-	return p.fetchOrigin(rs)
-}
-
-// fetchOrigin asks the origin and takes its answer in: the tier opt-in, the
-// lease an answer by reference grants, and the template or the plain body.
-func (p *Proxy) fetchOrigin(rs *reqState) (stageOutcome, error) {
 	epoch := p.fabric.epoch.Load() // dates a fill the origin's answer may opt into, and a lease
 	start := p.clk.Now()
 	resp, err := p.originRequest(rs, nil)
@@ -561,7 +554,7 @@ func (p *Proxy) fetchOrigin(rs *reqState) (stageOutcome, error) {
 	if codecName == "" {
 		// Plain response: pass through untouched.
 		defer resp.Body.Close()
-		p.reg.Counter("dpc.plain_passthrough").Inc()
+		p.m.plainPassthrough.Inc()
 		rs.ctype, rs.cacheState = ctype, "MISS"
 		if err := p.relayPlain(rs, resp); err != nil {
 			return stageNext, err
@@ -580,22 +573,13 @@ func (p *Proxy) fetchOrigin(rs *reqState) (stageOutcome, error) {
 // --- assemble ---
 
 func (p *Proxy) recordAssembleStats(st AssembleStats) {
-	p.reg.Counter("dpc.template_bytes").Add(st.TemplateBytes)
-	p.reg.Counter("dpc.page_bytes").Add(st.PageBytes)
-	p.reg.Counter("dpc.gets").Add(int64(st.Gets))
-	p.reg.Counter("dpc.sets").Add(int64(st.Sets))
+	p.m.templateBytes.Add(st.TemplateBytes)
+	p.m.pageBytes.Add(st.PageBytes)
+	p.m.gets.Add(int64(st.Gets))
+	p.m.sets.Add(int64(st.Sets))
 }
 
 func (p *Proxy) stageAssemble(rs *reqState) (stageOutcome, error) {
-	if rs.cacheState == "LEASE" {
-		if served, err := p.assembleLease(rs); served || err != nil {
-			return stageRespond, err
-		}
-		// The lease was void: fetch as if there had been none.
-		if out, err := p.fetchOrigin(rs); out != stageNext || err != nil {
-			return out, err
-		}
-	}
 	resp := rs.resp
 	rs.resp = nil
 	defer resp.Body.Close()
@@ -642,9 +626,9 @@ func (p *Proxy) assemblePage(rs *reqState, body io.Reader, clen int64, max int) 
 	if rs.pageCapture != nil {
 		rs.depRefs = stats.Refs
 	}
-	p.reg.Counter("dpc.assembled").Inc()
+	p.m.assembled.Inc()
 	if early {
-		p.reg.Counter("dpc.streamed").Inc()
+		p.m.streamed.Inc()
 	}
 	return stats, nil
 }
@@ -724,7 +708,7 @@ func (p *Proxy) stageStaleFallback(rs *reqState) (stageOutcome, error) {
 		}
 		return stageRespond, nil
 	}
-	p.reg.Counter("dpc.plain_passthrough").Inc()
+	p.m.plainPassthrough.Inc()
 	if rs.pageCapture != nil {
 		// A plain bypass page was generated by the origin straight from
 		// the repository: it is composed of fragments the proxy cannot
@@ -765,7 +749,7 @@ func (p *Proxy) stageRespond(rs *reqState) (stageOutcome, error) {
 	p.fillTier(rs)
 	// Every served response — hit, miss, coalesced, bypass — is counted
 	// here and nowhere else.
-	p.reg.Counter("dpc.requests").Inc()
-	p.reg.Histogram("dpc.latency").Observe(time.Since(rs.start))
+	p.m.requests.Inc()
+	p.m.latency.Observe(time.Since(rs.start))
 	return stageDone, nil
 }

@@ -92,7 +92,7 @@ func (p *Proxy) assemble(w io.Writer, body io.Reader, clen int64, rs *reqState) 
 	if plan := rs.held; plan != nil {
 		rs.held = nil
 		p.plans.CountHit()
-		p.reg.Counter("dpc.plancache_hits").Inc()
+		p.m.planHits.Inc()
 		sp.Event(trace.KindHit, "plan", "hit:ref", 0)
 		st, err := p.exec.Run(plan, w, sp)
 		st.TemplateBytes = 0
@@ -100,7 +100,7 @@ func (p *Proxy) assemble(w io.Writer, body io.Reader, clen int64, rs *reqState) 
 	}
 	if clen > planMaxTemplate {
 		// Declared too large for a plan: nothing of it needs holding.
-		p.reg.Counter("dpc.plancache_misses").Inc()
+		p.m.planMisses.Inc()
 		sp.Event(trace.KindMiss, "plan", "streamed:oversized", clen)
 		return p.exec.RunStream(body, w, sp)
 	}
@@ -119,14 +119,14 @@ func (p *Proxy) assemble(w io.Writer, body io.Reader, clen int64, rs *reqState) 
 		if err == nil {
 			kind, note := trace.KindHit, "hit"
 			if hit {
-				p.reg.Counter("dpc.plancache_hits").Inc()
+				p.m.planHits.Inc()
 			} else {
 				kind, note = trace.KindMiss, "compile"
-				p.reg.Counter("dpc.plancache_misses").Inc()
-				p.reg.Counter("dpc.plancache_compiles").Inc()
+				p.m.planMisses.Inc()
+				p.m.planCompiles.Inc()
 				if plan.OneOff() {
 					note = "compile:one-off"
-					p.reg.Counter("dpc.plancache_oneoff").Inc()
+					p.m.planOneOff.Inc()
 				}
 			}
 			if rs.hintKey != "" && !plan.OneOff() {
@@ -139,7 +139,7 @@ func (p *Proxy) assemble(w io.Writer, body io.Reader, clen int64, rs *reqState) 
 		// body is at EOF: the decoder meets the corruption in buf.
 		why = "streamed:corrupt"
 	}
-	p.reg.Counter("dpc.plancache_misses").Inc()
+	p.m.planMisses.Inc()
 	sp.Event(trace.KindMiss, "plan", why, int64(len(buf)))
 	return p.exec.RunStream(io.MultiReader(bytes.NewReader(buf), rest), w, sp)
 }

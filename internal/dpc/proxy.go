@@ -202,6 +202,7 @@ type Proxy struct {
 	clk     clock.Clock // Config.Clock, or the real clock
 	client  *http.Client
 	reg     *metrics.Registry
+	m       pathMetrics
 
 	stages     []*Stage
 	respondIdx int
@@ -304,6 +305,7 @@ func New(cfg Config) (*Proxy, error) {
 		clk:     clk,
 		client:  &http.Client{Transport: transport, Timeout: 30 * time.Second},
 		reg:     reg,
+		m:       newPathMetrics(reg),
 		spool:   spool,
 	}
 	p.fabric.register(reg)
@@ -338,6 +340,50 @@ func New(cfg Config) (*Proxy, error) {
 		go p.publishLoop(interval)
 	}
 	return p, nil
+}
+
+// pathMetrics are the metrics a served request moves, looked up once: the
+// registry takes a mutex per look-up. Those of the rarer paths — overload,
+// errors mid-stream, coalescing's fallbacks — are looked up where they move.
+type pathMetrics struct {
+	requests, errors                               *metrics.Counter
+	latency                                        *metrics.Histogram
+	templateBytes, pageBytes, gets, sets           *metrics.Counter
+	assembled, streamed, plainPassthrough          *metrics.Counter
+	templateOffers, templateRefs                   *metrics.Counter
+	planHits, planMisses, planCompiles, planOneOff *metrics.Counter
+	pageHits, pageMisses, pageFills, page304s      *metrics.Counter
+	pageIdentityHits, pageBypassIdentity           *metrics.Counter
+	pageUncacheable, coalesced                     *metrics.Counter
+}
+
+func newPathMetrics(reg *metrics.Registry) pathMetrics {
+	return pathMetrics{
+		requests:           reg.Counter("dpc.requests"),
+		errors:             reg.Counter("dpc.errors"),
+		latency:            reg.Histogram("dpc.latency"),
+		templateBytes:      reg.Counter("dpc.template_bytes"),
+		pageBytes:          reg.Counter("dpc.page_bytes"),
+		gets:               reg.Counter("dpc.gets"),
+		sets:               reg.Counter("dpc.sets"),
+		assembled:          reg.Counter("dpc.assembled"),
+		streamed:           reg.Counter("dpc.streamed"),
+		plainPassthrough:   reg.Counter("dpc.plain_passthrough"),
+		templateOffers:     reg.Counter("dpc.template_offers"),
+		templateRefs:       reg.Counter("dpc.template_refs"),
+		planHits:           reg.Counter("dpc.plancache_hits"),
+		planMisses:         reg.Counter("dpc.plancache_misses"),
+		planCompiles:       reg.Counter("dpc.plancache_compiles"),
+		planOneOff:         reg.Counter("dpc.plancache_oneoff"),
+		pageHits:           reg.Counter("dpc.pagecache_hits"),
+		pageMisses:         reg.Counter("dpc.pagecache_misses"),
+		pageFills:          reg.Counter("dpc.pagecache_fills"),
+		page304s:           reg.Counter("dpc.pagecache_304s"),
+		pageIdentityHits:   reg.Counter("dpc.pagecache_identity_hits"),
+		pageBypassIdentity: reg.Counter("dpc.pagecache_bypass_identity"),
+		pageUncacheable:    reg.Counter("dpc.pagecache_uncacheable"),
+		coalesced:          reg.Counter("dpc.coalesced"),
+	}
 }
 
 // publishLoop refreshes the dpc.store.* gauges until Close.
@@ -494,7 +540,9 @@ func (p *Proxy) initAdmin() {
 }
 
 // ServeHTTP implements http.Handler: it drives the request through the
-// stage pipeline, timing each stage. When tracing is enabled (and the
+// stage pipeline, timing each stage. The clock is read once per stage
+// boundary, so each stage ends where the next begins and the first begins
+// at the request's start: the stage times tile the request. When tracing is enabled (and the
 // request is not an admin request) a root span wraps the whole pipeline,
 // each stage runs under a child span, and response bytes/TTFB are
 // attributed through a wrapping writer; the nil-tracer path adds zero
@@ -513,14 +561,16 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		defer root.Finish()
 	}
+	t := rs.start
 	for i := 0; i < len(p.stages); {
 		st := p.stages[i]
-		t0 := time.Now()
 		sp := rs.trace.Child(st.Name)
 		rs.span = sp
 		out, err := st.run(rs)
 		sp.Finish()
-		st.hist.Observe(time.Since(t0))
+		now := time.Now()
+		st.hist.Observe(now.Sub(t))
+		t = now
 		if err != nil {
 			p.fail(rs, err)
 			return
@@ -555,7 +605,7 @@ func (p *Proxy) fail(rs *reqState, err error) {
 	if rs.trace != nil {
 		rs.trace.Event(trace.KindError, "", err.Error(), 0)
 	}
-	p.reg.Counter("dpc.errors").Inc()
+	p.m.errors.Inc()
 	if rs.streamed {
 		panic(http.ErrAbortHandler)
 	}

@@ -87,9 +87,9 @@ func (c *Cache) Get(template []byte) (plan *Plan, hit bool, err error) {
 		return nil, false, err
 	}
 	c.compiles.Add(1)
-	p.digest = sum
+	p.digest, p.key = sum, string(sum[:])
 	if !p.OneOff() {
-		c.store.Put(string(sum[:]), fragstore.KeyedEntry{Obj: p, Cost: p.Footprint()}, 0)
+		c.store.Put(p.key, fragstore.KeyedEntry{Obj: p, Cost: p.Footprint()}, 0)
 	}
 	return p, false, nil
 }
@@ -99,7 +99,13 @@ func (c *Cache) Get(template []byte) (plan *Plan, hit bool, err error) {
 // run the plan in place of a template it was spared reading says so with
 // CountHit.
 func (c *Cache) Lookup(d Digest) *Plan {
-	if e, ok := c.store.Get(string(d[:])); ok {
+	return c.LookupKey(string(d[:]))
+}
+
+// LookupKey is Lookup by the key a resident plan reports (Plan.Key), for a
+// caller that kept the key rather than the digest: it converts nothing.
+func (c *Cache) LookupKey(key string) *Plan {
+	if e, ok := c.store.Get(key); ok {
 		if p, ok := e.Obj.(*Plan); ok {
 			return p
 		}

@@ -61,6 +61,10 @@ type execState struct {
 func (e *Exec) Run(p *Plan, w io.Writer, sp *trace.Span) (Stats, error) {
 	var st Stats
 	st.TemplateBytes = p.srcLen
+	if p.numRefs > 0 {
+		// Sized once: a plan without includes records at most numRefs.
+		st.Refs = make([]Ref, 0, p.numRefs)
+	}
 	x := &execState{e: e, w: w, st: &st, useMap: p.hasInc}
 	if !p.hasInc && p.numRefs > 64 {
 		x.seen = make([]bool, p.numRefs)

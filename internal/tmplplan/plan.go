@@ -44,9 +44,11 @@ type Plan struct {
 	srcLen int64
 	// footprint is the plan's retained memory estimate (cache Cost).
 	footprint int64
-	// digest is the compiled template's digest, set by the Cache that
-	// compiled the plan (zero for a plan compiled outside one).
+	// digest is the compiled template's digest, and key the same bytes as
+	// the string the Cache files the plan under; both are set by the Cache
+	// that compiled the plan (zero for a plan compiled outside one).
 	digest Digest
+	key    string
 }
 
 // Ops returns the program length in operators.
@@ -57,6 +59,9 @@ func (p *Plan) SrcLen() int64 { return p.srcLen }
 
 // Digest returns the digest of the template a Cache compiled the plan from.
 func (p *Plan) Digest() Digest { return p.digest }
+
+// Key returns the plan's key in the Cache that compiled it (Cache.LookupKey).
+func (p *Plan) Key() string { return p.key }
 
 // OneOff reports that the program carries a SET, which makes its template
 // one that will not arrive again: the SET is what makes the origin send a
