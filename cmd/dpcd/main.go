@@ -4,13 +4,20 @@
 //	dpcd -addr :9090 -origin http://127.0.0.1:8080
 //
 // The fragment store backend is selectable: the default "slot" backend is
-// the paper's single-lock slot array; "-store sharded" mounts the keyed
-// storage engine the whole-response tier already uses (hashed shards,
-// per-shard locks), optionally bounded by a byte budget with LRU or GDSF
-// eviction. The budget (-store-budget) is one global ledger shared by all
-// shards — eviction (-evict lru|gdsf) fires only when the store as a
-// whole is over, so skewed key distributions do not evict early, and it
-// takes the globally coldest entry first:
+// the paper's slot array under one lock. "-store sharded" partitions the
+// locks (-shards, 16 by default). Without a byte budget it is the same
+// array over that many lock stripes: it can never evict, so it keeps no
+// eviction state:
+//
+//	dpcd -store sharded -shards 32
+//
+// With -store-budget it mounts the keyed storage engine the whole-response
+// tier already uses (hashed shards, per-shard locks) and evicts by the
+// policy -evict names (lru or gdsf; required with a budget, refused
+// without one). The budget is one global ledger shared by all shards:
+// eviction fires only when the store as a whole is over, so skewed key
+// distributions do not evict early, and it takes the globally coldest
+// entry first:
 //
 //	dpcd -store sharded -shards 32 -store-budget 67108864 -evict gdsf
 //
@@ -191,10 +198,10 @@ func bindFlags(fs *flag.FlagSet) *options {
 	})
 	fs.Lookup("codec").DefValue = p.Codec.Name()
 	fs.BoolVar(&p.Strict, "strict", true, "generation-checked assembly with bypass recovery")
-	fs.StringVar(&s.Backend, "store", fragstore.BackendSlot, "fragment store backend: slot, sharded, or tiered")
-	fs.IntVar(&s.Shards, "shards", 0, "sharded and tiered stores: engine shard count, rounded to a power of two (0 = 16)")
+	fs.StringVar(&s.Backend, "store", fragstore.BackendSlot, "fragment store backend: slot (the slot array under one lock), sharded (the array over -shards lock stripes; with -store-budget, the evicting engine), or tiered (the engine over a disk tier)")
+	fs.IntVar(&s.Shards, "shards", 0, "sharded and tiered stores: lock partitions, rounded to a power of two (0 = 16): the array's lock stripes, or the engine's shards")
 	fs.Int64Var(&s.ByteBudget, "store-budget", 0, "sharded and tiered stores: resident fragment byte budget in RAM, one global ledger (0 = unbounded; sharded requires -evict with it)")
-	fs.StringVar(&s.Eviction, "evict", "none", "sharded and tiered stores: eviction policy when over budget, globally coldest first: none, lru, or gdsf")
+	fs.StringVar(&s.Eviction, "evict", "none", "sharded and tiered stores: eviction policy when over -store-budget, globally coldest first: none, lru, or gdsf (sharded refuses a policy without a budget)")
 	fs.StringVar(&s.DiskPath, "disk-path", "", "tiered store: heap-file path, replayed on restart so the proxy serves warm (required with -store tiered)")
 	fs.Int64Var(&s.DiskBudget, "disk-budget", 0, "tiered store: disk-resident byte budget; over it the disk tier drops LRU victims (0 = unbounded)")
 	fs.IntVar(&s.DiskPageBytes, "disk-page-bytes", 0, "tiered store: heap-file page size in bytes (0 = 32KiB default; changing it invalidates the file)")

@@ -91,9 +91,11 @@ type (
 const (
 	// StoreBackendSlot is the paper-faithful single-lock slot array.
 	StoreBackendSlot = fragstore.BackendSlot
-	// StoreBackendSharded is the KeyedStore engine seen through the
-	// fragment-store contract: hashed shards, an optional global byte
-	// budget, and pluggable eviction ("none", "lru", "gdsf").
+	// StoreBackendSharded partitions the store's locks (StoreConfig.Shards):
+	// without a byte budget it is the slot array over that many lock
+	// stripes, and with one the KeyedStore engine seen through the
+	// fragment-store contract — hashed shards, one global byte budget and
+	// the eviction StoreConfig.Eviction names ("lru", "gdsf").
 	StoreBackendSharded = fragstore.BackendSharded
 	// StoreBackendTiered is the same view over the disk-backed two-tier
 	// engine: a RAM tier that demotes eviction victims into a heap file

@@ -38,13 +38,13 @@ import (
 //     the page there for every visitor, whoever asked; every other
 //     identified request bypasses the rule.
 //
-// A lookup probes the opt-in key, then the page key, while the tier holds
-// any entry at all; a response is filed
-// under one of them, the opt-in winning. The TTL bounds the staleness of
-// content the BEM never tracks. Each entry carries its record — the epoch
-// its capture began under, the end of the page-scoped grant it was built
-// under and the fragment refs it was assembled from — and every read judges
-// it, as a lease is judged: an entry one of whose
+// A lookup probes the opt-in key (once any entry has been filed under it),
+// then the page key, while the tier holds any entry at all; a response is
+// filed under one of them, the opt-in winning. The TTL bounds the
+// staleness of content the BEM never tracks. Each entry carries its
+// record — the epoch its capture began under, the end of the page-scoped
+// grant it was built under and the fragment refs it was assembled from —
+// and every read judges it, as a lease is judged: an entry one of whose
 // fragments the fabric has killed, or filed under an epoch a flush has
 // ended, is deleted where it is found and never served. Entries carry a
 // strong ETag, so a matching If-None-Match is answered 304
@@ -195,18 +195,33 @@ type tierHit struct {
 
 // probe looks rs's request up in the tier under each key an entry for it
 // may have been filed under, in precedence order: the origin's opt-in
-// (staticKey), then — when pkey is set — the page rule's. A zero stale
-// reads fresh entries only (keeping expired ones resident while admission
-// control may still serve them); a positive one reads entries up to stale
-// past their TTL.
+// (staticKey; only once the tier has filed an entry under that rule), then
+// — when pkey, one of rs's page keys, is set — the page rule's. A zero
+// stale reads fresh entries only (keeping expired ones resident while
+// admission control may still serve them); a positive one reads entries up
+// to stale past their TTL.
 func (p *Proxy) probe(rs *reqState, pkey string, stale time.Duration) (hit tierHit, ok bool) {
 	if p.pages.Len() == 0 {
 		return tierHit{}, false // nothing is filed under either key
 	}
-	if hit, ok = p.tierGet(rs, staticKey(rs.r), ruleStatic, stale); ok || pkey == "" {
-		return hit, ok
+	if p.optIn.Load() {
+		if hit, ok = p.tierGet(rs, optInKey(rs.r, pkey), ruleStatic, stale); ok {
+			return hit, true
+		}
+	}
+	if pkey == "" {
+		return tierHit{}, false
 	}
 	return p.tierGet(rs, pkey, rulePage, stale)
+}
+
+// optInKey is staticKey(r), taken without building it from pkey when that
+// is one of r's page keys: every page key begins with the URI and its NUL.
+func optInKey(r *http.Request, pkey string) string {
+	if i := strings.IndexByte(pkey, 0); i >= 0 {
+		return pkey[:i+1]
+	}
+	return staticKey(r)
 }
 
 // tierGet reads key and judges the entry's record: a void entry is deleted,
@@ -477,6 +492,9 @@ func (p *Proxy) fillTier(rs *reqState) {
 		p.fabric.dropped.Inc()
 		rs.span.Event(trace.KindInvalidated, rs.fillRule, voided, 0)
 		return
+	}
+	if rs.fillRule == ruleStatic && !p.optIn.Load() {
+		p.optIn.Store(true) // before the entry can be found
 	}
 	p.pages.PutTagged(rs.fillKey, body, ctype, pageETag(body, ctype), record, rs.fillTTL)
 	p.m.pageFills.Inc()

@@ -392,6 +392,48 @@ func TestPageCacheSkipsStaticallyCached(t *testing.T) {
 	}
 }
 
+// The probe skips the opt-in key until the tier has filed an entry under
+// it. An opt-in entry filed after page-rule entries — here for a URI whose
+// page entry is still fresh, by an identified visitor the page rule
+// bypasses — must still be found, and must win over that page entry.
+func TestOptInFiledAfterPageEntriesWinsProbe(t *testing.T) {
+	var fetches, maxAge atomic.Int64
+	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if age := maxAge.Load(); age > 0 {
+			w.Header().Set("Cache-Control", fmt.Sprintf("max-age=%d", age))
+		}
+		fmt.Fprintf(w, "fetch %d", fetches.Add(1))
+	}))
+	defer origin.Close()
+	p := newTestProxy(t, origin.URL, func(c *Config) {
+		c.PageCache = true
+		c.PageCacheTTL = time.Minute
+	})
+	ts := httptest.NewServer(p)
+	defer ts.Close()
+
+	pageGet(t, ts.URL+"/p", nil)
+	if body, state := pageGet(t, ts.URL+"/p", nil); state != "PAGE" || body != "fetch 1" {
+		t.Fatalf("anonymous revisit: %q, %s; want the page rule's entry", body, state)
+	}
+	if p.optIn.Load() {
+		t.Fatal("the opt-in key is probed before any opt-in entry was filed")
+	}
+	maxAge.Store(60)
+	if body, state := pageGet(t, ts.URL+"/p", map[string]string{"X-User": "u1"}); state != "MISS" || body != "fetch 2" {
+		t.Fatalf("identified visit: %q, %s; want the origin's opt-in answer", body, state)
+	}
+	if !p.optIn.Load() {
+		t.Fatal("an opt-in entry was filed and the probe still skips its key")
+	}
+	if body, state := pageGet(t, ts.URL+"/p", nil); state != "STATIC" || body != "fetch 2" {
+		t.Fatalf("anonymous visit after the opt-in fill: %q, %s; want the opt-in entry over the page entry", body, state)
+	}
+	if got := fetches.Load(); got != 2 {
+		t.Fatalf("origin saw %d fetches, want 2", got)
+	}
+}
+
 // Distinct URLs get distinct page entries.
 func TestPageCacheKeysByURI(t *testing.T) {
 	var fetches atomic.Int64

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dpcache/internal/clock"
@@ -199,10 +200,15 @@ type Proxy struct {
 	exec    *tmplplan.Exec
 	pages   *pagecache.Cache
 	pageTTL time.Duration
-	clk     clock.Clock // Config.Clock, or the real clock
-	client  *http.Client
-	reg     *metrics.Registry
-	m       pathMetrics
+	// optIn is set before the tier files its first entry under the origin's
+	// opt-in rule, and never cleared: until then probe skips that key. A
+	// caller-supplied tier may hold such entries already, so over one it
+	// starts set.
+	optIn  atomic.Bool
+	clk    clock.Clock // Config.Clock, or the real clock
+	client *http.Client
+	reg    *metrics.Registry
+	m      pathMetrics
 
 	stages     []*Stage
 	respondIdx int
@@ -308,6 +314,7 @@ func New(cfg Config) (*Proxy, error) {
 		m:       newPathMetrics(reg),
 		spool:   spool,
 	}
+	p.optIn.Store(cfg.PageCacheStore != nil)
 	p.fabric.register(reg)
 	if cfg.Coalesce {
 		p.flights = newFlightGroup(cfg.CoalesceBufferBytes)

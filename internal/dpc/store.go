@@ -32,8 +32,9 @@ import "dpcache/internal/fragstore"
 
 // Store is the paper-faithful slot-array fragment memory, now implemented
 // by fragstore.SlotStore (see internal/fragstore for the FragmentStore
-// contract and the engine behind the sharded and tiered backends). The
-// alias keeps the original Section 4.3.3 name in this package's API.
+// contract, the striped array behind the unbudgeted sharded backend and
+// the engine behind the budgeted sharded and the tiered ones). The alias
+// keeps the original Section 4.3.3 name in this package's API.
 type Store = fragstore.SlotStore
 
 // NewStore returns a slot store with the given capacity.

@@ -10,8 +10,9 @@ import (
 	"dpcache/internal/diskstore"
 )
 
-// The tier boundary's allocation budgets: what a read that crosses it may
-// ask of the allocator, beyond the copy of the value it returns. (Without
+// The store's allocation budgets: what a read that crosses the tier
+// boundary may ask of the allocator beyond the copy of the value it
+// returns, and what the slot array's Get and Set may ask at all. (Without
 // the race detector, which changes what allocates.)
 
 const budgetPayload = 4 << 10
@@ -88,4 +89,34 @@ func TestAllocBudgetPromotionWithEviction(t *testing.T) {
 		t.Fatalf("%v allocations per in-place read plus promotion and eviction, budget 3 (two values and one object)", perRound)
 	}
 	t.Logf("%v allocations per round of two reads", perRound)
+}
+
+// The slot array's budgets, at one lock stripe and at sixteen: a warm Get
+// allocates nothing, and a Set allocates the copy of its content and
+// nothing else.
+func TestAllocBudgetSlotStore(t *testing.T) {
+	for _, stripes := range []int{1, 16} {
+		s, err := newSlotStore(1000, stripes, BackendSharded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload := make([]byte, 512)
+		k := uint32(0)
+		if n := testing.AllocsPerRun(1000, func() {
+			k = (k + 1) % 1000
+			if err := s.Set(k, 1, payload); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 1 {
+			t.Errorf("%d stripes: Set allocates %v objects, budget 1 (the content copy)", stripes, n)
+		}
+		if n := testing.AllocsPerRun(1000, func() {
+			k = (k + 1) % 1000
+			if _, ok := s.Get(k, 1, true); !ok {
+				t.Fatalf("%d stripes: warm slot %d missed", stripes, k)
+			}
+		}); n != 0 {
+			t.Errorf("%d stripes: Get allocates %v objects, budget 0", stripes, n)
+		}
+	}
 }

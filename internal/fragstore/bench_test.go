@@ -3,10 +3,12 @@
 //
 //	go test ./internal/fragstore -bench=. -benchmem -cpu=1,4,8
 //
-// The headline comparison is BenchmarkStoreParallel: the sharded backend
-// must match or beat the slot store as parallelism grows, since that is
-// the reason it exists. BenchmarkStoreParallelGet at -cpu=1 reads the
-// price of the engine's hash lookup against the slot array's index.
+// The headline comparison is BenchmarkStoreParallel: the slot array at one
+// lock stripe ("slot", the paper's single RWMutex) and at sixteen
+// ("sharded", no byte budget) against the budgeted engine ("sharded-lru",
+// "sharded-gdsf"). Sixteen stripes must match or beat one as parallelism
+// grows, since that is the reason they exist; the engine's rows read the
+// price of a hash lookup and eviction bookkeeping against an index.
 package fragstore_test
 
 import (
@@ -51,7 +53,8 @@ func fill(s fragstore.FragmentStore, payload []byte) {
 
 // BenchmarkStoreParallel is the assembly-path mix: ~90% GETs, 10% SETs
 // (the paper's steady state, where most templates reference warm slots),
-// issued from all procs at once via b.RunParallel.
+// issued from all procs at once via b.RunParallel: the array at one and
+// sixteen stripes against the budgeted engine.
 func BenchmarkStoreParallel(b *testing.B) {
 	payload := make([]byte, benchPayload)
 	for name, mkStore := range benchBackends(b) {

@@ -3,21 +3,23 @@
 //
 // The paper's Section 4.3.3 store is "an in-memory array of pointers to
 // cached fragments, where the DpcKey serves as the array index", guarded in
-// the seed implementation by a single RWMutex. That design is faithful but
-// caps concurrency (every SET serializes on one lock) and supports exactly
-// one capacity model (slot count, no byte bound). The package therefore
-// holds one reference, one engine, and two views of the engine:
+// the seed implementation by a single RWMutex. The package holds that array,
+// one engine, and views of the engine:
 //
-//   - SlotStore: the paper-faithful single-lock slot array, unchanged in
-//     behavior from internal/dpc — the oracle the conformance suite holds
-//     every other backend to.
+//   - SlotStore: the slot array, split into lock stripes (slot k under
+//     stripe k & (n−1)). The slot backend is one stripe — the paper's
+//     single RWMutex, and the oracle the conformance suite holds every
+//     other backend to. The sharded backend without a byte budget is the
+//     same array over Config.Shards stripes: a store that can never evict
+//     keeps no eviction state.
 //   - KeyedStore: the engine. String keys hashed over power-of-two shards
 //     with per-shard locks, per-entry TTLs, an optional byte budget and
-//     entry bound, and LRU or cost-aware GDSF eviction. The DPC's static
-//     cache, the whole-page cache and the plan cache wrap it directly.
-//   - "sharded": KeyedStore seen through the FragmentStore contract (slot
-//     n is the engine's key "k<n>"), for deployments where fragment bytes
-//     — not the BEM freeList — are the binding resource.
+//     entry bound, and LRU or cost-aware GDSF eviction. The DPC's
+//     whole-response tier and the plan cache wrap it directly.
+//   - The sharded backend with a byte budget: KeyedStore seen through the
+//     FragmentStore contract (slot n is the engine's key "k<n>"), for
+//     deployments where fragment bytes — not the BEM freeList — are the
+//     binding resource.
 //   - "tiered": the same view over TieredKeyed, a KeyedStore whose
 //     eviction victims are demoted to a diskstore heap file instead of
 //     dropped, and which restarts warm from that file.
@@ -82,7 +84,8 @@ type FragmentStore interface {
 type Stats struct {
 	// Backend names the implementation ("slot", "sharded", "tiered").
 	Backend string `json:"backend"`
-	// Shards is the shard count (1 for the slot store).
+	// Shards is the lock-partition count: the array's stripes (1 for the
+	// slot store), or the engine's shards.
 	Shards int `json:"shards"`
 	// Capacity is the key-space size.
 	Capacity int `json:"capacity"`
@@ -127,8 +130,9 @@ func Publish(reg *metrics.Registry, prefix string, st Stats) {
 const (
 	// BackendSlot is the paper-faithful single-lock slot array.
 	BackendSlot = "slot"
-	// BackendSharded is the sharded, byte-budgeted RAM store: a fragment
-	// view of KeyedStore.
+	// BackendSharded is the RAM store with partitioned locks: without a
+	// byte budget the slot array over Shards lock stripes, with one a
+	// fragment view of KeyedStore that evicts.
 	BackendSharded = "sharded"
 	// BackendTiered is the two-tier store: a fragment view of TieredKeyed,
 	// whose RAM tier demotes evictions into a disk-backed heap file that
@@ -144,18 +148,22 @@ type Config struct {
 	Backend string
 	// Capacity is the key-space size shared with the BEM. Required.
 	Capacity int
-	// Shards is the engine's shard count under the sharded and tiered
-	// backends, rounded up to a power of two (0 selects DefaultShards).
-	// The slot backend rejects a non-zero value.
+	// Shards is the number of lock partitions under the sharded and
+	// tiered backends, rounded up to a power of two (0 selects
+	// DefaultShards): the slot array's lock stripes, or the engine's
+	// shards once a byte budget selects it. The slot backend rejects a
+	// non-zero value.
 	Shards int
 	// ByteBudget bounds resident content bytes in RAM (0 = unbounded).
 	// The budget is one global ledger shared by every shard, so eviction
 	// fires only when the store as a whole is over — never because one
-	// shard's key slice is popular. The sharded backend requires an
-	// eviction policy with it. The slot backend rejects a non-zero value.
+	// shard's key slice is popular. Under the sharded backend it selects
+	// the evicting engine and requires an eviction policy. The slot
+	// backend rejects a non-zero value.
 	ByteBudget int64
-	// Eviction is "none" (default), "lru", or "gdsf". The slot backend
-	// rejects any other value.
+	// Eviction is "none" (default), "lru", or "gdsf". The sharded backend
+	// accepts a policy only with a byte budget (without one it could never
+	// fire); the slot backend rejects any value but "none".
 	Eviction string
 	// DiskPath is the tiered backend's heap-file path, created on first
 	// open and replayed on restart. Required for (and only valid with)
@@ -199,6 +207,9 @@ func (c Config) Validate() error {
 		if c.ByteBudget > 0 && pol == PolicyNone {
 			return fmt.Errorf("fragstore: a byte budget requires an eviction policy (lru or gdsf)")
 		}
+		if c.ByteBudget == 0 && pol != PolicyNone {
+			return fmt.Errorf("fragstore: eviction policy %q requires a byte budget: without one it can never fire", pol)
+		}
 		return nil
 	case BackendTiered:
 		if c.Capacity <= 0 {
@@ -218,21 +229,25 @@ func (c Config) disk() diskstore.Config {
 	return diskstore.Config{Path: c.DiskPath, ByteBudget: c.DiskBudget, PageBytes: c.DiskPageBytes}
 }
 
-// New builds the configured backend.
+// New builds the configured backend: the slot array wherever nothing can
+// evict (the slot backend, and the sharded one without a byte budget), and
+// a view of the engine where a budget makes eviction possible.
 func New(cfg Config) (FragmentStore, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	pol, _ := ParsePolicy(cfg.Eviction) // validated above
 	ram := KeyedConfig{Shards: cfg.Shards, ByteBudget: cfg.ByteBudget, Policy: pol}
-	switch cfg.Backend {
-	case BackendSharded:
+	switch {
+	case cfg.Backend == BackendSharded && cfg.ByteBudget > 0:
 		s, err := NewKeyed(ram)
 		if err != nil {
 			return nil, err
 		}
 		return newFragmentView(s, BackendSharded, cfg.Capacity)
-	case BackendTiered:
+	case cfg.Backend == BackendSharded:
+		return newSlotStore(cfg.Capacity, roundShards(cfg.Shards), BackendSharded)
+	case cfg.Backend == BackendTiered:
 		t, err := NewTieredKeyed(TieredConfig{RAM: ram, Disk: cfg.disk()})
 		if err != nil {
 			return nil, err
@@ -245,8 +260,8 @@ func New(cfg Config) (FragmentStore, error) {
 // fragmentView presents a Keyed engine under the FragmentStore contract:
 // slot n is stored under the key "k<n>" (also the on-disk key format of
 // the tiered backend's heap file, so the spelling is frozen) and the SET
-// tag's generation rides in KeyedEntry.Gen. It is the whole of the sharded
-// and tiered backends.
+// tag's generation rides in KeyedEntry.Gen. It is the whole of the tiered
+// backend and of the sharded one with a byte budget.
 type fragmentView struct {
 	s        Keyed
 	tiered   *TieredKeyed // s, when it has a disk tier; else nil

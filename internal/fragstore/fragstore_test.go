@@ -27,6 +27,7 @@ func TestConformance(t *testing.T) {
 		return fragstore.NewSlotStore(capacity)
 	})
 	for name, cfg := range map[string]fragstore.Config{
+		// Without a budget: the slot array over 16 and 1 lock stripes.
 		"sharded":        {},
 		"sharded-1shard": {Shards: 1},
 		// Budgets large enough that the conformance workloads never evict:
@@ -39,6 +40,17 @@ func TestConformance(t *testing.T) {
 			return fragstore.New(cfg)
 		})
 	}
+	// The engine's view with no budget, which no backend selects any more.
+	storetest.Run(t, "keyed-view", keyedView)
+}
+
+// keyedView returns KeyedStore's fragment view with no budget.
+func keyedView(capacity int) (fragstore.FragmentStore, error) {
+	ks, err := fragstore.NewKeyed(fragstore.KeyedConfig{})
+	if err != nil {
+		return nil, err
+	}
+	return ks.AsFragmentStore(capacity)
 }
 
 func TestNewSelectsBackend(t *testing.T) {
@@ -86,6 +98,12 @@ func TestBudgetRequiresPolicy(t *testing.T) {
 	if _, err := fragstore.New(fragstore.Config{
 		Backend: fragstore.BackendSharded, Capacity: 8, ByteBudget: 100}); err == nil {
 		t.Fatal("byte budget without a policy accepted")
+	}
+	for _, pol := range []string{"lru", "gdsf"} {
+		if _, err := fragstore.New(fragstore.Config{
+			Backend: fragstore.BackendSharded, Capacity: 8, Eviction: pol}); err == nil {
+			t.Fatalf("eviction policy %q without a byte budget accepted", pol)
+		}
 	}
 	if _, err := fragstore.New(fragstore.Config{
 		Backend: fragstore.BackendSharded, Capacity: 8, ByteBudget: -1, Eviction: "lru"}); err == nil {
@@ -352,7 +370,10 @@ func TestShardedStatsAggregate(t *testing.T) {
 // no key and allocates nothing, and an overwriting Set allocates only the
 // copy of the content it is contractually obliged to make.
 func TestViewAllocations(t *testing.T) {
-	s := sharded(t, fragstore.Config{Capacity: 4096})
+	s, err := keyedView(4096)
+	if err != nil {
+		t.Fatal(err)
+	}
 	payload := make([]byte, 512)
 	fill := func() {
 		for k := uint32(0); k < 4096; k++ {

@@ -24,9 +24,10 @@ const maxShards = 1024
 // KeyedStore is the package's one storage engine: string keys hashed over
 // a power-of-two number of shards with per-shard locks, LRU or GDSF
 // eviction, a global byte-budget ledger, per-entry TTL expiry and an
-// optional entry-count bound. Every cache tier in the system is a view of
-// it — the sharded and tiered fragment backends through AsFragmentStore,
-// the DPC's whole-response tier and the plan cache directly — instead of carrying its own mutex+LRU implementation.
+// optional entry-count bound. Every cache tier that can evict is a view of
+// it — the budgeted sharded and the tiered fragment backends through
+// AsFragmentStore, the DPC's whole-response tier and the plan cache
+// directly — instead of carrying its own mutex+LRU implementation.
 //
 // Budgets are global, never per-shard: ByteBudget and MaxEntries are
 // enforced on store-wide atomic ledgers, so a skewed key distribution
@@ -205,11 +206,7 @@ func NewKeyed(cfg KeyedConfig) (*KeyedStore, error) {
 	if clk == nil {
 		clk = clock.Real{}
 	}
-	n := cfg.Shards
-	if n <= 0 {
-		n = DefaultShards
-	}
-	n = 1 << bits.Len(uint(min(n, maxShards)-1)) // round up to a power of two
+	n := roundShards(cfg.Shards)
 	s := &KeyedStore{
 		shards: make([]kshard, n),
 		mask:   uint64(n - 1),
@@ -227,6 +224,16 @@ func NewKeyed(cfg KeyedConfig) (*KeyedStore, error) {
 		sh.cold.Store(math.Float64bits(sh.coldPub))
 	}
 	return s, nil
+}
+
+// roundShards maps a configured shard count to the one used: 0 selects
+// DefaultShards, and the rest is capped at maxShards and rounded up to a
+// power of two.
+func roundShards(n int) int {
+	if n <= 0 {
+		n = DefaultShards
+	}
+	return 1 << bits.Len(uint(min(n, maxShards)-1))
 }
 
 // locate returns the shard owning key.

@@ -2,28 +2,52 @@ package fragstore
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // SlotStore is the paper-faithful fragment memory of Section 4.3.3: "an
 // in-memory array of pointers to cached fragments, where the DpcKey serves
-// as the array index", guarded by one RWMutex. Slots are written only by
-// SET instructions; invalid slots are never explicitly cleared — their
-// content simply goes unreferenced until a SET reuses the slot, exactly
-// the freeList discipline the BEM enforces. (Drop exists for the
-// coherency extension, which must stop serving a fragment immediately.)
+// as the array index". Slots are written only by SET instructions; invalid
+// slots are never explicitly cleared — their content simply goes
+// unreferenced until a SET reuses the slot, exactly the freeList
+// discipline the BEM enforces. (Drop exists for the coherency extension,
+// which must stop serving a fragment immediately.)
+//
+// The array is split into lock stripes: slot k sits under stripe
+// k & (n−1), and each stripe holds its own slots, RWMutex, resident and
+// byte counts and operation counters, padded to whole cache lines. The
+// slot backend has one stripe — the paper's single RWMutex, and the
+// reference the conformance suite holds every other backend to; the
+// sharded backend without a byte budget has Config.Shards of them. An
+// array with no budget can never evict, so it keeps no eviction state:
+// a Get is an index, a lock and a generation compare.
 type SlotStore struct {
+	stripes  []stripe
+	shift    uint   // log2(len(stripes)): slot k is slots[k>>shift] of stripe k&mask
+	mask     uint32 // len(stripes) − 1
+	capacity int
+	backend  string
+}
+
+type stripeState struct {
 	mu       sync.RWMutex
 	slots    []slot
-	capacity int
-	bytes    int64
 	resident int
+	bytes    int64
 
-	sets   atomic.Int64
-	hits   atomic.Int64
-	misses atomic.Int64
-	drops  atomic.Int64
+	sets, hits, misses, drops atomic.Int64
+}
+
+// cacheLine is the padding unit that keeps two stripes' locks and
+// counters off each other's cache lines.
+const cacheLine = 64
+
+type stripe struct {
+	stripeState
+	_ [cacheLine - unsafe.Sizeof(stripeState{})%cacheLine]byte
 }
 
 type slot struct {
@@ -32,12 +56,37 @@ type slot struct {
 	data []byte
 }
 
-// NewSlotStore returns a store with the given slot capacity.
+// NewSlotStore returns a single-stripe store with the given slot capacity:
+// the paper's array under one RWMutex.
 func NewSlotStore(capacity int) (*SlotStore, error) {
+	return newSlotStore(capacity, 1, BackendSlot)
+}
+
+// newSlotStore returns a store of capacity slots over stripes lock stripes
+// (a power of two), reporting backend as its name.
+func newSlotStore(capacity, stripes int, backend string) (*SlotStore, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("fragstore: store capacity must be positive, got %d", capacity)
 	}
-	return &SlotStore{slots: make([]slot, capacity), capacity: capacity}, nil
+	s := &SlotStore{
+		stripes:  make([]stripe, stripes),
+		shift:    uint(bits.TrailingZeros(uint(stripes))),
+		mask:     uint32(stripes - 1),
+		capacity: capacity,
+		backend:  backend,
+	}
+	for i := range s.stripes {
+		// Stripe i holds slots i, i+n, i+2n, … below capacity.
+		s.stripes[i].slots = make([]slot, (capacity-i+stripes-1)/stripes)
+	}
+	return s, nil
+}
+
+// locate returns the stripe holding key and key's slot in it; key must be
+// below capacity.
+func (s *SlotStore) locate(key uint32) (*stripe, *slot) {
+	st := &s.stripes[key&s.mask]
+	return st, &st.slots[key>>s.shift]
 }
 
 // Capacity returns the slot count.
@@ -51,36 +100,36 @@ func (s *SlotStore) Set(key, gen uint32, content []byte) error {
 	}
 	cp := make([]byte, len(content))
 	copy(cp, content)
-	s.sets.Add(1)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sl := &s.slots[key]
+	st, sl := s.locate(key)
+	st.sets.Add(1)
+	st.mu.Lock()
 	if !sl.set {
-		s.resident++
+		st.resident++
 	}
-	s.bytes += int64(len(cp)) - int64(len(sl.data))
+	st.bytes += int64(len(cp)) - int64(len(sl.data))
 	sl.set = true
 	sl.gen = gen
 	sl.data = cp
+	st.mu.Unlock()
 	return nil
 }
 
 // Get returns the slot's content; see FragmentStore.Get for strict.
 func (s *SlotStore) Get(key, gen uint32, strict bool) ([]byte, bool) {
 	if int64(key) >= int64(s.capacity) {
-		s.misses.Add(1)
+		s.stripes[key&s.mask].misses.Add(1)
 		return nil, false
 	}
-	s.mu.RLock()
-	sl := &s.slots[key]
+	st, sl := s.locate(key)
+	st.mu.RLock()
 	if !sl.set || (strict && sl.gen != gen) {
-		s.mu.RUnlock()
-		s.misses.Add(1)
+		st.mu.RUnlock()
+		st.misses.Add(1)
 		return nil, false
 	}
 	data := sl.data
-	s.mu.RUnlock()
-	s.hits.Add(1)
+	st.mu.RUnlock()
+	st.hits.Add(1)
 	return data, true
 }
 
@@ -89,60 +138,54 @@ func (s *SlotStore) Drop(key uint32) {
 	if int64(key) >= int64(s.capacity) {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sl := &s.slots[key]
+	st, sl := s.locate(key)
+	st.mu.Lock()
 	if sl.set {
-		s.resident--
-		s.drops.Add(1)
+		st.resident--
+		st.drops.Add(1)
 	}
-	s.bytes -= int64(len(sl.data))
-	sl.set = false
-	sl.data = nil
-	sl.gen = 0
+	st.bytes -= int64(len(sl.data))
+	*sl = slot{}
+	st.mu.Unlock()
 }
 
-// DropAll clears every slot.
+// DropAll clears every slot, one stripe at a time.
 func (s *SlotStore) DropAll() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i := range s.slots {
-		if s.slots[i].set {
-			s.drops.Add(1)
+	for i := range s.stripes {
+		st := &s.stripes[i]
+		st.mu.Lock()
+		for j := range st.slots {
+			if st.slots[j].set {
+				st.drops.Add(1)
+			}
+			st.slots[j] = slot{}
 		}
-		s.slots[i] = slot{}
+		st.bytes = 0
+		st.resident = 0
+		st.mu.Unlock()
 	}
-	s.bytes = 0
-	s.resident = 0
 }
 
 // Bytes returns the total content bytes currently resident.
-func (s *SlotStore) Bytes() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.bytes
-}
+func (s *SlotStore) Bytes() int64 { return s.Stats().Bytes }
 
 // Resident returns the number of set slots.
-func (s *SlotStore) Resident() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.resident
-}
+func (s *SlotStore) Resident() int { return s.Stats().Resident }
 
-// Stats implements FragmentStore.
+// Stats implements FragmentStore. Each stripe is read under its own lock,
+// so the totals are a sum of per-stripe snapshots, exact once writers stop.
 func (s *SlotStore) Stats() Stats {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return Stats{
-		Backend:  BackendSlot,
-		Shards:   1,
-		Capacity: s.capacity,
-		Resident: s.resident,
-		Bytes:    s.bytes,
-		Sets:     s.sets.Load(),
-		Hits:     s.hits.Load(),
-		Misses:   s.misses.Load(),
-		Drops:    s.drops.Load(),
+	out := Stats{Backend: s.backend, Shards: len(s.stripes), Capacity: s.capacity}
+	for i := range s.stripes {
+		st := &s.stripes[i]
+		st.mu.RLock()
+		out.Resident += st.resident
+		out.Bytes += st.bytes
+		st.mu.RUnlock()
+		out.Sets += st.sets.Load()
+		out.Hits += st.hits.Load()
+		out.Misses += st.misses.Load()
+		out.Drops += st.drops.Load()
 	}
+	return out
 }
