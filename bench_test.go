@@ -1,6 +1,6 @@
-// Benchmarks regenerating every table and figure of the paper (see
-// DESIGN.md's experiment index), plus ablations for the design decisions
-// called out there. Run:
+// Benchmarks regenerating every table and figure of the paper (one per
+// ID in dpcache.ExperimentIDs), plus ablations of the codec and strict
+// assembly on the full request path. Run:
 //
 //	go test -bench=. -benchmem
 package dpcache_test
@@ -56,11 +56,6 @@ func BenchmarkFig6(b *testing.B)      { benchExperiment(b, "fig6") }
 func BenchmarkCaseStudy(b *testing.B) { benchExperiment(b, "casestudy") }
 func BenchmarkBaselines(b *testing.B) { benchExperiment(b, "baselines") }
 
-// BenchmarkSaturation sweeps offered load past the fault-injected
-// origin's capacity with admission control off and on (the overload
-// experiment; see BENCH_saturation.json for the committed trajectory).
-func BenchmarkSaturation(b *testing.B) { benchExperiment(b, "saturation") }
-
 // startBenchSystem stands up a cached-mode system running the synthetic
 // site and returns a warmed fetch function.
 func startBenchSystem(b *testing.B, cfg dpcache.SystemConfig, codecName string) (fetch func(page int), close func()) {
@@ -106,7 +101,7 @@ func startBenchSystem(b *testing.B, cfg dpcache.SystemConfig, codecName string) 
 }
 
 // Ablation: strict (generation-checked) vs fast assembly on the full
-// request path (DESIGN.md decision 4).
+// request path.
 func BenchmarkStrictMode(b *testing.B) {
 	for _, strict := range []bool{false, true} {
 		name := "fast"
@@ -124,8 +119,7 @@ func BenchmarkStrictMode(b *testing.B) {
 	}
 }
 
-// Ablation: binary vs text template codec on the full request path
-// (DESIGN.md decision 1).
+// Ablation: binary vs text template codec on the full request path.
 func BenchmarkCodecEndToEnd(b *testing.B) {
 	for _, codec := range []string{"binary", "text"} {
 		b.Run(codec, func(b *testing.B) {

@@ -3,7 +3,7 @@
 //	dpcbench                    # run everything
 //	dpcbench -run fig3b,fig5    # run selected artifacts
 //	dpcbench -requests 1000     # bigger measurement windows
-//	dpcbench -run pipeline,memory -json .   # also emit BENCH_*.json trajectories
+//	dpcbench -run memory -json .   # also emit BENCH_*.json trajectories
 //
 // Analytical artifacts (table2, fig2a, fig2b, fig3a, result1) are
 // instantaneous; experimental ones (fig3b, fig5, fig6, casestudy) stand up

@@ -27,8 +27,8 @@
 //	defer sys.Close()
 //	resp, _ := http.Get(sys.FrontURL() + "/page/hello")
 //
-// See examples/ for complete programs and EXPERIMENTS.md for the paper's
-// evaluation regenerated against this implementation.
+// See examples/ for complete programs, and RunExperiment (or cmd/dpcbench)
+// for the paper's evaluation regenerated against this implementation.
 package dpcache
 
 import (
@@ -244,14 +244,15 @@ func BaselineParams() AnalyticalParams { return analytical.Baseline() }
 
 // Experiments: regenerate the paper's tables and figures.
 type (
-	// Experiment is a runnable table/figure reproduction.
+	// ExperimentTable is one regenerated table or figure, as RunExperiment
+	// returns it.
 	ExperimentTable = experiments.Table
 	// ExperimentOptions tunes live experiment runs.
 	ExperimentOptions = experiments.Options
 )
 
-// RunExperiment regenerates one paper artifact by ID (table2, fig2a,
-// fig2b, fig3a, result1, fig3b, fig5, fig6, casestudy).
+// RunExperiment regenerates one artifact by ID; ExperimentIDs lists the
+// IDs it accepts.
 func RunExperiment(id string, opts ExperimentOptions) (ExperimentTable, error) {
 	run, err := experiments.ByID(id)
 	if err != nil {

@@ -94,11 +94,6 @@ type Config struct {
 	// Registry receives all component metrics; a fresh one is created
 	// when nil.
 	Registry *metrics.Registry
-	// OriginFaults injects configured misbehavior (latency, errors,
-	// hangs, mid-body aborts, a bounded worker pool) in front of the
-	// origin's page/static handlers — the saturation experiment's load
-	// model. Nil serves faithfully.
-	OriginFaults *origin.FaultConfig
 	// Proxy is the template every proxy — the front one and each edge —
 	// is built from; see dpc.Config for the knobs. The system fills
 	// OriginURL, Store, Capacity, Codec, Registry and Tracer per proxy,
@@ -270,17 +265,12 @@ func NewSystem(cfg Config, mode Mode) (*System, error) {
 		}
 		mon.BindRepo(repo)
 	}
-	var faults *origin.FaultInjector
-	if cfg.OriginFaults != nil {
-		faults = origin.NewFaultInjector(*cfg.OriginFaults)
-	}
 	org, err := origin.New(origin.Config{
 		Repo:             repo,
 		Monitor:          mon,
 		Codec:            cfg.Codec,
 		ExtraHeaderBytes: cfg.ExtraHeaderBytes,
 		Registry:         cfg.Registry,
-		Faults:           faults,
 	})
 	if err != nil {
 		return nil, err

@@ -278,7 +278,7 @@ func BenchmarkAssembleAllMisses(b *testing.B) {
 
 // A stale GET must not abort the template: SET instructions after it must
 // still land in the store, and all failing references must be reported
-// (the anti-poisoning property of DESIGN.md decision 4).
+// (strict mode's anti-poisoning property; see Config.Strict).
 func TestAssembleAppliesSetsAfterStaleGet(t *testing.T) {
 	store, _ := NewStore(8)
 	asm := newTestAssembler(t, store, tmpl.Binary{}, true)

@@ -37,9 +37,9 @@ import (
 
 var overloadTableOut = flag.String("overload-table", "", "write TestOverloadSignals' table to this file")
 
-// The operating point the wall-clock saturation experiment uses: capacity
-// is overloadWorkers / overloadService, and page-tier refresh demand (one
-// origin fetch per distinct lapsed page) outruns it at overload.
+// The saturation operating point: capacity is overloadWorkers /
+// overloadService, and page-tier refresh demand (one origin fetch per
+// distinct lapsed page) outruns it at overload.
 const (
 	overloadWorkers  = 2
 	overloadService  = 120 * time.Millisecond
@@ -370,8 +370,7 @@ func runOverload(t testing.TB, sh overloadShape, v overloadVariant) overloadRow 
 	return row
 }
 
-// overloadOn is the admission setting the wall-clock saturation experiment
-// runs.
+// overloadOn is the admission setting the saturation rows run.
 func overloadOn(c *Config) {
 	c.Admission = true
 	c.MaxOriginInFlight = 4
@@ -382,8 +381,7 @@ func overloadOn(c *Config) {
 
 // At four times the origin's capacity admission sheds or serves stale, and
 // its goodput beats the unprotected pipeline's; off, the stage is absent
-// and does neither. The checks the wall-clock saturation experiment made,
-// on the same operating point, in virtual time.
+// and does neither.
 func TestOverloadSaturation(t *testing.T) {
 	var table []string
 	rows := map[string]overloadRow{}

@@ -49,7 +49,7 @@ type Config struct {
 	// Codec must match the origin's template codec; defaults to binary.
 	Codec tmpl.Codec
 	// Strict enables generation checking on GETs plus transparent
-	// re-fetch on staleness (design decision 4 in DESIGN.md).
+	// re-fetch on staleness.
 	Strict bool
 	// Coalesce collapses concurrent identical in-flight origin fetches
 	// (same method, URL, and session identity) into a single fetch whose

@@ -14,9 +14,9 @@ import (
 	"dpcache/internal/workload"
 )
 
-// The ablations quantify the design decisions DESIGN.md calls out. They
-// are not paper artifacts; they justify implementation choices the paper
-// leaves open.
+// The ablations quantify three design decisions: the template codec,
+// strict assembly and the repository latency model. They are not paper
+// artifacts; they justify implementation choices the paper leaves open.
 
 // ablationPoint runs the synthetic site at the Table 2 operating point
 // under a specific system configuration and reports origin bytes, request
@@ -88,7 +88,7 @@ func runAblation(codec tmpl.Codec, strict bool, churnProb float64, link http.Rou
 }
 
 // AblationCodec compares the binary and text template codecs on the full
-// request path (DESIGN.md decision 1): same site, same workload, measured
+// request path: same site, same workload, measured
 // origin bytes and latency.
 func AblationCodec(opts Options) (Table, error) {
 	opts = opts.withDefaults()
@@ -127,7 +127,7 @@ func AblationCodec(opts Options) (Table, error) {
 }
 
 // AblationStrict compares strict (generation-checked) and fast assembly
-// under invalidation churn (DESIGN.md decision 4). Strict mode pays a
+// under invalidation churn. Strict mode pays a
 // per-GET comparison and occasional fallbacks; fast mode risks serving a
 // reused slot's bytes.
 func AblationStrict(opts Options) (Table, error) {

@@ -14,7 +14,7 @@ import (
 // table prints, and the options block says exactly how the numbers were
 // produced, so two records with equal options are directly comparable.
 type BenchRecord struct {
-	// ID is the experiment ID ("pipeline", "memory", …).
+	// ID is the experiment ID ("memory", "fig5", …).
 	ID string `json:"id"`
 	// Title is the table's human title.
 	Title string `json:"title"`

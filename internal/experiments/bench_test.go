@@ -11,8 +11,8 @@ import (
 func TestWriteBench(t *testing.T) {
 	dir := t.TempDir()
 	tab := Table{
-		ID:      "pipeline",
-		Title:   "coalescing pipeline",
+		ID:      "memory",
+		Title:   "memory-bounded store",
 		Columns: []string{"clients", "ttfb_ms"},
 		Rows:    [][]string{{"1", "2.0"}, {"64", "2.4"}},
 		Notes:   []string{"measured"},
@@ -21,7 +21,7 @@ func TestWriteBench(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := filepath.Join(dir, "BENCH_pipeline.json"); path != want {
+	if want := filepath.Join(dir, "BENCH_memory.json"); path != want {
 		t.Fatalf("path = %q, want %q", path, want)
 	}
 	raw, err := os.ReadFile(path)
@@ -32,7 +32,7 @@ func TestWriteBench(t *testing.T) {
 	if err := json.Unmarshal(raw, &rec); err != nil {
 		t.Fatalf("written file is not valid JSON: %v", err)
 	}
-	if rec.ID != "pipeline" || rec.Title != "coalescing pipeline" {
+	if rec.ID != "memory" || rec.Title != "memory-bounded store" {
 		t.Errorf("record identity = %q/%q", rec.ID, rec.Title)
 	}
 	if rec.Options.Seed != 7 || rec.Options.Requests != 60 {

@@ -18,7 +18,7 @@ import (
 
 // Table is one regenerated paper artifact.
 type Table struct {
-	// ID matches DESIGN.md's experiment index ("fig2a", "table2", …).
+	// ID is the experiment's catalogue ID in All ("fig2a", "table2", …).
 	ID string
 	// Title describes the artifact.
 	Title string
@@ -87,9 +87,6 @@ type Options struct {
 	ExtraHeaderBytes int
 	// ZipfAlpha shapes page popularity.
 	ZipfAlpha float64
-	// Coalesce enables single-flight broadcast coalescing at the measured
-	// system's proxy (dpc.Config.Coalesce) in the live runners.
-	Coalesce bool
 	// Store selects and bounds the measured proxy's fragment store (the
 	// zero value is the paper-faithful slot store); the memory experiment
 	// sweeps its ByteBudget. Capacity and DiskPath are the system's to set.
@@ -99,9 +96,6 @@ type Options struct {
 	// memory experiment's disk rows point this at a temporary directory
 	// per point.
 	DiskDir string
-	// PageCache mounts the whole-page cache stage at the measured
-	// proxy (dpc.Config.PageCache) in the live runners.
-	PageCache bool
 }
 
 // DefaultOptions sizes runs for the CLI: large enough for stable numbers.
@@ -156,13 +150,11 @@ func All() []struct {
 		{"fig5", Fig5},
 		{"fig6", Fig6},
 		{"memory", Memory},
-		{"pipeline", Pipeline},
 		{"casestudy", CaseStudy},
 		{"baselines", Baselines},
 		{"ablation-codec", AblationCodec},
 		{"ablation-strict", AblationStrict},
 		{"ablation-latency", AblationLatencyModel},
-		{"saturation", Saturation},
 	}
 }
 

@@ -52,8 +52,7 @@ func runPoint(mode core.Mode, siteCfg site.SyntheticConfig, forcedMiss float64,
 		ExtraHeaderBytes: opts.ExtraHeaderBytes,
 		DiskDir:          opts.DiskDir,
 		Store:            opts.Store,
-		Proxy: dpc.Config{Strict: true, Coalesce: opts.Coalesce, PageCache: opts.PageCache,
-			Transport: newPaperProtocol()},
+		Proxy:            dpc.Config{Strict: true, Transport: newPaperProtocol()},
 	}, mode)
 	if err != nil {
 		return point{}, site.Manifest{}, err

@@ -181,7 +181,7 @@ func runRestart(siteCfg site.SyntheticConfig, ramBudget int64, opts Options, nc 
 		DiskDir:          dir,
 		// The table's savings column is the paper's metric, measured against
 		// runPoint's no-cache bytes: the restart rows speak its protocol too.
-		Proxy: dpc.Config{Strict: true, Coalesce: opts.Coalesce, Transport: newPaperProtocol()},
+		Proxy: dpc.Config{Strict: true, Transport: newPaperProtocol()},
 		Store: fragstore.Config{Backend: "tiered", ByteBudget: ramBudget, Eviction: "lru"},
 	}, core.ModeCached)
 	if err != nil {

@@ -377,6 +377,62 @@ func TestAllocBudgetPlanCacheKeepsOnlyRecurringTemplates(t *testing.T) {
 	}
 }
 
+// A warm plan is what the plan cache buys: the template is decoded once, so
+// assembling it again allocates less than streaming the same bytes through
+// the decoder, at every page width. The timings of the two drivers are not
+// compared — on a loaded host a short wall-clock run proves nothing — but
+// the decode and every allocation it makes are deterministic.
+func TestAllocBudgetPlanRunBeatsStream(t *testing.T) {
+	for _, frags := range []int{4, 16, 64} {
+		streamed, cached := assembleRunners(t, frags)
+		perDecode := testing.AllocsPerRun(20, func() { _ = streamed() })
+		perPlan := testing.AllocsPerRun(20, func() { _ = cached() })
+		if perPlan >= perDecode {
+			t.Fatalf("f=%d: a cached plan allocates %v per assembly, decode-per-request %v", frags, perPlan, perDecode)
+		}
+	}
+}
+
+// assembleRunners builds a template of frags GETs of 512-byte fragments
+// over a resident store and returns one assembly per call through each of
+// Exec's drivers: streamed (the template is decoded on every call) and
+// cached (a warm plan cache, then Run).
+func assembleRunners(t *testing.T, frags int) (streamed, cached func() error) {
+	t.Helper()
+	codec := tmpl.Binary{}
+	store := newStore(t)
+	content := bytes.Repeat([]byte("f"), 512)
+	var ins []tmpl.Instruction
+	for k := uint32(0); k < uint32(frags); k++ {
+		if err := store.Set(k, 1, content); err != nil {
+			t.Fatal(err)
+		}
+		ins = append(ins, lit("<div>"), get(k, 1), lit("</div>"))
+	}
+	body := encode(t, codec, ins)
+	cache, err := NewCache(codec, CacheConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := &Exec{Store: store, Strict: true, Codec: codec, Plans: cache}
+	if _, _, err := cache.Get(body); err != nil { // warm the plan cache
+		t.Fatal(err)
+	}
+	streamed = func() error {
+		_, err := ex.RunStream(bytes.NewReader(body), io.Discard, nil)
+		return err
+	}
+	cached = func() error {
+		plan, _, err := cache.Get(body)
+		if err != nil {
+			return err
+		}
+		_, err = ex.Run(plan, io.Discard, nil)
+		return err
+	}
+	return streamed, cached
+}
+
 // A plan owns the bytes it emits and stores: the buffer its template was
 // read into can be reused the moment Cache.Get returns, which is what lets
 // the proxy read templates into a pooled buffer.
