@@ -43,10 +43,12 @@ func (s *Store) checkInvariants() error {
 			return err
 		}
 	}
-	for e := s.clock.Front(); e != nil; e = e.Next() {
-		if err := inUse("on the clock ring", e.Value.(*frame)); err != nil {
+	onRing := 0
+	for f := s.clockNext(&s.clock); f != nil; f = s.clockNext(f) {
+		if err := inUse("on the clock ring", f); err != nil {
 			return err
 		}
+		onRing++
 	}
 	for _, f := range s.dirty {
 		if err := inUse("dirty", f); err != nil {
@@ -61,12 +63,12 @@ func (s *Store) checkInvariants() error {
 		if f.pins != want {
 			return fmt.Errorf("page %d (tail %d): %d pins, want %d", page, s.tail, f.pins, want)
 		}
-		if f.elem == nil {
+		if f.prev == nil {
 			return fmt.Errorf("page %d: resident frame is off the clock ring", page)
 		}
 	}
-	if n := s.clock.Len(); n != len(s.frames) {
-		return fmt.Errorf("clock ring holds %d frames, %d are resident", n, len(s.frames))
+	if onRing != s.clockLen || onRing != len(s.frames) {
+		return fmt.Errorf("clock ring holds %d frames (counted %d), %d are resident", onRing, s.clockLen, len(s.frames))
 	}
 	if s.tail >= 0 {
 		f, pi := s.frames[s.tail], s.pages[s.tail]

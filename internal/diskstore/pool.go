@@ -1,9 +1,6 @@
 package diskstore
 
-import (
-	"container/list"
-	"errors"
-)
+import "errors"
 
 var (
 	errClosed    = errors.New("diskstore: closed")
@@ -38,12 +35,14 @@ var (
 // the next load, free or tail allocation takes from: the pool owns
 // PoolPages buffers and hands them round instead of asking the allocator
 // for a fresh one per miss. Frames orphaned by replaceFrameLocked may still
-// be pinned and are left to the collector.
+// be pinned and are left to the collector. The ring's links are the frames'
+// own, as the index's LRU links are its entries', so a load allocates its
+// frame and its channel and nothing else.
 
 type frame struct {
-	page int
-	data []byte
-	elem *list.Element // position in the clock ring
+	page       int
+	data       []byte
+	prev, next *frame // clock ring; nil while off it. See Store.clock
 
 	pins    int  // eviction guard; guarded by s.mu
 	ref     bool // clock reference bit
@@ -62,19 +61,45 @@ func (s *Store) replaceFrameLocked(page int, f *frame) {
 	s.addClockLocked(f)
 }
 
+// addClockLocked puts f on the clock ring, behind the hand's sweep.
 func (s *Store) addClockLocked(f *frame) {
-	f.elem = s.clock.PushBack(f)
+	f.prev, f.next = s.clock.prev, &s.clock
+	f.prev.next = f
+	s.clock.prev = f
+	s.clockLen++
 }
 
 func (s *Store) removeClockLocked(f *frame) {
-	if f.elem == nil {
+	if f.prev == nil {
 		return
 	}
-	if s.hand == f.elem {
-		s.hand = f.elem.Next()
+	if s.hand == f {
+		s.hand = s.clockNext(f)
 	}
-	s.clock.Remove(f.elem)
-	f.elem = nil
+	f.prev.next, f.next.prev = f.next, f.prev
+	f.prev, f.next = nil, nil
+	s.clockLen--
+}
+
+// clockNext is the frame after f on the ring, nil past the last.
+func (s *Store) clockNext(f *frame) *frame {
+	if f.next == &s.clock {
+		return nil
+	}
+	return f.next
+}
+
+// clearClockLocked empties the ring, unlinking every frame on it, so a frame
+// orphaned by the reset is never taken for one on the ring.
+func (s *Store) clearClockLocked() {
+	for f := s.clock.next; f != nil && f != &s.clock; {
+		next := f.next
+		f.prev, f.next = nil, nil
+		f = next
+	}
+	s.clock.prev, s.clock.next = &s.clock, &s.clock
+	s.clockLen = 0
+	s.hand = nil
 }
 
 // evictFramesLocked runs the clock hand until the pool is within its
@@ -83,21 +108,20 @@ func (s *Store) removeClockLocked(f *frame) {
 // reference bit, so hot pages survive one extra sweep.
 func (s *Store) evictFramesLocked() {
 	budget := s.cfg.PoolPages
-	if budget <= 0 || s.clock.Len() <= budget {
+	if budget <= 0 || s.clockLen <= budget {
 		return
 	}
-	scans := 2 * s.clock.Len()
-	for s.clock.Len() > budget && scans > 0 {
+	scans := 2 * s.clockLen
+	for s.clockLen > budget && scans > 0 {
 		scans--
 		if s.hand == nil {
-			s.hand = s.clock.Front()
+			s.hand = s.clockNext(&s.clock)
 			if s.hand == nil {
 				return
 			}
 		}
-		e := s.hand
-		s.hand = e.Next()
-		f := e.Value.(*frame)
+		f := s.hand
+		s.hand = s.clockNext(f)
 		if f.pins > 0 || f.loading != nil || s.dirty[f.page] == f || s.flushing[f.page] {
 			f.ref = false
 			continue
@@ -106,8 +130,7 @@ func (s *Store) evictFramesLocked() {
 			f.ref = false
 			continue
 		}
-		s.clock.Remove(e)
-		f.elem = nil
+		s.removeClockLocked(f)
 		if s.frames[f.page] == f {
 			delete(s.frames, f.page)
 		}
@@ -188,9 +211,7 @@ func (s *Store) pin(page int, pgen uint64) (*frame, error) {
 	ch := f.loading
 	f.loading = nil
 	if err != nil && s.frames[page] == f {
-		if f.elem != nil {
-			s.removeClockLocked(f)
-		}
+		s.removeClockLocked(f)
 		delete(s.frames, page)
 	}
 	s.mu.Unlock()

@@ -35,7 +35,6 @@
 package diskstore
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"os"
@@ -177,9 +176,13 @@ type Store struct {
 	truncating bool
 	closed     bool
 
-	frames   map[int]*frame
-	clock    list.List // *frame, clock ring
-	hand     *list.Element
+	frames map[int]*frame
+	// clock is the ring sentinel of the resident frames, in load order
+	// (clock.next first); clockLen counts them, and hand is the frame the
+	// next sweep looks at first (nil: start from the front).
+	clock    frame
+	clockLen int
+	hand     *frame
 	dirty    map[int]*frame
 	flushing map[int]bool // pages with a write-back in flight
 	writes   sync.WaitGroup
@@ -232,6 +235,7 @@ func Open(cfg Config) (*Store, error) {
 		flushing:  make(map[int]bool),
 	}
 	s.lru.prev, s.lru.next = &s.lru, &s.lru
+	s.clock.prev, s.clock.next = &s.clock, &s.clock
 	if err := s.replay(); err != nil {
 		f.Close()
 		return nil, err
@@ -542,7 +546,7 @@ func (s *Store) stageLocked(key string, e Entry, seq uint64, deadline int64) []s
 
 // Get returns the entry for key, lazily dropping it if expired.
 func (s *Store) Get(key string) (Entry, bool) {
-	e, _, ok := s.read(key, true, true, 0)
+	e, _, ok := s.read(key, true, true, 0, nil)
 	return e, ok
 }
 
@@ -550,7 +554,7 @@ func (s *Store) Get(key string) (Entry, bool) {
 // callers inspect Entry.Deadline (stale-while-revalidate reads). A Peek is
 // not a Read: it leaves the record's touch stamp alone.
 func (s *Store) Peek(key string) (Entry, bool) {
-	e, _, ok := s.read(key, false, false, 0)
+	e, _, ok := s.read(key, false, false, 0, nil)
 	return e, ok
 }
 
@@ -564,14 +568,27 @@ func (s *Store) Peek(key string) (Entry, bool) {
 // keepLapsed a record past its deadline is returned (and left) as Peek
 // would.
 func (s *Store) Read(key string, window uint64, keepLapsed bool) (e Entry, again, ok bool) {
-	return s.read(key, !keepLapsed, true, window)
+	return s.read(key, !keepLapsed, true, window, nil)
+}
+
+// ReadInto is Read with the value's storage chosen by the caller, once it
+// knows whether the record was read again: buf is called once per hit,
+// under the latch and before any byte is copied, with again and the value's
+// length, and returns the slice the value is copied into — of at least that
+// capacity; its contents are overwritten. A caller that will keep the value
+// returns a fresh slice; one that only passes the bytes on returns a buffer
+// of its own and reuses it for its next read. buf must neither block nor
+// call back into the store.
+func (s *Store) ReadInto(key string, window uint64, keepLapsed bool, buf func(again bool, n int) []byte) (e Entry, again, ok bool) {
+	return s.read(key, !keepLapsed, true, window, buf)
 }
 
 // read is the one read path. When every page of the record is in a loaded
 // frame — a pool hit — the whole read is one hold of the latch: index,
 // LRU, touch stamp, frame and copy. Only a read that must load a page
-// releases the latch and goes through pin.
-func (s *Store) read(key string, expire, touch bool, window uint64) (e Entry, again, ok bool) {
+// releases the latch and goes through pin. buf, nil for a fresh slice,
+// chooses where the value goes (see ReadInto).
+func (s *Store) read(key string, expire, touch bool, window uint64, buf func(again bool, n int) []byte) (e Entry, again, ok bool) {
 	s.mu.Lock()
 	d := s.index[key]
 	if d == nil {
@@ -600,7 +617,14 @@ func (s *Store) read(key string, expire, touch bool, window uint64) (e Entry, ag
 	if d.deadline != 0 {
 		e.Deadline = time.Unix(0, d.deadline)
 	}
-	if val, resident := s.copyResidentLocked(d); resident {
+	var val []byte
+	if buf != nil {
+		//dpclint:ignore lockscope ReadInto binds buf never to block or call back into the store: the tiered store's is atomic loads and a buffer
+		val = buf(again, d.valLen)[:0]
+	} else {
+		val = make([]byte, 0, d.valLen)
+	}
+	if val, resident := s.copyResidentLocked(d, val); resident {
 		pages := int64(len(d.segs))
 		s.mu.Unlock()
 		s.poolHits.Add(pages)
@@ -618,7 +642,7 @@ func (s *Store) read(key string, expire, touch bool, window uint64) (e Entry, ag
 	seq, valLen := d.seq, d.valLen
 	s.mu.Unlock()
 
-	val, ok := s.readRecord(key, locs, seq, valLen)
+	val, ok = s.readRecord(key, locs, seq, valLen, val)
 	if !ok {
 		// Concurrently deleted or page recycled between unlock and
 		// read: indistinguishable from a miss.
@@ -630,23 +654,22 @@ func (s *Store) read(key string, expire, touch bool, window uint64) (e Entry, ag
 	return e, again, true
 }
 
-// copyResidentLocked assembles d's value from frames already loaded,
-// reporting false when a page of it is absent or still loading. Under the
-// latch an indexed record's locations cannot be stale and no append can run
-// beside the copy, so nothing is pinned.
-func (s *Store) copyResidentLocked(d *dentry) ([]byte, bool) {
+// copyResidentLocked appends d's value to val, whose capacity holds it,
+// from frames already loaded, reporting false when a page of it is absent
+// or still loading. Under the latch an indexed record's locations cannot be
+// stale and no append can run beside the copy, so nothing is pinned.
+func (s *Store) copyResidentLocked(d *dentry, val []byte) ([]byte, bool) {
 	for _, loc := range d.segs {
 		if f := s.frames[loc.page]; f == nil || f.loading != nil {
-			return nil, false
+			return val, false
 		}
 	}
-	val := make([]byte, 0, d.valLen)
 	for i, loc := range d.segs {
 		f := s.frames[loc.page]
 		f.ref = true
 		seg, ok := segmentValue(f.data, loc.slot, d.key, d.seq, i)
 		if !ok {
-			return nil, false // readRecord reports it the same way: a miss
+			return val[:0], false // readRecord reports it the same way: a miss
 		}
 		val = append(val, seg...)
 	}
@@ -679,11 +702,11 @@ func segmentValue(buf []byte, slot int, key string, seq uint64, segIdx int) ([]b
 	return buf[p : p+h.segVal], true
 }
 
-// readRecord assembles the record's value from its segments via the
-// buffer pool, pinning each page (and loading it if need be) outside the
-// latch.
-func (s *Store) readRecord(key string, locs []segLoc, seq uint64, valLen int) ([]byte, bool) {
-	val := make([]byte, 0, valLen)
+// readRecord appends the record's value to val, whose capacity holds it,
+// from its segments via the buffer pool, pinning each page (and loading it
+// if need be) outside the latch.
+func (s *Store) readRecord(key string, locs []segLoc, seq uint64, valLen int, val []byte) ([]byte, bool) {
+	val = val[:0]
 	for i, loc := range locs {
 		f, err := s.pin(loc.page, loc.pgen)
 		if err != nil {
@@ -825,8 +848,7 @@ func (s *Store) resetLocked() {
 	s.nextPage = 0
 	s.tail = -1
 	s.frames = make(map[int]*frame)
-	s.clock.Init()
-	s.hand = nil
+	s.clearClockLocked()
 	s.dirty = make(map[int]*frame)
 	// flushing stays: in-flight write-backs still complete and clear
 	// their own page flags (harmless — their pages are being dropped).

@@ -7,10 +7,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
 
+	"dpcache/internal/fragstore"
 	"dpcache/internal/tmpl"
 )
 
@@ -210,9 +212,10 @@ func TestAllocBudgetIdentifiedPageHitRequest(t *testing.T) {
 // fabric, coalescing and spooling as dpcd does, in front of
 // pageLeaseOrigin's page of 16 fragments, and warmed up to its first lease
 // hit (the template, then the answer by reference that grants the lease).
-func leaseHitProxy(tb testing.TB) (*Proxy, *http.Request) {
+// store, when non-nil, is its fragment store; else the slot array.
+func leaseHitProxy(tb testing.TB, store fragstore.FragmentStore) (*Proxy, *http.Request) {
 	origin, warm := pageLeaseOrigin(tb, "none")
-	cfg := Config{OriginURL: "http://origin.invalid", Capacity: 32, PublishInterval: -1, Coalesce: true, Stream: true}
+	cfg := Config{OriginURL: "http://origin.invalid", Capacity: 32, PublishInterval: -1, Coalesce: true, Stream: true, Store: store}
 	origin(&cfg)
 	p, err := New(cfg)
 	if err != nil {
@@ -237,11 +240,10 @@ func leaseHitProxy(tb testing.TB) (*Proxy, *http.Request) {
 // room.
 const leaseHitBytes, leaseHitObjs = 1280, 14
 
-// A lease hit — frag_hot's usual request — runs its held plan from a warm
-// store through a pooled spool, and opens no flight: nothing page-sized is
-// allocated, or copied into a broadcast buffer no follower reads.
-func TestAllocBudgetLeaseHitRequest(t *testing.T) {
-	p, req := leaseHitProxy(t)
+// leaseHitAllocs serves 200 steady-state lease hits of req and returns the
+// bytes and objects each allocated.
+func leaseHitAllocs(t *testing.T, p *Proxy, req *http.Request) (bytesPer, objsPer uint64) {
+	t.Helper()
 	serve := func(n int) {
 		for i := 0; i < n; i++ {
 			p.ServeHTTP(&discardWriter{h: http.Header{}}, req)
@@ -258,18 +260,55 @@ func TestAllocBudgetLeaseHitRequest(t *testing.T) {
 	if n := hits.Value() - warm; n != requests {
 		t.Fatalf("%d lease hits of %d requests", n, requests)
 	}
-	bytesPer := (after.TotalAlloc - before.TotalAlloc) / requests
-	objs := (after.Mallocs - before.Mallocs) / requests
+	return (after.TotalAlloc - before.TotalAlloc) / requests, (after.Mallocs - before.Mallocs) / requests
+}
+
+// A lease hit — frag_hot's usual request — runs its held plan from a warm
+// store through a pooled spool, and opens no flight: nothing page-sized is
+// allocated, or copied into a broadcast buffer no follower reads.
+func TestAllocBudgetLeaseHitRequest(t *testing.T) {
+	p, req := leaseHitProxy(t, nil)
+	bytesPer, objs := leaseHitAllocs(t, p, req)
 	t.Logf("%d B in %d objects allocated per lease hit", bytesPer, objs)
 	if bytesPer > leaseHitBytes || objs > leaseHitObjs {
 		t.Fatalf("%d B in %d objects allocated per lease hit, budget %d B in %d", bytesPer, objs, leaseHitBytes, leaseHitObjs)
 	}
 }
 
+// A lease hit whose 16 fragments all come from the disk tier — served in
+// place, each copied into the run's scratch and emitted before the next
+// read — allocates no more objects than the same hit from the slot array:
+// a disk hit the RAM tier does not take gets no slice of its own.
+func TestAllocBudgetLeaseHitFromDisk(t *testing.T) {
+	ram, ramReq := leaseHitProxy(t, nil)
+	_, ramObjs := leaseHitAllocs(t, ram, ramReq)
+	// A RAM tier smaller than one fragment refuses them all: every
+	// fragment is on disk only, and every read of it is served in place.
+	store, err := fragstore.New(fragstore.Config{
+		Backend: fragstore.BackendTiered, Capacity: 32, ByteBudget: 512, Eviction: "lru",
+		DiskPath: filepath.Join(t.TempDir(), "lease.heap"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, req := leaseHitProxy(t, store)
+	before, _ := fragstore.DiskStats(store)
+	bytesPer, objs := leaseHitAllocs(t, p, req)
+	after, _ := fragstore.DiskStats(store)
+	if served := after.ServedInPlace - before.ServedInPlace; served != 250*16 || after.RAM.Resident != 0 || after.Promotions != 0 {
+		t.Fatalf("%d reads served in place for 250 hits of 16 fragments, RAM holding %d, %d promotions: the hits did not read the disk tier",
+			served, after.RAM.Resident, after.Promotions)
+	}
+	t.Logf("%d B in %d objects allocated per lease hit from disk, %d objects from the slot array", bytesPer, objs, ramObjs)
+	if objs > ramObjs {
+		t.Fatalf("%d objects allocated per lease hit from disk, budget %d (the slot array's lease hit)", objs, ramObjs)
+	}
+}
+
 // BenchmarkLeaseHitRequest serves one lease hit per iteration through
 // ServeHTTP: the pagecache stage's lease run, then respond.
 func BenchmarkLeaseHitRequest(b *testing.B) {
-	p, req := leaseHitProxy(b)
+	p, req := leaseHitProxy(b, nil)
 	w := &discardWriter{h: http.Header{}}
 	b.ReportAllocs()
 	for b.Loop() {

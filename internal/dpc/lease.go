@@ -336,11 +336,13 @@ func (p *Proxy) grantLease(rs *reqState, resp *http.Response, start time.Time, e
 // (a SET outside it fails, a GET misses), so each has a floor.
 type floorStore struct {
 	fragstore.FragmentStore
+	rd    fragstore.Reader // the backend's own read path; nil when it has none
 	floor []atomic.Uint32
 }
 
 func newFloorStore(s fragstore.FragmentStore) *floorStore {
-	return &floorStore{FragmentStore: s, floor: make([]atomic.Uint32, s.Capacity())}
+	rd, _ := s.(fragstore.Reader)
+	return &floorStore{FragmentStore: s, rd: rd, floor: make([]atomic.Uint32, s.Capacity())}
 }
 
 // raise kills every generation of slot key up to gen.
@@ -374,10 +376,16 @@ func (s *floorStore) Get(key, gen uint32, strict bool) ([]byte, bool) {
 	return s.FragmentStore.Get(key, gen, strict)
 }
 
-// GetCrossings implements fragstore.CrossingGetter.
-func (s *floorStore) GetCrossings(key, gen uint32, strict bool) ([]byte, bool, fragstore.Crossings) {
+// Read implements fragstore.Reader: the assembler's every GET comes here,
+// and goes on to the backend's read path with its scratch when the backend
+// has one.
+func (s *floorStore) Read(key, gen uint32, strict bool, sc *fragstore.Scratch) ([]byte, bool, fragstore.Crossings) {
 	if s.dead(key, gen) {
 		return nil, false, fragstore.Crossings{}
 	}
-	return fragstore.GetCrossings(s.FragmentStore, key, gen, strict)
+	if s.rd == nil {
+		data, ok := s.FragmentStore.Get(key, gen, strict)
+		return data, ok, fragstore.Crossings{}
+	}
+	return s.rd.Read(key, gen, strict, sc)
 }

@@ -228,7 +228,8 @@ func TestMemoryLive(t *testing.T) {
 	}
 	// A warm restart replays the heap file and must reach at least 80% of
 	// the steady-state hit ratio on the very first pass; a cold edge's
-	// first pass starts from nothing.
+	// first pass starts from nothing, in front of a BEM that knows only
+	// what it was sent, so none of its pages is a stale bypass.
 	steady := cell(t, tab, 13, 3)
 	warm := cell(t, tab, 14, 3)
 	cold := cell(t, tab, 15, 3)
@@ -240,6 +241,9 @@ func TestMemoryLive(t *testing.T) {
 	}
 	if cold > warm/2 {
 		t.Fatalf("restart:cold hit ratio %v not clearly below warm %v", cold, warm)
+	}
+	if bypasses := cell(t, tab, 15, 5); bypasses != 0 {
+		t.Fatalf("restart:cold took %v stale bypasses: the cold edge shares a BEM with proxies it is not", bypasses)
 	}
 }
 

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 
 	"dpcache/internal/core"
 	"dpcache/internal/dpc"
@@ -140,7 +141,7 @@ func Memory(opts Options) (Table, error) {
 		"an evicted slot costs a stale-bypass page fetch (full B_NC page) plus BEM re-learning, so savings fall toward the no-cache baseline as memory shrinks",
 		"fragment sizes follow a heavy-tailed 1x/1x/4x/16x cycle (site.FragmentSizeFactors): GDSF keeps many small hot fragments where LRU pins few large ones, so the policies separate at tight budgets",
 		"lru+disk rows mount the tiered backend (-store=tiered): the same RAM ledger, but victims demote to an unbounded heap file (written once; a victim the file already holds is evicted clean) and disk hits promote a copy back, so the hit ratio holds at the unbounded point at every budget",
-		"restart rows measure the first sequential pass over the site at an edge: restart:warm bounces a tiered edge (Edge.Close, then StartEdge with the same name reopens and replays its heap file) and restart:cold starts a fresh edge; restart:steady is the same edge's driven steady-state window for reference",
+		"restart rows measure the first sequential pass over the site at an edge: restart:warm bounces a tiered edge (Edge.Close, then StartEdge with the same name reopens and replays its heap file) and restart:cold starts a fresh edge in front of a fresh origin and BEM (behind the first system's BEM, which lists the slots its other proxies hold, every page of its first pass would be a stale bypass); restart:steady is the same edge's driven steady-state window for reference",
 		"restart-row savings are per-response against the no-cache baseline (the restart windows serve fewer requests than the sweep windows)")
 	return t, nil
 }
@@ -166,7 +167,11 @@ func restartRow(phase, frac string, budget int64, w winStats) []string {
 // backend at an edge proxy: steady-state hit ratio first, then the
 // first-pass hit ratio of (a) the same edge bounced and reopened over
 // its heap file and (b) a brand-new edge. The interior system (origin,
-// BEM, front proxy) stays up throughout, as in a rolling edge restart.
+// BEM, front proxy) stays up throughout the first two, as in a rolling edge
+// restart. The cold edge gets a system of its own: the first one's BEM lists
+// the slots its front proxy and the bounced edge hold, so a new edge behind
+// it would take each template's GETs of slots it never received as stale
+// bypasses, and measure that shared directory instead of an empty store.
 func runRestart(siteCfg site.SyntheticConfig, ramBudget int64, opts Options, nc point) (steady, warm, cold []string, err error) {
 	dir, err := os.MkdirTemp("", "dpc-memory-restart-*")
 	if err != nil {
@@ -174,27 +179,38 @@ func runRestart(siteCfg site.SyntheticConfig, ramBudget int64, opts Options, nc 
 	}
 	defer os.RemoveAll(dir)
 
-	sys, err := core.NewSystem(core.Config{
-		Capacity:         2 * siteCfg.Pages * siteCfg.FragmentsPerPage,
-		Seed:             opts.Seed,
-		ExtraHeaderBytes: opts.ExtraHeaderBytes,
-		DiskDir:          dir,
-		// The table's savings column is the paper's metric, measured against
-		// runPoint's no-cache bytes: the restart rows speak its protocol too.
-		Proxy: dpc.Config{Strict: true, Transport: newPaperProtocol()},
-		Store: fragstore.Config{Backend: "tiered", ByteBudget: ramBudget, Eviction: "lru"},
-	}, core.ModeCached)
+	// newSystem starts an origin, BEM and front proxy for the synthetic
+	// site, keeping its heap files under diskDir.
+	newSystem := func(diskDir string) (*core.System, error) {
+		sys, err := core.NewSystem(core.Config{
+			Capacity:         2 * siteCfg.Pages * siteCfg.FragmentsPerPage,
+			Seed:             opts.Seed,
+			ExtraHeaderBytes: opts.ExtraHeaderBytes,
+			DiskDir:          diskDir,
+			// The table's savings column is the paper's metric, measured
+			// against runPoint's no-cache bytes: the restart rows speak its
+			// protocol too.
+			Proxy: dpc.Config{Strict: true, Transport: newPaperProtocol()},
+			Store: fragstore.Config{Backend: "tiered", ByteBudget: ramBudget, Eviction: "lru"},
+		}, core.ModeCached)
+		if err != nil {
+			return nil, err
+		}
+		sc, _, err := site.BuildSynthetic(siteCfg, sys.Repo)
+		if err == nil {
+			err = sys.Register(sc)
+		}
+		if err == nil {
+			err = sys.Start()
+		}
+		if err != nil {
+			sys.Close()
+			return nil, err
+		}
+		return sys, nil
+	}
+	sys, err := newSystem(dir)
 	if err != nil {
-		return nil, nil, nil, err
-	}
-	sc, _, err := site.BuildSynthetic(siteCfg, sys.Repo)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if err := sys.Register(sc); err != nil {
-		return nil, nil, nil, err
-	}
-	if err := sys.Start(); err != nil {
 		return nil, nil, nil, err
 	}
 	defer sys.Close()
@@ -209,10 +225,10 @@ func runRestart(siteCfg site.SyntheticConfig, ramBudget int64, opts Options, nc 
 		}
 		return int64(siteCfg.Pages), nil
 	}
-	// window runs requests against one edge and measures the store-hit
-	// ratio, eviction delta, stale-bypass delta, and per-response wire
-	// savings over it.
-	window := func(e core.Edge, requests func() (int64, error)) (winStats, error) {
+	// window runs requests against one edge of sys and measures the
+	// store-hit ratio, eviction delta, stale-bypass delta, and per-response
+	// wire savings over it.
+	window := func(sys *core.System, e core.Edge, requests func() (int64, error)) (winStats, error) {
 		s0 := e.Proxy.Store().Stats()
 		b0 := sys.Registry.Counter("dpc.stale_fallbacks").Value()
 		sys.Meter.Reset()
@@ -263,7 +279,7 @@ func runRestart(siteCfg site.SyntheticConfig, ramBudget int64, opts Options, nc 
 			return nil, nil, nil, err
 		}
 	}
-	sw, err := window(edge, func() (int64, error) {
+	sw, err := window(sys, edge, func() (int64, error) {
 		res, err := driver.Run(opts.Requests)
 		if err != nil {
 			return 0, err
@@ -287,18 +303,28 @@ func runRestart(siteCfg site.SyntheticConfig, ramBudget int64, opts Options, nc 
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	ww, err := window(warmEdge, func() (int64, error) { return pass(warmEdge.URL) })
+	ww, err := window(sys, warmEdge, func() (int64, error) { return pass(warmEdge.URL) })
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("warm window: %w", err)
 	}
 
-	// Cold start: a brand-new edge with an empty heap file measures the
-	// same first pass from nothing.
-	coldEdge, err := sys.StartEdge("cold")
+	// Cold start: a brand-new edge with an empty heap file, in front of an
+	// origin whose BEM has never seen a proxy, measures the same first pass
+	// from nothing.
+	coldDir := filepath.Join(dir, "cold")
+	if err := os.Mkdir(coldDir, 0o755); err != nil {
+		return nil, nil, nil, err
+	}
+	coldSys, err := newSystem(coldDir)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	cw, err := window(coldEdge, func() (int64, error) { return pass(coldEdge.URL) })
+	defer coldSys.Close()
+	coldEdge, err := coldSys.StartEdge("cold")
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	cw, err := window(coldSys, coldEdge, func() (int64, error) { return pass(coldEdge.URL) })
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("cold window: %w", err)
 	}

@@ -11,15 +11,16 @@ import (
 )
 
 // The store's allocation budgets: what a read that crosses the tier
-// boundary may ask of the allocator beyond the copy of the value it
-// returns, and what the slot array's Get and Set may ask at all. (Without
-// the race detector, which changes what allocates.)
+// boundary may ask of the allocator, and what the slot array's Get and Set
+// may ask at all. (Without the race detector, which changes what
+// allocates.)
 
 const budgetPayload = 4 << 10
 
 // newBudgetStore returns a store whose RAM tier holds two payloads and
-// whose disk tier holds n more, every page of them pooled.
-func newBudgetStore(t *testing.T, n int) (*TieredKeyed, []string) {
+// whose disk tier holds n more, every page of them pooled, and the
+// fragment view a template run reads it through: slot i is key "k<i>".
+func newBudgetStore(t *testing.T, n int) (*TieredKeyed, Reader) {
 	t.Helper()
 	ts, err := NewTieredKeyed(TieredConfig{
 		RAM:  KeyedConfig{Shards: 1, ByteBudget: 2 * budgetPayload},
@@ -30,23 +31,30 @@ func newBudgetStore(t *testing.T, n int) (*TieredKeyed, []string) {
 	}
 	t.Cleanup(func() { ts.Close() })
 	payload := make([]byte, budgetPayload)
-	keys := make([]string, n+2)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("k%d", i)
-		ts.Put(keys[i], KeyedEntry{Value: payload}, 0)
+	for i := 0; i < n+2; i++ {
+		ts.Put(fmt.Sprintf("k%d", i), KeyedEntry{Value: payload}, 0)
 	}
-	return ts, keys[:n] // the last two are what RAM holds
+	view, err := ts.AsFragmentStore(n + 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ts, view.(Reader) // slots 0..n-1 are on disk only; the last two are what RAM holds
 }
 
-// A pool-hit read that does not promote allocates the value and nothing
-// else: no transit record, no segment list, no key or meta string.
+// A pool-hit read through a run's scratch that does not promote allocates
+// nothing: the value is copied into the scratch under the disk latch, and
+// there is no transit record, segment list, key or meta string. Without the
+// scratch it would be one object, the value's own slice.
 func TestAllocBudgetDiskHitServedInPlace(t *testing.T) {
-	// Eight keys in turn: each is read again eight disk reads later, the
+	// Eight slots in turn: each is read again eight disk reads later, the
 	// window is the RAM tier's two entries, so none is ever promoted.
-	ts, keys := newBudgetStore(t, 8)
+	const n = 8
+	ts, rd := newBudgetStore(t, n)
+	var s Scratch
+	defer s.Release()
 	i := 0
 	perRead := testing.AllocsPerRun(200, func() {
-		if _, ok := ts.Get(keys[i%len(keys)]); !ok {
+		if _, ok, _ := rd.Read(uint32(i%n), 0, false, &s); !ok {
 			t.Fatal("disk-resident entry lost")
 		}
 		i++
@@ -55,16 +63,21 @@ func TestAllocBudgetDiskHitServedInPlace(t *testing.T) {
 	if st.Promotions != 0 || st.ServedInPlace != int64(i) || st.Disk.PoolLoads != 0 {
 		t.Fatalf("the reads were not pool hits served in place: %+v", st)
 	}
-	if perRead != 1 {
-		t.Fatalf("%v allocations per disk hit served in place, budget 1 (the value)", perRead)
+	if perRead != 0 {
+		t.Fatalf("%v allocations per disk hit served in place through a scratch, budget 0", perRead)
 	}
 }
 
-// A promotion with the eviction it owes allocates at most one object
-// beyond the value: the transit record, the victim and the RAM entry are
-// recycled, the LRU links are the entries' own.
+// A promotion with the eviction it owes allocates the promoted value and
+// nothing else: the transit record, the victim and the RAM entry are
+// recycled, the LRU links are the entries' own, and the in-place read
+// before it goes to the scratch. (Two values a round when the in-place read
+// had a slice of its own.)
 func TestAllocBudgetPromotionWithEviction(t *testing.T) {
-	ts, keys := newBudgetStore(t, 4)
+	const n = 4
+	ts, rd := newBudgetStore(t, n)
+	var s Scratch
+	defer s.Release()
 	i := 0
 	before := ts.TierStats()
 	const rounds = 200
@@ -72,7 +85,7 @@ func TestAllocBudgetPromotionWithEviction(t *testing.T) {
 		// Twice in succession: served in place, then promoted over the
 		// coldest of RAM's two, whose disk copy is still there.
 		for touch := 0; touch < 2; touch++ {
-			if _, ok := ts.Get(keys[i%len(keys)]); !ok {
+			if _, ok, _ := rd.Read(uint32(i%n), 0, false, &s); !ok {
 				t.Fatal("entry lost across the tier boundary")
 			}
 		}
@@ -85,8 +98,8 @@ func TestAllocBudgetPromotionWithEviction(t *testing.T) {
 	if n := st.CleanEvictions + st.Demotions - before.CleanEvictions - before.Demotions; n != int64(i) {
 		t.Fatalf("%d evictions for %d promotions: %+v", n, i, st)
 	}
-	if perRound > 3 {
-		t.Fatalf("%v allocations per in-place read plus promotion and eviction, budget 3 (two values and one object)", perRound)
+	if perRound > 1 {
+		t.Fatalf("%v allocations per in-place read plus promotion and eviction, budget 1 (the promoted value)", perRound)
 	}
 	t.Logf("%v allocations per round of two reads", perRound)
 }

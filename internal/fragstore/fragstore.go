@@ -42,6 +42,7 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"dpcache/internal/diskstore"
@@ -53,7 +54,9 @@ import (
 // (Drop/DropAll). Implementations must be safe for concurrent use.
 //
 // Content returned by Get is shared with the store; callers must not
-// modify it. Set copies its input.
+// modify it. Set copies its input. A store may also be a Reader, whose
+// reads can lend it a Scratch: bytes returned through a Scratch are the
+// reader's, valid only until its next read through the same Scratch.
 type FragmentStore interface {
 	// Set stores content under key, stamping it with the generation from
 	// the SET tag. Keys at or beyond Capacity are rejected with an error.
@@ -78,6 +81,58 @@ type FragmentStore interface {
 	Resident() int
 	// Stats returns a point-in-time snapshot of store activity.
 	Stats() Stats
+}
+
+// Reader is a FragmentStore with a read path of its own beyond Get: the
+// fragment view of an engine, and a store that wraps another and forwards
+// its reads. A template run reads through it, asserting it once per run.
+type Reader interface {
+	// Read is Get for a reader that may lend the store a Scratch, and it
+	// also reports the tier crossings the read caused. With s non-nil, a
+	// value the store does not keep — a disk hit served in place — is
+	// copied into s, and the bytes returned are valid only until the next
+	// read through s; everything else Read returns is the store's, as
+	// Get's is. A store without a disk tier ignores s and reports no
+	// crossings.
+	Read(key, gen uint32, strict bool, s *Scratch) ([]byte, bool, Crossings)
+}
+
+// maxScratch bounds a Scratch's buffer: a value served in place that is
+// larger gets a slice of its own, as it would without a Scratch.
+const maxScratch = 64 << 10
+
+// scratchPool holds the buffers of released Scratches.
+var scratchPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// Scratch is the buffer one reader lends the store for the values it
+// serves in place: a template run holds one for all of its GETs, each of
+// which emits its bytes before the next read overwrites them. The buffer
+// is taken from a pool at the first read that needs it — a run whose
+// fragments all come from RAM never touches the pool — and holds at most
+// maxScratch bytes. The zero value is ready; a Scratch is one goroutine's.
+type Scratch struct {
+	buf *[]byte // nil until a read needs it
+}
+
+// grow returns the scratch's buffer emptied with a capacity of at least n,
+// taking one from the pool or replacing a smaller one first.
+func (s *Scratch) grow(n int) []byte {
+	if s.buf == nil {
+		s.buf = scratchPool.Get().(*[]byte)
+	}
+	if cap(*s.buf) < n {
+		*s.buf = make([]byte, 0, n)
+	}
+	return (*s.buf)[:0]
+}
+
+// Release hands the buffer back to the pool. Bytes read through s are no
+// longer valid; s is ready for reuse.
+func (s *Scratch) Release() {
+	if s.buf != nil {
+		scratchPool.Put(s.buf)
+		s.buf = nil
+	}
 }
 
 // Stats is a point-in-time snapshot of a store's occupancy and activity.
@@ -340,20 +395,26 @@ func (v *fragmentView) Set(key, gen uint32, content []byte) error {
 }
 
 func (v *fragmentView) Get(key, gen uint32, strict bool) ([]byte, bool) {
-	return v.get(key, gen, strict, nil)
+	return v.get(key, gen, strict, nil, nil)
 }
 
-// get is Get; over a tiered engine a non-nil c receives the tier crossings
-// the read caused.
-func (v *fragmentView) get(key, gen uint32, strict bool, c *Crossings) ([]byte, bool) {
+// Read implements Reader: over a tiered engine, a disk hit served in place
+// is copied into s.
+func (v *fragmentView) Read(key, gen uint32, strict bool, s *Scratch) (data []byte, ok bool, c Crossings) {
+	data, ok = v.get(key, gen, strict, s, &c)
+	return data, ok, c
+}
+
+// get is the view's one read path; s and c are as TieredKeyed.lookup's.
+func (v *fragmentView) get(key, gen uint32, strict bool, s *Scratch, c *Crossings) ([]byte, bool) {
 	if int64(key) >= int64(v.capacity) {
 		v.rangeMisses.Add(1)
 		return nil, false
 	}
 	var e KeyedEntry
 	var ok bool
-	if c != nil && v.tiered != nil {
-		e, ok = v.tiered.lookup(v.key(key), expireLapsed, c)
+	if v.tiered != nil {
+		e, ok = v.tiered.lookup(v.key(key), expireLapsed, s, c)
 	} else {
 		e, ok = v.s.Get(v.key(key))
 	}
@@ -417,29 +478,6 @@ func DiskStats(store FragmentStore) (TieredStats, bool) {
 		return v.tiered.TierStats(), true
 	}
 	return TieredStats{}, false
-}
-
-// GetCrossings is store.Get that also reports the tier crossings the read
-// caused, for the request trace: a promotion, and what became of the RAM
-// victims it displaced. A store without a disk tier reports none; a store
-// that wraps another reports its reads' by being a CrossingGetter.
-func GetCrossings(store FragmentStore, key, gen uint32, strict bool) (data []byte, ok bool, c Crossings) {
-	switch s := store.(type) {
-	case *fragmentView:
-		data, ok = s.get(key, gen, strict, &c)
-	case CrossingGetter:
-		return s.GetCrossings(key, gen, strict)
-	default:
-		data, ok = store.Get(key, gen, strict)
-	}
-	return data, ok, c
-}
-
-// CrossingGetter is a FragmentStore that answers GetCrossings itself: one
-// that wraps another store and passes the crossings of the reads it
-// forwards.
-type CrossingGetter interface {
-	GetCrossings(key, gen uint32, strict bool) ([]byte, bool, Crossings)
 }
 
 // Policy selects the engine's eviction strategy.

@@ -354,7 +354,7 @@ func (s *KeyedStore) Put(key string, entry KeyedEntry, ttl time.Duration) {
 // store is Put without the eviction that may have to follow it.
 func (s *KeyedStore) store(key string, entry KeyedEntry, ttl time.Duration) {
 	var deadline time.Time
-	if !s.refuses(entry) {
+	if !s.refuses(entry.size()) {
 		cp := make([]byte, len(entry.Value))
 		copy(cp, entry.Value)
 		entry.Value = cp
@@ -365,16 +365,16 @@ func (s *KeyedStore) store(key string, entry KeyedEntry, ttl time.Duration) {
 	s.insert(key, entry, deadline, false)
 }
 
-// refuses reports whether entry is larger than the entire budget and so
-// can never fit.
-func (s *KeyedStore) refuses(entry KeyedEntry) bool {
-	return s.led.budget > 0 && entry.size() > s.led.budget
+// refuses reports whether an entry of size bytes is larger than the entire
+// budget and so can never fit.
+func (s *KeyedStore) refuses(size int64) bool {
+	return s.led.budget > 0 && size > s.led.budget
 }
 
-// hasRoom reports whether entry can be added without pushing the store
-// over either limit: admitting it would evict nobody.
-func (s *KeyedStore) hasRoom(entry KeyedEntry) bool {
-	if s.led.budget > 0 && s.led.Used()+entry.size() > s.led.budget {
+// hasRoom reports whether an entry of size bytes can be added without
+// pushing the store over either limit: admitting it would evict nobody.
+func (s *KeyedStore) hasRoom(size int64) bool {
+	if s.led.budget > 0 && s.led.Used()+size > s.led.budget {
 		return false
 	}
 	return s.cfg.MaxEntries <= 0 || int(s.entries.Load()) < s.cfg.MaxEntries
@@ -391,7 +391,7 @@ func (s *KeyedStore) insert(key string, entry KeyedEntry, deadline time.Time, if
 	// admission (counted as an eviction of the refused bytes) rather than
 	// emptying the store to make room, and drop any stale entry the
 	// refused write was replacing.
-	refused := s.refuses(entry)
+	refused := s.refuses(entry.size())
 	sh := s.locate(key)
 	sh.mu.Lock()
 	e, ok := sh.entries[key]

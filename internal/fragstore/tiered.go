@@ -68,7 +68,7 @@ type TieredStats struct {
 // pooled page, and *promoted* — copied into RAM, the disk copy left where
 // it is — only when RAM has room to spare or the key was also read from
 // disk recently enough that it would still be resident had that read
-// admitted it (see promote). An entry read once displaces nothing, so one
+// admitted it (see admits). An entry read once displaces nothing, so one
 // pass over the whole store promotes only what it finds already on
 // probation, where admit-on-read would replace the RAM tier with the tail of
 // the pass. Eviction under ledger pressure *demotes* the victim, which costs
@@ -387,30 +387,34 @@ func (t *TieredKeyed) consult(key string) (suspect, held bool, v victim, writes 
 	return suspect, held, v, writes
 }
 
-// promote copies a disk hit into RAM, if the entry has earned it, and
-// reports whether it did; the disk copy stays where it is, flagged as
-// twinned. An entry earns its RAM when admitting it displaces nobody — the
-// tier has room — or when again says the disk tier saw it read within the
-// last RAM-tier's-worth of its reads: had the earlier read admitted it, it
-// would still be resident, so this read is the hit that admission would
-// have bought. A first touch buys nothing and is served in place. Entries
-// the RAM budget could never admit stay disk-only — promoting them would
-// bounce straight back out.
+// admits is promotion's admission test, asked of a disk hit of size bytes
+// before its value is copied: only a hit that will be promoted needs a
+// slice of its own. An entry earns its RAM when admitting it displaces
+// nobody — the tier has room — or when again says the disk tier saw it read
+// within the last RAM-tier's-worth of its reads: had the earlier read
+// admitted it, it would still be resident, so this read is the hit that
+// admission would have bought. A first touch buys nothing and is served in
+// place. Entries the RAM budget could never admit stay disk-only —
+// promoting them would bounce straight back out. Atomic loads only: the
+// disk tier asks it under its latch.
+func (t *TieredKeyed) admits(again bool, size int64) bool {
+	return !t.ram.refuses(size) && (again || t.ram.hasRoom(size))
+}
+
+// promote copies a disk hit that admits let in into RAM and reports whether
+// it did; the disk copy stays where it is, flagged as twinned. e.Value was
+// read into a slice of its own, which the RAM tier takes over.
 //
-// The check, the insert and the twin flag are one critical section of the
-// transit lock, and it writes only if no Put, Delete or bulk invalidation
-// (of any key: writes is one counter) has registered since before the disk
-// read and no crossing of the key is in flight. A Put of the key therefore
-// either registers after it — and stores over the promoted copy — or has
-// moved the counter, and then what was read from disk may be the version it
-// replaced; and an eviction of the key cannot interleave, so the flag and
-// the RAM tier's holding the key change together.
-func (t *TieredKeyed) promote(key string, e KeyedEntry, deadline time.Time, again bool, writes uint64) bool {
-	if t.ram.refuses(e) || !(again || t.ram.hasRoom(e)) {
-		return false
-	}
+// The insert and the twin flag are one critical section of the transit
+// lock, and it writes only if no Put, Delete or bulk invalidation (of any
+// key: writes is one counter) has registered since before the disk read and
+// no crossing of the key is in flight. A Put of the key therefore either
+// registers after it — and stores over the promoted copy — or has moved the
+// counter, and then what was read from disk may be the version it replaced;
+// and an eviction of the key cannot interleave, so the flag and the RAM
+// tier's holding the key change together.
+func (t *TieredKeyed) promote(key string, e KeyedEntry, deadline time.Time, writes uint64) bool {
 	t.mu.Lock()
-	// e.Value was assembled for this read and is shared with nobody else.
 	ok := t.writes == writes && t.transit[key] == nil && t.ram.insert(key, e, deadline, true)
 	if ok {
 		t.disk.Twin(key, true)
@@ -431,12 +435,15 @@ func (t *TieredKeyed) lapse(deadline time.Time) time.Duration {
 
 func (t *TieredKeyed) expired(deadline time.Time) bool { return t.lapse(deadline) >= 0 }
 
-// lookup is the one read path behind Get and GetKeep: RAM first, then an
-// eviction in flight, then disk — one hold of the transit lock and, on a
-// pool hit, one of the disk latch — promoting a disk hit that has earned
-// it. Under keepLapsed an expired entry misses but stays where it is for a
-// later GetStale. c, when non-nil, receives the crossings the read caused.
-func (t *TieredKeyed) lookup(key string, mode freshness, c *Crossings) (KeyedEntry, bool) {
+// lookup is the one read path behind Get, GetKeep and the fragment view's
+// reads: RAM first, then an eviction in flight, then disk — one hold of the
+// transit lock and, on a pool hit, one of the disk latch — promoting a disk
+// hit that has earned it. Under keepLapsed an expired entry misses but stays
+// where it is for a later GetStale. s, when non-nil, is the reader's
+// scratch: a disk hit served in place is copied into it, not into a slice of
+// its own, and its bytes are valid until the next read through s. c, when
+// non-nil, receives the crossings the read caused.
+func (t *TieredKeyed) lookup(key string, mode freshness, s *Scratch, c *Crossings) (KeyedEntry, bool) {
 	if e, _, ok := t.ram.lookup(key, mode); ok {
 		t.hits.Add(1)
 		return e, true
@@ -447,9 +454,16 @@ func (t *TieredKeyed) lookup(key string, mode freshness, c *Crossings) (KeyedEnt
 		return v.e, true
 	}
 	var e diskstore.Entry
-	var again, ok bool
+	var ok, admit bool
 	if !suspect && !held {
-		e, again, ok = t.disk.Read(key, uint64(t.ram.Len()), mode == keepLapsed)
+		e, _, ok = t.disk.ReadInto(key, uint64(t.ram.Len()), mode == keepLapsed, func(again bool, n int) []byte {
+			// The admission test runs before the copy: what it lets in
+			// needs a slice of its own, and only that.
+			if admit = t.admits(again, int64(n)); admit || s == nil || n > maxScratch {
+				return make([]byte, 0, n)
+			}
+			return s.grow(n)
+		})
 		ok = ok && !(mode == keepLapsed && t.expired(e.Deadline))
 	}
 	if !ok {
@@ -458,7 +472,7 @@ func (t *TieredKeyed) lookup(key string, mode freshness, c *Crossings) (KeyedEnt
 	}
 	t.hits.Add(1)
 	ke := fromDisk(e)
-	if !t.promote(key, ke, e.Deadline, again, writes) {
+	if !admit || !t.promote(key, ke, e.Deadline, writes) {
 		t.inPlace.Add(1)
 		if c != nil {
 			c.ServedInPlace = true
@@ -474,12 +488,16 @@ func (t *TieredKeyed) lookup(key string, mode freshness, c *Crossings) (KeyedEnt
 }
 
 // Get returns the entry under key from either tier, promoting a disk hit
-// into RAM when it has earned it (see promote).
-func (t *TieredKeyed) Get(key string) (KeyedEntry, bool) { return t.lookup(key, expireLapsed, nil) }
+// into RAM when it has earned it (see admits).
+func (t *TieredKeyed) Get(key string) (KeyedEntry, bool) {
+	return t.lookup(key, expireLapsed, nil, nil)
+}
 
 // GetKeep behaves like Get but leaves expired entries resident (in
 // whichever tier holds them) for a later GetStale.
-func (t *TieredKeyed) GetKeep(key string) (KeyedEntry, bool) { return t.lookup(key, keepLapsed, nil) }
+func (t *TieredKeyed) GetKeep(key string) (KeyedEntry, bool) {
+	return t.lookup(key, keepLapsed, nil, nil)
+}
 
 // GetStale returns the entry under key even past its TTL, with how far past
 // it is (negative while fresh, as KeyedStore.GetStale), from whichever tier
@@ -510,7 +528,7 @@ func (t *TieredKeyed) Put(key string, entry KeyedEntry, ttl time.Duration) {
 	t.puts.Add(1)
 	f, _ := t.enterTransit(key, writer)
 	t.disk.Delete(key)
-	if entry.Obj == nil && t.ram.refuses(entry) {
+	if entry.Obj == nil && t.ram.refuses(entry.size()) {
 		// Too large for the RAM ledger: admit directly to the disk tier,
 		// which copies the value into its page frames before Put returns.
 		t.ram.Delete(key)

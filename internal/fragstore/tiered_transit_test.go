@@ -62,7 +62,7 @@ func beginLookup(t *testing.T, ts *TieredKeyed, key string) (e diskstore.Entry, 
 
 // finishLookup is the second half, the entry having earned its promotion.
 func finishLookup(ts *TieredKeyed, key string, e diskstore.Entry, writes uint64) bool {
-	return ts.promote(key, fromDisk(e), e.Deadline, true, writes)
+	return ts.promote(key, fromDisk(e), e.Deadline, writes)
 }
 
 func entryOf(s string) KeyedEntry { return KeyedEntry{Value: []byte(s)} }

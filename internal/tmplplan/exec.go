@@ -37,11 +37,19 @@ type Exec struct {
 }
 
 // execState threads the per-run mutable state through include recursion:
-// one writer, one Stats, one ref-dedup set for the whole page.
+// one writer, one Stats, one ref-dedup set and one fragment scratch for the
+// whole page.
 type execState struct {
-	e  *Exec
+	e *Exec
+	// rd is e.Store's own read path, asserted once a run; nil when the
+	// store has none, and every GET is then its Get.
+	rd fragstore.Reader
 	w  io.Writer
 	st *Stats
+	// scratch receives the fragments a GET's read serves in place (disk
+	// hits the store does not keep); each is emitted before the next GET
+	// overwrites it. Released when the run ends.
+	scratch *fragstore.Scratch
 	// Dense-slot dedup for plans without includes (allocation-free up to
 	// 64 distinct refs via bits; one []bool past that).
 	bits uint64
@@ -53,26 +61,50 @@ type execState struct {
 	useMap  bool
 }
 
+// runOut is the part of a run's state that its reads hand on, and so lives
+// on the heap: its Stats and the scratch its store's Reader is lent, in one
+// allocation. The rest of execState stays on the stack.
+type runOut struct {
+	st      Stats
+	scratch fragstore.Scratch
+}
+
+// newState begins a run writing to w.
+func (e *Exec) newState(w io.Writer, useMap bool) *execState {
+	out := new(runOut)
+	x := &execState{e: e, w: w, st: &out.st, scratch: &out.scratch, useMap: useMap}
+	x.rd, _ = e.Store.(fragstore.Reader)
+	return x
+}
+
+// finish ends a run: the scratch goes back to its pool, and an assembly
+// that consumed its whole template reports its stale references.
+func (x *execState) finish(err error) (Stats, error) {
+	x.scratch.Release()
+	if err != nil {
+		return *x.st, err
+	}
+	return *x.st, x.st.staleErr()
+}
+
 // Run executes the cached plan p, writing the assembled page to w: SETs
 // are applied even after the page is doomed by a stale GET, output is
 // suppressed from the first stale reference onward, and the final error
 // carries the first stale ref and the total count. sp, when non-nil,
-// receives a child span per fragment resolution.
+// receives a child span per fragment resolution. Every byte is written to w
+// before Run returns: fragment bytes passed to w.Write may be the run's
+// scratch, valid only until the next GET.
 func (e *Exec) Run(p *Plan, w io.Writer, sp *trace.Span) (Stats, error) {
-	var st Stats
-	st.TemplateBytes = p.srcLen
+	x := e.newState(w, p.hasInc)
+	x.st.TemplateBytes = p.srcLen
 	if p.numRefs > 0 {
 		// Sized once: a plan without includes records at most numRefs.
-		st.Refs = make([]Ref, 0, p.numRefs)
+		x.st.Refs = make([]Ref, 0, p.numRefs)
 	}
-	x := &execState{e: e, w: w, st: &st, useMap: p.hasInc}
 	if !p.hasInc && p.numRefs > 64 {
 		x.seen = make([]bool, p.numRefs)
 	}
-	if err := x.run(p.ops, sp, 0); err != nil {
-		return st, err
-	}
-	return st, st.staleErr()
+	return x.finish(x.run(p.ops, sp, 0))
 }
 
 // RunStream assembles a template it does not hold: it decodes r and steps
@@ -84,15 +116,11 @@ func (e *Exec) Run(p *Plan, w io.Writer, sp *trace.Span) (Stats, error) {
 // the bytes, Stats and errors Run produces for the same template, resolving
 // every GET in stream order.
 func (e *Exec) RunStream(r io.Reader, w io.Writer, sp *trace.Span) (Stats, error) {
-	var st Stats
-	x := &execState{e: e, w: w, st: &st, useMap: true}
+	x := e.newState(w, true)
 	cr := &countingReader{r: r}
 	err := x.stream(e.Codec.NewDecoder(cr), sp)
-	st.TemplateBytes = cr.n
-	if err != nil {
-		return st, err
-	}
-	return st, st.staleErr()
+	x.st.TemplateBytes = cr.n
+	return x.finish(err)
 }
 
 // countingReader counts template bytes as the decoder consumes them.
@@ -118,15 +146,27 @@ func (st *Stats) staleErr() error {
 		ErrStale, first.Key, first.Gen, len(st.Stale))
 }
 
-// GetRef resolves one fragment reference. With a span it also asks the
-// store which tier crossings the read caused and records them as tier
-// events; without one it is store.Get and allocates nothing.
-func GetRef(store fragstore.FragmentStore, fsp *trace.Span, key, gen uint32, strict bool) ([]byte, bool) {
-	if fsp == nil {
+// GetRef resolves one fragment reference through store's read path: its
+// Reader when it has one, else its Get. s, when non-nil, is the caller's
+// scratch (see fragstore.Scratch): a disk hit the store serves in place is
+// copied into it, and the bytes returned are then valid only until the
+// caller's next read through s. With a span it also records the read's tier
+// crossings as tier events; without one it allocates nothing.
+func GetRef(store fragstore.FragmentStore, fsp *trace.Span, key, gen uint32, strict bool, s *fragstore.Scratch) ([]byte, bool) {
+	rd, _ := store.(fragstore.Reader)
+	return getRef(store, rd, fsp, key, gen, strict, s)
+}
+
+// getRef is GetRef with store's Reader already asserted (rd, nil for none):
+// a run asserts it once, not per GET.
+func getRef(store fragstore.FragmentStore, rd fragstore.Reader, fsp *trace.Span, key, gen uint32, strict bool, s *fragstore.Scratch) ([]byte, bool) {
+	if rd == nil {
 		return store.Get(key, gen, strict)
 	}
-	data, ok, c := fragstore.GetCrossings(store, key, gen, strict)
-	tierEvents(fsp, c)
+	data, ok, c := rd.Read(key, gen, strict, s)
+	if fsp != nil {
+		tierEvents(fsp, c)
+	}
 	return data, ok
 }
 
@@ -226,7 +266,7 @@ func (x *execState) run(ops []op, sp *trace.Span, depth int) error {
 			if sp != nil {
 				fsp = sp.Child("fragment")
 			}
-			data, ok := x.resolve(o, fsp)
+			data, ok := x.resolve(o, fsp, x.scratch)
 			if fsp != nil {
 				fsp.Finish()
 			}
@@ -243,7 +283,9 @@ func (x *execState) run(ops []op, sp *trace.Span, depth int) error {
 					MaxIncludeDepth, o.key, o.gen)
 			}
 			fsp := sp.Child("include")
-			data, ok := x.resolve(o, fsp)
+			// The body gets bytes of its own, not the scratch: the plan
+			// cache may keep it, and the nested run's GETs reuse the scratch.
+			data, ok := x.resolve(o, fsp, nil)
 			if !ok {
 				fsp.Finish()
 				continue
@@ -274,9 +316,10 @@ func (x *execState) run(ops []op, sp *trace.Span, depth int) error {
 // resolve reads the fragment a GET or include names: on a hit it records
 // the reference and returns the bytes, on a miss it records the reference
 // stale. fsp, the reference's span when the run is traced, gets the tier,
-// hit and miss events.
-func (x *execState) resolve(o *op, fsp *trace.Span) ([]byte, bool) {
-	data, ok := GetRef(x.e.Store, fsp, o.key, o.gen, x.e.Strict)
+// hit and miss events; s, when non-nil, is the scratch the read may serve
+// the bytes in (see GetRef).
+func (x *execState) resolve(o *op, fsp *trace.Span, s *fragstore.Scratch) ([]byte, bool) {
+	data, ok := getRef(x.e.Store, x.rd, fsp, o.key, o.gen, x.e.Strict, s)
 	if !ok {
 		if fsp != nil {
 			fsp.Event(trace.KindMiss, "fragment", RefString(o.key, o.gen), 0)

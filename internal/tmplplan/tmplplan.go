@@ -27,8 +27,13 @@
 // interpreter in the plantest subpackage. Every fragment GET reads the store
 // when the walk reaches it: a read takes about 60 ns from RAM and about a
 // microsecond from a pooled disk page, less than starting workers to
-// overlap it. Fragment refs ("key:gen") are interned package-wide so no
-// run allocates per-request ref strings for trace events.
+// overlap it. A run lends a store that is a fragstore.Reader its scratch
+// (fragstore.Scratch): a disk hit the store serves in place is copied into
+// it rather than into a slice of its own, so a GET's bytes are valid only
+// until the run's next read, and each is written to the page before that
+// read. An include's body is read into a slice of its own, since the plan
+// cache may keep it. Fragment refs ("key:gen") are interned package-wide so
+// no run allocates per-request ref strings for trace events.
 package tmplplan
 
 import "errors"

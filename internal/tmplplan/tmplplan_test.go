@@ -653,7 +653,7 @@ func TestTierEventsOnFragmentSpans(t *testing.T) {
 	}
 	defer store.(io.Closer).Close()
 	store.Set(1, 1, []byte("resident"))
-	if n := testing.AllocsPerRun(100, func() { GetRef(store, nil, 1, 1, true) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { GetRef(store, nil, 1, 1, true, nil) }); n != 0 {
 		t.Fatalf("untraced GetRef allocated %v per call", n)
 	}
 }
