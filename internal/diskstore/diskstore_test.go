@@ -7,9 +7,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
-
-	"dpcache/internal/clock"
 )
 
 func openTemp(t *testing.T, cfg Config) *Store {
@@ -42,19 +39,15 @@ func TestValidate(t *testing.T) {
 
 func TestPutGetRoundtrip(t *testing.T) {
 	s := openTemp(t, Config{})
-	dl := time.Now().Add(time.Hour).Truncate(0)
-	if !s.Put("k1", Entry{Value: []byte("hello"), Meta: "m1", Gen: 7, Deadline: dl}) {
+	if !s.Put("k1", Entry{Value: []byte("hello"), Gen: 7}) {
 		t.Fatal("Put refused")
 	}
 	e, ok := s.Get("k1")
 	if !ok {
 		t.Fatal("Get miss")
 	}
-	if string(e.Value) != "hello" || e.Meta != "m1" || e.Gen != 7 {
+	if string(e.Value) != "hello" || e.Gen != 7 {
 		t.Fatalf("roundtrip mismatch: %+v", e)
-	}
-	if !e.Deadline.Equal(dl) {
-		t.Fatalf("deadline: got %v want %v", e.Deadline, dl)
 	}
 	if _, ok := s.Get("absent"); ok {
 		t.Fatal("hit on absent key")
@@ -67,11 +60,11 @@ func TestPutGetRoundtrip(t *testing.T) {
 
 func TestEmptyValueAndOverwrite(t *testing.T) {
 	s := openTemp(t, Config{})
-	if !s.Put("k", Entry{Value: nil, Meta: "empty"}) {
+	if !s.Put("k", Entry{Value: nil, Gen: 1}) {
 		t.Fatal("empty value refused")
 	}
 	e, ok := s.Get("k")
-	if !ok || len(e.Value) != 0 || e.Meta != "empty" {
+	if !ok || len(e.Value) != 0 || e.Gen != 1 {
 		t.Fatalf("empty roundtrip: %+v ok=%v", e, ok)
 	}
 	if !s.Put("k", Entry{Value: []byte("second"), Gen: 2}) {
@@ -206,10 +199,10 @@ func TestTwinProbe(t *testing.T) {
 	}
 }
 
-// TestReadReportsSecondTouch: Read tells a faster tier whether the record
-// was also read within the last window Reads — the index entry is the
-// ghost list — while Peek and Twin are not reads, and a rewritten record
-// starts over.
+// TestReadReportsSecondTouch: ReadInto tells a faster tier whether the
+// record was also read within the last window reads — the index entry is
+// the ghost list — while Peek and Twin are not reads, and a rewritten
+// record starts over.
 func TestReadReportsSecondTouch(t *testing.T) {
 	s := openTemp(t, Config{})
 	for _, k := range []string{"a", "b", "c", "d"} {
@@ -217,12 +210,12 @@ func TestReadReportsSecondTouch(t *testing.T) {
 	}
 	read := func(key string, window uint64, want bool) {
 		t.Helper()
-		e, again, ok := s.Read(key, window, false)
+		e, again, ok := s.ReadInto(key, window, nil)
 		if !ok || string(e.Value) != "value-"+key {
-			t.Fatalf("Read(%s) = %q, %v", key, e.Value, ok)
+			t.Fatalf("ReadInto(%s) = %q, %v", key, e.Value, ok)
 		}
 		if again != want {
-			t.Fatalf("Read(%s, window %d): again = %v, want %v", key, window, again, want)
+			t.Fatalf("ReadInto(%s, window %d): again = %v, want %v", key, window, again, want)
 		}
 	}
 	read("a", 2, false) // read 1: never read before
@@ -252,31 +245,6 @@ func TestOversizedRefused(t *testing.T) {
 	}
 	if st := s.Stats(); st.Evictions != 1 || st.Resident != 0 {
 		t.Fatalf("stats: %+v", st)
-	}
-}
-
-func TestTTLLazyExpiry(t *testing.T) {
-	fc := clock.NewFake(time.Unix(1000, 0))
-	s := openTemp(t, Config{Clock: fc})
-	s.Put("k", Entry{Value: []byte("v"), Deadline: fc.Now().Add(time.Minute)})
-	if _, ok := s.Get("k"); !ok {
-		t.Fatal("fresh entry missing")
-	}
-	fc.Advance(2 * time.Minute)
-	if _, ok := s.Get("k"); ok {
-		t.Fatal("expired entry served")
-	}
-	if st := s.Stats(); st.Expired != 1 || st.Resident != 0 {
-		t.Fatalf("stats: %+v", st)
-	}
-	// Peek serves past the deadline (stale-while-revalidate reads).
-	s.Put("p", Entry{Value: []byte("v"), Deadline: fc.Now().Add(time.Second)})
-	fc.Advance(time.Hour)
-	if _, ok := s.Peek("p"); !ok {
-		t.Fatal("Peek dropped stale entry")
-	}
-	if _, ok := s.Get("p"); ok {
-		t.Fatal("Get served stale entry")
 	}
 }
 
@@ -317,8 +285,8 @@ func TestWarmReopen(t *testing.T) {
 		big[i] = byte(i)
 	}
 	s := openTemp(t, Config{Path: path})
-	s.Put("small", Entry{Value: []byte("sv"), Meta: "sm", Gen: 3})
-	s.Put("big", Entry{Value: big, Meta: "bm"})
+	s.Put("small", Entry{Value: []byte("sv"), Gen: 3})
+	s.Put("big", Entry{Value: big, Gen: 4})
 	s.Put("gone", Entry{Value: []byte("x")})
 	s.Put("rewritten", Entry{Value: []byte("old")})
 	s.Put("rewritten", Entry{Value: []byte("new")})
@@ -332,10 +300,10 @@ func TestWarmReopen(t *testing.T) {
 	if st.RecoveredEntries != 3 || st.ChecksumDiscards != 0 {
 		t.Fatalf("recovery stats: %+v", st)
 	}
-	if e, ok := s2.Get("small"); !ok || string(e.Value) != "sv" || e.Meta != "sm" || e.Gen != 3 {
+	if e, ok := s2.Get("small"); !ok || string(e.Value) != "sv" || e.Gen != 3 {
 		t.Fatalf("small not recovered: %+v ok=%v", e, ok)
 	}
-	if e, ok := s2.Get("big"); !ok || !bytes.Equal(e.Value, big) {
+	if e, ok := s2.Get("big"); !ok || !bytes.Equal(e.Value, big) || e.Gen != 4 {
 		t.Fatal("big not recovered intact")
 	}
 	if _, ok := s2.Get("gone"); ok {
@@ -343,33 +311,6 @@ func TestWarmReopen(t *testing.T) {
 	}
 	if e, ok := s2.Get("rewritten"); !ok || string(e.Value) != "new" {
 		t.Fatalf("overwrite not recovered at latest version: %+v ok=%v", e, ok)
-	}
-}
-
-func TestReopenExpiresTTL(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ttl.heap")
-	fc := clock.NewFake(time.Unix(5000, 0))
-	s := openTemp(t, Config{Path: path, Clock: fc})
-	s.Put("stale", Entry{Value: []byte("a"), Deadline: fc.Now().Add(time.Minute)})
-	s.Put("fresh", Entry{Value: []byte("b"), Deadline: fc.Now().Add(time.Hour)})
-	s.Put("forever", Entry{Value: []byte("c")})
-	s.Close()
-
-	fc.Advance(30 * time.Minute)
-	s2 := openTemp(t, Config{Path: path, Clock: fc})
-	if _, ok := s2.Get("stale"); ok {
-		t.Fatal("expired entry recovered")
-	}
-	if _, ok := s2.Get("fresh"); !ok {
-		t.Fatal("fresh entry lost")
-	}
-	// TTLs keep expiring after recovery.
-	fc.Advance(time.Hour)
-	if _, ok := s2.Get("fresh"); ok {
-		t.Fatal("recovered entry ignored its deadline")
-	}
-	if _, ok := s2.Get("forever"); !ok {
-		t.Fatal("no-TTL entry lost")
 	}
 }
 
@@ -412,7 +353,8 @@ func TestConcurrentChurn(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < ops; i++ {
-				k := fmt.Sprintf("k%d", rng.Intn(keys))
+				ki := rng.Intn(keys)
+				k := fmt.Sprintf("k%d", ki)
 				switch rng.Intn(10) {
 				case 0:
 					s.Delete(k)
@@ -421,10 +363,10 @@ func TestConcurrentChurn(t *testing.T) {
 				default:
 					if rng.Intn(2) == 0 {
 						v := make([]byte, rng.Intn(3*MinPageBytes))
-						s.Put(k, Entry{Value: v, Meta: k})
+						s.Put(k, Entry{Value: v, Gen: uint64(ki)})
 					} else {
-						if e, ok := s.Get(k); ok && e.Meta != k {
-							t.Errorf("cross-key read: key %s got meta %s", k, e.Meta)
+						if e, ok := s.Get(k); ok && e.Gen != uint64(ki) {
+							t.Errorf("cross-key read: key %s got gen %d", k, e.Gen)
 						}
 					}
 				}

@@ -6,9 +6,6 @@ import (
 	"math/rand"
 	"path/filepath"
 	"testing"
-	"time"
-
-	"dpcache/internal/clock"
 )
 
 // checkInvariants verifies what must hold whenever no operation is in
@@ -123,19 +120,17 @@ func (s *Store) checkInvariants() error {
 
 const modelKeys = 12
 
-// runModel decodes ops into a Put / Get / Peek / Twin / Delete / DeleteFunc
-// / expire / reopen sequence and applies it to a store with MinPageBytes
-// pages and poolPages frames — the shape that forces a pool eviction on
-// almost every page touch — and to a plain map, checking after every
-// operation that the two agree and that the store's invariants hold.
+// runModel decodes ops into a Put / Get / Peek / Delete / Twin / reopen
+// sequence and applies it to a store with MinPageBytes pages and poolPages
+// frames — the shape that forces a pool eviction on almost every page
+// touch — and to a plain map, checking after every operation that the two
+// agree and that the store's invariants hold.
 func runModel(t *testing.T, poolPages int, ops []byte) {
 	t.Helper()
-	fc := clock.NewFake(time.Unix(1_000, 0))
 	cfg := Config{
 		Path:      filepath.Join(t.TempDir(), "model.heap"),
 		PageBytes: MinPageBytes,
 		PoolPages: poolPages,
-		Clock:     fc,
 	}
 	s, err := Open(cfg)
 	if err != nil {
@@ -144,7 +139,6 @@ func runModel(t *testing.T, poolPages int, ops []byte) {
 	defer func() { s.Close() }()
 
 	oracle := make(map[string]Entry)
-	expired := func(e Entry) bool { return !e.Deadline.IsZero() && !fc.Now().Before(e.Deadline) }
 	next := func() int {
 		if len(ops) == 0 {
 			return 0
@@ -159,76 +153,48 @@ func runModel(t *testing.T, poolPages int, ops []byte) {
 		if ok != present {
 			t.Fatalf("%s(%q) present = %v, oracle says %v", what, key, ok, present)
 		}
-		if ok && (!bytes.Equal(got.Value, want.Value) || got.Meta != want.Meta ||
-			got.Gen != want.Gen || !got.Deadline.Equal(want.Deadline)) {
-			t.Fatalf("%s(%q) = %d B meta %q gen %d deadline %v, oracle holds %d B meta %q gen %d deadline %v",
-				what, key, len(got.Value), got.Meta, got.Gen, got.Deadline,
-				len(want.Value), want.Meta, want.Gen, want.Deadline)
+		if ok && (!bytes.Equal(got.Value, want.Value) || got.Gen != want.Gen) {
+			t.Fatalf("%s(%q) = %d B gen %d, oracle holds %d B gen %d",
+				what, key, len(got.Value), got.Gen, len(want.Value), want.Gen)
 		}
 	}
 
 	for step := 0; len(ops) > 0; step++ {
-		op, key := next()%9, fmt.Sprintf("key%d", next()%modelKeys)
+		op, key := next()%8, fmt.Sprintf("key%d", next()%modelKeys)
 		what := "Put"
 		switch op {
 		case 0, 1, 2:
 			// Sizes run from empty to two pages, so records span pages.
 			n := next()
-			e := Entry{
-				Value: bytes.Repeat([]byte{byte(step)}, n*n/8),
-				Meta:  fmt.Sprintf("m%d", step%5),
-				Gen:   uint64(step),
-			}
-			if next()%4 == 0 {
-				e.Deadline = fc.Now().Add(time.Duration(1+next()%8) * time.Second)
-			}
+			e := Entry{Value: bytes.Repeat([]byte{byte(step)}, n*n/8), Gen: uint64(step)}
 			if !s.Put(key, e) {
 				t.Fatalf("step %d: Put(%q, %d B) refused", step, key, len(e.Value))
 			}
 			oracle[key] = e
-		case 3:
+		case 3, 4:
 			what = "Get"
-			if expired(oracle[key]) {
-				delete(oracle, key)
-			}
 			got, ok := s.Get(key)
 			check(what, key, got, ok)
-		case 4:
+		case 5:
 			what = "Peek"
 			got, ok := s.Peek(key)
 			check(what, key, got, ok)
-		case 5:
+		case 6:
 			what = "Delete"
 			_, present := oracle[key]
 			delete(oracle, key)
 			if got := s.Delete(key); got != present {
 				t.Fatalf("step %d: Delete(%q) = %v, oracle says %v", step, key, got, present)
 			}
-		case 6:
-			what = "DeleteFunc"
-			pred := func(k string) bool { return k[len(k)-1]%3 == key[len(key)-1]%3 }
-			want := 0
-			for k := range oracle {
-				if pred(k) {
-					delete(oracle, k)
-					want++
-				}
-			}
-			if got := s.DeleteFunc(pred); got != want {
-				t.Fatalf("step %d: DeleteFunc dropped %d, oracle says %d", step, got, want)
-			}
-		case 7:
-			// Twin answers presence (lapsed or not) and moves no bytes; the
-			// flags it leaves behind are checked by checkInvariants.
-			what = "Twin"
-			_, present := oracle[key]
-			if got := s.Twin(key, next()%2 == 0); got != present {
-				t.Fatalf("step %d: Twin(%q) = %v, oracle says %v", step, key, got, present)
-			}
 		default:
 			if next()%4 != 0 {
-				what = "expire"
-				fc.Advance(time.Duration(1+next()%4) * time.Second)
+				// Twin answers presence and moves no bytes; the flags it
+				// leaves behind are checked by checkInvariants.
+				what = "Twin"
+				_, present := oracle[key]
+				if got := s.Twin(key, next()%2 == 0); got != present {
+					t.Fatalf("step %d: Twin(%q) = %v, oracle says %v", step, key, got, present)
+				}
 				break
 			}
 			what = "reopen"
@@ -237,11 +203,6 @@ func runModel(t *testing.T, poolPages int, ops []byte) {
 			}
 			if s, err = Open(cfg); err != nil {
 				t.Fatalf("step %d: reopen: %v", step, err)
-			}
-			for k, e := range oracle {
-				if expired(e) {
-					delete(oracle, k) // replay drops what lapsed
-				}
 			}
 		}
 		if err := s.checkInvariants(); err != nil {

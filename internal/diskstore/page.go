@@ -25,10 +25,14 @@ import (
 // partially written record can never be mistaken for a complete one).
 //
 //	record header (40 B):
-//	  seq u64 | gen u64 | deadline i64 (unixnano, 0 = none)
+//	  seq u64 | gen u64 | reserved 8 B
 //	  keyLen u16 | metaLen u16 | segIdx u16 | flags u16
 //	  segVal u32 | totalVal u32
-//	followed by key, meta, and segVal value bytes.
+//	followed by key, metaLen bytes of meta, and segVal value bytes.
+//
+// The reserved word and the meta are written empty and skipped when read:
+// files written while records carried an expiry deadline and a meta string
+// there replay unchanged, those records read as never expiring.
 const (
 	pageMagic     = 0x44504348 // "DPCH"
 	pageHeaderLen = 24
@@ -110,7 +114,6 @@ func verifyPage(buf []byte) bool {
 type recHeader struct {
 	seq      uint64
 	gen      uint64
-	deadline int64
 	keyLen   int
 	metaLen  int
 	segIdx   int
@@ -122,7 +125,7 @@ type recHeader struct {
 func putRecHeader(buf []byte, h recHeader) {
 	binary.LittleEndian.PutUint64(buf[0:], h.seq)
 	binary.LittleEndian.PutUint64(buf[8:], h.gen)
-	binary.LittleEndian.PutUint64(buf[16:], uint64(h.deadline))
+	binary.LittleEndian.PutUint64(buf[16:], 0)
 	binary.LittleEndian.PutUint16(buf[24:], uint16(h.keyLen))
 	binary.LittleEndian.PutUint16(buf[26:], uint16(h.metaLen))
 	binary.LittleEndian.PutUint16(buf[28:], uint16(h.segIdx))
@@ -135,7 +138,6 @@ func parseRecHeader(buf []byte) recHeader {
 	return recHeader{
 		seq:      binary.LittleEndian.Uint64(buf[0:]),
 		gen:      binary.LittleEndian.Uint64(buf[8:]),
-		deadline: int64(binary.LittleEndian.Uint64(buf[16:])),
 		keyLen:   int(binary.LittleEndian.Uint16(buf[24:])),
 		metaLen:  int(binary.LittleEndian.Uint16(buf[26:])),
 		segIdx:   int(binary.LittleEndian.Uint16(buf[28:])),
@@ -145,12 +147,11 @@ func parseRecHeader(buf []byte) recHeader {
 	}
 }
 
-// segment is one decoded record segment, used by reads and recovery.
+// segment is one decoded record segment, used by recovery.
 type segment struct {
-	hdr  recHeader
-	key  string
-	meta string
-	val  []byte // aliases the page buffer it was parsed from
+	hdr recHeader
+	key string
+	val []byte // aliases the page buffer it was parsed from
 }
 
 // parseSegment decodes the record at [off, off+length) within a page
@@ -165,8 +166,6 @@ func parseSegment(buf []byte, off, length int) (segment, bool) {
 	}
 	p := off + recHeaderLen
 	key := string(buf[p : p+h.keyLen])
-	p += h.keyLen
-	meta := string(buf[p : p+h.metaLen])
-	p += h.metaLen
-	return segment{hdr: h, key: key, meta: meta, val: buf[p : p+h.segVal]}, true
+	p += h.keyLen + h.metaLen
+	return segment{hdr: h, key: key, val: buf[p : p+h.segVal]}, true
 }

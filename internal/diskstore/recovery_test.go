@@ -8,9 +8,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
-
-	"dpcache/internal/clock"
 )
 
 // entryFor derives a deterministic value for key i so recovery checks
@@ -26,11 +23,10 @@ func entryFor(i, size int) []byte {
 // truncating it mid-page AND bit-flipping a byte inside a surviving
 // page. Reopening must discard exactly the damaged pages — no panic,
 // no corrupt reads — while every entry on intact pages is served with
-// its bytes verified, and TTLs keep expiring after recovery.
+// its bytes verified.
 func TestRecoveryTornFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "torn.heap")
-	fc := clock.NewFake(time.Unix(10_000, 0))
-	s, err := Open(Config{Path: path, PageBytes: MinPageBytes, Clock: fc})
+	s, err := Open(Config{Path: path, PageBytes: MinPageBytes})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -41,10 +37,7 @@ func TestRecoveryTornFile(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := w; i < n; i += 4 {
-				e := Entry{Value: entryFor(i, 1024+i*17), Meta: fmt.Sprintf("m%d", i)}
-				if i%8 == 0 {
-					e.Deadline = fc.Now().Add(time.Minute) // expires before reopen
-				}
+				e := Entry{Value: entryFor(i, 1024+i*17), Gen: uint64(i)}
 				if !s.Put(fmt.Sprintf("k%d", i), e) {
 					t.Errorf("Put k%d refused", i)
 				}
@@ -87,8 +80,7 @@ func TestRecoveryTornFile(t *testing.T) {
 	}
 	f.Close()
 
-	fc.Advance(10 * time.Minute) // the one-minute TTLs are now dead
-	s2, err := Open(Config{Path: path, PageBytes: MinPageBytes, Clock: fc})
+	s2, err := Open(Config{Path: path, PageBytes: MinPageBytes})
 	if err != nil {
 		t.Fatalf("reopen after tear: %v", err)
 	}
@@ -103,21 +95,18 @@ func TestRecoveryTornFile(t *testing.T) {
 		t.Fatal("nothing recovered from intact pages")
 	}
 	if st.RecoveredEntries >= n {
-		t.Fatalf("recovered %d entries; damage and TTLs should have claimed some", st.RecoveredEntries)
+		t.Fatalf("recovered %d entries; the damage should have claimed some", st.RecoveredEntries)
 	}
 
 	// Every recovered entry must serve exact bytes; entries lost to the
-	// tear miss cleanly; TTL'd entries never come back.
+	// tear miss cleanly.
 	served := 0
 	for i := 0; i < n; i++ {
 		e, ok := s2.Get(fmt.Sprintf("k%d", i))
 		if !ok {
 			continue
 		}
-		if i%8 == 0 {
-			t.Fatalf("k%d recovered despite expired TTL", i)
-		}
-		if !bytes.Equal(e.Value, entryFor(i, 1024+i*17)) || e.Meta != fmt.Sprintf("m%d", i) {
+		if !bytes.Equal(e.Value, entryFor(i, 1024+i*17)) || e.Gen != uint64(i) {
 			t.Fatalf("k%d served corrupt bytes after recovery", i)
 		}
 		served++
@@ -136,13 +125,6 @@ func TestRecoveryTornFile(t *testing.T) {
 		if e, ok := s2.Get(k); !ok || !bytes.Equal(e.Value, entryFor(1000+i, 2048)) {
 			t.Fatalf("post-recovery roundtrip %s failed", k)
 		}
-	}
-
-	// And TTLs still expire going forward.
-	s2.Put("ttl", Entry{Value: []byte("x"), Deadline: fc.Now().Add(time.Second)})
-	fc.Advance(time.Hour)
-	if _, ok := s2.Get("ttl"); ok {
-		t.Fatal("TTL ignored after recovery")
 	}
 }
 
@@ -221,14 +203,14 @@ func TestTailFrameSurvivesKillAndPoolPressure(t *testing.T) {
 	}
 }
 
-// TestReplayOutranksLapsedRecords: replay passes over a record whose
-// deadline has lapsed, but its slot stays in the file (the page holds
-// other live records). Records written afterwards must still outrank it,
-// or the next replay picks the lapsed one as the key's latest and the
-// newer value is lost.
-func TestReplayOutranksLapsedRecords(t *testing.T) {
-	fc := clock.NewFake(time.Unix(20_000, 0))
-	cfg := Config{Path: filepath.Join(t.TempDir(), "lapsed.heap"), PageBytes: MinPageBytes, Clock: fc}
+// TestReplayOutranksIncompleteRecords: replay passes over a record one of
+// whose segments was lost — a value spanning three pages, the last of them
+// torn off — but its first segment stays in the file, on a page that holds
+// another live record. Records written afterwards must still outrank it: a
+// new record of the key under the same sequence would be read back at the
+// next replay as one more segment of the broken one, and lost with it.
+func TestReplayOutranksIncompleteRecords(t *testing.T) {
+	cfg := Config{Path: filepath.Join(t.TempDir(), "incomplete.heap"), PageBytes: MinPageBytes}
 	reopen := func(s *Store) *Store {
 		t.Helper()
 		if s != nil {
@@ -244,11 +226,26 @@ func TestReplayOutranksLapsedRecords(t *testing.T) {
 	}
 	s := reopen(nil)
 	s.Put("keeps-the-page-alive", Entry{Value: []byte("x")})
-	s.Put("k", Entry{Value: []byte("old"), Deadline: fc.Now().Add(time.Second)}) // highest sequence in the file
-	fc.Advance(time.Minute)
-	s = reopen(s) // k has lapsed: not recovered
+	s.Put("k", Entry{Value: make([]byte, 5*MinPageBytes/2)}) // highest sequence in the file
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	fi, err := os.Stat(cfg.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() != 3*MinPageBytes {
+		t.Fatalf("setup: want k over three pages, the file has %d bytes", fi.Size())
+	}
+	if err := os.Truncate(cfg.Path, fi.Size()-MinPageBytes); err != nil {
+		t.Fatal(err)
+	}
+	s = reopen(nil)
 	if _, ok := s.Peek("k"); ok {
-		t.Fatal("lapsed record recovered")
+		t.Fatal("incomplete record recovered")
+	}
+	if st := s.Stats(); st.RecoveredEntries != 1 {
+		t.Fatalf("setup: want only the page's other record recovered: %+v", st)
 	}
 	s.Put("k", Entry{Value: []byte("new")})
 	s = reopen(s)

@@ -17,7 +17,7 @@
 // leaves it here, and Twin is the latch-only probe by which a later
 // eviction from RAM learns that its victim's copy is still held — in which
 // case nothing is written — while keeping that copy's LRU position as
-// fresh as its twin's use. Read tells it which records to promote: each
+// fresh as its twin's use. ReadInto tells it which records to promote: each
 // index entry remembers when it was last read, so the store can say that a
 // record was read twice within a window of the caller's choosing. Steady-
 // state traffic over a read-mostly set is therefore reads and probes;
@@ -27,11 +27,11 @@
 // checksums on disk, which the prompt write-back makes true moments
 // after Put returns; replay at Open discards torn or checksum-bad pages
 // wholesale and keeps, per key, the highest-sequence fully-present
-// record that has not expired. Deletions are durable once their page
-// rewrite lands — a crash in that instant can resurrect entries deleted
-// in the final moments, which a cache tier tolerates (recovered entries
-// still honor their TTL deadlines and remain subject to invalidation).
-// A clean Close flushes everything and is exact.
+// record. Records carry no TTL: a fragment stays valid until it is
+// replaced or invalidated. Deletions are durable once their page rewrite
+// lands — a crash in that instant can resurrect entries deleted in the
+// final moments, which a cache tier tolerates (recovered entries remain
+// subject to invalidation). A clean Close flushes everything and is exact.
 package diskstore
 
 import (
@@ -41,9 +41,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
-
-	"dpcache/internal/clock"
 )
 
 // Config parameterizes Open.
@@ -51,7 +48,7 @@ type Config struct {
 	// Path is the heap-file path; created on first open, replayed on
 	// reopen. Required.
 	Path string
-	// ByteBudget bounds resident key+meta+value bytes; 0 = unbounded.
+	// ByteBudget bounds resident key+value bytes; 0 = unbounded.
 	// Over-budget Puts evict least-recently-used entries.
 	ByteBudget int64
 	// PageBytes is the heap-file page size (0 = DefaultPageBytes).
@@ -60,8 +57,6 @@ type Config struct {
 	PageBytes int
 	// PoolPages caps resident buffer-pool frames (0 = DefaultPoolPages).
 	PoolPages int
-	// Clock drives TTL expiry (nil = wall clock).
-	Clock clock.Clock
 }
 
 // Validate checks the static configuration without touching the
@@ -82,14 +77,10 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Entry is one stored record.
+// Entry is one stored record: a value and the caller's generation.
 type Entry struct {
 	Value []byte
-	Meta  string
 	Gen   uint64
-	// Deadline is the absolute expiry instant; zero means no TTL. The
-	// store lazily drops expired entries on Get and at replay.
-	Deadline time.Time
 }
 
 // Stats is a point-in-time snapshot plus monotonic counters.
@@ -112,7 +103,6 @@ type Stats struct {
 	Hits             int64 `json:"hits"`
 	Misses           int64 `json:"misses"`
 	Deletes          int64 `json:"deletes"`
-	Expired          int64 `json:"expired"`
 	Evictions        int64 `json:"evictions"`
 	EvictedBytes     int64 `json:"evicted_bytes"`
 	RecoveredEntries int64 `json:"recovered_entries"`
@@ -136,13 +126,11 @@ type dentry struct {
 	segs       []segLoc
 	seq        uint64
 	gen        uint64
-	meta       string
-	deadline   int64
 	valLen     int
 	charge     int64
 	twin       bool // a faster tier holds a copy too; see Twin
 	// touch is the store's read count (Store.reads) at the record's last
-	// Read, zero while it has never been read; see Read.
+	// read, zero while it has never been read; see ReadInto.
 	touch uint64
 }
 
@@ -156,14 +144,13 @@ type pageInfo struct {
 // Store is a disk-backed key/value cache tier. Safe for concurrent use.
 type Store struct {
 	cfg       Config
-	clk       clock.Clock
 	file      *os.File
 	pageBytes int
 
 	mu         sync.Mutex
 	index      map[string]*dentry
 	lru        dentry // ring sentinel: lru.next is the most recently used, lru.prev the least
-	reads      uint64 // Reads served so far: the clock dentry.touch is read against
+	reads      uint64 // reads served so far: the clock dentry.touch is read against
 	bytes      int64
 	twinned    int // records flagged twin, and their charge
 	twinBytes  int64
@@ -193,8 +180,7 @@ type Store struct {
 	flushScratch []byte
 
 	puts, hits, misses, deletes   atomic.Int64
-	expired, evictions            atomic.Int64
-	evictedBytes                  atomic.Int64
+	evictions, evictedBytes       atomic.Int64
 	recovered, checksumDiscards   atomic.Int64
 	poolHits, poolLoads           atomic.Int64
 	poolEvictions, writeErrsCount atomic.Int64
@@ -202,8 +188,7 @@ type Store struct {
 
 // Open opens (creating if absent) the heap file at cfg.Path and replays
 // it: checksum-bad or torn pages are discarded and recycled, and the
-// highest-sequence complete record per key is re-indexed unless already
-// expired.
+// highest-sequence complete record per key is re-indexed.
 func Open(cfg Config) (*Store, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -214,17 +199,12 @@ func Open(cfg Config) (*Store, error) {
 	if cfg.PoolPages == 0 {
 		cfg.PoolPages = DefaultPoolPages
 	}
-	clk := cfg.Clock
-	if clk == nil {
-		clk = clock.Real{}
-	}
 	f, err := os.OpenFile(cfg.Path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("diskstore: open %s: %w", cfg.Path, err)
 	}
 	s := &Store{
 		cfg:       cfg,
-		clk:       clk,
 		file:      f,
 		pageBytes: cfg.PageBytes,
 		index:     make(map[string]*dentry),
@@ -257,7 +237,6 @@ func (s *Store) replay() error {
 		s.checksumDiscards.Add(1)
 		nPages++ // account the partial page so its space is recycled
 	}
-	now := s.clk.Now().UnixNano()
 	type recSeg struct {
 		seg segment
 		loc segLoc
@@ -308,7 +287,7 @@ func (s *Store) replay() error {
 	}
 	s.nextPage = nPages
 
-	// Keep, per key, the highest-seq complete unexpired record.
+	// Keep, per key, the highest-seq complete record.
 	var winners []*dentry
 	winnerPages := make(map[*dentry][]int)
 	for key, m := range byKey {
@@ -316,8 +295,9 @@ func (s *Store) replay() error {
 		var bestSeq uint64
 		for seq, g := range m {
 			// New records must outrank every record in the file, also the
-			// ones replay passes over (lapsed, torn): their slots stay on
-			// disk, and the next replay picks the highest sequence.
+			// incomplete ones replay passes over: their surviving segments
+			// stay on disk, and a new record of the key under the same
+			// sequence would be read back as one of them.
 			if seq >= s.seq {
 				s.seq = seq + 1
 			}
@@ -339,10 +319,6 @@ func (s *Store) replay() error {
 			return best.recs[i].seg.hdr.segIdx < best.recs[j].seg.hdr.segIdx
 		})
 		h0 := best.recs[0].seg.hdr
-		if h0.deadline != 0 && h0.deadline <= now {
-			s.expired.Add(1)
-			continue
-		}
 		locs := make([]segLoc, len(best.recs))
 		pagesOf := make([]int, len(best.recs))
 		for i, r := range best.recs {
@@ -350,14 +326,12 @@ func (s *Store) replay() error {
 			pagesOf[i] = r.loc.page
 		}
 		d := &dentry{
-			key:      key,
-			segs:     locs,
-			seq:      bestSeq,
-			gen:      h0.gen,
-			meta:     best.recs[0].seg.meta,
-			deadline: h0.deadline,
-			valLen:   h0.totalVal,
-			charge:   int64(len(key) + len(best.recs[0].seg.meta) + h0.totalVal),
+			key:    key,
+			segs:   locs,
+			seq:    bestSeq,
+			gen:    h0.gen,
+			valLen: h0.totalVal,
+			charge: int64(len(key) + h0.totalVal),
 		}
 		winners = append(winners, d)
 		winnerPages[d] = pagesOf
@@ -432,21 +406,17 @@ func completeGroup(segs []segment) bool {
 }
 
 // Put stores (or overwrites) key. It returns false when the entry can
-// never fit (over budget on its own, or key/meta exceed the page
-// format); refused entries count as evictions, mirroring KeyedStore.
+// never fit (over budget on its own, or the key exceeds the page format);
+// refused entries count as evictions, mirroring KeyedStore.
 func (s *Store) Put(key string, e Entry) bool {
 	s.puts.Add(1)
-	charge := int64(len(key) + len(e.Meta) + len(e.Value))
-	if len(key) > 1<<16-1 || len(e.Meta) > 1<<16-1 || int64(len(e.Value)) > 1<<32-1 ||
+	charge := int64(len(key) + len(e.Value))
+	if len(key) > 1<<16-1 || int64(len(e.Value)) > 1<<32-1 ||
 		(s.cfg.ByteBudget > 0 && charge > s.cfg.ByteBudget) ||
-		recHeaderLen+len(key)+len(e.Meta)+minSeg(len(e.Value)) > s.pageBytes-pageHeaderLen-slotLen {
+		recHeaderLen+len(key)+minSeg(len(e.Value)) > s.pageBytes-pageHeaderLen-slotLen {
 		s.evictions.Add(1)
 		s.evictedBytes.Add(charge)
 		return false
-	}
-	var deadline int64
-	if !e.Deadline.IsZero() {
-		deadline = e.Deadline.UnixNano()
 	}
 	var kills []segLoc
 	s.mu.Lock()
@@ -465,12 +435,9 @@ func (s *Store) Put(key string, e Entry) bool {
 	}
 	seq := s.seq
 	s.seq++
-	segs := s.stageLocked(key, e, seq, deadline)
+	segs := s.stageLocked(key, e, seq)
 	if segs != nil {
-		d := &dentry{
-			key: key, segs: segs, seq: seq, gen: e.Gen, meta: e.Meta,
-			deadline: deadline, valLen: len(e.Value), charge: charge,
-		}
+		d := &dentry{key: key, segs: segs, seq: seq, gen: e.Gen, valLen: len(e.Value), charge: charge}
 		s.lruPushFront(d)
 		s.index[key] = d
 		s.bytes += charge
@@ -493,7 +460,7 @@ func minSeg(valLen int) int {
 // stageLocked appends the record's segments into tail pages, returning
 // their locations (nil only on internal inconsistency; fit was
 // pre-checked by Put).
-func (s *Store) stageLocked(key string, e Entry, seq uint64, deadline int64) []segLoc {
+func (s *Store) stageLocked(key string, e Entry, seq uint64) []segLoc {
 	remaining := e.Value
 	first := true
 	var segs []segLoc
@@ -505,7 +472,7 @@ func (s *Store) stageLocked(key string, e Entry, seq uint64, deadline int64) []s
 		pi := s.pages[s.tail]
 		nSlots := pageSlotCount(f.data)
 		dirTop := pageHeaderLen + slotLen*nSlots
-		overhead := recHeaderLen + len(key) + len(e.Meta)
+		overhead := recHeaderLen + len(key)
 		avail := pageDataLo(f.data) - dirTop - slotLen - overhead
 		if avail < 0 || (len(remaining) > 0 && avail == 0) {
 			s.sealTailLocked()
@@ -518,8 +485,7 @@ func (s *Store) stageLocked(key string, e Entry, seq uint64, deadline int64) []s
 		segLen := overhead + take
 		off := pageDataLo(f.data) - segLen
 		h := recHeader{
-			seq: seq, gen: e.Gen, deadline: deadline,
-			keyLen: len(key), metaLen: len(e.Meta),
+			seq: seq, gen: e.Gen, keyLen: len(key),
 			segIdx: len(segs), segVal: take, totalVal: len(e.Value),
 		}
 		if take == len(remaining) {
@@ -529,8 +495,6 @@ func (s *Store) stageLocked(key string, e Entry, seq uint64, deadline int64) []s
 		p := off + recHeaderLen
 		copy(f.data[p:], key)
 		p += len(key)
-		copy(f.data[p:], e.Meta)
-		p += len(e.Meta)
 		copy(f.data[p:], remaining[:take])
 		setPageSlot(f.data, nSlots, off, segLen)
 		setPageSlotCount(f.data, nSlots+1)
@@ -544,43 +508,39 @@ func (s *Store) stageLocked(key string, e Entry, seq uint64, deadline int64) []s
 	return segs
 }
 
-// Get returns the entry for key, lazily dropping it if expired.
+// Get returns the entry for key in a slice of its own.
 func (s *Store) Get(key string) (Entry, bool) {
-	e, _, ok := s.read(key, true, true, 0, nil)
+	e, _, ok := s.read(key, true, 0, nil)
 	return e, ok
 }
 
-// Peek returns the entry for key even when its deadline has passed;
-// callers inspect Entry.Deadline (stale-while-revalidate reads). A Peek is
-// not a Read: it leaves the record's touch stamp alone.
+// Peek is Get without the touch: it leaves the record's touch stamp and
+// the store's read count alone, so what it reads does not count towards a
+// later ReadInto's again — a look, not a use, as the tiered store's model
+// tests need to read the disk tier without steering its promotions.
 func (s *Store) Peek(key string) (Entry, bool) {
-	e, _, ok := s.read(key, false, false, 0, nil)
+	e, _, ok := s.read(key, false, 0, nil)
 	return e, ok
 }
 
-// Read is Get for a caller that keeps a faster tier in front of the store
-// and must decide whether this record has earned a place there. again
-// reports that the record was also read no more than window of the store's
-// Reads ago: the index entry remembers when it was last read, so the index
-// is the ghost list and remembering costs eight bytes a record. With the
-// faster tier's entry count as the window, again means the record would
-// still have been resident there had its previous read admitted it. With
-// keepLapsed a record past its deadline is returned (and left) as Peek
-// would.
-func (s *Store) Read(key string, window uint64, keepLapsed bool) (e Entry, again, ok bool) {
-	return s.read(key, !keepLapsed, true, window, nil)
-}
-
-// ReadInto is Read with the value's storage chosen by the caller, once it
-// knows whether the record was read again: buf is called once per hit,
-// under the latch and before any byte is copied, with again and the value's
-// length, and returns the slice the value is copied into — of at least that
-// capacity; its contents are overwritten. A caller that will keep the value
-// returns a fresh slice; one that only passes the bytes on returns a buffer
-// of its own and reuses it for its next read. buf must neither block nor
-// call back into the store.
-func (s *Store) ReadInto(key string, window uint64, keepLapsed bool, buf func(again bool, n int) []byte) (e Entry, again, ok bool) {
-	return s.read(key, !keepLapsed, true, window, buf)
+// ReadInto is Get for a caller that keeps a faster tier in front of the
+// store and must decide whether this record has earned a place there, and
+// that chooses the value's storage once it knows. again reports that the
+// record was also read no more than window of the store's reads ago: the
+// index entry remembers when it was last read, so the index is the ghost
+// list and remembering costs eight bytes a record. With the faster tier's
+// entry count as the window, again means the record would still have been
+// resident there had its previous read admitted it.
+//
+// buf is called once per hit, under the latch and before any byte is
+// copied, with again and the value's length, and returns the slice the
+// value is copied into — of at least that capacity; its contents are
+// overwritten. A caller that will keep the value returns a fresh slice; one
+// that only passes the bytes on returns a buffer of its own and reuses it
+// for its next read. buf must neither block nor call back into the store;
+// nil gives the value a slice of its own.
+func (s *Store) ReadInto(key string, window uint64, buf func(again bool, n int) []byte) (e Entry, again, ok bool) {
+	return s.read(key, true, window, buf)
 }
 
 // read is the one read path. When every page of the record is in a loaded
@@ -588,23 +548,12 @@ func (s *Store) ReadInto(key string, window uint64, keepLapsed bool, buf func(ag
 // LRU, touch stamp, frame and copy. Only a read that must load a page
 // releases the latch and goes through pin. buf, nil for a fresh slice,
 // chooses where the value goes (see ReadInto).
-func (s *Store) read(key string, expire, touch bool, window uint64, buf func(again bool, n int) []byte) (e Entry, again, ok bool) {
+func (s *Store) read(key string, touch bool, window uint64, buf func(again bool, n int) []byte) (e Entry, again, ok bool) {
 	s.mu.Lock()
 	d := s.index[key]
 	if d == nil {
 		s.mu.Unlock()
 		s.misses.Add(1)
-		return Entry{}, false, false
-	}
-	if expire && d.deadline != 0 && d.deadline <= s.clk.Now().UnixNano() {
-		var kills []segLoc
-		s.removeLocked(d, &kills)
-		kills = s.settlePagesLocked(kills)
-		s.mu.Unlock()
-		s.expired.Add(1)
-		s.misses.Add(1)
-		s.applyKills(kills)
-		s.flushDirty()
 		return Entry{}, false, false
 	}
 	s.lruToFront(d)
@@ -613,10 +562,7 @@ func (s *Store) read(key string, expire, touch bool, window uint64, buf func(aga
 		again = d.touch != 0 && s.reads-d.touch <= window
 		d.touch = s.reads
 	}
-	e = Entry{Meta: d.meta, Gen: d.gen}
-	if d.deadline != 0 {
-		e.Deadline = time.Unix(0, d.deadline)
-	}
+	e = Entry{Gen: d.gen}
 	var val []byte
 	if buf != nil {
 		//dpclint:ignore lockscope ReadInto binds buf never to block or call back into the store: the tiered store's is atomic loads and a buffer
@@ -796,25 +742,6 @@ func (s *Store) Delete(key string) bool {
 	return true
 }
 
-// DeleteFunc removes every key matching pred, returning the count. The
-// predicate runs without store locks held (keys are snapshotted first),
-// so it may be arbitrarily slow.
-func (s *Store) DeleteFunc(pred func(key string) bool) int {
-	s.mu.Lock()
-	keys := make([]string, 0, len(s.index))
-	for k := range s.index {
-		keys = append(keys, k)
-	}
-	s.mu.Unlock()
-	n := 0
-	for _, k := range keys {
-		if pred(k) && s.Delete(k) {
-			n++
-		}
-	}
-	return n
-}
-
 // Flush empties the store and truncates the heap file.
 func (s *Store) Flush() {
 	s.mu.Lock()
@@ -861,7 +788,7 @@ func (s *Store) Len() int {
 	return len(s.index)
 }
 
-// Bytes returns resident key+meta+value bytes.
+// Bytes returns resident key+value bytes.
 func (s *Store) Bytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -888,7 +815,6 @@ func (s *Store) Stats() Stats {
 	st.Hits = s.hits.Load()
 	st.Misses = s.misses.Load()
 	st.Deletes = s.deletes.Load()
-	st.Expired = s.expired.Load()
 	st.Evictions = s.evictions.Load()
 	st.EvictedBytes = s.evictedBytes.Load()
 	st.RecoveredEntries = s.recovered.Load()

@@ -109,8 +109,8 @@ type Config struct {
 	// PageCacheBudget bounds the tier's resident bytes, under both rules
 	// (0 = unbounded); enforced by the keyed store's global ledger.
 	PageCacheBudget int64
-	// PageCacheStore overrides the tier's keyed backend (the disk-backed
-	// tiered store, or a test double). When non-nil, PageCacheEntries,
+	// PageCacheStore overrides the tier's keyed backend (a KeyedStore behind
+	// a tracing decorator, or a test double). When non-nil, PageCacheEntries,
 	// PageCacheBudget, and Clock stop applying to the tier's expiry — the
 	// caller owns the store's sizing, clock and lifecycle.
 	PageCacheStore fragstore.Keyed

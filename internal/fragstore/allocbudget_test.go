@@ -32,13 +32,13 @@ func newBudgetStore(t *testing.T, n int) (*TieredKeyed, Reader) {
 	t.Cleanup(func() { ts.Close() })
 	payload := make([]byte, budgetPayload)
 	for i := 0; i < n+2; i++ {
-		ts.Put(fmt.Sprintf("k%d", i), KeyedEntry{Value: payload}, 0)
+		ts.put(fmt.Sprintf("k%d", i), KeyedEntry{Value: payload})
 	}
-	view, err := ts.AsFragmentStore(n + 2)
+	view, err := newFragmentView(ts, BackendTiered, n+2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ts, view.(Reader) // slots 0..n-1 are on disk only; the last two are what RAM holds
+	return ts, view // slots 0..n-1 are on disk only; the last two are what RAM holds
 }
 
 // A pool-hit read through a run's scratch that does not promote allocates

@@ -15,14 +15,16 @@
 //   - KeyedStore: the engine. String keys hashed over power-of-two shards
 //     with per-shard locks, per-entry TTLs, an optional byte budget and
 //     entry bound, and LRU or cost-aware GDSF eviction. The DPC's
-//     whole-response tier and the plan cache wrap it directly.
+//     whole-response tier and the plan cache wrap it directly, through the
+//     Keyed surface.
 //   - The sharded backend with a byte budget: KeyedStore seen through the
 //     FragmentStore contract (slot n is the engine's key "k<n>"), for
 //     deployments where fragment bytes — not the BEM freeList — are the
 //     binding resource.
 //   - "tiered": the same view over TieredKeyed, a KeyedStore whose
 //     eviction victims are demoted to a diskstore heap file instead of
-//     dropped, and which restarts warm from that file.
+//     dropped, and which restarts warm from that file. The view is its one
+//     boundary: it holds fragments, not pages.
 //
 // Eviction ownership: each store owns its own eviction entirely —
 // callers never evict. Byte budgets are enforced on a single global
@@ -312,14 +314,27 @@ func New(cfg Config) (FragmentStore, error) {
 	return NewSlotStore(cfg.Capacity)
 }
 
-// fragmentView presents a Keyed engine under the FragmentStore contract:
-// slot n is stored under the key "k<n>" (also the on-disk key format of
-// the tiered backend's heap file, so the spelling is frozen) and the SET
-// tag's generation rides in KeyedEntry.Gen. It is the whole of the tiered
+// engine is what a fragmentView stores in: a KeyedStore, or a TieredKeyed.
+type engine interface {
+	// read is the view's one read path; s and the crossings are
+	// TieredKeyed.read's.
+	read(key string, s *Scratch) (KeyedEntry, bool, Crossings)
+	// put stores a fragment, which never expires.
+	put(key string, e KeyedEntry)
+	Delete(key string) bool
+	Flush()
+	Len() int
+	Bytes() int64
+	Stats() KeyedStats
+}
+
+// fragmentView presents an engine under the FragmentStore contract: slot n
+// is stored under the key "k<n>" (also the on-disk key format of the
+// tiered backend's heap file, so the spelling is frozen) and the SET tag's
+// generation rides in KeyedEntry.Gen. It is the whole of the tiered
 // backend and of the sharded one with a byte budget.
 type fragmentView struct {
-	s        Keyed
-	tiered   *TieredKeyed // s, when it has a disk tier; else nil
+	s        engine
 	backend  string
 	capacity int
 	// keys is the key table for slots below maxKeyTable, one chunk per
@@ -349,13 +364,12 @@ type keyChunk struct {
 	at   [keyChunkSlots + 1]uint32
 }
 
-func newFragmentView(s Keyed, backend string, capacity int) (*fragmentView, error) {
+func newFragmentView(s engine, backend string, capacity int) (*fragmentView, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("fragstore: store capacity must be positive, got %d", capacity)
 	}
 	chunks := (min(capacity, maxKeyTable) + keyChunkSlots - 1) / keyChunkSlots
-	tiered, _ := s.(*TieredKeyed)
-	return &fragmentView{s: s, tiered: tiered, backend: backend, capacity: capacity,
+	return &fragmentView{s: s, backend: backend, capacity: capacity,
 		keys: make([]atomic.Pointer[keyChunk], chunks)}, nil
 }
 
@@ -390,42 +404,28 @@ func (v *fragmentView) Set(key, gen uint32, content []byte) error {
 	if int64(key) >= int64(v.capacity) {
 		return fmt.Errorf("fragstore: key %d outside store capacity %d", key, v.capacity)
 	}
-	v.s.Put(v.key(key), KeyedEntry{Value: content, Gen: gen}, 0)
+	v.s.put(v.key(key), KeyedEntry{Value: content, Gen: gen})
 	return nil
 }
 
 func (v *fragmentView) Get(key, gen uint32, strict bool) ([]byte, bool) {
-	return v.get(key, gen, strict, nil, nil)
+	data, ok, _ := v.Read(key, gen, strict, nil)
+	return data, ok
 }
 
-// Read implements Reader: over a tiered engine, a disk hit served in place
-// is copied into s.
-func (v *fragmentView) Read(key, gen uint32, strict bool, s *Scratch) (data []byte, ok bool, c Crossings) {
-	data, ok = v.get(key, gen, strict, s, &c)
-	return data, ok, c
-}
-
-// get is the view's one read path; s and c are as TieredKeyed.lookup's.
-func (v *fragmentView) get(key, gen uint32, strict bool, s *Scratch, c *Crossings) ([]byte, bool) {
+// Read implements Reader, and is the view's one read path: over a tiered
+// engine, a disk hit served in place is copied into s.
+func (v *fragmentView) Read(key, gen uint32, strict bool, s *Scratch) ([]byte, bool, Crossings) {
 	if int64(key) >= int64(v.capacity) {
 		v.rangeMisses.Add(1)
-		return nil, false
+		return nil, false, Crossings{}
 	}
-	var e KeyedEntry
-	var ok bool
-	if v.tiered != nil {
-		e, ok = v.tiered.lookup(v.key(key), expireLapsed, s, c)
-	} else {
-		e, ok = v.s.Get(v.key(key))
-	}
-	if !ok {
-		return nil, false
-	}
-	if strict && e.Gen != gen {
+	e, ok, c := v.s.read(v.key(key), s)
+	if ok && strict && e.Gen != gen {
 		v.genMisses.Add(1)
-		return nil, false
+		return nil, false, c
 	}
-	return e.Value, true
+	return e.Value, ok, c
 }
 
 func (v *fragmentView) Drop(key uint32) {
@@ -474,8 +474,10 @@ func (v *fragmentView) Close() error {
 // engine that has one (the tiered backend); the proxy publishes it as the
 // dpc.store.disk_* gauges and the /_dpc/stats disk section.
 func DiskStats(store FragmentStore) (TieredStats, bool) {
-	if v, ok := store.(*fragmentView); ok && v.tiered != nil {
-		return v.tiered.TierStats(), true
+	if v, ok := store.(*fragmentView); ok {
+		if t, ok := v.s.(*TieredKeyed); ok {
+			return t.TierStats(), true
+		}
 	}
 	return TieredStats{}, false
 }

@@ -24,10 +24,10 @@ const maxShards = 1024
 // KeyedStore is the package's one storage engine: string keys hashed over
 // a power-of-two number of shards with per-shard locks, LRU or GDSF
 // eviction, a global byte-budget ledger, per-entry TTL expiry and an
-// optional entry-count bound. Every cache tier that can evict is a view of
-// it — the budgeted sharded and the tiered fragment backends through
-// AsFragmentStore, the DPC's whole-response tier and the plan cache
-// directly — instead of carrying its own mutex+LRU implementation.
+// optional entry-count bound. Every cache tier that can evict is built on
+// it — the budgeted sharded fragment backend through its fragment view, the
+// tiered backend as its RAM tier, the DPC's whole-response tier and the plan
+// cache directly — instead of carrying its own mutex+LRU implementation.
 //
 // Budgets are global, never per-shard: ByteBudget and MaxEntries are
 // enforced on store-wide atomic ledgers, so a skewed key distribution
@@ -128,6 +128,24 @@ type KeyedStats struct {
 	// EvictedBytes their cumulative value size.
 	Evictions    int64 `json:"evictions"`
 	EvictedBytes int64 `json:"evicted_bytes"`
+}
+
+// Keyed is the string-keyed store surface the DPC's whole-response tier
+// mounts: a KeyedStore, or a wrapper of one that a caller supplies (a
+// tracing decorator, a test double).
+type Keyed interface {
+	Get(key string) (KeyedEntry, bool)
+	GetKeep(key string) (KeyedEntry, bool)
+	GetStale(key string) (entry KeyedEntry, age time.Duration, ok bool)
+	Put(key string, entry KeyedEntry, ttl time.Duration)
+	Delete(key string) bool
+	DeleteFunc(pred func(key string) bool) int
+	ReserveScratch(n int64)
+	Flush()
+	Len() int
+	Bytes() int64
+	BudgetUsed() int64
+	Stats() KeyedStats
 }
 
 type kshard struct {
@@ -735,3 +753,13 @@ func (h *kheap) Pop() any {
 func (s *KeyedStore) AsFragmentStore(capacity int) (FragmentStore, error) {
 	return newFragmentView(s, "keyed", capacity)
 }
+
+// read and put are the fragment view's access to the store (see engine): a
+// RAM-only engine has no scratch to fill and no tier to cross, and its
+// fragments never expire.
+func (s *KeyedStore) read(key string, _ *Scratch) (KeyedEntry, bool, Crossings) {
+	e, ok := s.Get(key)
+	return e, ok, Crossings{}
+}
+
+func (s *KeyedStore) put(key string, e KeyedEntry) { s.Put(key, e, 0) }

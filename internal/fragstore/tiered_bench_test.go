@@ -57,11 +57,11 @@ func BenchmarkTieredStore(b *testing.B) {
 
 	b.Run("RAMHitGet", func(b *testing.B) {
 		ts := newBenchTiered(b, 0) // unbounded RAM: everything stays hot
-		ts.Put("hot", fragstore.KeyedEntry{Value: payload}, 0)
+		fragstore.TieredPut(ts, "hot", fragstore.KeyedEntry{Value: payload})
 		b.SetBytes(tieredBenchPayload)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, ok := ts.Get("hot"); !ok {
+			if _, ok := fragstore.TieredGet(ts, "hot"); !ok {
 				b.Fatal("lost hot entry")
 			}
 		}
@@ -73,11 +73,11 @@ func BenchmarkTieredStore(b *testing.B) {
 		// every Get measures the pure second-tier read: index lookup,
 		// buffer-pool pin, segment copy.
 		ts := newBenchTiered(b, tieredBenchPayload/2)
-		ts.Put("cold", fragstore.KeyedEntry{Value: payload}, 0)
+		fragstore.TieredPut(ts, "cold", fragstore.KeyedEntry{Value: payload})
 		b.SetBytes(tieredBenchPayload)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, ok := ts.Get("cold"); !ok {
+			if _, ok := fragstore.TieredGet(ts, "cold"); !ok {
 				b.Fatal("disk-resident entry lost")
 			}
 		}
@@ -94,13 +94,13 @@ func BenchmarkTieredStore(b *testing.B) {
 		// (fully thrashing) second-tier read. After the first round both
 		// keys are on disk and no Get writes.
 		ts := newBenchTiered(b, tieredBenchPayload)
-		ts.Put("a", fragstore.KeyedEntry{Value: payload}, 0)
-		ts.Put("b", fragstore.KeyedEntry{Value: payload}, 0) // a → disk
+		fragstore.TieredPut(ts, "a", fragstore.KeyedEntry{Value: payload})
+		fragstore.TieredPut(ts, "b", fragstore.KeyedEntry{Value: payload}) // a → disk
 		b.SetBytes(tieredBenchPayload)
 		b.ResetTimer()
 		keys := [4]string{"a", "a", "b", "b"}
 		for i := 0; i < b.N; i++ {
-			if _, ok := ts.Get(keys[i%4]); !ok {
+			if _, ok := fragstore.TieredGet(ts, keys[i%4]); !ok {
 				b.Fatal("entry lost across tiers")
 			}
 		}
@@ -116,7 +116,7 @@ func BenchmarkTieredStore(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			// Every Put displaces the previous key into the disk tier.
-			ts.Put(fmt.Sprintf("k%d", i%512), fragstore.KeyedEntry{Value: payload}, 0)
+			fragstore.TieredPut(ts, fmt.Sprintf("k%d", i%512), fragstore.KeyedEntry{Value: payload})
 		}
 	})
 

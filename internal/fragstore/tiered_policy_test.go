@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"dpcache/internal/clock"
 	"dpcache/internal/diskstore"
 )
 
@@ -75,11 +74,11 @@ func TestTieredScanResistance(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range name {
-		ts.Put(k, KeyedEntry{Value: value}, 0)
+		ts.put(k, KeyedEntry{Value: value})
 		lru.Put(k, KeyedEntry{Value: value}, 0)
 	}
 	read := func(k string) {
-		if _, ok := ts.Get(k); !ok {
+		if _, ok := TieredGet(ts, k); !ok {
 			t.Fatalf("%s lost", k)
 		}
 		if _, ok := lru.Get(k); !ok {
@@ -150,60 +149,29 @@ func TestTieredScanResistance(t *testing.T) {
 }
 
 // TestTieredSecondTouchPromotes: with RAM full a key is served from disk
-// on its first read and is in RAM after its second; reads that only look
-// (GetStale) are not touches; and an entry past its deadline earns nothing.
+// on its first read and is in RAM after its second, and a look at the disk
+// copy that leaves its touch stamp alone (Peek) is not a read.
 func TestTieredSecondTouchPromotes(t *testing.T) {
-	fc := clock.NewFake(time.Unix(7_000, 0))
-	ts, err := NewTieredKeyed(TieredConfig{
-		RAM:  KeyedConfig{Shards: 1, ByteBudget: 16, Clock: fc}, // two 8-byte entries
-		Disk: diskstore.Config{Path: filepath.Join(t.TempDir(), "touch.heap"), PageBytes: diskstore.MinPageBytes},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ts.Close() })
+	ts := newTransitStore(t, 16) // two 8-byte entries
 	inRAM := func(key string) bool {
 		_, _, ok := ts.ram.lookup(key, serveLapsed)
 		return ok
 	}
-	ts.Put("k", entryOf("kkkkkkkk"), 0)
-	ts.Put("l", entryOf("llllllll"), time.Minute)
-	evictAll(ts) // both on disk only, RAM full of padding
+	ts.put("k", entryOf("kkkkkkkk"))
+	evictAll(ts) // on disk only, RAM full of padding
 
 	for i := 0; i < 3; i++ {
-		if e, _, ok := ts.GetStale("k"); !ok || string(e.Value) != "kkkkkkkk" {
-			t.Fatalf("GetStale(k) = %q, %v", e.Value, ok)
+		if e, ok := ts.disk.Peek("k"); !ok || string(e.Value) != "kkkkkkkk" {
+			t.Fatalf("Peek(k) = %q, %v", e.Value, ok)
 		}
-	}
-	if st := ts.TierStats(); inRAM("k") || st.DiskHits != 0 {
-		t.Fatalf("GetStale promoted k or counted as a disk hit: %+v", st)
 	}
 	mustGet(t, ts, "k", "kkkkkkkk")
 	if st := ts.TierStats(); inRAM("k") || st.ServedInPlace != 1 || st.Promotions != 0 {
-		t.Fatalf("first Get of k after three GetStales: want it served in place — a GetStale is not a touch: %+v", st)
+		t.Fatalf("first read of k after three Peeks: want it served in place — a Peek is not a read: %+v", st)
 	}
 	mustGet(t, ts, "k", "kkkkkkkk")
 	if st := ts.TierStats(); !inRAM("k") || st.Promotions != 1 || st.Disk.Twinned != 1 {
 		t.Fatalf("k read twice in succession is not in RAM: %+v", st)
-	}
-
-	// GetKeep is a read like Get: two of them promote.
-	if _, ok := ts.GetKeep("l"); !ok || inRAM("l") {
-		t.Fatalf("first GetKeep(l): ok=%v inRAM=%v", ok, inRAM("l"))
-	}
-	if _, ok := ts.GetKeep("l"); !ok || !inRAM("l") {
-		t.Fatalf("second GetKeep(l): ok=%v inRAM=%v", ok, inRAM("l"))
-	}
-	// Lapsed on disk: GetKeep misses, keeps the copy, promotes nothing.
-	evictAll(ts)
-	fc.Advance(2 * time.Minute)
-	for i := 0; i < 2; i++ {
-		if _, ok := ts.GetKeep("l"); ok || inRAM("l") {
-			t.Fatalf("GetKeep(l) past its deadline: ok=%v inRAM=%v", ok, inRAM("l"))
-		}
-	}
-	if _, age, ok := ts.GetStale("l"); !ok || age != time.Minute {
-		t.Fatalf("GetStale(l) = age %v, %v; want the lapsed copy kept on disk", age, ok)
 	}
 }
 
@@ -224,7 +192,7 @@ func TestTieredPromotesIntoSpareRoom(t *testing.T) {
 	}
 	ts := open()
 	for _, k := range []string{"a", "b", "c"} {
-		ts.Put(k, entryOf(k+"-------"), 0)
+		ts.put(k, entryOf(k+"-------"))
 	}
 	if err := ts.Close(); err != nil {
 		t.Fatal(err)

@@ -8,9 +8,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
-	"dpcache/internal/clock"
 	"dpcache/internal/diskstore"
 	"dpcache/internal/fragstore"
 	"dpcache/internal/fragstore/storetest"
@@ -122,13 +120,13 @@ func TestTieredDemotionOrder(t *testing.T) {
 	ts := newTiered(t, fragstore.KeyedConfig{Shards: 1, ByteBudget: 16}, diskstore.Config{})
 	get := func(k string) {
 		t.Helper()
-		if e, ok := ts.Get(k); !ok || e.Value[0] != k[0] || len(e.Value) != 8 {
+		if e, ok := fragstore.TieredGet(ts, k); !ok || e.Value[0] != k[0] || len(e.Value) != 8 {
 			t.Fatalf("%s lost or corrupt across the tier boundary: ok=%v %q", k, ok, e.Value)
 		}
 	}
-	ts.Put("a", val("aaaaaaaa"), 0)
-	ts.Put("b", val("bbbbbbbb"), 0)
-	ts.Put("c", val("cccccccc"), 0) // a is coldest → demoted to disk
+	fragstore.TieredPut(ts, "a", val("aaaaaaaa"))
+	fragstore.TieredPut(ts, "b", val("bbbbbbbb"))
+	fragstore.TieredPut(ts, "c", val("cccccccc")) // a is coldest → demoted to disk
 	st := ts.TierStats()
 	if st.Demotions != 1 || st.Disk.Resident != 1 || st.RAM.Resident != 2 || st.Disk.Twinned != 0 {
 		t.Fatalf("after 3 puts: %+v", st)
@@ -160,9 +158,6 @@ func TestTieredDemotionOrder(t *testing.T) {
 	// Three distinct entries, a counted once although both tiers hold it.
 	if n, by := ts.Len(), ts.Bytes(); n != 3 || by != 16+int64(len("b")+8) {
 		t.Fatalf("aggregate counts a twice: Len=%d Bytes=%d", n, by)
-	}
-	if used := ts.BudgetUsed(); used != st.RAM.Bytes+st.Disk.Bytes {
-		t.Fatalf("BudgetUsed %d, tiers charge %d + %d", used, st.RAM.Bytes, st.Disk.Bytes)
 	}
 	// b twice: promoted on the second read; c (coldest, never on disk) is
 	// written. c twice: promoted; a is coldest and the disk still holds its
@@ -207,7 +202,7 @@ func TestTieredDiskLRUVictims(t *testing.T) {
 		diskstore.Config{ByteBudget: 300})
 	v := make([]byte, 64)
 	for i := 0; i < 10; i++ {
-		ts.Put(fmt.Sprintf("k%d", i), fragstore.KeyedEntry{Value: v}, 0)
+		fragstore.TieredPut(ts, fmt.Sprintf("k%d", i), fragstore.KeyedEntry{Value: v})
 	}
 	st := ts.TierStats()
 	if st.Disk.Evictions == 0 {
@@ -220,7 +215,7 @@ func TestTieredDiskLRUVictims(t *testing.T) {
 		t.Fatalf("combined budgets exceeded: %d bytes resident", ts.Bytes())
 	}
 	// Most recent keys must have survived somewhere.
-	if _, ok := ts.Get("k9"); !ok {
+	if _, ok := fragstore.TieredGet(ts, "k9"); !ok {
 		t.Fatal("most recent key evicted")
 	}
 }
@@ -230,13 +225,13 @@ func TestTieredDiskLRUVictims(t *testing.T) {
 func TestTieredOversizedForRAM(t *testing.T) {
 	ts := newTiered(t, fragstore.KeyedConfig{Shards: 1, ByteBudget: 32}, diskstore.Config{})
 	big := bytes.Repeat([]byte("x"), 100)
-	ts.Put("big", fragstore.KeyedEntry{Value: big}, 0)
+	fragstore.TieredPut(ts, "big", fragstore.KeyedEntry{Value: big})
 	st := ts.TierStats()
 	if st.Disk.Resident != 1 || st.RAM.Resident != 0 {
 		t.Fatalf("oversized entry not routed to disk: %+v", st)
 	}
 	for i := 0; i < 3; i++ {
-		e, ok := ts.Get("big")
+		e, ok := fragstore.TieredGet(ts, "big")
 		if !ok || !bytes.Equal(e.Value, big) {
 			t.Fatalf("oversized entry not served from disk (i=%d)", i)
 		}
@@ -247,44 +242,6 @@ func TestTieredOversizedForRAM(t *testing.T) {
 	}
 	if st.Disk.Resident != 1 {
 		t.Fatalf("oversized entry lost: %+v", st)
-	}
-}
-
-// TestTieredTTLAcrossTiers: a TTL set at Put keeps counting down on
-// disk; expired entries are not served from either tier.
-func TestTieredTTLAcrossTiers(t *testing.T) {
-	fc := clock.NewFake(time.Unix(9000, 0))
-	ts := newTiered(t,
-		fragstore.KeyedConfig{Shards: 1, ByteBudget: 16, Clock: fc},
-		diskstore.Config{Clock: fc})
-	ts.Put("ttl", fragstore.KeyedEntry{Value: []byte("12345678")}, time.Minute)
-	ts.Put("pad1", fragstore.KeyedEntry{Value: []byte("aaaaaaaa")}, 0)
-	ts.Put("pad2", fragstore.KeyedEntry{Value: []byte("bbbbbbbb")}, 0) // ttl demoted
-	if st := ts.TierStats(); st.Disk.Resident != 1 {
-		t.Fatalf("setup: ttl entry not on disk: %+v", st)
-	}
-	// Still fresh: a stale probe on disk reports the time it has left, as
-	// the RAM tier would.
-	if _, age, ok := ts.GetStale("ttl"); !ok || age != -time.Minute {
-		t.Fatalf("GetStale of a fresh demoted entry: age=%v ok=%v, want -1m0s true", age, ok)
-	}
-	// And it is served from disk.
-	if e, ok := ts.Get("ttl"); !ok || string(e.Value) != "12345678" {
-		t.Fatalf("fresh demoted entry not served: ok=%v", ok)
-	}
-	// Demote it again, then let it lapse.
-	ts.Put("pad3", fragstore.KeyedEntry{Value: []byte("cccccccc")}, 0)
-	ts.Put("pad4", fragstore.KeyedEntry{Value: []byte("dddddddd")}, 0)
-	fc.Advance(2 * time.Minute)
-	if _, ok := ts.Get("ttl"); ok {
-		t.Fatal("expired entry served from disk")
-	}
-	// GetStale still reaches the lapsed copy wherever it lives, with age.
-	ts.Put("stale", fragstore.KeyedEntry{Value: []byte("stale-v")}, time.Second)
-	fc.Advance(10 * time.Second)
-	e, age, ok := ts.GetStale("stale")
-	if !ok || string(e.Value) != "stale-v" || age != 9*time.Second {
-		t.Fatalf("GetStale: ok=%v age=%v", ok, age)
 	}
 }
 
@@ -338,51 +295,6 @@ func TestTieredInvalidationDropsDiskResident(t *testing.T) {
 	}
 }
 
-// TestTieredDeleteFunc drops matching keys from both tiers.
-func TestTieredDeleteFunc(t *testing.T) {
-	ts := newTiered(t, fragstore.KeyedConfig{Shards: 1, ByteBudget: 16}, diskstore.Config{})
-	ts.Put("page/a", fragstore.KeyedEntry{Value: []byte("11111111")}, 0)
-	ts.Put("page/b", fragstore.KeyedEntry{Value: []byte("22222222")}, 0)
-	ts.Put("other", fragstore.KeyedEntry{Value: []byte("33333333")}, 0)
-	// One of the page/* keys is now on disk, one in RAM.
-	n := ts.DeleteFunc(func(k string) bool { return len(k) > 5 && k[:5] == "page/" })
-	if n != 2 {
-		t.Fatalf("DeleteFunc removed %d, want 2", n)
-	}
-	for _, k := range []string{"page/a", "page/b"} {
-		if _, ok := ts.Get(k); ok {
-			t.Fatalf("%s survived DeleteFunc", k)
-		}
-	}
-	if _, ok := ts.Get("other"); !ok {
-		t.Fatal("unmatched key dropped")
-	}
-}
-
-// TestTieredGetKeepAcrossTiers mirrors the KeyedStore GetKeep contract
-// over the boundary: an expired disk entry misses but stays resident
-// for GetStale.
-func TestTieredGetKeepAcrossTiers(t *testing.T) {
-	fc := clock.NewFake(time.Unix(100, 0))
-	ts := newTiered(t,
-		fragstore.KeyedConfig{Shards: 1, ByteBudget: 16, Clock: fc},
-		diskstore.Config{Clock: fc})
-	ts.Put("k", fragstore.KeyedEntry{Value: []byte("kkkkkkkk")}, time.Second)
-	ts.Put("p1", fragstore.KeyedEntry{Value: []byte("11111111")}, 0)
-	ts.Put("p2", fragstore.KeyedEntry{Value: []byte("22222222")}, 0) // k → disk
-	fc.Advance(time.Minute)
-	if _, ok := ts.GetKeep("k"); ok {
-		t.Fatal("GetKeep served an expired disk entry")
-	}
-	if _, _, ok := ts.GetStale("k"); !ok {
-		t.Fatal("GetKeep removed the stale copy it promised to keep")
-	}
-	// A fresh disk entry is promoted by GetKeep.
-	if _, ok := ts.GetKeep("p1"); !ok && ts.TierStats().Disk.Resident > 0 {
-		t.Fatal("GetKeep missed a fresh entry")
-	}
-}
-
 // TestTieredLedgerRace is the keyed ledger-race test aimed across the
 // boundary: concurrent puts, gets, deletes, and flushes while demotion
 // and promotion traffic crosses tiers. At quiescence both ledgers must
@@ -403,21 +315,20 @@ func TestTieredLedgerRace(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < ops; i++ {
-				k := fmt.Sprintf("k%d", rng.Intn(keys))
+				ki := rng.Intn(keys)
+				k := fmt.Sprintf("k%d", ki)
 				switch rng.Intn(12) {
 				case 0:
 					ts.Delete(k)
 				case 1:
 					ts.Flush()
-				case 2:
-					ts.GetStale(k)
-				case 3, 4, 5:
-					if e, ok := ts.Get(k); ok && e.Meta != k {
-						t.Errorf("key %s served meta %s", k, e.Meta)
+				case 2, 3, 4, 5:
+					if e, ok := fragstore.TieredGet(ts, k); ok && e.Gen != uint32(ki) {
+						t.Errorf("key %s served gen %d", k, e.Gen)
 					}
 				default:
 					v := make([]byte, 16+rng.Intn(512))
-					ts.Put(k, fragstore.KeyedEntry{Value: v, Meta: k}, 0)
+					fragstore.TieredPut(ts, k, fragstore.KeyedEntry{Value: v, Gen: uint32(ki)})
 				}
 			}
 		}(int64(w))
@@ -430,15 +341,13 @@ func TestTieredLedgerRace(t *testing.T) {
 	if st.Disk.Bytes > 16<<10 {
 		t.Fatalf("disk budget exceeded at quiescence: %d", st.Disk.Bytes)
 	}
-	if used := ts.BudgetUsed(); used != st.RAM.Bytes+st.Disk.Bytes && st.RAM.Bytes >= 0 {
-		// RAM BudgetUsed may include scratch (none reserved here), so it
-		// must equal resident bytes exactly.
-		t.Fatalf("ledger drift: BudgetUsed=%d resident=%d", used, st.RAM.Bytes+st.Disk.Bytes)
+	if used := fragstore.TieredRAM(ts).BudgetUsed(); used != st.RAM.Bytes {
+		t.Fatalf("ledger drift: the RAM ledger holds %d B, its shards %d", used, st.RAM.Bytes)
 	}
 	// Deleted keys must stay deleted: no transit resurrection.
-	ts.Put("victim", fragstore.KeyedEntry{Value: make([]byte, 8<<10), Meta: "victim"}, 0)
+	fragstore.TieredPut(ts, "victim", fragstore.KeyedEntry{Value: make([]byte, 8<<10)})
 	ts.Delete("victim")
-	if _, ok := ts.Get("victim"); ok {
+	if _, ok := fragstore.TieredGet(ts, "victim"); ok {
 		t.Fatal("deleted key resurrected")
 	}
 }
@@ -459,7 +368,7 @@ func TestTieredWarmRestart(t *testing.T) {
 	}
 	ts := open()
 	for i := 0; i < 20; i++ {
-		ts.Put(fmt.Sprintf("k%d", i), fragstore.KeyedEntry{Value: bytes.Repeat([]byte{byte(i)}, 16), Meta: fmt.Sprintf("m%d", i)}, 0)
+		fragstore.TieredPut(ts, fmt.Sprintf("k%d", i), fragstore.KeyedEntry{Value: bytes.Repeat([]byte{byte(i)}, 16), Gen: uint32(i)})
 	}
 	if ts.TierStats().Disk.Resident == 0 {
 		t.Fatal("setup: nothing demoted")
@@ -477,11 +386,11 @@ func TestTieredWarmRestart(t *testing.T) {
 		t.Fatalf("recovered %d, want all 20", st.Disk.RecoveredEntries)
 	}
 	for i := 0; i < 20; i++ {
-		e, ok := ts2.Get(fmt.Sprintf("k%d", i))
+		e, ok := fragstore.TieredGet(ts2, fmt.Sprintf("k%d", i))
 		if !ok {
 			t.Fatalf("k%d lost across restart", i)
 		}
-		if !bytes.Equal(e.Value, bytes.Repeat([]byte{byte(i)}, 16)) || e.Meta != fmt.Sprintf("m%d", i) {
+		if !bytes.Equal(e.Value, bytes.Repeat([]byte{byte(i)}, 16)) || e.Gen != uint32(i) {
 			t.Fatalf("k%d corrupt after restart", i)
 		}
 	}

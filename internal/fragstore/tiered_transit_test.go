@@ -4,11 +4,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"dpcache/internal/diskstore"
 )
@@ -17,8 +15,8 @@ import (
 // a scheduler produces once in a long while. One side of each race runs as
 // the real call; the other is held open by hand — an eviction registered as
 // evict registers its own, its write issued with the calls evict makes,
-// finished with exitTransit; a lookup as the consult, disk Read and promote
-// that lookup strings together — so the order of the steps is fixed.
+// finished with exitTransit; a read as the consult, disk read and promote
+// that read strings together — so the order of the steps is fixed.
 
 func newTransitStore(t *testing.T, ramBudget int64) *TieredKeyed {
 	t.Helper()
@@ -40,7 +38,7 @@ func beginEvict(t *testing.T, ts *TieredKeyed, key string, e KeyedEntry) *transi
 	ts.mu.Lock()
 	f, suspect := ts.registerLocked(key, mover)
 	ts.ram.evictKey(key)
-	f.held, f.victim = true, victim{e: e}
+	f.held, f.victim = true, e
 	ts.mu.Unlock()
 	if suspect {
 		t.Fatal("a lone eviction entered suspect")
@@ -48,12 +46,12 @@ func beginEvict(t *testing.T, ts *TieredKeyed, key string, e KeyedEntry) *transi
 	return f
 }
 
-// beginLookup is the first half of a lookup that missed RAM: the transit
+// beginLookup is the first half of a read that missed RAM: the transit
 // table consulted, the disk tier read, nothing promoted yet.
 func beginLookup(t *testing.T, ts *TieredKeyed, key string) (e diskstore.Entry, writes uint64) {
 	t.Helper()
 	suspect, held, _, writes := ts.consult(key)
-	e, _, ok := ts.disk.Read(key, uint64(ts.ram.Len()), false)
+	e, _, ok := ts.disk.ReadInto(key, uint64(ts.ram.Len()), nil)
 	if suspect || held || !ok {
 		t.Fatalf("setup: suspect=%v held=%v ok=%v", suspect, held, ok)
 	}
@@ -62,23 +60,23 @@ func beginLookup(t *testing.T, ts *TieredKeyed, key string) (e diskstore.Entry, 
 
 // finishLookup is the second half, the entry having earned its promotion.
 func finishLookup(ts *TieredKeyed, key string, e diskstore.Entry, writes uint64) bool {
-	return ts.promote(key, fromDisk(e), e.Deadline, writes)
+	return ts.promote(key, fromDisk(e), writes)
 }
 
 func entryOf(s string) KeyedEntry { return KeyedEntry{Value: []byte(s)} }
 
 func mustGet(t *testing.T, ts *TieredKeyed, key, want string) {
 	t.Helper()
-	e, ok := ts.Get(key)
+	e, ok := TieredGet(ts, key)
 	if !ok || string(e.Value) != want {
-		t.Fatalf("Get(%q) = %q, %v; want %q", key, e.Value, ok, want)
+		t.Fatalf("read(%q) = %q, %v; want %q", key, e.Value, ok, want)
 	}
 }
 
 // evictAll pushes every resident entry out of a 16-byte RAM tier.
 func evictAll(ts *TieredKeyed) {
-	ts.Put("pad1", entryOf("11111111"), 0)
-	ts.Put("pad2", entryOf("22222222"), 0)
+	ts.put("pad1", entryOf("11111111"))
+	ts.put("pad2", entryOf("22222222"))
 }
 
 // TestTieredPutSupersedesDemotionInFlight: thread A has evicted k's old
@@ -89,10 +87,10 @@ func evictAll(ts *TieredKeyed) {
 func TestTieredPutSupersedesDemotionInFlight(t *testing.T) {
 	ts := newTransitStore(t, 16)
 	old := entryOf("old-old-")
-	ts.Put("k", old, 0)
-	f := beginEvict(t, ts, "k", old)    // A: registered, not yet written
-	ts.Put("k", entryOf("new-new-"), 0) // B
-	ts.writeDisk("k", old, time.Time{}) // A's write lands after B's Delete
+	ts.put("k", old)
+	f := beginEvict(t, ts, "k", old) // A: registered, not yet written
+	ts.put("k", entryOf("new-new-")) // B
+	ts.writeDisk("k", old)           // A's write lands after B's Delete
 	ts.exitTransit("k", f, mover, true)
 
 	if e, ok := ts.disk.Peek("k"); ok {
@@ -111,7 +109,7 @@ func TestTieredPutSupersedesDemotionInFlight(t *testing.T) {
 // when A evicts the old version. A must not write it.
 func TestTieredEvictionDuringPutIsDropped(t *testing.T) {
 	ts := newTransitStore(t, 16)
-	ts.Put("k", entryOf("old-old-"), 0)
+	ts.put("k", entryOf("old-old-"))
 	f, _ := ts.enterTransit("k", writer) // B
 	ts.disk.Delete("k")
 	if out := ts.evict("k"); out != demoteDropped { // A
@@ -127,19 +125,19 @@ func TestTieredEvictionDuringPutIsDropped(t *testing.T) {
 	mustGet(t, ts, "k", "new-new-")
 }
 
-// TestTieredPutSupersedesPromotionInFlight: a Get has read k's old version
+// TestTieredPutSupersedesPromotionInFlight: a read has read k's old version
 // from disk and not yet inserted it into RAM when a Put stores a new one.
 func TestTieredPutSupersedesPromotionInFlight(t *testing.T) {
 	setup := func(t *testing.T) (*TieredKeyed, diskstore.Entry, uint64) {
 		ts := newTransitStore(t, 16)
-		ts.Put("k", entryOf("old-old-"), 0)
+		ts.put("k", entryOf("old-old-"))
 		evictAll(ts) // k → disk only
 		e, writes := beginLookup(t, ts, "k")
 		return ts, e, writes
 	}
 	t.Run("new version still in RAM", func(t *testing.T) {
 		ts, e, writes := setup(t)
-		ts.Put("k", entryOf("new-new-"), 0)
+		ts.put("k", entryOf("new-new-"))
 		if finishLookup(ts, "k", e, writes) {
 			t.Fatal("promotion replaced the entry a Put stored meanwhile")
 		}
@@ -152,7 +150,7 @@ func TestTieredPutSupersedesPromotionInFlight(t *testing.T) {
 		// the promotion would insert. It must not: RAM would serve the older
 		// copy over the newer one on disk for as long as it stayed.
 		ts, e, writes := setup(t)
-		ts.Put("k", entryOf("new-new-"), 0)
+		ts.put("k", entryOf("new-new-"))
 		evictAll(ts)
 		if finishLookup(ts, "k", e, writes) {
 			t.Fatal("a promotion inserted the copy it read before the Put")
@@ -164,24 +162,23 @@ func TestTieredPutSupersedesPromotionInFlight(t *testing.T) {
 		if !finishLookup(ts, "k", e, writes) {
 			t.Fatal("setup: promotion did not insert")
 		}
-		ts.Put("k", entryOf("new-new-"), 0)
+		ts.put("k", entryOf("new-new-"))
 		mustGet(t, ts, "k", "new-new-")
 		evictAll(ts)
 		mustGet(t, ts, "k", "new-new-") // the older version is in neither tier
 	})
 	t.Run("delete and bulk invalidation", func(t *testing.T) {
 		for name, remove := range map[string]func(*TieredKeyed){
-			"Delete":     func(ts *TieredKeyed) { ts.Delete("k") },
-			"DeleteFunc": func(ts *TieredKeyed) { ts.DeleteFunc(func(k string) bool { return k == "k" }) },
-			"Flush":      func(ts *TieredKeyed) { ts.Flush() },
+			"Delete": func(ts *TieredKeyed) { ts.Delete("k") },
+			"Flush":  func(ts *TieredKeyed) { ts.Flush() },
 		} {
 			ts, e, writes := setup(t)
 			remove(ts)
 			if finishLookup(ts, "k", e, writes) {
 				t.Fatalf("a promotion put back what %s removed", name)
 			}
-			if e, ok := ts.Get("k"); ok {
-				t.Fatalf("Get(k) = %q after %s returned", e.Value, name)
+			if e, ok := TieredGet(ts, "k"); ok {
+				t.Fatalf("read(k) = %q after %s returned", e.Value, name)
 			}
 		}
 	})
@@ -194,7 +191,7 @@ func TestTieredPutSupersedesPromotionInFlight(t *testing.T) {
 // short, Len and Bytes one over, for as long as k stayed). A must not.
 func TestTieredPromotionYieldsToEvictionInFlight(t *testing.T) {
 	ts := newTransitStore(t, 16)
-	ts.Put("k", entryOf("kkkkkkkk"), 0)
+	ts.put("k", entryOf("kkkkkkkk"))
 	evictAll(ts)                         // k → disk only
 	e, writes := beginLookup(t, ts, "k") // A
 	mustGet(t, ts, "k", "kkkkkkkk")      // B: k's second touch, promoted
@@ -214,89 +211,65 @@ func TestTieredPromotionYieldsToEvictionInFlight(t *testing.T) {
 	}
 }
 
-// TestTieredBulkInvalidationOutlivesNoEviction: a DeleteFunc is under way —
+// TestTieredBulkInvalidationOutlivesNoEviction: a Flush is under way —
 // past the point where it marks the crossings in flight — when an eviction
-// of a matching key registers and unlinks its victim from RAM, so the RAM
-// sweep does not see it; the disk sweep finds nothing either, the disk
-// tier having never held the key; and only then does the eviction write.
-// The invalidated bytes must not be on disk, to be served by the next read,
-// once both have returned.
+// registers and unlinks its victim from RAM, so the RAM tier's flush does
+// not see it; the disk tier's flush finds nothing either, the disk tier
+// having never held the key; and only then does the eviction write. The
+// flushed bytes must not be on disk, to be served by the next read, once
+// both have returned.
 func TestTieredBulkInvalidationOutlivesNoEviction(t *testing.T) {
-	ts, err := NewTieredKeyed(TieredConfig{
-		RAM:  KeyedConfig{Shards: 2, ByteBudget: 64},
-		Disk: diskstore.Config{Path: filepath.Join(t.TempDir(), "bulk.heap"), PageBytes: diskstore.MinPageBytes},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ts.Close() })
-	// hook is a key of the shard the sweep visits first and victim one of the
-	// shard it visits second: the predicate's call for hook, made under the
-	// first shard's lock, is where the eviction of victim begins.
-	var hook, victimKey string
-	for i := 0; hook == "" || victimKey == ""; i++ {
-		switch key := fmt.Sprintf("page/%d", i); ts.ram.locate(key) {
-		case &ts.ram.shards[0]:
-			hook = key
-		case &ts.ram.shards[1]:
-			victimKey = key
-		}
-	}
+	ts := newTransitStore(t, 16)
 	doomed := entryOf("doomed--")
-	ts.Put(hook, entryOf("hook----"), 0)
-	ts.Put(victimKey, doomed, 0)
-	var f *transit
-	var published bool
-	ts.DeleteFunc(func(key string) bool {
-		if key == hook && f == nil {
-			// evict's critical section, by hand.
-			ts.mu.Lock()
-			var suspect bool
-			f, suspect = ts.registerLocked(victimKey, mover)
-			_, ok := ts.ram.evictKey(victimKey)
-			if published = ok && !suspect; published {
-				f.held, f.victim = true, victim{e: doomed}
-			}
-			ts.mu.Unlock()
-		}
-		return strings.HasPrefix(key, "page/")
-	})
-	if f == nil {
-		t.Fatal("setup: the sweep never asked about the hook key")
+	ts.put("k", doomed)
+	// Flush, by hand, with the eviction's critical section between the
+	// marking and the tiers' flushes.
+	ts.beginFlush()
+	ts.mu.Lock()
+	f, suspect := ts.registerLocked("k", mover)
+	_, ok := ts.ram.evictKey("k")
+	published := ok && !suspect
+	if published {
+		f.held, f.victim = true, doomed
 	}
-	// Both sweeps have passed. The rest of evict:
-	if published && !ts.disk.Twin(victimKey, false) {
-		ts.writeDisk(victimKey, doomed, time.Time{})
+	ts.mu.Unlock()
+	if !ok {
+		t.Fatal("setup: k was not in RAM")
 	}
-	ts.exitTransit(victimKey, f, mover, published)
+	ts.ram.Flush()
+	ts.disk.Flush()
+	// Both tiers are flushed. The rest of evict:
+	if published && !ts.disk.Twin("k", false) {
+		ts.writeDisk("k", doomed)
+	}
+	ts.exitTransit("k", f, mover, published)
+	ts.endFlush()
 
-	if e, ok := ts.disk.Peek(victimKey); ok {
-		t.Fatalf("the disk tier holds %q, which the DeleteFunc invalidated", e.Value)
+	if e, ok := ts.disk.Peek("k"); ok {
+		t.Fatalf("the disk tier holds %q, which the Flush invalidated", e.Value)
 	}
-	if e, ok := ts.Get(victimKey); ok {
-		t.Fatalf("Get(%s) = %q after the DeleteFunc returned", victimKey, e.Value)
+	if e, ok := TieredGet(ts, "k"); ok {
+		t.Fatalf("read(k) = %q after the Flush returned", e.Value)
 	}
-	if n := len(ts.transit) + len(ts.bulks); n != 0 {
+	if n := len(ts.transit) + ts.flushes; n != 0 {
 		t.Fatalf("%d crossings left registered", n)
 	}
 }
 
 // TestTieredLookupServesDemotionInFlight: between the RAM tier unlinking a
 // victim the disk has never seen and the disk write returning, the key is
-// in neither tier. A Get in that window is served from the crossing.
+// in neither tier. A read in that window is served from the crossing.
 func TestTieredLookupServesDemotionInFlight(t *testing.T) {
 	ts := newTransitStore(t, 16)
-	ts.Put("k", entryOf("victim--"), 0)
+	ts.put("k", entryOf("victim--"))
 	f := beginEvict(t, ts, "k", entryOf("victim--"))
 	before := ts.Stats()
 	mustGet(t, ts, "k", "victim--")
-	if e, ok := ts.GetKeep("k"); !ok || string(e.Value) != "victim--" {
-		t.Fatalf("GetKeep in the window: %q, %v", e.Value, ok)
-	}
+	mustGet(t, ts, "k", "victim--")
 	if st := ts.Stats(); st.Hits != before.Hits+2 || st.Misses != before.Misses {
 		t.Fatalf("window reads not counted as hits: %+v → %+v", before, st)
 	}
-	ts.writeDisk("k", entryOf("victim--"), time.Time{})
+	ts.writeDisk("k", entryOf("victim--"))
 	ts.exitTransit("k", f, mover, true)
 	mustGet(t, ts, "k", "victim--") // now a disk hit
 	if st := ts.TierStats(); st.DiskHits != 1 {
@@ -304,15 +277,15 @@ func TestTieredLookupServesDemotionInFlight(t *testing.T) {
 	}
 
 	// A Delete in the window wins over the victim in flight.
-	ts.Put("d", entryOf("doomed--"), 0)
+	ts.put("d", entryOf("doomed--"))
 	f = beginEvict(t, ts, "d", entryOf("doomed--"))
 	ts.Delete("d")
-	if e, ok := ts.Get("d"); ok {
-		t.Fatalf("Get(d) = %q from a crossing a Delete overlapped", e.Value)
+	if e, ok := TieredGet(ts, "d"); ok {
+		t.Fatalf("read(d) = %q from a crossing a Delete overlapped", e.Value)
 	}
-	ts.writeDisk("d", entryOf("doomed--"), time.Time{})
+	ts.writeDisk("d", entryOf("doomed--"))
 	ts.exitTransit("d", f, mover, true)
-	if _, ok := ts.Get("d"); ok {
+	if _, ok := TieredGet(ts, "d"); ok {
 		t.Fatal("deleted key resurfaced from the tier boundary")
 	}
 }
@@ -337,7 +310,7 @@ func TestTieredNeverServesOlderThanCompletedPut(t *testing.T) {
 			defer wg.Done()
 			key := fmt.Sprintf("k%d", k)
 			for v := uint64(1); v <= rounds; v++ {
-				ts.Put(key, KeyedEntry{Value: binary.BigEndian.AppendUint64(nil, v), Gen: uint32(v)}, 0)
+				ts.put(key, KeyedEntry{Value: binary.BigEndian.AppendUint64(nil, v), Gen: uint32(v)})
 				done[k].Store(v)
 			}
 		}(k)
@@ -355,7 +328,7 @@ func TestTieredNeverServesOlderThanCompletedPut(t *testing.T) {
 				}
 				k := i % keys
 				floor := done[k].Load()
-				e, ok := ts.Get(fmt.Sprintf("k%d", k))
+				e, ok := TieredGet(ts, fmt.Sprintf("k%d", k))
 				if !ok {
 					continue
 				}
@@ -370,7 +343,7 @@ func TestTieredNeverServesOlderThanCompletedPut(t *testing.T) {
 	close(stop)
 	rg.Wait()
 	for k := 0; k < keys; k++ {
-		if e, ok := ts.Get(fmt.Sprintf("k%d", k)); ok && binary.BigEndian.Uint64(e.Value) != rounds {
+		if e, ok := TieredGet(ts, fmt.Sprintf("k%d", k)); ok && binary.BigEndian.Uint64(e.Value) != rounds {
 			t.Errorf("k%d settled on version %d, last Put stored %d", k, binary.BigEndian.Uint64(e.Value), rounds)
 		}
 	}

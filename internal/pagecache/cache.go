@@ -11,10 +11,10 @@ import (
 // fragstore.Keyed backend holding complete response bodies plus their
 // content type. It carries no locking, LRU, or accounting of its own —
 // eviction (entry bound, global byte budget) and TTL expiry are owned by
-// the keyed backend, which is an in-RAM KeyedStore by default or the
-// disk-backed TieredKeyed when the caller supplies one. Both consumers
-// share it: the baseline Proxy in this package and the DPC's
-// whole-response tier (its pagecache pipeline stage).
+// the keyed backend, an in-RAM KeyedStore, which a caller may supply
+// wrapped (see Over). Both consumers share it: the baseline Proxy in this
+// package and the DPC's whole-response tier (its pagecache pipeline
+// stage).
 type Cache struct {
 	store fragstore.Keyed
 }
@@ -37,9 +37,9 @@ func NewCache(cfg fragstore.KeyedConfig) (*Cache, error) {
 	return &Cache{store: store}, nil
 }
 
-// Over returns a whole-page cache over a prebuilt keyed backend (the
-// disk-backed tiered store, or a test double); the caller owns the store's
-// sizing, eviction, and lifecycle.
+// Over returns a whole-page cache over a prebuilt keyed backend (a
+// KeyedStore behind a tracing decorator, or a test double); the caller owns
+// the store's sizing, eviction, and lifecycle.
 func Over(store fragstore.Keyed) *Cache { return &Cache{store: store} }
 
 // metaSep separates the content type, the entity tag and the record inside
@@ -157,6 +157,6 @@ func (c *Cache) Bytes() int64 { return c.store.Bytes() }
 // Stats exposes the backing keyed store's snapshot.
 func (c *Cache) Stats() fragstore.KeyedStats { return c.store.Stats() }
 
-// Store exposes the backing keyed store (conformance tests run the
-// fragment-store suite against it through AsFragmentStore).
+// Store exposes the backing keyed store (the DPC's tests read its ledger
+// through BudgetUsed).
 func (c *Cache) Store() fragstore.Keyed { return c.store }

@@ -25,7 +25,7 @@ func TestPageCacheStoreConformance(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		return c.Store().AsFragmentStore(capacity)
+		return c.Store().(*fragstore.KeyedStore).AsFragmentStore(capacity)
 	})
 }
 
