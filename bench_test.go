@@ -1,6 +1,6 @@
 // Benchmarks regenerating every table and figure of the paper (one per
-// ID in dpcache.ExperimentIDs), plus ablations of the codec and strict
-// assembly on the full request path. Run:
+// ID in dpcache.ExperimentIDs), plus an ablation of strict assembly on the
+// full request path. Run:
 //
 //	go test -bench=. -benchmem
 package dpcache_test
@@ -58,16 +58,8 @@ func BenchmarkBaselines(b *testing.B) { benchExperiment(b, "baselines") }
 
 // startBenchSystem stands up a cached-mode system running the synthetic
 // site and returns a warmed fetch function.
-func startBenchSystem(b *testing.B, cfg dpcache.SystemConfig, codecName string) (fetch func(page int), close func()) {
+func startBenchSystem(b *testing.B, cfg dpcache.SystemConfig) (fetch func(page int), close func()) {
 	b.Helper()
-	var codec dpcache.Codec
-	switch codecName {
-	case "text":
-		codec = dpcache.TextCodec{}
-	default:
-		codec = dpcache.BinaryCodec{}
-	}
-	cfg.Codec = codec
 	sys, err := dpcache.NewSystem(cfg, dpcache.ModeCached)
 	if err != nil {
 		b.Fatal(err)
@@ -109,21 +101,7 @@ func BenchmarkStrictMode(b *testing.B) {
 			name = "strict"
 		}
 		b.Run(name, func(b *testing.B) {
-			fetch, done := startBenchSystem(b, dpcache.SystemConfig{Capacity: 256, Seed: 1, Proxy: dpcache.ProxyConfig{Strict: strict}}, "binary")
-			defer done()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				fetch(i % 10)
-			}
-		})
-	}
-}
-
-// Ablation: binary vs text template codec on the full request path.
-func BenchmarkCodecEndToEnd(b *testing.B) {
-	for _, codec := range []string{"binary", "text"} {
-		b.Run(codec, func(b *testing.B) {
-			fetch, done := startBenchSystem(b, dpcache.SystemConfig{Capacity: 256, Seed: 1, Proxy: dpcache.ProxyConfig{Strict: true}}, codec)
+			fetch, done := startBenchSystem(b, dpcache.SystemConfig{Capacity: 256, Seed: 1, Proxy: dpcache.ProxyConfig{Strict: strict}})
 			defer done()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -136,7 +114,7 @@ func BenchmarkCodecEndToEnd(b *testing.B) {
 // BenchmarkWarmRequest measures the steady-state end-to-end request path
 // (client → DPC → origin template → assembly) at the Table 2 shape.
 func BenchmarkWarmRequest(b *testing.B) {
-	fetch, done := startBenchSystem(b, dpcache.SystemConfig{Capacity: 256, Seed: 1, Proxy: dpcache.ProxyConfig{Strict: true}}, "binary")
+	fetch, done := startBenchSystem(b, dpcache.SystemConfig{Capacity: 256, Seed: 1, Proxy: dpcache.ProxyConfig{Strict: true}})
 	defer done()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -171,7 +149,7 @@ func BenchmarkStoreBackendEndToEnd(b *testing.B) {
 	}
 	for _, name := range []string{"slot", "sharded", "sharded-gdsf"} {
 		b.Run(name, func(b *testing.B) {
-			fetch, done := startBenchSystem(b, cfgs[name], "binary")
+			fetch, done := startBenchSystem(b, cfgs[name])
 			defer done()
 			var page atomic.Int64
 			b.ResetTimer()
@@ -195,7 +173,7 @@ func BenchmarkAssembleStreaming(b *testing.B) {
 	}{{"buffered", -1}, {"streaming", 0}} {
 		b.Run(mode.name, func(b *testing.B) {
 			cfg := dpcache.SystemConfig{Capacity: 256, Seed: 1, Proxy: dpcache.ProxyConfig{Strict: true, StreamSpoolBytes: mode.spool}}
-			fetch, done := startBenchSystem(b, cfg, "binary")
+			fetch, done := startBenchSystem(b, cfg)
 			defer done()
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -217,7 +195,7 @@ func BenchmarkCoalescedStorm(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			cfg := dpcache.SystemConfig{Capacity: 256, Seed: 1, Proxy: dpcache.ProxyConfig{Strict: true, Coalesce: coalesce}}
-			fetch, done := startBenchSystem(b, cfg, "binary")
+			fetch, done := startBenchSystem(b, cfg)
 			defer done()
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {

@@ -165,7 +165,6 @@ import (
 	"dpcache/internal/coherency"
 	"dpcache/internal/dpc"
 	"dpcache/internal/fragstore"
-	"dpcache/internal/tmpl"
 )
 
 // options is what the command line sets: the proxy's and the store's own
@@ -182,21 +181,15 @@ type options struct {
 
 // bindFlags declares dpcd's flags on fs, each writing into the returned
 // options. The proxy config starts from the daemon's defaults: strict
-// assembly and coalescing on, the binary codec.
+// assembly and coalescing on.
 func bindFlags(fs *flag.FlagSet) *options {
 	o := &options{proxy: dpc.Config{
-		Codec:  tmpl.Binary{},
 		Stream: true, // dpc.Config.Stream: false would mean StreamSpoolBytes < 0
 	}}
 	p, s := &o.proxy, &o.store
 	fs.StringVar(&o.addr, "addr", "127.0.0.1:9090", "listen address")
 	fs.StringVar(&p.OriginURL, "origin", "http://127.0.0.1:8080", "origin base URL")
 	fs.IntVar(&s.Capacity, "capacity", 4096, "fragment slot capacity (match origin's BEM)")
-	fs.Func("codec", "template codec: binary or text", func(name string) (err error) {
-		p.Codec, err = tmpl.ByName(name)
-		return err
-	})
-	fs.Lookup("codec").DefValue = p.Codec.Name()
 	fs.BoolVar(&p.Strict, "strict", true, "generation-checked assembly with bypass recovery")
 	fs.StringVar(&s.Backend, "store", fragstore.BackendSlot, "fragment store backend: slot (the slot array under one lock), sharded (the array over -shards lock stripes; with -store-budget, the evicting engine), or tiered (the engine over a disk tier)")
 	fs.IntVar(&s.Shards, "shards", 0, "sharded and tiered stores: lock partitions, rounded to a power of two (0 = 16): the array's lock stripes, or the engine's shards")
@@ -278,8 +271,8 @@ func main() {
 	defer stop()
 	fabric := subscribe(ctx, proxy, o)
 	st := store.Stats()
-	fmt.Printf("dpcd: proxying %s on %s (capacity %d, %s codec, strict=%v, coalesce=%v, spool=%d, pagecache=%v)\n",
-		o.proxy.OriginURL, o.addr, o.store.Capacity, o.proxy.Codec.Name(), o.proxy.Strict, o.proxy.Coalesce, o.proxy.StreamSpoolBytes, o.proxy.PageCache)
+	fmt.Printf("dpcd: proxying %s on %s (capacity %d, strict=%v, coalesce=%v, spool=%d, pagecache=%v)\n",
+		o.proxy.OriginURL, o.addr, o.store.Capacity, o.proxy.Strict, o.proxy.Coalesce, o.proxy.StreamSpoolBytes, o.proxy.PageCache)
 	fmt.Printf("dpcd: %s store, %d shard(s), byte budget %d, eviction %s; status at http://%s/_dpc/stats\n",
 		st.Backend, st.Shards, st.ByteBudget, o.store.Eviction, o.addr)
 	fmt.Printf("dpcd: fabric: %s\n", fabric)

@@ -22,7 +22,6 @@ import (
 	"dpcache/internal/fragstore"
 	"dpcache/internal/origin"
 	"dpcache/internal/repository"
-	"dpcache/internal/tmpl"
 )
 
 func parse(t *testing.T, args ...string) (*options, *flag.FlagSet) {
@@ -43,7 +42,6 @@ func TestNoFlagsIsTheDefaultConfig(t *testing.T) {
 	wantProxy := dpc.Config{
 		OriginURL:       "http://127.0.0.1:8080",
 		Capacity:        4096,
-		Codec:           tmpl.Binary{},
 		Strict:          true,
 		Coalesce:        true,
 		Stream:          true,
@@ -69,6 +67,7 @@ func TestNoFlagsIsTheDefaultConfig(t *testing.T) {
 var libraryOnly = map[string]string{
 	"Proxy.Capacity":       "parseFlags copies -capacity from Store.Capacity",
 	"Proxy.Store":          "dpcd builds it from the store flags",
+	"Proxy.Codec":          "the wire has one format; a program may wrap it (bench/ times its decoder)",
 	"Proxy.Stream":         "selects no code; always true (bench/ names it)",
 	"Proxy.PlanCache":      "selects no code (bench/ names it)",
 	"Proxy.PageCacheStore": "a prebuilt page-tier backend: programs and tests only",
@@ -96,7 +95,7 @@ func configFields(o *options) map[string]string {
 // otherValue is a value of the flag's type that is not its default.
 func otherValue(t *testing.T, f *flag.Flag) string {
 	if s, ok := map[string]string{
-		"addr": "0.0.0.0:1", "origin": "http://origin:1", "codec": "text",
+		"addr": "0.0.0.0:1", "origin": "http://origin:1",
 		"store": "sharded", "evict": "lru", "disk-path": "/var/cache/x.heap",
 	}[f.Name]; ok {
 		return s

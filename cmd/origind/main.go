@@ -32,7 +32,6 @@ import (
 	"dpcache/internal/origin"
 	"dpcache/internal/repository"
 	"dpcache/internal/site"
-	"dpcache/internal/tmpl"
 )
 
 func main() {
@@ -40,7 +39,6 @@ func main() {
 	sites := flag.String("sites", "bookstore,brokerage,portal,synth", "sites to serve")
 	mode := flag.String("mode", "cached", "cached (BEM templates) or plain (full pages)")
 	capacity := flag.Int("capacity", 4096, "BEM fragment capacity")
-	codecName := flag.String("codec", "binary", "template codec: binary or text")
 	headerPad := flag.Int("headerpad", 0, "extra response-header padding bytes")
 	faultLatency := flag.Duration("fault-latency", 0, "fault injection: base latency added to every page/static request")
 	faultJitter := flag.Duration("fault-jitter", 0, "fault injection: uniform random extra latency in [0, jitter)")
@@ -52,13 +50,10 @@ func main() {
 	faultSeed := flag.Int64("fault-seed", 0, "fault injection: RNG seed for reproducible draws (0 = 1)")
 	flag.Parse()
 
-	codec, err := tmpl.ByName(*codecName)
-	if err != nil {
-		log.Fatal(err)
-	}
 	repo := repository.New(repository.LatencyModel{})
 	var mon *bem.Monitor
 	if *mode == "cached" {
+		var err error
 		mon, err = bem.New(bem.Config{Capacity: *capacity})
 		if err != nil {
 			log.Fatal(err)
@@ -86,7 +81,6 @@ func main() {
 	srv, err := origin.New(origin.Config{
 		Repo:             repo,
 		Monitor:          mon,
-		Codec:            codec,
 		ExtraHeaderBytes: *headerPad,
 		Faults:           faults,
 	})

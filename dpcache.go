@@ -175,14 +175,14 @@ type (
 	LatencyModel = repository.LatencyModel
 )
 
-// Template codecs.
+// The template wire format.
 type (
-	// Codec is a template wire format.
+	// Codec makes a wire format's encoders and decoders: the seam a
+	// harness that builds a proxy by itself wraps around BinaryCodec (to
+	// time its decoder, say). A System refuses one in ProxyConfig.
 	Codec = tmpl.Codec
-	// BinaryCodec is the compact production format (~10-byte tags).
+	// BinaryCodec is the one wire format (~10-byte tags).
 	BinaryCodec = tmpl.Binary
-	// TextCodec is the human-readable debug format.
-	TextCodec = tmpl.Text
 )
 
 // Built-in sites (used by the examples and experiments).

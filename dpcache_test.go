@@ -103,7 +103,7 @@ func TestFacadeSitesRender(t *testing.T) {
 
 func TestFacadeExperimentCatalogue(t *testing.T) {
 	ids := dpcache.ExperimentIDs()
-	if len(ids) != 14 {
+	if len(ids) != 13 {
 		t.Fatalf("ids = %v", ids)
 	}
 	tab, err := dpcache.RunExperiment("table2", dpcache.ExperimentOptions{})

@@ -35,7 +35,6 @@ import (
 	"dpcache/internal/origin"
 	"dpcache/internal/repository"
 	"dpcache/internal/script"
-	"dpcache/internal/tmpl"
 	"dpcache/internal/trace"
 )
 
@@ -66,9 +65,6 @@ type Config struct {
 	// Capacity is the fragment-slot count shared by the BEM and every
 	// proxy's store. Defaults to 4096.
 	Capacity int
-	// Codec is the template wire format the origin writes and every proxy
-	// reads; defaults to binary.
-	Codec tmpl.Codec
 	// ForcedMissProb pins the BEM hit ratio for experiments (Figure 5).
 	ForcedMissProb float64
 	// Fabric wires the coherency invalidation fabric (ModeCached only):
@@ -96,7 +92,7 @@ type Config struct {
 	Registry *metrics.Registry
 	// Proxy is the template every proxy — the front one and each edge —
 	// is built from; see dpc.Config for the knobs. The system fills
-	// OriginURL, Store, Capacity, Codec, Registry and Tracer per proxy,
+	// OriginURL, Store, Capacity, Registry and Tracer per proxy,
 	// so setting any of them here is an error. Proxy.Trace builds one
 	// tracer shared by the front proxy and every edge, so a request that
 	// hops edge → interior proxy (the trace id riding the X-DPC-Trace
@@ -129,18 +125,22 @@ func (c Config) storeConfig(instance string) fragstore.Config {
 func (c Config) proxyConfig(originURL string, store fragstore.FragmentStore, tracer *trace.Tracer) dpc.Config {
 	pc := c.Proxy
 	pc.OriginURL, pc.Store, pc.Tracer = originURL, store, tracer
-	pc.Capacity, pc.Codec, pc.Registry = c.Capacity, c.Codec, c.Registry
+	pc.Capacity, pc.Registry = c.Capacity, c.Registry
 	pc.Stream = true // dpc.Config.Stream: false would mean StreamSpoolBytes < 0
 	return pc
 }
 
 // checkTemplates refuses a value in a field the system fills per proxy,
-// which would otherwise be silently replaced.
+// which would otherwise be silently replaced, and a decoder the origin's
+// one wire format leaves nothing to choose.
 func (c Config) checkTemplates() error {
 	p, s := c.Proxy, c.Store
-	if p.OriginURL != "" || p.Store != nil || p.Capacity != 0 || p.Codec != nil || p.Registry != nil || p.Tracer != nil {
-		return fmt.Errorf("core: Proxy.OriginURL, Store, Capacity, Codec, Registry and Tracer are filled per proxy" +
-			" (set Config.Capacity, Codec and Registry, and Proxy.Trace)")
+	if p.OriginURL != "" || p.Store != nil || p.Capacity != 0 || p.Registry != nil || p.Tracer != nil {
+		return fmt.Errorf("core: Proxy.OriginURL, Store, Capacity, Registry and Tracer are filled per proxy" +
+			" (set Config.Capacity and Registry, and Proxy.Trace)")
+	}
+	if p.Codec != nil {
+		return fmt.Errorf("core: Proxy.Codec is not set per system: the origin writes one wire format")
 	}
 	if s.Capacity != 0 || s.DiskPath != "" {
 		return fmt.Errorf("core: Store.Capacity and Store.DiskPath are filled per proxy (set Config.Capacity and DiskDir)")
@@ -244,9 +244,6 @@ func NewSystem(cfg Config, mode Mode) (*System, error) {
 	if err := cfg.storeConfig("front").Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Codec == nil {
-		cfg.Codec = tmpl.Binary{}
-	}
 	if cfg.Registry == nil {
 		cfg.Registry = metrics.NewRegistry()
 	}
@@ -268,7 +265,6 @@ func NewSystem(cfg Config, mode Mode) (*System, error) {
 	org, err := origin.New(origin.Config{
 		Repo:             repo,
 		Monitor:          mon,
-		Codec:            cfg.Codec,
 		ExtraHeaderBytes: cfg.ExtraHeaderBytes,
 		Registry:         cfg.Registry,
 	})

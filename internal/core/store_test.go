@@ -6,6 +6,7 @@ import (
 
 	"dpcache/internal/dpc"
 	"dpcache/internal/fragstore"
+	"dpcache/internal/tmpl"
 )
 
 // TestStoreBackendSelection runs the full cached pipeline (origin → BEM →
@@ -75,6 +76,7 @@ func TestStoreBackendSelectionRejectsBadConfig(t *testing.T) {
 	}{
 		{Config{Proxy: dpc.Config{OriginURL: "http://elsewhere"}}, "Proxy.OriginURL"},
 		{Config{Proxy: dpc.Config{Capacity: 64}}, "Proxy.OriginURL"},
+		{Config{Proxy: dpc.Config{Codec: tmpl.Binary{}}}, "Proxy.Codec"},
 		{Config{Store: fragstore.Config{Backend: fragstore.BackendTiered, DiskPath: "/tmp/x.heap"}}, "Store.DiskPath"},
 		{Config{Store: fragstore.Config{Capacity: 64}}, "Store.Capacity"},
 	} {

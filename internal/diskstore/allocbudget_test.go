@@ -4,8 +4,9 @@ package diskstore
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
+
+	"dpcache/internal/alloctest"
 )
 
 // With one pool frame, Gets that change page on every call load a page per
@@ -29,28 +30,26 @@ func TestAllocBudgetPoolLoadReusesFrames(t *testing.T) {
 			t.Fatal("Put refused")
 		}
 	}
-	get := func(calls int) {
-		for i := 0; i < calls; i++ {
-			if _, ok := s.Get(key((i * perPage) % n)); !ok {
-				t.Fatalf("Get(%s) missed", key((i*perPage)%n))
-			}
+	i := 0
+	get := func() { // each call reads the next page
+		k := key((i * perPage) % n)
+		i++
+		if _, ok := s.Get(k); !ok {
+			t.Fatalf("Get(%s) missed", k)
 		}
 	}
-	get(2 * n / perPage) // every page once or twice: the free list is primed
-	const calls = 200
-	loads := s.Stats().PoolLoads
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	get(calls)
-	runtime.ReadMemStats(&after)
-	if got := s.Stats().PoolLoads - loads; got != calls {
-		t.Fatalf("%d pool loads in %d calls: the reads did not change page every time", got, calls)
+	for range 2 * n / perPage { // every page once or twice: the free list is primed
+		get()
 	}
-	perCall := (after.TotalAlloc - before.TotalAlloc) / calls
-	objsPerCall := float64(after.Mallocs-before.Mallocs) / calls
-	t.Logf("%d B in %.2f objects allocated per call, page %d B", perCall, objsPerCall, DefaultPageBytes)
+	const windows, calls = 5, 200
+	loads := s.Stats().PoolLoads
+	perCall, objsPerCall := alloctest.PerCall(windows, calls, get)
+	if got := s.Stats().PoolLoads - loads; got != windows*calls {
+		t.Fatalf("%d pool loads in %d calls: the reads did not change page every time", got, windows*calls)
+	}
+	t.Logf("%.0f B in %.2f objects allocated per call, page %d B", perCall, objsPerCall, DefaultPageBytes)
 	if perCall >= DefaultPageBytes {
-		t.Fatalf("%d B allocated per page-changing Get, budget under one %d-byte page", perCall, DefaultPageBytes)
+		t.Fatalf("%.0f B allocated per page-changing Get, budget under one %d-byte page", perCall, DefaultPageBytes)
 	}
 	if objsPerCall > 3 {
 		t.Fatalf("%.2f objects allocated per page-changing Get, budget 3 (the value, the frame, its load channel)", objsPerCall)

@@ -8,16 +8,19 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
-	"runtime"
 	"testing"
 	"time"
 
+	"dpcache/internal/alloctest"
 	"dpcache/internal/fragstore"
 	"dpcache/internal/tmpl"
 )
 
 // The race detector changes what allocates, so the budget is checked in
-// builds without it (CI runs this file's tests in a step of their own).
+// builds without it (CI runs this file's tests in a step of their own). A
+// budget of objects alone is counted by testing.AllocsPerRun, one of bytes
+// too by alloctest.PerCall over this many windows of requests each.
+const windows, requests = 5, 200
 
 // discardWriter is a response writer that keeps nothing.
 type discardWriter struct{ h http.Header }
@@ -29,10 +32,10 @@ func (d *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
 // fragmentPathAllocs serves steady-state fragment-path requests — template
 // fetched, plan hit, page assembled from a warm store through the spool,
 // coalescing on — and returns the bytes and objects allocated per request,
-// and the page's size. With byRef the origin speaks the reference protocol,
+// (the least of alloctest.PerCall's windows), and the page's size. With byRef the origin speaks the reference protocol,
 // so from the second request on the template is named and not sent; a
 // non-empty user sends every request with that X-User.
-func fragmentPathAllocs(t *testing.T, byRef bool, user string) (bytesPer, objsPer, pageBytes uint64) {
+func fragmentPathAllocs(t *testing.T, byRef bool, user string) (bytesPer, objsPer float64, pageBytes uint64) {
 	const frags, fragBytes = 16, 1 << 10
 	body := templateBody(t, func(enc tmpl.Encoder) {
 		for k := uint32(0); k < frags; k++ {
@@ -67,31 +70,24 @@ func fragmentPathAllocs(t *testing.T, byRef bool, user string) (bytesPer, objsPe
 	if user != "" {
 		req.Header.Set("X-User", user)
 	}
-	serve := func(n int) {
-		for i := 0; i < n; i++ {
-			p.ServeHTTP(&discardWriter{h: http.Header{}}, req)
-		}
+	serve := func() { p.ServeHTTP(&discardWriter{h: http.Header{}}, req) }
+	for range 50 { // compile the plan, size the pooled buffers
+		serve()
 	}
-	serve(50) // compile the plan, size the pooled buffers
-	const requests = 200
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	serve(requests)
-	runtime.ReadMemStats(&after)
+	bytesPer, objsPer = alloctest.PerCall(windows, requests, serve)
 
+	const served = 50 + windows*requests
 	snap := p.Registry().Snapshot()
 	wantRefs := int64(0)
 	if byRef {
-		wantRefs = 50 + requests - 1
+		wantRefs = served - 1
 	}
-	if snap["dpc.assembled"] != 50+requests || snap["dpc.plancache_hits"] != 50+requests-1 || snap["dpc.errors"] != 0 || snap["dpc.template_refs"] != wantRefs {
+	if snap["dpc.assembled"] != served || snap["dpc.plancache_hits"] != served-1 || snap["dpc.errors"] != 0 || snap["dpc.template_refs"] != wantRefs {
 		t.Fatalf("assembled=%d plan hits=%d errors=%d refs=%d: the requests did not take the warm fragment path",
 			snap["dpc.assembled"], snap["dpc.plancache_hits"], snap["dpc.errors"], snap["dpc.template_refs"])
 	}
-	bytesPer = (after.TotalAlloc - before.TotalAlloc) / requests
-	objsPer = (after.Mallocs - before.Mallocs) / requests
 	pageBytes = uint64(frags * (fragBytes + len("<div>")))
-	t.Logf("%d B in %d objects allocated per request, page %d B", bytesPer, objsPer, pageBytes)
+	t.Logf("%.0f B in %.2f objects allocated per request, page %d B", bytesPer, objsPer, pageBytes)
 	return bytesPer, objsPer, pageBytes
 }
 
@@ -101,8 +97,8 @@ func fragmentPathAllocs(t *testing.T, byRef bool, user string) (bytesPer, objsPe
 // is a page or more each and breaks the budget.
 func TestAllocBudgetFragmentPathRequest(t *testing.T) {
 	perRequest, _, pageBytes := fragmentPathAllocs(t, false, "")
-	if perRequest > pageBytes/2 {
-		t.Fatalf("%d B allocated per request, budget %d B (half a %d-byte page)", perRequest, pageBytes/2, pageBytes)
+	if perRequest > float64(pageBytes/2) {
+		t.Fatalf("%.0f B allocated per request, budget %d B (half a %d-byte page)", perRequest, pageBytes/2, pageBytes)
 	}
 }
 
@@ -115,8 +111,8 @@ func TestAllocBudgetTemplateRefRequest(t *testing.T) {
 	for _, user := range []string{"", "u1"} {
 		_, fullObjs, _ := fragmentPathAllocs(t, false, user)
 		perRequest, objs, pageBytes := fragmentPathAllocs(t, true, user)
-		if perRequest > pageBytes/2 || objs > fullObjs+1 {
-			t.Fatalf("user %q: %d B in %d objects allocated per request by reference; budget %d B (half a %d-byte page) and the full path's %d objects",
+		if perRequest > float64(pageBytes/2) || objs > fullObjs+1 {
+			t.Fatalf("user %q: %.0f B in %.2f objects allocated per request by reference; budget %d B (half a %d-byte page) and the full path's %.2f objects",
 				user, perRequest, objs, pageBytes/2, pageBytes, fullObjs)
 		}
 	}
@@ -129,29 +125,22 @@ func TestAllocBudgetTemplateRefRequest(t *testing.T) {
 // as before.
 const pageHitObjs = 14
 
-// pageHitAllocs serves req 50 times to warm p up, then 200 more, and
-// returns the objects allocated per request once it has checked that each
-// of the 200 was a page-tier hit.
-func pageHitAllocs(t *testing.T, p *Proxy, req *http.Request) uint64 {
+// pageHitAllocs serves req 50 times to warm p up, then AllocsPerRun's
+// requests+1 more, and returns the objects allocated per request once it has
+// checked that each of those was a page-tier hit.
+func pageHitAllocs(t *testing.T, p *Proxy, req *http.Request) float64 {
 	t.Helper()
-	serve := func(n int) {
-		for i := 0; i < n; i++ {
-			p.ServeHTTP(&discardWriter{h: http.Header{}}, req)
-		}
+	serve := func() { p.ServeHTTP(&discardWriter{h: http.Header{}}, req) }
+	for range 50 {
+		serve()
 	}
-	serve(50)
 	hits := p.Registry().Counter("dpc.pagecache_hits")
 	warm := hits.Value()
-	const requests = 200
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	serve(requests)
-	runtime.ReadMemStats(&after)
-	if n := hits.Value() - warm; n != requests {
-		t.Fatalf("%d page hits of %d requests: the requests did not hit the page tier", n, requests)
+	objs := testing.AllocsPerRun(requests, serve)
+	if n := hits.Value() - warm; n != requests+1 {
+		t.Fatalf("%d page hits of %d requests: the requests did not hit the page tier", n, requests+1)
 	}
-	objs := (after.Mallocs - before.Mallocs) / requests
-	t.Logf("%d B in %d objects allocated per page hit", (after.TotalAlloc-before.TotalAlloc)/requests, objs)
+	t.Logf("%v objects allocated per page hit", objs)
 	return objs
 }
 
@@ -173,7 +162,7 @@ func TestAllocBudgetPageHitRequest(t *testing.T) {
 		})
 	})
 	if objs := pageHitAllocs(t, p, httptest.NewRequest(http.MethodGet, "/page?id=1", nil)); objs > pageHitObjs {
-		t.Fatalf("%d objects allocated per page hit, budget %d", objs, pageHitObjs)
+		t.Fatalf("%v objects allocated per page hit, budget %d", objs, pageHitObjs)
 	}
 }
 
@@ -204,7 +193,7 @@ func TestAllocBudgetIdentifiedPageHitRequest(t *testing.T) {
 		t.Fatalf("dpc.pagecache_identity_hits = %d: the hits were not the identified visitor's", n)
 	}
 	if objs > identifiedPageHitObjs || objs > pageHitObjs+2 {
-		t.Fatalf("%d objects allocated per identified page hit, budget %d (at most %d)", objs, identifiedPageHitObjs, pageHitObjs+2)
+		t.Fatalf("%v objects allocated per identified page hit, budget %d (at most %d)", objs, identifiedPageHitObjs, pageHitObjs+2)
 	}
 }
 
@@ -240,27 +229,21 @@ func leaseHitProxy(tb testing.TB, store fragstore.FragmentStore) (*Proxy, *http.
 // room.
 const leaseHitBytes, leaseHitObjs = 1280, 14
 
-// leaseHitAllocs serves 200 steady-state lease hits of req and returns the
-// bytes and objects each allocated.
-func leaseHitAllocs(t *testing.T, p *Proxy, req *http.Request) (bytesPer, objsPer uint64) {
+// leaseHitAllocs serves 50 lease hits of req to warm p up, then windows of
+// steady-state ones, and returns the bytes and objects each allocated.
+func leaseHitAllocs(t *testing.T, p *Proxy, req *http.Request) (bytesPer, objsPer float64) {
 	t.Helper()
-	serve := func(n int) {
-		for i := 0; i < n; i++ {
-			p.ServeHTTP(&discardWriter{h: http.Header{}}, req)
-		}
+	serve := func() { p.ServeHTTP(&discardWriter{h: http.Header{}}, req) }
+	for range 50 { // size the pooled buffers
+		serve()
 	}
-	serve(50) // size the pooled buffers
 	hits := p.Registry().Counter("dpc.lease_hits")
 	warm := hits.Value()
-	const requests = 200
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	serve(requests)
-	runtime.ReadMemStats(&after)
-	if n := hits.Value() - warm; n != requests {
-		t.Fatalf("%d lease hits of %d requests", n, requests)
+	bytesPer, objsPer = alloctest.PerCall(windows, requests, serve)
+	if n := hits.Value() - warm; n != windows*requests {
+		t.Fatalf("%d lease hits of %d requests", n, windows*requests)
 	}
-	return (after.TotalAlloc - before.TotalAlloc) / requests, (after.Mallocs - before.Mallocs) / requests
+	return bytesPer, objsPer
 }
 
 // A lease hit — frag_hot's usual request — runs its held plan from a warm
@@ -269,9 +252,9 @@ func leaseHitAllocs(t *testing.T, p *Proxy, req *http.Request) (bytesPer, objsPe
 func TestAllocBudgetLeaseHitRequest(t *testing.T) {
 	p, req := leaseHitProxy(t, nil)
 	bytesPer, objs := leaseHitAllocs(t, p, req)
-	t.Logf("%d B in %d objects allocated per lease hit", bytesPer, objs)
+	t.Logf("%.0f B in %.2f objects allocated per lease hit", bytesPer, objs)
 	if bytesPer > leaseHitBytes || objs > leaseHitObjs {
-		t.Fatalf("%d B in %d objects allocated per lease hit, budget %d B in %d", bytesPer, objs, leaseHitBytes, leaseHitObjs)
+		t.Fatalf("%.0f B in %.2f objects allocated per lease hit, budget %d B in %d", bytesPer, objs, leaseHitBytes, leaseHitObjs)
 	}
 }
 
@@ -295,13 +278,14 @@ func TestAllocBudgetLeaseHitFromDisk(t *testing.T) {
 	before, _ := fragstore.DiskStats(store)
 	bytesPer, objs := leaseHitAllocs(t, p, req)
 	after, _ := fragstore.DiskStats(store)
-	if served := after.ServedInPlace - before.ServedInPlace; served != 250*16 || after.RAM.Resident != 0 || after.Promotions != 0 {
-		t.Fatalf("%d reads served in place for 250 hits of 16 fragments, RAM holding %d, %d promotions: the hits did not read the disk tier",
-			served, after.RAM.Resident, after.Promotions)
+	const hits = 50 + windows*requests
+	if served := after.ServedInPlace - before.ServedInPlace; served != hits*16 || after.RAM.Resident != 0 || after.Promotions != 0 {
+		t.Fatalf("%d reads served in place for %d hits of 16 fragments, RAM holding %d, %d promotions: the hits did not read the disk tier",
+			served, hits, after.RAM.Resident, after.Promotions)
 	}
-	t.Logf("%d B in %d objects allocated per lease hit from disk, %d objects from the slot array", bytesPer, objs, ramObjs)
+	t.Logf("%.0f B in %.2f objects allocated per lease hit from disk, %.2f objects from the slot array", bytesPer, objs, ramObjs)
 	if objs > ramObjs {
-		t.Fatalf("%d objects allocated per lease hit from disk, budget %d (the slot array's lease hit)", objs, ramObjs)
+		t.Fatalf("%.2f objects allocated per lease hit from disk, budget %.2f (the slot array's lease hit)", objs, ramObjs)
 	}
 }
 

@@ -114,55 +114,54 @@ func newTestAssembler(tb testing.TB, store fragstore.FragmentStore, codec tmpl.C
 }
 
 func TestAssembleSetThenGet(t *testing.T) {
-	for _, codec := range []tmpl.Codec{tmpl.Binary{}, tmpl.Text{}} {
-		store, _ := NewStore(8)
-		asm := newTestAssembler(t, store, codec, true)
+	codec := tmpl.Binary{}
+	store, _ := NewStore(8)
+	asm := newTestAssembler(t, store, codec, true)
 
-		// First response: SET populates the slot and the content
-		// appears inline.
-		t1 := encodeTemplate(t, codec, []tmpl.Instruction{
-			{Op: tmpl.OpLiteral, Data: []byte("<a>")},
-			{Op: tmpl.OpSet, Key: 3, Gen: 9, Data: []byte("FRAG")},
-			{Op: tmpl.OpLiteral, Data: []byte("</a>")},
-		})
-		var page1 bytes.Buffer
-		st1, err := asm(&page1, t1)
-		if err != nil {
-			t.Fatalf("%s: %v", codec.Name(), err)
-		}
-		if page1.String() != "<a>FRAG</a>" {
-			t.Fatalf("%s: page1 = %q", codec.Name(), page1.String())
-		}
-		if st1.Sets != 1 || st1.Gets != 0 {
-			t.Fatalf("%s: stats = %+v", codec.Name(), st1)
-		}
-		if st1.TemplateBytes != int64(len(t1)) {
-			t.Fatalf("%s: TemplateBytes = %d, want %d", codec.Name(), st1.TemplateBytes, len(t1))
-		}
+	// First response: SET populates the slot and the content
+	// appears inline.
+	t1 := encodeTemplate(t, codec, []tmpl.Instruction{
+		{Op: tmpl.OpLiteral, Data: []byte("<a>")},
+		{Op: tmpl.OpSet, Key: 3, Gen: 9, Data: []byte("FRAG")},
+		{Op: tmpl.OpLiteral, Data: []byte("</a>")},
+	})
+	var page1 bytes.Buffer
+	st1, err := asm(&page1, t1)
+	if err != nil {
+		t.Fatalf("%s: %v", codec.Name(), err)
+	}
+	if page1.String() != "<a>FRAG</a>" {
+		t.Fatalf("%s: page1 = %q", codec.Name(), page1.String())
+	}
+	if st1.Sets != 1 || st1.Gets != 0 {
+		t.Fatalf("%s: stats = %+v", codec.Name(), st1)
+	}
+	if st1.TemplateBytes != int64(len(t1)) {
+		t.Fatalf("%s: TemplateBytes = %d, want %d", codec.Name(), st1.TemplateBytes, len(t1))
+	}
 
-		// Second response: GET splices from the store.
-		t2 := encodeTemplate(t, codec, []tmpl.Instruction{
-			{Op: tmpl.OpLiteral, Data: []byte("<b>")},
-			{Op: tmpl.OpGet, Key: 3, Gen: 9},
-			{Op: tmpl.OpLiteral, Data: []byte("</b>")},
-		})
-		var page2 bytes.Buffer
-		st2, err := asm(&page2, t2)
-		if err != nil {
-			t.Fatalf("%s: %v", codec.Name(), err)
-		}
-		if page2.String() != "<b>FRAG</b>" {
-			t.Fatalf("%s: page2 = %q", codec.Name(), page2.String())
-		}
-		if st2.Gets != 1 {
-			t.Fatalf("%s: stats = %+v", codec.Name(), st2)
-		}
-		// The GET template must be smaller than the SET template —
-		// that is the whole bandwidth argument.
-		if st2.TemplateBytes >= st1.TemplateBytes {
-			t.Fatalf("%s: GET template (%d) not smaller than SET template (%d)",
-				codec.Name(), st2.TemplateBytes, st1.TemplateBytes)
-		}
+	// Second response: GET splices from the store.
+	t2 := encodeTemplate(t, codec, []tmpl.Instruction{
+		{Op: tmpl.OpLiteral, Data: []byte("<b>")},
+		{Op: tmpl.OpGet, Key: 3, Gen: 9},
+		{Op: tmpl.OpLiteral, Data: []byte("</b>")},
+	})
+	var page2 bytes.Buffer
+	st2, err := asm(&page2, t2)
+	if err != nil {
+		t.Fatalf("%s: %v", codec.Name(), err)
+	}
+	if page2.String() != "<b>FRAG</b>" {
+		t.Fatalf("%s: page2 = %q", codec.Name(), page2.String())
+	}
+	if st2.Gets != 1 {
+		t.Fatalf("%s: stats = %+v", codec.Name(), st2)
+	}
+	// The GET template must be smaller than the SET template —
+	// that is the whole bandwidth argument.
+	if st2.TemplateBytes >= st1.TemplateBytes {
+		t.Fatalf("%s: GET template (%d) not smaller than SET template (%d)",
+			codec.Name(), st2.TemplateBytes, st1.TemplateBytes)
 	}
 }
 
@@ -323,47 +322,46 @@ func TestAssembleIdentityProperty(t *testing.T) {
 		}
 		return b
 	}
-	for _, codec := range []tmpl.Codec{tmpl.Binary{}, tmpl.Text{}} {
-		for trial := 0; trial < 120; trial++ {
-			store, _ := NewStore(32)
-			asm := newTestAssembler(t, store, codec, true)
-			type setFrag struct {
-				key, gen uint32
-				data     []byte
+	codec := tmpl.Binary{}
+	for trial := 0; trial < 120; trial++ {
+		store, _ := NewStore(32)
+		asm := newTestAssembler(t, store, codec, true)
+		type setFrag struct {
+			key, gen uint32
+			data     []byte
+		}
+		var sets []setFrag
+		var ins []tmpl.Instruction
+		var want bytes.Buffer
+		nextKey := uint32(0)
+		gen := uint32(1)
+		for step, n := 0, 2+rng.Intn(12); step < n; step++ {
+			switch {
+			case len(sets) > 0 && rng.Intn(3) == 0:
+				f := sets[rng.Intn(len(sets))]
+				ins = append(ins, tmpl.Instruction{Op: tmpl.OpGet, Key: f.key, Gen: f.gen})
+				want.Write(f.data)
+			case rng.Intn(2) == 0 && nextKey < 31:
+				data := genBytes(rng.Intn(150))
+				f := setFrag{key: nextKey, gen: gen, data: data}
+				nextKey++
+				gen++
+				sets = append(sets, f)
+				ins = append(ins, tmpl.Instruction{Op: tmpl.OpSet, Key: f.key, Gen: f.gen, Data: data})
+				want.Write(data)
+			default:
+				lit := genBytes(rng.Intn(120))
+				ins = append(ins, tmpl.Instruction{Op: tmpl.OpLiteral, Data: lit})
+				want.Write(lit)
 			}
-			var sets []setFrag
-			var ins []tmpl.Instruction
-			var want bytes.Buffer
-			nextKey := uint32(0)
-			gen := uint32(1)
-			for step, n := 0, 2+rng.Intn(12); step < n; step++ {
-				switch {
-				case len(sets) > 0 && rng.Intn(3) == 0:
-					f := sets[rng.Intn(len(sets))]
-					ins = append(ins, tmpl.Instruction{Op: tmpl.OpGet, Key: f.key, Gen: f.gen})
-					want.Write(f.data)
-				case rng.Intn(2) == 0 && nextKey < 31:
-					data := genBytes(rng.Intn(150))
-					f := setFrag{key: nextKey, gen: gen, data: data}
-					nextKey++
-					gen++
-					sets = append(sets, f)
-					ins = append(ins, tmpl.Instruction{Op: tmpl.OpSet, Key: f.key, Gen: f.gen, Data: data})
-					want.Write(data)
-				default:
-					lit := genBytes(rng.Intn(120))
-					ins = append(ins, tmpl.Instruction{Op: tmpl.OpLiteral, Data: lit})
-					want.Write(lit)
-				}
-			}
-			raw := encodeTemplate(t, codec, ins)
-			var page bytes.Buffer
-			if _, err := asm(&page, raw); err != nil {
-				t.Fatalf("%s trial %d: %v", codec.Name(), trial, err)
-			}
-			if !bytes.Equal(page.Bytes(), want.Bytes()) {
-				t.Fatalf("%s trial %d: assembled %q, want %q", codec.Name(), trial, page.Bytes(), want.Bytes())
-			}
+		}
+		raw := encodeTemplate(t, codec, ins)
+		var page bytes.Buffer
+		if _, err := asm(&page, raw); err != nil {
+			t.Fatalf("%s trial %d: %v", codec.Name(), trial, err)
+		}
+		if !bytes.Equal(page.Bytes(), want.Bytes()) {
+			t.Fatalf("%s trial %d: assembled %q, want %q", codec.Name(), trial, page.Bytes(), want.Bytes())
 		}
 	}
 }

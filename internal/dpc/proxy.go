@@ -46,7 +46,10 @@ type Config struct {
 	// FragmentStore) to change the concurrency and capacity model without
 	// touching the proxy.
 	Store fragstore.FragmentStore
-	// Codec must match the origin's template codec; defaults to binary.
+	// Codec reads the origin's templates; defaults to tmpl.Binary, the one
+	// wire format. Another value wraps it (to time its decoder, say) and
+	// keeps its Name: a template whose X-DPC-Template is not that name is
+	// refused with a 502.
 	Codec tmpl.Codec
 	// Strict enables generation checking on GETs plus transparent
 	// re-fetch on staleness.

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"net/http"
 	"time"
 
 	"dpcache/internal/core"
@@ -10,57 +9,53 @@ import (
 	"dpcache/internal/netsim"
 	"dpcache/internal/repository"
 	"dpcache/internal/site"
-	"dpcache/internal/tmpl"
 	"dpcache/internal/workload"
 )
 
-// The ablations quantify three design decisions: the template codec,
-// strict assembly and the repository latency model. They are not paper
-// artifacts; they justify implementation choices the paper leaves open.
+// The ablations quantify two design decisions: strict assembly and the
+// repository latency model. They are not paper artifacts; they justify
+// implementation choices the paper leaves open.
 
-// ablationPoint runs the synthetic site at the Table 2 operating point
-// under a specific system configuration and reports origin bytes, request
-// latency, and fallback counts.
-type ablationPoint struct {
+// strictPoint is one row of AblationStrict: origin bytes, request latency
+// and fallback count of the synthetic site at the Table 2 operating point.
+type strictPoint struct {
 	wireOut     int64
 	meanLatency time.Duration
 	fallbacks   int64
 }
 
-// runAblation measures one ablationPoint. link is the proxy's origin
-// transport: the paper's protocol, or nil for the proxy's own, which offers
-// the origin the plans it holds.
-func runAblation(codec tmpl.Codec, strict bool, churnProb float64, link http.RoundTripper, opts Options) (ablationPoint, error) {
+// runStrict measures one strictPoint over the paper's protocol under 20%
+// invalidation churn.
+func runStrict(strict bool, opts Options) (strictPoint, error) {
 	sys, err := core.NewSystem(core.Config{
 		Capacity:         256,
-		Codec:            codec,
-		ForcedMissProb:   churnProb,
+		ForcedMissProb:   0.2,
 		Seed:             opts.Seed,
 		ExtraHeaderBytes: opts.ExtraHeaderBytes,
-		Proxy:            dpc.Config{Strict: strict, Transport: link},
+		Proxy:            dpc.Config{Strict: strict, Transport: newPaperProtocol()},
 	}, core.ModeCached)
 	if err != nil {
-		return ablationPoint{}, err
+		return strictPoint{}, err
 	}
 	sc, _, err := site.BuildSynthetic(site.DefaultSynthetic(), sys.Repo)
 	if err != nil {
-		return ablationPoint{}, err
+		return strictPoint{}, err
 	}
 	if err := sys.Register(sc); err != nil {
-		return ablationPoint{}, err
+		return strictPoint{}, err
 	}
 	if err := sys.Start(); err != nil {
-		return ablationPoint{}, err
+		return strictPoint{}, err
 	}
 	defer sys.Close()
 
 	z, err := workload.NewZipf(10, opts.ZipfAlpha)
 	if err != nil {
-		return ablationPoint{}, err
+		return strictPoint{}, err
 	}
 	users, err := workload.NewUserPool(0, 0)
 	if err != nil {
-		return ablationPoint{}, err
+		return strictPoint{}, err
 	}
 	d := &workload.Driver{
 		BaseURL:     sys.FrontURL(),
@@ -69,61 +64,22 @@ func runAblation(codec tmpl.Codec, strict bool, churnProb float64, link http.Rou
 		Seed:        opts.Seed,
 	}
 	if _, err := d.Run(opts.Warmup + 10); err != nil {
-		return ablationPoint{}, err
+		return strictPoint{}, err
 	}
 	sys.Meter.Reset()
 	fallbacks0 := sys.Registry.Counter("dpc.stale_fallbacks").Value()
 	res, err := d.Run(opts.Requests)
 	if err != nil {
-		return ablationPoint{}, err
+		return strictPoint{}, err
 	}
 	if res.Errors > 0 {
-		return ablationPoint{}, fmt.Errorf("%d errors", res.Errors)
+		return strictPoint{}, fmt.Errorf("%d errors", res.Errors)
 	}
-	return ablationPoint{
+	return strictPoint{
 		wireOut:     netsim.DefaultOverhead().WireBytesOut(sys.Meter),
 		meanLatency: res.Latency.Mean(),
 		fallbacks:   sys.Registry.Counter("dpc.stale_fallbacks").Value() - fallbacks0,
 	}, nil
-}
-
-// AblationCodec compares the binary and text template codecs on the full
-// request path: same site, same workload, measured
-// origin bytes and latency.
-func AblationCodec(opts Options) (Table, error) {
-	opts = opts.withDefaults()
-	t := Table{
-		ID:      "ablation-codec",
-		Title:   "Ablation: template codec (binary vs text) at the Table 2 operating point",
-		Columns: []string{"codec", "origin wire bytes/req", "mean latency"},
-	}
-	row := func(name string, codec tmpl.Codec, link http.RoundTripper) error {
-		// No churn: the codec comparison is about tag encoding on the
-		// steady-state hit path, so invalidation noise is excluded.
-		pt, err := runAblation(codec, true, 0, link, opts)
-		if err != nil {
-			return fmt.Errorf("codec %s: %w", name, err)
-		}
-		t.Rows = append(t.Rows, []string{
-			name,
-			fmt.Sprint(pt.wireOut / int64(opts.Requests)),
-			pt.meanLatency.Round(time.Microsecond).String(),
-		})
-		return nil
-	}
-	for _, codec := range []tmpl.Codec{tmpl.Binary{}, tmpl.Text{}} {
-		if err := row(codec.Name(), codec, newPaperProtocol()); err != nil {
-			return t, err
-		}
-	}
-	// Beyond the paper: the same point with the proxy offering the plans it
-	// holds, so a template that recurs crosses the link as its headers.
-	if err := row("binary+refs", tmpl.Binary{}, nil); err != nil {
-		return t, err
-	}
-	t.Notes = append(t.Notes, "binary tags are ~2-3x smaller; at 1KB fragments the wire difference is small, which is why the paper could treat g as a 10-byte constant")
-	t.Notes = append(t.Notes, "binary+refs is not the paper's protocol: the proxy names the plan it holds (X-DPC-Have) and an unchanged template is answered by reference, so B_C falls to the response headers and the tag bytes stop mattering at all")
-	return t, nil
 }
 
 // AblationStrict compares strict (generation-checked) and fast assembly
@@ -142,7 +98,7 @@ func AblationStrict(opts Options) (Table, error) {
 		if strict {
 			name = "strict"
 		}
-		pt, err := runAblation(tmpl.Binary{}, strict, 0.2, newPaperProtocol(), opts)
+		pt, err := runStrict(strict, opts)
 		if err != nil {
 			return t, fmt.Errorf("%s: %w", name, err)
 		}

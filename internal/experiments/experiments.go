@@ -152,7 +152,6 @@ func All() []struct {
 		{"memory", Memory},
 		{"casestudy", CaseStudy},
 		{"baselines", Baselines},
-		{"ablation-codec", AblationCodec},
 		{"ablation-strict", AblationStrict},
 		{"ablation-latency", AblationLatencyModel},
 	}

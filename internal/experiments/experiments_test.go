@@ -29,7 +29,7 @@ func TestTableString(t *testing.T) {
 
 func TestCatalogueComplete(t *testing.T) {
 	want := []string{"table2", "fig2a", "fig2b", "fig3a", "result1", "fig3b", "fig5", "fig6", "memory", "casestudy", "baselines",
-		"ablation-codec", "ablation-strict", "ablation-latency"}
+		"ablation-strict", "ablation-latency"}
 	all := All()
 	if len(all) != len(want) {
 		t.Fatalf("catalogue has %d entries, want %d", len(all), len(want))
@@ -265,34 +265,6 @@ func TestCaseStudyLive(t *testing.T) {
 	}
 	if rt < 3 {
 		t.Fatalf("response-time reduction %vx, want >= 3x", rt)
-	}
-}
-
-// One client and a seeded request list: each row's system sees the same
-// requests in the same order over one origin connection, so the rows differ
-// by what the protocol put on the wire and not by how a run was scheduled.
-func TestAblationCodecLive(t *testing.T) {
-	if testing.Short() {
-		t.Skip("live experiment")
-	}
-	opts := QuickOptions()
-	opts.Concurrency = 1
-	tab, err := AblationCodec(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 3 || tab.Rows[0][0] != "binary" || tab.Rows[1][0] != "text" || tab.Rows[2][0] != "binary+refs" {
-		t.Fatalf("rows = %v", tab.Rows)
-	}
-	binary, text, refs := cell(t, tab, 0, 1), cell(t, tab, 1, 1), cell(t, tab, 2, 1)
-	// Binary templates must not be larger than text templates on the wire.
-	if binary > text {
-		t.Fatalf("binary (%v B/req) larger than text (%v B/req)", binary, text)
-	}
-	// The synthetic site's templates recur, so by reference they cross the
-	// link as headers: the page's literal quarter is no longer sent.
-	if refs > binary-500 {
-		t.Fatalf("templates by reference: %v B/req against %v in full", refs, binary)
 	}
 }
 

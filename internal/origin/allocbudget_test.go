@@ -5,17 +5,20 @@ package origin
 import (
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"strings"
 	"testing"
 
+	"dpcache/internal/alloctest"
 	"dpcache/internal/bem"
 	"dpcache/internal/repository"
 	"dpcache/internal/site"
 )
 
 // The race detector changes what allocates, so the budget is checked in
-// builds without it (CI runs this file's tests in a step of their own).
+// builds without it (CI runs this file's tests in a step of their own). A
+// budget of objects alone is counted by testing.AllocsPerRun, one of bytes
+// too by alloctest.PerCall over this many windows of requests each.
+const windows, requests = 5, 500
 
 // discardWriter is a response writer that keeps nothing; each request
 // gets a fresh header map, as net/http gives it one.
@@ -63,24 +66,18 @@ func benchPageServer(tb testing.TB) (*Server, *http.Request) {
 // the parent commit it was 32.9 KB in 146 objects.
 func TestAllocBudgetServePageTemplate(t *testing.T) {
 	srv, req := benchPageServer(t)
-	const requests = 500
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < requests; i++ {
+	bytesPer, objsPer := alloctest.PerCall(windows, requests, func() {
 		srv.servePage(&discardWriter{h: http.Header{}}, req)
-	}
-	runtime.ReadMemStats(&after)
+	})
 
 	st := srv.Monitor().Stats()
-	if st.Misses != 1+12 || srv.reg.Snapshot()["origin.templates"] != 20+requests {
+	if st.Misses != 1+12 || srv.reg.Snapshot()["origin.templates"] != 20+windows*requests {
 		t.Fatalf("bem misses=%d (want the shell's and twelve blocks') templates=%d: the requests did not take the warm template path",
 			st.Misses, srv.reg.Snapshot()["origin.templates"])
 	}
-	bytesPer := (after.TotalAlloc - before.TotalAlloc) / requests
-	objsPer := (after.Mallocs - before.Mallocs) / requests
-	t.Logf("%d B in %d objects per fetch", bytesPer, objsPer)
+	t.Logf("%.0f B in %.2f objects per fetch", bytesPer, objsPer)
 	if bytesPer > 2<<10 || objsPer > 40 {
-		t.Fatalf("%d B in %d objects allocated per fetch, budget 2048 B in 40", bytesPer, objsPer)
+		t.Fatalf("%.0f B in %.2f objects allocated per fetch, budget 2048 B in 40", bytesPer, objsPer)
 	}
 }
 
@@ -122,24 +119,18 @@ func TestAllocBudgetServePageTemplateRef(t *testing.T) {
 	srv, req := offeredPageServer(t)
 	refs0 := srv.reg.Snapshot()["origin.template_refs"]
 
-	const requests = 500
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < requests; i++ {
+	bytesPer, objsPer := alloctest.PerCall(windows, requests, func() {
 		forget(srv, req)
 		srv.servePage(&discardWriter{h: http.Header{}}, req)
-	}
-	runtime.ReadMemStats(&after)
+	})
 
 	snap := srv.reg.Snapshot()
-	if got := snap["origin.template_refs"] - refs0; refs0 != 1 || got != requests || snap["origin.template_refs_validated"] != 0 {
-		t.Fatalf("%d then %d of %d fetches answered by reference, %d of them validated", refs0, got, requests, snap["origin.template_refs_validated"])
+	if got := snap["origin.template_refs"] - refs0; refs0 != 1 || got != windows*requests || snap["origin.template_refs_validated"] != 0 {
+		t.Fatalf("%d then %d of %d fetches answered by reference, %d of them validated", refs0, got, windows*requests, snap["origin.template_refs_validated"])
 	}
-	bytesPer := (after.TotalAlloc - before.TotalAlloc) / requests
-	objsPer := (after.Mallocs - before.Mallocs) / requests
-	t.Logf("%d B in %d objects per fetch", bytesPer, objsPer)
+	t.Logf("%.0f B in %.2f objects per fetch", bytesPer, objsPer)
 	if bytesPer > 2<<10 || objsPer > 40 {
-		t.Fatalf("%d B in %d objects allocated per fetch, budget 2048 B in 40", bytesPer, objsPer)
+		t.Fatalf("%.0f B in %.2f objects allocated per fetch, budget 2048 B in 40", bytesPer, objsPer)
 	}
 }
 
@@ -148,27 +139,20 @@ func TestAllocBudgetServePageTemplateRef(t *testing.T) {
 // headers: fewer objects than the generated answer by reference above.
 func TestAllocBudgetServePageValidated(t *testing.T) {
 	srv, req := offeredPageServer(t)
-	const requests = 500
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < requests; i++ {
+	validatedObjs := testing.AllocsPerRun(requests, func() {
 		srv.servePage(&discardWriter{h: http.Header{}}, req)
+	})
+	if got := srv.reg.Snapshot()["origin.template_refs_validated"]; got != requests+1 {
+		t.Fatalf("%d of %d offers validated", got, requests+1)
 	}
-	runtime.ReadMemStats(&after)
-	if got := srv.reg.Snapshot()["origin.template_refs_validated"]; got != requests {
-		t.Fatalf("%d of %d offers validated", got, requests)
-	}
-	validatedObjs := (after.Mallocs - before.Mallocs) / requests
-	t.Logf("%d B in %d objects per fetch", (after.TotalAlloc-before.TotalAlloc)/requests, validatedObjs)
+	t.Logf("%v objects per fetch", validatedObjs)
 
-	runtime.ReadMemStats(&before)
-	for i := 0; i < requests; i++ {
+	generatedObjs := testing.AllocsPerRun(requests, func() {
 		forget(srv, req)
 		srv.servePage(&discardWriter{h: http.Header{}}, req)
-	}
-	runtime.ReadMemStats(&after)
-	if generatedObjs := (after.Mallocs - before.Mallocs) / requests; validatedObjs >= generatedObjs {
-		t.Fatalf("validated answer %d objects, generated answer by reference %d: want fewer", validatedObjs, generatedObjs)
+	})
+	if validatedObjs >= generatedObjs {
+		t.Fatalf("validated answer %v objects, generated answer by reference %v: want fewer", validatedObjs, generatedObjs)
 	}
 }
 

@@ -174,94 +174,93 @@ func TestTemplateBytesGolden(t *testing.T) {
 	got := map[string]string{}
 	validated := int64(0)
 	for _, gs := range goldenSites {
-		for _, codec := range []tmpl.Codec{tmpl.Binary{}, tmpl.Text{}} {
-			repo := repository.New(repository.LatencyModel{})
-			clk := clock.NewFake(time.Date(2002, 6, 4, 9, 30, 0, 0, time.UTC))
-			mon, err := bem.New(bem.Config{Capacity: gs.capacity, Clock: clk})
-			if err != nil {
-				t.Fatal(err)
-			}
-			mon.BindRepo(repo)
-			srv, err := New(Config{Repo: repo, Monitor: mon, Codec: codec, ExtraHeaderBytes: 40})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sc, err := gs.build(repo)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := srv.Register(sc); err != nil {
-				t.Fatal(err)
-			}
-			// The third pass makes every request of the script twice, the
-			// repeat offering (HeaderHave) the body the first got: where that
-			// was a GET-only template the repeat generates it again and
-			// answers by reference, where it carried a SET the repeat is a
-			// new template sent in full, and a plain page ignores the offer.
-			// The fourth makes the offer twice: the second is answered from
-			// the record the first filed, where nothing it names has moved.
-			// The fifth is the fourth with every request asking for a lease:
-			// each answer by reference carries a grant.
-			for _, pass := range []string{"cold", "warm", "ref", "validated", "asked"} {
-				h := sha256.New()
-				refs := 0
-				do := func(i int, gr goldenRequest, have string) string {
-					req := httptest.NewRequest(http.MethodGet, gr.url, nil)
-					for k, v := range gr.headers {
-						req.Header.Set(k, v)
-					}
-					if have != "" {
-						req.Header.Set(HeaderHave, have)
-					}
-					if pass == "asked" {
-						req.Header.Set(HeaderLease, "1")
-					}
-					rec := httptest.NewRecorder()
-					srv.ServeHTTP(rec, req)
-					if rec.Code != http.StatusOK {
-						t.Fatalf("%s/%s/%s request %d (%s): status %d: %s", gs.name, codec.Name(), pass, i, gr.url, rec.Code, rec.Body)
-					}
-					keys := make([]string, 0, len(rec.Header()))
-					for k := range rec.Header() {
-						keys = append(keys, k)
-					}
-					sort.Strings(keys)
-					for _, k := range keys {
-						fmt.Fprintf(h, "%s: %s\n", k, strings.Join(rec.Header()[k], ","))
-					}
-					fmt.Fprintf(h, "\n%d\n", rec.Body.Len())
-					h.Write(rec.Body.Bytes())
-					if rec.Header().Get(HeaderSame) != "" {
-						refs++
-					}
-					return hexDigest(rec.Body.String())
-				}
-				for i, gr := range gs.requests {
-					if gr.before != nil {
-						gr.before(repo, clk)
-					}
-					digest := do(i, gr, "")
-					switch pass {
-					case "ref":
-						do(i, gr, digest)
-					case "validated", "asked":
-						do(i, gr, digest)
-						do(i, gr, digest)
-					}
-				}
-				if n := len(gs.requests); pass == "ref" && (refs == 0 || refs == n) {
-					t.Errorf("%s/%s: %d of %d offers answered by reference; the script should see both answers", gs.name, codec.Name(), refs, n)
-				}
-				got[gs.name+"/"+codec.Name()+"/"+pass] = hex.EncodeToString(h.Sum(nil))
-			}
-			if err := mon.CheckInvariants(); err != nil {
-				t.Fatal(err)
-			}
-			if gs.evicts && mon.Stats().Evictions == 0 {
-				t.Errorf("%s/%s: the BEM never evicted", gs.name, codec.Name())
-			}
-			validated += srv.reg.Snapshot()["origin.template_refs_validated"]
+		codec := tmpl.Binary{}
+		repo := repository.New(repository.LatencyModel{})
+		clk := clock.NewFake(time.Date(2002, 6, 4, 9, 30, 0, 0, time.UTC))
+		mon, err := bem.New(bem.Config{Capacity: gs.capacity, Clock: clk})
+		if err != nil {
+			t.Fatal(err)
 		}
+		mon.BindRepo(repo)
+		srv, err := New(Config{Repo: repo, Monitor: mon, ExtraHeaderBytes: 40})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc, err := gs.build(repo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.Register(sc); err != nil {
+			t.Fatal(err)
+		}
+		// The third pass makes every request of the script twice, the
+		// repeat offering (HeaderHave) the body the first got: where that
+		// was a GET-only template the repeat generates it again and
+		// answers by reference, where it carried a SET the repeat is a
+		// new template sent in full, and a plain page ignores the offer.
+		// The fourth makes the offer twice: the second is answered from
+		// the record the first filed, where nothing it names has moved.
+		// The fifth is the fourth with every request asking for a lease:
+		// each answer by reference carries a grant.
+		for _, pass := range []string{"cold", "warm", "ref", "validated", "asked"} {
+			h := sha256.New()
+			refs := 0
+			do := func(i int, gr goldenRequest, have string) string {
+				req := httptest.NewRequest(http.MethodGet, gr.url, nil)
+				for k, v := range gr.headers {
+					req.Header.Set(k, v)
+				}
+				if have != "" {
+					req.Header.Set(HeaderHave, have)
+				}
+				if pass == "asked" {
+					req.Header.Set(HeaderLease, "1")
+				}
+				rec := httptest.NewRecorder()
+				srv.ServeHTTP(rec, req)
+				if rec.Code != http.StatusOK {
+					t.Fatalf("%s/%s/%s request %d (%s): status %d: %s", gs.name, codec.Name(), pass, i, gr.url, rec.Code, rec.Body)
+				}
+				keys := make([]string, 0, len(rec.Header()))
+				for k := range rec.Header() {
+					keys = append(keys, k)
+				}
+				sort.Strings(keys)
+				for _, k := range keys {
+					fmt.Fprintf(h, "%s: %s\n", k, strings.Join(rec.Header()[k], ","))
+				}
+				fmt.Fprintf(h, "\n%d\n", rec.Body.Len())
+				h.Write(rec.Body.Bytes())
+				if rec.Header().Get(HeaderSame) != "" {
+					refs++
+				}
+				return hexDigest(rec.Body.String())
+			}
+			for i, gr := range gs.requests {
+				if gr.before != nil {
+					gr.before(repo, clk)
+				}
+				digest := do(i, gr, "")
+				switch pass {
+				case "ref":
+					do(i, gr, digest)
+				case "validated", "asked":
+					do(i, gr, digest)
+					do(i, gr, digest)
+				}
+			}
+			if n := len(gs.requests); pass == "ref" && (refs == 0 || refs == n) {
+				t.Errorf("%s/%s: %d of %d offers answered by reference; the script should see both answers", gs.name, codec.Name(), refs, n)
+			}
+			got[gs.name+"/"+codec.Name()+"/"+pass] = hex.EncodeToString(h.Sum(nil))
+		}
+		if err := mon.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		if gs.evicts && mon.Stats().Evictions == 0 {
+			t.Errorf("%s/%s: the BEM never evicted", gs.name, codec.Name())
+		}
+		validated += srv.reg.Snapshot()["origin.template_refs_validated"]
 	}
 
 	if *updateGolden {

@@ -88,7 +88,7 @@ const (
 	// HeaderBypass forces a plain page regardless of capability.
 	HeaderBypass = "X-DPC-Bypass"
 	// HeaderTemplate is set on responses whose body is a template; its
-	// value names the codec.
+	// value names the wire format, always "binary" (tmpl.Binary).
 	HeaderTemplate = "X-DPC-Template"
 	// HeaderUser carries the authenticated user (the session layer of a
 	// real site; a header keeps the substrate simple).
@@ -129,8 +129,6 @@ type Config struct {
 	// Monitor enables template responses. Nil runs the server in pure
 	// no-cache mode (plain pages only).
 	Monitor *bem.Monitor
-	// Codec selects the template wire format; defaults to tmpl.Binary.
-	Codec tmpl.Codec
 	// ExtraHeaderBytes pads every response with an X-Pad header of this
 	// size, letting experiments match Table 2's 500-byte per-response
 	// header figure (bare HTTP headers are smaller).
@@ -148,7 +146,6 @@ type Config struct {
 // Server is the origin application server. Register scripts, then serve.
 type Server struct {
 	cfg     Config
-	codec   tmpl.Codec
 	scripts map[string]*script.Script
 	statics map[string]staticAsset
 	reg     *metrics.Registry
@@ -178,10 +175,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Repo == nil {
 		return nil, fmt.Errorf("origin: Repo is required")
 	}
-	codec := cfg.Codec
-	if codec == nil {
-		codec = tmpl.Binary{}
-	}
 	reg := cfg.Registry
 	if reg == nil {
 		reg = metrics.NewRegistry()
@@ -205,7 +198,6 @@ func New(cfg Config) (*Server, error) {
 	return &Server{
 		cfg:     cfg,
 		hub:     hub,
-		codec:   codec,
 		scripts: make(map[string]*script.Script),
 		statics: make(map[string]staticAsset),
 		reg:     reg,
@@ -389,7 +381,7 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request) {
 			s.templateRefsValidated.Inc()
 			s.generate.Observe(time.Since(start))
 			s.requests.Inc()
-			w.Header().Set(HeaderTemplate, s.codec.Name())
+			w.Header().Set(HeaderTemplate, tmpl.Binary{}.Name())
 			w.Header().Set(HeaderSame, "1")
 			if lease {
 				s.grant(w, expiry, page)
@@ -410,7 +402,7 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request) {
 	}()
 	same := false
 	if templateMode {
-		enc := s.codec.NewEncoder(body)
+		enc := tmpl.Binary{}.NewEncoder(body)
 		sink := &bemSink{enc: enc, mon: s.cfg.Monitor}
 		if have != "" {
 			sink.gets = make([]bem.Handle, 0, 16)
@@ -427,7 +419,7 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request) {
 			s.fail(w, name, err)
 			return
 		}
-		w.Header().Set(HeaderTemplate, s.codec.Name())
+		w.Header().Set(HeaderTemplate, tmpl.Binary{}.Name())
 		s.templates.Inc()
 		// A template with a SET is new to every proxy, so only a GET-only
 		// one is worth hashing against the caller's offer, and filing for

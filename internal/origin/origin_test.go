@@ -334,52 +334,60 @@ func TestStaleSlotFallback(t *testing.T) {
 	}
 }
 
+// A template in a format the proxy does not read is a 502 whichever fetch
+// brings it — the first, or a stale GET's bypass fetch — and fills nothing
+// into the fragment store or the page tier. The origin is a stub: this
+// server writes only the binary format.
 func TestCodecMismatchRejected(t *testing.T) {
-	mon, _ := bem.New(bem.Config{Capacity: 8})
-	srv, err := New(Config{Repo: testRepo(), Monitor: mon, Codec: tmpl.Text{}})
-	if err != nil {
+	var getOnly bytes.Buffer // one GET of a slot the proxy does not hold
+	enc := tmpl.Binary{}.NewEncoder(&getOnly)
+	if err := enc.Get(5, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.Register(catalogScript()); err != nil {
+	if err := enc.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	originTS := httptest.NewServer(srv)
-	defer originTS.Close()
-	proxy, err := dpc.New(dpc.Config{OriginURL: originTS.URL, Capacity: 8, Codec: tmpl.Binary{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	proxyTS := httptest.NewServer(proxy)
-	defer proxyTS.Close()
-	resp, _ := get(t, proxyTS.URL+"/page/catalog", nil)
-	if resp.StatusCode != http.StatusBadGateway {
-		t.Fatalf("status %d, want 502 on codec mismatch", resp.StatusCode)
-	}
-}
-
-// Text codec end-to-end (both sides configured for it).
-func TestEndToEndTextCodec(t *testing.T) {
-	mon, _ := bem.New(bem.Config{Capacity: 8})
-	srv, err := New(Config{Repo: testRepo(), Monitor: mon, Codec: tmpl.Text{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Register(catalogScript()); err != nil {
-		t.Fatal(err)
-	}
-	originTS := httptest.NewServer(srv)
-	defer originTS.Close()
-	proxy, err := dpc.New(dpc.Config{OriginURL: originTS.URL, Capacity: 8, Codec: tmpl.Text{}, Strict: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	proxyTS := httptest.NewServer(proxy)
-	defer proxyTS.Close()
-	for i := 0; i < 2; i++ {
-		_, page := get(t, proxyTS.URL+"/page/catalog?categoryID=fiction", nil)
-		if page != "<html>[Fiction]</html>" {
-			t.Fatalf("iteration %d: page = %q", i, page)
-		}
+	for _, tc := range []struct {
+		name     string
+		foreign  func(r *http.Request) bool // which fetches answer in another format
+		bypasses int64
+	}{
+		{"template", func(*http.Request) bool { return true }, 0},
+		{"bypass", func(r *http.Request) bool { return r.Header.Get(HeaderBypass) != "" }, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var bypasses atomic.Int64
+			originTS := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.Header.Get(HeaderBypass) != "" {
+					bypasses.Add(1)
+				}
+				if tc.foreign(r) {
+					w.Header().Set(HeaderTemplate, "foreign")
+					_, _ = w.Write([]byte("<dpc:get k=\"5\" g=\"1\"/>"))
+					return
+				}
+				w.Header().Set(HeaderTemplate, tmpl.Binary{}.Name())
+				_, _ = w.Write(getOnly.Bytes())
+			}))
+			defer originTS.Close()
+			proxy, err := dpc.New(dpc.Config{OriginURL: originTS.URL, Capacity: 8, Strict: true, PageCache: true, PageCacheTTL: time.Hour})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer proxy.Close()
+			proxyTS := httptest.NewServer(proxy)
+			defer proxyTS.Close()
+			resp, _ := get(t, proxyTS.URL+"/page/catalog", nil)
+			if resp.StatusCode != http.StatusBadGateway {
+				t.Fatalf("status %d, want 502 on a foreign template format", resp.StatusCode)
+			}
+			if got := bypasses.Load(); got != tc.bypasses {
+				t.Fatalf("%d bypass fetches, want %d", got, tc.bypasses)
+			}
+			if n, pages := proxy.Store().Resident(), proxy.Pages().Len(); n != 0 || pages != 0 {
+				t.Fatalf("%d fragments and %d pages filed from a refused template", n, pages)
+			}
+		})
 	}
 }
 

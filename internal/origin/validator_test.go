@@ -342,7 +342,7 @@ func TestCommitRaceRenderWritesItsOwnRow(t *testing.T) {
 		t.Fatal(err)
 	}
 	mon.BindRepo(repo)
-	srv, err := New(Config{Repo: repo, Monitor: mon, Codec: tmpl.Text{}})
+	srv, err := New(Config{Repo: repo, Monitor: mon})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,9 +4,10 @@ package script
 
 import (
 	"io"
-	"runtime"
 	"strings"
 	"testing"
+
+	"dpcache/internal/alloctest"
 )
 
 // The race detector changes what allocates, so the budget is checked in
@@ -41,21 +42,14 @@ func TestAllocBudgetRunRendersIntoOneBuffer(t *testing.T) {
 	}
 	run() // sizes the pooled buffer
 
-	const runs = 200
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		run()
+	const windows, runs = 5, 200
+	bytesPer, objsPer := alloctest.PerCall(windows, runs, run)
+	if sink.Bytes != (windows*runs+1)*blocks*blockBytes {
+		t.Fatalf("%d bytes rendered, want %d", sink.Bytes, (windows*runs+1)*blocks*blockBytes)
 	}
-	runtime.ReadMemStats(&after)
-	if sink.Bytes != (runs+1)*blocks*blockBytes {
-		t.Fatalf("%d bytes rendered, want %d", sink.Bytes, (runs+1)*blocks*blockBytes)
-	}
-	bytesPer := (after.TotalAlloc - before.TotalAlloc) / runs
-	objsPer := (after.Mallocs - before.Mallocs) / runs
-	t.Logf("%d B in %d objects per run", bytesPer, objsPer)
+	t.Logf("%.0f B in %.2f objects per run", bytesPer, objsPer)
 	if bytesPer >= blockBytes || objsPer > 2 {
-		t.Fatalf("%d B in %d objects allocated per run of %d blocks, budget under one %d-byte block and 2 objects",
+		t.Fatalf("%.0f B in %.2f objects allocated per run of %d blocks, budget under one %d-byte block and 2 objects",
 			bytesPer, objsPer, blocks, blockBytes)
 	}
 }

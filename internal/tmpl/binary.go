@@ -23,19 +23,21 @@ const (
 	bopInc   = 'I' // magic I key gen — nested-include of slot Key
 )
 
-// Binary is the compact production codec.
+// Binary is the template wire format.
 type Binary struct{}
 
 // Name implements Codec.
 func (Binary) Name() string { return "binary" }
 
-// GetTagSize implements Codec: magic + op + uvarint(key) + uvarint(gen).
+// GetTagSize returns the encoded size of a GET tag for the given key and
+// generation — the paper's g: magic + op + uvarint(key) + uvarint(gen).
 func (Binary) GetTagSize(key, gen uint32) int {
 	return len(Magic) + 1 + uvarintLen(uint64(key)) + uvarintLen(uint64(gen))
 }
 
-// SetOverhead implements Codec: open tag (magic+op+key+gen+len) plus close
-// tag (magic+op).
+// SetOverhead returns the encoded overhead of a SET (everything except the
+// content itself) — the paper's 2g: open tag (magic+op+key+gen+len) plus
+// close tag (magic+op).
 func (Binary) SetOverhead(key, gen uint32, contentLen int) int {
 	open := len(Magic) + 1 + uvarintLen(uint64(key)) + uvarintLen(uint64(gen)) + uvarintLen(uint64(contentLen))
 	return open + len(Magic) + 1
@@ -74,7 +76,7 @@ func (e *binEncoder) tag(op byte, key, gen uint32) []byte {
 }
 
 // Literal writes p, escaping any embedded magic sequences.
-func (e *binEncoder) Literal(p []byte) error { return writeEscaped(e, p, Magic, quoteTag) }
+func (e *binEncoder) Literal(p []byte) error { return writeEscaped(e, p) }
 
 func (e *binEncoder) Get(key, gen uint32) error {
 	_, err := e.Write(e.tag(bopGet, key, gen))

@@ -9,30 +9,37 @@ import (
 )
 
 // A template is literal page bytes interleaved with GET and SET
-// instructions; the text codec shows the structure, the binary codec is
-// what production traffic uses.
+// instructions. The wire is compact binary; decoding it shows the
+// structure.
 func Example() {
 	var wire bytes.Buffer
-	enc := tmpl.Text{}.NewEncoder(&wire)
+	enc := tmpl.Binary{}.NewEncoder(&wire)
 	_ = enc.Literal([]byte("<html>"))
 	_ = enc.Get(7, 1)                           // splice cached fragment from slot 7
 	_ = enc.Set(8, 2, []byte("fresh fragment")) // store + splice new content
 	_ = enc.Literal([]byte("</html>"))
 	_ = enc.Flush()
-	fmt.Println(wire.String())
+	fmt.Printf("%d bytes on the wire\n", wire.Len())
 
-	dec := tmpl.Text{}.NewDecoder(&wire)
+	dec := tmpl.Binary{}.NewDecoder(&wire)
 	for {
 		in, err := dec.Next()
 		if err == io.EOF {
 			break
 		}
-		fmt.Printf("%s key=%d len=%d\n", in.Op, in.Key, len(in.Data))
+		switch in.Op {
+		case tmpl.OpLiteral:
+			fmt.Printf("%s %q\n", in.Op, in.Data)
+		case tmpl.OpSet:
+			fmt.Printf("%s key=%d gen=%d %q\n", in.Op, in.Key, in.Gen, in.Data)
+		default:
+			fmt.Printf("%s key=%d gen=%d\n", in.Op, in.Key, in.Gen)
+		}
 	}
 	// Output:
-	// <html><dpc:get k="7" g="1"/><dpc:set k="8" g="2" n="14">fresh fragment</dpc:set></html>
-	// LIT key=0 len=6
-	// GET key=7 len=0
-	// SET key=8 len=14
-	// LIT key=0 len=7
+	// 47 bytes on the wire
+	// LIT "<html>"
+	// GET key=7 gen=1
+	// SET key=8 gen=2 "fresh fragment"
+	// LIT "</html>"
 }

@@ -1,6 +1,6 @@
 package tmpl_test
 
-// Fuzz harnesses for the template codecs. Three properties per codec:
+// Fuzz harnesses for the template wire format. Three properties:
 //
 //  1. The decoder never panics on arbitrary input (and never trusts a
 //     length header for an allocation — see readSetContent in tmpl.go).
@@ -33,9 +33,9 @@ import (
 // seedTemplates mirrors the conformance-suite golden shapes
 // (internal/dpc/planconform_test.go): every opcode, set-then-get reuse,
 // strict generation mismatches, nested includes, and literals that
-// collide with the codec's own framing so the mutator starts near the
+// collide with the format's own framing so the mutator starts near the
 // escape machinery.
-func seedTemplates(c tmpl.Codec) [][]byte {
+func seedTemplates() [][]byte {
 	shapes := [][]tmpl.Instruction{
 		nil, // empty template
 		{{Op: tmpl.OpLiteral, Data: []byte("<html>static</html>")}},
@@ -62,8 +62,8 @@ func seedTemplates(c tmpl.Codec) [][]byte {
 			{Op: tmpl.OpInclude, Key: 20, Gen: 1},
 			{Op: tmpl.OpGet, Key: 1, Gen: 1},
 		},
-		// Literal containing the binary magic and the text tag prefix:
-		// exercises both codecs' escape paths.
+		// Literal containing the magic, then markup: exercises the escape
+		// path.
 		{{Op: tmpl.OpLiteral, Data: append(append([]byte("x"), tmpl.Magic...), []byte("<dpc:esc/><dpc:get")...)}},
 		// Large-ish SET so length-header mutations are reachable.
 		{{Op: tmpl.OpSet, Key: 7, Gen: 2, Data: bytes.Repeat([]byte("y"), 4096)}},
@@ -71,7 +71,7 @@ func seedTemplates(c tmpl.Codec) [][]byte {
 	var out [][]byte
 	for _, ins := range shapes {
 		var buf bytes.Buffer
-		if err := tmpl.EncodeAll(c, &buf, ins); err != nil {
+		if err := tmpl.EncodeAll(tmpl.Binary{}, &buf, ins); err != nil {
 			panic(err)
 		}
 		out = append(out, buf.Bytes())
@@ -79,8 +79,16 @@ func seedTemplates(c tmpl.Codec) [][]byte {
 	return out
 }
 
-// fuzzDecode is the shared fuzz body for both codecs.
-func fuzzDecode(t *testing.T, codec tmpl.Codec, data []byte) {
+func FuzzTemplateDecodeBinary(f *testing.F) {
+	for _, seed := range seedTemplates() {
+		f.Add(seed)
+	}
+	f.Fuzz(fuzzDecode)
+}
+
+// fuzzDecode is the fuzz body.
+func fuzzDecode(t *testing.T, data []byte) {
+	codec := tmpl.Binary{}
 	if len(data) > 1<<20 {
 		return // bound per-case work; headers lie about lengths far below this
 	}
@@ -151,45 +159,18 @@ func TestSetLengthHeaderDoesNotPreallocate(t *testing.T) {
 	lying = append(lying, 'S', 1, 1)
 	lying = binary.AppendUvarint(lying, claimed)
 
-	inputs := map[string]struct {
-		codec tmpl.Codec
-		data  []byte
-	}{
-		"binary": {tmpl.Binary{}, lying},
-		"text":   {tmpl.Text{}, []byte(`<dpc:set k="1" g="1" n="536870912">oops`)},
-	}
-	for name, in := range inputs {
-		t.Run(name, func(t *testing.T) {
-			var before, after runtime.MemStats
-			runtime.GC()
-			runtime.ReadMemStats(&before)
-			_, err := tmpl.DecodeAll(in.codec, bytes.NewReader(in.data))
-			runtime.ReadMemStats(&after)
-			if !errors.Is(err, tmpl.ErrCorrupt) {
-				t.Fatalf("lying SET header decoded without ErrCorrupt: %v", err)
-			}
-			if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
-				t.Fatalf("decoder allocated %d bytes for a %d-byte input claiming a %d-byte SET",
-					grew, len(in.data), claimed)
-			}
-		})
-	}
-}
-
-func FuzzTemplateDecodeBinary(f *testing.F) {
-	for _, seed := range seedTemplates(tmpl.Binary{}) {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		fuzzDecode(t, tmpl.Binary{}, data)
-	})
-}
-
-func FuzzTemplateDecodeText(f *testing.F) {
-	for _, seed := range seedTemplates(tmpl.Text{}) {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		fuzzDecode(t, tmpl.Text{}, data)
+	t.Run("binary", func(t *testing.T) {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		_, err := tmpl.DecodeAll(tmpl.Binary{}, bytes.NewReader(lying))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, tmpl.ErrCorrupt) {
+			t.Fatalf("lying SET header decoded without ErrCorrupt: %v", err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Fatalf("decoder allocated %d bytes for a %d-byte input claiming a %d-byte SET",
+				grew, len(lying), claimed)
+		}
 	})
 }

@@ -8,12 +8,12 @@ import (
 	"dpcache/internal/kmp"
 )
 
-// kmpLiteral is the literal escape as the encoders did it before the scan
-// became bytes.Index: a byte-at-a-time KMP search for mark, each occurrence
-// replaced by escape. It stays here as the oracle the encoders must equal
-// byte for byte.
-func kmpLiteral(mark, escape, p []byte) []byte {
-	m := kmp.Compile(mark)
+// kmpLiteral is the literal escape as the encoder did it before the scan
+// became bytes.Index: a byte-at-a-time KMP search for Magic, each
+// occurrence replaced by its escape tag. It stays here as the oracle the
+// encoder must equal byte for byte.
+func kmpLiteral(p []byte) []byte {
+	m := kmp.Compile(Magic)
 	var out []byte
 	for {
 		i := m.Index(p)
@@ -21,24 +21,21 @@ func kmpLiteral(mark, escape, p []byte) []byte {
 			return append(out, p...)
 		}
 		out = append(out, p[:i]...)
-		out = append(out, escape...)
-		p = p[i+len(mark):]
+		out = append(out, Magic...)
+		out = append(out, bopQuote)
+		p = p[i+len(Magic):]
 	}
 }
 
 // plantMarks turns fuzz input into a literal dense in what the escape scan
-// looks for: a byte 0xF0+n (n < 9) becomes a prefix of the binary magic
-// (1–4 bytes) or of the text mark (1–5 bytes), whole ones included; every
-// other byte stands for itself.
+// looks for: a byte 0xF0+n (n < 4) becomes a prefix of the magic (1–4
+// bytes), the whole magic included; every other byte stands for itself.
 func plantMarks(data []byte) []byte {
 	var out []byte
 	for _, b := range data {
-		switch n := int(b) - 0xF0; {
-		case n >= 0 && n < len(Magic):
+		if n := int(b) - 0xF0; n >= 0 && n < len(Magic) {
 			out = append(out, Magic[:n+1]...)
-		case n >= len(Magic) && n < len(Magic)+len(textMark):
-			out = append(out, textMark[:n-len(Magic)+1]...)
-		default:
+		} else {
 			out = append(out, b)
 		}
 	}
@@ -53,44 +50,39 @@ func (o onlyWriter) Write(p []byte) (int, error) { return o.w.Write(p) }
 
 func FuzzEncodeLiteral(f *testing.F) {
 	f.Add([]byte("<html>plain</html>"))
-	f.Add([]byte{0xF3, 0xF3, 'x', 0xF8, 0xF2, 0xF0, 0xF3})               // magic magic x mark, then overlapping prefixes
-	f.Add([]byte{0x01, 0xF3, 0x01, 'D', 0xF2, 'C', '<', 0xF8, 'e', 's'}) // near misses around full marks
-	f.Add(bytes.Repeat([]byte{0xF2, 0xF7}, 40))                          // prefixes only, never completed
+	f.Add([]byte{0xF3, 0xF3, 'x', 0xF8, 0xF2, 0xF0, 0xF3})               // magic magic x, a plain 0xF8, then overlapping prefixes
+	f.Add([]byte{0x01, 0xF3, 0x01, 'D', 0xF2, 'C', '<', 0xF8, 'e', 's'}) // near misses around a full magic
+	f.Add(bytes.Repeat([]byte{0xF2, 0xF7}, 40))                          // a prefix and a plain byte, never completed
 	f.Fuzz(func(t *testing.T, data []byte) {
 		lit := plantMarks(data)
-		oracles := map[string][]byte{
-			Binary{}.Name(): kmpLiteral(Magic, append(append([]byte{}, Magic...), bopQuote), lit),
-			Text{}.Name():   kmpLiteral([]byte(textMark), []byte("<dpc:esc/>"), lit),
+		want := kmpLiteral(lit)
+		var direct, piped bytes.Buffer
+		for _, w := range []io.Writer{&direct, onlyWriter{&piped}} {
+			enc := Binary{}.NewEncoder(w)
+			if err := enc.Literal(lit); err != nil {
+				t.Fatal(err)
+			}
+			if err := enc.Flush(); err != nil {
+				t.Fatal(err)
+			}
 		}
-		for _, c := range []Codec{Binary{}, Text{}} {
-			var direct, piped bytes.Buffer
-			for _, w := range []io.Writer{&direct, onlyWriter{&piped}} {
-				enc := c.NewEncoder(w)
-				if err := enc.Literal(lit); err != nil {
-					t.Fatal(err)
-				}
-				if err := enc.Flush(); err != nil {
-					t.Fatal(err)
-				}
+		if !bytes.Equal(direct.Bytes(), want) || !bytes.Equal(piped.Bytes(), want) {
+			t.Fatalf("literal %q encodes to %q (in memory) and %q (through bufio), the KMP encoder wrote %q",
+				lit, direct.Bytes(), piped.Bytes(), want)
+		}
+		ins, err := DecodeAll(Binary{}, &direct)
+		if err != nil {
+			t.Fatalf("literal %q does not decode: %v", lit, err)
+		}
+		var back []byte
+		for _, in := range ins {
+			if in.Op != OpLiteral {
+				t.Fatalf("literal %q decodes to a %v", lit, in.Op)
 			}
-			if want := oracles[c.Name()]; !bytes.Equal(direct.Bytes(), want) || !bytes.Equal(piped.Bytes(), want) {
-				t.Fatalf("%s: literal %q encodes to %q (in memory) and %q (through bufio), the KMP encoder wrote %q",
-					c.Name(), lit, direct.Bytes(), piped.Bytes(), want)
-			}
-			ins, err := DecodeAll(c, &direct)
-			if err != nil {
-				t.Fatalf("%s: literal %q does not decode: %v", c.Name(), lit, err)
-			}
-			var back []byte
-			for _, in := range ins {
-				if in.Op != OpLiteral {
-					t.Fatalf("%s: literal %q decodes to a %v", c.Name(), lit, in.Op)
-				}
-				back = append(back, in.Data...)
-			}
-			if !bytes.Equal(back, lit) {
-				t.Fatalf("%s: literal %q comes back as %q", c.Name(), lit, back)
-			}
+			back = append(back, in.Data...)
+		}
+		if !bytes.Equal(back, lit) {
+			t.Fatalf("literal %q comes back as %q", lit, back)
 		}
 	})
 }

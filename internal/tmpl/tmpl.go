@@ -11,17 +11,19 @@
 //   - INCLUDE(dpcKey): "the fragment in this slot is itself a template;
 //     assemble it recursively in place" (ESI-style nested composition).
 //
-// Two codecs implement the protocol. The binary codec is the production
-// format: a 4-byte magic, an op byte, and uvarint fields give a GET tag of
-// ~7–10 bytes, matching the paper's tag-size parameter g (Table 2: 10
-// bytes). SET content is bracketed by an open tag and a close tag so a cache
-// miss costs s_e + 2g bytes, exactly the accounting of Section 5. The text
-// codec is human-readable and exists for debugging and for the codec
-// ablation benchmark.
+// The protocol has one wire format, Binary (named "binary" on the
+// X-DPC-Template response header): a 4-byte magic, an op byte, and uvarint
+// fields give a GET tag of ~7–10 bytes, matching the paper's tag-size
+// parameter g (Table 2: 10 bytes). SET content is bracketed by an open tag
+// and a close tag so a cache miss costs s_e + 2g bytes, exactly the
+// accounting of Section 5. Codec is the seam a reader of that format is
+// plugged in through, so a caller can wrap Binary (to time its decoder,
+// say) without a second format.
 //
 // Literal output may contain bytes that collide with the magic sequence;
-// encoders escape such occurrences so decode(encode(x)) == x for arbitrary
-// x. (The paper does not discuss this, but any real deployment needs it.)
+// the encoder escapes such occurrences so decode(encode(x)) == x for
+// arbitrary x. (The paper does not discuss this, but any real deployment
+// needs it.)
 package tmpl
 
 import (
@@ -122,11 +124,11 @@ func (o encoderOut) Flush() error {
 	return o.own.Flush()
 }
 
-// writeEscaped writes literal bytes p to w with every occurrence of the
-// codec's tag mark replaced by its escape tag.
-func writeEscaped(w io.Writer, p, mark, escape []byte) error {
+// writeEscaped writes literal bytes p to w with every occurrence of Magic
+// replaced by its escape tag.
+func writeEscaped(w io.Writer, p []byte) error {
 	for {
-		i := bytes.Index(p, mark)
+		i := bytes.Index(p, Magic)
 		if i < 0 {
 			_, err := w.Write(p)
 			return err
@@ -134,10 +136,10 @@ func writeEscaped(w io.Writer, p, mark, escape []byte) error {
 		if _, err := w.Write(p[:i]); err != nil {
 			return err
 		}
-		if _, err := w.Write(escape); err != nil {
+		if _, err := w.Write(quoteTag); err != nil {
 			return err
 		}
-		p = p[i+len(mark):]
+		p = p[i+len(Magic):]
 	}
 }
 
@@ -148,18 +150,13 @@ type Decoder interface {
 	Next() (Instruction, error)
 }
 
-// Codec constructs encoders and decoders for one wire format.
+// Codec constructs encoders and decoders for the wire format: Binary, or a
+// wrapper around it.
 type Codec interface {
-	// Name identifies the codec on the X-DPC-Template response header.
+	// Name identifies the format on the X-DPC-Template response header.
 	Name() string
 	NewEncoder(w io.Writer) Encoder
 	NewDecoder(r io.Reader) Decoder
-	// GetTagSize returns the encoded size of a GET tag for the given key
-	// and generation — the paper's g.
-	GetTagSize(key, gen uint32) int
-	// SetOverhead returns the encoded overhead (everything except the
-	// content itself) of a SET for the given fields — the paper's 2g.
-	SetOverhead(key, gen uint32, contentLen int) int
 }
 
 // ErrCorrupt reports a malformed template stream.
@@ -167,17 +164,6 @@ var ErrCorrupt = errors.New("tmpl: corrupt template stream")
 
 func corrupt(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
-}
-
-// ByName returns the codec registered under name.
-func ByName(name string) (Codec, error) {
-	switch name {
-	case "binary":
-		return Binary{}, nil
-	case "text":
-		return Text{}, nil
-	}
-	return nil, fmt.Errorf("tmpl: unknown codec %q", name)
 }
 
 // EncodeAll is a convenience that writes a sequence of instructions to w.

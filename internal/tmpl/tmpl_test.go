@@ -8,8 +8,6 @@ import (
 	"testing"
 )
 
-var codecs = []Codec{Binary{}, Text{}}
-
 // equalStreams compares two instruction streams after normalization.
 func equalStreams(a, b []Instruction) bool {
 	a, b = Normalize(a), Normalize(b)
@@ -33,21 +31,6 @@ func TestOpString(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	for _, name := range []string{"binary", "text"} {
-		c, err := ByName(name)
-		if err != nil {
-			t.Fatalf("ByName(%s): %v", name, err)
-		}
-		if c.Name() != name {
-			t.Fatalf("ByName(%s).Name() = %s", name, c.Name())
-		}
-	}
-	if _, err := ByName("bogus"); err == nil {
-		t.Fatal("ByName(bogus) did not error")
-	}
-}
-
 func TestRoundTripSimple(t *testing.T) {
 	in := []Instruction{
 		{Op: OpLiteral, Data: []byte("<html><body>")},
@@ -56,18 +39,16 @@ func TestRoundTripSimple(t *testing.T) {
 		{Op: OpSet, Key: 12, Gen: 3, Data: []byte("fragment content here")},
 		{Op: OpLiteral, Data: []byte("</body></html>")},
 	}
-	for _, c := range codecs {
-		var buf bytes.Buffer
-		if err := EncodeAll(c, &buf, in); err != nil {
-			t.Fatalf("%s encode: %v", c.Name(), err)
-		}
-		out, err := DecodeAll(c, &buf)
-		if err != nil {
-			t.Fatalf("%s decode: %v", c.Name(), err)
-		}
-		if !equalStreams(in, out) {
-			t.Fatalf("%s roundtrip mismatch:\n in=%v\nout=%v", c.Name(), in, out)
-		}
+	var buf bytes.Buffer
+	if err := EncodeAll(Binary{}, &buf, in); err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	out, err := DecodeAll(Binary{}, &buf)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if !equalStreams(in, out) {
+		t.Fatalf("roundtrip mismatch:\n in=%v\nout=%v", in, out)
 	}
 }
 
@@ -79,106 +60,93 @@ func TestRoundTripInclude(t *testing.T) {
 		{Op: OpInclude, Key: 0, Gen: 0},
 		{Op: OpLiteral, Data: []byte("</footer>")},
 	}
-	for _, c := range codecs {
-		var buf bytes.Buffer
-		if err := EncodeAll(c, &buf, in); err != nil {
-			t.Fatalf("%s encode: %v", c.Name(), err)
-		}
-		out, err := DecodeAll(c, &buf)
-		if err != nil {
-			t.Fatalf("%s decode: %v", c.Name(), err)
-		}
-		if !equalStreams(in, out) {
-			t.Fatalf("%s roundtrip mismatch:\n in=%v\nout=%v", c.Name(), in, out)
-		}
+	var buf bytes.Buffer
+	if err := EncodeAll(Binary{}, &buf, in); err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	out, err := DecodeAll(Binary{}, &buf)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if !equalStreams(in, out) {
+		t.Fatalf("roundtrip mismatch:\n in=%v\nout=%v", in, out)
 	}
 }
 
 func TestRoundTripEmptyStream(t *testing.T) {
-	for _, c := range codecs {
-		var buf bytes.Buffer
-		if err := EncodeAll(c, &buf, nil); err != nil {
-			t.Fatalf("%s: %v", c.Name(), err)
-		}
-		out, err := DecodeAll(c, &buf)
-		if err != nil || len(out) != 0 {
-			t.Fatalf("%s: out=%v err=%v", c.Name(), out, err)
-		}
+	var buf bytes.Buffer
+	if err := EncodeAll(Binary{}, &buf, nil); err != nil {
+		t.Fatalf("%v", err)
+	}
+	out, err := DecodeAll(Binary{}, &buf)
+	if err != nil || len(out) != 0 {
+		t.Fatalf("out=%v err=%v", out, err)
 	}
 }
 
 func TestRoundTripEmptySetContent(t *testing.T) {
 	in := []Instruction{{Op: OpSet, Key: 1, Gen: 0, Data: []byte{}}}
-	for _, c := range codecs {
-		var buf bytes.Buffer
-		if err := EncodeAll(c, &buf, in); err != nil {
-			t.Fatalf("%s: %v", c.Name(), err)
-		}
-		out, err := DecodeAll(c, &buf)
-		if err != nil {
-			t.Fatalf("%s: %v", c.Name(), err)
-		}
-		if len(out) != 1 || out[0].Op != OpSet || len(out[0].Data) != 0 {
-			t.Fatalf("%s: out=%v", c.Name(), out)
-		}
+	var buf bytes.Buffer
+	if err := EncodeAll(Binary{}, &buf, in); err != nil {
+		t.Fatalf("%v", err)
+	}
+	out, err := DecodeAll(Binary{}, &buf)
+	if err != nil {
+		t.Fatalf("%v", err)
+	}
+	if len(out) != 1 || out[0].Op != OpSet || len(out[0].Data) != 0 {
+		t.Fatalf("out=%v", out)
 	}
 }
 
-// Literals containing the codec's own tag introducer must survive.
+// Literals containing the tag introducer must survive.
 func TestRoundTripAdversarialLiterals(t *testing.T) {
 	adversarial := [][]byte{
 		Magic,
-		[]byte(textMark),
-		append(append([]byte("x"), Magic...), []byte("<dpc:get k=\"1\" g=\"1\"/>")...),
+		append(append([]byte("x"), Magic...), 'G', 1, 1),
 		bytes.Repeat(Magic, 5),
-		[]byte("<dpc:<dpc:<dpc:"),
 		[]byte{0x01, 'D', 'P'}, // partial magic at end
-		[]byte("<dpc"),         // partial mark at end
 	}
-	for _, c := range codecs {
-		for _, lit := range adversarial {
-			in := []Instruction{
-				{Op: OpLiteral, Data: lit},
-				{Op: OpGet, Key: 3, Gen: 9},
-				{Op: OpLiteral, Data: lit},
-			}
-			var buf bytes.Buffer
-			if err := EncodeAll(c, &buf, in); err != nil {
-				t.Fatalf("%s encode %q: %v", c.Name(), lit, err)
-			}
-			out, err := DecodeAll(c, &buf)
-			if err != nil {
-				t.Fatalf("%s decode %q: %v", c.Name(), lit, err)
-			}
-			if !equalStreams(in, out) {
-				t.Fatalf("%s adversarial literal %q did not roundtrip: %v", c.Name(), lit, Normalize(out))
-			}
+	for _, lit := range adversarial {
+		in := []Instruction{
+			{Op: OpLiteral, Data: lit},
+			{Op: OpGet, Key: 3, Gen: 9},
+			{Op: OpLiteral, Data: lit},
+		}
+		var buf bytes.Buffer
+		if err := EncodeAll(Binary{}, &buf, in); err != nil {
+			t.Fatalf("encode %q: %v", lit, err)
+		}
+		out, err := DecodeAll(Binary{}, &buf)
+		if err != nil {
+			t.Fatalf("decode %q: %v", lit, err)
+		}
+		if !equalStreams(in, out) {
+			t.Fatalf("adversarial literal %q did not roundtrip: %v", lit, Normalize(out))
 		}
 	}
 }
 
-// SET content may contain raw magic/marks: it is length-prefixed, never
+// SET content may contain the raw magic: it is length-prefixed, never
 // escaped, and must roundtrip untouched.
 func TestRoundTripAdversarialSetContent(t *testing.T) {
-	for _, c := range codecs {
-		content := append(append([]byte("a"), Magic...), []byte("<dpc:set k=\"9\" g=\"9\" n=\"3\">")...)
-		in := []Instruction{{Op: OpSet, Key: 5, Gen: 2, Data: content}}
-		var buf bytes.Buffer
-		if err := EncodeAll(c, &buf, in); err != nil {
-			t.Fatalf("%s: %v", c.Name(), err)
-		}
-		out, err := DecodeAll(c, &buf)
-		if err != nil {
-			t.Fatalf("%s: %v", c.Name(), err)
-		}
-		if !equalStreams(in, out) {
-			t.Fatalf("%s SET content mangled: %v", c.Name(), out)
-		}
+	content := append(append([]byte("a"), Magic...), 'S', 9, 9, 3)
+	in := []Instruction{{Op: OpSet, Key: 5, Gen: 2, Data: content}}
+	var buf bytes.Buffer
+	if err := EncodeAll(Binary{}, &buf, in); err != nil {
+		t.Fatalf("%v", err)
+	}
+	out, err := DecodeAll(Binary{}, &buf)
+	if err != nil {
+		t.Fatalf("%v", err)
+	}
+	if !equalStreams(in, out) {
+		t.Fatalf("SET content mangled: %v", out)
 	}
 }
 
 // Property: random instruction streams (with literals drawn from an
-// alphabet that includes magic/mark bytes) roundtrip through both codecs.
+// alphabet that includes the magic's bytes) roundtrip.
 func TestRoundTripRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(2002))
 	alphabet := []byte("abD<dpc:PC\x01\"/>")
@@ -203,18 +171,16 @@ func TestRoundTripRandom(t *testing.T) {
 				in = append(in, Instruction{Op: OpInclude, Key: rng.Uint32() % 5000, Gen: rng.Uint32() % 16})
 			}
 		}
-		for _, c := range codecs {
-			var buf bytes.Buffer
-			if err := EncodeAll(c, &buf, in); err != nil {
-				t.Fatalf("%s trial %d encode: %v", c.Name(), trial, err)
-			}
-			out, err := DecodeAll(c, &buf)
-			if err != nil {
-				t.Fatalf("%s trial %d decode: %v", c.Name(), trial, err)
-			}
-			if !equalStreams(in, out) {
-				t.Fatalf("%s trial %d mismatch\n in=%v\nout=%v", c.Name(), trial, Normalize(in), Normalize(out))
-			}
+		var buf bytes.Buffer
+		if err := EncodeAll(Binary{}, &buf, in); err != nil {
+			t.Fatalf("trial %d encode: %v", trial, err)
+		}
+		out, err := DecodeAll(Binary{}, &buf)
+		if err != nil {
+			t.Fatalf("trial %d decode: %v", trial, err)
+		}
+		if !equalStreams(in, out) {
+			t.Fatalf("trial %d mismatch\n in=%v\nout=%v", trial, Normalize(in), Normalize(out))
 		}
 	}
 }
@@ -223,37 +189,35 @@ func TestRoundTripRandom(t *testing.T) {
 // buffering them whole.
 func TestDecoderChunksLongLiterals(t *testing.T) {
 	long := bytes.Repeat([]byte("y"), 3*maxLiteralChunk+17)
-	for _, c := range codecs {
-		var buf bytes.Buffer
-		if err := EncodeAll(c, &buf, []Instruction{{Op: OpLiteral, Data: long}}); err != nil {
-			t.Fatalf("%s: %v", c.Name(), err)
+	var buf bytes.Buffer
+	if err := EncodeAll(Binary{}, &buf, []Instruction{{Op: OpLiteral, Data: long}}); err != nil {
+		t.Fatalf("%v", err)
+	}
+	d := Binary{}.NewDecoder(&buf)
+	var total int
+	var pieces int
+	for {
+		in, err := d.Next()
+		if err == io.EOF {
+			break
 		}
-		d := c.NewDecoder(&buf)
-		var total int
-		var pieces int
-		for {
-			in, err := d.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatalf("%s: %v", c.Name(), err)
-			}
-			if in.Op != OpLiteral {
-				t.Fatalf("%s: unexpected op %v", c.Name(), in.Op)
-			}
-			if len(in.Data) > maxLiteralChunk+len(Magic)+len(textMark) {
-				t.Fatalf("%s: literal chunk of %d bytes exceeds cap", c.Name(), len(in.Data))
-			}
-			total += len(in.Data)
-			pieces++
+		if err != nil {
+			t.Fatalf("%v", err)
 		}
-		if total != len(long) {
-			t.Fatalf("%s: reassembled %d bytes, want %d", c.Name(), total, len(long))
+		if in.Op != OpLiteral {
+			t.Fatalf("unexpected op %v", in.Op)
 		}
-		if pieces < 3 {
-			t.Fatalf("%s: long literal delivered in %d pieces, want >= 3", c.Name(), pieces)
+		if len(in.Data) > maxLiteralChunk+len(Magic) {
+			t.Fatalf("literal chunk of %d bytes exceeds cap", len(in.Data))
 		}
+		total += len(in.Data)
+		pieces++
+	}
+	if total != len(long) {
+		t.Fatalf("reassembled %d bytes, want %d", total, len(long))
+	}
+	if pieces < 3 {
+		t.Fatalf("long literal delivered in %d pieces, want >= 3", pieces)
 	}
 }
 
@@ -293,31 +257,6 @@ func TestBinarySetOverheadMatchesWire(t *testing.T) {
 	}
 }
 
-func TestTextSizeModelMatchesWire(t *testing.T) {
-	var buf bytes.Buffer
-	e := Text{}.NewEncoder(&buf)
-	if err := e.Get(42, 7); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := buf.Len(), (Text{}).GetTagSize(42, 7); got != want {
-		t.Fatalf("text GET wire=%d model=%d", got, want)
-	}
-	buf.Reset()
-	e = Text{}.NewEncoder(&buf)
-	if err := e.Set(42, 7, []byte("abc")); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := buf.Len(), (Text{}).SetOverhead(42, 7, 3)+3; got != want {
-		t.Fatalf("text SET wire=%d model=%d", got, want)
-	}
-}
-
 // The paper's Table 2 uses g = 10 bytes; the binary codec's GET tag must be
 // in that neighborhood for realistic key ranges.
 func TestBinaryTagSizeNearPaperG(t *testing.T) {
@@ -343,17 +282,6 @@ func TestDecodeCorruptStreams(t *testing.T) {
 			t.Errorf("%s: decode succeeded, want error", tc.name)
 		}
 	}
-	textCases := []string{
-		"<dpc:get k=\"1\"/>",                  // missing g attr
-		"<dpc:zzz/>",                          // unknown verb
-		"<dpc:set k=\"1\" g=\"1\" n=\"5\">ab", // truncated content
-		"<dpc:get k=\"x\" g=\"1\"/>",          // non-numeric key
-	}
-	for _, raw := range textCases {
-		if _, err := DecodeAll(Text{}, strings.NewReader(raw)); err == nil {
-			t.Errorf("text %q: decode succeeded, want error", raw)
-		}
-	}
 }
 
 func TestNormalizeMergesAdjacentLiterals(t *testing.T) {
@@ -370,20 +298,6 @@ func TestNormalizeMergesAdjacentLiterals(t *testing.T) {
 	}
 	if string(out[0].Data) != "ab" || out[1].Op != OpGet || string(out[2].Data) != "c" {
 		t.Fatalf("bad normalization: %v", out)
-	}
-}
-
-func TestBinaryTextRelativeSize(t *testing.T) {
-	in := []Instruction{{Op: OpGet, Key: 100, Gen: 2}, {Op: OpGet, Key: 101, Gen: 0}}
-	var bin, txt bytes.Buffer
-	if err := EncodeAll(Binary{}, &bin, in); err != nil {
-		t.Fatal(err)
-	}
-	if err := EncodeAll(Text{}, &txt, in); err != nil {
-		t.Fatal(err)
-	}
-	if bin.Len() >= txt.Len() {
-		t.Fatalf("binary (%dB) should be smaller than text (%dB)", bin.Len(), txt.Len())
 	}
 }
 
@@ -437,6 +351,4 @@ func benchmarkDecode(b *testing.B, c Codec) {
 }
 
 func BenchmarkCodecBinaryEncode(b *testing.B) { benchmarkEncode(b, Binary{}) }
-func BenchmarkCodecTextEncode(b *testing.B)   { benchmarkEncode(b, Text{}) }
 func BenchmarkCodecBinaryDecode(b *testing.B) { benchmarkDecode(b, Binary{}) }
-func BenchmarkCodecTextDecode(b *testing.B)   { benchmarkDecode(b, Text{}) }

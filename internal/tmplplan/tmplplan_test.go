@@ -90,37 +90,36 @@ func TestCompileAnalysis(t *testing.T) {
 }
 
 func TestRunHappyPath(t *testing.T) {
-	for _, codec := range []tmpl.Codec{tmpl.Binary{}, tmpl.Text{}} {
-		store := newStore(t)
-		if err := store.Set(1, 1, []byte("ONE")); err != nil {
-			t.Fatal(err)
-		}
-		body := encode(t, codec, []tmpl.Instruction{
-			lit("["), get(1, 1), set(2, 1, "TWO"), get(2, 1), lit("]"),
-		})
-		p, err := Compile(codec, body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := &Exec{Store: store, Strict: true, Codec: codec}
-		var out bytes.Buffer
-		st, err := e.Run(p, &out, nil)
-		if err != nil {
-			t.Fatalf("%s: run: %v", codec.Name(), err)
-		}
-		if got := out.String(); got != "[ONETWOTWO]" {
-			t.Fatalf("%s: page = %q", codec.Name(), got)
-		}
-		if st.Gets != 2 || st.Sets != 1 || st.Literals != 2 {
-			t.Fatalf("stats = %+v", st)
-		}
-		if st.TemplateBytes != int64(len(body)) {
-			t.Fatalf("TemplateBytes = %d, want %d", st.TemplateBytes, len(body))
-		}
-		wantRefs := []Ref{{1, 1}, {2, 1}}
-		if len(st.Refs) != 2 || st.Refs[0] != wantRefs[0] || st.Refs[1] != wantRefs[1] {
-			t.Fatalf("refs = %v, want %v", st.Refs, wantRefs)
-		}
+	codec := tmpl.Binary{}
+	store := newStore(t)
+	if err := store.Set(1, 1, []byte("ONE")); err != nil {
+		t.Fatal(err)
+	}
+	body := encode(t, codec, []tmpl.Instruction{
+		lit("["), get(1, 1), set(2, 1, "TWO"), get(2, 1), lit("]"),
+	})
+	p, err := Compile(codec, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := &Exec{Store: store, Strict: true, Codec: codec}
+	var out bytes.Buffer
+	st, err := e.Run(p, &out, nil)
+	if err != nil {
+		t.Fatalf("%s: run: %v", codec.Name(), err)
+	}
+	if got := out.String(); got != "[ONETWOTWO]" {
+		t.Fatalf("%s: page = %q", codec.Name(), got)
+	}
+	if st.Gets != 2 || st.Sets != 1 || st.Literals != 2 {
+		t.Fatalf("stats = %+v", st)
+	}
+	if st.TemplateBytes != int64(len(body)) {
+		t.Fatalf("TemplateBytes = %d, want %d", st.TemplateBytes, len(body))
+	}
+	wantRefs := []Ref{{1, 1}, {2, 1}}
+	if len(st.Refs) != 2 || st.Refs[0] != wantRefs[0] || st.Refs[1] != wantRefs[1] {
+		t.Fatalf("refs = %v, want %v", st.Refs, wantRefs)
 	}
 }
 
@@ -207,7 +206,7 @@ func TestParallelismIsInert(t *testing.T) {
 }
 
 func TestRunInclude(t *testing.T) {
-	codec := tmpl.Text{}
+	codec := tmpl.Binary{}
 	store := newStore(t)
 	nested := encode(t, codec, []tmpl.Instruction{lit("("), get(1, 1), lit(")")})
 	if err := store.Set(1, 1, []byte("leaf")); err != nil {
@@ -437,38 +436,37 @@ func assembleRunners(t *testing.T, frags int) (streamed, cached func() error) {
 // read into can be reused the moment Cache.Get returns, which is what lets
 // the proxy read templates into a pooled buffer.
 func TestPlanOutlivesTemplateBuffer(t *testing.T) {
-	for _, codec := range []tmpl.Codec{tmpl.Binary{}, tmpl.Text{}} {
-		c, err := NewCache(codec, CacheConfig{})
+	codec := tmpl.Binary{}
+	c, err := NewCache(codec, CacheConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		ins  []tmpl.Instruction
+	}{
+		{"cached", []tmpl.Instruction{lit("<html>"), get(1, 1), lit("</html>")}},
+		{"one-off", []tmpl.Instruction{lit("<html>"), set(1, 1, "ONE"), lit("</html>")}},
+	} {
+		store := newStore(t)
+		if err := store.Set(1, 1, []byte("ONE")); err != nil {
+			t.Fatal(err)
+		}
+		buf := encode(t, codec, tc.ins)
+		p, _, err := c.Get(buf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, tc := range []struct {
-			name string
-			ins  []tmpl.Instruction
-		}{
-			{"cached", []tmpl.Instruction{lit("<html>"), get(1, 1), lit("</html>")}},
-			{"one-off", []tmpl.Instruction{lit("<html>"), set(1, 1, "ONE"), lit("</html>")}},
-		} {
-			store := newStore(t)
-			if err := store.Set(1, 1, []byte("ONE")); err != nil {
-				t.Fatal(err)
-			}
-			buf := encode(t, codec, tc.ins)
-			p, _, err := c.Get(buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range buf {
-				buf[i] = '!' // the next request's template lands here
-			}
-			e := &Exec{Store: store, Strict: true, Codec: codec, Plans: c}
-			var out bytes.Buffer
-			if _, err := e.Run(p, &out, nil); err != nil || out.String() != "<html>ONE</html>" {
-				t.Fatalf("%s/%s: page = %q, err = %v after the template buffer was overwritten", codec.Name(), tc.name, out.String(), err)
-			}
-			if got, ok := store.Get(1, 1, true); !ok || string(got) != "ONE" {
-				t.Fatalf("%s/%s: slot 1 holds %q after the run", codec.Name(), tc.name, got)
-			}
+		for i := range buf {
+			buf[i] = '!' // the next request's template lands here
+		}
+		e := &Exec{Store: store, Strict: true, Codec: codec, Plans: c}
+		var out bytes.Buffer
+		if _, err := e.Run(p, &out, nil); err != nil || out.String() != "<html>ONE</html>" {
+			t.Fatalf("%s/%s: page = %q, err = %v after the template buffer was overwritten", codec.Name(), tc.name, out.String(), err)
+		}
+		if got, ok := store.Get(1, 1, true); !ok || string(got) != "ONE" {
+			t.Fatalf("%s/%s: slot 1 holds %q after the run", codec.Name(), tc.name, got)
 		}
 	}
 }
