@@ -116,18 +116,8 @@ type Decision struct {
 	Hit bool
 	Key uint32
 	Gen uint32
-	// Handle names the entry a hit found, for Recheck; zero on a miss.
-	Handle Handle
 	// Expiry is when the entry's TTL runs out, zero when it has none.
 	Expiry time.Time
-}
-
-// Handle is one Lookup hit kept for later: the directory entry and the
-// generation it was valid at. A generation is never valid twice, so an
-// entry still valid at that generation has not been invalidated since.
-type Handle struct {
-	e   *entry
-	gen uint32
 }
 
 // Stats is a point-in-time summary of monitor activity.
@@ -293,7 +283,7 @@ func (m *Monitor) Lookup(fragmentID string, ttl time.Duration) (Decision, error)
 		e.hits++
 		m.unlinkLocked(e)
 		m.touchLocked(e)
-		d := Decision{Hit: true, Key: e.dpcKey, Gen: e.gen, Handle: Handle{e, e.gen}, Expiry: e.expiry}
+		d := Decision{Hit: true, Key: e.dpcKey, Gen: e.gen, Expiry: e.expiry}
 		evs := m.drainHooksLocked()
 		m.mu.Unlock()
 		m.fire(evs)
@@ -392,41 +382,6 @@ func (m *Monitor) clearDepsLocked(e *entry) {
 		}
 	}
 	e.deps = e.deps[:0]
-}
-
-// Recheck reports whether Lookups of the fragments the handles name would
-// all hit now, with the keys and generations they had: every entry still
-// valid at its handle's generation and not past its TTL. If so, it counts
-// them as those Lookups would — a lookup and a hit each, and a touch of the
-// recency list in handle order — under one hold of the monitor lock, and
-// the caller may emit the same GETs without looking them up; expiry is then
-// the earliest TTL expiry among the entries, zero when none has a TTL. If
-// not, it changes nothing, and the caller looks them up. With
-// ForcedMissProb set it always answers false, so that every lookup draws
-// its forced miss.
-func (m *Monitor) Recheck(hs []Handle) (expiry time.Time, ok bool) {
-	if m.cfg.ForcedMissProb > 0 {
-		return expiry, false
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	now := m.clk.Now()
-	for _, h := range hs {
-		e := h.e
-		if !e.valid || e.gen != h.gen || (!e.expiry.IsZero() && !now.Before(e.expiry)) {
-			return time.Time{}, false
-		}
-		expiry = Earliest(expiry, e.expiry)
-	}
-	for _, h := range hs {
-		m.stats.Lookups++
-		m.stats.Hits++
-		m.lruTick++
-		h.e.hits++
-		m.unlinkLocked(h.e)
-		m.touchLocked(h.e)
-	}
-	return expiry, true
 }
 
 // Earliest is the earlier of two TTL expiries, where zero means none.

@@ -3,7 +3,6 @@ package bem
 import (
 	"math/rand"
 	"strconv"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -644,134 +643,6 @@ func TestTopFragmentsDeterministicTies(t *testing.T) {
 	top := m.TopFragments(2)
 	if top[0].FragmentID != "a" || top[1].FragmentID != "b" {
 		t.Fatalf("tie order = %v, %v", top[0].FragmentID, top[1].FragmentID)
-	}
-}
-
-// A Recheck that succeeds is, to the monitor, the Lookups it stands for:
-// the same counters, the same hit counts per fragment and the same recency
-// order, so the replacement manager evicts the same victims afterwards.
-func TestRecheckCountsAsLookups(t *testing.T) {
-	ids := []string{"a", "b", "c", "d"}
-	build := func() (*Monitor, []Handle, *[]string) {
-		m := newMonitor(t, 5)
-		var evicted []string
-		m.OnInvalidate(func(id string, _, _ uint32, reason InvalidationReason) {
-			if reason == ReasonEviction {
-				evicted = append(evicted, id)
-			}
-		})
-		for _, id := range []string{"d", "c", "b", "a"} {
-			_, _ = m.Lookup(id, time.Minute)
-		}
-		var hs []Handle
-		for _, id := range ids {
-			d, _ := m.Lookup(id, time.Minute)
-			hs = append(hs, d.Handle)
-		}
-		return m, hs, &evicted
-	}
-	looked, _, lookedEvicted := build()
-	rechecked, hs, recheckedEvicted := build()
-	order := []int{3, 0, 2, 0} // the same fragment twice is two lookups
-	for _, i := range order {
-		if d, _ := looked.Lookup(ids[i], time.Minute); !d.Hit {
-			t.Fatalf("lookup of %s missed", ids[i])
-		}
-	}
-	var again []Handle
-	for _, i := range order {
-		again = append(again, hs[i])
-	}
-	expiry, ok := rechecked.Recheck(again)
-	if !ok {
-		t.Fatal("Recheck of entries nobody touched refused")
-	}
-	if want := Earliest(Earliest(hs[3].e.expiry, hs[0].e.expiry), hs[2].e.expiry); expiry.IsZero() || !expiry.Equal(want) {
-		t.Fatalf("Recheck reported expiry %v, want the earliest of its entries', %v", expiry, want)
-	}
-	if a, b := looked.Stats(), rechecked.Stats(); a != b {
-		t.Fatalf("stats after Lookups %+v, after Recheck %+v", a, b)
-	}
-	if a, b := looked.TopFragments(0), rechecked.TopFragments(0); len(a) != len(b) || a[0] != b[0] || a[3] != b[3] {
-		t.Fatalf("per-fragment hits after Lookups %+v, after Recheck %+v", a, b)
-	}
-	for _, m := range []*Monitor{looked, rechecked} {
-		for _, id := range []string{"x", "y", "z", "w"} {
-			_, _ = m.Lookup(id, 0)
-		}
-		if err := m.CheckInvariants(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if strings.Join(*lookedEvicted, ",") != strings.Join(*recheckedEvicted, ",") || len(*lookedEvicted) != 3 {
-		t.Fatalf("evicted after Lookups %v, after Recheck %v", *lookedEvicted, *recheckedEvicted)
-	}
-}
-
-// Recheck refuses — and changes nothing — as soon as one handle's Lookup
-// would not hit with the same key and generation: the entry was invalidated
-// (by data, a stale report, eviction), came back at a new generation, or
-// outlived its TTL. A forced-miss monitor refuses every time.
-func TestRecheckRefusesWhatALookupWouldMiss(t *testing.T) {
-	fake := clock.NewFake(time.Unix(0, 0))
-	repo := repository.New(repository.LatencyModel{})
-	row := repository.Key{Table: "t", Row: "r"}
-	repo.Put(row, map[string]string{"a": "1"})
-	cases := []struct {
-		name  string
-		spoil func(m *Monitor, d Decision)
-	}{
-		{"data write", func(*Monitor, Decision) { repo.Put(row, map[string]string{"a": "2"}) }},
-		{"stale report", func(m *Monitor, d Decision) { m.InvalidateStale(d.Key, d.Gen) }},
-		{"new generation", func(m *Monitor, _ Decision) {
-			m.Invalidate("f")
-			if d, _ := m.Lookup("f", time.Second); d.Hit {
-				t.Fatal("lookup after invalidation hit")
-			}
-		}},
-		{"ttl", func(*Monitor, Decision) { fake.Advance(time.Second) }},
-		{"eviction", func(m *Monitor, _ Decision) {
-			_, _ = m.Lookup("g", 0)
-			_, _ = m.Lookup("h", 0)
-		}},
-	}
-	for _, tc := range cases {
-		m, err := New(Config{Capacity: 2, Clock: fake})
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.BindRepo(repo)
-		d, _ := m.Lookup("f", time.Second)
-		m.Depend("f", d.Gen, row)
-		m.Commit("f", d.Gen, 1)
-		d, _ = m.Lookup("f", time.Second)
-		if expiry, ok := m.Recheck([]Handle{d.Handle}); !ok || !expiry.Equal(d.Expiry) || !expiry.Equal(fake.Now().Add(time.Second)) {
-			t.Fatalf("%s: Recheck before anything happened = %v, %v; want the entry's expiry %v", tc.name, expiry, ok, d.Expiry)
-		}
-		tc.spoil(m, d)
-		before := m.Stats()
-		if _, ok := m.Recheck([]Handle{d.Handle}); ok {
-			t.Fatalf("%s: Recheck accepted", tc.name)
-		}
-		if after := m.Stats(); after != before {
-			t.Fatalf("%s: a refused Recheck moved the counters: %+v → %+v", tc.name, before, after)
-		}
-		if err := m.CheckInvariants(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	forced, err := New(Config{Capacity: 2, ForcedMissProb: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _ = forced.Lookup("f", 0)
-	var d Decision
-	for !d.Hit {
-		d, _ = forced.Lookup("f", 0)
-	}
-	if _, ok := forced.Recheck([]Handle{d.Handle}); ok {
-		t.Fatal("a forced-miss monitor accepted a Recheck")
 	}
 }
 

@@ -318,9 +318,9 @@ func (ix *Index) Filing() sync.Locker { return ix.filing.RLocker() }
 // time — a scoped flush in between could not have removed the capture.
 func (ix *Index) Epoch() uint64 { return ix.epoch.Load() }
 
-// BumpEpoch advances the flush generation; the invalidator calls it
-// whenever it flushes a tier, naming why (sequence gap, flush event) for
-// the fills the bump refuses to report.
+// BumpEpoch advances the flush generation. Call it whenever a tier is
+// flushed, naming why (sequence gap, flush event) for the fills the bump
+// refuses to report.
 func (ix *Index) BumpEpoch(cause string) {
 	ix.filing.Lock()
 	ix.bumpCause.Store(&cause)

@@ -537,7 +537,7 @@ func TestPageCacheConditional304(t *testing.T) {
 					t.Fatalf("%s 304 X-Cache = %q", name, resp.Header.Get("X-Cache"))
 				}
 			}
-			// A non-matching validator gets the full body.
+			// A non-matching ETag gets the full body.
 			resp := condGet(t, url, `"deadbeef"`)
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("non-matching If-None-Match: status = %d", resp.StatusCode)

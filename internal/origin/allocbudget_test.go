@@ -5,7 +5,6 @@ package origin
 import (
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 
 	"dpcache/internal/alloctest"
@@ -94,7 +93,7 @@ func (d *digestWriter) Write(b []byte) (int, error) {
 
 // offeredPageServer is benchPageServer with the request offering the
 // digest of the page's GET-only template, which the server has answered
-// once by generating and hashing it — and so has filed.
+// by reference once.
 func offeredPageServer(tb testing.TB) (*Server, *http.Request) {
 	srv, req := benchPageServer(tb)
 	full := &digestWriter{discardWriter: discardWriter{h: http.Header{}}}
@@ -104,55 +103,24 @@ func offeredPageServer(tb testing.TB) (*Server, *http.Request) {
 	return srv, req
 }
 
-// forget empties the request's validator slot, so that the next offer is
-// answered by generating and hashing the template, as a first offer is.
-func forget(srv *Server, req *http.Request) {
-	srv.valid.slot(strings.TrimPrefix(req.URL.Path, "/page/"), req.Header.Get(HeaderUser), req.URL.RawQuery).Store(nil)
-}
-
-// The same fetch answered by reference from a generated template — the
-// caller offers the template's digest, the server generates it, hashes it,
-// files it for the next offer and sends no body — stays inside the full
-// answer's budget: the hash and the comparison allocate nothing, and the
-// record costs three objects.
+// The same fetch answered by reference — the caller offers the template's
+// digest, the server generates it, hashes it and sends no body — stays
+// inside the full answer's budget: the hash and the comparison allocate
+// nothing.
 func TestAllocBudgetServePageTemplateRef(t *testing.T) {
 	srv, req := offeredPageServer(t)
 	refs0 := srv.reg.Snapshot()["origin.template_refs"]
 
 	bytesPer, objsPer := alloctest.PerCall(windows, requests, func() {
-		forget(srv, req)
 		srv.servePage(&discardWriter{h: http.Header{}}, req)
 	})
 
-	snap := srv.reg.Snapshot()
-	if got := snap["origin.template_refs"] - refs0; refs0 != 1 || got != windows*requests || snap["origin.template_refs_validated"] != 0 {
-		t.Fatalf("%d then %d of %d fetches answered by reference, %d of them validated", refs0, got, windows*requests, snap["origin.template_refs_validated"])
+	if got := srv.reg.Snapshot()["origin.template_refs"] - refs0; refs0 != 1 || got != windows*requests {
+		t.Fatalf("%d then %d of %d fetches answered by reference", refs0, got, windows*requests)
 	}
 	t.Logf("%.0f B in %.2f objects per fetch", bytesPer, objsPer)
 	if bytesPer > 2<<10 || objsPer > 40 {
 		t.Fatalf("%.0f B in %.2f objects allocated per fetch, budget 2048 B in 40", bytesPer, objsPer)
-	}
-}
-
-// The offer repeated, answered by reference from the filed record — no
-// context, no script run, no template buffer, no hash — allocates only its
-// headers: fewer objects than the generated answer by reference above.
-func TestAllocBudgetServePageValidated(t *testing.T) {
-	srv, req := offeredPageServer(t)
-	validatedObjs := testing.AllocsPerRun(requests, func() {
-		srv.servePage(&discardWriter{h: http.Header{}}, req)
-	})
-	if got := srv.reg.Snapshot()["origin.template_refs_validated"]; got != requests+1 {
-		t.Fatalf("%d of %d offers validated", got, requests+1)
-	}
-	t.Logf("%v objects per fetch", validatedObjs)
-
-	generatedObjs := testing.AllocsPerRun(requests, func() {
-		forget(srv, req)
-		srv.servePage(&discardWriter{h: http.Header{}}, req)
-	})
-	if validatedObjs >= generatedObjs {
-		t.Fatalf("validated answer %v objects, generated answer by reference %v: want fewer", validatedObjs, generatedObjs)
 	}
 }
 
@@ -166,19 +134,8 @@ func BenchmarkServePageTemplate(b *testing.B) {
 }
 
 // BenchmarkServePageTemplateRef is an offer answered by generating and
-// hashing the template: the first offer after anything moved.
+// hashing the template.
 func BenchmarkServePageTemplateRef(b *testing.B) {
-	srv, req := offeredPageServer(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		forget(srv, req)
-		srv.servePage(&discardWriter{h: http.Header{}}, req)
-	}
-}
-
-// BenchmarkServePageValidated is the same offer answered from the record.
-func BenchmarkServePageValidated(b *testing.B) {
 	srv, req := offeredPageServer(b)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -111,13 +111,13 @@ func TestLeaseTemplateOpensWithShell(t *testing.T) {
 	}
 }
 
-// An answer by reference to a request that asked carries the grant: whether
-// generated and compared, or validated from its record, it names the time
-// left until the earliest TTL expiry among the template's entries, or none,
-// and ends in ";page" when the run never read the user — on the synthetic
-// site, not on the portal, whose layout asks who the visitor is. A request
-// that did not ask is never granted one, and the ask does not matter to the
-// record: one filed for either kind of request answers the other.
+// An answer by reference to a request that asked carries the grant: the
+// first and a repeat alike name the time left until the earliest TTL expiry
+// among the template's entries, or none, and end in ";page" when the run
+// never read the user — on the synthetic site, not on the portal, whose
+// layout asks who the visitor is. A request that did not ask is never
+// granted one, and the ask does not change the answer: a template learnt by
+// either kind of request is answered by reference to the other.
 func TestLeaseGrant(t *testing.T) {
 	synth := func(ttl time.Duration) func(repo *repository.Repo) []*script.Script {
 		cfg := site.DefaultSynthetic()
@@ -141,9 +141,9 @@ func TestLeaseGrant(t *testing.T) {
 			d := hexDigest(leaseFetch(t, srv, url, "u1", "", true).Body.String())
 			clk.Advance(300 * time.Millisecond)
 
-			generated := leaseFetch(t, srv, url, "u1", d, true)
-			validated := leaseFetch(t, srv, url, "u1", d, true)
-			for what, rec := range map[string]*httptest.ResponseRecorder{"generated": generated, "validated": validated} {
+			first := leaseFetch(t, srv, url, "u1", d, true)
+			repeat := leaseFetch(t, srv, url, "u1", d, true)
+			for what, rec := range map[string]*httptest.ResponseRecorder{"first": first, "repeated": repeat} {
 				if rec.Header().Get(HeaderSame) != "1" || rec.Header().Get(HeaderLease) != tc.want {
 					t.Fatalf("%s answer: %s=%q %s=%q, want a reference granting %q", what,
 						HeaderSame, rec.Header().Get(HeaderSame), HeaderLease, rec.Header().Get(HeaderLease), tc.want)
@@ -154,24 +154,24 @@ func TestLeaseGrant(t *testing.T) {
 			if strings.HasSuffix(tc.want, leasePageScope) {
 				wantPage = 2
 			}
-			if snap["origin.leases_granted"] != 2 || snap["origin.leases_granted_page"] != wantPage || snap["origin.template_refs_validated"] != 1 {
-				t.Fatalf("leases_granted=%d leases_granted_page=%d validated=%d, want 2, %d and 1", snap["origin.leases_granted"],
-					snap["origin.leases_granted_page"], snap["origin.template_refs_validated"], wantPage)
+			if snap["origin.leases_granted"] != 2 || snap["origin.leases_granted_page"] != wantPage || snap["origin.template_refs"] != 2 {
+				t.Fatalf("leases_granted=%d leases_granted_page=%d template_refs=%d, want 2, %d and 2", snap["origin.leases_granted"],
+					snap["origin.leases_granted_page"], snap["origin.template_refs"], wantPage)
 			}
 
-			// Without the ask: the record filed above answers, with no grant.
+			// Without the ask: the same answer by reference, with no grant.
 			if rec := leaseFetch(t, srv, url, "u1", d, false); rec.Header().Get(HeaderSame) != "1" || rec.Header().Get(HeaderLease) != "" ||
-				srv.reg.Snapshot()["origin.template_refs_validated"] != 2 {
-				t.Fatal("a request that did not ask was not answered from the record, or was granted a lease")
+				srv.reg.Snapshot()["origin.template_refs"] != 3 {
+				t.Fatal("a request that did not ask was not answered by reference, or was granted a lease")
 			}
 			leaseFetch(t, srv, url, "u2", "", false) // u2's own fragments SET, on the portal
 			plain := hexDigest(leaseFetch(t, srv, url, "u2", "", false).Body.String())
-			leaseFetch(t, srv, url, "u2", plain, false) // filed without the ask
+			leaseFetch(t, srv, url, "u2", plain, false) // offered without the ask
 			rec := leaseFetch(t, srv, url, "u2", plain, true)
 			grant := rec.Header().Get(HeaderLease)
 			if rec.Header().Get(HeaderSame) != "1" || grant == "" || strings.HasSuffix(grant, leasePageScope) != strings.HasSuffix(tc.want, leasePageScope) ||
-				srv.reg.Snapshot()["origin.template_refs_validated"] != 3 {
-				t.Fatalf("a record filed without the ask answered a request that asked with %s=%q, want a reference granting one scoped as %q",
+				srv.reg.Snapshot()["origin.template_refs"] != 5 {
+				t.Fatalf("a template learnt without the ask answered a request that asked with %s=%q, want a reference granting one scoped as %q",
 					HeaderLease, grant, tc.want)
 			}
 		})

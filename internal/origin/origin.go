@@ -31,12 +31,10 @@
 // X-DPC-Have (the SHA-256 of the template bytes, in hex). When the template
 // this request produces carries no SET and is the one offered, the server
 // sends the response's headers with X-DPC-Same and no body. It finds that
-// out in one of two ways: by generating the template and hashing it, or,
-// when it generated and hashed this same request's template before, by
-// re-checking that every BEM entry that template named, its shell first, is
-// still valid at the generation it named (validator.go). The server keeps
-// no record of what any proxy holds: the offer is compared with this
-// request's own template, so a wrong one is answered in full.
+// out the one way it answers any request: it generates the template, hashes
+// it and compares. The server keeps no record of what any proxy holds, nor
+// of what it answered before: the offer is compared with this request's own
+// template, so a wrong one is answered in full.
 //
 // A caller that asks for a lease (X-DPC-Lease) is one that hears every BEM
 // invalidation over the fabric. An answer by reference to it grants a lease
@@ -62,6 +60,8 @@ package origin
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -149,17 +149,15 @@ type Server struct {
 	scripts map[string]*script.Script
 	statics map[string]staticAsset
 	reg     *metrics.Registry
-	pad     string // the X-Pad header's value; empty when ExtraHeaderBytes is 0
-	valid   *validator
+	pad     string         // the X-Pad header's value; empty when ExtraHeaderBytes is 0
 	hub     *coherency.Hub // the Monitor's invalidation stream; nil without one
 
 	// The request paths' metrics, looked up once: the registry takes a
 	// mutex per look-up.
-	requests, templates, plainPages, errors *metrics.Counter
-	templateRefs, templateRefsValidated     *metrics.Counter
-	leasesGranted, leasesGrantedPage        *metrics.Counter
-	staticRequests, staleReportsApplied     *metrics.Counter
-	generate                                *metrics.Histogram
+	requests, templates, plainPages, errors        *metrics.Counter
+	templateRefs, leasesGranted, leasesGrantedPage *metrics.Counter
+	staticRequests, staleReportsApplied            *metrics.Counter
+	generate                                       *metrics.Histogram
 }
 
 // staticAsset is a fixed response served under /static/ with an explicit
@@ -202,19 +200,17 @@ func New(cfg Config) (*Server, error) {
 		statics: make(map[string]staticAsset),
 		reg:     reg,
 		pad:     strings.Repeat("p", max(cfg.ExtraHeaderBytes, 0)),
-		valid:   newValidator(),
 
-		requests:              reg.Counter("origin.requests"),
-		templates:             reg.Counter("origin.templates"),
-		templateRefs:          reg.Counter("origin.template_refs"),
-		templateRefsValidated: reg.Counter("origin.template_refs_validated"),
-		leasesGranted:         reg.Counter("origin.leases_granted"),
-		leasesGrantedPage:     reg.Counter("origin.leases_granted_page"),
-		plainPages:            reg.Counter("origin.plain_pages"),
-		errors:                reg.Counter("origin.errors"),
-		staticRequests:        reg.Counter("origin.static_requests"),
-		staleReportsApplied:   reg.Counter("origin.stale_reports_applied"),
-		generate:              reg.Histogram("origin.generate"),
+		requests:            reg.Counter("origin.requests"),
+		templates:           reg.Counter("origin.templates"),
+		templateRefs:        reg.Counter("origin.template_refs"),
+		leasesGranted:       reg.Counter("origin.leases_granted"),
+		leasesGrantedPage:   reg.Counter("origin.leases_granted_page"),
+		plainPages:          reg.Counter("origin.plain_pages"),
+		errors:              reg.Counter("origin.errors"),
+		staticRequests:      reg.Counter("origin.static_requests"),
+		staleReportsApplied: reg.Counter("origin.stale_reports_applied"),
+		generate:            reg.Histogram("origin.generate"),
 	}, nil
 }
 
@@ -373,24 +369,6 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request) {
 		have, lease = r.Header.Get(HeaderHave), r.Header.Get(HeaderLease) != ""
 	}
 
-	if have != "" {
-		start := time.Now()
-		if expiry, page, ok := s.valid.answers(name, user, query, have, s.cfg.Monitor); ok {
-			s.templates.Inc()
-			s.templateRefs.Inc()
-			s.templateRefsValidated.Inc()
-			s.generate.Observe(time.Since(start))
-			s.requests.Inc()
-			w.Header().Set(HeaderTemplate, tmpl.Binary{}.Name())
-			w.Header().Set(HeaderSame, "1")
-			if lease {
-				s.grant(w, expiry, page)
-			}
-			s.respond(w, nil)
-			return
-		}
-	}
-
 	ctx := script.NewContext(s.cfg.Repo, user, queryParams(query))
 	start := time.Now()
 	body := bodyPool.Get().(*bytes.Buffer)
@@ -404,9 +382,6 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request) {
 	if templateMode {
 		enc := tmpl.Binary{}.NewEncoder(body)
 		sink := &bemSink{enc: enc, mon: s.cfg.Monitor}
-		if have != "" {
-			sink.gets = make([]bem.Handle, 0, 16)
-		}
 		err := sink.shell(ctx, shellID(name, query))
 		if err == nil {
 			err = script.Run(sc, ctx, sink)
@@ -422,12 +397,9 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(HeaderTemplate, tmpl.Binary{}.Name())
 		s.templates.Inc()
 		// A template with a SET is new to every proxy, so only a GET-only
-		// one is worth hashing against the caller's offer, and filing for
-		// the next.
+		// one is worth hashing against the caller's offer.
 		if have != "" && !sink.set {
-			digest := templateDigest(body.Bytes())
-			s.valid.file(name, user, query, digest, !ctx.ReadIdentity(), sink.gets)
-			if string(digest[:]) == have {
+			if digest := templateDigest(body.Bytes()); string(digest[:]) == have {
 				same = true
 				w.Header().Set(HeaderSame, "1")
 				s.templateRefs.Inc()
@@ -561,10 +533,9 @@ func (s *Server) fail(w http.ResponseWriter, page string, err error) {
 // GET tag; anything else regenerates the fragment and becomes a SET tag
 // pair carrying the fresh content.
 type bemSink struct {
-	enc  tmpl.Encoder
-	mon  *bem.Monitor
-	set  bool         // a SET went out
-	gets []bem.Handle // a handle per GET, in order, when non-nil
+	enc tmpl.Encoder
+	mon *bem.Monitor
+	set bool // a SET went out
 	// shellKey and shellGen are the shell's slot and generation when it
 	// missed and its SET went out; shellGen is zero otherwise.
 	shellKey, shellGen uint32
@@ -588,7 +559,7 @@ func shellID(script, query string) string { return shellMark + script + "?" + qu
 // dependencies and only the next generation's miss clears them, so they are
 // the union of what every run against that generation read: a write to a
 // row any visitor's layout read invalidates the shell, and so every
-// template, validator record and lease that names it.
+// template and lease that names it.
 func (s *bemSink) shell(ctx *script.Context, id string) error {
 	d, err := s.mon.Lookup(id, 0)
 	if err != nil {
@@ -614,10 +585,7 @@ func (s *bemSink) abandon() {
 
 // get emits a GET for a hit.
 func (s *bemSink) get(d bem.Decision) error {
-	if s.gets != nil {
-		s.gets = append(s.gets, d.Handle)
-		s.expiry = bem.Earliest(s.expiry, d.Expiry)
-	}
+	s.expiry = bem.Earliest(s.expiry, d.Expiry)
 	return s.enc.Get(d.Key, d.Gen)
 }
 
@@ -652,4 +620,13 @@ func (s *bemSink) Fragment(fragmentID string, ttl time.Duration, r *script.Rende
 		return err
 	}
 	return nil
+}
+
+// templateDigest is the hex SHA-256 of template, as a DPC writes it in an
+// offer. Nothing here allocates.
+func templateDigest(template []byte) [2 * sha256.Size]byte {
+	sum := sha256.Sum256(template)
+	var enc [2 * sha256.Size]byte
+	hex.Encode(enc[:], sum[:])
+	return enc
 }

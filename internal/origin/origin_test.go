@@ -740,3 +740,49 @@ func TestConcurrentFetchesShareNoBytes(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// A tagged block whose render writes the row it has just read — the write
+// lands between the render's read and the BEM's Commit — must not leave its
+// fragment valid with the old content: the next template carries a SET with
+// what the row says now, not a GET of what it said before.
+func TestCommitRaceRenderWritesItsOwnRow(t *testing.T) {
+	repo := repository.New(repository.LatencyModel{})
+	row := repository.Key{Table: "counter", Row: "c"}
+	repo.Put(row, map[string]string{"n": "0"})
+	mon, err := bem.New(bem.Config{Capacity: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon.BindRepo(repo)
+	srv, err := New(Config{Repo: repo, Monitor: mon})
+	if err != nil {
+		t.Fatal(err)
+	}
+	self := script.Tagged("self", 0, nil, func(c *script.Context, w io.Writer) error {
+		n := c.Field(row.Table, row.Row, "n", "")
+		repo.Put(row, map[string]string{"n": n + "+"})
+		_, err := io.WriteString(w, "n="+n)
+		return err
+	})
+	if err := srv.Register(&script.Script{Name: "self", Layout: func(*script.Context) []script.Block {
+		return []script.Block{self}
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	fetch := func() string {
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodGet, "/page/self", nil)
+		req.Header.Set(HeaderCapable, "1")
+		srv.ServeHTTP(rec, req)
+		return rec.Body.String()
+	}
+	if first := fetch(); !strings.Contains(first, "n=0") {
+		t.Fatalf("first template %q does not carry the render", first)
+	}
+	if second := fetch(); !strings.Contains(second, "n=0+") {
+		t.Fatalf("second template %q: the fragment rendered from n=0 outlived the write to n=0+", second)
+	}
+	if st := mon.Stats(); st.DataInvalidations != 2 {
+		t.Fatalf("%d data invalidations, want one per raced Commit", st.DataInvalidations)
+	}
+}

@@ -3,14 +3,18 @@ package origin
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"maps"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"dpcache/internal/bem"
 	"dpcache/internal/repository"
+	"dpcache/internal/site"
 )
 
 func hexDigest(body string) string {
@@ -117,5 +121,77 @@ func TestTemplateRefAnswer(t *testing.T) {
 	if snap["origin.template_refs"] != 2 || snap["origin.templates"] != 9 || snap["origin.plain_pages"] != 2 || snap["origin.requests"] != 11 {
 		t.Fatalf("template_refs=%d templates=%d plain_pages=%d requests=%d, want 2, 9, 2, 11",
 			snap["origin.template_refs"], snap["origin.templates"], snap["origin.plain_pages"], snap["origin.requests"])
+	}
+}
+
+// Offers, full fetches and writes from several goroutines at once: each
+// offer is compared with a template generated while the BEM and the rows
+// move under it, and once the writers stop, each request's offer is
+// answered by reference with its own template.
+func TestTemplateRefConcurrentOffersAndWrites(t *testing.T) {
+	repo := repository.New(repository.LatencyModel{})
+	mon, err := bem.New(bem.Config{Capacity: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon.BindRepo(repo)
+	srv, err := New(Config{Repo: repo, Monitor: mon})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, _, err := site.BuildSynthetic(site.SyntheticConfig{Pages: 4, FragmentsPerPage: 4, FragmentBytes: 64, Cacheability: 0.5}, repo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Register(sc); err != nil {
+		t.Fatal(err)
+	}
+	fetch := func(url, have string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodGet, url, nil)
+		req.Header.Set(HeaderCapable, "1")
+		if have != "" {
+			req.Header.Set(HeaderHave, have)
+		}
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		return rec
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			have := map[string]string{}
+			for i := 0; i < 300; i++ {
+				url := fmt.Sprintf("/page/synth?page=%d", (g+i)%4)
+				if rec := fetch(url, have[url]); rec.Code != http.StatusOK {
+					t.Errorf("%s: status %d", url, rec.Code)
+					return
+				} else if rec.Header().Get(HeaderSame) == "" {
+					have[url] = hexDigest(rec.Body.String())
+				}
+				if g == 0 && i%10 == 0 {
+					site.TouchFragment(repo, i%16, strconv.Itoa(i))
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	for p := 0; p < 4; p++ {
+		url := fmt.Sprintf("/page/synth?page=%d", p)
+		fetch(url, "") // SETs what the writes invalidated
+		want := hexDigest(fetch(url, "").Body.String())
+		before := srv.reg.Snapshot()["origin.template_refs"]
+		if rec := fetch(url, want); rec.Header().Get(HeaderSame) != "1" || srv.reg.Snapshot()["origin.template_refs"] != before+1 {
+			t.Fatalf("%s: the offer of its own template was not answered by reference", url)
+		}
+		if got := hexDigest(fetch(url, "").Body.String()); got != want {
+			t.Fatalf("%s: answered by reference, but the template is now %.12s, not %.12s", url, got, want)
+		}
+	}
+	if err := mon.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

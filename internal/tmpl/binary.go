@@ -35,14 +35,6 @@ func (Binary) GetTagSize(key, gen uint32) int {
 	return len(Magic) + 1 + uvarintLen(uint64(key)) + uvarintLen(uint64(gen))
 }
 
-// SetOverhead returns the encoded overhead of a SET (everything except the
-// content itself) — the paper's 2g: open tag (magic+op+key+gen+len) plus
-// close tag (magic+op).
-func (Binary) SetOverhead(key, gen uint32, contentLen int) int {
-	open := len(Magic) + 1 + uvarintLen(uint64(key)) + uvarintLen(uint64(gen)) + uvarintLen(uint64(contentLen))
-	return open + len(Magic) + 1
-}
-
 func uvarintLen(v uint64) int {
 	var buf [binary.MaxVarintLen64]byte
 	return binary.PutUvarint(buf[:], v)

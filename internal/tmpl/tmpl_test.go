@@ -239,24 +239,6 @@ func TestBinaryGetTagSizeMatchesWire(t *testing.T) {
 	}
 }
 
-func TestBinarySetOverheadMatchesWire(t *testing.T) {
-	content := []byte("0123456789")
-	for _, key := range []uint32{0, 777, 99999} {
-		var buf bytes.Buffer
-		e := Binary{}.NewEncoder(&buf)
-		if err := e.Set(key, 4, content); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		want := Binary{}.SetOverhead(key, 4, len(content)) + len(content)
-		if buf.Len() != want {
-			t.Fatalf("key=%d: wire=%d, SetOverhead+content=%d", key, buf.Len(), want)
-		}
-	}
-}
-
 // The paper's Table 2 uses g = 10 bytes; the binary codec's GET tag must be
 // in that neighborhood for realistic key ranges.
 func TestBinaryTagSizeNearPaperG(t *testing.T) {
