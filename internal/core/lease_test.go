@@ -93,7 +93,7 @@ func TestLeaseLayoutRowWriteReachesPageTierAndLeases(t *testing.T) {
 			t.Fatalf("anonymous visit %d: X-Cache %q, want %q with %s", i, xc, want, marker(1))
 		}
 	}
-	for i, want := range []string{"MISS", "MISS", "PAGE"} { // the template, a reference with the page's grant, the page it filed
+	for i, want := range []string{"MISS", "PAGE"} { // the template with the page's grant, the page it filed
 		if xc, body := getAs(t, page, "u1"); xc != want || !strings.Contains(body, marker(1)) {
 			t.Fatalf("u1's visit %d: X-Cache %q, want %q with %s", i, xc, want, marker(1))
 		}

@@ -32,10 +32,8 @@ func (d *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
 // fragmentPathAllocs serves steady-state fragment-path requests — template
 // fetched, plan hit, page assembled from a warm store through the spool,
 // coalescing on — and returns the bytes and objects allocated per request,
-// (the least of alloctest.PerCall's windows), and the page's size. With byRef the origin speaks the reference protocol,
-// so from the second request on the template is named and not sent; a
-// non-empty user sends every request with that X-User.
-func fragmentPathAllocs(t *testing.T, byRef bool, user string) (bytesPer, objsPer float64, pageBytes uint64) {
+// (the least of alloctest.PerCall's windows), and the page's size.
+func fragmentPathAllocs(t *testing.T) (bytesPer, objsPer float64, pageBytes uint64) {
 	const frags, fragBytes = 16, 1 << 10
 	body := templateBody(t, func(enc tmpl.Encoder) {
 		for k := uint32(0); k < frags; k++ {
@@ -43,18 +41,13 @@ func fragmentPathAllocs(t *testing.T, byRef bool, user string) (bytesPer, objsPe
 			_ = enc.Get(k, 1)
 		}
 	})
-	digest := hexDigest(body)
 	// The origin's headers are the same maps every time, so what is counted
 	// is the proxy's.
 	fullHeader := http.Header{"X-Dpc-Template": {"binary"}, "Content-Type": {"text/html"}}
-	refHeader := http.Header{"X-Dpc-Template": {"binary"}, "Content-Type": {"text/html"}, "X-Dpc-Same": {"1"}}
 	p := newTestProxy(t, "http://origin.invalid", func(c *Config) {
 		c.Coalesce = true
 		c.Stream = true // the default 64 KiB spool, as dpcd runs
 		c.Transport = roundTripFunc(func(r *http.Request) (*http.Response, error) {
-			if byRef && r.Header.Get(headerHave) == digest {
-				return &http.Response{StatusCode: http.StatusOK, Request: r, Body: http.NoBody, Header: refHeader}, nil
-			}
 			return &http.Response{
 				StatusCode: http.StatusOK, ContentLength: int64(len(body)), Request: r,
 				Body: io.NopCloser(bytes.NewReader(body)), Header: fullHeader,
@@ -67,9 +60,6 @@ func fragmentPathAllocs(t *testing.T, byRef bool, user string) (bytesPer, objsPe
 		}
 	}
 	req := httptest.NewRequest(http.MethodGet, "/page", nil)
-	if user != "" {
-		req.Header.Set("X-User", user)
-	}
 	serve := func() { p.ServeHTTP(&discardWriter{h: http.Header{}}, req) }
 	for range 50 { // compile the plan, size the pooled buffers
 		serve()
@@ -78,13 +68,9 @@ func fragmentPathAllocs(t *testing.T, byRef bool, user string) (bytesPer, objsPe
 
 	const served = 50 + windows*requests
 	snap := p.Registry().Snapshot()
-	wantRefs := int64(0)
-	if byRef {
-		wantRefs = served - 1
-	}
-	if snap["dpc.assembled"] != served || snap["dpc.plancache_hits"] != served-1 || snap["dpc.errors"] != 0 || snap["dpc.template_refs"] != wantRefs {
-		t.Fatalf("assembled=%d plan hits=%d errors=%d refs=%d: the requests did not take the warm fragment path",
-			snap["dpc.assembled"], snap["dpc.plancache_hits"], snap["dpc.errors"], snap["dpc.template_refs"])
+	if snap["dpc.assembled"] != served || snap["dpc.plancache_hits"] != served-1 || snap["dpc.errors"] != 0 {
+		t.Fatalf("assembled=%d plan hits=%d errors=%d: the requests did not take the warm fragment path",
+			snap["dpc.assembled"], snap["dpc.plancache_hits"], snap["dpc.errors"])
 	}
 	pageBytes = uint64(frags * (fragBytes + len("<div>")))
 	t.Logf("%.0f B in %.2f objects allocated per request, page %d B", bytesPer, objsPer, pageBytes)
@@ -96,25 +82,9 @@ func fragmentPathAllocs(t *testing.T, byRef bool, user string) (bytesPer, objsPe
 // fresh buffer for the template, the spool or the flight's broadcast copy
 // is a page or more each and breaks the budget.
 func TestAllocBudgetFragmentPathRequest(t *testing.T) {
-	perRequest, _, pageBytes := fragmentPathAllocs(t, false, "")
+	perRequest, _, pageBytes := fragmentPathAllocs(t)
 	if perRequest > float64(pageBytes/2) {
 		t.Fatalf("%.0f B allocated per request, budget %d B (half a %d-byte page)", perRequest, pageBytes/2, pageBytes)
-	}
-}
-
-// The same request with its template answered by reference stays inside
-// that budget and costs no more objects than reading the template did (one
-// spare, for a collector cycle's own): the offer is a hint lookup and a
-// header. So does an identified request, offered its page's plan: the page
-// key is a substring of the fetch key.
-func TestAllocBudgetTemplateRefRequest(t *testing.T) {
-	for _, user := range []string{"", "u1"} {
-		_, fullObjs, _ := fragmentPathAllocs(t, false, user)
-		perRequest, objs, pageBytes := fragmentPathAllocs(t, true, user)
-		if perRequest > float64(pageBytes/2) || objs > fullObjs+1 {
-			t.Fatalf("user %q: %.0f B in %.2f objects allocated per request by reference; budget %d B (half a %d-byte page) and the full path's %.2f objects",
-				user, perRequest, objs, pageBytes/2, pageBytes, fullObjs)
-		}
 	}
 }
 
@@ -200,7 +170,7 @@ func TestAllocBudgetIdentifiedPageHitRequest(t *testing.T) {
 // leaseHitProxy returns a proxy whose lease answers req: strict, on the
 // fabric, coalescing and spooling as dpcd does, in front of
 // pageLeaseOrigin's page of 16 fragments, and warmed up to its first lease
-// hit (the template, then the answer by reference that grants the lease).
+// hit (the template that grants the lease, then the hit).
 // store, when non-nil, is its fragment store; else the slot array.
 func leaseHitProxy(tb testing.TB, store fragstore.FragmentStore) (*Proxy, *http.Request) {
 	origin, warm := pageLeaseOrigin(tb, "none")
@@ -213,7 +183,7 @@ func leaseHitProxy(tb testing.TB, store fragstore.FragmentStore) (*Proxy, *http.
 	tb.Cleanup(func() { _ = p.Close() })
 	warm(p)
 	req := httptest.NewRequest(http.MethodGet, "/page", nil)
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 2; i++ {
 		p.ServeHTTP(&discardWriter{h: http.Header{}}, req)
 	}
 	if n := p.Registry().Counter("dpc.lease_hits").Value(); n != 1 {

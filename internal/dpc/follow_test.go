@@ -51,8 +51,8 @@ func TestStreamlessOriginServesAsBefore(t *testing.T) {
 				return
 			}
 			mu.Lock()
-			asked = append(asked, fmt.Sprintf("%s %s have=%q lease=%q stale=%q user=%q", r.Method, r.URL.RequestURI(),
-				r.Header.Get(headerHave), r.Header.Get(headerLease), r.Header.Get(headerStale), r.Header.Get("X-User")))
+			asked = append(asked, fmt.Sprintf("%s %s lease=%q stale=%q user=%q", r.Method, r.URL.RequestURI(),
+				r.Header.Get(headerLease), r.Header.Get(headerStale), r.Header.Get("X-User")))
 			mu.Unlock()
 			srv.ServeHTTP(w, r)
 		})

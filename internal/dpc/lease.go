@@ -13,12 +13,13 @@ import (
 
 	"dpcache/internal/fragstore"
 	"dpcache/internal/metrics"
+	"dpcache/internal/tmplplan"
 	"dpcache/internal/trace"
 )
 
-// A lease is the origin's "same" kept at the proxy. The paper's DPC asks the
-// origin on every request because only the BEM knows whether a template is
-// still valid; a proxy on the invalidation fabric hears every BEM
+// A lease is the origin's template kept at the proxy. The paper's DPC asks
+// the origin on every request because only the BEM knows whether a template
+// is still valid; a proxy on the invalidation fabric hears every BEM
 // invalidation too (Apply), so it can keep the answer until one revokes it.
 //
 // A proxy live on the fabric (fabric.go) asks for a lease on each bodyless
@@ -26,10 +27,11 @@ import (
 // opens with the page's shell: a BEM entry that depends on every row the
 // layout and the untagged blocks read. So everything that determines the
 // template — the shell and the entry of each GET — is a BEM entry whose
-// death reaches the proxy as a fragment event. An answer by reference to
-// such a request grants the lease, until the earliest TTL expiry among those
-// entries. The proxy files it under the request's exact fetch key, and the
-// next fetch of that key runs the held plan with no round trip. A grant that
+// death reaches the proxy as a fragment event. A template that carries no
+// SET, answering such a request, grants the lease, until the earliest TTL
+// expiry among those entries. Once the template's plan is resident the
+// proxy files the lease under the request's exact fetch key, and the next
+// fetch of that key runs the plan with no round trip. A grant that
 // says the run never read the visitor (";page") also vouches for the page
 // itself: the answer is filed in the page tier for every visitor, with the
 // grant's end in its record (pagestage.go).
@@ -47,7 +49,7 @@ import (
 // accepts should the fabric go quiet.
 //
 // A void lease costs nothing but the attempt: its run commits nothing, and
-// the request goes on to the origin with the ordinary offer.
+// the request goes on to the origin as a miss.
 
 const (
 	// leaseBuckets × leaseWays slots of 64 bytes: 1 MiB however many
@@ -242,9 +244,8 @@ func (p *Proxy) serveLease(rs *reqState) (stageOutcome, error) {
 }
 
 // useLease finds a live lease filed under the request's fetch key and makes
-// the plan it names the request's held plan, for assemble to run as it runs
-// a template answered by reference. A lease found past its term or without
-// its plan is voided.
+// the plan it names the request's held plan, for assemble to run in place
+// of a template. A lease found past its term or without its plan is voided.
 func (p *Proxy) useLease(rs *reqState) (lease, bool) {
 	if !p.leasing(rs.r) {
 		return lease{}, false
@@ -273,15 +274,17 @@ func (p *Proxy) voidLease(rs *reqState, cause string) {
 	rs.span.Event(trace.KindMiss, "origin", "lease:void:"+cause, 0)
 }
 
-// grantLease files the lease an answer by reference carries (HeaderLease)
-// under the request's fetch key, for a fetch that started at start, when
-// the tier's epoch read before it was epoch. The term is what the origin
-// granted, capped at the page tier's TTL. A grant ending in ";page" also
-// dates the response's tier record (rs.pageUntil), and admits an identified
-// visitor's page to the page rule under the key every visitor of the page
-// is served from. A response the origin opted into the tier under its own
-// max-age is not leased: a lease keeps no headers to renew that opt-in
-// with. A grant that does not parse is not filed.
+// grantLease takes in the lease a template answer carries (HeaderLease), for
+// a fetch that started at start, when the tier's epoch read before it was
+// epoch: rs.grantUntil, for assemble to file under the request's fetch key
+// once the template's plan is resident (fileLease). The term is what the
+// origin granted, capped at the page tier's TTL. A grant ending in ";page"
+// also dates the response's tier record (rs.pageUntil), and admits an
+// identified visitor's page to the page rule under the key every visitor of
+// the page is served from. A response the origin opted into the tier under
+// its own max-age is not leased: a lease keeps no headers to renew that
+// opt-in with. A grant that does not parse, or whose fetch began before a
+// gap or a flush, is dropped.
 func (p *Proxy) grantLease(rs *reqState, resp *http.Response, start time.Time, epoch uint64) {
 	v := resp.Header.Get(headerLease)
 	if v == "" || rs.fillRule == ruleStatic || !p.leasing(rs.r) {
@@ -299,26 +302,36 @@ func (p *Proxy) grantLease(rs *reqState, resp *http.Response, start time.Time, e
 		}
 		term = min(term, time.Duration(ms)*time.Millisecond)
 	}
-	if term <= 0 {
+	if term <= 0 || p.fabric.epoch.Load() != epoch {
 		return
 	}
+	rs.grantUntil, rs.grantEpoch = start.Add(term).UnixNano(), epoch
+	rs.grantCacheable = pageCacheable(resp.Header)
+	if scoped {
+		rs.pageUntil = rs.grantUntil
+		if _, identified := p.pageRule(rs.r); identified && rs.grantCacheable {
+			p.admitFill(rs, anonymousPageKey(rs.r), p.pageTTL, rulePage, epoch)
+		}
+	}
+}
+
+// fileLease files the lease grantLease took in, ending at until, to run
+// plan in place of the request's template, unless a gap or a flush has
+// moved the tier's epoch since the fetch began.
+func (p *Proxy) fileLease(rs *reqState, until int64, plan *tmplplan.Plan) {
 	l := lease{
 		key:       rs.flightKey(),
-		plan:      rs.held.Key(),
-		ctype:     resp.Header.Get("Content-Type"),
-		deadline:  start.Add(term).UnixNano(),
-		cacheable: pageCacheable(resp.Header),
+		plan:      plan.Key(),
+		ctype:     rs.ctype,
+		deadline:  until,
+		cacheable: rs.grantCacheable,
 	}
-	if !p.leases.file(l, func() bool { return p.fabric.epoch.Load() == epoch }) {
+	if !p.leases.file(l, func() bool { return p.fabric.epoch.Load() == rs.grantEpoch }) {
 		return
 	}
 	p.leases.grants.Inc()
-	if scoped {
+	if rs.pageUntil != 0 {
 		p.leases.pageGrants.Inc()
-		rs.pageUntil = l.deadline
-		if _, identified := p.pageRule(rs.r); identified && l.cacheable {
-			p.admitFill(rs, anonymousPageKey(rs.r), p.pageTTL, rulePage, epoch)
-		}
 	}
 }
 

@@ -355,7 +355,9 @@ func buildLeaseRig(t testing.TB, ls leaseSite, seed int64, pulled bool) *leaseRi
 		// Every identity of a page in one bucket: only the full key
 		// comparison keeps their leases apart.
 		hashSeed := maphash.MakeSeed()
-		p.leases.hash = func(key string) uint64 { return maphash.String(hashSeed, hintPage(key)) }
+		p.leases.hash = func(key string) uint64 {
+			return maphash.String(hashSeed, key[:strings.IndexByte(key, 0)+1]) // the URI and its NUL: PageKeyPrefix
+		}
 	}
 	return &leaseRig{t: t, ls: ls, seed: seed, rng: rand.New(rand.NewSource(seed)), clk: clk,
 		repo: repo, srv: srv, hub: srv.Hub(), p: p, link: link}
@@ -470,10 +472,10 @@ func (g *leaseRig) lapse() {
 // crossed is the event-before-SET order, with a real origin. R1's template
 // carries the SET of a fresh generation g of a tagged fragment and is held
 // after the origin answered it. R2, another visitor, gets the GET-only
-// template naming g, learns it as the page's plan and goes stale (g is not
+// template naming g, and with it a lease naming g, and goes stale (g is not
 // in the store yet); its bypass, and the stale report on it, are held. R3,
-// a third visitor, offers that plan and is answered by reference with a
-// lease naming g; it too goes stale, and its bypass is held. The reports
+// a third visitor, is granted a lease naming g the same way; it too goes
+// stale, and its bypass is held. The reports
 // then kill g — an event — and a write moves the fragment's row. Only then
 // does R1's SET of g arrive. R3's next visit must not be served g's bytes.
 func (g *leaseRig) crossed() {

@@ -22,9 +22,8 @@ import (
 
 // raceOrigin serves one page built from one fragment, slot 1, at the
 // fragment's current generation g: the template is a GET of (1, g), the
-// fragment's bytes are "v<g>". An offer of that template is answered by
-// reference with a lease, scoped by scope. A bypass gets the page plain, as
-// it is now. /seed?g=N answers a template that SETs generation N — the current one, or
+// fragment's bytes are "v<g>". A lease ask is granted on that template,
+// scoped by scope. A bypass gets the page plain, as it is now. /seed?g=N answers a template that SETs generation N — the current one, or
 // a dead one arriving late, as a template generated before its event would.
 type raceOrigin struct {
 	mu  sync.Mutex
@@ -32,7 +31,7 @@ type raceOrigin struct {
 	// scope follows "none" in each grant: empty for the visitor's, ";page"
 	// for the page's.
 	scope string
-	// parkGrant, while non-nil, parks the next answer by reference after it
+	// parkGrant, while non-nil, parks the next answer with a grant after it
 	// was decided, until it is closed.
 	parkGrant, parked chan struct{}
 }
@@ -64,30 +63,25 @@ func (o *raceOrigin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	o.mu.Lock()
 	g, park, parked, scope := o.gen, o.parkGrant, o.parked, o.scope
-	body := pageTemplate(g)
-	sum := hexDigest(body)
-	same := r.Header.Get(headerHave) == sum
-	if same {
+	bypass := r.Header.Get(headerBypass) != ""
+	ask := !bypass && r.Header.Get(headerLease) != ""
+	if ask {
 		o.parkGrant = nil
 	}
 	o.mu.Unlock()
-	if r.Header.Get(headerBypass) != "" {
+	if bypass {
 		_, _ = fmt.Fprintf(w, "v%d", g)
 		return
 	}
-	w.Header().Set(headerTemplate, "binary")
-	if !same {
-		_, _ = w.Write(body)
-		return
-	}
-	if park != nil {
+	if ask && park != nil {
 		close(parked)
 		<-park
 	}
-	w.Header().Set(headerSame, "1")
-	if r.Header.Get(headerLease) != "" {
+	w.Header().Set(headerTemplate, "binary")
+	if ask {
 		w.Header().Set(headerLease, "none"+scope)
 	}
+	_, _ = w.Write(pageTemplate(g))
 }
 
 // raceRig is a strict proxy on the fabric in front of a raceOrigin; the
@@ -149,14 +143,14 @@ func (g *raceRig) get(path, user string) (xcache, body string) {
 func (g *raceRig) seed(gen uint32) { g.get("/seed?g="+strconv.FormatUint(uint64(gen), 10), "seeder") }
 
 // leased brings u's lease on the page, at the current generation, into the
-// table: the template, an answer by reference with the grant, and a visit
-// served as third says — LEASE, the lease's run, or PAGE where the answer
-// carried a page-scoped grant and filed the page in the tier.
-func (g *raceRig) leased(u, third string) {
+// table: the template with the grant, and a visit served as second says —
+// LEASE, the lease's run, or PAGE where the answer carried a page-scoped
+// grant and filed the page in the tier.
+func (g *raceRig) leased(u, second string) {
 	g.t.Helper()
 	cur := g.o.current()
 	g.seed(cur)
-	for i, want := range []string{"MISS", "MISS", third} {
+	for i, want := range []string{"MISS", second} {
 		if xc, body := g.get("/page", u); xc != want || body != fmt.Sprintf("v%d", cur) {
 			g.t.Fatalf("warm-up visit %d as %s: X-Cache %q body %q, want %q and v%d", i, u, xc, body, want, cur)
 		}
@@ -182,7 +176,7 @@ func TestLeaseRaceOrders(t *testing.T) {
 	})
 	t.Run("grant-after-event", func(t *testing.T) {
 		g := newRaceRig(t)
-		g.leased("u1", "LEASE") // u2's first fetch offers the page's plan
+		g.leased("u1", "LEASE") // u2's first fetch asks for its own lease
 		g.o.mu.Lock()
 		g.o.parkGrant, g.o.parked = make(chan struct{}), make(chan struct{})
 		park, parked := g.o.parkGrant, g.o.parked
@@ -190,7 +184,7 @@ func TestLeaseRaceOrders(t *testing.T) {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			g.get("/page", "u2") // answered by reference, with a grant decided before the event
+			g.get("/page", "u2") // a grant decided before the event
 		}()
 		<-parked
 		dead := g.write()

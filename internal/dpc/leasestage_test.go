@@ -22,8 +22,8 @@ import (
 
 // stageOrigin serves /page, one fragment (slot 1) at its current
 // generation: the template is a literal and a GET of (1, gen), or a SET of
-// it while set says the proxy has yet to be sent that generation. An offer
-// of the current template is answered by reference with a lease (none). With
+// it while set says the proxy has yet to be sent that generation. A lease
+// ask is granted (none) on a template with no SET. With
 // cookie every answer carries a Set-Cookie. /slow answers "slow" plain and
 // /plain "plain", uncacheable. A request whose path is held parks until
 // release.
@@ -94,12 +94,8 @@ func (o *stageOrigin) RoundTrip(r *http.Request) (*http.Response, error) {
 	default:
 		h.Set(headerTemplate, "binary")
 		body = o.template()
-		if r.Header.Get(headerHave) == hexDigest(body) {
-			body = nil
-			h.Set(headerSame, "1")
-			if r.Header.Get(headerLease) != "" {
-				h.Set(headerLease, "none")
-			}
+		if !o.set && r.Header.Get(headerLease) != "" {
+			h.Set(headerLease, "none")
 		}
 		o.set = false
 	}
@@ -164,9 +160,8 @@ func TestLeaseVoidLeavesTheRefetchCacheable(t *testing.T) {
 		c.PageCache, c.PageCacheTTL = true, time.Hour
 	})
 	o.cookie = true
-	// The template, then its answer by reference with the grant, then the
-	// lease: none of them may be filed.
-	expectVisits(t, p, "", "<p>v1", "MISS", "MISS", "LEASE")
+	// The template with the grant, then the lease: neither may be filed.
+	expectVisits(t, p, "", "<p>v1", "MISS", "LEASE")
 	if n := p.Registry().Counter("dpc.pagecache_fills").Value(); n != 0 {
 		t.Fatalf("%d fills of answers that set a cookie", n)
 	}
@@ -188,7 +183,7 @@ func TestLeaseServedPastFullAdmission(t *testing.T) {
 		c.Coalesce = true
 		c.Admission, c.MaxOriginInFlight = true, 1
 	})
-	expectVisits(t, p, "u1", "<p>v1", "MISS", "MISS", "LEASE")
+	expectVisits(t, p, "u1", "<p>v1", "MISS", "LEASE")
 	o.holdNext("/slow")
 	done := make(chan *httptest.ResponseRecorder)
 	go func() { done <- serveAs(p, "/slow", "u2") }()
@@ -214,7 +209,7 @@ func TestLeaseHitOpensNoFlight(t *testing.T) {
 		defer p.flights.mu.Unlock()
 		return p.flights.seq
 	}
-	expectVisits(t, p, "", "<p>v1", "MISS", "MISS")
+	expectVisits(t, p, "", "<p>v1", "MISS")
 	opened := flights()
 	expectVisits(t, p, "", "<p>v1", "LEASE", "LEASE", "LEASE")
 	coalesced := p.Registry().Counter("dpc.coalesced")
@@ -259,7 +254,7 @@ func TestStageTimesTileTheRequest(t *testing.T) {
 		c.PageCache, c.PageCacheTTL = true, time.Hour
 	})
 	const n = 20
-	expectVisits(t, p, "u1", "<p>v1", "MISS", "MISS")
+	expectVisits(t, p, "u1", "<p>v1", "MISS")
 	expectVisits(t, p, "u1", "<p>v1", slices.Repeat([]string{"LEASE"}, n)...)
 	expectVisits(t, p, "", "<p>v1", "MISS")
 	expectVisits(t, p, "", "<p>v1", slices.Repeat([]string{"PAGE"}, n)...)

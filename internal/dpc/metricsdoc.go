@@ -37,13 +37,11 @@ func MetricCatalog() []MetricDoc {
 		{"dpc.assembled", "counter", "a template is assembled into a page and the page reaches the client complete"},
 		{"dpc.streamed", "counter", "an assembled page outgrew its look-ahead spool, so its headers were committed before assembly finished, and it then completed cleanly"},
 		{"dpc.plain_passthrough", "counter", "a non-template origin response is passed through"},
-		{"dpc.template_bytes", "counter", "template bytes read from the origin (cumulative; a template answered by reference adds none)"},
-		{"dpc.template_offers", "counter", "an origin fetch named a plan the proxy holds for the page's or the identity's last template (X-DPC-Have)"},
-		{"dpc.template_refs", "counter", "the origin answered an offer by reference (X-DPC-Same, empty body) and the held plan ran; offers minus refs were answered in full"},
-		{"dpc.lease_grants", "counter", "an answer by reference carried a lease (X-DPC-Lease) and the proxy filed it under the request's fetch key, whatever its scope; a fetch that began before a gap or a flush files none"},
+		{"dpc.template_bytes", "counter", "template bytes read from the origin (cumulative; a lease hit adds none)"},
+		{"dpc.lease_grants", "counter", "a GET-only template carried a lease (X-DPC-Lease) and the proxy filed it under the request's fetch key, whatever its scope, once the template's plan was resident; a fetch that began before a gap or a flush files none, nor does a template that compiles to no cached plan"},
 		{"dpc.lease_page_grants", "counter", "a filed lease was page-scoped (X-DPC-Lease ending in ;page: the origin's run never read the visitor); it is filed under the fetch key like any other, and it also marks the answer's page-tier fill, which serves every visitor of the URI until the grant ends (a subset of dpc.lease_grants)"},
 		{"dpc.lease_hits", "counter", "a lease stood in for the origin fetch and its plan ran to a complete page (X-Cache: LEASE); no origin exchange"},
-		{"dpc.lease_voids", "counter", "a lease was found void and dropped, or cleared by a sequence gap (the sum of the four causes below); a request that found it void fetched with the ordinary offer"},
+		{"dpc.lease_voids", "counter", "a lease was found void and dropped, or cleared by a sequence gap (the sum of the four causes below); a request that found it void went on to the origin"},
 		{"dpc.lease_floor_voids", "counter", "a lease's plan met a ref that did not resolve: a fabric event had named its generation, or the slot was gone from the store"},
 		{"dpc.lease_expired_voids", "counter", "a lease was past its term: the earliest TTL expiry among its entries, or PageCacheTTL"},
 		{"dpc.lease_plan_voids", "counter", "a lease's plan had left the plan cache"},
@@ -92,7 +90,7 @@ func MetricCatalog() []MetricDoc {
 		// Compiled-template plan cache: hits + misses = template assemblies
 		// (nested-include plan lookups are counted in the cache's own
 		// /_dpc/stats snapshot, not here).
-		{"dpc.plancache_hits", "counter", "a template body hashed to an already-compiled plan, or the origin named the plan instead of sending the body (dpc.template_refs)"},
+		{"dpc.plancache_hits", "counter", "a template body hashed to an already-compiled plan, or a lease ran the plan it names in place of a fetch (dpc.lease_hits)"},
 		{"dpc.plancache_misses", "counter", "a template body had no cached plan: it was compiled fresh, or could not be one (oversized, cut short by the origin, corrupt) and ran through the streamed driver"},
 		{"dpc.plancache_compiles", "counter", "a template was compiled into a plan, whether or not the cache kept it"},
 		{"dpc.plancache_oneoff", "counter", "a compiled template carried a SET, so the same bytes cannot arrive again: its plan ran and was not cached"},

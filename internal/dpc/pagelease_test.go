@@ -160,7 +160,7 @@ func TestPageLeaseMustAgreeWithEntry(t *testing.T) {
 			p.ServeHTTP(rec, req)
 			return rec.Header().Get("X-Cache")
 		}
-		for i, want := range []string{"MISS", "MISS", "PAGE"} {
+		for i, want := range []string{"MISS", "PAGE"} {
 			if xc := visit("u1"); xc != want {
 				t.Fatalf("u1's visit %d: X-Cache %q, want %q", i, xc, want)
 			}
@@ -175,7 +175,7 @@ func TestPageLeaseMustAgreeWithEntry(t *testing.T) {
 	})
 }
 
-// An identified visitor's answer by reference carries the page's grant, but
+// An identified visitor's GET-only answer carries the page's grant, but
 // a ref of its plan is below its floor — a fabric event the BEM never heard
 // of — and the stale fallback's answer, from an origin that ignores the
 // bypass header, is a template of the page as it now is: the visitor's
@@ -214,8 +214,8 @@ func TestPageLeaseStaleFallbackFilesNothing(t *testing.T) {
 }
 
 // pageLeaseOrigin is an origin for one page of 16 fragments of 1 KiB at
-// generation 1 that answers an offer of its template by reference with a
-// lease, granted as grant says (X-DPC-Lease). origin points a strict
+// generation 1, a template with no SET, that answers a lease ask with a
+// lease granted as grant says (X-DPC-Lease). origin points a strict
 // proxy's configuration at it; warm fills the proxy's store and joins it to
 // the fabric, so that its fetches ask for leases.
 func pageLeaseOrigin(t testing.TB, grant string) (origin func(*Config), warm func(*Proxy)) {
@@ -230,19 +230,19 @@ func pageLeaseOrigin(t testing.TB, grant string) (origin func(*Config), warm fun
 		t.Fatal(err)
 	}
 	body := b.Bytes()
-	digest := hexDigest(body)
 	// The same header maps every time, so an allocation count is the proxy's.
 	fullHeader := http.Header{"X-Dpc-Template": {"binary"}, "Content-Type": {"text/html"}}
-	leaseHeader := http.Header{"X-Dpc-Template": {"binary"}, "Content-Type": {"text/html"}, "X-Dpc-Same": {"1"}, "X-Dpc-Lease": {grant}}
+	leaseHeader := http.Header{"X-Dpc-Template": {"binary"}, "Content-Type": {"text/html"}, "X-Dpc-Lease": {grant}}
 	origin = func(c *Config) {
 		c.Strict = true
 		c.Transport = roundTripFunc(func(r *http.Request) (*http.Response, error) {
-			if r.Header.Get(headerHave) == digest {
-				return &http.Response{StatusCode: http.StatusOK, Request: r, Body: http.NoBody, Header: leaseHeader}, nil
+			h := fullHeader
+			if r.Header.Get(headerLease) != "" {
+				h = leaseHeader
 			}
 			return &http.Response{
 				StatusCode: http.StatusOK, ContentLength: int64(len(body)), Request: r,
-				Body: io.NopCloser(bytes.NewReader(body)), Header: fullHeader,
+				Body: io.NopCloser(bytes.NewReader(body)), Header: h,
 			}, nil
 		})
 	}
@@ -273,8 +273,7 @@ func TestPageLeaseTraceNotes(t *testing.T) {
 		kind   trace.Kind
 		note   string // on the pagecache span, tier page
 	}{
-		{"MISS", trace.KindBypass, "identity"}, // the template
-		{"MISS", trace.KindBypass, "identity"}, // by reference, with the page's grant: fills the tier
+		{"MISS", trace.KindBypass, "identity"}, // the template, with the page's grant: fills the tier
 		{"PAGE", trace.KindHit, "lease:page"},  // a hit under the grant
 		{"PAGE", trace.KindHit, "lease:page"},  // another
 		{"", trace.KindHit, "lease:page:304"},  // and a conditional one
@@ -298,8 +297,8 @@ func TestPageLeaseTraceNotes(t *testing.T) {
 		}
 	}
 	snap := p.Registry().Snapshot()
-	if snap["dpc.pagecache_identity_hits"] != 3 || snap["dpc.pagecache_bypass_identity"] != 2 || snap["dpc.pagecache_fills"] != 1 {
-		t.Fatalf("identity hits %d, bypasses %d, fills %d; want 3, 2, 1",
+	if snap["dpc.pagecache_identity_hits"] != 3 || snap["dpc.pagecache_bypass_identity"] != 1 || snap["dpc.pagecache_fills"] != 1 {
+		t.Fatalf("identity hits %d, bypasses %d, fills %d; want 3, 1, 1",
 			snap["dpc.pagecache_identity_hits"], snap["dpc.pagecache_bypass_identity"], snap["dpc.pagecache_fills"])
 	}
 }

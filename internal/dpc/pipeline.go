@@ -3,7 +3,6 @@ package dpc
 import (
 	"bytes"
 	"context"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -88,15 +87,18 @@ type reqState struct {
 	// fetchKey is the request's flight key, built once by whichever of
 	// admission, coalesce and origin-fetch first needs it.
 	fetchKey string
-	// hintKey is the key a template fetched for this request is learnt
-	// under in the hint table (see offerPlan); empty when the fetch is not
-	// one that may offer.
-	hintKey string
-	// held is the plan this request's origin fetch offered (X-DPC-Have),
-	// kept from the offer until the answer — so a plan-tier flush in
-	// between cannot take it — and, when the origin answered by reference,
-	// until assemble runs it in place of the template that was not sent.
+	// held is the plan a lease hit runs in place of an origin fetch
+	// (useLease), kept from the lease's look-up until assemble runs it, so
+	// a plan-tier flush in between cannot take it.
 	held *tmplplan.Plan
+	// grantUntil is the end of the lease the origin's answer granted
+	// (grantLease), in the proxy clock's UnixNano; zero for none. assemble
+	// files it once the template's plan is resident (fileLease), with
+	// grantCacheable, the answer's pageCacheable verdict, and only while
+	// the tier's epoch is still grantEpoch, the one read before the fetch.
+	grantUntil     int64
+	grantEpoch     uint64
+	grantCacheable bool
 
 	// staleRefs, when set by assemble, routes the request through the
 	// stale-fallback stage.
@@ -372,35 +374,6 @@ func (rs *reqState) flightKey() string {
 	return rs.fetchKey
 }
 
-// offerPlan names, on a first-try GET's origin request, the plan the proxy
-// holds for the template this request's identity was last sent when it
-// differed from its page's, else for the page's last template: the hint
-// table remembers the digest, the plan cache must still hold its plan, and
-// the request keeps that plan until the answer. The origin generates the
-// template as ever and, when its digest is the one offered, answers with
-// the headers alone (headerSame); any other answer is the template in full,
-// so a hint can be wrong, or the origin deaf to it, at no cost but the
-// bytes.
-func (p *Proxy) offerPlan(rs *reqState, req *http.Request) {
-	rs.hintKey = rs.flightKey()
-	d, own, ok := p.hints.offer(rs.hintKey)
-	if !ok {
-		return
-	}
-	if rs.held = p.plans.Lookup(d); rs.held == nil {
-		return
-	}
-	var have [2 * len(d)]byte
-	hex.Encode(have[:], d[:])
-	req.Header.Set(headerHave, string(have[:]))
-	p.m.templateOffers.Inc()
-	note := "offer:page"
-	if own {
-		note = "offer:identity"
-	}
-	rs.span.Event(trace.KindInfo, "origin", note, 0)
-}
-
 // maxForwardBody bounds the request-body bytes buffered for replay.
 const maxForwardBody = 8 << 20
 
@@ -477,17 +450,13 @@ func (p *Proxy) originRequest(rs *reqState, bypassStale []StaleRef) (*http.Respo
 		// forwardedHeaders: it must never enter the coalesce key.
 		req.Header.Set(trace.Header, rs.trace.TraceID())
 	}
-	rs.hintKey, rs.held = "", nil
 	if bypassStale != nil {
 		req.Header.Set(headerBypass, "1")
 		if s := FormatStaleRefs(bypassStale); s != "" {
 			req.Header.Set(headerStale, s)
 		}
-	} else if r.Method == http.MethodGet {
-		p.offerPlan(rs, req)
-		if p.leasing(r) {
-			req.Header.Set(headerLease, "1")
-		}
+	} else if p.leasing(r) {
+		req.Header.Set(headerLease, "1")
 	}
 	t0 := p.clk.Now()
 	resp, err := p.client.Do(req)
@@ -512,21 +481,11 @@ func (p *Proxy) originRequest(rs *reqState, bypassStale []StaleRef) (*http.Respo
 		}
 		return nil, fmt.Errorf("origin status %d: %s", resp.StatusCode, bytes.TrimSpace(msg))
 	}
-	switch same := resp.Header.Get(headerSame) != ""; {
-	case !same:
-		rs.held = nil // answered in full: the offer was declined, or never heard
-	case rs.held == nil || resp.Header.Get(headerTemplate) == "":
-		// A reference may answer only an offer, and only as a template.
-		resp.Body.Close()
-		return nil, fmt.Errorf("origin answered %s where no offered template stands for the body", headerSame)
-	default:
-		p.m.templateRefs.Inc()
-	}
 	return resp, nil
 }
 
 // stageOriginFetch asks the origin and takes its answer in: the tier
-// opt-in, the lease an answer by reference grants, and the template or the
+// opt-in, the lease a GET-only template grants, and the template or the
 // plain body.
 func (p *Proxy) stageOriginFetch(rs *reqState) (stageOutcome, error) {
 	epoch := p.fabric.epoch.Load() // dates a fill the origin's answer may opt into, and a lease
@@ -536,18 +495,12 @@ func (p *Proxy) stageOriginFetch(rs *reqState) (stageOutcome, error) {
 		return stageNext, err
 	}
 	p.admitOrigin(rs, resp, epoch)
-	if rs.held != nil {
-		p.grantLease(rs, resp, start, epoch)
-	}
 	ctype := resp.Header.Get("Content-Type")
 	codecName := resp.Header.Get(headerTemplate)
 	if rs.span != nil {
 		shape := "template"
-		switch {
-		case codecName == "":
+		if codecName == "" {
 			shape = "plain"
-		case rs.held != nil:
-			shape = "template-ref"
 		}
 		rs.span.Event(trace.KindInfo, "origin", shape, resp.ContentLength)
 	}
@@ -566,6 +519,7 @@ func (p *Proxy) stageOriginFetch(rs *reqState) (stageOutcome, error) {
 		return stageNext, fmt.Errorf("origin codec %q does not match proxy codec %q",
 			codecName, p.codec.Name())
 	}
+	p.grantLease(rs, resp, start, epoch)
 	rs.resp, rs.ctype, rs.cacheState = resp, ctype, "MISS"
 	return stageNext, nil
 }

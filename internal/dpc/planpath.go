@@ -84,16 +84,19 @@ func readTemplate(buf []byte, body io.Reader, clen int64) ([]byte, error) {
 // or miss per assembly and names the driver, and why, in one "plan" event
 // on the stage's span. The template is held in a pooled buffer for the
 // length of the run and in nothing afterwards: a plan owns copies of the
-// bytes it emits. A template the origin answered by reference (rs.held) is
-// not in body at all: the plan the request offered runs in its place, a
-// hit with no template bytes read.
+// bytes it emits. A lease hit (rs.held) has no body at all: the plan the
+// lease names runs in its place, a hit with no template bytes read. A lease
+// the origin's answer granted (rs.grantUntil) is filed here, under the plan
+// its template compiles to, or not at all.
 func (p *Proxy) assemble(w io.Writer, body io.Reader, clen int64, rs *reqState) (AssembleStats, error) {
 	sp := rs.span
+	until := rs.grantUntil
+	rs.grantUntil = 0
 	if plan := rs.held; plan != nil {
 		rs.held = nil
 		p.plans.CountHit()
 		p.m.planHits.Inc()
-		sp.Event(trace.KindHit, "plan", "hit:ref", 0)
+		sp.Event(trace.KindHit, "plan", "hit:lease", 0)
 		st, err := p.exec.Run(plan, w, sp)
 		st.TemplateBytes = 0
 		return st, err
@@ -129,9 +132,9 @@ func (p *Proxy) assemble(w io.Writer, body io.Reader, clen int64, rs *reqState) 
 					p.m.planOneOff.Inc()
 				}
 			}
-			if rs.hintKey != "" && !plan.OneOff() {
-				// The plan is resident: the next fetch of this page can offer it.
-				p.hints.learn(rs.hintKey, plan.Digest())
+			if until != 0 && !plan.OneOff() {
+				// The plan is resident: the next fetch of this key can run it.
+				p.fileLease(rs, until, plan)
 			}
 			sp.Event(kind, "plan", note, int64(len(buf)))
 			return p.exec.Run(plan, w, sp)

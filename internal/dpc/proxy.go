@@ -27,8 +27,6 @@ const (
 	headerBypass   = "X-DPC-Bypass"
 	headerTemplate = "X-DPC-Template"
 	headerStale    = "X-DPC-Stale"
-	headerHave     = "X-DPC-Have"
-	headerSame     = "X-DPC-Same"
 	headerLease    = "X-DPC-Lease"
 )
 
@@ -197,7 +195,6 @@ type Proxy struct {
 	store   fragstore.FragmentStore
 	codec   tmpl.Codec
 	plans   *tmplplan.Cache
-	hints   *hintTable
 	leases  *leaseTable
 	floors  *floorStore // the store as the assembler sees it (lease.go)
 	exec    *tmplplan.Exec
@@ -300,7 +297,6 @@ func New(cfg Config) (*Proxy, error) {
 		store:  store,
 		codec:  codec,
 		plans:  plans,
-		hints:  newHintTable(),
 		leases: newLeaseTable(reg),
 		floors: floors,
 		exec: &tmplplan.Exec{
@@ -360,7 +356,6 @@ type pathMetrics struct {
 	latency                                        *metrics.Histogram
 	templateBytes, pageBytes, gets, sets           *metrics.Counter
 	assembled, streamed, plainPassthrough          *metrics.Counter
-	templateOffers, templateRefs                   *metrics.Counter
 	planHits, planMisses, planCompiles, planOneOff *metrics.Counter
 	pageHits, pageMisses, pageFills, page304s      *metrics.Counter
 	pageIdentityHits, pageBypassIdentity           *metrics.Counter
@@ -379,8 +374,6 @@ func newPathMetrics(reg *metrics.Registry) pathMetrics {
 		assembled:          reg.Counter("dpc.assembled"),
 		streamed:           reg.Counter("dpc.streamed"),
 		plainPassthrough:   reg.Counter("dpc.plain_passthrough"),
-		templateOffers:     reg.Counter("dpc.template_offers"),
-		templateRefs:       reg.Counter("dpc.template_refs"),
 		planHits:           reg.Counter("dpc.plancache_hits"),
 		planMisses:         reg.Counter("dpc.plancache_misses"),
 		planCompiles:       reg.Counter("dpc.plancache_compiles"),

@@ -80,63 +80,8 @@ func TestAllocBudgetServePageTemplate(t *testing.T) {
 	}
 }
 
-// digestWriter is a discardWriter that hashes the one body it is handed.
-type digestWriter struct {
-	discardWriter
-	digest string
-}
-
-func (d *digestWriter) Write(b []byte) (int, error) {
-	d.digest = hexDigest(string(b))
-	return len(b), nil
-}
-
-// offeredPageServer is benchPageServer with the request offering the
-// digest of the page's GET-only template, which the server has answered
-// by reference once.
-func offeredPageServer(tb testing.TB) (*Server, *http.Request) {
-	srv, req := benchPageServer(tb)
-	full := &digestWriter{discardWriter: discardWriter{h: http.Header{}}}
-	srv.servePage(full, req)
-	req.Header.Set(HeaderHave, full.digest)
-	srv.servePage(&discardWriter{h: http.Header{}}, req)
-	return srv, req
-}
-
-// The same fetch answered by reference — the caller offers the template's
-// digest, the server generates it, hashes it and sends no body — stays
-// inside the full answer's budget: the hash and the comparison allocate
-// nothing.
-func TestAllocBudgetServePageTemplateRef(t *testing.T) {
-	srv, req := offeredPageServer(t)
-	refs0 := srv.reg.Snapshot()["origin.template_refs"]
-
-	bytesPer, objsPer := alloctest.PerCall(windows, requests, func() {
-		srv.servePage(&discardWriter{h: http.Header{}}, req)
-	})
-
-	if got := srv.reg.Snapshot()["origin.template_refs"] - refs0; refs0 != 1 || got != windows*requests {
-		t.Fatalf("%d then %d of %d fetches answered by reference", refs0, got, windows*requests)
-	}
-	t.Logf("%.0f B in %.2f objects per fetch", bytesPer, objsPer)
-	if bytesPer > 2<<10 || objsPer > 40 {
-		t.Fatalf("%.0f B in %.2f objects allocated per fetch, budget 2048 B in 40", bytesPer, objsPer)
-	}
-}
-
 func BenchmarkServePageTemplate(b *testing.B) {
 	srv, req := benchPageServer(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		srv.servePage(&discardWriter{h: http.Header{}}, req)
-	}
-}
-
-// BenchmarkServePageTemplateRef is an offer answered by generating and
-// hashing the template.
-func BenchmarkServePageTemplateRef(b *testing.B) {
-	srv, req := offeredPageServer(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

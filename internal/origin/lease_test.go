@@ -40,15 +40,12 @@ func leaseServer(t *testing.T, capacity int, build func(repo *repository.Repo) [
 }
 
 // leaseFetch makes one capable request, asking for a lease or not.
-func leaseFetch(t *testing.T, srv *Server, url, user, have string, ask bool) *httptest.ResponseRecorder {
+func leaseFetch(t *testing.T, srv *Server, url, user string, ask bool) *httptest.ResponseRecorder {
 	t.Helper()
 	req := httptest.NewRequest(http.MethodGet, url, nil)
 	req.Header.Set(HeaderCapable, "1")
 	if user != "" {
 		req.Header.Set(HeaderUser, user)
-	}
-	if have != "" {
-		req.Header.Set(HeaderHave, have)
 	}
 	if ask {
 		req.Header.Set(HeaderLease, "1")
@@ -87,12 +84,12 @@ func synthOnly(cfg site.SyntheticConfig) func(repo *repository.Repo) []*script.S
 func TestLeaseTemplateOpensWithShell(t *testing.T) {
 	srv, mon, _, _ := leaseServer(t, 64, synthOnly(site.DefaultSynthetic()))
 	const url = "/page/synth?page=0"
-	first := instructions(t, leaseFetch(t, srv, url, "", "", false).Body.Bytes())
+	first := instructions(t, leaseFetch(t, srv, url, "", false).Body.Bytes())
 	if len(first) == 0 || first[0].Op != tmpl.OpSet || len(first[0].Data) != 0 {
 		t.Fatalf("first template opens with %+v, want a SET with no body", first[0])
 	}
-	plain := leaseFetch(t, srv, url, "", "", false).Body.Bytes() // GET-only
-	asked := leaseFetch(t, srv, url, "u1", "", true).Body.Bytes()
+	plain := leaseFetch(t, srv, url, "", false).Body.Bytes() // GET-only
+	asked := leaseFetch(t, srv, url, "u1", true).Body.Bytes()
 	ins := instructions(t, asked)
 	if ins[0].Op != tmpl.OpGet || ins[0].Key != first[0].Key || ins[0].Gen != first[0].Gen {
 		t.Fatalf("asked template opens with %+v, want a GET of the shell %d:%d", ins[0], first[0].Key, first[0].Gen)
@@ -111,13 +108,13 @@ func TestLeaseTemplateOpensWithShell(t *testing.T) {
 	}
 }
 
-// An answer by reference to a request that asked carries the grant: the
+// A GET-only template answering a request that asked carries the grant: the
 // first and a repeat alike name the time left until the earliest TTL expiry
 // among the template's entries, or none, and end in ";page" when the run
 // never read the user — on the synthetic site, not on the portal, whose
 // layout asks who the visitor is. A request that did not ask is never
-// granted one, and the ask does not change the answer: a template learnt by
-// either kind of request is answered by reference to the other.
+// granted one, and the ask does not change the answer: a request of either
+// kind is sent the template the other is.
 func TestLeaseGrant(t *testing.T) {
 	synth := func(ttl time.Duration) func(repo *repository.Repo) []*script.Script {
 		cfg := site.DefaultSynthetic()
@@ -137,16 +134,15 @@ func TestLeaseGrant(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			srv, _, _, clk := leaseServer(t, 64, tc.build)
 			url := tc.url
-			leaseFetch(t, srv, url, "u1", "", true) // shell and fragments SET
-			d := hexDigest(leaseFetch(t, srv, url, "u1", "", true).Body.String())
+			leaseFetch(t, srv, url, "u1", true) // shell and fragments SET
 			clk.Advance(300 * time.Millisecond)
 
-			first := leaseFetch(t, srv, url, "u1", d, true)
-			repeat := leaseFetch(t, srv, url, "u1", d, true)
+			first := leaseFetch(t, srv, url, "u1", true)
+			repeat := leaseFetch(t, srv, url, "u1", true)
 			for what, rec := range map[string]*httptest.ResponseRecorder{"first": first, "repeated": repeat} {
-				if rec.Header().Get(HeaderSame) != "1" || rec.Header().Get(HeaderLease) != tc.want {
-					t.Fatalf("%s answer: %s=%q %s=%q, want a reference granting %q", what,
-						HeaderSame, rec.Header().Get(HeaderSame), HeaderLease, rec.Header().Get(HeaderLease), tc.want)
+				if rec.Body.String() != first.Body.String() || rec.Header().Get(HeaderLease) != tc.want {
+					t.Fatalf("%s answer: %s=%q, want the GET-only template granting %q", what,
+						HeaderLease, rec.Header().Get(HeaderLease), tc.want)
 				}
 			}
 			snap := srv.reg.Snapshot()
@@ -154,24 +150,23 @@ func TestLeaseGrant(t *testing.T) {
 			if strings.HasSuffix(tc.want, leasePageScope) {
 				wantPage = 2
 			}
-			if snap["origin.leases_granted"] != 2 || snap["origin.leases_granted_page"] != wantPage || snap["origin.template_refs"] != 2 {
-				t.Fatalf("leases_granted=%d leases_granted_page=%d template_refs=%d, want 2, %d and 2", snap["origin.leases_granted"],
-					snap["origin.leases_granted_page"], snap["origin.template_refs"], wantPage)
+			if snap["origin.leases_granted"] != 2 || snap["origin.leases_granted_page"] != wantPage {
+				t.Fatalf("leases_granted=%d leases_granted_page=%d, want 2 and %d", snap["origin.leases_granted"],
+					snap["origin.leases_granted_page"], wantPage)
 			}
 
-			// Without the ask: the same answer by reference, with no grant.
-			if rec := leaseFetch(t, srv, url, "u1", d, false); rec.Header().Get(HeaderSame) != "1" || rec.Header().Get(HeaderLease) != "" ||
-				srv.reg.Snapshot()["origin.template_refs"] != 3 {
-				t.Fatal("a request that did not ask was not answered by reference, or was granted a lease")
+			// Without the ask: the same template, with no grant.
+			if rec := leaseFetch(t, srv, url, "u1", false); rec.Body.String() != first.Body.String() || rec.Header().Get(HeaderLease) != "" ||
+				srv.reg.Snapshot()["origin.leases_granted"] != 2 {
+				t.Fatal("a request that did not ask was sent another template, or was granted a lease")
 			}
-			leaseFetch(t, srv, url, "u2", "", false) // u2's own fragments SET, on the portal
-			plain := hexDigest(leaseFetch(t, srv, url, "u2", "", false).Body.String())
-			leaseFetch(t, srv, url, "u2", plain, false) // offered without the ask
-			rec := leaseFetch(t, srv, url, "u2", plain, true)
+			leaseFetch(t, srv, url, "u2", false) // u2's own fragments SET, on the portal
+			plain := leaseFetch(t, srv, url, "u2", false).Body.String()
+			rec := leaseFetch(t, srv, url, "u2", true)
 			grant := rec.Header().Get(HeaderLease)
-			if rec.Header().Get(HeaderSame) != "1" || grant == "" || strings.HasSuffix(grant, leasePageScope) != strings.HasSuffix(tc.want, leasePageScope) ||
-				srv.reg.Snapshot()["origin.template_refs"] != 5 {
-				t.Fatalf("a template learnt without the ask answered a request that asked with %s=%q, want a reference granting one scoped as %q",
+			if rec.Body.String() != plain || grant == "" || strings.HasSuffix(grant, leasePageScope) != strings.HasSuffix(tc.want, leasePageScope) ||
+				srv.reg.Snapshot()["origin.leases_granted"] != 3 {
+				t.Fatalf("the template a request without the ask got answered one that asked with %s=%q, want it granting one scoped as %q",
 					HeaderLease, grant, tc.want)
 			}
 		})
@@ -200,7 +195,7 @@ func TestLeaseShellDependsOnEveryVisitorsReads(t *testing.T) {
 		}
 	})
 	shellOf := func(user string) tmpl.Instruction {
-		return instructions(t, leaseFetch(t, srv, "/page/portal", user, "", true).Body.Bytes())[0]
+		return instructions(t, leaseFetch(t, srv, "/page/portal", user, true).Body.Bytes())[0]
 	}
 	shellOf("u0")
 	shellOf("u1")

@@ -26,23 +26,15 @@
 // invalidates one of those entries, and a proxy on the invalidation fabric
 // hears of it. The shell holds no bytes; its SET is empty.
 //
-// A template can also be answered by reference. A DPC that still holds the
-// plan it compiled from the template this URL last produced names it in
-// X-DPC-Have (the SHA-256 of the template bytes, in hex). When the template
-// this request produces carries no SET and is the one offered, the server
-// sends the response's headers with X-DPC-Same and no body. It finds that
-// out the one way it answers any request: it generates the template, hashes
-// it and compares. The server keeps no record of what any proxy holds, nor
-// of what it answered before: the offer is compared with this request's own
-// template, so a wrong one is answered in full.
-//
 // A caller that asks for a lease (X-DPC-Lease) is one that hears every BEM
-// invalidation over the fabric. An answer by reference to it grants a lease
-// until the earliest TTL expiry among the template's entries: the caller
-// may reuse the template until then, or until it hears one of them
-// invalidated. When the run never read the user, the template is also
-// every visitor's, and the grant says so: the caller may reuse it for any
-// visitor of the same URI.
+// invalidation over the fabric. A template that carries no SET is one the
+// caller already holds every fragment of, so its answer grants a lease until
+// the earliest TTL expiry among the template's entries: the caller may reuse
+// the template until then, or until it hears one of them invalidated,
+// without asking again. When the run never read the user, the template is
+// also every visitor's, and the grant says so: the caller may reuse it for
+// any visitor of the same URI. The body is sent with every answer; the
+// server keeps no record of what any proxy holds.
 //
 // A server with a Monitor owns the hub of its invalidation stream
 // (coherency.Hub) and serves it at coherency.EventsPath as a long poll: a
@@ -60,8 +52,6 @@ package origin
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -97,16 +87,10 @@ const (
 	// could not satisfy; the BEM invalidates them so the next template
 	// regenerates the fragments (set on bypass recovery fetches).
 	HeaderStale = "X-DPC-Stale"
-	// HeaderHave carries, on a capable caller's request, the hex SHA-256
-	// of a template whose compiled plan the caller holds.
-	HeaderHave = "X-DPC-Have"
-	// HeaderSame marks a template response whose body was left out because
-	// it is the template the request named in HeaderHave.
-	HeaderSame = "X-DPC-Same"
-	// HeaderLease, on a capable caller's request, asks for a grant on an
-	// answer by reference. On such an answer it is the grant: the whole
-	// milliseconds until the earliest TTL expiry among the BEM entries the
-	// template names, or "none" when none of them expires, followed by
+	// HeaderLease, on a capable caller's request, asks for a grant on a
+	// template that carries no SET. On such an answer it is the grant: the
+	// whole milliseconds until the earliest TTL expiry among the BEM entries
+	// the template names, or "none" when none of them expires, followed by
 	// ";page" when the run never read the user. A caller that hears every
 	// invalidation of those entries may reuse the template until then without
 	// asking again: for the request's visitor, or with ";page" for every
@@ -154,10 +138,10 @@ type Server struct {
 
 	// The request paths' metrics, looked up once: the registry takes a
 	// mutex per look-up.
-	requests, templates, plainPages, errors        *metrics.Counter
-	templateRefs, leasesGranted, leasesGrantedPage *metrics.Counter
-	staticRequests, staleReportsApplied            *metrics.Counter
-	generate                                       *metrics.Histogram
+	requests, templates, plainPages, errors *metrics.Counter
+	leasesGranted, leasesGrantedPage        *metrics.Counter
+	staticRequests, staleReportsApplied     *metrics.Counter
+	generate                                *metrics.Histogram
 }
 
 // staticAsset is a fixed response served under /static/ with an explicit
@@ -203,7 +187,6 @@ func New(cfg Config) (*Server, error) {
 
 		requests:            reg.Counter("origin.requests"),
 		templates:           reg.Counter("origin.templates"),
-		templateRefs:        reg.Counter("origin.template_refs"),
 		leasesGranted:       reg.Counter("origin.leases_granted"),
 		leasesGrantedPage:   reg.Counter("origin.leases_granted_page"),
 		plainPages:          reg.Counter("origin.plain_pages"),
@@ -364,10 +347,7 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request) {
 	templateMode := s.cfg.Monitor != nil &&
 		r.Header.Get(HeaderCapable) != "" &&
 		r.Header.Get(HeaderBypass) == ""
-	have, lease := "", false
-	if templateMode {
-		have, lease = r.Header.Get(HeaderHave), r.Header.Get(HeaderLease) != ""
-	}
+	lease := templateMode && r.Header.Get(HeaderLease) != ""
 
 	ctx := script.NewContext(s.cfg.Repo, user, queryParams(query))
 	start := time.Now()
@@ -378,7 +358,6 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request) {
 			bodyPool.Put(body)
 		}
 	}()
-	same := false
 	if templateMode {
 		enc := tmpl.Binary{}.NewEncoder(body)
 		sink := &bemSink{enc: enc, mon: s.cfg.Monitor}
@@ -396,17 +375,10 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request) {
 		}
 		w.Header().Set(HeaderTemplate, tmpl.Binary{}.Name())
 		s.templates.Inc()
-		// A template with a SET is new to every proxy, so only a GET-only
-		// one is worth hashing against the caller's offer.
-		if have != "" && !sink.set {
-			if digest := templateDigest(body.Bytes()); string(digest[:]) == have {
-				same = true
-				w.Header().Set(HeaderSame, "1")
-				s.templateRefs.Inc()
-				if lease {
-					s.grant(w, sink.expiry, !ctx.ReadIdentity())
-				}
-			}
+		// A template with a SET is new to the caller; a GET-only one names
+		// only fragments it holds, and is what a lease is granted on.
+		if lease && !sink.set {
+			s.grant(w, sink.expiry, !ctx.ReadIdentity())
 		}
 	} else {
 		if err := script.Run(sc, ctx, &script.PlainSink{W: body}); err != nil {
@@ -418,17 +390,20 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request) {
 	s.generate.Observe(time.Since(start))
 	s.requests.Inc()
 
-	out := body.Bytes()
-	if same {
-		out = nil // the caller holds these bytes' plan
+	w.Header().Set("Content-Type", "text/html; charset=utf-8")
+	w.Header().Set("Content-Length", strconv.Itoa(body.Len()))
+	w.Header().Set("Server", "dpcache-origin/1.0")
+	if s.pad != "" {
+		w.Header().Set("X-Pad", s.pad)
 	}
-	s.respond(w, out)
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body.Bytes())
 }
 
-// grant puts a lease on an answer by reference to a request that asked for
-// one: until expiry, the earliest TTL expiry among the entries the template
-// names (zero when none expires), scoped to the page when the run that
-// decided the template never read the user.
+// grant puts a lease on a GET-only template answering a request that asked
+// for one: until expiry, the earliest TTL expiry among the entries the
+// template names (zero when none expires), scoped to the page when the run
+// that decided the template never read the user.
 func (s *Server) grant(w http.ResponseWriter, expiry time.Time, page bool) {
 	v := leaseNone
 	if !expiry.IsZero() {
@@ -440,18 +415,6 @@ func (s *Server) grant(w http.ResponseWriter, expiry time.Time, page bool) {
 	}
 	w.Header().Set(HeaderLease, v)
 	s.leasesGranted.Inc()
-}
-
-// respond writes a page answer's headers, the same for every shape, and out.
-func (s *Server) respond(w http.ResponseWriter, out []byte) {
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	w.Header().Set("Content-Length", strconv.Itoa(len(out)))
-	w.Header().Set("Server", "dpcache-origin/1.0")
-	if s.pad != "" {
-		w.Header().Set("X-Pad", s.pad)
-	}
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(out)
 }
 
 // queryParams returns the first value of each parameter of a raw query:
@@ -620,13 +583,4 @@ func (s *bemSink) Fragment(fragmentID string, ttl time.Duration, r *script.Rende
 		return err
 	}
 	return nil
-}
-
-// templateDigest is the hex SHA-256 of template, as a DPC writes it in an
-// offer. Nothing here allocates.
-func templateDigest(template []byte) [2 * sha256.Size]byte {
-	sum := sha256.Sum256(template)
-	var enc [2 * sha256.Size]byte
-	hex.Encode(enc[:], sum[:])
-	return enc
 }

@@ -291,9 +291,9 @@ func TestPadTo(t *testing.T) {
 // function of the request and of the rows it reads through the Context. Run
 // twice on one repository, each request writes the same bytes and reads the
 // same rows (WatchReads); on a second build of the site, the same bytes. The
-// rows a page reads are its shell's BEM dependencies, and the origin answers
-// an offered template from those entries alone, so a site that broke this
-// would be answered with stale templates.
+// rows a page reads are its shell's BEM dependencies, and a lease on a
+// template lives as long as those entries do, so a site that broke this
+// would be served stale templates.
 //
 // It also holds each site to the scope its runs report. A run that did not
 // read the user (ReadIdentity) is answered, for another visitor and for an

@@ -28,10 +28,6 @@ type Cache struct {
 	compiles atomic.Int64
 }
 
-// Digest names a template by the SHA-256 of its bytes: the plan cache's
-// key, and what a proxy offers the origin in place of a template it holds.
-type Digest [sha256.Size]byte
-
 // CacheConfig parameterizes a plan cache.
 type CacheConfig struct {
 	// Shards is the backing KeyedStore's shard count (0 = default).
@@ -76,8 +72,8 @@ func NewCache(codec tmpl.Codec, cfg CacheConfig) (*Cache, error) {
 // the template through Exec.RunStream instead, which applies the SETs
 // ahead of the corruption and then reports it.
 func (c *Cache) Get(template []byte) (plan *Plan, hit bool, err error) {
-	sum := Digest(sha256.Sum256(template))
-	if p := c.Lookup(sum); p != nil {
+	sum := sha256.Sum256(template)
+	if p := c.LookupKey(string(sum[:])); p != nil {
 		c.hits.Add(1)
 		return p, true, nil
 	}
@@ -87,23 +83,17 @@ func (c *Cache) Get(template []byte) (plan *Plan, hit bool, err error) {
 		return nil, false, err
 	}
 	c.compiles.Add(1)
-	p.digest, p.key = sum, string(sum[:])
+	p.key = string(sum[:])
 	if !p.OneOff() {
 		c.store.Put(p.key, fragstore.KeyedEntry{Obj: p, Cost: p.Footprint()}, 0)
 	}
 	return p, false, nil
 }
 
-// Lookup returns the resident plan of the template with digest d, nil when
-// the cache does not hold it. It counts nothing: a caller that goes on to
-// run the plan in place of a template it was spared reading says so with
-// CountHit.
-func (c *Cache) Lookup(d Digest) *Plan {
-	return c.LookupKey(string(d[:]))
-}
-
-// LookupKey is Lookup by the key a resident plan reports (Plan.Key), for a
-// caller that kept the key rather than the digest: it converts nothing.
+// LookupKey returns the resident plan filed under key, the key a plan
+// reports (Plan.Key: its template's SHA-256), nil when the cache does not
+// hold it. It counts nothing: a caller that goes on to run the plan in place
+// of a template it was spared reading says so with CountHit.
 func (c *Cache) LookupKey(key string) *Plan {
 	if e, ok := c.store.Get(key); ok {
 		if p, ok := e.Obj.(*Plan); ok {
@@ -113,8 +103,8 @@ func (c *Cache) LookupKey(key string) *Plan {
 	return nil
 }
 
-// CountHit records a hit for a plan that Lookup found and that then ran: a
-// template the origin named instead of sending found its plan.
+// CountHit records a hit for a plan that LookupKey found and that then ran:
+// a lease ran the plan it names in place of a template.
 func (c *Cache) CountHit() { c.hits.Add(1) }
 
 // Codec returns the codec plans are compiled with.

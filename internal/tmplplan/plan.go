@@ -44,11 +44,10 @@ type Plan struct {
 	srcLen int64
 	// footprint is the plan's retained memory estimate (cache Cost).
 	footprint int64
-	// digest is the compiled template's digest, and key the same bytes as
-	// the string the Cache files the plan under; both are set by the Cache
-	// that compiled the plan (zero for a plan compiled outside one).
-	digest Digest
-	key    string
+	// key is the string the Cache files the plan under, its template's
+	// SHA-256; set by the Cache that compiled the plan (empty for a plan
+	// compiled outside one).
+	key string
 }
 
 // Ops returns the program length in operators.
@@ -56,9 +55,6 @@ func (p *Plan) Ops() int { return len(p.ops) }
 
 // SrcLen returns the compiled template's byte length.
 func (p *Plan) SrcLen() int64 { return p.srcLen }
-
-// Digest returns the digest of the template a Cache compiled the plan from.
-func (p *Plan) Digest() Digest { return p.digest }
 
 // Key returns the plan's key in the Cache that compiled it (Cache.LookupKey).
 func (p *Plan) Key() string { return p.key }

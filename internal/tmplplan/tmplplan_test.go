@@ -300,9 +300,9 @@ func TestCacheHitMissCompile(t *testing.T) {
 	}
 }
 
-// Lookup finds a resident plan by its template's digest and counts nothing
-// until the caller says the plan ran; a one-off has a digest and no
-// residence, and a flushed plan is gone.
+// LookupKey finds a resident plan by its key, its template's digest, and
+// counts nothing until the caller says the plan ran; a one-off has a key
+// and no residence, and a flushed plan is gone.
 func TestCacheLookupByDigest(t *testing.T) {
 	codec := tmpl.Binary{}
 	c, err := NewCache(codec, CacheConfig{})
@@ -314,14 +314,14 @@ func TestCacheLookupByDigest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kept.Digest() != Digest(sha256.Sum256(body)) {
-		t.Fatalf("digest %x is not the template's SHA-256", kept.Digest())
+	if sum := sha256.Sum256(body); kept.Key() != string(sum[:]) {
+		t.Fatalf("key %x is not the template's SHA-256", kept.Key())
 	}
-	if got := c.Lookup(kept.Digest()); got != kept {
-		t.Fatalf("Lookup = %p, want the resident plan %p", got, kept)
+	if got := c.LookupKey(kept.Key()); got != kept {
+		t.Fatalf("LookupKey = %p, want the resident plan %p", got, kept)
 	}
 	if st := c.Stats(); st.Hits != 0 || st.Misses != 1 {
-		t.Fatalf("Lookup moved the counters: %+v", st)
+		t.Fatalf("LookupKey moved the counters: %+v", st)
 	}
 	c.CountHit()
 	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 || st.Compiles != 1 {
@@ -332,12 +332,12 @@ func TestCacheLookupByDigest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if oneOff.Digest() == (Digest{}) || c.Lookup(oneOff.Digest()) != nil {
-		t.Fatal("a one-off has a digest and no residence")
+	if oneOff.Key() == "" || c.LookupKey(oneOff.Key()) != nil {
+		t.Fatal("a one-off has a key and no residence")
 	}
 	c.Store().Flush()
-	if c.Lookup(kept.Digest()) != nil {
-		t.Fatal("Lookup found a flushed plan")
+	if c.LookupKey(kept.Key()) != nil {
+		t.Fatal("LookupKey found a flushed plan")
 	}
 }
 
