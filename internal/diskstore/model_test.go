@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -244,4 +245,128 @@ func FuzzModel(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte, pool uint8) {
 		runModel(t, 1+int(pool%3), ops)
 	})
+}
+
+// ringOrder lists the keys on the LRU ring, front (most recent) first.
+func (s *Store) ringOrder() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var keys []string
+	for d := s.lru.next; d != &s.lru; d = d.next {
+		keys = append(keys, d.key)
+	}
+	return keys
+}
+
+// TestModelLRUOrder runs seeded Put / Get / Peek / Twin / Delete / Flush /
+// reopen sequences against an oracle of the LRU ring's order, with and
+// without a byte budget. Under a budget a record moves to the front when it
+// is written, read (Peek included) or twinned, and the budget evicts from
+// the back: the least recently read or twinned record first. Without one
+// only budget enforcement would read the order, so reads and Twin leave it
+// alone and the ring stays in write order; Delete, Flush and reopen unlink
+// and rebuild it as under a budget, and the invariants hold throughout.
+func TestModelLRUOrder(t *testing.T) {
+	const (
+		keys   = 8
+		size   = 100
+		charge = 3 + size // every key is three bytes
+	)
+	for _, budget := range []int64{0, 5 * charge} {
+		for seed := int64(1); seed <= 6; seed++ {
+			t.Run(fmt.Sprintf("budget%d/seed%d", budget, seed), func(t *testing.T) {
+				cfg := Config{Path: filepath.Join(t.TempDir(), "lru.heap"), PageBytes: MinPageBytes, PoolPages: 2, ByteBudget: budget}
+				s, err := Open(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer func() { s.Close() }()
+				// ring is the oracle's order, front first; written the
+				// resident keys in write order, which replay restores.
+				var ring, written []string
+				drop := func(list []string, key string) []string {
+					if i := slices.Index(list, key); i >= 0 {
+						return slices.Delete(list, i, i+1)
+					}
+					return list
+				}
+				use := func(key string) {
+					if budget > 0 {
+						ring = append([]string{key}, drop(ring, key)...)
+					}
+				}
+				rng := rand.New(rand.NewSource(seed))
+				for step := 0; step < 400; step++ {
+					key := fmt.Sprintf("k%02d", rng.Intn(keys))
+					present := slices.Contains(ring, key)
+					var what string
+					switch op := rng.Intn(16); {
+					case op < 5:
+						what = "Put"
+						if !s.Put(key, Entry{Value: make([]byte, size), Gen: uint64(step)}) {
+							t.Fatalf("step %d: Put(%q) refused", step, key)
+						}
+						ring = append([]string{key}, drop(ring, key)...)
+						written = append([]string{key}, drop(written, key)...)
+						for budget > 0 && int64(len(ring))*charge > budget {
+							victim := ring[len(ring)-1]
+							ring, written = ring[:len(ring)-1], drop(written, victim)
+						}
+					case op < 9:
+						what = "Get"
+						if _, ok := s.Get(key); ok != present {
+							t.Fatalf("step %d: Get(%q) = %v, oracle says %v", step, key, ok, present)
+						}
+						if present {
+							use(key)
+						}
+					case op < 10:
+						what = "Peek"
+						if _, ok := s.Peek(key); ok != present {
+							t.Fatalf("step %d: Peek(%q) = %v, oracle says %v", step, key, ok, present)
+						}
+						if present {
+							use(key)
+						}
+					case op < 13:
+						what = "Twin"
+						if got := s.Twin(key, rng.Intn(2) == 0); got != present {
+							t.Fatalf("step %d: Twin(%q) = %v, oracle says %v", step, key, got, present)
+						}
+						if present {
+							use(key)
+						}
+					case op < 14:
+						what = "Delete"
+						if got := s.Delete(key); got != present {
+							t.Fatalf("step %d: Delete(%q) = %v, oracle says %v", step, key, got, present)
+						}
+						ring, written = drop(ring, key), drop(written, key)
+					case op < 15:
+						what = "Flush"
+						s.Flush()
+						ring, written = nil, nil
+					default:
+						what = "reopen"
+						if err := s.Close(); err != nil {
+							t.Fatalf("step %d: Close: %v", step, err)
+						}
+						if s, err = Open(cfg); err != nil {
+							t.Fatalf("step %d: reopen: %v", step, err)
+						}
+						ring = slices.Clone(written)
+					}
+					if budget == 0 && !slices.Equal(ring, written) {
+						t.Fatalf("step %d: the oracle of an unbudgeted store left write order", step)
+					}
+					if got := s.ringOrder(); !slices.Equal(got, ring) {
+						t.Fatalf("step %d, after %s(%q): ring %v, want %v", step, what, key, got, ring)
+					}
+					if err := s.checkInvariants(); err != nil {
+						t.Fatalf("step %d, after %s(%q): %v", step, what, key, err)
+					}
+				}
+			})
+		}
+	}
 }

@@ -16,12 +16,13 @@
 // The tiered store keeps the tiers inclusive: promoting a record into RAM
 // leaves it here, and Twin is the latch-only probe by which a later
 // eviction from RAM learns that its victim's copy is still held — in which
-// case nothing is written — while keeping that copy's LRU position as
-// fresh as its twin's use. ReadInto tells it which records to promote: each
-// index entry remembers when it was last read, so the store can say that a
-// record was read twice within a window of the caller's choosing. Steady-
-// state traffic over a read-mostly set is therefore reads and probes;
-// writes are first-time demotions and invalidations.
+// case nothing is written — while, under a byte budget, keeping that
+// copy's LRU position as fresh as its twin's use. ReadInto tells it which
+// records to promote: each index entry remembers when it was last read, so
+// the store can say that a record was read twice within a window of the
+// caller's choosing (the tiered store's is a quarter of its RAM tier's
+// entry count). Steady-state traffic over a read-mostly set is therefore
+// reads and probes; writes are first-time demotions and invalidations.
 //
 // Crash behavior: a record is committed once its page(s) carry valid
 // checksums on disk, which the prompt write-back makes true moments
@@ -528,9 +529,11 @@ func (s *Store) Peek(key string) (Entry, bool) {
 // that chooses the value's storage once it knows. again reports that the
 // record was also read no more than window of the store's reads ago: the
 // index entry remembers when it was last read, so the index is the ghost
-// list and remembering costs eight bytes a record. With the faster tier's
-// entry count as the window, again means the record would still have been
-// resident there had its previous read admitted it.
+// list and remembering costs eight bytes a record. The tiered store passes
+// a quarter of its RAM tier's entry count: a record read twice within that
+// many disk reads is hotter than the RAM entries its promotion displaces,
+// and a narrower window lets fewer one-off pairs of reads churn the tier
+// (see fragstore's windowShare for the sweep that chose it).
 //
 // buf is called once per hit, under the latch and before any byte is
 // copied, with again and the value's length, and returns the slice the
@@ -544,10 +547,10 @@ func (s *Store) ReadInto(key string, window uint64, buf func(again bool, n int) 
 }
 
 // read is the one read path. When every page of the record is in a loaded
-// frame — a pool hit — the whole read is one hold of the latch: index,
-// LRU, touch stamp, frame and copy. Only a read that must load a page
-// releases the latch and goes through pin. buf, nil for a fresh slice,
-// chooses where the value goes (see ReadInto).
+// frame — a pool hit — the whole read is one hold of the latch: index, LRU
+// (under a byte budget), touch stamp, frame and copy. Only a read that must
+// load a page releases the latch and goes through pin. buf, nil for a fresh
+// slice, chooses where the value goes (see ReadInto).
 func (s *Store) read(key string, touch bool, window uint64, buf func(again bool, n int) []byte) (e Entry, again, ok bool) {
 	s.mu.Lock()
 	d := s.index[key]
@@ -676,9 +679,10 @@ func (s *Store) readRecord(key string, locs []segLoc, seq uint64, valLen int, va
 // Twin records whether a faster tier holds a copy of key's record — the
 // tiered store sets it when it promotes and clears it when the RAM copy is
 // evicted — and reports whether the store holds the key at all. A held
-// record is as recently used as its twin, so the call also moves it to the
-// front of the LRU: a record that lives in RAM for an hour must not become
-// the coldest one on disk by neglect. Latch-only: no page is touched.
+// record is as recently used as its twin, so under a byte budget the call
+// also moves it to the front of the LRU: a record that lives in RAM for an
+// hour must not become the coldest one on disk by neglect. Latch-only: no
+// page is touched.
 func (s *Store) Twin(key string, held bool) bool {
 	s.mu.Lock()
 	d := s.index[key]
@@ -703,8 +707,12 @@ func (s *Store) lruUnlink(d *dentry) {
 	d.prev, d.next = nil, nil
 }
 
+// lruToFront moves a record that was read or twinned to the front. Only
+// budget enforcement — replay's and Put's eviction loops — reads the ring's
+// order, so an unbudgeted store leaves it in write order and skips the
+// relinking.
 func (s *Store) lruToFront(d *dentry) {
-	if s.lru.next != d {
+	if s.cfg.ByteBudget > 0 && s.lru.next != d {
 		s.lruUnlink(d)
 		s.lruPushFront(d)
 	}

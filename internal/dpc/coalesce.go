@@ -435,7 +435,7 @@ func buildKey(r *http.Request, method string, anonymous bool) string {
 	n := len(uri) + 1 + len(method) + len(coalesceIdentityHeaders)
 	for _, h := range coalesceIdentityHeaders {
 		if !anonymous || !slices.Contains(pageIdentityHeaders, h) {
-			n += len(r.Header.Get(h))
+			n += len(headerValue(r.Header, h))
 		}
 	}
 	var b strings.Builder
@@ -446,10 +446,21 @@ func buildKey(r *http.Request, method string, anonymous bool) string {
 	for _, h := range coalesceIdentityHeaders {
 		b.WriteByte(0)
 		if !anonymous || !slices.Contains(pageIdentityHeaders, h) {
-			b.WriteString(r.Header.Get(h))
+			b.WriteString(headerValue(r.Header, h))
 		}
 	}
 	return b.String()
+}
+
+// headerValue is h.Get(name) for a name already in canonical form, as every
+// name in forwardedHeaders and pageIdentityHeaders is: the first value, or
+// "" when there is none. It indexes the map directly, where Get would
+// re-canonicalize the constant name on every call.
+func headerValue(h http.Header, name string) string {
+	if v := h[name]; len(v) > 0 {
+		return v[0]
+	}
+	return ""
 }
 
 // flightKey maps a request onto the flight group: the coalesce key with

@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/textproto"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -55,6 +57,70 @@ func TestCoalesceKeyCoversForwardedHeaders(t *testing.T) {
 	r.Header.Set("X-Forwarded-For", "203.0.113.9")
 	if coalesceKey(r) != baseKey {
 		t.Error("X-Forwarded-For entered the coalesce key; it would disable coalescing entirely")
+	}
+}
+
+// getKey is buildKey as it read each header through Header.Get, the
+// reference the direct reads must match byte for byte.
+func getKey(r *http.Request, method string, anonymous bool) string {
+	var b strings.Builder
+	b.WriteString(r.URL.RequestURI())
+	b.WriteByte(0)
+	b.WriteString(method)
+	for _, h := range coalesceIdentityHeaders {
+		b.WriteByte(0)
+		if !anonymous || !slices.Contains(pageIdentityHeaders, h) {
+			b.WriteString(r.Header.Get(h))
+		}
+	}
+	return b.String()
+}
+
+// The keys and the anonymous test read headers by their canonical names
+// straight from the map. For requests whose identity headers carry several
+// values, empty values or none, they must give the keys and verdicts
+// Header.Get gives.
+func TestBuildKeyMatchesHeaderGet(t *testing.T) {
+	cases := map[string]http.Header{
+		"absent":  {},
+		"one":     {"X-User": {"u1"}, "Accept": {"text/html"}, "User-Agent": {"Go-http-client/1.1"}},
+		"several": {"X-User": {"u1", "u2"}, "Cookie": {"a=1", "b=2"}, "Accept-Language": {"fr", "en"}},
+		"empty":   {"X-User": {""}, "Authorization": {}, "Referer": {"", "http://x/"}},
+		"every": {"X-User": {"u"}, "Cookie": {"c"}, "Accept": {"a"}, "Accept-Language": {"l"},
+			"Authorization": {"z"}, "Content-Type": {"t"}, "Referer": {"r"}, "User-Agent": {"g"},
+			"X-Requested-With": {"x"}},
+	}
+	for name, h := range cases {
+		r := httptest.NewRequest(http.MethodGet, "/page/synth?page=1&x=2", nil)
+		r.Header = h
+		for _, method := range []string{http.MethodGet, http.MethodHead} {
+			for _, anonymous := range []bool{false, true} {
+				if got, want := buildKey(r, method, anonymous), getKey(r, method, anonymous); got != want {
+					t.Errorf("%s %s anonymous=%v: key %q, Header.Get gives %q", name, method, anonymous, got, want)
+				}
+			}
+		}
+		want := true
+		for _, id := range pageIdentityHeaders {
+			if h.Get(id) != "" {
+				want = false
+			}
+		}
+		if got := anonymousSession(r); got != want {
+			t.Errorf("%s: anonymousSession %v, Header.Get says %v", name, got, want)
+		}
+	}
+}
+
+// Reading the map directly finds a header only under its canonical name,
+// the form net/http stores a request's headers in.
+func TestIdentityHeadersAreCanonical(t *testing.T) {
+	for _, list := range [][]string{coalesceIdentityHeaders, pageIdentityHeaders} {
+		for _, h := range list {
+			if c := textproto.CanonicalMIMEHeaderKey(h); c != h {
+				t.Errorf("identity header %q is not canonical (%q)", h, c)
+			}
+		}
 	}
 }
 

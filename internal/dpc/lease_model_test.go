@@ -269,8 +269,9 @@ type leaseRig struct {
 	quiet      time.Time // the last write whose events the fabric lost
 	// checked counts the lease responses checked against a fresh render,
 	// and identityPages the page-tier hits an identified visitor was served,
-	// each checked too.
-	checked, identityPages int
+	// each checked too; crossedVoids counts the crossed episodes whose
+	// clean run filed a lease that R2's report then voided.
+	checked, identityPages, crossedVoids int
 }
 
 func newLeaseRig(t testing.TB, ls leaseSite, seed int64) *leaseRig {
@@ -469,15 +470,17 @@ func (g *leaseRig) lapse() {
 	g.visit(url, user)
 }
 
-// crossed is the event-before-SET order, with a real origin. R1's template
-// carries the SET of a fresh generation g of a tagged fragment and is held
-// after the origin answered it. R2, another visitor, gets the GET-only
-// template naming g, and with it a lease naming g, and goes stale (g is not
-// in the store yet); its bypass, and the stale report on it, are held. R3,
-// a third visitor, is granted a lease naming g the same way; it too goes
-// stale, and its bypass is held. The reports
-// then kill g — an event — and a write moves the fragment's row. Only then
-// does R1's SET of g arrive. R3's next visit must not be served g's bytes.
+// crossed is a stale report crossing a SET, with a real origin. R1's
+// template carries the SET of a fresh generation g of a tagged fragment and
+// is held after the origin answered it. R2, another visitor, gets the
+// GET-only template naming g and goes stale (g is not in the store yet);
+// its bypass, and the stale report on it, are held. R1's SET of g then
+// lands, and R3, a third visitor, gets the GET-only template naming g, runs
+// it clean and files the lease its answer granted. Only then does R2's
+// report reach the origin and kill g — an event — and a write moves the
+// fragment's row. R3's next visit must not be served g's bytes: the event
+// raised the slot's floor past g, which voids R3's lease and the page its
+// grant filed.
 func (g *leaseRig) crossed() {
 	cp := g.ls.crossed
 	users := append([]string(nil), g.ls.users...)
@@ -508,22 +511,28 @@ func (g *leaseRig) crossed() {
 		case <-done:
 		}
 	}
-	var r1, r23 sync.WaitGroup
+	var r1, r2 sync.WaitGroup
 	runUntil(&r1, u1, parked)
 	l.mu.Lock()
 	l.parked = nil // R1 did not take it if it never reached the origin
 	l.mu.Unlock()
-	runUntil(&r23, u2, held)
-	runUntil(&r23, u3, held)
+	runUntil(&r2, u2, held)
 	l.mu.Lock()
 	l.held = nil
 	l.mu.Unlock()
-	close(unhold)
-	r23.Wait() // the stale reports have killed g
-	touch(g.repo, j, g.rng)
 	close(unpark)
-	r1.Wait() // R1's SET of g has arrived, late
+	r1.Wait() // R1's SET of g has landed
+	m := g.p.Registry()
+	grants, voids := m.Counter("dpc.lease_grants").Value(), m.Counter("dpc.lease_floor_voids").Value()
 	g.visit(cp.url, u3)
+	filed := m.Counter("dpc.lease_grants").Value() > grants
+	close(unhold)
+	r2.Wait() // R2's report has killed g
+	touch(g.repo, j, g.rng)
+	g.visit(cp.url, u3)
+	if filed && m.Counter("dpc.lease_floor_voids").Value() > voids {
+		g.crossedVoids++
+	}
 }
 
 // run drives steps operations and returns the number of lease responses
@@ -571,7 +580,8 @@ func (g *leaseRig) run(steps int) int {
 // The lease against its oracle, a fresh plain render, on both sites over
 // writes to rows tagged blocks read and to rows the layout and untagged
 // blocks read, BEM evictions, TTL expiry, sequence gaps, plan flushes and
-// the event-before-SET order. Each part of the lease is needed for that:
+// a stale report crossing a SET (crossed), whose voided lease it counts.
+// Each part of the lease is needed for that:
 // without the floor, the shell, the shell's growing dependencies, the term
 // cap or the full key comparison, some seed here serves a stale page. So is
 // its scope: the synthetic site's visitors share the page-tier entry a
@@ -580,18 +590,22 @@ func (g *leaseRig) run(steps int) int {
 // grant, or some seed serves one visitor another's page.
 func TestLeaseModel(t *testing.T) {
 	for _, ls := range leaseSites {
-		checked, identityPages := 0, 0
+		checked, identityPages, crossed := 0, 0, 0
 		var voids, hits int64
 		for seed := int64(1); seed <= 8; seed++ {
 			g := newLeaseRig(t, ls, seed)
 			checked += g.run(600)
 			identityPages += g.identityPages
+			crossed += g.crossedVoids
 			snap := g.p.Registry().Snapshot()
 			voids += snap["dpc.lease_voids"]
 			hits += snap["dpc.lease_hits"]
 		}
-		t.Logf("%s: %d lease responses and %d identified page-tier hits checked, %d lease hits, %d voids",
-			ls.name, checked, identityPages, hits, voids)
+		t.Logf("%s: %d lease responses and %d identified page-tier hits checked, %d lease hits, %d voids, %d crossed leases voided",
+			ls.name, checked, identityPages, hits, voids, crossed)
+		if ls.crossed != nil && crossed == 0 {
+			t.Errorf("%s: no crossed episode filed a lease that the crossing report voided", ls.name)
+		}
 		if checked+identityPages < 100 || voids == 0 {
 			t.Errorf("%s: %d lease responses, %d identified page-tier hits and %d voids over 8 seeds; the model barely reaches the leases",
 				ls.name, checked, identityPages, voids)
@@ -607,18 +621,23 @@ func TestLeaseModel(t *testing.T) {
 // events.
 func TestLeaseModelPulled(t *testing.T) {
 	for _, ls := range leaseSites {
-		checked, identityPages := 0, 0
+		checked, identityPages, crossed := 0, 0, 0
 		var voids int64
 		for seed := int64(1); seed <= 8; seed++ {
 			g := newPulledLeaseRig(t, ls, seed)
 			checked += g.run(600)
 			identityPages += g.identityPages
+			crossed += g.crossedVoids
 			voids += g.p.Registry().Snapshot()["dpc.lease_voids"]
 			if n := g.p.Registry().Snapshot()["dpc.fabric_gaps"]; n != 0 {
 				t.Errorf("%s seed %d: %d gaps on a stream that lost nothing", ls.name, seed, n)
 			}
 		}
-		t.Logf("%s: %d lease responses and %d identified page-tier hits checked, %d voids", ls.name, checked, identityPages, voids)
+		t.Logf("%s: %d lease responses and %d identified page-tier hits checked, %d voids, %d crossed leases voided",
+			ls.name, checked, identityPages, voids, crossed)
+		if ls.crossed != nil && crossed == 0 {
+			t.Errorf("%s: no crossed episode filed a lease that the crossing report voided", ls.name)
+		}
 		if checked+identityPages < 100 || voids == 0 {
 			t.Errorf("%s: %d lease responses, %d identified page-tier hits and %d voids over 8 seeds; the model barely reaches the leases",
 				ls.name, checked, identityPages, voids)

@@ -38,7 +38,7 @@ func MetricCatalog() []MetricDoc {
 		{"dpc.streamed", "counter", "an assembled page outgrew its look-ahead spool, so its headers were committed before assembly finished, and it then completed cleanly"},
 		{"dpc.plain_passthrough", "counter", "a non-template origin response is passed through"},
 		{"dpc.template_bytes", "counter", "template bytes read from the origin (cumulative; a lease hit adds none)"},
-		{"dpc.lease_grants", "counter", "a GET-only template carried a lease (X-DPC-Lease) and the proxy filed it under the request's fetch key, whatever its scope, once the template's plan was resident; a fetch that began before a gap or a flush files none, nor does a template that compiles to no cached plan"},
+		{"dpc.lease_grants", "counter", "a GET-only template carried a lease (X-DPC-Lease) and the proxy filed it under the request's fetch key, whatever its scope, once the template's plan was resident and its run had resolved every ref; a fetch that began before a gap or a flush files none, nor does a template that compiles to no cached plan or whose run met a missing or floored slot"},
 		{"dpc.lease_page_grants", "counter", "a filed lease was page-scoped (X-DPC-Lease ending in ;page: the origin's run never read the visitor); it is filed under the fetch key like any other, and it also marks the answer's page-tier fill, which serves every visitor of the URI until the grant ends (a subset of dpc.lease_grants)"},
 		{"dpc.lease_hits", "counter", "a lease stood in for the origin fetch and its plan ran to a complete page (X-Cache: LEASE); no origin exchange"},
 		{"dpc.lease_voids", "counter", "a lease was found void and dropped, or cleared by a sequence gap (the sum of the four causes below); a request that found it void went on to the origin"},
@@ -110,7 +110,7 @@ func MetricCatalog() []MetricDoc {
 		// Disk tier (published only when the tiered backend is mounted;
 		// refreshed alongside the dpc.store.* gauges above).
 		{"dpc.store.disk_hits", "gauge", "GETs answered by the disk tier since creation (disk_promotions + disk_served_in_place)"},
-		{"dpc.store.disk_promotions", "gauge", "disk hits copied into the RAM tier since creation (the disk copy stays): RAM had room, or the key's second disk read within a RAM-tier's-worth of them"},
+		{"dpc.store.disk_promotions", "gauge", "disk hits copied into the RAM tier since creation (the disk copy stays): RAM had room, or the key's second disk read within a quarter of the RAM tier's entry count of them"},
 		{"dpc.store.disk_served_in_place", "gauge", "disk hits served from the disk tier's page and left there since creation: a first touch with RAM full, or an entry RAM cannot hold"},
 		{"dpc.store.disk_demotions", "gauge", "RAM evictions written to the disk tier since creation (the disk tier did not hold the victim)"},
 		{"dpc.store.disk_clean_evictions", "gauge", "RAM evictions that wrote nothing since creation (the disk tier still held the victim's copy)"},

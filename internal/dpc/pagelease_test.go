@@ -180,7 +180,8 @@ func TestPageLeaseMustAgreeWithEntry(t *testing.T) {
 // of — and the stale fallback's answer, from an origin that ignores the
 // bypass header, is a template of the page as it now is: the visitor's
 // own. That page is not the granted plan's, so it must not be filed where
-// the anonymous visitor, or another identity, is served.
+// the anonymous visitor, or another identity, is served — and since the
+// granted plan's run went stale, the grant is not filed either.
 func TestPageLeaseStaleFallbackFilesNothing(t *testing.T) {
 	var personal atomic.Bool
 	g := newLeaseRig(t, switchSite(&personal), 4)
@@ -205,8 +206,8 @@ func TestPageLeaseStaleFallbackFilesNothing(t *testing.T) {
 	g.expect("u1", "BYPASS")
 	g.link.origin = inner
 	snap := g.p.Registry().Snapshot()
-	if snap["dpc.lease_page_grants"] != grants+1 || snap["dpc.stale_fallbacks"] != 1 {
-		t.Fatalf("page-scoped grants %d → %d, stale fallbacks %d: want u1's granted answer to go stale",
+	if snap["dpc.lease_page_grants"] != grants || snap["dpc.stale_fallbacks"] != 1 {
+		t.Fatalf("page-scoped grants %d → %d, stale fallbacks %d: want u1's granted answer to go stale and file no grant",
 			grants, snap["dpc.lease_page_grants"], snap["dpc.stale_fallbacks"])
 	}
 	g.expect("", "")

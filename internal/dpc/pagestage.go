@@ -83,7 +83,7 @@ var pageIdentityHeaders = []string{"X-User", "Cookie", "Authorization"}
 // origin could personalize on.
 func anonymousSession(r *http.Request) bool {
 	for _, h := range pageIdentityHeaders {
-		if r.Header.Get(h) != "" {
+		if headerValue(r.Header, h) != "" {
 			return false
 		}
 	}

@@ -87,7 +87,8 @@ func readTemplate(buf []byte, body io.Reader, clen int64) ([]byte, error) {
 // bytes it emits. A lease hit (rs.held) has no body at all: the plan the
 // lease names runs in its place, a hit with no template bytes read. A lease
 // the origin's answer granted (rs.grantUntil) is filed here, under the plan
-// its template compiles to, or not at all.
+// its template compiles to, once that plan's run has resolved every ref —
+// or not at all.
 func (p *Proxy) assemble(w io.Writer, body io.Reader, clen int64, rs *reqState) (AssembleStats, error) {
 	sp := rs.span
 	until := rs.grantUntil
@@ -132,12 +133,16 @@ func (p *Proxy) assemble(w io.Writer, body io.Reader, clen int64, rs *reqState) 
 					p.m.planOneOff.Inc()
 				}
 			}
-			if until != 0 && !plan.OneOff() {
-				// The plan is resident: the next fetch of this key can run it.
+			sp.Event(kind, "plan", note, int64(len(buf)))
+			st, err := p.exec.Run(plan, w, sp)
+			if err == nil && until != 0 && !plan.OneOff() {
+				// The plan is resident and its run met no missing or
+				// floored slot: the next fetch of this key can run it. A
+				// run that went stale files nothing — its refetch is the
+				// stale fallback's, and the next visit would only void it.
 				p.fileLease(rs, until, plan)
 			}
-			sp.Event(kind, "plan", note, int64(len(buf)))
-			return p.exec.Run(plan, w, sp)
+			return st, err
 		}
 		// body is at EOF: the decoder meets the corruption in buf.
 		why = "streamed:corrupt"

@@ -619,10 +619,12 @@ func (p *Proxy) writePage(w http.ResponseWriter, body []byte, ctype, cacheState 
 	if ctype == "" {
 		ctype = "text/html; charset=utf-8"
 	}
-	w.Header().Set("Content-Type", ctype)
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	w.Header().Set("Via", "dpcache-dpc/1.0")
-	w.Header().Set("X-Cache", cacheState)
+	// Canonical names, assigned directly: Set would canonicalize each.
+	h := w.Header()
+	h["Content-Type"] = []string{ctype}
+	h["Content-Length"] = []string{strconv.Itoa(len(body))}
+	h["Via"] = []string{"dpcache-dpc/1.0"}
+	h["X-Cache"] = []string{cacheState}
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(body)
 }

@@ -146,15 +146,16 @@ func (s *spoolWriter) commit(final bool) error {
 	if ctype == "" {
 		ctype = "text/html; charset=utf-8"
 	}
-	h.Set("Content-Type", ctype)
+	// Canonical names, assigned directly: Set would canonicalize each.
+	h["Content-Type"] = []string{ctype}
 	switch {
 	case s.clen >= 0:
-		h.Set("Content-Length", strconv.FormatInt(s.clen, 10))
+		h["Content-Length"] = []string{strconv.FormatInt(s.clen, 10)}
 	case final:
-		h.Set("Content-Length", strconv.Itoa(len(s.spool)))
+		h["Content-Length"] = []string{strconv.Itoa(len(s.spool))}
 	}
-	h.Set("Via", "dpcache-dpc/1.0")
-	h.Set("X-Cache", s.rs.cacheState)
+	h["Via"] = []string{"dpcache-dpc/1.0"}
+	h["X-Cache"] = []string{s.rs.cacheState}
 	if f := s.rs.flight; f != nil {
 		f.publishHeaders(ctype, s.clen)
 	}

@@ -48,8 +48,8 @@ type TieredStats struct {
 // earn its way through it: a read that misses RAM but hits disk is served
 // from the disk tier's pooled page, and *promoted* — copied into RAM, the
 // disk copy left where it is — only when RAM has room to spare or the key
-// was also read from disk recently enough that it would still be resident
-// had that read admitted it (see admits). An entry read once displaces
+// was also read from disk within the last quarter-RAM-tier's-worth of disk
+// reads (see admits and windowShare). An entry read once displaces
 // nothing, so one pass over the whole store promotes only what it finds
 // already on probation, where admit-on-read would replace the RAM tier with
 // the tail of the pass. Eviction under ledger pressure *demotes* the
@@ -332,16 +332,47 @@ func (t *TieredKeyed) consult(key string) (suspect, held bool, v KeyedEntry, wri
 	return suspect, held, v, writes
 }
 
+// windowShare sets the promotion window: a disk hit is a second touch, and
+// earns RAM, when the disk tier saw the same key read within its last
+// ⌈n/windowShare⌉ reads, n being the RAM tier's entry count. The narrower
+// the window, the fewer keys read twice by chance are promoted over hotter
+// ones, and the fewer promotions each cost a RAM eviction; but a hot set
+// that moves is admitted more slowly. A quarter is the narrowest share that
+// keeps both of TestTieredHotSetShift's gates (12 000 one-KiB keys, RAM for
+// an eighth, Zipf(1)): a steady RAM hit ratio of at least 0.766, what a
+// whole tier's window reads in TestTieredScanResistance, and a 10 000-read
+// bucket back at 0.76 within 90 000 reads of every rank moving half the key
+// space. The sweep, with the keys one scan over the whole store displaces
+// from RAM (TestTieredScanResistance):
+//
+//	window   steady   recovered after   scan displaced
+//	1        0.760     40 000 reads     209
+//	1/2      0.768     40 000           73
+//	1/4      0.773     70 000           28
+//	1/8      0.767    130 000           11
+//	1/16     0.732    not in 200 000    4
+//	1/64     0.660    not in 200 000    1
+//
+// Narrower windows suit frag_spill, whose disk reads come in runs of one
+// page's fragments, but forget the hot set of keys drawn independently
+// (ROADMAP.md, "Tried and left out").
+const windowShare = 4
+
+// window is the promotion window handed to the disk tier's ReadInto.
+func (t *TieredKeyed) window() uint64 {
+	return uint64(t.ram.Len()+windowShare-1) / windowShare
+}
+
 // admits is promotion's admission test, asked of a disk hit of size bytes
 // before its value is copied: only a hit that will be promoted needs a
 // slice of its own. An entry earns its RAM when admitting it displaces
 // nobody — the tier has room — or when again says the disk tier saw it read
-// within the last RAM-tier's-worth of its reads: had the earlier read
-// admitted it, it would still be resident, so this read is the hit that
-// admission would have bought. A first touch buys nothing and is served in
-// place. Entries the RAM budget could never admit stay disk-only —
-// promoting them would bounce straight back out. Atomic loads only: the
-// disk tier asks it under its latch.
+// within the last quarter-RAM-tier's-worth of its reads (see windowShare):
+// read twice that close together, it is hotter than the entries its
+// promotion displaces. A first touch buys nothing and is served in place.
+// Entries the RAM budget could never admit stay disk-only — promoting them
+// would bounce straight back out. Atomic loads only: the disk tier asks it
+// under its latch.
 func (t *TieredKeyed) admits(again bool, size int64) bool {
 	return !t.ram.refuses(size) && (again || t.ram.hasRoom(size))
 }
@@ -394,7 +425,7 @@ func (t *TieredKeyed) read(key string, s *Scratch) (KeyedEntry, bool, Crossings)
 	var e diskstore.Entry
 	var ok, admit bool
 	if !suspect {
-		e, _, ok = t.disk.ReadInto(key, uint64(t.ram.Len()), func(again bool, n int) []byte {
+		e, _, ok = t.disk.ReadInto(key, t.window(), func(again bool, n int) []byte {
 			// The admission test runs before the copy: what it lets in
 			// needs a slice of its own, and only that.
 			if admit = t.admits(again, int64(n)); admit || s == nil || n > maxScratch {

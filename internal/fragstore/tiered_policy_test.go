@@ -13,8 +13,8 @@ import (
 
 // The tests in this file state the tier boundary's admission rule — a disk
 // hit is copied into RAM when RAM has room or the key was also read from
-// disk within the last RAM-tier's-worth of disk reads — in counts, never in
-// time.
+// disk within the last quarter-RAM-tier's-worth of disk reads — in counts,
+// never in time.
 
 // zipfStream returns n draws from Zipf(s=1.0) over ranks [0, keys): rank r
 // with weight 1/(r+1). (math/rand's Zipf needs s > 1.)
@@ -33,6 +33,29 @@ func zipfStream(seed int64, keys, n int) []int {
 	return out
 }
 
+// newPolicyStore returns a tiered store holding keys entries of valueSize
+// bytes each, under a RAM budget of ramBudget bytes and a buffer pool that
+// holds the whole heap file — the tests on it count, they do not wait — and
+// the keys' names, by rank.
+func newPolicyStore(t *testing.T, keys, valueSize int, ramBudget int64) (*TieredKeyed, []string) {
+	t.Helper()
+	ts, err := NewTieredKeyed(TieredConfig{
+		RAM:  KeyedConfig{ByteBudget: ramBudget},
+		Disk: diskstore.Config{Path: filepath.Join(t.TempDir(), "policy.heap"), PoolPages: keys * valueSize / diskstore.DefaultPageBytes * 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ts.Close() })
+	value := make([]byte, valueSize)
+	name := make([]string, keys)
+	for i := range name {
+		name[i] = fmt.Sprintf("k%05d", i)
+		ts.put(name[i], KeyedEntry{Value: value})
+	}
+	return ts, name
+}
+
 // TestTieredScanResistance: RAM for an eighth of 12 000 one-KiB keys under
 // a Zipf(1.0) stream, against always-promote — which is plain LRU over the
 // same stream, run here as a KeyedStore filled on every miss. Earning the
@@ -48,33 +71,21 @@ func TestTieredScanResistance(t *testing.T) {
 		counted   = 30_000 // reads on each side of the scan
 		// The pass is a touch like any other, so it promotes the keys it
 		// finds on probation: read from disk by the stream, for the first
-		// time, within a RAM-tier's-worth of disk reads before the pass
-		// reached them — and its own reads run that window out within its
-		// first eighth. On this stream that is 209 keys, each of which the
-		// stream's next read of it would have promoted anyway, against the
-		// 1 456 of 1 500 that always-promote loses.
-		maxDisplaced = 250
+		// time, within a quarter-RAM-tier's-worth of disk reads before the
+		// pass reached them — and its own reads run that window out within
+		// its first thirty-second. On this stream that is 28 keys (209 with
+		// a whole tier's window), each of which the stream's next read of it
+		// would have promoted anyway, against the 1 456 of 1 500 that
+		// always-promote loses.
+		maxDisplaced = 40
 	)
 	value := make([]byte, valueSize)
-	name := make([]string, keys)
-	for i := range name {
-		name[i] = fmt.Sprintf("k%05d", i)
-	}
-	ts, err := NewTieredKeyed(TieredConfig{
-		RAM: KeyedConfig{ByteBudget: ramBudget},
-		// The whole heap file fits the pool: the test counts, it does not wait.
-		Disk: diskstore.Config{Path: filepath.Join(t.TempDir(), "scan.heap"), PoolPages: keys * valueSize / diskstore.DefaultPageBytes * 2},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ts.Close() })
+	ts, name := newPolicyStore(t, keys, valueSize, ramBudget)
 	lru, err := NewKeyed(KeyedConfig{ByteBudget: ramBudget})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, k := range name {
-		ts.put(k, KeyedEntry{Value: value})
 		lru.Put(k, KeyedEntry{Value: value}, 0)
 	}
 	read := func(k string) {
@@ -207,5 +218,71 @@ func TestTieredPromotesIntoSpareRoom(t *testing.T) {
 	mustGet(t, ts, "c", "c-------") // full now: c waits for its second touch
 	if st := ts.TierStats(); st.Promotions != 2 || st.ServedInPlace != 1 || st.RAM.Evictions != 0 {
 		t.Fatalf("a full RAM tier admitted a first touch: %+v", st)
+	}
+}
+
+// TestTieredHotSetShift is the promotion window's curve on the same
+// harness as TestTieredScanResistance: after a Zipf(1.0) stream has warmed
+// the tiers, the steady RAM hit ratio, and then — every rank moved to the
+// key half the key space away, so the hot set is keys that have sat on
+// disk only — how many reads it takes until a 10 000-read bucket's RAM hit
+// ratio is back at 0.76. A narrower window promotes fewer keys that were
+// read twice by chance, and so holds more of the hot set, but it also
+// admits a new hot set more slowly. windowShare's comment has the sweep.
+// The gates: a steady ratio of at least 0.766, what a whole RAM tier's
+// window reads before the scan in TestTieredScanResistance, and recovery
+// within 90 000 reads of the shift.
+func TestTieredHotSetShift(t *testing.T) {
+	const (
+		keys      = 12_000
+		valueSize = 1 << 10
+		ramBudget = keys / 8 * valueSize
+		warm      = 120_000
+		counted   = 30_000
+		bucket    = 10_000
+		horizon   = 200_000 // reads after the shift before giving up
+		// Gates.
+		minSteady   = 0.766
+		recovered   = 0.76
+		maxRecovery = 90_000
+	)
+	ts, name := newPolicyStore(t, keys, valueSize, ramBudget)
+	stream := zipfStream(7, keys, warm+counted+horizon)
+	read := func(r int) {
+		if _, ok := TieredGet(ts, name[r]); !ok {
+			t.Fatalf("%s lost", name[r])
+		}
+	}
+	ramHits := func() int64 { return ts.TierStats().RAM.Hits }
+	for _, r := range stream[:warm] {
+		read(r)
+	}
+	h0 := ramHits()
+	for _, r := range stream[warm : warm+counted] {
+		read(r)
+	}
+	steady := float64(ramHits()-h0) / counted
+	shifted, recovery := stream[warm+counted:], -1
+	for i := 0; i < horizon && recovery < 0; i += bucket {
+		h := ramHits()
+		for _, r := range shifted[i : i+bucket] {
+			read((r + keys/2) % keys)
+		}
+		if float64(ramHits()-h)/bucket >= recovered {
+			recovery = i + bucket
+		}
+	}
+	t.Logf("window 1/%d of the RAM tier (%d disk reads): steady RAM hit ratio %.3f; after the shift, a bucket at %.2f after %d reads (-1: not within %d)",
+		windowShare, ts.window(), steady, recovered, recovery, horizon)
+	if steady < minSteady {
+		t.Errorf("steady RAM hit ratio %.3f, want at least %.3f", steady, minSteady)
+	}
+	if recovery < 0 || recovery > maxRecovery {
+		t.Errorf("after the hot set moved, no %d-read bucket reached a RAM hit ratio of %.2f within %d reads (took %d)",
+			bucket, recovered, maxRecovery, recovery)
+	}
+	if st := ts.TierStats(); st.DiskHits != st.Promotions+st.ServedInPlace || st.Demotions != st.Disk.Puts {
+		t.Errorf("disk hits %d ≠ promotions %d + in-place serves %d, or reads wrote to disk: %+v",
+			st.DiskHits, st.Promotions, st.ServedInPlace, st)
 	}
 }

@@ -51,7 +51,7 @@ func beginEvict(t *testing.T, ts *TieredKeyed, key string, e KeyedEntry) *transi
 func beginLookup(t *testing.T, ts *TieredKeyed, key string) (e diskstore.Entry, writes uint64) {
 	t.Helper()
 	suspect, held, _, writes := ts.consult(key)
-	e, _, ok := ts.disk.ReadInto(key, uint64(ts.ram.Len()), nil)
+	e, _, ok := ts.disk.ReadInto(key, ts.window(), nil)
 	if suspect || held || !ok {
 		t.Fatalf("setup: suspect=%v held=%v ok=%v", suspect, held, ok)
 	}

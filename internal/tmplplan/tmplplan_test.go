@@ -560,18 +560,26 @@ func TestTierEventsOnFragmentSpans(t *testing.T) {
 		t.Run(fmt.Sprintf("parallelism=%d", parallelism), func(t *testing.T) {
 			store, err := fragstore.New(fragstore.Config{
 				Backend: fragstore.BackendTiered, Capacity: 16, Eviction: "lru",
-				ByteBudget: 16, // two 8-byte fragments
+				// Five 8-byte fragments: the smallest RAM tier whose
+				// promotion window, a quarter of it rounded up, is two disk
+				// reads — the two fragments each pass reads from disk.
+				ByteBudget: 40,
 				DiskPath:   filepath.Join(t.TempDir(), "tier.heap"),
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer store.(io.Closer).Close()
-			var ins []tmpl.Instruction
-			for k := uint32(1); k <= 4; k++ {
+			for k := uint32(1); k <= 7; k++ {
 				if err := store.Set(k, 1, []byte(fmt.Sprintf("frag%04d", k))); err != nil {
 					t.Fatal(err)
 				}
+			}
+			// 5, 6 and 7 are RAM hits on every pass, read after 1 and 2
+			// and again after 3 and 4, so that a promotion's coldest victim
+			// is whichever pair the pass before promoted or left in RAM.
+			var ins []tmpl.Instruction
+			for _, k := range []uint32{1, 2, 5, 6, 7, 3, 4, 5, 6, 7} {
 				ins = append(ins, get(k, 1))
 			}
 			p, err := Compile(codec, encode(t, codec, ins))
@@ -601,7 +609,7 @@ func TestTierEventsOnFragmentSpans(t *testing.T) {
 				}
 				return got
 			}
-			// The Sets left fragments 1 and 2 on disk only and 3 and 4 in
+			// The Sets left fragments 1 and 2 on disk only and 3 to 7 in
 			// RAM only, at the cost of two writes that no read caused.
 			setup, _ := fragstore.DiskStats(store)
 			// The first pass meets 1 and 2 on disk for the first time
