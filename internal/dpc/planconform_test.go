@@ -430,9 +430,9 @@ func TestPlanCacheFallback(t *testing.T) {
 				// near the spool, the buffered template prefix (twice
 				// planMaxTemplate while io.ReadAll grows it) and one
 				// instruction — far from the template's size. (Cumulative
-				// allocation cannot show that: the decoder hands every
-				// instruction over in a fresh slice, so any engine allocates
-				// at least the template's size in total.)
+				// allocation cannot show that: the store keeps a copy of
+				// every SET it is handed, so any engine allocates at least
+				// the template's size in total.)
 				defer debug.SetGCPercent(debug.SetGCPercent(20))
 				runtime.GC()
 				var ms runtime.MemStats

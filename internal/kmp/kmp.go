@@ -2,11 +2,16 @@
 //
 // The paper (Section 5) models both the site firewall and the Dynamic Proxy
 // Cache as linear-time byte scanners and cites KMP [18] as the canonical
-// such algorithm; this package is the shared scanning substrate for the
-// firewall signature scanner and for the template-tag scanner in the DPC
-// assembler. The Stream matcher is the piece the DPC actually needs: origin
-// responses arrive in arbitrary chunks, and a tag may straddle a chunk
-// boundary.
+// such algorithm. This package is the firewall's signature matcher. The
+// DPC's template-tag scanner (internal/tmpl) meets the same linear bound
+// without it: its one pattern, the tag magic, opens with a byte found
+// nowhere else in it, so KMP's failure function is all zeros and the
+// automaton only looks for that byte and then matches the rest, which
+// bytes.IndexByte and a four-byte compare over the buffered window do
+// faster than an automaton fed a byte at a time. The Stream
+// matcher, for input that arrives in chunks with a match straddling a
+// chunk boundary, was that automaton; the decoder's differential test
+// keeps it as its reference.
 package kmp
 
 // Matcher is a compiled pattern.
@@ -124,7 +129,7 @@ func (s *Stream) Consumed() int64 { return s.n }
 // Reset returns the stream to its initial state, keeping the pattern.
 func (s *Stream) Reset() { s.k, s.n = 0, 0 }
 
-// State exposes the internal automaton state; the DPC assembler uses it to
-// know how many pattern-prefix bytes are currently withheld pending more
-// input (those bytes cannot be emitted as literal output yet).
+// State exposes the internal automaton state: how many pattern-prefix
+// bytes are currently withheld pending more input (a scanner cannot emit
+// them as unmatched output yet).
 func (s *Stream) State() int { return s.k }

@@ -5,8 +5,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
-
-	"dpcache/internal/kmp"
 )
 
 // Magic introduces every binary-codec tag. 0x01 cannot appear in HTML text
@@ -50,8 +48,12 @@ type binEncoder struct {
 	// tagBuf is where a tag (magic, op, up to three uvarints) is laid out
 	// before its one Write: a field of the encoder, because a local handed
 	// to an interface method escapes.
-	tagBuf [4 + 1 + 3*binary.MaxVarintLen64]byte
+	tagBuf [maxHeader]byte
 }
+
+// maxHeader is the longest a tag runs before a SET's body: magic, op, and
+// three uvarints (key, gen, and the SET's length).
+const maxHeader = 4 + 1 + 3*binary.MaxVarintLen64
 
 // The tags that carry no fields.
 var (
@@ -92,13 +94,37 @@ func (e *binEncoder) Set(key, gen uint32, content []byte) error {
 	return err
 }
 
-// magicMatcher is the streaming tag scan of Section 5, compiled once: a
-// Matcher is read-only after Compile, each decoder takes its own Stream.
-var magicMatcher = kmp.Compile(Magic)
+// Held is an io.Reader over a template held whole in memory, set with
+// Reset; the zero Held reads an empty template. Binary's decoder, handed
+// one directly or through a Codec that wraps Binary, scans the template
+// where it lies, with no bufio.Reader between: every SET length is checked
+// against the bytes left, and each Instruction.Data is a subslice of the
+// template. The template must not change while it is read.
+type Held struct {
+	b   []byte
+	off int // bytes read or decoded
+}
 
-// NewDecoder implements Codec.
+// Reset makes h read template from its start.
+func (h *Held) Reset(template []byte) { *h = Held{b: template} }
+
+// Read implements io.Reader.
+func (h *Held) Read(p []byte) (int, error) {
+	if h.off >= len(h.b) {
+		return 0, io.EOF
+	}
+	n := copy(p, h.b[h.off:])
+	h.off += n
+	return n, nil
+}
+
+// NewDecoder implements Codec. A *Held is scanned where it lies, any other
+// reader in the buffer of a bufio.Reader.
 func (Binary) NewDecoder(r io.Reader) Decoder {
-	return &binDecoder{r: bufio.NewReader(r), magic: magicMatcher.Stream()}
+	if h, ok := r.(*Held); ok {
+		return &binDecoder{held: h, end: io.EOF}
+	}
+	return &binDecoder{r: bufio.NewReader(r)}
 }
 
 // maxLiteralChunk bounds the size of a single literal instruction so the
@@ -106,140 +132,211 @@ func (Binary) NewDecoder(r io.Reader) Decoder {
 // them whole.
 const maxLiteralChunk = 32 * 1024
 
+// binDecoder is the linear-time tag scan of Section 5, run over a window
+// of bytes: the unread rest of a held template, or what a bufio.Reader
+// holds of a stream. bytes.IndexByte finds each byte that could open a tag
+// and a four-byte compare confirms the magic, so each byte is read at most
+// len(Magic) times: the linear bound the paper takes from KMP, without an
+// automaton fed one byte at a time. (Magic[0] occurs nowhere else in
+// Magic, so KMP's failure function for it is all zeros: its automaton
+// does what this scan does, look for Magic[0] and then match the rest.)
 type binDecoder struct {
-	r       *bufio.Reader
-	magic   *kmp.Stream
-	buf     []byte // literal bytes accumulated since the last instruction
-	pending []Instruction
-	eof     bool
+	held *Held         // a template in memory; nil for a stream
+	r    *bufio.Reader // a stream; nil for a held template
+	// end is why no byte beyond the window will come: nil while one may,
+	// io.EOF at the input's end, or the error that ended a stream's reads,
+	// reported once the bytes read before it are decoded.
+	end error
+	// gathered holds what of a stream ran past the window: a literal, or
+	// a SET body longer than the buffer. A literal is handed out before the
+	// tag after it is read, so one buffer serves both.
+	gathered []byte
 }
 
-// Next implements Decoder. Returned Data slices are freshly allocated and
-// remain valid after subsequent calls.
-func (d *binDecoder) Next() (Instruction, error) {
-	for {
-		if len(d.pending) > 0 {
-			in := d.pending[0]
-			d.pending = d.pending[1:]
-			return in, nil
-		}
-		if d.eof {
-			return Instruction{}, io.EOF
-		}
-		if err := d.readMore(); err != nil {
-			return Instruction{}, err
-		}
+// window returns the unread bytes in view: at least min of them (at most
+// the buffer's size) unless the input ends first.
+func (d *binDecoder) window(min int) []byte {
+	if d.r == nil {
+		return d.held.b[d.held.off:]
 	}
-}
-
-// emitLiteral queues the accumulated literal (minus the trailing drop
-// bytes, which belong to a recognized tag) and resets the buffer.
-func (d *binDecoder) emitLiteral(drop int) {
-	lit := d.buf[:len(d.buf)-drop]
-	if len(lit) > 0 {
-		cp := make([]byte, len(lit))
-		copy(cp, lit)
-		d.pending = append(d.pending, Instruction{Op: OpLiteral, Data: cp})
+	if d.r.Buffered() < min && d.end == nil {
+		_, d.end = d.r.Peek(min)
 	}
-	d.buf = d.buf[:0]
+	w, _ := d.r.Peek(d.r.Buffered()) // never more than is buffered: no error
+	return w
 }
 
-// readMore consumes input until at least one instruction is queued or an
-// error occurs.
-func (d *binDecoder) readMore() error {
-	for len(d.pending) == 0 {
-		b, err := d.r.ReadByte()
-		if err == io.EOF {
-			d.eof = true
-			// A partial magic prefix at EOF is plain literal output.
-			d.magic.Reset()
-			d.emitLiteral(0)
-			return nil
+// consume moves past n bytes of the window.
+func (d *binDecoder) consume(n int) {
+	if d.r == nil {
+		d.held.off += n
+		return
+	}
+	_, _ = d.r.Discard(n) // n bytes are buffered: no error
+}
+
+// cut is the error for an instruction the input ended inside.
+func (d *binDecoder) cut() error {
+	if d.end == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return d.end
+}
+
+// literalLen returns how many bytes at the front of w are literal, at most
+// max: those before the first tag. open reports that they stop at a
+// Magic[0] too near w's end to tell whether it opens a tag, which only a
+// window that is not final leaves open; in the final one, that byte and
+// every byte after it are literal.
+func literalLen(w []byte, max int, final bool) (n int, open bool) {
+	end := min(len(w), max)
+	for n < end {
+		i := bytes.IndexByte(w[n:end], Magic[0])
+		if i < 0 {
+			break
 		}
-		if err != nil {
-			return err
-		}
-		d.buf = append(d.buf, b)
-		if ends := d.magic.Feed([]byte{b}); len(ends) > 0 {
-			d.magic.Reset()
-			d.emitLiteral(len(Magic))
-			in, err := d.readTag()
-			if err != nil {
-				return err
+		n += i
+		if n+len(Magic) > len(w) {
+			if final {
+				return end, false
 			}
-			d.pending = append(d.pending, in)
-			return nil
+			return n, true
 		}
-		// Stream out very long literals early; never split a
-		// partial magic prefix across the boundary.
-		if keep := d.magic.State(); len(d.buf)-keep >= maxLiteralChunk {
-			tail := make([]byte, keep)
-			copy(tail, d.buf[len(d.buf)-keep:])
-			d.emitLiteral(keep)
-			d.buf = append(d.buf, tail...)
-			return nil
+		if bytes.Equal(w[n:n+len(Magic)], Magic) {
+			return n, false
 		}
+		n++
 	}
-	return nil
+	return end, false
 }
 
-func (d *binDecoder) readTag() (Instruction, error) {
-	op, err := d.r.ReadByte()
-	if err != nil {
-		return Instruction{}, corrupt("truncated tag: %v", err)
+// Next implements Decoder. Data is a subslice of the window — of the held
+// template itself, or of a stream's read buffer — or of a buffer of the
+// decoder's own: it is valid until the next call, and is not to be
+// modified. A stream's read error is returned as it stands, once every
+// byte read before it is decoded, unless a tag it cuts short makes it the
+// cause of ErrCorrupt.
+func (d *binDecoder) Next() (Instruction, error) {
+	d.gathered = d.gathered[:0]
+	want := 1
+	for {
+		w := d.window(want)
+		if len(w) == 0 {
+			if len(d.gathered) > 0 {
+				return Instruction{Op: OpLiteral, Data: d.gathered}, nil
+			}
+			return Instruction{}, d.end
+		}
+		n, open := literalLen(w, maxLiteralChunk-len(d.gathered), d.end != nil)
+		if open || n == len(w) && d.end == nil && len(d.gathered)+n < maxLiteralChunk {
+			// The literal may run on past the window: gather what it has
+			// and look again, at a whole magic's worth when one was cut.
+			d.gathered = append(d.gathered, w[:n]...)
+			d.consume(n)
+			want = 1
+			if open {
+				want = len(Magic)
+			}
+			continue
+		}
+		switch {
+		case len(d.gathered) > 0:
+			d.gathered = append(d.gathered, w[:n]...)
+			d.consume(n)
+			return Instruction{Op: OpLiteral, Data: d.gathered}, nil
+		case n > 0:
+			d.consume(n)
+			return Instruction{Op: OpLiteral, Data: w[:n:n]}, nil
+		}
+		return d.tag()
 	}
-	switch op {
+}
+
+// tag decodes the tag at the front of the window, which opens with Magic.
+func (d *binDecoder) tag() (Instruction, error) {
+	w := d.window(maxHeader)
+	if len(w) == len(Magic) {
+		return Instruction{}, corrupt("truncated tag: %v", d.cut())
+	}
+	var op Op
+	switch w[len(Magic)] {
 	case bopQuote:
-		return Instruction{Op: OpLiteral, Data: append([]byte(nil), Magic...)}, nil
+		d.consume(len(Magic) + 1)
+		return Instruction{Op: OpLiteral, Data: w[:len(Magic):len(Magic)]}, nil
 	case bopGet:
-		key, err := binary.ReadUvarint(d.r)
-		if err != nil {
-			return Instruction{}, corrupt("GET key: %v", err)
-		}
-		gen, err := binary.ReadUvarint(d.r)
-		if err != nil {
-			return Instruction{}, corrupt("GET gen: %v", err)
-		}
-		return Instruction{Op: OpGet, Key: uint32(key), Gen: uint32(gen)}, nil
+		op = OpGet
 	case bopInc:
-		key, err := binary.ReadUvarint(d.r)
-		if err != nil {
-			return Instruction{}, corrupt("INC key: %v", err)
-		}
-		gen, err := binary.ReadUvarint(d.r)
-		if err != nil {
-			return Instruction{}, corrupt("INC gen: %v", err)
-		}
-		return Instruction{Op: OpInclude, Key: uint32(key), Gen: uint32(gen)}, nil
+		op = OpInclude
 	case bopSet:
-		key, err := binary.ReadUvarint(d.r)
-		if err != nil {
-			return Instruction{}, corrupt("SET key: %v", err)
-		}
-		gen, err := binary.ReadUvarint(d.r)
-		if err != nil {
-			return Instruction{}, corrupt("SET gen: %v", err)
-		}
-		n, err := binary.ReadUvarint(d.r)
-		if err != nil {
-			return Instruction{}, corrupt("SET len: %v", err)
-		}
-		if n > 1<<30 {
-			return Instruction{}, corrupt("SET len %d exceeds limit", n)
-		}
-		content, err := readSetContent(d.r, n)
-		if err != nil {
-			return Instruction{}, corrupt("SET content: %v", err)
-		}
-		var close [5]byte
-		if _, err := io.ReadFull(d.r, close[:]); err != nil {
-			return Instruction{}, corrupt("SET close tag: %v", err)
-		}
-		if !bytes.Equal(close[:4], Magic) || close[4] != bopEnd {
-			return Instruction{}, corrupt("SET not closed by END tag")
-		}
-		return Instruction{Op: OpSet, Key: uint32(key), Gen: uint32(gen), Data: content}, nil
+		op = OpSet
 	default:
-		return Instruction{}, corrupt("unknown op byte %q", op)
+		return Instruction{}, corrupt("unknown op byte %q", w[len(Magic)])
 	}
+	var v [3]uint64 // key, gen, and a SET's length
+	fields := v[:2]
+	if op == OpSet {
+		fields = v[:]
+	}
+	n := len(Magic) + 1
+	for i := range fields {
+		x, k := binary.Uvarint(w[n:])
+		if k == 0 {
+			return Instruction{}, corrupt("%v %s: %v", op, fieldNames[i], d.cut())
+		}
+		if k < 0 {
+			return Instruction{}, corrupt("%v %s overflows 64 bits", op, fieldNames[i])
+		}
+		fields[i] = x
+		n += k
+	}
+	d.consume(n)
+	key, gen := uint32(v[0]), uint32(v[1])
+	if op != OpSet {
+		return Instruction{Op: op, Key: key, Gen: gen}, nil
+	}
+	if v[2] > 1<<30 {
+		return Instruction{}, corrupt("SET len %d exceeds limit", v[2])
+	}
+	body, ok := d.body(int(v[2]))
+	if !ok {
+		return Instruction{}, corrupt("SET content: %v", d.cut())
+	}
+	if w = d.window(len(endTag)); len(w) < len(endTag) {
+		return Instruction{}, corrupt("SET close tag: %v", d.cut())
+	}
+	if !bytes.Equal(w[:len(endTag)], endTag) {
+		return Instruction{}, corrupt("SET not closed by END tag")
+	}
+	d.consume(len(endTag))
+	return Instruction{Op: OpSet, Key: key, Gen: gen, Data: body}, nil
+}
+
+// fieldNames names a tag's uvarint fields in corruption errors.
+var fieldNames = [...]string{"key", "gen", "len"}
+
+// body returns the next n bytes, a SET's body, and moves past them; false
+// when the input ends first. A body that fits the window with its END tag
+// is returned where it lies, and reading that tag then refills nothing; a
+// stream's longer one is gathered as its bytes arrive, so a length header
+// that lies costs no allocation beyond what the stream delivers.
+func (d *binDecoder) body(n int) ([]byte, bool) {
+	if d.r == nil || n+len(endTag) <= d.r.Size() {
+		w := d.window(n + len(endTag))
+		if len(w) < n {
+			return nil, false
+		}
+		d.consume(n)
+		return w[:n:n], true
+	}
+	d.gathered = d.gathered[:0]
+	for len(d.gathered) < n {
+		w := d.window(1)
+		if len(w) == 0 {
+			return nil, false
+		}
+		k := min(len(w), n-len(d.gathered))
+		d.gathered = append(d.gathered, w[:k]...)
+		d.consume(k)
+	}
+	return d.gathered, true
 }

@@ -3,7 +3,7 @@ package tmpl_test
 // Fuzz harnesses for the template wire format. Three properties:
 //
 //  1. The decoder never panics on arbitrary input (and never trusts a
-//     length header for an allocation — see readSetContent in tmpl.go).
+//     length header for an allocation — see binDecoder.body).
 //  2. tmplplan.Compile never panics and errors exactly when DecodeAll
 //     errors: the proxy decides "cached plan vs streamed driver" on that
 //     error, so the two must never disagree about corruption.

@@ -34,19 +34,6 @@ import (
 	"io"
 )
 
-// readSetContent reads exactly n bytes of SET payload without trusting n
-// for the allocation: a corrupt length header can claim a gigabyte the
-// stream never delivers, and sizing the buffer up front would turn a
-// few-byte template into a giant allocation. The buffer grows only as
-// bytes actually arrive.
-func readSetContent(r io.Reader, n uint64) ([]byte, error) {
-	var buf bytes.Buffer
-	if _, err := io.CopyN(&buf, r, int64(n)); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
 // Op identifies an instruction kind.
 type Op byte
 
@@ -144,8 +131,10 @@ func writeEscaped(w io.Writer, p []byte) error {
 }
 
 // Decoder reads a template stream. Next returns io.EOF after the final
-// instruction. Implementations may reuse the returned Data buffer between
-// calls; callers that retain it must copy.
+// instruction. The decoder owns each returned Data: it may be a buffer the
+// decoder reuses, or alias what it reads (Binary's aliases its read buffer,
+// or a Held template itself), so it is read-only and valid until the next
+// call. A caller that keeps it past that must copy it.
 type Decoder interface {
 	Next() (Instruction, error)
 }
@@ -190,9 +179,10 @@ func EncodeAll(c Codec, w io.Writer, ins []Instruction) error {
 	return e.Flush()
 }
 
-// DecodeAll reads instructions until EOF, copying Data buffers so the
-// result remains valid. Adjacent literals are returned as produced by the
-// decoder (they are not merged).
+// DecodeAll reads instructions until EOF, copying each Data out of the
+// decoder's hands (see Decoder), so the result is the caller's and stays
+// valid. Adjacent literals are returned as produced by the decoder (they
+// are not merged).
 func DecodeAll(c Codec, r io.Reader) ([]Instruction, error) {
 	d := c.NewDecoder(r)
 	var out []Instruction

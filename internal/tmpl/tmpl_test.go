@@ -2,10 +2,12 @@ package tmpl
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math/rand"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // equalStreams compares two instruction streams after normalization.
@@ -257,12 +259,35 @@ func TestDecodeCorruptStreams(t *testing.T) {
 		{"binary unknown op", string(Magic) + "Q"},
 		{"binary set missing close", string(Magic) + "S\x01\x01\x03abc"},
 		{"binary get missing gen", string(Magic) + "G\x01"},
+		{"binary set longer than the template", string(Magic) + "S\x01\x01\x7fabc" + string(endTag)},
 	}
 	for _, tc := range cases {
-		_, err := DecodeAll(Binary{}, strings.NewReader(tc.raw))
-		if err == nil {
-			t.Errorf("%s: decode succeeded, want error", tc.name)
+		var held Held
+		held.Reset([]byte(tc.raw))
+		for src, r := range map[string]io.Reader{"stream": strings.NewReader(tc.raw), "held": &held} {
+			if _, err := DecodeAll(Binary{}, r); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s (%s): decode error %v, want ErrCorrupt", tc.name, src, err)
+			}
 		}
+	}
+}
+
+// A stream's read error comes after every instruction read before it, as
+// the stream returned it: the SET ahead of a torn connection is decoded,
+// so an assembly can still store it.
+func TestDecodeReadErrorAfterInstructions(t *testing.T) {
+	var buf bytes.Buffer
+	in := []Instruction{
+		{Op: OpLiteral, Data: []byte("<html>")},
+		{Op: OpSet, Key: 4, Gen: 2, Data: []byte("prefix-set")},
+	}
+	if err := EncodeAll(Binary{}, &buf, in); err != nil {
+		t.Fatal(err)
+	}
+	torn := errors.New("connection torn")
+	out, err := DecodeAll(Binary{}, io.MultiReader(&buf, iotest.ErrReader(torn)))
+	if !errors.Is(err, torn) || !equalStreams(in, out) {
+		t.Fatalf("decoded %v then %v, want %v then the read error", out, err, in)
 	}
 }
 

@@ -212,6 +212,10 @@ func (x *execState) addRef(key, gen uint32, slot int32) {
 
 // stream is the decoder driver: each instruction becomes an operator
 // through the conversion Compile uses and is run at once, a program of one.
+// Its data is the decoder's, valid only until the next Next, and nothing
+// here keeps it that long: a literal is written to the page, a SET's body
+// is copied by the store's Set and then written, before the loop asks for
+// the next instruction.
 func (x *execState) stream(dec tmpl.Decoder, sp *trace.Span) error {
 	for {
 		in, err := dec.Next()

@@ -1,7 +1,8 @@
 package tmplplan
 
 import (
-	"bytes"
+	"io"
+	"sync"
 
 	"dpcache/internal/tmpl"
 )
@@ -73,34 +74,84 @@ func (p *Plan) Footprint() int64 { return p.footprint }
 // into a plan's footprint beyond its retained data.
 const opOverhead = 64
 
+// compiler is a Compile's scratch, pooled: the reader its decoder reads
+// the template through, the program as decoded, before its length is
+// known, and the table that numbers its refs.
+type compiler struct {
+	held  tmpl.Held
+	ops   []op
+	slots map[uint64]int32
+}
+
+var compilers = sync.Pool{New: func() any { return &compiler{slots: make(map[uint64]int32, 8)} }}
+
+// maxPooledOps bounds the scratch the pool keeps: a giant template's
+// program is left to the collector.
+const maxPooledOps = 1 << 12
+
+// release clears the scratch, so the pool pins neither a template nor a
+// plan's bytes, and pools it.
+func (c *compiler) release() {
+	if len(c.ops) > maxPooledOps {
+		return
+	}
+	c.held.Reset(nil)
+	clear(c.ops)
+	c.ops = c.ops[:0]
+	clear(c.slots)
+	compilers.Put(c)
+}
+
+// slot returns the dense index of the (key, gen) pair, numbering it on
+// first sight.
+func (c *compiler) slot(key, gen uint32) int32 {
+	id := uint64(key)<<32 | uint64(gen)
+	if s, ok := c.slots[id]; ok {
+		return s
+	}
+	s := int32(len(c.slots))
+	c.slots[id] = s
+	return s
+}
+
 // Compile decodes template once and builds its operator program. The
 // returned error is the decoder's own (wrapping tmpl.ErrCorrupt for
 // malformed streams); callers then stream the template through
 // Exec.RunStream, which applies the SETs ahead of the corruption before
 // reporting it.
+//
+// The decoder reads the template where it lies (tmpl.Held), and what it
+// returns is valid only until its next instruction, so each literal and
+// SET body is copied as it is decoded, into one buffer the template's
+// size: every byte a plan keeps is a byte of the template. The program is
+// gathered in pooled scratch and copied out at its length, so a compile
+// makes the same few allocations however many instructions it has.
 func Compile(codec tmpl.Codec, template []byte) (*Plan, error) {
-	ins, err := tmpl.DecodeAll(codec, bytes.NewReader(template))
-	if err != nil {
-		return nil, err
-	}
+	c := compilers.Get().(*compiler)
+	defer c.release()
+	c.held.Reset(template)
+	dec := codec.NewDecoder(&c.held)
 	p := &Plan{srcLen: int64(len(template))}
-	p.ops = make([]op, 0, len(ins))
-	refSlots := make(map[uint64]int32, 8)
-	var retained int64
-	slot := func(key, gen uint32) int32 {
-		id := uint64(key)<<32 | uint64(gen)
-		if s, ok := refSlots[id]; ok {
-			return s
+	var kept []byte
+	for {
+		in, err := dec.Next()
+		if err == io.EOF {
+			break
 		}
-		s := int32(len(refSlots))
-		refSlots[id] = s
-		return s
-	}
-	for _, in := range ins {
+		if err != nil {
+			return nil, err
+		}
 		o := newOp(in)
-		retained += int64(len(o.data))
+		o.data = nil // in.Data is the decoder's: the op gets kept's copy
+		if n := len(in.Data); n > 0 {
+			if kept == nil {
+				kept = make([]byte, 0, len(template))
+			}
+			kept = append(kept, in.Data...)
+			o.data = kept[len(kept)-n : len(kept) : len(kept)]
+		}
 		if in.Op != tmpl.OpLiteral {
-			o.refSlot = slot(in.Key, in.Gen)
+			o.refSlot = c.slot(in.Key, in.Gen)
 		}
 		switch in.Op {
 		case tmpl.OpSet:
@@ -108,9 +159,12 @@ func Compile(codec tmpl.Codec, template []byte) (*Plan, error) {
 		case tmpl.OpInclude:
 			p.hasInc = true
 		}
-		p.ops = append(p.ops, o)
+		c.ops = append(c.ops, o)
 	}
-	p.numRefs = len(refSlots)
-	p.footprint = retained + int64(len(p.ops))*opOverhead + int64(p.numRefs)*24 + 128
+	p.ops = make([]op, len(c.ops))
+	copy(p.ops, c.ops)
+	p.numRefs = len(c.slots)
+	// kept's spare capacity, the template's tag bytes, is retained too.
+	p.footprint = int64(cap(kept)) + int64(len(p.ops))*opOverhead + int64(p.numRefs)*24 + 128
 	return p, nil
 }
