@@ -35,18 +35,18 @@ func getAs(t *testing.T, url, user string) (xcache, body string) {
 	return resp.Header.Get("X-Cache"), string(b)
 }
 
-// mixedPageSystem starts a system on the fabric with the page tier on and a
-// long TTL, serving a synthetic site whose page 1 mixes tagged and untagged
-// blocks. It returns page 1's URL and a marker of its first untagged block
-// at a version.
-func mixedPageSystem(t *testing.T) (sys *System, page string, j int, marker func(v int) string) {
+// mixedPageSystem starts a system on the fabric, with the page tier on as
+// pageCache says and a long TTL, serving a synthetic site whose page 1 mixes
+// tagged and untagged blocks. It returns page 1's URL and a marker of its
+// first untagged block at a version.
+func mixedPageSystem(t *testing.T, pageCache bool) (sys *System, page string, j int, marker func(v int) string) {
 	t.Helper()
 	siteCfg := site.SyntheticConfig{Pages: 4, FragmentsPerPage: 8, FragmentBytes: 64, Cacheability: 0.6}
 	sys, err := NewSystem(Config{
 		Capacity: 256,
 		Seed:     7,
 		Fabric:   true,
-		Proxy:    dpc.Config{Strict: true, PageCache: true, PageCacheTTL: 10 * time.Minute},
+		Proxy:    dpc.Config{Strict: true, PageCache: pageCache, PageCacheTTL: 10 * time.Minute},
 	}, ModeCached)
 	if err != nil {
 		t.Fatal(err)
@@ -83,10 +83,10 @@ func mixedPageSystem(t *testing.T) (sys *System, page string, j int, marker func
 // whole-response entry built on it and every lease naming it. So the next
 // anonymous GET is a miss with the new bytes, where the page tier used to
 // serve the old ones until PageCacheTTL, and the next identified GET goes to
-// the origin instead of being served by the page its grant filed or by its
-// lease.
+// the origin instead of being served by the page its grant filed, that
+// grant's one keeper.
 func TestLeaseLayoutRowWriteReachesPageTierAndLeases(t *testing.T) {
-	sys, page, j, marker := mixedPageSystem(t)
+	sys, page, j, marker := mixedPageSystem(t, true)
 	sys.Hub.BroadcastPurge("/page/synth?page=99") // the proxy's first event: it is on the fabric now
 	for i, want := range []string{"MISS", "PAGE"} {
 		if xc, body := getAs(t, page, ""); xc != want || !strings.Contains(body, marker(1)) {
@@ -109,10 +109,42 @@ func TestLeaseLayoutRowWriteReachesPageTierAndLeases(t *testing.T) {
 	if xc, body := getAs(t, page, "u1"); xc == "LEASE" || !strings.Contains(body, marker(2)) {
 		t.Fatalf("u1's GET after the write: X-Cache %q, has %s: %v; want the origin's fresh answer", xc, marker(2), strings.Contains(body, marker(2)))
 	}
+	if n := sys.Registry.Counter("dpc.pagecache_invalidations").Value(); n != 1 {
+		t.Fatalf("dpc.pagecache_invalidations = %d, want the page u1's grant filed found dead once", n)
+	}
+	for _, name := range []string{"dpc.errors", "dpc.stale_fallbacks", "dpc.pagecache_flushes"} {
+		if n := sys.Registry.Counter(name).Value(); n != 0 {
+			t.Fatalf("%s = %d", name, n)
+		}
+	}
+}
+
+// Without the page tier a page-scoped grant is kept by the visitor's lease,
+// and the shell's event voids it: the next identified GET goes to the
+// origin instead of being served by the lease.
+func TestLeaseLayoutRowWriteVoidsTheLeaseWithoutPageTier(t *testing.T) {
+	sys, page, j, marker := mixedPageSystem(t, false)
+	sys.Hub.BroadcastPurge("/page/synth?page=99") // the proxy's first event: it is on the fabric now
+	if xc, body := getAs(t, page, ""); xc != "MISS" || !strings.Contains(body, marker(1)) {
+		t.Fatalf("anonymous visit: X-Cache %q, want MISS with %s", xc, marker(1))
+	}
+	for i, want := range []string{"MISS", "LEASE"} { // the template with the page's grant, the lease it filed
+		if xc, body := getAs(t, page, "u1"); xc != want || !strings.Contains(body, marker(1)) {
+			t.Fatalf("u1's visit %d: X-Cache %q, want %q with %s", i, xc, want, marker(1))
+		}
+	}
+
+	site.TouchFragment(sys.Repo, j, "2")
+	if acked, seq := sys.Hub.AckedThrough(), sys.Hub.Seq(); acked != seq {
+		t.Fatalf("fabric acked %d of %d events", acked, seq)
+	}
+	if xc, body := getAs(t, page, "u1"); xc == "LEASE" || !strings.Contains(body, marker(2)) {
+		t.Fatalf("u1's GET after the write: X-Cache %q, has %s: %v; want the origin's fresh answer", xc, marker(2), strings.Contains(body, marker(2)))
+	}
 	if n := sys.Registry.Counter("dpc.lease_floor_voids").Value(); n != 1 {
 		t.Fatalf("dpc.lease_floor_voids = %d, want u1's lease voided by the shell's event", n)
 	}
-	for _, name := range []string{"dpc.errors", "dpc.stale_fallbacks", "dpc.pagecache_flushes"} {
+	for _, name := range []string{"dpc.errors", "dpc.stale_fallbacks"} {
 		if n := sys.Registry.Counter(name).Value(); n != 0 {
 			t.Fatalf("%s = %d", name, n)
 		}
@@ -128,7 +160,7 @@ func TestLeaseLayoutRowWriteReachesPageTierAndLeases(t *testing.T) {
 func TestPageFiledBeforeFirstEventDroppedByUntaggedWrite(t *testing.T) {
 	for _, attached := range []bool{false, true} {
 		t.Run(fmt.Sprintf("attached=%v", attached), func(t *testing.T) {
-			sys, page, j, marker := mixedPageSystem(t)
+			sys, page, j, marker := mixedPageSystem(t, true)
 			if attached {
 				sys.Hub.BroadcastPurge("/page/synth?page=99")
 			}

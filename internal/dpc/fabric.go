@@ -124,7 +124,7 @@ func (p *Proxy) Apply(ev coherency.Event) uint64 {
 		p.flushGap()
 	}
 	f.lastSeq = ev.Seq
-	p.attachLocked()
+	f.attached.Store(true)
 	switch ev.Kind {
 	case coherency.KindFragment:
 		p.floors.raise(ev.Key, ev.Gen)
@@ -155,15 +155,6 @@ func (p *Proxy) flushGap() {
 	p.flushPages(FlushGap) // bumps the epoch first: no lease fetched before the gap is filed
 	p.plans.Store().Flush()
 	p.leases.clear(voidGap)
-}
-
-// attachLocked joins the proxy to the fabric, once; the caller holds the
-// fabric's mutex.
-func (p *Proxy) attachLocked() {
-	if !p.fabric.attached.Load() {
-		p.leases.open()
-		p.fabric.attached.Store(true)
-	}
 }
 
 // Join polls the event stream of the proxy's origin (coherency.EventsPath)
@@ -284,9 +275,7 @@ func (p *Proxy) follow(a coherency.Answer, sent int64) {
 		p.Apply(ev)
 	}
 	f.trusted.Store(sent + int64(a.Trust()))
-	f.mu.Lock()
-	p.attachLocked()
-	f.mu.Unlock()
+	f.attached.Store(true)
 }
 
 // fabricStats is the fabric section of /_dpc/stats.

@@ -29,12 +29,20 @@ import (
 // template — the shell and the entry of each GET — is a BEM entry whose
 // death reaches the proxy as a fragment event. A template that carries no
 // SET, answering such a request, grants the lease, until the earliest TTL
-// expiry among those entries. Once the template's plan is resident the
+// expiry among those entries. Once the template's plan has run clean the
 // proxy files the lease under the request's exact fetch key, and the next
-// fetch of that key runs the plan with no round trip. A grant that
-// says the run never read the visitor (";page") also vouches for the page
-// itself: the answer is filed in the page tier for every visitor, with the
-// grant's end in its record (pagestage.go).
+// fetch of that key runs the plan with no round trip.
+//
+// A grant that says the run never read the visitor (";page") is the page's,
+// and each answer has one keeper. An identified visitor's such answer, on a
+// proxy whose page tier is on, is filed in the tier for every visitor, with
+// the grant's end in its record (pagestage.go), and that entry is all that
+// keeps it: no lease is filed under the visitor's key, and its plan is not
+// kept, since the tier answers the visitor first and the entry's record
+// carries the same refs, epoch and end. Every other grant — an anonymous
+// answer, the fallback of every anonymous visitor once the tier has evicted
+// its entry; an answer the tier did not take; any grant on a proxy without
+// the page tier — is a lease.
 //
 // Revocation needs no list of who holds what. A fragment event (k, g)
 // raises slot k's floor to g+1, and the store the assembler reads and writes
@@ -53,9 +61,7 @@ import (
 
 const (
 	// leaseBuckets × leaseWays slots of 64 bytes: 1 MiB however many
-	// keys pass through. A lease is filed under the visitor's fetch key,
-	// whatever its scope: a page-scoped grant reaches the page's other
-	// visitors through the page tier.
+	// keys pass through, allocated with the first lease filed.
 	leaseBuckets = 1 << 13
 	leaseWays    = 2
 )
@@ -91,9 +97,12 @@ type leaseTable struct {
 	// its own key.
 	hash func(string) uint64
 	mu   sync.Mutex
-	// buckets is allocated when the proxy joins the fabric (open): a proxy
-	// that never does has no use for it.
+	// buckets is allocated when the first lease is filed: a proxy that
+	// files none — one off the fabric, or one whose page tier keeps every
+	// grant it takes in — has no use for it.
 	buckets *[leaseBuckets][leaseWays]lease
+	// resident counts the filled slots; file, void and clear move it under mu.
+	resident *metrics.Gauge
 
 	hits, grants, pageGrants, voids *metrics.Counter
 	byCause                         map[string]*metrics.Counter
@@ -103,6 +112,7 @@ func newLeaseTable(reg *metrics.Registry) *leaseTable {
 	seed := maphash.MakeSeed()
 	return &leaseTable{
 		hash:       func(key string) uint64 { return maphash.String(seed, key) },
+		resident:   reg.Gauge("dpc.lease_resident"),
 		hits:       reg.Counter("dpc.lease_hits"),
 		grants:     reg.Counter("dpc.lease_grants"),
 		pageGrants: reg.Counter("dpc.lease_page_grants"),
@@ -116,16 +126,8 @@ func newLeaseTable(reg *metrics.Registry) *leaseTable {
 	}
 }
 
-// open allocates the slots, once.
-func (t *leaseTable) open() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.buckets == nil {
-		t.buckets = new([leaseBuckets][leaseWays]lease)
-	}
-}
-
-// bucket returns key's bucket, nil before open; the caller holds t.mu.
+// bucket returns key's bucket, nil before the first lease is filed; the
+// caller holds t.mu.
 func (t *leaseTable) bucket(key string) *[leaseWays]lease {
 	if t.buckets == nil {
 		return nil
@@ -153,12 +155,19 @@ func (t *leaseTable) get(key string) (lease, bool) {
 func (t *leaseTable) file(l lease, filable func() bool) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	b := t.bucket(l.key)
-	if b == nil || !filable() {
+	if !filable() {
 		return false
 	}
+	if t.buckets == nil {
+		t.buckets = new([leaseBuckets][leaseWays]lease)
+	}
+	b := t.bucket(l.key)
 	if b[0].key != l.key {
+		if b[1].key != "" {
+			t.resident.Add(-1)
+		}
 		b[1] = b[0]
+		t.resident.Add(1)
 	}
 	b[0] = l
 	return true
@@ -171,6 +180,7 @@ func (t *leaseTable) void(key, cause string) {
 		for i := range b {
 			if b[i].key == key {
 				b[i] = lease{}
+				t.resident.Add(-1)
 			}
 		}
 	}
@@ -192,6 +202,7 @@ func (t *leaseTable) clear(cause string) {
 			}
 		}
 	}
+	t.resident.Add(int64(-n))
 	t.mu.Unlock()
 	t.count(cause, n)
 }
@@ -276,8 +287,8 @@ func (p *Proxy) voidLease(rs *reqState, cause string) {
 
 // grantLease takes in the lease a template answer carries (HeaderLease), for
 // a fetch that started at start, when the tier's epoch read before it was
-// epoch: rs.grantUntil, for assemble to file under the request's fetch key
-// once the template's plan is resident (fileLease). The term is what the
+// epoch: rs.grantUntil, for assemble to hand to its keeper once the
+// template's plan has run (tierKeeps, fileLease). The term is what the
 // origin granted, capped at the page tier's TTL. A grant ending in ";page"
 // also dates the response's tier record (rs.pageUntil), and admits an
 // identified visitor's page to the page rule under the key every visitor of
@@ -313,6 +324,21 @@ func (p *Proxy) grantLease(rs *reqState, resp *http.Response, start time.Time, e
 			p.admitFill(rs, anonymousPageKey(rs.r), p.pageTTL, rulePage, epoch)
 		}
 	}
+}
+
+// tierKeeps reports that the page tier is the only keeper the grant rs's
+// answer carried needs: rs is an identified visitor's, the grant is
+// page-scoped, and the capture grantLease attached under the key every
+// visitor of the page is served from (anonymousPageKey) will file the n
+// bytes the run wrote — it was neither refused nor outgrown. stagePageCache
+// probes the tier before the lease, and the entry's record carries the
+// lease's refs, epoch and end, so while the entry lives a lease filed
+// beside it would never be read; once the tier evicts it, a lease would
+// serve this one visitor.
+func (p *Proxy) tierKeeps(rs *reqState, n int64) bool {
+	c := rs.pageCapture
+	return rs.pageUntil != 0 && rs.fillRule == rulePage && c != nil && !c.discarded &&
+		n <= maxPageCaptureBytes && !anonymousSession(rs.r)
 }
 
 // fileLease files the lease grantLease took in, ending at until, to run

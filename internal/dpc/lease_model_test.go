@@ -274,8 +274,10 @@ type leaseRig struct {
 	checked, identityPages, crossedVoids int
 }
 
-func newLeaseRig(t testing.TB, ls leaseSite, seed int64) *leaseRig {
-	g := buildLeaseRig(t, ls, seed, false)
+// newLeaseRig builds the model's rig with the proxy subscribed to the hub;
+// opts adjust the proxy's configuration.
+func newLeaseRig(t testing.TB, ls leaseSite, seed int64, opts ...func(*Config)) *leaseRig {
+	g := buildLeaseRig(t, ls, seed, false, opts...)
 	g.sub = &quietSub{p: g.p}
 	g.hub.Subscribe(g.sub)
 	return g
@@ -321,7 +323,7 @@ func (l streamLink) RoundTrip(r *http.Request) (*http.Response, error) {
 	return rec.Result(), nil
 }
 
-func buildLeaseRig(t testing.TB, ls leaseSite, seed int64, pulled bool) *leaseRig {
+func buildLeaseRig(t testing.TB, ls leaseSite, seed int64, pulled bool, opts ...func(*Config)) *leaseRig {
 	repo := repository.New(repository.LatencyModel{})
 	clk := clock.NewFake(time.Date(2002, 6, 4, 9, 30, 0, 0, time.UTC))
 	mon, err := bem.New(bem.Config{Capacity: ls.capacity, Clock: clk})
@@ -345,10 +347,14 @@ func buildLeaseRig(t testing.TB, ls leaseSite, seed int64, pulled bool) *leaseRi
 	if pulled {
 		transport = streamLink{link}
 	}
-	p, err := New(Config{
+	cfg := Config{
 		OriginURL: "http://origin.invalid", Capacity: ls.capacity, Strict: true, Transport: transport,
 		PageCache: true, PageCacheTTL: leaseModelTTL, Clock: clk, PublishInterval: -1,
-	})
+	}
+	for _, o := range opts {
+		o(&cfg)
+	}
+	p, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,8 +38,9 @@ func MetricCatalog() []MetricDoc {
 		{"dpc.streamed", "counter", "an assembled page outgrew its look-ahead spool, so its headers were committed before assembly finished, and it then completed cleanly"},
 		{"dpc.plain_passthrough", "counter", "a non-template origin response is passed through"},
 		{"dpc.template_bytes", "counter", "template bytes read from the origin (cumulative; a lease hit adds none)"},
-		{"dpc.lease_grants", "counter", "a GET-only template carried a lease (X-DPC-Lease) and the proxy filed it under the request's fetch key, whatever its scope, once the template's plan was resident and its run had resolved every ref; a fetch that began before a gap or a flush files none, nor does a template that compiles to no cached plan or whose run met a missing or floored slot"},
-		{"dpc.lease_page_grants", "counter", "a filed lease was page-scoped (X-DPC-Lease ending in ;page: the origin's run never read the visitor); it is filed under the fetch key like any other, and it also marks the answer's page-tier fill, which serves every visitor of the URI until the grant ends (a subset of dpc.lease_grants)"},
+		{"dpc.lease_grants", "counter", "a GET-only template carried a lease (X-DPC-Lease) and the proxy filed it under the request's fetch key once the template's plan was resident and its run had resolved every ref; a fetch that began before a gap or a flush files none, nor does a template that compiles to no cached plan or whose run met a missing or floored slot, nor an identified visitor's page-scoped answer the page tier files for every visitor (dpc.lease_page_grants)"},
+		{"dpc.lease_page_grants", "counter", "a page-scoped grant (X-DPC-Lease ending in ;page: the origin's run never read the visitor) was taken in, whichever keeper holds it: the page tier, for an identified visitor's answer it files for every visitor of the URI until the grant ends (no lease is filed, and its plan is not kept), or else a lease filed under the fetch key like any other, which dpc.lease_grants counts too"},
+		{"dpc.lease_resident", "gauge", "leases in the table now: filing one adds it (less any it displaces), voiding one or a gap's clear takes it away; a page-scoped grant the page tier keeps files none"},
 		{"dpc.lease_hits", "counter", "a lease stood in for the origin fetch and its plan ran to a complete page (X-Cache: LEASE); no origin exchange"},
 		{"dpc.lease_voids", "counter", "a lease was found void and dropped, or cleared by a sequence gap (the sum of the four causes below); a request that found it void went on to the origin"},
 		{"dpc.lease_floor_voids", "counter", "a lease's plan met a ref that did not resolve: a fabric event had named its generation, or the slot was gone from the store"},

@@ -2,6 +2,7 @@ package dpc
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -100,11 +101,10 @@ func TestPageLeaseMustAgreeWithEntry(t *testing.T) {
 			t.Fatalf("dpc.pagecache_identity_hits = %d, want u2's and u3's visits", n)
 		}
 	})
-	// The page's grant filed its entry; then the page turns per-visitor and
-	// a write kills the news item. u1 misses the dead entry and finds its
-	// own lease within its term, but the lease is void and the origin
-	// renders u1's own page: nothing may be filed where the anonymous
-	// visitor looks.
+	// The page's grant filed its entry, its one keeper; then the page turns
+	// per-visitor and a write kills the news item. u1 finds the entry dead,
+	// and the origin renders u1's own page: nothing may be filed where the
+	// anonymous visitor looks.
 	t.Run("void-lease-files-nothing", func(t *testing.T) {
 		var personal atomic.Bool
 		g := newLeaseRig(t, switchSite(&personal), 2)
@@ -115,14 +115,32 @@ func TestPageLeaseMustAgreeWithEntry(t *testing.T) {
 		personal.Store(true)
 		g.repo.Put(repository.Key{Table: "news", Row: "n0"}, map[string]string{"title": "second"})
 		bypassed := g.p.Registry().Counter("dpc.pagecache_bypass_identity").Value()
+		dead := g.p.Registry().Counter("dpc.pagecache_invalidations").Value()
 		g.expect("u1", "")
-		if n := g.p.Registry().Counter("dpc.lease_floor_voids").Value(); n != 1 {
-			t.Fatalf("dpc.lease_floor_voids = %d, want u1's lease run to find the item dead", n)
+		if n := g.p.Registry().Counter("dpc.pagecache_invalidations").Value(); n != dead+1 {
+			t.Fatalf("dpc.pagecache_invalidations moved %d → %d, want u1's visit to find the entry dead", dead, n)
 		}
 		g.expect("", "")
 		if n := g.p.Registry().Counter("dpc.pagecache_bypass_identity").Value(); n != bypassed+1 {
 			t.Fatalf("dpc.pagecache_bypass_identity moved %d → %d, want u1's visit counted", bypassed, n)
 		}
+	})
+	// Without the page tier the grant's keeper is u1's lease; the write
+	// kills the item, u1's lease run finds it dead, and the origin renders
+	// u1's own page.
+	t.Run("void-lease-files-nothing-without-page-tier", func(t *testing.T) {
+		var personal atomic.Bool
+		g := newLeaseRig(t, switchSite(&personal), 2, func(c *Config) { c.PageCache = false })
+		g.hub.BroadcastPurge("/none")
+		g.pageLease("u1")
+		g.expect("u1", "LEASE")
+		personal.Store(true)
+		g.repo.Put(repository.Key{Table: "news", Row: "n0"}, map[string]string{"title": "second"})
+		g.expect("u1", "")
+		if n := g.p.Registry().Counter("dpc.lease_floor_voids").Value(); n != 1 {
+			t.Fatalf("dpc.lease_floor_voids = %d, want u1's lease run to find the item dead", n)
+		}
+		g.expect("", "")
 	})
 	// Once the grant's term is over the entry vouches for nothing, and the
 	// page, now per-visitor, must be u3's own. (Here the term is the tier's
@@ -301,5 +319,62 @@ func TestPageLeaseTraceNotes(t *testing.T) {
 	if snap["dpc.pagecache_identity_hits"] != 3 || snap["dpc.pagecache_bypass_identity"] != 1 || snap["dpc.pagecache_fills"] != 1 {
 		t.Fatalf("identity hits %d, bypasses %d, fills %d; want 3, 1, 1",
 			snap["dpc.pagecache_identity_hits"], snap["dpc.pagecache_bypass_identity"], snap["dpc.pagecache_fills"])
+	}
+}
+
+// A page-scoped grant has one keeper. With the page tier on, an identified
+// visitor's answer is filed there for every visitor, and nothing else keeps
+// it: no lease under the visitor's fetch key, no plan in the plan cache —
+// the lease table is never even allocated — and the visitor and a second
+// identity are served the page. Without the tier the same answer files the
+// lease, keeps its plan, and the visitor's next visit runs it.
+func TestLeasePageGrantHasOneKeeper(t *testing.T) {
+	for _, tier := range []bool{true, false} {
+		t.Run(fmt.Sprintf("pagecache=%v", tier), func(t *testing.T) {
+			origin, warm := pageLeaseOrigin(t, "none;page")
+			p := newTestProxy(t, "http://origin.invalid", func(c *Config) {
+				origin(c)
+				c.PageCache, c.PageCacheTTL = tier, time.Hour
+			})
+			warm(p)
+			visit := func(user string) (*http.Request, string) {
+				req := httptest.NewRequest(http.MethodGet, "/page", nil)
+				req.Header.Set("X-User", user)
+				rec := httptest.NewRecorder()
+				p.ServeHTTP(rec, req)
+				return req, rec.Header().Get("X-Cache")
+			}
+			resident := p.plans.Stats().Resident
+			req, xc := visit("u1")
+			if xc != "MISS" {
+				t.Fatalf("u1's first visit: X-Cache %q, want MISS", xc)
+			}
+			_, leased := p.leases.get(flightKey(req))
+			plans := p.plans.Stats().Resident - resident
+			snap := p.Registry().Snapshot()
+			if tier {
+				if leased || plans != 0 || p.leases.buckets != nil {
+					t.Fatalf("the page tier keeps u1's answer, yet a lease was filed (%v), %d plans kept, table allocated %v",
+						leased, plans, p.leases.buckets != nil)
+				}
+				for _, user := range []string{"u1", "u2"} {
+					if _, xc := visit(user); xc != "PAGE" {
+						t.Fatalf("%s's visit: X-Cache %q, want PAGE", user, xc)
+					}
+				}
+			} else {
+				if !leased || plans != 1 {
+					t.Fatalf("without the page tier u1's answer filed a lease %v and kept %d plans; want the lease and its plan", leased, plans)
+				}
+				if _, xc := visit("u1"); xc != "LEASE" {
+					t.Fatalf("u1's next visit: X-Cache %q, want LEASE", xc)
+				}
+			}
+			wantLeases := map[bool]int64{true: 0, false: 1}[tier]
+			if snap["dpc.lease_page_grants"] != 1 || snap["dpc.lease_grants"] != wantLeases || snap["dpc.lease_resident"] != wantLeases {
+				t.Fatalf("page-scoped grants %d, leases filed %d, resident %d; want 1, %d, %d",
+					snap["dpc.lease_page_grants"], snap["dpc.lease_grants"], snap["dpc.lease_resident"], wantLeases, wantLeases)
+			}
+		})
 	}
 }

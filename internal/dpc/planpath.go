@@ -85,10 +85,12 @@ func readTemplate(buf []byte, body io.Reader, clen int64) ([]byte, error) {
 // on the stage's span. The template is held in a pooled buffer for the
 // length of the run and in nothing afterwards: a plan owns copies of the
 // bytes it emits. A lease hit (rs.held) has no body at all: the plan the
-// lease names runs in its place, a hit with no template bytes read. A lease
-// the origin's answer granted (rs.grantUntil) is filed here, under the plan
-// its template compiles to, once that plan's run has resolved every ref —
-// or not at all.
+// lease names runs in its place, a hit with no template bytes read. The
+// grant the origin's answer carried (rs.grantUntil) goes to its one keeper
+// here, once the plan's run has resolved every ref, or to none: the page
+// tier, when it files the page for every visitor (tierKeeps), and then the
+// plan is not kept either; or else a lease, under the plan the template
+// compiles to.
 func (p *Proxy) assemble(w io.Writer, body io.Reader, clen int64, rs *reqState) (AssembleStats, error) {
 	sp := rs.span
 	until := rs.grantUntil
@@ -119,7 +121,7 @@ func (p *Proxy) assemble(w io.Writer, body io.Reader, clen int64, rs *reqState) 
 	case len(buf) > planMaxTemplate:
 		why = "streamed:oversized"
 	default:
-		plan, hit, err := p.plans.Get(buf)
+		plan, hit, err := p.plans.Find(buf)
 		if err == nil {
 			kind, note := trace.KindHit, "hit"
 			if hit {
@@ -135,11 +137,17 @@ func (p *Proxy) assemble(w io.Writer, body io.Reader, clen int64, rs *reqState) 
 			}
 			sp.Event(kind, "plan", note, int64(len(buf)))
 			st, err := p.exec.Run(plan, w, sp)
-			if err == nil && until != 0 && !plan.OneOff() {
-				// The plan is resident and its run met no missing or
-				// floored slot: the next fetch of this key can run it. A
-				// run that went stale files nothing — its refetch is the
-				// stale fallback's, and the next visit would only void it.
+			// A run that went stale keeps no grant: its refetch is the
+			// stale fallback's, and the next visit would only void it.
+			granted := err == nil && until != 0 && !plan.OneOff()
+			if granted && p.tierKeeps(rs, st.PageBytes) {
+				p.leases.pageGrants.Inc()
+				return st, err
+			}
+			if !hit {
+				p.plans.Keep(plan)
+			}
+			if granted {
 				p.fileLease(rs, until, plan)
 			}
 			return st, err

@@ -14,7 +14,9 @@ import (
 // and the invalidation fabric's Flush apply unchanged. It
 // admits only templates that can recur: a one-off (Plan.OneOff) is
 // compiled and handed back but never stored, so the budget goes to the
-// GET-only templates that do repeat.
+// GET-only templates that do repeat; and a caller that may not run a
+// plan again compiles it without keeping it (Find), keeping it once it
+// knows it will (Keep).
 // Content hashing makes invalidation-by-redeploy automatic — an origin
 // that ships a changed layout produces different bytes, misses, and
 // compiles fresh; the old plan ages out — while the fabric's
@@ -62,16 +64,26 @@ func NewCache(codec tmpl.Codec, cfg CacheConfig) (*Cache, error) {
 }
 
 // Get returns the compiled plan for template, compiling it on miss and
-// caching it unless it is a one-off; hit reports whether the plan was
-// already resident. The plan holds copies of the bytes it needs, so the
-// caller may reuse template as soon as Get returns. Two concurrent misses
-// on the same bytes may both compile; plans are immutable, so the
-// duplicate Put is harmless. A nested-include body that carries a SET is a
-// one-off too and compiles on every run that includes it. A compile error
-// (a corrupt template) is returned without caching — the caller streams
-// the template through Exec.RunStream instead, which applies the SETs
-// ahead of the corruption and then reports it.
+// keeping it unless it is a one-off (Find, then Keep); hit reports whether
+// the plan was already resident. A nested-include body that carries a SET
+// is a one-off too and compiles on every run that includes it.
 func (c *Cache) Get(template []byte) (plan *Plan, hit bool, err error) {
+	plan, hit, err = c.Find(template)
+	if err == nil && !hit {
+		c.Keep(plan)
+	}
+	return plan, hit, err
+}
+
+// Find returns the resident plan for template, or else compiles one the
+// cache does not keep until Keep files it; hit reports which. The plan
+// holds copies of the bytes it needs, so the caller may reuse template as
+// soon as Find returns. Two concurrent misses on the same bytes may both
+// compile; plans are immutable, so the duplicate Keep is harmless. A
+// compile error (a corrupt template) is returned without caching — the
+// caller streams the template through Exec.RunStream instead, which
+// applies the SETs ahead of the corruption and then reports it.
+func (c *Cache) Find(template []byte) (plan *Plan, hit bool, err error) {
 	sum := sha256.Sum256(template)
 	if p := c.LookupKey(string(sum[:])); p != nil {
 		c.hits.Add(1)
@@ -84,10 +96,14 @@ func (c *Cache) Get(template []byte) (plan *Plan, hit bool, err error) {
 	}
 	c.compiles.Add(1)
 	p.key = string(sum[:])
-	if !p.OneOff() {
-		c.store.Put(p.key, fragstore.KeyedEntry{Obj: p, Cost: p.Footprint()}, 0)
-	}
 	return p, false, nil
+}
+
+// Keep files plan, which Find compiled, unless it is a one-off.
+func (c *Cache) Keep(plan *Plan) {
+	if !plan.OneOff() {
+		c.store.Put(plan.key, fragstore.KeyedEntry{Obj: plan, Cost: plan.Footprint()}, 0)
+	}
 }
 
 // LookupKey returns the resident plan filed under key, the key a plan
