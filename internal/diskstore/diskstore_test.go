@@ -314,6 +314,53 @@ func TestWarmReopen(t *testing.T) {
 	}
 }
 
+// TestPutWritesEachPageOnce: first-time Puts append to the open tail, and
+// a page is written when a Put seals it, not once per record staged on it;
+// the tail is written at Close. Reads during the fill are served from the
+// tail's frame and from sealed pages loaded back through a small pool.
+func TestPutWritesEachPageOnce(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fill.heap")
+	s, err := Open(Config{Path: path, PageBytes: MinPageBytes, PoolPages: 4})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	const n = 300
+	key := func(i int) string { return fmt.Sprintf("k%03d", i) }
+	for i := 0; i < n; i++ {
+		if !s.Put(key(i), Entry{Value: entryFor(i, 1000), Gen: uint64(i)}) {
+			t.Fatalf("Put %s refused", key(i))
+		}
+		for _, j := range []int{i, i / 2} {
+			if e, ok := s.Get(key(j)); !ok || !bytes.Equal(e.Value, entryFor(j, 1000)) {
+				t.Fatalf("after Put %s: Get %s = %v, want its value", key(i), key(j), ok)
+			}
+		}
+	}
+	st := s.Stats()
+	k := int64(st.Pages)
+	if k < 10 || st.PoolLoads == 0 {
+		t.Fatalf("setup: want a fill over many pages, read back through the pool: %+v", st)
+	}
+	if st.PageWrites != k-1 {
+		t.Fatalf("%d first-time Puts over %d pages wrote %d pages before Close, want %d: each sealed page once", n, k, st.PageWrites, k-1)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if got := s.Stats().PageWrites; got != k {
+		t.Fatalf("after Close: %d page writes, want %d (the tail once more)", got, k)
+	}
+	s = openTemp(t, Config{Path: path, PageBytes: MinPageBytes})
+	if st := s.Stats(); st.RecoveredEntries != n || st.ChecksumDiscards != 0 || st.PageWrites != 0 {
+		t.Fatalf("reopen: %+v", st)
+	}
+	for i := 0; i < n; i++ {
+		if e, ok := s.Get(key(i)); !ok || !bytes.Equal(e.Value, entryFor(i, 1000)) || e.Gen != uint64(i) {
+			t.Fatalf("after reopen: Get %s = %v, want its value and gen %d", key(i), ok, i)
+		}
+	}
+}
+
 func TestPoolBoundAndReload(t *testing.T) {
 	// 4 frames over a file that needs dozens of pages: reads must
 	// reload evicted pages and still verify.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"slices"
 	"testing"
@@ -121,15 +122,65 @@ func (s *Store) checkInvariants() error {
 
 const modelKeys = 12
 
-// runModel decodes ops into a Put / Get / Peek / Delete / Twin / reopen
-// sequence and applies it to a store with MinPageBytes pages and poolPages
-// frames — the shape that forces a pool eviction on almost every page
-// touch — and to a plain map, checking after every operation that the two
-// agree and that the store's invariants hold.
+// tailDirty reports whether the open tail holds anything its page on disk
+// lacks.
+func (s *Store) tailDirty() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.tail >= 0 && s.dirty[s.tail] != nil
+}
+
+// onTail reports whether key's record has a segment on the open tail.
+func (s *Store) onTail(key string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if d := s.index[key]; d != nil {
+		for _, loc := range d.segs {
+			if loc.page == s.tail {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// crash copies the heap file's bytes to cfg.Path without Close, drops s
+// as a crash leaves it — its file closed, nothing written back — and
+// returns a store opened on the copy.
+func (s *Store) crash(t *testing.T, cfg Config) *Store {
+	t.Helper()
+	img, err := os.ReadFile(s.cfg.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	s.closed = true
+	s.mu.Unlock()
+	s.file.Close()
+	if err := os.WriteFile(cfg.Path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Open(cfg)
+	if err != nil {
+		t.Fatalf("open after crash: %v", err)
+	}
+	return c
+}
+
+// runModel decodes ops into a Put / Get / Peek / Delete / Twin / reopen /
+// crash sequence and applies it to a store with MinPageBytes pages and
+// poolPages frames — the shape that forces a pool eviction on almost every
+// page touch — and to a plain map, checking after every operation that the
+// two agree and that the store's invariants hold. A crash copies the heap
+// file as it stands, without Close, and goes on with a store opened on the
+// copy: every key must read its latest value there, except one whose
+// latest record was staged on the open tail since that page was last
+// written, which may read absent or any value it held since then.
 func runModel(t *testing.T, poolPages int, ops []byte) {
 	t.Helper()
+	dir := t.TempDir()
 	cfg := Config{
-		Path:      filepath.Join(t.TempDir(), "model.heap"),
+		Path:      filepath.Join(dir, "model.heap"),
 		PageBytes: MinPageBytes,
 		PoolPages: poolPages,
 	}
@@ -140,6 +191,10 @@ func runModel(t *testing.T, poolPages int, ops []byte) {
 	defer func() { s.Close() }()
 
 	oracle := make(map[string]Entry)
+	// since holds, for each key Put since the open tail was last written,
+	// the values it held since then: its value at that write, if it had
+	// one, and each value Put after it.
+	since := make(map[string][]Entry)
 	next := func() int {
 		if len(ops) == 0 {
 			return 0
@@ -171,6 +226,12 @@ func runModel(t *testing.T, poolPages int, ops []byte) {
 			if !s.Put(key, e) {
 				t.Fatalf("step %d: Put(%q, %d B) refused", step, key, len(e.Value))
 			}
+			if _, ok := since[key]; !ok {
+				if old, present := oracle[key]; present {
+					since[key] = []Entry{old}
+				}
+			}
+			since[key] = append(since[key], e)
 			oracle[key] = e
 		case 3, 4:
 			what = "Get"
@@ -188,7 +249,45 @@ func runModel(t *testing.T, poolPages int, ops []byte) {
 				t.Fatalf("step %d: Delete(%q) = %v, oracle says %v", step, key, got, present)
 			}
 		default:
-			if next()%4 != 0 {
+			switch next() % 8 {
+			case 0:
+				what = "reopen"
+				if err := s.Close(); err != nil {
+					t.Fatalf("step %d: Close: %v", step, err)
+				}
+				if s, err = Open(cfg); err != nil {
+					t.Fatalf("step %d: reopen: %v", step, err)
+				}
+			case 1:
+				what = "crash"
+				var unsure []string
+				for key := range since {
+					if s.onTail(key) {
+						unsure = append(unsure, key)
+					}
+				}
+				cfg.Path = filepath.Join(dir, fmt.Sprintf("crash%d.heap", step))
+				s = s.crash(t, cfg)
+				for _, key := range unsure {
+					got, ok := s.Peek(key)
+					if ok && !slices.ContainsFunc(since[key], func(e Entry) bool {
+						return e.Gen == got.Gen && bytes.Equal(e.Value, got.Value)
+					}) {
+						t.Fatalf("step %d: after crash %q = %d B gen %d, a value it never held since the tail was last written",
+							step, key, len(got.Value), got.Gen)
+					}
+					if ok {
+						oracle[key] = got
+					} else {
+						delete(oracle, key)
+					}
+				}
+				for k := 0; k < modelKeys; k++ {
+					key := fmt.Sprintf("key%d", k)
+					got, ok := s.Peek(key)
+					check("Peek after crash", key, got, ok)
+				}
+			default:
 				// Twin answers presence and moves no bytes; the flags it
 				// leaves behind are checked by checkInvariants.
 				what = "Twin"
@@ -196,15 +295,10 @@ func runModel(t *testing.T, poolPages int, ops []byte) {
 				if got := s.Twin(key, next()%2 == 0); got != present {
 					t.Fatalf("step %d: Twin(%q) = %v, oracle says %v", step, key, got, present)
 				}
-				break
 			}
-			what = "reopen"
-			if err := s.Close(); err != nil {
-				t.Fatalf("step %d: Close: %v", step, err)
-			}
-			if s, err = Open(cfg); err != nil {
-				t.Fatalf("step %d: reopen: %v", step, err)
-			}
+		}
+		if !s.tailDirty() {
+			clear(since)
 		}
 		if err := s.checkInvariants(); err != nil {
 			t.Fatalf("step %d, after %s(%q): %v", step, what, key, err)

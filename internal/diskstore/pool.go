@@ -230,10 +230,12 @@ func (s *Store) unpin(f *frame) {
 }
 
 // flushDirty writes back dirty pages until none remain (or a truncate
-// is in flight, which will re-drive the flush when it completes). Safe
-// to call from any goroutine; per-page in-flight flags serialize
-// write-backs for the same page id.
-func (s *Store) flushDirty() {
+// is in flight, which will re-drive the flush when it completes). With
+// tail false it leaves the open tail dirty: Put passes false, so a page is
+// written when it is sealed, not once per record staged on it; Delete,
+// Flush, Close and replay pass true. Safe to call from any goroutine;
+// per-page in-flight flags serialize write-backs for the same page id.
+func (s *Store) flushDirty(tail bool) {
 	// The snapshot page is the store's flushScratch, taken for the length
 	// of the call; a flusher running beside its holder allocates its own.
 	var scratch []byte
@@ -242,7 +244,7 @@ func (s *Store) flushDirty() {
 		var f *frame
 		if !s.truncating && !s.closed {
 			for page, cand := range s.dirty {
-				if !s.flushing[page] {
+				if !s.flushing[page] && (tail || page != s.tail) {
 					f = cand
 					break
 				}
@@ -268,11 +270,7 @@ func (s *Store) flushDirty() {
 		s.writes.Add(1)
 		s.mu.Unlock()
 
-		sealPage(scratch)
-		_, err := s.file.WriteAt(scratch, int64(page)*int64(s.pageBytes))
-		if err != nil {
-			s.writeErrsCount.Add(1)
-		}
+		s.writePage(page, scratch)
 
 		s.mu.Lock()
 		delete(s.flushing, page)
@@ -283,11 +281,21 @@ func (s *Store) flushDirty() {
 	}
 }
 
+// writePage stamps the checksum on buf, a private image of page, and
+// writes it to the heap file. Called without s.mu held.
+func (s *Store) writePage(page int, buf []byte) {
+	sealPage(buf)
+	s.pageWrites.Add(1)
+	if _, err := s.file.WriteAt(buf, int64(page)*int64(s.pageBytes)); err != nil {
+		s.writeErrsCount.Add(1)
+	}
+}
+
 // applyKills zeroes the slot directory entries of deleted records. For
 // each affected page the current frame is loaded (if needed), cloned,
 // edited, and swapped in under the latch — copy-on-write, so readers
-// holding the old frame are never raced — then marked dirty for
-// write-back. Must be called without s.mu held.
+// holding the old frame are never raced — then marked dirty for the
+// caller's flushDirty. Must be called without s.mu held.
 func (s *Store) applyKills(kills []segLoc) {
 	if len(kills) == 0 {
 		return
@@ -330,5 +338,4 @@ func (s *Store) applyKills(kills []segLoc) {
 		s.mu.Unlock()
 		s.unpin(f)
 	}
-	s.flushDirty()
 }

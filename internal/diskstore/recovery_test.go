@@ -254,3 +254,90 @@ func TestReplayOutranksIncompleteRecords(t *testing.T) {
 		t.Fatalf("Get(k) after the second replay = %q, %v; want the value stored after the first", e.Value, ok)
 	}
 }
+
+// TestReplayErasesRecycledPages: a page whose records all lost at replay —
+// here a record whose kill never reached the file beside the newer record
+// that replaced it — is erased when it is recycled. A tail later placed on
+// it is not written until sealed, so a crash before then must not find the
+// old record there to bring back after its key was deleted.
+func TestReplayErasesRecycledPages(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Path: filepath.Join(dir, "recycled.heap"), PageBytes: MinPageBytes}
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole := make([]byte, MinPageBytes-96) // a record that fills a page alone
+	s.Put("j", Entry{Value: whole, Gen: 1})
+	s.Put("f", Entry{Value: whole}) // seals page 0, which holds only j
+	img := make([]byte, MinPageBytes)
+	if _, err := s.file.ReadAt(img, 0); err != nil {
+		t.Fatal(err)
+	}
+	s.Put("j", Entry{Value: whole, Gen: 2}) // kills and frees page 0
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(cfg.Path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(img, 0); err != nil { // as if the kill never landed
+		t.Fatal(err)
+	}
+	f.Close()
+
+	s = openTemp(t, cfg)
+	if e, ok := s.Peek("j"); !ok || e.Gen != 2 {
+		t.Fatalf("replay: j = gen %d, %v; want the newer record", e.Gen, ok)
+	}
+	s.Delete("j")
+	s.Put("t", Entry{Value: []byte("x")}) // the tail takes page 0, the free list's first
+	if s.tail != 0 {
+		t.Fatalf("setup: tail on page %d, want the recycled page 0", s.tail)
+	}
+	cfg.Path = filepath.Join(dir, "crashed.heap")
+	s = s.crash(t, cfg)
+	defer s.Close()
+	if e, ok := s.Peek("j"); ok {
+		t.Fatalf("deleted j came back at gen %d after a crash", e.Gen)
+	}
+}
+
+// TestTailTakesOnlyErasedFreePages: a page freed while an older image of it
+// is still being written back is not taken for the next tail until its
+// erasure has landed, or a crash before that tail is sealed would replay
+// the older image's records, deletions undone. The write-back in flight is
+// played by its flag.
+func TestTailTakesOnlyErasedFreePages(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Path: filepath.Join(dir, "erasure.heap"), PageBytes: MinPageBytes}
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole := make([]byte, MinPageBytes-96) // a record that fills a page alone
+	s.Put("j", Entry{Value: whole, Gen: 1})
+	s.Put("f1", Entry{Value: whole}) // seals page 0, which holds only j
+	s.mu.Lock()
+	s.flushing[0] = true // a write-back of page 0's image is in flight
+	s.mu.Unlock()
+	s.Delete("j")                    // frees page 0; its erasure waits for that write
+	s.Put("f2", Entry{Value: whole}) // seals page 1 and places a new tail
+	if s.tail == 0 {
+		t.Fatal("the new tail took page 0 before its erasure landed")
+	}
+	s.mu.Lock()
+	delete(s.flushing, 0) // the write lands; its flusher looks for more work
+	s.mu.Unlock()
+	s.flushDirty(false)
+	cfg.Path = filepath.Join(dir, "crashed.heap")
+	s = s.crash(t, cfg)
+	defer s.Close()
+	if e, ok := s.Peek("j"); ok {
+		t.Fatalf("deleted j came back at gen %d after a crash", e.Gen)
+	}
+	if _, ok := s.Peek("f1"); !ok {
+		t.Fatal("f1, on a sealed page, lost")
+	}
+}

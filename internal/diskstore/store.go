@@ -9,8 +9,10 @@
 // publish-on-channel protocol; and writes are
 // staged into pinned frames under the latch, then written back from
 // private snapshots after it is released (one in-flight write per page,
-// so page images land in staging order). Deleting a record rewrites its
-// page with the slot zeroed via copy-on-write, so concurrent lock-free
+// so page images land in staging order). Appends fill the open tail page,
+// which is written once, by the Put that seals it; every other page a
+// Put dirties is written before it returns. Deleting a record rewrites
+// its page with the slot zeroed via copy-on-write, so concurrent lock-free
 // readers of the old frame are never raced.
 //
 // The tiered store keeps the tiers inclusive: promoting a record into RAM
@@ -24,15 +26,23 @@
 // entry count). Steady-state traffic over a read-mostly set is therefore
 // reads and probes; writes are first-time demotions and invalidations.
 //
-// Crash behavior: a record is committed once its page(s) carry valid
-// checksums on disk, which the prompt write-back makes true moments
-// after Put returns; replay at Open discards torn or checksum-bad pages
-// wholesale and keeps, per key, the highest-sequence fully-present
-// record. Records carry no TTL: a fragment stays valid until it is
-// replaced or invalidated. Deletions are durable once their page rewrite
-// lands — a crash in that instant can resurrect entries deleted in the
-// final moments, which a cache tier tolerates (recovered entries remain
-// subject to invalidation). A clean Close flushes everything and is exact.
+// Crash behavior: a page is committed once it carries a valid checksum on
+// disk, and a record is durable once the page it was staged on has been
+// written — when the page is sealed, or by a Delete, Flush or Close, which
+// write back every dirty page, the open tail included. A crash without
+// Close can therefore lose only the records staged on the open tail since
+// that page was last written: at most one page. A kill on the tail (an
+// overwrite or a budget eviction) waits for the same write, so a record it
+// killed may come back, but never over a newer record of its key that was
+// written. Replay at Open discards torn or checksum-bad pages wholesale,
+// keeps, per key, the highest-sequence fully-present record, and erases
+// the pages it recycles; a tail is only ever placed on a page whose erasure
+// has landed, so an unwritten tail cannot bring back records deleted
+// before it. Records carry no TTL: a fragment stays valid until it is
+// replaced or invalidated. A cache tier tolerates the loss: a lost record
+// is a miss, and strict generations make a replayed old record harmless
+// (recovered entries remain subject to invalidation). A clean Close flushes
+// everything and is exact.
 package diskstore
 
 import (
@@ -111,7 +121,11 @@ type Stats struct {
 	PoolHits         int64 `json:"pool_hits"`
 	PoolLoads        int64 `json:"pool_loads"`
 	PoolEvictions    int64 `json:"pool_evictions"`
-	WriteErrors      int64 `json:"write_errors"`
+	// PageWrites counts pages written to the heap file: a sealed tail,
+	// a page a kill rewrote or freed, every dirty page at Delete, Flush
+	// and Close, and the pages replay erases.
+	PageWrites  int64 `json:"page_writes"`
+	WriteErrors int64 `json:"write_errors"`
 }
 
 // segLoc addresses one record segment; pgen guards against the page
@@ -185,6 +199,7 @@ type Store struct {
 	recovered, checksumDiscards   atomic.Int64
 	poolHits, poolLoads           atomic.Int64
 	poolEvictions, writeErrsCount atomic.Int64
+	pageWrites                    atomic.Int64
 }
 
 // Open opens (creating if absent) the heap file at cfg.Path and replays
@@ -246,6 +261,7 @@ func (s *Store) replay() error {
 		recs []recSeg
 	}
 	byKey := make(map[string]map[uint64]*group) // key → seq → group
+	held := make([]bool, nPages)                // pages holding a record segment
 	buf := make([]byte, s.pageBytes)
 	for p := 0; p < nPages; p++ {
 		s.pages[p] = &pageInfo{sealed: true}
@@ -284,6 +300,7 @@ func (s *Store) replay() error {
 				m[seg.hdr.seq] = g
 			}
 			g.recs = append(g.recs, recSeg{seg: seg, loc: segLoc{page: p, slot: i}})
+			held[p] = true
 		}
 	}
 	s.nextPage = nPages
@@ -348,12 +365,17 @@ func (s *Store) replay() error {
 		}
 		s.recovered.Add(1)
 	}
-	// Pages with no surviving records are recycled. Their stale bytes
-	// are erased lazily: reuse rewrites the whole page.
+	// Pages with no surviving records are recycled, and the records they
+	// hold erased now: a tail placed on one is not written until it is
+	// sealed, and a crash before then would replay them again.
 	for p, pi := range s.pages {
 		if !pi.free && pi.live == 0 {
 			pi.free = true
 			s.freeList = append(s.freeList, p)
+			if held[p] {
+				initPage(buf)
+				s.writePage(p, buf)
+			}
 		}
 	}
 	sort.Ints(s.freeList)
@@ -369,7 +391,7 @@ func (s *Store) replay() error {
 		kills = s.settlePagesLocked(kills)
 		// Replay holds no locks and has no readers yet: apply inline.
 		s.applyKills(kills)
-		s.flushDirty()
+		s.flushDirty(true)
 	}
 	return nil
 }
@@ -408,7 +430,9 @@ func completeGroup(segs []segment) bool {
 
 // Put stores (or overwrites) key. It returns false when the entry can
 // never fit (over budget on its own, or the key exceeds the page format);
-// refused entries count as evictions, mirroring KeyedStore.
+// refused entries count as evictions, mirroring KeyedStore. The record is
+// durable once the page it was staged on is written: by the Put that seals
+// it, or at the next Delete, Flush or Close.
 func (s *Store) Put(key string, e Entry) bool {
 	s.puts.Add(1)
 	charge := int64(len(key) + len(e.Value))
@@ -446,7 +470,11 @@ func (s *Store) Put(key string, e Entry) bool {
 	kills = s.settlePagesLocked(kills)
 	s.mu.Unlock()
 	s.applyKills(kills)
-	s.flushDirty()
+	// The open tail is written when a later Put seals it, or by Delete,
+	// Flush or Close: it stays pinned while dirty, so every read of it is
+	// served from its frame. A page this Put sealed is no longer the tail
+	// and is written here, once.
+	s.flushDirty(false)
 	return segs != nil
 }
 
@@ -746,7 +774,7 @@ func (s *Store) Delete(key string) bool {
 	s.mu.Unlock()
 	s.deletes.Add(1)
 	s.applyKills(kills)
-	s.flushDirty()
+	s.flushDirty(true)
 	return true
 }
 
@@ -770,7 +798,7 @@ func (s *Store) Flush() {
 	s.mu.Lock()
 	s.truncating = false
 	s.mu.Unlock()
-	s.flushDirty() // anything staged while the truncate was in flight
+	s.flushDirty(true) // anything staged while the truncate was in flight
 }
 
 func (s *Store) resetLocked() {
@@ -830,6 +858,7 @@ func (s *Store) Stats() Stats {
 	st.PoolHits = s.poolHits.Load()
 	st.PoolLoads = s.poolLoads.Load()
 	st.PoolEvictions = s.poolEvictions.Load()
+	st.PageWrites = s.pageWrites.Load()
 	st.WriteErrors = s.writeErrsCount.Load()
 	return st
 }
@@ -837,7 +866,7 @@ func (s *Store) Stats() Stats {
 // Close writes back all dirty pages, syncs, and closes the heap file.
 // Idempotent.
 func (s *Store) Close() error {
-	s.flushDirty()
+	s.flushDirty(true)
 	s.writes.Wait()
 	s.mu.Lock()
 	if s.closed {
@@ -905,14 +934,21 @@ func (s *Store) freePageLocked(page int, pi *pageInfo) {
 	s.freeList = append(s.freeList, page)
 }
 
-// allocTailLocked makes a fresh append page current, reusing the free
-// list when possible.
+// allocTailLocked makes a fresh append page current: the first free page
+// whose erased image has landed on disk, else a new one at the end of the
+// file. A tail is written only when it is sealed, so a crash before then
+// must find nothing on its page to replay.
 func (s *Store) allocTailLocked() {
-	var page int
-	if n := len(s.freeList); n > 0 {
-		page = s.freeList[0]
-		s.freeList = s.freeList[1:]
-	} else {
+	page := -1
+	for i, p := range s.freeList {
+		if s.dirty[p] == nil && !s.flushing[p] {
+			page = p
+			s.freeList[0], s.freeList[i] = s.freeList[i], s.freeList[0]
+			s.freeList = s.freeList[1:]
+			break
+		}
+	}
+	if page < 0 {
 		page = s.nextPage
 		s.nextPage++
 	}

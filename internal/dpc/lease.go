@@ -149,9 +149,11 @@ func (t *leaseTable) get(key string) (lease, bool) {
 	return lease{}, false
 }
 
-// file puts l in its key's slot, or else over the bucket's older slot,
-// unless filable says no under the table's mutex. It reports whether l was
-// filed.
+// file puts l in its bucket's newer slot, unless filable says no under the
+// table's mutex, and reports whether l was filed. l replaces its key's
+// lease where one is filed, and an empty newer slot (a void leaves one)
+// takes it in place; only a filled one moves to the older slot, over the
+// lease there, which gives way.
 func (t *leaseTable) file(l lease, filable func() bool) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -162,12 +164,16 @@ func (t *leaseTable) file(l lease, filable func() bool) bool {
 		t.buckets = new([leaseBuckets][leaseWays]lease)
 	}
 	b := t.bucket(l.key)
-	if b[0].key != l.key {
-		if b[1].key != "" {
-			t.resident.Add(-1)
+	switch {
+	case b[0].key == l.key: // refiled in place
+	case b[0].key == "" && b[1].key != l.key: // an empty newer slot; the older stays
+		t.resident.Add(1)
+	default:
+		// b[0] holds another key's lease, or b[1] holds l's own.
+		if b[1].key == "" {
+			t.resident.Add(1)
 		}
 		b[1] = b[0]
-		t.resident.Add(1)
 	}
 	b[0] = l
 	return true

@@ -119,6 +119,7 @@ func MetricCatalog() []MetricDoc {
 		{"dpc.store.disk_twinned", "gauge", "disk-tier entries the RAM tier currently holds a copy of (exact whenever no crossing of such a key is in flight)"},
 		{"dpc.store.disk_bytes", "gauge", "bytes currently charged against the disk tier's budget"},
 		{"dpc.store.disk_file_bytes", "gauge", "the heap file's extent, free pages included (against disk_bytes: fragmentation)"},
+		{"dpc.store.disk_page_writes", "gauge", "heap-file pages written since open: each page once, by the Put that seals it, plus the pages a kill rewrote or freed, every dirty page at a Delete, flush or close, and the pages replay erased (against disk_demotions: records per page write)"},
 		{"dpc.store.disk_byte_budget", "gauge", "the disk tier's configured byte budget (0 = unbounded)"},
 		{"dpc.store.disk_recovered_entries", "gauge", "entries replayed from the heap file at the last open (warm restart)"},
 		{"dpc.store.disk_checksum_discards", "gauge", "torn or checksum-bad pages discarded at the last open"},

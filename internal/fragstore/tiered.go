@@ -575,6 +575,7 @@ func PublishDisk(reg *metrics.Registry, prefix string, ts TieredStats) {
 	reg.Gauge(prefix + ".disk_resident").Set(int64(ts.Disk.Resident))
 	reg.Gauge(prefix + ".disk_bytes").Set(ts.Disk.Bytes)
 	reg.Gauge(prefix + ".disk_file_bytes").Set(ts.Disk.FileBytes)
+	reg.Gauge(prefix + ".disk_page_writes").Set(ts.Disk.PageWrites)
 	reg.Gauge(prefix + ".disk_byte_budget").Set(ts.Disk.ByteBudget)
 	reg.Gauge(prefix + ".disk_recovered_entries").Set(ts.Disk.RecoveredEntries)
 	reg.Gauge(prefix + ".disk_checksum_discards").Set(ts.Disk.ChecksumDiscards)

@@ -44,7 +44,14 @@ func newBenchTiered(b *testing.B, ramBudget int64) *fragstore.TieredKeyed {
 //     eviction — clean, since the disk tier keeps the copy of everything
 //     it has promoted. ns/op is the mean of the two; a promoting Get costs
 //     twice that less a DiskHitGet.
-//   - DemotePut: a Put whose RAM eviction demotes a victim to disk.
+//   - DemotePut: a Put whose RAM eviction demotes a victim to disk. It
+//     cycles 512 keys, so every demotion also kills the victim's older
+//     disk record: a page rewrite per Put.
+//   - DemoteFill: the cold fill — every demotion is a key's first, so it
+//     appends to the heap file's open tail, and a page is written once,
+//     when it is sealed. The heap file is truncated, untimed, every
+//     fillBatch Puts so that a long run does not fill the disk.
+//     pagewrites/op is heap-file page writes per Put in both.
 //   - OriginRoundTrip: fetching the same payload from a local HTTP
 //     origin — the cost a disk hit avoids. The tentpole's acceptance
 //     bar is DiskHitGet >= 10x faster than this, and the origin here is
@@ -118,6 +125,26 @@ func BenchmarkTieredStore(b *testing.B) {
 			// Every Put displaces the previous key into the disk tier.
 			fragstore.TieredPut(ts, fmt.Sprintf("k%d", i%512), fragstore.KeyedEntry{Value: payload})
 		}
+		b.StopTimer()
+		b.ReportMetric(float64(ts.TierStats().Disk.PageWrites)/float64(b.N), "pagewrites/op")
+	})
+
+	b.Run("DemoteFill", func(b *testing.B) {
+		const fillBatch = 1 << 14 // 64 MiB of heap file at 4 KiB a Put
+		ts := newBenchTiered(b, tieredBenchPayload)
+		b.SetBytes(tieredBenchPayload)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if i > 0 && i%fillBatch == 0 {
+				b.StopTimer()
+				ts.Flush()
+				b.StartTimer()
+			}
+			// Every Put displaces the previous key, never demoted before.
+			fragstore.TieredPut(ts, fmt.Sprintf("k%d", i), fragstore.KeyedEntry{Value: payload})
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(ts.TierStats().Disk.PageWrites)/float64(b.N), "pagewrites/op")
 	})
 
 	b.Run("OriginRoundTrip", func(b *testing.B) {
