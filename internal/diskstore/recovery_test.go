@@ -341,3 +341,57 @@ func TestTailTakesOnlyErasedFreePages(t *testing.T) {
 		t.Fatal("f1, on a sealed page, lost")
 	}
 }
+
+// TestReplayLoserStaysDead: a record that loses at replay to a newer record
+// of its key — its kill never reached the file — on a page another live
+// record keeps, is killed by the replay and its page written back. Left
+// live in the file, it would be replayed again once the winner is deleted,
+// even after a clean Close.
+func TestReplayLoserStaysDead(t *testing.T) {
+	cfg := Config{Path: filepath.Join(t.TempDir(), "loser.heap"), PageBytes: MinPageBytes}
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Put("o", Entry{Value: []byte("keeps page 0 live")})
+	s.Put("j", Entry{Value: []byte("first"), Gen: 1})
+	s.Put("f", Entry{Value: make([]byte, MinPageBytes-96)}) // seals page 0
+	img := make([]byte, MinPageBytes)
+	if _, err := s.file.ReadAt(img, 0); err != nil {
+		t.Fatal(err)
+	}
+	s.Put("j", Entry{Value: []byte("second"), Gen: 2}) // kills gen 1 on page 0
+	if d := s.index["j"]; d.segs[0].page == 0 {
+		t.Fatal("setup: gen 2 was staged on page 0")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(cfg.Path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(img, 0); err != nil { // as if the kill never landed
+		t.Fatal(err)
+	}
+	f.Close()
+
+	s, err = Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e, ok := s.Peek("j"); !ok || e.Gen != 2 {
+		t.Fatalf("replay: j = gen %d, %v; want the newer record", e.Gen, ok)
+	}
+	s.Delete("j")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s = openTemp(t, cfg)
+	if e, ok := s.Peek("j"); ok {
+		t.Fatalf("deleted j came back at gen %d", e.Gen)
+	}
+	if e, ok := s.Peek("o"); !ok || string(e.Value) != "keeps page 0 live" {
+		t.Fatalf("o = %q, %v; want its record, beside the killed loser", e.Value, ok)
+	}
+}

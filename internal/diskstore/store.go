@@ -35,10 +35,12 @@
 // overwrite or a budget eviction) waits for the same write, so a record it
 // killed may come back, but never over a newer record of its key that was
 // written. Replay at Open discards torn or checksum-bad pages wholesale,
-// keeps, per key, the highest-sequence fully-present record, and erases
-// the pages it recycles; a tail is only ever placed on a page whose erasure
-// has landed, so an unwritten tail cannot bring back records deleted
-// before it. Records carry no TTL: a fragment stays valid until it is
+// keeps, per key, the highest-sequence fully-present record, kills every
+// record that one outranks on the pages it keeps (writing them back before
+// Open returns, so deleting the winner cannot bring a loser back), and
+// erases the pages it recycles; a tail is only ever placed on a page whose
+// erasure has landed, so an unwritten tail cannot bring back records
+// deleted before it. Records carry no TTL: a fragment stays valid until it is
 // replaced or invalidated. A cache tier tolerates the loss: a lost record
 // is a miss, and strict generations make a replayed old record harmless
 // (recovered entries remain subject to invalidation). A clean Close flushes
@@ -305,9 +307,11 @@ func (s *Store) replay() error {
 	}
 	s.nextPage = nPages
 
-	// Keep, per key, the highest-seq complete record.
+	// Keep, per key, the highest-seq complete record. Every record it
+	// outranks lost: its kill never reached the file.
 	var winners []*dentry
 	winnerPages := make(map[*dentry][]int)
+	var losers []segLoc
 	for key, m := range byKey {
 		var best *group
 		var bestSeq uint64
@@ -332,6 +336,13 @@ func (s *Store) replay() error {
 		}
 		if best == nil {
 			continue
+		}
+		for seq, g := range m {
+			if seq < bestSeq {
+				for _, r := range g.recs {
+					losers = append(losers, r.loc)
+				}
+			}
 		}
 		sort.Slice(best.recs, func(i, j int) bool {
 			return best.recs[i].seg.hdr.segIdx < best.recs[j].seg.hdr.segIdx
@@ -379,15 +390,23 @@ func (s *Store) replay() error {
 		}
 	}
 	sort.Ints(s.freeList)
-	// Enforce a (possibly shrunken) budget on the recovered set.
-	if s.cfg.ByteBudget > 0 {
-		var kills []segLoc
-		for s.bytes > s.cfg.ByteBudget && len(s.index) > 0 {
-			d := s.lru.prev
-			s.removeLocked(d, &kills)
-			s.evictions.Add(1)
-			s.evictedBytes.Add(d.charge)
+	// The losers on pages a winner keeps live are killed now, and their
+	// pages written back before Open returns: left in the file, a loser
+	// would be replayed again once its key's winner is deleted.
+	var kills []segLoc
+	for _, loc := range losers {
+		if !s.pages[loc.page].free {
+			kills = append(kills, loc)
 		}
+	}
+	// Enforce a (possibly shrunken) budget on the recovered set.
+	for s.cfg.ByteBudget > 0 && s.bytes > s.cfg.ByteBudget && len(s.index) > 0 {
+		d := s.lru.prev
+		s.removeLocked(d, &kills)
+		s.evictions.Add(1)
+		s.evictedBytes.Add(d.charge)
+	}
+	if len(kills) > 0 {
 		kills = s.settlePagesLocked(kills)
 		// Replay holds no locks and has no readers yet: apply inline.
 		s.applyKills(kills)

@@ -381,7 +381,7 @@ func (p *Proxy) serveStale(rs *reqState, key, reason string) (stageOutcome, bool
 		return stageRespond, true
 	}
 	p.reg.Counter("dpc.stale_served_page").Inc()
-	rs.body, rs.ctype, rs.cacheState = hit.Body, hit.ContentType, "STALE"
+	servePage(rs, &hit.Page, "STALE")
 	rs.span.Event(trace.KindStaleServe, hit.rule, reason, hit.Age.Milliseconds())
 	p.kickRevalidate(rs, key, pkey)
 	return stageRespond, true

@@ -10,9 +10,11 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+	"unsafe"
 
 	"dpcache/internal/alloctest"
 	"dpcache/internal/fragstore"
+	"dpcache/internal/pagecache"
 	"dpcache/internal/tmpl"
 )
 
@@ -133,6 +135,85 @@ func TestAllocBudgetPageHitRequest(t *testing.T) {
 	})
 	if objs := pageHitAllocs(t, p, httptest.NewRequest(http.MethodGet, "/page?id=1", nil)); objs > pageHitObjs {
 		t.Fatalf("%v objects allocated per page hit, budget %d", objs, pageHitObjs)
+	}
+}
+
+// sharedPageProxy returns a proxy whose page tier has filed req's page —
+// 16 fragments of 1 KiB, each after a 5-byte literal, assembled from the
+// slot array — as a shared entry, and the page's length.
+func sharedPageProxy(t *testing.T) (p *Proxy, req *http.Request, pageBytes int) {
+	const frags, fragBytes = 16, 1 << 10
+	body := templateBody(t, func(enc tmpl.Encoder) {
+		for k := uint32(0); k < frags; k++ {
+			_ = enc.Literal([]byte("<div>"))
+			_ = enc.Get(k, 1)
+		}
+	})
+	header := http.Header{"X-Dpc-Template": {"binary"}, "Content-Type": {"text/html"}}
+	p = newTestProxy(t, "http://origin.invalid", func(c *Config) {
+		c.Coalesce = true
+		c.Stream = true
+		c.PageCache = true
+		c.PageCacheTTL = time.Hour
+		c.Transport = roundTripFunc(func(r *http.Request) (*http.Response, error) {
+			return &http.Response{
+				StatusCode: http.StatusOK, ContentLength: int64(len(body)), Request: r,
+				Body: io.NopCloser(bytes.NewReader(body)), Header: header,
+			}, nil
+		})
+	})
+	for k := uint32(0); k < frags; k++ {
+		if err := p.Store().Set(k, 1, bytes.Repeat([]byte{'a' + byte(k)}, fragBytes)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	req = httptest.NewRequest(http.MethodGet, "/page?id=1", nil)
+	p.ServeHTTP(&discardWriter{h: http.Header{}}, req)
+	pageBytes = frags * (fragBytes + len("<div>"))
+	if n := p.Registry().Counter("dpc.pagecache_shared_bytes").Value(); n != frags*fragBytes {
+		t.Fatalf("dpc.pagecache_shared_bytes = %d after the fill, want the %d fragment bytes", n, frags*fragBytes)
+	}
+	return p, req, pageBytes
+}
+
+// A page-tier hit on a shared entry gathers the body into a pooled buffer:
+// it allocates no more objects than a hit on a flat one.
+func TestAllocBudgetSharedPageHit(t *testing.T) {
+	p, req, _ := sharedPageProxy(t)
+	if objs := pageHitAllocs(t, p, req); objs > pageHitObjs {
+		t.Fatalf("%v objects allocated per shared page hit, budget %d", objs, pageHitObjs)
+	}
+}
+
+// Filing an assembled page whose fragments are resident allocates — and
+// the entry then holds — its literal runs and its span table, within 15 %,
+// not the page: a copy of the 16 KiB page breaks the budget many times
+// over. The page is refiled under one key, each fill replacing the last, so
+// every call does the same work.
+func TestAllocBudgetSharedFillRetainsLiterals(t *testing.T) {
+	p, req, pageBytes := sharedPageProxy(t)
+	hit, ok := p.probe(&reqState{r: req}, pageKey(req), 0)
+	if !ok || hit.Layout == nil {
+		t.Fatal("setup: the page was not filed shared")
+	}
+	body := hit.AppendBody(nil)
+	rs := &reqState{fillKey: "/refiled", fillTTL: time.Hour}
+	for _, sp := range hit.Layout.Spans {
+		k := uint32(sp.Frag[0] - 'a')
+		rs.depRefs = append(rs.depRefs, StaleRef{Key: k, Gen: 1})
+	}
+	var shared int
+	file := func() { shared = p.fileShared(rs, body, "", "", "") }
+	bytesPer, objs := alloctest.PerCall(windows, requests, file)
+	lit := len(body) - shared
+	want := float64(lit + len(hit.Layout.Spans)*pagecache.SpanBytes + int(unsafe.Sizeof(pagecache.Layout{})))
+	t.Logf("%.0f B in %.2f objects per fill of a %d-byte page: %d literal bytes, %d spans (%.0f B expected)",
+		bytesPer, objs, pageBytes, lit, len(hit.Layout.Spans), want)
+	if shared != 16<<10 {
+		t.Fatalf("the fill shared %d bytes, want the 16 fragments' %d", shared, 16<<10)
+	}
+	if bytesPer > want*1.15 {
+		t.Fatalf("%.0f B allocated per fill, budget %.0f B (the literal runs and span table, +15 %%)", bytesPer, want*1.15)
 	}
 }
 

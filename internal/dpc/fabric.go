@@ -124,7 +124,7 @@ func (p *Proxy) Apply(ev coherency.Event) uint64 {
 		p.flushGap()
 	}
 	f.lastSeq = ev.Seq
-	f.attached.Store(true)
+	p.attach()
 	switch ev.Kind {
 	case coherency.KindFragment:
 		p.floors.raise(ev.Key, ev.Gen)
@@ -275,7 +275,17 @@ func (p *Proxy) follow(a coherency.Answer, sent int64) {
 		p.Apply(ev)
 	}
 	f.trusted.Store(sent + int64(a.Trust()))
-	f.attached.Store(true)
+	p.attach()
+}
+
+// attach marks the proxy attached to the fabric. The first time, it also
+// empties the plan tier: until then the proxy asked for no lease, so no
+// lease names a plan it holds, and a plan compiled off the fabric is one
+// whose page the tier or a lease now answers — nothing would run it again.
+func (p *Proxy) attach() {
+	if !p.fabric.attached.Load() && !p.fabric.attached.Swap(true) {
+		p.plans.Store().Flush()
+	}
 }
 
 // fabricStats is the fabric section of /_dpc/stats.

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -67,6 +68,9 @@ func TestApplyReachesEveryTier(t *testing.T) {
 	mon, _ := bem.New(bem.Config{Capacity: 8})
 	hub := coherency.NewHub(mon)
 	hub.Subscribe(p)
+	// The first event attaches the proxy, which empties the plan tier; the
+	// plans compiled after it are the ones events must leave alone.
+	hub.BroadcastPurge("/none")
 
 	warm()
 	hub.Broadcast("frag", 1, gen.Add(1)-1)
@@ -144,7 +148,7 @@ func concurrentFillsAndInvalidations(t *testing.T) {
 	}
 	served := func(pg uint32) (string, bool) {
 		hit, ok := p.tierGet(&reqState{}, pageKey(pg), rulePage, 0)
-		return string(hit.Body), ok
+		return string(hit.AppendBody(nil)), ok
 	}
 	for seq := uint64(1); seq <= writes; seq++ {
 		for attempts.Load() < int64(seq)*fillers {
@@ -180,4 +184,45 @@ func fillCaptured(p *Proxy, span *trace.Span, key, body string, epoch uint64, re
 		fillKey: key, fillTTL: time.Minute, fillRule: rulePage,
 		depRefs: refs, depEpoch: epoch,
 	})
+}
+
+// A push-subscribed proxy asks for no lease until its first event attaches
+// it, so a plan it compiled before then is named by no lease, and its page
+// is answered from then on by the tier or a lease: the first event empties
+// the plan tier. A lease filed after it keeps its plan and hits.
+func TestFirstAttachFlushesPlans(t *testing.T) {
+	origin, _ := pageLeaseOrigin(t, "none")
+	p := newTestProxy(t, "http://origin.invalid", func(c *Config) {
+		origin(c)
+		c.Coalesce, c.Stream = true, true
+	})
+	for k := uint32(0); k < 16; k++ {
+		if err := p.Store().Set(k, 1, bytes.Repeat([]byte{'a' + byte(k)}, 1<<10)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	visit := func() string {
+		rec := httptest.NewRecorder()
+		p.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/page", nil))
+		return rec.Header().Get("X-Cache")
+	}
+	visit()
+	visit()
+	if n := p.Plans().Stats().Resident; n != 1 {
+		t.Fatalf("setup: %d plans resident before the fabric attached, want 1", n)
+	}
+	p.Apply(coherency.Event{Seq: 1, Kind: coherency.KindPurge, URI: "/none"})
+	if n := p.Plans().Stats().Resident; n != 0 {
+		t.Fatalf("%d plans resident after the first event, want 0", n)
+	}
+	if got := []string{visit(), visit(), visit()}; !slices.Equal(got, []string{"MISS", "LEASE", "LEASE"}) {
+		t.Fatalf("X-Cache after attaching = %q, want MISS (the grant) then LEASE", got)
+	}
+	if n := p.Plans().Stats().Resident; n != 1 {
+		t.Fatalf("%d plans resident beside the lease, want its one", n)
+	}
+	p.Apply(coherency.Event{Seq: 2, Kind: coherency.KindPurge, URI: "/none"})
+	if n, hits := p.Plans().Stats().Resident, p.Registry().Counter("dpc.lease_hits").Value(); n != 1 || hits != 2 || visit() != "LEASE" {
+		t.Fatalf("after a second event: %d plans resident, %d lease hits; only the first attachment flushes", n, hits)
+	}
 }

@@ -382,12 +382,14 @@ func (p *Proxy) fileLease(rs *reqState, until int64, plan *tmplplan.Plan) {
 type floorStore struct {
 	fragstore.FragmentStore
 	rd    fragstore.Reader // the backend's own read path; nil when it has none
+	pk    fragstore.Peeker // the backend's Peek; nil when it has none
 	floor []atomic.Uint32
 }
 
 func newFloorStore(s fragstore.FragmentStore) *floorStore {
 	rd, _ := s.(fragstore.Reader)
-	return &floorStore{FragmentStore: s, rd: rd, floor: make([]atomic.Uint32, s.Capacity())}
+	pk, _ := s.(fragstore.Peeker)
+	return &floorStore{FragmentStore: s, rd: rd, pk: pk, floor: make([]atomic.Uint32, s.Capacity())}
 }
 
 // raise kills every generation of slot key up to gen.
@@ -433,4 +435,13 @@ func (s *floorStore) Read(key, gen uint32, strict bool, sc *fragstore.Scratch) (
 		return data, ok, fragstore.Crossings{}
 	}
 	return s.rd.Read(key, gen, strict, sc)
+}
+
+// peek is the backend's Peek behind the floor: a dead generation, or a
+// backend that cannot peek, finds nothing.
+func (s *floorStore) peek(key, gen uint32) ([]byte, bool) {
+	if s.pk == nil || s.dead(key, gen) {
+		return nil, false
+	}
+	return s.pk.Peek(key, gen)
 }

@@ -80,6 +80,7 @@ func MetricCatalog() []MetricDoc {
 		{"dpc.pagecache_identity_hits", "counter", "an identified bodyless GET (Cookie, Authorization, X-User) was served from the page rule's entry, whose record says it was built under a page-scoped grant that has not ended (X-Cache: PAGE; a subset of dpc.pagecache_hits)"},
 		{"dpc.pagecache_misses", "counter", "an anonymous bodyless GET the page rule could have filled missed the tier and continued down the pipeline (misses of the opt-in key alone are not counted, and an identified GET the tier did not serve counts in dpc.pagecache_bypass_identity instead, so hits over hits, misses and identity bypasses is the page rule's hit ratio wherever the origin opts nothing in)"},
 		{"dpc.pagecache_fills", "counter", "a completed response was filed into the tier, under either rule"},
+		{"dpc.pagecache_shared_bytes", "counter", "bytes of filed pages held by reference to the fragment store's own copies rather than copied into the tier, counted at fill (the entry is still charged its whole length; resident bytes minus these is roughly what the tier's entries copy)"},
 		{"dpc.pagecache_bypass_identity", "counter", "an identified bodyless GET (Cookie, Authorization, X-User) the tier did not serve: no entry built under a page-scoped grant that has not ended, or a proxy that does not lease; its answer still files the page when it carries such a grant (plus dpc.pagecache_identity_hits, this is every identified GET on a leasing proxy, but any the origin's opt-in served)"},
 		{"dpc.pagecache_uncacheable", "counter", "an admitted response could not be filed (non-200, over the 1 MiB capture bound, no-store/private, or Set-Cookie)"},
 		{"dpc.pagecache_uncacheable_vary", "counter", "a response the origin marked cacheable (Cache-Control: max-age) was refused the opt-in because it varies on a header other than Accept-Encoding"},

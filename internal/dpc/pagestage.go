@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net/http"
+	"slices"
 	"strings"
 	"time"
 
@@ -387,9 +388,23 @@ func (p *Proxy) serveHit(rs *reqState, hit tierHit, note string) {
 		rs.cacheState = xCache[hit.rule]
 		return
 	}
-	rs.span.Event(trace.KindHit, hit.rule, note, int64(len(hit.Body)))
-	rs.body, rs.ctype, rs.cacheState = hit.Body, hit.ContentType, xCache[hit.rule]
+	rs.span.Event(trace.KindHit, hit.rule, note, int64(hit.Len()))
+	servePage(rs, &hit.Page, xCache[hit.rule])
 	rs.hitETag = hit.ETag
+}
+
+// servePage hands pg to respond as the response body, saying cacheState. A
+// flat entry's stored bytes are written as they are; a shared entry's body
+// is gathered into a pooled buffer, which respond hands back once it has
+// written it in one Write.
+func servePage(rs *reqState, pg *pagecache.Page, cacheState string) {
+	rs.ctype, rs.cacheState = pg.ContentType, cacheState
+	if pg.Layout == nil {
+		rs.body = pg.Body
+		return
+	}
+	ref := pageBufPool.Get().(*[]byte)
+	rs.body, rs.bodyRef = pg.AppendBody((*ref)[:0]), ref
 }
 
 // admitFill records the request's tier admission — key, TTL and rule,
@@ -496,9 +511,56 @@ func (p *Proxy) fillTier(rs *reqState) {
 	if rs.fillRule == ruleStatic && !p.optIn.Load() {
 		p.optIn.Store(true) // before the entry can be found
 	}
-	p.pages.PutTagged(rs.fillKey, body, ctype, pageETag(body, ctype), record, rs.fillTTL)
+	etag := pageETag(body, ctype)
+	if shared := p.fileShared(rs, body, ctype, etag, record); shared > 0 {
+		p.m.pageSharedBytes.Add(int64(shared))
+	} else {
+		p.pages.PutTagged(rs.fillKey, body, ctype, etag, record, rs.fillTTL)
+	}
 	p.m.pageFills.Inc()
 	rs.span.Event(trace.KindFill, rs.fillRule, "", int64(len(body)))
+}
+
+// fileShared files body, the captured response, as a shared entry when it
+// can reference any of the fragments it was assembled from, and returns
+// how many of its bytes it referenced; 0 when it filed nothing. It walks
+// the request's fragment refs in order, and shares a fragment only where
+// the store's RAM copy of that exact generation (floorStore.peek) equals
+// body's bytes at a position found searching forward from where the last
+// shared one ended, so what the entry serves is what was captured, byte for
+// byte. A fragment no longer than the span that would reference it
+// (pagecache.SpanBytes) stays among the literal runs.
+func (p *Proxy) fileShared(rs *reqState, body []byte, ctype, etag, record string) int {
+	var local [16]pagecache.Span
+	spans := local[:0]
+	var ref *[]byte
+	var lit []byte
+	cur := 0 // where the literal run being gathered begins
+	for _, r := range rs.depRefs {
+		frag, ok := p.floors.peek(r.Key, r.Gen)
+		if !ok || len(frag) <= pagecache.SpanBytes {
+			continue
+		}
+		i := bytes.Index(body[cur:], frag)
+		if i < 0 {
+			continue
+		}
+		if ref == nil {
+			ref = pageBufPool.Get().(*[]byte)
+			lit = (*ref)[:0]
+		}
+		lit = append(lit, body[cur:cur+i]...)
+		spans = append(spans, pagecache.Span{Lit: i, Frag: frag})
+		cur += i + len(frag)
+	}
+	if len(spans) == 0 {
+		return 0
+	}
+	lit = append(lit, body[cur:]...)
+	layout := &pagecache.Layout{Spans: slices.Clone(spans), Len: len(body)}
+	p.pages.PutShared(rs.fillKey, lit, layout, ctype, etag, record, rs.fillTTL)
+	putPageBuf(ref, lit)
+	return len(body) - len(lit)
 }
 
 // pageCapture tees a response into a bounded buffer on its way to the

@@ -752,7 +752,7 @@ func TestDeadPageNeverServedOnAnyReadPath(t *testing.T) {
 				}
 				gen.Store(apply(p))
 				// The late fill, or the entry Apply left where it was.
-				p.Pages().PutTagged(key, filed.Body, filed.ContentType, filed.ETag, filed.Record, time.Second)
+				p.Pages().PutTagged(key, filed.AppendBody(nil), filed.ContentType, filed.ETag, filed.Record, time.Second)
 
 				rec := read(t, p, fake, filed.ETag)
 				if state := rec.Header().Get("X-Cache"); rec.Code == http.StatusNotModified || state == "PAGE" || state == "STALE" {

@@ -75,6 +75,9 @@ type reqState struct {
 	ctype      string
 	cacheState string // STATIC, PAGE, MISS, LEASE, COALESCE-FOLLOWER, or BYPASS
 	streamed   bool   // headers (and whatever body followed) already reached the client
+	// bodyRef is the pooled buffer a shared tier entry's body was gathered
+	// into (servePage), handed back once respond has written it.
+	bodyRef *[]byte
 
 	// reqBody is the client's request body, buffered once so the
 	// stale-fallback retry can replay it to the origin.
@@ -699,6 +702,10 @@ func (p *Proxy) stageRespond(rs *reqState) (stageOutcome, error) {
 			rs.w.Header().Set("ETag", rs.hitETag)
 		}
 		p.writePage(rs.w, rs.body, rs.ctype, rs.cacheState)
+	}
+	if rs.bodyRef != nil {
+		putPageBuf(rs.bodyRef, rs.body)
+		rs.body, rs.bodyRef = nil, nil
 	}
 	p.fillTier(rs)
 	// Every served response — hit, miss, coalesced, bypass — is counted

@@ -359,7 +359,7 @@ type pathMetrics struct {
 	planHits, planMisses, planCompiles, planOneOff *metrics.Counter
 	pageHits, pageMisses, pageFills, page304s      *metrics.Counter
 	pageIdentityHits, pageBypassIdentity           *metrics.Counter
-	pageUncacheable, coalesced                     *metrics.Counter
+	pageUncacheable, pageSharedBytes, coalesced    *metrics.Counter
 }
 
 func newPathMetrics(reg *metrics.Registry) pathMetrics {
@@ -385,6 +385,7 @@ func newPathMetrics(reg *metrics.Registry) pathMetrics {
 		pageIdentityHits:   reg.Counter("dpc.pagecache_identity_hits"),
 		pageBypassIdentity: reg.Counter("dpc.pagecache_bypass_identity"),
 		pageUncacheable:    reg.Counter("dpc.pagecache_uncacheable"),
+		pageSharedBytes:    reg.Counter("dpc.pagecache_shared_bytes"),
 		coalesced:          reg.Counter("dpc.coalesced"),
 	}
 }

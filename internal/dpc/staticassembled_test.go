@@ -230,19 +230,23 @@ func TestPlanSubscriber(t *testing.T) {
 			t.Fatalf("plan cache resident = %d, want 1", st.Resident)
 		}
 	}
+	// The first event attaches the proxy and empties the plan tier
+	// (TestFirstAttachFlushesPlans); the events after it are the ones
+	// judged here.
+	p.Apply(coherency.Event{Seq: 1, Kind: coherency.KindPurge, URI: "/none"})
 	warm()
 
 	// Fragment and purge events leave compiled plans alone.
-	p.Apply(coherency.Event{Seq: 1, Kind: coherency.KindFragment, Key: 1, Gen: 1})
-	p.Apply(coherency.Event{Seq: 2, Kind: coherency.KindPurge, URI: "/page"})
+	p.Apply(coherency.Event{Seq: 2, Kind: coherency.KindFragment, Key: 1, Gen: 1})
+	p.Apply(coherency.Event{Seq: 3, Kind: coherency.KindPurge, URI: "/page"})
 	// Foreign-scope flush too.
-	p.Apply(coherency.Event{Seq: 3, Kind: coherency.KindFlush, Scope: "page"})
+	p.Apply(coherency.Event{Seq: 4, Kind: coherency.KindFlush, Scope: "page"})
 	if st := p.Plans().Stats(); st.Resident != 1 {
 		t.Fatalf("plan survived nothing: resident = %d after no-op events", st.Resident)
 	}
 
 	// A plan-scoped flush empties the tier.
-	p.Apply(coherency.Event{Seq: 4, Kind: coherency.KindFlush, Scope: "plan"})
+	p.Apply(coherency.Event{Seq: 5, Kind: coherency.KindFlush, Scope: "plan"})
 	if st := p.Plans().Stats(); st.Resident != 0 {
 		t.Fatalf("resident = %d after plan flush, want 0", st.Resident)
 	}

@@ -56,9 +56,14 @@ import (
 // (Drop/DropAll). Implementations must be safe for concurrent use.
 //
 // Content returned by Get is shared with the store; callers must not
-// modify it. Set copies its input. A store may also be a Reader, whose
-// reads can lend it a Scratch: bytes returned through a Scratch are the
-// reader's, valid only until its next read through the same Scratch.
+// modify it. Set copies its input. Neither does the store ever modify what
+// it has returned: a slice returned by Get, Peek, or Read without a Scratch
+// keeps its bytes after its slot is replaced, dropped or evicted, and after
+// the fragment crosses a tier boundary, so a caller may retain it (the
+// whole-response tier keeps the fragments of the pages it files). A store
+// may also be a Reader, whose reads can lend it a Scratch: bytes returned
+// through a Scratch are the reader's, valid only until its next read
+// through the same Scratch.
 type FragmentStore interface {
 	// Set stores content under key, stamping it with the generation from
 	// the SET tag. Keys at or beyond Capacity are rejected with an error.
@@ -97,6 +102,19 @@ type Reader interface {
 	// Get's is. A store without a disk tier ignores s and reports no
 	// crossings.
 	Read(key, gen uint32, strict bool, s *Scratch) ([]byte, bool, Crossings)
+}
+
+// Peeker is a FragmentStore that can say what it holds in RAM without
+// reading it: the slot array, and the fragment view of an engine (of the
+// tiered one, its RAM tier only). The whole-response tier files a page
+// through it, referencing the store's copies of the fragments the page was
+// assembled from instead of copying them again.
+type Peeker interface {
+	// Peek returns the content stored under key only when that exact
+	// generation is resident in RAM. It counts nothing, touches no
+	// eviction order, reads no disk and promotes nothing. The content is
+	// the store's own, as Get's is, and never modified (see FragmentStore).
+	Peek(key, gen uint32) ([]byte, bool)
 }
 
 // maxScratch bounds a Scratch's buffer: a value served in place that is
@@ -321,6 +339,9 @@ type engine interface {
 	read(key string, s *Scratch) (KeyedEntry, bool, Crossings)
 	// put stores a fragment, which never expires.
 	put(key string, e KeyedEntry)
+	// peek is the view's Peek: the entry its RAM holds under key, read
+	// without counting it or touching its recency.
+	peek(key string) (KeyedEntry, bool)
 	Delete(key string) bool
 	Flush()
 	Len() int
@@ -426,6 +447,18 @@ func (v *fragmentView) Read(key, gen uint32, strict bool, s *Scratch) ([]byte, b
 		return nil, false, c
 	}
 	return e.Value, ok, c
+}
+
+// Peek implements Peeker.
+func (v *fragmentView) Peek(key, gen uint32) ([]byte, bool) {
+	if int64(key) >= int64(v.capacity) {
+		return nil, false
+	}
+	e, ok := v.s.peek(v.key(key))
+	if !ok || e.Gen != gen {
+		return nil, false
+	}
+	return e.Value, true
 }
 
 func (v *fragmentView) Drop(key uint32) {

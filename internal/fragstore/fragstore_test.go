@@ -44,6 +44,29 @@ func TestConformance(t *testing.T) {
 	storetest.Run(t, "keyed-view", keyedView)
 }
 
+// TestRetainedSlices runs the retention suite on every backend, with
+// budgets small enough that its values evict, and a tiered store's cross
+// the tier boundary both ways and reuse the heap file's freed pages.
+func TestRetainedSlices(t *testing.T) {
+	storetest.RunRetention(t, "slot", func(capacity int) (fragstore.FragmentStore, error) {
+		return fragstore.NewSlotStore(capacity)
+	})
+	for name, cfg := range map[string]fragstore.Config{
+		"sharded":      {},
+		"sharded-lru":  {ByteBudget: 1 << 10, Eviction: "lru"},
+		"sharded-gdsf": {ByteBudget: 1 << 10, Eviction: "gdsf"},
+	} {
+		storetest.RunRetention(t, name, func(capacity int) (fragstore.FragmentStore, error) {
+			cfg.Backend, cfg.Capacity = fragstore.BackendSharded, capacity
+			return fragstore.New(cfg)
+		})
+	}
+	storetest.RunRetention(t, "keyed-view", keyedView)
+	storetest.RunRetention(t, "tiered", tieredFactory(t, 0))
+	storetest.RunRetention(t, "tiered-small-ram", tieredFactory(t, 1<<10))
+	storetest.RunRetention(t, "tiered-tiny-ram", tieredFactory(t, 64))
+}
+
 // keyedView returns KeyedStore's fragment view with no budget.
 func keyedView(capacity int) (fragstore.FragmentStore, error) {
 	ks, err := fragstore.NewKeyed(fragstore.KeyedConfig{})

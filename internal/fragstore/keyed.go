@@ -763,3 +763,17 @@ func (s *KeyedStore) read(key string, _ *Scratch) (KeyedEntry, bool, Crossings) 
 }
 
 func (s *KeyedStore) put(key string, e KeyedEntry) { s.Put(key, e, 0) }
+
+// peek returns the entry under key, lapsed or not, without counting the
+// read or touching the entry's recency or frequency.
+func (s *KeyedStore) peek(key string) (KeyedEntry, bool) {
+	sh := s.locate(key)
+	sh.mu.Lock()
+	e, ok := sh.entries[key]
+	var val KeyedEntry
+	if ok {
+		val = e.val
+	}
+	sh.mu.Unlock()
+	return val, ok
+}

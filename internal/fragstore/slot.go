@@ -133,6 +133,22 @@ func (s *SlotStore) Get(key, gen uint32, strict bool) ([]byte, bool) {
 	return data, true
 }
 
+// Peek implements Peeker: the slot's content at exactly gen, read under
+// the stripe's read lock and counted nowhere.
+func (s *SlotStore) Peek(key, gen uint32) ([]byte, bool) {
+	if int64(key) >= int64(s.capacity) {
+		return nil, false
+	}
+	st, sl := s.locate(key)
+	st.mu.RLock()
+	data, ok := sl.data, sl.set && sl.gen == gen
+	st.mu.RUnlock()
+	if !ok {
+		return nil, false
+	}
+	return data, true
+}
+
 // Drop clears a slot.
 func (s *SlotStore) Drop(key uint32) {
 	if int64(key) >= int64(s.capacity) {

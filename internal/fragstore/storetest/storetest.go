@@ -1,12 +1,14 @@
 // Package storetest is the conformance suite every FragmentStore backend
 // must pass. It exercises the contract the assembler, proxy, and coherency
 // subscriber rely on: generation-checked gets, copy-on-set, byte and
-// residency accounting, drop semantics, and concurrent safety.
+// residency accounting, drop semantics, and concurrent safety (Run), and
+// that a slice the store returned is never modified (RunRetention).
 package storetest
 
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"sync"
 	"testing"
 
@@ -244,6 +246,98 @@ func Run(t *testing.T, name string, factory Factory) {
 		st := s.Stats()
 		if st.Bytes < 0 || st.Resident < 0 || st.Resident > capacity {
 			t.Fatalf("accounting out of range after concurrency: %+v", st)
+		}
+	})
+}
+
+// RunRetention checks the contract's retention rule against the backend
+// under name: a slice returned by Get, or by Peek when the store is a
+// fragstore.Peeker, keeps its bytes through everything the store does
+// afterwards — a Set of a new generation over it, Drop, DropAll, and what
+// the backend does under pressure: budget eviction, demotion to a disk tier
+// and promotion back, and the reuse of a heap file's freed pages. A Peek
+// must leave Stats exactly as it found them. factory should build a store
+// whose budget, if it has one, holds a few of 32 values of up to 200 bytes.
+func RunRetention(t *testing.T, name string, factory Factory) {
+	t.Helper()
+	t.Run(name+"/RetainedSlices", func(t *testing.T) {
+		const keys = 32
+		s, err := factory(keys)
+		if err != nil {
+			t.Fatalf("factory(%d): %v", keys, err)
+		}
+		if c, ok := s.(io.Closer); ok {
+			t.Cleanup(func() { _ = c.Close() })
+		}
+		value := func(key, gen uint32) []byte {
+			v := make([]byte, 8+(key*37+gen*11)%193)
+			for i := range v {
+				v[i] = byte(key*7 + gen*13 + uint32(i))
+			}
+			return v
+		}
+		type held struct {
+			key, gen uint32
+			b        []byte
+		}
+		var kept []held
+		pk, peeks := s.(fragstore.Peeker)
+		keep := func(key, gen uint32) {
+			t.Helper()
+			if b, ok := s.Get(key, gen, true); ok {
+				kept = append(kept, held{key, gen, b})
+			}
+			if !peeks {
+				return
+			}
+			before := s.Stats()
+			b, ok := pk.Peek(key, gen)
+			if after := s.Stats(); after != before {
+				t.Fatalf("Peek(%d, %d) moved Stats: %+v, then %+v", key, gen, before, after)
+			}
+			if ok {
+				kept = append(kept, held{key, gen, b})
+			}
+			if _, ok := pk.Peek(key, gen+1); ok {
+				t.Fatalf("Peek(%d, %d) matched generation %d", key, gen+1, gen)
+			}
+		}
+		verify := func(after string) {
+			t.Helper()
+			for _, h := range kept {
+				if !bytes.Equal(h.b, value(h.key, h.gen)) {
+					t.Fatalf("after %s: a slice returned for key %d gen %d now reads %q", after, h.key, h.gen, h.b)
+				}
+			}
+		}
+		for gen := uint32(1); gen <= 4; gen++ {
+			for k := uint32(0); k < keys; k++ {
+				if err := s.Set(k, gen, value(k, gen)); err != nil {
+					t.Fatal(err)
+				}
+				keep(k, gen)
+			}
+			verify(fmt.Sprintf("the Sets of generation %d", gen))
+			for k := uint32(0); k < keys; k++ {
+				keep(k, gen) // a second read: a disk hit now earns RAM
+			}
+			verify(fmt.Sprintf("rereading generation %d", gen))
+			for k := gen % 3; k < keys; k += 3 {
+				s.Drop(k)
+			}
+			verify("Drop")
+		}
+		s.DropAll()
+		verify("DropAll")
+		for k := uint32(0); k < keys; k++ {
+			if err := s.Set(k, 9, value(k, 9)); err != nil {
+				t.Fatal(err)
+			}
+			keep(k, 9)
+		}
+		verify("the Sets after DropAll")
+		if len(kept) == 0 {
+			t.Fatal("no read hit: nothing was retained")
 		}
 	})
 }

@@ -451,6 +451,10 @@ func (t *TieredKeyed) read(key string, s *Scratch) (KeyedEntry, bool, Crossings)
 	return ke, true, c
 }
 
+// peek reads the RAM tier only: a fragment the disk tier alone holds is
+// not peeked, so a peek never reads the heap file or promotes.
+func (t *TieredKeyed) peek(key string) (KeyedEntry, bool) { return t.ram.peek(key) }
+
 // put stores entry under key. The RAM tier admits it (possibly demoting
 // colder entries to disk); entries its budget could never hold go
 // straight to disk. The disk copy of the version being replaced is removed

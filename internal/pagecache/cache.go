@@ -3,6 +3,7 @@ package pagecache
 import (
 	"strings"
 	"time"
+	"unsafe"
 
 	"dpcache/internal/fragstore"
 )
@@ -78,9 +79,35 @@ const (
 	Stale
 )
 
+// Span is one run of a shared page's body: the next Lit bytes of the
+// entry's literal runs, then Frag, a fragment store's own copy of one of
+// the fragments the page was assembled from (see fragstore.Peeker), which
+// the store never modifies.
+type Span struct {
+	Lit  int
+	Frag []byte
+}
+
+// SpanBytes is what one span adds to an entry's span table. A fragment no
+// longer than this costs less kept among the literal runs than referenced.
+const SpanBytes = int(unsafe.Sizeof(Span{}))
+
+// Layout puts a shared page's body back together: its spans in order, then
+// whatever literal bytes follow the last one. Len is the body's length,
+// which is what the entry is charged. A Layout is immutable once filed.
+type Layout struct {
+	Spans []Span
+	Len   int
+}
+
 // Page is one cached response.
 type Page struct {
-	Body        []byte
+	// Body is the stored bytes: a flat entry's whole body, or a shared
+	// entry's literal runs, which Layout interleaves with the fragments
+	// it references. Len and AppendBody read either as the page it is.
+	Body []byte
+	// Layout is a shared entry's layout (PutShared); nil for a flat one.
+	Layout      *Layout
 	ContentType string
 	// ETag is the entity tag the page was stamped with at capture time (""
 	// when stored untagged).
@@ -92,6 +119,30 @@ type Page struct {
 	// it is read (the DPC's tier: the epoch and fragment refs it was built
 	// from); opaque here, "" when none was given.
 	Record string
+}
+
+// Len returns the length of the page's body.
+func (pg *Page) Len() int {
+	if pg.Layout != nil {
+		return pg.Layout.Len
+	}
+	return len(pg.Body)
+}
+
+// AppendBody appends the page's body to dst and returns the extended
+// slice: a flat entry's stored bytes, or a shared entry's literal runs and
+// fragments in their order.
+func (pg *Page) AppendBody(dst []byte) []byte {
+	if pg.Layout == nil {
+		return append(dst, pg.Body...)
+	}
+	lit := pg.Body
+	for _, sp := range pg.Layout.Spans {
+		dst = append(dst, lit[:sp.Lit]...)
+		dst = append(dst, sp.Frag...)
+		lit = lit[sp.Lit:]
+	}
+	return append(dst, lit...)
 }
 
 // Lookup returns the page under key, read as mode says, through the keyed
@@ -110,6 +161,7 @@ func (c *Cache) Lookup(key string, mode Mode) (pg Page, ok bool) {
 		return Page{}, false
 	}
 	pg.Body = e.Value
+	pg.Layout, _ = e.Obj.(*Layout)
 	pg.ContentType, pg.ETag, pg.Record = unpackMeta(e.Meta)
 	return pg, true
 }
@@ -126,6 +178,22 @@ func (c *Cache) PutTagged(key string, body []byte, contentType, etag, record str
 		return
 	}
 	c.store.Put(key, fragstore.KeyedEntry{Value: body, Meta: packMeta(contentType, etag, record)}, ttl)
+}
+
+// PutShared is PutTagged for a page stored as its literal runs lit, which
+// are copied, and layout, which is kept by reference: the entry holds none
+// of the fragment bytes layout references, yet is charged layout.Len, the
+// page's whole length, so the tier's byte ledger and its eviction order are
+// what a flat copy's would be. The fragments a span keeps alive after the
+// store lets them go never outweigh that charge.
+func (c *Cache) PutShared(key string, lit []byte, layout *Layout, contentType, etag, record string, ttl time.Duration) {
+	if ttl <= 0 {
+		return
+	}
+	c.store.Put(key, fragstore.KeyedEntry{
+		Value: lit, Obj: layout, Cost: int64(layout.Len),
+		Meta: packMeta(contentType, etag, record),
+	}, ttl)
 }
 
 // Delete removes the page under key, reporting whether one was resident.

@@ -25,7 +25,15 @@
 // Storage is fragstore.KeyedStore in both roles: this package owns no
 // mutexes, LRU lists, or byte accounting. Eviction (entry bound and the
 // global byte-budget ledger) and TTL expiry belong to the keyed store;
-// this package only chooses keys and TTLs.
+// this package only chooses keys and TTLs. An entry is stored in one of two
+// shapes. A flat entry holds a copy of the whole body: the baseline Proxy's
+// pages, the origin's opt-ins, and any page nothing could be shared from.
+// A shared entry (PutShared) holds only the page's literal runs, plus a
+// Layout referencing the fragment store's own immutable copies of the
+// fragments it was assembled from — a fragment is stored once, as
+// Section 3.2.1's premise has it, not again inside every page built from
+// it. Either shape is charged the body's full length, so the ledger and
+// the eviction order do not depend on the shape.
 package pagecache
 
 import (

@@ -1,6 +1,7 @@
 package pagecache
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"net/http"
@@ -291,5 +292,36 @@ func TestCacheReserveCapture(t *testing.T) {
 	c.PutTagged("/hot", make([]byte, 800), "", "", "", time.Minute)
 	if c.Len() != 1 {
 		t.Fatal("release did not restore headroom")
+	}
+}
+
+// A shared entry holds its literal runs and references the fragments its
+// layout names, reads back as the whole page, and is charged the page's
+// length, as a flat copy of it would be: the ledger, the byte count and the
+// eviction order do not depend on the shape.
+func TestSharedEntryChargedItsLength(t *testing.T) {
+	c, err := NewCache(fragstore.KeyedConfig{ByteBudget: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frag := bytes.Repeat([]byte("f"), 2*SpanBytes)
+	layout := &Layout{Spans: []Span{{Lit: 3, Frag: frag}, {Lit: 0, Frag: frag}}, Len: 3 + 2*len(frag) + 4}
+	lit := []byte("<p>tail")
+	c.PutShared("/shared", lit, layout, "text/html", `"e"`, "rec", time.Minute)
+	c.PutTagged("/flat", make([]byte, layout.Len), "text/html", "", "", time.Minute)
+	copy(lit, "XXXXXXX") // PutShared copies the literal runs
+	pg, ok := c.Lookup("/shared", Fresh)
+	want := "<p>" + string(frag) + string(frag) + "tail"
+	if !ok || pg.Layout == nil || pg.Len() != len(want) || string(pg.AppendBody([]byte("x"))) != "x"+want {
+		t.Fatalf("shared page = %q (len %d), %v; want %q", pg.AppendBody(nil), pg.Len(), ok, want)
+	}
+	if pg.ContentType != "text/html" || pg.ETag != `"e"` || pg.Record != "rec" {
+		t.Fatalf("shared page meta = %q %q %q", pg.ContentType, pg.ETag, pg.Record)
+	}
+	if flat, _ := c.Lookup("/flat", Fresh); flat.Layout != nil || flat.Len() != layout.Len {
+		t.Fatalf("flat page: layout %v, len %d", flat.Layout, flat.Len())
+	}
+	if got := c.Bytes(); got != 2*int64(layout.Len) || c.Store().BudgetUsed() != got {
+		t.Fatalf("resident %d bytes, ledger %d; want both pages charged their %d bytes", got, c.Store().BudgetUsed(), layout.Len)
 	}
 }
