@@ -2,7 +2,6 @@ package dpc
 
 import (
 	"errors"
-	"hash/maphash"
 	"math"
 	"net/http"
 	"strconv"
@@ -59,12 +58,9 @@ import (
 // A void lease costs nothing but the attempt: its run commits nothing, and
 // the request goes on to the origin as a miss.
 
-const (
-	// leaseBuckets × leaseWays slots of 64 bytes: 1 MiB however many
-	// keys pass through, allocated with the first lease filed.
-	leaseBuckets = 1 << 13
-	leaseWays    = 2
-)
+// maxLeases bounds the table: filing a new key when it holds this many
+// first evicts one other lease (dpc.lease_evictions).
+const maxLeases = 1 << 14
 
 // Why a lease was voided: its label in dpc.lease_<cause>_voids and in the
 // lease:void:<cause> trace event.
@@ -80,43 +76,38 @@ const (
 	voidGap = "gap"
 )
 
-// lease is one filed grant. A zero key is an empty slot.
+// lease is one filed grant, held under its fetch key.
 type lease struct {
-	key       string // the fetch key, compared in full
 	plan      string // the template's plan-cache key (tmplplan.Plan.Key), whose plan runs in its place
 	ctype     string // the origin answer's Content-Type
 	deadline  int64  // end of term, in the proxy clock's UnixNano
 	cacheable bool   // the origin answer let the page rule file the page (pageCacheable)
 }
 
-// leaseTable is the fixed-size key → lease memory. One mutex covers it, and
-// it orders a filing against a clear: a gap bumps the tier's epoch before
-// it clears, and a filing checks the epoch under the mutex.
+// leaseTable is the fetch key → lease memory, a map bounded at maxLeases:
+// it holds what was filed and nothing more, and below its bound no lease
+// gives way to another. One mutex covers it, and it orders a filing against
+// a clear: a gap bumps the tier's epoch before it clears, and a filing
+// checks the epoch under the mutex.
 type leaseTable struct {
-	// hash picks a key's bucket; it may collide, since a slot matches only
-	// its own key.
-	hash func(string) uint64
-	mu   sync.Mutex
-	// buckets is allocated when the first lease is filed: a proxy that
-	// files none — one off the fabric, or one whose page tier keeps every
-	// grant it takes in — has no use for it.
-	buckets *[leaseBuckets][leaseWays]lease
-	// resident counts the filled slots; file, void and clear move it under mu.
+	mu     sync.Mutex
+	leases map[string]lease
+	// resident counts the leases held; file, void and clear move it under mu.
 	resident *metrics.Gauge
 
-	hits, grants, pageGrants, voids *metrics.Counter
-	byCause                         map[string]*metrics.Counter
+	hits, grants, pageGrants, voids, evictions *metrics.Counter
+	byCause                                    map[string]*metrics.Counter
 }
 
 func newLeaseTable(reg *metrics.Registry) *leaseTable {
-	seed := maphash.MakeSeed()
 	return &leaseTable{
-		hash:       func(key string) uint64 { return maphash.String(seed, key) },
+		leases:     make(map[string]lease),
 		resident:   reg.Gauge("dpc.lease_resident"),
 		hits:       reg.Counter("dpc.lease_hits"),
 		grants:     reg.Counter("dpc.lease_grants"),
 		pageGrants: reg.Counter("dpc.lease_page_grants"),
 		voids:      reg.Counter("dpc.lease_voids"),
+		evictions:  reg.Counter("dpc.lease_evictions"),
 		byCause: map[string]*metrics.Counter{
 			voidFloor:   reg.Counter("dpc.lease_floor_voids"),
 			voidExpired: reg.Counter("dpc.lease_expired_voids"),
@@ -126,69 +117,45 @@ func newLeaseTable(reg *metrics.Registry) *leaseTable {
 	}
 }
 
-// bucket returns key's bucket, nil before the first lease is filed; the
-// caller holds t.mu.
-func (t *leaseTable) bucket(key string) *[leaseWays]lease {
-	if t.buckets == nil {
-		return nil
-	}
-	return &t.buckets[t.hash(key)%leaseBuckets]
-}
-
 // get returns the lease filed under key.
 func (t *leaseTable) get(key string) (lease, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if b := t.bucket(key); b != nil {
-		for _, l := range b {
-			if l.key == key {
-				return l, true
-			}
-		}
-	}
-	return lease{}, false
+	l, ok := t.leases[key]
+	return l, ok
 }
 
-// file puts l in its bucket's newer slot, unless filable says no under the
-// table's mutex, and reports whether l was filed. l replaces its key's
-// lease where one is filed, and an empty newer slot (a void leaves one)
-// takes it in place; only a filled one moves to the older slot, over the
-// lease there, which gives way.
-func (t *leaseTable) file(l lease, filable func() bool) bool {
+// file files l under key, unless filable says no under the table's mutex,
+// and reports whether l was filed. l replaces key's lease where one is
+// filed; a new key at the bound first evicts one other lease, the first
+// the map's iteration — random in its start — yields.
+func (t *leaseTable) file(key string, l lease, filable func() bool) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if !filable() {
 		return false
 	}
-	if t.buckets == nil {
-		t.buckets = new([leaseBuckets][leaseWays]lease)
-	}
-	b := t.bucket(l.key)
-	switch {
-	case b[0].key == l.key: // refiled in place
-	case b[0].key == "" && b[1].key != l.key: // an empty newer slot; the older stays
-		t.resident.Add(1)
-	default:
-		// b[0] holds another key's lease, or b[1] holds l's own.
-		if b[1].key == "" {
+	if _, refiled := t.leases[key]; !refiled {
+		if len(t.leases) >= maxLeases {
+			for victim := range t.leases {
+				delete(t.leases, victim)
+				break
+			}
+			t.evictions.Inc()
+		} else {
 			t.resident.Add(1)
 		}
-		b[1] = b[0]
 	}
-	b[0] = l
+	t.leases[key] = l
 	return true
 }
 
-// void empties key's slot and counts why.
+// void drops key's lease and counts why.
 func (t *leaseTable) void(key, cause string) {
 	t.mu.Lock()
-	if b := t.bucket(key); b != nil {
-		for i := range b {
-			if b[i].key == key {
-				b[i] = lease{}
-				t.resident.Add(-1)
-			}
-		}
+	if _, ok := t.leases[key]; ok {
+		delete(t.leases, key)
+		t.resident.Add(-1)
 	}
 	t.mu.Unlock()
 	t.count(cause, 1)
@@ -196,18 +163,9 @@ func (t *leaseTable) void(key, cause string) {
 
 // clear empties the table, counting each lease it held as voided by cause.
 func (t *leaseTable) clear(cause string) {
-	n := 0
 	t.mu.Lock()
-	if t.buckets != nil {
-		for i := range t.buckets {
-			for j := range t.buckets[i] {
-				if t.buckets[i][j].key != "" {
-					t.buckets[i][j] = lease{}
-					n++
-				}
-			}
-		}
-	}
+	n := len(t.leases)
+	t.leases = make(map[string]lease) // a cleared map would keep its size
 	t.resident.Add(int64(-n))
 	t.mu.Unlock()
 	t.count(cause, n)
@@ -352,13 +310,12 @@ func (p *Proxy) tierKeeps(rs *reqState, n int64) bool {
 // moved the tier's epoch since the fetch began.
 func (p *Proxy) fileLease(rs *reqState, until int64, plan *tmplplan.Plan) {
 	l := lease{
-		key:       rs.flightKey(),
 		plan:      plan.Key(),
 		ctype:     rs.ctype,
 		deadline:  until,
 		cacheable: rs.grantCacheable,
 	}
-	if !p.leases.file(l, func() bool { return p.fabric.epoch.Load() == rs.grantEpoch }) {
+	if !p.leases.file(rs.flightKey(), l, func() bool { return p.fabric.epoch.Load() == rs.grantEpoch }) {
 		return
 	}
 	p.leases.grants.Inc()

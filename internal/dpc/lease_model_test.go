@@ -3,7 +3,6 @@ package dpc
 import (
 	"context"
 	"fmt"
-	"hash/maphash"
 	"io"
 	"math/rand"
 	"net/http"
@@ -357,14 +356,6 @@ func buildLeaseRig(t testing.TB, ls leaseSite, seed int64, pulled bool, opts ...
 	p, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if seed%2 == 0 {
-		// Every identity of a page in one bucket: only the full key
-		// comparison keeps their leases apart.
-		hashSeed := maphash.MakeSeed()
-		p.leases.hash = func(key string) uint64 {
-			return maphash.String(hashSeed, key[:strings.IndexByte(key, 0)+1]) // the URI and its NUL: PageKeyPrefix
-		}
 	}
 	return &leaseRig{t: t, ls: ls, seed: seed, rng: rand.New(rand.NewSource(seed)), clk: clk,
 		repo: repo, srv: srv, hub: srv.Hub(), p: p, link: link}

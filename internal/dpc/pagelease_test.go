@@ -324,8 +324,8 @@ func TestPageLeaseTraceNotes(t *testing.T) {
 
 // A page-scoped grant has one keeper. With the page tier on, an identified
 // visitor's answer is filed there for every visitor, and nothing else keeps
-// it: no lease under the visitor's fetch key, no plan in the plan cache —
-// the lease table is never even allocated — and the visitor and a second
+// it: no lease under the visitor's fetch key, no plan in the plan cache, no
+// lease granted under any key — and the visitor and a second
 // identity are served the page. Without the tier the same answer files the
 // lease, keeps its plan, and the visitor's next visit runs it.
 func TestLeasePageGrantHasOneKeeper(t *testing.T) {
@@ -353,9 +353,9 @@ func TestLeasePageGrantHasOneKeeper(t *testing.T) {
 			plans := p.plans.Stats().Resident - resident
 			snap := p.Registry().Snapshot()
 			if tier {
-				if leased || plans != 0 || p.leases.buckets != nil {
-					t.Fatalf("the page tier keeps u1's answer, yet a lease was filed (%v), %d plans kept, table allocated %v",
-						leased, plans, p.leases.buckets != nil)
+				if leased || plans != 0 || snap["dpc.lease_grants"] != 0 {
+					t.Fatalf("the page tier keeps u1's answer, yet a lease was filed (%v), %d plans kept, %d leases granted",
+						leased, plans, snap["dpc.lease_grants"])
 				}
 				for _, user := range []string{"u1", "u2"} {
 					if _, xc := visit(user); xc != "PAGE" {

@@ -104,7 +104,7 @@ func (e *Exec) Run(p *Plan, w io.Writer, sp *trace.Span) (Stats, error) {
 	if !p.hasInc && p.numRefs > 64 {
 		x.seen = make([]bool, p.numRefs)
 	}
-	return x.finish(x.run(p.ops, sp, 0))
+	return x.finish(x.run(p.ops, p.data, sp, 0))
 }
 
 // RunStream assembles a template it does not hold: it decodes r and steps
@@ -211,11 +211,11 @@ func (x *execState) addRef(key, gen uint32, slot int32) {
 }
 
 // stream is the decoder driver: each instruction becomes an operator
-// through the conversion Compile uses and is run at once, a program of one.
-// Its data is the decoder's, valid only until the next Next, and nothing
-// here keeps it that long: a literal is written to the page, a SET's body
-// is copied by the store's Set and then written, before the loop asks for
-// the next instruction.
+// through the conversion Compile uses and is run at once, a program of one
+// whose byte base is the instruction's data. That data is the decoder's,
+// valid only until the next Next, and nothing here keeps it that long: a
+// literal is written to the page, a SET's body is copied by the store's Set
+// and then written, before the loop asks for the next instruction.
 func (x *execState) stream(dec tmpl.Decoder, sp *trace.Span) error {
 	for {
 		in, err := dec.Next()
@@ -225,20 +225,21 @@ func (x *execState) stream(dec tmpl.Decoder, sp *trace.Span) error {
 		if err != nil {
 			return fmt.Errorf("dpc: decoding template: %w", err)
 		}
-		one := [1]op{newOp(in)}
-		if err := x.run(one[:], sp, 0); err != nil {
+		one := [1]op{newOp(in, 0)} // the decoder bounds in.Data at 1 GiB
+		if err := x.run(one[:], in.Data, sp, 0); err != nil {
 			return err
 		}
 	}
 }
 
 // run executes operators in order: the template semantics, once, for both
-// drivers. A cached plan hands it the whole program (the loop is in here so
-// that costs no call per operator); a streamed run hands it one operator at
-// a time. Nested includes recurse with the include's span as the parent,
-// sharing the run's stats and dedup state, so staleness doom and SET
-// application span the whole page.
-func (x *execState) run(ops []op, sp *trace.Span, depth int) error {
+// drivers. A cached plan hands it the whole program and its byte buffer
+// (the loop is in here so that costs no call per operator); a streamed run
+// hands it one operator at a time over the decoder's instruction data.
+// Nested includes recurse with the include's span as the parent, sharing
+// the run's stats and dedup state, so staleness doom and SET application
+// span the whole page.
+func (x *execState) run(ops []op, base []byte, sp *trace.Span, depth int) error {
 	st := x.st
 	for i := range ops {
 		o := &ops[i]
@@ -249,19 +250,20 @@ func (x *execState) run(ops []op, sp *trace.Span, depth int) error {
 			if doomed {
 				continue
 			}
-			if err := x.emit(o.data); err != nil {
+			if err := x.emit(o.data(base)); err != nil {
 				return err
 			}
 		case tmpl.OpSet:
 			st.Sets++
-			if err := x.e.Store.Set(o.key, o.gen, o.data); err != nil {
+			data := o.data(base)
+			if err := x.e.Store.Set(o.key, o.gen, data); err != nil {
 				return err
 			}
 			x.addRef(o.key, o.gen, o.refSlot)
 			if doomed {
 				continue
 			}
-			if err := x.emit(o.data); err != nil {
+			if err := x.emit(data); err != nil {
 				return err
 			}
 		case tmpl.OpGet:
@@ -304,7 +306,7 @@ func (x *execState) run(ops []op, sp *trace.Span, depth int) error {
 			if err != nil {
 				err = fmt.Errorf("dpc: decoding template: %w", err)
 			} else {
-				err = x.run(sub.ops, fsp, depth+1)
+				err = x.run(sub.ops, sub.data, fsp, depth+1)
 			}
 			fsp.Finish()
 			if err != nil {

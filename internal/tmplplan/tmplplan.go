@@ -6,10 +6,11 @@
 // time: the byte stream is re-decoded even when the identical template was
 // assembled microseconds ago. This package pays the scan once. Compile
 // decodes a template into a flat []op program — literal-emit and
-// fragment-set ops referencing the plan's own copy of the literal and SET
-// bytes (one buffer, copied into as the decoder scans the template where it
-// lies, emitted zero-copy at execution, so a plan outlives the buffer its
-// template was read into), fragment-get and nested-include ops — and Cache
+// fragment-set ops addressing, by offset and length, the plan's own copy of
+// the literal and SET bytes (one buffer of exactly those bytes, gathered as
+// the decoder scans the template where it lies and copied out once, emitted
+// zero-copy at execution, so a plan outlives the buffer its template was
+// read into), fragment-get and nested-include ops — and Cache
 // keys compiled programs by a strong hash of the template bytes, so an
 // origin redeploy that changes the layout naturally misses and recompiles.
 //
