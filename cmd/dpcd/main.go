@@ -51,9 +51,9 @@
 //
 //	dpcd -coalesce=false -spool -1   # paper-faithful whole-page path
 //
-// The whole-response tier is always mounted: a response the origin marks
-// Cache-Control: max-age (an asset, or an assembled page for anonymous
-// GETs) is cached that long in 1024 entries, served with X-Cache: STATIC.
+// The whole-response tier is always mounted: a plain response the origin
+// marks Cache-Control: max-age (an asset; never an assembled page) is
+// cached that long in 1024 entries, served with X-Cache: STATIC.
 // -pagecache adds the page rule to it: complete responses to
 // anonymous-session GETs (no Cookie, Authorization, or X-User header) are
 // cached for -pagecache-ttl — keyed like a coalesced fetch: URI, method,

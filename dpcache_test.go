@@ -166,10 +166,11 @@ func TestFacadeRouterAndHub(t *testing.T) {
 	}
 }
 
-// A facade proxy subscribed to a hub covers the whole-response tier under
-// both admission rules: an assembled page the origin opted in
-// (Cache-Control: max-age) is dropped by a fragment event broadcast
-// through the hub, with the page rule off and on.
+// A facade proxy subscribed to a hub covers the whole-response tier: an
+// assembled page whose template the origin marked Cache-Control: max-age
+// is not opted in — with the page rule off it is never filed — and with
+// the page rule on it is filed as a page, which a fragment event broadcast
+// through the hub drops.
 func TestFacadePageSubscriberDropsOptInPage(t *testing.T) {
 	var buf bytes.Buffer
 	enc := tmpl.Binary{}.NewEncoder(&buf)
@@ -188,8 +189,11 @@ func TestFacadePageSubscriberDropsOptInPage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pageCache := range []bool{false, true} {
-		p, err := dpc.New(dpcache.ProxyConfig{OriginURL: origin.URL, Capacity: 8, PublishInterval: -1, PageCache: pageCache})
+	for _, tc := range []struct {
+		pageCache bool
+		revisit   string
+	}{{false, "MISS"}, {true, "PAGE"}} {
+		p, err := dpc.New(dpcache.ProxyConfig{OriginURL: origin.URL, Capacity: 8, PublishInterval: -1, PageCache: tc.pageCache})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,14 +204,14 @@ func TestFacadePageSubscriberDropsOptInPage(t *testing.T) {
 			return rec.Header().Get("X-Cache")
 		}
 		get()
-		if state := get(); state != "STATIC" {
-			t.Fatalf("pagecache=%v: revisit X-Cache = %q, want STATIC", pageCache, state)
+		if state := get(); state != tc.revisit {
+			t.Fatalf("pagecache=%v: revisit X-Cache = %q, want %s", tc.pageCache, state, tc.revisit)
 		}
 		hub := coherency.NewHub(mon)
 		hub.Subscribe(p)
 		hub.Broadcast("frag", 1, 1) // the page's fragment dies
-		if state := get(); state == "STATIC" {
-			t.Fatalf("pagecache=%v: the opted-in page outlived its fragment", pageCache)
+		if state := get(); state != "MISS" {
+			t.Fatalf("pagecache=%v: after its fragment's event X-Cache = %q, want MISS", tc.pageCache, state)
 		}
 	}
 }

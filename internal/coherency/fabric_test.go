@@ -17,9 +17,10 @@ import (
 )
 
 // A fragment invalidation retires exactly the whole-response entries built
-// from it — nothing more — under either admission rule: pageA and pageB
-// (the origin opts pageB in) carry fragment 5:9, pageC carries 6:1. Each
-// dead entry is dropped by the read that finds it, and no event flushes.
+// from it — nothing more: pageA and pageB carry fragment 5:9, pageC carries
+// 6:1. pageB's template carries a max-age, which opts no assembled page
+// into the tier, so the page rule files it like the others. Each dead
+// entry is dropped by the read that finds it, and no event flushes.
 func TestTierSubscriberDropsDependents(t *testing.T) {
 	var gen atomic.Uint32 // of fragment 5, which pageA and pageB SET
 	gen.Store(9)
@@ -49,7 +50,7 @@ func TestTierSubscriberDropsDependents(t *testing.T) {
 		p.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
 		return rec.Header().Get("X-Cache")
 	}
-	want := map[string]string{"/pageA": "PAGE", "/pageB": "STATIC", "/pageC": "PAGE"}
+	want := map[string]string{"/pageA": "PAGE", "/pageB": "PAGE", "/pageC": "PAGE"}
 	for path, hit := range want {
 		get(path)
 		if got := get(path); got != hit {

@@ -369,13 +369,6 @@ func (p *Proxy) serveStale(rs *reqState, key, reason string) (stageOutcome, bool
 	if !ok {
 		return stageNext, false
 	}
-	if rs.pageCapture != nil {
-		// The tier's bytes must not be re-filed under a fresh TTL; the
-		// background revalidation replaces a stale entry instead.
-		rs.pageCapture.discard()
-		rs.w = rs.pageCapture.ResponseWriter
-		rs.pageCapture = nil
-	}
 	if hit.Age < 0 {
 		p.serveHit(rs, hit, "")
 		return stageRespond, true
@@ -426,11 +419,6 @@ func (p *Proxy) kickRevalidate(rs *reqState, key, pkey string) {
 // shed refuses a request with a fast 503 + Retry-After: under a hard
 // bound, queueing on the origin would deepen the overload for everyone.
 func (p *Proxy) shed(rs *reqState, reason string) (stageOutcome, error) {
-	if rs.pageCapture != nil {
-		rs.pageCapture.discard()
-		rs.w = rs.pageCapture.ResponseWriter
-		rs.pageCapture = nil
-	}
 	p.reg.Counter("dpc.shed_503s").Inc()
 	switch reason {
 	case "inflight":

@@ -495,8 +495,8 @@ func TestAdmissionStaleProbeFindsFreshEntry(t *testing.T) {
 	rec := httptest.NewRecorder()
 	req := httptest.NewRequest(http.MethodGet, "/page/x", nil)
 	rs := &reqState{w: rec, r: req, start: time.Now()}
-	if out, err := p.stagePageCache(rs); out != stageNext || err != nil || rs.pageCapture == nil {
-		t.Fatalf("pagecache stage on the lapsed entry: %v %v, capture %v; want a miss", out, err, rs.pageCapture != nil)
+	if out, err := p.stagePageCache(rs); out != stageNext || err != nil || rs.fillKey == "" {
+		t.Fatalf("pagecache stage on the lapsed entry: %v %v, admitted %v; want a miss", out, err, rs.fillKey != "")
 	}
 	// What the revalidation would file, landing in the window.
 	fresh := []byte("body-/page/x-fresh")

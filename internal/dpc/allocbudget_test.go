@@ -340,6 +340,54 @@ func TestAllocBudgetLeaseHitFromDisk(t *testing.T) {
 	}
 }
 
+// uncacheableLeaseHitBytes bounds what a lease hit through a page-rule
+// miss allocates when the grant forbade caching: a lease hit's budget and
+// the page rule's key, with room, and far below the 16 KiB page a capture
+// would copy.
+const uncacheableLeaseHitBytes = 2048
+
+// A lease hit through a page-rule miss whose grant forbade caching (the
+// origin's answer carried Cache-Control: no-store) is refused the tier
+// before its first byte, so nothing page-sized is teed aside to be
+// dropped, and nothing is filed.
+func TestAllocBudgetUncacheableLeaseHit(t *testing.T) {
+	origin, warm := pageLeaseOrigin(t, "none")
+	cfg := Config{OriginURL: "http://origin.invalid", Capacity: 32, PublishInterval: -1, Coalesce: true, Stream: true,
+		PageCache: true, PageCacheTTL: time.Hour}
+	origin(&cfg)
+	leased := cfg.Transport
+	cfg.Transport = roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		resp, err := leased.RoundTrip(r)
+		if err == nil {
+			resp.Header = resp.Header.Clone()
+			resp.Header.Set("Cache-Control", "no-store")
+		}
+		return resp, err
+	})
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = p.Close() })
+	warm(p)
+	req := httptest.NewRequest(http.MethodGet, "/page", nil)
+	for range 2 { // the template that grants the lease, then the first hit
+		p.ServeHTTP(&discardWriter{h: http.Header{}}, req)
+	}
+	bytesPer, objs := leaseHitAllocs(t, p, req)
+	t.Logf("%.0f B in %.2f objects allocated per uncacheable lease hit", bytesPer, objs)
+	if bytesPer > uncacheableLeaseHitBytes {
+		t.Fatalf("%.0f B allocated per uncacheable lease hit, budget %d B", bytesPer, uncacheableLeaseHitBytes)
+	}
+	snap := p.Registry().Snapshot()
+	if p.Pages().Len() != 0 || snap["dpc.pagecache_fills"] != 0 {
+		t.Fatalf("%d entries after %d fills; the grant forbade caching", p.Pages().Len(), snap["dpc.pagecache_fills"])
+	}
+	if hits, refused := snap["dpc.lease_hits"], snap["dpc.pagecache_uncacheable"]; refused != hits+1 {
+		t.Fatalf("%d refusals for %d lease hits and the granting answer; want one each", refused, hits)
+	}
+}
+
 // BenchmarkLeaseHitRequest serves one lease hit per iteration through
 // ServeHTTP: the pagecache stage's lease run, then respond.
 func BenchmarkLeaseHitRequest(b *testing.B) {

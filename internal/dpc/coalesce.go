@@ -70,6 +70,15 @@ type flightChunk struct {
 	overrun bool   // this follower's unread bytes were dropped (see follower)
 }
 
+// length is the page's length once the flight is done: the bytes appended,
+// or a bodyless response's (HEAD) declared length.
+func (c flightChunk) length() int64 {
+	if c.total == 0 && c.clen > 0 {
+		return c.clen
+	}
+	return c.total
+}
+
 // flight is one in-flight origin fetch that concurrent identical requests
 // attach to.
 type flight struct {

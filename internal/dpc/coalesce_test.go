@@ -10,6 +10,7 @@ import (
 	"net/textproto"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -370,6 +371,78 @@ func TestLeaderAbortFollowersFallBack(t *testing.T) {
 	}
 	if got := p.Registry().Counter("dpc.coalesce_fallbacks").Value(); got != followers {
 		t.Fatalf("dpc.coalesce_fallbacks = %d, want %d", got, followers)
+	}
+}
+
+// A follower whose leader aborted before a byte fetches for itself, and
+// that fetch fills the page tier as any admitted miss's does: nothing in
+// the flight's failure retracts the follower's admission. The entry then
+// serves the bytes the follower was served.
+func TestFollowerFallbackFilesOwnFetch(t *testing.T) {
+	var fetches atomic.Int64
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if fetches.Add(1) == 1 {
+			close(entered)
+			<-release
+			panic(http.ErrAbortHandler) // the leader's fetch dies without a byte
+		}
+		fmt.Fprint(w, "recovered page")
+	}))
+	defer origin.Close()
+	unblock := sync.OnceFunc(func() { close(release) })
+	defer unblock()
+	p := newTestProxy(t, origin.URL, func(c *Config) {
+		c.Coalesce, c.Stream = true, true
+		c.PageCache, c.PageCacheTTL = true, time.Minute
+	})
+	ts := httptest.NewServer(p)
+	defer ts.Close()
+
+	type result struct {
+		status      int
+		cache, body string
+	}
+	get := func() result {
+		resp, err := http.Get(ts.URL + "/page/abort")
+		if err != nil {
+			return result{}
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		return result{resp.StatusCode, resp.Header.Get("X-Cache"), string(b)}
+	}
+	leader := make(chan result, 1)
+	go func() { leader <- get() }()
+	<-entered
+	follower := make(chan result, 1)
+	go func() { follower <- get() }()
+	key := clientKey(http.MethodGet, "/page/abort")
+	deadline := time.Now().Add(5 * time.Second)
+	for p.flights.waiting(key) < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("follower never parked")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	unblock()
+	if res := <-leader; res.status != http.StatusBadGateway {
+		t.Fatalf("leader: status %d, want 502", res.status)
+	}
+	served := <-follower
+	if served.status != http.StatusOK || served.body != "recovered page" {
+		t.Fatalf("follower: status %d, body %q; want its own fetch's page", served.status, served.body)
+	}
+	if n := p.Registry().Counter("dpc.coalesce_fallbacks").Value(); n != 1 {
+		t.Fatalf("dpc.coalesce_fallbacks = %d, want 1", n)
+	}
+	if n := p.Registry().Counter("dpc.pagecache_fills").Value(); n != 1 || p.Pages().Len() != 1 {
+		t.Fatalf("%d fills, %d entries; want the follower's fetch filed", n, p.Pages().Len())
+	}
+	if hit := get(); hit.cache != "PAGE" || hit.body != served.body || fetches.Load() != 2 {
+		t.Fatalf("revisit: X-Cache %q, body %q after %d fetches; want a PAGE hit on the follower's bytes, %q",
+			hit.cache, hit.body, fetches.Load(), served.body)
 	}
 }
 

@@ -21,10 +21,10 @@ import (
 )
 
 // One hub.Subscribe(p) reaches all three tiers: a fragment event drops the
-// slot and voids the opted-in page built from it, a "plan" flush empties
-// the plans, and a skipped sequence number flushes each tier exactly once.
+// slot and voids the filed page built from it, a "plan" flush empties the
+// plans, and a skipped sequence number flushes each tier exactly once.
 func TestApplyReachesEveryTier(t *testing.T) {
-	var gen atomic.Uint32 // of fragment 1, which /opt SETs; the origin opts /opt in
+	var gen atomic.Uint32 // of fragment 1, which /opt SETs; the page rule files /opt
 	gen.Store(1)
 	plan := templateBody(t, func(enc tmpl.Encoder) { // GET-only: the kind the plan tier keeps
 		_ = enc.Literal([]byte("<p>"))
@@ -32,11 +32,13 @@ func TestApplyReachesEveryTier(t *testing.T) {
 		_ = enc.Literal([]byte("</p>"))
 	})
 	p := newTestProxy(t, "http://origin.invalid", func(c *Config) {
+		c.PageCache, c.PageCacheTTL = true, time.Minute
 		c.Transport = roundTripFunc(func(r *http.Request) (*http.Response, error) {
-			h := http.Header{"X-Dpc-Template": {"binary"}}
+			// /plan forbids caching, so each visit runs its plan.
+			h := http.Header{"X-Dpc-Template": {"binary"}, "Cache-Control": {"no-store"}}
 			body := plan
 			if r.URL.Path == "/opt" {
-				h.Set("Cache-Control", "max-age=60")
+				h.Del("Cache-Control")
 				body = templateBody(t, func(enc tmpl.Encoder) {
 					_ = enc.Literal([]byte("<html>"))
 					_ = enc.Set(1, gen.Load(), []byte("opted in"))
@@ -55,8 +57,8 @@ func TestApplyReachesEveryTier(t *testing.T) {
 			t.Fatal(err)
 		}
 		serveGet(p, "/opt")
-		if state := serveGet(p, "/opt").Header().Get("X-Cache"); state != "STATIC" {
-			t.Fatalf("opted-in revisit X-Cache = %q, want STATIC", state)
+		if state := serveGet(p, "/opt").Header().Get("X-Cache"); state != "PAGE" {
+			t.Fatalf("filed page's revisit X-Cache = %q, want PAGE", state)
 		}
 		if rec := serveGet(p, "/plan"); rec.Body.String() != "<p>held</p>" {
 			t.Fatalf("/plan = %q", rec.Body)
@@ -80,8 +82,8 @@ func TestApplyReachesEveryTier(t *testing.T) {
 	if n := p.Plans().Stats().Resident; n != 1 {
 		t.Fatalf("fragment event disturbed the plans: resident = %d", n)
 	}
-	if rec := serveGet(p, "/opt"); rec.Header().Get("X-Cache") == "STATIC" || rec.Body.String() != "<html>opted in</html>" {
-		t.Fatalf("after its fragment's event the opted-in page was served X-Cache %q, %q", rec.Header().Get("X-Cache"), rec.Body)
+	if rec := serveGet(p, "/opt"); rec.Header().Get("X-Cache") == "PAGE" || rec.Body.String() != "<html>opted in</html>" {
+		t.Fatalf("after its fragment's event the filed page was served X-Cache %q, %q", rec.Header().Get("X-Cache"), rec.Body)
 	}
 	if n := p.Registry().Counter("dpc.pagecache_invalidations").Value(); n != 1 {
 		t.Fatalf("dpc.pagecache_invalidations = %d, want 1: the dead entry, found on the read", n)
@@ -99,8 +101,8 @@ func TestApplyReachesEveryTier(t *testing.T) {
 	if p.Store().Resident() != 0 || p.Plans().Stats().Resident != 0 {
 		t.Fatalf("gap left store %d, plans %d", p.Store().Resident(), p.Plans().Stats().Resident)
 	}
-	if state := serveGet(p, "/opt").Header().Get("X-Cache"); state == "STATIC" {
-		t.Fatal("the opted-in page was served from the tier across a gap")
+	if state := serveGet(p, "/opt").Header().Get("X-Cache"); state == "PAGE" {
+		t.Fatal("the filed page was served from the tier across a gap")
 	}
 	snap := p.Registry().Snapshot()
 	if snap["dpc.pagecache_gap_flushes"] != 1 || snap["dpc.pagecache_flushes"] != 1 {
@@ -177,11 +179,10 @@ func concurrentFillsAndInvalidations(t *testing.T) {
 // request traced under span whose capture began at epoch and was assembled
 // from refs.
 func fillCaptured(p *Proxy, span *trace.Span, key, body string, epoch uint64, refs ...StaleRef) {
-	c := &pageCapture{ResponseWriter: httptest.NewRecorder(), status: http.StatusOK}
-	c.buf.WriteString(body)
 	p.fillTier(&reqState{
-		r: httptest.NewRequest(http.MethodGet, "/", nil), span: span, pageCapture: c,
-		fillKey: key, fillTTL: time.Minute, fillRule: rulePage,
+		w: httptest.NewRecorder(), r: httptest.NewRequest(http.MethodGet, "/", nil), span: span,
+		pageCapture: &pageCapture{buf: []byte(body)},
+		fillKey:     key, fillTTL: time.Minute, fillRule: rulePage,
 		depRefs: refs, depEpoch: epoch,
 	})
 }

@@ -191,57 +191,57 @@ func (p *Proxy) leasing(r *http.Request) bool {
 // serveLease serves the request from the lease filed under its fetch key,
 // beside the tier probe and ahead of admission and the flight, since it asks
 // the origin nothing: the plan the lease holds runs whole, and the request
-// goes to respond. A page-rule capture the pagecache stage attached tees the
-// page, and is refused once the page has gone out if the answer that granted
-// the lease forbade caching. A lease found void — past its term, without its
-// plan, or with a ref that does not resolve — is dropped, and the request
-// goes on to the origin as a miss.
+// goes to respond. A lease found void — past its term, without its plan, or
+// with a ref that does not resolve — is dropped, and the request goes on to
+// the origin as a miss, admitted to the tier as the pagecache stage left it.
 func (p *Proxy) serveLease(rs *reqState) (stageOutcome, error) {
-	l, ok := p.useLease(rs)
-	if !ok {
+	fillKey := rs.fillKey
+	if !p.useLease(rs) {
 		return stageNext, nil
 	}
 	_, err := p.assemblePage(rs, nil, 0, wholePage)
 	if errors.Is(err, ErrStale) && !rs.streamed {
 		// Held whole, the run committed nothing.
 		p.voidLease(rs, voidFloor)
-		rs.ctype, rs.cacheState = "", ""
+		rs.ctype, rs.cacheState, rs.fillKey = "", "", fillKey
 		return stageNext, nil
 	}
 	if err != nil {
 		return stageNext, err
 	}
 	p.leases.hits.Inc()
-	if rs.pageCapture != nil && !l.cacheable {
-		rs.pageCapture.refuse()
-	}
 	return stageRespond, nil
 }
 
 // useLease finds a live lease filed under the request's fetch key and makes
 // the plan it names the request's held plan, for assemble to run in place
 // of a template. A lease found past its term or without its plan is voided.
-func (p *Proxy) useLease(rs *reqState) (lease, bool) {
+// A page-rule admission is refused when the answer that granted the lease
+// forbade caching.
+func (p *Proxy) useLease(rs *reqState) bool {
 	if !p.leasing(rs.r) {
-		return lease{}, false
+		return false
 	}
 	l, ok := p.leases.get(rs.flightKey())
 	if !ok {
-		return lease{}, false
+		return false
 	}
 	if p.clk.Now().UnixNano() >= l.deadline {
 		p.voidLease(rs, voidExpired)
-		return lease{}, false
+		return false
 	}
 	plan := p.plans.LookupKey(l.plan)
 	if plan == nil {
 		p.voidLease(rs, voidPlan)
-		return lease{}, false
+		return false
 	}
 	rs.held = plan
 	rs.ctype, rs.cacheState = l.ctype, "LEASE"
 	rs.span.Event(trace.KindHit, "origin", "lease:hit", 0)
-	return l, true
+	if !l.cacheable {
+		p.refuseFill(rs, "lease-uncacheable")
+	}
+	return true
 }
 
 func (p *Proxy) voidLease(rs *reqState, cause string) {
@@ -256,13 +256,11 @@ func (p *Proxy) voidLease(rs *reqState, cause string) {
 // origin granted, capped at the page tier's TTL. A grant ending in ";page"
 // also dates the response's tier record (rs.pageUntil), and admits an
 // identified visitor's page to the page rule under the key every visitor of
-// the page is served from. A response the origin opted into the tier under
-// its own max-age is not leased: a lease keeps no headers to renew that
-// opt-in with. A grant that does not parse, or whose fetch began before a
-// gap or a flush, is dropped.
+// the page is served from. A grant that does not parse, or whose fetch
+// began before a gap or a flush, is dropped.
 func (p *Proxy) grantLease(rs *reqState, resp *http.Response, start time.Time, epoch uint64) {
 	v := resp.Header.Get(headerLease)
-	if v == "" || rs.fillRule == ruleStatic || !p.leasing(rs.r) {
+	if v == "" || !p.leasing(rs.r) {
 		return
 	}
 	v, scope, scoped := strings.Cut(v, ";")
@@ -285,23 +283,22 @@ func (p *Proxy) grantLease(rs *reqState, resp *http.Response, start time.Time, e
 	if scoped {
 		rs.pageUntil = rs.grantUntil
 		if _, identified := p.pageRule(rs.r); identified && rs.grantCacheable {
-			p.admitFill(rs, anonymousPageKey(rs.r), p.pageTTL, rulePage, epoch)
+			rs.admitFill(anonymousPageKey(rs.r), p.pageTTL, rulePage, epoch)
 		}
 	}
 }
 
 // tierKeeps reports that the page tier is the only keeper the grant rs's
 // answer carried needs: rs is an identified visitor's, the grant is
-// page-scoped, and the capture grantLease attached under the key every
-// visitor of the page is served from (anonymousPageKey) will file the n
-// bytes the run wrote — it was neither refused nor outgrown. stagePageCache
+// page-scoped, and the admission grantLease made under the key every
+// visitor of the page is served from (anonymousPageKey) still stands and
+// will file the n bytes the run wrote, which fit the capture. stagePageCache
 // probes the tier before the lease, and the entry's record carries the
 // lease's refs, epoch and end, so while the entry lives a lease filed
 // beside it would never be read; once the tier evicts it, a lease would
 // serve this one visitor.
 func (p *Proxy) tierKeeps(rs *reqState, n int64) bool {
-	c := rs.pageCapture
-	return rs.pageUntil != 0 && rs.fillRule == rulePage && c != nil && !c.discarded &&
+	return rs.pageUntil != 0 && rs.fillKey != "" && rs.fillRule == rulePage &&
 		n <= maxPageCaptureBytes && !anonymousSession(rs.r)
 }
 

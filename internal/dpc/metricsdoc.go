@@ -83,7 +83,7 @@ func MetricCatalog() []MetricDoc {
 		{"dpc.pagecache_fills", "counter", "a completed response was filed into the tier, under either rule"},
 		{"dpc.pagecache_shared_bytes", "counter", "bytes of filed pages held by reference to the fragment store's own copies rather than copied into the tier, counted at fill (the entry is still charged its whole length; resident bytes minus these is roughly what the tier's entries copy)"},
 		{"dpc.pagecache_bypass_identity", "counter", "an identified bodyless GET (Cookie, Authorization, X-User) the tier did not serve: no entry built under a page-scoped grant that has not ended, or a proxy that does not lease; its answer still files the page when it carries such a grant (plus dpc.pagecache_identity_hits, this is every identified GET on a leasing proxy, but any the origin's opt-in served)"},
-		{"dpc.pagecache_uncacheable", "counter", "an admitted response could not be filed (non-200, over the 1 MiB capture bound, no-store/private, or Set-Cookie)"},
+		{"dpc.pagecache_uncacheable", "counter", "an admitted response was refused the tier: before its first byte, because the origin forbade caching it (no-store, no-cache or private, or Set-Cookie, on the answer or on the grant of the lease that served it), or at fill, because it outgrew the 1 MiB capture bound"},
 		{"dpc.pagecache_uncacheable_vary", "counter", "a response the origin marked cacheable (Cache-Control: max-age) was refused the opt-in because it varies on a header other than Accept-Encoding"},
 		{"dpc.pagecache_304s", "counter", "a tier hit with a matching If-None-Match was answered 304 with no body"},
 		{"dpc.pagecache_invalidations", "counter", "a tier entry was dropped as void: found on a read built from a fragment generation the fabric killed or filed before a tier flush, purged with its URI, or refused at fill time"},

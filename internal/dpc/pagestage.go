@@ -17,14 +17,14 @@ import (
 // The pagecache stage is the proxy's one whole-response tier, mounted
 // ahead of admission and coalesce; a request the tier misses may still be
 // served there by its lease (lease.go). An entry gets in by one of two
-// admission rules, and
-// both fill through the same tee, the same record (voided) and the same
-// store:
+// admission rules, and both fill through the same tee (the one writer's,
+// spoolWriter), the same record (voided) and the same store:
 //
 //   - the origin's opt-in (Section 4.2; see static.go): a plain GET
-//     response, or the assembled page of an anonymous GET, carrying
-//     Cache-Control: max-age is filed under staticKey for that long, for
-//     any session. Hits say X-Cache: STATIC.
+//     response carrying Cache-Control: max-age is filed under staticKey
+//     for that long, for any session. Hits say X-Cache: STATIC. A template
+//     answer never opts in: a dynamic page is not URL-keyed by the origin's
+//     headers.
 //   - the page rule (Config.PageCache): the response to an anonymous
 //     bodyless GET is filed under pageKey for PageCacheTTL. Hits say
 //     X-Cache: PAGE. Section 3.2.1's objection to page caching — the URL
@@ -41,15 +41,17 @@ import (
 //
 // A lookup probes the opt-in key (once any entry has been filed under it),
 // then the page key, while the tier holds any entry at all; a response is
-// filed under one of them, the opt-in winning. The TTL bounds the
-// staleness of content the BEM never tracks. Each entry carries its
-// record — the epoch its capture began under, the end of the page-scoped
-// grant it was built under and the fragment refs it was assembled from —
-// and every read judges it, as a lease is judged: an entry one of whose
-// fragments the fabric has killed, or filed under an epoch a flush has
-// ended, is deleted where it is found and never served. Entries carry a
-// strong ETag, so a matching If-None-Match is answered 304
-// (dpc.pagecache_304s).
+// filed under one of them, the opt-in winning. Whether it is filed is
+// decided before its first byte: the admission is a key in the request's
+// state, and only a response that reaches the writer still admitted is
+// captured. The TTL bounds the staleness of content the BEM never tracks.
+// Each entry carries its record — the epoch its admission was made under,
+// the end of the page-scoped grant it was built under and the fragment
+// refs it was assembled from — and every read judges it, as a lease is
+// judged: an entry one of whose fragments the fabric has killed, or filed
+// under an epoch a flush has ended, is deleted where it is found and never
+// served. Entries carry a strong ETag, so a matching If-None-Match is
+// answered 304 (dpc.pagecache_304s).
 
 // The admission rules, as named in span events.
 const (
@@ -255,10 +257,10 @@ func (p *Proxy) tierGet(rs *reqState, key, rule string, stale time.Duration) (ti
 }
 
 // A tier entry's record is what it was built from, packed after its ETag
-// (pagecache.Page.Record): the epoch its capture began under, 8 bytes, the
-// end of the page-scoped grant it was built under (rs.pageUntil, zero for
-// none), 8 bytes, then the key and generation of each fragment ref, 4 bytes
-// each, little-endian.
+// (pagecache.Page.Record): the epoch its admission was made under, 8
+// bytes, the end of the page-scoped grant it was built under (rs.pageUntil,
+// zero for none), 8 bytes, then the key and generation of each fragment
+// ref, 4 bytes each, little-endian.
 func packRecord(epoch uint64, until int64, refs []StaleRef) string {
 	b := make([]byte, recordRefs, recordRefs+8*len(refs))
 	binary.LittleEndian.PutUint64(b, epoch)
@@ -283,10 +285,10 @@ func (p *Proxy) granted(record string) bool {
 // voided judges a record: "" while everything it was built from lives,
 // "fragment-floor" when one of its refs is below its slot's floor
 // (floorStore), and "epoch-flush:" and the flush's cause when the tier has
-// been flushed since its capture began. fillTier asks before it files and
-// tierGet on every read, so nothing below a floor, or filed under an older
-// epoch, is served once Apply has returned — however late the fill that
-// filed it, and whichever read path finds it.
+// been flushed since its admission was made. fillTier asks before it files
+// and tierGet on every read, so nothing below a floor, or filed under an
+// older epoch, is served once Apply has returned — however late the fill
+// that filed it, and whichever read path finds it.
 func (p *Proxy) voided(record string) string {
 	if len(record) < recordRefs || uint64(le32(record))|uint64(le32(record[4:]))<<32 != p.fabric.epoch.Load() {
 		return "epoch-flush:" + p.fabric.flushCause()
@@ -315,8 +317,7 @@ func (p *Proxy) stagePageCache(rs *reqState) (stageOutcome, error) {
 }
 
 // lookupTier probes the tier for a GET or HEAD and serves a hit, reporting
-// whether it did; on a page-rule miss it attaches the capture that files the
-// response.
+// whether it did; on a page-rule miss it admits the response to the tier.
 func (p *Proxy) lookupTier(rs *reqState) (served bool) {
 	if rs.r.Method != http.MethodGet && rs.r.Method != http.MethodHead {
 		return false
@@ -324,11 +325,11 @@ func (p *Proxy) lookupTier(rs *reqState) (served bool) {
 	page, identified := p.pageRule(rs.r)
 	if p.admit != nil && isReval(rs.r.Context()) {
 		// A background revalidation skips the lookup — its purpose is to
-		// refresh this very entry — but still captures its response so
-		// fillTier replaces the stale copy; its record voids the fill if
-		// the fabric invalidates a source fragment mid-revalidation.
+		// refresh this very entry — but is still admitted, so fillTier
+		// replaces the stale copy with its response; its record voids the
+		// fill if the fabric invalidates a source fragment mid-revalidation.
 		if page {
-			p.admitFill(rs, pageKey(rs.r), p.pageTTL, rulePage, p.fabric.epoch.Load())
+			rs.admitFill(pageKey(rs.r), p.pageTTL, rulePage, p.fabric.epoch.Load())
 		}
 		return false
 	}
@@ -360,7 +361,7 @@ func (p *Proxy) lookupTier(rs *reqState) (served bool) {
 	}
 	p.m.pageMisses.Inc()
 	rs.span.Event(trace.KindMiss, rulePage, "", 0)
-	p.admitFill(rs, pkey, p.pageTTL, rulePage, epoch)
+	rs.admitFill(pkey, p.pageTTL, rulePage, epoch)
 	return false
 }
 
@@ -408,96 +409,75 @@ func servePage(rs *reqState, pg *pagecache.Page, cacheState string) {
 }
 
 // admitFill records the request's tier admission — key, TTL and rule,
-// replacing any earlier one (the opt-in outranks the page rule) — and, on
-// the first, tees what the rest of the pipeline writes to this client into
-// the capture respond files. epoch, the tier's flush generation read
-// before the origin could generate the response, dates it in the entry's
-// record: a flush in between voids the fill. It must run before the
-// response's first byte.
-func (p *Proxy) admitFill(rs *reqState, key string, ttl time.Duration, rule string, epoch uint64) {
+// replacing any earlier one (the opt-in outranks the page rule). epoch, the
+// tier's flush generation read before the origin could generate the
+// response, dates the first admission in the entry's record: a flush in
+// between voids the fill. The writer that carries the response captures it
+// for respond to file only if the request is still admitted when it
+// commits (spoolWriter.commit), so this runs before the response's first
+// byte.
+func (rs *reqState) admitFill(key string, ttl time.Duration, rule string, epoch uint64) {
+	if rs.fillKey == "" {
+		rs.depEpoch = epoch
+	}
 	rs.fillKey, rs.fillTTL, rs.fillRule = key, ttl, rule
-	if rs.pageCapture != nil {
+}
+
+// refuseFill withdraws the request's tier admission, before the response's
+// first byte, for a response the origin forbade caching (pageCacheable):
+// the refusal is counted (dpc.pagecache_uncacheable) and traced as why.
+func (p *Proxy) refuseFill(rs *reqState, why string) {
+	if rs.fillKey == "" {
 		return
 	}
-	rs.depEpoch = epoch
-	pc := &pageCapture{ResponseWriter: rs.w, reserve: p.pages.ReserveCapture}
-	rs.pageCapture = pc
-	rs.w = pc
+	rs.fillKey = ""
+	p.m.pageUncacheable.Inc()
+	rs.span.Event(trace.KindBypass, rs.fillRule, why, 0)
 }
 
 // admitOrigin applies the origin's opt-in to a first-try origin response:
-// a max-age on a plain GET response (cacheableStatic), or on the template
-// of an anonymous GET (cacheableAssembled), files it under staticKey for
-// that long, whatever the page rule says; epoch was read before the fetch.
-// Otherwise a page-admitted response the origin forbade caching is
-// refused.
+// a max-age on a plain GET response (cacheableStatic) files it under
+// staticKey for that long, whatever the page rule says; epoch was read
+// before the fetch. Otherwise a page-admitted response the origin forbade
+// caching is refused.
 func (p *Proxy) admitOrigin(rs *reqState, resp *http.Response, epoch uint64) {
-	var ttl time.Duration
-	var varied bool
-	switch {
-	case rs.r.Method != http.MethodGet:
-	case resp.Header.Get(headerTemplate) == "":
-		ttl, varied = cacheableStatic(resp)
-	case anonymousSession(rs.r):
-		// The paper's rule that dynamic pages are never URL-keyed stays the
-		// default: this is for origins that declare an assembled page
-		// cacheable, and never for a page that could be personalized.
-		ttl, varied = cacheableAssembled(resp)
+	if rs.r.Method == http.MethodGet {
+		ttl, varied := cacheableStatic(resp)
+		if varied {
+			// Cacheable by Cache-Control but varying on a header staticKey
+			// does not fold in: a URL-keyed entry would serve one variant to
+			// every client.
+			p.reg.Counter("dpc.pagecache_uncacheable_vary").Inc()
+		}
+		if ttl > 0 {
+			rs.admitFill(staticKey(rs.r), ttl, ruleStatic, epoch)
+			return
+		}
 	}
-	if varied {
-		// Cacheable by Cache-Control but varying on a header staticKey does
-		// not fold in: a URL-keyed entry would serve one variant to every
-		// client.
-		p.reg.Counter("dpc.pagecache_uncacheable_vary").Inc()
-	}
-	if ttl > 0 {
-		p.admitFill(rs, staticKey(rs.r), ttl, ruleStatic, epoch)
-		return
-	}
-	if rs.pageCapture != nil && !pageCacheable(resp.Header) {
-		rs.pageCapture.refuse()
-		rs.span.Event(trace.KindBypass, rulePage, "origin-uncacheable", 0)
+	if !pageCacheable(resp.Header) {
+		p.refuseFill(rs, "origin-uncacheable")
 	}
 }
 
-// fillTier files a captured response into the tier under the request's
-// admission; called from the respond stage once the response has fully
-// reached the client.
+// fillTier files the response the writer captured into the tier under the
+// request's admission; called from the respond stage once the response has
+// fully reached the client.
 func (p *Proxy) fillTier(rs *reqState) {
 	c := rs.pageCapture
 	if c == nil {
 		return
 	}
-	defer c.settle()
-	if rs.cacheState == "COALESCE-FOLLOWER" {
-		// The flight's leader is filling this exact key (with
-		// origin-header knowledge the follower lacks).
-		return
-	}
-	if c.status != http.StatusOK || c.overflow || c.uncacheable {
-		p.m.pageUncacheable.Inc()
-		rs.span.Event(trace.KindBypass, rs.fillRule, "uncacheable", 0)
-		return
-	}
-	if c.discarded {
-		// The capture was dropped mid-request for a reason none of the
-		// cases above explain (e.g. this request parked as a follower,
-		// then the leader aborted and it fell back to its own fetch):
-		// the buffer no longer holds the response. Storing it would poison
-		// the key with an empty body.
-		return
-	}
-	if rs.fillRule == rulePage && rs.pageUntil == 0 && !anonymousSession(rs.r) {
-		// An identified page is filed only as the answer that carried the
-		// page's grant; the stale fallback fetched another.
-		return
-	}
-	body := c.buf.Bytes()
-	ctype := c.Header().Get("Content-Type")
 	// Settle the in-flight reservation before the Put reserves the stored
 	// copy: double-charging the same bytes would evict the very entry
 	// being filed on a tight budget.
 	c.settle()
+	if c.overflow {
+		p.m.pageUncacheable.Inc()
+		rs.span.Event(trace.KindBypass, rs.fillRule, "uncacheable", 0)
+		return
+	}
+	body := c.buf
+	ctype := rs.w.Header().Get("Content-Type")
 	// One of the entry's fragments died (or the tier was flushed) while
 	// the response was in flight: the entry is doomed, so it is not filed.
 	// An event that lands after this check finds the filed entry void on
@@ -563,86 +543,38 @@ func (p *Proxy) fileShared(rs *reqState, body []byte, ctype, etag, record string
 	return len(body) - len(lit)
 }
 
-// pageCapture tees a response into a bounded buffer on its way to the
-// client. It deliberately wraps every downstream write path — the
-// spoolWriter, a coalesced follower's replay — so the tier fills regardless
-// of which pipeline branch produced the response. Buffered bytes are
-// reserved against the tier's byte ledger while in flight (see
-// maxPageCaptureBytes) and settled when the capture is filed, discarded, or
-// the request ends.
+// pageCapture is the writer's second tee (spoolWriter.send): the bytes
+// of an admitted response, up to maxPageCaptureBytes, for respond to file.
+// They are reserved against the tier's byte ledger while in flight, and
+// settled when the capture is filed, outgrown, or the request fails.
 type pageCapture struct {
-	http.ResponseWriter
-	status      int
-	buf         bytes.Buffer
-	overflow    bool
-	discarded   bool // the fill is already known moot; stop buffering
-	uncacheable bool // the origin's headers forbade the fill (see refuse)
+	buf      []byte
+	overflow bool // the response outgrew the bound; buf was released
 
-	reserve  func(delta int64) // page tier's ledger hook; nil skips accounting
+	pages    *pagecache.Cache // whose byte ledger the bytes are charged to
 	reserved int64
 }
 
-// discard drops the retained bytes and stops buffering: called as soon as
-// a request learns its fill can never be used (it became a coalesced
-// follower — the leader fills the same key — or it was served stale), so a
-// hot burst does not copy the page N extra times.
-func (c *pageCapture) discard() {
-	c.buf = bytes.Buffer{}
-	c.discarded = true
-	c.settle()
+// write tees b into the capture, or gives the capture up once the response
+// outgrows the bound.
+func (c *pageCapture) write(b []byte) {
+	if c.overflow {
+		return
+	}
+	if len(c.buf)+len(b) > maxPageCaptureBytes {
+		c.overflow, c.buf = true, nil
+		c.settle()
+		return
+	}
+	c.buf = append(c.buf, b...)
+	c.reserved += int64(len(b))
+	c.pages.ReserveCapture(int64(len(b)))
 }
 
-// refuse is discard for a response the origin forbade caching
-// (no-store/no-cache/private or Set-Cookie): the proxy strips origin
-// headers before the client sees them, so this is decided at fetch time
-// and counted at fill time (dpc.pagecache_uncacheable).
-func (c *pageCapture) refuse() {
-	c.uncacheable = true
-	c.discard()
-}
-
-// settle releases the capture's ledger reservation; idempotent, and
-// called on every terminal path (fill, discard, overflow, request
-// failure).
+// settle releases the capture's ledger reservation; idempotent.
 func (c *pageCapture) settle() {
-	if c.reserved != 0 && c.reserve != nil {
-		c.reserve(-c.reserved)
+	if c.reserved != 0 {
+		c.pages.ReserveCapture(-c.reserved)
 		c.reserved = 0
-	}
-}
-
-func (c *pageCapture) WriteHeader(code int) {
-	if c.status == 0 {
-		c.status = code
-	}
-	c.ResponseWriter.WriteHeader(code)
-}
-
-func (c *pageCapture) Write(b []byte) (int, error) {
-	if c.status == 0 {
-		c.status = http.StatusOK
-	}
-	if !c.overflow && !c.discarded {
-		if c.buf.Len()+len(b) <= maxPageCaptureBytes {
-			before := int64(c.buf.Cap())
-			c.buf.Write(b)
-			if delta := int64(c.buf.Cap()) - before; delta > 0 && c.reserve != nil {
-				c.reserved += delta
-				c.reserve(delta)
-			}
-		} else {
-			c.overflow = true
-			c.buf = bytes.Buffer{} // release what was retained
-			c.settle()
-		}
-	}
-	return c.ResponseWriter.Write(b)
-}
-
-// Flush forwards to the underlying writer so streaming paths keep their
-// flush-per-chunk behavior through the tee.
-func (c *pageCapture) Flush() {
-	if f, ok := c.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
 	}
 }

@@ -330,27 +330,48 @@ func TestPageCacheHonorsOriginUncacheable(t *testing.T) {
 	}
 }
 
-// A capture discarded mid-request (the request parked as a follower,
-// then the leader aborted and it fell back to its own fetch) must never
-// be filed: its buffer is empty and would poison the key with a 0-byte
-// page for the whole TTL.
-func TestFillPageCacheSkipsDiscardedCapture(t *testing.T) {
-	p := newTestProxy(t, "http://127.0.0.1:0", func(c *Config) {
-		c.PageCache = true
-		c.PageCacheTTL = time.Minute
+// A page-admitted request whose template goes stale inside the spool has
+// committed nothing, so nothing was captured; the stale fallback's plain
+// bypass answer withdraws the admission before its first byte, because the
+// fabric could never drop a page it cannot see the fragments of. The
+// client gets the bypass page and the tier files nothing, now or on the
+// next request.
+func TestStaleBypassPlainAnswerNotFiled(t *testing.T) {
+	var bypasses atomic.Int64
+	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Header.Get(headerBypass) != "" {
+			bypasses.Add(1)
+			fmt.Fprint(w, "<html>bypass page</html>")
+			return
+		}
+		var buf bytes.Buffer
+		enc := tmpl.Binary{}.NewEncoder(&buf)
+		_ = enc.Literal([]byte("<html>head</html>"))
+		_ = enc.Get(5, 9) // never SET: stale
+		_ = enc.Flush()
+		w.Header().Set(headerTemplate, "binary")
+		_, _ = w.Write(buf.Bytes())
+	}))
+	defer origin.Close()
+	p := newTestProxy(t, origin.URL, func(c *Config) {
+		c.Strict, c.Stream = true, true
+		c.PageCache, c.PageCacheTTL = true, time.Minute
 	})
-	pc := &pageCapture{ResponseWriter: httptest.NewRecorder()}
-	if _, err := pc.Write([]byte("page bytes")); err != nil {
-		t.Fatal(err)
+	ts := httptest.NewServer(p)
+	defer ts.Close()
+
+	for i := range 2 {
+		if body, state := pageGet(t, ts.URL+"/page/stale", nil); body != "<html>bypass page</html>" || state != "BYPASS" {
+			t.Fatalf("request %d: X-Cache %q, body %q; want the bypass page", i, state, body)
+		}
 	}
-	pc.discard()
-	rs := &reqState{w: pc, fillKey: "/x\x00GET\x00", fillTTL: time.Minute, fillRule: rulePage, pageCapture: pc, cacheState: "MISS"}
-	p.fillTier(rs)
-	if got := p.Pages().Len(); got != 0 {
-		t.Fatalf("discarded capture filed into the page tier (%d entries)", got)
+	snap := p.Registry().Snapshot()
+	if p.Pages().Len() != 0 || snap["dpc.pagecache_fills"] != 0 || bypasses.Load() != 2 {
+		t.Fatalf("tier holds %d entries after %d fills and %d bypass fetches; want none filed, two fetches",
+			p.Pages().Len(), snap["dpc.pagecache_fills"], bypasses.Load())
 	}
-	if got := p.Registry().Counter("dpc.pagecache_fills").Value(); got != 0 {
-		t.Fatalf("dpc.pagecache_fills = %d, want 0", got)
+	if snap["dpc.stream_aborts"] != 0 || snap["dpc.stale_fallbacks"] != 2 {
+		t.Fatalf("stream_aborts = %d, stale_fallbacks = %d; want 0 and 2", snap["dpc.stream_aborts"], snap["dpc.stale_fallbacks"])
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 
@@ -112,10 +111,12 @@ type reqState struct {
 
 	// fillKey, fillTTL and fillRule are the request's tier admission: the
 	// key its response is filed under, for how long, and by which rule
-	// (rulePage or ruleStatic). The pagecache stage sets them for the page
-	// rule and admitOrigin for the origin's opt-in; pageCapture, attached
-	// with the first of them, tees the outgoing response aside for
-	// respond to file.
+	// (rulePage or ruleStatic); fillKey is empty when nothing admits the
+	// response. The pagecache stage sets them for the page rule and
+	// admitOrigin for the origin's opt-in, and a refusal clears fillKey,
+	// all before the response's first byte. pageCapture is what the writer
+	// tees aside for respond to file: it exists only when the request was
+	// still admitted as the writer committed (spoolWriter.commit).
 	fillKey     string
 	fillTTL     time.Duration
 	fillRule    string
@@ -125,11 +126,11 @@ type reqState struct {
 	hitETag string
 	// depRefs are the fragment references whose bytes flowed into this
 	// response (assembly only), depEpoch the tier's flush epoch when the
-	// capture began, and pageUntil the end of the page-scoped grant the
-	// origin's answer carried (grantLease; zero for none, and cleared when
-	// the stale fallback fetched another answer), in the proxy clock's
-	// UnixNano: together the record fillTier files the entry with, which
-	// voided judges on the fill and on every read, and granted on an
+	// response was first admitted, and pageUntil the end of the page-scoped
+	// grant the origin's answer carried (grantLease; zero for none, and
+	// cleared when the stale fallback fetched another answer), in the proxy
+	// clock's UnixNano: together the record fillTier files the entry with,
+	// which voided judges on the fill and on every read, and granted on an
 	// identified visitor's.
 	depRefs   []StaleRef
 	depEpoch  uint64
@@ -215,11 +216,6 @@ func (p *Proxy) coalesce(rs *reqState) (stageOutcome, error) {
 		return p.serveHeadFollower(rs, f, fol)
 	}
 	rs.span.Event(trace.KindRole, "coalesce", "follower", int64(f.id))
-	if rs.pageCapture != nil {
-		// The leader is filling this page key; buffering a duplicate
-		// through the follower's tee would be copied and dropped.
-		rs.pageCapture.discard()
-	}
 	return p.serveFollower(rs, f, fol)
 }
 
@@ -242,20 +238,7 @@ func (p *Proxy) serveHeadFollower(rs *reqState, f *flight, fol *follower) (stage
 		rs.span.Event(trace.KindMiss, "coalesce", "leader-aborted", 0)
 		return stageNext, nil
 	}
-	h := rs.w.Header()
-	ctype := c.ctype
-	if ctype == "" {
-		ctype = "text/html; charset=utf-8"
-	}
-	clen := c.total
-	if clen == 0 && c.clen > 0 {
-		clen = c.clen // bodyless leader response: its declared length
-	}
-	h.Set("Content-Type", ctype)
-	h.Set("Content-Length", strconv.FormatInt(clen, 10))
-	h.Set("Via", "dpcache-dpc/1.0")
-	h.Set("X-Cache", "COALESCE-FOLLOWER")
-	rs.w.WriteHeader(http.StatusOK)
+	commitHeaders(rs.w, c.ctype, c.length(), "COALESCE-FOLLOWER")
 	rs.streamed = true // headers committed; respond must not write a body
 	rs.cacheState = "COALESCE-FOLLOWER"
 	p.m.coalesced.Inc()
@@ -277,23 +260,11 @@ func (p *Proxy) serveFollower(rs *reqState, f *flight, fol *follower) (stageOutc
 	defer copyBufPool.Put(bufp)
 	committed := false
 	commit := func(c flightChunk) {
-		h := rs.w.Header()
-		ctype := c.ctype
-		if ctype == "" {
-			ctype = "text/html; charset=utf-8"
-		}
-		h.Set("Content-Type", ctype)
+		clen := int64(-1)
 		if c.state == flightDone {
-			// The whole page is already buffered: its length is exact.
-			clen := c.total
-			if clen == 0 && c.clen > 0 {
-				clen = c.clen // bodyless response (HEAD): leader's declared length
-			}
-			h.Set("Content-Length", strconv.FormatInt(clen, 10))
+			clen = c.length() // the whole page is already buffered: its length is exact
 		}
-		h.Set("Via", "dpcache-dpc/1.0")
-		h.Set("X-Cache", "COALESCE-FOLLOWER")
-		rs.w.WriteHeader(http.StatusOK)
+		commitHeaders(rs.w, c.ctype, clen, "COALESCE-FOLLOWER")
 		committed = true
 		rs.streamed = true
 		rs.cacheState = "COALESCE-FOLLOWER"
@@ -580,7 +551,7 @@ func (p *Proxy) assemblePage(rs *reqState, body io.Reader, clen int64, max int) 
 	if err := sw.flush(); err != nil {
 		return stats, err
 	}
-	if rs.pageCapture != nil {
+	if rs.fillKey != "" {
 		rs.depRefs = stats.Refs
 	}
 	p.m.assembled.Inc()
@@ -631,7 +602,12 @@ func (p *Proxy) stageStaleFallback(rs *reqState) (stageOutcome, error) {
 	// Recover with a bypass fetch, reporting the stale slots so the BEM
 	// invalidates them and the next template carries fresh SETs instead
 	// of looping here. The bypass answer is not the plan a page-scoped
-	// grant vouched for: the page it files is the asker's alone.
+	// grant vouched for: the page it files is the asker's alone, and an
+	// identified asker's is filed nowhere — it was admitted only as the
+	// page's answer (grantLease).
+	if !anonymousSession(rs.r) {
+		rs.fillKey = ""
+	}
 	rs.pageUntil = 0
 	p.reg.Counter("dpc.stale_fallbacks").Inc()
 	if rs.span != nil {
@@ -643,13 +619,8 @@ func (p *Proxy) stageStaleFallback(rs *reqState) (stageOutcome, error) {
 		return stageNext, err
 	}
 	defer resp.Body.Close()
-	switch {
-	case rs.fillRule == ruleStatic:
-		// The opt-in came with the template that went stale: the bypass
-		// answer is not what the origin opted in.
-		rs.pageCapture.discard()
-	case rs.pageCapture != nil && !pageCacheable(resp.Header):
-		rs.pageCapture.refuse()
+	if !pageCacheable(resp.Header) {
+		p.refuseFill(rs, "origin-uncacheable")
 	}
 	rs.ctype, rs.cacheState = resp.Header.Get("Content-Type"), "BYPASS"
 	if name := resp.Header.Get(headerTemplate); name != "" {
@@ -666,14 +637,12 @@ func (p *Proxy) stageStaleFallback(rs *reqState) (stageOutcome, error) {
 		return stageRespond, nil
 	}
 	p.m.plainPassthrough.Inc()
-	if rs.pageCapture != nil {
-		// A plain bypass page was generated by the origin straight from
-		// the repository: it is composed of fragments the proxy cannot
-		// see, so it carries no dependency edges and the invalidation
-		// fabric could never drop it — a filed copy would serve stale
-		// fragment bytes until the TTL. Serve it uncached.
-		rs.pageCapture.discard()
-	}
+	// A plain bypass page was generated by the origin straight from the
+	// repository: it is composed of fragments the proxy cannot see, so it
+	// carries no dependency edges and the invalidation fabric could never
+	// drop it — a filed copy would serve stale fragment bytes until the
+	// TTL. Serve it uncached.
+	rs.fillKey = ""
 	// The bypass page reaches the client through the same teeing writer as
 	// a first-try passthrough, so followers parked on this flight receive
 	// the recovery page live.

@@ -88,11 +88,12 @@ type Config struct {
 	Registry *metrics.Registry
 	// PageCache adds the page rule to the whole-response tier (see
 	// pagestage.go), which is always mounted for the origin's opt-in
-	// (Cache-Control: max-age, X-Cache: STATIC), as in the paper's
-	// ISA-server setup: complete responses to anonymous-session GETs (no
-	// Cookie, Authorization, or X-User) are cached for PageCacheTTL —
-	// keyed like a coalesced flight (URI, method, forwarded variant
-	// headers) — and served with X-Cache: PAGE. An identity-bearing request
+	// (Cache-Control: max-age on a plain response, X-Cache: STATIC), as in
+	// the paper's ISA-server setup: complete responses to anonymous-session
+	// GETs (no Cookie, Authorization, or X-User) are cached for
+	// PageCacheTTL — keyed like a coalesced flight (URI, method, forwarded
+	// variant headers) — and served with X-Cache: PAGE. An assembled page
+	// enters the tier by this rule only. An identity-bearing request
 	// is page-admitted only while the page-scoped grant the entry was built
 	// under lasts (see pagestage.go), which needs Strict and the fabric. Off by
 	// default — without the invalidation fabric a page cache cannot see
@@ -617,17 +618,28 @@ func (p *Proxy) fail(rs *reqState, err error) {
 }
 
 func (p *Proxy) writePage(w http.ResponseWriter, body []byte, ctype, cacheState string) {
+	commitHeaders(w, ctype, int64(len(body)), cacheState)
+	_, _ = w.Write(body)
+}
+
+// commitHeaders sends the headers of a 200 the proxy serves: ctype as
+// Content-Type (HTML when none is known), clen as Content-Length when it is
+// known (not negative), Via, and cacheState as X-Cache. Every page, writer
+// and flight response commits through it. It returns the Content-Type sent.
+func commitHeaders(w http.ResponseWriter, ctype string, clen int64, cacheState string) string {
 	if ctype == "" {
 		ctype = "text/html; charset=utf-8"
 	}
 	// Canonical names, assigned directly: Set would canonicalize each.
 	h := w.Header()
 	h["Content-Type"] = []string{ctype}
-	h["Content-Length"] = []string{strconv.Itoa(len(body))}
+	if clen >= 0 {
+		h["Content-Length"] = []string{strconv.FormatInt(clen, 10)}
+	}
 	h["Via"] = []string{"dpcache-dpc/1.0"}
 	h["X-Cache"] = []string{cacheState}
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(body)
+	return ctype
 }
 
 // FormatStaleRefs encodes stale references for the X-DPC-Stale header:

@@ -10,10 +10,10 @@ import (
 // The origin's opt-in rule of the whole-response tier (see pagestage.go):
 // the conventional URL-keyed cache the DPC also runs (Section 4.2; the
 // paper's setup serves all static content from the ISA proxy cache). Only
-// a response the origin marks Cache-Control: max-age is admitted, and a
-// template response only for an anonymous session. This file holds the
-// rule's key (staticKey) and checks (cacheableStatic, cacheableAssembled);
-// storage, lookup and filing are the tier's.
+// a plain response the origin marks Cache-Control: max-age is admitted; a
+// template response never is, whatever it carries. This file holds the
+// rule's key (staticKey) and check (cacheableStatic); storage, lookup and
+// filing are the tier's.
 
 // maxAgeFrom parses Cache-Control for a positive max-age; no-store and
 // no-cache disable caching.
@@ -80,23 +80,6 @@ func cacheableStatic(resp *http.Response) (ttl time.Duration, varied bool) {
 	// Join every Cache-Control line before parsing: directives may
 	// legally arrive on separate header lines, and a no-store on the
 	// second line must veto a max-age on the first.
-	age := maxAgeFrom(strings.Join(resp.Header.Values("Cache-Control"), ","))
-	if age > 0 && !varyAllowlisted(resp.Header) {
-		return 0, true
-	}
-	return age, false
-}
-
-// cacheableAssembled reports the TTL an origin granted an *assembled*
-// template page for URL-keyed caching. cacheableStatic refuses template
-// responses as a matter of course — a dynamic page must not be URL-keyed
-// unless the origin says so — and this check is that explicit opt-in: a
-// template response carrying Cache-Control: max-age (and no Vary beyond
-// the allowlist) asks the proxy to serve the assembled result from the
-// tier for the TTL, with the invalidation fabric dropping the entry early
-// if a source fragment dies (its dependency edges are recorded under the
-// static key, as every fill's are). varied mirrors cacheableStatic's.
-func cacheableAssembled(resp *http.Response) (ttl time.Duration, varied bool) {
 	age := maxAgeFrom(strings.Join(resp.Header.Values("Cache-Control"), ","))
 	if age > 0 && !varyAllowlisted(resp.Header) {
 		return 0, true

@@ -1,10 +1,8 @@
 package dpc
 
-// Assembled pages under the origin's opt-in: a template response carrying
-// an explicit Cache-Control max-age asks the proxy to cache the assembled
-// result like any static asset — filed in the one tier under the static
-// key with the record of the fragments it was built from, so the entry is
-// dropped, not served, once the fabric kills a composing fragment.
+// Assembled pages and the origin's opt-in: a template answer is never
+// filed under the static key, whatever its Cache-Control says, and the
+// plan tier's coherency.
 
 import (
 	"bytes"
@@ -13,9 +11,7 @@ import (
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
-	"time"
 
-	"dpcache/internal/clock"
 	"dpcache/internal/coherency"
 	"dpcache/internal/tmpl"
 )
@@ -60,142 +56,43 @@ func assembledGet(t *testing.T, url string, hdr map[string]string) (string, stri
 	return string(b), resp.Header.Get("X-Cache")
 }
 
-func TestAssembledStaticFillServesStatic(t *testing.T) {
-	origin, fetches := assembledStaticOrigin(map[string]string{"Cache-Control": "max-age=60"})
-	defer origin.Close()
-	p := newTestProxy(t, origin.URL, func(c *Config) { c.Stream = true })
-	ts := httptest.NewServer(p)
-	defer ts.Close()
-
-	body1, state1 := assembledGet(t, ts.URL+"/page", nil)
-	if state1 == "STATIC" {
-		t.Fatalf("first request X-Cache = %q", state1)
-	}
-	body2, state2 := assembledGet(t, ts.URL+"/page", nil)
-	if state2 != "STATIC" {
-		t.Fatalf("second request X-Cache = %q, want STATIC", state2)
-	}
-	if got := p.Registry().Snapshot()["dpc.pagecache_fills"]; got != 1 {
-		t.Fatalf("dpc.pagecache_fills = %d, want 1", got)
-	}
-	if body1 != body2 || body1 != "<html>assembled body</html>" {
-		t.Fatalf("bodies: %q then %q", body1, body2)
-	}
-	if fetches.Load() != 1 {
-		t.Fatalf("origin fetched %d times, want 1", fetches.Load())
-	}
-}
-
-// A fragment invalidation through the fabric voids the assembled entry
-// surgically, however long the origin's max-age keeps it: past the
-// (shorter) page TTL the entry is still judged by its record, and the read
-// that finds it dead drops it instead of serving it for the rest of its
-// minute.
-func TestAssembledStaticFragmentInvalidation(t *testing.T) {
-	origin, fetches := assembledStaticOrigin(map[string]string{"Cache-Control": "max-age=60"})
-	defer origin.Close()
-	fake := clock.NewFake(time.Unix(1000, 0))
-	p := newTestProxy(t, origin.URL, func(c *Config) {
-		c.Stream = true
-		c.Clock = fake
-	})
-	ts := httptest.NewServer(p)
-	defer ts.Close()
-
-	assembledGet(t, ts.URL+"/page", nil)
-	fake.Advance(10 * time.Second) // past defaultPageTTL, inside max-age
-	if _, state := assembledGet(t, ts.URL+"/page", nil); state != "STATIC" {
-		t.Fatalf("warm X-Cache = %q, want STATIC", state)
-	}
-
-	p.Apply(coherency.Event{Seq: 1, Kind: coherency.KindFragment, Key: 1, Gen: 1})
-	if _, state := assembledGet(t, ts.URL+"/page", nil); state == "STATIC" {
-		t.Fatal("stale assembled entry served after its fragment was invalidated")
-	}
-	// The read drops the dead entry, and the refetch's fill is refused: this
-	// origin sends the dead generation again.
-	dropped, flushes := p.Registry().Counter("dpc.pagecache_invalidations"), p.Registry().Counter("dpc.pagecache_flushes")
-	if dropped.Value() != 2 || flushes.Value() != 0 {
-		t.Fatalf("dpc.pagecache_invalidations = %d, flushes = %d, want two surgical drops", dropped.Value(), flushes.Value())
-	}
-	if fetches.Load() != 2 {
-		t.Fatalf("origin fetched %d times, want 2 (refetched after invalidation)", fetches.Load())
-	}
-}
-
-// Without the origin's explicit max-age, assembled pages are never
-// URL-keyed; identity-bearing requests never are either; a non-allowlisted
-// Vary refuses the opt-in and counts it.
+// A template answer is never URL-keyed, whatever Cache-Control it carries:
+// the origin's opt-in is for plain responses, and a dynamic page is cached
+// whole only by the page rule. Nothing is filed, no request is served
+// STATIC, and no refusal of the opt-in is counted, since none was
+// considered.
 func TestAssembledStaticRefusals(t *testing.T) {
 	for _, tc := range []struct {
-		name    string
-		extra   map[string]string
-		reqHdr  map[string]string
-		counter string
+		name   string
+		extra  map[string]string
+		reqHdr map[string]string
 	}{
 		{name: "no-opt-in"},
+		{name: "max-age", extra: map[string]string{"Cache-Control": "max-age=60"}},
 		{name: "identity", extra: map[string]string{"Cache-Control": "max-age=60"},
 			reqHdr: map[string]string{"Cookie": "sid=1"}},
-		{name: "vary", extra: map[string]string{"Cache-Control": "max-age=60", "Vary": "X-User"},
-			counter: "dpc.pagecache_uncacheable_vary"},
+		{name: "vary", extra: map[string]string{"Cache-Control": "max-age=60", "Vary": "X-User"}},
 		{name: "private", extra: map[string]string{"Cache-Control": "private, max-age=60"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			origin, _ := assembledStaticOrigin(tc.extra)
+			origin, fetches := assembledStaticOrigin(tc.extra)
 			defer origin.Close()
 			p := newTestProxy(t, origin.URL, func(c *Config) { c.Stream = true })
 			ts := httptest.NewServer(p)
 			defer ts.Close()
 
-			assembledGet(t, ts.URL+"/page", tc.reqHdr)
-			if _, state := assembledGet(t, ts.URL+"/page", tc.reqHdr); state == "STATIC" {
-				t.Fatal("refused page served STATIC")
-			}
-			snap := p.Registry().Snapshot()
-			if got := snap["dpc.pagecache_fills"]; got != 0 {
-				t.Fatalf("dpc.pagecache_fills = %d, want 0", got)
-			}
-			if tc.counter != "" {
-				if got := snap[tc.counter]; got != 2 {
-					t.Fatalf("%s = %d, want 2 (one per fetch)", tc.counter, got)
+			for i := range 2 {
+				if body, state := assembledGet(t, ts.URL+"/page", tc.reqHdr); state != "MISS" || body != "<html>assembled body</html>" {
+					t.Fatalf("request %d: X-Cache %q, body %q; want the assembled page, a MISS", i, state, body)
 				}
 			}
-		})
-	}
-}
-
-// A page longer than the look-ahead spool streams whether or not the
-// origin opted it in — the opt-in no longer holds it whole — and the
-// opted-in one is still filed: the tee sees every byte the spool sends.
-func TestAssembledStaticStreamsAndFills(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		extra map[string]string
-		filed bool
-	}{
-		{"opted-in", map[string]string{"Cache-Control": "max-age=60"}, true},
-		{"not-opted-in", nil, false},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			origin, _ := assembledStaticOrigin(tc.extra)
-			defer origin.Close()
-			p := newTestProxy(t, origin.URL, func(c *Config) {
-				c.Stream = true
-				c.StreamSpoolBytes = 16 // the page is 27 bytes
-			})
-			ts := httptest.NewServer(p)
-			defer ts.Close()
-
-			if body, _ := assembledGet(t, ts.URL+"/page", nil); body != "<html>assembled body</html>" {
-				t.Fatalf("body = %q", body)
-			}
-			body, state := assembledGet(t, ts.URL+"/page", nil)
-			if body != "<html>assembled body</html>" || (state == "STATIC") != tc.filed {
-				t.Fatalf("revisit: X-Cache %q, body %q, filed=%v", state, body, tc.filed)
-			}
 			snap := p.Registry().Snapshot()
-			if fills := snap["dpc.pagecache_fills"]; (fills == 1) != tc.filed || snap["dpc.streamed"] == 0 {
-				t.Fatalf("dpc.pagecache_fills = %d, dpc.streamed = %d, filed=%v", fills, snap["dpc.streamed"], tc.filed)
+			if snap["dpc.pagecache_fills"] != 0 || p.Pages().Len() != 0 || fetches.Load() != 2 {
+				t.Fatalf("%d fills, %d entries, %d origin fetches; want none filed and two fetches",
+					snap["dpc.pagecache_fills"], p.Pages().Len(), fetches.Load())
+			}
+			if got := snap["dpc.pagecache_uncacheable_vary"]; got != 0 {
+				t.Fatalf("dpc.pagecache_uncacheable_vary = %d, want 0", got)
 			}
 		})
 	}

@@ -3,7 +3,6 @@ package dpc
 import (
 	"io"
 	"net/http"
-	"strconv"
 	"sync"
 )
 
@@ -63,10 +62,12 @@ func putPageBuf(ref *[]byte, buf []byte) {
 // up to max bytes. Until the spool overflows nothing — not even response
 // headers — has been committed, so the caller can still discard the page
 // and fall back. Once committed, writes pass straight through to the client
-// and, when the request leads a coalesced flight, are teed into its
-// broadcast buffer so followers stream the page live. Bytes still in the
-// spool are deliberately not broadcast: an abort-to-bypass must leave
-// followers a clean slate.
+// and are teed twice: into the flight's broadcast buffer when the request
+// leads a coalesced flight, so followers stream the page live, and into the
+// tier's capture when the request is admitted to the tier, for respond to
+// file. Bytes still in the spool are deliberately teed nowhere: an
+// abort-to-bypass must leave followers a clean slate, and the tier nothing
+// to file.
 type spoolWriter struct {
 	p  *Proxy
 	rs *reqState
@@ -82,9 +83,8 @@ type spoolWriter struct {
 	// clientGone flips when the client's write fails while followers are
 	// parked on the leader's flight: from then on the source keeps being
 	// read and every chunk is broadcast in full, so committed followers
-	// receive the complete page instead of an aborted flight. The dead
-	// client's writer is still fed (errors ignored) so the page-capture
-	// tee stays complete and the fill can happen.
+	// receive the complete page instead of an aborted flight, and the
+	// capture the complete page to file.
 	clientGone bool
 }
 
@@ -110,12 +110,15 @@ func (s *spoolWriter) Write(b []byte) (int, error) {
 	return s.send(b)
 }
 
-// send delivers committed bytes to the client and the flight broadcast.
+// send delivers committed bytes to the client, the flight broadcast and
+// the tier's capture.
 func (s *spoolWriter) send(b []byte) (int, error) {
+	if c := s.rs.pageCapture; c != nil {
+		c.write(b)
+	}
 	f := s.rs.flight
 	if s.clientGone {
 		f.append(b)
-		_, _ = s.rs.w.Write(b)
 		return len(b), nil
 	}
 	n, err := s.rs.w.Write(b)
@@ -137,29 +140,24 @@ func (s *spoolWriter) send(b []byte) (int, error) {
 
 // commit sends response headers and any spooled bytes; from here on a
 // failure can only abort the connection. final reports that the page is
-// already complete in the spool, so its exact length is known.
+// already complete in the spool, so its exact length is known. A request
+// still admitted to the tier starts its capture here: the admission was
+// decided before this first byte, and nothing after it retracts it.
 func (s *spoolWriter) commit(final bool) error {
+	rs := s.rs
 	s.committed = true
-	s.rs.streamed = true
-	h := s.rs.w.Header()
-	ctype := s.rs.ctype
-	if ctype == "" {
-		ctype = "text/html; charset=utf-8"
+	rs.streamed = true
+	clen := s.clen
+	if clen < 0 && final {
+		clen = int64(len(s.spool))
 	}
-	// Canonical names, assigned directly: Set would canonicalize each.
-	h["Content-Type"] = []string{ctype}
-	switch {
-	case s.clen >= 0:
-		h["Content-Length"] = []string{strconv.FormatInt(s.clen, 10)}
-	case final:
-		h["Content-Length"] = []string{strconv.Itoa(len(s.spool))}
-	}
-	h["Via"] = []string{"dpcache-dpc/1.0"}
-	h["X-Cache"] = []string{s.rs.cacheState}
-	if f := s.rs.flight; f != nil {
+	ctype := commitHeaders(rs.w, rs.ctype, clen, rs.cacheState)
+	if f := rs.flight; f != nil {
 		f.publishHeaders(ctype, s.clen)
 	}
-	s.rs.w.WriteHeader(http.StatusOK)
+	if rs.fillKey != "" {
+		rs.pageCapture = &pageCapture{pages: s.p.pages}
+	}
 	if len(s.spool) > 0 {
 		_, err := s.send(s.spool)
 		s.spool = s.spool[:0]

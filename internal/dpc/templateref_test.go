@@ -44,7 +44,7 @@ func leaseOrigin(codec tmpl.Codec, body []byte, grant bool) http.Handler {
 func fetchAssemble(p *Proxy, path string) (*httptest.ResponseRecorder, AssembleStats, error) {
 	rec := httptest.NewRecorder()
 	rs := &reqState{w: rec, r: httptest.NewRequest(http.MethodGet, path, nil), start: time.Now()}
-	if _, ok := p.useLease(rs); ok {
+	if p.useLease(rs) {
 		st, err := p.assemblePage(rs, nil, 0, wholePage)
 		return rec, st, err
 	}

@@ -26,10 +26,10 @@ func NewTracer(reg *metrics.Registry, sampleEvery int, slow time.Duration, ringS
 }
 
 // traceWriter attributes response bytes and time-to-first-byte to the
-// request's root span on their way to the client. It wraps the real
-// ResponseWriter *under* any later tee (the pageCapture wraps it in
-// turn), so whole pages, streamed chunks, and coalesced replays are
-// all attributed.
+// request's root span on their way to the client. It is the request's
+// writer (rs.w) from ServeHTTP on, so whole pages, streamed chunks, and
+// coalesced replays are all attributed; the tier's capture is a tee of the
+// spool writer, not a wrapper of this one.
 type traceWriter struct {
 	http.ResponseWriter
 	sp *trace.Span

@@ -555,7 +555,7 @@ func (s *KeyedStore) DeleteFunc(pred func(key string) bool) int {
 // concurrent captures evicts resident entries to make room instead of
 // blowing past the budget. No-op on an unbounded store. Scratch bytes
 // are never evictable — the caller must release exactly what it
-// reserved once the capture is filed or discarded.
+// reserved once the capture is filed or given up.
 func (s *KeyedStore) ReserveScratch(n int64) {
 	if s.reserveScratch(n) {
 		s.evictGlobal()
